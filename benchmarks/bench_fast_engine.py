@@ -7,10 +7,9 @@ outputs are element-wise identical, and reports items/s plus the
 speedup.  The acceptance target for the engine is >= 3x on a >= 5k-item
 batch; CI runs a tiny smoke profile of the same script.
 
-``--executor`` picks the fast engine's shard substrate (``--parallel``
-is the legacy alias): ``serial``/``thread`` run in-process, while
-``process`` (:class:`repro.core.execution.ProcessShardExecutor`) and
-``cluster`` (a self-contained localhost fleet via
+``--executor`` picks the fast engine's shard substrate:
+``serial``/``thread`` run in-process, while ``process``
+(:class:`repro.core.execution.ProcessShardExecutor`) and ``cluster`` (a self-contained localhost fleet via
 :meth:`repro.core.execution.ClusterExecutor.local`) each get an extra
 comparison column against the thread baseline — measured, not
 asserted.  Those columns include pool/fleet start-up and model
@@ -114,15 +113,11 @@ def main(argv=None) -> int:
     parser.add_argument("--executor",
                         choices=["serial", "thread", "process",
                                  "cluster"],
-                        default=None,
+                        default="thread",
                         help="shard substrate for the fast column; "
                              "'process' and 'cluster' additionally get "
                              "their own comparison column against the "
                              "thread baseline (identical output)")
-    parser.add_argument("--parallel", choices=["thread", "process"],
-                        default="thread",
-                        help="legacy alias of --executor; ignored when "
-                             "--executor is given")
     parser.add_argument("--process-workers", type=int, default=0,
                         help="workers for the process/cluster column "
                              "(default: max(2, --workers))")
@@ -138,8 +133,7 @@ def main(argv=None) -> int:
     print(f"world: {model.n_leaves} leaves, {model.n_keyphrases} "
           f"keyphrases, {len(requests)} requests")
 
-    executor = args.executor if args.executor is not None \
-        else args.parallel
+    executor = args.executor
 
     ref_time, ref_out = time_engine(model, requests, "reference", args.k,
                                     args.hard_limit, args.workers,
@@ -244,7 +238,6 @@ def main(argv=None) -> int:
         "verified_identical": True,
         "workers": args.workers,
         "executor": executor,
-        "parallel": args.parallel,
         "items": len(requests),
         "k": args.k,
         "throughput": {row[0]: row[2] for row in rows},

@@ -23,9 +23,8 @@ Two dataset modes, like ``bench_fast_engine.py``'s synthetic world:
   stats from a simulated training window (same path as the CLI and the
   eval harness), sized by ``--profile``/``--events``.
 
-``--executor`` picks the fast row's shard substrate (``--parallel`` is
-the legacy alias).  ``--executor process`` adds a row building
-whole-leaf shards in worker processes
+``--executor`` picks the fast row's shard substrate.  ``--executor
+process`` adds a row building whole-leaf shards in worker processes
 (:class:`repro.core.execution.ProcessShardExecutor`, whose workers
 hand their graphs back as zero-copy format-3 leaf bundles, per-shard
 token caches merged afterwards); ``--executor cluster`` instead runs
@@ -176,15 +175,11 @@ def main(argv=None) -> int:
     parser.add_argument("--executor",
                         choices=["serial", "thread", "process",
                                  "cluster"],
-                        default=None,
+                        default="thread",
                         help="shard substrate for the fast row; "
                              "'process' and 'cluster' additionally get "
                              "their own comparison row against the "
                              "thread baseline (bit-identical model)")
-    parser.add_argument("--parallel", choices=["thread", "process"],
-                        default="thread",
-                        help="legacy alias of --executor; ignored when "
-                             "--executor is given")
     parser.add_argument("--process-workers", type=int, default=0,
                         help="workers for the process/cluster row "
                              "(default: max(2, --workers))")
@@ -237,8 +232,7 @@ def main(argv=None) -> int:
         args.repeat)
     assert_identical_models(model_ref, model_fast)
 
-    executor = args.executor if args.executor is not None \
-        else args.parallel
+    executor = args.executor
     build_proc_time = None
     process_workers = args.process_workers or max(2, args.workers)
     if executor in ("process", "cluster"):
@@ -269,7 +263,7 @@ def main(argv=None) -> int:
     # between shards, never changes its result.
     from repro.core.execution import (ThreadShardExecutor,
                                       plan_rebalance_gain)
-    from repro.core.sharding import ShardPlan
+    from repro.core.sharding import ShardPlan, construction_proxy
 
     from repro.obs import MetricsRegistry
 
@@ -278,11 +272,9 @@ def main(argv=None) -> int:
                                    metrics=MetricsRegistry())
     GraphExModel.construct(curated_fast, builder="fast",
                            build_pooled=args.pooled, executor=recorder)
-    proxy = [(leaf_id, sum(map(len, leaf.texts)) + 1)
-             for leaf_id, leaf in curated_fast.leaves.items()
-             if len(leaf) > 0]
     rebalance_gain = plan_rebalance_gain(
-        recorder.cost_model, proxy, rebalance_workers)
+        recorder.cost_model, construction_proxy(curated_fast),
+        rebalance_workers)
     proxy_plan = ShardPlan.for_construction(curated_fast,
                                             rebalance_workers)
     fed_plan = ShardPlan.for_construction(
@@ -378,7 +370,6 @@ def main(argv=None) -> int:
         "verified_identical": True,   # bit-identical models + served spot check
         "workers": args.workers,
         "executor": executor,
-        "parallel": args.parallel,
         "rebalance_gain": rebalance_gain,
         "rebalance_shards": rebalance_workers,
         "n_keyphrases": n_keyphrases,

@@ -32,12 +32,11 @@ from .base import FileContext, Rule
 __all__ = ["LazyImportContractRule", "module_imports"]
 
 #: (importer, imported) edges that must stay function-scoped.  These
-#: are the cycle-breaking demotions from PR 4/8: batch and sharding
-#: dispatch through the execution plane only at call time.
+#: are the cycle-breaking demotions from PR 4/8: batch dispatches
+#: through the execution plane only at call time.
 DEFAULT_DECLARED_LAZY_EDGES = frozenset({
     ("repro.core.batch", "repro.core.execution"),
     ("repro.core.batch", "repro.core.fast_inference"),
-    ("repro.core.sharding", "repro.core.execution"),
 })
 
 #: (target, lineno) import edges out of one module.

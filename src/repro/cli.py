@@ -46,7 +46,6 @@ from .core.batch import ENGINES, batch_recommend
 from .core.curation import CURATION_ENGINES, CurationConfig, curate
 from .core.execution import EXECUTOR_NAMES
 from .core.model import BUILDERS, GraphExModel
-from .core.sharding import PARALLEL_MODES
 from .core.serialization import load_model, save_model
 from .data.generator import DEFAULT_PROFILE, TINY_PROFILE, generate_dataset
 from .search.logs import KeyphraseStat
@@ -135,25 +134,21 @@ def _load_curated(path: str):
 
 
 def _cli_executor(args: argparse.Namespace):
-    """Resolve ``--executor`` / the legacy ``--parallel`` alias to one
-    executor spec.  ``--executor`` wins when given; ``--parallel``
-    (default ``thread``) otherwise — passing both is fine because the
-    alias is simply ignored once the new flag is set.  ``cluster``
-    boots a self-contained localhost fleet
+    """The ``--executor`` value as an executor spec.  ``cluster`` boots
+    a self-contained localhost fleet
     (:meth:`repro.core.execution.ClusterExecutor.local`); the caller
     owns the returned instance and must ``close()`` it."""
-    spec = args.executor if args.executor is not None else args.parallel
-    if spec == "cluster":
+    if args.executor == "cluster":
         from .core.execution import ClusterExecutor
 
         return ClusterExecutor.local(workers=max(2, args.workers))
-    return spec
+    return args.executor
 
 
 def _close_executor(spec) -> None:
     """Tear down an executor ``_cli_executor`` instantiated (a string
-    spec owns nothing and is left alone)."""
-    if not isinstance(spec, str):
+    or ``None`` spec owns nothing and is left alone)."""
+    if hasattr(spec, "close"):
         spec.close()
 
 
@@ -229,8 +224,7 @@ def _cmd_serve_nrt(args: argparse.Namespace) -> int:
         model, window_size=args.window_size,
         window_seconds=args.window_seconds,
         engine=args.engine, workers=args.workers,
-        executor=args.executor if args.executor is not None
-        else args.parallel)
+        executor=args.executor)
     streams = [f"stream-{i}" for i in range(args.streams)]
     feeds = {}
     for index, name in enumerate(streams):
@@ -512,6 +506,29 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_executor_options(parser: argparse.ArgumentParser, path: str,
+                          choices, unit: str,
+                          executors=EXECUTOR_NAMES) -> None:
+    """The ``--engine|--builder`` / ``--workers`` / ``--executor``
+    triple shared by construct, recommend and serve-nrt."""
+    parser.add_argument(f"--{path}", choices=choices, default="fast",
+                        help=f"scalar reference {path} or the vectorized "
+                             f"fast one (identical output)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help=f"fast-{path} worker count; whole {unit} "
+                             f"are sharded")
+    # --parallel is this same action under its old name (the verify
+    # recipe drives it), not a second option.
+    parser.add_argument("--executor", "--parallel", dest="executor",
+                        choices=executors, default=None,
+                        help=f"where shards of {unit} run (default "
+                             f"thread; 'serial' is the in-order oracle; "
+                             f"'cluster', where offered, boots a "
+                             f"localhost worker fleet) — identical "
+                             f"output on each; only serial/thread pair "
+                             f"with the reference {path}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -544,27 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--out", required=True)
     p_con.add_argument("--alignment", choices=["lta", "wmr", "jac"],
                        default="lta")
-    p_con.add_argument("--builder", choices=BUILDERS, default="fast",
-                       help="construction path: scalar reference loop or "
-                            "the bulk array-native engine (bit-identical "
-                            "model)")
-    p_con.add_argument("--workers", type=int, default=1,
-                       help="fast-builder worker count; whole leaves "
-                            "are sharded")
-    p_con.add_argument("--executor", choices=EXECUTOR_NAMES,
-                       default=None,
-                       help="where leaf shards run: 'serial' (the "
-                            "in-order oracle), 'thread' (default) "
-                            "in-process fan-out, 'process' worker "
-                            "processes with per-shard token caches "
-                            "merged afterwards, 'cluster' a "
-                            "self-contained localhost worker fleet — "
-                            "bit-identical model on every substrate "
-                            "(fast builder only for process/cluster)")
-    p_con.add_argument("--parallel", choices=PARALLEL_MODES,
-                       default="thread",
-                       help="legacy alias of --executor (thread/process "
-                            "only); ignored when --executor is given")
+    _add_executor_options(p_con, "builder", BUILDERS, "leaves")
     p_con.add_argument("--format-version", type=int, choices=[1, 2, 3],
                        default=3,
                        help="on-disk format: 3 (default) writes the "
@@ -579,27 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--title", required=True)
     p_rec.add_argument("--leaf", type=int, required=True)
     p_rec.add_argument("-k", type=int, default=10)
-    p_rec.add_argument("--engine", choices=ENGINES,
-                       default="fast",
-                       help="inference path: scalar reference loop or the "
-                            "vectorized leaf-batched engine (identical "
-                            "output)")
-    p_rec.add_argument("--workers", type=int, default=1,
-                       help="fast-engine worker count; whole leaf "
-                            "groups are sharded")
-    p_rec.add_argument("--executor", choices=EXECUTOR_NAMES,
-                       default=None,
-                       help="where leaf-group shards run: 'serial' (the "
-                            "in-order oracle), 'thread' (default) "
-                            "in-process fan-out, 'process' worker "
-                            "processes, 'cluster' a self-contained "
-                            "localhost worker fleet — identical output "
-                            "on every substrate (fast engine only for "
-                            "process/cluster)")
-    p_rec.add_argument("--parallel", choices=PARALLEL_MODES,
-                       default="thread",
-                       help="legacy alias of --executor (thread/process "
-                            "only); ignored when --executor is given")
+    _add_executor_options(p_rec, "engine", ENGINES, "leaf groups")
     p_rec.add_argument("--mmap", action="store_true",
                        help="open the model zero-copy over the "
                             "format-3 artifact file (read-only views, "
@@ -617,19 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="events synthesized per stream")
     p_srv.add_argument("--window-size", type=int, default=32)
     p_srv.add_argument("--window-seconds", type=float, default=1.0)
-    p_srv.add_argument("--engine", choices=ENGINES, default="fast")
-    p_srv.add_argument("--workers", type=int, default=1)
-    p_srv.add_argument("--executor",
-                       choices=("serial", "thread", "process"),
-                       default=None,
-                       help="window micro-batch shard substrate "
-                            "(identical output on each; a long-lived "
-                            "service keeps its own cluster, so "
-                            "'cluster' is not offered here)")
-    p_srv.add_argument("--parallel", choices=PARALLEL_MODES,
-                       default="thread",
-                       help="legacy alias of --executor; ignored when "
-                            "--executor is given")
+    # A long-lived service keeps its own cluster, so 'cluster' is not
+    # offered here.
+    _add_executor_options(p_srv, "engine", ENGINES,
+                          "window micro-batch leaf groups",
+                          executors=("serial", "thread", "process"))
     p_srv.add_argument("--refresh-after", type=int, default=0,
                        help="hot-swap a freshly loaded model after this "
                             "many events per stream, mid-run (0 = no "

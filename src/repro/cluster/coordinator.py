@@ -4,10 +4,14 @@ The multi-machine shard runner the ROADMAP promised: a
 :class:`ClusterCoordinator` listens on localhost TCP, executor hosts
 (:class:`~repro.cluster.worker.ClusterWorker`) register, and a
 :class:`~repro.core.sharding.ShardPlan` — the shipping unit PR 3 built
-— is executed across the fleet through the exact scatter/merge
-contracts :class:`~repro.core.sharding.ProcessShardExecutor` pins.  The
-outputs are element-wise/bit-identical to the single-process fast paths
-under **any** failure topology; the fault-injection suite proves it.
+— is executed across the fleet.  How a batch or corpus is cut into
+units and merged back is not decided here: both jobs drive a
+:class:`~repro.core.execution.InferenceJob` /
+:class:`~repro.core.execution.ConstructionJob`, the same scatter/merge
+contract every in-process executor calls, and this module only
+schedules units, moves frames, and fences results.  The outputs are
+element-wise/bit-identical to the single-process fast paths under
+**any** failure topology; the fault-injection suite proves it.
 
 Robustness model, in order of escalation:
 
@@ -41,23 +45,23 @@ from __future__ import annotations
 import asyncio
 import base64
 import itertools
+import shutil
 import tempfile
 import time
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Hashable,
-                    List, Optional, Sequence, Set, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, Hashable, List,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from ..core.batch import BatchResult, InferenceRequest
-from ..core.fast_construct import build_leaf_graph_fast
-from ..core.fast_inference import DEFAULT_DENSE_LIMIT, LeafBatchRunner
-from ..core.inference import Recommendation
+from ..core.execution import (ConstructionJob, CostModel, InferenceJob,
+                              observe_spread)
+from ..core.fast_construct import fast_construct_leaf_graphs
+from ..core.fast_inference import DEFAULT_DENSE_LIMIT
 from ..core.model import GraphExModel
-from ..core.serialization import (load_leaf_graphs, open_model,
-                                  save_model)
-from ..core.sharding import ShardPlan
+from ..core.serialization import open_model, save_model
 from ..core.tokenize import DEFAULT_TOKENIZER, TokenCache, Tokenizer
 from ..obs import MetricsRegistry, merge_snapshots, validate_snapshot
 from .protocol import (PROTOCOL_VERSION, pack_curated_leaves,
@@ -68,7 +72,6 @@ from .transport import Transport, TransportClosed
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.curation import CuratedKeyphrases
-    from ..core.execution import CostModel
     from ..core.model import LeafGraph
 
 __all__ = ["ClusterCoordinator", "ClusterError", "ClusterExecutionError",
@@ -165,6 +168,27 @@ class _Assignment:
     stale: bool = False
 
 
+@dataclass
+class _JobRun:
+    """The job in flight, as the scheduler sees it.
+
+    ``encode(keys)`` is the kind-specific part of a unit's
+    ``run_shard`` frame; ``decode(keys, reply)`` unpacks a reply,
+    merges it into ``job``, and returns how many requests/leaves it
+    settled.
+    """
+
+    kind: str
+    job: Union[InferenceJob, ConstructionJob]
+    encode: Callable[[Tuple[Hashable, ...]], dict]
+    decode: Callable[[Tuple[Hashable, ...], dict], int]
+    cost_model: Optional[CostModel]
+    metrics: MetricsRegistry
+    report: ClusterRunReport
+    pending: Deque[_Unit] = field(default_factory=deque)
+    fatal: List[BaseException] = field(default_factory=list)
+
+
 class _WorkerHandle:
     """Coordinator-side state of one registered host."""
 
@@ -252,13 +276,6 @@ class ClusterCoordinator:
         self._worker_metrics: Dict[str, dict] = {}
         self._active_metrics: Optional[MetricsRegistry] = None
 
-    @property
-    def _job_metrics(self) -> MetricsRegistry:
-        """The running job's registry (a ClusterExecutor passes its
-        own), else the coordinator's."""
-        return self._active_metrics if self._active_metrics is not None \
-            else self.metrics
-
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
@@ -282,8 +299,6 @@ class ClusterCoordinator:
         to its caller before any worker is told to go.  New jobs are
         rejected from the moment stop is called.
         """
-        import shutil
-
         self._closing = True
         if drain and self._job_lock is not None:
             async with self._job_lock:
@@ -368,8 +383,12 @@ class ClusterCoordinator:
         worker is kept, merging here is exactly-once: the result's
         counters equal what one shared registry would have recorded.
         """
+        return self._fleet_view(self.metrics)
+
+    def _fleet_view(self, registry: MetricsRegistry) -> dict:
+        """``registry`` folded with every worker's latest snapshot."""
         return merge_snapshots(
-            [self.metrics.snapshot()]
+            [registry.snapshot()]
             + [snapshot for _name, snapshot in
                sorted(self._worker_metrics.items())])
 
@@ -490,7 +509,9 @@ class ClusterCoordinator:
                 # its keys, so it is discarded, not double-merged.
                 if self._active_report is not None:
                     self._active_report.n_late_discarded += 1
-                    self._job_metrics.inc("cluster.units.late_discarded")
+                    (self.metrics if self._active_metrics is None
+                     else self._active_metrics).inc(
+                        "cluster.units.late_discarded")
                 return True
             entry.future.set_result(frame)
         return True
@@ -627,18 +648,12 @@ class ClusterCoordinator:
         loop = asyncio.get_event_loop()
         if isinstance(source, GraphExModel):
             if self._model_spool is None:
-                # mkdtemp off-loop (async-no-blocking); re-check after
-                # the await — a concurrent submit may have won the race
-                # while we were in the executor.
-                spool = Path(await loop.run_in_executor(
+                # mkdtemp off-loop (async-no-blocking).  Only a job
+                # calls this, under _job_lock, so no second caller can
+                # create a spool while this one awaits the executor.
+                self._model_spool = Path(await loop.run_in_executor(
                     None, lambda: tempfile.mkdtemp(
                         prefix="graphex-coordinator-")))
-                if self._model_spool is None:
-                    self._model_spool = spool
-                else:
-                    await loop.run_in_executor(
-                        None, lambda: shutil.rmtree(
-                            spool, ignore_errors=True))
             path = self._model_spool / \
                 f"model-{next(self._artifact_counter)}"
             await loop.run_in_executor(
@@ -666,41 +681,55 @@ class ClusterCoordinator:
 
     # -- the scheduler ------------------------------------------------------
 
-    async def _execute_units(
-            self, kind: str, plan: ShardPlan, units: List[_Unit],
-            make_message: Callable[[_Unit, int], dict],
-            handle_result: Callable[[_Unit, dict], None],
-            run_local_unit: Callable[[_Unit], None],
-            report: ClusterRunReport) -> None:
+    def _fail(self, run: _JobRun, exc: BaseException) -> None:
+        run.fatal.append(exc)
+        self._state_changed.set()
+
+    def _settle(self, run: _JobRun, unit: _Unit, n_merged: int,
+                since: float) -> None:
+        """Book one merged unit.  Runs on the fenced merge path only —
+        exactly once per unit — so the merged counters equal the
+        single-process totals (the CI fleet-equality assertion).
+
+        The unit was timed whole, ``since`` its assignment (the
+        worker's single reply allows nothing finer); the reading goes
+        to the registry and, spread pro rata over the unit's keys, to
+        the cost model.
+        """
+        elapsed = time.monotonic() - since
+        for key in unit.keys:
+            run.report.merge_counts[key] = \
+                run.report.merge_counts.get(key, 0) + 1
+        run.metrics.inc("cluster.units.merged", kind=run.kind)
+        run.metrics.inc("cluster.requests.merged"
+                        if run.kind == "inference"
+                        else "cluster.leaves.merged", n_merged)
+        run.metrics.observe("cluster.unit.seconds", elapsed,
+                            kind=run.kind)
+        if run.cost_model is not None:
+            observe_spread(run.cost_model, run.kind,
+                           run.job.units(unit.keys), elapsed)
+
+    async def _execute_units(self, run: _JobRun) -> None:
         """Drive every unit to exactly-once completion (see module doc)."""
-        pending: Deque[_Unit] = deque(units)
+        kind, pending = run.kind, run.pending
+        pending.extend(_Unit(shard) for shard in run.job.plan.shards)
         running: Set[asyncio.Task] = set()
-        fatal: List[BaseException] = []
-
-        def fail(exc: BaseException) -> None:
-            if not fatal:
-                fatal.append(exc)
-            self._state_changed.set()
-
-        while True:
-            if fatal:
-                break
+        while not run.fatal:
             self._state_changed.clear()
             while pending:
                 worker = self._acquire_idle()
                 if worker is None:
                     break
-                unit = pending.popleft()
-                task = asyncio.ensure_future(self._run_unit(
-                    kind, worker, unit, plan, pending, make_message,
-                    handle_result, report, fail))
+                task = asyncio.ensure_future(
+                    self._run_unit(run, worker, pending.popleft()))
                 running.add(task)
                 task.add_done_callback(running.discard)
             if not pending and not running:
                 break
             if pending and not running and self.n_live() == 0:
                 if not self._local_fallback:
-                    fail(ClusterError(
+                    self._fail(run, ClusterError(
                         f"no live workers remain for {kind} and local "
                         f"fallback is disabled"))
                     break
@@ -708,15 +737,11 @@ class ClusterCoordinator:
                 # execution — same scatter/merge, same output.
                 while pending:
                     unit = pending.popleft()
-                    run_local_unit(unit)
-                    for key in unit.keys:
-                        report.merge_counts[key] = \
-                            report.merge_counts.get(key, 0) + 1
-                    report.n_local_units += 1
-                    self._job_metrics.inc("cluster.units.local",
-                                          kind=kind)
-                    self._job_metrics.inc("cluster.units.merged",
-                                          kind=kind)
+                    start = time.monotonic()
+                    self._settle(run, unit,
+                                 run.job.run_local(unit.keys), start)
+                    run.report.n_local_units += 1
+                    run.metrics.inc("cluster.units.local", kind=kind)
                 continue
             waiter = asyncio.ensure_future(self._state_changed.wait())
             await asyncio.wait({waiter, *running},
@@ -724,20 +749,16 @@ class ClusterCoordinator:
             waiter.cancel()
             with suppress(asyncio.CancelledError):
                 await waiter
-        if fatal:
+        if run.fatal:
             for task in running:
                 task.cancel()
             if running:
                 await asyncio.gather(*running, return_exceptions=True)
-            raise fatal[0]
+            raise run.fatal[0]
 
-    async def _run_unit(
-            self, kind: str, worker: _WorkerHandle, unit: _Unit,
-            plan: ShardPlan, pending: Deque[_Unit],
-            make_message: Callable[[_Unit, int], dict],
-            handle_result: Callable[[_Unit, dict], None],
-            report: ClusterRunReport,
-            fail: Callable[[BaseException], None]) -> None:
+    async def _run_unit(self, run: _JobRun, worker: _WorkerHandle,
+                        unit: _Unit) -> None:
+        kind, report = run.kind, run.report
         try:
             assignment_id = next(self._assignment_counter)
             entry = _Assignment(
@@ -748,7 +769,10 @@ class ClusterCoordinator:
             if worker.name not in report.workers_used:
                 report.workers_used.append(worker.name)
             try:
-                message = make_message(unit, assignment_id)
+                started = time.monotonic()
+                message = {"type": "run_shard", "kind": kind,
+                           "assignment": assignment_id,
+                           **run.encode(unit.keys)}
                 try:
                     if "model_artifact" in message and \
                             message["model_artifact"] not in \
@@ -760,7 +784,7 @@ class ClusterCoordinator:
                     await worker.transport.send(message)
                 except (TransportClosed, asyncio.TimeoutError):
                     self._mark_dead(worker, "send failed")
-                    self._replan_orphans(unit, plan, pending, report)
+                    self._replan_orphans(run, unit)
                     return
                 try:
                     reply = await asyncio.wait_for(entry.future,
@@ -773,68 +797,89 @@ class ClusterCoordinator:
                     entry.stale = True
                     unit.attempts += 1
                     report.n_retries += 1
-                    self._job_metrics.inc("cluster.retries", kind=kind)
+                    run.metrics.inc("cluster.retries", kind=kind)
                     worker.current_assignment = None
                     self._release_worker(worker)
                     if unit.attempts >= self._retry.max_attempts:
-                        fail(ClusterError(
+                        self._fail(run, ClusterError(
                             f"{kind} shard {list(unit.keys)!r} timed "
                             f"out on all {unit.attempts} attempts "
                             f"(rpc_timeout={self._rpc_timeout}s)"))
                         return
                     await asyncio.sleep(
                         self._retry.delay_for(unit.attempts - 1))
-                    pending.append(unit)
+                    run.pending.append(unit)
                     self._state_changed.set()
                     return
                 except _WorkerDied:
-                    self._replan_orphans(unit, plan, pending, report)
+                    self._replan_orphans(run, unit)
                     return
             finally:
                 worker.current_assignment = None
                 self._assignments.pop(assignment_id, None)
             if reply.get("type") == "shard_error":
                 self._release_worker(worker)
-                fail(ClusterExecutionError(
+                self._fail(run, ClusterExecutionError(
                     f"{kind} shard {list(unit.keys)!r} raised on worker "
                     f"{worker.name}; original worker traceback:\n"
                     f"{reply.get('traceback', '<missing>')}",
                     worker_traceback=reply.get("traceback")))
                 return
             try:
-                handle_result(unit, reply)
+                n_merged = run.decode(unit.keys, reply)
             except Exception as exc:
                 self._release_worker(worker)
-                fail(ClusterError(
+                self._fail(run, ClusterError(
                     f"merging {kind} shard {list(unit.keys)!r} from "
                     f"{worker.name} failed: {exc!r}"))
                 return
-            for key in unit.keys:
-                report.merge_counts[key] = \
-                    report.merge_counts.get(key, 0) + 1
-            self._job_metrics.inc("cluster.units.merged", kind=kind)
+            self._settle(run, unit, n_merged, started)
             self._release_worker(worker)
         except Exception as exc:  # never lose the scheduler to a bug
-            fail(exc)
+            self._fail(run, exc)
         finally:
             self._state_changed.set()
 
-    def _replan_orphans(self, unit: _Unit, plan: ShardPlan,
-                        pending: Deque[_Unit],
-                        report: ClusterRunReport) -> None:
+    def _replan_orphans(self, run: _JobRun, unit: _Unit) -> None:
         """Dead-host path: re-balance the orphaned keys over survivors."""
-        report.n_replans += 1
-        report.orphaned_keys.append(list(unit.keys))
-        self._job_metrics.inc("cluster.replans", kind=report.kind)
+        run.report.n_replans += 1
+        run.report.orphaned_keys.append(list(unit.keys))
+        run.metrics.inc("cluster.replans", kind=run.kind)
         n_live = self.n_live()
         if len(unit.keys) > 1 and n_live > 1:
-            replanned = plan.replan(unit.keys, n_live)
-            pending.extend(_Unit(shard) for shard in replanned.shards)
+            replanned = run.job.plan.replan(unit.keys, n_live)
+            run.pending.extend(_Unit(shard) for shard in replanned.shards)
         else:
-            pending.append(_Unit(unit.keys))
+            run.pending.append(_Unit(unit.keys))
         self._state_changed.set()
 
     # -- jobs ---------------------------------------------------------------
+
+    async def _run_job(
+            self, kind: str, job: Union[InferenceJob, ConstructionJob],
+            encode: Callable[[Tuple[Hashable, ...]], dict],
+            decode: Callable[[Tuple[Hashable, ...], dict], int],
+            cost_model: Optional[CostModel],
+            metrics: Optional[MetricsRegistry]) -> None:
+        """Run ``job`` across the fleet and leave its report behind."""
+        run = _JobRun(
+            kind, job, encode, decode, cost_model,
+            metrics if metrics is not None else self.metrics,
+            ClusterRunReport(kind=kind, n_units_planned=job.plan.n_shards,
+                             n_workers_at_start=self.n_live()))
+        self._active_report, self._active_metrics = run.report, run.metrics
+        try:
+            await self._execute_units(run)
+        finally:
+            self._active_report = self._active_metrics = None
+            try:
+                run.report.fleet_metrics = self._fleet_view(run.metrics)
+            except ValueError:
+                # A job registry with custom buckets cannot fold with
+                # the workers' default-bucket snapshots; the job view
+                # alone is still a valid snapshot.
+                run.report.fleet_metrics = run.metrics.snapshot()
+            self.last_report = run.report
 
     async def run_inference(
             self, model_source: Union[GraphExModel, str, Path],
@@ -842,7 +887,7 @@ class ClusterCoordinator:
             hard_limit: Optional[int] = None,
             dense_limit: int = DEFAULT_DENSE_LIMIT,
             distribute: str = "path",
-            cost_model: Optional["CostModel"] = None,
+            cost_model: Optional[CostModel] = None,
             metrics: Optional[MetricsRegistry] = None) -> BatchResult:
         """Infer a batch across the fleet.
 
@@ -874,124 +919,44 @@ class ClusterCoordinator:
         async with self._job_lock:
             if self._closing:
                 raise ClusterError("coordinator is stopping")
-            requests = list(requests)
             path, model = await self._materialize(model_source)
-            # The local runner validates configuration up front and
-            # serves the empty-fleet fallback.
-            runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
-                                     dense_limit=dense_limit)
-            plan, groups = ShardPlan.for_inference(
-                model, requests, max(1, self.n_live()),
-                cost_model=cost_model)
-            report = ClusterRunReport(
-                kind="inference", n_units_planned=plan.n_shards,
-                n_workers_at_start=self.n_live())
+            # The job's local runner validates configuration up front
+            # and serves the empty-fleet fallback.
+            job = InferenceJob(model, requests, max(1, self.n_live()),
+                               cost_model, k=k, hard_limit=hard_limit,
+                               dense_limit=dense_limit)
             model_ref = await self._model_ref(path, distribute)
-            results: List[List[Recommendation]] = [[] for _ in requests]
-            started: Dict[_Unit, float] = {}
-            job_metrics = metrics if metrics is not None else self.metrics
 
-            def indices_of(unit: _Unit) -> List[int]:
-                return [index for key in unit.keys
-                        for index in groups[key]]
-
-            def observe_unit(unit: _Unit, elapsed: float) -> None:
-                # Units are timed whole (assignment to merged result);
-                # the elapsed seconds spread over the unit's groups pro
-                # rata by request count — the attribution the worker's
-                # single reply allows.  The same reading feeds the
-                # registry and the cost model.
-                job_metrics.observe("cluster.unit.seconds", elapsed,
-                                    kind="inference")
-                if cost_model is None:
-                    return
-                sizes = [(key, len(groups[key])) for key in unit.keys]
-                total = sum(size for _key, size in sizes)
-                for key, size in sizes:
-                    cost_model.observe_inference(
-                        key, elapsed * size / total if total else 0.0,
-                        size)
-
-            def make_message(unit: _Unit, assignment_id: int) -> dict:
-                started[unit] = time.monotonic()
-                return {"type": "run_shard", "kind": "inference",
-                        "assignment": assignment_id, **model_ref,
-                        "requests": pack_requests(
-                            [requests[index]
-                             for index in indices_of(unit)]),
+            def encode(keys: Tuple[Hashable, ...]) -> dict:
+                return {**model_ref,
+                        "requests": pack_requests(job.requests_of(keys)),
                         "k": k, "hard_limit": hard_limit,
                         "dense_limit": dense_limit}
 
-            def handle_result(unit: _Unit, reply: dict) -> None:
-                indices = indices_of(unit)
-                rows = reply["results"]
-                if len(rows) != len(indices):
-                    raise ClusterError(
-                        f"shard returned {len(rows)} results for "
-                        f"{len(indices)} requests")
-                for index, packed in zip(indices, rows):
-                    results[index] = unpack_recommendations(packed)
-                # Fenced merge path: exactly once per request, so this
-                # counter equals the single-process request total (the
-                # CI fleet-equality assertion).
-                job_metrics.inc("cluster.requests.merged", len(indices))
-                if unit in started:
-                    observe_unit(unit, time.monotonic() - started[unit])
+            def decode(keys: Tuple[Hashable, ...], reply: dict) -> int:
+                return job.merge(keys, [unpack_recommendations(packed)
+                                        for packed in reply["results"]])
 
-            def run_local_unit(unit: _Unit) -> None:
-                indices = indices_of(unit)
-                start = time.monotonic()
-                for index, recs in zip(indices, runner.run_indexed(
-                        [requests[index] for index in indices])):
-                    results[index] = recs
-                job_metrics.inc("cluster.requests.merged", len(indices))
-                observe_unit(unit, time.monotonic() - start)
-
-            self._active_report = report
-            self._active_metrics = job_metrics
-            try:
-                await self._execute_units(
-                    "inference", plan,
-                    [_Unit(shard) for shard in plan.shards],
-                    make_message, handle_result, run_local_unit, report)
-            finally:
-                self._active_report = None
-                self._active_metrics = None
-                try:
-                    report.fleet_metrics = merge_snapshots(
-                        [job_metrics.snapshot()]
-                        + [snapshot for _name, snapshot in
-                           sorted(self._worker_metrics.items())])
-                except ValueError:
-                    # A job registry with custom buckets cannot fold
-                    # with the workers' default-bucket snapshots; the
-                    # job view alone is still a valid snapshot.
-                    report.fleet_metrics = job_metrics.snapshot()
-                self.last_report = report
-            out: BatchResult = {}
-            for index, (item_id, _title, _leaf_id) in \
-                    enumerate(requests):
-                out[item_id] = results[index]
-            return out
+            await self._run_job("inference", job, encode, decode,
+                                cost_model, metrics)
+            return job.output()
 
     async def run_construction(
             self, curated: "CuratedKeyphrases",
             tokenizer: Tokenizer = DEFAULT_TOKENIZER, *,
-            cost_model: Optional["CostModel"] = None,
+            cost_model: Optional[CostModel] = None,
             metrics: Optional[MetricsRegistry] = None
             ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
         """Build every non-empty leaf graph across the fleet.
 
-        Same contract as
-        :meth:`~repro.core.sharding.ProcessShardExecutor.run_construction`:
-        workers persist their shard's graphs as format-3 leaf bundles
-        in their spool and the coordinator mmap-opens them (localhost /
-        shared filesystem — the bundle never crosses the wire as a
-        pickle); per-shard token-cache states merge into the returned
-        cache in ascending-smallest-leaf-id order, which is
-        deterministic for a given completion set (and the built graphs
-        are insensitive to pool id order by the pinned bit-identity
-        contract either way).
+        Same contract as every other executor's ``run_construction``:
+        workers persist their unit's graphs as format-3 leaf bundles in
+        their spool (:func:`~repro.core.execution.build_shard_bundle`)
+        and the coordinator mmap-opens them (localhost / shared
+        filesystem — the bundle never crosses the wire as a pickle);
+        the :class:`~repro.core.execution.ConstructionJob` merges the
+        token-cache states in an order that does not depend on which
+        unit finished first.
 
         A tokenizer that is not wire-representable (anything but a
         plain ``SpaceTokenizer``) cannot promise identical semantics on
@@ -1002,8 +967,6 @@ class ClusterCoordinator:
         the plan (same leaves, better balance) and each completed
         unit's wall-clock seconds are recorded back into it.
         """
-        from ..core.fast_construct import fast_construct_leaf_graphs
-
         async with self._job_lock:
             if self._closing:
                 raise ClusterError("coordinator is stopping")
@@ -1011,96 +974,22 @@ class ClusterCoordinator:
                 tokenizer_spec = pack_tokenizer(tokenizer)
             except ValueError:
                 return fast_construct_leaf_graphs(curated, tokenizer)
-            items = [(leaf_id, leaf)
-                     for leaf_id, leaf in curated.leaves.items()
-                     if len(leaf) > 0]
-            cache = TokenCache(tokenizer)
-            report = ClusterRunReport(
-                kind="construction", n_units_planned=0,
-                n_workers_at_start=self.n_live())
-            if not items:
-                self.last_report = report
-                return {}, cache
-            plan = ShardPlan.for_construction(
-                curated, max(1, self.n_live()), cost_model=cost_model)
-            report.n_units_planned = plan.n_shards
-            by_id = dict(items)
-            built: Dict[int, "LeafGraph"] = {}
-            states: List[Tuple[int, Any]] = []
-            started: Dict[_Unit, float] = {}
-            job_metrics = metrics if metrics is not None else self.metrics
+            job = ConstructionJob(curated, tokenizer,
+                                  max(1, self.n_live()), cost_model)
 
-            def observe_unit(unit: _Unit, elapsed: float) -> None:
-                # Whole-unit timing spread over its leaves pro rata by
-                # the char-count proxy (the worker reply is per unit,
-                # not per leaf).
-                job_metrics.observe("cluster.unit.seconds", elapsed,
-                                    kind="construction")
-                if cost_model is None:
-                    return
-                sizes = [(key, sum(map(len, by_id[key].texts)) + 1)
-                         for key in unit.keys]
-                total = sum(size for _key, size in sizes)
-                for key, size in sizes:
-                    cost_model.observe_construction(
-                        key, elapsed * size / total if total else 0.0,
-                        size)
-
-            def make_message(unit: _Unit, assignment_id: int) -> dict:
-                started[unit] = time.monotonic()
-                return {"type": "run_shard", "kind": "construction",
-                        "assignment": assignment_id,
-                        "tokenizer": tokenizer_spec,
+            def encode(keys: Tuple[Hashable, ...]) -> dict:
+                return {"tokenizer": tokenizer_spec,
                         "leaves": pack_curated_leaves(
-                            [by_id[key] for key in unit.keys])}
+                            job.leaves_of(keys))}
 
-            def handle_result(unit: _Unit, reply: dict) -> None:
-                for graph in load_leaf_graphs(reply["bundle_path"],
-                                              mmap=True):
-                    built[graph.leaf_id] = graph
-                states.append((min(unit.keys), unpack_token_state(
-                    reply["token_state"])))
-                job_metrics.inc("cluster.leaves.merged", len(unit.keys))
-                if unit in started:
-                    observe_unit(unit, time.monotonic() - started[unit])
+            def decode(keys: Tuple[Hashable, ...], reply: dict) -> int:
+                return job.merge_bundle(
+                    keys, reply["bundle_path"],
+                    unpack_token_state(reply["token_state"]))
 
-            def run_local_unit(unit: _Unit) -> None:
-                local_cache = TokenCache(tokenizer)
-                start = time.monotonic()
-                for key in unit.keys:
-                    built[key] = build_leaf_graph_fast(by_id[key],
-                                                       local_cache)
-                states.append((min(unit.keys),
-                               local_cache.export_state()))
-                job_metrics.inc("cluster.leaves.merged", len(unit.keys))
-                observe_unit(unit, time.monotonic() - start)
-
-            self._active_report = report
-            self._active_metrics = job_metrics
-            try:
-                await self._execute_units(
-                    "construction", plan,
-                    [_Unit(shard) for shard in plan.shards],
-                    make_message, handle_result, run_local_unit, report)
-            finally:
-                self._active_report = None
-                self._active_metrics = None
-                try:
-                    report.fleet_metrics = merge_snapshots(
-                        [job_metrics.snapshot()]
-                        + [snapshot for _name, snapshot in
-                           sorted(self._worker_metrics.items())])
-                except ValueError:
-                    # A job registry with custom buckets cannot fold
-                    # with the workers' default-bucket snapshots; the
-                    # job view alone is still a valid snapshot.
-                    report.fleet_metrics = job_metrics.snapshot()
-                self.last_report = report
-            for _first_key, state in sorted(states,
-                                            key=lambda entry: entry[0]):
-                cache.absorb_state(state)
-            return ({leaf_id: built[leaf_id]
-                     for leaf_id, _leaf in items}, cache)
+            await self._run_job("construction", job, encode, decode,
+                                cost_model, metrics)
+            return job.output()
 
     # -- deployment ---------------------------------------------------------
 

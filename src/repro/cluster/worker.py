@@ -9,13 +9,14 @@ serves assignments sequentially from its connection:
   :func:`repro.core.serialization.open_model`, memoized per path) and
   runs the shard through a per-configuration
   :class:`~repro.core.fast_inference.LeafBatchRunner`, returning
-  per-request results in shard order — exactly the
-  ``run_indexed``/scatter contract :class:`ProcessShardExecutor` pins.
-* **Construction shards** — curated leaves arrive on the wire, are
-  built with a private :class:`~repro.core.tokenize.TokenCache`, and
-  land on disk as a format-3 leaf bundle under the worker's spool dir;
-  the reply carries the bundle path (the coordinator mmap-opens it)
-  plus the cache state for the parent-side merge.
+  per-request results in shard order — the rows
+  :meth:`repro.core.execution.InferenceJob.merge` scatters back.
+* **Construction shards** — curated leaves arrive on the wire and go
+  through :func:`repro.core.execution.build_shard_bundle` (the same
+  builder the process pool runs) into a format-3 leaf bundle under the
+  worker's spool dir; the reply carries the bundle path (the
+  coordinator mmap-opens it) plus the cache state for the
+  parent-side merge.
 * **Artifact streaming** — a coordinator without a shared filesystem
   streams the model artifact in chunked frames; the worker spools it
   locally and serves it by artifact name, mmap-opened.
@@ -40,16 +41,16 @@ import asyncio
 import base64
 import binascii
 import os
+import shutil
 import tempfile
 import traceback
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
-from ..core.fast_construct import build_leaf_graph_fast
+from ..core.execution import build_shard_bundle
 from ..core.fast_inference import DEFAULT_DENSE_LIMIT, LeafBatchRunner
 from ..core.model import GraphExModel
-from ..core.serialization import open_model, save_leaf_graphs
-from ..core.tokenize import TokenCache
+from ..core.serialization import open_model
 from ..obs import MetricsRegistry
 from .protocol import (PROTOCOL_VERSION, pack_metrics_snapshot,
                        pack_recommendations, pack_token_state,
@@ -122,8 +123,6 @@ class ClusterWorker:
 
     async def run(self) -> None:
         """Serve until the coordinator shuts us down or the link dies."""
-        import shutil
-
         loop = asyncio.get_event_loop()
         # Spool setup is filesystem work; keep it off the loop so a
         # worker embedded in a busy host process (tests run many on
@@ -290,23 +289,19 @@ class ClusterWorker:
     def _run_construction_shard(self, message: dict) -> dict:
         tokenizer = unpack_tokenizer(message["tokenizer"])
         leaves = unpack_curated_leaves(message["leaves"])
-        cache = TokenCache(tokenizer)
-        with self.metrics.timer("worker.shard.seconds",
-                                kind="construction"):
-            graphs = [build_leaf_graph_fast(leaf, cache)
-                      for leaf in leaves]
-        self.metrics.inc("worker.shards", kind="construction")
-        self.metrics.inc("worker.leaves", len(leaves))
         bundle = self._spool / "bundles" / \
             f"assignment-{message.get('assignment')}"
-        try:
-            save_leaf_graphs(graphs, bundle)
-        except Exception:
-            import shutil
-            shutil.rmtree(bundle, ignore_errors=True)
-            raise
+        token_state, timings = build_shard_bundle(leaves, tokenizer,
+                                                  bundle)
+        # Build seconds only; the bundle write is I/O, not shard compute.
+        self.metrics.observe(
+            "worker.shard.seconds",
+            sum(seconds for _leaf_id, seconds in timings),
+            kind="construction")
+        self.metrics.inc("worker.shards", kind="construction")
+        self.metrics.inc("worker.leaves", len(leaves))
         return {"bundle_path": str(bundle),
-                "token_state": pack_token_state(cache.export_state())}
+                "token_state": pack_token_state(token_state)}
 
     # -- model distribution -------------------------------------------------
 
@@ -370,7 +365,6 @@ class ClusterWorker:
         except (ValueError, OSError, KeyError, binascii.Error):
             if current is not None:
                 current.close()
-            import shutil
             await loop.run_in_executor(
                 None, lambda: shutil.rmtree(root, ignore_errors=True))
             await self._transport.send({

@@ -23,14 +23,7 @@ from .inference import (
 )
 from .model import BUILDERS, GraphExModel, LeafGraph, build_leaf_graph
 from .serialization import load_model, model_size_bytes, save_model
-from .sharding import (
-    PARALLEL_MODES,
-    ShardExecutionError,
-    ShardPlan,
-    ShardWorkerError,
-    plan_inference_groups,
-    validate_parallel,
-)
+from .sharding import ShardExecutionError, ShardPlan, ShardWorkerError
 from .execution import (
     EXECUTOR_NAMES,
     ClusterExecutor,
@@ -82,12 +75,9 @@ __all__ = [
     "GraphExModel",
     "LeafGraph",
     "build_leaf_graph",
-    "PARALLEL_MODES",
     "ShardExecutionError",
     "ShardPlan",
     "ShardWorkerError",
-    "plan_inference_groups",
-    "validate_parallel",
     "EXECUTOR_NAMES",
     "ClusterExecutor",
     "CostModel",

@@ -20,13 +20,14 @@ Two engines serve a batch:
 Both produce element-wise identical output (text, score, tie-break
 order); ``tests/test_fast_inference.py`` pins that property.
 
-Orthogonally, ``executor=`` picks where the fast engine's leaf-group
-shards run — any :class:`repro.core.execution.Executor` instance or
-spelling (``"serial"``, ``"thread"``, ``"process"``, ``"cluster"``),
-with the legacy ``parallel={"thread","process"}`` strings still
-accepted and resolved through the same
-:func:`repro.core.execution.resolve_executor`.  The reference engine
-stays single-process by design — it is the semantics oracle.
+Orthogonally, ``executor=`` — the one spelling, resolved by
+:func:`repro.core.execution.resolve_executor` — picks where the fast
+engine's leaf-group shards run: any
+:class:`repro.core.execution.Executor` instance, or ``"serial"`` /
+``"thread"`` / ``"process"``.  How a batch is cut into leaf groups and
+merged back (last request for an id wins) lives once, in
+:class:`repro.core.execution.InferenceJob`.  The reference engine stays
+single-process by design — it is the semantics oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .execution import Executor
 
 #: Anything resolvable to an executor: an instance, a spelling, or None
-#: (fall back to the legacy ``parallel`` string, then ``"thread"``).
+#: (``"thread"``).
 ExecutorSpec = Union["Executor", str, None]
 
 #: One inference request: (item_id, title, leaf_id).
@@ -52,6 +53,18 @@ BatchResult = Dict[int, List[Recommendation]]
 
 #: Engine names accepted by the batch entry points (and the CLI flag).
 ENGINES = ("reference", "fast")
+
+
+def last_request_wins(requests: Sequence[InferenceRequest],
+                      rows: Sequence[List[Recommendation]]) -> BatchResult:
+    """Item id → its row, where ``rows[i]`` answers ``requests[i]``.
+
+    The one place duplicate item ids are resolved: as in the scalar
+    loop, the last request for an id wins (and an id keeps its
+    first-seen position in the output).
+    """
+    return {item_id: rows[index] for index, (item_id, _title, _leaf_id)
+            in enumerate(requests)}
 
 
 def validate_engine(engine: str) -> None:
@@ -76,26 +89,21 @@ def validate_hard_limit(hard_limit: Optional[int]) -> None:
 
 
 def validate_model_for_engine(model: GraphExModel, engine: str,
-                              parallel: str = "thread",
                               executor: ExecutorSpec = None) -> None:
     """Raise ValueError if ``model`` cannot serve through ``engine``.
 
     Beyond the name check, the fast engine probes the model's alignment
     function for element-wise vectorization at runner construction;
     running that probe here lets serving-layer constructors fail early
-    instead of mid-batch.  The ``executor`` (or the legacy ``parallel``
-    spelling) is validated alongside — out-of-process executors pair
-    only with the fast engine.
+    instead of mid-batch.  The ``executor`` is validated alongside —
+    out-of-process executors pair only with the fast engine.
     """
     validate_engine(engine)
     # Imported lazily: the execution plane imports the fast engine,
     # which imports this module's validators — a top-level import
     # would be a cycle.
     from .execution import resolve_executor
-    if executor is not None:
-        resolve_executor(executor, engine=engine)
-    else:
-        resolve_executor(parallel=parallel, engine=engine)
+    resolve_executor(executor, engine=engine)
     if engine == "fast":
         from .fast_inference import LeafBatchRunner
         LeafBatchRunner(model)
@@ -136,7 +144,6 @@ def batch_recommend(model: GraphExModel,
                     hard_limit: Optional[int] = None,
                     workers: int = 1,
                     engine: str = "fast",
-                    parallel: Optional[str] = None,
                     executor: ExecutorSpec = None) -> BatchResult:
     """Run inference over a batch of items.
 
@@ -150,13 +157,11 @@ def batch_recommend(model: GraphExModel,
             when ``executor`` is an instance (it has its own).
         engine: ``"fast"`` (vectorized leaf-batched) or ``"reference"``
             (scalar loop).
-        parallel: Legacy spelling of ``executor`` (``"thread"`` /
-            ``"process"``); pass one or the other, not both.
         executor: Where the fast engine's leaf-group shards run — an
-            :class:`repro.core.execution.Executor` instance or one of
-            its spellings (``"serial"``, ``"thread"`` (default),
-            ``"process"``, ``"cluster"``).  Output is element-wise
-            identical for every substrate.
+            :class:`repro.core.execution.Executor` instance (a
+            ``ClusterExecutor`` included) or ``"serial"`` /
+            ``"thread"`` (default) / ``"process"``.  Output is
+            element-wise identical for every substrate.
 
     Returns:
         Mapping from item id to its ranked recommendations.
@@ -174,8 +179,7 @@ def batch_recommend(model: GraphExModel,
     # which imports this module's validators, so a top-level import
     # would be a cycle.
     from .execution import resolve_executor
-    exec_ = resolve_executor(executor, parallel=parallel, workers=workers,
-                             engine=engine)
+    exec_ = resolve_executor(executor, workers=workers, engine=engine)
     if engine == "fast":
         return exec_.run_inference(model, requests, k=k,
                                    hard_limit=hard_limit)
@@ -190,7 +194,6 @@ def differential_update(model: GraphExModel,
                         hard_limit: Optional[int] = None,
                         workers: int = 1,
                         engine: str = "fast",
-                        parallel: Optional[str] = None,
                         executor: ExecutorSpec = None) -> BatchResult:
     """Daily differential: re-infer changed items, merge with old results.
 
@@ -211,7 +214,6 @@ def differential_update(model: GraphExModel,
         hard_limit: Optional strict cap per item.
         workers: Worker count for the re-inference.
         engine: Inference engine, as in :func:`batch_recommend`.
-        parallel: Legacy shard mode, as in :func:`batch_recommend`.
         executor: Shard execution substrate, as in
             :func:`batch_recommend`.
 
@@ -223,6 +225,6 @@ def differential_update(model: GraphExModel,
         merged.pop(item_id, None)
     fresh = batch_recommend(model, changed, k=k, hard_limit=hard_limit,
                             workers=workers, engine=engine,
-                            parallel=parallel, executor=executor)
+                            executor=executor)
     merged.update(fresh)
     return merged

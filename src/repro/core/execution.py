@@ -1,12 +1,13 @@
 """The unified execution plane: one Executor abstraction, four substrates.
 
 GraphEx runs the same shard-shaped work — leaf-group inference batches
-and whole-leaf construction — on several execution substrates that grew
-up independently: in-process thread sharding, the process pool, and the
-multi-machine cluster runner.  This module collapses them behind one
-:class:`Executor` interface so every layer (``batch_recommend``,
-``GraphExModel.construct``, the serving stack, the CLI) routes through
-a single dial instead of branching on ``parallel=`` strings:
+and whole-leaf construction — on several execution substrates: the
+calling thread, an in-process thread pool, a process pool, and the
+multi-machine cluster runner.  This module puts them behind one
+:class:`Executor` interface, chosen everywhere (``batch_recommend``,
+``GraphExModel.construct``, the serving stack, the CLI) by the single
+``executor=`` keyword, which :func:`resolve_executor` turns into an
+instance:
 
 ===========  ===================  ==========================  ==========
 name         class                where shards run            oracle?
@@ -17,13 +18,20 @@ name         class                where shards run            oracle?
 ``cluster``  ClusterExecutor      remote hosts over TCP       no
 ===========  ===================  ==========================  ==========
 
-Every executor resolves from the legacy spellings via
-:func:`resolve_executor` (``parallel="thread"/"process"`` and
-``cluster=<coordinator>`` keep working), and all four are bound by the
-same non-negotiable contract: **element-wise identical inference output
-and bit-identical constructed models** for any substrate, any worker
-count, and any failure topology — pinned by the cross-executor property
-suite in ``tests/test_execution.py``.
+All four are bound by the same non-negotiable contract: **element-wise
+identical inference output and bit-identical constructed models** for
+any substrate, any worker count, and any failure topology — pinned by
+the cross-executor property suite in ``tests/test_execution.py``.
+
+The contract is implemented once, here.  :class:`InferenceJob` and
+:class:`ConstructionJob` own how a batch/corpus is cut into leaf units
+(the :class:`~repro.core.sharding.ShardPlan`), how unit results are
+merged back (rows by request index, last request wins; leaf bundles
+plus token-cache states in ascending-leaf order), and what a timed
+unit is attributed to (:func:`observe_spread`).  Every substrate —
+the cluster coordinator and worker included — only decides *where* a
+unit runs and hands the outcome to the job;
+:func:`build_shard_bundle` is the one out-of-process shard builder.
 
 The plane is also where cost telemetry lives.  Every executor records
 per-shard wall-clock timings into its :class:`CostModel` — per-group
@@ -50,16 +58,17 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, List,
+                    Optional, Sequence, Tuple, Union)
 
 from ..obs import MetricsRegistry, NullRegistry
-from .batch import BatchResult, InferenceRequest
-from .fast_construct import build_leaf_graph_fast, fast_construct_leaf_graphs
+from .batch import BatchResult, InferenceRequest, last_request_wins
+from .fast_construct import build_leaf_graph_fast
 from .fast_inference import DEFAULT_DENSE_LIMIT, LeafBatchRunner
 from .inference import Recommendation
-from .sharding import (PARALLEL_MODES, ShardExecutionError, ShardPlan,
-                       ShardWorkerError, _unwrap_shard_future)
+from .serialization import load_leaf_graphs, save_leaf_graphs
+from .sharding import (ShardExecutionError, ShardPlan, ShardWorkerError,
+                       _unwrap_shard_future, construction_proxy)
 from .tokenize import DEFAULT_TOKENIZER, TokenCache, Tokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -69,11 +78,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 __all__ = ["EXECUTOR_NAMES", "CostModel", "Executor", "SerialExecutor",
            "ThreadShardExecutor", "ProcessShardExecutor",
-           "ClusterExecutor", "plan_rebalance_gain", "resolve_executor"]
+           "ClusterExecutor", "InferenceJob", "ConstructionJob",
+           "build_shard_bundle", "observe_spread", "plan_rebalance_gain",
+           "resolve_executor"]
 
 #: Executor spellings accepted by :func:`resolve_executor` (and the CLI
-#: ``--executor`` flag).  The legacy :data:`~repro.core.sharding.PARALLEL_MODES`
-#: are a strict subset.
+#: ``--executor`` flag).
 EXECUTOR_NAMES = ("serial", "thread", "process", "cluster")
 
 #: Observed-cost plans quantize rates to integer microseconds so they
@@ -307,6 +317,191 @@ def plan_rebalance_gain(cost_model: Optional[CostModel],
 
 
 # ---------------------------------------------------------------------------
+# The scatter/merge contracts: one copy each, called by every substrate
+
+
+def observe_spread(cost_model: CostModel, kind: str,
+                   keyed_units: Sequence[Tuple[Hashable, int]],
+                   elapsed: float) -> None:
+    """Distribute one unit's elapsed seconds over its keys, pro rata
+    by each key's unit count (the best attribution available when the
+    substrate timed the unit as a whole)."""
+    total = sum(units for _key, units in keyed_units)
+    for key, units in keyed_units:
+        share = elapsed * units / total if total else 0.0
+        cost_model.observe(kind, key, share, units)
+
+
+class InferenceJob:
+    """One request batch, cut into leaf-group units and merged back —
+    the single implementation of the inference scatter/merge contract.
+
+    Requests are grouped by the leaf graph that serves them and the
+    groups balanced into shards (:meth:`ShardPlan.for_inference`).  A
+    *unit* is any tuple of group keys: one key, a planned shard, a
+    re-planned orphan set.  Whoever runs a unit feeds
+    :meth:`requests_of` through ``LeafBatchRunner.run_indexed`` and
+    hands the rows to :meth:`merge`.  A request whose leaf has neither
+    a graph nor the pooled fallback belongs to no unit and keeps ``[]``.
+
+    Constructing the job builds the local runner behind
+    :meth:`run_local`, which validates ``hard_limit`` and probes the
+    alignment function before any unit is dispatched.
+    """
+
+    def __init__(self, model: "GraphExModel",
+                 requests: Sequence[InferenceRequest], n_shards: int,
+                 cost_model: Optional[CostModel] = None, *, k: int = 10,
+                 hard_limit: Optional[int] = None,
+                 dense_limit: int = DEFAULT_DENSE_LIMIT) -> None:
+        self._requests = list(requests)
+        self._runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
+                                       dense_limit=dense_limit)
+        self.plan, self._groups = ShardPlan.for_inference(
+            model, self._requests, n_shards, cost_model=cost_model)
+        self._rows: List[List[Recommendation]] = \
+            [[] for _ in self._requests]
+
+    def _indices(self, keys: Sequence[Hashable]) -> List[int]:
+        return [index for key in keys for index in self._groups[key]]
+
+    def requests_of(self, keys: Sequence[Hashable]
+                    ) -> List[InferenceRequest]:
+        """The unit's requests, group by group, in batch order."""
+        return [self._requests[index] for index in self._indices(keys)]
+
+    def units(self, keys: Sequence[Hashable]
+              ) -> List[Tuple[Hashable, int]]:
+        """``(key, n_requests)`` per group — what a timing spreads over."""
+        return [(key, len(self._groups[key])) for key in keys]
+
+    def merge(self, keys: Sequence[Hashable],
+              rows: Sequence[List[Recommendation]]) -> int:
+        """Scatter a unit's rows (in :meth:`requests_of` order) back to
+        their request indices; returns how many requests it settled.
+        A wrong row count raises :class:`ShardExecutionError` — zipping
+        it in would serve another request's recommendations."""
+        indices = self._indices(keys)
+        if len(rows) != len(indices):
+            raise ShardExecutionError(
+                f"inference unit {list(keys)!r} returned {len(rows)} "
+                f"rows for {len(indices)} requests")
+        for index, recs in zip(indices, rows):
+            self._rows[index] = recs
+        return len(indices)
+
+    def run_local(self, keys: Sequence[Hashable]) -> int:
+        """Run a unit on the calling thread and merge it."""
+        return self.merge(
+            keys, self._runner.run_indexed(self.requests_of(keys)))
+
+    def output(self) -> BatchResult:
+        """Item id → rows; the last request for an id wins."""
+        return last_request_wins(self._requests, self._rows)
+
+
+class ConstructionJob:
+    """One curated corpus, cut into whole-leaf units and merged back —
+    the single implementation of the construction scatter/merge contract.
+
+    The non-empty leaves are balanced into shards
+    (:meth:`ShardPlan.for_construction`).  A unit — any tuple of leaf
+    ids — is either built on the calling thread straight into the
+    shared, thread-safe :attr:`cache` (:meth:`run_local`) or built
+    elsewhere by :func:`build_shard_bundle` and handed to
+    :meth:`merge_bundle`.  The built graphs do not depend on pool-id
+    order (the pinned bit-identity contract), so where a unit ran
+    never shows in the model.
+    """
+
+    def __init__(self, curated: "CuratedKeyphrases", tokenizer: Tokenizer,
+                 n_shards: int,
+                 cost_model: Optional[CostModel] = None) -> None:
+        self._units = dict(construction_proxy(curated))
+        self._leaves = curated.leaves
+        self.plan = ShardPlan.for_construction(curated, n_shards,
+                                               cost_model=cost_model)
+        self.cache = TokenCache(tokenizer)
+        self._built: Dict[int, "LeafGraph"] = {}
+        self._states: List[Tuple[int, Any]] = []
+
+    def leaves_of(self, keys: Sequence[int]) -> List["CuratedLeaf"]:
+        """The unit's curated leaves, in key order."""
+        return [self._leaves[key] for key in keys]
+
+    def units(self, keys: Sequence[int]) -> List[Tuple[int, int]]:
+        """``(leaf_id, char proxy)`` per leaf — what a timing spreads
+        over."""
+        return [(key, self._units[key]) for key in keys]
+
+    def merge_bundle(self, keys: Sequence[int],
+                     bundle_path: Union[str, Path],
+                     token_state: Any) -> int:
+        """Adopt a unit built by :func:`build_shard_bundle`: mmap-open
+        its leaf bundle (zero-copy, read-only views) and queue its
+        token state for :meth:`output`; returns the leaves settled."""
+        for graph in load_leaf_graphs(bundle_path, mmap=True):
+            self._built[graph.leaf_id] = graph
+        self._states.append((min(keys), token_state))
+        return len(keys)
+
+    def run_local(self, keys: Sequence[int]) -> int:
+        """Build a unit on the calling thread into the shared cache."""
+        for key in keys:
+            self._built[key] = build_leaf_graph_fast(self._leaves[key],
+                                                     self.cache)
+        return len(keys)
+
+    def output(self) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
+        """``(graphs in curated order, cache)``; call once, after every
+        unit has merged.  Shipped token states are absorbed in
+        ascending order of each unit's smallest leaf id —
+        deterministic however the units completed."""
+        for _first_leaf, state in sorted(self._states,
+                                         key=lambda entry: entry[0]):
+            self.cache.absorb_state(state)
+        return ({leaf_id: self._built[leaf_id]
+                 for leaf_id in self._units}, self.cache)
+
+
+def build_shard_bundle(leaves: Sequence["CuratedLeaf"],
+                       tokenizer: Tokenizer, directory: Union[str, Path]
+                       ) -> Tuple[Any, List[Tuple[int, float]]]:
+    """Build one out-of-process construction unit onto disk.
+
+    The built leaf graphs are written as a zero-copy format-3 *leaf
+    bundle* (:func:`repro.core.serialization.save_leaf_graphs` — raw
+    page-aligned arrays plus one string blob) that the parent
+    mmap-opens through :meth:`ConstructionJob.merge_bundle`; graphs are
+    never serialized object-by-object.  The unit's private
+    :class:`TokenCache` keeps the memoized-tokenization win within the
+    unit; its exported state merges into the parent cache afterwards so
+    the pooled-graph build still skips every text the units already
+    processed.
+
+    Returns:
+        ``(token_state, timings)`` — the exported cache state and
+        ``(leaf_id, seconds)`` per built leaf.
+    """
+    try:
+        cache = TokenCache(tokenizer)
+        graphs = []
+        timings: List[Tuple[int, float]] = []
+        for leaf in leaves:
+            start = time.perf_counter()
+            graphs.append(build_leaf_graph_fast(leaf, cache))
+            timings.append((leaf.leaf_id, time.perf_counter() - start))
+        save_leaf_graphs(graphs, directory)
+        return cache.export_state(), timings
+    except Exception:
+        # A half-written bundle must not outlive the failure: the parent
+        # only removes the staging root it knows about, and a retrying
+        # caller would otherwise mmap stale arrays from this attempt.
+        shutil.rmtree(directory, ignore_errors=True)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # The Executor interface
 
 
@@ -337,8 +532,11 @@ class Executor:
     name: str = "abstract"
     supports_reference: bool = False
 
-    def __init__(self, *, cost_model: Optional[CostModel] = None,
+    def __init__(self, workers: int = 1, *,
+                 cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
+        #: Upper bound on pool workers (and on shards planned).
+        self.workers = max(1, int(workers))
         self.cost_model = cost_model if cost_model is not None \
             else CostModel()
         self.metrics = metrics if metrics is not None else NullRegistry()
@@ -355,7 +553,7 @@ class Executor:
         so the cost model and the operator dashboards can never
         disagree about what was measured.
         """
-        _observe_spread(self.cost_model, kind, keyed_units, elapsed)
+        observe_spread(self.cost_model, kind, keyed_units, elapsed)
         metrics = self.metrics
         metrics.inc(f"executor.{kind}.tasks", executor=self.name)
         if kind == "inference":
@@ -377,6 +575,31 @@ class Executor:
         self.metrics.gauge("executor.plan.imbalance",
                            stats["imbalance"], kind=kind,
                            executor=self.name)
+
+    def _run_inline(self, kind: str,
+                    job: Union[InferenceJob, ConstructionJob],
+                    keys: Sequence[Hashable]) -> None:
+        """Run units on the calling thread one key at a time, each
+        timed on its own — the in-process loop of every substrate."""
+        for key in keys:
+            start = time.perf_counter()
+            job.run_local((key,))
+            self.record_timing(kind, job.units((key,)),
+                               time.perf_counter() - start)
+
+    def _run_plan(self, kind: str,
+                  job: Union[InferenceJob, ConstructionJob],
+                  pooled: Callable[[Tuple[tuple, ...]], None]):
+        """Run every planned shard and return the job's output: inline
+        with one worker or one shard, else through ``pooled(shards)``."""
+        self.record_plan(kind, job.plan)
+        shards = job.plan.shards
+        if self.workers == 1 or len(shards) <= 1:
+            for shard in shards:
+                self._run_inline(kind, job, shard)
+        else:
+            pooled(shards)
+        return job.output()
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
@@ -408,24 +631,10 @@ class Executor:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _observe_spread(cost_model: CostModel, kind: str,
-                    keyed_units: Sequence[Tuple[Hashable, int]],
-                    elapsed: float) -> None:
-    """Distribute one shard's elapsed seconds over its keys, pro rata
-    by each key's unit count (the best attribution available when the
-    substrate timed the shard as a whole)."""
-    total = sum(units for _key, units in keyed_units)
-    for key, units in keyed_units:
-        share = elapsed * units / total if total else 0.0
-        cost_model.observe(kind, key, share, units)
-
-
 class ThreadShardExecutor(Executor):
     """In-process thread sharding (the default substrate).
 
-    Absorbs the thread fan-out that used to live inside
-    ``LeafBatchRunner(workers=...)`` / ``fast_construct_leaf_graphs``:
-    leaf groups (inference) and whole leaves (construction) are
+    Leaf groups (inference) and whole leaves (construction) are
     LPT-planned via :class:`~repro.core.sharding.ShardPlan` — observed
     costs included — and each planned shard runs on a pool thread.
     With one worker (or one shard) the work runs inline on the calling
@@ -439,78 +648,32 @@ class ThreadShardExecutor(Executor):
     name = "thread"
     supports_reference = True
 
-    def __init__(self, workers: int = 1, *,
-                 cost_model: Optional[CostModel] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(cost_model=cost_model, metrics=metrics)
-        self.workers = max(1, int(workers))
+    def _run_threads(self, kind: str,
+                     job: Union[InferenceJob, ConstructionJob]):
+        def pooled(shards: Tuple[tuple, ...]) -> None:
+            # Shard threads scatter into disjoint request rows / leaf
+            # ids, and the shared TokenCache is thread-safe.
+            with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+                list(pool.map(
+                    lambda shard: self._run_inline(kind, job, shard),
+                    shards))
+
+        return self._run_plan(kind, job, pooled)
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
                       k: int = 10, hard_limit: Optional[int] = None,
                       dense_limit: int = DEFAULT_DENSE_LIMIT
                       ) -> BatchResult:
-        requests = list(requests)
-        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
-                                 dense_limit=dense_limit)
-        plan, groups = ShardPlan.for_inference(
-            model, requests, self.workers, cost_model=self.cost_model)
-        self.record_plan("inference", plan)
-        results: List[List[Recommendation]] = [[] for _ in requests]
-
-        def run_shard(shard: Sequence[Hashable]) -> None:
-            for key in shard:
-                indices = groups[key]
-                start = time.perf_counter()
-                for index, recs in zip(indices, runner.run_indexed(
-                        [requests[index] for index in indices])):
-                    results[index] = recs
-                self.record_timing("inference", [(key, len(indices))],
-                                   time.perf_counter() - start)
-
-        if self.workers == 1 or plan.n_shards <= 1:
-            for shard in plan.shards:
-                run_shard(shard)
-        else:
-            with ThreadPoolExecutor(max_workers=plan.n_shards) as pool:
-                list(pool.map(run_shard, plan.shards))
-        out: BatchResult = {}
-        for index, (item_id, _title, _leaf_id) in enumerate(requests):
-            out[item_id] = results[index]
-        return out
+        return self._run_threads("inference", InferenceJob(
+            model, requests, self.workers, self.cost_model, k=k,
+            hard_limit=hard_limit, dense_limit=dense_limit))
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER
                          ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
-        cache = TokenCache(tokenizer)
-        items = [(leaf_id, leaf) for leaf_id, leaf in
-                 curated.leaves.items() if len(leaf) > 0]
-        plan = ShardPlan.for_construction(curated, self.workers,
-                                          cost_model=self.cost_model)
-        self.record_plan("construction", plan)
-        by_id = dict(items)
-        built: Dict[int, "LeafGraph"] = {}
-
-        def run_shard(shard: Sequence[Hashable]) -> None:
-            for leaf_id in shard:
-                leaf = by_id[leaf_id]
-                start = time.perf_counter()
-                built[leaf_id] = build_leaf_graph_fast(leaf, cache)
-                self.record_timing(
-                    "construction",
-                    [(leaf_id, sum(map(len, leaf.texts)) + 1)],
-                    time.perf_counter() - start)
-
-        if self.workers == 1 or plan.n_shards <= 1:
-            for shard in plan.shards:
-                run_shard(shard)
-        else:
-            # The shared TokenCache is safe across shard threads, and
-            # the built graphs are insensitive to pool id assignment
-            # order — the pinned bit-identity contract.
-            with ThreadPoolExecutor(max_workers=plan.n_shards) as pool:
-                list(pool.map(run_shard, plan.shards))
-        return {leaf_id: built[leaf_id] for leaf_id, _leaf in items}, cache
+        return self._run_threads("construction", ConstructionJob(
+            curated, tokenizer, self.workers, self.cost_model))
 
 
 class SerialExecutor(ThreadShardExecutor):
@@ -519,15 +682,14 @@ class SerialExecutor(ThreadShardExecutor):
     Identical code path to :class:`ThreadShardExecutor` with
     ``workers=1`` — everything runs inline — which is exactly what
     makes it the reference the cross-executor property suite compares
-    the parallel substrates against.
+    the other substrates against.
     """
 
     name = "serial"
 
     def __init__(self, *, cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(workers=1, cost_model=cost_model,
-                         metrics=metrics)
+        super().__init__(1, cost_model=cost_model, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -573,44 +735,14 @@ def _init_construct_worker(tokenizer: Tokenizer) -> None:
 
 def _build_construct_shard(leaves: Sequence["CuratedLeaf"],
                            artifact_dir: str):
-    """One construction shard: graphs land on disk, not in a pickle.
-
-    The built leaf graphs are written as a zero-copy format-3 *leaf
-    bundle* (:func:`repro.core.serialization.save_leaf_graphs` — raw
-    page-aligned arrays plus one string blob); only the shard's token
-    pool state and per-leaf build timings cross the process boundary as
-    a pickle.  The parent opens the bundle with ``mmap=True``, so the
-    graphs are never serialized object-by-object — the pickle return
-    path used to *dominate* process construction (0.52x vs the thread
-    path at 2 workers on small worlds).
-
-    The per-shard :class:`TokenCache` keeps the memoized-tokenization
-    win within the shard; its exported state is merged into the parent
-    cache afterwards so the pooled-graph build still skips every text
-    the shards already processed.
-
-    Returns:
-        ``(token_state, timings)`` — the exported cache state and
-        ``(leaf_id, seconds)`` per built leaf for the cost model.
-    """
-    from .serialization import save_leaf_graphs
-
+    """One construction shard: :func:`build_shard_bundle` under this
+    worker's tokenizer.  Only the token state and the per-leaf timings
+    cross the process boundary as a pickle; failures come back as
+    :class:`ShardWorkerError`, as in :func:`_run_inference_shard`."""
     try:
-        cache = TokenCache(_CONSTRUCT_TOKENIZER)
-        graphs = []
-        timings: List[Tuple[int, float]] = []
-        for leaf in leaves:
-            start = time.perf_counter()
-            graphs.append(build_leaf_graph_fast(leaf, cache))
-            timings.append((leaf.leaf_id,
-                            time.perf_counter() - start))
-        save_leaf_graphs(graphs, artifact_dir)
-        return cache.export_state(), timings
+        return build_shard_bundle(leaves, _CONSTRUCT_TOKENIZER,
+                                  artifact_dir)
     except Exception:
-        # A half-written bundle must not outlive the failure: the parent
-        # only removes the staging root it knows about, and a retrying
-        # caller would otherwise mmap stale arrays from this attempt.
-        shutil.rmtree(artifact_dir, ignore_errors=True)
         raise ShardWorkerError(traceback.format_exc()) from None
 
 
@@ -635,14 +767,8 @@ class ProcessShardExecutor(Executor):
                  start_method: Optional[str] = None, *,
                  cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(cost_model=cost_model, metrics=metrics)
-        self._workers = max(1, int(workers))
+        super().__init__(workers, cost_model=cost_model, metrics=metrics)
         self._start_method = start_method
-
-    @property
-    def workers(self) -> int:
-        """Upper bound on worker processes."""
-        return self._workers
 
     def _pool(self, n_shards: int, initializer, initargs
               ) -> ProcessPoolExecutor:
@@ -653,25 +779,6 @@ class ProcessShardExecutor(Executor):
                                    initializer=initializer,
                                    initargs=initargs)
 
-    def plan_inference(self, model: "GraphExModel",
-                       requests: Sequence[InferenceRequest]
-                       ) -> Tuple[ShardPlan, Dict[int, List[int]]]:
-        """Group servable requests by leaf graph and balance the groups.
-
-        Mirrors ``LeafBatchRunner``'s grouping: a request is keyed by
-        its leaf id when that leaf has a graph, by the pooled
-        pseudo-leaf when it falls back to the pooled graph, and is
-        excluded (its result is ``[]``) when neither exists.  Costs are
-        the executor's observed rates when it has any, else the group
-        request counts.
-
-        Returns:
-            ``(plan, groups)`` — the balanced plan over group keys, and
-            each group's request indices in batch order.
-        """
-        return ShardPlan.for_inference(model, requests, self._workers,
-                                       cost_model=self.cost_model)
-
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
                       k: int = 10, hard_limit: Optional[int] = None,
@@ -679,133 +786,68 @@ class ProcessShardExecutor(Executor):
                       ) -> BatchResult:
         """Infer a batch with leaf-group shards in worker processes.
 
-        Returns:
-            Item id → ranked recommendations, with the scalar loop's
-            duplicate-id semantics (the last request for an id wins)
-            even when the duplicates land in different shards.
+        Each worker times its shard itself (pool start-up and queueing
+        never reach the cost model); the reading spreads over the
+        shard's groups pro rata by request count.
         """
-        requests = list(requests)
-        # Constructing the local runner validates hard_limit and the
-        # alignment probe up front, and serves the no-pool fallback.
-        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
-                                 dense_limit=dense_limit)
-        plan, groups = self.plan_inference(model, requests)
-        self.record_plan("inference", plan)
-        results: List[List[Recommendation]] = [[] for _ in requests]
-        if self._workers == 1 or plan.n_shards <= 1:
-            for shard in plan.shards:
-                for key in shard:
-                    indices = groups[key]
-                    start = time.perf_counter()
-                    for index, recs in zip(indices, runner.run_indexed(
-                            [requests[index] for index in indices])):
-                        results[index] = recs
-                    self.record_timing(
-                        "inference", [(key, len(indices))],
-                        time.perf_counter() - start)
-        else:
-            shards = [[index for key in shard for index in groups[key]]
-                      for shard in plan.shards]
+        job = InferenceJob(model, requests, self.workers, self.cost_model,
+                           k=k, hard_limit=hard_limit,
+                           dense_limit=dense_limit)
+
+        def pooled(shards: Tuple[tuple, ...]) -> None:
             with self._pool(len(shards), _init_inference_worker,
                             (model, k, hard_limit, dense_limit)) as pool:
                 futures = [pool.submit(_run_inference_shard,
-                                       [requests[index]
-                                        for index in shard])
+                                       job.requests_of(shard))
                            for shard in shards]
-                for shard_index, (shard, future) in enumerate(
+                for index, (shard, future) in enumerate(
                         zip(shards, futures)):
-                    shard_results, elapsed = _unwrap_shard_future(
-                        future, "inference", shard_index,
-                        plan.shards[shard_index])
-                    for index, recs in zip(shard, shard_results):
-                        results[index] = recs
-                    self.record_timing(
-                        "inference",
-                        [(key, len(groups[key]))
-                         for key in plan.shards[shard_index]], elapsed)
-        out: BatchResult = {}
-        for index, (item_id, _title, _leaf_id) in enumerate(requests):
-            out[item_id] = results[index]
-        return out
+                    rows, elapsed = _unwrap_shard_future(
+                        future, "inference", index, shard)
+                    job.merge(shard, rows)
+                    self.record_timing("inference", job.units(shard),
+                                       elapsed)
+
+        return self._run_plan("inference", job, pooled)
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER
                          ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
         """Build every non-empty leaf graph with whole-leaf process shards.
 
-        The cost estimate is each leaf's observed build rate when the
-        cost model has one, else its summed keyphrase character count —
-        proportional to token occurrences, hence to the edge pairs the
-        build pass walks — without paying a tokenization pass in the
-        parent.  Shard states merge into the returned cache in
-        shard-index order (deterministic pool, reused by the
-        pooled-graph build exactly as in the thread path).
-
-        Return path: each worker persists its built graphs as a
-        format-3 leaf bundle under a temporary directory and the
-        parent opens every bundle *zero-copy*
-        (:func:`~repro.core.serialization.load_leaf_graphs` with
-        ``mmap=True``) instead of unpickling graph objects.  The
+        Each worker persists its shard as a leaf bundle under a
+        temporary directory (:func:`build_shard_bundle`) and the parent
+        mmap-opens it instead of unpickling graph objects.  The
         returned graphs' arrays are read-only views over the bundle
         mappings; the temporary files are unlinked before returning
         (live mappings keep them readable — POSIX), so nothing leaks.
-        The graphs are element-wise/string-identical to the thread
-        path's, as the equivalence suites pin.
-
-        Returns:
-            ``(leaf_graphs, cache)`` with the same contract as
-            :func:`~repro.core.fast_construct.fast_construct_leaf_graphs`.
         """
-        from .serialization import load_leaf_graphs
+        job = ConstructionJob(curated, tokenizer, self.workers,
+                              self.cost_model)
 
-        items = [(leaf_id, leaf) for leaf_id, leaf in
-                 curated.leaves.items() if len(leaf) > 0]
-        if self._workers == 1 or len(items) <= 1:
-            # Delegate so the in-parent fallback can never drift from
-            # the thread path's contracts (empty-leaf filter, insertion
-            # order); the whole build is timed and spread pro rata.
-            start = time.perf_counter()
-            graphs, cache = fast_construct_leaf_graphs(curated, tokenizer)
-            self.record_timing(
-                "construction",
-                [(leaf_id, sum(map(len, leaf.texts)) + 1)
-                 for leaf_id, leaf in items],
-                time.perf_counter() - start)
-            return graphs, cache
+        def pooled(shards: Tuple[tuple, ...]) -> None:
+            staging = Path(tempfile.mkdtemp(prefix="graphex-shard-"))
+            try:
+                with self._pool(len(shards), _init_construct_worker,
+                                (tokenizer,)) as pool:
+                    futures = [pool.submit(
+                        _build_construct_shard, job.leaves_of(shard),
+                        str(staging / f"shard-{index}"))
+                        for index, shard in enumerate(shards)]
+                    for index, (shard, future) in enumerate(
+                            zip(shards, futures)):
+                        state, timings = _unwrap_shard_future(
+                            future, "construction", index, shard)
+                        job.merge_bundle(
+                            shard, staging / f"shard-{index}", state)
+                        for leaf_id, seconds in timings:
+                            self.record_timing(
+                                "construction", job.units((leaf_id,)),
+                                seconds)
+            finally:
+                shutil.rmtree(staging, ignore_errors=True)
 
-        cache = TokenCache(tokenizer)
-        plan = ShardPlan.for_construction(curated, self._workers,
-                                          cost_model=self.cost_model)
-        self.record_plan("construction", plan)
-        by_id = dict(items)
-        shards = [[by_id[leaf_id] for leaf_id in shard]
-                  for shard in plan.shards]
-        built: Dict[int, "LeafGraph"] = {}
-        staging = Path(tempfile.mkdtemp(prefix="graphex-shard-"))
-        try:
-            with self._pool(len(shards), _init_construct_worker,
-                            (tokenizer,)) as pool:
-                futures = [
-                    pool.submit(_build_construct_shard, shard,
-                                str(staging / f"shard-{index}"))
-                    for index, shard in enumerate(shards)]
-                for index, future in enumerate(futures):
-                    state, timings = _unwrap_shard_future(
-                        future, "construction", index,
-                        plan.shards[index])
-                    cache.absorb_state(state)
-                    for leaf_id, seconds in timings:
-                        self.record_timing(
-                            "construction",
-                            [(leaf_id,
-                              sum(map(len, by_id[leaf_id].texts)) + 1)],
-                            seconds)
-                    for graph in load_leaf_graphs(
-                            staging / f"shard-{index}", mmap=True):
-                        built[graph.leaf_id] = graph
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-        return {leaf_id: built[leaf_id] for leaf_id, _leaf in items}, cache
+        return self._run_plan("construction", job, pooled)
 
 
 class ClusterExecutor(Executor):
@@ -978,38 +1020,25 @@ class ClusterExecutor(Executor):
 
 
 # ---------------------------------------------------------------------------
-# The resolver: legacy spellings, new spellings, and instances all land
-# on an Executor — the only place the `parallel` strings are interpreted.
-
-_EXECUTOR_CLASSES = {
-    "serial": SerialExecutor,
-    "thread": ThreadShardExecutor,
-    "process": ProcessShardExecutor,
-}
+# The resolver: the only place executor spellings are interpreted.
 
 
 def resolve_executor(executor: Union[Executor, str, None] = None, *,
-                     parallel: Optional[str] = None,
                      workers: int = 1,
-                     cluster: Optional["ClusterCoordinator"] = None,
                      cost_model: Optional[CostModel] = None,
                      metrics: Optional[MetricsRegistry] = None,
                      engine: Optional[str] = None) -> Executor:
-    """Resolve any accepted spelling to an :class:`Executor` instance.
+    """Resolve an ``executor=`` argument to an :class:`Executor` instance.
 
-    The single entry point behind every ``executor=`` keyword (and the
-    back-compat shim behind every legacy ``parallel=``/``cluster=``
-    one):
+    The single entry point behind every ``executor=`` keyword:
 
     * an :class:`Executor` instance passes through unchanged (it keeps
       its own workers, cost model, and metrics registry);
     * ``"serial"`` / ``"thread"`` / ``"process"`` build the matching
       class with ``workers``, ``cost_model``, and ``metrics``;
-    * ``"cluster"`` wraps the supplied ``cluster`` coordinator (one is
-      required — a fleet cannot be conjured from a string);
-    * ``None`` falls back to the legacy ``parallel`` spelling, then to
-      a ``cluster`` coordinator if one was passed, then to
-      ``"thread"`` — exactly the old default.
+    * ``None`` means ``"thread"``;
+    * ``"cluster"`` is a valid name but not a valid *string* — a fleet
+      cannot be conjured from one.
 
     ``engine`` (an engine *or* builder name) enforces the oracle
     pairing rule: the scalar ``reference`` paths stay single-process,
@@ -1017,49 +1046,30 @@ def resolve_executor(executor: Union[Executor, str, None] = None, *,
     serve them.
 
     Raises:
-        ValueError: On an unknown spelling, ``executor=`` combined
-            with ``parallel=``, ``"cluster"`` without a coordinator,
-            or a reference engine/builder paired with an out-of-process
-            executor.
+        ValueError: On an unknown spelling, the bare string
+            ``"cluster"``, or a reference engine/builder paired with
+            an out-of-process executor.
     """
-    if executor is not None and parallel is not None:
-        raise ValueError(
-            f"pass either executor={executor!r} or the legacy "
-            f"parallel={parallel!r}, not both")
-    spec: Union[Executor, str, None] = executor
-    if spec is None:
-        spec = parallel
-    if spec is None and cluster is not None:
-        spec = "cluster"
-    if spec is None:
-        spec = "thread"
-
-    if isinstance(spec, Executor):
-        resolved = spec
-    elif isinstance(spec, str):
-        if spec not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown parallel mode {spec!r}; expected an Executor "
-                f"instance or one of {EXECUTOR_NAMES} (legacy spellings "
-                f"{PARALLEL_MODES} included)")
-        if spec == "cluster":
-            if cluster is None:
-                raise ValueError(
-                    "executor='cluster' needs a started "
-                    "ClusterCoordinator: pass cluster=<coordinator>, "
-                    "an existing ClusterExecutor instance, or use "
-                    "ClusterExecutor.local()")
-            resolved = ClusterExecutor(cluster, cost_model=cost_model,
+    if executor is None:
+        executor = "thread"
+    if isinstance(executor, Executor):
+        resolved = executor
+    elif executor == "serial":
+        resolved = SerialExecutor(cost_model=cost_model, metrics=metrics)
+    elif executor == "thread":
+        resolved = ThreadShardExecutor(workers, cost_model=cost_model,
                                        metrics=metrics)
-        else:
-            resolved = _EXECUTOR_CLASSES[spec](
-                workers, cost_model=cost_model, metrics=metrics) \
-                if spec != "serial" \
-                else SerialExecutor(cost_model=cost_model,
-                                    metrics=metrics)
+    elif executor == "process":
+        resolved = ProcessShardExecutor(workers, cost_model=cost_model,
+                                        metrics=metrics)
+    elif executor == "cluster":
+        raise ValueError(
+            "executor='cluster' needs a started ClusterCoordinator: "
+            "pass a ClusterExecutor instance or use "
+            "ClusterExecutor.local()")
     else:
         raise ValueError(
-            f"unknown parallel mode {spec!r}; expected an Executor "
+            f"unknown executor {executor!r}; expected an Executor "
             f"instance or one of {EXECUTOR_NAMES}")
 
     if engine is not None and engine != "fast" \

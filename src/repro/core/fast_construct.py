@@ -28,9 +28,10 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    order of :meth:`CSRGraph.from_edges`, and ``indptr``/``indices`` are
    assembled directly via :meth:`CSRGraph.from_arrays` — no per-edge
    Python tuples, no redundant validation.
-4. **Parallel leaf builds** — ``workers > 1`` shards whole leaves
-   across a thread pool (largest first), the construct-side analogue of
-   ``LeafBatchRunner``'s leaf-group sharding.
+
+Whole leaves are the unit the execution plane
+(:mod:`repro.core.execution`) shards across threads, processes or
+hosts; this module builds one leaf at a time.
 
 The built model is bit-identical to the scalar builder's — same vocab
 id order, same CSR arrays, same label arrays — which
@@ -40,7 +41,6 @@ builder remains the semantics reference.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, Tuple
 
@@ -166,17 +166,10 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
 
 
 def fast_construct_leaf_graphs(curated: CuratedKeyphrases,
-                               tokenizer: Tokenizer,
-                               workers: int = 1
+                               tokenizer: Tokenizer
                                ) -> Tuple[Dict[int, "LeafGraph"],
                                           TokenCache]:
-    """Build every non-empty leaf graph with the bulk engine.
-
-    Args:
-        curated: Output of :func:`repro.core.curation.curate`.
-        tokenizer: Tokenizer shared by construction and inference.
-        workers: Worker threads; whole leaves are sharded largest-first
-            so the vectorized per-leaf passes never split.
+    """Build every non-empty leaf graph with the bulk engine, in order.
 
     Returns:
         ``(leaf_graphs, cache)`` — the graphs keyed by leaf id in the
@@ -184,17 +177,6 @@ def fast_construct_leaf_graphs(curated: CuratedKeyphrases,
         the pooled-graph build).
     """
     cache = TokenCache(tokenizer)
-    items = [(leaf_id, leaf) for leaf_id, leaf in curated.leaves.items()
-             if len(leaf) > 0]
-    if workers <= 1 or len(items) <= 1:
-        return ({leaf_id: build_leaf_graph_fast(leaf, cache)
-                 for leaf_id, leaf in items}, cache)
-
-    built: Dict[int, "LeafGraph"] = {}
-
-    def build(entry: Tuple[int, CuratedLeaf]) -> None:
-        built[entry[0]] = build_leaf_graph_fast(entry[1], cache)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(build, sorted(items, key=lambda kv: -len(kv[1]))))
-    return {leaf_id: built[leaf_id] for leaf_id, _ in items}, cache
+    return ({leaf_id: build_leaf_graph_fast(leaf, cache)
+             for leaf_id, leaf in curated.leaves.items()
+             if len(leaf) > 0}, cache)

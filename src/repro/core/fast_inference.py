@@ -41,13 +41,13 @@ The scalar path remains the semantics reference.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .alignment import ALIGNMENTS
-from .batch import InferenceRequest, validate_hard_limit
+from .batch import (InferenceRequest, last_request_wins,
+                    validate_hard_limit)
 from .inference import Recommendation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -222,9 +222,6 @@ class LeafBatchRunner:
             yields no predictions, matching the scalar path's contract).
         hard_limit: Optional strict per-item cap applied after ranking
             (must be ``None`` or ``>= 0``).
-        workers: Worker threads.  Unlike the reference path's contiguous
-            request shards, sharding here is by *leaf group* — each worker
-            owns whole groups so the vectorized ops never split.
         dense_limit: Max ``n_items * n_labels`` for the dense bincount in
             enumeration; larger groups use the np.unique fallback.
 
@@ -234,7 +231,7 @@ class LeafBatchRunner:
     """
 
     def __init__(self, model: "GraphExModel", k: int = 10,
-                 hard_limit: Optional[int] = None, workers: int = 1,
+                 hard_limit: Optional[int] = None,
                  dense_limit: int = DEFAULT_DENSE_LIMIT) -> None:
         validate_hard_limit(hard_limit)
         if not _alignment_is_vectorized(model.alignment_fn):
@@ -246,7 +243,6 @@ class LeafBatchRunner:
         self._model = model
         self._k = k
         self._hard_limit = hard_limit
-        self._workers = max(1, workers)
         self._dense_limit = dense_limit
 
     def run(self, requests: Sequence[InferenceRequest]
@@ -258,11 +254,7 @@ class LeafBatchRunner:
             duplicate-item-id semantics as the scalar loop (the last
             request for an id wins).
         """
-        results = self.run_indexed(requests)
-        out: Dict[int, List[Recommendation]] = {}
-        for index, (item_id, _title, _leaf_id) in enumerate(requests):
-            out[item_id] = results[index]
-        return out
+        return last_request_wins(requests, self.run_indexed(requests))
 
     def run_indexed(self, requests: Sequence[InferenceRequest]
                     ) -> List[List[Recommendation]]:
@@ -291,20 +283,10 @@ class LeafBatchRunner:
             else:
                 bucket[1].append(index)
 
-        group_list = sorted(groups.values(), key=lambda g: -len(g[1]))
-
-        def run_group(entry: Tuple["LeafGraph", List[int]]) -> None:
-            graph, indices = entry
+        for graph, indices in groups.values():
             titles = [model.tokenizer(requests[i][1]) for i in indices]
             for local, recs in enumerate(self._run_group(graph, titles)):
                 results[indices[local]] = recs
-
-        if self._workers == 1 or len(group_list) <= 1:
-            for entry in group_list:
-                run_group(entry)
-        else:
-            with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                list(pool.map(run_group, group_list))
         return results
 
     def _run_group(self, graph: "LeafGraph",
@@ -379,9 +361,7 @@ class LeafBatchRunner:
 def fast_batch_recommend(model: "GraphExModel",
                          requests: Sequence[InferenceRequest],
                          k: int = 10,
-                         hard_limit: Optional[int] = None,
-                         workers: int = 1
+                         hard_limit: Optional[int] = None
                          ) -> Dict[int, List[Recommendation]]:
     """Convenience wrapper: one-shot :class:`LeafBatchRunner` run."""
-    return LeafBatchRunner(model, k=k, hard_limit=hard_limit,
-                           workers=workers).run(requests)
+    return LeafBatchRunner(model, k=k, hard_limit=hard_limit).run(requests)

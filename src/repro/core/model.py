@@ -169,7 +169,6 @@ class GraphExModel:
                   build_pooled: bool = False,
                   builder: str = "fast",
                   workers: int = 1,
-                  parallel: Optional[str] = None,
                   executor=None) -> "GraphExModel":
         """Build the model from curated keyphrases (the "training" phase).
 
@@ -191,12 +190,10 @@ class GraphExModel:
                 :class:`~repro.core.sharding.ShardPlan`.  Ignored by
                 the reference builder and by ``executor`` instances
                 (they carry their own).
-            parallel: Legacy spelling of ``executor`` (``"thread"`` /
-                ``"process"``); pass one or the other, not both.
             executor: Which substrate builds the leaf shards — an
-                :class:`repro.core.execution.Executor` instance or one
-                of its spellings (``"serial"``, ``"thread"`` (default),
-                ``"process"``, ``"cluster"``).  Out-of-process
+                :class:`repro.core.execution.Executor` instance (a
+                ``ClusterExecutor`` included) or ``"serial"`` /
+                ``"thread"`` (default) / ``"process"``.  Out-of-process
                 executors need a picklable tokenizer, as the built-in
                 ones are.  The built model is bit-identical for every
                 substrate.
@@ -214,8 +211,8 @@ class GraphExModel:
         # through the engines it wraps, so a top-level import would be
         # a cycle.
         from .execution import resolve_executor
-        exec_ = resolve_executor(executor, parallel=parallel,
-                                 workers=workers, engine=builder)
+        exec_ = resolve_executor(executor, workers=workers,
+                                 engine=builder)
         if builder == "fast":
             from .fast_construct import build_leaf_graph_fast
 

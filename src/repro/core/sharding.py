@@ -18,14 +18,10 @@ module owns what they all share:
   :class:`ShardExecutionError`, :func:`_unwrap_shard_future`) shared by
   the process executor and the cluster runner.
 
-The execution substrates themselves live in
-:mod:`repro.core.execution`; the legacy names
-(``ProcessShardExecutor``, the worker entry points) remain importable
-from here via a lazy module ``__getattr__`` so existing callers and
-pickled pool tasks keep working.  ``parallel={thread,process}`` remains
-accepted everywhere through :func:`validate_parallel`, which now
-delegates to :func:`~repro.core.execution.resolve_executor` — the one
-place the spellings are interpreted.
+The execution substrates themselves, and the scatter/merge contracts
+they share, live in :mod:`repro.core.execution`; this module imports
+nothing from it at run time, so plans and the failure vocabulary stay
+usable without the engines.
 
 Everything crossing a process boundary must pickle: the built-in
 tokenizers and alignment functions do, while ad-hoc lambdas do not —
@@ -44,13 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .curation import CuratedKeyphrases
     from .execution import CostModel
     from .model import GraphExModel
-
-#: Legacy parallel-mode spellings accepted by the batch/construct entry
-#: points (and the CLI ``--parallel`` flags).  ``thread`` shards within
-#: the calling process; ``process`` runs fast-path shards in worker
-#: processes.  Superset spellings (``serial``, ``cluster``) live in
-#: :data:`repro.core.execution.EXECUTOR_NAMES`.
-PARALLEL_MODES = ("thread", "process")
 
 #: Shard-plan key for the leaf group served by the pooled fallback graph
 #: (requests whose leaf has no graph of its own).  Mirrors the pooled
@@ -91,22 +80,20 @@ class ShardExecutionError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-def validate_parallel(parallel: str, engine: Optional[str] = None) -> None:
-    """Raise ValueError on a bad parallel mode or mode/engine pairing.
+def construction_proxy(curated: "CuratedKeyphrases"
+                       ) -> List[Tuple[int, int]]:
+    """``(leaf_id, cost)`` per non-empty leaf, in curated order.
 
-    Delegates to :func:`~repro.core.execution.resolve_executor` — the
-    single interpreter of executor spellings — so the legacy
-    ``parallel=`` strings and the new ``executor=`` ones accept exactly
-    the same values and raise the same errors.  Out-of-process
-    executors pair only with the fast engine/builder: the scalar
-    ``reference`` paths deliberately stay single-process (their role is
-    the easy-to-audit semantics oracle, and process orchestration would
-    change what they oracle).  Serving constructors call this up front
-    so a bad combination fails at construction rather than mid-batch.
+    The one definition of which leaves get built (empty ones have no
+    graph) and of the construction proxy cost: a leaf's summed
+    keyphrase character count — proportional to token occurrences,
+    hence to the edge pairs the build pass walks — without paying a
+    tokenization pass up front.  The ``+ 1`` keeps every planned leaf
+    non-free.  Executors also use it as the unit count when they
+    attribute a timed shard to its leaves.
     """
-    from .execution import resolve_executor
-
-    resolve_executor(executor=parallel, engine=engine)
+    return [(leaf_id, sum(map(len, leaf.texts)) + 1)
+            for leaf_id, leaf in curated.leaves.items() if len(leaf) > 0]
 
 
 class ShardPlan:
@@ -224,17 +211,12 @@ class ShardPlan:
                          ) -> "ShardPlan":
         """The canonical construction plan: non-empty leaves, balanced.
 
-        The proxy cost estimate is each leaf's summed keyphrase
-        character count — proportional to token occurrences, hence to
-        the edge pairs the build pass walks — without paying a
-        tokenization pass up front.  With a ``cost_model`` carrying
-        construction observations, leaves are re-costed by observed
-        build rates instead
+        Costs are the :func:`construction_proxy`; with a ``cost_model``
+        carrying construction observations, leaves are re-costed by
+        observed build rates instead
         (:meth:`~repro.core.execution.CostModel.construction_costs`).
         """
-        proxy = [(leaf_id, sum(map(len, leaf.texts)) + 1)
-                 for leaf_id, leaf in curated.leaves.items()
-                 if len(leaf) > 0]
+        proxy = construction_proxy(curated)
         costs = proxy if cost_model is None \
             else cost_model.construction_costs(proxy)
         return cls.balance(costs, n_shards)
@@ -393,19 +375,6 @@ class ShardPlan:
                 f"shard_costs={self.shard_costs})")
 
 
-def plan_inference_groups(model: "GraphExModel",
-                          requests: Sequence["InferenceRequest"],
-                          n_shards: int
-                          ) -> Tuple[ShardPlan, Dict[int, List[int]]]:
-    """Legacy spelling of :meth:`ShardPlan.for_inference` (proxy costs).
-
-    Kept because the plan/groups contract is pinned across the process
-    executor and the cluster coordinator; new code should call
-    :meth:`ShardPlan.for_inference` (which also accepts a cost model).
-    """
-    return ShardPlan.for_inference(model, requests, n_shards)
-
-
 def _unwrap_shard_future(future, kind: str, index: int,
                          keys: Sequence[Hashable]):
     """``future.result()`` with worker failures surfaced legibly.
@@ -430,29 +399,3 @@ def _unwrap_shard_future(future, kind: str, index: int,
             f"(keys {list(keys)!r}); no worker traceback could be "
             f"recovered — the process was killed or crashed outside "
             f"Python") from exc
-
-
-#: Names that physically moved to :mod:`repro.core.execution` but remain
-#: importable from here (legacy imports, pickled pool tasks, and test
-#: monkeypatching all address them through this module).
-_MOVED_TO_EXECUTION = (
-    "ProcessShardExecutor",
-    "_INFERENCE_RUNNER",
-    "_CONSTRUCT_TOKENIZER",
-    "_init_inference_worker",
-    "_run_inference_shard",
-    "_init_construct_worker",
-    "_build_construct_shard",
-)
-
-
-def __getattr__(name: str):
-    # PEP 562 lazy re-export: sharding must not import execution at
-    # module level (execution imports ShardPlan and the error types
-    # from here), so the moved names resolve on first touch instead.
-    if name in _MOVED_TO_EXECUTION:
-        from . import execution
-
-        return getattr(execution, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -21,9 +21,9 @@ Per stream, the front provides what the synchronous service cannot:
 * **Micro-batch execution off the event loop.**  Window flushes run in
   an executor (thread pool by default), keeping the loop free to
   ingest other streams; the micro-batch itself still goes through the
-  existing engines (``engine``/``workers``/``parallel`` are forwarded
-  to :class:`NRTService`, so thread- or process-parallel shard
-  execution composes).
+  existing engines (``engine``/``workers``/``executor`` are forwarded
+  to :class:`NRTService`, so thread- or process-sharded execution
+  composes).
 * **Concurrent KV write-through.**  Each stream writes through to its
   own :class:`KeyValueStore` (or a shared one — flushes against the
   same store are serialized with a per-store lock, the stand-in for a
@@ -125,15 +125,12 @@ class AsyncNRTFront:
             further event arrives.
         max_pending: Bound of each stream's ingestion queue;
             :meth:`submit` awaits (backpressure) while a queue is full.
-        k, hard_limit, enrich, engine, workers, parallel: Forwarded to
-            each stream's :class:`NRTService`.
+        k, hard_limit, enrich, engine, workers: Forwarded to each
+            stream's :class:`NRTService`.
         executor: Where each stream's window micro-batch shards run —
             an :class:`repro.core.execution.Executor` instance or
-            spelling (``"serial"``, ``"thread"`` (default),
-            ``"process"``, ``"cluster"``), forwarded to every stream's
-            :class:`NRTService`.  For back compatibility a
-            ``concurrent.futures.Executor`` is still accepted here and
-            treated as ``flush_executor``.
+            ``"serial"`` / ``"thread"`` (default) / ``"process"``,
+            forwarded to every stream's :class:`NRTService`.
         flush_executor: Optional ``concurrent.futures`` executor for
             window flush hand-off.  Defaults to a private thread pool
             sized to the stream count (processes make no sense here —
@@ -163,7 +160,6 @@ class AsyncNRTFront:
                  k: int = 20, hard_limit: int = 40,
                  enrich: Optional[Callable[[ItemEvent], str]] = None,
                  engine: str = "fast", workers: int = 1,
-                 parallel: Optional[str] = None,
                  executor=None,
                  flush_executor: Optional[Executor] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
@@ -173,25 +169,12 @@ class AsyncNRTFront:
         if wall_clock_seconds is not None and wall_clock_seconds <= 0:
             raise ValueError("wall_clock_seconds must be > 0, got "
                              f"{wall_clock_seconds}")
-        if isinstance(executor, Executor):
-            # Legacy call shape: `executor=` used to be the flush pool
-            # (a concurrent.futures.Executor).  Shard executors are
-            # repro.core.execution.Executor instances or strings — the
-            # two hierarchies are disjoint, so the meaning is
-            # unambiguous.
-            if flush_executor is not None:
-                raise ValueError(
-                    "got two flush pools: a concurrent.futures.Executor "
-                    "as executor= (legacy spelling) and flush_executor=; "
-                    "pass only flush_executor=")
-            flush_executor = executor
-            executor = None
         self._model = model
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._service_kwargs = dict(
             window_size=window_size, window_seconds=window_seconds,
             k=k, hard_limit=hard_limit, enrich=enrich, engine=engine,
-            workers=workers, parallel=parallel, executor=executor)
+            workers=workers, executor=executor)
         self._wall_clock_seconds = (
             window_seconds if wall_clock_seconds is None
             else wall_clock_seconds)
@@ -359,7 +342,7 @@ class AsyncNRTFront:
         is retargeted at the same mapped instance, so the whole front
         shares one physical copy and the swap is a remap, not N
         reloads.  The new model is validated against the
-        front's engine/parallel configuration first, so an incompatible
+        front's engine/executor configuration first, so an incompatible
         model leaves every stream serving the old one.  Then each
         stream is quiesced in turn — its store lock is taken *off the
         event loop* (in the executor, so a flush in progress completes

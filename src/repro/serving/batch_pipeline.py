@@ -51,12 +51,10 @@ class BatchPipeline:
             or ``"reference"`` (scalar per-item loop); both produce
             identical output, so the fast path serves production loads
             and the reference path remains for cross-checking.
-        parallel: Legacy spelling of ``executor`` (``"thread"`` /
-            ``"process"``); pass one or the other, not both.
         executor: Where the fast engine's leaf-group shards run — an
-            :class:`repro.core.execution.Executor` instance or spelling
-            (``"serial"``, ``"thread"`` (default), ``"process"``,
-            ``"cluster"``); identical output for every substrate (see
+            :class:`repro.core.execution.Executor` instance or
+            ``"serial"`` / ``"thread"`` (default) / ``"process"``;
+            identical output for every substrate (see
             :func:`repro.core.batch.batch_recommend`).  Resolved once
             here, so shard timings accumulate across loads.
         metrics: A :class:`repro.obs.MetricsRegistry` to record load
@@ -68,14 +66,13 @@ class BatchPipeline:
                  store: Optional[KeyValueStore] = None,
                  k: int = 20, hard_limit: int = 40,
                  workers: int = 1, engine: str = "fast",
-                 parallel: Optional[str] = None,
                  executor=None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         from ..core.execution import resolve_executor
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._executor = resolve_executor(executor, parallel=parallel,
-                                          workers=workers, engine=engine,
+        self._executor = resolve_executor(executor, workers=workers,
+                                          engine=engine,
                                           metrics=self.metrics)
         validate_model_for_engine(model, engine,
                                   executor=self._executor)

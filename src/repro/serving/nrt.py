@@ -88,12 +88,10 @@ class NRTService:
             (vectorized leaf-batched, default) or ``"reference"``.
         workers: Worker count for the window micro-batch (ignored when
             ``executor`` is an instance — it carries its own).
-        parallel: Legacy spelling of ``executor`` (``"thread"`` /
-            ``"process"``); pass one or the other, not both.
         executor: Where the fast engine's leaf-group shards run — an
-            :class:`repro.core.execution.Executor` instance or spelling
-            (``"serial"``, ``"thread"`` (default), ``"process"``,
-            ``"cluster"``); identical output for every substrate (see
+            :class:`repro.core.execution.Executor` instance or
+            ``"serial"`` / ``"thread"`` (default) / ``"process"``;
+            identical output for every substrate (see
             :func:`repro.core.batch.batch_recommend`).  Resolved once
             here, so shard timings accumulate in one
             :class:`~repro.core.execution.CostModel` across windows.
@@ -114,7 +112,6 @@ class NRTService:
                  k: int = 20, hard_limit: int = 40,
                  enrich: Optional[Callable[[ItemEvent], str]] = None,
                  engine: str = "fast", workers: int = 1,
-                 parallel: Optional[str] = None,
                  executor=None,
                  metrics: Optional[MetricsRegistry] = None,
                  stream: str = "default") -> None:
@@ -124,8 +121,8 @@ class NRTService:
         self._stream_label = stream
         # Fail here, not mid-flush where the window's events would
         # already be drained and lost.
-        self._executor = resolve_executor(executor, parallel=parallel,
-                                          workers=workers, engine=engine,
+        self._executor = resolve_executor(executor, workers=workers,
+                                          engine=engine,
                                           metrics=self.metrics)
         validate_model_for_engine(model, engine,
                                   executor=self._executor)

@@ -40,6 +40,7 @@ from ..core.batch import InferenceRequest
 from ..core.curation import CuratedKeyphrases
 from ..core.model import GraphExModel
 from ..core.serialization import load_model, save_model
+from ..core.sharding import construction_proxy
 from ..obs import MetricsRegistry, Tracer
 from .batch_pipeline import BatchPipeline
 
@@ -105,13 +106,13 @@ class DailyRefreshOrchestrator:
         pipeline: The batch pipeline whose store serves the catalog; its
             model is refreshed and its :meth:`~BatchPipeline.full_load`
             re-run on every refresh.
-        builder, workers, parallel: Forwarded to
+        builder, workers: Forwarded to
             :meth:`GraphExModel.construct` (fast builder by default —
             the whole point of the daily loop).
         executor: Which execution substrate builds each day's model —
             an :class:`repro.core.execution.Executor` instance or
-            spelling (``"serial"``, ``"thread"`` (default),
-            ``"process"``, ``"cluster"``).  Resolved **once** and kept
+            ``"serial"`` / ``"thread"`` (default) / ``"process"``.
+            Resolved **once** and kept
             for the orchestrator's lifetime, so the per-leaf build
             timings each refresh records feed the *next* refresh's
             :class:`~repro.core.sharding.ShardPlan` — yesterday's
@@ -160,7 +161,6 @@ class DailyRefreshOrchestrator:
 
     def __init__(self, pipeline: BatchPipeline, *,
                  builder: str = "fast", workers: int = 1,
-                 parallel: Optional[str] = None,
                  executor=None, alignment: str = "lta",
                  build_pooled: bool = False,
                  artifact_dir: Optional[Union[str, Path]] = None,
@@ -180,8 +180,8 @@ class DailyRefreshOrchestrator:
         self._workers = workers
         # One executor for the orchestrator's lifetime: its CostModel
         # carries yesterday's observed build rates into today's plan.
-        self._executor = resolve_executor(executor, parallel=parallel,
-                                          workers=workers, engine=builder,
+        self._executor = resolve_executor(executor, workers=workers,
+                                          engine=builder,
                                           metrics=self.metrics)
         self._alignment = alignment
         self._build_pooled = build_pooled
@@ -301,11 +301,8 @@ class DailyRefreshOrchestrator:
         # how much better the executor's accumulated observed build
         # rates balance today's leaves than the char-count proxy would.
         # None on a cold start — the first refresh has no observations.
-        proxy = [(leaf_id, sum(map(len, leaf.texts)) + 1)
-                 for leaf_id, leaf in curated.leaves.items()
-                 if len(leaf) > 0]
         rebalance_gain = plan_rebalance_gain(
-            self._executor.cost_model, proxy,
+            self._executor.cost_model, construction_proxy(curated),
             getattr(self._executor, "workers", 0), kind="construction")
 
         try:

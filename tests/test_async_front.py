@@ -482,13 +482,13 @@ class TestShutdownAndBackpressure:
             AsyncNRTFront(fig3_model, max_pending=0)
         with pytest.raises(ValueError, match="wall_clock_seconds"):
             AsyncNRTFront(fig3_model, wall_clock_seconds=0.0)
-        # Engine/parallel pairings fail at front construction, exactly
+        # Engine/executor pairings fail at front construction, exactly
         # like the sync service (no event can be buffered then lost).
         with pytest.raises(ValueError, match="unknown engine"):
             AsyncNRTFront(fig3_model, engine="warp")
         with pytest.raises(ValueError, match="single-process"):
             AsyncNRTFront(fig3_model, engine="reference",
-                          parallel="process")
+                          executor="process")
 
         async def submit_unstarted():
             await front.submit("s", make_event(1, 0.0))

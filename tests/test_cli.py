@@ -46,12 +46,14 @@ class TestParser:
                  "--alignment", "cosine"])
 
     def test_parallel_defaults_to_thread(self):
-        args = build_parser().parse_args(
-            ["construct", "--curated", "c", "--out", "m"])
-        assert args.parallel == "thread" and args.workers == 1
-        args = build_parser().parse_args(
-            ["recommend", "--model", "m", "--title", "t", "--leaf", "1"])
-        assert args.parallel == "thread" and args.workers == 1
+        from repro.core.execution import resolve_executor
+
+        for command in (["construct", "--curated", "c", "--out", "m"],
+                        ["recommend", "--model", "m", "--title", "t",
+                         "--leaf", "1"]):
+            args = build_parser().parse_args(command)
+            assert args.workers == 1
+            assert resolve_executor(args.executor).name == "thread"
 
     def test_parallel_choices_enforced(self):
         for command in (["construct", "--curated", "c", "--out", "m"],
@@ -242,15 +244,15 @@ class TestWorkflow:
 
 
 class TestExecutorFlag:
-    """ISSUE 8: the unified --executor flag (with --parallel aliased)."""
+    """The one --executor action (--parallel is an alias of it)."""
 
     def test_executor_defaults_to_none(self):
         args = build_parser().parse_args(
             ["construct", "--curated", "c", "--out", "m"])
-        assert args.executor is None and args.parallel == "thread"
+        assert args.executor is None
         args = build_parser().parse_args(
             ["recommend", "--model", "m", "--title", "t", "--leaf", "1"])
-        assert args.executor is None and args.parallel == "thread"
+        assert args.executor is None
 
     def test_executor_choices_enforced(self):
         with pytest.raises(SystemExit):
@@ -295,14 +297,20 @@ class TestExecutorFlag:
                                            "--executor", "cluster")
         assert clustered == baseline
 
-    def test_recommend_executor_wins_over_parallel_alias(
-            self, workflow_dir, capsys):
-        aliased = self._recommend_output(workflow_dir, capsys,
-                                         "--parallel", "thread")
-        explicit = self._recommend_output(workflow_dir, capsys,
-                                          "--executor", "serial",
-                                          "--parallel", "thread")
-        assert explicit == aliased
+    def test_parallel_alias_parses_to_the_same_namespace(self):
+        """One action, two names: no ``parallel`` attribute, no
+        precedence rule."""
+        for command in (["construct", "--curated", "c", "--out", "m"],
+                        ["recommend", "--model", "m", "--title", "t",
+                         "--leaf", "1"],
+                        ["serve-nrt", "--model", "m"]):
+            aliased = build_parser().parse_args(
+                command + ["--parallel", "process"])
+            explicit = build_parser().parse_args(
+                command + ["--executor", "process"])
+            assert aliased == explicit
+            assert aliased.executor == "process"
+            assert not hasattr(aliased, "parallel")
 
     def test_construct_executor_serial_builds_identical_model(
             self, workflow_dir, tmp_path):

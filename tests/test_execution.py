@@ -2,8 +2,8 @@
 
 Covers the :mod:`repro.core.execution` subsystem bottom-up: the
 CostModel value object (decay folds, JSON round-trip, merge, proxy
-fallback), the resolver behind every ``executor=``/legacy ``parallel=``
-keyword, observed-cost feedback into :class:`ShardPlan` (plans change on
+fallback), the resolver behind every ``executor=`` keyword, the
+scatter/merge jobs every substrate calls, observed-cost feedback into :class:`ShardPlan` (plans change on
 a skewed world, outputs do not), orphan re-planning cost preservation,
 and the headline cross-executor equivalence contract: any workload on
 any substrate — serial oracle, thread fan-out, worker processes, or a
@@ -25,15 +25,14 @@ from repro.cluster import (ClusterCoordinator, ClusterWorker, RetryPolicy)
 from repro.core.batch import batch_recommend
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
-from repro.core.execution import (EXECUTOR_NAMES, ClusterExecutor,
-                                  CostModel, Executor,
+from repro.core.execution import (ClusterExecutor, CostModel, Executor, InferenceJob,
                                   ProcessShardExecutor, SerialExecutor,
                                   ThreadShardExecutor,
                                   plan_rebalance_gain, resolve_executor)
 from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
-from repro.core.sharding import (PARALLEL_MODES, POOLED_GROUP, ShardPlan,
-                                 validate_parallel)
+from repro.core.sharding import (POOLED_GROUP, ShardExecutionError,
+                                 ShardPlan, construction_proxy)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ class TestPlanRebalanceGain:
 
 
 # ---------------------------------------------------------------------------
-# The resolver (satellite 1: every legacy spelling keeps working)
+# The resolver: executor= is the only spelling
 
 
 class TestResolveExecutor:
@@ -262,22 +261,17 @@ class TestResolveExecutor:
         assert isinstance(process, ProcessShardExecutor)
         assert process.workers == 3
 
-    def test_legacy_parallel_spellings(self):
-        for mode in PARALLEL_MODES:
-            executor = resolve_executor(parallel=mode, workers=2)
-            assert executor.name == mode
-
     def test_instance_passes_through(self):
         mine = ThreadShardExecutor(4)
         assert resolve_executor(mine) is mine
         assert resolve_executor(mine, workers=9) is mine
 
     def test_executor_plus_parallel_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="parallel"):
             resolve_executor("serial", parallel="thread")
 
     def test_unknown_spelling_names_the_accepted_ones(self):
-        with pytest.raises(ValueError, match="unknown parallel mode"):
+        with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("fiber")
         with pytest.raises(ValueError, match="serial"):
             resolve_executor("fiber")
@@ -297,22 +291,118 @@ class TestResolveExecutor:
         executor = resolve_executor("thread", cost_model=cost_model)
         assert executor.cost_model is cost_model
 
-    def test_validate_parallel_delegates(self):
-        for name in EXECUTOR_NAMES[:3]:
-            validate_parallel(name)
-        with pytest.raises(ValueError, match="unknown parallel mode"):
-            validate_parallel("fiber")
-
     def test_batch_recommend_rejects_both_spellings(self, model,
                                                     requests):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="parallel"):
             batch_recommend(model, requests, executor="serial",
                             parallel="thread")
 
-    def test_batch_recommend_legacy_parallel(self, model, requests,
-                                             expected):
-        assert batch_recommend(model, requests, k=5,
-                               parallel="thread", workers=2) == expected
+
+    def test_parallel_spelling_is_gone_everywhere(self):
+        """``executor=`` is the only spelling: no entry point takes
+        ``parallel``, and sharding re-exports nothing lazily."""
+        import inspect
+
+        from repro.core import sharding
+        from repro.core.batch import (differential_update,
+                                      validate_model_for_engine)
+        from repro.serving import (AsyncNRTFront, BatchPipeline,
+                                   DailyRefreshOrchestrator, NRTService)
+
+        for entry_point in (batch_recommend, differential_update,
+                            validate_model_for_engine,
+                            GraphExModel.construct, NRTService,
+                            BatchPipeline, AsyncNRTFront,
+                            DailyRefreshOrchestrator, resolve_executor):
+            parameters = inspect.signature(entry_point).parameters
+            assert "parallel" not in parameters, entry_point
+        assert "cluster" not in \
+            inspect.signature(resolve_executor).parameters
+        assert list(inspect.signature(
+            validate_model_for_engine).parameters) == \
+            ["model", "engine", "executor"]
+        assert "__getattr__" not in vars(sharding)
+
+
+# ---------------------------------------------------------------------------
+# The scatter/merge contract: one implementation, every substrate
+
+
+def _short_inference_shard(requests):
+    """Pool entry point that loses its last row (module-level so the
+    forked worker can unpickle it by reference)."""
+    from repro.core import execution
+
+    rows = execution._INFERENCE_RUNNER.run_indexed(requests)
+    return rows[:-1], 0.0
+
+
+class TestInferenceJobContract:
+    @pytest.fixture(scope="class")
+    def world(self):
+        """No pooled graph: leaf 999 has nowhere to be served from."""
+        return GraphExModel.construct(build_curated())
+
+    #: Item 7 is re-requested under three different leaves (three
+    #: different groups); item 8's leaf has neither graph nor fallback.
+    REQUESTS = [(7, "leaf1 word0 thing", 1), (1, "leaf2 word1 thing", 2),
+                (7, "leaf3 word2 thing", 3), (8, "leaf1 word0", 999),
+                (2, "leaf4 word0 thing", 4), (7, "leaf2 word0 thing", 2)]
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 8])
+    def test_any_cut_any_completion_order_matches_scalar_loop(
+            self, world, n_shards):
+        scalar = {item_id: world.recommend(title, leaf_id, k=5)
+                  for item_id, title, leaf_id in self.REQUESTS}
+        runner = LeafBatchRunner(world, k=5)
+        job = InferenceJob(world, self.REQUESTS, n_shards, k=5)
+        for shard in reversed(job.plan.shards):     # out of order
+            assert job.merge(shard, runner.run_indexed(
+                job.requests_of(shard))) == \
+                sum(units for _key, units in job.units(shard))
+        out = job.output()
+        assert out == scalar
+        assert out[8] == []
+        assert out[7] == world.recommend("leaf2 word0 thing", 2, k=5)
+        assert list(out) == [7, 1, 8, 2]      # first-seen id order
+
+    def test_wrong_row_count_raises(self, world):
+        job = InferenceJob(world, self.REQUESTS, 1, k=5)
+        (shard,) = job.plan.shards
+        with pytest.raises(ShardExecutionError, match="4 rows for 5"):
+            job.merge(shard, [[]] * 4)
+
+    def test_wrong_row_count_raises_on_the_process_path(
+            self, world, monkeypatch):
+        from repro.core import execution
+
+        monkeypatch.setattr(execution, "_run_inference_shard",
+                            _short_inference_shard)
+        with pytest.raises(ShardExecutionError, match="rows for"):
+            ProcessShardExecutor(2).run_inference(world, self.REQUESTS,
+                                                  k=5)
+
+
+class TestConstructionAbsorbOrder:
+    def test_process_and_cluster_caches_have_equal_state(self):
+        """Every out-of-process substrate absorbs shard token states in
+        ascending-smallest-leaf order, so equal plans give equal
+        caches — not just equal graphs.  Leaf 2 dominates, so the plan
+        is ((2,), (1, 3, 4, 5)): shard-index order and leaf order
+        disagree."""
+        curated = build_curated(sizes=(3, 14, 3, 2, 2))
+        assert [min(shard) for shard in
+                ShardPlan.for_construction(curated, 2).shards] == [2, 1]
+        process_graphs, process_cache = \
+            ProcessShardExecutor(2).run_construction(curated)
+        with ClusterExecutor.local(workers=2) as cluster:
+            cluster_graphs, cluster_cache = \
+                cluster.run_construction(curated)
+        assert cluster_cache.export_state() == \
+            process_cache.export_state()
+        assert list(cluster_graphs) == list(process_graphs)
+        for leaf_id, graph in process_graphs.items():
+            assert_leaf_graphs_identical(graph, cluster_graphs[leaf_id])
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +435,10 @@ class TestCostFeedbackIntoPlans:
             self, curated, model):
         cost_model = CostModel()
         # Invert reality: the big leaf is cheap, the small ones costly.
-        for leaf_id, leaf in curated.leaves.items():
+        for leaf_id, units in construction_proxy(curated):
             cost_model.observe_construction(
-                leaf_id, 0.01 if len(leaf) > 5 else 5.0,
-                sum(map(len, leaf.texts)) + 1)
+                leaf_id, 0.01 if len(curated.leaves[leaf_id]) > 5 else 5.0,
+                units)
         proxy_plan = ShardPlan.for_construction(curated, 2)
         fed_plan = ShardPlan.for_construction(curated, 2,
                                               cost_model=cost_model)

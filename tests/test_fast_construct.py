@@ -177,7 +177,7 @@ class TestFastBuilder:
         sharded = GraphExModel.construct(curated, tokenizer=tokenizer,
                                          build_pooled=True,
                                          builder="fast", workers=workers,
-                                         parallel="process")
+                                         executor="process")
         assert_models_identical(reference, sharded)
 
     def test_reference_builder_rejects_process_parallel(self):
@@ -185,12 +185,12 @@ class TestFastBuilder:
                          CurationConfig(min_search_count=1))
         with pytest.raises(ValueError, match="single-process"):
             GraphExModel.construct(curated, builder="reference",
-                                   parallel="process")
+                                   executor="process")
 
     def test_unknown_parallel_mode_rejected(self):
         curated = curate([], CurationConfig(min_search_count=1))
-        with pytest.raises(ValueError, match="parallel mode"):
-            GraphExModel.construct(curated, parallel="fiber")
+        with pytest.raises(ValueError, match="unknown executor"):
+            GraphExModel.construct(curated, executor="fiber")
 
     @given(stats=stats_strategy, config=config_strategy,
            k=st.integers(1, 8))

@@ -126,7 +126,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_leaf_group_sharding_agrees(self, world, reqs, workers):
         model = make_model(world, build_pooled=True)
-        sharded = LeafBatchRunner(model, k=6, workers=workers).run(reqs)
+        sharded = batch_recommend(model, reqs, k=6, workers=workers)
         assert_identical(sharded, reference_outputs(model, reqs, 6))
 
     @given(world=leaf_worlds, reqs=requests_strategy,
@@ -140,7 +140,7 @@ class TestPropertyEquivalence:
         model = make_model(world, build_pooled=True)
         sharded = batch_recommend(model, reqs, k=6, hard_limit=hard_limit,
                                   workers=workers, engine="fast",
-                                  parallel="process")
+                                  executor="process")
         assert_identical(sharded,
                          reference_outputs(model, reqs, 6, hard_limit))
 
@@ -229,7 +229,7 @@ class TestEdgeCases:
         model = make_model({1: [("w0", 9, 1)], 2: [("w1", 9, 1)]})
         reqs = [(5, "w0", 1), (5, "w1", 2)]
         out = batch_recommend(model, reqs, k=5, workers=2,
-                              parallel="process")
+                              executor="process")
         assert [r.text for r in out[5]] == ["w1"]
         assert_identical(out,
                          batch_recommend(model, reqs, k=5,
@@ -240,12 +240,12 @@ class TestEdgeCases:
         model = make_model({1: [("w0 w1", 5, 1)]})
         with pytest.raises(ValueError, match="single-process"):
             batch_recommend(model, [(1, "w0", 1)], k=5,
-                            engine="reference", parallel="process")
+                            engine="reference", executor="process")
 
     def test_unknown_parallel_mode_rejected(self):
         model = make_model({1: [("w0 w1", 5, 1)]})
-        with pytest.raises(ValueError, match="parallel mode"):
-            batch_recommend(model, [(1, "w0", 1)], k=5, parallel="fiber")
+        with pytest.raises(ValueError, match="unknown executor"):
+            batch_recommend(model, [(1, "w0", 1)], k=5, executor="fiber")
 
     def test_run_indexed_keeps_duplicates(self):
         """run_indexed is positional: duplicates are not collapsed."""

@@ -277,7 +277,7 @@ class TestDailyRefreshOrchestrator:
             assert pipeline.serve(item_id) == clean.serve(item_id)
 
     def test_refresh_forwards_construction_knobs(self, fig3_model):
-        """builder/workers/parallel reach GraphExModel.construct: the
+        """builder/workers/executor reach GraphExModel.construct: the
         reference builder produces a bit-identical deployment."""
         pipeline = BatchPipeline(fig3_model)
         fast = DailyRefreshOrchestrator(pipeline, builder="fast",

@@ -270,14 +270,14 @@ class TestBatchPipeline:
     def test_process_parallel_with_reference_rejected(self, model):
         """Mode/engine pairing fails at construction, not mid-load."""
         with pytest.raises(ValueError, match="single-process"):
-            BatchPipeline(model, engine="reference", parallel="process")
-        with pytest.raises(ValueError, match="parallel mode"):
-            BatchPipeline(model, parallel="fiber")
+            BatchPipeline(model, engine="reference", executor="process")
+        with pytest.raises(ValueError, match="unknown executor"):
+            BatchPipeline(model, executor="fiber")
 
     def test_process_parallel_full_load_serves_identically(self, model):
         serial = BatchPipeline(model)
         serial.full_load(REQUESTS)
-        sharded = BatchPipeline(model, workers=2, parallel="process")
+        sharded = BatchPipeline(model, workers=2, executor="process")
         sharded.full_load(REQUESTS)
         for item_id, _title, _leaf in REQUESTS:
             assert sharded.serve(item_id) == serial.serve(item_id)
@@ -407,14 +407,14 @@ class TestNRTService:
     def test_bad_parallel_mode_rejected_at_construction(self, model):
         """Same invariant again for the shard-execution mode."""
         with pytest.raises(ValueError, match="single-process"):
-            self._service(model, engine="reference", parallel="process")
-        with pytest.raises(ValueError, match="parallel mode"):
-            self._service(model, parallel="fiber")
+            self._service(model, engine="reference", executor="process")
+        with pytest.raises(ValueError, match="unknown executor"):
+            self._service(model, executor="fiber")
 
     def test_process_parallel_window_serves_identically(self, model):
         serial = self._service(model, window_size=2)
         sharded = self._service(model, window_size=2, workers=2,
-                                parallel="process")
+                                executor="process")
         for service in (serial, sharded):
             service.submit(self._event(1, 0.0))
             stats = service.submit(self._event(

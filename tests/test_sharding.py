@@ -12,11 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
+from repro.core.execution import ProcessShardExecutor
 from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
-from repro.core.sharding import (POOLED_GROUP, PARALLEL_MODES,
-                                 ProcessShardExecutor, ShardPlan,
-                                 validate_parallel)
+from repro.core.sharding import POOLED_GROUP, ShardPlan
 from repro.core.tokenize import DEFAULT_TOKENIZER, TokenCache
 
 
@@ -31,22 +30,6 @@ def make_model(leaf_phrases, build_pooled=False):
         leaves=leaves, effective_threshold=1,
         config=CurationConfig(min_search_count=1))
     return GraphExModel.construct(curated, build_pooled=build_pooled)
-
-
-class TestValidateParallel:
-    def test_modes_accepted(self):
-        for mode in PARALLEL_MODES:
-            validate_parallel(mode)
-            validate_parallel(mode, engine="fast")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="parallel mode"):
-            validate_parallel("fiber")
-
-    def test_process_requires_fast(self):
-        with pytest.raises(ValueError, match="semantics reference"):
-            validate_parallel("process", engine="reference")
-        validate_parallel("thread", engine="reference")  # thread is fine
 
 
 class TestShardPlan:
@@ -111,8 +94,7 @@ class TestInferencePlanning:
                            build_pooled=True)
         requests = [(0, "w0", 1), (1, "w0", 99), (2, "w2", 2),
                     (3, "w0", 1), (4, "w1", 123)]
-        plan, groups = ProcessShardExecutor(2).plan_inference(model,
-                                                              requests)
+        plan, groups = ShardPlan.for_inference(model, requests, 2)
         assert groups == {1: [0, 3], POOLED_GROUP: [1, 4], 2: [2]}
         assert plan.cost_of(1) == 2
         assert plan.cost_of(POOLED_GROUP) == 2
@@ -120,8 +102,8 @@ class TestInferencePlanning:
 
     def test_no_pooled_fallback_excludes_unknown_leaves(self):
         model = make_model({1: [("w0 w1", 5, 1)]})
-        plan, groups = ProcessShardExecutor(2).plan_inference(
-            model, [(0, "w0", 1), (1, "w0", 99)])
+        plan, groups = ShardPlan.for_inference(
+            model, [(0, "w0", 1), (1, "w0", 99)], 2)
         assert groups == {1: [0]}
         out = ProcessShardExecutor(2).run_inference(
             model, [(0, "w0", 1), (1, "w0", 99)], k=5)
@@ -192,7 +174,7 @@ class TestProcessShardExecutor:
             leaves=leaves, effective_threshold=1,
             config=CurationConfig(min_search_count=1))
         process = GraphExModel.construct(curated, build_pooled=True,
-                                         workers=2, parallel="process")
+                                         workers=2, executor="process")
         assert process.leaf_ids == thread.leaf_ids
         import numpy as np
         for leaf_id in thread.leaf_ids + [None]:
@@ -255,9 +237,9 @@ class TestTokenCacheStateMerge:
 
 class TestLazyImportCycleContract:
     """``validate_model_for_engine`` (repro.core.batch) imports
-    ``sharding`` and ``fast_inference`` *inside* the call: a top-level
-    import would close the cycle batch -> sharding -> fast_inference ->
-    batch.  Pinned in fresh interpreters so a refactor that hoists the
+    ``execution`` and ``fast_inference`` *inside* the call: a top-level
+    import would close the cycle batch -> execution -> fast_inference
+    -> batch.  Pinned in fresh interpreters so a refactor that hoists the
     imports fails here, not as a bootstrap-order-dependent ImportError
     in production.
 
@@ -291,8 +273,8 @@ class TestLazyImportCycleContract:
                 "validate_model_for_engine(model, 'fast', 'process')\n")
 
     def test_validator_probes_after_lazy_import(self):
-        """The call itself exercises both lazy imports: parallel-mode
-        validation (sharding) and the runner probe (fast_inference)."""
+        """The call itself exercises both lazy imports: executor
+        validation (execution) and the runner probe (fast_inference)."""
         from repro.core.batch import validate_model_for_engine
         model = make_model({1: [("gaming headset", 5, 5)]})
         validate_model_for_engine(model, "fast", "process")
@@ -302,7 +284,7 @@ class TestLazyImportCycleContract:
 
 class TestDifferentialUpdateProcessShards:
     def test_duplicate_item_ids_across_process_shards_last_wins(self):
-        """``differential_update(parallel='process')`` with the same
+        """``differential_update(executor='process')`` with the same
         item id re-inferred in requests that land on *different* shards
         (different leaf groups) must keep the last request, exactly like
         the single-process paths."""
@@ -328,7 +310,7 @@ class TestDifferentialUpdateProcessShards:
         for workers in (2, 3):
             merged = differential_update(model, previous, changed,
                                          workers=workers,
-                                         parallel="process", **kwargs)
+                                         executor="process", **kwargs)
             assert merged == expected
             # Same-day delete+revise resolves to the revision across
             # shard boundaries too.
@@ -451,17 +433,6 @@ class TestReplan:
             plan.replan([1, 99], 1)
 
 
-class TestPlanInferenceGroups:
-    def test_executor_delegates_to_shared_planner(self):
-        from repro.core.sharding import plan_inference_groups
-
-        model = make_model({1: [("w0 w1", 5, 1)], 2: [("w2", 4, 1)]},
-                           build_pooled=True)
-        requests = [(0, "w0", 1), (1, "w0", 99), (2, "w2", 2)]
-        assert (plan_inference_groups(model, requests, 2)
-                == ProcessShardExecutor(2).plan_inference(model, requests))
-
-
 class TestWorkerFailureSurfacing:
     """ISSUE 7 satellite: a failing shard surfaces the worker's original
     traceback instead of an opaque ``BrokenProcessPool``, and half-
@@ -517,13 +488,22 @@ class TestWorkerFailureSurfacing:
         assert all(not Path(path).exists() for path in staged)
 
     def test_inference_shard_wraps_worker_failures(self, monkeypatch):
-        from repro.core import sharding
+        from repro.core import execution
         from repro.core.sharding import ShardWorkerError
 
-        monkeypatch.setattr(sharding, "_INFERENCE_RUNNER", None)
+        class ExplodingRunner:
+            def run_indexed(self, requests):
+                raise LookupError(f"boom-runner saw {list(requests)!r}")
+
+        # Patched where the worker entry point reads it: the traceback
+        # proves _run_inference_shard went through this very object.
+        monkeypatch.setattr(execution, "_INFERENCE_RUNNER",
+                            ExplodingRunner())
         with pytest.raises(ShardWorkerError) as excinfo:
-            sharding._run_inference_shard([(0, "title", 1)])
-        assert "AttributeError" in excinfo.value.worker_traceback
+            execution._run_inference_shard([(0, "title", 1)])
+        assert "LookupError" in excinfo.value.worker_traceback
+        assert "boom-runner saw [(0, 'title', 1)]" \
+            in excinfo.value.worker_traceback
 
     def test_unwrap_names_shard_and_keys(self):
         from concurrent.futures import Future
