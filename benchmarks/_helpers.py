@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -19,23 +18,3 @@ def emit(results_dir: Path, name: str, text: str) -> None:
     print()
     print(text)
     (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def emit_bench_json(results_dir: Path, name: str, payload: dict) -> Path:
-    """Persist a machine-readable bench result as ``BENCH_<name>.json``.
-
-    The perf-tracking contract across PRs (asserted by the CI smoke):
-    every payload carries ``bench`` (the name), ``verified_identical``
-    (the output-equality check the human-readable table reports),
-    ``workers``, and a ``throughput`` mapping of column name to
-    items/s, alongside whatever bench-specific fields are useful.
-    """
-    payload = {"bench": name, **payload}
-    for key in ("verified_identical", "workers", "throughput"):
-        if key not in payload:
-            raise ValueError(f"bench payload missing {key!r}")
-    path = results_dir / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    print(f"machine-readable result -> {path}")
-    return path

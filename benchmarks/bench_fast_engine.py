@@ -4,27 +4,16 @@ Runs the same large batch through ``engine="reference"`` (per-item
 ``model.recommend`` loop) and ``engine="fast"``
 (:class:`repro.core.fast_inference.LeafBatchRunner`), verifies the two
 outputs are element-wise identical, and reports items/s plus the
-speedup.  The acceptance target for the engine is >= 3x on a >= 5k-item
-batch; CI runs a tiny smoke profile of the same script.
-
-``--executor`` picks the fast engine's shard substrate:
-``serial``/``thread`` run in-process, while ``process``
-(:class:`repro.core.execution.ProcessShardExecutor`) and ``cluster`` (a self-contained localhost fleet via
-:meth:`repro.core.execution.ClusterExecutor.local`) each get an extra
-comparison column against the thread baseline — measured, not
-asserted.  Those columns include pool/fleet start-up and model
-shipping, so they are honest end-to-end numbers; they need multiple
-physical cores to win.
+speedup.  This is the engine-equivalence smoke; performance claims are
+made against ``benchmarks/perf/`` (see its README), not this table.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_fast_engine.py            # full
-    PYTHONPATH=src python benchmarks/bench_fast_engine.py \
-        --executor process --workers 4                # + process column
     PYTHONPATH=src python benchmarks/bench_fast_engine.py --items 800 --repeat 1
 
 Unlike the figure/table benches this is a standalone script (no
-pytest-benchmark session needed) so the CI smoke run stays cheap.
+pytest-benchmark session needed) so the smoke run stays cheap.
 """
 
 from __future__ import annotations
@@ -37,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))  # for _helpers
-from _helpers import RESULTS_DIR, emit, emit_bench_json
+from _helpers import RESULTS_DIR, emit
 
 from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
@@ -89,7 +78,7 @@ def build_world(n_leaves: int, phrases_per_leaf: int, n_items: int,
 
 
 def time_engine(model, requests, engine: str, k: int, hard_limit,
-                workers: int, repeat: int, executor="thread"):
+                workers: int, repeat: int):
     """Best-of-``repeat`` wall time and the (last) result dict."""
     best = float("inf")
     result = None
@@ -97,7 +86,7 @@ def time_engine(model, requests, engine: str, k: int, hard_limit,
         start = time.perf_counter()
         result = batch_recommend(model, requests, k=k,
                                  hard_limit=hard_limit, workers=workers,
-                                 engine=engine, executor=executor)
+                                 engine=engine)
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -110,17 +99,6 @@ def main(argv=None) -> int:
     parser.add_argument("-k", type=int, default=20)
     parser.add_argument("--hard-limit", type=int, default=40)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--executor",
-                        choices=["serial", "thread", "process",
-                                 "cluster"],
-                        default="thread",
-                        help="shard substrate for the fast column; "
-                             "'process' and 'cluster' additionally get "
-                             "their own comparison column against the "
-                             "thread baseline (identical output)")
-    parser.add_argument("--process-workers", type=int, default=0,
-                        help="workers for the process/cluster column "
-                             "(default: max(2, --workers))")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--min-speedup", type=float, default=0.0,
@@ -133,119 +111,27 @@ def main(argv=None) -> int:
     print(f"world: {model.n_leaves} leaves, {model.n_keyphrases} "
           f"keyphrases, {len(requests)} requests")
 
-    executor = args.executor
-
     ref_time, ref_out = time_engine(model, requests, "reference", args.k,
                                     args.hard_limit, args.workers,
                                     args.repeat)
-    baseline = executor if executor in ("serial", "thread") else "thread"
     fast_time, fast_out = time_engine(model, requests, "fast", args.k,
                                       args.hard_limit, args.workers,
-                                      args.repeat, executor=baseline)
-
+                                      args.repeat)
     if ref_out != fast_out:
         diff = [i for i in ref_out if ref_out[i] != fast_out[i]]
         print(f"ENGINE MISMATCH on {len(diff)} items, e.g. {diff[:3]}")
         return 1
 
-    # Telemetry overhead column: same engine, same substrate, but the
-    # executor records into a live MetricsRegistry instead of the
-    # default NullRegistry.  Instrumentation must be cheap (the ISSUE
-    # budget is 3%) and semantics-neutral — the output is verified
-    # identical too.  Timing at this granularity flakes, so on an
-    # apparent overspend both columns are re-measured (best-of) a few
-    # times before the number is trusted.
-    from repro.core.execution import resolve_executor
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    telemetry_executor = resolve_executor(baseline, workers=args.workers,
-                                          metrics=registry)
-    telem_time, telem_out = time_engine(model, requests, "fast", args.k,
-                                        args.hard_limit, args.workers,
-                                        args.repeat,
-                                        executor=telemetry_executor)
-    if telem_out != ref_out:
-        diff = [i for i in ref_out if ref_out[i] != telem_out[i]]
-        print(f"TELEMETRY MISMATCH on {len(diff)} items, "
-              f"e.g. {diff[:3]}")
-        return 1
-    for _ in range(3):
-        if telem_time <= fast_time * 1.03:
-            break
-        retry_off, _ = time_engine(model, requests, "fast", args.k,
-                                   args.hard_limit, args.workers,
-                                   args.repeat, executor=baseline)
-        retry_on, _ = time_engine(model, requests, "fast", args.k,
-                                  args.hard_limit, args.workers,
-                                  args.repeat,
-                                  executor=telemetry_executor)
-        fast_time = min(fast_time, retry_off)
-        telem_time = min(telem_time, retry_on)
-    telemetry_overhead = telem_time / fast_time if fast_time \
-        else float("inf")
-
     speedup = ref_time / fast_time if fast_time else float("inf")
-    rows = [
-        ["reference", ref_time * 1e3, len(requests) / ref_time, 1.0],
-        [f"fast/{baseline}", fast_time * 1e3, len(requests) / fast_time,
-         speedup],
-        [f"fast/{baseline}+telemetry", telem_time * 1e3,
-         len(requests) / telem_time,
-         ref_time / telem_time if telem_time else float("inf")],
-    ]
-    if executor in ("process", "cluster"):
-        process_workers = args.process_workers or max(2, args.workers)
-        if executor == "cluster":
-            from repro.core.execution import ClusterExecutor
-
-            backend = ClusterExecutor.local(workers=process_workers)
-        else:
-            backend = executor
-        try:
-            proc_time, proc_out = time_engine(
-                model, requests, "fast", args.k, args.hard_limit,
-                process_workers, args.repeat, executor=backend)
-        finally:
-            if not isinstance(backend, str):
-                backend.close()
-        if proc_out != ref_out:
-            diff = [i for i in ref_out if ref_out[i] != proc_out[i]]
-            print(f"{executor.upper()}-SHARD MISMATCH on {len(diff)} "
-                  f"items, e.g. {diff[:3]}")
-            return 1
-        rows.append([f"fast/{executor} x{process_workers}",
-                     proc_time * 1e3, len(requests) / proc_time,
-                     ref_time / proc_time if proc_time else float("inf")])
-        print(f"{executor} speedup over thread path: "
-              f"{fast_time / proc_time:.2f}x "
-              f"({process_workers} workers; >1x needs multiple cores)")
     table = render_table(
-        ["engine", "batch time (ms)", "items/s", "speedup"], rows,
+        ["engine", "batch time (ms)", "items/s", "speedup"],
+        [["reference", ref_time * 1e3, len(requests) / ref_time, 1.0],
+         ["fast", fast_time * 1e3, len(requests) / fast_time, speedup]],
         title=f"Fast engine bake-off — {len(requests)} items, "
               f"k={args.k}, workers={args.workers} "
               f"(outputs verified identical)")
     RESULTS_DIR.mkdir(exist_ok=True)
     emit(RESULTS_DIR, "fast_engine", table)
-    print(f"telemetry overhead: {telemetry_overhead:.4f}x "
-          f"(budget 1.03x; registry recorded "
-          f"{registry.counter_value('executor.inference.requests', executor=baseline)}"
-          f" requests)")
-    # Machine-readable artifact so the perf trajectory is tracked
-    # across PRs (CI asserts it parses, the outputs were verified, and
-    # telemetry stayed inside its overhead budget).
-    emit_bench_json(RESULTS_DIR, "fast_engine", {
-        "verified_identical": True,
-        "workers": args.workers,
-        "executor": executor,
-        "items": len(requests),
-        "k": args.k,
-        "throughput": {row[0]: row[2] for row in rows},
-        "speedup": {row[0]: row[3] for row in rows},
-        "telemetry_overhead": telemetry_overhead,
-        "telemetry_within_budget": telemetry_overhead <= 1.03,
-        "metrics": registry.snapshot(),
-    })
 
     if speedup < args.min_speedup:
         print(f"speedup {speedup:.2f}x below required "

@@ -23,62 +23,35 @@ Two dataset modes, like ``bench_fast_engine.py``'s synthetic world:
   stats from a simulated training window (same path as the CLI and the
   eval harness), sized by ``--profile``/``--events``.
 
-``--executor`` picks the fast row's shard substrate.  ``--executor
-process`` adds a row building whole-leaf shards in worker processes
-(:class:`repro.core.execution.ProcessShardExecutor`, whose workers
-hand their graphs back as zero-copy format-3 leaf bundles, per-shard
-token caches merged afterwards); ``--executor cluster`` instead runs
-them on a self-contained localhost fleet.  Either extra row is
-verified bit-identical too, and its speedup over the thread path is
-reported — measured, not asserted; the row includes pool/fleet
-start-up and artifact staging and needs multiple physical cores to
-win.
-
-Every run also closes the **measurement loop** the execution plane
-exists for: one build records per-leaf wall clock into a
-:class:`repro.core.execution.CostModel`, the plan is recomputed on
-those observed costs, and the JSON artifact carries the makespan ratio
-as ``rebalance_gain`` (the fed-back build is verified bit-identical —
-feedback moves work between shards, never changes its result).
-
-A **model-open latency** section saves the built model as a format-3
-artifact and times ``load_model(dir)`` (copied: every array and string
-materialized) against ``load_model(dir, mmap=True)`` (read-only views
-over the artifact file, strings decoded lazily).  The mapped model is
-verified to serve byte-identical output first; the two open times land
-in the table (``open/copied``, ``open/mmap``) and in the BENCH json as
-``model_open_latency``.
+This is the builder-equivalence smoke; performance claims (including
+model-open latency) are made against ``benchmarks/perf/``, not this
+table.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_model_build.py           # full
     PYTHONPATH=src python benchmarks/bench_model_build.py \
-        --executor process --workers 4                # + process column
-    PYTHONPATH=src python benchmarks/bench_model_build.py \
         --dataset simulated --profile tiny --events 6000 --repeat 1  # smoke
 
 Like ``bench_fast_engine.py`` this is a standalone script (no
-pytest-benchmark session) so the CI smoke run stays cheap.
+pytest-benchmark session) so the smoke run stays cheap.
 """
 
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))  # for _helpers
-from _helpers import RESULTS_DIR, emit, emit_bench_json
+from _helpers import RESULTS_DIR, emit
 
 from repro.core.batch import batch_recommend
 from repro.core.curation import CurationConfig, curate, fast_curate
 from repro.core.model import GraphExModel
-from repro.core.serialization import load_model, save_model
 from repro.data.generator import DEFAULT_PROFILE, TINY_PROFILE, \
     generate_dataset
 from repro.eval.reporting import render_table
@@ -172,17 +145,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-search-count", type=int, default=2)
     parser.add_argument("--min-keyphrases", type=int, default=300)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--executor",
-                        choices=["serial", "thread", "process",
-                                 "cluster"],
-                        default="thread",
-                        help="shard substrate for the fast row; "
-                             "'process' and 'cluster' additionally get "
-                             "their own comparison row against the "
-                             "thread baseline (bit-identical model)")
-    parser.add_argument("--process-workers", type=int, default=0,
-                        help="workers for the process/cluster row "
-                             "(default: max(2, --workers))")
     parser.add_argument("--pooled", action="store_true",
                         help="also build the pooled all-leaves graph")
     parser.add_argument("--repeat", type=int, default=3)
@@ -232,66 +194,6 @@ def main(argv=None) -> int:
         args.repeat)
     assert_identical_models(model_ref, model_fast)
 
-    executor = args.executor
-    build_proc_time = None
-    process_workers = args.process_workers or max(2, args.workers)
-    if executor in ("process", "cluster"):
-        if executor == "cluster":
-            from repro.core.execution import ClusterExecutor
-
-            backend = ClusterExecutor.local(workers=process_workers)
-        else:
-            backend = executor
-        try:
-            build_proc_time, model_proc = best_of(
-                lambda: GraphExModel.construct(
-                    curated_fast, builder="fast",
-                    build_pooled=args.pooled,
-                    workers=process_workers, executor=backend),
-                args.repeat)
-        finally:
-            if not isinstance(backend, str):
-                backend.close()
-        assert_identical_models(model_ref, model_proc)
-
-    # The measurement loop the execution plane closes: build once on
-    # the char-count proxy while *recording* per-leaf wall clock, then
-    # plan again on the recorded CostModel.  rebalance_gain is the
-    # makespan ratio of the two plans under observed costs (> 1 means
-    # the fed-back plan shrank the critical-path shard), and the
-    # fed-back build must stay bit-identical — feedback moves work
-    # between shards, never changes its result.
-    from repro.core.execution import (ThreadShardExecutor,
-                                      plan_rebalance_gain)
-    from repro.core.sharding import ShardPlan, construction_proxy
-
-    from repro.obs import MetricsRegistry
-
-    rebalance_workers = max(2, args.workers)
-    recorder = ThreadShardExecutor(rebalance_workers,
-                                   metrics=MetricsRegistry())
-    GraphExModel.construct(curated_fast, builder="fast",
-                           build_pooled=args.pooled, executor=recorder)
-    rebalance_gain = plan_rebalance_gain(
-        recorder.cost_model, construction_proxy(curated_fast),
-        rebalance_workers)
-    proxy_plan = ShardPlan.for_construction(curated_fast,
-                                            rebalance_workers)
-    fed_plan = ShardPlan.for_construction(
-        curated_fast, rebalance_workers,
-        cost_model=recorder.cost_model)
-    model_fed = GraphExModel.construct(
-        curated_fast, builder="fast", build_pooled=args.pooled,
-        executor=ThreadShardExecutor(rebalance_workers,
-                                     cost_model=recorder.cost_model))
-    assert_identical_models(model_ref, model_fed)
-    gain_text = "n/a (nothing to rebalance)" if rebalance_gain is None \
-        else f"{rebalance_gain:.3f}x"
-    print(f"rebalance gain (observed-cost plan vs char proxy, "
-          f"{rebalance_workers} shards): {gain_text}; "
-          f"partition moved: {fed_plan.shards != proxy_plan.shards}; "
-          f"fed-back model verified bit-identical")
-
     # End-to-end spot check: the built models serve identical output.
     requests = [(i, stat.text, stat.leaf_id)
                 for i, stat in enumerate(stats[:500])]
@@ -299,30 +201,6 @@ def main(argv=None) -> int:
     if batch_recommend(model_fast, requests, k=10) != expected:
         print("MODEL MISMATCH: built models serve different output")
         return 1
-
-    # Model-open latency: persist once as a format-3 artifact, then
-    # time a full copied load against a zero-copy mmap open.  The mmap
-    # open touches only metadata (arrays stay file-backed, strings
-    # decode lazily), so it should win by orders of magnitude — and
-    # its model must serve byte-identically before the number counts.
-    artifact = Path(tempfile.mkdtemp(prefix="graphex-bench-model-"))
-    try:
-        save_model(model_fast, artifact / "model", format_version=3)
-        open_copied_time, model_copied = best_of(
-            lambda: load_model(artifact / "model"), args.repeat)
-        open_mmap_time, model_mapped = best_of(
-            lambda: load_model(artifact / "model", mmap=True),
-            args.repeat)
-        if batch_recommend(model_mapped, requests, k=10) != expected \
-                or batch_recommend(model_copied, requests, k=10) \
-                != expected:
-            print("MODEL MISMATCH: reopened artifact serves "
-                  "different output")
-            return 1
-    finally:
-        shutil.rmtree(artifact, ignore_errors=True)
-    open_speedup = open_copied_time / open_mmap_time if open_mmap_time \
-        else float("inf")
 
     cur_speedup = cur_ref_time / cur_fast_time if cur_fast_time \
         else float("inf")
@@ -343,20 +221,7 @@ def main(argv=None) -> int:
          n_keyphrases / total_ref, 1.0],
         ["pipeline/fast", total_fast * 1e3,
          n_keyphrases / total_fast, total_ref / total_fast],
-        ["open/copied", open_copied_time * 1e3,
-         n_keyphrases / open_copied_time, 1.0],
-        ["open/mmap", open_mmap_time * 1e3,
-         n_keyphrases / open_mmap_time, open_speedup],
     ]
-    if build_proc_time is not None:
-        rows.insert(4, [f"construct/{executor} x{process_workers}",
-                        build_proc_time * 1e3,
-                        n_keyphrases / build_proc_time,
-                        build_ref_time / build_proc_time
-                        if build_proc_time else float("inf")])
-        print(f"{executor} speedup over thread path: "
-              f"{build_fast_time / build_proc_time:.2f}x "
-              f"({process_workers} workers; >1x needs multiple cores)")
     table = render_table(
         ["stage", "time (ms)", "keyphrases/s", "speedup"], rows,
         title=f"Model-build bake-off — {n_keyphrases} keyphrases, "
@@ -364,27 +229,6 @@ def main(argv=None) -> int:
               f"pooled={args.pooled} (models verified bit-identical)")
     RESULTS_DIR.mkdir(exist_ok=True)
     emit(RESULTS_DIR, "model_build", table)
-    # Machine-readable artifact so the perf trajectory is tracked
-    # across PRs (CI asserts it parses and the models were verified).
-    emit_bench_json(RESULTS_DIR, "model_build", {
-        "verified_identical": True,   # bit-identical models + served spot check
-        "workers": args.workers,
-        "executor": executor,
-        "rebalance_gain": rebalance_gain,
-        "rebalance_shards": rebalance_workers,
-        "n_keyphrases": n_keyphrases,
-        "n_stats": len(stats),
-        "throughput": {row[0]: row[2] for row in rows},
-        "speedup": {row[0]: row[3] for row in rows},
-        "model_open_latency": {
-            "copied_ms": open_copied_time * 1e3,
-            "mmap_ms": open_mmap_time * 1e3,
-            "speedup": open_speedup,
-        },
-        # The recording build's registry snapshot: per-shard construct
-        # timings and plan-shape gauges for the rebalance experiment.
-        "metrics": recorder.metrics.snapshot(),
-    })
 
     if build_speedup < args.min_speedup:
         print(f"construct speedup {build_speedup:.2f}x below required "

@@ -55,7 +55,7 @@ async def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="cluster-example-") as tmp:
         artifact = Path(tmp) / "model"
-        save_model(model, artifact, format_version=3)
+        save_model(model, artifact)
         print(f"persisted format-3 artifact -> {artifact}")
 
         async with ClusterCoordinator(rpc_timeout=10.0,

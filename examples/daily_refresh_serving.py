@@ -75,9 +75,8 @@ async def main_async() -> None:
     artifact_root = tempfile.mkdtemp(prefix="graphex-daily-")
     # executor= picks the construct substrate ("serial"/"thread"/
     # "process"/"cluster" or an Executor instance).  The orchestrator
-    # keeps it for life: each build records per-leaf wall clock into
-    # its CostModel, so tomorrow's shards balance on today's observed
-    # rates instead of char-count proxies.
+    # keeps it for life, so every build's timings land in one registry
+    # (orchestrator.metrics).
     orchestrator = DailyRefreshOrchestrator(pipeline, workers=4,
                                             executor="thread",
                                             artifact_dir=artifact_root)
@@ -105,11 +104,6 @@ async def main_async() -> None:
               f"{refresh.swap_seconds * 1e3:.0f} ms")
         print(f"   deployed mapped from artifact "
               f"{refresh.artifact_path}")
-        gain = ("n/a — first observed-cost plan lands tomorrow"
-                if refresh.rebalance_gain is None
-                else f"{refresh.rebalance_gain:.2f}x")
-        print(f"   cost feedback: {refresh.n_cost_observations} shard "
-              f"timings recorded, rebalance gain {gain}")
 
         print("\nDay 2, 14:02: seller revises a listing (NRT path, "
               "new model)")

@@ -25,7 +25,6 @@ Quickstart::
 
 from .core import (
     ALIGNMENTS,
-    CostModel,
     CSRGraph,
     CuratedKeyphrases,
     CurationConfig,
@@ -72,7 +71,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALIGNMENTS",
-    "CostModel",
     "CSRGraph",
     "CuratedKeyphrases",
     "CurationConfig",

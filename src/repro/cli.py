@@ -4,7 +4,7 @@ Mirrors a production workflow in six subcommands::
 
     repro-graphex simulate  --out logs.json [--profile tiny|default]
     repro-graphex curate    --log logs.json --out curated.json [--min-search-count N] [--engine reference|fast]
-    repro-graphex construct --curated curated.json --out model_dir/ [--builder reference|fast] [--workers N] [--executor serial|thread|process|cluster] [--format-version 1|2|3]
+    repro-graphex construct --curated curated.json --out model_dir/ [--builder reference|fast] [--workers N] [--executor serial|thread|process|cluster]
     repro-graphex recommend --model model_dir/ --title "..." --leaf ID [-k N] [--engine reference|fast] [--workers N] [--executor serial|thread|process|cluster] [--mmap]
     repro-graphex serve-nrt --model model_dir/ [--streams N] [--events N] [--refresh-after N]
     repro-graphex evaluate  [--profile tiny|default] [--meta CAT_1]
@@ -16,8 +16,8 @@ Mirrors a production workflow in six subcommands::
 input) as JSON; ``curate`` persists the curated keyphrases *and* the
 curation config (so ``construct`` round-trips the exact configuration);
 ``construct`` persists the model with
-:func:`repro.core.serialization.save_model` (format 3 by default — the
-zero-copy page-aligned artifact); ``recommend`` loads and serves
+:func:`repro.core.serialization.save_model` (format 3, the zero-copy
+page-aligned artifact); ``recommend`` loads and serves
 (``--mmap`` opens the artifact without copying); ``serve-nrt`` demos
 the asyncio multi-stream NRT front (``--refresh-after`` adds a mid-run
 zero-downtime model hot-swap, handed off by artifact *path* so a
@@ -46,7 +46,8 @@ from .core.batch import ENGINES, batch_recommend
 from .core.curation import CURATION_ENGINES, CurationConfig, curate
 from .core.execution import EXECUTOR_NAMES
 from .core.model import BUILDERS, GraphExModel
-from .core.serialization import load_model, save_model
+from .core.serialization import (load_model, model_format_version,
+                                 save_model)
 from .data.generator import DEFAULT_PROFILE, TINY_PROFILE, generate_dataset
 from .search.logs import KeyphraseStat
 from .search.sessions import SessionSimulator
@@ -164,12 +165,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - start
     finally:
         _close_executor(executor)
-    save_model(model, args.out, format_version=args.format_version)
+    save_model(model, args.out)
     rate = model.n_keyphrases / elapsed if elapsed > 0 else float("inf")
     print(f"constructed {model.n_leaves} leaf graphs / "
           f"{model.n_keyphrases} labels in {elapsed:.3f}s "
           f"({rate:,.0f} keyphrases/s, builder={args.builder}) "
-          f"-> {args.out} (format v{args.format_version})")
+          f"-> {args.out} (format v{model_format_version(args.out)})")
     return 0
 
 
@@ -562,13 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--alignment", choices=["lta", "wmr", "jac"],
                        default="lta")
     _add_executor_options(p_con, "builder", BUILDERS, "leaves")
-    p_con.add_argument("--format-version", type=int, choices=[1, 2, 3],
-                       default=3,
-                       help="on-disk format: 3 (default) writes the "
-                            "zero-copy page-aligned artifact that "
-                            "'recommend --mmap' and hot-swap-by-path "
-                            "open without copying; 2/1 write the "
-                            "older npz formats")
     p_con.set_defaults(func=_cmd_construct)
 
     p_rec = sub.add_parser("recommend", help="serve one title")

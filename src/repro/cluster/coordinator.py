@@ -56,8 +56,7 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, Hashable, List,
                     Optional, Sequence, Set, Tuple, Union)
 
 from ..core.batch import BatchResult, InferenceRequest
-from ..core.execution import (ConstructionJob, CostModel, InferenceJob,
-                              observe_spread)
+from ..core.execution import ConstructionJob, InferenceJob
 from ..core.fast_construct import fast_construct_leaf_graphs
 from ..core.fast_inference import DEFAULT_DENSE_LIMIT
 from ..core.model import GraphExModel
@@ -182,7 +181,6 @@ class _JobRun:
     job: Union[InferenceJob, ConstructionJob]
     encode: Callable[[Tuple[Hashable, ...]], dict]
     decode: Callable[[Tuple[Hashable, ...], dict], int]
-    cost_model: Optional[CostModel]
     metrics: MetricsRegistry
     report: ClusterRunReport
     pending: Deque[_Unit] = field(default_factory=deque)
@@ -657,7 +655,7 @@ class ClusterCoordinator:
             path = self._model_spool / \
                 f"model-{next(self._artifact_counter)}"
             await loop.run_in_executor(
-                None, lambda: save_model(source, path, format_version=3))
+                None, lambda: save_model(source, path))
         else:
             path = Path(source)
         key = str(path)
@@ -692,9 +690,7 @@ class ClusterCoordinator:
         single-process totals (the CI fleet-equality assertion).
 
         The unit was timed whole, ``since`` its assignment (the
-        worker's single reply allows nothing finer); the reading goes
-        to the registry and, spread pro rata over the unit's keys, to
-        the cost model.
+        worker's single reply allows nothing finer).
         """
         elapsed = time.monotonic() - since
         for key in unit.keys:
@@ -706,9 +702,6 @@ class ClusterCoordinator:
                         else "cluster.leaves.merged", n_merged)
         run.metrics.observe("cluster.unit.seconds", elapsed,
                             kind=run.kind)
-        if run.cost_model is not None:
-            observe_spread(run.cost_model, run.kind,
-                           run.job.units(unit.keys), elapsed)
 
     async def _execute_units(self, run: _JobRun) -> None:
         """Drive every unit to exactly-once completion (see module doc)."""
@@ -859,11 +852,10 @@ class ClusterCoordinator:
             self, kind: str, job: Union[InferenceJob, ConstructionJob],
             encode: Callable[[Tuple[Hashable, ...]], dict],
             decode: Callable[[Tuple[Hashable, ...], dict], int],
-            cost_model: Optional[CostModel],
             metrics: Optional[MetricsRegistry]) -> None:
         """Run ``job`` across the fleet and leave its report behind."""
         run = _JobRun(
-            kind, job, encode, decode, cost_model,
+            kind, job, encode, decode,
             metrics if metrics is not None else self.metrics,
             ClusterRunReport(kind=kind, n_units_planned=job.plan.n_shards,
                              n_workers_at_start=self.n_live()))
@@ -887,7 +879,6 @@ class ClusterCoordinator:
             hard_limit: Optional[int] = None,
             dense_limit: int = DEFAULT_DENSE_LIMIT,
             distribute: str = "path",
-            cost_model: Optional[CostModel] = None,
             metrics: Optional[MetricsRegistry] = None) -> BatchResult:
         """Infer a batch across the fleet.
 
@@ -901,11 +892,6 @@ class ClusterCoordinator:
             distribute: ``"path"`` sends the artifact path (localhost /
                 shared filesystem); ``"stream"`` spools the artifact to
                 each worker over the connection first.
-            cost_model: Optional observed-rate
-                :class:`~repro.core.execution.CostModel`: its
-                observations re-cost the plan (same groups, better
-                balance), and each completed unit's wall-clock seconds
-                are recorded back into it.
             metrics: Registry for this job's counters and unit timings
                 (a :class:`~repro.core.execution.ClusterExecutor`
                 passes its own); the coordinator's registry by default.
@@ -923,7 +909,7 @@ class ClusterCoordinator:
             # The job's local runner validates configuration up front
             # and serves the empty-fleet fallback.
             job = InferenceJob(model, requests, max(1, self.n_live()),
-                               cost_model, k=k, hard_limit=hard_limit,
+                               k=k, hard_limit=hard_limit,
                                dense_limit=dense_limit)
             model_ref = await self._model_ref(path, distribute)
 
@@ -938,13 +924,12 @@ class ClusterCoordinator:
                                         for packed in reply["results"]])
 
             await self._run_job("inference", job, encode, decode,
-                                cost_model, metrics)
+                                metrics)
             return job.output()
 
     async def run_construction(
             self, curated: "CuratedKeyphrases",
             tokenizer: Tokenizer = DEFAULT_TOKENIZER, *,
-            cost_model: Optional[CostModel] = None,
             metrics: Optional[MetricsRegistry] = None
             ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
         """Build every non-empty leaf graph across the fleet.
@@ -962,10 +947,6 @@ class ClusterCoordinator:
         plain ``SpaceTokenizer``) cannot promise identical semantics on
         remote hosts, so the whole job runs through the local fast
         builder instead.
-
-        With a ``cost_model``, observed per-leaf build rates re-cost
-        the plan (same leaves, better balance) and each completed
-        unit's wall-clock seconds are recorded back into it.
         """
         async with self._job_lock:
             if self._closing:
@@ -975,7 +956,7 @@ class ClusterCoordinator:
             except ValueError:
                 return fast_construct_leaf_graphs(curated, tokenizer)
             job = ConstructionJob(curated, tokenizer,
-                                  max(1, self.n_live()), cost_model)
+                                  max(1, self.n_live()))
 
             def encode(keys: Tuple[Hashable, ...]) -> dict:
                 return {"tokenizer": tokenizer_spec,
@@ -988,7 +969,7 @@ class ClusterCoordinator:
                     unpack_token_state(reply["token_state"]))
 
             await self._run_job("construction", job, encode, decode,
-                                cost_model, metrics)
+                                metrics)
             return job.output()
 
     # -- deployment ---------------------------------------------------------

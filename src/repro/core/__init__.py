@@ -27,12 +27,10 @@ from .sharding import ShardExecutionError, ShardPlan, ShardWorkerError
 from .execution import (
     EXECUTOR_NAMES,
     ClusterExecutor,
-    CostModel,
     Executor,
     ProcessShardExecutor,
     SerialExecutor,
     ThreadShardExecutor,
-    plan_rebalance_gain,
     resolve_executor,
 )
 from .tokenize import (
@@ -80,12 +78,10 @@ __all__ = [
     "ShardWorkerError",
     "EXECUTOR_NAMES",
     "ClusterExecutor",
-    "CostModel",
     "Executor",
     "ProcessShardExecutor",
     "SerialExecutor",
     "ThreadShardExecutor",
-    "plan_rebalance_gain",
     "resolve_executor",
     "save_model",
     "load_model",

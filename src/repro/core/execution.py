@@ -27,29 +27,24 @@ The contract is implemented once, here.  :class:`InferenceJob` and
 :class:`ConstructionJob` own how a batch/corpus is cut into leaf units
 (the :class:`~repro.core.sharding.ShardPlan`), how unit results are
 merged back (rows by request index, last request wins; leaf bundles
-plus token-cache states in ascending-leaf order), and what a timed
-unit is attributed to (:func:`observe_spread`).  Every substrate —
-the cluster coordinator and worker included — only decides *where* a
-unit runs and hands the outcome to the job;
-:func:`build_shard_bundle` is the one out-of-process shard builder.
+plus token-cache states in ascending-leaf order), and which units a
+timed span is counted against (``units``).  Every substrate — the
+cluster coordinator and worker included — only decides *where* a unit
+runs and hands the outcome to the job; :func:`build_shard_bundle` is
+the one out-of-process shard builder.
 
-The plane is also where cost telemetry lives.  Every executor records
-per-shard wall-clock timings into its :class:`CostModel` — per-group
-inference seconds and per-leaf construction seconds, folded as decaying
-rates — and :meth:`ShardPlan.for_inference` /
-:meth:`ShardPlan.for_construction` accept that model to LPT-balance on
-*observed* costs instead of the request-count/char-count proxies.
-Because a plan only changes *which shard* runs a work unit (outputs are
-batch-composition independent), feeding any cost model in never changes
-the served bytes — only the balance.  :func:`plan_rebalance_gain`
-quantifies that balance win; the daily refresh orchestrator threads
-yesterday's model into today's plan with it.
+Plans balance on one cost: the request-count (inference) / char-count
+(construction) proxy, defined once in
+:meth:`ShardPlan.for_inference` / :meth:`ShardPlan.for_construction`.
+A plan only changes *which shard* runs a work unit (outputs are
+batch-composition independent), so balance never shows in the served
+bytes.  Every executor records each timed span of shard work into its
+metrics registry (:meth:`Executor.record_timing`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import shutil
 import tempfile
@@ -76,260 +71,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .curation import CuratedKeyphrases, CuratedLeaf
     from .model import GraphExModel, LeafGraph
 
-__all__ = ["EXECUTOR_NAMES", "CostModel", "Executor", "SerialExecutor",
+__all__ = ["EXECUTOR_NAMES", "Executor", "SerialExecutor",
            "ThreadShardExecutor", "ProcessShardExecutor",
            "ClusterExecutor", "InferenceJob", "ConstructionJob",
-           "build_shard_bundle", "observe_spread", "plan_rebalance_gain",
-           "resolve_executor"]
+           "build_shard_bundle", "resolve_executor"]
 
 #: Executor spellings accepted by :func:`resolve_executor` (and the CLI
 #: ``--executor`` flag).
 EXECUTOR_NAMES = ("serial", "thread", "process", "cluster")
 
-#: Observed-cost plans quantize rates to integer microseconds so they
-#: stay inside ShardPlan's strict int-cost wire format.
-_COST_SCALE = 1_000_000
-
-
-class CostModel:
-    """Observed per-work-unit execution rates, fed back into planning.
-
-    Every executor records each work unit's wall-clock seconds here —
-    inference units are leaf groups (key = leaf id, units = requests
-    served), construction units are whole leaves (key = leaf id, units
-    = the char-count proxy).  Observations fold into a decaying rate
-    (seconds per unit) per key, so yesterday's hot spots steer today's
-    :class:`~repro.core.sharding.ShardPlan` balance while old readings
-    fade.
-
-    The model is a value object: :meth:`to_json` / :meth:`from_json`
-    round-trip exactly (``RefreshReport`` / bench artifacts persist it
-    across daily runs), :meth:`merge` decay-folds another day's model
-    in, and a model with **no** observations for a kind leaves the
-    proxy costs untouched — planning degrades gracefully to the
-    request-count/char-count heuristics.
-
-    Thread-safe: executors observe from shard worker threads.
-
-    Args:
-        decay: Weight retained by the *old* rate when a new observation
-            (or merged model) folds in; ``0.7`` keeps roughly a week of
-            daily history relevant.
-    """
-
-    KINDS = ("inference", "construction")
-
-    def __init__(self, decay: float = 0.7) -> None:
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
-        self._decay = decay
-        self._lock = threading.Lock()
-        self._rates: Dict[str, Dict[Hashable, float]] = \
-            {kind: {} for kind in self.KINDS}
-        self._counts: Dict[str, Dict[Hashable, int]] = \
-            {kind: {} for kind in self.KINDS}
-
-    @property
-    def decay(self) -> float:
-        """Old-rate weight per folded observation."""
-        return self._decay
-
-    def observe(self, kind: str, key: Hashable, seconds: float,
-                units: int = 1) -> None:
-        """Fold one wall-clock measurement into the key's rate."""
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown cost kind {kind!r}; expected one "
-                             f"of {self.KINDS}")
-        rate = max(0.0, float(seconds)) / max(1, int(units))
-        with self._lock:
-            old = self._rates[kind].get(key)
-            if old is None:
-                self._rates[kind][key] = rate
-                self._counts[kind][key] = 1
-            else:
-                self._rates[kind][key] = (self._decay * old
-                                          + (1.0 - self._decay) * rate)
-                self._counts[kind][key] += 1
-
-    def observe_inference(self, key: Hashable, seconds: float,
-                          units: int = 1) -> None:
-        """One leaf group served ``units`` requests in ``seconds``."""
-        self.observe("inference", key, seconds, units)
-
-    def observe_construction(self, key: Hashable, seconds: float,
-                             units: int = 1) -> None:
-        """One leaf (char proxy ``units``) built in ``seconds``."""
-        self.observe("construction", key, seconds, units)
-
-    def n_observations(self, kind: Optional[str] = None) -> int:
-        """Observations folded in (for one kind, or in total)."""
-        with self._lock:
-            kinds = self.KINDS if kind is None else (kind,)
-            return sum(sum(self._counts[k].values()) for k in kinds)
-
-    def has_observations(self, kind: str) -> bool:
-        """Whether any rate exists for ``kind`` (else proxies rule)."""
-        with self._lock:
-            return bool(self._rates[kind])
-
-    def merge(self, other: "CostModel") -> None:
-        """Decay-fold another model's rates into this one.
-
-        The daily hand-off primitive: today's freshly recorded model
-        merges into the orchestrator's running one.  A key present only
-        on one side is copied; a key present on both folds as a
-        count-weighted mean with this model's history decayed once —
-        so repeated daily merges geometrically age out stale readings.
-        """
-        with other._lock:
-            snapshot = {
-                kind: (dict(other._rates[kind]), dict(other._counts[kind]))
-                for kind in self.KINDS}
-        with self._lock:
-            for kind, (rates, counts) in snapshot.items():
-                for key, rate in rates.items():
-                    count = counts[key]
-                    mine = self._rates[kind].get(key)
-                    if mine is None:
-                        self._rates[kind][key] = rate
-                        self._counts[kind][key] = count
-                    else:
-                        old_weight = self._counts[kind][key] * self._decay
-                        total = old_weight + count
-                        self._rates[kind][key] = \
-                            (mine * old_weight + rate * count) / total
-                        self._counts[kind][key] += count
-
-    def costs(self, kind: str,
-              proxy: Sequence[Tuple[Hashable, int]]
-              ) -> List[Tuple[Hashable, int]]:
-        """Re-cost a proxy list with observed rates (or pass it through).
-
-        With no observation for ``kind`` the proxy is returned
-        unchanged.  Otherwise every key's cost becomes
-        ``rate * proxy_units`` in integer microseconds (floored at 1,
-        so a planned key never becomes free); an unobserved key uses
-        the mean observed rate, keeping it commensurate with observed
-        neighbours instead of comparing microseconds to raw counts.
-        """
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown cost kind {kind!r}; expected one "
-                             f"of {self.KINDS}")
-        with self._lock:
-            rates = dict(self._rates[kind])
-        if not rates:
-            return list(proxy)
-        default = sum(rates.values()) / len(rates)
-        return [(key,
-                 max(1, round(rates.get(key, default)
-                              * max(1, units) * _COST_SCALE)))
-                for key, units in proxy]
-
-    def inference_costs(self, proxy: Sequence[Tuple[Hashable, int]]
-                        ) -> List[Tuple[Hashable, int]]:
-        """:meth:`costs` for inference plans (ShardPlan hook)."""
-        return self.costs("inference", proxy)
-
-    def construction_costs(self, proxy: Sequence[Tuple[Hashable, int]]
-                           ) -> List[Tuple[Hashable, int]]:
-        """:meth:`costs` for construction plans (ShardPlan hook)."""
-        return self.costs("construction", proxy)
-
-    def to_json(self) -> str:
-        """Serialize for the daily round-trip (exact; see from_json)."""
-        with self._lock:
-            return json.dumps({
-                "decay": self._decay,
-                **{kind: {str(key): [self._rates[kind][key],
-                                      self._counts[kind][key]]
-                          for key in self._rates[kind]}
-                   for kind in self.KINDS}})
-
-    @classmethod
-    def from_json(cls, payload: str) -> "CostModel":
-        """Reconstruct a model serialized with :meth:`to_json`.
-
-        Rates round-trip bit-exactly (json float repr), so a restored
-        model plans the same shards the recording run would have.
-        """
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"cost model payload is not JSON: {exc}") \
-                from None
-        if not isinstance(data, dict) or "decay" not in data:
-            raise ValueError(
-                "cost model payload must be an object with 'decay'")
-        model = cls(decay=float(data["decay"]))
-        for kind in cls.KINDS:
-            for raw_key, entry in dict(data.get(kind, {})).items():
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise ValueError(
-                        f"cost model {kind} entry {raw_key!r} must be a "
-                        f"[rate, count] pair, got {entry!r}")
-                try:
-                    key: Hashable = int(raw_key)
-                except ValueError:
-                    key = raw_key
-                model._rates[kind][key] = float(entry[0])
-                model._counts[kind][key] = int(entry[1])
-        return model
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CostModel):
-            return NotImplemented
-        return (self._decay == other._decay
-                and self._rates == other._rates
-                and self._counts == other._counts)
-
-    def __repr__(self) -> str:
-        return (f"CostModel(decay={self._decay}, "
-                f"n_observations={self.n_observations()})")
-
-
-def plan_rebalance_gain(cost_model: Optional[CostModel],
-                        proxy: Sequence[Tuple[Hashable, int]],
-                        n_shards: int,
-                        kind: str = "construction") -> Optional[float]:
-    """Makespan ratio of the proxy plan over the observed-cost plan.
-
-    Both plans are *evaluated* under the observed costs (the best
-    estimate of reality): ``gain > 1`` means balancing on observations
-    shrank the critical-path shard by that factor versus the
-    request-count/char-count proxy.  Returns ``None`` when there is
-    nothing to compare — no cost model, no observations for ``kind``,
-    or fewer than two shards/keys.
-    """
-    if cost_model is None or not cost_model.has_observations(kind):
-        return None
-    if n_shards < 2 or len(proxy) < 2:
-        return None
-    observed = dict(cost_model.costs(kind, proxy))
-    proxy_plan = ShardPlan.balance(proxy, n_shards)
-    observed_plan = ShardPlan.balance(
-        [(key, observed[key]) for key, _units in proxy], n_shards)
-    proxy_makespan = max(sum(observed[key] for key in shard)
-                         for shard in proxy_plan.shards)
-    observed_makespan = max(observed_plan.shard_costs)
-    if observed_makespan <= 0:
-        return None
-    return proxy_makespan / observed_makespan
-
 
 # ---------------------------------------------------------------------------
 # The scatter/merge contracts: one copy each, called by every substrate
-
-
-def observe_spread(cost_model: CostModel, kind: str,
-                   keyed_units: Sequence[Tuple[Hashable, int]],
-                   elapsed: float) -> None:
-    """Distribute one unit's elapsed seconds over its keys, pro rata
-    by each key's unit count (the best attribution available when the
-    substrate timed the unit as a whole)."""
-    total = sum(units for _key, units in keyed_units)
-    for key, units in keyed_units:
-        share = elapsed * units / total if total else 0.0
-        cost_model.observe(kind, key, share, units)
 
 
 class InferenceJob:
@@ -351,14 +104,13 @@ class InferenceJob:
 
     def __init__(self, model: "GraphExModel",
                  requests: Sequence[InferenceRequest], n_shards: int,
-                 cost_model: Optional[CostModel] = None, *, k: int = 10,
-                 hard_limit: Optional[int] = None,
+                 *, k: int = 10, hard_limit: Optional[int] = None,
                  dense_limit: int = DEFAULT_DENSE_LIMIT) -> None:
         self._requests = list(requests)
         self._runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
                                        dense_limit=dense_limit)
         self.plan, self._groups = ShardPlan.for_inference(
-            model, self._requests, n_shards, cost_model=cost_model)
+            model, self._requests, n_shards)
         self._rows: List[List[Recommendation]] = \
             [[] for _ in self._requests]
 
@@ -372,7 +124,8 @@ class InferenceJob:
 
     def units(self, keys: Sequence[Hashable]
               ) -> List[Tuple[Hashable, int]]:
-        """``(key, n_requests)`` per group — what a timing spreads over."""
+        """``(key, n_requests)`` per group — what a timing is counted
+        against."""
         return [(key, len(self._groups[key])) for key in keys]
 
     def merge(self, keys: Sequence[Hashable],
@@ -415,12 +168,10 @@ class ConstructionJob:
     """
 
     def __init__(self, curated: "CuratedKeyphrases", tokenizer: Tokenizer,
-                 n_shards: int,
-                 cost_model: Optional[CostModel] = None) -> None:
+                 n_shards: int) -> None:
         self._units = dict(construction_proxy(curated))
         self._leaves = curated.leaves
-        self.plan = ShardPlan.for_construction(curated, n_shards,
-                                               cost_model=cost_model)
+        self.plan = ShardPlan.for_construction(curated, n_shards)
         self.cache = TokenCache(tokenizer)
         self._built: Dict[int, "LeafGraph"] = {}
         self._states: List[Tuple[int, Any]] = []
@@ -430,8 +181,8 @@ class ConstructionJob:
         return [self._leaves[key] for key in keys]
 
     def units(self, keys: Sequence[int]) -> List[Tuple[int, int]]:
-        """``(leaf_id, char proxy)`` per leaf — what a timing spreads
-        over."""
+        """``(leaf_id, char proxy)`` per leaf — what a timing is
+        counted against."""
         return [(key, self._units[key]) for key in keys]
 
     def merge_bundle(self, keys: Sequence[int],
@@ -511,7 +262,7 @@ class Executor:
     Subclasses implement :meth:`run_inference` (leaf-group shards of a
     request batch) and :meth:`run_construction` (whole-leaf shards of a
     curated corpus) and record per-shard wall-clock timings into
-    :attr:`cost_model`.  All substrates are output-equivalent — the
+    :attr:`metrics`.  All substrates are output-equivalent — the
     bit-identity contract in the module docstring — so callers choose
     purely on capacity.
 
@@ -521,11 +272,9 @@ class Executor:
             engine/builder may pair with this executor.  Only the
             in-process substrates do — the scalar paths stay
             single-process as the semantics oracle.
-        cost_model: Where this executor's shard timings accumulate.
         metrics: The :class:`~repro.obs.MetricsRegistry` this executor
             records into; a :class:`~repro.obs.NullRegistry` (telemetry
-            off) by default.  Every timed shard feeds the registry and
-            the cost model from the *same* clock reading via
+            off) by default.  Every timed shard feeds it through
             :meth:`record_timing`.
     """
 
@@ -533,27 +282,16 @@ class Executor:
     supports_reference: bool = False
 
     def __init__(self, workers: int = 1, *,
-                 cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         #: Upper bound on pool workers (and on shards planned).
         self.workers = max(1, int(workers))
-        self.cost_model = cost_model if cost_model is not None \
-            else CostModel()
         self.metrics = metrics if metrics is not None else NullRegistry()
 
     def record_timing(self, kind: str,
                       keyed_units: Sequence[Tuple[Hashable, int]],
                       elapsed: float) -> None:
-        """Feed one timed span of shard work into both telemetry sinks.
-
-        The single chokepoint for executor timings: ``elapsed`` is
-        spread pro rata over the keys into :attr:`cost_model` (the
-        planner's decaying rates) and recorded whole into
-        :attr:`metrics` — one ``perf_counter`` interval, two views,
-        so the cost model and the operator dashboards can never
-        disagree about what was measured.
-        """
-        observe_spread(self.cost_model, kind, keyed_units, elapsed)
+        """Record one timed span of shard work into :attr:`metrics` —
+        the single chokepoint for executor timings."""
         metrics = self.metrics
         metrics.inc(f"executor.{kind}.tasks", executor=self.name)
         if kind == "inference":
@@ -635,14 +373,13 @@ class ThreadShardExecutor(Executor):
     """In-process thread sharding (the default substrate).
 
     Leaf groups (inference) and whole leaves (construction) are
-    LPT-planned via :class:`~repro.core.sharding.ShardPlan` — observed
-    costs included — and each planned shard runs on a pool thread.
+    LPT-planned via :class:`~repro.core.sharding.ShardPlan` and each
+    planned shard runs on a pool thread.
     With one worker (or one shard) the work runs inline on the calling
     thread, timing included.
 
     Args:
         workers: Upper bound on threads (and shards planned).
-        cost_model: Shared cost model; a private one by default.
     """
 
     name = "thread"
@@ -666,14 +403,14 @@ class ThreadShardExecutor(Executor):
                       dense_limit: int = DEFAULT_DENSE_LIMIT
                       ) -> BatchResult:
         return self._run_threads("inference", InferenceJob(
-            model, requests, self.workers, self.cost_model, k=k,
-            hard_limit=hard_limit, dense_limit=dense_limit))
+            model, requests, self.workers, k=k, hard_limit=hard_limit,
+            dense_limit=dense_limit))
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER
                          ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
         return self._run_threads("construction", ConstructionJob(
-            curated, tokenizer, self.workers, self.cost_model))
+            curated, tokenizer, self.workers))
 
 
 class SerialExecutor(ThreadShardExecutor):
@@ -687,9 +424,8 @@ class SerialExecutor(ThreadShardExecutor):
 
     name = "serial"
 
-    def __init__(self, *, cost_model: Optional[CostModel] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(1, cost_model=cost_model, metrics=metrics)
+    def __init__(self, *, metrics: Optional[MetricsRegistry] = None) -> None:
+        super().__init__(1, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +449,9 @@ def _init_inference_worker(model: "GraphExModel", k: int,
 def _run_inference_shard(requests: Sequence[InferenceRequest]
                          ) -> Tuple[List[List[Recommendation]], float]:
     """One inference shard: per-request results in shard order, plus the
-    worker-side wall-clock seconds the shard took (measured here so the
-    cost model never counts pool start-up or queueing).
+    worker-side wall-clock seconds the shard took (measured here so
+    ``executor.inference.seconds`` never counts pool start-up or
+    queueing).
 
     Failures come back as :class:`ShardWorkerError` carrying the full
     worker-side traceback — a raw exception would lose it (or, when
@@ -755,7 +492,6 @@ class ProcessShardExecutor(Executor):
             the calling process — same output, no pool overhead.
         start_method: Optional multiprocessing start method ("fork",
             "spawn", "forkserver"); None uses the platform default.
-        cost_model: Shared cost model; a private one by default.
 
     Output is element-wise/bit-identical to the single-process fast
     paths for any worker count (see the module docstring for why).
@@ -765,9 +501,8 @@ class ProcessShardExecutor(Executor):
 
     def __init__(self, workers: int = 2,
                  start_method: Optional[str] = None, *,
-                 cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(workers, cost_model=cost_model, metrics=metrics)
+        super().__init__(workers, metrics=metrics)
         self._start_method = start_method
 
     def _pool(self, n_shards: int, initializer, initargs
@@ -786,13 +521,11 @@ class ProcessShardExecutor(Executor):
                       ) -> BatchResult:
         """Infer a batch with leaf-group shards in worker processes.
 
-        Each worker times its shard itself (pool start-up and queueing
-        never reach the cost model); the reading spreads over the
-        shard's groups pro rata by request count.
+        Each worker times its shard itself, so pool start-up and
+        queueing never reach ``executor.inference.seconds``.
         """
-        job = InferenceJob(model, requests, self.workers, self.cost_model,
-                           k=k, hard_limit=hard_limit,
-                           dense_limit=dense_limit)
+        job = InferenceJob(model, requests, self.workers, k=k,
+                           hard_limit=hard_limit, dense_limit=dense_limit)
 
         def pooled(shards: Tuple[tuple, ...]) -> None:
             with self._pool(len(shards), _init_inference_worker,
@@ -822,8 +555,7 @@ class ProcessShardExecutor(Executor):
         mappings; the temporary files are unlinked before returning
         (live mappings keep them readable — POSIX), so nothing leaks.
         """
-        job = ConstructionJob(curated, tokenizer, self.workers,
-                              self.cost_model)
+        job = ConstructionJob(curated, tokenizer, self.workers)
 
         def pooled(shards: Tuple[tuple, ...]) -> None:
             staging = Path(tempfile.mkdtemp(prefix="graphex-shard-"))
@@ -857,8 +589,7 @@ class ClusterExecutor(Executor):
     :class:`~repro.cluster.coordinator.ClusterCoordinator` — fleet
     management, per-RPC deadlines, retries, dead-host re-planning and
     exactly-once merging all live there; this class adapts it to the
-    synchronous :class:`Executor` interface and threads the cost model
-    into the coordinator's plans.
+    synchronous :class:`Executor` interface.
 
     The sync :meth:`run_inference` / :meth:`run_construction` submit to
     the coordinator's event loop and block the *calling* thread, so
@@ -871,7 +602,6 @@ class ClusterExecutor(Executor):
         distribute: Model hand-off for inference jobs — ``"path"``
             (shared filesystem / localhost) or ``"stream"`` (spool the
             artifact over each worker's connection).
-        cost_model: Shared cost model; a private one by default.
 
     Use :meth:`local` for a self-contained fleet (own loop thread plus
     N in-process workers) when no external cluster is running —
@@ -883,9 +613,8 @@ class ClusterExecutor(Executor):
 
     def __init__(self, coordinator: "ClusterCoordinator", *,
                  distribute: str = "path",
-                 cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(cost_model=cost_model, metrics=metrics)
+        super().__init__(metrics=metrics)
         self.coordinator = coordinator
         self._distribute = distribute
         self._owned: Optional[tuple] = None
@@ -893,7 +622,6 @@ class ClusterExecutor(Executor):
     @classmethod
     def local(cls, workers: int = 2, *,
               distribute: str = "path",
-              cost_model: Optional[CostModel] = None,
               metrics: Optional[MetricsRegistry] = None,
               retry=None, rpc_timeout: float = 30.0,
               start_timeout: float = 60.0) -> "ClusterExecutor":
@@ -939,7 +667,7 @@ class ClusterExecutor(Executor):
             loop.close()
             raise
         executor = cls(coordinator, distribute=distribute,
-                       cost_model=cost_model, metrics=metrics)
+                       metrics=metrics)
         executor._owned = (loop, thread, tasks)
         return executor
 
@@ -972,7 +700,7 @@ class ClusterExecutor(Executor):
         return await self.coordinator.run_inference(
             model, list(requests), k=k, hard_limit=hard_limit,
             dense_limit=dense_limit, distribute=self._distribute,
-            cost_model=self.cost_model, metrics=self.metrics)
+            metrics=self.metrics)
 
     async def run_construction_async(
             self, curated: "CuratedKeyphrases",
@@ -980,8 +708,7 @@ class ClusterExecutor(Executor):
             ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
         """:meth:`run_construction` for callers on the coordinator loop."""
         return await self.coordinator.run_construction(
-            curated, tokenizer, cost_model=self.cost_model,
-            metrics=self.metrics)
+            curated, tokenizer, metrics=self.metrics)
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
@@ -1025,7 +752,6 @@ class ClusterExecutor(Executor):
 
 def resolve_executor(executor: Union[Executor, str, None] = None, *,
                      workers: int = 1,
-                     cost_model: Optional[CostModel] = None,
                      metrics: Optional[MetricsRegistry] = None,
                      engine: Optional[str] = None) -> Executor:
     """Resolve an ``executor=`` argument to an :class:`Executor` instance.
@@ -1033,9 +759,9 @@ def resolve_executor(executor: Union[Executor, str, None] = None, *,
     The single entry point behind every ``executor=`` keyword:
 
     * an :class:`Executor` instance passes through unchanged (it keeps
-      its own workers, cost model, and metrics registry);
+      its own workers and metrics registry);
     * ``"serial"`` / ``"thread"`` / ``"process"`` build the matching
-      class with ``workers``, ``cost_model``, and ``metrics``;
+      class with ``workers`` and ``metrics``;
     * ``None`` means ``"thread"``;
     * ``"cluster"`` is a valid name but not a valid *string* — a fleet
       cannot be conjured from one.
@@ -1055,13 +781,11 @@ def resolve_executor(executor: Union[Executor, str, None] = None, *,
     if isinstance(executor, Executor):
         resolved = executor
     elif executor == "serial":
-        resolved = SerialExecutor(cost_model=cost_model, metrics=metrics)
+        resolved = SerialExecutor(metrics=metrics)
     elif executor == "thread":
-        resolved = ThreadShardExecutor(workers, cost_model=cost_model,
-                                       metrics=metrics)
+        resolved = ThreadShardExecutor(workers, metrics=metrics)
     elif executor == "process":
-        resolved = ProcessShardExecutor(workers, cost_model=cost_model,
-                                        metrics=metrics)
+        resolved = ProcessShardExecutor(workers, metrics=metrics)
     elif executor == "cluster":
         raise ValueError(
             "executor='cluster' needs a started ClusterCoordinator: "

@@ -1,21 +1,19 @@
 """Model persistence, zero-copy opens, and size accounting.
 
-A :class:`~repro.core.model.GraphExModel` serializes to a directory in
-one of three on-disk formats (the newest is the default; all three
-load):
+A :class:`~repro.core.model.GraphExModel` serializes to a directory.
+Three on-disk formats load, one is written:
 
-* **Format 1** — ``arrays.npz`` (compressed CSR/count arrays) plus
-  per-leaf string lists inside ``model.json``.  The original layout;
-  read-only legacy support.
-* **Format 2** — ``arrays.npz`` plus a *shared string pool* in
-  ``model.json``: every distinct string (vocabulary word or label text)
-  is stored exactly once and per-leaf membership is persisted as
-  integer id arrays in the npz.  Marketplace vocabulary overlaps
-  heavily across leaf graphs, so pooling shrinks the JSON
-  substantially.
-* **Format 3** (default) — the zero-copy model plane.  Every numeric
-  array (per-leaf CSR ``indptr``/``indices``, count arrays, pool-id
-  arrays) plus the shared string pool (one UTF-8 blob + offset arrays)
+* **Format 1** (read-only) — ``arrays.npz`` (compressed CSR/count
+  arrays) plus per-leaf string lists inside ``model.json``.  The
+  original layout.
+* **Format 2** (read-only) — ``arrays.npz`` plus a *shared string
+  pool* in ``model.json``: every distinct string (vocabulary word or
+  label text) is stored exactly once and per-leaf membership is
+  persisted as integer id arrays in the npz.
+* **Format 3** (the one :func:`save_model` writes; re-saving a legacy
+  directory *is* the migration) — the zero-copy model plane.  Every
+  numeric array (per-leaf CSR ``indptr``/``indices``, count arrays,
+  pool-id arrays) plus the shared string pool (one UTF-8 blob + offset arrays)
   lands uncompressed and page-aligned in a single ``arrays-*.bin``
   payload; ``model.json`` carries only the manifest (offset, dtype,
   shape per array).  ``load_model(directory, mmap=True)`` then opens
@@ -25,7 +23,7 @@ load):
   host share a single physical copy of the pages, and a daily hot-swap
   is a remap instead of a reload.
 
-Atomic re-save: format 3 writes the payload under a fresh
+Atomic re-save: :func:`save_model` writes the payload under a fresh
 ``arrays-<token>.bin`` name and atomically replaces ``model.json``
 (write-to-temp + ``os.replace``), so a rebuild over the same directory
 never tears the artifact for concurrent readers, and models already
@@ -48,7 +46,7 @@ import os
 import uuid
 from collections import abc
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +59,8 @@ from .vocab import Vocabulary
 _ARRAYS_FILE = "arrays.npz"
 _META_FILE = "model.json"
 _POOLED_KEY = "pooled"
+_LEAF_BUNDLE = "leaf-bundle"
+#: The one format :func:`save_model` / :func:`save_leaf_graphs` write.
 _FORMAT_VERSION = 3
 
 #: Format versions :func:`load_model` understands.  An artifact written
@@ -68,10 +68,6 @@ _FORMAT_VERSION = 3
 #: ``ValueError`` naming the offending version instead of crashing
 #: obscurely deeper in deserialization.
 SUPPORTED_FORMATS = (1, 2, 3)
-
-#: Formats :func:`save_model` can write (v1 is kept writable for the
-#: cross-format equivalence suite and downgrade tooling).
-WRITABLE_FORMATS = (1, 2, 3)
 
 #: Every format-3 array starts on a page boundary, so each memmap view
 #: is naturally aligned and the kernel can fault arrays independently.
@@ -352,8 +348,9 @@ def _replace_meta(directory: Path, meta: Dict) -> None:
     os.replace(tmp_path, directory / _META_FILE)
 
 
-def _prune_stale_payloads(directory: Path, keep: Optional[str]) -> None:
-    """Unlink payload files the current ``model.json`` no longer names.
+def _prune_stale_payloads(directory: Path, keep: str) -> None:
+    """Unlink payload files the current ``model.json`` no longer names
+    (older ``arrays-*.bin`` payloads and a legacy ``arrays.npz``).
 
     Models already mapped from a stale payload keep serving: the inode
     survives under its mappings (the rebuild-over-old-path scenario the
@@ -365,41 +362,30 @@ def _prune_stale_payloads(directory: Path, keep: Optional[str]) -> None:
                 path.unlink()
             except OSError:  # pragma: no cover - concurrent pruner
                 pass
-    if keep is not None:
-        npz = directory / _ARRAYS_FILE
-        if npz.exists():
-            npz.unlink()
+    npz = directory / _ARRAYS_FILE
+    if npz.exists():
+        npz.unlink()
 
 
 # ---------------------------------------------------------------------------
 # Public API
 
 
-def save_model(model: GraphExModel, directory: Union[str, Path],
-               format_version: int = _FORMAT_VERSION) -> Path:
-    """Serialize a model to a directory (created if needed).
+def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
+    """Serialize a model to a directory (created if needed) as format 3.
 
     Args:
         model: The model to persist.
         directory: Destination directory; re-saving over a directory
-            that already holds a model atomically replaces it (format 3
-            writes a fresh payload file and swaps ``model.json`` last,
-            so concurrent readers never observe a torn artifact and
-            already-mapped models keep serving the old payload).
-        format_version: On-disk format to write — 3 (default,
-            zero-copy/mmap-able), 2 (compressed npz + shared pool) or
-            1 (legacy per-leaf string lists).
+            that already holds a model (of any format) atomically
+            replaces it: a fresh payload file is written and
+            ``model.json`` swapped last, so concurrent readers never
+            observe a torn artifact and already-mapped models keep
+            serving the old payload.
 
     Returns:
         The directory path.
-
-    Raises:
-        ValueError: On a format version this build cannot write.
     """
-    if format_version not in WRITABLE_FORMATS:
-        raise ValueError(
-            f"cannot write model format_version {format_version!r}; "
-            f"writable formats are {WRITABLE_FORMATS}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -410,48 +396,30 @@ def save_model(model: GraphExModel, directory: Union[str, Path],
 
     tokenizer = model.tokenizer
     stems = bool(getattr(tokenizer, "stems", False))
-    meta = {
-        "format_version": format_version,
+    filename, manifest = _write_payload_v3(directory, arrays, pool.tokens)
+    _replace_meta(directory, {
+        "format_version": _FORMAT_VERSION,
         "alignment": model.alignment_name,
         "tokenizer": {"type": "space", "stem": stems},
         "leaves": leaves_meta,
-    }
-    if format_version == 1:
-        # Legacy layout: per-leaf string lists in the JSON, no pool-id
-        # arrays in the npz.
-        for leaf in leaves:
-            key = _leaf_key(leaf.leaf_id)
-            meta["leaves"][key] = {
-                "leaf_id": leaf.leaf_id,
-                "words": list(leaf.word_vocab.tokens),
-                "label_texts": list(leaf.label_texts),
-            }
-        arrays = {key: array for key, array in arrays.items()
-                  if not (key.endswith("/word_ids")
-                          or key.endswith("/label_ids"))}
-        np.savez_compressed(directory / _ARRAYS_FILE, **arrays)
-        _replace_meta(directory, meta)
-        _prune_stale_payloads(directory, keep=None)
-    elif format_version == 2:
-        meta["string_pool"] = pool.tokens
-        np.savez_compressed(directory / _ARRAYS_FILE, **arrays)
-        _replace_meta(directory, meta)
-        _prune_stale_payloads(directory, keep=None)
-    else:
-        filename, manifest = _write_payload_v3(directory, arrays,
-                                               pool.tokens)
-        meta["arrays_file"] = filename
-        meta["arrays"] = manifest
-        meta["pool_size"] = len(pool)
-        _replace_meta(directory, meta)
-        _prune_stale_payloads(directory, keep=filename)
+        "arrays_file": filename,
+        "arrays": manifest,
+        "pool_size": len(pool),
+    })
+    _prune_stale_payloads(directory, keep=filename)
     return directory
 
 
 def _read_meta(directory: Path) -> Dict:
-    """Read ``model.json`` and validate its ``format_version``."""
+    """Read a *model's* ``model.json`` and validate its
+    ``format_version``; a leaf bundle is rejected by name."""
     with open(directory / _META_FILE, encoding="utf-8") as fh:
         meta = json.load(fh)
+    if meta.get("kind") == _LEAF_BUNDLE:
+        raise ValueError(
+            f"{directory} holds kind: \"{_LEAF_BUNDLE}\" (a shard of "
+            f"leaf graphs without tokenizer/alignment), not a model; "
+            f"open it with load_leaf_graphs")
     version = meta.get("format_version")
     if version not in SUPPORTED_FORMATS:
         raise ValueError(
@@ -523,7 +491,8 @@ def load_model(directory: Union[str, Path],
     Raises:
         FileNotFoundError: If the directory lacks the expected files.
         ValueError: On an unknown/future format version (the error
-            names the version), or ``mmap=True`` on a pre-3 format.
+            names the version), a leaf bundle, or ``mmap=True`` on a
+            pre-3 format.
     """
     directory = Path(directory)
     meta = _read_meta(directory)
@@ -549,8 +518,9 @@ def open_model(source: Union[GraphExModel, str, Path]) -> GraphExModel:
     if isinstance(source, GraphExModel):
         return source
     directory = Path(source)
-    return load_model(directory,
-                      mmap=model_format_version(directory) == 3)
+    meta = _read_meta(directory)
+    return _load_from_meta(meta, directory,
+                           mmap=meta["format_version"] == 3)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +542,7 @@ def save_leaf_graphs(leaves: Sequence[LeafGraph],
     leaves_meta, arrays, pool = _pack_all(leaves)
     filename, manifest = _write_payload_v3(directory, arrays, pool.tokens)
     _replace_meta(directory, {
-        "kind": "leaf-bundle",
+        "kind": _LEAF_BUNDLE,
         "format_version": _FORMAT_VERSION,
         "leaves": leaves_meta,
         "arrays_file": filename,
@@ -593,13 +563,13 @@ def load_leaf_graphs(directory: Union[str, Path],
     directory = Path(directory)
     with open(directory / _META_FILE, encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta.get("kind") != "leaf-bundle":
+    if meta.get("kind") != _LEAF_BUNDLE:
         raise ValueError(f"{directory} is not a leaf bundle")
-    if meta.get("format_version") not in SUPPORTED_FORMATS:
+    if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported leaf-bundle format_version "
-            f"{meta.get('format_version')!r}; this build reads versions "
-            f"{SUPPORTED_FORMATS}")
+            f"{meta.get('format_version')!r} in {directory}; bundles "
+            f"exist only as format {_FORMAT_VERSION}")
     arrays, pool, lazy = _open_payload_v3(directory, meta, mmap)
     return [_unpack_leaf(leaf_meta, arrays, key, pool,
                          lazy=lazy, validate=not mmap)

@@ -10,10 +10,9 @@ module owns what they all share:
   longest-processing-time greedy pass.  A plan is JSON-serializable —
   exactly the unit the multi-machine runner ships to remote workers.
   :meth:`ShardPlan.for_inference` / :meth:`ShardPlan.for_construction`
-  build the canonical plans for the two work kinds, optionally
-  re-costed from an executor's observed
-  :class:`~repro.core.execution.CostModel` instead of the
-  request-count/char-count proxies.
+  build the canonical plans for the two work kinds and are the one
+  place a unit's cost is defined: the request-count / char-count
+  proxy.
 * The shard failure vocabulary (:class:`ShardWorkerError`,
   :class:`ShardExecutionError`, :func:`_unwrap_shard_future`) shared by
   the process executor and the cluster runner.
@@ -38,7 +37,6 @@ from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional,
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .batch import InferenceRequest
     from .curation import CuratedKeyphrases
-    from .execution import CostModel
     from .model import GraphExModel
 
 #: Shard-plan key for the leaf group served by the pooled fallback graph
@@ -169,22 +167,18 @@ class ShardPlan:
     @classmethod
     def for_inference(cls, model: "GraphExModel",
                       requests: Sequence["InferenceRequest"],
-                      n_shards: int,
-                      cost_model: Optional["CostModel"] = None
+                      n_shards: int
                       ) -> Tuple["ShardPlan", Dict[int, List[int]]]:
         """The canonical inference plan: leaf groups, balanced.
 
         Mirrors ``LeafBatchRunner``'s grouping: a request is keyed by
         its leaf id when that leaf has a graph, by :data:`POOLED_GROUP`
         when it falls back to the pooled graph, and is excluded (its
-        result is ``[]``) when neither exists.  The proxy cost estimate
-        is the group's request count — per-request work dominates, and
+        result is ``[]``) when neither exists.  The cost estimate is
+        the group's request count — per-request work dominates, and
         keeping groups whole preserves the vectorized amortisation.
-        With a ``cost_model`` carrying inference observations, groups
-        are re-costed by observed per-request rates instead
-        (:meth:`~repro.core.execution.CostModel.inference_costs`);
-        either way every substrate executes the same groups, so the
-        choice only moves balance, never output.
+        Every substrate executes the same groups, so the plan only
+        moves balance, never output.
 
         Returns:
             ``(plan, groups)`` — the balanced plan over group keys, and
@@ -199,27 +193,15 @@ class ShardPlan:
             else:
                 continue
             groups.setdefault(key, []).append(index)
-        proxy = [(key, len(indices)) for key, indices in groups.items()]
-        costs = proxy if cost_model is None \
-            else cost_model.inference_costs(proxy)
+        costs = [(key, len(indices)) for key, indices in groups.items()]
         return cls.balance(costs, n_shards), groups
 
     @classmethod
     def for_construction(cls, curated: "CuratedKeyphrases",
-                         n_shards: int,
-                         cost_model: Optional["CostModel"] = None
-                         ) -> "ShardPlan":
-        """The canonical construction plan: non-empty leaves, balanced.
-
-        Costs are the :func:`construction_proxy`; with a ``cost_model``
-        carrying construction observations, leaves are re-costed by
-        observed build rates instead
-        (:meth:`~repro.core.execution.CostModel.construction_costs`).
-        """
-        proxy = construction_proxy(curated)
-        costs = proxy if cost_model is None \
-            else cost_model.construction_costs(proxy)
-        return cls.balance(costs, n_shards)
+                         n_shards: int) -> "ShardPlan":
+        """The canonical construction plan: non-empty leaves, balanced
+        on the :func:`construction_proxy`."""
+        return cls.balance(construction_proxy(curated), n_shards)
 
     @property
     def shards(self) -> Tuple[Tuple[Hashable, ...], ...]:
@@ -251,8 +233,8 @@ class ShardPlan:
 
         ``imbalance`` is the makespan over the mean shard cost (1.0 is
         perfectly level).  The executors gauge these into the metrics
-        registry per plan, so how well observed-cost planning levels
-        real batches is visible without re-deriving it from timings.
+        registry per plan, so how well the proxy levels real batches
+        is visible without re-deriving it from timings.
         """
         costs = self.shard_costs
         makespan = max(costs) if costs else 0
@@ -336,20 +318,16 @@ class ShardPlan:
                 plan_costs[key] = cost
         return cls(tuple(tuple(shard) for shard in shards), plan_costs)
 
-    def replan(self, keys: Iterable[Hashable], n_shards: int,
-               costs: Optional[Dict[Hashable, int]] = None) -> "ShardPlan":
+    def replan(self, keys: Iterable[Hashable],
+               n_shards: int) -> "ShardPlan":
         """Re-balance a subset of this plan's keys across ``n_shards``.
 
         The dead-host orphan re-planning primitive: when a worker dies
         mid-plan, the coordinator takes the keys it was executing and
         re-balances them across the surviving hosts (``n_shards``
         clamps to the key count, and down to one shard when the fleet
-        has emptied).  Each key keeps this plan's recorded cost — when
-        the plan was balanced on observed rates, orphans redistribute
-        on those same rates, not on stale proxies — unless ``costs``
-        supplies a fresher per-key estimate (keys it omits fall back
-        to the recorded cost).  Deterministic for a given key order,
-        like :meth:`balance`.
+        has emptied).  Each key keeps this plan's recorded cost.
+        Deterministic for a given key order, like :meth:`balance`.
 
         Raises:
             ValueError: If a key was not part of this plan (its cost is
@@ -360,10 +338,8 @@ class ShardPlan:
         if unknown:
             raise ValueError(
                 f"cannot replan keys {unknown!r}: not part of this plan")
-        override = dict(costs) if costs else {}
         return ShardPlan.balance(
-            [(key, override.get(key, self._costs[key])) for key in keys],
-            n_shards)
+            [(key, self._costs[key]) for key in keys], n_shards)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShardPlan):

@@ -93,8 +93,7 @@ class NRTService:
             ``"serial"`` / ``"thread"`` (default) / ``"process"``;
             identical output for every substrate (see
             :func:`repro.core.batch.batch_recommend`).  Resolved once
-            here, so shard timings accumulate in one
-            :class:`~repro.core.execution.CostModel` across windows.
+            here, not per window.
         metrics: A :class:`repro.obs.MetricsRegistry` to record the
             service's counters, window-latency histogram, and model
             staleness gauge into (a fresh private one by default).

@@ -40,7 +40,6 @@ from ..core.batch import InferenceRequest
 from ..core.curation import CuratedKeyphrases
 from ..core.model import GraphExModel
 from ..core.serialization import load_model, save_model
-from ..core.sharding import construction_proxy
 from ..obs import MetricsRegistry, Tracer
 from .batch_pipeline import BatchPipeline
 
@@ -86,17 +85,6 @@ class RefreshReport:
     #: (only when a retry policy is configured), so the daily loop can
     #: record the miss and proceed to the next cycle.
     failure: Optional[str] = None
-    #: Total shard-timing observations held by the orchestrator's
-    #: executor :class:`~repro.core.execution.CostModel` after this
-    #: refresh — the feedback loop's fuel gauge (0 when the executor
-    #: records none, e.g. the first-ever refresh started cold).
-    n_cost_observations: int = 0
-    #: How much better yesterday's observed build rates balanced
-    #: today's construction plan versus the char-count proxy (makespan
-    #: ratio, >1 = observed plan wins; see
-    #: :func:`~repro.core.execution.plan_rebalance_gain`).  ``None``
-    #: when there were no prior observations or fewer than two shards.
-    rebalance_gain: Optional[float] = None
 
 
 class DailyRefreshOrchestrator:
@@ -112,12 +100,9 @@ class DailyRefreshOrchestrator:
         executor: Which execution substrate builds each day's model —
             an :class:`repro.core.execution.Executor` instance or
             ``"serial"`` / ``"thread"`` (default) / ``"process"``.
-            Resolved **once** and kept
-            for the orchestrator's lifetime, so the per-leaf build
-            timings each refresh records feed the *next* refresh's
-            :class:`~repro.core.sharding.ShardPlan` — yesterday's
-            observed hot spots re-balance today's shards, with the win
-            stamped on :attr:`RefreshReport.rebalance_gain`.
+            Resolved **once** and kept for the orchestrator's
+            lifetime, so every refresh's build timings land in the one
+            shared ``metrics`` registry.
         alignment: Ranking alignment for the constructed models.
         build_pooled: Also build the pooled fallback graph each day.
         artifact_dir: When set, every refresh persists its freshly
@@ -178,8 +163,8 @@ class DailyRefreshOrchestrator:
         self.tracer = Tracer()
         self._builder = builder
         self._workers = workers
-        # One executor for the orchestrator's lifetime: its CostModel
-        # carries yesterday's observed build rates into today's plan.
+        # One executor for the orchestrator's lifetime: every refresh
+        # records its build timings into the shared registry.
         self._executor = resolve_executor(executor, workers=workers,
                                           engine=builder,
                                           metrics=self.metrics)
@@ -209,15 +194,6 @@ class DailyRefreshOrchestrator:
     def executor(self):
         """The construction executor (same instance every refresh)."""
         return self._executor
-
-    @property
-    def cost_model(self):
-        """The executor's accumulated shard-timing
-        :class:`~repro.core.execution.CostModel`.  Persist it with
-        ``to_json`` and seed a future orchestrator's executor with
-        ``CostModel.from_json`` to carry observations across
-        processes/days."""
-        return self._executor.cost_model
 
     @property
     def targets(self) -> List[Any]:
@@ -250,7 +226,7 @@ class DailyRefreshOrchestrator:
         the pipeline and every serving target, so one physical copy
         backs the whole deployment.
         """
-        save_model(model, directory, format_version=3)
+        save_model(model, directory)
         return load_model(directory, mmap=True)
 
     async def refresh(self, curated: CuratedKeyphrases,
@@ -295,16 +271,6 @@ class DailyRefreshOrchestrator:
                 return step
             return lambda: self._retry.call(step, on_retry=note_retry)
 
-        from ..core.execution import plan_rebalance_gain
-
-        # Yesterday's feedback, today's plan: quantify (before building)
-        # how much better the executor's accumulated observed build
-        # rates balance today's leaves than the char-count proxy would.
-        # None on a cold start — the first refresh has no observations.
-        rebalance_gain = plan_rebalance_gain(
-            self._executor.cost_model, construction_proxy(curated),
-            getattr(self._executor, "workers", 0), kind="construction")
-
         try:
             with self.tracer.span("refresh.construct",
                                   builder=self._builder) as construct_span:
@@ -324,10 +290,7 @@ class DailyRefreshOrchestrator:
                 construct_seconds=construct_span.duration_s,
                 load_seconds=0.0, swap_seconds=0.0, n_retries=n_retries,
                 failure=f"construct exhausted {exc.attempts} attempts: "
-                        f"{exc.__cause__!r}",
-                n_cost_observations=
-                self._executor.cost_model.n_observations(),
-                rebalance_gain=rebalance_gain))
+                        f"{exc.__cause__!r}"))
         construct_seconds = construct_span.duration_s
         # Issue a number strictly above every deployment's local
         # history — a target may have been hot-swapped directly since
@@ -382,10 +345,7 @@ class DailyRefreshOrchestrator:
                 swap_seconds=0.0, artifact_path=artifact_path,
                 n_retries=n_retries,
                 failure=f"batch load exhausted {exc.attempts} "
-                        f"attempts: {exc.__cause__!r}",
-                n_cost_observations=
-                self._executor.cost_model.n_observations(),
-                rebalance_gain=rebalance_gain))
+                        f"attempts: {exc.__cause__!r}"))
         load_seconds = load_span.duration_s
 
         with self.tracer.span("refresh.swap", generation=generation,
@@ -420,10 +380,7 @@ class DailyRefreshOrchestrator:
             swap_seconds=swap_seconds,
             artifact_path=artifact_path,
             n_retries=n_retries,
-            n_remote_deployed=n_remote_deployed,
-            n_cost_observations=
-            self._executor.cost_model.n_observations(),
-            rebalance_gain=rebalance_gain))
+            n_remote_deployed=n_remote_deployed))
 
     def _finish(self, report: RefreshReport) -> RefreshReport:
         """Fold one refresh's outcome into the metrics registry.

@@ -688,8 +688,7 @@ class TestModelHotSwap:
             from repro.core.serialization import save_model
             with tempfile.TemporaryDirectory() as tmp:
                 artifact = save_model(fig3_variant_model,
-                                      Path(tmp) / "m",
-                                      format_version=3)
+                                      Path(tmp) / "m")
                 front = asyncio.run(drive(str(artifact)))
         else:
             front = asyncio.run(drive(fig3_variant_model))

@@ -145,21 +145,19 @@ class TestWorkflow:
                     == serial.leaf_graph(leaf_id).label_texts)
 
     def test_construct_format_version_round_trips(self, workflow_dir,
-                                                  tmp_path):
-        """Every writable format the flag offers loads back with the
-        same leaves; the default out dir is a format-3 artifact."""
+                                                  tmp_path, capsys):
+        """``construct`` writes a format-3 artifact, says so, and it
+        loads back with the same leaves."""
         from repro.core.serialization import (load_model,
                                               model_format_version)
-        curated_path = workflow_dir / "curated.json"
         baseline = load_model(workflow_dir / "model")
-        assert model_format_version(workflow_dir / "model") == 3
-        for version in (1, 2, 3):
-            out_dir = tmp_path / f"model_v{version}"
-            assert main(["construct", "--curated", str(curated_path),
-                         "--out", str(out_dir), "--format-version",
-                         str(version)]) == 0
-            assert model_format_version(out_dir) == version
-            assert load_model(out_dir).leaf_ids == baseline.leaf_ids
+        out_dir = tmp_path / "model"
+        assert main(["construct", "--curated",
+                     str(workflow_dir / "curated.json"), "--out",
+                     str(out_dir)]) == 0
+        assert "(format v3)" in capsys.readouterr().out
+        assert model_format_version(out_dir) == 3
+        assert load_model(out_dir).leaf_ids == baseline.leaf_ids
 
     def test_recommend_mmap_prints_identical_output(self, workflow_dir,
                                                     capsys):
@@ -353,17 +351,26 @@ class TestClusterCLI:
         assert "verified_identical: True" in out
 
     def test_cluster_run_survives_killed_machine(self, workflow_dir,
-                                                 capsys):
+                                                 tmp_path, capsys):
         """One subprocess machine hard-exits on its first shard; the
         run must still verify through dead-host re-planning."""
+        from repro.obs import load_snapshot
+
+        metrics_path = tmp_path / "fleet-metrics.json"
         rc = main(["cluster-run", "--model",
                    str(workflow_dir / "model"), "--spawn-workers", "2",
                    "--kill-after", "0", "--requests", "24",
-                   "--rpc-timeout", "20.0"])
+                   "--rpc-timeout", "20.0",
+                   "--metrics-out", str(metrics_path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "verified_identical: True" in out
         assert "n_replans: 1" in out or "n_local_units" in out
+        # Exactly-once through the crash drill: the fenced merge counter
+        # equals the request count; executions may exceed it (retries).
+        counters = load_snapshot(str(metrics_path))["counters"]  # validates
+        assert counters["cluster.requests.merged"] == 24
+        assert counters["worker.requests"] >= 24
 
 
 class TestLintCLI:

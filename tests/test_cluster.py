@@ -73,7 +73,7 @@ def model(curated):
 @pytest.fixture(scope="module")
 def artifact(model, tmp_path_factory):
     directory = tmp_path_factory.mktemp("cluster-model") / "model"
-    save_model(model, directory, format_version=3)
+    save_model(model, directory)
     return directory
 
 

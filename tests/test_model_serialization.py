@@ -17,9 +17,10 @@ from repro.core.batch import batch_recommend, differential_update
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.model import GraphExModel, build_leaf_graph
 from repro.core.serialization import (SUPPORTED_FORMATS, LazyStringList,
-                                      load_model, model_format_version,
+                                      load_leaf_graphs, load_model,
+                                      model_format_version,
                                       model_size_bytes, open_model,
-                                      save_model)
+                                      save_leaf_graphs, save_model)
 from repro.core.tokenize import DEFAULT_TOKENIZER, STEMMING_TOKENIZER
 
 
@@ -32,6 +33,47 @@ def curated_two_leaves() -> CuratedKeyphrases:
     return CuratedKeyphrases(
         leaves={10: leaf_a, 11: leaf_b}, effective_threshold=1,
         config=CurationConfig(min_search_count=1))
+
+
+def write_legacy_model(model: GraphExModel, directory: Path,
+                       version: int) -> Path:
+    """Hand-build a read-only legacy artifact the way old builds wrote
+    it: ``arrays.npz`` plus per-leaf string lists in ``model.json``
+    (format 1) or a shared string pool with id arrays (format 2)."""
+    directory.mkdir(parents=True)
+    leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
+    if model.pooled_graph is not None:
+        leaves.append(model.pooled_graph)
+    arrays, leaves_meta, pool = {}, {}, {}
+    for leaf in leaves:
+        key = "pooled" if leaf.leaf_id == -1 else str(leaf.leaf_id)
+        arrays[f"{key}/indptr"] = leaf.graph.indptr
+        arrays[f"{key}/indices"] = leaf.graph.indices
+        arrays[f"{key}/label_lengths"] = leaf.label_lengths
+        arrays[f"{key}/search_counts"] = leaf.search_counts
+        arrays[f"{key}/recall_counts"] = leaf.recall_counts
+        leaves_meta[key] = {"leaf_id": leaf.leaf_id}
+        words, labels = leaf.word_vocab.tokens, list(leaf.label_texts)
+        if version == 1:
+            leaves_meta[key].update(words=words, label_texts=labels)
+        else:
+            arrays[f"{key}/word_ids"] = np.array(
+                [pool.setdefault(w, len(pool)) for w in words],
+                dtype=np.int64)
+            arrays[f"{key}/label_ids"] = np.array(
+                [pool.setdefault(t, len(pool)) for t in labels],
+                dtype=np.int64)
+    meta = {"format_version": version,
+            "alignment": model.alignment_name,
+            "tokenizer": {"type": "space",
+                          "stem": bool(model.tokenizer.stems)},
+            "leaves": leaves_meta}
+    if version == 2:
+        meta["string_pool"] = list(pool)
+    np.savez_compressed(directory / "arrays.npz", **arrays)
+    with open(directory / "model.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh)
+    return directory
 
 
 class TestConstruction:
@@ -187,50 +229,25 @@ class TestRoundtripFidelity:
             assert np.array_equal(b.recall_counts, a.recall_counts)
 
     def test_string_pool_is_shared_and_deduplicated(self, tmp_path):
-        """Format 2: every distinct string appears once in the pool,
+        """Every distinct string appears once in the written pool,
         even when the pooled graph duplicates every leaf's strings."""
         model = GraphExModel.construct(curated_two_leaves(),
                                        build_pooled=True)
-        path = save_model(model, tmp_path / "m", format_version=2)
+        path = save_model(model, tmp_path / "m")
         meta = json.loads((path / "model.json").read_text())
-        assert meta["format_version"] == 2
-        pool = meta["string_pool"]
-        assert len(pool) == len(set(pool))
+        assert meta["format_version"] == 3
         expected = set()
         for graph in [model.leaf_graph(i) for i in model.leaf_ids] \
                 + [model.pooled_graph]:
             expected.update(graph.label_texts)
             expected.update(graph.word_vocab.tokens)
-        assert set(pool) == expected
+        assert meta["pool_size"] == len(expected)
 
     def test_format_version_1_still_loads(self, tmp_path):
         """Backward compatibility: a v1 directory (per-leaf string
         lists in the JSON, no id arrays) loads and serves identically."""
         model = GraphExModel.construct(curated_two_leaves())
-        directory = tmp_path / "v1"
-        directory.mkdir()
-        arrays, leaves_meta = {}, {}
-        for leaf_id in model.leaf_ids:
-            leaf = model.leaf_graph(leaf_id)
-            key = str(leaf_id)
-            arrays[f"{key}/indptr"] = leaf.graph.indptr
-            arrays[f"{key}/indices"] = leaf.graph.indices
-            arrays[f"{key}/label_lengths"] = leaf.label_lengths
-            arrays[f"{key}/search_counts"] = leaf.search_counts
-            arrays[f"{key}/recall_counts"] = leaf.recall_counts
-            leaves_meta[key] = {
-                "leaf_id": leaf.leaf_id,
-                "words": leaf.word_vocab.tokens,
-                "label_texts": leaf.label_texts,
-            }
-        np.savez_compressed(directory / "arrays.npz", **arrays)
-        (directory / "model.json").write_text(json.dumps({
-            "format_version": 1,
-            "alignment": "lta",
-            "tokenizer": {"type": "space", "stem": False},
-            "leaves": leaves_meta,
-        }))
-        loaded = load_model(directory)
+        loaded = load_model(write_legacy_model(model, tmp_path / "v1", 1))
         original = batch_recommend(model, self._requests(), k=5)
         restored = batch_recommend(loaded, self._requests(), k=5)
         for item_id in original:
@@ -364,24 +381,29 @@ def _serve_mapped_artifact(directory, requests):
 
 
 class TestCrossFormat:
-    """ISSUE 6: every writable format round-trips bit-identical, and
-    the mmap-opened v3 plane is indistinguishable from a copied load
-    through both inference engines."""
+    """Every readable format (hand-built v1/v2, written v3) loads
+    bit-identical, and the mmap-opened v3 plane is indistinguishable
+    from a copied load through both inference engines."""
 
     @settings(max_examples=25, deadline=None)
     @given(curated=curated_worlds(), build_pooled=st.booleans())
     def test_v1_v2_v3_load_bit_identical(self, curated, build_pooled):
         model = GraphExModel.construct(curated,
                                        build_pooled=build_pooled)
+        requests = _world_requests(model)
         with tempfile.TemporaryDirectory() as tmp:
-            loaded = {}
-            for version in (1, 2, 3):
-                path = Path(tmp) / f"v{version}"
-                save_model(model, path, format_version=version)
+            v3 = load_model(save_model(model, Path(tmp) / "v3"))
+            assert_models_identical(model, v3)
+            for version in (1, 2):
+                path = write_legacy_model(model, Path(tmp) / f"v{version}",
+                                          version)
                 assert model_format_version(path) == version
-                loaded[version] = load_model(path)
-            for version, reopened in loaded.items():
-                assert_models_identical(model, reopened)
+                legacy = load_model(path)
+                assert_models_identical(v3, legacy)
+                for engine in ("fast", "reference"):
+                    assert batch_recommend(legacy, requests, k=5,
+                                           engine=engine) == \
+                        batch_recommend(v3, requests, k=5, engine=engine)
 
     @settings(max_examples=25, deadline=None)
     @given(curated=curated_worlds(), build_pooled=st.booleans())
@@ -391,7 +413,7 @@ class TestCrossFormat:
                                        build_pooled=build_pooled)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m"
-            save_model(model, path, format_version=3)
+            save_model(model, path)
             copied = load_model(path)
             mapped = load_model(path, mmap=True)
             assert_models_identical(copied, mapped)
@@ -417,14 +439,36 @@ class TestCrossFormat:
     @pytest.mark.parametrize("version", [1, 2])
     def test_mmap_requires_format_3(self, tmp_path, version):
         model = GraphExModel.construct(curated_two_leaves())
-        path = save_model(model, tmp_path / "m", format_version=version)
-        with pytest.raises(ValueError, match="mmap"):
+        path = write_legacy_model(model, tmp_path / "m", version)
+        with pytest.raises(ValueError, match="mmap.*re-save"):
             load_model(path, mmap=True)
+        # Re-saving over the legacy directory is the migration.
+        save_model(load_model(path), path)
+        assert not (path / "arrays.npz").exists()
+        assert_models_identical(model, load_model(path, mmap=True))
 
-    def test_unsupported_write_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("opener", [load_model, open_model])
+    def test_leaf_bundle_is_rejected_by_name(self, tmp_path, opener):
         model = GraphExModel.construct(curated_two_leaves())
-        with pytest.raises(ValueError, match="4"):
-            save_model(model, tmp_path / "m", format_version=4)
+        bundle = save_leaf_graphs(
+            [model.leaf_graph(i) for i in model.leaf_ids], tmp_path / "b")
+        with pytest.raises(ValueError, match="leaf-bundle") as excinfo:
+            opener(bundle)
+        assert str(bundle) in str(excinfo.value)
+
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_leaf_bundle_must_be_format_3(self, tmp_path, version):
+        model = GraphExModel.construct(curated_two_leaves())
+        leaves = [model.leaf_graph(i) for i in model.leaf_ids]
+        bundle = save_leaf_graphs(leaves, tmp_path / "b")
+        for a, b in zip(leaves, load_leaf_graphs(bundle)):
+            assert_graphs_identical(a, b)
+        meta = json.loads((bundle / "model.json").read_text())
+        meta["format_version"] = version
+        (bundle / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError,
+                           match=f"format_version {version}"):
+            load_leaf_graphs(bundle)
 
 
 class TestMappedPlane:
@@ -433,7 +477,7 @@ class TestMappedPlane:
     def _mapped(self, tmp_path, **construct_kwargs):
         model = GraphExModel.construct(curated_two_leaves(),
                                        **construct_kwargs)
-        path = save_model(model, tmp_path / "m", format_version=3)
+        path = save_model(model, tmp_path / "m")
         return model, path, load_model(path, mmap=True)
 
     def test_mapped_arrays_are_read_only(self, tmp_path):
@@ -468,7 +512,7 @@ class TestMappedPlane:
         new_model = GraphExModel.construct(CuratedKeyphrases(
             leaves={10: leaf}, effective_threshold=1,
             config=CurationConfig(min_search_count=1)))
-        save_model(new_model, path, format_version=3)
+        save_model(new_model, path)
 
         # The old mapping still reads the (unlinked) old payload.
         assert batch_recommend(mapped, requests, k=5) == before
@@ -507,8 +551,11 @@ class TestMappedPlane:
         leaf_id = opened.leaf_ids[0]
         assert opened.leaf_graph(leaf_id).graph.is_readonly
         # Older formats fall back to an ordinary copied load.
-        v2 = save_model(model, path.parent / "v2", format_version=2)
-        assert_models_identical(model, open_model(str(v2)))
+        for version in (1, 2):
+            legacy = open_model(str(write_legacy_model(
+                model, path.parent / f"v{version}", version)))
+            assert_models_identical(model, legacy)
+            assert not legacy.leaf_graph(leaf_id).graph.is_readonly
 
     def test_lazy_string_list_behaves_like_a_list(self, tmp_path):
         model, _path, mapped = self._mapped(tmp_path)

@@ -299,7 +299,7 @@ class TestBatchPipeline:
         byte-identically to an in-memory swap."""
         from repro.core.serialization import save_model
 
-        artifact = save_model(model, tmp_path / "m", format_version=3)
+        artifact = save_model(model, tmp_path / "m")
         pipeline = BatchPipeline(model)
         baseline = BatchPipeline(model)
         assert pipeline.refresh_model(str(artifact)) == 1
@@ -644,8 +644,7 @@ class TestNRTService:
         in-memory swap of the same model."""
         from repro.core.serialization import save_model
 
-        artifact = save_model(fig3_variant_model, tmp_path / "m",
-                              format_version=3)
+        artifact = save_model(fig3_variant_model, tmp_path / "m")
         service = self._service(model, window_size=10)
         service.submit(self._event(1, 0.0))
         assert service.refresh_model(str(artifact)) == 1
