@@ -6,11 +6,12 @@ re-inferred and merged with the existing predictions.
 
 Two engines serve a batch:
 
-* ``"fast"`` (default) — the vectorized leaf-batched engine
+* ``"fast"`` (default) — the vectorized chunk-batched engine
   (:class:`repro.core.fast_inference.LeafBatchRunner`): requests are
-  grouped by leaf graph and the whole group runs through one fused
-  CSR gather + shifted bincount + segmented lexsort.  With
-  ``workers > 1`` whole *leaf groups* are sharded across threads.
+  grouped by leaf graph, packed into cross-leaf chunks, and each chunk
+  runs through one fused CSR gather + slot-shifted bincount +
+  count-array prune + segmented lexsort.  With ``workers > 1`` whole
+  *leaf groups* are sharded across threads.
 * ``"reference"`` — the scalar loop over
   :meth:`~repro.core.model.GraphExModel.recommend`; the semantics
   reference the equivalence suite checks against.  With ``workers > 1``

@@ -91,11 +91,14 @@ class InferenceJob:
 
     Requests are grouped by the leaf graph that serves them and the
     groups balanced into shards (:meth:`ShardPlan.for_inference`).  A
-    *unit* is any tuple of group keys: one key, a planned shard, a
-    re-planned orphan set.  Whoever runs a unit feeds
-    :meth:`requests_of` through ``LeafBatchRunner.run_indexed`` and
-    hands the rows to :meth:`merge`.  A request whose leaf has neither
-    a graph nor the pooled fallback belongs to no unit and keeps ``[]``.
+    *unit* is any tuple of group keys: a planned shard, a re-planned
+    orphan set, one key.  Whoever runs a unit feeds all of
+    :meth:`requests_of` through one ``LeafBatchRunner.run_indexed``
+    call — the engine packs the unit's leaf groups into cross-leaf
+    chunks itself, so a unit of many small groups costs what one large
+    group does — and hands the rows to :meth:`merge`.  A request whose
+    leaf has neither a graph nor the pooled fallback belongs to no unit
+    and keeps ``[]``.
 
     Constructing the job builds the local runner behind
     :meth:`run_local`, which validates ``hard_limit`` and probes the
@@ -317,12 +320,18 @@ class Executor:
     def _run_inline(self, kind: str,
                     job: Union[InferenceJob, ConstructionJob],
                     keys: Sequence[Hashable]) -> None:
-        """Run units on the calling thread one key at a time, each
-        timed on its own — the in-process loop of every substrate."""
-        for key in keys:
+        """Run one shard on the calling thread — the in-process loop
+        of every substrate.  An inference shard is one timed unit: the
+        engine packs its leaf groups into cross-leaf chunks itself, as
+        on the process and cluster substrates.  Construction runs and
+        times leaf by leaf (it shares one ``TokenCache`` and gains
+        nothing from a wider unit)."""
+        units = [tuple(keys)] if kind == "inference" \
+            else [(key,) for key in keys]
+        for unit in units:
             start = time.perf_counter()
-            job.run_local((key,))
-            self.record_timing(kind, job.units((key,)),
+            job.run_local(unit)
+            self.record_timing(kind, job.units(unit),
                                time.perf_counter() - start)
 
     def _run_plan(self, kind: str,

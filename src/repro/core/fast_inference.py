@@ -1,36 +1,46 @@
-"""Vectorized leaf-batched inference engine (the "fast" path).
+"""Vectorized chunk-batched inference engine (the "fast" path).
 
 The scalar path (:func:`repro.core.inference.recommend_from_graph`) runs
 Algorithm 1 once per title: dict lookups, Python list building and a
 per-item ``np.unique``.  That is fine for one request but wasteful for the
-batch and NRT workloads of Figure 7, where thousands of titles hit the
-same handful of leaf graphs.  This module batches the whole algorithm at
-the leaf level:
+batch and NRT workloads of Figure 7, where thousands of titles hit a
+handful of leaf graphs — or, in a 32-event NRT window, a few titles hit
+each of many.  This module runs the whole algorithm once per *chunk* of
+items, whichever leaves they belong to:
 
-1. **Group by graph** — requests are bucketed by the leaf graph that will
-   serve them (including the pooled fallback for unknown leaves), so every
-   downstream array op amortises over the group.
-2. **Bulk intern** — all titles of a group are tokenized and mapped
-   through the leaf's ``word_vocab`` with a group-local token cache;
-   repeated tokens across titles pay the dict lookup once.
-3. **Fused enumeration** — one CSR gather expands every (title, word)
-   pair's adjacency list, then a single offset-shifted ``np.bincount``
-   (candidate label ids shifted by ``item_index * n_labels``) counts the
-   duplication ``c = |T ∩ l|`` for *every* item at once.  When the shifted
-   key range would be too large to bincount densely, an ``np.unique``
-   run-length fallback produces the identical (key-sorted) output.
-4. **Vectorized group-pruning** — the paper's count-array pruning
-   (Section III-F) runs for all items in one segmented pass: a single
-   ``lexsort`` by (item, count desc) finds each item's k-th largest count,
-   and whole threshold groups are kept per item exactly as the scalar
-   path does.
-5. **Segmented ranking** — one ``np.lexsort`` keyed by (item, score desc,
-   Search Count desc, Recall Count asc, label id asc) ranks every item's
-   survivors together.
-6. **Deduplicated materialisation** — a ranked row's value is a pure
-   function of (label, c, |T|), and :class:`Recommendation` is immutable,
-   so each distinct row is constructed once and shared across the items
-   that ranked it (popular labels hit many titles in a batch).
+1. **Group by graph, cut into chunks** — requests are bucketed by the
+   leaf graph that will serve them (including the pooled fallback for
+   unknown leaves), and the graph-ordered item sequence is cut into
+   chunks whose dense key range ``Σ n_labels(item's graph)`` fits
+   :data:`CHUNK_KEY_BUDGET`: a large leaf group splits, small ones share
+   a chunk, and the one-leaf group is simply the one-part chunk.  A
+   chunk's *parts* are its per-graph runs of items.
+2. **Intern per part** — each part's titles are tokenized and mapped
+   through the owning leaf's ``word_vocab``.
+3. **Fused enumeration** — per part, one CSR gather expands every
+   (title, word) pair's adjacency list straight out of the leaf's own
+   ``indptr`` / ``indices`` (on an mmap-opened model these stay the
+   mapped views; nothing is concatenated).  Then, once per chunk,
+   candidate label ids are shifted into their item's key slot
+   (``slot[item] + label``, each slot as wide as the item's own graph,
+   so the pooled graph's labels cost only the items that use them) and
+   a single ``np.bincount`` counts the duplication ``c = |T ∩ l|`` for
+   *every* item at once.  When the chunk's key range exceeds
+   ``dense_limit``, an ``np.unique`` run-length fallback produces the
+   identical (key-sorted) output.
+4. **Count-array pruning** — the paper's count array (Section III-F)
+   for all items in one pass: ``bincount(item * stride + c)``, a
+   reversed cumulative sum, and each item's cutoff is its k-th largest
+   count; whole threshold groups are kept exactly as the scalar path
+   does (:func:`_prune_by_count_array`).
+5. **Segmented ranking** — label metadata is gathered from the owning
+   leaf part by part, then one ``np.lexsort`` keyed by (item, score
+   desc, Search Count desc, Recall Count asc, label id asc) ranks every
+   item's survivors together.
+6. **Materialisation** — each item's segment is capped at
+   ``hard_limit``, label texts are read from the owning leaf in bulk
+   (:meth:`~repro.core.serialization.LazyStringList.take` on mapped
+   models) and every row is constructed once per chunk.
 
 The engine is *provably identical* to the scalar path — same candidate
 sets, same IEEE-754 scores (identical operand values through identical
@@ -49,20 +59,30 @@ from .alignment import ALIGNMENTS
 from .batch import (InferenceRequest, last_request_wins,
                     validate_hard_limit)
 from .inference import Recommendation
+from .serialization import LazyStringList
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .model import GraphExModel, LeafGraph
 
-#: Above this ``n_items * n_labels`` product the dense bincount would
-#: allocate too much, so enumeration falls back to the np.unique path.
+#: Above this dense key range the bincount would allocate too much, so
+#: enumeration falls back to the np.unique path.
 DEFAULT_DENSE_LIMIT = 1 << 23
+
+#: Dense key range ``Σ n_labels(item's graph)`` one chunk is cut to.
+#: Swept 2**15 .. 2**21 on the bench world (CHANGES.md, PR 17): smaller
+#: chunks pay the fixed call chain more often, larger ones only grow
+#: the temporaries.
+CHUNK_KEY_BUDGET = 1 << 18
+
+#: One chunk part: a graph and the request indices it serves.
+_Part = Tuple["LeafGraph", List[int]]
 
 
 def _alignment_is_vectorized(fn) -> bool:
     """Probe whether an alignment callable is element-wise vectorized.
 
     The scalar path hands ``fn`` candidate arrays with a *scalar*
-    title_len; the fast path batches whole leaf groups, so title_len
+    title_len; the fast path batches whole chunks, so title_len
     becomes an array too.  The built-in LTA/WMR/JAC broadcast
     identically either way; a scalar-only or cross-row-coupled custom
     callable would crash or silently score differently, so it is
@@ -94,127 +114,66 @@ def _alignment_is_vectorized(fn) -> bool:
     return True
 
 
-def _intern_group(graph: "LeafGraph", titles: Sequence[Sequence[str]]):
-    """Bulk-intern tokenized titles against one graph's word vocabulary.
+def _prune_by_count_array(counts: np.ndarray, per_item: np.ndarray,
+                          k: int) -> np.ndarray:
+    """The paper's count-array pruning (Section III-F) for every item of
+    a chunk at once; item by item it equals
+    :func:`repro.core.inference.prune_by_count_groups`.
 
-    Args:
-        graph: The leaf graph whose ``word_vocab`` interns the tokens.
-        titles: Pre-tokenized titles (one token list per item).
-
-    Returns:
-        ``(word_ids, word_owner, n_tokens)``: flat known-word ids across
-        the whole group, the item index owning each id, and the per-item
-        unique-token count (unknown tokens included — it is the ``|T|``
-        the alignment functions see).
-    """
-    vocab_get = graph.word_vocab.get
-    cache: Dict[str, int] = {}
-    flat_ids: List[int] = []
-    flat_owner: List[int] = []
-    n_tokens = np.zeros(len(titles), dtype=np.int64)
-    for item_index, tokens in enumerate(titles):
-        unique_tokens = dict.fromkeys(tokens)
-        n_tokens[item_index] = len(unique_tokens)
-        for token in unique_tokens:
-            word_id = cache.get(token)
-            if word_id is None:
-                resolved = vocab_get(token)
-                word_id = -1 if resolved is None else resolved
-                cache[token] = word_id
-            if word_id >= 0:
-                flat_ids.append(word_id)
-                flat_owner.append(item_index)
-    return (np.asarray(flat_ids, dtype=np.int64),
-            np.asarray(flat_owner, dtype=np.int64),
-            n_tokens)
-
-
-def _enumerate_group(graph: "LeafGraph", word_ids: np.ndarray,
-                     word_owner: np.ndarray, n_items: int,
-                     dense_limit: int = DEFAULT_DENSE_LIMIT):
-    """Fused Enumeration for a whole leaf group.
-
-    One CSR gather expands every word's adjacency list, then candidate
-    label ids are shifted by ``item_index * n_labels`` so a single
-    ``np.bincount`` (or, beyond ``dense_limit``, one ``np.unique``)
-    yields every item's candidate labels and duplication counts at once.
+    ``counts`` holds each item's candidate counts back to back,
+    ``per_item[i]`` of them for item ``i``.  ``at_least[i, c]`` is how
+    many candidates of item ``i`` share ``>= c`` tokens, so the largest
+    ``c`` still holding ``k`` of them is the item's k-th largest count:
+    the cutoff whose whole threshold group survives (0 — everything
+    survives — for an item without a k-th candidate).
 
     Returns:
-        ``(labels, counts, item_of)`` — flat arrays sorted by (item,
-        label), exactly the per-item ordering ``np.unique`` produces in
-        the scalar path.
+        Ascending indices into ``counts`` of the survivors (``k >= 1``).
     """
-    empty = np.empty(0, dtype=np.int64)
-    if len(word_ids) == 0:
-        return empty, empty, empty
-    indptr = graph.graph.indptr
-    starts = indptr[word_ids]
-    degrees = indptr[word_ids + 1] - starts
-    total = int(degrees.sum())
-    if total == 0:
-        return empty, empty, empty
-    # Gather: positions of every adjacency entry in one index vector.
-    offsets = np.cumsum(degrees) - degrees
-    positions = (np.repeat(starts - offsets, degrees)
-                 + np.arange(total, dtype=np.int64))
-    candidates = graph.graph.indices[positions].astype(np.int64)
-    owner = np.repeat(word_owner, degrees)
-
-    n_labels = graph.n_labels
-    keys = owner * n_labels + candidates
-    if n_items * n_labels <= dense_limit:
-        key_counts = np.bincount(keys)
-        unique_keys = np.flatnonzero(key_counts)
-        counts = key_counts[unique_keys]
-    else:
-        unique_keys, counts = np.unique(keys, return_counts=True)
-    item_of = unique_keys // n_labels
-    labels = unique_keys - item_of * n_labels
-    return labels, counts.astype(np.int64), item_of
+    n_items = len(per_item)
+    stride = int(counts.max()) + 1
+    count_array = np.bincount(
+        np.repeat(np.arange(n_items) * stride, per_item) + counts,
+        minlength=n_items * stride).reshape(n_items, stride)
+    at_least = count_array[:, ::-1].cumsum(axis=1)[:, ::-1]
+    cutoffs = (at_least[:, 1:] >= k).sum(axis=1)
+    return np.flatnonzero(counts >= np.repeat(cutoffs, per_item))
 
 
-def _segments(sorted_item: np.ndarray):
-    """Start/end offsets of each run of equal values in a sorted array."""
-    new_segment = np.empty(len(sorted_item), dtype=bool)
-    new_segment[0] = True
-    new_segment[1:] = sorted_item[1:] != sorted_item[:-1]
-    starts = np.flatnonzero(new_segment)
-    return starts, np.append(starts[1:], len(sorted_item))
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers in their smallest unsigned dtype.
 
-
-def _prune_group(labels: np.ndarray, counts: np.ndarray,
-                 item_of: np.ndarray, n_items: int, k: int):
-    """Segmented count-group pruning for every item at once.
-
-    Matches :func:`repro.core.inference.prune_by_count_groups` per item:
-    the k-th largest count of each item becomes its cutoff and whole
-    threshold groups survive; items with ``<= k`` candidates keep all.
+    A sort key's order does not depend on its width, but its speed
+    does: ``np.lexsort`` radix-sorts keys of 16 bits or fewer and
+    merge-sorts wider ones, an order of magnitude apart per row.
     """
-    if len(labels) == 0:
-        return labels, counts, item_of
-    order = np.lexsort((-counts, item_of))
-    sorted_item = item_of[order]
-    starts, ends = _segments(sorted_item)
-    # Each item's k-th largest count is its cutoff; items without a k-th
-    # candidate keep everything (cutoff 0 is below any count).
-    kth = starts + (k - 1)
-    valid = kth < ends
-    cutoffs = np.zeros(n_items, dtype=np.int64)
-    cutoffs[sorted_item[starts[valid]]] = counts[order[kth[valid]]]
-    mask = counts >= cutoffs[item_of]
-    return labels[mask], counts[mask], item_of[mask]
+    return values.astype(np.min_scalar_type(int(values.max())))
+
+
+def _slot_width(graph: "LeafGraph") -> int:
+    """Width of the key slot one item of ``graph`` owns in a chunk: its
+    label count (1 for a label-less graph, so every item owns a slot)."""
+    return max(1, graph.n_labels)
+
+
+def _label_texts(graph: "LeafGraph", labels: np.ndarray) -> List[str]:
+    """Keyphrase strings of ``labels`` from their owning leaf."""
+    texts = graph.label_texts
+    if isinstance(texts, LazyStringList):
+        return texts.take(labels)
+    return list(map(texts.__getitem__, labels.tolist()))
 
 
 class LeafBatchRunner:
-    """Vectorized batch inference over leaf-grouped requests.
+    """Vectorized batch inference: Algorithm 1 over cross-leaf chunks.
 
     The model's alignment function must be element-wise vectorized over
     its ``(c, label_len, title_len)`` arguments, as the built-in
     LTA/WMR/JAC are and the :data:`~repro.core.alignment.AlignmentFunction`
-    contract requires: the engine scores a whole leaf group in one call
-    and deduplicates rows by ``(label, c, |T|)``, so a callable that is
-    scalar-only or couples scores across rows is not supported here (use
-    the reference engine for such experiments).
+    contract requires: the engine scores a whole chunk — items of
+    several leaves — in one call, so a callable that is scalar-only or
+    couples scores across rows is not supported here (use the reference
+    engine for such experiments).
 
     Args:
         model: The serving :class:`~repro.core.model.GraphExModel`.
@@ -222,8 +181,11 @@ class LeafBatchRunner:
             yields no predictions, matching the scalar path's contract).
         hard_limit: Optional strict per-item cap applied after ranking
             (must be ``None`` or ``>= 0``).
-        dense_limit: Max ``n_items * n_labels`` for the dense bincount in
-            enumeration; larger groups use the np.unique fallback.
+        dense_limit: Largest dense key range ``Σ n_labels(item's graph)``
+            a chunk may bincount.  Chunks are cut to fit
+            ``min(CHUNK_KEY_BUDGET, dense_limit)``; an item whose own
+            graph exceeds ``dense_limit`` runs alone through the
+            np.unique fallback (``dense_limit=0`` forces it everywhere).
 
     Raises:
         ValueError: If ``hard_limit`` is negative, or the model's
@@ -247,7 +209,7 @@ class LeafBatchRunner:
 
     def run(self, requests: Sequence[InferenceRequest]
             ) -> Dict[int, List[Recommendation]]:
-        """Infer a whole batch, leaf group by leaf group.
+        """Infer a whole batch, chunk by chunk.
 
         Returns:
             Item id → ranked recommendations, with the same
@@ -262,20 +224,21 @@ class LeafBatchRunner:
 
         Unlike :meth:`run`, duplicate item ids are *not* collapsed —
         the i-th output belongs to ``requests[i]``.  This is the unit a
-        process-shard worker returns: the parent scatters shard outputs
-        back by request index, which preserves the scalar loop's
-        last-request-wins semantics even when duplicates of one item id
-        land in different shards.
+        shard returns on every substrate: the caller scatters shard
+        outputs back by request index, which preserves the scalar
+        loop's last-request-wins semantics even when duplicates of one
+        item id land in different shards.
         """
         model = self._model
-        results: List[Optional[List[Recommendation]]] = \
-            [None] * len(requests)
-        # Bucket request indices by the graph that will serve them.
-        groups: Dict[int, Tuple["LeafGraph", List[int]]] = {}
+        results: List[List[Recommendation]] = [[] for _ in requests]
+        if self._k <= 0:
+            return results
+        # Bucket request indices by the graph that will serve them; a
+        # request with neither a leaf graph nor the pooled one keeps [].
+        groups: Dict[int, _Part] = {}
         for index, (_item_id, _title, leaf_id) in enumerate(requests):
             graph = model.leaf_graph(leaf_id) or model.pooled_graph
             if graph is None:
-                results[index] = []
                 continue
             bucket = groups.get(id(graph))
             if bucket is None:
@@ -283,79 +246,152 @@ class LeafBatchRunner:
             else:
                 bucket[1].append(index)
 
+        # Cut the graph-ordered item sequence into chunks whose dense
+        # key range fits the budget: a large group splits, small groups
+        # share a chunk, and an item wider than the budget runs alone.
+        budget = min(CHUNK_KEY_BUDGET, self._dense_limit)
+        chunk: List[_Part] = []
+        room = budget
         for graph, indices in groups.values():
-            titles = [model.tokenizer(requests[i][1]) for i in indices]
-            for local, recs in enumerate(self._run_group(graph, titles)):
-                results[indices[local]] = recs
+            width = _slot_width(graph)
+            taken = 0
+            while taken < len(indices):
+                fit = room // width
+                if fit <= 0 and chunk:
+                    self._run_chunk(requests, chunk, results)
+                    chunk, room = [], budget
+                    continue
+                part = indices[taken:taken + max(1, fit)]
+                chunk.append((graph, part))
+                taken += len(part)
+                room -= len(part) * width
+        if chunk:
+            self._run_chunk(requests, chunk, results)
         return results
 
-    def _run_group(self, graph: "LeafGraph",
-                   titles: Sequence[Sequence[str]]
-                   ) -> List[List[Recommendation]]:
-        """Run fused enumerate → prune → rank → materialise for one group."""
-        n_items = len(titles)
-        empties: List[List[Recommendation]] = [[] for _ in range(n_items)]
-        if self._k <= 0:
-            return empties
-        word_ids, word_owner, n_tokens = _intern_group(graph, titles)
-        labels, counts, item_of = _enumerate_group(
-            graph, word_ids, word_owner, n_items, self._dense_limit)
-        labels, counts, item_of = _prune_group(
-            labels, counts, item_of, n_items, self._k)
-        if len(labels) == 0:
-            return empties
+    def _run_chunk(self, requests: Sequence[InferenceRequest],
+                   parts: Sequence[_Part],
+                   results: List[List[Recommendation]]) -> None:
+        """Enumerate → prune → rank → materialise one chunk into
+        ``results``; ``parts`` are its per-graph runs of request
+        indices.  Only the loops over parts touch a leaf's own arrays —
+        everything between them runs once for the chunk."""
+        graphs = [graph for graph, _indices in parts]
+        part_sizes = [len(indices) for _graph, indices in parts]
+        part_cuts = np.append(0, np.cumsum(part_sizes))
 
-        alignment_fn = self._model.alignment_fn
-        scores = alignment_fn(counts, graph.label_lengths[labels],
-                              n_tokens[item_of])
-        search = graph.search_counts[labels]
-        recall = graph.recall_counts[labels]
-        # One segmented lexsort; within an item the keys are the scalar
-        # path's (score desc, S desc, R asc, label id asc).  The label-id
-        # key is implicit: rows enter in (item, label) order and lexsort
-        # is stable, so full ties stay label-ascending.
-        order = np.lexsort((recall, -search, -scores, item_of))
+        def by_part(item_bounds: np.ndarray):
+            """``(graph, lo, hi)`` per part: its slice of any flat
+            array laid out item by item with these ``n_items + 1``
+            bounds."""
+            cuts = item_bounds[part_cuts].tolist()
+            return zip(graphs, cuts, cuts[1:])
 
-        sorted_item = item_of[order]
-        starts, ends = _segments(sorted_item)
-        segment_items = sorted_item[starts].tolist()
+        # Intern, part by part: the leaf's ids of each title's known
+        # words, looked up in its CSR row pointers.  |T| counts unknown
+        # tokens too — it is the |T| the alignment functions see.
+        tokenizer = self._model.tokenizer
+        n_tokens: List[int] = []
+        n_known: List[int] = []
+        starts_of: List[np.ndarray] = []
+        degrees_of: List[np.ndarray] = []
+        for graph, indices in parts:
+            vocab_get = graph.word_vocab.get
+            flat: List[int] = []
+            for index in indices:
+                tokens = dict.fromkeys(tokenizer(requests[index][1]))
+                n_tokens.append(len(tokens))
+                before = len(flat)
+                flat.extend(word_id for word_id in map(vocab_get, tokens)
+                            if word_id is not None)
+                n_known.append(len(flat) - before)
+            word_ids = np.asarray(flat, dtype=np.int64)
+            indptr = graph.graph.indptr
+            starts = indptr[word_ids]
+            starts_of.append(starts)
+            degrees_of.append(indptr[word_ids + 1] - starts)
+        degrees = np.concatenate(degrees_of)
+        total = int(degrees.sum())
+        if total == 0:
+            return
+
+        # Gather: one index vector holds every adjacency entry's
+        # position in its own leaf's ``indices``; the per-part reads
+        # are the only copies (``indices`` stays the leaf's mapped view).
+        entry_ends = np.cumsum(degrees)
+        positions = (np.repeat(np.concatenate(starts_of)
+                               - (entry_ends - degrees), degrees)
+                     + np.arange(total, dtype=np.int64))
+        entry_bounds = np.append(0, entry_ends)[
+            np.append(0, np.cumsum(n_known))]
+        candidates = np.empty(total, dtype=np.int64)
+        for graph, lo, hi in by_part(entry_bounds):
+            candidates[lo:hi] = graph.graph.indices[positions[lo:hi]]
+
+        # Count: item i owns the key slot [slots[i], slots[i + 1]), as
+        # wide as its graph's label set, so one bincount yields every
+        # item's candidate labels and duplication counts c = |T ∩ l| —
+        # sorted by (item, label), as np.unique orders the scalar path.
+        slots = np.append(0, np.cumsum(np.repeat(
+            [_slot_width(graph) for graph in graphs], part_sizes)))
+        keys = candidates + np.repeat(slots[:-1], np.diff(entry_bounds))
+        if slots[-1] <= self._dense_limit:
+            key_counts = np.bincount(keys)
+            unique_keys = np.flatnonzero(key_counts > 0)
+            counts = key_counts[unique_keys]
+        else:
+            unique_keys, counts = np.unique(keys, return_counts=True)
+        candidate_bounds = np.searchsorted(unique_keys, slots)
+
+        keep = _prune_by_count_array(counts, np.diff(candidate_bounds),
+                                     self._k)
+        sizes = np.diff(np.searchsorted(keep, candidate_bounds))
+        row_bounds = np.append(0, np.cumsum(sizes))
+        item_of = np.repeat(np.arange(len(sizes)), sizes)
+        counts = counts[keep]
+        labels = unique_keys[keep] - np.repeat(slots[:-1], sizes)
+
+        # Rank: label metadata comes from the owning leaf, then one
+        # segmented lexsort.  Within an item the keys are the scalar
+        # path's (score desc, S desc, R asc, label id asc) — the last
+        # implicit: rows enter label-ascending and lexsort is stable.
+        lengths_of, search_of, recall_of = [], [], []
+        for graph, lo, hi in by_part(row_bounds):
+            part_labels = labels[lo:hi]
+            lengths_of.append(graph.label_lengths[part_labels])
+            search_of.append(graph.search_counts[part_labels])
+            recall_of.append(graph.recall_counts[part_labels])
+        search = np.concatenate(search_of)
+        recall = np.concatenate(recall_of)
+        scores = self._model.alignment_fn(
+            counts, np.concatenate(lengths_of),
+            np.asarray(n_tokens, dtype=np.int64)[item_of])
+        order = np.lexsort((_narrow(recall - recall.min()),
+                            _narrow(search.max() - search),
+                            -scores, _narrow(item_of)))
+
         if self._hard_limit is not None:
-            # Cap each segment *before* materialising; rows past the
-            # per-item limit never reach the output.
-            ends = np.minimum(ends, starts + self._hard_limit)
-            lengths = ends - starts
-            out_ends = np.cumsum(lengths)
-            out_starts = out_ends - lengths
-            keep = (np.repeat(starts - out_starts, lengths)
-                    + np.arange(int(out_ends[-1]) if len(out_ends) else 0,
-                                dtype=np.int64))
-            order = order[keep]
-            starts, ends = out_starts, out_ends
+            # Cap each item's segment *before* materialising; rows past
+            # the per-item limit never reach the output.
+            sizes = np.minimum(sizes, self._hard_limit)
+            capped_bounds = np.append(0, np.cumsum(sizes))
+            order = order[
+                np.repeat(row_bounds[:-1] - capped_bounds[:-1], sizes)
+                + np.arange(capped_bounds[-1], dtype=np.int64)]
+            row_bounds = capped_bounds
 
-        # A row's value is fully determined by (label, c, |T|): text, S and
-        # R come from the label and the score from alignment_fn(c, |l|,
-        # |T|).  Recommendation is immutable, so rows repeated across
-        # items (the common case — popular labels hit many titles) are
-        # deduplicated and constructed once, then fanned out by index.
-        ordered_labels = labels[order]
-        ordered_counts = counts[order]
-        ordered_titles = n_tokens[item_of[order]]
-        c_base = int(ordered_counts.max()) + 1 if len(order) else 1
-        t_base = int(ordered_titles.max()) + 1 if len(order) else 1
-        key = ((ordered_labels * c_base + ordered_counts) * t_base
-               + ordered_titles)
-        _, rep, inverse = np.unique(key, return_index=True,
-                                    return_inverse=True)
-        originals = order[rep]
-        unique_rows = list(map(Recommendation._make, zip(
-            map(graph.label_texts.__getitem__, labels[originals].tolist()),
-            scores[originals].tolist(), search[originals].tolist(),
-            recall[originals].tolist(), counts[originals].tolist())))
-        rows = list(map(unique_rows.__getitem__, inverse.tolist()))
-        for item_index, start, end in zip(segment_items, starts.tolist(),
-                                          ends.tolist()):
-            empties[item_index] = rows[start:end]
-        return empties
+        ranked_labels = labels[order]
+        texts: List[str] = []
+        for graph, lo, hi in by_part(row_bounds):
+            texts.extend(_label_texts(graph, ranked_labels[lo:hi]))
+        rows = list(map(Recommendation._make, zip(
+            texts, scores[order].tolist(), search[order].tolist(),
+            recall[order].tolist(), counts[order].tolist())))
+        cuts = row_bounds.tolist()
+        chunk_requests = (index for _graph, indices in parts
+                          for index in indices)
+        for index, lo, hi in zip(chunk_requests, cuts, cuts[1:]):
+            results[index] = rows[lo:hi]
 
 
 def fast_batch_recommend(model: "GraphExModel",

@@ -118,6 +118,14 @@ class _LazyStringPool:
             self._cache[pool_id] = cached
         return cached
 
+    def take(self, pool_ids: List[int]) -> List[str]:
+        """``[self[i] for i in pool_ids]``, at dict-lookup cost once
+        the strings are cached (the steady state of a serving model)."""
+        out = list(map(self._cache.get, pool_ids))
+        if None in out:
+            out = [self[pool_id] for pool_id in pool_ids]
+        return out
+
 
 class LazyStringList(abc.Sequence):
     """A list-equivalent view of pool strings, decoded on access.
@@ -142,6 +150,11 @@ class LazyStringList(abc.Sequence):
         if isinstance(index, slice):
             return [self._pool[i] for i in self._ids[index]]
         return self._pool[self._ids[index]]
+
+    def take(self, indices: np.ndarray) -> List[str]:
+        """Bulk ``[self[i] for i in indices]``: one fancy-index into the
+        id array, then the pool's cached strings."""
+        return self._pool.take(self._ids[indices].tolist())
 
     def __iter__(self) -> Iterator[str]:
         pool = self._pool

@@ -175,8 +175,9 @@ class ShardPlan:
         its leaf id when that leaf has a graph, by :data:`POOLED_GROUP`
         when it falls back to the pooled graph, and is excluded (its
         result is ``[]``) when neither exists.  The cost estimate is
-        the group's request count — per-request work dominates, and
-        keeping groups whole preserves the vectorized amortisation.
+        the group's request count — per-request work dominates, and a
+        whole group keeps each leaf's arrays on one shard (the engine
+        packs a shard's groups into cross-leaf chunks either way).
         Every substrate executes the same groups, so the plan only
         moves balance, never output.
 

@@ -417,7 +417,7 @@ class AsyncNRTFront:
             n_submitted=stream.n_submitted,
             n_pending=(stream.queue.qsize()
                        + stream.service.pending_events),
-            n_windows=len(windows),
+            n_windows=stream.service.n_windows,
             n_inferred=sum(w.n_inferred for w in windows),
             n_deleted=sum(w.n_deleted for w in windows),
             n_flush_failures=stream.n_flush_failures,
@@ -520,7 +520,7 @@ class AsyncNRTFront:
                     closing = True
                     break
                 batch.append(queued)
-            windows_before = len(stream.service.processed_windows)
+            windows_before = stream.service.n_windows
             failures, dropped = await loop.run_in_executor(
                 self._executor, self._submit_batch, stream, batch)
             stream.n_flush_failures += failures
@@ -533,8 +533,7 @@ class AsyncNRTFront:
                 # and its leftover events opened a fresh one (keeping
                 # the old start would fire the new window's timer
                 # prematurely).
-                closed_any = (len(stream.service.processed_windows)
-                              > windows_before)
+                closed_any = stream.service.n_windows > windows_before
                 if closed_any or stream.opened_wall is None:
                     stream.opened_wall = loop.time()
             else:

@@ -237,8 +237,14 @@ class NRTService:
 
     @property
     def processed_windows(self) -> List[WindowStats]:
-        """Stats of every window processed so far."""
+        """Stats of every window processed so far (a copy — use
+        :attr:`n_windows` when only the count is needed)."""
         return list(self._processed_windows)
+
+    @property
+    def n_windows(self) -> int:
+        """How many windows have been processed, in O(1)."""
+        return len(self._processed_windows)
 
     def submit(self, event: ItemEvent) -> Optional[WindowStats]:
         """Feed one event; returns window stats when a window closes.

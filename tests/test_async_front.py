@@ -793,6 +793,36 @@ class TestZeroEventLoss:
                     == clean.serve(item_id), (name, item_id)
 
 
+class TestConsumerPollsWindowCountInConstantTime:
+    def test_consume_never_copies_the_window_history(self, fig3_model,
+                                                     monkeypatch):
+        """``_consume`` asks "did this batch close a window?" twice per
+        drained batch; it must read the O(1) ``n_windows``, never the
+        ``processed_windows`` copy (quadratic over a long run)."""
+        reads = []
+        history = NRTService.processed_windows
+        monkeypatch.setattr(
+            NRTService, "processed_windows",
+            property(lambda self: reads.append(1) or history.fget(self)))
+        events = [make_event(i, i * 0.01, title_index=i % 4)
+                  for i in range(12)]
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=4,
+                                  wall_clock_seconds=30.0)
+            front.add_stream("s")
+            async with front:
+                await _feed(front, "s", events)
+                await front.join()
+            return front
+
+        front = asyncio.run(drive())
+        assert reads == []
+        assert front.stats("s").n_windows == 3 \
+            == len(front.processed_windows("s"))
+        assert reads                      # the probe does see reads
+
+
 class TestQueueHighWaterMark:
     """Satellite regression: ``StreamStats.n_pending`` is a
     point-in-time read, so a burst enqueued and fully drained between

@@ -336,6 +336,31 @@ class TestCrossExecutorEquivalence:
         assert metrics.counter_value("executor.inference.requests",
                                      executor="process") == len(requests)
 
+    def test_in_process_substrates_time_one_task_per_shard(
+            self, model, requests):
+        """Serial, thread and process all record inference the same
+        way: one ``executor.inference.tasks`` per *planned shard* (not
+        per leaf group), every request counted once."""
+        for executor_cls, workers in ((SerialExecutor, 1),
+                                      (ThreadShardExecutor, 2),
+                                      (ProcessShardExecutor, 2)):
+            metrics = MetricsRegistry()
+            executor = (executor_cls(metrics=metrics) if workers == 1
+                        else executor_cls(workers, metrics=metrics))
+            with executor:
+                executor.run_inference(model, requests, k=5)
+            plan, groups = ShardPlan.for_inference(model, requests,
+                                                   workers)
+            assert plan.n_shards == workers < len(groups)
+            labels = {"executor": executor.name}
+            assert metrics.counter_value("executor.inference.tasks",
+                                         **labels) == plan.n_shards
+            assert metrics.counter_value("executor.inference.requests",
+                                         **labels) == len(requests)
+            assert metrics.histogram_stats(
+                "executor.inference.seconds",
+                **labels)["count"] == plan.n_shards
+
     def test_construction_identical_across_substrates(self, curated,
                                                       model):
         for executor in (SerialExecutor(), ThreadShardExecutor(3),

@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 
 from repro.core.batch import batch_recommend, differential_update
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
-from repro.core.fast_inference import LeafBatchRunner, fast_batch_recommend
-from repro.core.inference import recommend_from_graph
+from repro.core.fast_inference import (LeafBatchRunner, _label_texts,
+                                       _prune_by_count_array,
+                                       fast_batch_recommend)
+from repro.core.inference import prune_by_count_groups, recommend_from_graph
 from repro.core.model import GraphExModel
+from repro.core.serialization import LazyStringList, load_model, save_model
 
 ALIGNMENTS = ["lta", "wmr", "jac"]
 
@@ -143,6 +146,213 @@ class TestPropertyEquivalence:
                                   executor="process")
         assert_identical(sharded,
                          reference_outputs(model, reqs, 6, hard_limit))
+
+
+#: Leaves of deliberately different label-set widths (the key slot an
+#: item owns in a chunk is as wide as its own graph).
+def phrases_between(min_size, max_size):
+    return st.lists(
+        st.tuples(phrase, st.integers(1, 60), st.integers(1, 60)),
+        min_size=min_size, max_size=max_size)
+
+
+mixed_worlds = st.fixed_dictionaries({1: phrases_between(1, 3),
+                                      2: phrases_between(4, 9),
+                                      3: phrases_between(10, 24)})
+#: Empty, all-OOV and ordinary titles.
+mixed_title = st.one_of(
+    st.just(""),
+    st.lists(st.sampled_from(STRANGERS), min_size=1, max_size=3)
+    .map(" ".join),
+    title)
+#: Leaves 1-3 have graphs; 7 never does (pooled fallback, or — without
+#: a pooled graph — unservable).  Few item ids, so duplicates are common.
+mixed_requests = st.lists(
+    st.tuples(st.integers(0, 9), mixed_title, st.sampled_from([1, 2, 3, 7])),
+    min_size=0, max_size=30)
+
+
+def spy_chunks(runner):
+    """Record the ``(n_labels, n_items)`` parts of every chunk run."""
+    chunks = []
+    run_chunk = runner._run_chunk
+
+    def spy(requests, parts, results):
+        chunks.append([(graph.n_labels, len(indices))
+                       for graph, indices in parts])
+        return run_chunk(requests, parts, results)
+
+    runner._run_chunk = spy
+    return chunks
+
+
+class TestCrossLeafChunks:
+    """What the chunk kernel newly does: one pass over items of several
+    graphs, and one leaf group cut across several passes."""
+
+    @given(world=mixed_worlds, reqs=mixed_requests, k=st.integers(1, 8),
+           alignment=st.sampled_from(ALIGNMENTS),
+           build_pooled=st.booleans(),
+           hard_limit=st.one_of(st.none(), st.integers(1, 8)),
+           dense_limit=st.integers(0, 48))
+    @settings(max_examples=80, deadline=None)
+    def test_tiny_chunks_match_reference(self, world, reqs, k, alignment,
+                                         build_pooled, hard_limit,
+                                         dense_limit):
+        """A tiny ``dense_limit`` is a tiny chunk budget: leaf groups
+        split across chunks, chunks span leaves of different widths,
+        and an item wider than the limit runs alone through the
+        np.unique fallback — all element-wise equal to the oracle."""
+        model = make_model(world, alignment=alignment,
+                           build_pooled=build_pooled)
+        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
+                                 dense_limit=dense_limit)
+        chunks = spy_chunks(runner)
+        assert_identical(runner.run(reqs),
+                         reference_outputs(model, reqs, k, hard_limit))
+        for parts in chunks:
+            key_range = sum(n_labels * n for n_labels, n in parts)
+            assert key_range <= dense_limit \
+                or sum(n for _n_labels, n in parts) == 1
+
+    def test_a_group_splits_and_a_chunk_spans_leaves(self):
+        """Directed: with room for 16 keys, the two small leaves share
+        one chunk and the 16-label leaf's three items take one each."""
+        model = make_model({
+            1: [(f"w0 w{i}", 5, i) for i in range(1, 4)],      # 3 labels
+            2: [(f"w1 w{i}", 7, i) for i in range(2, 7)],      # 5 labels
+            3: [(f"w2 w{i}", 9, i) for i in range(3, 19)],     # 16 labels
+        })
+        reqs = [(1, "w0 w1", 1), (2, "w2 w3 zzz", 3), (3, "w1 w2", 2),
+                (4, "w0 w3", 1), (5, "w2", 3), (6, "", 3)]
+        runner = LeafBatchRunner(model, k=3, dense_limit=16)
+        chunks = spy_chunks(runner)
+        assert_identical(runner.run(reqs), reference_outputs(model, reqs, 3))
+        assert chunks == [[(3, 2)], [(16, 1)], [(16, 1)], [(16, 1)],
+                          [(5, 1)]]
+        # Room for 27: the big leaf's first item rides with leaf 1,
+        # its last shares a chunk with leaf 2.
+        runner = LeafBatchRunner(model, k=3, dense_limit=27)
+        chunks = spy_chunks(runner)
+        assert_identical(runner.run(reqs), reference_outputs(model, reqs, 3))
+        assert chunks == [[(3, 2), (16, 1)], [(16, 1)], [(16, 1), (5, 1)]]
+
+    def test_default_budget_runs_a_mixed_window_as_one_chunk(self):
+        model = make_model({leaf: [(f"w{leaf} w{i}", 5, i)
+                                   for i in range(leaf + 2)]
+                            for leaf in range(1, 5)}, build_pooled=True)
+        reqs = [(i, f"w{1 + i % 4} w2", 1 + i % 6) for i in range(18)]
+        runner = LeafBatchRunner(model, k=4)
+        chunks = spy_chunks(runner)
+        assert_identical(runner.run(reqs), reference_outputs(model, reqs, 4))
+        assert len(chunks) == 1 and len(chunks[0]) == 5   # 4 leaves + pooled
+
+
+class TestCountArrayPrune:
+    """The vectorized count-array prune equals the scalar
+    :func:`prune_by_count_groups` item by item, at every boundary."""
+
+    CASES = {
+        "exactly_k": [3, 1, 2],
+        "fewer_than_k": [2, 2],
+        "one_candidate": [1],
+        "all_counts_equal": [2, 2, 2, 2, 2, 2],
+        "ties_straddle_kth": [4, 2, 2, 2, 1, 2, 1],
+        "kth_is_the_max": [5, 5, 5, 5, 1],
+        "strictly_decreasing": [7, 6, 5, 4, 3, 2, 1],
+    }
+
+    @staticmethod
+    def scalar_keep(counts, k):
+        counts = np.asarray(counts, dtype=np.int64)
+        kept, _ = prune_by_count_groups(np.arange(len(counts)), counts, k)
+        return kept.tolist()
+
+    @classmethod
+    def assert_equals_scalar(cls, segments, k):
+        """One vectorized pass over ``segments`` (one per item) keeps
+        exactly what the scalar prune keeps item by item."""
+        counts = np.asarray([c for segment in segments for c in segment],
+                            dtype=np.int64)
+        per_item = np.asarray([len(segment) for segment in segments])
+        expected, offset = [], 0
+        for segment in segments:
+            expected += [offset + i for i in cls.scalar_keep(segment, k)]
+            offset += len(segment)
+        assert _prune_by_count_array(counts, per_item, k).tolist() \
+            == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 7, 50])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_single_item_boundaries(self, case, k):
+        self.assert_equals_scalar([self.CASES[case]], k)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_items_prune_independently_in_one_pass(self, k):
+        """Every boundary case back to back, plus items with no
+        candidate at all in between: each keeps its own cutoff."""
+        segments = [[]] + [self.CASES[name] for name in sorted(self.CASES)]
+        segments.insert(3, [])
+        segments.append([])
+        self.assert_equals_scalar(segments, k)
+
+    @given(segments=st.lists(st.lists(st.integers(1, 6), max_size=12),
+                             min_size=1, max_size=6)
+           .filter(lambda segments: any(segments)),
+           k=st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, segments, k):
+        self.assert_equals_scalar(segments, k)
+
+
+class TestBulkLabelTexts:
+    """``LazyStringList.take`` (mapped models) and the engine's plain
+    list path (copied loads) both equal one-by-one list indexing."""
+
+    INDEX_SETS = [[], [0], [2, 0, 2, 1], [3, 3, 3]]
+
+    @pytest.fixture
+    def artifact(self, tmp_path):
+        model = make_model({
+            1: [("w0 w1", 5, 1), ("w0 w2", 4, 2), ("naïve café w3", 3, 3),
+                ("w4", 2, 4)],
+            2: [("w0 w1", 9, 9), ("w5 w6", 8, 8), ("w7", 7, 7),
+                ("w8 w9", 6, 6)]}, build_pooled=True)
+        return model, save_model(model, tmp_path / "model")
+
+    @pytest.mark.parametrize("indices", INDEX_SETS)
+    def test_take_on_a_cold_mapped_model(self, artifact, indices):
+        built, path = artifact
+        index_array = np.asarray(indices, dtype=np.int64)
+        for leaf_id in (1, 2):
+            # A fresh open each time: the pool cache starts cold.
+            lazy = load_model(path, mmap=True).leaf_graph(leaf_id) \
+                .label_texts
+            eager = built.leaf_graph(leaf_id).label_texts
+            assert isinstance(lazy, LazyStringList)
+            expected = [eager[i] for i in indices]
+            assert lazy.take(index_array) == expected      # cold
+            assert lazy.take(index_array) == expected      # cached
+            assert [lazy[i] for i in indices] == expected
+
+    def test_take_warm_partially_cached(self, artifact):
+        built, path = artifact
+        lazy = load_model(path, mmap=True).leaf_graph(1).label_texts
+        eager = built.leaf_graph(1).label_texts
+        assert lazy[2] == eager[2]                 # warm one string only
+        assert lazy.take(np.array([0, 2, 3])) == [eager[0], eager[2],
+                                                  eager[3]]
+
+    @pytest.mark.parametrize("indices", INDEX_SETS)
+    def test_engine_reads_mapped_and_copied_models_alike(self, artifact,
+                                                         indices):
+        built, path = artifact
+        index_array = np.asarray(indices, dtype=np.int64)
+        expected = [built.leaf_graph(1).label_texts[i] for i in indices]
+        for mmap in (True, False):
+            graph = load_model(path, mmap=mmap).leaf_graph(1)
+            assert isinstance(graph.label_texts, LazyStringList) == mmap
+            assert _label_texts(graph, index_array) == expected
 
 
 class TestEdgeCases:

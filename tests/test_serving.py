@@ -536,6 +536,38 @@ class TestNRTService:
         service.submit(self._event(2, 0.1))
         assert len(service.processed_windows) == 2
 
+    def test_n_windows_tracks_processed_windows_across_a_retried_flush(
+            self, model):
+        """The O(1) count the async front polls equals the history's
+        length at every step — a failed flush records no window, its
+        retry records one."""
+        state = {"failures": 1}
+
+        def flaky_enrich(event):
+            if state["failures"] > 0:
+                state["failures"] -= 1
+                raise RuntimeError("enrichment outage")
+            return event.title
+
+        service = self._service(model, window_size=2, enrich=flaky_enrich)
+
+        def check(expected):
+            assert service.n_windows == expected
+            assert service.n_windows == len(service.processed_windows)
+
+        check(0)
+        service.submit(self._event(1, 0.0))
+        with pytest.raises(RuntimeError, match="enrichment outage"):
+            service.submit(self._event(2, 0.1))    # closes, flush fails
+        check(0)
+        assert service.flush() is not None         # the retry
+        check(1)
+        service.submit(self._event(3, 0.2))
+        service.submit(self._event(4, 0.3))
+        check(2)
+        assert service.flush() is None             # empty: no window
+        check(2)
+
     def test_flush_failure_loses_no_events_and_no_version(self, model):
         """Regression: a failing enrich hook (or engine) mid-flush used
         to lose the whole drained window *and* leak the staged KV
