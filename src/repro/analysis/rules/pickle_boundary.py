@@ -1,13 +1,19 @@
 """no-pickle-boundary: process and wire boundaries carry no pickles.
 
-Cluster frames cross machine boundaries (JSON frames + base64 chunks
-via ``protocol.py``) and shard results cross process boundaries (plain
+Cluster frames cross machine boundaries (a JSON control object plus a
+raw binary tail of little-endian numpy columns or file bytes, via
+``protocol.py``) and shard results cross process boundaries (plain
 JSON-able tuples, with models re-opened from v3 leaf bundles on the
 far side).  Pickle at either boundary would silently couple the wire
 format to interpreter internals, break cross-version clusters, and —
 on the receiving coordinator — execute attacker-controlled bytecode.
 The rule bans importing or calling ``pickle`` (and its drop-ins) in
-``repro.cluster.*`` and the process-shard execution module.
+``repro.cluster.*`` and the process-shard execution module — and,
+since numpy arrays now touch the wire, numpy's own doors to pickle:
+any call passing ``allow_pickle=`` anything but the literal ``False``,
+``ndarray.dump`` / ``ndarray.dumps`` (any ``.dump`` / ``.dumps`` call
+whose receiver is not the ``json`` module) and ``np.loads``.  Arrays
+cross as ``tobytes()`` / ``np.frombuffer`` with an explicit dtype.
 """
 
 from __future__ import annotations
@@ -23,6 +29,12 @@ __all__ = ["NoPickleBoundaryRule"]
 #: pickle and its drop-in replacements.
 PICKLE_MODULES = frozenset({"pickle", "cPickle", "dill", "cloudpickle",
                             "marshal"})
+
+#: Modules whose ``dump`` / ``dumps`` write text, not pickles.
+TEXT_DUMPERS = frozenset({"json"})
+
+#: numpy's alias of ``pickle.loads``.
+NUMPY_LOADS = frozenset({"np.loads", "numpy.loads"})
 
 
 class NoPickleBoundaryRule(Rule):
@@ -54,13 +66,28 @@ class NoPickleBoundaryRule(Rule):
                         ctx, node, self._message(root)))
             elif isinstance(node, ast.Call):
                 name = dotted(node.func)
-                if name and name.split(".")[0] in PICKLE_MODULES:
+                root = name.split(".")[0] if name else None
+                if root in PICKLE_MODULES or name in NUMPY_LOADS:
                     violations.append(self.violation(
                         ctx, node, self._message(name)))
+                elif (isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("dump", "dumps")
+                      and root not in TEXT_DUMPERS):
+                    violations.append(self.violation(
+                        ctx, node, self._message(
+                            f"ndarray.{node.func.attr}")))
+                for keyword in node.keywords:
+                    if keyword.arg == "allow_pickle" and not (
+                            isinstance(keyword.value, ast.Constant)
+                            and keyword.value.value is False):
+                        violations.append(self.violation(
+                            ctx, node, self._message(
+                                "allow_pickle= not the literal False")))
         return violations
 
     @staticmethod
     def _message(what: str) -> str:
         return (f"pickle-family usage ({what}) at a process/wire "
                 f"boundary; serialize through repro.cluster.protocol "
-                f"codecs or v3 leaf bundles instead")
+                f"codecs (JSON control objects, tobytes/frombuffer "
+                f"columns) or v3 leaf bundles instead")

@@ -13,6 +13,20 @@ schedules units, moves frames, and fences results.  The outputs are
 element-wise/bit-identical to the single-process fast paths under
 **any** failure topology; the fault-injection suite proves it.
 
+Inference results cross the wire as ids, not rows.  Coordinator and
+workers map the same artifact — each ``run_shard`` frame carries the
+identity of the save the coordinator mapped, and a worker that opened
+another refuses the shard — so a worker runs Algorithm 1 up to the
+ranked columns and replies with label ids, counts and raw scores in
+the frame's binary tail.  The coordinator validates the columns
+against the unit's own requests and builds the ``Recommendation`` rows
+itself, from its own mapping, with the engine's one materialiser
+(:func:`~repro.cluster.protocol.unpack_recommendations`); what
+:meth:`~repro.core.execution.InferenceJob.merge` receives is what an
+in-process shard would have handed it.  That row build is serial in
+this process and is, after the workers' own time, the largest term of
+a cluster op.
+
 Robustness model, in order of escalation:
 
 1. **Per-RPC deadlines** — every dispatched shard must answer within
@@ -43,7 +57,6 @@ property tests assert on.
 from __future__ import annotations
 
 import asyncio
-import base64
 import itertools
 import shutil
 import tempfile
@@ -63,8 +76,8 @@ from ..core.model import GraphExModel
 from ..core.serialization import open_model, save_model
 from ..core.tokenize import DEFAULT_TOKENIZER, TokenCache, Tokenizer
 from ..obs import MetricsRegistry, merge_snapshots, validate_snapshot
-from .protocol import (PROTOCOL_VERSION, pack_curated_leaves,
-                       pack_requests, pack_tokenizer,
+from .protocol import (PROTOCOL_VERSION, FrameError,
+                       pack_curated_leaves, pack_requests, pack_tokenizer,
                        unpack_recommendations, unpack_token_state)
 from .retry import RetryPolicy
 from .transport import Transport, TransportClosed
@@ -415,6 +428,12 @@ class ClusterCoordinator:
         except (TransportClosed, asyncio.TimeoutError):
             transport.close()
             return
+        except FrameError as exc:
+            # Not a worker at all (an HTTP probe's "GET " reads as a
+            # gigabyte frame) or a broken one: say why, then hang up.
+            self.metrics.inc("coordinator.frames.rejected")
+            await self._reject(transport, f"malformed frame: {exc}")
+            return
         if hello.get("type") != "register":
             await self._reject(transport,
                                f"expected register frame, got "
@@ -445,6 +464,7 @@ class ClusterCoordinator:
                                   "coordinator": f"{self._host}:"
                                                  f"{self._port}"})
         self._release_worker(worker)
+        reason = "connection closed"
         try:
             while True:
                 frame = await transport.recv()
@@ -453,8 +473,15 @@ class ClusterCoordinator:
                     break
         except TransportClosed:
             pass
+        except FrameError as exc:
+            # The stream can no longer be trusted to be in step: tell
+            # the peer why and drop the link; its unit is re-planned.
+            reason = f"malformed frame: {exc}"
+            self.metrics.inc("coordinator.frames.rejected")
+            with suppress(TransportClosed):
+                await transport.send({"type": "error", "reason": reason})
         finally:
-            self._mark_dead(worker, "connection closed")
+            self._mark_dead(worker, reason)
 
     async def _reject(self, transport, reason: str) -> None:
         with suppress(TransportClosed):
@@ -586,7 +613,8 @@ class ClusterCoordinator:
 
     async def _push_artifact(self, worker: _WorkerHandle,
                              name: str) -> None:
-        """Stream one artifact directory to a worker's spool, chunked."""
+        """Stream one artifact directory to a worker's spool, each file
+        chunk the raw binary tail of an ``artifact_chunk`` frame."""
         directory = self._artifact_sources[name]
         request_id = next(self._rpc_counter)
         future: "asyncio.Future[dict]" = \
@@ -613,9 +641,7 @@ class ClusterCoordinator:
                         if not chunk:
                             break
                         await worker.transport.send({
-                            "type": "artifact_chunk",
-                            "data": base64.b64encode(chunk).decode(
-                                "ascii")})
+                            "type": "artifact_chunk", "tail": chunk})
                 finally:
                     fh.close()
                 await worker.transport.send({"type": "artifact_file_end"})
@@ -641,7 +667,11 @@ class ClusterCoordinator:
         is persisted once to the coordinator's spool as a format-3
         artifact and the *mapped* open is used locally too — workers
         and coordinator then share one physical model, the PR 6
-        zero-copy plane doing the distribution.
+        zero-copy plane doing the distribution.  The opened model is
+        also what reply label ids are read against, so its
+        ``artifact_identity`` rides every ``run_shard`` frame: a path
+        re-saved in place after this open is a different artifact to
+        any worker that opens it later, and is refused, not misread.
         """
         loop = asyncio.get_event_loop()
         if isinstance(source, GraphExModel):
@@ -900,7 +930,16 @@ class ClusterCoordinator:
             Item id → ranked recommendations, element-wise identical to
             the single-process fast path (last-request-wins duplicate
             semantics included) for any fleet size and failure
-            topology.
+            topology.  Workers return ranked label ids; the rows are
+            materialised here (see the module docstring).
+
+        Raises:
+            ClusterError: No live workers and no local fallback, a
+                shard out of attempts, or a reply whose columns do not
+                fit the unit that was sent (the message carries the
+                codec's :class:`~repro.cluster.protocol.FrameError`).
+            ClusterExecutionError: A shard raised on its worker — an
+                artifact-identity mismatch among the causes.
         """
         async with self._job_lock:
             if self._closing:
@@ -915,13 +954,16 @@ class ClusterCoordinator:
 
             def encode(keys: Tuple[Hashable, ...]) -> dict:
                 return {**model_ref,
+                        "artifact": model.artifact_identity,
                         "requests": pack_requests(job.requests_of(keys)),
                         "k": k, "hard_limit": hard_limit,
                         "dense_limit": dense_limit}
 
             def decode(keys: Tuple[Hashable, ...], reply: dict) -> int:
-                return job.merge(keys, [unpack_recommendations(packed)
-                                        for packed in reply["results"]])
+                # The reply names labels by id; the rows are built here,
+                # from this process's own mapping of the artifact.
+                return job.merge(keys, unpack_recommendations(
+                    reply, model, job.requests_of(keys)))
 
             await self._run_job("inference", job, encode, decode,
                                 metrics)

@@ -6,11 +6,15 @@ serves assignments sequentially from its connection:
 
 * **Inference shards** — the worker opens the named model artifact
   (zero-copy ``mmap`` for format-3 directories, via
-  :func:`repro.core.serialization.open_model`, memoized per path) and
-  runs the shard through a per-configuration
-  :class:`~repro.core.fast_inference.LeafBatchRunner`, returning
-  per-request results in shard order — the rows
-  :meth:`repro.core.execution.InferenceJob.merge` scatters back.
+  :func:`repro.core.serialization.open_model`, memoized per path),
+  refuses the shard if that is not the save the coordinator mapped
+  (the ``artifact`` identity on the ``run_shard`` frame), and runs it
+  through a per-configuration
+  :class:`~repro.core.fast_inference.LeafBatchRunner` *up to the ranked
+  columns* (``run_ranked``).  No row is built here: the reply's binary
+  tail carries label ids, counts and raw scores
+  (:func:`~repro.cluster.protocol.pack_ranked`), and the coordinator
+  materialises them from its own mapping of the artifact.
 * **Construction shards** — curated leaves arrive on the wire and go
   through :func:`repro.core.execution.build_shard_bundle` (the same
   builder the process pool runs) into a format-3 leaf bundle under the
@@ -18,8 +22,9 @@ serves assignments sequentially from its connection:
   coordinator mmap-opens it) plus the cache state for the
   parent-side merge.
 * **Artifact streaming** — a coordinator without a shared filesystem
-  streams the model artifact in chunked frames; the worker spools it
-  locally and serves it by artifact name, mmap-opened.
+  streams the model artifact in chunked frames (each chunk the frame's
+  binary tail); the worker spools it locally and serves it by artifact
+  name, mmap-opened.
 
 A worker-side exception never kills the worker: it is caught and
 returned as a ``shard_error`` frame carrying the full traceback (the
@@ -38,8 +43,6 @@ host crash mid-plan.
 from __future__ import annotations
 
 import asyncio
-import base64
-import binascii
 import os
 import shutil
 import tempfile
@@ -53,7 +56,7 @@ from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
 from .protocol import (PROTOCOL_VERSION, pack_metrics_snapshot,
-                       pack_recommendations, pack_token_state,
+                       pack_ranked, pack_token_state,
                        unpack_curated_leaves, unpack_requests,
                        unpack_tokenizer)
 from .transport import Transport, TransportClosed
@@ -269,6 +272,15 @@ class ClusterWorker:
 
     def _run_inference_shard(self, message: dict) -> dict:
         model = self._model_for(message)
+        if message.get("artifact") != model.artifact_identity:
+            # The reply names labels by id; read against another save
+            # of the artifact they would be another save's keyphrases.
+            raise RuntimeError(
+                f"artifact mismatch: the coordinator mapped save "
+                f"{message.get('artifact')!r} of the model, {self.name} "
+                f"opened save {model.artifact_identity!r}; a path is "
+                f"opened once per process, so re-saving a served "
+                f"artifact in place needs a restart (or a new path)")
         key = (id(model), message.get("k", 10),
                message.get("hard_limit"),
                message.get("dense_limit", DEFAULT_DENSE_LIMIT))
@@ -280,11 +292,10 @@ class ClusterWorker:
         requests = unpack_requests(message["requests"])
         with self.metrics.timer("worker.shard.seconds",
                                 kind="inference"):
-            results = runner.run_indexed(requests)
+            ranked = runner.run_ranked(requests)
         self.metrics.inc("worker.shards", kind="inference")
         self.metrics.inc("worker.requests", len(requests))
-        return {"results": [pack_recommendations(recs)
-                            for recs in results]}
+        return pack_ranked(ranked, len(requests))
 
     def _run_construction_shard(self, message: dict) -> dict:
         tokenizer = unpack_tokenizer(message["tokenizer"])
@@ -329,8 +340,9 @@ class ClusterWorker:
         """Receive a streamed artifact into the spool dir, frame by frame.
 
         Protocol: ``artifact_begin {name}`` · per file ``artifact_file
-        {filename}`` + ``artifact_chunk {data}``\\* + ``artifact_file_end``
-        · ``artifact_end`` → ``artifact_received`` ack.
+        {filename}`` + ``artifact_chunk`` (the bytes are the frame's
+        tail)\\* + ``artifact_file_end`` · ``artifact_end`` →
+        ``artifact_received`` ack.
         """
         name = message["name"]
         root = self._spool / "artifacts" / name
@@ -350,9 +362,8 @@ class ClusterWorker:
                     current = await loop.run_in_executor(
                         None, open, root / filename, "wb")
                 elif kind == "artifact_chunk":
-                    data = base64.b64decode(frame["data"])
                     await loop.run_in_executor(None, current.write,
-                                               data)
+                                               frame["tail"])
                 elif kind == "artifact_file_end":
                     current.close()
                     current = None
@@ -362,7 +373,7 @@ class ClusterWorker:
                     raise ValueError(
                         f"unexpected frame {kind!r} inside artifact "
                         f"stream")
-        except (ValueError, OSError, KeyError, binascii.Error):
+        except (ValueError, OSError, KeyError):
             if current is not None:
                 current.close()
             await loop.run_in_executor(

@@ -37,10 +37,24 @@ items, whichever leaves they belong to:
    leaf part by part, then one ``np.lexsort`` keyed by (item, score
    desc, Search Count desc, Recall Count asc, label id asc) ranks every
    item's survivors together.
-6. **Materialisation** — each item's segment is capped at
-   ``hard_limit``, label texts are read from the owning leaf in bulk
+6. **Materialisation** (:func:`materialise`) — each item's segment
+   having been capped at ``hard_limit``, label texts are read from the
+   owning leaf in bulk
    (:meth:`~repro.core.serialization.LazyStringList.take` on mapped
    models) and every row is constructed once per chunk.
+
+The kernel is cut between steps 5 and 6.  Everything up to the ranked
+columns — label id, ``c`` and score per surviving row
+(:class:`RankedColumns`) — is a function of the graphs' structure
+only; step 6 adds nothing that is not already in the model artifact.
+In process the two halves run back to back, chunk by chunk, step 6
+taking the Search / Recall Counts step 5 already gathered.  On the
+cluster they run on different machines: a worker stops after step 5
+(:meth:`LeafBatchRunner.run_ranked`) and ships the columns, and the
+coordinator runs the same :func:`materialise` over its own mapping of
+the artifact (:func:`materialise_ranked`).  There is one step-6
+implementation and it validates nothing; columns that crossed a wire
+are checked by their codec first.
 
 The engine is *provably identical* to the scalar path — same candidate
 sets, same IEEE-754 scores (identical operand values through identical
@@ -51,7 +65,8 @@ The scalar path remains the semantics reference.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -164,6 +179,106 @@ def _label_texts(graph: "LeafGraph", labels: np.ndarray) -> List[str]:
     return list(map(texts.__getitem__, labels.tolist()))
 
 
+class RankedColumns(NamedTuple):
+    """A batch's ranked rows as columns: steps 1-5 done, step 6 not.
+
+    A ranked row is a pure function of (owning leaf, label id, c,
+    score) — its text, Search Count and Recall Count are read from the
+    leaf — so these five arrays are all of a result that is not already
+    in the model artifact.  They are what a cluster worker ships
+    (:func:`repro.cluster.protocol.pack_ranked`); whoever holds the same
+    artifact turns them into rows with :func:`materialise_ranked`.
+
+    Attributes:
+        requests: Index (into the batch) of each request that has rows,
+            in the engine's graph-bucketed order.
+        sizes: Its row count.
+        labels: Per row, back to back in that order and ranked within a
+            request: the label id in the owning graph.
+        counts: Per row, ``c = |T ∩ l|``.
+        scores: Per row, the alignment score as the engine computed it.
+    """
+
+    requests: np.ndarray
+    sizes: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
+    scores: np.ndarray
+
+
+def materialise(parts: Sequence[_Part], row_bounds: np.ndarray,
+                labels: np.ndarray, counts: np.ndarray,
+                scores: np.ndarray, search: np.ndarray,
+                recall: np.ndarray,
+                results: List[List[Recommendation]]) -> None:
+    """Step 6, the only implementation: ranked columns → rows, scattered
+    into ``results`` by request index.
+
+    ``parts`` are per-graph runs of request indices; the columns hold
+    those requests' rows back to back in that order, request ``i`` of
+    the sequence owning rows ``row_bounds[i]:row_bounds[i + 1]``.  Label
+    texts are read from each run's own leaf in bulk and every row is
+    constructed once.  Nothing is validated here — the engine hands
+    over what it just computed, and columns that crossed a wire are
+    checked by their codec before they get this far.
+    """
+    cuts = row_bounds.tolist()
+    texts: List[str] = []
+    stop = 0
+    for graph, indices in parts:
+        start, stop = stop, stop + len(indices)
+        texts.extend(_label_texts(graph, labels[cuts[start]:cuts[stop]]))
+    rows = list(map(Recommendation._make, zip(
+        texts, scores.tolist(), search.tolist(), recall.tolist(),
+        counts.tolist())))
+    part_requests = (index for _graph, indices in parts
+                     for index in indices)
+    for index, lo, hi in zip(part_requests, cuts, cuts[1:]):
+        results[index] = rows[lo:hi]
+
+
+def ranked_parts(model: "GraphExModel",
+                 requests: Sequence[InferenceRequest],
+                 answered: Sequence[int]) -> List[_Part]:
+    """The per-graph runs of ``answered`` request indices, in order —
+    each request's owning graph resolved exactly as the engine resolves
+    it (``None`` for a request no graph serves)."""
+    parts: List[_Part] = []
+    for index in answered:
+        graph = model.leaf_graph(requests[index][2]) or model.pooled_graph
+        if parts and parts[-1][0] is graph:
+            parts[-1][1].append(index)
+        else:
+            parts.append((graph, [index]))
+    return parts
+
+
+def materialise_ranked(parts: Sequence[_Part], ranked: RankedColumns,
+                       n_requests: int) -> List[List[Recommendation]]:
+    """Rows of columns ranked elsewhere over the same artifact.
+
+    ``parts`` are :func:`ranked_parts` of ``ranked.requests`` on *this*
+    side's model: Search and Recall Counts are gathered from its leaves,
+    then :func:`materialise` builds the rows.  Returns one list per
+    request of the batch (``[]`` for a request without rows), as
+    :meth:`LeafBatchRunner.run_indexed` does.
+    """
+    results: List[List[Recommendation]] = [[] for _ in range(n_requests)]
+    if not parts:
+        return results
+    row_bounds = np.append(0, np.cumsum(ranked.sizes))
+    cuts = row_bounds[np.append(0, np.cumsum(
+        [len(indices) for _graph, indices in parts]))].tolist()
+    runs = [(graph, ranked.labels[lo:hi])
+            for (graph, _indices), lo, hi in zip(parts, cuts, cuts[1:])]
+    materialise(
+        parts, row_bounds, ranked.labels, ranked.counts, ranked.scores,
+        np.concatenate([graph.search_counts[run] for graph, run in runs]),
+        np.concatenate([graph.recall_counts[run] for graph, run in runs]),
+        results)
+    return results
+
+
 class LeafBatchRunner:
     """Vectorized batch inference: Algorithm 1 over cross-leaf chunks.
 
@@ -229,10 +344,42 @@ class LeafBatchRunner:
         loop's last-request-wins semantics even when duplicates of one
         item id land in different shards.
         """
-        model = self._model
         results: List[List[Recommendation]] = [[] for _ in requests]
+        for parts in self._chunks(requests):
+            self._run_chunk(requests, parts, results)
+        return results
+
+    def run_ranked(self, requests: Sequence[InferenceRequest]
+                   ) -> RankedColumns:
+        """Infer a batch up to the ranked columns — steps 1-5, no row
+        built.  ``materialise_ranked(ranked_parts(model, requests,
+        ranked.requests), ranked, len(requests))`` equals
+        :meth:`run_indexed` on any model opened from the same artifact;
+        the cluster worker stops here and ships the columns."""
+        pieces = []
+        for parts in self._chunks(requests):
+            ranked = self._rank_chunk(requests, parts)
+            if ranked is None:
+                continue
+            row_bounds, labels, counts, scores = ranked[:4]
+            sizes = np.diff(row_bounds)
+            answered = np.flatnonzero(sizes)
+            indices = np.asarray([index for _graph, indices in parts
+                                  for index in indices], dtype=np.int64)
+            pieces.append((indices[answered], sizes[answered], labels,
+                           counts, scores))
+        if not pieces:
+            empty = np.empty(0, dtype=np.int64)
+            return RankedColumns(empty, empty, empty, empty,
+                                 np.empty(0, dtype=np.float64))
+        return RankedColumns(*map(np.concatenate, zip(*pieces)))
+
+    def _chunks(self, requests: Sequence[InferenceRequest]
+                ) -> Iterator[List[_Part]]:
+        """Step 1: the batch's chunks, each a list of per-graph parts."""
         if self._k <= 0:
-            return results
+            return
+        model = self._model
         # Bucket request indices by the graph that will serve them; a
         # request with neither a leaf graph nor the pooled one keeps [].
         groups: Dict[int, _Part] = {}
@@ -258,7 +405,7 @@ class LeafBatchRunner:
             while taken < len(indices):
                 fit = room // width
                 if fit <= 0 and chunk:
-                    self._run_chunk(requests, chunk, results)
+                    yield chunk
                     chunk, room = [], budget
                     continue
                 part = indices[taken:taken + max(1, fit)]
@@ -266,16 +413,28 @@ class LeafBatchRunner:
                 taken += len(part)
                 room -= len(part) * width
         if chunk:
-            self._run_chunk(requests, chunk, results)
-        return results
+            yield chunk
 
     def _run_chunk(self, requests: Sequence[InferenceRequest],
                    parts: Sequence[_Part],
                    results: List[List[Recommendation]]) -> None:
         """Enumerate → prune → rank → materialise one chunk into
         ``results``; ``parts`` are its per-graph runs of request
-        indices.  Only the loops over parts touch a leaf's own arrays —
-        everything between them runs once for the chunk."""
+        indices."""
+        ranked = self._rank_chunk(requests, parts)
+        if ranked is not None:
+            materialise(parts, *ranked, results)
+
+    def _rank_chunk(self, requests: Sequence[InferenceRequest],
+                    parts: Sequence[_Part]
+                    ) -> Optional[Tuple[np.ndarray, ...]]:
+        """Steps 2-5 for one chunk, capped at ``hard_limit``: the
+        arguments :func:`materialise` takes between ``parts`` and
+        ``results`` — ``(row_bounds, labels, counts, scores, search,
+        recall)``, rows in ranked order — or ``None`` when no title
+        word of the chunk is in any of its graphs.  Only the loops over
+        parts touch a leaf's own arrays; everything between them runs
+        once for the chunk."""
         graphs = [graph for graph, _indices in parts]
         part_sizes = [len(indices) for _graph, indices in parts]
         part_cuts = np.append(0, np.cumsum(part_sizes))
@@ -313,7 +472,7 @@ class LeafBatchRunner:
         degrees = np.concatenate(degrees_of)
         total = int(degrees.sum())
         if total == 0:
-            return
+            return None
 
         # Gather: one index vector holds every adjacency entry's
         # position in its own leaf's ``indices``; the per-part reads
@@ -380,18 +539,8 @@ class LeafBatchRunner:
                 + np.arange(capped_bounds[-1], dtype=np.int64)]
             row_bounds = capped_bounds
 
-        ranked_labels = labels[order]
-        texts: List[str] = []
-        for graph, lo, hi in by_part(row_bounds):
-            texts.extend(_label_texts(graph, ranked_labels[lo:hi]))
-        rows = list(map(Recommendation._make, zip(
-            texts, scores[order].tolist(), search[order].tolist(),
-            recall[order].tolist(), counts[order].tolist())))
-        cuts = row_bounds.tolist()
-        chunk_requests = (index for _graph, indices in parts
-                          for index in indices)
-        for index, lo, hi in zip(chunk_requests, cuts, cuts[1:]):
-            results[index] = rows[lo:hi]
+        return (row_bounds, labels[order], counts[order], scores[order],
+                search[order], recall[order])
 
 
 def fast_batch_recommend(model: "GraphExModel",

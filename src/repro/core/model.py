@@ -161,6 +161,12 @@ class GraphExModel:
                                 else getattr(alignment, "__name__", "custom"))
         self._alignment = get_alignment(alignment)
         self._pooled = pooled_graph
+        #: Which saved artifact this model was opened from — set by
+        #: :func:`repro.core.serialization.load_model` / ``open_model``,
+        #: ``None`` for a model built in memory.  Two models share it
+        #: exactly when they were opened from the same save, which is
+        #: what lets a cluster ship label ids instead of rows.
+        self.artifact_identity: Optional[str] = None
 
     @classmethod
     def construct(cls, curated: CuratedKeyphrases,

@@ -41,6 +41,7 @@ model-size comparison.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import uuid
@@ -423,11 +424,17 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
     return directory
 
 
-def _read_meta(directory: Path) -> Dict:
+def _read_meta(directory: Path) -> Tuple[Dict, str]:
     """Read a *model's* ``model.json`` and validate its
-    ``format_version``; a leaf bundle is rejected by name."""
-    with open(directory / _META_FILE, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    ``format_version``; a leaf bundle is rejected by name.
+
+    Returns the parsed metadata and the artifact's identity: a digest
+    of the very bytes parsed.  ``model.json`` names the payload file,
+    which every :func:`save_model` call names afresh, so two opens agree
+    on the identity exactly when they read the same save.
+    """
+    raw = (directory / _META_FILE).read_bytes()
+    meta = json.loads(raw.decode("utf-8"))
     if meta.get("kind") == _LEAF_BUNDLE:
         raise ValueError(
             f"{directory} holds kind: \"{_LEAF_BUNDLE}\" (a shard of "
@@ -440,7 +447,7 @@ def _read_meta(directory: Path) -> Dict:
             f"{directory / _META_FILE}; this build reads versions "
             f"{SUPPORTED_FORMATS} (was the artifact written by a newer "
             f"build?)")
-    return meta
+    return meta, hashlib.sha256(raw).hexdigest()[:16]
 
 
 def model_format_version(directory: Union[str, Path]) -> int:
@@ -450,10 +457,10 @@ def model_format_version(directory: Union[str, Path]) -> int:
         FileNotFoundError: If the directory lacks ``model.json``.
         ValueError: If the version is not one this build supports.
     """
-    return int(_read_meta(Path(directory))["format_version"])
+    return int(_read_meta(Path(directory))[0]["format_version"])
 
 
-def _load_from_meta(meta: Dict, directory: Path,
+def _load_from_meta(meta: Dict, identity: str, directory: Path,
                     mmap: bool) -> GraphExModel:
     version = meta["format_version"]
     if version == 3:
@@ -479,8 +486,10 @@ def _load_from_meta(meta: Dict, directory: Path,
     if alignment == "custom":
         alignment = "lta"
     get_alignment(alignment)  # fail fast on unknown names
-    return GraphExModel(leaf_graphs, tokenizer=tokenizer,
-                        alignment=alignment, pooled_graph=pooled)
+    model = GraphExModel(leaf_graphs, tokenizer=tokenizer,
+                         alignment=alignment, pooled_graph=pooled)
+    model.artifact_identity = identity
+    return model
 
 
 def load_model(directory: Union[str, Path],
@@ -508,7 +517,7 @@ def load_model(directory: Union[str, Path],
             pre-3 format.
     """
     directory = Path(directory)
-    meta = _read_meta(directory)
+    meta, identity = _read_meta(directory)
     version = int(meta["format_version"])
     if mmap and version != 3:
         raise ValueError(
@@ -516,7 +525,7 @@ def load_model(directory: Union[str, Path],
             f"{directory} holds format_version {version}; re-save it "
             f"with save_model(model, directory) to enable zero-copy "
             f"opens")
-    return _load_from_meta(meta, directory, mmap=mmap)
+    return _load_from_meta(meta, identity, directory, mmap=mmap)
 
 
 def open_model(source: Union[GraphExModel, str, Path]) -> GraphExModel:
@@ -531,8 +540,8 @@ def open_model(source: Union[GraphExModel, str, Path]) -> GraphExModel:
     if isinstance(source, GraphExModel):
         return source
     directory = Path(source)
-    meta = _read_meta(directory)
-    return _load_from_meta(meta, directory,
+    meta, identity = _read_meta(directory)
+    return _load_from_meta(meta, identity, directory,
                            mmap=meta["format_version"] == 3)
 
 

@@ -83,6 +83,19 @@ class TestRuleFixtures:
         assert len(report.waived) == 1
         assert report.waived[0].rule == "store-lock-discipline"
 
+    def test_pickle_boundary_finds_numpys_side_doors(self):
+        """numpy touches the cluster wire, so its own ways into pickle
+        are flagged beside the module itself — one finding per door."""
+        report = lint_fixture("pickle_boundary_bad.py",
+                              NoPickleBoundaryRule())
+        flagged = sorted(v.message.split("(")[1].split(")")[0]
+                         for v in report.violations)
+        assert flagged == sorted([
+            "pickle", "pickle", "pickle.dumps", "np.loads",
+            "allow_pickle= not the literal False",
+            "allow_pickle= not the literal False",
+            "ndarray.dump", "ndarray.dumps"])
+
     def test_mmap_bad_flags_all_three_shapes(self):
         report = lint_fixture("mmap_safety_bad.py",
                               MmapWriteSafetyRule())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import struct
 from collections import deque
 from pathlib import Path
 
@@ -29,18 +30,19 @@ from repro.cluster import (ClusterCoordinator, ClusterError,
                            RetriesExhausted, RetryPolicy,
                            TransportClosed, WorkerKilled, decode_frame,
                            encode_frame)
-from repro.cluster.protocol import (pack_recommendations, pack_requests,
+from repro.cluster.protocol import (pack_ranked, pack_requests,
                                     pack_token_state, pack_tokenizer,
+                                    read_frame, unpack_ranked,
                                     unpack_recommendations,
                                     unpack_requests, unpack_token_state,
                                     unpack_tokenizer)
+from repro.cluster.transport import Transport
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
 from repro.core.fast_construct import fast_construct_leaf_graphs
-from repro.core.fast_inference import LeafBatchRunner
-from repro.core.inference import Recommendation
+from repro.core.fast_inference import LeafBatchRunner, RankedColumns
 from repro.core.model import GraphExModel
-from repro.core.serialization import save_model
+from repro.core.serialization import open_model, save_model
 from repro.core.tokenize import DEFAULT_TOKENIZER, SpaceTokenizer
 
 
@@ -200,10 +202,76 @@ class TestRetryPolicy:
 # Protocol
 
 
+def through_a_stream(wire: bytes, n_frames: int = 1):
+    """What the receiving end of a connection makes of ``wire``: the
+    frame it reads, or the list of them when asked for several."""
+    async def read_back():
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire)
+        reader.feed_eof()
+        return [await read_frame(reader) for _ in range(n_frames)]
+
+    frames = asyncio.run(read_back())
+    return frames[0] if n_frames == 1 else frames
+
+
+def bit_patterns(n: int) -> np.ndarray:
+    """``n`` float64 scores that between them hold every awkward bit
+    pattern: the smallest subnormal, the largest finite, both zeros,
+    infinities, and quiet and signalling NaNs with payloads."""
+    awkward = np.array([5e-324, 1.7976931348623157e308, -0.0, 0.0,
+                        np.inf, -np.inf, 0.1, 1 / 3], dtype="<f8")
+    nans = np.array([0x7ff8000000000000, 0x7ff8000000000001,
+                     0xfff8dead0000beef, 0x7ff0000000000001,
+                     0x7ff4000000c0ffee], dtype="<u8").view("<f8")
+    return np.resize(np.concatenate([awkward, nans]), n)
+
+
 class TestProtocol:
-    def test_frame_roundtrip(self):
+    def test_frame_roundtrip_with_and_without_a_tail(self):
         message = {"type": "x", "nested": {"a": [1, 2.5, "s", None]}}
-        assert decode_frame(encode_frame(message)[4:]) == message
+        assert through_a_stream(encode_frame(message)) == message
+        for tail in (b"\x00", bytes(range(256)) * 3, b'{"type":"y"}'):
+            sent = {**message, "tail": tail}
+            frame = encode_frame(sent)
+            assert isinstance(frame, bytes)
+            assert frame.endswith(tail)             # raw, not re-encoded
+            assert through_a_stream(frame) == sent
+            assert sent == {**message, "tail": tail}   # not mutated
+        # An empty tail is no tail.
+        assert through_a_stream(
+            encode_frame({**message, "tail": b""})) == message
+        # Two frames back to back stay two frames.
+        both = encode_frame({"n": 1, "tail": b"ab"}) + encode_frame({"n": 2})
+        assert through_a_stream(both, 2) == [{"n": 1, "tail": b"ab"},
+                                             {"n": 2}]
+
+    def test_tail_is_bytes_and_the_control_object_cannot_name_it(self):
+        with pytest.raises(FrameError, match="must be bytes"):
+            encode_frame({"type": "x", "tail": "text"})
+        with pytest.raises(FrameError, match="must be bytes"):
+            encode_frame({"type": "x", "tail": [1, 2]})
+        with pytest.raises(FrameError, match="binary tail"):
+            decode_frame(b'{"type":"x","tail":[1,2]}')
+
+    def test_protocol_1_worker_is_rejected_at_registration(self):
+        """A pre-tail worker would answer with JSON rows this
+        coordinator no longer reads: it is turned away up front, with
+        the reason the version check always gave."""
+        async def drive():
+            async with ClusterCoordinator() as coord:
+                peer = Transport(*await asyncio.open_connection(
+                    coord.host, coord.port))
+                await peer.send({"type": "register", "name": "old",
+                                 "protocol": 1})
+                reply = await peer.recv()
+                peer.close()
+                return reply, coord.n_live()
+
+        reply, n_live = asyncio.run(drive())
+        assert reply["type"] == "error"
+        assert reply["reason"] == "protocol 1 != coordinator protocol 2"
+        assert n_live == 0
 
     def test_non_object_payload_rejected(self):
         with pytest.raises(FrameError, match="JSON object"):
@@ -211,14 +279,80 @@ class TestProtocol:
         with pytest.raises(FrameError, match="undecodable"):
             decode_frame(b"{nope")
 
-    def test_recommendations_roundtrip_bit_exact(self):
-        scores = [0.1, 1 / 3, 5e-324, 1.7976931348623157e308,
-                  2.220446049250313e-16]
-        recs = [Recommendation(f"text {i}", score, i, i + 1, i % 3)
-                for i, score in enumerate(scores)]
-        back = unpack_recommendations(
-            json.loads(json.dumps(pack_recommendations(recs))))
-        assert back == recs  # float equality == bit identity here
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 6), min_size=0, max_size=12),
+           n_unanswered=st.integers(0, 5),
+           bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=8),
+           seed=st.integers(0, 2 ** 31))
+    def test_ranked_columns_roundtrip_bit_exact(self, sizes, n_unanswered,
+                                                bits, seed):
+        """Columns cross the wire as the bytes they are: every score
+        bit pattern — subnormals, -0.0, NaN payloads, drawn at random —
+        comes back byte for byte, and so does every integer."""
+        rng = np.random.default_rng(seed)
+        n_requests = len(sizes) + n_unanswered
+        n_rows = sum(sizes)
+        scores = bit_patterns(n_rows)
+        drawn = np.array(bits[:n_rows], dtype="<u8").view("<f8")
+        scores[:len(drawn)] = drawn
+        ranked = RankedColumns(
+            requests=rng.permutation(n_requests)[:len(sizes)],
+            sizes=np.array(sizes, dtype=np.int64),
+            labels=rng.integers(0, 2 ** 31, n_rows),
+            counts=rng.integers(1, 40, n_rows),
+            scores=scores)
+        reply = through_a_stream(encode_frame(
+            {"type": "shard_result", **pack_ranked(ranked, n_requests)}))
+        back = unpack_ranked(reply, n_requests)
+        for sent, got in zip(ranked[:4], back[:4]):
+            assert got.dtype == np.dtype("<i4")
+            assert np.array_equal(sent, got)
+        assert back.scores.tobytes() == scores.tobytes()
+        # 8 bytes per answered request, 16 per row, nothing else.
+        assert len(reply.get("tail", b"")) == 8 * len(sizes) + 16 * n_rows
+
+    def test_columns_that_do_not_fit_int32_are_refused_by_the_sender(self):
+        wide = RankedColumns(np.array([0]), np.array([1]),
+                             np.array([2 ** 31]), np.array([1]),
+                             np.array([0.5]))
+        with pytest.raises(FrameError, match="'labels' does not fit"):
+            pack_ranked(wide, 1)
+
+    @pytest.mark.parametrize("kwargs,titles", [
+        ({"k": 0}, None), ({"k": -3}, None),
+        ({"k": 5, "hard_limit": 0}, None),
+        ({"k": 5}, "zzz qqq"), ({"k": 5}, ""),
+    ], ids=["k=0", "k<0", "hard_limit=0", "all-oov", "empty-titles"])
+    def test_empty_shards_cross_as_an_empty_tail(self, model, requests,
+                                                 kwargs, titles):
+        if titles is not None:
+            requests = [(item_id, titles, leaf_id)
+                        for item_id, _title, leaf_id in requests]
+        runner = LeafBatchRunner(model, **kwargs)
+        packed = pack_ranked(runner.run_ranked(requests), len(requests))
+        assert packed["n_answered"] == packed["n_rows"] == 0
+        reply = through_a_stream(encode_frame(packed))
+        assert "tail" not in reply
+        assert unpack_recommendations(reply, model, requests) \
+            == runner.run_indexed(requests) == [[] for _ in requests]
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["copied", "mmap"])
+    def test_shipped_columns_materialise_to_the_engines_rows(
+            self, model, artifact, requests, mmap):
+        """worker half + wire + coordinator half == run_indexed, rows
+        compared field by field (floats by ==, which is bit identity
+        for the finite scores the alignments produce)."""
+        from repro.core.serialization import load_model
+        opened = load_model(artifact, mmap=mmap)
+        reqs = requests + [(99, "nothing known here", 2),
+                           (100, "word1 phrase 3", 77)]
+        for kwargs in ({"k": 5}, {"k": 3, "hard_limit": 2},
+                       {"k": 4, "dense_limit": 0}):
+            worker_side = LeafBatchRunner(model, **kwargs)
+            reply = through_a_stream(encode_frame(pack_ranked(
+                worker_side.run_ranked(reqs), len(reqs))))
+            assert unpack_recommendations(reply, opened, reqs) \
+                == worker_side.run_indexed(reqs)
 
     def test_requests_roundtrip(self):
         reqs = [(1, "a title", 7), (2, "", -3)]
@@ -375,6 +509,37 @@ class TestClusterInference:
 
         assert asyncio.run(drive()) == expected
 
+    def test_streamed_artifact_costs_its_file_bytes_on_the_wire(
+            self, artifact, requests, expected, monkeypatch):
+        """File chunks ride the frame tail raw: streaming an artifact
+        moves its bytes plus a few small control frames, not 4/3 of
+        them as base64-in-JSON did."""
+        import repro.cluster.protocol as protocol
+        streamed = []
+        encode = protocol.encode_frame
+
+        def counting(message):
+            frame = encode(message)
+            if str(message.get("type")).startswith("artifact_"):
+                streamed.append(len(frame))
+            return frame
+
+        monkeypatch.setattr(protocol, "encode_frame", counting)
+
+        async def drive():
+            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
+                _w, task = await spawn_worker(coord, name="streamed")
+                await coord.wait_for_workers(1, timeout=10.0)
+                got = await coord.run_inference(
+                    str(artifact), requests, k=5, distribute="stream")
+                await teardown(coord, [task])
+                return got
+
+        assert asyncio.run(drive()) == expected
+        file_bytes = sum(path.stat().st_size
+                         for path in Path(artifact).iterdir())
+        assert file_bytes < sum(streamed) <= 1.05 * file_bytes
+
     def test_empty_fleet_degrades_to_local(self, artifact, requests,
                                            expected):
         async def drive():
@@ -486,6 +651,351 @@ class TestClusterInference:
                 return count
 
         assert asyncio.run(drive()) == 2
+
+
+# ---------------------------------------------------------------------------
+# Hostile result columns: the coordinator trusts nothing in a reply
+
+
+COLUMNS = ("requests", "sizes", "labels", "counts", "scores")
+
+
+def result_columns(message: dict) -> dict:
+    """Writable copies of a result message's five columns."""
+    a, r = message["n_answered"], message["n_rows"]
+    tail = message.get("tail", b"")
+    ints = np.frombuffer(tail, "<i4", 2 * (a + r)).copy()
+    cuts = [0, a, 2 * a, 2 * a + r, 2 * (a + r)]
+    columns = {name: ints[lo:hi]
+               for name, lo, hi in zip(COLUMNS, cuts, cuts[1:])}
+    columns["scores"] = np.frombuffer(tail, "<f8", r, 8 * (a + r)).copy()
+    return columns
+
+
+def poke(column: str, index: int, value) -> "callable":
+    """A mutation: overwrite one cell of one column (``value`` may be a
+    function of the message and its columns)."""
+    def mutate(message: dict) -> dict:
+        columns = result_columns(message)
+        columns[column][index] = value(message, columns) \
+            if callable(value) else value
+        return {**message, "tail": b"".join(
+            columns[name].tobytes() for name in COLUMNS)}
+    return mutate
+
+
+HOSTILE = {
+    "label-past-its-graph": (
+        poke("labels", 0, 10 ** 6), "label id outside its owning graph"),
+    "label-negative": (
+        poke("labels", -1, -1), "label id outside its owning graph"),
+    "label-one-past-the-last": (
+        # Every fixture leaf holds six labels: ids 0..5.
+        poke("labels", 0, 6), "label id outside its owning graph"),
+    "request-index-out-of-range": (
+        poke("requests", 0, lambda m, c: m["n_requests"]),
+        "request index outside the shard"),
+    "request-index-negative": (
+        poke("requests", 0, -1), "request index outside the shard"),
+    "request-index-duplicated": (
+        poke("requests", 1, lambda m, c: c["requests"][0]),
+        "request index twice"),
+    "row-count-negative": (
+        poke("sizes", 0, -1), "negative row count"),
+    "row-counts-do-not-sum": (
+        poke("sizes", 0, lambda m, c: c["sizes"][0] + 1),
+        "row counts sum to"),
+    "tail-too-long": (
+        lambda m: {**m, "tail": m["tail"] + b"\x00" * 4},
+        "result tail is"),
+    "tail-too-short": (
+        lambda m: {**m, "tail": m["tail"][:-4]}, "result tail is"),
+    "tail-missing": (
+        lambda m: {k: v for k, v in m.items() if k != "tail"},
+        "result tail is 0 bytes"),
+    "request-count-echo-wrong": (
+        lambda m: {**m, "n_requests": m["n_requests"] + 1},
+        "answers a shard of"),
+    "row-count-field-not-a-count": (
+        lambda m: {**m, "n_rows": -1}, "'n_rows' must be a count"),
+    "answered-field-missing": (
+        lambda m: {k: v for k, v in m.items() if k != "n_answered"},
+        "'n_answered' must be a count"),
+}
+
+
+class TamperOnce:
+    """Worker-side transport wrapper: rewrites the first
+    ``shard_result`` it is asked to send, then behaves."""
+
+    def __init__(self, transport, mutate):
+        self._transport = transport
+        self._mutate = mutate
+
+    async def send(self, message: dict) -> None:
+        if self._mutate is not None \
+                and message.get("type") == "shard_result":
+            message, self._mutate = self._mutate(message), None
+        await self._transport.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
+
+
+class TestHostileResults:
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_codec_names_the_fault_and_builds_no_row(self, model,
+                                                     requests, case):
+        mutate, reason = HOSTILE[case]
+        honest = pack_ranked(
+            LeafBatchRunner(model, k=5).run_ranked(requests),
+            len(requests))
+        assert unpack_recommendations(honest, model, requests) \
+            == LeafBatchRunner(model, k=5).run_indexed(requests)
+        with pytest.raises(FrameError, match=reason):
+            unpack_recommendations(mutate(honest), model, requests)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_job_fails_by_name_and_the_next_one_runs(
+            self, artifact, requests, expected, case):
+        """A tampered reply fails its job with the codec's reason — no
+        row of it is ever returned — and the coordinator, its worker
+        and its mapped model are all still good for the next job."""
+        mutate, reason = HOSTILE[case]
+
+        async def drive():
+            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
+                _w, task = await spawn_worker(
+                    coord, name="tampered",
+                    transport_wrapper=lambda t: TamperOnce(t, mutate))
+                await coord.wait_for_workers(1, timeout=10.0)
+                with pytest.raises(ClusterError, match=reason) as info:
+                    await coord.run_inference(str(artifact), requests,
+                                              k=5)
+                got = await coord.run_inference(str(artifact), requests,
+                                                k=5)
+                report = coord.last_report
+                await teardown(coord, [task])
+                return str(info.value), got, report
+
+        message, got, report = asyncio.run(drive())
+        assert "FrameError" in message and "tampered" in message
+        assert got == expected
+        assert report.workers_used == ["tampered"]
+        assert report.n_local_units == 0
+
+
+# ---------------------------------------------------------------------------
+# One artifact save per job: ids are only as good as the texts they index
+
+
+class TestArtifactIdentity:
+    def test_identity_names_the_save_not_the_path(self, model, tmp_path):
+        directory = save_model(model, tmp_path / "model")
+        first = open_model(directory).artifact_identity
+        assert first and first == open_model(directory).artifact_identity
+        save_model(model, directory)          # same model, same path
+        assert open_model(directory).artifact_identity != first
+        assert model.artifact_identity is None      # built, not opened
+
+    def test_worker_on_another_save_is_refused_not_misread(
+            self, curated, model, requests, expected, tmp_path):
+        """Coordinator and worker each open a path once.  A worker that
+        joins after an in-place re-save maps another payload than the
+        coordinator did; with ids on the wire its answer would read as
+        another save's keyphrases, so the shard is refused by name."""
+        directory = save_model(model, tmp_path / "served")
+        # Same labels in another order: every id now means another text.
+        shuffled = build_curated()
+        for leaf in shuffled.leaves.values():
+            leaf.texts.reverse()
+        other = GraphExModel.construct(shuffled)
+
+        async def drive():
+            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
+                _w, early = await spawn_worker(coord, name="early")
+                await coord.wait_for_workers(1, timeout=10.0)
+                untouched = await coord.run_inference(
+                    str(directory), requests, k=5)
+                mapped = open_model(directory).artifact_identity
+                early.cancel()
+                await asyncio.gather(early, return_exceptions=True)
+                while coord.n_live():
+                    await asyncio.sleep(0.01)
+
+                save_model(other, directory)
+                resaved = open_model(directory).artifact_identity
+                _w, late = await spawn_worker(coord, name="late")
+                await coord.wait_for_workers(1, timeout=10.0)
+                with pytest.raises(ClusterExecutionError,
+                                   match="artifact mismatch") as info:
+                    await coord.run_inference(str(directory), requests,
+                                              k=5)
+                # Nothing else is disturbed: another artifact still runs
+                # on the same coordinator and the same worker.
+                elsewhere = save_model(model, tmp_path / "elsewhere")
+                again = await coord.run_inference(str(elsewhere),
+                                                  requests, k=5)
+                await teardown(coord, [late])
+                return untouched, mapped, resaved, str(info.value), again
+
+        untouched, mapped, resaved, message, again = asyncio.run(drive())
+        assert untouched == again == expected
+        assert mapped != resaved
+        assert repr(mapped) in message and repr(resaved) in message
+        assert "late" in message
+
+
+# ---------------------------------------------------------------------------
+# Malformed frames: a peer that is not speaking the protocol
+
+
+async def raw_peer(coord):
+    return await asyncio.open_connection(coord.host, coord.port)
+
+
+async def register_raw(coord, name: str):
+    """A hand-driven registered peer: (reader, writer)."""
+    reader, writer = await raw_peer(coord)
+    writer.write(encode_frame({"type": "register", "name": name,
+                               "protocol": 2}))
+    assert (await read_frame(reader))["type"] == "registered"
+    return reader, writer
+
+
+def frame_declaring(control: bytes, tail_declared: int,
+                    body: bytes) -> bytes:
+    """A hand-built frame whose header need not match its body."""
+    return struct.pack(">II", len(control), tail_declared) + control + body
+
+
+HEARTBEAT = b'{"type":"heartbeat"}'
+MALFORMED = {
+    # The reader takes the missing tail bytes out of the next frame's
+    # header and then reads that frame's JSON as a header.
+    "tail-shorter-than-declared": (
+        frame_declaring(HEARTBEAT, 16, b"\x01" * 8)
+        + encode_frame({"type": "heartbeat"}),
+        "peer announced a"),
+    # The frame itself is served; the surplus reads as the next header.
+    "tail-longer-than-declared": (
+        frame_declaring(HEARTBEAT, 8, b"\xff" * 16),
+        "peer announced a"),
+    "control-object-not-json": (
+        frame_declaring(b"{nope", 0, b""), "undecodable frame"),
+    "control-object-not-an-object": (
+        frame_declaring(b"[1,2]", 0, b""), "must be a JSON object"),
+    "control-object-names-the-tail": (
+        frame_declaring(b'{"type":"heartbeat","tail":"x"}', 0, b""),
+        "binary tail"),
+}
+
+
+class TestMalformedFrames:
+    @staticmethod
+    def collect_loop_errors() -> list:
+        """Everything asyncio would otherwise log as 'Unhandled
+        exception in client_connected_cb' / 'Task exception was never
+        retrieved'."""
+        errors: list = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context))
+        return errors
+
+    def test_garbage_hello_is_rejected_by_name(self, artifact, requests,
+                                               expected):
+        async def drive():
+            errors = self.collect_loop_errors()
+            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
+                _w, task = await spawn_worker(coord, name="survivor")
+                await coord.wait_for_workers(1, timeout=10.0)
+                reader, writer = await raw_peer(coord)
+                writer.write(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+                reply = await asyncio.wait_for(read_frame(reader), 5.0)
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+                got = await coord.run_inference(str(artifact), requests,
+                                                k=5)
+                rejected = coord.metrics.counter_value(
+                    "coordinator.frames.rejected")
+                names = coord.worker_names()
+                await teardown(coord, [task])
+                await asyncio.sleep(0)
+                return reply, got, rejected, names, errors
+
+        reply, got, rejected, names, errors = asyncio.run(drive())
+        assert reply["type"] == "error"
+        # "GET " and "/ HT" read as the two uint32 lengths of a header.
+        announced = sum(struct.unpack(">II", b"GET / HT"))
+        assert reply["reason"].startswith(
+            f"malformed frame: peer announced a {announced}-byte frame")
+        assert got == expected and names == ["survivor"]
+        assert rejected == 1
+        assert errors == []
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_mid_session_malformed_frame_drops_only_that_worker(
+            self, artifact, requests, expected, case):
+        wire, reason = MALFORMED[case]
+
+        async def drive():
+            errors = self.collect_loop_errors()
+            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
+                _w, task = await spawn_worker(coord, name="survivor")
+                reader, writer = await register_raw(coord, "broken")
+                await coord.wait_for_workers(2, timeout=10.0)
+                writer.write(wire)
+                reply = await asyncio.wait_for(read_frame(reader), 5.0)
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+                names = coord.worker_names()
+                got = await coord.run_inference(str(artifact), requests,
+                                                k=5)
+                report = coord.last_report
+                rejected = coord.metrics.counter_value(
+                    "coordinator.frames.rejected")
+                await teardown(coord, [task])
+                await asyncio.sleep(0)
+                return reply, names, got, report, rejected, errors
+
+        reply, names, got, report, rejected, errors = asyncio.run(drive())
+        assert reply["type"] == "error"
+        assert reply["reason"].startswith("malformed frame: ")
+        assert reason in reply["reason"]
+        assert names == ["survivor"]
+        assert got == expected
+        assert report.workers_used == ["survivor"]
+        assert rejected == 1
+        assert errors == []
+
+    def test_malformed_frame_mid_shard_replans_its_unit(
+            self, artifact, requests, expected):
+        """The broken peer holds a unit when its stream goes bad: the
+        unit is re-planned onto the survivor and merged exactly once."""
+        async def drive():
+            errors = self.collect_loop_errors()
+            async with ClusterCoordinator(rpc_timeout=20.0,
+                                          retry=fast_retry()) as coord:
+                reader, writer = await register_raw(coord, "broken")
+                await coord.wait_for_workers(1, timeout=10.0)
+                _w, task = await spawn_worker(coord, name="survivor")
+                await coord.wait_for_workers(2, timeout=10.0)
+                job = asyncio.ensure_future(coord.run_inference(
+                    str(artifact), requests, k=5))
+                shard = await asyncio.wait_for(read_frame(reader), 5.0)
+                assert shard["type"] == "run_shard"
+                writer.write(frame_declaring(b"{nope", 0, b""))
+                got = await job
+                report = coord.last_report
+                writer.close()
+                await teardown(coord, [task])
+                return got, report, errors
+
+        got, report, errors = asyncio.run(drive())
+        assert got == expected
+        assert report.n_replans == 1
+        assert all(count == 1 for count in report.merge_counts.values())
+        assert errors == []
 
 
 # ---------------------------------------------------------------------------

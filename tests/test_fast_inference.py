@@ -20,7 +20,8 @@ from repro.core.batch import batch_recommend, differential_update
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.fast_inference import (LeafBatchRunner, _label_texts,
                                        _prune_by_count_array,
-                                       fast_batch_recommend)
+                                       fast_batch_recommend,
+                                       materialise_ranked, ranked_parts)
 from repro.core.inference import prune_by_count_groups, recommend_from_graph
 from repro.core.model import GraphExModel
 from repro.core.serialization import LazyStringList, load_model, save_model
@@ -214,6 +215,35 @@ class TestCrossLeafChunks:
             key_range = sum(n_labels * n for n_labels, n in parts)
             assert key_range <= dense_limit \
                 or sum(n for _n_labels, n in parts) == 1
+
+    @given(world=mixed_worlds, reqs=mixed_requests, k=st.integers(-1, 8),
+           alignment=st.sampled_from(ALIGNMENTS),
+           build_pooled=st.booleans(),
+           hard_limit=st.one_of(st.none(), st.integers(0, 8)),
+           dense_limit=st.integers(0, 48))
+    @settings(max_examples=80, deadline=None)
+    def test_ranked_columns_materialise_to_the_same_rows(
+            self, world, reqs, k, alignment, build_pooled, hard_limit,
+            dense_limit):
+        """The split before step 6: ``run_ranked`` then
+        ``materialise_ranked`` — the cluster's worker and coordinator
+        halves — equals ``run_indexed``, chunk cuts and all, and the
+        columns name only requests that have rows, each once."""
+        model = make_model(world, alignment=alignment,
+                           build_pooled=build_pooled)
+        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
+                                 dense_limit=dense_limit)
+        ranked = runner.run_ranked(reqs)
+        answered = ranked.requests.tolist()
+        assert len(set(answered)) == len(answered)
+        assert (ranked.sizes > 0).all()
+        assert ranked.sizes.sum() == len(ranked.labels) \
+            == len(ranked.counts) == len(ranked.scores)
+        rows = materialise_ranked(ranked_parts(model, reqs, answered),
+                                  ranked, len(reqs))
+        assert rows == runner.run_indexed(reqs)
+        assert [i for i, recs in enumerate(rows) if recs] \
+            == sorted(answered)
 
     def test_a_group_splits_and_a_chunk_spans_leaves(self):
         """Directed: with room for 16 keys, the two small leaves share
