@@ -74,11 +74,11 @@ from ..core.fast_construct import fast_construct_leaf_graphs
 from ..core.fast_inference import DEFAULT_DENSE_LIMIT
 from ..core.model import GraphExModel
 from ..core.serialization import open_model, save_model
-from ..core.tokenize import DEFAULT_TOKENIZER, TokenCache, Tokenizer
+from ..core.tokenize import DEFAULT_TOKENIZER, Tokenizer
 from ..obs import MetricsRegistry, merge_snapshots, validate_snapshot
 from .protocol import (PROTOCOL_VERSION, FrameError,
                        pack_curated_leaves, pack_requests, pack_tokenizer,
-                       unpack_recommendations, unpack_token_state)
+                       unpack_recommendations)
 from .retry import RetryPolicy
 from .transport import Transport, TransportClosed
 
@@ -973,7 +973,7 @@ class ClusterCoordinator:
             self, curated: "CuratedKeyphrases",
             tokenizer: Tokenizer = DEFAULT_TOKENIZER, *,
             metrics: Optional[MetricsRegistry] = None
-            ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
+            ) -> Dict[int, "LeafGraph"]:
         """Build every non-empty leaf graph across the fleet.
 
         Same contract as every other executor's ``run_construction``:
@@ -981,9 +981,9 @@ class ClusterCoordinator:
         their spool (:func:`~repro.core.execution.build_shard_bundle`)
         and the coordinator mmap-opens them (localhost / shared
         filesystem — the bundle never crosses the wire as a pickle);
-        the :class:`~repro.core.execution.ConstructionJob` merges the
-        token-cache states in an order that does not depend on which
-        unit finished first.
+        a reply names its bundle and nothing else, and the
+        :class:`~repro.core.execution.ConstructionJob` returns the
+        graphs in curated order whichever unit finished first.
 
         A tokenizer that is not wire-representable (anything but a
         plain ``SpaceTokenizer``) cannot promise identical semantics on
@@ -1006,9 +1006,7 @@ class ClusterCoordinator:
                             job.leaves_of(keys))}
 
             def decode(keys: Tuple[Hashable, ...], reply: dict) -> int:
-                return job.merge_bundle(
-                    keys, reply["bundle_path"],
-                    unpack_token_state(reply["token_state"]))
+                return job.merge_bundle(keys, reply["bundle_path"])
 
             await self._run_job("construction", job, encode, decode,
                                 metrics)

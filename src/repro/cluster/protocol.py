@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "pack_requests", "unpack_requests",
     "pack_curated_leaves", "unpack_curated_leaves",
     "pack_tokenizer", "unpack_tokenizer",
-    "pack_token_state", "unpack_token_state",
     "pack_metrics_snapshot", "unpack_metrics_snapshot",
 ]
 
@@ -64,7 +63,9 @@ __all__ = [
 #: binary tail and inference results became columns in it.  (A
 #: protocol-1 peer's 4-byte header cannot even be framed: its first
 #: bytes read as an absurd length and it is turned away as malformed.)
-PROTOCOL_VERSION = 2
+#: 3: the construction reply is the bundle path alone — it no longer
+#: carries a token-cache state.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on a single frame (control object plus tail).  Large
 #: transfers (model artifacts) are chunked below this; a peer announcing
@@ -306,25 +307,6 @@ def unpack_tokenizer(spec: dict) -> SpaceTokenizer:
     """Inverse of :func:`pack_tokenizer`."""
     return SpaceTokenizer(stem=bool(spec["stem"]),
                           drop_stopwords=tuple(spec["stopwords"]))
-
-
-def pack_token_state(state: Tuple[List[str], Dict[str, Tuple[int, ...]],
-                                  Optional[Dict[str, int]]]) -> list:
-    """A ``TokenCache.export_state`` snapshot as JSON (tuples → lists)."""
-    tokens, text_ids, raw_ids = state
-    return [list(tokens),
-            {text: list(ids) for text, ids in text_ids.items()},
-            raw_ids if raw_ids is None else dict(raw_ids)]
-
-
-def unpack_token_state(payload: Sequence
-                       ) -> Tuple[List[str], Dict[str, Tuple[int, ...]],
-                                  Optional[Dict[str, int]]]:
-    """Inverse of :func:`pack_token_state` (lists → tuples)."""
-    tokens, text_ids, raw_ids = payload
-    return (list(tokens),
-            {text: tuple(ids) for text, ids in text_ids.items()},
-            None if raw_ids is None else dict(raw_ids))
 
 
 def pack_metrics_snapshot(snapshot: dict) -> dict:

@@ -56,9 +56,8 @@ from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
 from .protocol import (PROTOCOL_VERSION, pack_metrics_snapshot,
-                       pack_ranked, pack_token_state,
-                       unpack_curated_leaves, unpack_requests,
-                       unpack_tokenizer)
+                       pack_ranked, unpack_curated_leaves,
+                       unpack_requests, unpack_tokenizer)
 from .transport import Transport, TransportClosed
 
 __all__ = ["ClusterWorker", "WorkerKilled"]
@@ -302,8 +301,7 @@ class ClusterWorker:
         leaves = unpack_curated_leaves(message["leaves"])
         bundle = self._spool / "bundles" / \
             f"assignment-{message.get('assignment')}"
-        token_state, timings = build_shard_bundle(leaves, tokenizer,
-                                                  bundle)
+        timings = build_shard_bundle(leaves, tokenizer, bundle)
         # Build seconds only; the bundle write is I/O, not shard compute.
         self.metrics.observe(
             "worker.shard.seconds",
@@ -311,8 +309,7 @@ class ClusterWorker:
             kind="construction")
         self.metrics.inc("worker.shards", kind="construction")
         self.metrics.inc("worker.leaves", len(leaves))
-        return {"bundle_path": str(bundle),
-                "token_state": pack_token_state(token_state)}
+        return {"bundle_path": str(bundle)}
 
     # -- model distribution -------------------------------------------------
 

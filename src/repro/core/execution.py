@@ -26,12 +26,12 @@ the cross-executor property suite in ``tests/test_execution.py``.
 The contract is implemented once, here.  :class:`InferenceJob` and
 :class:`ConstructionJob` own how a batch/corpus is cut into leaf units
 (the :class:`~repro.core.sharding.ShardPlan`), how unit results are
-merged back (rows by request index, last request wins; leaf bundles
-plus token-cache states in ascending-leaf order), and which units a
-timed span is counted against (``units``).  Every substrate — the
-cluster coordinator and worker included — only decides *where* a unit
-runs and hands the outcome to the job; :func:`build_shard_bundle` is
-the one out-of-process shard builder.
+merged back (rows by request index, last request wins; built leaf
+graphs by leaf id), and which units a timed span is counted against
+(``units``).  Every substrate — the cluster coordinator and worker
+included — only decides *where* a unit runs and hands the outcome to
+the job; :func:`build_shard_bundle` is the one out-of-process shard
+builder.
 
 Plans balance on one cost: the request-count (inference) / char-count
 (construction) proxy, defined once in
@@ -53,7 +53,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, List,
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
                     Optional, Sequence, Tuple, Union)
 
 from ..obs import MetricsRegistry, NullRegistry
@@ -165,12 +165,12 @@ class ConstructionJob:
 
     The non-empty leaves are balanced into shards
     (:meth:`ShardPlan.for_construction`).  A unit — any tuple of leaf
-    ids — is either built on the calling thread straight into the
-    shared, thread-safe :attr:`cache` (:meth:`run_local`) or built
-    elsewhere by :func:`build_shard_bundle` and handed to
-    :meth:`merge_bundle`.  The built graphs do not depend on pool-id
-    order (the pinned bit-identity contract), so where a unit ran
-    never shows in the model.
+    ids — is either built on the calling thread against the job's
+    shared, thread-safe :class:`TokenCache` (:meth:`run_local`) or
+    built elsewhere by :func:`build_shard_bundle` and handed to
+    :meth:`merge_bundle`.  A built graph is a function of its curated
+    leaf alone (the pinned bit-identity contract), so graphs are all
+    that is merged and where a unit ran never shows in the model.
     """
 
     def __init__(self, curated: "CuratedKeyphrases", tokenizer: Tokenizer,
@@ -178,9 +178,8 @@ class ConstructionJob:
         self._units = dict(construction_proxy(curated))
         self._leaves = curated.leaves
         self.plan = ShardPlan.for_construction(curated, n_shards)
-        self.cache = TokenCache(tokenizer)
+        self._cache = TokenCache(tokenizer)
         self._built: Dict[int, "LeafGraph"] = {}
-        self._states: List[Tuple[int, Any]] = []
 
     def leaves_of(self, keys: Sequence[int]) -> List["CuratedLeaf"]:
         """The unit's curated leaves, in key order."""
@@ -192,38 +191,30 @@ class ConstructionJob:
         return [(key, self._units[key]) for key in keys]
 
     def merge_bundle(self, keys: Sequence[int],
-                     bundle_path: Union[str, Path],
-                     token_state: Any) -> int:
+                     bundle_path: Union[str, Path]) -> int:
         """Adopt a unit built by :func:`build_shard_bundle`: mmap-open
-        its leaf bundle (zero-copy, read-only views) and queue its
-        token state for :meth:`output`; returns the leaves settled."""
+        its leaf bundle (zero-copy, read-only views); returns the
+        leaves settled."""
         for graph in load_leaf_graphs(bundle_path, mmap=True):
             self._built[graph.leaf_id] = graph
-        self._states.append((min(keys), token_state))
         return len(keys)
 
     def run_local(self, keys: Sequence[int]) -> int:
-        """Build a unit on the calling thread into the shared cache."""
+        """Build a unit on the calling thread."""
         for key in keys:
             self._built[key] = build_leaf_graph_fast(self._leaves[key],
-                                                     self.cache)
+                                                     self._cache)
         return len(keys)
 
-    def output(self) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
-        """``(graphs in curated order, cache)``; call once, after every
-        unit has merged.  Shipped token states are absorbed in
-        ascending order of each unit's smallest leaf id —
-        deterministic however the units completed."""
-        for _first_leaf, state in sorted(self._states,
-                                         key=lambda entry: entry[0]):
-            self.cache.absorb_state(state)
-        return ({leaf_id: self._built[leaf_id]
-                 for leaf_id in self._units}, self.cache)
+    def output(self) -> Dict[int, "LeafGraph"]:
+        """The built graphs in curated order, however the units
+        completed; call after every unit has merged."""
+        return {leaf_id: self._built[leaf_id] for leaf_id in self._units}
 
 
 def build_shard_bundle(leaves: Sequence["CuratedLeaf"],
                        tokenizer: Tokenizer, directory: Union[str, Path]
-                       ) -> Tuple[Any, List[Tuple[int, float]]]:
+                       ) -> List[Tuple[int, float]]:
     """Build one out-of-process construction unit onto disk.
 
     The built leaf graphs are written as a zero-copy format-3 *leaf
@@ -232,12 +223,10 @@ def build_shard_bundle(leaves: Sequence["CuratedLeaf"],
     mmap-opens through :meth:`ConstructionJob.merge_bundle`; graphs are
     never serialized object-by-object.  The unit's private
     :class:`TokenCache` keeps the memoized-tokenization win within the
-    unit; its exported state merges into the parent cache afterwards so
-    the pooled-graph build still skips every text the units already
-    processed.
+    unit and dies with it: the bundle is everything the parent needs,
+    the pooled graph included.
 
     Returns:
-        ``(token_state, timings)`` — the exported cache state and
         ``(leaf_id, seconds)`` per built leaf.
     """
     try:
@@ -249,7 +238,7 @@ def build_shard_bundle(leaves: Sequence["CuratedLeaf"],
             graphs.append(build_leaf_graph_fast(leaf, cache))
             timings.append((leaf.leaf_id, time.perf_counter() - start))
         save_leaf_graphs(graphs, directory)
-        return cache.export_state(), timings
+        return timings
     except Exception:
         # A half-written bundle must not outlive the failure: the parent
         # only removes the staging root it knows about, and a retrying
@@ -362,10 +351,10 @@ class Executor:
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER
-                         ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
-        """Build every non-empty leaf graph; same ``(graphs, cache)``
-        contract as
-        :func:`~repro.core.fast_construct.fast_construct_leaf_graphs`."""
+                         ) -> Dict[int, "LeafGraph"]:
+        """Build every non-empty leaf graph; same contract as
+        :func:`~repro.core.fast_construct.fast_construct_leaf_graphs`
+        (leaf id → graph, in curated order) on every substrate."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -420,7 +409,7 @@ class ThreadShardExecutor(Executor):
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER
-                         ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
+                         ) -> Dict[int, "LeafGraph"]:
         return self._run_threads("construction", ConstructionJob(
             curated, tokenizer, self.workers))
 
@@ -485,9 +474,9 @@ def _init_construct_worker(tokenizer: Tokenizer) -> None:
 def _build_construct_shard(leaves: Sequence["CuratedLeaf"],
                            artifact_dir: str):
     """One construction shard: :func:`build_shard_bundle` under this
-    worker's tokenizer.  Only the token state and the per-leaf timings
-    cross the process boundary as a pickle; failures come back as
-    :class:`ShardWorkerError`, as in :func:`_run_inference_shard`."""
+    worker's tokenizer.  Only the per-leaf timings cross the process
+    boundary as a pickle; failures come back as :class:`ShardWorkerError`,
+    as in :func:`_run_inference_shard`."""
     try:
         return build_shard_bundle(leaves, _CONSTRUCT_TOKENIZER,
                                   artifact_dir)
@@ -557,15 +546,16 @@ class ProcessShardExecutor(Executor):
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER
-                         ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
+                         ) -> Dict[int, "LeafGraph"]:
         """Build every non-empty leaf graph with whole-leaf process shards.
 
         Each worker persists its shard as a leaf bundle under a
         temporary directory (:func:`build_shard_bundle`) and the parent
         mmap-opens it instead of unpickling graph objects.  The
         returned graphs' arrays are read-only views over the bundle
-        mappings; the temporary files are unlinked before returning
-        (live mappings keep them readable — POSIX), so nothing leaks.
+        mappings (label texts decode lazily); the temporary files are
+        unlinked before returning (live mappings keep them readable —
+        POSIX), so nothing leaks.
         """
         job = ConstructionJob(curated, tokenizer, self.workers)
 
@@ -580,10 +570,10 @@ class ProcessShardExecutor(Executor):
                         for index, shard in enumerate(shards)]
                     for index, (shard, future) in enumerate(
                             zip(shards, futures)):
-                        state, timings = _unwrap_shard_future(
+                        timings = _unwrap_shard_future(
                             future, "construction", index, shard)
-                        job.merge_bundle(
-                            shard, staging / f"shard-{index}", state)
+                        job.merge_bundle(shard,
+                                         staging / f"shard-{index}")
                         for leaf_id, seconds in timings:
                             self.record_timing(
                                 "construction", job.units((leaf_id,)),
@@ -730,7 +720,7 @@ class ClusterExecutor(Executor):
     async def run_construction_async(
             self, curated: "CuratedKeyphrases",
             tokenizer: Tokenizer = DEFAULT_TOKENIZER
-            ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
+            ) -> Dict[int, "LeafGraph"]:
         """:meth:`run_construction` for callers on the coordinator loop."""
         return await self.coordinator.run_construction(
             curated, tokenizer, metrics=self.metrics)
@@ -746,7 +736,7 @@ class ClusterExecutor(Executor):
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER
-                         ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
+                         ) -> Dict[int, "LeafGraph"]:
         return self._submit(self.run_construction_async(curated,
                                                         tokenizer))
 

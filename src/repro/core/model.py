@@ -185,6 +185,10 @@ class GraphExModel:
             alignment: Ranking alignment function; default LTA.
             build_pooled: Also build a single pooled graph over all leaves
                 for the per-leaf-vs-pooled ablation and leaf fallback.
+                The fast builder derives it from the built leaf graphs
+                (:func:`~repro.core.fast_construct.pool_leaf_graphs`),
+                the reference builder from the pooled curated rows'
+                text; same graph either way.
             builder: ``"fast"`` (default) uses the bulk construction
                 engine (:mod:`repro.core.fast_construct`): shared
                 memoized tokenization, one ``np.unique`` interning pass
@@ -220,13 +224,12 @@ class GraphExModel:
         exec_ = resolve_executor(executor, workers=workers,
                                  engine=builder)
         if builder == "fast":
-            from .fast_construct import build_leaf_graph_fast
+            from .fast_construct import pool_leaf_graphs
 
-            leaf_graphs, cache = exec_.run_construction(curated, tokenizer)
+            leaf_graphs = exec_.run_construction(curated, tokenizer)
             pooled = None
             if build_pooled and curated.leaves:
-                pooled = build_leaf_graph_fast(
-                    _pool_leaves(list(curated.leaves.values())), cache)
+                pooled = pool_leaf_graphs(curated, leaf_graphs)
         else:
             leaf_graphs = {
                 leaf_id: build_leaf_graph(leaf, tokenizer)

@@ -121,10 +121,23 @@ class _LazyStringPool:
 
     def take(self, pool_ids: List[int]) -> List[str]:
         """``[self[i] for i in pool_ids]``, at dict-lookup cost once
-        the strings are cached (the steady state of a serving model)."""
+        the strings are cached (the steady state of a serving model);
+        the first op on a fresh mapping decodes its misses in bulk."""
         out = list(map(self._cache.get, pool_ids))
         if None in out:
-            out = [self[pool_id] for pool_id in pool_ids]
+            cache = self._cache
+            # First-occurrence order, not sorted: cache dict and string
+            # heap keep insertion order, and serving reads request order.
+            misses = list(dict.fromkeys(
+                pool_id for pool_id, text in zip(pool_ids, out)
+                if text is None))
+            wanted = np.asarray(misses, dtype=np.int64)
+            blob = memoryview(self._blob)
+            for pool_id, lo, hi in zip(
+                    misses, self._byte_offsets[wanted].tolist(),
+                    self._byte_offsets[wanted + 1].tolist()):
+                cache[pool_id] = str(blob[lo:hi], "utf-8")
+            out = list(map(cache.get, pool_ids))
         return out
 
 
@@ -259,11 +272,11 @@ def _write_payload_v3(directory: Path, arrays: Dict[str, np.ndarray],
     """
     encoded = [token.encode("utf-8") for token in pool_tokens]
     byte_offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    byte_offsets[1:] = np.cumsum([len(chunk) for chunk in encoded],
-                                 dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64,
+                          count=len(encoded)), out=byte_offsets[1:])
     char_offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    char_offsets[1:] = np.cumsum([len(token) for token in pool_tokens],
-                                 dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, pool_tokens), dtype=np.int64,
+                          count=len(encoded)), out=char_offsets[1:])
     payload = dict(arrays)
     payload[_POOL_BLOB] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
     payload[_POOL_BYTE_OFFSETS] = byte_offsets
@@ -273,25 +286,31 @@ def _write_payload_v3(directory: Path, arrays: Dict[str, np.ndarray],
     manifest: Dict[str, Dict[str, object]] = {}
     offset = 0
     tmp_path = directory / (filename + ".tmp")
-    with open(tmp_path, "wb") as fh:
-        for key, array in payload.items():
-            array = np.ascontiguousarray(array)
-            # Persist explicitly little-endian so the manifest dtype is
-            # platform-independent (no copy on little-endian hosts).
-            dtype = array.dtype.newbyteorder("<")
-            array = array.astype(dtype, copy=False)
-            padding = -offset % _PAGE_SIZE
-            if padding:
-                fh.write(b"\x00" * padding)
-                offset += padding
-            manifest[key] = {"offset": offset, "dtype": dtype.str,
-                             "shape": list(array.shape)}
-            data = array.tobytes()
-            fh.write(data)
-            offset += len(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp_path, directory / filename)
+    try:
+        with open(tmp_path, "wb") as fh:
+            for key, array in payload.items():
+                array = np.ascontiguousarray(array)
+                # Persist explicitly little-endian so the manifest dtype
+                # is platform-independent (no copy on little-endian
+                # hosts).
+                dtype = array.dtype.newbyteorder("<")
+                array = array.astype(dtype, copy=False)
+                padding = -offset % _PAGE_SIZE
+                if padding:
+                    fh.write(b"\x00" * padding)
+                    offset += padding
+                manifest[key] = {"offset": offset, "dtype": dtype.str,
+                                 "shape": list(array.shape)}
+                data = array.tobytes()
+                fh.write(data)
+                offset += len(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, directory / filename)
+    except BaseException:
+        # Nothing else names the temp file: left behind, it leaks.
+        tmp_path.unlink(missing_ok=True)
+        raise
     return filename, manifest
 
 
@@ -355,11 +374,28 @@ def _open_payload_v3(directory: Path, meta: Dict, mmap: bool):
 def _replace_meta(directory: Path, meta: Dict) -> None:
     """Atomically (re)write ``model.json`` via write-to-temp + rename."""
     tmp_path = directory / (_META_FILE + f".tmp-{uuid.uuid4().hex}")
-    with open(tmp_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp_path, directory / _META_FILE)
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, directory / _META_FILE)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
+
+
+def _write_artifact(directory: Path, leaves: Sequence[LeafGraph],
+                    header: Dict[str, object]) -> str:
+    """Write ``leaves`` as a fresh payload, then — last — the
+    ``model.json`` (``header`` + manifest) that names it; returns the
+    payload's filename."""
+    leaves_meta, arrays, pool = _pack_all(leaves)
+    filename, manifest = _write_payload_v3(directory, arrays, pool.tokens)
+    _replace_meta(directory, {
+        **header, "leaves": leaves_meta, "arrays_file": filename,
+        "arrays": manifest, "pool_size": len(pool)})
+    return filename
 
 
 def _prune_stale_payloads(directory: Path, keep: str) -> None:
@@ -406,20 +442,11 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
     leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
     if model.pooled_graph is not None:
         leaves.append(model.pooled_graph)
-    leaves_meta, arrays, pool = _pack_all(leaves)
-
-    tokenizer = model.tokenizer
-    stems = bool(getattr(tokenizer, "stems", False))
-    filename, manifest = _write_payload_v3(directory, arrays, pool.tokens)
-    _replace_meta(directory, {
+    stems = bool(getattr(model.tokenizer, "stems", False))
+    filename = _write_artifact(directory, leaves, {
         "format_version": _FORMAT_VERSION,
         "alignment": model.alignment_name,
-        "tokenizer": {"type": "space", "stem": stems},
-        "leaves": leaves_meta,
-        "arrays_file": filename,
-        "arrays": manifest,
-        "pool_size": len(pool),
-    })
+        "tokenizer": {"type": "space", "stem": stems}})
     _prune_stale_payloads(directory, keep=filename)
     return directory
 
@@ -561,16 +588,8 @@ def save_leaf_graphs(leaves: Sequence[LeafGraph],
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    leaves_meta, arrays, pool = _pack_all(leaves)
-    filename, manifest = _write_payload_v3(directory, arrays, pool.tokens)
-    _replace_meta(directory, {
-        "kind": _LEAF_BUNDLE,
-        "format_version": _FORMAT_VERSION,
-        "leaves": leaves_meta,
-        "arrays_file": filename,
-        "arrays": manifest,
-        "pool_size": len(pool),
-    })
+    _write_artifact(directory, leaves, {
+        "kind": _LEAF_BUNDLE, "format_version": _FORMAT_VERSION})
     return directory
 
 

@@ -103,23 +103,25 @@ class SpaceTokenizer:
 
 
 class TokenCache:
-    """Shared token pool with memoized per-text unique-token ids.
+    """Shared token pool for one construction run, in one process.
 
     Model construction tokenizes every curated keyphrase of every leaf,
-    and marketplace vocabulary overlaps heavily across leaves — the same
-    keyphrase text (duplicated across leaf categories, and wholesale in
-    the pooled graph) and the same raw tokens recur constantly.  The
-    cache interns each distinct token string once into a shared
-    append-only pool and memoizes, per distinct text, the tuple of
-    pool ids of its unique tokens in first-occurrence order — exactly
-    ``dict.fromkeys(tokenizer(text))`` mapped through the pool.
+    and marketplace vocabulary overlaps heavily across leaves — the
+    same raw tokens recur constantly.  The cache interns each distinct
+    token string once into a shared append-only pool, so the leaf
+    builder works on integer ids.
 
     For a plain :class:`SpaceTokenizer` the whole per-raw-token pipeline
-    collapses into one memo lookup (``raw token → pool id, or dropped``),
-    so repeated tokens skip the normalization regex *and* the
-    string-keyed interning dict entirely; any other callable falls back
-    to invoking it per distinct text.  Either way the produced token
-    streams are identical to calling the tokenizer directly.
+    collapses into one memo lookup (``raw token → pool id, or dropped``,
+    :meth:`resolve_raws`), so repeated tokens skip the normalization
+    regex *and* the string-keyed interning dict entirely; any other
+    callable falls back to invoking it per text (:meth:`unique_ids`).
+    Either way the produced token streams are identical to calling the
+    tokenizer directly.
+
+    Pool ids never reach a built graph, so a cache has no cross-process
+    form and no consumer past the leaf builds (the pooled graph derives
+    from the built graphs): each building process makes and drops its own.
 
     Safe for concurrent use: pool misses take a lock, reads are
     lock-free (the pool is append-only).
@@ -129,7 +131,6 @@ class TokenCache:
         self._tokenizer = tokenizer
         self._tokens: List[str] = []
         self._token_ids: Dict[str, int] = {}
-        self._text_ids: Dict[str, Tuple[int, ...]] = {}
         self._lock = threading.Lock()
         # Only replicate the token-wise pipeline for the exact class; a
         # subclass may override __call__ with non-token-wise behavior.
@@ -140,19 +141,10 @@ class TokenCache:
         return len(self._tokens)
 
     @property
-    def tokenizer(self) -> Tokenizer:
-        """The underlying tokenizer whose semantics the cache mirrors."""
-        return self._tokenizer
-
-    @property
     def token_wise(self) -> bool:
         """Whether :meth:`resolve_raws` is available (plain
         :class:`SpaceTokenizer`, whose pipeline is per raw token)."""
         return self._raw_ids is not None
-
-    def token(self, token_id: int) -> str:
-        """Pool string for an id."""
-        return self._tokens[token_id]
 
     def tokens_for(self, token_ids: Sequence[int]) -> List[str]:
         """Pool strings for a sequence of ids."""
@@ -190,43 +182,6 @@ class TokenCache:
                 raw_ids[raw] = -1 if token is None else self._intern(token)
         return list(map(raw_ids.__getitem__, raws))
 
-    def export_state(self) -> Tuple[List[str], Dict[str, Tuple[int, ...]],
-                                    Optional[Dict[str, int]]]:
-        """Picklable snapshot: pool tokens, text memo, raw-token memo.
-
-        A process-shard construction worker builds its leaves against a
-        private cache and ships this snapshot back (the cache itself
-        holds a lock and is not picklable); the parent merges it with
-        :meth:`absorb_state`.
-        """
-        return (list(self._tokens), dict(self._text_ids),
-                None if self._raw_ids is None else dict(self._raw_ids))
-
-    def absorb_state(self, state: Tuple[List[str],
-                                        Dict[str, Tuple[int, ...]],
-                                        Optional[Dict[str, int]]]) -> None:
-        """Merge another cache's exported state with a stable id-remap.
-
-        Donor tokens unknown to this pool are appended in the donor's
-        id order, so absorbing shard states in shard-index order always
-        yields the same pool; every donor memo entry is remapped onto
-        this pool's ids (existing entries win).  Token *streams*
-        resolved through the merged cache are identical to the donor's
-        — same strings, possibly different pool ids — which the bulk
-        builders are insensitive to by the bit-identity contract.  The
-        donor must wrap the same tokenizer semantics as this cache.
-        """
-        tokens, text_ids, raw_ids = state
-        remap = [self._intern(token) for token in tokens]
-        for text, ids in text_ids.items():
-            if text not in self._text_ids:
-                self._text_ids[text] = tuple(remap[i] for i in ids)
-        if raw_ids is not None and self._raw_ids is not None:
-            for raw, token_id in raw_ids.items():
-                if raw not in self._raw_ids:
-                    self._raw_ids[raw] = (remap[token_id]
-                                          if token_id >= 0 else -1)
-
     def unique_ids(self, text: str) -> Tuple[int, ...]:
         """Pool ids of the text's unique tokens, in first-occurrence order.
 
@@ -234,18 +189,12 @@ class TokenCache:
         ``dict.fromkeys(tokenizer(text))`` on strings: distinct raw
         tokens that normalize to the same token share one pool id.
         """
-        ids = self._text_ids.get(text)
-        if ids is not None:
-            return ids
         if self._raw_ids is None:
-            ids = tuple(self._intern(token)
-                        for token in dict.fromkeys(self._tokenizer(text)))
-        else:
-            unique = dict.fromkeys(self.resolve_raws(text.split()))
-            unique.pop(-1, None)  # dropped tokens
-            ids = tuple(unique)
-        self._text_ids[text] = ids
-        return ids
+            return tuple(self._intern(token) for token in
+                         dict.fromkeys(self._tokenizer(text)))
+        unique = dict.fromkeys(self.resolve_raws(text.split()))
+        unique.pop(-1, None)  # dropped tokens
+        return tuple(unique)
 
 
 #: Default tokenizer: space-delimited, normalized, no stemming.

@@ -74,8 +74,8 @@ class RefreshReport:
     #: deployed (``None`` when the orchestrator has no ``artifact_dir``
     #: and the model was handed off in memory instead).
     artifact_path: Optional[str] = None
-    #: Transient construct/load failures that were retried away under
-    #: the orchestrator's :class:`~repro.cluster.retry.RetryPolicy`.
+    #: Transient construct/persist/load failures that were retried away
+    #: under the orchestrator's :class:`~repro.cluster.retry.RetryPolicy`.
     n_retries: int = 0
     #: Remote executor hosts the artifact was deployed to via the
     #: orchestrator's cluster coordinator (0 without one).
@@ -114,11 +114,11 @@ class DailyRefreshOrchestrator:
             directory so other hosts/processes can open the same
             artifact themselves.  Unset (default) hands the in-memory
             model around as before.
-        retry: When set, the construct and batch-load steps run under
-            this :class:`~repro.cluster.retry.RetryPolicy` (capped
-            backoff with jitter): a transient failure is retried, and a
-            step that exhausts its attempts makes :meth:`refresh`
-            *return* a :class:`RefreshReport` with
+        retry: When set, the construct, persist and batch-load steps
+            run under this :class:`~repro.cluster.retry.RetryPolicy`
+            (capped backoff with jitter): a transient failure is
+            retried, and a step that exhausts its attempts makes
+            :meth:`refresh` *return* a :class:`RefreshReport` with
             :attr:`~RefreshReport.failure` set instead of raising — the
             daily loop records the miss and the next cycle proceeds.
             Unset (default), failures propagate as before.
@@ -216,19 +216,6 @@ class DailyRefreshOrchestrator:
         self._targets.append(target)
         return target
 
-    @staticmethod
-    def _persist_and_map(model: GraphExModel,
-                         directory: Path) -> GraphExModel:
-        """Save ``model`` as a format-3 artifact and reopen it mapped.
-
-        Runs in the executor.  The returned model's arrays are
-        read-only views over the artifact file — the instance handed to
-        the pipeline and every serving target, so one physical copy
-        backs the whole deployment.
-        """
-        save_model(model, directory)
-        return load_model(directory, mmap=True)
-
     async def refresh(self, curated: CuratedKeyphrases,
                       requests: Sequence[InferenceRequest]
                       ) -> RefreshReport:
@@ -243,10 +230,12 @@ class DailyRefreshOrchestrator:
 
         Deploy semantics: the refresh is a staged deploy, not a
         transaction.  Once construction succeeds its generation number
-        is *burned* (never reused for a different model), and a failure
-        in the batch load or a later target swap propagates with the
-        earlier stages already deployed — the pipeline may be on the
-        new model while some NRT targets still serve the old one.
+        is *burned* (never reused for a different model).  A failure
+        persisting the artifact leaves the whole stack on the previous
+        generation; a failure in the batch load or a later target swap
+        propagates with the earlier stages already deployed — the
+        pipeline may be on the new model while some NRT targets still
+        serve the old one.
         Serving stays consistent throughout (every table promotion is
         atomic); rerunning :meth:`refresh` converges the stack.  On the
         successful path there is likewise a bounded staleness window:
@@ -271,6 +260,23 @@ class DailyRefreshOrchestrator:
                 return step
             return lambda: self._retry.call(step, on_retry=note_retry)
 
+        def exhausted(step: str, exc: RetriesExhausted,
+                      construct_seconds: float, model=None,
+                      load_seconds: float = 0.0,
+                      artifact_path: Optional[str] = None) -> RefreshReport:
+            """The step is dead for today; record the miss instead of
+            aborting the daily loop."""
+            return self._finish(RefreshReport(
+                generation=self._generation,
+                n_leaves=0 if model is None else model.n_leaves,
+                n_keyphrases=0 if model is None else model.n_keyphrases,
+                n_inferred=0, n_served=0, n_targets=len(self._targets),
+                construct_seconds=construct_seconds,
+                load_seconds=load_seconds, swap_seconds=0.0,
+                artifact_path=artifact_path, n_retries=n_retries,
+                failure=f"{step} exhausted {exc.attempts} attempts: "
+                        f"{exc.__cause__!r}"))
+
         try:
             with self.tracer.span("refresh.construct",
                                   builder=self._builder) as construct_span:
@@ -281,16 +287,9 @@ class DailyRefreshOrchestrator:
                         builder=self._builder, workers=self._workers,
                         executor=self._executor)))
         except RetriesExhausted as exc:
-            # The step is dead for today; record the miss instead of
-            # aborting the daily loop.  No generation was burned — the
-            # next cycle's refresh starts clean.
-            return self._finish(RefreshReport(
-                generation=self._generation, n_leaves=0, n_keyphrases=0,
-                n_inferred=0, n_served=0, n_targets=len(self._targets),
-                construct_seconds=construct_span.duration_s,
-                load_seconds=0.0, swap_seconds=0.0, n_retries=n_retries,
-                failure=f"construct exhausted {exc.attempts} attempts: "
-                        f"{exc.__cause__!r}"))
+            # No generation was burned — the next cycle's refresh
+            # starts clean.
+            return exhausted("construct", exc, construct_span.duration_s)
         construct_seconds = construct_span.duration_s
         # Issue a number strictly above every deployment's local
         # history — a target may have been hot-swapped directly since
@@ -313,10 +312,22 @@ class DailyRefreshOrchestrator:
         artifact_path: Optional[str] = None
         if self._artifact_dir is not None:
             artifact = self._artifact_dir / f"gen-{generation}"
-            with self.tracer.span("refresh.persist",
-                                  generation=generation) as persist_span:
-                model = await loop.run_in_executor(
-                    None, self._persist_and_map, model, artifact)
+            try:
+                with self.tracer.span(
+                        "refresh.persist",
+                        generation=generation) as persist_span:
+                    # save_model over the same gen-<N>/ is an atomic
+                    # re-save, so a failed attempt is safe to repeat
+                    # (``model`` is rebound only once one succeeds).
+                    model = await loop.run_in_executor(
+                        None, attempt(lambda: load_model(
+                            save_model(model, artifact), mmap=True)))
+            except RetriesExhausted as exc:
+                # Nothing was deployed: the pipeline and every target
+                # still serve the previous generation.
+                return exhausted(
+                    "persist", exc,
+                    construct_seconds + persist_span.duration_s, model)
             artifact_path = str(artifact)
             # construct_seconds has always folded persist time in; the
             # trace keeps the two spans distinct.
@@ -336,16 +347,9 @@ class DailyRefreshOrchestrator:
                     None,
                     attempt(lambda: self.pipeline.full_load(request_list)))
         except RetriesExhausted as exc:
-            return self._finish(RefreshReport(
-                generation=generation, n_leaves=model.n_leaves,
-                n_keyphrases=model.n_keyphrases, n_inferred=0,
-                n_served=0, n_targets=len(self._targets),
-                construct_seconds=construct_seconds,
-                load_seconds=load_span.duration_s,
-                swap_seconds=0.0, artifact_path=artifact_path,
-                n_retries=n_retries,
-                failure=f"batch load exhausted {exc.attempts} "
-                        f"attempts: {exc.__cause__!r}"))
+            return exhausted("batch load", exc, construct_seconds, model,
+                             load_seconds=load_span.duration_s,
+                             artifact_path=artifact_path)
         load_seconds = load_span.duration_s
 
         with self.tracer.span("refresh.swap", generation=generation,

@@ -30,12 +30,11 @@ from repro.cluster import (ClusterCoordinator, ClusterError,
                            RetriesExhausted, RetryPolicy,
                            TransportClosed, WorkerKilled, decode_frame,
                            encode_frame)
-from repro.cluster.protocol import (pack_ranked, pack_requests,
-                                    pack_token_state, pack_tokenizer,
+from repro.cluster.protocol import (PROTOCOL_VERSION, pack_ranked,
+                                    pack_requests, pack_tokenizer,
                                     read_frame, unpack_ranked,
                                     unpack_recommendations,
-                                    unpack_requests, unpack_token_state,
-                                    unpack_tokenizer)
+                                    unpack_requests, unpack_tokenizer)
 from repro.cluster.transport import Transport
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
@@ -270,7 +269,7 @@ class TestProtocol:
 
         reply, n_live = asyncio.run(drive())
         assert reply["type"] == "error"
-        assert reply["reason"] == "protocol 1 != coordinator protocol 2"
+        assert reply["reason"] == "protocol 1 != coordinator protocol 3"
         assert n_live == 0
 
     def test_non_object_payload_rejected(self):
@@ -370,12 +369,6 @@ class TestProtocol:
     def test_custom_tokenizer_not_wire_representable(self):
         with pytest.raises(ValueError, match="SpaceTokenizer"):
             pack_tokenizer(lambda text: text.split())
-
-    def test_token_state_roundtrip(self):
-        state = (["tok0", "tok1"], {"a b": (0, 1), "": ()}, None)
-        back = unpack_token_state(
-            json.loads(json.dumps(pack_token_state(state))))
-        assert back == state
 
     def test_oversized_frame_rejected(self):
         import repro.cluster.protocol as protocol
@@ -594,14 +587,14 @@ class TestClusterInference:
                 _w, t1 = await spawn_worker(coord, name="c1")
                 _w, t2 = await spawn_worker(coord, name="c2")
                 await coord.wait_for_workers(2, timeout=10.0)
-                graphs, cache = await coord.run_construction(
+                graphs = await coord.run_construction(
                     curated, DEFAULT_TOKENIZER)
                 await teardown(coord, [t1, t2])
-                return graphs, cache, coord.last_report
+                return graphs, coord.last_report
 
-        graphs, cache, report = asyncio.run(drive())
-        ref_graphs, ref_cache = fast_construct_leaf_graphs(
-            curated, DEFAULT_TOKENIZER)
+        graphs, report = asyncio.run(drive())
+        ref_graphs = fast_construct_leaf_graphs(curated,
+                                                DEFAULT_TOKENIZER)
         assert list(graphs) == list(ref_graphs)
         for leaf_id, reference in ref_graphs.items():
             built = graphs[leaf_id]
@@ -617,8 +610,6 @@ class TestClusterInference:
             assert np.array_equal(built.recall_counts,
                                   reference.recall_counts)
             assert list(built.word_vocab) == list(reference.word_vocab)
-        # The merged pool knows every token the reference pool knows.
-        assert len(cache) == len(ref_cache)
         assert all(count == 1 for count in report.merge_counts.values())
 
     def test_custom_tokenizer_construction_runs_locally(self, curated):
@@ -630,13 +621,13 @@ class TestClusterInference:
             async with ClusterCoordinator() as coord:
                 _w, task = await spawn_worker(coord, name="idle")
                 await coord.wait_for_workers(1, timeout=10.0)
-                graphs, cache = await coord.run_construction(curated,
-                                                             tokenizer)
+                graphs = await coord.run_construction(curated,
+                                                      tokenizer)
                 await teardown(coord, [task])
                 return graphs
 
         graphs = asyncio.run(drive())
-        ref_graphs, _ = fast_construct_leaf_graphs(curated, tokenizer)
+        ref_graphs = fast_construct_leaf_graphs(curated, tokenizer)
         assert list(graphs) == list(ref_graphs)
 
     def test_deploy_artifact_acknowledged_by_fleet(self, artifact):
@@ -858,7 +849,7 @@ async def register_raw(coord, name: str):
     """A hand-driven registered peer: (reader, writer)."""
     reader, writer = await raw_peer(coord)
     writer.write(encode_frame({"type": "register", "name": name,
-                               "protocol": 2}))
+                               "protocol": PROTOCOL_VERSION}))
     assert (await read_frame(reader))["type"] == "registered"
     return reader, writer
 
@@ -1343,7 +1334,7 @@ class TestFleetMetrics:
             async with ClusterCoordinator(rpc_timeout=20.0) as coord:
                 _w, t1 = await spawn_worker(coord, name="a")
                 await coord.wait_for_workers(1, timeout=10.0)
-                graphs, _cache = await coord.run_construction(
+                graphs = await coord.run_construction(
                     curated, DEFAULT_TOKENIZER)
                 await teardown(coord, [t1])
                 return graphs, coord.last_report

@@ -262,24 +262,20 @@ class TestInferenceJobContract:
                                                   k=5)
 
 
-class TestConstructionAbsorbOrder:
-    def test_process_and_cluster_caches_have_equal_state(self):
-        """Every out-of-process substrate absorbs shard token states in
-        ascending-smallest-leaf order, so equal plans give equal
-        caches — not just equal graphs.  Leaf 2 dominates, so the plan
-        is ((2,), (1, 3, 4, 5)): shard-index order and leaf order
-        disagree."""
+class TestConstructionMergeOrder:
+    def test_process_and_cluster_graphs_identical(self):
+        """Both out-of-process substrates hand back the same graphs in
+        curated order, whichever shard a leaf ran in.  Leaf 2
+        dominates, so the plan is ((2,), (1, 3, 4, 5)): shard-index
+        order and leaf order disagree."""
         curated = build_curated(sizes=(3, 14, 3, 2, 2))
         assert [min(shard) for shard in
                 ShardPlan.for_construction(curated, 2).shards] == [2, 1]
-        process_graphs, process_cache = \
-            ProcessShardExecutor(2).run_construction(curated)
+        process_graphs = ProcessShardExecutor(2).run_construction(curated)
         with ClusterExecutor.local(workers=2) as cluster:
-            cluster_graphs, cluster_cache = \
-                cluster.run_construction(curated)
-        assert cluster_cache.export_state() == \
-            process_cache.export_state()
-        assert list(cluster_graphs) == list(process_graphs)
+            cluster_graphs = cluster.run_construction(curated)
+        assert list(cluster_graphs) == list(process_graphs) \
+            == list(curated.leaves)
         for leaf_id, graph in process_graphs.items():
             assert_leaf_graphs_identical(graph, cluster_graphs[leaf_id])
 

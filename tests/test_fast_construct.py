@@ -7,8 +7,9 @@ order, same CSR arrays, same label arrays, same leaf insertion order —
 on any input.  These tests pin that property with hypothesis-generated
 random stats, curation configs and tokenizers, plus directed
 regressions for the edge cases (empty-tokenizing texts, empty leaves,
-thread sharding, the shared token cache) and the
-:meth:`CSRGraph.from_arrays` fast path.
+thread sharding, the shared token cache), the
+:meth:`CSRGraph.from_arrays` fast path, and a case table for the
+pooled graph the fast builder derives from the built leaf graphs.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ from repro.core.batch import batch_recommend
 from repro.core.csr import CSRGraph
 from repro.core.curation import (CurationConfig, CuratedKeyphrases,
                                  CuratedLeaf, curate, fast_curate)
-from repro.core.fast_construct import build_leaf_graph_fast
-from repro.core.model import GraphExModel, build_leaf_graph
+from repro.core.execution import ProcessShardExecutor
+from repro.core.fast_construct import (build_leaf_graph_fast,
+                                       fast_construct_leaf_graphs,
+                                       pool_leaf_graphs)
+from repro.core.model import GraphExModel, _pool_leaves, build_leaf_graph
+from repro.core.serialization import LazyStringList
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer, TokenCache)
 from repro.search.logs import KeyphraseStat
@@ -166,9 +171,9 @@ class TestFastBuilder:
     def test_process_sharded_build_bit_identical(self, stats, workers,
                                                  tokenizer_index):
         """Whole-leaf shards in worker processes with per-shard token
-        caches (merged afterwards): the model — including the pooled
-        graph built from the merged cache — is bit-identical to the
-        scalar reference (few examples — each spawns a pool)."""
+        caches: the model — including the pooled graph derived from
+        the mapped shard bundles — is bit-identical to the scalar
+        reference (few examples — each spawns a pool)."""
         tokenizer = TOKENIZERS[tokenizer_index]
         curated = curate(stats, CurationConfig(min_search_count=1))
         reference = GraphExModel.construct(curated, tokenizer=tokenizer,
@@ -261,6 +266,163 @@ class TestFastBuilder:
         assert graph_a.word_vocab.tokens == graph_b.word_vocab.tokens
 
 
+def _bigrams(text):
+    """A tokenizer that is not token-wise: character bigrams."""
+    return [text[i:i + 2] for i in range(0, len(text) - 1, 2)]
+
+
+def _leaf(leaf_id, *rows):
+    leaf = CuratedLeaf(leaf_id=leaf_id)
+    for text, search, recall in rows:
+        leaf.add(text, search, recall)
+    return leaf
+
+
+#: name → (leaves, tokenizer): the pooling edge cases, each compared
+#: with the reference ``build_leaf_graph(_pool_leaves(...))``.
+POOLING_CASES = {
+    # max S comes from leaf 2, min R from leaf 3, first row from leaf 1.
+    "text_in_three_leaves": ([
+        _leaf(1, ("usb cable", 5, 7), ("hdmi cable", 2, 2)),
+        _leaf(2, ("wall plug", 1, 1), ("usb cable", 9, 8)),
+        _leaf(3, ("usb cable", 4, 3))], DEFAULT_TOKENIZER),
+    "text_twice_in_one_leaf": ([
+        _leaf(1, ("usb cable", 5, 7), ("long usb cable", 1, 1),
+              ("usb cable", 8, 2)),
+        _leaf(2, ("cable tie", 3, 3))], DEFAULT_TOKENIZER),
+    "label_with_every_token_dropped": ([
+        _leaf(1, ("usb cable", 5, 7), ("!!! for", 4, 4)),
+        _leaf(2, ("for", 2, 9), ("cable", 1, 1))],
+        SpaceTokenizer(drop_stopwords=("for",))),
+    "leaf_with_empty_vocabulary": ([
+        _leaf(1, ("!!!", 5, 7), ("???", 4, 4)),
+        _leaf(2, ("usb cable", 2, 9), ("!!!", 6, 1))], DEFAULT_TOKENIZER),
+    "every_leaf_empty": ([_leaf(1), _leaf(2)], DEFAULT_TOKENIZER),
+    # "cables" and "cable" are one token, first seen as "cables".
+    "stemming_merges_raw_words": ([
+        _leaf(1, ("usb cables", 5, 7), ("cable cables", 3, 3)),
+        _leaf(2, ("cable box", 2, 9), ("box cables", 1, 1))],
+        STEMMING_TOKENIZER),
+    "generic_callable_tokenizer": ([
+        _leaf(1, ("abcd", 5, 7), ("cdab", 3, 3), ("a", 2, 2)),
+        _leaf(2, ("cdef", 2, 9), ("abcd", 7, 1))], _bigrams),
+}
+
+
+class TestPoolLeafGraphs:
+    """The fast builder's pooled graph is a pure function of the built
+    leaf graphs (``pool_leaf_graphs``); the reference builder's pools
+    the curated rows and builds a pseudo-leaf from text.  Same graph."""
+
+    @staticmethod
+    def curated_of(leaves):
+        return CuratedKeyphrases(
+            leaves={leaf.leaf_id: leaf for leaf in leaves},
+            effective_threshold=1,
+            config=CurationConfig(min_search_count=1))
+
+    @staticmethod
+    def assert_pooled_identical(reference, pooled):
+        assert_leaf_graphs_identical(reference, pooled)
+        assert pooled.leaf_id == -1
+        assert type(pooled.label_texts) is list
+        for name in ("search_counts", "recall_counts"):
+            assert getattr(pooled, name).dtype \
+                == getattr(reference, name).dtype == np.int64
+        assert pooled.graph.n_left == reference.graph.n_left
+
+    @pytest.mark.parametrize("case", sorted(POOLING_CASES))
+    def test_case_table_matches_reference(self, case):
+        leaves, tokenizer = POOLING_CASES[case]
+        curated = self.curated_of(leaves)
+        reference = build_leaf_graph(_pool_leaves(leaves), tokenizer)
+        pooled = pool_leaf_graphs(
+            curated, fast_construct_leaf_graphs(curated, tokenizer))
+        self.assert_pooled_identical(reference, pooled)
+        # And through the public entry point, on both builders.
+        assert_models_identical(
+            GraphExModel.construct(curated, tokenizer=tokenizer,
+                                   build_pooled=True, builder="reference"),
+            GraphExModel.construct(curated, tokenizer=tokenizer,
+                                   build_pooled=True, builder="fast"))
+
+    def test_case_table_hits_the_cases_it_names(self):
+        """Guards the table itself: each case must contain the shape
+        it is named for, or it silently tests the easy path."""
+        def pooled(case):
+            leaves, tokenizer = POOLING_CASES[case]
+            return build_leaf_graph(_pool_leaves(leaves), tokenizer)
+
+        three = pooled("text_in_three_leaves")
+        row = three.label_texts.index("usb cable")
+        assert (row, three.search_counts[row], three.recall_counts[row]) \
+            == (0, 9, 3)
+        twice = pooled("text_twice_in_one_leaf")
+        assert twice.label_texts.count("usb cable") == 1
+        assert twice.search_counts[0] == 8 and twice.recall_counts[0] == 2
+        dropped = pooled("label_with_every_token_dropped")
+        row = dropped.label_texts.index("!!! for")
+        assert dropped.label_lengths[row] == 1
+        assert row not in dropped.graph.indices.tolist()
+        leaves, tokenizer = POOLING_CASES["leaf_with_empty_vocabulary"]
+        empty_vocab = build_leaf_graph(leaves[0], tokenizer)
+        assert len(empty_vocab.word_vocab) == 0
+        assert len(empty_vocab.graph.indptr) == 2
+        nothing = pooled("every_leaf_empty")
+        assert nothing.n_labels == 0
+        assert nothing.graph.n_left == nothing.graph.n_right == 1
+        stemmed = pooled("stemming_merges_raw_words")
+        assert stemmed.word_vocab.tokens == ["usb", "cable", "box"]
+
+    @pytest.mark.parametrize("builder", ["reference", "fast"])
+    def test_no_leaves_means_no_pooled_graph(self, builder):
+        model = GraphExModel.construct(self.curated_of([]),
+                                       build_pooled=True, builder=builder)
+        assert model.pooled_graph is None
+
+    def test_pooling_mapped_bundles_decodes_nothing_and_copies(self):
+        """Process-built leaves arrive as read-only mapped bundles
+        whose label texts decode lazily.  Pooling reads texts from the
+        curated corpus instead — the bundles' string caches (which hold
+        only the eagerly decoded vocabulary words) do not grow — and
+        returns arrays of its own, not views of a mapping."""
+        leaves = [
+            _leaf(leaf_id, *[(f"w{j} w{(j + leaf_id) % 5} x{leaf_id}",
+                              10 * leaf_id + j, 9 - j) for j in range(8)],
+                  ("shared text", leaf_id, 10 - leaf_id))
+            for leaf_id in (1, 2, 3, 4)]
+        curated = self.curated_of(leaves)
+        graphs = ProcessShardExecutor(2).run_construction(
+            curated, DEFAULT_TOKENIZER)
+        assert all(type(graph.label_texts) is LazyStringList
+                   and graph.graph.is_readonly
+                   and not graph.search_counts.flags.writeable
+                   for graph in graphs.values())
+        pools = {id(graph.label_texts._pool): graph.label_texts._pool
+                 for graph in graphs.values()}
+        decoded = {key: len(pool._cache) for key, pool in pools.items()}
+
+        pooled = pool_leaf_graphs(curated, graphs)
+
+        assert {key: len(pool._cache)
+                for key, pool in pools.items()} == decoded
+        self.assert_pooled_identical(
+            build_leaf_graph(_pool_leaves(leaves), DEFAULT_TOKENIZER),
+            pooled)
+        for array in (pooled.search_counts, pooled.recall_counts,
+                      pooled.label_lengths, pooled.graph.indptr,
+                      pooled.graph.indices):
+            assert array.flags.writeable
+            assert not any(np.shares_memory(array, source)
+                           for graph in graphs.values()
+                           for source in (graph.search_counts,
+                                          graph.recall_counts,
+                                          graph.graph.indices))
+        row = pooled.label_texts.index("shared text")
+        assert (pooled.search_counts[row], pooled.recall_counts[row]) \
+            == (4, 6)
+
+
 class TestTokenCache:
     @given(text=st.lists(st.sampled_from(TOKENS + ["  ", "ZZZ..."]),
                          min_size=0, max_size=8).map(" ".join),
@@ -273,7 +435,7 @@ class TestTokenCache:
         cache = TokenCache(tokenizer)
         expected = list(dict.fromkeys(tokenizer(text)))
         assert cache.tokens_for(cache.unique_ids(text)) == expected
-        # Second call is served from the text memo, same ids.
+        # A second call resolves to the same ids.
         assert cache.tokens_for(cache.unique_ids(text)) == expected
 
     def test_non_space_tokenizer_falls_back_to_callable(self):

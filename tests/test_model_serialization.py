@@ -570,3 +570,145 @@ class TestMappedPlane:
         assert lazy[1:] == list(eager[1:])
         assert eager[0] in lazy
         assert pickle.loads(pickle.dumps(lazy)) == list(eager)
+
+    def test_lazy_pool_take_decodes_only_misses(self, tmp_path):
+        """``take`` on a partly warmed pool answers exactly what
+        per-index access does — duplicated, unordered and empty id
+        lists included — and caches what it decoded."""
+        _model, path, mapped = self._mapped(tmp_path, build_pooled=True)
+        texts = mapped.pooled_graph.label_texts
+        pool = texts._pool
+        ids = texts._ids.tolist()
+        reference = load_model(path, mmap=True).pooled_graph \
+            .label_texts._pool
+        warm = set(pool._cache)          # the vocabulary words
+        assert pool.take([]) == []
+        assert pool[ids[1]] == reference[ids[1]]   # warm one label
+        for batch in ([ids[2], ids[0], ids[2], ids[1], ids[0]],
+                      ids[::-1], ids + ids, [ids[0]]):
+            assert pool.take(batch) == [reference[i] for i in batch]
+        assert set(pool._cache) == warm | set(ids)
+        # The same through the list view the engine calls.
+        assert texts.take(np.array([2, 0, 2])) \
+            == [texts[2], texts[0], texts[2]]
+
+    def test_lazy_pool_take_out_of_range_raises(self, tmp_path):
+        _model, _path, mapped = self._mapped(tmp_path)
+        pool = mapped.leaf_graph(mapped.leaf_ids[0]).label_texts._pool
+        with pytest.raises(IndexError):
+            pool.take([0, len(pool)])
+        with pytest.raises(IndexError):
+            pool[len(pool)]
+
+
+class TestArtifactBytes:
+    """What a save writes, and what a failed save leaves behind."""
+
+    #: The pool order is part of the artifact: leaf by leaf, vocabulary
+    #: words then label texts, first occurrence wins.  Pinned from the
+    #: payload the one-``Vocabulary.add``-per-string writer produced.
+    POOL = ["usb", "cable", "usb cable", "hdmi", "café", "hdmi cable",
+            "café usb"]
+    IDS = {
+        "10/word_ids": [0, 1], "10/label_ids": [2, 1],
+        "11/word_ids": [3, 1, 0, 4], "11/label_ids": [5, 2, 0, 6],
+        "pooled/word_ids": [0, 1, 3, 4],
+        "pooled/label_ids": [2, 1, 5, 0, 6],
+        "pool/byte_offsets": [0, 3, 8, 17, 21, 26, 36, 45],
+        "pool/char_offsets": [0, 3, 8, 17, 21, 25, 35, 43],
+    }
+
+    @staticmethod
+    def pool_order_model() -> GraphExModel:
+        """Leaves + pooled; "usb cable" is shared by both leaves,
+        "cable" and "usb" are each a word and a one-word label, and
+        "café" makes byte and codepoint offsets differ."""
+        leaf_a = CuratedLeaf(leaf_id=10)
+        leaf_a.add("usb cable", 5, 7)
+        leaf_a.add("cable", 4, 4)
+        leaf_b = CuratedLeaf(leaf_id=11)
+        leaf_b.add("hdmi cable", 3, 3)
+        leaf_b.add("usb cable", 9, 2)
+        leaf_b.add("usb", 1, 1)
+        leaf_b.add("café usb", 2, 2)
+        return GraphExModel.construct(CuratedKeyphrases(
+            leaves={10: leaf_a, 11: leaf_b}, effective_threshold=1,
+            config=CurationConfig(min_search_count=1)), build_pooled=True)
+
+    def test_pool_sections_are_byte_identical_to_the_pinned_ones(
+            self, tmp_path):
+        path = save_model(self.pool_order_model(), tmp_path / "m")
+        meta = json.loads((path / "model.json").read_text())
+        payload = (path / meta["arrays_file"]).read_bytes()
+
+        def section(key) -> bytes:
+            entry = meta["arrays"][key]
+            size = np.dtype(entry["dtype"]).itemsize \
+                * int(np.prod(entry["shape"]))
+            return payload[entry["offset"]:entry["offset"] + size]
+
+        assert meta["pool_size"] == len(self.POOL)
+        assert section("pool/blob") == "".join(self.POOL).encode("utf-8")
+        id_sections = {key for key in meta["arrays"]
+                       if key.endswith("_ids") or key.endswith("_offsets")}
+        assert id_sections == set(self.IDS)
+        for key, expected in self.IDS.items():
+            assert meta["arrays"][key]["dtype"] == "<i8"
+            assert section(key) == np.asarray(expected,
+                                              dtype="<i8").tobytes()
+
+    @pytest.mark.parametrize("failing_fsync", [1, 2],
+                             ids=["payload", "manifest"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path,
+                                              monkeypatch,
+                                              failing_fsync):
+        """A save that dies in either writer (the payload's fsync is
+        the first of a save, ``model.json``'s the second) propagates
+        the error, unlinks its temp file, and leaves the model already
+        in that directory loadable and serving."""
+        import os
+
+        old = GraphExModel.construct(curated_two_leaves(),
+                                     build_pooled=True)
+        path = save_model(old, tmp_path / "m")
+        requests = _world_requests(old)
+        expected = batch_recommend(old, requests, k=5)
+        real_fsync = os.fsync
+        calls = []
+
+        def flaky_fsync(fd):
+            calls.append(fd)
+            if len(calls) == failing_fsync:
+                raise OSError(28, "No space left on device")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", flaky_fsync)
+        with pytest.raises(OSError, match="No space left"):
+            save_model(self.pool_order_model(), path)
+        monkeypatch.undo()
+
+        assert len(calls) == failing_fsync
+        assert [p.name for p in path.iterdir() if ".tmp" in p.name] == []
+        for mmap in (True, False):
+            survivor = load_model(path, mmap=mmap)
+            assert_models_identical(old, survivor)
+            assert batch_recommend(survivor, requests, k=5) == expected
+        # The next good save converges the directory to one payload.
+        save_model(self.pool_order_model(), path)
+        assert sorted(p.name.split("-")[0] for p in path.iterdir()) \
+            == ["arrays", "model.json"]
+
+    def test_failed_leaf_bundle_write_leaves_no_temp_file(
+            self, tmp_path, monkeypatch):
+        """``save_leaf_graphs`` shares both writers."""
+        import os
+
+        def no_space(fd):
+            raise OSError(28, "No space left on device")
+
+        model = GraphExModel.construct(curated_two_leaves())
+        monkeypatch.setattr(os, "fsync", no_space)
+        with pytest.raises(OSError, match="No space left"):
+            save_leaf_graphs([model.leaf_graph(10)], tmp_path / "b")
+        monkeypatch.undo()
+        assert list((tmp_path / "b").iterdir()) == []

@@ -379,6 +379,101 @@ class TestRefreshRetries:
         assert report.generation == 1 == orchestrator.generation
         assert service.model_generation == 0
 
+    @staticmethod
+    def fail_fsync(monkeypatch, n_failures):
+        """Make the first ``n_failures`` ``os.fsync`` calls raise
+        ENOSPC (the first fsync of a save is the payload's)."""
+        import os
+        real_fsync = os.fsync
+        failed = []
+
+        def flaky_fsync(fd):
+            if len(failed) < n_failures:
+                failed.append(fd)
+                raise OSError(28, "No space left on device")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", flaky_fsync)
+        return failed
+
+    def test_transient_persist_failure_is_retried_away(
+            self, fig3_model, fig3_variant_model, monkeypatch, tmp_path):
+        """One ENOSPC from the payload fsync: the re-save over the
+        same ``gen-1/`` succeeds and the mapped artifact is deployed."""
+        failed = self.fail_fsync(monkeypatch, 1)
+        store = KeyValueStore()
+        pipeline = BatchPipeline(fig3_model, store=store)
+        service = NRTService(fig3_model, store, window_size=1)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts",
+            retry=self.make_policy())
+        orchestrator.register(service)
+        report = orchestrator.refresh_sync(build_fig3_variant_curated(),
+                                           REQUESTS)
+        assert len(failed) == 1
+        assert report.failure is None
+        assert report.n_retries == 1
+        assert report.generation == 1 == service.model_generation
+        assert report.artifact_path == str(tmp_path / "artifacts" / "gen-1")
+        assert pipeline.model is service.model
+        assert pipeline.model.leaf_graph(FIG3_LEAF_ID).graph.is_readonly
+        assert sorted(p.name.split("-")[0] for p in
+                      (tmp_path / "artifacts" / "gen-1").iterdir()) \
+            == ["arrays", "model.json"]
+        clean = BatchPipeline(fig3_variant_model)
+        clean.full_load(REQUESTS)
+        for item_id, _title, _leaf in REQUESTS:
+            assert pipeline.serve(item_id) == clean.serve(item_id)
+
+    def test_persist_exhaustion_reported_with_stack_untouched(
+            self, fig3_model, monkeypatch, tmp_path):
+        failed = self.fail_fsync(monkeypatch, 3)
+        store = KeyValueStore()
+        pipeline = BatchPipeline(fig3_model, store=store)
+        pipeline.full_load(REQUESTS)
+        served = {item_id: pipeline.serve(item_id)
+                  for item_id, _title, _leaf in REQUESTS}
+        service = NRTService(fig3_model, store, window_size=1)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts",
+            retry=self.make_policy())
+        orchestrator.register(service)
+        report = orchestrator.refresh_sync(build_fig3_variant_curated(),
+                                           REQUESTS)
+        assert len(failed) == 3
+        assert report.failure is not None
+        assert "persist exhausted 3 attempts" in report.failure
+        assert "No space left" in report.failure
+        assert report.n_retries == 2
+        assert report.artifact_path is None
+        assert report.n_inferred == report.n_served == 0
+        # The number is burned, but nothing was deployed: pipeline and
+        # target still serve the previous generation's model and table.
+        assert report.generation == 1 == orchestrator.generation
+        assert pipeline.model is service.model is fig3_model
+        assert pipeline.model_generation == service.model_generation == 0
+        assert {item_id: pipeline.serve(item_id)
+                for item_id, _title, _leaf in REQUESTS} == served
+        assert orchestrator.metrics.counter_value("refresh.failures") == 1
+        # The disk recovers: the next refresh converges the stack.
+        healthy = orchestrator.refresh_sync(build_fig3_variant_curated(),
+                                            REQUESTS)
+        assert healthy.failure is None
+        assert healthy.generation == 2 == service.model_generation
+        assert healthy.artifact_path == str(
+            tmp_path / "artifacts" / "gen-2")
+        assert pipeline.model is service.model is not fig3_model
+
+    def test_without_a_policy_persist_failures_propagate(
+            self, fig3_model, monkeypatch, tmp_path):
+        self.fail_fsync(monkeypatch, 1)
+        pipeline = BatchPipeline(fig3_model)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts")
+        with pytest.raises(OSError, match="No space left"):
+            orchestrator.refresh_sync(build_fig3_curated(), REQUESTS)
+        assert pipeline.model is fig3_model
+
     def test_without_a_policy_failures_propagate_as_before(
             self, fig3_model, monkeypatch):
         from repro.core.model import GraphExModel

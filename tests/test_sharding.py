@@ -16,7 +16,7 @@ from repro.core.execution import ProcessShardExecutor
 from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
 from repro.core.sharding import POOLED_GROUP, ShardPlan
-from repro.core.tokenize import DEFAULT_TOKENIZER, TokenCache
+from repro.core.tokenize import DEFAULT_TOKENIZER
 
 
 def make_model(leaf_phrases, build_pooled=False):
@@ -141,19 +141,19 @@ class TestProcessShardExecutor:
                                    search_counts=[3], recall_counts=[1])},
             effective_threshold=1,
             config=CurationConfig(min_search_count=1))
-        graphs, cache = ProcessShardExecutor(1).run_construction(
+        graphs = ProcessShardExecutor(1).run_construction(
             curated, DEFAULT_TOKENIZER)
         assert list(graphs) == [1]
-        assert len(cache) == 2  # built in-parent: pool was populated
+        # Built in-parent: a plain graph, not a mapped bundle.
+        assert not graphs[1].graph.is_readonly
 
     def test_empty_curation(self):
         curated = CuratedKeyphrases(
             leaves={}, effective_threshold=1,
             config=CurationConfig(min_search_count=1))
-        graphs, cache = ProcessShardExecutor(2).run_construction(
+        graphs = ProcessShardExecutor(2).run_construction(
             curated, DEFAULT_TOKENIZER)
         assert graphs == {}
-        assert len(cache) == 0
 
     def test_artifact_return_path_bit_identical_to_thread(self):
         """ISSUE 6: multi-worker construction ships graphs back as
@@ -194,45 +194,6 @@ class TestProcessShardExecutor:
         # artifact (the pooled graph is assembled in-parent).
         for leaf_id in process.leaf_ids:
             assert process.leaf_graph(leaf_id).graph.is_readonly
-
-
-class TestTokenCacheStateMerge:
-    def test_absorb_remaps_onto_local_ids(self):
-        donor = TokenCache(DEFAULT_TOKENIZER)
-        donor.unique_ids("gaming headset pro")
-        parent = TokenCache(DEFAULT_TOKENIZER)
-        parent.unique_ids("wireless headset")
-        parent.absorb_state(donor.export_state())
-        # Donor tokens landed after the parent's, memo entries remapped.
-        assert parent.tokens_for(parent.unique_ids("gaming headset pro")) \
-            == ["gaming", "headset", "pro"]
-        assert parent.tokens_for(parent.unique_ids("wireless headset")) \
-            == ["wireless", "headset"]
-        assert len(parent) == 4  # headset interned once
-
-    def test_absorb_order_is_deterministic(self):
-        def shard_state(texts):
-            cache = TokenCache(DEFAULT_TOKENIZER)
-            for text in texts:
-                cache.unique_ids(text)
-            return cache.export_state()
-
-        states = [shard_state(["a b c"]), shard_state(["c d", "b e"])]
-        merged_a = TokenCache(DEFAULT_TOKENIZER)
-        merged_b = TokenCache(DEFAULT_TOKENIZER)
-        for state in states:
-            merged_a.absorb_state(state)
-            merged_b.absorb_state(state)
-        assert merged_a.export_state() == merged_b.export_state()
-
-    def test_absorb_preserves_dropped_raws(self):
-        donor = TokenCache(DEFAULT_TOKENIZER)
-        donor.unique_ids("good !!! words")  # "!!!" normalizes away
-        parent = TokenCache(DEFAULT_TOKENIZER)
-        parent.absorb_state(donor.export_state())
-        assert parent.resolve_raws(["!!!"]) == [-1]
-        assert parent.tokens_for(parent.resolve_raws(["good", "words"])) \
-            == ["good", "words"]
 
 
 class TestLazyImportCycleContract:
