@@ -71,7 +71,6 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, Hashable, List,
 from ..core.batch import BatchResult, InferenceRequest
 from ..core.execution import ConstructionJob, InferenceJob
 from ..core.fast_construct import fast_construct_leaf_graphs
-from ..core.fast_inference import DEFAULT_DENSE_LIMIT
 from ..core.model import GraphExModel
 from ..core.serialization import open_model, save_model
 from ..core.tokenize import DEFAULT_TOKENIZER, Tokenizer
@@ -907,7 +906,6 @@ class ClusterCoordinator:
             self, model_source: Union[GraphExModel, str, Path],
             requests: Sequence[InferenceRequest], *, k: int = 10,
             hard_limit: Optional[int] = None,
-            dense_limit: int = DEFAULT_DENSE_LIMIT,
             distribute: str = "path",
             metrics: Optional[MetricsRegistry] = None) -> BatchResult:
         """Infer a batch across the fleet.
@@ -918,7 +916,7 @@ class ClusterCoordinator:
                 model directory, or an in-memory model (persisted to a
                 spool artifact first).
             requests: ``(item_id, title, leaf_id)`` triples.
-            k, hard_limit, dense_limit: As in ``batch_recommend``.
+            k, hard_limit: As in ``batch_recommend``.
             distribute: ``"path"`` sends the artifact path (localhost /
                 shared filesystem); ``"stream"`` spools the artifact to
                 each worker over the connection first.
@@ -948,16 +946,14 @@ class ClusterCoordinator:
             # The job's local runner validates configuration up front
             # and serves the empty-fleet fallback.
             job = InferenceJob(model, requests, max(1, self.n_live()),
-                               k=k, hard_limit=hard_limit,
-                               dense_limit=dense_limit)
+                               k=k, hard_limit=hard_limit)
             model_ref = await self._model_ref(path, distribute)
 
             def encode(keys: Tuple[Hashable, ...]) -> dict:
                 return {**model_ref,
                         "artifact": model.artifact_identity,
                         "requests": pack_requests(job.requests_of(keys)),
-                        "k": k, "hard_limit": hard_limit,
-                        "dense_limit": dense_limit}
+                        "k": k, "hard_limit": hard_limit}
 
             def decode(keys: Tuple[Hashable, ...], reply: dict) -> int:
                 # The reply names labels by id; the rows are built here,

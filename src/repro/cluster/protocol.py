@@ -64,8 +64,10 @@ __all__ = [
 #: protocol-1 peer's 4-byte header cannot even be framed: its first
 #: bytes read as an absurd length and it is turned away as malformed.)
 #: 3: the construction reply is the bundle path alone — it no longer
-#: carries a token-cache state.
-PROTOCOL_VERSION = 3
+#: carries a token-cache state.  4: the ``run_shard`` request lost the
+#: field that chose between the engine's two count paths (one is left),
+#: and a tokenizer spec omits an empty stopword list.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on a single frame (control object plus tail).  Large
 #: transfers (model artifacts) are chunked below this; a peer announcing
@@ -299,14 +301,12 @@ def pack_tokenizer(tokenizer: Tokenizer) -> dict:
             f"only SpaceTokenizer ships over the wire (its semantics "
             f"are reproducible from configuration); got "
             f"{type(tokenizer).__name__}")
-    return {"stem": tokenizer.stems,
-            "stopwords": sorted(tokenizer.stopwords)}
+    return tokenizer.spec()
 
 
 def unpack_tokenizer(spec: dict) -> SpaceTokenizer:
     """Inverse of :func:`pack_tokenizer`."""
-    return SpaceTokenizer(stem=bool(spec["stem"]),
-                          drop_stopwords=tuple(spec["stopwords"]))
+    return SpaceTokenizer.from_spec(spec)
 
 
 def pack_metrics_snapshot(snapshot: dict) -> dict:

@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.execution import build_shard_bundle
-from ..core.fast_inference import DEFAULT_DENSE_LIMIT, LeafBatchRunner
+from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
@@ -281,12 +281,10 @@ class ClusterWorker:
                 f"opened once per process, so re-saving a served "
                 f"artifact in place needs a restart (or a new path)")
         key = (id(model), message.get("k", 10),
-               message.get("hard_limit"),
-               message.get("dense_limit", DEFAULT_DENSE_LIMIT))
+               message.get("hard_limit"))
         runner = self._runners.get(key)
         if runner is None:
-            runner = LeafBatchRunner(
-                model, k=key[1], hard_limit=key[2], dense_limit=key[3])
+            runner = LeafBatchRunner(model, k=key[1], hard_limit=key[2])
             self._runners[key] = runner
         requests = unpack_requests(message["requests"])
         with self.metrics.timer("worker.shard.seconds",

@@ -9,7 +9,7 @@ Two engines serve a batch:
 * ``"fast"`` (default) — the vectorized chunk-batched engine
   (:class:`repro.core.fast_inference.LeafBatchRunner`): requests are
   grouped by leaf graph, packed into cross-leaf chunks, and each chunk
-  runs through one fused CSR gather + slot-shifted bincount +
+  runs through one fused CSR gather + slot-shifted key sort +
   count-array prune + segmented lexsort.  With ``workers > 1`` whole
   *leaf groups* are sharded across threads.
 * ``"reference"`` — the scalar loop over

@@ -59,7 +59,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
 from ..obs import MetricsRegistry, NullRegistry
 from .batch import BatchResult, InferenceRequest, last_request_wins
 from .fast_construct import build_leaf_graph_fast
-from .fast_inference import DEFAULT_DENSE_LIMIT, LeafBatchRunner
+from .fast_inference import LeafBatchRunner
 from .inference import Recommendation
 from .serialization import load_leaf_graphs, save_leaf_graphs
 from .sharding import (ShardExecutionError, ShardPlan, ShardWorkerError,
@@ -110,11 +110,9 @@ class InferenceJob:
 
     def __init__(self, model: "GraphExModel",
                  requests: Sequence[InferenceRequest], n_shards: int,
-                 *, k: int = 10, hard_limit: Optional[int] = None,
-                 dense_limit: int = DEFAULT_DENSE_LIMIT) -> None:
+                 *, k: int = 10, hard_limit: Optional[int] = None) -> None:
         self._requests = list(requests)
-        self._runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
-                                       dense_limit=dense_limit)
+        self._runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
         self.plan, self._groups = ShardPlan.for_inference(
             model, self._requests, n_shards)
         self._rows: List[List[Recommendation]] = \
@@ -342,8 +340,7 @@ class Executor:
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None,
-                      dense_limit: int = DEFAULT_DENSE_LIMIT
+                      k: int = 10, hard_limit: Optional[int] = None
                       ) -> BatchResult:
         """Infer a batch; item id → ranked recommendations with the
         scalar loop's last-request-wins duplicate semantics."""
@@ -400,12 +397,10 @@ class ThreadShardExecutor(Executor):
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None,
-                      dense_limit: int = DEFAULT_DENSE_LIMIT
+                      k: int = 10, hard_limit: Optional[int] = None
                       ) -> BatchResult:
         return self._run_threads("inference", InferenceJob(
-            model, requests, self.workers, k=k, hard_limit=hard_limit,
-            dense_limit=dense_limit))
+            model, requests, self.workers, k=k, hard_limit=hard_limit))
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER
@@ -439,12 +434,10 @@ _CONSTRUCT_TOKENIZER: Optional[Tokenizer] = None
 
 
 def _init_inference_worker(model: "GraphExModel", k: int,
-                           hard_limit: Optional[int],
-                           dense_limit: int) -> None:
+                           hard_limit: Optional[int]) -> None:
     """Build this worker's runner once; its shards reuse it."""
     global _INFERENCE_RUNNER
-    _INFERENCE_RUNNER = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
-                                        dense_limit=dense_limit)
+    _INFERENCE_RUNNER = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
 
 
 def _run_inference_shard(requests: Sequence[InferenceRequest]
@@ -517,8 +510,7 @@ class ProcessShardExecutor(Executor):
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None,
-                      dense_limit: int = DEFAULT_DENSE_LIMIT
+                      k: int = 10, hard_limit: Optional[int] = None
                       ) -> BatchResult:
         """Infer a batch with leaf-group shards in worker processes.
 
@@ -526,11 +518,11 @@ class ProcessShardExecutor(Executor):
         queueing never reach ``executor.inference.seconds``.
         """
         job = InferenceJob(model, requests, self.workers, k=k,
-                           hard_limit=hard_limit, dense_limit=dense_limit)
+                           hard_limit=hard_limit)
 
         def pooled(shards: Tuple[tuple, ...]) -> None:
             with self._pool(len(shards), _init_inference_worker,
-                            (model, k, hard_limit, dense_limit)) as pool:
+                            (model, k, hard_limit)) as pool:
                 futures = [pool.submit(_run_inference_shard,
                                        job.requests_of(shard))
                            for shard in shards]
@@ -594,14 +586,14 @@ class ClusterExecutor(Executor):
     synchronous :class:`Executor` interface.
 
     What it buys, measured (``benchmarks/perf``, the 2-core bench box,
-    after PR 18, medians of ten runs): two worker processes plus the
-    coordinator at 400-item chunks serve **11.1k items/s**
-    (``cluster_scatter``, 36 ms per chunk), the local engine on one
-    pinned core at 1200-item chunks **8.4-8.6k items/s**
-    (``batch_catalog``).  So the fleet is ~1.3x one core while
+    after PR 20, medians of ten runs): two worker processes plus the
+    coordinator at 400-item chunks serve **13.8k items/s**
+    (``cluster_scatter``, 29 ms per chunk), the local engine on one
+    pinned core at 1200-item chunks **12.5k items/s**
+    (``batch_catalog``).  So the fleet is ~1.1x one core while
     occupying two: a way to use more machines than one, not a cheaper
-    way to use one.  Of an op's ~35 ms the slower worker's engine time
-    is ~22, and the coordinator's serial row build (it materialises
+    way to use one.  Of an op's ~28 ms the slower worker's engine time
+    is ~17, and the coordinator's serial row build (it materialises
     every shard's rows itself, from ids) most of the rest.  Where the
     break-even sits as chunk size varies is not measured yet (ROADMAP
     open item 2).
@@ -709,13 +701,11 @@ class ClusterExecutor(Executor):
     async def run_inference_async(
             self, model: "GraphExModel",
             requests: Sequence[InferenceRequest],
-            k: int = 10, hard_limit: Optional[int] = None,
-            dense_limit: int = DEFAULT_DENSE_LIMIT) -> BatchResult:
+            k: int = 10, hard_limit: Optional[int] = None) -> BatchResult:
         """:meth:`run_inference` for callers on the coordinator loop."""
         return await self.coordinator.run_inference(
             model, list(requests), k=k, hard_limit=hard_limit,
-            dense_limit=dense_limit, distribute=self._distribute,
-            metrics=self.metrics)
+            distribute=self._distribute, metrics=self.metrics)
 
     async def run_construction_async(
             self, curated: "CuratedKeyphrases",
@@ -727,12 +717,10 @@ class ClusterExecutor(Executor):
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None,
-                      dense_limit: int = DEFAULT_DENSE_LIMIT
+                      k: int = 10, hard_limit: Optional[int] = None
                       ) -> BatchResult:
         return self._submit(self.run_inference_async(
-            model, requests, k=k, hard_limit=hard_limit,
-            dense_limit=dense_limit))
+            model, requests, k=k, hard_limit=hard_limit))
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER

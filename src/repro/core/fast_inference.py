@@ -11,10 +11,9 @@ items, whichever leaves they belong to:
 1. **Group by graph, cut into chunks** — requests are bucketed by the
    leaf graph that will serve them (including the pooled fallback for
    unknown leaves), and the graph-ordered item sequence is cut into
-   chunks whose dense key range ``Σ n_labels(item's graph)`` fits
-   :data:`CHUNK_KEY_BUDGET`: a large leaf group splits, small ones share
-   a chunk, and the one-leaf group is simply the one-part chunk.  A
-   chunk's *parts* are its per-graph runs of items.
+   chunks of :data:`CHUNK_ITEMS` items: a large leaf group splits,
+   small ones share a chunk, and the one-leaf group is simply the
+   one-part chunk.  A chunk's *parts* are its per-graph runs of items.
 2. **Intern per part** — each part's titles are tokenized and mapped
    through the owning leaf's ``word_vocab``.
 3. **Fused enumeration** — per part, one CSR gather expands every
@@ -22,12 +21,12 @@ items, whichever leaves they belong to:
    ``indptr`` / ``indices`` (on an mmap-opened model these stay the
    mapped views; nothing is concatenated).  Then, once per chunk,
    candidate label ids are shifted into their item's key slot
-   (``slot[item] + label``, each slot as wide as the item's own graph,
-   so the pooled graph's labels cost only the items that use them) and
-   a single ``np.bincount`` counts the duplication ``c = |T ∩ l|`` for
-   *every* item at once.  When the chunk's key range exceeds
-   ``dense_limit``, an ``np.unique`` run-length fallback produces the
-   identical (key-sorted) output.
+   (``slot[item] + label``, each slot as wide as the item's own graph)
+   and one sort of the keys counts the duplication ``c = |T ∩ l|`` for
+   *every* item at once: a run of equal keys is one candidate label,
+   its length is ``c``.  Slots are arithmetic only — nothing is
+   allocated or scanned per slot — so an item costs the adjacency
+   entries its title reaches, however many labels its graph holds.
 4. **Count-array pruning** — the paper's count array (Section III-F)
    for all items in one pass: ``bincount(item * stride + c)``, a
    reversed cumulative sum, and each item's cutoff is its k-th largest
@@ -65,6 +64,7 @@ The scalar path remains the semantics reference.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -79,18 +79,18 @@ from .serialization import LazyStringList
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .model import GraphExModel, LeafGraph
 
-#: Above this dense key range the bincount would allocate too much, so
-#: enumeration falls back to the np.unique path.
-DEFAULT_DENSE_LIMIT = 1 << 23
-
-#: Dense key range ``Σ n_labels(item's graph)`` one chunk is cut to.
-#: Swept 2**15 .. 2**21 on the bench world (CHANGES.md, PR 17): smaller
-#: chunks pay the fixed call chain more often, larger ones only grow
-#: the temporaries.
-CHUNK_KEY_BUDGET = 1 << 18
+#: Items one chunk is cut to.  Swept 16 .. 256 on the bench world
+#: (CHANGES.md, PR 20): smaller chunks pay the fixed call chain more
+#: often, larger ones only grow the temporaries.
+CHUNK_ITEMS = 64
 
 #: One chunk part: a graph and the request indices it serves.
 _Part = Tuple["LeafGraph", List[int]]
+
+#: ``Recommendation._make`` without its Python-level call and length
+#: check per row: :func:`materialise`, the only caller, zips exactly
+#: ``Recommendation._fields``, in order.
+_row = partial(tuple.__new__, Recommendation)
 
 
 def _alignment_is_vectorized(fn) -> bool:
@@ -155,14 +155,18 @@ def _prune_by_count_array(counts: np.ndarray, per_item: np.ndarray,
     return np.flatnonzero(counts >= np.repeat(cutoffs, per_item))
 
 
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """Non-negative integers in their smallest unsigned dtype.
+def _narrow(values: np.ndarray, top: Optional[int] = None) -> np.ndarray:
+    """Non-negative integers in the smallest unsigned dtype that holds
+    ``top``, a bound on them (their maximum when not given).
 
     A sort key's order does not depend on its width, but its speed
     does: ``np.lexsort`` radix-sorts keys of 16 bits or fewer and
-    merge-sorts wider ones, an order of magnitude apart per row.
+    merge-sorts wider ones, an order of magnitude apart per row, and
+    ``np.sort`` moves half the bytes per 32-bit key that it does per
+    64-bit one.
     """
-    return values.astype(np.min_scalar_type(int(values.max())))
+    return values.astype(np.min_scalar_type(
+        int(values.max() if top is None else top)))
 
 
 def _slot_width(graph: "LeafGraph") -> int:
@@ -228,7 +232,7 @@ def materialise(parts: Sequence[_Part], row_bounds: np.ndarray,
     for graph, indices in parts:
         start, stop = stop, stop + len(indices)
         texts.extend(_label_texts(graph, labels[cuts[start]:cuts[stop]]))
-    rows = list(map(Recommendation._make, zip(
+    rows = list(map(_row, zip(
         texts, scores.tolist(), search.tolist(), recall.tolist(),
         counts.tolist())))
     part_requests = (index for _graph, indices in parts
@@ -296,11 +300,6 @@ class LeafBatchRunner:
             yields no predictions, matching the scalar path's contract).
         hard_limit: Optional strict per-item cap applied after ranking
             (must be ``None`` or ``>= 0``).
-        dense_limit: Largest dense key range ``Σ n_labels(item's graph)``
-            a chunk may bincount.  Chunks are cut to fit
-            ``min(CHUNK_KEY_BUDGET, dense_limit)``; an item whose own
-            graph exceeds ``dense_limit`` runs alone through the
-            np.unique fallback (``dense_limit=0`` forces it everywhere).
 
     Raises:
         ValueError: If ``hard_limit`` is negative, or the model's
@@ -308,8 +307,7 @@ class LeafBatchRunner:
     """
 
     def __init__(self, model: "GraphExModel", k: int = 10,
-                 hard_limit: Optional[int] = None,
-                 dense_limit: int = DEFAULT_DENSE_LIMIT) -> None:
+                 hard_limit: Optional[int] = None) -> None:
         validate_hard_limit(hard_limit)
         if not _alignment_is_vectorized(model.alignment_fn):
             raise ValueError(
@@ -320,7 +318,6 @@ class LeafBatchRunner:
         self._model = model
         self._k = k
         self._hard_limit = hard_limit
-        self._dense_limit = dense_limit
 
     def run(self, requests: Sequence[InferenceRequest]
             ) -> Dict[int, List[Recommendation]]:
@@ -393,25 +390,20 @@ class LeafBatchRunner:
             else:
                 bucket[1].append(index)
 
-        # Cut the graph-ordered item sequence into chunks whose dense
-        # key range fits the budget: a large group splits, small groups
-        # share a chunk, and an item wider than the budget runs alone.
-        budget = min(CHUNK_KEY_BUDGET, self._dense_limit)
+        # Cut the graph-ordered item sequence every CHUNK_ITEMS items:
+        # a large group splits, small groups share a chunk.
         chunk: List[_Part] = []
-        room = budget
+        room = CHUNK_ITEMS
         for graph, indices in groups.values():
-            width = _slot_width(graph)
             taken = 0
             while taken < len(indices):
-                fit = room // width
-                if fit <= 0 and chunk:
-                    yield chunk
-                    chunk, room = [], budget
-                    continue
-                part = indices[taken:taken + max(1, fit)]
+                part = indices[taken:taken + room]
                 chunk.append((graph, part))
                 taken += len(part)
-                room -= len(part) * width
+                room -= len(part)
+                if room == 0:
+                    yield chunk
+                    chunk, room = [], CHUNK_ITEMS
         if chunk:
             yield chunk
 
@@ -488,19 +480,22 @@ class LeafBatchRunner:
             candidates[lo:hi] = graph.graph.indices[positions[lo:hi]]
 
         # Count: item i owns the key slot [slots[i], slots[i + 1]), as
-        # wide as its graph's label set, so one bincount yields every
-        # item's candidate labels and duplication counts c = |T ∩ l| —
-        # sorted by (item, label), as np.unique orders the scalar path.
+        # wide as its graph's label set, so in the sorted keys every run
+        # is one (item, label) candidate and its length the duplication
+        # count c = |T ∩ l| — ascending by (item, label), the order the
+        # scalar path enumerates in.  The cost is the sort's, O(E log E)
+        # in the chunk's adjacency entries whatever the graphs' widths.
+        # Sorted, item i's entries still span entry_bounds[i]:
+        # entry_bounds[i + 1], so its candidates are the runs there.
         slots = np.append(0, np.cumsum(np.repeat(
             [_slot_width(graph) for graph in graphs], part_sizes)))
-        keys = candidates + np.repeat(slots[:-1], np.diff(entry_bounds))
-        if slots[-1] <= self._dense_limit:
-            key_counts = np.bincount(keys)
-            unique_keys = np.flatnonzero(key_counts > 0)
-            counts = key_counts[unique_keys]
-        else:
-            unique_keys, counts = np.unique(keys, return_counts=True)
-        candidate_bounds = np.searchsorted(unique_keys, slots)
+        keys = _narrow(
+            candidates + np.repeat(slots[:-1], np.diff(entry_bounds)),
+            slots[-1])
+        keys.sort()
+        run_starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+        counts = np.diff(np.append(run_starts, total))
+        candidate_bounds = np.searchsorted(run_starts, entry_bounds)
 
         keep = _prune_by_count_array(counts, np.diff(candidate_bounds),
                                      self._k)
@@ -508,7 +503,8 @@ class LeafBatchRunner:
         row_bounds = np.append(0, np.cumsum(sizes))
         item_of = np.repeat(np.arange(len(sizes)), sizes)
         counts = counts[keep]
-        labels = unique_keys[keep] - np.repeat(slots[:-1], sizes)
+        labels = (keys[run_starts[keep]].astype(np.int64)
+                  - np.repeat(slots[:-1], sizes))
 
         # Rank: label metadata comes from the owning leaf, then one
         # segmented lexsort.  Within an item the keys are the scalar

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import uuid
 from collections import abc
@@ -93,51 +94,52 @@ class _LazyStringPool:
 
     ``blob`` is a read-only ``uint8`` view over the mapped payload and
     ``byte_offsets`` the ``n + 1`` slice boundaries; a string is decoded
-    on first access and cached, so an mmap open pays for exactly the
+    on first access and kept, so an mmap open pays for exactly the
     strings it touches (eagerly: per-leaf vocabulary words, which the
     interning dict needs; lazily: label texts, which only materialised
-    recommendations read).
+    recommendations read).  The decoded strings live in one object
+    array indexed by pool id (``None`` until read; 8 bytes per pool
+    string), so a bulk read is one fancy index, and :meth:`take` and
+    ``pool[i]`` hand out the same ``str``.
     """
 
-    __slots__ = ("_blob", "_byte_offsets", "_cache")
+    __slots__ = ("_blob", "_byte_offsets", "_table")
 
     def __init__(self, blob: np.ndarray, byte_offsets: np.ndarray) -> None:
         self._blob = blob
         self._byte_offsets = byte_offsets
-        self._cache: Dict[int, str] = {}
+        self._table = np.full(len(byte_offsets) - 1, None, dtype=object)
 
     def __len__(self) -> int:
-        return len(self._byte_offsets) - 1
+        return len(self._table)
 
     def __getitem__(self, pool_id: int) -> str:
-        pool_id = int(pool_id)
-        cached = self._cache.get(pool_id)
-        if cached is None:
-            lo = int(self._byte_offsets[pool_id])
-            hi = int(self._byte_offsets[pool_id + 1])
-            cached = bytes(self._blob[lo:hi]).decode("utf-8")
-            self._cache[pool_id] = cached
-        return cached
+        text = self._table[pool_id]
+        if text is None:
+            lo = self._byte_offsets[pool_id]
+            hi = self._byte_offsets[pool_id + 1]
+            text = self._table[pool_id] = str(
+                memoryview(self._blob)[lo:hi], "utf-8")
+        return text
 
-    def take(self, pool_ids: List[int]) -> List[str]:
-        """``[self[i] for i in pool_ids]``, at dict-lookup cost once
-        the strings are cached (the steady state of a serving model);
-        the first op on a fresh mapping decodes its misses in bulk."""
-        out = list(map(self._cache.get, pool_ids))
+    def take(self, pool_ids: np.ndarray) -> List[str]:
+        """``[self[i] for i in pool_ids]`` as one fancy index once the
+        strings are decoded (the steady state of a serving model); the
+        first op on a fresh mapping decodes its misses in bulk."""
+        out = self._table[pool_ids].tolist()
         if None in out:
-            cache = self._cache
-            # First-occurrence order, not sorted: cache dict and string
-            # heap keep insertion order, and serving reads request order.
+            # First-occurrence order, not sorted: the string heap keeps
+            # allocation order, and serving reads request order.
             misses = list(dict.fromkeys(
-                pool_id for pool_id, text in zip(pool_ids, out)
+                pool_id for pool_id, text in zip(pool_ids.tolist(), out)
                 if text is None))
             wanted = np.asarray(misses, dtype=np.int64)
             blob = memoryview(self._blob)
             for pool_id, lo, hi in zip(
                     misses, self._byte_offsets[wanted].tolist(),
                     self._byte_offsets[wanted + 1].tolist()):
-                cache[pool_id] = str(blob[lo:hi], "utf-8")
-            out = list(map(cache.get, pool_ids))
+                self._table[pool_id] = str(blob[lo:hi], "utf-8")
+            out = self._table[pool_ids].tolist()
         return out
 
 
@@ -167,8 +169,8 @@ class LazyStringList(abc.Sequence):
 
     def take(self, indices: np.ndarray) -> List[str]:
         """Bulk ``[self[i] for i in indices]``: one fancy-index into the
-        id array, then the pool's cached strings."""
-        return self._pool.take(self._ids[indices].tolist())
+        id array, then the pool's decoded strings."""
+        return self._pool.take(self._ids[indices])
 
     def __iter__(self) -> Iterator[str]:
         pool = self._pool
@@ -314,6 +316,12 @@ def _write_payload_v3(directory: Path, arrays: Dict[str, np.ndarray],
     return filename, manifest
 
 
+def _section_end(entry: Dict) -> int:
+    """Payload offset one past a manifest entry's last byte."""
+    return entry["offset"] + (np.dtype(entry["dtype"]).itemsize
+                              * math.prod(entry["shape"]))
+
+
 def _open_payload_v3(directory: Path, meta: Dict, mmap: bool):
     """Read or map the v3 payload; returns ``(arrays, pool, lazy)``.
 
@@ -327,48 +335,39 @@ def _open_payload_v3(directory: Path, meta: Dict, mmap: bool):
 
     ``mmap=False`` reads the file once and copies every array out
     (writable, independent of the file) and decodes the whole pool.
+
+    Raises:
+        ValueError: The payload is shorter than its manifest says (a
+            truncated copy): checked against the file's size before
+            anything is viewed, since a mapped open never touches its
+            last sections and would serve from a cut file.
     """
     path = directory / meta["arrays_file"]
     manifest = meta["arrays"]
-    arrays: Dict[str, np.ndarray] = {}
-    if mmap:
-        raw = np.memmap(path, dtype=np.uint8, mode="r")
-
-        def view(entry) -> np.ndarray:
-            dtype = np.dtype(entry["dtype"])
-            start = entry["offset"]
-            stop = start + dtype.itemsize * int(np.prod(entry["shape"]))
-            return np.asarray(raw[start:stop].view(dtype)).reshape(
-                entry["shape"])
-
-        for key, entry in manifest.items():
-            if not key.startswith("pool/"):
-                arrays[key] = view(entry)
-        pool = _LazyStringPool(view(manifest[_POOL_BLOB]),
-                               view(manifest[_POOL_BYTE_OFFSETS]))
-        return arrays, pool, True
-
-    data = path.read_bytes()
+    present = path.stat().st_size
     for key, entry in manifest.items():
-        if key.startswith("pool/"):
-            continue
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"]))
-        arrays[key] = np.frombuffer(
-            data, dtype=dtype, count=count,
-            offset=entry["offset"]).reshape(entry["shape"]).copy()
-    blob_entry = manifest[_POOL_BLOB]
-    blob_start = blob_entry["offset"]
-    blob = data[blob_start:blob_start + int(blob_entry["shape"][0])]
-    chars_entry = manifest[_POOL_CHAR_OFFSETS]
-    char_offsets = np.frombuffer(
-        data, dtype=np.dtype(chars_entry["dtype"]),
-        count=int(chars_entry["shape"][0]),
-        offset=chars_entry["offset"]).tolist()
-    decoded = blob.decode("utf-8")
-    pool = [decoded[char_offsets[i]:char_offsets[i + 1]]
-            for i in range(len(char_offsets) - 1)]
-    return arrays, pool, False
+        if _section_end(entry) > present:
+            raise ValueError(
+                f"truncated payload {path}: section {key!r} needs "
+                f"{_section_end(entry)} bytes, the file holds {present}")
+    raw = (np.memmap(path, dtype=np.uint8, mode="r") if mmap
+           else np.frombuffer(path.read_bytes(), dtype=np.uint8))
+
+    def view(key: str) -> np.ndarray:
+        entry = manifest[key]
+        return np.asarray(
+            raw[entry["offset"]:_section_end(entry)]
+            .view(np.dtype(entry["dtype"]))).reshape(entry["shape"])
+
+    arrays = {key: view(key) if mmap else view(key).copy()
+              for key in manifest if not key.startswith("pool/")}
+    if mmap:
+        return arrays, _LazyStringPool(view(_POOL_BLOB),
+                                       view(_POOL_BYTE_OFFSETS)), True
+    decoded = str(view(_POOL_BLOB), "utf-8")
+    char_offsets = view(_POOL_CHAR_OFFSETS).tolist()
+    return arrays, [decoded[lo:hi] for lo, hi in
+                    zip(char_offsets, char_offsets[1:])], False
 
 
 def _replace_meta(directory: Path, meta: Dict) -> None:
@@ -442,11 +441,12 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
     leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
     if model.pooled_graph is not None:
         leaves.append(model.pooled_graph)
-    stems = bool(getattr(model.tokenizer, "stems", False))
+    spec = (model.tokenizer.spec() if isinstance(
+        model.tokenizer, SpaceTokenizer) else {"stem": False})
     filename = _write_artifact(directory, leaves, {
         "format_version": _FORMAT_VERSION,
         "alignment": model.alignment_name,
-        "tokenizer": {"type": "space", "stem": stems}})
+        "tokenizer": {"type": "space", **spec}})
     _prune_stale_payloads(directory, keep=filename)
     return directory
 
@@ -508,7 +508,7 @@ def _load_from_meta(meta: Dict, identity: str, directory: Path,
         else:
             leaf_graphs[leaf.leaf_id] = leaf
 
-    tokenizer = SpaceTokenizer(stem=bool(meta["tokenizer"].get("stem")))
+    tokenizer = SpaceTokenizer.from_spec(meta["tokenizer"])
     alignment = meta["alignment"]
     if alignment == "custom":
         alignment = "lta"

@@ -23,9 +23,13 @@ def normalize_token(token: str) -> str:
     """Lowercase a token and strip punctuation from its edges.
 
     Interior punctuation ("16gb", "1:64", "wi-fi") is preserved, matching
-    how marketplace search treats alphanumeric model codes.
+    how marketplace search treats alphanumeric model codes.  ``\\w`` in
+    a ``str`` pattern is "``str.isalnum()`` or ``_``" per character, so
+    an all-alphanumeric token — nearly every one — has no edge to strip
+    and skips the regex.
     """
-    return _PUNCT_EDGES.sub("", token.lower())
+    token = token.lower()
+    return token if token.isalnum() else _PUNCT_EDGES.sub("", token)
 
 
 def light_stem(token: str) -> str:
@@ -74,6 +78,23 @@ class SpaceTokenizer:
     def stopwords(self) -> frozenset:
         """Tokens dropped entirely by this tokenizer."""
         return self._stopwords
+
+    def spec(self) -> Dict[str, object]:
+        """The whole configuration as JSON data: what a model artifact's
+        header and a cluster frame carry, so whoever opens the one or
+        reads the other tokenizes as the builder did (footnote 3).
+        ``stopwords`` is present only when there are some, which keeps
+        a stopword-less artifact's bytes what they always were."""
+        spec: Dict[str, object] = {"stem": self._stem}
+        if self._stopwords:
+            spec["stopwords"] = sorted(self._stopwords)
+        return spec
+
+    @classmethod
+    def from_spec(cls, spec: Dict[str, object]) -> "SpaceTokenizer":
+        """Inverse of :meth:`spec`; an absent ``stopwords`` is none."""
+        return cls(stem=bool(spec.get("stem")),
+                   drop_stopwords=tuple(spec.get("stopwords", ())))
 
     def process(self, raw: str) -> Optional[str]:
         """Normalize/stem one whitespace-separated raw token.

@@ -269,7 +269,7 @@ class TestProtocol:
 
         reply, n_live = asyncio.run(drive())
         assert reply["type"] == "error"
-        assert reply["reason"] == "protocol 1 != coordinator protocol 3"
+        assert reply["reason"] == "protocol 1 != coordinator protocol 4"
         assert n_live == 0
 
     def test_non_object_payload_rejected(self):
@@ -337,16 +337,21 @@ class TestProtocol:
 
     @pytest.mark.parametrize("mmap", [False, True], ids=["copied", "mmap"])
     def test_shipped_columns_materialise_to_the_engines_rows(
-            self, model, artifact, requests, mmap):
+            self, model, artifact, requests, mmap, monkeypatch):
         """worker half + wire + coordinator half == run_indexed, rows
         compared field by field (floats by ==, which is bit identity
-        for the finite scores the alignments produce)."""
+        for the finite scores the alignments produce) — at the default
+        chunk size and with the batch cut every two items."""
+        from repro.core import fast_inference
         from repro.core.serialization import load_model
         opened = load_model(artifact, mmap=mmap)
         reqs = requests + [(99, "nothing known here", 2),
                            (100, "word1 phrase 3", 77)]
-        for kwargs in ({"k": 5}, {"k": 3, "hard_limit": 2},
-                       {"k": 4, "dense_limit": 0}):
+        for kwargs, chunk_items in (
+                ({"k": 5}, fast_inference.CHUNK_ITEMS),
+                ({"k": 3, "hard_limit": 2}, fast_inference.CHUNK_ITEMS),
+                ({"k": 4}, 2)):
+            monkeypatch.setattr(fast_inference, "CHUNK_ITEMS", chunk_items)
             worker_side = LeafBatchRunner(model, **kwargs)
             reply = through_a_stream(encode_frame(pack_ranked(
                 worker_side.run_ranked(reqs), len(reqs))))
@@ -363,8 +368,12 @@ class TestProtocol:
                                    drop_stopwords=("for", "with"))
         back = unpack_tokenizer(
             json.loads(json.dumps(pack_tokenizer(tokenizer))))
+        assert (back.stems, back.stopwords) == (True, {"for", "with"})
         for text in ("Wireless Headphones for gaming", "cables with!"):
             assert back(text) == tokenizer(text)
+        plain = unpack_tokenizer(
+            json.loads(json.dumps(pack_tokenizer(SpaceTokenizer()))))
+        assert (plain.stems, plain.stopwords) == (False, frozenset())
 
     def test_custom_tokenizer_not_wire_representable(self):
         with pytest.raises(ValueError, match="SpaceTokenizer"):

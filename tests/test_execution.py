@@ -152,7 +152,8 @@ class TestResolveExecutor:
     def test_parallel_spelling_is_gone_everywhere(self):
         """``executor=`` is the only spelling: no entry point takes
         ``parallel``, and sharding re-exports nothing lazily.  Nor does
-        anything take a cost model or a model format to write."""
+        anything take a cost model, a model format to write, or a
+        ``dense_limit`` choosing between two ways to count."""
         import dataclasses
         import inspect
 
@@ -195,6 +196,17 @@ class TestResolveExecutor:
             inspect.signature(save_model).parameters
         for name in ("CostModel", "plan_rebalance_gain", "observe_spread"):
             assert not hasattr(execution, name), name
+        for counted in (LeafBatchRunner, InferenceJob,
+                        Executor.run_inference,
+                        ThreadShardExecutor.run_inference,
+                        SerialExecutor.run_inference,
+                        ProcessShardExecutor.run_inference,
+                        ClusterExecutor.run_inference,
+                        ClusterExecutor.run_inference_async,
+                        execution._init_inference_worker,
+                        ClusterCoordinator.run_inference):
+            assert "dense_limit" not in \
+                inspect.signature(counted).parameters, counted
         assert not {"n_cost_observations", "rebalance_gain"} & {
             field.name for field in dataclasses.fields(RefreshReport)}
         with pytest.raises(SystemExit) as exit_info:

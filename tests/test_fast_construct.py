@@ -400,12 +400,17 @@ class TestPoolLeafGraphs:
                    for graph in graphs.values())
         pools = {id(graph.label_texts._pool): graph.label_texts._pool
                  for graph in graphs.values()}
-        decoded = {key: len(pool._cache) for key, pool in pools.items()}
+
+        def decoded():
+            return {key: sum(text is not None for text in pool._table)
+                    for key, pool in pools.items()}
+
+        before = decoded()
+        assert all(before.values())
 
         pooled = pool_leaf_graphs(curated, graphs)
 
-        assert {key: len(pool._cache)
-                for key, pool in pools.items()} == decoded
+        assert decoded() == before
         self.assert_pooled_identical(
             build_leaf_graph(_pool_leaves(leaves), DEFAULT_TOKENIZER),
             pooled)

@@ -11,18 +11,23 @@ cases (empty vocabulary, unknown leaf, pooled fallback, duplicates).
 
 from __future__ import annotations
 
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fast_inference
 from repro.core.batch import batch_recommend, differential_update
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.fast_inference import (LeafBatchRunner, _label_texts,
                                        _prune_by_count_array,
                                        fast_batch_recommend,
                                        materialise_ranked, ranked_parts)
-from repro.core.inference import prune_by_count_groups, recommend_from_graph
+from repro.core.inference import (Recommendation, prune_by_count_groups,
+                                  recommend_from_graph)
 from repro.core.model import GraphExModel
 from repro.core.serialization import LazyStringList, load_model, save_model
 
@@ -116,15 +121,6 @@ class TestPropertyEquivalence:
             batch_recommend(model, reqs, k=k, engine="fast"),
             batch_recommend(model, reqs, k=k, engine="reference"))
 
-    @given(world=leaf_worlds, reqs=requests_strategy)
-    @settings(max_examples=15, deadline=None)
-    def test_dense_and_sparse_enumeration_agree(self, world, reqs):
-        """dense_limit=0 forces the np.unique fallback path."""
-        model = make_model(world)
-        dense = LeafBatchRunner(model, k=5).run(reqs)
-        sparse = LeafBatchRunner(model, k=5, dense_limit=0).run(reqs)
-        assert_identical(sparse, dense)
-
     @given(world=leaf_worlds, reqs=requests_strategy,
            workers=st.integers(2, 4))
     @settings(max_examples=15, deadline=None)
@@ -173,14 +169,25 @@ mixed_requests = st.lists(
     min_size=0, max_size=30)
 
 
+@contextmanager
+def chunk_items(n):
+    """``CHUNK_ITEMS = n`` for the length of a ``with`` block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fast_inference, "CHUNK_ITEMS", n)
+        yield
+
+
 def spy_chunks(runner):
-    """Record the ``(n_labels, n_items)`` parts of every chunk run."""
+    """Record the ``(n_labels, n_items)`` parts of every chunk run, and
+    hold each to the chunk size in force when it ran."""
     chunks = []
     run_chunk = runner._run_chunk
 
     def spy(requests, parts, results):
         chunks.append([(graph.n_labels, len(indices))
                        for graph, indices in parts])
+        assert 0 < sum(n for _w, n in chunks[-1]) \
+            <= fast_inference.CHUNK_ITEMS
         return run_chunk(requests, parts, results)
 
     runner._run_chunk = spy
@@ -195,45 +202,45 @@ class TestCrossLeafChunks:
            alignment=st.sampled_from(ALIGNMENTS),
            build_pooled=st.booleans(),
            hard_limit=st.one_of(st.none(), st.integers(1, 8)),
-           dense_limit=st.integers(0, 48))
+           items=st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
     def test_tiny_chunks_match_reference(self, world, reqs, k, alignment,
-                                         build_pooled, hard_limit,
-                                         dense_limit):
-        """A tiny ``dense_limit`` is a tiny chunk budget: leaf groups
-        split across chunks, chunks span leaves of different widths,
-        and an item wider than the limit runs alone through the
-        np.unique fallback — all element-wise equal to the oracle."""
+                                         build_pooled, hard_limit, items):
+        """A tiny ``CHUNK_ITEMS``: leaf groups split across chunks and
+        chunks span leaves of different widths, down to one item per
+        chunk — all element-wise equal to the oracle."""
         model = make_model(world, alignment=alignment,
                            build_pooled=build_pooled)
-        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
-                                 dense_limit=dense_limit)
+        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
         chunks = spy_chunks(runner)
-        assert_identical(runner.run(reqs),
-                         reference_outputs(model, reqs, k, hard_limit))
-        for parts in chunks:
-            key_range = sum(n_labels * n for n_labels, n in parts)
-            assert key_range <= dense_limit \
-                or sum(n for _n_labels, n in parts) == 1
+        with chunk_items(items):
+            assert_identical(runner.run(reqs), reference_outputs(
+                model, reqs, k, hard_limit))
+        served = sum(model.leaf_graph(leaf_id) is not None or build_pooled
+                     for _item_id, _title, leaf_id in reqs)
+        full, rest = divmod(served, items)
+        assert [sum(n for _w, n in parts) for parts in chunks] \
+            == [items] * full + [rest] * bool(rest)
 
     @given(world=mixed_worlds, reqs=mixed_requests, k=st.integers(-1, 8),
            alignment=st.sampled_from(ALIGNMENTS),
            build_pooled=st.booleans(),
            hard_limit=st.one_of(st.none(), st.integers(0, 8)),
-           dense_limit=st.integers(0, 48))
+           items=st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
     def test_ranked_columns_materialise_to_the_same_rows(
             self, world, reqs, k, alignment, build_pooled, hard_limit,
-            dense_limit):
+            items):
         """The split before step 6: ``run_ranked`` then
         ``materialise_ranked`` — the cluster's worker and coordinator
         halves — equals ``run_indexed``, chunk cuts and all, and the
         columns name only requests that have rows, each once."""
         model = make_model(world, alignment=alignment,
                            build_pooled=build_pooled)
-        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
-                                 dense_limit=dense_limit)
-        ranked = runner.run_ranked(reqs)
+        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
+        with chunk_items(items):
+            ranked = runner.run_ranked(reqs)
+            expected = runner.run_indexed(reqs)
         answered = ranked.requests.tolist()
         assert len(set(answered)) == len(answered)
         assert (ranked.sizes > 0).all()
@@ -241,31 +248,41 @@ class TestCrossLeafChunks:
             == len(ranked.counts) == len(ranked.scores)
         rows = materialise_ranked(ranked_parts(model, reqs, answered),
                                   ranked, len(reqs))
-        assert rows == runner.run_indexed(reqs)
+        assert rows == expected
         assert [i for i, recs in enumerate(rows) if recs] \
             == sorted(answered)
 
     def test_a_group_splits_and_a_chunk_spans_leaves(self):
-        """Directed: with room for 16 keys, the two small leaves share
-        one chunk and the 16-label leaf's three items take one each."""
+        """Directed, in items: under ``CHUNK_ITEMS = 2`` the 5-item leaf
+        group splits 2 / 2 / 1 and its last item shares a chunk with
+        the next leaf."""
         model = make_model({
             1: [(f"w0 w{i}", 5, i) for i in range(1, 4)],      # 3 labels
             2: [(f"w1 w{i}", 7, i) for i in range(2, 7)],      # 5 labels
             3: [(f"w2 w{i}", 9, i) for i in range(3, 19)],     # 16 labels
         })
-        reqs = [(1, "w0 w1", 1), (2, "w2 w3 zzz", 3), (3, "w1 w2", 2),
-                (4, "w0 w3", 1), (5, "w2", 3), (6, "", 3)]
-        runner = LeafBatchRunner(model, k=3, dense_limit=16)
+        reqs = [(1, "w2 w3 zzz", 3), (2, "w1 w2", 2), (3, "w2", 3),
+                (4, "", 3), (5, "w0 w3", 1), (6, "w2 w5", 3),
+                (7, "w2 w18 w4", 3), (8, "w1 w6", 2)]
+        runner = LeafBatchRunner(model, k=3)
         chunks = spy_chunks(runner)
-        assert_identical(runner.run(reqs), reference_outputs(model, reqs, 3))
-        assert chunks == [[(3, 2)], [(16, 1)], [(16, 1)], [(16, 1)],
-                          [(5, 1)]]
-        # Room for 27: the big leaf's first item rides with leaf 1,
-        # its last shares a chunk with leaf 2.
-        runner = LeafBatchRunner(model, k=3, dense_limit=27)
-        chunks = spy_chunks(runner)
-        assert_identical(runner.run(reqs), reference_outputs(model, reqs, 3))
-        assert chunks == [[(3, 2), (16, 1)], [(16, 1)], [(16, 1), (5, 1)]]
+        with chunk_items(2):
+            assert_identical(runner.run(reqs),
+                             reference_outputs(model, reqs, 3))
+        assert chunks == [[(16, 2)], [(16, 2)], [(16, 1), (5, 1)],
+                          [(5, 1), (3, 1)]]
+        # Three to a chunk: the group splits 3 / 2 and leaf 2 rides
+        # with its tail; one to a chunk is the scalar path, chunked.
+        chunks.clear()
+        with chunk_items(3):
+            assert_identical(runner.run(reqs),
+                             reference_outputs(model, reqs, 3))
+        assert chunks == [[(16, 3)], [(16, 2), (5, 1)], [(5, 1), (3, 1)]]
+        chunks.clear()
+        with chunk_items(1):
+            assert_identical(runner.run(reqs),
+                             reference_outputs(model, reqs, 3))
+        assert chunks == [[(16, 1)]] * 5 + [[(5, 1)]] * 2 + [[(3, 1)]]
 
     def test_default_budget_runs_a_mixed_window_as_one_chunk(self):
         model = make_model({leaf: [(f"w{leaf} w{i}", 5, i)
@@ -276,6 +293,86 @@ class TestCrossLeafChunks:
         chunks = spy_chunks(runner)
         assert_identical(runner.run(reqs), reference_outputs(model, reqs, 4))
         assert len(chunks) == 1 and len(chunks[0]) == 5   # 4 leaves + pooled
+
+
+class TestCostFollowsWhatAnItemTouches:
+    """The count is a sort of the adjacency entries a chunk's titles
+    reach: nothing is allocated or scanned per label the graph holds,
+    and keys narrow to the chunk's slot range without wrapping."""
+
+    WIDE = 50_000
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        """Leaf 1: 3 labels.  Leaf 2: ``WIDE`` labels, token ``a<i>`` in
+        one of them and ``b<j>`` in five.  Pooled: all of both."""
+        return make_model({
+            1: [(f"w0 w{i}", 5, i) for i in range(1, 4)],
+            2: [(f"a{i} b{i // 5}", 1 + i % 9, 1 + i % 7)
+                for i in range(self.WIDE)]}, build_pooled=True)
+
+    def test_peak_memory_does_not_follow_the_label_space(self, model):
+        reqs = [(1, "a7 b1 b9999 zzz", 2)]
+        graph = model.leaf_graph(2)
+        assert graph.n_labels == self.WIDE
+        reached = {label for token in ("a7", "b1", "b9999")
+                   for label in graph.graph.neighbors(
+                       graph.word_vocab.get(token)).tolist()}
+        assert len(reached) == 10
+        runner = LeafBatchRunner(model, k=20)
+        expected = batch_recommend(model, reqs, k=20, engine="reference")
+        assert len(expected[1]) == 10
+        runner.run_indexed(reqs)               # warm caches and imports
+        tracemalloc.start()
+        try:
+            rows = runner.run_indexed(reqs)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == [expected[1]]
+        # One int64 per label alone would be 400 kB.
+        assert peak < 64 * 1024
+
+    def test_a_chunk_mixing_narrow_wide_and_pooled_graphs(self, model):
+        reqs = [(1, "w0 w2", 1), (2, "a7 b1 zzz", 2), (3, "w0 a11 b2", 9),
+                (4, "b9999 a49999", 2), (5, "a0 w3 w1", 9), (6, "w3", 1),
+                (7, "", 9), (8, "zzz", 2)]
+        runner = LeafBatchRunner(model, k=4, hard_limit=6)
+        chunks = spy_chunks(runner)
+        assert_identical(runner.run(reqs),
+                         reference_outputs(model, reqs, 4, hard_limit=6))
+        assert chunks == [[(3, 2), (self.WIDE, 3), (self.WIDE + 3, 3)]]
+
+    @pytest.mark.parametrize("key_range, dtype", [
+        (255, np.uint8), (256, np.uint16),
+        (65_535, np.uint16), (65_536, np.uint32)])
+    def test_keys_narrow_at_the_dtype_edges(self, monkeypatch, key_range,
+                                            dtype):
+        """The chunk's last item owns the top 8 keys of the range and
+        reaches its graph's last label, so the largest key is
+        ``key_range - 1``; a key that wrapped would rank another item's
+        labels."""
+        model = make_model({
+            1: [(f"w0 w{i}", 5, i) for i in range(1, 4)],      # 3 labels
+            2: [(f"w1 w{i}", 7, i) for i in range(2, 10)],     # 8 labels
+        })
+        widths = {3: key_range - 16, 8: 8}
+        monkeypatch.setattr(fast_inference, "_slot_width",
+                            lambda graph: widths[graph.n_labels])
+        narrowed = []
+        narrow = fast_inference._narrow
+
+        def spy(values, top=None):
+            out = narrow(values, top)
+            if top is not None:
+                narrowed.append((int(top), out.dtype, int(values.max())))
+            return out
+
+        monkeypatch.setattr(fast_inference, "_narrow", spy)
+        reqs = [(1, "w0 w3", 1), (2, "w1 w2", 2), (3, "w1 w9 zzz", 2)]
+        assert_identical(fast_batch_recommend(model, reqs, k=3),
+                         reference_outputs(model, reqs, 3))
+        assert narrowed == [(key_range, np.dtype(dtype), key_range - 1)]
 
 
 class TestCountArrayPrune:
@@ -383,6 +480,29 @@ class TestBulkLabelTexts:
             graph = load_model(path, mmap=mmap).leaf_graph(1)
             assert isinstance(graph.label_texts, LazyStringList) == mmap
             assert _label_texts(graph, index_array) == expected
+
+
+    def test_every_row_is_exactly_a_recommendation(self, artifact):
+        """``materialise`` builds rows with ``tuple.__new__`` over a
+        five-column zip — no length check — so the columns it zips must
+        be ``Recommendation``'s fields, all of them, in order."""
+        assert Recommendation._fields == (
+            "text", "score", "search_count", "recall_count", "common")
+        assert len(Recommendation._fields) == 5
+        built, path = artifact
+        reqs = [(1, "w0 w1 w2", 1), (2, "w5 w0 zzz", 2), (3, "w7 w1", 9),
+                (4, "", 1), (5, "naïve w3", 1)]
+        expected = batch_recommend(built, reqs, k=5, engine="reference")
+        for model in (built, load_model(path, mmap=True)):
+            results = LeafBatchRunner(model, k=5).run_indexed(reqs)
+            assert [len(rows) for rows in results] == [2, 2, 2, 0, 1]
+            for (item_id, _title, _leaf), rows in zip(reqs, results):
+                assert rows == expected[item_id]
+                for row in rows:
+                    assert type(row) is Recommendation
+                    assert row == Recommendation(*row)
+                    assert list(map(type, row)) \
+                        == [str, float, int, int, int]
 
 
 class TestEdgeCases:

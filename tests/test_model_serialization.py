@@ -7,6 +7,7 @@ import pickle
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from repro.core.serialization import (SUPPORTED_FORMATS, LazyStringList,
                                       model_format_version,
                                       model_size_bytes, open_model,
                                       save_leaf_graphs, save_model)
-from repro.core.tokenize import DEFAULT_TOKENIZER, STEMMING_TOKENIZER
+from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
+                                 SpaceTokenizer)
 
 
 def curated_two_leaves() -> CuratedKeyphrases:
@@ -152,6 +154,49 @@ class TestSerialization:
             curated_two_leaves(), tokenizer=STEMMING_TOKENIZER)
         save_model(model, tmp_path / "m")
         assert load_model(tmp_path / "m").tokenizer.stems
+
+    @pytest.mark.parametrize("alignment", ["lta", "wmr", "jac"])
+    def test_roundtrip_preserves_stopwords(self, tmp_path, alignment):
+        """Footnote 3: the artifact tokenizes as the builder did.  A
+        dropped stopword does not count towards |T|, so losing the list
+        on the way through ``model.json`` changes served scores."""
+        leaf = CuratedLeaf(leaf_id=1)
+        for rank, text in enumerate(["case for iphone", "iphone case",
+                                     "charger for iphone", "case"]):
+            leaf.add(text, 50 - rank, 1 + rank)
+        tokenizer = SpaceTokenizer(drop_stopwords=("for", "with"))
+        model = GraphExModel.construct(
+            CuratedKeyphrases(leaves={1: leaf}, effective_threshold=1,
+                              config=CurationConfig(min_search_count=1)),
+            tokenizer=tokenizer, alignment=alignment)
+        reqs = [(7, "leather case for iphone with strap", 1)]
+        expected = batch_recommend(model, reqs, k=5, engine="reference")
+        if alignment == "jac":
+            assert {rec.text: rec.score for rec in expected[7]}[
+                "iphone case"] == 0.5          # 2 / (4 + 2 - 2)
+        path = save_model(model, tmp_path / "m")
+        assert '"stopwords": ["for", "with"]' \
+            in (path / "model.json").read_text(encoding="utf-8")
+        for opened in (load_model(path), load_model(path, mmap=True),
+                       open_model(path)):
+            assert opened.tokenizer.stopwords == tokenizer.stopwords
+            assert not opened.tokenizer.stems
+            for engine in ("reference", "fast"):
+                assert batch_recommend(opened, reqs, k=5,
+                                       engine=engine) == expected
+
+    @pytest.mark.parametrize("tokenizer, stem", [
+        (DEFAULT_TOKENIZER, "false"), (STEMMING_TOKENIZER, "true")])
+    def test_stopword_less_header_bytes_are_unchanged(self, tmp_path,
+                                                      tokenizer, stem):
+        """``stopwords`` is written only when there are some: without,
+        ``model.json`` opens with the bytes every earlier save wrote."""
+        path = save_model(GraphExModel.construct(
+            curated_two_leaves(), tokenizer=tokenizer), tmp_path / "m")
+        assert (path / "model.json").read_text(encoding="utf-8").startswith(
+            '{"format_version": 3, "alignment": "lta", "tokenizer": '
+            '{"type": "space", "stem": %s}, ' % stem)
+        assert load_model(path).tokenizer.stopwords == frozenset()
 
     def test_model_size_bytes(self, tmp_path):
         model = GraphExModel.construct(curated_two_leaves())
@@ -571,34 +616,65 @@ class TestMappedPlane:
         assert eager[0] in lazy
         assert pickle.loads(pickle.dumps(lazy)) == list(eager)
 
+    @staticmethod
+    def _decoded(pool):
+        """Pool ids whose string the pool holds decoded."""
+        return {pool_id for pool_id, text in enumerate(pool._table)
+                if text is not None}
+
     def test_lazy_pool_take_decodes_only_misses(self, tmp_path):
         """``take`` on a partly warmed pool answers exactly what
         per-index access does — duplicated, unordered and empty id
-        lists included — and caches what it decoded."""
+        arrays included — and keeps what it decoded, nothing else."""
         _model, path, mapped = self._mapped(tmp_path, build_pooled=True)
         texts = mapped.pooled_graph.label_texts
         pool = texts._pool
         ids = texts._ids.tolist()
         reference = load_model(path, mmap=True).pooled_graph \
             .label_texts._pool
-        warm = set(pool._cache)          # the vocabulary words
-        assert pool.take([]) == []
+        warm = self._decoded(pool)       # the vocabulary words
+        assert warm and not set(ids) <= warm
+        assert pool.take(np.array([], dtype=np.int64)) == []
+        assert self._decoded(pool) == warm
         assert pool[ids[1]] == reference[ids[1]]   # warm one label
-        for batch in ([ids[2], ids[0], ids[2], ids[1], ids[0]],
-                      ids[::-1], ids + ids, [ids[0]]):
-            assert pool.take(batch) == [reference[i] for i in batch]
-        assert set(pool._cache) == warm | set(ids)
+        assert self._decoded(pool) == warm | {ids[1]}
+        first = [ids[2], ids[0], ids[2], ids[1], ids[0]]
+        assert pool.take(np.array(first)) == [reference[i] for i in first]
+        assert self._decoded(pool) == warm | set(first)
+        for batch in (ids[::-1], ids + ids, [ids[0]]):
+            assert pool.take(np.array(batch)) \
+                == [reference[i] for i in batch]
+        assert self._decoded(pool) == warm | set(ids)
+        assert isinstance(pool._table, np.ndarray) \
+            and len(pool._table) == len(pool)
         # The same through the list view the engine calls.
         assert texts.take(np.array([2, 0, 2])) \
             == [texts[2], texts[0], texts[2]]
+        assert texts.take(np.array([], dtype=np.int64)) == []
+
+    def test_lazy_pool_take_and_index_share_one_string(self, tmp_path):
+        """One cache: ``pool[i]`` after ``take`` — and ``take`` after
+        ``pool[i]`` — hands out the identical ``str`` object."""
+        _model, _path, mapped = self._mapped(tmp_path, build_pooled=True)
+        texts = mapped.pooled_graph.label_texts
+        pool = texts._pool
+        cold = [i for i in texts._ids.tolist()
+                if i not in self._decoded(pool)]
+        taken, indexed = cold[0], cold[1]
+        assert pool.take(np.array([taken, taken]))[1] is pool[taken]
+        text = pool[indexed]
+        assert pool.take(np.array([taken, indexed]))[1] is text
+        assert texts.take(np.array([0]))[0] is texts[0]
 
     def test_lazy_pool_take_out_of_range_raises(self, tmp_path):
         _model, _path, mapped = self._mapped(tmp_path)
         pool = mapped.leaf_graph(mapped.leaf_ids[0]).label_texts._pool
+        before = self._decoded(pool)
         with pytest.raises(IndexError):
-            pool.take([0, len(pool)])
+            pool.take(np.array([0, len(pool)]))
         with pytest.raises(IndexError):
             pool[len(pool)]
+        assert self._decoded(pool) == before
 
 
 class TestArtifactBytes:
@@ -712,3 +788,82 @@ class TestArtifactBytes:
             save_leaf_graphs([model.leaf_graph(10)], tmp_path / "b")
         monkeypatch.undo()
         assert list((tmp_path / "b").iterdir()) == []
+
+
+class TestTruncatedPayload:
+    """A payload shorter than its manifest is refused by name, before
+    anything is viewed: a mapped open never touches the last sections
+    and used to serve from a cut file until a read reached the cut."""
+
+    @staticmethod
+    def section_end(entry) -> int:
+        return entry["offset"] + (np.dtype(entry["dtype"]).itemsize
+                                  * int(np.prod(entry["shape"])))
+
+    @classmethod
+    def cut(cls, path: Path, where: str) -> Tuple[Path, str, int, int]:
+        """Truncate the artifact's payload; returns the payload path,
+        the first manifest section that no longer fits, the bytes it
+        needs and the bytes left."""
+        meta = json.loads((path / "model.json").read_text("utf-8"))
+        payload = path / meta["arrays_file"]
+        size = payload.stat().st_size
+        blob = meta["arrays"]["pool/blob"]
+        keep = {"last_byte": size - 1, "half": size // 2,
+                "inside_pool_blob": blob["offset"] + blob["shape"][0] // 2
+                }[where]
+        with open(payload, "r+b") as handle:
+            handle.truncate(keep)
+        for key, entry in meta["arrays"].items():
+            if cls.section_end(entry) > keep:
+                return payload, key, cls.section_end(entry), keep
+        raise AssertionError("the cut removed nothing the manifest names")
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
+    @pytest.mark.parametrize("where, section", [
+        ("last_byte", "pool/char_offsets"), ("half", None),
+        ("inside_pool_blob", "pool/blob")])
+    def test_cut_model_is_refused_by_name(self, tmp_path, where, section,
+                                          mmap):
+        model = TestArtifactBytes.pool_order_model()
+        path = save_model(model, tmp_path / "m")
+        intact = load_model(path, mmap=mmap)
+        payload, first, needs, present = self.cut(path, where)
+        assert section in (None, first)
+        with pytest.raises(ValueError) as refused:
+            load_model(path, mmap=mmap)
+        assert str(refused.value) == (
+            f"truncated payload {payload}: section {first!r} needs "
+            f"{needs} bytes, the file holds {present}")
+        with pytest.raises(ValueError, match="truncated payload"):
+            open_model(path)
+        # Re-saving repairs the directory; the model opened before the
+        # cut was never the file's hostage when copied.
+        save_model(model, path)
+        assert_models_identical(model, load_model(path, mmap=mmap))
+        if not mmap:
+            assert_models_identical(model, intact)
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
+    def test_cut_leaf_bundle_is_refused_by_name(self, tmp_path, mmap):
+        model = TestArtifactBytes.pool_order_model()
+        bundle = save_leaf_graphs(
+            [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids],
+            tmp_path / "b")
+        payload, first, needs, present = self.cut(bundle, "last_byte")
+        with pytest.raises(ValueError) as refused:
+            load_leaf_graphs(bundle, mmap=mmap)
+        assert str(refused.value) == (
+            f"truncated payload {payload}: section {first!r} needs "
+            f"{needs} bytes, the file holds {present}")
+
+    def test_a_section_may_end_with_the_file(self, tmp_path):
+        """The check is ``>``, not ``>=``: a section may end exactly at
+        the end of the file — every intact payload's last one does."""
+        model = TestArtifactBytes.pool_order_model()
+        path = save_model(model, tmp_path / "m")
+        meta = json.loads((path / "model.json").read_text("utf-8"))
+        assert max(map(self.section_end, meta["arrays"].values())) \
+            == (path / meta["arrays_file"]).stat().st_size
+        for mmap in (True, False):
+            assert_models_identical(model, load_model(path, mmap=mmap))

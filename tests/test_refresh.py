@@ -464,6 +464,56 @@ class TestRefreshRetries:
             tmp_path / "artifacts" / "gen-2")
         assert pipeline.model is service.model is not fig3_model
 
+    def test_truncated_artifact_is_reported_with_stack_untouched(
+            self, fig3_model, monkeypatch, tmp_path):
+        """The payload reaches the disk short (a torn copy, a full
+        volume that lied): the mapped open refuses it by name on every
+        attempt, the report says so, and nothing was deployed."""
+        import json
+        from pathlib import Path
+
+        from repro.serving import refresh
+
+        def short_save(model, directory):
+            path = Path(refresh_save(model, directory))
+            meta = json.loads((path / "model.json").read_text("utf-8"))
+            payload = path / meta["arrays_file"]
+            with open(payload, "r+b") as handle:
+                handle.truncate(payload.stat().st_size - 1)
+            return path
+
+        refresh_save = refresh.save_model
+        monkeypatch.setattr(refresh, "save_model", short_save)
+        store = KeyValueStore()
+        pipeline = BatchPipeline(fig3_model, store=store)
+        pipeline.full_load(REQUESTS)
+        served = {item_id: pipeline.serve(item_id)
+                  for item_id, _title, _leaf in REQUESTS}
+        service = NRTService(fig3_model, store, window_size=1)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts",
+            retry=self.make_policy())
+        orchestrator.register(service)
+        report = orchestrator.refresh_sync(build_fig3_variant_curated(),
+                                           REQUESTS)
+        assert "persist exhausted 3 attempts" in report.failure
+        assert "truncated payload" in report.failure
+        assert "section 'pool/char_offsets'" in report.failure
+        assert str(tmp_path / "artifacts" / "gen-1") in report.failure
+        assert report.n_retries == 2
+        assert report.artifact_path is None
+        assert pipeline.model is service.model is fig3_model
+        assert pipeline.model_generation == service.model_generation == 0
+        assert {item_id: pipeline.serve(item_id)
+                for item_id, _title, _leaf in REQUESTS} == served
+        # Writes land whole again: the next refresh converges the stack.
+        monkeypatch.undo()
+        healthy = orchestrator.refresh_sync(build_fig3_variant_curated(),
+                                            REQUESTS)
+        assert healthy.failure is None
+        assert healthy.generation == 2 == service.model_generation
+        assert pipeline.model is service.model is not fig3_model
+
     def test_without_a_policy_persist_failures_propagate(
             self, fig3_model, monkeypatch, tmp_path):
         self.fail_fsync(monkeypatch, 1)

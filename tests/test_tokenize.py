@@ -9,12 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.tokenize import (
+    _PUNCT_EDGES,
     DEFAULT_TOKENIZER,
     STEMMING_TOKENIZER,
     SpaceTokenizer,
     light_stem,
     normalize_token,
 )
+
+
+def regex_only_normalize(token: str) -> str:
+    """``normalize_token`` as it was before its ``isalnum`` fast path:
+    the regex on every token.  The reference the fast path must equal."""
+    return _PUNCT_EDGES.sub("", token.lower())
 
 
 class TestNormalizeToken:
@@ -41,6 +48,36 @@ class TestNormalizeToken:
     def test_idempotent(self, token):
         once = normalize_token(token)
         assert normalize_token(once) == once
+
+
+class TestNormalizeFastPath:
+    """``isalnum`` tokens skip the edge regex; the function is the same
+    one, on every string."""
+
+    def test_every_code_point_at_every_position(self):
+        """Exhaustive, not sampled: each code point alone, at either
+        edge of a word, inside one, and doubled (``lower()`` may map it
+        to several characters, which the fast path sees lowered)."""
+        shapes = ("{0}", "{0}a", "a{0}", "a{0}a", "{0}{0}")
+        for block in range(0, 0x110000, 0x1000):
+            chars = list(map(chr, range(block, block + 0x1000)))
+            tokens = [shape.format(char) for char in chars
+                      for shape in shapes]
+            got = list(map(normalize_token, tokens))
+            if got != list(map(regex_only_normalize, tokens)):
+                pytest.fail("differs on " + ", ".join(
+                    ascii(token) for token, text in zip(tokens, got)
+                    if text != regex_only_normalize(token)))
+
+    @given(st.text(max_size=12))
+    def test_any_text_property(self, token):
+        assert normalize_token(token) == regex_only_normalize(token)
+
+    @pytest.mark.parametrize("token", [
+        "", "_", "__a__", "a_b", "İstanbul", "ǅ", "ß", "Ⅷ", "½", "٣",
+        "x²", "a\u0301", "\u0301a", "日本語", "wi-fi!", "'n'", "16GB"])
+    def test_directed(self, token):
+        assert normalize_token(token) == regex_only_normalize(token)
 
 
 class TestLightStem:
