@@ -78,15 +78,14 @@ def build_world(n_leaves: int, phrases_per_leaf: int, n_items: int,
 
 
 def time_engine(model, requests, engine: str, k: int, hard_limit,
-                workers: int, repeat: int):
+                repeat: int):
     """Best-of-``repeat`` wall time and the (last) result dict."""
     best = float("inf")
     result = None
     for _ in range(repeat):
         start = time.perf_counter()
         result = batch_recommend(model, requests, k=k,
-                                 hard_limit=hard_limit, workers=workers,
-                                 engine=engine)
+                                 hard_limit=hard_limit, engine=engine)
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -98,7 +97,6 @@ def main(argv=None) -> int:
     parser.add_argument("--phrases-per-leaf", type=int, default=400)
     parser.add_argument("-k", type=int, default=20)
     parser.add_argument("--hard-limit", type=int, default=40)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--min-speedup", type=float, default=0.0,
@@ -112,11 +110,9 @@ def main(argv=None) -> int:
           f"keyphrases, {len(requests)} requests")
 
     ref_time, ref_out = time_engine(model, requests, "reference", args.k,
-                                    args.hard_limit, args.workers,
-                                    args.repeat)
+                                    args.hard_limit, args.repeat)
     fast_time, fast_out = time_engine(model, requests, "fast", args.k,
-                                      args.hard_limit, args.workers,
-                                      args.repeat)
+                                      args.hard_limit, args.repeat)
     if ref_out != fast_out:
         diff = [i for i in ref_out if ref_out[i] != fast_out[i]]
         print(f"ENGINE MISMATCH on {len(diff)} items, e.g. {diff[:3]}")
@@ -128,8 +124,7 @@ def main(argv=None) -> int:
         [["reference", ref_time * 1e3, len(requests) / ref_time, 1.0],
          ["fast", fast_time * 1e3, len(requests) / fast_time, speedup]],
         title=f"Fast engine bake-off — {len(requests)} items, "
-              f"k={args.k}, workers={args.workers} "
-              f"(outputs verified identical)")
+              f"k={args.k} (outputs verified identical)")
     RESULTS_DIR.mkdir(exist_ok=True)
     emit(RESULTS_DIR, "fast_engine", table)
 

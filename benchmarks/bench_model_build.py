@@ -144,7 +144,6 @@ def main(argv=None) -> int:
                         help="simulated: training-window events")
     parser.add_argument("--min-search-count", type=int, default=2)
     parser.add_argument("--min-keyphrases", type=int, default=300)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--pooled", action="store_true",
                         help="also build the pooled all-leaves graph")
     parser.add_argument("--repeat", type=int, default=3)
@@ -189,8 +188,7 @@ def main(argv=None) -> int:
         args.repeat)
     build_fast_time, model_fast = best_of(
         lambda: GraphExModel.construct(curated_fast, builder="fast",
-                                       build_pooled=args.pooled,
-                                       workers=args.workers),
+                                       build_pooled=args.pooled),
         args.repeat)
     assert_identical_models(model_ref, model_fast)
 
@@ -225,7 +223,7 @@ def main(argv=None) -> int:
     table = render_table(
         ["stage", "time (ms)", "keyphrases/s", "speedup"], rows,
         title=f"Model-build bake-off — {n_keyphrases} keyphrases, "
-              f"{model_ref.n_leaves} leaves, workers={args.workers}, "
+              f"{model_ref.n_leaves} leaves, "
               f"pooled={args.pooled} (models verified bit-identical)")
     RESULTS_DIR.mkdir(exist_ok=True)
     emit(RESULTS_DIR, "model_build", table)

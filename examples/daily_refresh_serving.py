@@ -57,7 +57,7 @@ async def main_async() -> None:
           f"{model.n_keyphrases} labels in "
           f"{(time.perf_counter() - start) * 1e3:.0f} ms")
 
-    pipeline = BatchPipeline(model, store=store, workers=4)
+    pipeline = BatchPipeline(model, store=store)
     report = pipeline.full_load(requests)
     print(f"   full load: {report.n_inferred} items inferred, "
           f"{report.n_served} served from KV version {report.version}")
@@ -73,12 +73,11 @@ async def main_async() -> None:
     # deploys its *memory-mapped* open, so the pipeline and every
     # stream share one physical model copy (swap = remap, not reload).
     artifact_root = tempfile.mkdtemp(prefix="graphex-daily-")
-    # executor= picks the construct substrate ("serial"/"thread"/
-    # "process"/"cluster" or an Executor instance).  The orchestrator
-    # keeps it for life, so every build's timings land in one registry
-    # (orchestrator.metrics).
-    orchestrator = DailyRefreshOrchestrator(pipeline, workers=4,
-                                            executor="thread",
+    # Each day's model builds inline (the default executor, and on
+    # one box the fastest); executor=<a ClusterExecutor> would build it
+    # on a fleet.  The orchestrator keeps its executor for life, so
+    # every build's timings land in one registry (orchestrator.metrics).
+    orchestrator = DailyRefreshOrchestrator(pipeline,
                                             artifact_dir=artifact_root)
     orchestrator.register(front)
 

@@ -41,10 +41,11 @@ def main() -> None:
           f"(effective threshold {curated.effective_threshold})")
 
     print("4) Constructing GraphEx (training-free) ...")
-    # executor= picks where leaf shards build: "serial", "thread"
-    # (default), "process", or an Executor instance — the model is
-    # bit-identical on every substrate.
-    model = GraphExModel.construct(curated, executor="thread")
+    # Leaf graphs build here, on this thread — on one box the fastest
+    # place.  executor=ClusterExecutor.local(N) would hand whole-leaf
+    # shards to N worker processes instead; the model is bit-identical
+    # either way.
+    model = GraphExModel.construct(curated)
     print(f"   {model.n_leaves} leaf graphs, "
           f"{model.n_keyphrases} labels, "
           f"~{model.memory_bytes() / 1024:.0f} KiB")

@@ -26,11 +26,11 @@ Quickstart::
 from .core import (
     ALIGNMENTS,
     CSRGraph,
+    ClusterExecutor,
     CuratedKeyphrases,
     CurationConfig,
     Executor,
     GraphExModel,
-    ProcessShardExecutor,
     Recommendation,
     ShardPlan,
     SpaceTokenizer,
@@ -72,11 +72,11 @@ __version__ = "1.0.0"
 __all__ = [
     "ALIGNMENTS",
     "CSRGraph",
+    "ClusterExecutor",
     "CuratedKeyphrases",
     "CurationConfig",
     "Executor",
     "GraphExModel",
-    "ProcessShardExecutor",
     "resolve_executor",
     "Recommendation",
     "ShardPlan",

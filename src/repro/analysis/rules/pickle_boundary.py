@@ -8,12 +8,19 @@ far side).  Pickle at either boundary would silently couple the wire
 format to interpreter internals, break cross-version clusters, and —
 on the receiving coordinator — execute attacker-controlled bytecode.
 The rule bans importing or calling ``pickle`` (and its drop-ins) in
-``repro.cluster.*`` and the process-shard execution module — and,
+``repro.cluster.*`` and ``repro.core.execution`` — and,
 since numpy arrays now touch the wire, numpy's own doors to pickle:
 any call passing ``allow_pickle=`` anything but the literal ``False``,
 ``ndarray.dump`` / ``ndarray.dumps`` (any ``.dump`` / ``.dumps`` call
 whose receiver is not the ``json`` module) and ``np.loads``.  Arrays
 cross as ``tobytes()`` / ``np.frombuffer`` with an explicit dtype.
+
+The implicit door is banned with the explicit ones: a
+``multiprocessing`` / ``ProcessPoolExecutor`` pool pickles every
+argument and every result without anyone writing ``pickle``, so
+importing ``multiprocessing``, ``concurrent.futures.process`` or
+``ProcessPoolExecutor`` in scope is flagged too.  Work leaves the
+process through the cluster plane's frames instead.
 """
 
 from __future__ import annotations
@@ -30,6 +37,10 @@ __all__ = ["NoPickleBoundaryRule"]
 PICKLE_MODULES = frozenset({"pickle", "cPickle", "dill", "cloudpickle",
                             "marshal"})
 
+#: Process pools: every argument and result crosses as a pickle.
+POOL_MODULES = frozenset({"multiprocessing", "concurrent.futures.process"})
+POOL_NAMES = frozenset({"ProcessPoolExecutor"})
+
 #: Modules whose ``dump`` / ``dumps`` write text, not pickles.
 TEXT_DUMPERS = frozenset({"json"})
 
@@ -39,9 +50,10 @@ NUMPY_LOADS = frozenset({"np.loads", "numpy.loads"})
 
 class NoPickleBoundaryRule(Rule):
     id = "no-pickle-boundary"
-    description = ("no pickle in cluster/ or process-shard return "
-                   "paths; payloads go through protocol.py codecs or "
-                   "v3 leaf bundles")
+    description = ("no pickle — by name, through numpy, or through a "
+                   "process pool — in cluster/ or core.execution; "
+                   "payloads go through protocol.py codecs or v3 leaf "
+                   "bundles")
 
     SCOPES = ("repro.cluster.",)
     SCOPE_MODULES = ("repro.core.execution",)
@@ -55,15 +67,19 @@ class NoPickleBoundaryRule(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in PICKLE_MODULES:
+                    door = self._import_door(alias.name)
+                    if door is not None:
                         violations.append(self.violation(
-                            ctx, node, self._message(root)))
+                            ctx, node, self._message(door)))
             elif isinstance(node, ast.ImportFrom):
-                root = (node.module or "").split(".")[0]
-                if node.level == 0 and root in PICKLE_MODULES:
+                if node.level != 0:
+                    continue
+                doors = [self._import_door(node.module or "")] + [
+                    alias.name for alias in node.names
+                    if alias.name in POOL_NAMES]
+                for door in filter(None, doors):
                     violations.append(self.violation(
-                        ctx, node, self._message(root)))
+                        ctx, node, self._message(door)))
             elif isinstance(node, ast.Call):
                 name = dotted(node.func)
                 root = name.split(".")[0] if name else None
@@ -84,6 +100,15 @@ class NoPickleBoundaryRule(Rule):
                             ctx, node, self._message(
                                 "allow_pickle= not the literal False")))
         return violations
+
+    @staticmethod
+    def _import_door(module: str):
+        """The pickle door a module import opens, or None."""
+        root = module.split(".")[0]
+        if root in PICKLE_MODULES:
+            return root
+        return next((pool for pool in POOL_MODULES
+                     if (module + ".").startswith(pool + ".")), None)
 
     @staticmethod
     def _message(what: str) -> str:

@@ -4,9 +4,9 @@ Mirrors a production workflow in six subcommands::
 
     repro-graphex simulate  --out logs.json [--profile tiny|default]
     repro-graphex curate    --log logs.json --out curated.json [--min-search-count N] [--engine reference|fast]
-    repro-graphex construct --curated curated.json --out model_dir/ [--builder reference|fast] [--workers N] [--executor serial|thread|process|cluster]
-    repro-graphex recommend --model model_dir/ --title "..." --leaf ID [-k N] [--engine reference|fast] [--workers N] [--executor serial|thread|process|cluster] [--mmap]
-    repro-graphex serve-nrt --model model_dir/ [--streams N] [--events N] [--refresh-after N]
+    repro-graphex construct --curated curated.json --out model_dir/ [--builder reference|fast] [--executor serial|process|cluster [--workers N]]
+    repro-graphex recommend --model model_dir/ --title "..." --leaf ID [-k N] [--engine reference|fast] [--executor serial|process|cluster [--workers N]] [--mmap]
+    repro-graphex serve-nrt --model model_dir/ [--streams N] [--events N] [--refresh-after N] [--executor serial|process|cluster [--workers N]]
     repro-graphex evaluate  [--profile tiny|default] [--meta CAT_1]
     repro-graphex cluster-worker --connect HOST:PORT [--name W] [--die-after-assignments N]
     repro-graphex cluster-run --model model_dir/ [--spawn-workers N] [--kill-after K] [--metrics-out PATH]
@@ -39,7 +39,6 @@ import dataclasses
 import json
 import sys
 import time
-from pathlib import Path
 from typing import List, Optional
 
 from .core.batch import ENGINES, batch_recommend
@@ -135,14 +134,14 @@ def _load_curated(path: str):
 
 
 def _cli_executor(args: argparse.Namespace):
-    """The ``--executor`` value as an executor spec.  ``cluster`` boots
-    a self-contained localhost fleet
-    (:meth:`repro.core.execution.ClusterExecutor.local`); the caller
-    owns the returned instance and must ``close()`` it."""
-    if args.executor == "cluster":
+    """The ``--executor`` value as an executor spec.  ``process`` and
+    ``cluster`` both boot a localhost fleet of ``--workers`` worker
+    subprocesses (:meth:`repro.core.execution.ClusterExecutor.local`);
+    the caller owns the returned instance and must ``close()`` it."""
+    if args.executor in ("process", "cluster"):
         from .core.execution import ClusterExecutor
 
-        return ClusterExecutor.local(workers=max(2, args.workers))
+        return ClusterExecutor.local(args.workers)
     return args.executor
 
 
@@ -160,7 +159,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         model = GraphExModel.construct(curated, alignment=args.alignment,
                                        builder=args.builder,
-                                       workers=args.workers,
                                        executor=executor)
         elapsed = time.perf_counter() - start
     finally:
@@ -180,7 +178,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     try:
         results = batch_recommend(model, [(0, args.title, args.leaf)],
                                   k=args.k, engine=args.engine,
-                                  workers=args.workers,
                                   executor=executor)
     finally:
         _close_executor(executor)
@@ -221,16 +218,9 @@ def _cmd_serve_nrt(args: argparse.Namespace) -> int:
                 leaf_id=leaf_id, timestamp=float(i)))
         return events
 
-    front = AsyncNRTFront(
-        model, window_size=args.window_size,
-        window_seconds=args.window_seconds,
-        engine=args.engine, workers=args.workers,
-        executor=args.executor)
     streams = [f"stream-{i}" for i in range(args.streams)]
-    feeds = {}
-    for index, name in enumerate(streams):
-        front.add_stream(name)
-        feeds[name] = make_events(index)
+    feeds = {name: make_events(index)
+             for index, name in enumerate(streams)}
 
     split = min(args.refresh_after, args.events) \
         if args.refresh_after > 0 else 0
@@ -269,7 +259,17 @@ def _cmd_serve_nrt(args: argparse.Namespace) -> int:
         for event in events:
             await front.submit(name, event)
 
-    elapsed = asyncio.run(drive())
+    executor = _cli_executor(args)
+    try:
+        front = AsyncNRTFront(
+            model, window_size=args.window_size,
+            window_seconds=args.window_seconds,
+            engine=args.engine, executor=executor)
+        for name in streams:
+            front.add_stream(name)
+        elapsed = asyncio.run(drive())
+    finally:
+        _close_executor(executor)
     total = args.streams * args.events
     for stats in front.all_stats():
         print(f"{stats.name}: {stats.n_submitted} events -> "
@@ -379,21 +379,14 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
     dead-host re-planning.
     """
     import asyncio
-    import os
-    import subprocess
 
-    from .cluster import ClusterCoordinator, RetryPolicy
+    from .cluster import (ClusterCoordinator, RetryPolicy, reap_workers,
+                          spawn_worker)
     from .core.fast_inference import LeafBatchRunner
 
     model = load_model(args.model, mmap=True)
     requests = _synthesize_requests(model, args.requests, args.seed)
     expected = LeafBatchRunner(model, k=args.k).run(requests)
-
-    env = dict(os.environ)
-    package_root = str(Path(__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([env["PYTHONPATH"]]
-                          if env.get("PYTHONPATH") else []))
 
     async def drive() -> int:
         procs = []
@@ -403,16 +396,13 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
                 heartbeat_timeout=4.0) as coordinator:
             try:
                 for index in range(args.spawn_workers):
-                    argv = [sys.executable, "-m", "repro.cli",
-                            "cluster-worker",
-                            "--connect",
-                            f"{coordinator.host}:{coordinator.port}",
-                            "--name", f"machine-{index}",
-                            "--heartbeat", "0.5"]
+                    flags = ["--heartbeat", "0.5"]
                     if args.kill_after is not None and index == 0:
-                        argv += ["--die-after-assignments",
-                                 str(args.kill_after)]
-                    procs.append(subprocess.Popen(argv, env=env))
+                        flags += ["--die-after-assignments",
+                                  str(args.kill_after)]
+                    procs.append(spawn_worker(
+                        f"{coordinator.host}:{coordinator.port}",
+                        f"machine-{index}", *flags))
                 await coordinator.wait_for_workers(args.spawn_workers,
                                                    timeout=30.0)
                 start = time.perf_counter()
@@ -421,11 +411,7 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
                 elapsed = time.perf_counter() - start
             finally:
                 await coordinator.stop()
-                for proc in procs:
-                    try:
-                        proc.wait(timeout=10.0)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
+                reap_workers(procs)
             report = coordinator.last_report
             identical = got == expected
             rate = len(requests) / elapsed if elapsed > 0 \
@@ -508,26 +494,26 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _add_executor_options(parser: argparse.ArgumentParser, path: str,
-                          choices, unit: str,
-                          executors=EXECUTOR_NAMES) -> None:
-    """The ``--engine|--builder`` / ``--workers`` / ``--executor``
+                          choices, unit: str) -> None:
+    """The ``--engine|--builder`` / ``--executor`` / ``--workers``
     triple shared by construct, recommend and serve-nrt."""
     parser.add_argument(f"--{path}", choices=choices, default="fast",
                         help=f"scalar reference {path} or the vectorized "
                              f"fast one (identical output)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help=f"fast-{path} worker count; whole {unit} "
-                             f"are sharded")
     # --parallel is this same action under its old name (the verify
     # recipe drives it), not a second option.
     parser.add_argument("--executor", "--parallel", dest="executor",
-                        choices=executors, default=None,
-                        help=f"where shards of {unit} run (default "
-                             f"thread; 'serial' is the in-order oracle; "
-                             f"'cluster', where offered, boots a "
-                             f"localhost worker fleet) — identical "
-                             f"output on each; only serial/thread pair "
-                             f"with the reference {path}")
+                        choices=EXECUTOR_NAMES, default=None,
+                        help=f"where shards of {unit} run: 'serial' "
+                             f"(default) is this process, the oracle and "
+                             f"on one box the fastest; 'process' and "
+                             f"'cluster' both boot a localhost fleet of "
+                             f"--workers worker processes — identical "
+                             f"output on each; only serial pairs with "
+                             f"the reference {path}")
+    parser.add_argument("--workers", type=int, default=2,
+                        help="size of the fleet --executor "
+                             "process|cluster boots (ignored by serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -588,11 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="events synthesized per stream")
     p_srv.add_argument("--window-size", type=int, default=32)
     p_srv.add_argument("--window-seconds", type=float, default=1.0)
-    # A long-lived service keeps its own cluster, so 'cluster' is not
-    # offered here.
     _add_executor_options(p_srv, "engine", ENGINES,
-                          "window micro-batch leaf groups",
-                          executors=("serial", "thread", "process"))
+                          "window micro-batch leaf groups")
     p_srv.add_argument("--refresh-after", type=int, default=0,
                        help="hot-swap a freshly loaded model after this "
                             "many events per stream, mid-run (0 = no "
@@ -631,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster-run",
         help="demo the fault-tolerant cluster runner on subprocess "
              "worker machines, verifying bit-identical output (the "
-             "subprocess-fleet sibling of 'recommend --executor "
-             "cluster', which boots in-process workers instead)")
+             "same fleet 'recommend --executor cluster' boots, with "
+             "a kill switch and a run report)")
     p_crn.add_argument("--model", required=True,
                        help="serialized model directory (format 3 is "
                             "mmap-shared across the machines)")

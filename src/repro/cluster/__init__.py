@@ -8,7 +8,8 @@ The package splits along the trust boundary:
   deterministic fault injector used by the robustness suite.
 * :mod:`~repro.cluster.retry` — the shared capped-backoff-with-jitter
   policy (also used by the daily refresh orchestrator).
-* :mod:`~repro.cluster.worker` — one executor host.
+* :mod:`~repro.cluster.worker` — one executor host, and the launcher
+  that starts hosts as subprocesses.
 * :mod:`~repro.cluster.coordinator` — plans, dispatches, retries,
   re-plans around dead hosts, and merges exactly once.
 """
@@ -20,11 +21,13 @@ from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, FrameError,
 from .retry import RetriesExhausted, RetryPolicy
 from .transport import (Fault, FaultSchedule, FaultyTransport, Transport,
                         TransportClosed)
-from .worker import ClusterWorker, WorkerKilled
+from .worker import (ClusterWorker, WorkerKilled, reap_workers,
+                     spawn_worker)
 
 __all__ = [
     "ClusterCoordinator", "ClusterError", "ClusterExecutionError",
     "ClusterRunReport", "ClusterWorker", "WorkerKilled",
+    "spawn_worker", "reap_workers",
     "RetryPolicy", "RetriesExhausted",
     "Transport", "TransportClosed", "Fault", "FaultSchedule",
     "FaultyTransport",

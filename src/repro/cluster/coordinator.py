@@ -8,7 +8,7 @@ The multi-machine shard runner the ROADMAP promised: a
 units and merged back is not decided here: both jobs drive a
 :class:`~repro.core.execution.InferenceJob` /
 :class:`~repro.core.execution.ConstructionJob`, the same scatter/merge
-contract every in-process executor calls, and this module only
+contract the inline executor calls, and this module only
 schedules units, moves frames, and fences results.  The outputs are
 element-wise/bit-identical to the single-process fast paths under
 **any** failure topology; the fault-injection suite proves it.
@@ -265,6 +265,9 @@ class ClusterCoordinator:
         self._artifact_sources: Dict[str, Path] = {}
         self._artifact_counter = itertools.count()
         self._model_cache: Dict[str, GraphExModel] = {}
+        #: id(model) → (the model, its spooled artifact), per in-memory
+        #: model a job was given.
+        self._spooled: Dict[int, Tuple[GraphExModel, Path]] = {}
         self._model_spool: Optional[Path] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: Set[asyncio.Task] = set()
@@ -663,8 +666,11 @@ class ClusterCoordinator:
         """Resolve a model source to (artifact path, opened model).
 
         A path opens (mmap for format 3, memoized); an in-memory model
-        is persisted once to the coordinator's spool as a format-3
-        artifact and the *mapped* open is used locally too — workers
+        is persisted to the coordinator's spool as a format-3 artifact
+        the first time it is seen — every later job on the same object
+        is answered from that one save, so a service calling once per
+        window leaves one spool directory and one mapping per host, not
+        one per call — and the *mapped* open is used locally too: workers
         and coordinator then share one physical model, the PR 6
         zero-copy plane doing the distribution.  The opened model is
         also what reply label ids are read against, so its
@@ -673,7 +679,11 @@ class ClusterCoordinator:
         any worker that opens it later, and is refused, not misread.
         """
         loop = asyncio.get_event_loop()
-        if isinstance(source, GraphExModel):
+        if not isinstance(source, GraphExModel):
+            path = Path(source)
+        elif id(source) in self._spooled:
+            path = self._spooled[id(source)][1]
+        else:
             if self._model_spool is None:
                 # mkdtemp off-loop (async-no-blocking).  Only a job
                 # calls this, under _job_lock, so no second caller can
@@ -681,12 +691,12 @@ class ClusterCoordinator:
                 self._model_spool = Path(await loop.run_in_executor(
                     None, lambda: tempfile.mkdtemp(
                         prefix="graphex-coordinator-")))
-            path = self._model_spool / \
-                f"model-{next(self._artifact_counter)}"
+            path = self._model_spool / f"model-{len(self._spooled)}"
             await loop.run_in_executor(
                 None, lambda: save_model(source, path))
-        else:
-            path = Path(source)
+            # The model rides along so its id cannot be reused by
+            # another object while the entry lives.
+            self._spooled[id(source)] = (source, path)
         key = str(path)
         model = self._model_cache.get(key)
         if model is None:

@@ -16,19 +16,18 @@ serves assignments sequentially from its connection:
   (:func:`~repro.cluster.protocol.pack_ranked`), and the coordinator
   materialises them from its own mapping of the artifact.
 * **Construction shards** — curated leaves arrive on the wire and go
-  through :func:`repro.core.execution.build_shard_bundle` (the same
-  builder the process pool runs) into a format-3 leaf bundle under the
-  worker's spool dir; the reply carries the bundle path (the
-  coordinator mmap-opens it) plus the cache state for the
-  parent-side merge.
+  through :func:`repro.core.execution.build_shard_bundle` into a
+  format-3 leaf bundle under the worker's spool dir; the reply carries
+  the bundle path (the coordinator mmap-opens it) and nothing else.
 * **Artifact streaming** — a coordinator without a shared filesystem
   streams the model artifact in chunked frames (each chunk the frame's
   binary tail); the worker spools it locally and serves it by artifact
   name, mmap-opened.
 
 A worker-side exception never kills the worker: it is caught and
-returned as a ``shard_error`` frame carrying the full traceback (the
-cluster analogue of :class:`repro.core.sharding.ShardWorkerError`).
+returned as a ``shard_error`` frame carrying the full traceback, which
+the coordinator raises as
+:class:`~repro.cluster.coordinator.ClusterExecutionError`.
 Heartbeats flow from a separate task over the same (send-locked)
 connection, so a long shard does not read as a dead host.
 
@@ -38,6 +37,11 @@ a :class:`~repro.cluster.transport.FaultyTransport` factory), and
 ``N`` assignments, then drops the connection cold (``hard_exit=True``
 additionally kills the process) upon receiving the next one, exactly a
 host crash mid-plan.
+
+:func:`spawn_worker` / :func:`reap_workers` start and collect workers
+as real subprocesses of the ``repro.cli cluster-worker`` entry point —
+the one launcher behind ``ClusterExecutor.local`` (what the CLI's
+``--executor process|cluster`` boots) and ``cluster-run``.
 """
 
 from __future__ import annotations
@@ -45,10 +49,12 @@ from __future__ import annotations
 import asyncio
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import traceback
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..core.execution import build_shard_bundle
 from ..core.fast_inference import LeafBatchRunner
@@ -60,7 +66,38 @@ from .protocol import (PROTOCOL_VERSION, pack_metrics_snapshot,
                        unpack_requests, unpack_tokenizer)
 from .transport import Transport, TransportClosed
 
-__all__ = ["ClusterWorker", "WorkerKilled"]
+__all__ = ["ClusterWorker", "WorkerKilled", "spawn_worker", "reap_workers"]
+
+#: The argv prefix that starts one worker process.
+WORKER_COMMAND = (sys.executable, "-m", "repro.cli", "cluster-worker")
+
+
+def spawn_worker(address: str, name: str, *flags: str,
+                 stderr=None) -> subprocess.Popen:
+    """Start one worker subprocess dialling the coordinator at
+    ``address`` (``HOST:PORT``); ``flags`` are further ``cluster-worker``
+    options.  The child finds this package whatever the caller's
+    ``sys.path`` held, and leaves on its own when its connection drops.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[2])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.Popen(
+        [*WORKER_COMMAND, "--connect", address, "--name", name, *flags],
+        env=env, stdin=subprocess.DEVNULL, stderr=stderr)
+
+
+def reap_workers(procs: Iterable[subprocess.Popen],
+                 timeout: float = 10.0) -> None:
+    """Wait for worker subprocesses whose coordinator has stopped (each
+    was told to go, or saw its connection close); kill a straggler."""
+    for proc in procs:
+        try:
+            proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
 
 class WorkerKilled(Exception):

@@ -23,14 +23,12 @@ from .inference import (
 )
 from .model import BUILDERS, GraphExModel, LeafGraph, build_leaf_graph
 from .serialization import load_model, model_size_bytes, save_model
-from .sharding import ShardExecutionError, ShardPlan, ShardWorkerError
+from .sharding import ShardExecutionError, ShardPlan
 from .execution import (
     EXECUTOR_NAMES,
     ClusterExecutor,
     Executor,
-    ProcessShardExecutor,
     SerialExecutor,
-    ThreadShardExecutor,
     resolve_executor,
 )
 from .tokenize import (
@@ -75,13 +73,10 @@ __all__ = [
     "build_leaf_graph",
     "ShardExecutionError",
     "ShardPlan",
-    "ShardWorkerError",
     "EXECUTOR_NAMES",
     "ClusterExecutor",
     "Executor",
-    "ProcessShardExecutor",
     "SerialExecutor",
-    "ThreadShardExecutor",
     "resolve_executor",
     "save_model",
     "load_model",

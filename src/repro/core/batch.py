@@ -10,30 +10,27 @@ Two engines serve a batch:
   (:class:`repro.core.fast_inference.LeafBatchRunner`): requests are
   grouped by leaf graph, packed into cross-leaf chunks, and each chunk
   runs through one fused CSR gather + slot-shifted key sort +
-  count-array prune + segmented lexsort.  With ``workers > 1`` whole
-  *leaf groups* are sharded across threads.
+  count-array prune + segmented lexsort.
 * ``"reference"`` — the scalar loop over
   :meth:`~repro.core.model.GraphExModel.recommend`; the semantics
-  reference the equivalence suite checks against.  With ``workers > 1``
-  it shards contiguous request slices ("coarse-grained multithreading,
-  assigning each input's inference to an individual thread").
+  reference the equivalence suite checks against.
 
 Both produce element-wise identical output (text, score, tie-break
 order); ``tests/test_fast_inference.py`` pins that property.
 
 Orthogonally, ``executor=`` — the one spelling, resolved by
 :func:`repro.core.execution.resolve_executor` — picks where the fast
-engine's leaf-group shards run: any
-:class:`repro.core.execution.Executor` instance, or ``"serial"`` /
-``"thread"`` / ``"process"``.  How a batch is cut into leaf groups and
-merged back (last request for an id wins) lives once, in
+engine's leaf-group shards run: here, on the calling thread (``None``
+/ ``"serial"``, the default and the fastest place on one box), or on
+the fleet an :class:`repro.core.execution.ClusterExecutor` instance
+carries.  How a batch is cut into leaf groups and merged back (last
+request for an id wins) lives once, in
 :class:`repro.core.execution.InferenceJob`.  The reference engine stays
 single-process by design — it is the semantics oracle.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .inference import Recommendation
@@ -42,8 +39,8 @@ from .model import GraphExModel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .execution import Executor
 
-#: Anything resolvable to an executor: an instance, a spelling, or None
-#: (``"thread"``).
+#: Anything resolvable to an executor: an instance, ``"serial"``, or
+#: None (the same).
 ExecutorSpec = Union["Executor", str, None]
 
 #: One inference request: (item_id, title, leaf_id).
@@ -110,40 +107,10 @@ def validate_model_for_engine(model: GraphExModel, engine: str,
         LeafBatchRunner(model)
 
 
-def _reference_batch(model: GraphExModel,
-                     requests: Sequence[InferenceRequest],
-                     k: int, hard_limit: Optional[int],
-                     workers: int) -> BatchResult:
-    """The scalar per-item loop, optionally sharded across threads."""
-    if workers <= 1 or len(requests) < 2 * workers:
-        return {
-            item_id: model.recommend(title, leaf_id, k=k,
-                                     hard_limit=hard_limit)
-            for item_id, title, leaf_id in requests
-        }
-
-    def run_shard(shard: Sequence[InferenceRequest]) -> BatchResult:
-        return {
-            item_id: model.recommend(title, leaf_id, k=k,
-                                     hard_limit=hard_limit)
-            for item_id, title, leaf_id in shard
-        }
-
-    shard_size = (len(requests) + workers - 1) // workers
-    shards = [requests[i:i + shard_size]
-              for i in range(0, len(requests), shard_size)]
-    out: BatchResult = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for result in pool.map(run_shard, shards):
-            out.update(result)
-    return out
-
-
 def batch_recommend(model: GraphExModel,
                     requests: Sequence[InferenceRequest],
                     k: int = 10,
                     hard_limit: Optional[int] = None,
-                    workers: int = 1,
                     engine: str = "fast",
                     executor: ExecutorSpec = None) -> BatchResult:
     """Run inference over a batch of items.
@@ -153,16 +120,13 @@ def batch_recommend(model: GraphExModel,
         requests: ``(item_id, title, leaf_id)`` triples.
         k: Target predictions per item.
         hard_limit: Optional strict cap per item.
-        workers: Worker count; the fast engine shards *leaf groups*,
-            the reference engine contiguous request slices.  Ignored
-            when ``executor`` is an instance (it has its own).
         engine: ``"fast"`` (vectorized leaf-batched) or ``"reference"``
             (scalar loop).
-        executor: Where the fast engine's leaf-group shards run — an
+        executor: Where the fast engine's leaf-group shards run —
+            ``None`` / ``"serial"`` (the calling thread, default) or an
             :class:`repro.core.execution.Executor` instance (a
-            ``ClusterExecutor`` included) or ``"serial"`` /
-            ``"thread"`` (default) / ``"process"``.  Output is
-            element-wise identical for every substrate.
+            ``ClusterExecutor`` carries its own fleet).  Output is
+            element-wise identical either way.
 
     Returns:
         Mapping from item id to its ranked recommendations.
@@ -180,11 +144,13 @@ def batch_recommend(model: GraphExModel,
     # which imports this module's validators, so a top-level import
     # would be a cycle.
     from .execution import resolve_executor
-    exec_ = resolve_executor(executor, workers=workers, engine=engine)
+    exec_ = resolve_executor(executor, engine=engine)
     if engine == "fast":
         return exec_.run_inference(model, requests, k=k,
                                    hard_limit=hard_limit)
-    return _reference_batch(model, requests, k, hard_limit, workers)
+    return {item_id: model.recommend(title, leaf_id, k=k,
+                                     hard_limit=hard_limit)
+            for item_id, title, leaf_id in requests}
 
 
 def differential_update(model: GraphExModel,
@@ -193,7 +159,6 @@ def differential_update(model: GraphExModel,
                         deleted_item_ids: Iterable[int] = (),
                         k: int = 10,
                         hard_limit: Optional[int] = None,
-                        workers: int = 1,
                         engine: str = "fast",
                         executor: ExecutorSpec = None) -> BatchResult:
     """Daily differential: re-infer changed items, merge with old results.
@@ -213,7 +178,6 @@ def differential_update(model: GraphExModel,
         deleted_item_ids: Items to drop from the output.
         k: Target predictions per item.
         hard_limit: Optional strict cap per item.
-        workers: Worker count for the re-inference.
         engine: Inference engine, as in :func:`batch_recommend`.
         executor: Shard execution substrate, as in
             :func:`batch_recommend`.
@@ -225,7 +189,6 @@ def differential_update(model: GraphExModel,
     for item_id in deleted_item_ids:
         merged.pop(item_id, None)
     fresh = batch_recommend(model, changed, k=k, hard_limit=hard_limit,
-                            workers=workers, engine=engine,
-                            executor=executor)
+                            engine=engine, executor=executor)
     merged.update(fresh)
     return merged

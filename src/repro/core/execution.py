@@ -1,34 +1,40 @@
-"""The unified execution plane: one Executor abstraction, four substrates.
+"""The unified execution plane: one Executor abstraction, two substrates.
 
 GraphEx runs the same shard-shaped work — leaf-group inference batches
-and whole-leaf construction — on several execution substrates: the
-calling thread, an in-process thread pool, a process pool, and the
-multi-machine cluster runner.  This module puts them behind one
-:class:`Executor` interface, chosen everywhere (``batch_recommend``,
-``GraphExModel.construct``, the serving stack, the CLI) by the single
-``executor=`` keyword, which :func:`resolve_executor` turns into an
-instance:
+and whole-leaf construction — in two places: here, on the calling
+thread, or on a fleet of worker processes.  This module puts both
+behind one :class:`Executor` interface, chosen everywhere
+(``batch_recommend``, ``GraphExModel.construct``, the serving stack)
+by the single ``executor=`` keyword, which :func:`resolve_executor`
+turns into an instance:
 
-===========  ===================  ==========================  ==========
-name         class                where shards run            oracle?
-===========  ===================  ==========================  ==========
-``serial``   SerialExecutor       calling thread, one shard   yes
-``thread``   ThreadShardExecutor  in-process thread pool      no
-``process``  ProcessShardExecutor worker processes            no
-``cluster``  ClusterExecutor      remote hosts over TCP       no
-===========  ===================  ==========================  ==========
+===============  ===============  ==========================  =======
+``executor=``    class            where shards run            oracle?
+===============  ===============  ==========================  =======
+``None``/serial  SerialExecutor   calling thread, one shard   yes
+an instance      ClusterExecutor  worker processes over TCP   no
+===============  ===============  ==========================  =======
 
-All four are bound by the same non-negotiable contract: **element-wise
-identical inference output and bit-identical constructed models** for
-any substrate, any worker count, and any failure topology — pinned by
-the cross-executor property suite in ``tests/test_execution.py``.
+There is no in-process pool: two threads measured slower than one on
+both job kinds (see :class:`Executor`), so in process there is one
+substrate, inline.  Out of process there is one plane, the cluster's:
+a :class:`ClusterExecutor` carries its own fleet — its size and its
+lifetime — so no entry point takes a worker count.  The CLI's
+``--executor process|cluster --workers N`` both mean
+``ClusterExecutor.local(N)``, a fleet of ``N`` worker subprocesses on
+this box.
+
+Both substrates are bound by the same non-negotiable contract:
+**element-wise identical inference output and bit-identical constructed
+models** for any fleet size and any failure topology — pinned by the
+cross-executor property suite in ``tests/test_execution.py``.
 
 The contract is implemented once, here.  :class:`InferenceJob` and
 :class:`ConstructionJob` own how a batch/corpus is cut into leaf units
 (the :class:`~repro.core.sharding.ShardPlan`), how unit results are
 merged back (rows by request index, last request wins; built leaf
-graphs by leaf id), and which units a timed span is counted against
-(``units``).  Every substrate — the cluster coordinator and worker
+graphs by leaf id), and how many requests / leaves a unit settled
+(what ``run_local`` and ``merge`` return).  Each substrate — the cluster coordinator and worker
 included — only decides *where* a unit runs and hands the outcome to
 the job; :func:`build_shard_bundle` is the one out-of-process shard
 builder.
@@ -38,23 +44,20 @@ Plans balance on one cost: the request-count (inference) / char-count
 :meth:`ShardPlan.for_inference` / :meth:`ShardPlan.for_construction`.
 A plan only changes *which shard* runs a work unit (outputs are
 batch-composition independent), so balance never shows in the served
-bytes.  Every executor records each timed span of shard work into its
-metrics registry (:meth:`Executor.record_timing`).
+bytes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import shutil
 import tempfile
 import threading
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
-                    Optional, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional,
+                    Sequence, Tuple, Union)
 
 from ..obs import MetricsRegistry, NullRegistry
 from .batch import BatchResult, InferenceRequest, last_request_wins
@@ -62,8 +65,7 @@ from .fast_construct import build_leaf_graph_fast
 from .fast_inference import LeafBatchRunner
 from .inference import Recommendation
 from .serialization import load_leaf_graphs, save_leaf_graphs
-from .sharding import (ShardExecutionError, ShardPlan, ShardWorkerError,
-                       _unwrap_shard_future, construction_proxy)
+from .sharding import ShardExecutionError, ShardPlan, construction_proxy
 from .tokenize import DEFAULT_TOKENIZER, TokenCache, Tokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -72,13 +74,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .model import GraphExModel, LeafGraph
 
 __all__ = ["EXECUTOR_NAMES", "Executor", "SerialExecutor",
-           "ThreadShardExecutor", "ProcessShardExecutor",
            "ClusterExecutor", "InferenceJob", "ConstructionJob",
            "build_shard_bundle", "resolve_executor"]
 
-#: Executor spellings accepted by :func:`resolve_executor` (and the CLI
-#: ``--executor`` flag).
-EXECUTOR_NAMES = ("serial", "thread", "process", "cluster")
+#: What the CLI's ``--executor`` flag offers.  The library resolves
+#: only ``"serial"`` from a string (:func:`resolve_executor`); the other
+#: two name the fleet the CLI boots with ``ClusterExecutor.local``.
+EXECUTOR_NAMES = ("serial", "process", "cluster")
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +127,6 @@ class InferenceJob:
                     ) -> List[InferenceRequest]:
         """The unit's requests, group by group, in batch order."""
         return [self._requests[index] for index in self._indices(keys)]
-
-    def units(self, keys: Sequence[Hashable]
-              ) -> List[Tuple[Hashable, int]]:
-        """``(key, n_requests)`` per group — what a timing is counted
-        against."""
-        return [(key, len(self._groups[key])) for key in keys]
 
     def merge(self, keys: Sequence[Hashable],
               rows: Sequence[List[Recommendation]]) -> int:
@@ -182,11 +178,6 @@ class ConstructionJob:
     def leaves_of(self, keys: Sequence[int]) -> List["CuratedLeaf"]:
         """The unit's curated leaves, in key order."""
         return [self._leaves[key] for key in keys]
-
-    def units(self, keys: Sequence[int]) -> List[Tuple[int, int]]:
-        """``(leaf_id, char proxy)`` per leaf — what a timing is
-        counted against."""
-        return [(key, self._units[key]) for key in keys]
 
     def merge_bundle(self, keys: Sequence[int],
                      bundle_path: Union[str, Path]) -> int:
@@ -250,93 +241,63 @@ def build_shard_bundle(leaves: Sequence["CuratedLeaf"],
 
 
 class Executor:
-    """One execution substrate for shard-shaped GraphEx work.
+    """One place shard-shaped GraphEx work can run.
 
     Subclasses implement :meth:`run_inference` (leaf-group shards of a
     request batch) and :meth:`run_construction` (whole-leaf shards of a
-    curated corpus) and record per-shard wall-clock timings into
-    :attr:`metrics`.  All substrates are output-equivalent — the
+    curated corpus).  Both substrates are output-equivalent — the
     bit-identity contract in the module docstring — so callers choose
     purely on capacity.
 
+    What each buys, measured (``benchmarks/bench_substrates.py``: the
+    bench serving world, seed 11 — 98k keyphrases in 24 leaves, mapped
+    model — on the 2-core bench box; five alternating parent / change
+    script runs of five order-rotated rounds each, unnormalised
+    medians of all 25 runs, ratios are serial ms / substrate ms)::
+
+        job                       serial  thread x2    process x2   fleet x2
+        parent  inference, 1200    84 ms  91 (0.91x)   176 (0.48x)
+                inference, 7200   765 ms 762 (1.00x)  1155 (0.66x)
+                construct, 98k kp 104 ms 120 (0.88x)   230 (0.47x)
+        change  inference, 1200    79 ms                            68 (1.15x)
+                inference, 7200   784 ms                           647 (1.23x)
+                construct, 98k kp 100 ms                           157 (0.62x)
+
+    The two in-process pools the parent offered never beat the inline
+    path they wrapped (a thread pool cannot overlap the kernel's short
+    numpy calls under the interpreter lock; the process pool was built
+    per call and pickled the model in and every row out), so they are
+    gone and this class has two implementations.  A held fleet of two
+    worker processes — boot 0.32-0.34 s once, plus ~0.2 s the first
+    time it sees a model — is 1.5-2.6x the process pool it replaces on
+    every job, and against serial it reads 1.15-1.23x on inference
+    while occupying three processes to serial's one, and **below 1.00x
+    of serial on construction (0.62x)**: leaves are shipped out as JSON
+    and the bundles mapped back for a build that takes 100 ms inline.
+    (The reading taken for the issue that asked for this change, on
+    the same shared box on a busier day, had the same fleet at
+    0.71-0.76x of serial on inference.)  So on one box inline is the
+    cheapest substrate everywhere and the fastest wherever the fleet
+    does not have idle cores to itself; a fleet is for more hardware
+    than the caller has.
+
     Attributes:
-        name: The :data:`EXECUTOR_NAMES` spelling this class answers to.
+        name: The spelling this class answers to.
         supports_reference: Whether the scalar ``reference``
             engine/builder may pair with this executor.  Only the
-            in-process substrates do — the scalar paths stay
-            single-process as the semantics oracle.
+            in-process one does — the scalar paths stay single-process
+            as the semantics oracle.
         metrics: The :class:`~repro.obs.MetricsRegistry` this executor
             records into; a :class:`~repro.obs.NullRegistry` (telemetry
-            off) by default.  Every timed shard feeds it through
-            :meth:`record_timing`.
+            off) by default.
     """
 
     name: str = "abstract"
     supports_reference: bool = False
 
-    def __init__(self, workers: int = 1, *,
+    def __init__(self, *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        #: Upper bound on pool workers (and on shards planned).
-        self.workers = max(1, int(workers))
         self.metrics = metrics if metrics is not None else NullRegistry()
-
-    def record_timing(self, kind: str,
-                      keyed_units: Sequence[Tuple[Hashable, int]],
-                      elapsed: float) -> None:
-        """Record one timed span of shard work into :attr:`metrics` —
-        the single chokepoint for executor timings."""
-        metrics = self.metrics
-        metrics.inc(f"executor.{kind}.tasks", executor=self.name)
-        if kind == "inference":
-            metrics.inc("executor.inference.requests",
-                        sum(units for _key, units in keyed_units),
-                        executor=self.name)
-        else:
-            metrics.inc("executor.construction.leaves",
-                        len(keyed_units), executor=self.name)
-        metrics.observe(f"executor.{kind}.seconds", elapsed,
-                        executor=self.name)
-
-    def record_plan(self, kind: str, plan: ShardPlan) -> None:
-        """Gauge a plan's balance (see ShardPlan.balance_stats)."""
-        stats = plan.balance_stats()
-        self.metrics.gauge("executor.plan.n_shards",
-                           stats["n_shards"], kind=kind,
-                           executor=self.name)
-        self.metrics.gauge("executor.plan.imbalance",
-                           stats["imbalance"], kind=kind,
-                           executor=self.name)
-
-    def _run_inline(self, kind: str,
-                    job: Union[InferenceJob, ConstructionJob],
-                    keys: Sequence[Hashable]) -> None:
-        """Run one shard on the calling thread — the in-process loop
-        of every substrate.  An inference shard is one timed unit: the
-        engine packs its leaf groups into cross-leaf chunks itself, as
-        on the process and cluster substrates.  Construction runs and
-        times leaf by leaf (it shares one ``TokenCache`` and gains
-        nothing from a wider unit)."""
-        units = [tuple(keys)] if kind == "inference" \
-            else [(key,) for key in keys]
-        for unit in units:
-            start = time.perf_counter()
-            job.run_local(unit)
-            self.record_timing(kind, job.units(unit),
-                               time.perf_counter() - start)
-
-    def _run_plan(self, kind: str,
-                  job: Union[InferenceJob, ConstructionJob],
-                  pooled: Callable[[Tuple[tuple, ...]], None]):
-        """Run every planned shard and return the job's output: inline
-        with one worker or one shard, else through ``pooled(shards)``."""
-        self.record_plan(kind, job.plan)
-        shards = job.plan.shards
-        if self.workers == 1 or len(shards) <= 1:
-            for shard in shards:
-                self._run_inline(kind, job, shard)
-        else:
-            pooled(shards)
-        return job.output()
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
@@ -355,7 +316,7 @@ class Executor:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release owned resources (no-op for in-process executors)."""
+        """Release owned resources (the inline executor owns none)."""
 
     def __enter__(self) -> "Executor":
         return self
@@ -367,236 +328,76 @@ class Executor:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class ThreadShardExecutor(Executor):
-    """In-process thread sharding (the default substrate).
+class SerialExecutor(Executor):
+    """The in-process substrate, the default, and the oracle: one
+    shard, the calling thread, no pool.
 
-    Leaf groups (inference) and whole leaves (construction) are
-    LPT-planned via :class:`~repro.core.sharding.ShardPlan` and each
-    planned shard runs on a pool thread.
-    With one worker (or one shard) the work runs inline on the calling
-    thread, timing included.
-
-    Args:
-        workers: Upper bound on threads (and shards planned).
-    """
-
-    name = "thread"
-    supports_reference = True
-
-    def _run_threads(self, kind: str,
-                     job: Union[InferenceJob, ConstructionJob]):
-        def pooled(shards: Tuple[tuple, ...]) -> None:
-            # Shard threads scatter into disjoint request rows / leaf
-            # ids, and the shared TokenCache is thread-safe.
-            with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-                list(pool.map(
-                    lambda shard: self._run_inline(kind, job, shard),
-                    shards))
-
-        return self._run_plan(kind, job, pooled)
-
-    def run_inference(self, model: "GraphExModel",
-                      requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None
-                      ) -> BatchResult:
-        return self._run_threads("inference", InferenceJob(
-            model, requests, self.workers, k=k, hard_limit=hard_limit))
-
-    def run_construction(self, curated: "CuratedKeyphrases",
-                         tokenizer: Tokenizer = DEFAULT_TOKENIZER
-                         ) -> Dict[int, "LeafGraph"]:
-        return self._run_threads("construction", ConstructionJob(
-            curated, tokenizer, self.workers))
-
-
-class SerialExecutor(ThreadShardExecutor):
-    """The oracle substrate: one shard, calling thread, no pools.
-
-    Identical code path to :class:`ThreadShardExecutor` with
-    ``workers=1`` — everything runs inline — which is exactly what
-    makes it the reference the cross-executor property suite compares
-    the other substrates against.
+    It is the code path ``batch_recommend`` and
+    ``GraphExModel.construct`` run when given no ``executor=``, and the
+    reference the cross-executor property suite compares a fleet
+    against.  An inference batch is one timed unit (the engine packs
+    its leaf groups into cross-leaf chunks itself, as on a cluster
+    worker); construction runs and times leaf by leaf against one
+    shared ``TokenCache``.  Both land in :attr:`metrics` under
+    ``executor.*{executor=serial}``.
     """
 
     name = "serial"
+    supports_reference = True
 
-    def __init__(self, *, metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(1, metrics=metrics)
-
-
-# ---------------------------------------------------------------------------
-# Worker-process entry points.  Module-level (picklable by reference) and
-# parameterised through per-process globals set by the pool initializer,
-# so the model/tokenizer is shipped once per worker, not once per task.
-
-_INFERENCE_RUNNER: Optional[LeafBatchRunner] = None
-_CONSTRUCT_TOKENIZER: Optional[Tokenizer] = None
-
-
-def _init_inference_worker(model: "GraphExModel", k: int,
-                           hard_limit: Optional[int]) -> None:
-    """Build this worker's runner once; its shards reuse it."""
-    global _INFERENCE_RUNNER
-    _INFERENCE_RUNNER = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
-
-
-def _run_inference_shard(requests: Sequence[InferenceRequest]
-                         ) -> Tuple[List[List[Recommendation]], float]:
-    """One inference shard: per-request results in shard order, plus the
-    worker-side wall-clock seconds the shard took (measured here so
-    ``executor.inference.seconds`` never counts pool start-up or
-    queueing).
-
-    Failures come back as :class:`ShardWorkerError` carrying the full
-    worker-side traceback — a raw exception would lose it (or, when
-    unpicklable, collapse into a bare ``BrokenProcessPool``).
-    """
-    try:
-        start = time.perf_counter()
-        rows = _INFERENCE_RUNNER.run_indexed(requests)
-        return rows, time.perf_counter() - start
-    except Exception:
-        raise ShardWorkerError(traceback.format_exc()) from None
-
-
-def _init_construct_worker(tokenizer: Tokenizer) -> None:
-    global _CONSTRUCT_TOKENIZER
-    _CONSTRUCT_TOKENIZER = tokenizer
-
-
-def _build_construct_shard(leaves: Sequence["CuratedLeaf"],
-                           artifact_dir: str):
-    """One construction shard: :func:`build_shard_bundle` under this
-    worker's tokenizer.  Only the per-leaf timings cross the process
-    boundary as a pickle; failures come back as :class:`ShardWorkerError`,
-    as in :func:`_run_inference_shard`."""
-    try:
-        return build_shard_bundle(leaves, _CONSTRUCT_TOKENIZER,
-                                  artifact_dir)
-    except Exception:
-        raise ShardWorkerError(traceback.format_exc()) from None
-
-
-class ProcessShardExecutor(Executor):
-    """Runs fast-engine shards in worker processes.
-
-    Args:
-        workers: Upper bound on worker processes (and shards planned).
-            With one worker, or one shard after planning, work runs in
-            the calling process — same output, no pool overhead.
-        start_method: Optional multiprocessing start method ("fork",
-            "spawn", "forkserver"); None uses the platform default.
-
-    Output is element-wise/bit-identical to the single-process fast
-    paths for any worker count (see the module docstring for why).
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 2,
-                 start_method: Optional[str] = None, *,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(workers, metrics=metrics)
-        self._start_method = start_method
-
-    def _pool(self, n_shards: int, initializer, initargs
-              ) -> ProcessPoolExecutor:
-        context = (multiprocessing.get_context(self._start_method)
-                   if self._start_method is not None else None)
-        return ProcessPoolExecutor(max_workers=n_shards,
-                                   mp_context=context,
-                                   initializer=initializer,
-                                   initargs=initargs)
+    def _run(self, kind: str, job: Union[InferenceJob, ConstructionJob]):
+        """Run the job's one planned shard here and return its output."""
+        metrics, labels = self.metrics, {"executor": self.name}
+        for shard in job.plan.shards:
+            for unit in ([shard] if kind == "inference"
+                         else [(key,) for key in shard]):
+                start = time.perf_counter()
+                settled = job.run_local(unit)
+                elapsed = time.perf_counter() - start
+                metrics.inc(f"executor.{kind}.tasks", **labels)
+                metrics.inc("executor.inference.requests"
+                            if kind == "inference"
+                            else "executor.construction.leaves",
+                            settled, **labels)
+                metrics.observe(f"executor.{kind}.seconds", elapsed,
+                                **labels)
+        return job.output()
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
                       k: int = 10, hard_limit: Optional[int] = None
                       ) -> BatchResult:
-        """Infer a batch with leaf-group shards in worker processes.
-
-        Each worker times its shard itself, so pool start-up and
-        queueing never reach ``executor.inference.seconds``.
-        """
-        job = InferenceJob(model, requests, self.workers, k=k,
-                           hard_limit=hard_limit)
-
-        def pooled(shards: Tuple[tuple, ...]) -> None:
-            with self._pool(len(shards), _init_inference_worker,
-                            (model, k, hard_limit)) as pool:
-                futures = [pool.submit(_run_inference_shard,
-                                       job.requests_of(shard))
-                           for shard in shards]
-                for index, (shard, future) in enumerate(
-                        zip(shards, futures)):
-                    rows, elapsed = _unwrap_shard_future(
-                        future, "inference", index, shard)
-                    job.merge(shard, rows)
-                    self.record_timing("inference", job.units(shard),
-                                       elapsed)
-
-        return self._run_plan("inference", job, pooled)
+        return self._run("inference", InferenceJob(
+            model, requests, 1, k=k, hard_limit=hard_limit))
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: Tokenizer = DEFAULT_TOKENIZER
                          ) -> Dict[int, "LeafGraph"]:
-        """Build every non-empty leaf graph with whole-leaf process shards.
-
-        Each worker persists its shard as a leaf bundle under a
-        temporary directory (:func:`build_shard_bundle`) and the parent
-        mmap-opens it instead of unpickling graph objects.  The
-        returned graphs' arrays are read-only views over the bundle
-        mappings (label texts decode lazily); the temporary files are
-        unlinked before returning (live mappings keep them readable —
-        POSIX), so nothing leaks.
-        """
-        job = ConstructionJob(curated, tokenizer, self.workers)
-
-        def pooled(shards: Tuple[tuple, ...]) -> None:
-            staging = Path(tempfile.mkdtemp(prefix="graphex-shard-"))
-            try:
-                with self._pool(len(shards), _init_construct_worker,
-                                (tokenizer,)) as pool:
-                    futures = [pool.submit(
-                        _build_construct_shard, job.leaves_of(shard),
-                        str(staging / f"shard-{index}"))
-                        for index, shard in enumerate(shards)]
-                    for index, (shard, future) in enumerate(
-                            zip(shards, futures)):
-                        timings = _unwrap_shard_future(
-                            future, "construction", index, shard)
-                        job.merge_bundle(shard,
-                                         staging / f"shard-{index}")
-                        for leaf_id, seconds in timings:
-                            self.record_timing(
-                                "construction", job.units((leaf_id,)),
-                                seconds)
-            finally:
-                shutil.rmtree(staging, ignore_errors=True)
-
-        return self._run_plan("construction", job, pooled)
+        return self._run("construction",
+                         ConstructionJob(curated, tokenizer, 1))
 
 
 class ClusterExecutor(Executor):
-    """The multi-machine substrate: shards run on remote hosts.
+    """The out-of-process substrate: shards run on a fleet of workers.
 
     Wraps a *started*
     :class:`~repro.cluster.coordinator.ClusterCoordinator` — fleet
     management, per-RPC deadlines, retries, dead-host re-planning and
     exactly-once merging all live there; this class adapts it to the
-    synchronous :class:`Executor` interface.
+    synchronous :class:`Executor` interface.  Workers open the model
+    artifact by path, run Algorithm 1 up to the ranked columns and
+    reply with label ids; nothing is pickled in either direction.
 
-    What it buys, measured (``benchmarks/perf``, the 2-core bench box,
-    after PR 20, medians of ten runs): two worker processes plus the
-    coordinator at 400-item chunks serve **13.8k items/s**
-    (``cluster_scatter``, 29 ms per chunk), the local engine on one
-    pinned core at 1200-item chunks **12.5k items/s**
-    (``batch_catalog``).  So the fleet is ~1.1x one core while
-    occupying two: a way to use more machines than one, not a cheaper
-    way to use one.  Of an op's ~28 ms the slower worker's engine time
-    is ~17, and the coordinator's serial row build (it materialises
-    every shard's rows itself, from ids) most of the rest.  Where the
-    break-even sits as chunk size varies is not measured yet (ROADMAP
-    open item 2).
+    What it buys is in :class:`Executor`'s table: with two workers on
+    the 2-core bench box, 1.15-1.23x of serial on inference for three
+    processes, 0.62x on construction — and in ``benchmarks/perf``
+    (after PR 20, medians of ten runs) ``cluster_scatter`` at 400-item
+    chunks serves 13.8k items/s against ``batch_catalog``'s 12.5k on
+    one pinned core.  Of such an op's ~28 ms the slower worker's engine
+    time is ~17 and the coordinator's serial row build (it materialises
+    every shard's rows itself, from ids) most of the rest, which is
+    what keeps two workers well short of 2x.  A way to use more
+    machines than one, not a cheaper way to use one.
 
     The sync :meth:`run_inference` / :meth:`run_construction` submit to
     the coordinator's event loop and block the *calling* thread, so
@@ -610,10 +411,10 @@ class ClusterExecutor(Executor):
             (shared filesystem / localhost) or ``"stream"`` (spool the
             artifact over each worker's connection).
 
-    Use :meth:`local` for a self-contained fleet (own loop thread plus
-    N in-process workers) when no external cluster is running —
-    :meth:`close` tears that fleet down; an adopted coordinator is
-    never stopped by this class.
+    Use :meth:`local` for a self-contained fleet of worker processes
+    on this box when no external cluster is running — :meth:`close`
+    tears that fleet down; an adopted coordinator is never stopped by
+    this class.
     """
 
     name = "cluster"
@@ -635,14 +436,20 @@ class ClusterExecutor(Executor):
         """Boot a self-contained localhost fleet and wrap it.
 
         Spins a daemon thread running a private event loop, starts a
-        coordinator plus ``workers`` in-process
-        :class:`~repro.cluster.worker.ClusterWorker` hosts on it, and
-        returns the executor once every host has registered.  The CLI's
-        ``--executor cluster`` backend.  :meth:`close` (or the context
-        manager) stops the fleet and joins the loop thread.
+        coordinator on it and ``workers`` worker *subprocesses*
+        (:func:`~repro.cluster.worker.spawn_worker` — the ``repro.cli
+        cluster-worker`` entry point ``cluster-run`` also launches),
+        and returns the executor once every one has registered.  What
+        the CLI's ``--executor process|cluster --workers N`` boots.
+
+        A worker that exits before registering fails the boot at once
+        with its exit code and the tail of its stderr.  :meth:`close`
+        (or the context manager) stops the fleet.  Workers also leave
+        on their own when their connection drops, so a parent that
+        dies without closing orphans nothing.
         """
-        from ..cluster.coordinator import ClusterCoordinator
-        from ..cluster.worker import ClusterWorker
+        from ..cluster.coordinator import ClusterCoordinator, ClusterError
+        from ..cluster.worker import spawn_worker
 
         workers = max(1, int(workers))
         loop = asyncio.new_event_loop()
@@ -650,32 +457,40 @@ class ClusterExecutor(Executor):
                                   name="graphex-cluster-loop",
                                   daemon=True)
         thread.start()
-
-        async def boot():
-            coordinator = ClusterCoordinator(retry=retry,
-                                             rpc_timeout=rpc_timeout)
-            await coordinator.start()
-            tasks = []
-            for index in range(workers):
-                worker = ClusterWorker(coordinator.host,
-                                       coordinator.port,
-                                       name=f"local-{index}")
-                tasks.append(asyncio.ensure_future(worker.run()))
-            await coordinator.wait_for_workers(workers,
-                                               timeout=start_timeout)
-            return coordinator, tasks
-
+        executor = cls(ClusterCoordinator(retry=retry,
+                                          rpc_timeout=rpc_timeout),
+                       distribute=distribute, metrics=metrics)
+        # One file takes every worker's stderr (kept to explain a
+        # failed boot; a pipe nobody reads would block a chatty child).
+        procs, stderr = [], tempfile.TemporaryFile()
+        executor._owned = (loop, thread, procs, stderr)
         try:
-            coordinator, tasks = asyncio.run_coroutine_threadsafe(
-                boot(), loop).result(timeout=start_timeout)
+            host, port = asyncio.run_coroutine_threadsafe(
+                executor.coordinator.start(), loop).result(start_timeout)
+            for index in range(workers):
+                procs.append(spawn_worker(f"{host}:{port}",
+                                          f"local-{index}", stderr=stderr))
+            registered = asyncio.run_coroutine_threadsafe(
+                executor.coordinator.wait_for_workers(
+                    workers, timeout=start_timeout), loop)
+            while True:
+                try:
+                    registered.result(timeout=0.05)
+                    break
+                except FutureTimeout:
+                    dead = [proc for proc in procs
+                            if proc.poll() is not None]
+                    if dead:
+                        registered.cancel()
+                        stderr.seek(0)
+                        tail = stderr.read()[-2000:].decode(errors="replace")
+                        raise ClusterError(
+                            f"worker process exited with code "
+                            f"{dead[0].returncode} before registering; "
+                            f"stderr tail:\n{tail}") from None
         except BaseException:
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=10.0)
-            loop.close()
+            executor.close()
             raise
-        executor = cls(coordinator, distribute=distribute,
-                       metrics=metrics)
-        executor._owned = (loop, thread, tasks)
         return executor
 
     def _submit(self, coro):
@@ -729,24 +544,24 @@ class ClusterExecutor(Executor):
                                                         tokenizer))
 
     def close(self) -> None:
-        """Tear down a :meth:`local` fleet (no-op for adopted ones)."""
+        """Tear down a :meth:`local` fleet (no-op for adopted ones):
+        stop the coordinator — each worker is told to go — then wait
+        for the worker processes and kill a straggler.  Idempotent."""
         owned, self._owned = self._owned, None
         if owned is None:
             return
-        loop, thread, tasks = owned
+        from ..cluster.worker import reap_workers
 
-        async def shutdown():
-            await self.coordinator.stop()
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-
-        asyncio.run_coroutine_threadsafe(shutdown(),
-                                         loop).result(timeout=30.0)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10.0)
-        loop.close()
+        loop, thread, procs, stderr = owned
+        try:
+            asyncio.run_coroutine_threadsafe(
+                self.coordinator.stop(), loop).result(timeout=30.0)
+        finally:
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout=10.0)
+            loop.close()
+            reap_workers(procs)
+            stderr.close()
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +569,6 @@ class ClusterExecutor(Executor):
 
 
 def resolve_executor(executor: Union[Executor, str, None] = None, *,
-                     workers: int = 1,
                      metrics: Optional[MetricsRegistry] = None,
                      engine: Optional[str] = None) -> Executor:
     """Resolve an ``executor=`` argument to an :class:`Executor` instance.
@@ -762,12 +576,11 @@ def resolve_executor(executor: Union[Executor, str, None] = None, *,
     The single entry point behind every ``executor=`` keyword:
 
     * an :class:`Executor` instance passes through unchanged (it keeps
-      its own workers and metrics registry);
-    * ``"serial"`` / ``"thread"`` / ``"process"`` build the matching
-      class with ``workers`` and ``metrics``;
-    * ``None`` means ``"thread"``;
-    * ``"cluster"`` is a valid name but not a valid *string* — a fleet
-      cannot be conjured from one.
+      its own fleet and metrics registry);
+    * ``None`` and ``"serial"`` build a :class:`SerialExecutor`
+      recording into ``metrics``;
+    * ``"process"`` and ``"cluster"`` are names the CLI offers but not
+      valid *strings* here — a fleet cannot be conjured from one.
 
     ``engine`` (an engine *or* builder name) enforces the oracle
     pairing rule: the scalar ``reference`` paths stay single-process,
@@ -775,29 +588,24 @@ def resolve_executor(executor: Union[Executor, str, None] = None, *,
     serve them.
 
     Raises:
-        ValueError: On an unknown spelling, the bare string
-            ``"cluster"``, or a reference engine/builder paired with
-            an out-of-process executor.
+        ValueError: On an unknown spelling, a bare fleet name, or a
+            reference engine/builder paired with an out-of-process
+            executor.
     """
-    if executor is None:
-        executor = "thread"
     if isinstance(executor, Executor):
         resolved = executor
-    elif executor == "serial":
+    elif executor is None or executor == "serial":
         resolved = SerialExecutor(metrics=metrics)
-    elif executor == "thread":
-        resolved = ThreadShardExecutor(workers, metrics=metrics)
-    elif executor == "process":
-        resolved = ProcessShardExecutor(workers, metrics=metrics)
-    elif executor == "cluster":
+    elif executor in ("process", "cluster"):
         raise ValueError(
-            "executor='cluster' needs a started ClusterCoordinator: "
-            "pass a ClusterExecutor instance or use "
-            "ClusterExecutor.local()")
+            f"executor={executor!r} needs a started ClusterCoordinator: "
+            f"pass a ClusterExecutor instance or use "
+            f"ClusterExecutor.local()")
     else:
         raise ValueError(
-            f"unknown executor {executor!r}; expected an Executor "
-            f"instance or one of {EXECUTOR_NAMES}")
+            f"unknown executor {executor!r}; expected None, 'serial' or "
+            f"an Executor instance (ClusterExecutor.local() for a fleet "
+            f"of worker processes)")
 
     if engine is not None and engine != "fast" \
             and not resolved.supports_reference:

@@ -19,8 +19,7 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    dwarfs the leaf).  Ids land in first-occurrence order, so the local
    vocabulary is *bit-identical* to the scalar ``Vocabulary.add`` loop
    — same token strings, same ids — regardless of pool id assignment
-   order (which lets worker threads share one pool without affecting
-   output).
+   order (so a fleet worker's private pool builds the same graph).
 3. **Array-native CSR assembly** — the (word, label) pairs are already
    duplicate-free (tokens are unique within a label), so one stable
    argsort by word id produces the exact (left, right)-sorted edge
@@ -32,8 +31,8 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    so nothing is tokenised a second time.
 
 Whole leaves are the unit the execution plane
-(:mod:`repro.core.execution`) shards across threads, processes or
-hosts; this module builds one leaf at a time.
+(:mod:`repro.core.execution`) runs inline or shards across a fleet's
+worker processes; this module builds one leaf at a time.
 
 The built model is bit-identical to the scalar builder's — same vocab
 id order, same CSR arrays, same label arrays — which

@@ -19,9 +19,9 @@ two-engine inference split:
   semantics reference the equivalence suite checks against.
 * ``fast`` (default) — the bulk engine in
   :mod:`repro.core.fast_construct`: shared memoized tokenization, one
-  ``np.unique`` interning pass per leaf and array-native CSR assembly,
-  with optional whole-leaf thread sharding (``workers``).  The built
-  model is bit-identical.
+  ``np.unique`` interning pass per leaf and array-native CSR assembly;
+  ``executor=`` may hand whole-leaf shards to a fleet of worker
+  processes.  The built model is bit-identical.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ class GraphExModel:
                   alignment: Union[str, AlignmentFunction] = "lta",
                   build_pooled: bool = False,
                   builder: str = "fast",
-                  workers: int = 1,
                   executor=None) -> "GraphExModel":
         """Build the model from curated keyphrases (the "training" phase).
 
@@ -195,18 +194,13 @@ class GraphExModel:
                 per leaf, array-native CSR assembly.  ``"reference"``
                 keeps the scalar per-token loop; both yield bit-identical
                 models (pinned by ``tests/test_fast_construct.py``).
-            workers: Worker count for the fast builder; whole leaves
-                are sharded, cost-balanced via
-                :class:`~repro.core.sharding.ShardPlan`.  Ignored by
-                the reference builder and by ``executor`` instances
-                (they carry their own).
-            executor: Which substrate builds the leaf shards — an
-                :class:`repro.core.execution.Executor` instance (a
-                ``ClusterExecutor`` included) or ``"serial"`` /
-                ``"thread"`` (default) / ``"process"``.  Out-of-process
-                executors need a picklable tokenizer, as the built-in
-                ones are.  The built model is bit-identical for every
-                substrate.
+            executor: Where the fast builder's whole-leaf shards run —
+                ``None`` / ``"serial"`` (the calling thread, default)
+                or an :class:`repro.core.execution.Executor` instance
+                (a ``ClusterExecutor`` carries its own fleet; only a
+                plain ``SpaceTokenizer`` crosses its wire, anything
+                else builds locally).  The built model is bit-identical
+                either way.
 
         Raises:
             ValueError: On an unknown builder or executor spelling, or
@@ -221,8 +215,7 @@ class GraphExModel:
         # through the engines it wraps, so a top-level import would be
         # a cycle.
         from .execution import resolve_executor
-        exec_ = resolve_executor(executor, workers=workers,
-                                 engine=builder)
+        exec_ = resolve_executor(executor, engine=builder)
         if builder == "fast":
             from .fast_construct import pool_leaf_graphs
 

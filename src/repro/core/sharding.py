@@ -1,9 +1,8 @@
 """Shard planning for the unified execution plane (Sections IV-G/IV-H).
 
 GraphEx's shard-shaped work — leaf groups for inference, whole leaves
-for construction — runs on several substrates (threads, worker
-processes, cluster hosts; see :mod:`repro.core.execution`).  This
-module owns what they all share:
+for construction — runs here or on a fleet of worker processes (see
+:mod:`repro.core.execution`).  This module owns what both share:
 
 * :class:`ShardPlan` deterministically partitions cost-weighted work
   units (leaf groups keyed by leaf id) across shards with a
@@ -13,26 +12,19 @@ module owns what they all share:
   build the canonical plans for the two work kinds and are the one
   place a unit's cost is defined: the request-count / char-count
   proxy.
-* The shard failure vocabulary (:class:`ShardWorkerError`,
-  :class:`ShardExecutionError`, :func:`_unwrap_shard_future`) shared by
-  the process executor and the cluster runner.
+* :class:`ShardExecutionError`, raised when a shard's result does not
+  fit the unit that was sent.
 
 The execution substrates themselves, and the scatter/merge contracts
 they share, live in :mod:`repro.core.execution`; this module imports
-nothing from it at run time, so plans and the failure vocabulary stay
-usable without the engines.
-
-Everything crossing a process boundary must pickle: the built-in
-tokenizers and alignment functions do, while ad-hoc lambdas do not —
-use module-level callables with out-of-process executors.
+nothing from it at run time, so plans stay usable without the engines.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures.process import BrokenProcessPool
-from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Sequence,
+                    Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .batch import InferenceRequest
@@ -45,37 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 POOLED_GROUP = -1
 
 
-class ShardWorkerError(Exception):
-    """An exception raised *inside* a shard worker process.
-
-    ``concurrent.futures`` pickles worker exceptions back to the parent
-    but loses the worker-side traceback (the re-raise points at the
-    parent's ``future.result()`` call), and an exception that cannot
-    pickle at all surfaces as a bare ``BrokenProcessPool``.  The worker
-    entry points therefore catch everything and raise this instead — a
-    single-string exception that always pickles and carries the full
-    ``traceback.format_exc()`` text of the original failure.
-    """
-
-    def __init__(self, worker_traceback: str) -> None:
-        super().__init__(worker_traceback)
-        self.worker_traceback = worker_traceback
-
-
 class ShardExecutionError(RuntimeError):
-    """A planned shard failed to execute.
-
-    Raised by the process executor (and reused by the cluster runner)
-    in place of the raw pool errors: the message names the shard and
-    its work-unit keys, and :attr:`worker_traceback` carries the
-    original worker-side traceback when one could be recovered (it
-    cannot when the worker process was killed outright).
-    """
-
-    def __init__(self, message: str,
-                 worker_traceback: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.worker_traceback = worker_traceback
+    """A shard's result does not fit the unit that was sent — merging
+    it would serve one request another's rows."""
 
 
 def construction_proxy(curated: "CuratedKeyphrases"
@@ -87,8 +51,7 @@ def construction_proxy(curated: "CuratedKeyphrases"
     keyphrase character count — proportional to token occurrences,
     hence to the edge pairs the build pass walks — without paying a
     tokenization pass up front.  The ``+ 1`` keeps every planned leaf
-    non-free.  Executors also use it as the unit count when they
-    attribute a timed shard to its leaves.
+    non-free.
     """
     return [(leaf_id, sum(map(len, leaf.texts)) + 1)
             for leaf_id, leaf in curated.leaves.items() if len(leaf) > 0]
@@ -229,21 +192,6 @@ class ShardPlan:
         """Summed cost estimate across all shards."""
         return sum(self.shard_costs)
 
-    def balance_stats(self) -> Dict[str, float]:
-        """Planned-balance telemetry: ``n_shards``/``makespan``/``imbalance``.
-
-        ``imbalance`` is the makespan over the mean shard cost (1.0 is
-        perfectly level).  The executors gauge these into the metrics
-        registry per plan, so how well the proxy levels real batches
-        is visible without re-deriving it from timings.
-        """
-        costs = self.shard_costs
-        makespan = max(costs) if costs else 0
-        mean = sum(costs) / len(costs) if costs else 0.0
-        return {"n_shards": float(self.n_shards),
-                "makespan": float(makespan),
-                "imbalance": makespan / mean if mean else 1.0}
-
     def to_json(self) -> str:
         """Serialize the plan (the unit a distributed runner ships)."""
         return json.dumps({
@@ -350,29 +298,3 @@ class ShardPlan:
     def __repr__(self) -> str:
         return (f"ShardPlan(n_shards={self.n_shards}, "
                 f"shard_costs={self.shard_costs})")
-
-
-def _unwrap_shard_future(future, kind: str, index: int,
-                         keys: Sequence[Hashable]):
-    """``future.result()`` with worker failures surfaced legibly.
-
-    A worker-side exception arrives as :class:`ShardWorkerError` (full
-    original traceback); a worker process that *died* (killed, crashed
-    hard) arrives as ``BrokenProcessPool`` with nothing attached.  Both
-    are re-raised as :class:`ShardExecutionError` naming the shard and
-    its work-unit keys.
-    """
-    try:
-        return future.result()
-    except ShardWorkerError as exc:
-        raise ShardExecutionError(
-            f"{kind} shard {index} (keys {list(keys)!r}) raised in its "
-            f"worker process; original worker traceback:\n"
-            f"{exc.worker_traceback}",
-            worker_traceback=exc.worker_traceback) from None
-    except BrokenProcessPool as exc:
-        raise ShardExecutionError(
-            f"worker process died while executing {kind} shard {index} "
-            f"(keys {list(keys)!r}); no worker traceback could be "
-            f"recovered — the process was killed or crashed outside "
-            f"Python") from exc

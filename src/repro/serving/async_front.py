@@ -21,9 +21,8 @@ Per stream, the front provides what the synchronous service cannot:
 * **Micro-batch execution off the event loop.**  Window flushes run in
   an executor (thread pool by default), keeping the loop free to
   ingest other streams; the micro-batch itself still goes through the
-  existing engines (``engine``/``workers``/``executor`` are forwarded
-  to :class:`NRTService`, so thread- or process-sharded execution
-  composes).
+  existing engines (``engine``/``executor`` are forwarded to
+  :class:`NRTService`, so a fleet-backed executor composes).
 * **Concurrent KV write-through.**  Each stream writes through to its
   own :class:`KeyValueStore` (or a shared one — flushes against the
   same store are serialized with a per-store lock, the stand-in for a
@@ -125,12 +124,13 @@ class AsyncNRTFront:
             further event arrives.
         max_pending: Bound of each stream's ingestion queue;
             :meth:`submit` awaits (backpressure) while a queue is full.
-        k, hard_limit, enrich, engine, workers: Forwarded to each
-            stream's :class:`NRTService`.
+        k, hard_limit, enrich, engine: Forwarded to each stream's
+            :class:`NRTService`.
         executor: Where each stream's window micro-batch shards run —
-            an :class:`repro.core.execution.Executor` instance or
-            ``"serial"`` / ``"thread"`` (default) / ``"process"``,
-            forwarded to every stream's :class:`NRTService`.
+            ``None`` / ``"serial"`` (inline, default) or an
+            :class:`repro.core.execution.Executor` instance, forwarded
+            to every stream's :class:`NRTService`.  The front does not
+            close an instance it was handed.
         flush_executor: Optional ``concurrent.futures`` executor for
             window flush hand-off.  Defaults to a private thread pool
             sized to the stream count (processes make no sense here —
@@ -159,8 +159,7 @@ class AsyncNRTFront:
                  max_pending: int = 256,
                  k: int = 20, hard_limit: int = 40,
                  enrich: Optional[Callable[[ItemEvent], str]] = None,
-                 engine: str = "fast", workers: int = 1,
-                 executor=None,
+                 engine: str = "fast", executor=None,
                  flush_executor: Optional[Executor] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if max_pending < 1:
@@ -174,7 +173,7 @@ class AsyncNRTFront:
         self._service_kwargs = dict(
             window_size=window_size, window_seconds=window_seconds,
             k=k, hard_limit=hard_limit, enrich=enrich, engine=engine,
-            workers=workers, executor=executor)
+            executor=executor)
         self._wall_clock_seconds = (
             window_seconds if wall_clock_seconds is None
             else wall_clock_seconds)

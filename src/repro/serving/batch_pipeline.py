@@ -45,16 +45,15 @@ class BatchPipeline:
         store: Destination KV store; predictions are served from it.
         k: Target predictions per item.
         hard_limit: Strict per-item cap written to the store.
-        workers: Inference worker count (ignored when ``executor`` is
-            an instance — it carries its own).
         engine: ``"fast"`` (vectorized leaf-batched runner, the default)
             or ``"reference"`` (scalar per-item loop); both produce
             identical output, so the fast path serves production loads
             and the reference path remains for cross-checking.
-        executor: Where the fast engine's leaf-group shards run — an
-            :class:`repro.core.execution.Executor` instance or
-            ``"serial"`` / ``"thread"`` (default) / ``"process"``;
-            identical output for every substrate (see
+        executor: Where the fast engine's leaf-group shards run —
+            ``None`` / ``"serial"`` (the calling thread, default) or an
+            :class:`repro.core.execution.Executor` instance (a
+            ``ClusterExecutor`` carries its own fleet);
+            identical output either way (see
             :func:`repro.core.batch.batch_recommend`).  Resolved once
             here, so shard timings accumulate across loads.
         metrics: A :class:`repro.obs.MetricsRegistry` to record load
@@ -65,14 +64,12 @@ class BatchPipeline:
     def __init__(self, model: GraphExModel,
                  store: Optional[KeyValueStore] = None,
                  k: int = 20, hard_limit: int = 40,
-                 workers: int = 1, engine: str = "fast",
-                 executor=None,
+                 engine: str = "fast", executor=None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         from ..core.execution import resolve_executor
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._executor = resolve_executor(executor, workers=workers,
-                                          engine=engine,
+        self._executor = resolve_executor(executor, engine=engine,
                                           metrics=self.metrics)
         validate_model_for_engine(model, engine,
                                   executor=self._executor)
@@ -82,15 +79,14 @@ class BatchPipeline:
             else KeyValueStore()
         self._k = k
         self._hard_limit = hard_limit
-        self._workers = workers
         self._engine = engine
         self._generation = 0
 
     def _infer(self, requests: Sequence[InferenceRequest]) -> BatchResult:
         return batch_recommend(
             self.model, requests, k=self._k,
-            hard_limit=self._hard_limit, workers=self._workers,
-            engine=self._engine, executor=self._executor)
+            hard_limit=self._hard_limit, engine=self._engine,
+            executor=self._executor)
 
     def _record_load(self, kind: str, started: float,
                      report: BatchRunReport) -> BatchRunReport:

@@ -86,12 +86,11 @@ class NRTService:
             before inference (returns a possibly rewritten title).
         engine: Inference engine for the window micro-batch — ``"fast"``
             (vectorized leaf-batched, default) or ``"reference"``.
-        workers: Worker count for the window micro-batch (ignored when
-            ``executor`` is an instance — it carries its own).
-        executor: Where the fast engine's leaf-group shards run — an
-            :class:`repro.core.execution.Executor` instance or
-            ``"serial"`` / ``"thread"`` (default) / ``"process"``;
-            identical output for every substrate (see
+        executor: Where the fast engine's leaf-group shards run —
+            ``None`` / ``"serial"`` (the calling thread, default) or an
+            :class:`repro.core.execution.Executor` instance (a
+            ``ClusterExecutor`` carries its own fleet);
+            identical output either way (see
             :func:`repro.core.batch.batch_recommend`).  Resolved once
             here, not per window.
         metrics: A :class:`repro.obs.MetricsRegistry` to record the
@@ -110,8 +109,7 @@ class NRTService:
                  window_size: int = 32, window_seconds: float = 1.0,
                  k: int = 20, hard_limit: int = 40,
                  enrich: Optional[Callable[[ItemEvent], str]] = None,
-                 engine: str = "fast", workers: int = 1,
-                 executor=None,
+                 engine: str = "fast", executor=None,
                  metrics: Optional[MetricsRegistry] = None,
                  stream: str = "default") -> None:
         from ..core.execution import resolve_executor
@@ -120,8 +118,7 @@ class NRTService:
         self._stream_label = stream
         # Fail here, not mid-flush where the window's events would
         # already be drained and lost.
-        self._executor = resolve_executor(executor, workers=workers,
-                                          engine=engine,
+        self._executor = resolve_executor(executor, engine=engine,
                                           metrics=self.metrics)
         validate_model_for_engine(model, engine,
                                   executor=self._executor)
@@ -134,7 +131,6 @@ class NRTService:
         self._hard_limit = hard_limit
         self._enrich = enrich
         self._engine = engine
-        self._workers = workers
         self._generation = 0
         self._buffer: List[ItemEvent] = []
         self._window_opened_at: Optional[float] = None
@@ -355,7 +351,7 @@ class NRTService:
                 results = batch_recommend(
                     model, requests, k=self._k,
                     hard_limit=self._hard_limit, engine=self._engine,
-                    workers=self._workers, executor=self._executor)
+                    executor=self._executor)
                 n_inferred = len(requests)
                 for item_id, _title, _leaf_id in requests:
                     self._store.put(version, item_id,

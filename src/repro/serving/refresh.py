@@ -94,12 +94,11 @@ class DailyRefreshOrchestrator:
         pipeline: The batch pipeline whose store serves the catalog; its
             model is refreshed and its :meth:`~BatchPipeline.full_load`
             re-run on every refresh.
-        builder, workers: Forwarded to
-            :meth:`GraphExModel.construct` (fast builder by default —
-            the whole point of the daily loop).
-        executor: Which execution substrate builds each day's model —
-            an :class:`repro.core.execution.Executor` instance or
-            ``"serial"`` / ``"thread"`` (default) / ``"process"``.
+        builder: Forwarded to :meth:`GraphExModel.construct` (fast
+            builder by default — the whole point of the daily loop).
+        executor: Where each day's leaf shards build — ``None`` /
+            ``"serial"`` (inline, default) or an
+            :class:`repro.core.execution.Executor` instance.
             Resolved **once** and kept for the orchestrator's
             lifetime, so every refresh's build timings land in the one
             shared ``metrics`` registry.
@@ -138,15 +137,15 @@ class DailyRefreshOrchestrator:
 
     Usage::
 
-        orchestrator = DailyRefreshOrchestrator(pipeline, workers=4)
+        orchestrator = DailyRefreshOrchestrator(pipeline)
         orchestrator.register(front)          # a live AsyncNRTFront
         report = await orchestrator.refresh(todays_curated, catalog)
         assert front.model_generation == report.generation
     """
 
     def __init__(self, pipeline: BatchPipeline, *,
-                 builder: str = "fast", workers: int = 1,
-                 executor=None, alignment: str = "lta",
+                 builder: str = "fast", executor=None,
+                 alignment: str = "lta",
                  build_pooled: bool = False,
                  artifact_dir: Optional[Union[str, Path]] = None,
                  retry: Optional[RetryPolicy] = None,
@@ -162,11 +161,9 @@ class DailyRefreshOrchestrator:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = Tracer()
         self._builder = builder
-        self._workers = workers
         # One executor for the orchestrator's lifetime: every refresh
         # records its build timings into the shared registry.
-        self._executor = resolve_executor(executor, workers=workers,
-                                          engine=builder,
+        self._executor = resolve_executor(executor, engine=builder,
                                           metrics=self.metrics)
         self._alignment = alignment
         self._build_pooled = build_pooled
@@ -284,7 +281,7 @@ class DailyRefreshOrchestrator:
                     None, attempt(lambda: GraphExModel.construct(
                         curated, alignment=self._alignment,
                         build_pooled=self._build_pooled,
-                        builder=self._builder, workers=self._workers,
+                        builder=self._builder,
                         executor=self._executor)))
         except RetriesExhausted as exc:
             # No generation was burned — the next cycle's refresh

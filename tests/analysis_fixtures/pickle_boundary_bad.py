@@ -2,6 +2,7 @@
 # through the front door and through numpy's side doors.
 # lint-fixture-module: repro.cluster.fixture_pickle_bad
 import pickle
+from concurrent.futures import ProcessPoolExecutor  # pickles args+results
 from pickle import loads
 
 import numpy as np

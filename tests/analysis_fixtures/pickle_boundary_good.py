@@ -3,6 +3,7 @@
 # repro.cluster.protocol.
 # lint-fixture-module: repro.cluster.fixture_pickle_good
 import json
+from concurrent.futures import TimeoutError as FutureTimeout  # no pool
 
 import numpy as np
 

@@ -115,3 +115,16 @@ def tiny_curated(tiny_log):
 def tiny_model(tiny_curated) -> GraphExModel:
     """GraphEx model over the tiny world."""
     return GraphExModel.construct(tiny_curated)
+
+
+@pytest.fixture(scope="session")
+def fleet():
+    """One localhost fleet of two worker processes for the whole
+    session — the out-of-process substrate (``--executor process`` /
+    ``cluster`` on the CLI), booted once rather than once per test.
+    Tests that want their own metrics registry wrap its coordinator:
+    ``ClusterExecutor(fleet.coordinator, metrics=...)``."""
+    from repro.core.execution import ClusterExecutor
+
+    with ClusterExecutor.local(2) as executor:
+        yield executor

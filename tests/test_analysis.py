@@ -85,16 +85,22 @@ class TestRuleFixtures:
 
     def test_pickle_boundary_finds_numpys_side_doors(self):
         """numpy touches the cluster wire, so its own ways into pickle
-        are flagged beside the module itself — one finding per door."""
+        are flagged beside the module itself — one finding per door,
+        the process pool's implicit pickling among them."""
         report = lint_fixture("pickle_boundary_bad.py",
                               NoPickleBoundaryRule())
         flagged = sorted(v.message.split("(")[1].split(")")[0]
                          for v in report.violations)
         assert flagged == sorted([
             "pickle", "pickle", "pickle.dumps", "np.loads",
+            "ProcessPoolExecutor",
             "allow_pickle= not the literal False",
             "allow_pickle= not the literal False",
             "ndarray.dump", "ndarray.dumps"])
+        door = NoPickleBoundaryRule._import_door
+        assert door("multiprocessing.pool") == "multiprocessing"
+        assert door("concurrent.futures.process")
+        assert door("concurrent.futures") is None
 
     def test_mmap_bad_flags_all_three_shapes(self):
         report = lint_fixture("mmap_safety_bad.py",

@@ -471,7 +471,7 @@ class TestShutdownAndBackpressure:
         for i in range(4):
             assert front.serve("s", 10 + i)
 
-    def test_api_contracts(self, fig3_model):
+    def test_api_contracts(self, fleet, fig3_model):
         front = AsyncNRTFront(fig3_model)
         front.add_stream("s")
         with pytest.raises(ValueError, match="already exists"):
@@ -488,7 +488,7 @@ class TestShutdownAndBackpressure:
             AsyncNRTFront(fig3_model, engine="warp")
         with pytest.raises(ValueError, match="single-process"):
             AsyncNRTFront(fig3_model, engine="reference",
-                          executor="process")
+                          executor=fleet)
 
         async def submit_unstarted():
             await front.submit("s", make_event(1, 0.0))

@@ -25,6 +25,23 @@ def workflow_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture
+def booted(monkeypatch):
+    """Every fleet the CLI boots during the test, so it can be shown
+    closed afterwards."""
+    from repro.core.execution import ClusterExecutor
+
+    fleets = []
+    real_local = ClusterExecutor.local
+
+    def recording_local(workers):
+        fleets.append(real_local(workers))
+        return fleets[-1]
+
+    monkeypatch.setattr(ClusterExecutor, "local", recording_local)
+    return fleets
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -45,15 +62,16 @@ class TestParser:
                 ["construct", "--curated", "c", "--out", "m",
                  "--alignment", "cosine"])
 
-    def test_parallel_defaults_to_thread(self):
+    def test_parallel_defaults_to_serial(self):
         from repro.core.execution import resolve_executor
 
         for command in (["construct", "--curated", "c", "--out", "m"],
                         ["recommend", "--model", "m", "--title", "t",
-                         "--leaf", "1"]):
+                         "--leaf", "1"],
+                        ["serve-nrt", "--model", "m"]):
             args = build_parser().parse_args(command)
-            assert args.workers == 1
-            assert resolve_executor(args.executor).name == "thread"
+            assert args.workers == 2      # the fleet size, if one is asked for
+            assert resolve_executor(args.executor).name == "serial"
 
     def test_parallel_choices_enforced(self):
         for command in (["construct", "--curated", "c", "--out", "m"],
@@ -118,13 +136,13 @@ class TestWorkflow:
         leaf_id = int(next(iter(payload["leaves"])))
         text = payload["leaves"][str(leaf_id)]["texts"][0]
         outputs = {}
-        for parallel in ("thread", "process"):
+        for parallel in ("serial", "process"):
             assert main(["recommend", "--model",
                          str(workflow_dir / "model"), "--title", text,
                          "--leaf", str(leaf_id), "--parallel", parallel,
                          "--workers", "2"]) == 0
             outputs[parallel] = capsys.readouterr().out
-        assert outputs["process"] == outputs["thread"]
+        assert outputs["process"] == outputs["serial"]
         assert text in outputs["process"]
 
     def test_construct_process_parallel_builds_identical_model(
@@ -235,10 +253,27 @@ class TestWorkflow:
         assert "0 flush failures" in out
         assert "60 events across 2 streams" in out
 
-    def test_serve_nrt_rejects_bad_engine_pairing(self, workflow_dir):
+    def test_serve_nrt_rejects_bad_engine_pairing(self, workflow_dir,
+                                                  booted):
         with pytest.raises(ValueError, match="single-process"):
             main(["serve-nrt", "--model", str(workflow_dir / "model"),
                   "--engine", "reference", "--parallel", "process"])
+        # The fleet booted for the refused front was still closed.
+        assert [executor._owned for executor in booted] == [None]
+
+    def test_serve_nrt_owns_the_fleet_it_boots(self, workflow_dir,
+                                               capsys, booted):
+        """--executor process on serve-nrt boots a fleet through
+        _cli_executor, serves every window on it — across a hot-swap —
+        and closes it."""
+        assert main(["serve-nrt", "--model", str(workflow_dir / "model"),
+                     "--streams", "2", "--events", "24",
+                     "--window-size", "8", "--refresh-after", "8",
+                     "--executor", "cluster", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "0 flush failures" in out
+        assert "48 events across 2 streams" in out
+        assert [executor._owned for executor in booted] == [None]
 
 
 class TestExecutorFlag:
@@ -257,15 +292,20 @@ class TestExecutorFlag:
             build_parser().parse_args(
                 ["construct", "--curated", "c", "--out", "m",
                  "--executor", "warp"])
-        # A long-lived service keeps its own cluster; serve-nrt offers
-        # only the in-process substrates.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve-nrt", "--model", "m", "--executor", "cluster"])
-        args = build_parser().parse_args(
-            ["recommend", "--model", "m", "--title", "t", "--leaf", "1",
-             "--executor", "cluster"])
-        assert args.executor == "cluster"
+        # There is no in-process pool to name: `thread` is argparse
+        # exit 2 on every command that takes an executor.
+        for command in (["construct", "--curated", "c", "--out", "m"],
+                        ["recommend", "--model", "m", "--title", "t",
+                         "--leaf", "1"],
+                        ["serve-nrt", "--model", "m"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(command + ["--executor",
+                                                     "thread"])
+            assert exit_info.value.code == 2
+            for name in ("serial", "process", "cluster"):
+                args = build_parser().parse_args(
+                    command + ["--executor", name])
+                assert args.executor == name
 
     def _recommend_output(self, workflow_dir, capsys, *extra):
         payload = json.loads((workflow_dir / "curated.json").read_text())
@@ -282,8 +322,7 @@ class TestExecutorFlag:
             name: self._recommend_output(
                 workflow_dir, capsys, "--executor", name,
                 "--workers", "2")
-            for name in ("serial", "thread", "process")}
-        assert outputs["thread"] == outputs["serial"]
+            for name in ("serial", "process")}
         assert outputs["process"] == outputs["serial"]
 
     def test_recommend_executor_cluster_identical(self, workflow_dir,

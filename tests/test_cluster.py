@@ -498,6 +498,44 @@ class TestClusterInference:
 
         assert asyncio.run(drive()) == expected
 
+    def test_in_memory_model_is_spooled_once_per_object(
+            self, curated, model, requests, expected, monkeypatch):
+        """A service holding a fleet calls once per window with the
+        same model object: N calls leave one spool directory, one
+        mapping on the coordinator and one model and runner on the
+        worker — not N of each.  Another object gets its own."""
+        from repro.cluster import coordinator as coordinator_module
+
+        saves = []
+        real_save = coordinator_module.save_model
+
+        def counting_save(source, path):
+            saves.append(path)
+            return real_save(source, path)
+
+        monkeypatch.setattr(coordinator_module, "save_model",
+                            counting_save)
+        other = GraphExModel.construct(curated)
+
+        async def drive():
+            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
+                worker, task = await spawn_worker(coord, name="solo")
+                await coord.wait_for_workers(1, timeout=10.0)
+                for _ in range(4):
+                    assert await coord.run_inference(
+                        model, requests, k=5) == expected
+                spooled = sorted(path.name for path in
+                                 coord._model_spool.iterdir())
+                counts = (len(saves), spooled, len(coord._model_cache),
+                          len(worker._models), len(worker._runners))
+                assert await coord.run_inference(
+                    other, requests, k=5) == expected
+                await teardown(coord, [task])
+                return counts
+
+        assert asyncio.run(drive()) == (1, ["model-0"], 1, 1, 1)
+        assert len(saves) == 2
+
     def test_stream_distribution_identical(self, artifact, requests,
                                            expected):
         async def drive():

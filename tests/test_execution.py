@@ -4,14 +4,16 @@ Covers the :mod:`repro.core.execution` subsystem bottom-up: the
 resolver behind every ``executor=`` keyword, the scatter/merge jobs
 every substrate calls, orphan re-planning cost preservation, and the
 headline cross-executor equivalence contract: any workload on
-any substrate — serial oracle, thread fan-out, worker processes, or a
-localhost cluster with injected faults — serves element-wise identical
-results and builds bit-identical models.
+either substrate — the serial oracle, or a fleet of worker processes
+(with injected faults) — serves element-wise identical results and
+builds bit-identical models.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,8 +25,7 @@ from repro.core.batch import batch_recommend
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
 from repro.core.execution import (ClusterExecutor, InferenceJob,
-                                  ProcessShardExecutor, SerialExecutor,
-                                  ThreadShardExecutor, resolve_executor)
+                                  SerialExecutor, resolve_executor)
 from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
 from repro.core.sharding import ShardExecutionError, ShardPlan
@@ -103,24 +104,28 @@ def assert_models_identical(reference, fast):
 
 
 class TestResolveExecutor:
-    def test_default_is_thread(self):
+    def test_default_is_serial(self):
         executor = resolve_executor()
-        assert isinstance(executor, ThreadShardExecutor)
-        assert executor.name == "thread"
-        assert executor.workers == 1
+        assert isinstance(executor, SerialExecutor)
+        assert executor.name == "serial"
+        assert not hasattr(executor, "workers")
 
     def test_names_resolve_to_matching_classes(self):
+        """One string names an executor: ``serial``.  The fleet's two
+        CLI names need an instance, and ``thread`` is no name at all."""
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("thread", workers=3),
-                          ThreadShardExecutor)
-        process = resolve_executor("process", workers=3)
-        assert isinstance(process, ProcessShardExecutor)
-        assert process.workers == 3
+        for fleet_name in ("process", "cluster"):
+            with pytest.raises(ValueError, match="ClusterExecutor.local"):
+                resolve_executor(fleet_name)
+        with pytest.raises(ValueError, match="unknown executor 'thread'"):
+            resolve_executor("thread")
 
-    def test_instance_passes_through(self):
-        mine = ThreadShardExecutor(4)
+    def test_instance_passes_through(self, fleet):
+        mine = SerialExecutor()
         assert resolve_executor(mine) is mine
-        assert resolve_executor(mine, workers=9) is mine
+        assert resolve_executor(fleet) is fleet
+        with pytest.raises(TypeError, match="workers"):
+            resolve_executor(mine, workers=9)
 
     def test_executor_plus_parallel_rejected(self):
         with pytest.raises(TypeError, match="parallel"):
@@ -136,11 +141,11 @@ class TestResolveExecutor:
         with pytest.raises(ValueError, match="ClusterCoordinator"):
             resolve_executor("cluster")
 
-    def test_reference_engine_needs_in_process_executor(self):
+    def test_reference_engine_needs_in_process_executor(self, fleet):
         resolve_executor("serial", engine="reference")
-        resolve_executor("thread", engine="reference")
+        resolve_executor(None, engine="reference")
         with pytest.raises(ValueError, match="semantics reference"):
-            resolve_executor("process", engine="reference")
+            resolve_executor(fleet, engine="reference")
 
     def test_batch_recommend_rejects_both_spellings(self, model,
                                                     requests):
@@ -153,10 +158,15 @@ class TestResolveExecutor:
         """``executor=`` is the only spelling: no entry point takes
         ``parallel``, and sharding re-exports nothing lazily.  Nor does
         anything take a cost model, a model format to write, or a
-        ``dense_limit`` choosing between two ways to count."""
+        ``dense_limit`` choosing between two ways to count — or a
+        worker count: an executor instance carries its own fleet, the
+        in-process pools and their classes are gone, and only the CLI
+        parser and ``ClusterExecutor.local`` still say ``workers``."""
         import dataclasses
         import inspect
 
+        import repro
+        from repro import core
         from repro.cli import main
         from repro.core import execution, sharding
         from repro.core.batch import (differential_update,
@@ -171,9 +181,13 @@ class TestResolveExecutor:
                             validate_model_for_engine,
                             GraphExModel.construct, NRTService,
                             BatchPipeline, AsyncNRTFront,
-                            DailyRefreshOrchestrator, resolve_executor):
+                            DailyRefreshOrchestrator, resolve_executor,
+                            Executor, SerialExecutor, ClusterExecutor):
             parameters = inspect.signature(entry_point).parameters
             assert "parallel" not in parameters, entry_point
+            assert "workers" not in parameters, entry_point
+        assert "workers" in inspect.signature(
+            ClusterExecutor.local).parameters
         assert "cluster" not in \
             inspect.signature(resolve_executor).parameters
         assert list(inspect.signature(
@@ -181,51 +195,51 @@ class TestResolveExecutor:
             ["model", "engine", "executor"]
         assert "__getattr__" not in vars(sharding)
 
-        for planned in (Executor, ThreadShardExecutor, SerialExecutor,
-                        ProcessShardExecutor, ClusterExecutor,
+        for planned in (Executor, SerialExecutor, ClusterExecutor,
                         ClusterExecutor.local, resolve_executor,
                         InferenceJob, ConstructionJob,
                         ShardPlan.for_inference,
                         ShardPlan.for_construction,
                         ClusterCoordinator.run_inference,
                         ClusterCoordinator.run_construction):
-            assert "cost_model" not in \
-                inspect.signature(planned).parameters, planned
+            parameters = inspect.signature(planned).parameters
+            assert "cost_model" not in parameters, planned
+            assert "start_method" not in parameters, planned
         assert "costs" not in inspect.signature(ShardPlan.replan).parameters
         assert "format_version" not in \
             inspect.signature(save_model).parameters
-        for name in ("CostModel", "plan_rebalance_gain", "observe_spread"):
-            assert not hasattr(execution, name), name
+        for name in ("CostModel", "plan_rebalance_gain", "observe_spread",
+                     "ThreadShardExecutor", "ProcessShardExecutor",
+                     "_run_inference_shard", "_unwrap_shard_future",
+                     "ShardWorkerError"):
+            for module in (execution, sharding, core, repro):
+                assert not hasattr(module, name), (module, name)
+        assert "thread" not in execution.EXECUTOR_NAMES
         for counted in (LeafBatchRunner, InferenceJob,
                         Executor.run_inference,
-                        ThreadShardExecutor.run_inference,
                         SerialExecutor.run_inference,
-                        ProcessShardExecutor.run_inference,
                         ClusterExecutor.run_inference,
                         ClusterExecutor.run_inference_async,
-                        execution._init_inference_worker,
                         ClusterCoordinator.run_inference):
             assert "dense_limit" not in \
                 inspect.signature(counted).parameters, counted
         assert not {"n_cost_observations", "rebalance_gain"} & {
             field.name for field in dataclasses.fields(RefreshReport)}
-        with pytest.raises(SystemExit) as exit_info:
-            main(["construct", "--curated", "c", "--out", "m",
-                  "--format-version", "2"])
-        assert exit_info.value.code == 2
+        for argv in (["construct", "--curated", "c", "--out", "m",
+                      "--format-version", "2"],
+                     ["construct", "--curated", "c", "--out", "m",
+                      "--executor", "thread"],
+                     ["recommend", "--model", "m", "--title", "t",
+                      "--leaf", "1", "--parallel", "thread"],
+                     ["serve-nrt", "--model", "m",
+                      "--executor", "thread"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
 
 
 # ---------------------------------------------------------------------------
 # The scatter/merge contract: one implementation, every substrate
-
-
-def _short_inference_shard(requests):
-    """Pool entry point that loses its last row (module-level so the
-    forked worker can unpickle it by reference)."""
-    from repro.core import execution
-
-    rows = execution._INFERENCE_RUNNER.run_indexed(requests)
-    return rows[:-1], 0.0
 
 
 class TestInferenceJobContract:
@@ -249,8 +263,7 @@ class TestInferenceJobContract:
         job = InferenceJob(world, self.REQUESTS, n_shards, k=5)
         for shard in reversed(job.plan.shards):     # out of order
             assert job.merge(shard, runner.run_indexed(
-                job.requests_of(shard))) == \
-                sum(units for _key, units in job.units(shard))
+                job.requests_of(shard))) == len(job.requests_of(shard))
         out = job.output()
         assert out == scalar
         assert out[8] == []
@@ -263,33 +276,25 @@ class TestInferenceJobContract:
         with pytest.raises(ShardExecutionError, match="4 rows for 5"):
             job.merge(shard, [[]] * 4)
 
-    def test_wrong_row_count_raises_on_the_process_path(
-            self, world, monkeypatch):
-        from repro.core import execution
-
-        monkeypatch.setattr(execution, "_run_inference_shard",
-                            _short_inference_shard)
-        with pytest.raises(ShardExecutionError, match="rows for"):
-            ProcessShardExecutor(2).run_inference(world, self.REQUESTS,
-                                                  k=5)
-
 
 class TestConstructionMergeOrder:
-    def test_process_and_cluster_graphs_identical(self):
-        """Both out-of-process substrates hand back the same graphs in
-        curated order, whichever shard a leaf ran in.  Leaf 2
-        dominates, so the plan is ((2,), (1, 3, 4, 5)): shard-index
-        order and leaf order disagree."""
+    def test_process_and_cluster_graphs_identical(self, fleet):
+        """The fleet — what ``process`` and ``cluster`` both spell —
+        hands back the serial builder's graphs in curated order,
+        whichever shard a leaf ran in.  Leaf 2 dominates, so the plan
+        is ((2,), (1, 3, 4, 5)): shard-index order and leaf order
+        disagree."""
         curated = build_curated(sizes=(3, 14, 3, 2, 2))
         assert [min(shard) for shard in
                 ShardPlan.for_construction(curated, 2).shards] == [2, 1]
-        process_graphs = ProcessShardExecutor(2).run_construction(curated)
-        with ClusterExecutor.local(workers=2) as cluster:
-            cluster_graphs = cluster.run_construction(curated)
-        assert list(cluster_graphs) == list(process_graphs) \
+        serial_graphs = SerialExecutor().run_construction(curated)
+        fleet_graphs = fleet.run_construction(curated)
+        assert list(fleet_graphs) == list(serial_graphs) \
             == list(curated.leaves)
-        for leaf_id, graph in process_graphs.items():
-            assert_leaf_graphs_identical(graph, cluster_graphs[leaf_id])
+        for leaf_id, graph in serial_graphs.items():
+            assert_leaf_graphs_identical(graph, fleet_graphs[leaf_id])
+            # Built elsewhere: the graphs are mapped leaf bundles.
+            assert fleet_graphs[leaf_id].graph.is_readonly
 
 
 # ---------------------------------------------------------------------------
@@ -330,58 +335,47 @@ class TestCrossExecutorEquivalence:
             runner_expected[item_id] = rows[item_id]
         assert expected == runner_expected
 
-    def test_thread_fan_out_identical(self, model, requests, expected):
-        for workers in (2, 3, 8):
-            executor = ThreadShardExecutor(workers)
-            assert executor.run_inference(model, requests, k=5) == \
-                expected
-
-    def test_process_identical(self, model, requests, expected):
+    def test_process_identical(self, fleet, model, requests, expected):
+        """The fleet serves the oracle's output and books every request
+        once (an adopting wrapper gives the call its own registry)."""
         metrics = MetricsRegistry()
-        with ProcessShardExecutor(workers=2, metrics=metrics) as executor:
+        with ClusterExecutor(fleet.coordinator,
+                             metrics=metrics) as executor:
             assert executor.run_inference(model, requests, k=5) == \
                 expected
-        assert metrics.counter_value("executor.inference.requests",
-                                     executor="process") == len(requests)
+        assert metrics.counter_value("cluster.requests.merged") \
+            == len(requests)
+        assert fleet.coordinator.n_live() == 2  # adopted: not stopped
 
     def test_in_process_substrates_time_one_task_per_shard(
             self, model, requests):
-        """Serial, thread and process all record inference the same
-        way: one ``executor.inference.tasks`` per *planned shard* (not
-        per leaf group), every request counted once."""
-        for executor_cls, workers in ((SerialExecutor, 1),
-                                      (ThreadShardExecutor, 2),
-                                      (ProcessShardExecutor, 2)):
-            metrics = MetricsRegistry()
-            executor = (executor_cls(metrics=metrics) if workers == 1
-                        else executor_cls(workers, metrics=metrics))
-            with executor:
-                executor.run_inference(model, requests, k=5)
-            plan, groups = ShardPlan.for_inference(model, requests,
-                                                   workers)
-            assert plan.n_shards == workers < len(groups)
-            labels = {"executor": executor.name}
-            assert metrics.counter_value("executor.inference.tasks",
-                                         **labels) == plan.n_shards
-            assert metrics.counter_value("executor.inference.requests",
-                                         **labels) == len(requests)
-            assert metrics.histogram_stats(
-                "executor.inference.seconds",
-                **labels)["count"] == plan.n_shards
+        """The one in-process substrate records inference as one
+        ``executor.inference.tasks`` per *planned shard* — here one,
+        not one per leaf group — every request counted once."""
+        metrics = MetricsRegistry()
+        SerialExecutor(metrics=metrics).run_inference(model, requests,
+                                                      k=5)
+        plan, groups = ShardPlan.for_inference(model, requests, 1)
+        assert plan.n_shards == 1 < len(groups)
+        labels = {"executor": "serial"}
+        assert metrics.counter_value("executor.inference.tasks",
+                                     **labels) == 1
+        assert metrics.counter_value("executor.inference.requests",
+                                     **labels) == len(requests)
+        assert metrics.histogram_stats(
+            "executor.inference.seconds", **labels)["count"] == 1
 
-    def test_construction_identical_across_substrates(self, curated,
-                                                      model):
-        for executor in (SerialExecutor(), ThreadShardExecutor(3),
-                         ProcessShardExecutor(workers=2)):
-            with executor:
-                rebuilt = GraphExModel.construct(curated,
-                                                 build_pooled=True,
-                                                 executor=executor)
+    def test_construction_identical_across_substrates(self, fleet,
+                                                      curated, model):
+        for executor in (SerialExecutor(), fleet):
+            rebuilt = GraphExModel.construct(curated, build_pooled=True,
+                                             executor=executor)
             assert_models_identical(model, rebuilt)
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
-    def test_any_workload_any_executor_identical(self, data, model):
+    def test_any_workload_any_executor_identical(self, data, fleet,
+                                                 model):
         """Property: a drawn workload served through a drawn substrate,
         telemetry live or off, is element-wise identical to the serial
         oracle with telemetry off — and a live registry counts every
@@ -397,18 +391,21 @@ class TestCrossExecutorEquivalence:
                 min_size=0, max_size=4))
             item_id = data.draw(st.integers(min_value=0, max_value=8))
             requests.append((item_id, " ".join(words), leaf_id))
-        workers = data.draw(st.integers(min_value=1, max_value=4))
-        executor = data.draw(st.sampled_from(["serial", "thread"]))
+        substrate = data.draw(st.sampled_from(["serial", "fleet"]))
         metrics = data.draw(st.sampled_from([NullRegistry,
                                              MetricsRegistry]))()
         oracle = SerialExecutor(metrics=NullRegistry()).run_inference(
             model, requests, k=4)
-        got = resolve_executor(executor, workers=workers, metrics=metrics) \
-            .run_inference(model, requests, k=4)
-        assert got == oracle
+        if substrate == "serial":
+            executor = resolve_executor("serial", metrics=metrics)
+            counted = ("executor.inference.requests",
+                       {"executor": "serial"})
+        else:
+            executor = ClusterExecutor(fleet.coordinator, metrics=metrics)
+            counted = ("cluster.requests.merged", {})
+        assert executor.run_inference(model, requests, k=4) == oracle
         if not isinstance(metrics, NullRegistry):
-            assert metrics.counter_value("executor.inference.requests",
-                                         executor=executor) == n
+            assert metrics.counter_value(counted[0], **counted[1]) == n
 
     def test_cluster_with_faults_identical(self, model, requests,
                                            expected, tmp_path):
@@ -447,19 +444,75 @@ class TestCrossExecutorEquivalence:
 
     def test_local_cluster_executor_lifecycle(self, model, requests,
                                               expected, tmp_path):
-        """`ClusterExecutor.local` (the CLI's --executor cluster
-        backend) boots, serves identically, and tears down cleanly."""
+        """`ClusterExecutor.local` (what the CLI's --executor
+        process|cluster boots) starts real worker processes, serves
+        identically, and ``close()`` leaves none behind."""
         from repro.core.serialization import save_model
 
         artifact = tmp_path / "model"
         save_model(model, artifact)
         executor = ClusterExecutor.local(workers=2)
+        procs = list(executor._owned[2])
         try:
+            assert len(procs) == 2
+            assert all(proc.poll() is None for proc in procs)
             assert executor.run_inference(str(artifact), requests,
                                           k=5) == expected
         finally:
             executor.close()
+        assert [proc.poll() for proc in procs] == [0, 0]
         executor.close()  # idempotent
+
+    def test_reap_kills_a_straggler(self):
+        """What ``close()`` does after stopping the coordinator: wait
+        for each worker process, and kill one that will not leave."""
+        import signal
+        import subprocess
+
+        from repro.cluster import reap_workers
+
+        straggler = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(600)"])
+        reap_workers([straggler], timeout=0.2)
+        assert straggler.poll() == -signal.SIGKILL
+
+    def test_worker_that_exits_before_registering_fails_boot_at_once(
+            self, monkeypatch):
+        """A launcher pointed at a bad interpreter flag: ``local()``
+        raises with the child's exit code and stderr tail long before
+        ``start_timeout``."""
+        from repro.cluster import ClusterError, worker
+
+        monkeypatch.setattr(worker, "WORKER_COMMAND",
+                            (sys.executable, "--no-such-flag"))
+        started = time.monotonic()
+        with pytest.raises(ClusterError) as excinfo:
+            ClusterExecutor.local(workers=2, start_timeout=60.0)
+        assert time.monotonic() - started < 10.0
+        message = str(excinfo.value)
+        assert "exited with code 2 before registering" in message
+        assert "no-such-flag" in message  # the interpreter's own words
+
+    def test_worker_leaves_when_its_connection_drops(self):
+        """A parent that dies without ``close()`` orphans nothing: the
+        coordinator-side socket closes (no shutdown frame is sent) and
+        the worker process exits on its own."""
+        from repro.cluster import spawn_worker
+
+        async def drive():
+            async with ClusterCoordinator() as coordinator:
+                proc = spawn_worker(
+                    f"{coordinator.host}:{coordinator.port}", "orphan")
+                try:
+                    await coordinator.wait_for_workers(1, timeout=30.0)
+                    (handle,) = coordinator._workers.values()
+                    handle.transport.close()
+                    return await asyncio.get_running_loop() \
+                        .run_in_executor(None, proc.wait, 30.0)
+                finally:
+                    proc.kill()
+
+        assert asyncio.run(drive()) == 0
 
     def test_sync_call_on_coordinator_loop_rejected(self):
         async def drive():

@@ -23,7 +23,6 @@ from repro.core.batch import batch_recommend
 from repro.core.csr import CSRGraph
 from repro.core.curation import (CurationConfig, CuratedKeyphrases,
                                  CuratedLeaf, curate, fast_curate)
-from repro.core.execution import ProcessShardExecutor
 from repro.core.fast_construct import (build_leaf_graph_fast,
                                        fast_construct_leaf_graphs,
                                        pool_leaf_graphs)
@@ -155,25 +154,15 @@ class TestFastBuilder:
             builder="fast")
         assert_models_identical(reference, fast)
 
-    @given(stats=stats_strategy, workers=st.integers(2, 4))
-    @settings(max_examples=20, deadline=None)
-    def test_thread_sharded_build_bit_identical(self, stats, workers):
-        curated = curate(stats, CurationConfig(min_search_count=1))
-        reference = GraphExModel.construct(curated, build_pooled=True,
-                                           builder="reference")
-        fast = GraphExModel.construct(curated, build_pooled=True,
-                                      builder="fast", workers=workers)
-        assert_models_identical(reference, fast)
-
-    @given(stats=stats_strategy, workers=st.integers(2, 3),
+    @given(stats=stats_strategy,
            tokenizer_index=st.integers(0, len(TOKENIZERS) - 1))
-    @settings(max_examples=5, deadline=None)
-    def test_process_sharded_build_bit_identical(self, stats, workers,
+    @settings(max_examples=15, deadline=None)
+    def test_process_sharded_build_bit_identical(self, fleet, stats,
                                                  tokenizer_index):
-        """Whole-leaf shards in worker processes with per-shard token
-        caches: the model — including the pooled graph derived from
-        the mapped shard bundles — is bit-identical to the scalar
-        reference (few examples — each spawns a pool)."""
+        """Whole-leaf shards on a fleet of worker processes with
+        per-shard token caches: the model — including the pooled graph
+        derived from the mapped shard bundles — is bit-identical to the
+        scalar reference."""
         tokenizer = TOKENIZERS[tokenizer_index]
         curated = curate(stats, CurationConfig(min_search_count=1))
         reference = GraphExModel.construct(curated, tokenizer=tokenizer,
@@ -181,16 +170,15 @@ class TestFastBuilder:
                                            builder="reference")
         sharded = GraphExModel.construct(curated, tokenizer=tokenizer,
                                          build_pooled=True,
-                                         builder="fast", workers=workers,
-                                         executor="process")
+                                         builder="fast", executor=fleet)
         assert_models_identical(reference, sharded)
 
-    def test_reference_builder_rejects_process_parallel(self):
+    def test_reference_builder_rejects_process_parallel(self, fleet):
         curated = curate([KeyphraseStat("a b", 1, 9, 1)],
                          CurationConfig(min_search_count=1))
         with pytest.raises(ValueError, match="single-process"):
             GraphExModel.construct(curated, builder="reference",
-                                   executor="process")
+                                   executor=fleet)
 
     def test_unknown_parallel_mode_rejected(self):
         curated = curate([], CurationConfig(min_search_count=1))
@@ -380,7 +368,8 @@ class TestPoolLeafGraphs:
                                        build_pooled=True, builder=builder)
         assert model.pooled_graph is None
 
-    def test_pooling_mapped_bundles_decodes_nothing_and_copies(self):
+    def test_pooling_mapped_bundles_decodes_nothing_and_copies(
+            self, fleet):
         """Process-built leaves arrive as read-only mapped bundles
         whose label texts decode lazily.  Pooling reads texts from the
         curated corpus instead — the bundles' string caches (which hold
@@ -392,8 +381,7 @@ class TestPoolLeafGraphs:
                   ("shared text", leaf_id, 10 - leaf_id))
             for leaf_id in (1, 2, 3, 4)]
         curated = self.curated_of(leaves)
-        graphs = ProcessShardExecutor(2).run_construction(
-            curated, DEFAULT_TOKENIZER)
+        graphs = fleet.run_construction(curated, DEFAULT_TOKENIZER)
         assert all(type(graph.label_texts) is LazyStringList
                    and graph.graph.is_readonly
                    and not graph.search_counts.flags.writeable

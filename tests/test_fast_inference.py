@@ -122,25 +122,30 @@ class TestPropertyEquivalence:
             batch_recommend(model, reqs, k=k, engine="reference"))
 
     @given(world=leaf_worlds, reqs=requests_strategy,
-           workers=st.integers(2, 4))
+           n_shards=st.integers(2, 4))
     @settings(max_examples=15, deadline=None)
-    def test_leaf_group_sharding_agrees(self, world, reqs, workers):
+    def test_leaf_group_sharding_agrees(self, world, reqs, n_shards):
+        """Any cut of a batch into leaf-group shards, merged in any
+        order, is the scalar loop's output (what every substrate's
+        scatter/merge rests on)."""
+        from repro.core.execution import InferenceJob
+
         model = make_model(world, build_pooled=True)
-        sharded = batch_recommend(model, reqs, k=6, workers=workers)
-        assert_identical(sharded, reference_outputs(model, reqs, 6))
+        job = InferenceJob(model, reqs, n_shards, k=6)
+        for shard in reversed(job.plan.shards):
+            job.run_local(shard)
+        assert_identical(job.output(), reference_outputs(model, reqs, 6))
 
     @given(world=leaf_worlds, reqs=requests_strategy,
-           workers=st.integers(2, 3),
            hard_limit=st.one_of(st.none(), st.integers(1, 8)))
-    @settings(max_examples=5, deadline=None)
-    def test_process_sharding_agrees(self, world, reqs, workers,
+    @settings(max_examples=15, deadline=None)
+    def test_process_sharding_agrees(self, fleet, world, reqs,
                                      hard_limit):
-        """Leaf-group shards in worker processes: element-wise identical
-        to the scalar reference (few examples — each spawns a pool)."""
+        """Leaf-group shards on a fleet of worker processes:
+        element-wise identical to the scalar reference."""
         model = make_model(world, build_pooled=True)
         sharded = batch_recommend(model, reqs, k=6, hard_limit=hard_limit,
-                                  workers=workers, engine="fast",
-                                  executor="process")
+                                  engine="fast", executor=fleet)
         assert_identical(sharded,
                          reference_outputs(model, reqs, 6, hard_limit))
 
@@ -581,26 +586,26 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="hard_limit"):
             LeafBatchRunner(model, k=5, hard_limit=-1)
 
-    def test_duplicate_item_ids_across_process_shards_last_wins(self):
+    def test_duplicate_item_ids_across_process_shards_last_wins(
+            self, fleet):
         """The two requests for item 5 live in different leaf groups, so
-        with two workers they land in different process shards; the
+        on a two-worker fleet they land in different process shards; the
         scatter-by-request-index merge must still let the later request
         win, exactly like the scalar dict loop."""
         model = make_model({1: [("w0", 9, 1)], 2: [("w1", 9, 1)]})
         reqs = [(5, "w0", 1), (5, "w1", 2)]
-        out = batch_recommend(model, reqs, k=5, workers=2,
-                              executor="process")
+        out = batch_recommend(model, reqs, k=5, executor=fleet)
         assert [r.text for r in out[5]] == ["w1"]
         assert_identical(out,
                          batch_recommend(model, reqs, k=5,
                                          engine="reference"))
 
-    def test_reference_engine_rejects_process_parallel(self):
+    def test_reference_engine_rejects_process_parallel(self, fleet):
         """The scalar path stays single-process as the semantics oracle."""
         model = make_model({1: [("w0 w1", 5, 1)]})
         with pytest.raises(ValueError, match="single-process"):
             batch_recommend(model, [(1, "w0", 1)], k=5,
-                            engine="reference", executor="process")
+                            engine="reference", executor=fleet)
 
     def test_unknown_parallel_mode_rejected(self):
         model = make_model({1: [("w0 w1", 5, 1)]})

@@ -315,11 +315,11 @@ class TestBatch:
             assert [r.text for r in results[item_id]] \
                 == [r.text for r in solo]
 
-    def test_batch_with_workers_matches_serial(self):
+    def test_batch_with_workers_matches_serial(self, fleet):
         model = GraphExModel.construct(curated_two_leaves())
         requests = self._requests() * 10
-        serial = batch_recommend(model, requests, k=5, workers=1)
-        parallel = batch_recommend(model, requests, k=5, workers=4)
+        serial = batch_recommend(model, requests, k=5)
+        parallel = batch_recommend(model, requests, k=5, executor=fleet)
         assert {k: [r.text for r in v] for k, v in serial.items()} \
             == {k: [r.text for r in v] for k, v in parallel.items()}
 

@@ -276,12 +276,13 @@ class TestDailyRefreshOrchestrator:
         for item_id, _title, _leaf in REQUESTS:
             assert pipeline.serve(item_id) == clean.serve(item_id)
 
-    def test_refresh_forwards_construction_knobs(self, fig3_model):
-        """builder/workers/executor reach GraphExModel.construct: the
-        reference builder produces a bit-identical deployment."""
+    def test_refresh_forwards_construction_knobs(self, fleet,
+                                                 fig3_model):
+        """builder/executor reach GraphExModel.construct: the fleet
+        builds what the reference builder does, bit for bit."""
         pipeline = BatchPipeline(fig3_model)
         fast = DailyRefreshOrchestrator(pipeline, builder="fast",
-                                        workers=2)
+                                        executor=fleet)
         fast_report = fast.refresh_sync(build_fig3_variant_curated(),
                                         REQUESTS)
         reference = DailyRefreshOrchestrator(BatchPipeline(fig3_model),

@@ -267,17 +267,18 @@ class TestBatchPipeline:
         with pytest.raises(ValueError, match="unknown engine"):
             BatchPipeline(model, engine="Fast")
 
-    def test_process_parallel_with_reference_rejected(self, model):
+    def test_process_parallel_with_reference_rejected(self, fleet, model):
         """Mode/engine pairing fails at construction, not mid-load."""
         with pytest.raises(ValueError, match="single-process"):
-            BatchPipeline(model, engine="reference", executor="process")
+            BatchPipeline(model, engine="reference", executor=fleet)
         with pytest.raises(ValueError, match="unknown executor"):
             BatchPipeline(model, executor="fiber")
 
-    def test_process_parallel_full_load_serves_identically(self, model):
+    def test_process_parallel_full_load_serves_identically(self, fleet,
+                                                           model):
         serial = BatchPipeline(model)
         serial.full_load(REQUESTS)
-        sharded = BatchPipeline(model, workers=2, executor="process")
+        sharded = BatchPipeline(model, executor=fleet)
         sharded.full_load(REQUESTS)
         for item_id, _title, _leaf in REQUESTS:
             assert sharded.serve(item_id) == serial.serve(item_id)
@@ -404,17 +405,18 @@ class TestNRTService:
         with pytest.raises(ValueError, match="hard_limit"):
             self._service(model, hard_limit=-1)
 
-    def test_bad_parallel_mode_rejected_at_construction(self, model):
+    def test_bad_parallel_mode_rejected_at_construction(self, fleet,
+                                                        model):
         """Same invariant again for the shard-execution mode."""
         with pytest.raises(ValueError, match="single-process"):
-            self._service(model, engine="reference", executor="process")
+            self._service(model, engine="reference", executor=fleet)
         with pytest.raises(ValueError, match="unknown executor"):
             self._service(model, executor="fiber")
 
-    def test_process_parallel_window_serves_identically(self, model):
+    def test_process_parallel_window_serves_identically(self, fleet,
+                                                        model):
         serial = self._service(model, window_size=2)
-        sharded = self._service(model, window_size=2, workers=2,
-                                executor="process")
+        sharded = self._service(model, window_size=2, executor=fleet)
         for service in (serial, sharded):
             service.submit(self._event(1, 0.0))
             stats = service.submit(self._event(

@@ -1,7 +1,7 @@
-"""Unit tests for the process-shard subsystem (ShardPlan, executor,
-token-cache state merge).
+"""Unit tests for shard planning and for what ``--executor process``
+means: a fleet of worker processes (the session ``fleet`` fixture).
 
-The element-wise/bit-identity of the process paths against the scalar
+The element-wise/bit-identity of the fleet against the scalar
 references is pinned property-based in the engine equivalence suites
 (``test_fast_inference.py``, ``test_fast_construct.py``); this module
 covers the planning/merging machinery itself.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
-from repro.core.execution import ProcessShardExecutor
+from repro.core.execution import SerialExecutor, build_shard_bundle
 from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
 from repro.core.sharding import POOLED_GROUP, ShardPlan
@@ -100,12 +100,12 @@ class TestInferencePlanning:
         assert plan.cost_of(POOLED_GROUP) == 2
         assert plan.total_cost == 5
 
-    def test_no_pooled_fallback_excludes_unknown_leaves(self):
+    def test_no_pooled_fallback_excludes_unknown_leaves(self, fleet):
         model = make_model({1: [("w0 w1", 5, 1)]})
         plan, groups = ShardPlan.for_inference(
             model, [(0, "w0", 1), (1, "w0", 99)], 2)
         assert groups == {1: [0]}
-        out = ProcessShardExecutor(2).run_inference(
+        out = fleet.run_inference(
             model, [(0, "w0", 1), (1, "w0", 99)], k=5)
         assert out[1] == []
 
@@ -123,39 +123,38 @@ class TestProcessShardExecutor:
                 for i in range(30)]
 
     def test_single_worker_runs_in_process(self):
+        """One worker is this process: the serial executor."""
         model = self._world()
         requests = self._requests()
-        out = ProcessShardExecutor(1).run_inference(model, requests, k=5)
+        out = SerialExecutor().run_inference(model, requests, k=5)
         assert out == LeafBatchRunner(model, k=5).run(requests)
 
-    def test_multi_worker_identical_to_thread_path(self):
+    def test_multi_worker_identical_to_thread_path(self, fleet):
         model = self._world()
         requests = self._requests()
-        out = ProcessShardExecutor(3).run_inference(model, requests, k=5)
+        out = fleet.run_inference(model, requests, k=5)
         assert out == LeafBatchRunner(model, k=5).run(requests)
 
     def test_construction_single_worker_in_process(self):
-        model = self._world()
         curated = CuratedKeyphrases(
             leaves={1: CuratedLeaf(leaf_id=1, texts=["w0 w1"],
                                    search_counts=[3], recall_counts=[1])},
             effective_threshold=1,
             config=CurationConfig(min_search_count=1))
-        graphs = ProcessShardExecutor(1).run_construction(
+        graphs = SerialExecutor().run_construction(
             curated, DEFAULT_TOKENIZER)
         assert list(graphs) == [1]
         # Built in-parent: a plain graph, not a mapped bundle.
         assert not graphs[1].graph.is_readonly
 
-    def test_empty_curation(self):
+    def test_empty_curation(self, fleet):
         curated = CuratedKeyphrases(
             leaves={}, effective_threshold=1,
             config=CurationConfig(min_search_count=1))
-        graphs = ProcessShardExecutor(2).run_construction(
-            curated, DEFAULT_TOKENIZER)
+        graphs = fleet.run_construction(curated, DEFAULT_TOKENIZER)
         assert graphs == {}
 
-    def test_artifact_return_path_bit_identical_to_thread(self):
+    def test_artifact_return_path_bit_identical_to_thread(self, fleet):
         """ISSUE 6: multi-worker construction ships graphs back as
         zero-copy leaf bundles, never pickled objects — and the result
         is bit-identical to the in-process fast builder."""
@@ -174,7 +173,7 @@ class TestProcessShardExecutor:
             leaves=leaves, effective_threshold=1,
             config=CurationConfig(min_search_count=1))
         process = GraphExModel.construct(curated, build_pooled=True,
-                                         workers=2, executor="process")
+                                         executor=fleet)
         assert process.leaf_ids == thread.leaf_ids
         import numpy as np
         for leaf_id in thread.leaf_ids + [None]:
@@ -231,21 +230,24 @@ class TestLazyImportCycleContract:
                 "from tests.conftest import build_fig3_curated\n"
                 "from repro.core.model import GraphExModel\n"
                 "model = GraphExModel.construct(build_fig3_curated())\n"
-                "validate_model_for_engine(model, 'fast', 'process')\n")
+                "validate_model_for_engine(model, 'fast', 'serial')\n")
 
-    def test_validator_probes_after_lazy_import(self):
+    def test_validator_probes_after_lazy_import(self, fleet):
         """The call itself exercises both lazy imports: executor
         validation (execution) and the runner probe (fast_inference)."""
         from repro.core.batch import validate_model_for_engine
         model = make_model({1: [("gaming headset", 5, 5)]})
-        validate_model_for_engine(model, "fast", "process")
+        validate_model_for_engine(model, "fast", fleet)
         with pytest.raises(ValueError, match="semantics reference"):
-            validate_model_for_engine(model, "reference", "process")
+            validate_model_for_engine(model, "reference", fleet)
+        with pytest.raises(ValueError, match="ClusterExecutor.local"):
+            validate_model_for_engine(model, "fast", "process")
 
 
 class TestDifferentialUpdateProcessShards:
-    def test_duplicate_item_ids_across_process_shards_last_wins(self):
-        """``differential_update(executor='process')`` with the same
+    def test_duplicate_item_ids_across_process_shards_last_wins(
+            self, fleet):
+        """``differential_update(executor=fleet)`` with the same
         item id re-inferred in requests that land on *different* shards
         (different leaf groups) must keep the last request, exactly like
         the single-process paths."""
@@ -268,19 +270,19 @@ class TestDifferentialUpdateProcessShards:
         kwargs = dict(deleted_item_ids=[99, 7], k=5)
         expected = differential_update(model, previous, changed,
                                        engine="reference", **kwargs)
-        for workers in (2, 3):
-            merged = differential_update(model, previous, changed,
-                                         workers=workers,
-                                         executor="process", **kwargs)
-            assert merged == expected
-            # Same-day delete+revise resolves to the revision across
-            # shard boundaries too.
-            assert merged[7] and merged[7] == expected[7]
-            assert 99 not in merged
+        assert len(ShardPlan.for_inference(model, changed, 2)[0]
+                   .shards) == 2
+        merged = differential_update(model, previous, changed,
+                                     executor=fleet, **kwargs)
+        assert merged == expected
+        # Same-day delete+revise resolves to the revision across
+        # shard boundaries too.
+        assert merged[7] and merged[7] == expected[7]
+        assert 99 not in merged
 
 
 class RaisingTokenizer:
-    """Picklable tokenizer that blows up mid-build (ships via fork)."""
+    """Tokenizer that blows up mid-build."""
 
     def __call__(self, text):
         raise ValueError("boom-tokenizer")
@@ -395,9 +397,8 @@ class TestReplan:
 
 
 class TestWorkerFailureSurfacing:
-    """ISSUE 7 satellite: a failing shard surfaces the worker's original
-    traceback instead of an opaque ``BrokenProcessPool``, and half-
-    written artifacts do not outlive the failure."""
+    """A failing shard surfaces the worker's original traceback, and
+    half-written artifacts do not outlive the failure."""
 
     def _failing_curated(self):
         leaves = {}
@@ -408,87 +409,87 @@ class TestWorkerFailureSurfacing:
         return CuratedKeyphrases(leaves=leaves, effective_threshold=1,
                                  config=CurationConfig(min_search_count=1))
 
-    def test_shard_worker_error_survives_pickling(self):
-        import pickle
+    @staticmethod
+    def _failure_on_a_one_host_fleet(job):
+        """Run ``await job(coordinator)`` against one in-process worker
+        host and return the ``ClusterExecutionError`` it must raise —
+        with the host still registered: a failing shard is not a dead
+        host."""
+        import asyncio
 
-        from repro.core.sharding import ShardWorkerError
+        from repro.cluster import (ClusterCoordinator,
+                                   ClusterExecutionError, ClusterWorker)
 
-        exc = pickle.loads(pickle.dumps(ShardWorkerError("tb-text")))
-        assert exc.worker_traceback == "tb-text"
+        async def drive():
+            async with ClusterCoordinator() as coordinator:
+                host = ClusterWorker(coordinator.host, coordinator.port,
+                                     name="w")
+                task = asyncio.ensure_future(host.run())
+                await coordinator.wait_for_workers(1, timeout=10.0)
+                with pytest.raises(ClusterExecutionError) as excinfo:
+                    await job(coordinator)
+                assert coordinator.n_live() == 1
+                await coordinator.stop()
+                await task
+                return excinfo.value
 
-    def test_construction_failure_carries_worker_traceback(self):
-        from repro.core.sharding import ShardExecutionError
+        return asyncio.run(drive())
 
-        with pytest.raises(ShardExecutionError,
-                           match="boom-tokenizer") as excinfo:
-            ProcessShardExecutor(2).run_construction(
-                self._failing_curated(), RaisingTokenizer())
-        assert "ValueError" in excinfo.value.worker_traceback
-        assert "original worker traceback" in str(excinfo.value)
+    def test_construction_failure_carries_worker_traceback(
+            self, monkeypatch):
+        """A build that raises on a worker host reaches the caller as
+        ``ClusterExecutionError`` naming the shard's keys, with the
+        worker-side traceback attached."""
+        from repro.cluster import worker
+        from repro.core.execution import ClusterExecutor
 
-    def test_construction_failure_cleans_temp_dirs(self, monkeypatch):
-        import tempfile
-        from pathlib import Path
+        def exploding_bundle(leaves, tokenizer, directory):
+            raise ValueError("boom-builder")
 
-        from repro.core.sharding import ShardExecutionError
+        monkeypatch.setattr(worker, "build_shard_bundle", exploding_bundle)
+        error = self._failure_on_a_one_host_fleet(
+            lambda coordinator: ClusterExecutor(coordinator)
+            .run_construction_async(self._failing_curated()))
+        assert "ValueError: boom-builder" in error.worker_traceback
+        assert "original worker traceback" in str(error)
+        assert "construction shard [1, 2, 3]" in str(error)
 
-        created = []
-        real_mkdtemp = tempfile.mkdtemp
-
-        def recording_mkdtemp(*args, **kwargs):
-            path = real_mkdtemp(*args, **kwargs)
-            created.append(path)
-            return path
-
-        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
-        with pytest.raises(ShardExecutionError):
-            ProcessShardExecutor(2).run_construction(
-                self._failing_curated(), RaisingTokenizer())
-        staged = [path for path in created if "graphex-shard-" in path]
-        assert staged, "the executor never staged a bundle dir"
-        assert all(not Path(path).exists() for path in staged)
-
-    def test_inference_shard_wraps_worker_failures(self, monkeypatch):
-        from repro.core import execution
-        from repro.core.sharding import ShardWorkerError
+    def test_inference_shard_wraps_worker_failures(self, monkeypatch,
+                                                   tmp_path):
+        """An engine failure inside a worker's inference shard comes
+        back as a ``shard_error`` frame: the job fails with
+        ``ClusterExecutionError`` naming the shard's keys, and the
+        traceback proves ``_run_inference_shard`` went through the very
+        runner that blew up."""
+        from repro.cluster import worker
+        from repro.core.serialization import save_model
 
         class ExplodingRunner:
-            def run_indexed(self, requests):
+            def __init__(self, model, k, hard_limit):
+                pass
+
+            def run_ranked(self, requests):
                 raise LookupError(f"boom-runner saw {list(requests)!r}")
 
-        # Patched where the worker entry point reads it: the traceback
-        # proves _run_inference_shard went through this very object.
-        monkeypatch.setattr(execution, "_INFERENCE_RUNNER",
-                            ExplodingRunner())
-        with pytest.raises(ShardWorkerError) as excinfo:
-            execution._run_inference_shard([(0, "title", 1)])
-        assert "LookupError" in excinfo.value.worker_traceback
+        monkeypatch.setattr(worker, "LeafBatchRunner", ExplodingRunner)
+        artifact = save_model(make_model({1: [("title", 3, 1)]}),
+                              tmp_path / "model")
+        error = self._failure_on_a_one_host_fleet(
+            lambda coordinator: coordinator.run_inference(
+                str(artifact), [(0, "title", 1)], k=5))
+        assert "inference shard [1] raised on worker w" in str(error)
+        assert "LookupError" in error.worker_traceback
+        assert "_run_inference_shard" in error.worker_traceback
         assert "boom-runner saw [(0, 'title', 1)]" \
-            in excinfo.value.worker_traceback
+            in error.worker_traceback
 
-    def test_unwrap_names_shard_and_keys(self):
-        from concurrent.futures import Future
-
-        from repro.core.sharding import (ShardExecutionError,
-                                         ShardWorkerError,
-                                         _unwrap_shard_future)
-
-        future = Future()
-        future.set_exception(ShardWorkerError("Traceback: boom"))
-        with pytest.raises(ShardExecutionError,
-                           match=r"keys \[1, 2\]") as excinfo:
-            _unwrap_shard_future(future, "inference", 0, (1, 2))
-        assert excinfo.value.worker_traceback == "Traceback: boom"
-
-    def test_unwrap_broken_pool_stays_legible(self):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.core.sharding import (ShardExecutionError,
-                                         _unwrap_shard_future)
-
-        future = Future()
-        future.set_exception(BrokenProcessPool("pool is dead"))
-        with pytest.raises(ShardExecutionError,
-                           match="no worker traceback"):
-            _unwrap_shard_future(future, "construction", 1, (3,))
+    def test_construction_failure_cleans_temp_dirs(self, tmp_path):
+        """The one out-of-process shard builder removes its half-written
+        bundle before the failure leaves the worker."""
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        with pytest.raises(ValueError, match="boom-tokenizer"):
+            build_shard_bundle(
+                list(self._failing_curated().leaves.values()),
+                RaisingTokenizer(), bundle)
+        assert not bundle.exists()
