@@ -48,8 +48,8 @@ def test_figure2_click_sparsity(experiment, results_dir, benchmark):
     # Shape assertions: the one-query bucket dominates and the histogram
     # decays; a meaningful share of items has no clicks at all.  The
     # simulation is denser than eBay (fewer items per search), so the
-    # absolute fractions undershoot the paper's 0.96/0.90 — recorded as a
-    # known divergence in EXPERIMENTS.md.
+    # absolute fractions undershoot the paper's 0.96/0.90 — a known
+    # divergence.
     assert histogram.get(1, 0) == max(histogram.values())
     assert sparsity["frac_items_without_clicks"] > 0.2
     assert sparsity["frac_clicked_items_single_query"] > 0.1

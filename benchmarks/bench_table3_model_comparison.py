@@ -2,8 +2,8 @@
 
 Paper (CAT 1): GraphEx RP 56.4% / HP 26.5%; every other model's RRR and
 RHR < 1 (RE comes closest at RRR 0.95).  Reproduction targets the ordinal
-shape — see EXPERIMENTS.md for the honest divergences (Graphite is
-stronger in simulation because simulated clicks are oracle-consistent).
+shape; the honest divergence is that Graphite is stronger in simulation,
+because simulated clicks are oracle-consistent.
 """
 
 from __future__ import annotations

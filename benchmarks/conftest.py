@@ -3,7 +3,7 @@
 One :class:`~repro.eval.harness.Experiment` (the paper's full pipeline on
 the default synthetic profile) is simulated once per session and shared by
 every table/figure bench.  Rendered tables are written to
-``benchmarks/results/`` so EXPERIMENTS.md can cite them verbatim.
+``benchmarks/results/`` (generated, gitignored).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from .clocks import MonotonicClockRule
 from .pickle_boundary import NoPickleBoundaryRule
 from .lazy_imports import LazyImportContractRule
 from .mmap_safety import MmapWriteSafetyRule
+from .removed_spelling import RemovedSpellingRule
 
 __all__ = ["FileContext", "Rule", "RULE_CLASSES", "default_rules",
            "get_rule", "rule_ids"]
@@ -30,6 +31,7 @@ RULE_CLASSES: List[Type[Rule]] = [
     NoPickleBoundaryRule,
     LazyImportContractRule,
     MmapWriteSafetyRule,
+    RemovedSpellingRule,
 ]
 
 

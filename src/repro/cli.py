@@ -20,8 +20,8 @@ curation config (so ``construct`` round-trips the exact configuration);
 page-aligned artifact); ``recommend`` loads and serves
 (``--mmap`` opens the artifact without copying); ``serve-nrt`` demos
 the asyncio multi-stream NRT front (``--refresh-after`` adds a mid-run
-zero-downtime model hot-swap, handed off by artifact *path* so a
-format-3 model remaps instead of reloading).
+zero-downtime model hot-swap, handed off by artifact *path* so the
+model remaps instead of reloading).
 ``evaluate`` runs the miniature Table III comparison.
 
 Observability rides along everywhere: ``serve-nrt`` and
@@ -45,8 +45,7 @@ from .core.batch import ENGINES, batch_recommend
 from .core.curation import CURATION_ENGINES, CurationConfig, curate
 from .core.execution import EXECUTOR_NAMES
 from .core.model import BUILDERS, GraphExModel
-from .core.serialization import (load_model, model_format_version,
-                                 save_model)
+from .core.serialization import load_model, save_model
 from .data.generator import DEFAULT_PROFILE, TINY_PROFILE, generate_dataset
 from .search.logs import KeyphraseStat
 from .search.sessions import SessionSimulator
@@ -168,7 +167,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     print(f"constructed {model.n_leaves} leaf graphs / "
           f"{model.n_keyphrases} labels in {elapsed:.3f}s "
           f"({rate:,.0f} keyphrases/s, builder={args.builder}) "
-          f"-> {args.out} (format v{model_format_version(args.out)})")
+          f"-> {args.out}")
     return 0
 
 
@@ -239,10 +238,9 @@ def _cmd_serve_nrt(args: argparse.Namespace) -> int:
                 await asyncio.gather(*(
                     _feed(front, name, feeds[name][:split])
                     for name in streams))
-                # Hand the front the artifact *path*: a format-3
-                # directory remaps zero-copy (one shared physical
-                # model across every stream), older formats fall back
-                # to a copied load inside refresh_model.
+                # Hand the front the artifact *path*: refresh_model
+                # maps it zero-copy (one shared physical model across
+                # every stream).
                 generation = await front.refresh_model(args.model)
                 print(f"hot-swapped to model generation {generation} "
                       f"after {split} events/stream "
@@ -514,6 +512,9 @@ def _add_executor_options(parser: argparse.ArgumentParser, path: str,
     parser.add_argument("--workers", type=int, default=2,
                         help="size of the fleet --executor "
                              "process|cluster boots (ignored by serial)")
+    # Which of the two names the oracle option goes by here: main()
+    # refuses its "reference" value on a fleet.
+    parser.set_defaults(oracle_option=path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cwk.add_argument("--name", default=None,
                        help="registration name (default: worker-<pid>)")
     p_cwk.add_argument("--spool", default=None,
-                       help="spool dir for streamed artifacts and leaf "
-                            "bundles (default: private temp dir)")
+                       help="spool dir for built leaf bundles "
+                            "(default: private temp dir)")
     p_cwk.add_argument("--heartbeat", type=float, default=1.0,
                        help="seconds between liveness heartbeats")
     p_cwk.add_argument("--die-after-assignments", type=int, default=None,
@@ -617,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
              "same fleet 'recommend --executor cluster' boots, with "
              "a kill switch and a run report)")
     p_crn.add_argument("--model", required=True,
-                       help="serialized model directory (format 3 is "
-                            "mmap-shared across the machines)")
+                       help="serialized model directory (mmap-shared "
+                            "across the machines)")
     p_crn.add_argument("--spawn-workers", type=int, default=3,
                        help="worker subprocesses ('machines') to spawn")
     p_crn.add_argument("--kill-after", type=int, default=None,
@@ -675,6 +676,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The one pairing the library refuses (resolve_executor) is known
+    # from the flags alone: a usage error, raised before the command
+    # loads a model or boots a fleet only to tear it down.
+    path = getattr(args, "oracle_option", None)
+    if path is not None and args.executor in ("process", "cluster") \
+            and getattr(args, path) == "reference":
+        parser.error(
+            f"{args.command}: --{path} reference runs only on --executor "
+            f"serial; the scalar path stays single-process as the "
+            f"semantics reference")
     return args.func(args)
 
 

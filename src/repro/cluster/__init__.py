@@ -12,6 +12,15 @@ The package splits along the trust boundary:
   that starts hosts as subprocesses.
 * :mod:`~repro.cluster.coordinator` — plans, dispatches, retries,
   re-plans around dead hosts, and merges exactly once.
+
+**Coordinator and workers see one filesystem.**  A model reaches a
+worker as the path of its artifact directory and a built leaf bundle
+comes back as the path of the worker's spool; the wire carries
+requests, curated leaves and result columns, never an artifact.  A
+fleet without a shared filesystem is not supported — the artifact
+stream that once served inference alone (construction never could) is
+gone, and comes back only together with bundles that can cross the
+wire.
 """
 
 from .coordinator import (ClusterCoordinator, ClusterError,

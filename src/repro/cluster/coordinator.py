@@ -2,9 +2,10 @@
 
 The multi-machine shard runner the ROADMAP promised: a
 :class:`ClusterCoordinator` listens on localhost TCP, executor hosts
-(:class:`~repro.cluster.worker.ClusterWorker`) register, and a
-:class:`~repro.core.sharding.ShardPlan` — the shipping unit PR 3 built
-— is executed across the fleet.  How a batch or corpus is cut into
+(:class:`~repro.cluster.worker.ClusterWorker`) register, and the units
+of a :class:`~repro.core.sharding.ShardPlan` are executed across the
+fleet (the plan stays here; a unit's requests or leaves are what
+ships).  How a batch or corpus is cut into
 units and merged back is not decided here: both jobs drive a
 :class:`~repro.core.execution.InferenceJob` /
 :class:`~repro.core.execution.ConstructionJob`, the same scatter/merge
@@ -87,9 +88,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 
 __all__ = ["ClusterCoordinator", "ClusterError", "ClusterExecutionError",
            "ClusterRunReport"]
-
-#: Bytes of artifact file streamed per ``artifact_chunk`` frame.
-_STREAM_CHUNK = 1 << 20
 
 
 class ClusterError(RuntimeError):
@@ -203,7 +201,7 @@ class _WorkerHandle:
     """Coordinator-side state of one registered host."""
 
     __slots__ = ("name", "transport", "alive", "busy", "last_seen",
-                 "current_assignment", "artifacts")
+                 "current_assignment")
 
     def __init__(self, name: str, transport) -> None:
         self.name = name
@@ -212,7 +210,6 @@ class _WorkerHandle:
         self.busy = False
         self.last_seen = time.monotonic()
         self.current_assignment: Optional[int] = None
-        self.artifacts: Set[str] = set()
 
 
 class ClusterCoordinator:
@@ -262,8 +259,6 @@ class ClusterCoordinator:
         self._assignment_counter = itertools.count()
         self._rpc_counter = itertools.count()
         self._rpc_waiters: Dict[int, "asyncio.Future[dict]"] = {}
-        self._artifact_sources: Dict[str, Path] = {}
-        self._artifact_counter = itertools.count()
         self._model_cache: Dict[str, GraphExModel] = {}
         #: id(model) → (the model, its spooled artifact), per in-memory
         #: model a job was given.
@@ -605,68 +600,14 @@ class ClusterCoordinator:
         finally:
             self._rpc_waiters.pop(request_id, None)
 
-    def _register_artifact(self, directory: Path) -> str:
-        for name, path in self._artifact_sources.items():
-            if path == directory:
-                return name
-        name = f"artifact-{next(self._artifact_counter)}"
-        self._artifact_sources[name] = directory
-        return name
-
-    async def _push_artifact(self, worker: _WorkerHandle,
-                             name: str) -> None:
-        """Stream one artifact directory to a worker's spool, each file
-        chunk the raw binary tail of an ``artifact_chunk`` frame."""
-        directory = self._artifact_sources[name]
-        request_id = next(self._rpc_counter)
-        future: "asyncio.Future[dict]" = \
-            asyncio.get_event_loop().create_future()
-        self._rpc_waiters[request_id] = future
-        try:
-            await worker.transport.send({"type": "artifact_begin",
-                                         "name": name,
-                                         "request_id": request_id})
-            for file in sorted(directory.iterdir()):
-                if not file.is_file():
-                    continue
-                await worker.transport.send({"type": "artifact_file",
-                                             "filename": file.name})
-                # Chunk reads run off-loop: one cold page on a slow
-                # disk would otherwise freeze every other worker's
-                # stream and heartbeat (async-no-blocking).
-                loop = asyncio.get_event_loop()
-                fh = await loop.run_in_executor(None, open, file, "rb")
-                try:
-                    while True:
-                        chunk = await loop.run_in_executor(
-                            None, fh.read, _STREAM_CHUNK)
-                        if not chunk:
-                            break
-                        await worker.transport.send({
-                            "type": "artifact_chunk", "tail": chunk})
-                finally:
-                    fh.close()
-                await worker.transport.send({"type": "artifact_file_end"})
-            await worker.transport.send({"type": "artifact_end",
-                                         "name": name})
-            reply = await asyncio.wait_for(
-                future, max(self._rpc_timeout, 30.0))
-        finally:
-            self._rpc_waiters.pop(request_id, None)
-        if reply.get("type") != "artifact_received":
-            raise ClusterError(
-                f"streaming artifact {name!r} to {worker.name} failed: "
-                f"{reply.get('traceback', reply)}")
-        worker.artifacts.add(name)
-
     # -- model hand-off -----------------------------------------------------
 
     async def _materialize(self, source: Union[GraphExModel, str, Path]
                            ) -> Tuple[Path, GraphExModel]:
         """Resolve a model source to (artifact path, opened model).
 
-        A path opens (mmap for format 3, memoized); an in-memory model
-        is persisted to the coordinator's spool as a format-3 artifact
+        A path opens mapped (memoized); an in-memory model is
+        persisted to the coordinator's spool as a format-3 artifact
         the first time it is seen — every later job on the same object
         is answered from that one save, so a service calling once per
         window leaves one spool directory and one mapping per host, not
@@ -706,15 +647,6 @@ class ClusterCoordinator:
             opened = await loop.run_in_executor(None, open_model, key)
             model = self._model_cache.setdefault(key, opened)
         return path, model
-
-    async def _model_ref(self, path: Path, distribute: str) -> dict:
-        if distribute == "path":
-            return {"model_path": str(path)}
-        if distribute == "stream":
-            return {"model_artifact": self._register_artifact(path)}
-        raise ValueError(
-            f"unknown distribute mode {distribute!r}; expected 'path' "
-            f"(shared filesystem) or 'stream' (spool over the wire)")
 
     # -- the scheduler ------------------------------------------------------
 
@@ -806,13 +738,6 @@ class ClusterCoordinator:
                            "assignment": assignment_id,
                            **run.encode(unit.keys)}
                 try:
-                    if "model_artifact" in message and \
-                            message["model_artifact"] not in \
-                            worker.artifacts:
-                        # Stream-distributed model: a worker that joined
-                        # after the job started gets the artifact now.
-                        await self._push_artifact(
-                            worker, message["model_artifact"])
                     await worker.transport.send(message)
                 except (TransportClosed, asyncio.TimeoutError):
                     self._mark_dead(worker, "send failed")
@@ -916,20 +841,17 @@ class ClusterCoordinator:
             self, model_source: Union[GraphExModel, str, Path],
             requests: Sequence[InferenceRequest], *, k: int = 10,
             hard_limit: Optional[int] = None,
-            distribute: str = "path",
             metrics: Optional[MetricsRegistry] = None) -> BatchResult:
         """Infer a batch across the fleet.
 
         Args:
-            model_source: A format-3 artifact directory (the normal
-                hand-off: workers mmap-open it), any older serialized
-                model directory, or an in-memory model (persisted to a
-                spool artifact first).
+            model_source: A model artifact directory (the normal
+                hand-off: workers mmap-open it by path — coordinator
+                and workers see one filesystem, see the package
+                docstring), or an in-memory model (persisted to a spool
+                artifact first).
             requests: ``(item_id, title, leaf_id)`` triples.
             k, hard_limit: As in ``batch_recommend``.
-            distribute: ``"path"`` sends the artifact path (localhost /
-                shared filesystem); ``"stream"`` spools the artifact to
-                each worker over the connection first.
             metrics: Registry for this job's counters and unit timings
                 (a :class:`~repro.core.execution.ClusterExecutor`
                 passes its own); the coordinator's registry by default.
@@ -957,10 +879,9 @@ class ClusterCoordinator:
             # and serves the empty-fleet fallback.
             job = InferenceJob(model, requests, max(1, self.n_live()),
                                k=k, hard_limit=hard_limit)
-            model_ref = await self._model_ref(path, distribute)
 
             def encode(keys: Tuple[Hashable, ...]) -> dict:
-                return {**model_ref,
+                return {"model_path": str(path),
                         "artifact": model.artifact_identity,
                         "requests": pack_requests(job.requests_of(keys)),
                         "k": k, "hard_limit": hard_limit}
@@ -1022,15 +943,13 @@ class ClusterCoordinator:
 
     async def deploy_artifact(self, directory: Union[str, Path], *,
                               generation: Optional[int] = None,
-                              push: bool = False,
                               timeout: Optional[float] = None) -> int:
         """Pre-deploy a model artifact to every live host.
 
         The daily-refresh hand-off: the orchestrator persists today's
         model as a format-3 artifact and calls this so every executor
-        host opens (and caches) it before the first shard of the day
-        arrives.  With ``push`` the artifact is streamed into each
-        worker's spool first (no shared filesystem assumed).
+        host opens (and caches) it, by path, before the first shard of
+        the day arrives.
 
         A host that fails or times out is marked dead (the next job
         plans around it) rather than failing the deploy.
@@ -1042,23 +961,12 @@ class ClusterCoordinator:
         deployed = 0
         for worker in [w for w in self._workers.values() if w.alive]:
             try:
-                if push:
-                    name = self._register_artifact(directory)
-                    if name not in worker.artifacts:
-                        await self._push_artifact(worker, name)
-                    reply = await self._request(
-                        worker, {"type": "deploy_model",
-                                 "model_artifact": name,
-                                 "generation": generation}, timeout)
-                else:
-                    reply = await self._request(
-                        worker, {"type": "deploy_model",
-                                 "model_path": str(directory),
-                                 "generation": generation}, timeout)
+                reply = await self._request(
+                    worker, {"type": "deploy_model",
+                             "model_path": str(directory),
+                             "generation": generation}, timeout)
             except (TransportClosed, asyncio.TimeoutError, OSError):
                 self._mark_dead(worker, "deploy failed")
-                continue
-            except ClusterError:
                 continue
             if reply.get("type") == "deployed":
                 deployed += 1

@@ -5,11 +5,11 @@ header — two big-endian ``uint32``, the length of the control object
 and the length of the tail — then the control object (one UTF-8 JSON
 object) and an optional raw binary *tail*.  The control object keeps
 the protocol inspectable and version-tolerant; the tail carries what
-JSON is bad at — numeric columns and file chunks — as the bytes they
-already are.  In a message dict the tail is the ``"tail"`` field (a
-``bytes``); :func:`encode_frame` lifts it out of the JSON and
-:func:`decode_frame` puts it back, so a transport, and anything that
-wraps one, still sees one dict per frame.
+JSON is bad at — numeric columns — as the bytes they already are.  In
+a message dict the tail is the ``"tail"`` field (a ``bytes``);
+:func:`encode_frame` lifts it out of the JSON and :func:`decode_frame`
+puts it back, so a transport, and anything that wraps one, still sees
+one dict per frame.
 
 Inference results cross as columns, not rows (:func:`pack_ranked`): a
 ranked row is a pure function of (owning leaf, label id, c, score), and
@@ -55,7 +55,7 @@ __all__ = [
     "pack_requests", "unpack_requests",
     "pack_curated_leaves", "unpack_curated_leaves",
     "pack_tokenizer", "unpack_tokenizer",
-    "pack_metrics_snapshot", "unpack_metrics_snapshot",
+    "pack_metrics_snapshot",
 ]
 
 #: Bumped on any incompatible wire change; registration carries it and
@@ -66,12 +66,14 @@ __all__ = [
 #: 3: the construction reply is the bundle path alone — it no longer
 #: carries a token-cache state.  4: the ``run_shard`` request lost the
 #: field that chose between the engine's two count paths (one is left),
-#: and a tokenizer spec omits an empty stopword list.
-PROTOCOL_VERSION = 4
+#: and a tokenizer spec omits an empty stopword list.  5: a model reaches
+#: a worker by path and nothing else — the artifact-stream frames, the
+#: ``ping`` frame and the register frame's ``pid`` are gone.
+PROTOCOL_VERSION = 5
 
-#: Upper bound on a single frame (control object plus tail).  Large
-#: transfers (model artifacts) are chunked below this; a peer announcing
-#: a bigger frame is malformed or hostile and the connection is dropped.
+#: Upper bound on a single frame (control object plus tail); a peer
+#: announcing a bigger one is malformed or hostile and the connection
+#: is dropped.  A shard's result columns are the largest honest frame.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Control-object length, tail length.
@@ -100,7 +102,7 @@ def encode_frame(message: dict) -> bytes:
     if len(control) + len(tail) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame of {len(control) + len(tail)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit; chunk large transfers")
+            f"{MAX_FRAME_BYTES}-byte limit")
     return b"".join((_HEADER.pack(len(control), len(tail)), control, tail))
 
 
@@ -320,12 +322,3 @@ def pack_metrics_snapshot(snapshot: dict) -> dict:
     from ..obs import validate_snapshot
 
     return dict(validate_snapshot(snapshot))
-
-
-def unpack_metrics_snapshot(payload: dict) -> dict:
-    """Inverse of :func:`pack_metrics_snapshot` — the same schema
-    check on the receiving side (the coordinator also re-validates
-    before stashing, counting rejects instead of raising)."""
-    from ..obs import validate_snapshot
-
-    return dict(validate_snapshot(payload))

@@ -4,8 +4,8 @@ A :class:`ClusterWorker` is one "machine" of the fleet.  It dials the
 coordinator over localhost TCP, registers under a unique name, then
 serves assignments sequentially from its connection:
 
-* **Inference shards** — the worker opens the named model artifact
-  (zero-copy ``mmap`` for format-3 directories, via
+* **Inference shards** — the worker opens the model artifact at the
+  path the frame names (zero-copy ``mmap``, via
   :func:`repro.core.serialization.open_model`, memoized per path),
   refuses the shard if that is not the save the coordinator mapped
   (the ``artifact`` identity on the ``run_shard`` frame), and runs it
@@ -19,10 +19,9 @@ serves assignments sequentially from its connection:
   through :func:`repro.core.execution.build_shard_bundle` into a
   format-3 leaf bundle under the worker's spool dir; the reply carries
   the bundle path (the coordinator mmap-opens it) and nothing else.
-* **Artifact streaming** — a coordinator without a shared filesystem
-  streams the model artifact in chunked frames (each chunk the frame's
-  binary tail); the worker spools it locally and serves it by artifact
-  name, mmap-opened.
+
+Models in and bundles out both travel as paths: worker and coordinator
+see one filesystem (the :mod:`repro.cluster` contract).
 
 A worker-side exception never kills the worker: it is caught and
 returned as a ``shard_error`` frame carrying the full traceback, which
@@ -111,8 +110,8 @@ class ClusterWorker:
         host, port: The coordinator's listening address.
         name: Registration name; must be unique among live workers
             (default: ``worker-<pid>``).
-        spool_dir: Where streamed artifacts and built leaf bundles
-            land; a private temp dir (cleaned on exit) by default.
+        spool_dir: Where built leaf bundles land; a private temp dir
+            (cleaned on exit) by default.
         heartbeat_interval: Seconds between heartbeat frames; ``None``
             disables them (connection-close detection still works).
         transport_wrapper: Optional wrapper applied to the connection —
@@ -149,7 +148,6 @@ class ClusterWorker:
         self._hard_exit = hard_exit
         self._transport = None
         self._models: Dict[str, GraphExModel] = {}
-        self._artifacts: Dict[str, Path] = {}
         self._runners: Dict[Tuple, LeafBatchRunner] = {}
         #: Assignments completed (results sent) — the kill-switch clock
         #: and the thing tests assert on.
@@ -182,8 +180,7 @@ class ClusterWorker:
         heartbeat_task = None
         try:
             await transport.send({"type": "register", "name": self.name,
-                                  "protocol": PROTOCOL_VERSION,
-                                  "pid": os.getpid()})
+                                  "protocol": PROTOCOL_VERSION})
             reply = await transport.recv()
             if reply.get("type") != "registered":
                 raise ConnectionError(
@@ -233,11 +230,6 @@ class ClusterWorker:
             await self._handle_shard(message)
         elif kind == "deploy_model":
             await self._handle_deploy(message)
-        elif kind == "artifact_begin":
-            await self._handle_artifact(message)
-        elif kind == "ping":
-            await self._transport.send({
-                "type": "pong", "request_id": message.get("request_id")})
         elif kind == "shutdown":
             await self._transport.send({"type": "bye", "name": self.name})
             return False
@@ -291,15 +283,7 @@ class ClusterWorker:
         self.n_completed += 1
 
     def _model_for(self, message: dict) -> GraphExModel:
-        if "model_artifact" in message:
-            name = message["model_artifact"]
-            if name not in self._artifacts:
-                raise FileNotFoundError(
-                    f"artifact {name!r} was never streamed to "
-                    f"{self.name}")
-            path = str(self._artifacts[name])
-        else:
-            path = message["model_path"]
+        path = message["model_path"]
         model = self._models.get(path)
         if model is None:
             model = open_model(path)
@@ -367,56 +351,3 @@ class ClusterWorker:
             "worker": self.name,
             "generation": message.get("generation"),
             "n_leaves": model.n_leaves})
-
-    async def _handle_artifact(self, message: dict) -> None:
-        """Receive a streamed artifact into the spool dir, frame by frame.
-
-        Protocol: ``artifact_begin {name}`` · per file ``artifact_file
-        {filename}`` + ``artifact_chunk`` (the bytes are the frame's
-        tail)\\* + ``artifact_file_end`` · ``artifact_end`` →
-        ``artifact_received`` ack.
-        """
-        name = message["name"]
-        root = self._spool / "artifacts" / name
-        # Every filesystem touch in this stream handler runs off-loop:
-        # artifact streaming happens while shards execute, and a slow
-        # disk here would freeze heartbeats too (async-no-blocking).
-        loop = asyncio.get_event_loop()
-        await loop.run_in_executor(
-            None, lambda: root.mkdir(parents=True, exist_ok=True))
-        current = None
-        try:
-            while True:
-                frame = await self._transport.recv()
-                kind = frame.get("type")
-                if kind == "artifact_file":
-                    filename = os.path.basename(frame["filename"])
-                    current = await loop.run_in_executor(
-                        None, open, root / filename, "wb")
-                elif kind == "artifact_chunk":
-                    await loop.run_in_executor(None, current.write,
-                                               frame["tail"])
-                elif kind == "artifact_file_end":
-                    current.close()
-                    current = None
-                elif kind == "artifact_end":
-                    break
-                else:
-                    raise ValueError(
-                        f"unexpected frame {kind!r} inside artifact "
-                        f"stream")
-        except (ValueError, OSError, KeyError):
-            if current is not None:
-                current.close()
-            await loop.run_in_executor(
-                None, lambda: shutil.rmtree(root, ignore_errors=True))
-            await self._transport.send({
-                "type": "shard_error",
-                "request_id": message.get("request_id"),
-                "worker": self.name, "traceback": traceback.format_exc()})
-            return
-        self._artifacts[name] = root
-        await self._transport.send({
-            "type": "artifact_received",
-            "request_id": message.get("request_id"),
-            "worker": self.name, "name": name, "path": str(root)})

@@ -407,9 +407,6 @@ class ClusterExecutor(Executor):
 
     Args:
         coordinator: A started coordinator (its loop must be running).
-        distribute: Model hand-off for inference jobs — ``"path"``
-            (shared filesystem / localhost) or ``"stream"`` (spool the
-            artifact over each worker's connection).
 
     Use :meth:`local` for a self-contained fleet of worker processes
     on this box when no external cluster is running — :meth:`close`
@@ -420,16 +417,13 @@ class ClusterExecutor(Executor):
     name = "cluster"
 
     def __init__(self, coordinator: "ClusterCoordinator", *,
-                 distribute: str = "path",
                  metrics: Optional[MetricsRegistry] = None) -> None:
         super().__init__(metrics=metrics)
         self.coordinator = coordinator
-        self._distribute = distribute
         self._owned: Optional[tuple] = None
 
     @classmethod
     def local(cls, workers: int = 2, *,
-              distribute: str = "path",
               metrics: Optional[MetricsRegistry] = None,
               retry=None, rpc_timeout: float = 30.0,
               start_timeout: float = 60.0) -> "ClusterExecutor":
@@ -459,7 +453,7 @@ class ClusterExecutor(Executor):
         thread.start()
         executor = cls(ClusterCoordinator(retry=retry,
                                           rpc_timeout=rpc_timeout),
-                       distribute=distribute, metrics=metrics)
+                       metrics=metrics)
         # One file takes every worker's stderr (kept to explain a
         # failed boot; a pipe nobody reads would block a chatty child).
         procs, stderr = [], tempfile.TemporaryFile()
@@ -520,7 +514,7 @@ class ClusterExecutor(Executor):
         """:meth:`run_inference` for callers on the coordinator loop."""
         return await self.coordinator.run_inference(
             model, list(requests), k=k, hard_limit=hard_limit,
-            distribute=self._distribute, metrics=self.metrics)
+            metrics=self.metrics)
 
     async def run_construction_async(
             self, curated: "CuratedKeyphrases",

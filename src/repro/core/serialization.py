@@ -1,27 +1,25 @@
 """Model persistence, zero-copy opens, and size accounting.
 
-A :class:`~repro.core.model.GraphExModel` serializes to a directory.
-Three on-disk formats load, one is written:
+A :class:`~repro.core.model.GraphExModel` serializes to a directory in
+one format, the one :func:`save_model` writes: **format 3**, the
+zero-copy model plane.  Every numeric array (per-leaf CSR
+``indptr``/``indices``, count arrays, pool-id arrays) plus the shared
+string pool (one UTF-8 blob + offset arrays; every distinct vocabulary
+word or label text stored once) lands uncompressed and page-aligned in
+a single ``arrays-*.bin`` payload; ``model.json`` carries only the
+manifest (offset, dtype, shape per array).
+``load_model(directory, mmap=True)`` then opens the model as
+*read-only views over one* ``np.memmap`` — no array is copied, no
+pickle runs, label strings decode lazily on first access — so opening
+is O(metadata) rather than O(model), N processes on one host share a
+single physical copy of the pages, and a daily hot-swap is a remap
+instead of a reload.
 
-* **Format 1** (read-only) — ``arrays.npz`` (compressed CSR/count
-  arrays) plus per-leaf string lists inside ``model.json``.  The
-  original layout.
-* **Format 2** (read-only) — ``arrays.npz`` plus a *shared string
-  pool* in ``model.json``: every distinct string (vocabulary word or
-  label text) is stored exactly once and per-leaf membership is
-  persisted as integer id arrays in the npz.
-* **Format 3** (the one :func:`save_model` writes; re-saving a legacy
-  directory *is* the migration) — the zero-copy model plane.  Every
-  numeric array (per-leaf CSR ``indptr``/``indices``, count arrays,
-  pool-id arrays) plus the shared string pool (one UTF-8 blob + offset arrays)
-  lands uncompressed and page-aligned in a single ``arrays-*.bin``
-  payload; ``model.json`` carries only the manifest (offset, dtype,
-  shape per array).  ``load_model(directory, mmap=True)`` then opens
-  the model as *read-only views over one* ``np.memmap`` — no array is
-  copied, no pickle runs, label strings decode lazily on first access
-  — so opening is O(metadata) rather than O(model), N processes on one
-  host share a single physical copy of the pages, and a daily hot-swap
-  is a remap instead of a reload.
+The program reads only what it writes: a directory of any other
+``format_version`` — 1 and 2, unwritten since PR 16, as much as a
+future one — is refused by one named ``ValueError``, ``model.json`` is
+checked as outside input before it is followed (:func:`_read_meta`),
+and :func:`save_model` refuses a model its header cannot name.
 
 Atomic re-save: :func:`save_model` writes the payload under a fresh
 ``arrays-<token>.bin`` name and atomically replaces ``model.json``
@@ -30,8 +28,8 @@ never tears the artifact for concurrent readers, and models already
 mapped from the old payload keep serving (the old inode stays alive
 under its mappings until they close — POSIX semantics).
 
-Bit-identity contract: a model loads element-wise/string-identical
-through every format, and an mmap-opened model serves byte-identical
+Bit-identity contract: a saved model loads element-wise/string-identical
+mapped and copied, and an mmap-opened model serves byte-identical
 output to a copied-open one through both inference engines
 (``tests/test_model_serialization.py`` pins this property-based).
 
@@ -52,24 +50,23 @@ from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .alignment import get_alignment
+from .alignment import ALIGNMENTS
 from .csr import CSRGraph
 from .model import GraphExModel, LeafGraph
 from .tokenize import SpaceTokenizer
 from .vocab import Vocabulary
 
-_ARRAYS_FILE = "arrays.npz"
 _META_FILE = "model.json"
 _POOLED_KEY = "pooled"
 _LEAF_BUNDLE = "leaf-bundle"
-#: The one format :func:`save_model` / :func:`save_leaf_graphs` write.
+#: The one format :func:`save_model` / :func:`save_leaf_graphs` write,
+#: and so the one format read.
 _FORMAT_VERSION = 3
 
-#: Format versions :func:`load_model` understands.  An artifact written
-#: by a *newer* build (or a corrupted one) fails fast with a
-#: ``ValueError`` naming the offending version instead of crashing
-#: obscurely deeper in deserialization.
-SUPPORTED_FORMATS = (1, 2, 3)
+#: The ``model.json`` keys a leaf bundle and a model must carry, with
+#: their JSON types.
+_BUNDLE_KEYS = {"arrays_file": str, "arrays": dict, "leaves": dict}
+_MODEL_KEYS = {**_BUNDLE_KEYS, "alignment": str, "tokenizer": dict}
 
 #: Every format-3 array starts on a page boundary, so each memmap view
 #: is naturally aligned and the kernel can fault arrays independently.
@@ -194,7 +191,7 @@ class LazyStringList(abc.Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Shared pack/unpack (all formats)
+# Shared pack/unpack (models and leaf bundles)
 
 
 def _pack_leaf(prefix: str, leaf: LeafGraph,
@@ -216,25 +213,20 @@ def _pack_leaf(prefix: str, leaf: LeafGraph,
 
 
 def _unpack_leaf(meta: Dict[str, object], arrays: Dict[str, np.ndarray],
-                 prefix: str, string_pool,
-                 lazy: bool = False, validate: bool = True) -> LeafGraph:
-    if f"{prefix}/label_ids" in arrays:  # formats 2/3: shared string pool
-        words = [string_pool[i]
-                 for i in arrays[f"{prefix}/word_ids"].tolist()]
-        label_ids = arrays[f"{prefix}/label_ids"]
-        if lazy:
-            label_texts: Sequence[str] = LazyStringList(string_pool,
-                                                        label_ids)
-        else:
-            label_texts = [string_pool[i] for i in label_ids.tolist()]
-    else:  # format 1: per-leaf string lists in the JSON
-        words = list(meta["words"])
-        label_texts = list(meta["label_texts"])
+                 prefix: str, string_pool, mmap: bool) -> LeafGraph:
+    """One leaf over what :func:`_open_payload_v3` returned for the
+    same ``mmap``: a mapped leaf reads its label texts lazily and skips
+    CSR validation, a copied one decodes and validates everything."""
+    words = [string_pool[i] for i in arrays[f"{prefix}/word_ids"].tolist()]
+    label_ids = arrays[f"{prefix}/label_ids"]
+    label_texts: Sequence[str] = (
+        LazyStringList(string_pool, label_ids) if mmap
+        else [string_pool[i] for i in label_ids.tolist()])
     graph = CSRGraph(
         indptr=arrays[f"{prefix}/indptr"],
         indices=arrays[f"{prefix}/indices"],
         n_right=max(1, len(label_texts)),
-        validate=validate,
+        validate=not mmap,
     )
     return LeafGraph(
         leaf_id=int(meta["leaf_id"]),
@@ -323,7 +315,7 @@ def _section_end(entry: Dict) -> int:
 
 
 def _open_payload_v3(directory: Path, meta: Dict, mmap: bool):
-    """Read or map the v3 payload; returns ``(arrays, pool, lazy)``.
+    """Read or map the v3 payload; returns ``(arrays, pool)``.
 
     ``mmap=True`` returns read-only ``np.ndarray`` views over one
     ``np.memmap`` (plain-ndarray views, so a mapped model still
@@ -363,11 +355,11 @@ def _open_payload_v3(directory: Path, meta: Dict, mmap: bool):
               for key in manifest if not key.startswith("pool/")}
     if mmap:
         return arrays, _LazyStringPool(view(_POOL_BLOB),
-                                       view(_POOL_BYTE_OFFSETS)), True
+                                       view(_POOL_BYTE_OFFSETS))
     decoded = str(view(_POOL_BLOB), "utf-8")
     char_offsets = view(_POOL_CHAR_OFFSETS).tolist()
     return arrays, [decoded[lo:hi] for lo, hi in
-                    zip(char_offsets, char_offsets[1:])], False
+                    zip(char_offsets, char_offsets[1:])]
 
 
 def _replace_meta(directory: Path, meta: Dict) -> None:
@@ -398,8 +390,7 @@ def _write_artifact(directory: Path, leaves: Sequence[LeafGraph],
 
 
 def _prune_stale_payloads(directory: Path, keep: str) -> None:
-    """Unlink payload files the current ``model.json`` no longer names
-    (older ``arrays-*.bin`` payloads and a legacy ``arrays.npz``).
+    """Unlink payload files the current ``model.json`` no longer names.
 
     Models already mapped from a stale payload keep serving: the inode
     survives under its mappings (the rebuild-over-old-path scenario the
@@ -411,9 +402,6 @@ def _prune_stale_payloads(directory: Path, keep: str) -> None:
                 path.unlink()
             except OSError:  # pragma: no cover - concurrent pruner
                 pass
-    npz = directory / _ARRAYS_FILE
-    if npz.exists():
-        npz.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -426,161 +414,164 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
     Args:
         model: The model to persist.
         directory: Destination directory; re-saving over a directory
-            that already holds a model (of any format) atomically
-            replaces it: a fresh payload file is written and
-            ``model.json`` swapped last, so concurrent readers never
-            observe a torn artifact and already-mapped models keep
-            serving the old payload.
+            that already holds a model atomically replaces it: a fresh
+            payload file is written and ``model.json`` swapped last, so
+            concurrent readers never observe a torn artifact and
+            already-mapped models keep serving the old payload.
 
     Returns:
         The directory path.
+
+    Raises:
+        ValueError: The header cannot name what the model computes
+            with — an alignment callable that is not the registry's of
+            that name, a tokenizer that is not a plain
+            :class:`SpaceTokenizer` (``pack_tokenizer``'s rule on the
+            wire) — so the artifact would load as a different model.
     """
+    if model.alignment_fn is not ALIGNMENTS.get(model.alignment_name):
+        raise ValueError(
+            f"cannot save a model ranked by {model.alignment_fn!r}: the "
+            f"artifact header can only name a registry alignment "
+            f"({sorted(ALIGNMENTS)}), and a loader would rank by that")
+    if type(model.tokenizer) is not SpaceTokenizer:
+        raise ValueError(
+            f"cannot save a model tokenized by "
+            f"{type(model.tokenizer).__name__}: the artifact header "
+            f"holds a SpaceTokenizer's configuration, and a loader "
+            f"would tokenize by that")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
     if model.pooled_graph is not None:
         leaves.append(model.pooled_graph)
-    spec = (model.tokenizer.spec() if isinstance(
-        model.tokenizer, SpaceTokenizer) else {"stem": False})
     filename = _write_artifact(directory, leaves, {
         "format_version": _FORMAT_VERSION,
         "alignment": model.alignment_name,
-        "tokenizer": {"type": "space", **spec}})
+        "tokenizer": {"type": "space", **model.tokenizer.spec()}})
     _prune_stale_payloads(directory, keep=filename)
     return directory
 
 
-def _read_meta(directory: Path) -> Tuple[Dict, str]:
-    """Read a *model's* ``model.json`` and validate its
-    ``format_version``; a leaf bundle is rejected by name.
+def _read_meta(directory: Path, bundle: bool = False) -> Tuple[Dict, str]:
+    """Read and check an artifact's ``model.json`` — a model's, or with
+    ``bundle`` a leaf bundle's; the other kind is rejected by name.
+
+    ``model.json`` is outside input: one named ``ValueError`` (the
+    path, what is wrong) unless it is a JSON object of
+    ``format_version`` 3 — judged first, whatever else is missing —
+    holding every key the opener reads, each of its JSON type, and an
+    ``arrays_file`` that is a bare file name: the payload is opened
+    inside the artifact directory, never wherever the manifest points.
 
     Returns the parsed metadata and the artifact's identity: a digest
     of the very bytes parsed.  ``model.json`` names the payload file,
     which every :func:`save_model` call names afresh, so two opens agree
     on the identity exactly when they read the same save.
     """
-    raw = (directory / _META_FILE).read_bytes()
-    meta = json.loads(raw.decode("utf-8"))
-    if meta.get("kind") == _LEAF_BUNDLE:
+    path = directory / _META_FILE
+    raw = path.read_bytes()
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"malformed {path}: not JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"malformed {path}: expected a JSON object, got "
+                         f"a {type(meta).__name__}")
+    if (meta.get("kind") == _LEAF_BUNDLE) != bundle:
         raise ValueError(
+            f"{directory} is not a leaf bundle" if bundle else
             f"{directory} holds kind: \"{_LEAF_BUNDLE}\" (a shard of "
             f"leaf graphs without tokenizer/alignment), not a model; "
             f"open it with load_leaf_graphs")
     version = meta.get("format_version")
-    if version not in SUPPORTED_FORMATS:
+    if version != _FORMAT_VERSION:
         raise ValueError(
-            f"unsupported model format_version {version!r} in "
-            f"{directory / _META_FILE}; this build reads versions "
-            f"{SUPPORTED_FORMATS} (was the artifact written by a newer "
-            f"build?)")
+            f"unsupported {'leaf-bundle' if bundle else 'model'} "
+            f"format_version {version!r} in {path}; this build reads "
+            f"only what it writes, format {_FORMAT_VERSION} (formats 1 "
+            f"and 2 were last read, and re-saved as 3 by load_model + "
+            f"save_model, at commit f0008ce; a higher number was "
+            f"written by a newer build)")
+    for key, kind in (_BUNDLE_KEYS if bundle else _MODEL_KEYS).items():
+        if not isinstance(meta.get(key), kind):
+            raise ValueError(
+                f"malformed {path}: required key {key!r} is "
+                + ("missing" if key not in meta else
+                   f"{meta[key]!r}, not a JSON {kind.__name__}"))
+    name = meta["arrays_file"]
+    if name in ("", "..") or Path(name).name != name:
+        raise ValueError(
+            f"malformed {path}: arrays_file {name!r} is not a bare file "
+            f"name; the payload lives inside the artifact directory")
+    if not bundle and meta["alignment"] not in ALIGNMENTS:
+        raise ValueError(
+            f"malformed {path}: unknown alignment {meta['alignment']!r}; "
+            f"expected one of {sorted(ALIGNMENTS)}")
     return meta, hashlib.sha256(raw).hexdigest()[:16]
-
-
-def model_format_version(directory: Union[str, Path]) -> int:
-    """The ``format_version`` of a serialized model directory.
-
-    Raises:
-        FileNotFoundError: If the directory lacks ``model.json``.
-        ValueError: If the version is not one this build supports.
-    """
-    return int(_read_meta(Path(directory))[0]["format_version"])
-
-
-def _load_from_meta(meta: Dict, identity: str, directory: Path,
-                    mmap: bool) -> GraphExModel:
-    version = meta["format_version"]
-    if version == 3:
-        arrays, string_pool, lazy = _open_payload_v3(directory, meta, mmap)
-    else:
-        string_pool = list(meta.get("string_pool", ()))
-        with np.load(directory / _ARRAYS_FILE) as npz:
-            arrays = {key: npz[key] for key in npz.files}
-        lazy = False
-
-    leaf_graphs: Dict[int, LeafGraph] = {}
-    pooled = None
-    for key, leaf_meta in meta["leaves"].items():
-        leaf = _unpack_leaf(leaf_meta, arrays, key, string_pool,
-                            lazy=lazy, validate=not mmap)
-        if key == _POOLED_KEY:
-            pooled = leaf
-        else:
-            leaf_graphs[leaf.leaf_id] = leaf
-
-    tokenizer = SpaceTokenizer.from_spec(meta["tokenizer"])
-    alignment = meta["alignment"]
-    if alignment == "custom":
-        alignment = "lta"
-    get_alignment(alignment)  # fail fast on unknown names
-    model = GraphExModel(leaf_graphs, tokenizer=tokenizer,
-                         alignment=alignment, pooled_graph=pooled)
-    model.artifact_identity = identity
-    return model
 
 
 def load_model(directory: Union[str, Path],
                mmap: bool = False) -> GraphExModel:
     """Load a model previously written by :func:`save_model`.
 
-    Accepts format versions 1 (per-leaf string lists), 2 (shared string
-    pool) and 3 (page-aligned binary payload).  All formats load
-    bit-identical models; ``tests/test_model_serialization.py`` pins
-    the equivalence property-based.
-
     Args:
         directory: The serialized model directory.
-        mmap: Open a format-3 model zero-copy — every numpy array is a
+        mmap: Open the model zero-copy — every numpy array is a
             *read-only* view over one ``np.memmap`` (in-place writes
             raise), label strings decode lazily, and N processes
             opening the same artifact share one physical copy of the
-            pages.  Requires format 3; older directories must be
-            re-saved first (the error says so).
+            pages.  Mapped and copied opens are bit-identical;
+            ``tests/test_model_serialization.py`` pins it.
 
     Raises:
         FileNotFoundError: If the directory lacks the expected files.
-        ValueError: On an unknown/future format version (the error
-            names the version), a leaf bundle, or ``mmap=True`` on a
-            pre-3 format.
+        ValueError: On any ``format_version`` but 3 (the error names
+            the version and the last commit that read 1 and 2), a leaf
+            bundle, a malformed ``model.json`` or a truncated payload.
     """
     directory = Path(directory)
     meta, identity = _read_meta(directory)
-    version = int(meta["format_version"])
-    if mmap and version != 3:
-        raise ValueError(
-            f"mmap=True requires model format_version 3, but "
-            f"{directory} holds format_version {version}; re-save it "
-            f"with save_model(model, directory) to enable zero-copy "
-            f"opens")
-    return _load_from_meta(meta, identity, directory, mmap=mmap)
+    arrays, string_pool = _open_payload_v3(directory, meta, mmap)
+    leaf_graphs: Dict[int, LeafGraph] = {}
+    pooled = None
+    for key, leaf_meta in meta["leaves"].items():
+        leaf = _unpack_leaf(leaf_meta, arrays, key, string_pool, mmap)
+        if key == _POOLED_KEY:
+            pooled = leaf
+        else:
+            leaf_graphs[leaf.leaf_id] = leaf
+    model = GraphExModel(
+        leaf_graphs, tokenizer=SpaceTokenizer.from_spec(meta["tokenizer"]),
+        alignment=meta["alignment"], pooled_graph=pooled)
+    model.artifact_identity = identity
+    return model
 
 
 def open_model(source: Union[GraphExModel, str, Path]) -> GraphExModel:
-    """Polymorphic model hand-off: a model passes through, a path opens.
+    """Polymorphic model hand-off: a model passes through, a path opens
+    mapped (``load_model(path, mmap=True)``).
 
-    The serving stack's ``refresh_model`` entry points route through
-    this, so an orchestrator can hand a *directory path* to N serving
-    processes instead of shipping N pickled copies: a format-3 artifact
-    opens zero-copy (``mmap=True`` — the hot-swap is a remap, not a
-    reload), older formats fall back to an ordinary copied load.
+    The serving stack's ``refresh_model`` entry points and the cluster
+    route through this, so an orchestrator hands a *directory path* to
+    N serving processes instead of shipping N pickled copies, and the
+    hot-swap is a remap, not a reload.
     """
     if isinstance(source, GraphExModel):
         return source
-    directory = Path(source)
-    meta, identity = _read_meta(directory)
-    return _load_from_meta(meta, identity, directory,
-                           mmap=meta["format_version"] == 3)
+    return load_model(source, mmap=True)
 
 
 # ---------------------------------------------------------------------------
-# Leaf-shard bundles (the process-construction return path)
+# Leaf-shard bundles (the out-of-process construction return path)
 
 
 def save_leaf_graphs(leaves: Sequence[LeafGraph],
                      directory: Union[str, Path]) -> Path:
     """Persist built leaf graphs as a format-3 *leaf bundle*.
 
-    The return path of process-shard construction: a worker builds its
+    The return path of out-of-process construction: a worker builds its
     shard's leaves, writes them here (raw page-aligned arrays + string
     pool — no pickle), and the parent opens the bundle zero-copy with
     :func:`load_leaf_graphs`.  A bundle is not a full model (no
@@ -600,20 +591,12 @@ def load_leaf_graphs(directory: Union[str, Path],
     Returns the leaf graphs in the bundle's insertion order, arrays
     backed read-only by the mapping when ``mmap=True`` — the bundle
     file may be unlinked afterwards; live mappings keep it readable.
+    Its ``model.json`` is checked as a model's is (:func:`_read_meta`).
     """
     directory = Path(directory)
-    with open(directory / _META_FILE, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != _LEAF_BUNDLE:
-        raise ValueError(f"{directory} is not a leaf bundle")
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported leaf-bundle format_version "
-            f"{meta.get('format_version')!r} in {directory}; bundles "
-            f"exist only as format {_FORMAT_VERSION}")
-    arrays, pool, lazy = _open_payload_v3(directory, meta, mmap)
-    return [_unpack_leaf(leaf_meta, arrays, key, pool,
-                         lazy=lazy, validate=not mmap)
+    meta, _identity = _read_meta(directory, bundle=True)
+    arrays, pool = _open_payload_v3(directory, meta, mmap)
+    return [_unpack_leaf(leaf_meta, arrays, key, pool, mmap)
             for key, leaf_meta in meta["leaves"].items()]
 
 

@@ -6,8 +6,9 @@ for construction — runs here or on a fleet of worker processes (see
 
 * :class:`ShardPlan` deterministically partitions cost-weighted work
   units (leaf groups keyed by leaf id) across shards with a
-  longest-processing-time greedy pass.  A plan is JSON-serializable —
-  exactly the unit the multi-machine runner ships to remote workers.
+  longest-processing-time greedy pass.  A plan never leaves the
+  process that cut it: the cluster wire carries each unit's requests or
+  curated leaves, not the plan.
   :meth:`ShardPlan.for_inference` / :meth:`ShardPlan.for_construction`
   build the canonical plans for the two work kinds and are the one
   place a unit's cost is defined: the request-count / char-count
@@ -22,7 +23,6 @@ nothing from it at run time, so plans stay usable without the engines.
 
 from __future__ import annotations
 
-import json
 from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Sequence,
                     Tuple)
 
@@ -62,10 +62,7 @@ class ShardPlan:
 
     A plan maps hashable work-unit keys (leaf ids for both engines) to
     shards, balancing the supplied cost estimates.  Plans are value
-    objects: equality is structural, and :meth:`to_json` /
-    :meth:`from_json` round-trip exactly, so a plan computed on one
-    machine can be shipped to the workers that will execute it (keys and
-    costs must be JSON-representable for that, as leaf ids are).
+    objects: equality is structural.
 
     Args:
         shards: Per-shard tuples of work-unit keys.
@@ -73,7 +70,8 @@ class ShardPlan:
 
     Raises:
         ValueError: If a key appears in more than one shard (or twice in
-            one), or a planned key has no cost.
+            one), a planned key has no cost, or a cost names a key no
+            shard carries.
     """
 
     def __init__(self, shards: Sequence[Sequence[Hashable]],
@@ -91,9 +89,9 @@ class ShardPlan:
                 seen.add(key)
         unplanned = set(self._costs) - seen
         if unplanned:
-            # Allowing costs for keys no shard carries would break the
-            # exact to_json/from_json round-trip (serialization only
-            # walks the shards).
+            # ``replan`` takes "has a cost" to mean "is part of this
+            # plan": a cost for a key no shard carries would let it
+            # schedule work nobody planned.
             raise ValueError(f"costs for unplanned keys {unplanned!r}")
 
     @classmethod
@@ -177,95 +175,11 @@ class ShardPlan:
         """Number of planned shards."""
         return len(self._shards)
 
-    def cost_of(self, key: Hashable) -> int:
-        """Cost estimate of one work unit."""
-        return self._costs[key]
-
     @property
     def shard_costs(self) -> List[int]:
         """Summed cost estimate per shard (the balance the plan found)."""
         return [sum(self._costs[key] for key in shard)
                 for shard in self._shards]
-
-    @property
-    def total_cost(self) -> int:
-        """Summed cost estimate across all shards."""
-        return sum(self.shard_costs)
-
-    def to_json(self) -> str:
-        """Serialize the plan (the unit a distributed runner ships)."""
-        return json.dumps({
-            "shards": [list(shard) for shard in self._shards],
-            "costs": [[self._costs[key] for key in shard]
-                      for shard in self._shards],
-        })
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ShardPlan":
-        """Reconstruct a plan serialized with :meth:`to_json`.
-
-        The wire format is validated strictly — a plan is the unit a
-        distributed runner ships to remote hosts, and a malformed
-        payload that slipped through would silently double-execute (or
-        drop) work.  Beyond the constructor's duplicate/cost checks
-        this rejects: a payload that is not a ``{"shards", "costs"}``
-        object of parallel lists, a shard whose member count disagrees
-        with its cost count, non-integer work-unit keys (leaf ids are
-        integers on the wire; booleans and floats are rejected even
-        though Python would hash them equal), keys below
-        :data:`POOLED_GROUP` (the only planned pseudo-id), and
-        non-integer or negative costs.
-
-        Raises:
-            ValueError: On any malformed payload, naming the offender.
-        """
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"shard plan payload is not JSON: {exc}") \
-                from None
-        if not isinstance(data, dict) or not {"shards", "costs"} <= \
-                set(data):
-            raise ValueError(
-                "shard plan payload must be an object with 'shards' and "
-                "'costs' lists")
-        shards, costs = data["shards"], data["costs"]
-        if not isinstance(shards, list) or not isinstance(costs, list) \
-                or len(shards) != len(costs):
-            raise ValueError(
-                f"shard plan 'shards' and 'costs' must be parallel "
-                f"lists; got {len(shards) if isinstance(shards, list) else shards!r} "
-                f"shards and {len(costs) if isinstance(costs, list) else costs!r} "
-                f"cost lists")
-        plan_costs: Dict[Hashable, int] = {}
-        for index, (shard, shard_costs) in enumerate(zip(shards, costs)):
-            if not isinstance(shard, list) or \
-                    not isinstance(shard_costs, list) or \
-                    len(shard) != len(shard_costs):
-                raise ValueError(
-                    f"shard {index} carries {shard!r} members but "
-                    f"{shard_costs!r} costs — counts must match")
-            for key, cost in zip(shard, shard_costs):
-                if type(key) is not int:
-                    raise ValueError(
-                        f"shard {index} member {key!r} is not an integer "
-                        f"work-unit id")
-                if key < POOLED_GROUP:
-                    raise ValueError(
-                        f"shard {index} member {key} is out of range "
-                        f"(ids are leaf ids >= 0, or {POOLED_GROUP} for "
-                        f"the pooled group)")
-                if type(cost) is not int or cost < 0:
-                    raise ValueError(
-                        f"shard {index} cost {cost!r} for key {key} is "
-                        f"not a non-negative integer")
-                if key in plan_costs:
-                    raise ValueError(
-                        f"work-unit key {key} appears in more than one "
-                        f"shard (or twice in one) — the plan would "
-                        f"double-execute it")
-                plan_costs[key] = cost
-        return cls(tuple(tuple(shard) for shard in shards), plan_costs)
 
     def replan(self, keys: Iterable[Hashable],
                n_shards: int) -> "ShardPlan":

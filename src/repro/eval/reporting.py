@@ -1,7 +1,7 @@
 """Plain-text table rendering for the benchmark harnesses.
 
 Every table/figure bench prints its reproduction through these helpers so
-outputs are uniform and diffable against EXPERIMENTS.md.
+outputs are uniform and diffable from run to run.
 """
 
 from __future__ import annotations

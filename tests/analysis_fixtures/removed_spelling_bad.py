@@ -1,0 +1,12 @@
+# Failing fixture for removed-spelling: options, frame types and names
+# that collapse PRs deleted, coming back one per line.
+# lint-fixture-module: repro.cluster.fixture_removed_spelling_bad
+async def run_inference(coordinator, path, requests, distribute="path"):
+    await coordinator.deploy_artifact(path, push=True)
+    return {"type": "artifact_begin", "model_artifact": str(path)}
+# lint-fixture-module: repro.core.fixture_removed_spelling_bad
+from concurrent.futures import ThreadPoolExecutor
+
+
+def batch(model, requests, workers=2, executor="thread"):
+    return model.plan.to_json()

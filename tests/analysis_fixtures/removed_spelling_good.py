@@ -1,0 +1,22 @@
+# Passing fixture for removed-spelling: the same spellings where their
+# rows still allow them, and look-alikes that are not the spelling.
+# lint-fixture-module: repro.serving.fixture_removed_spelling_good
+from concurrent.futures import ThreadPoolExecutor
+
+
+def pool(max_workers):
+    """Not under repro.core; ``thread`` the variable is not "thread"
+    the executor name, and prose about distribute= is not code."""
+    thread = ThreadPoolExecutor(max_workers=max_workers)
+    return thread  # the old parallel= spelling, in a comment
+# lint-fixture-module: repro.cli
+def boot(local, args):
+    return local(workers=args.workers)
+# lint-fixture-module: repro.core.execution
+class ClusterExecutor:
+    @classmethod
+    def local(cls, workers=2):
+        return workers
+# lint-fixture-module: repro.analysis.fixture_removed_spelling_good
+def dump(report):
+    return report.to_json()

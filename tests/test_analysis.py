@@ -30,6 +30,7 @@ from repro.analysis.rules.clocks import MonotonicClockRule
 from repro.analysis.rules.lazy_imports import LazyImportContractRule
 from repro.analysis.rules.mmap_safety import MmapWriteSafetyRule
 from repro.analysis.rules.pickle_boundary import NoPickleBoundaryRule
+from repro.analysis.rules.removed_spelling import RemovedSpellingRule
 from repro.analysis.rules.store_lock import StoreLockDisciplineRule
 from repro.analysis.waivers import parse_waivers
 
@@ -52,6 +53,7 @@ class TestRuleFixtures:
         ("clocks", MonotonicClockRule),
         ("pickle_boundary", NoPickleBoundaryRule),
         ("mmap_safety", MmapWriteSafetyRule),
+        ("removed_spelling", RemovedSpellingRule),
     ]
 
     @pytest.mark.parametrize("stem,rule_cls", CASES,
@@ -101,6 +103,17 @@ class TestRuleFixtures:
         assert door("multiprocessing.pool") == "multiprocessing"
         assert door("concurrent.futures.process")
         assert door("concurrent.futures") is None
+
+    def test_removed_spelling_matches_each_form_once(self):
+        """A parameter, a keyword, string constants, an import, an
+        attribute — each deleted spelling fires once, where it is."""
+        report = lint_fixture("removed_spelling_bad.py",
+                              RemovedSpellingRule())
+        assert sorted((v.line, v.message.split()[2])
+                      for v in report.violations) == [
+            (4, "distribute"), (5, "push="), (6, "artifact_begin"),
+            (6, "model_artifact"), (8, "ThreadPoolExecutor"),
+            (11, '"thread"'), (11, "workers="), (12, "to_json")]
 
     def test_mmap_bad_flags_all_three_shapes(self):
         report = lint_fixture("mmap_safety_bad.py",

@@ -42,6 +42,18 @@ def booted(monkeypatch):
     return fleets
 
 
+@pytest.fixture
+def no_spawn(monkeypatch):
+    """The argv of every process ``spawn_worker`` would have started
+    during the test (``WORKER_COMMAND`` …); none is started."""
+    from repro.cluster import worker
+
+    spawned = []
+    monkeypatch.setattr(worker.subprocess, "Popen",
+                        lambda argv, **_kwargs: spawned.append(argv))
+    return spawned
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -164,17 +176,17 @@ class TestWorkflow:
 
     def test_construct_format_version_round_trips(self, workflow_dir,
                                                   tmp_path, capsys):
-        """``construct`` writes a format-3 artifact, says so, and it
-        loads back with the same leaves."""
-        from repro.core.serialization import (load_model,
-                                              model_format_version)
+        """``construct`` writes a format-3 artifact and it loads back
+        with the same leaves."""
+        from repro.core.serialization import load_model
         baseline = load_model(workflow_dir / "model")
         out_dir = tmp_path / "model"
         assert main(["construct", "--curated",
                      str(workflow_dir / "curated.json"), "--out",
                      str(out_dir)]) == 0
-        assert "(format v3)" in capsys.readouterr().out
-        assert model_format_version(out_dir) == 3
+        assert f"-> {out_dir}" in capsys.readouterr().out
+        assert json.loads((out_dir / "model.json").read_text())[
+            "format_version"] == 3
         assert load_model(out_dir).leaf_ids == baseline.leaf_ids
 
     def test_recommend_mmap_prints_identical_output(self, workflow_dir,
@@ -253,13 +265,17 @@ class TestWorkflow:
         assert "0 flush failures" in out
         assert "60 events across 2 streams" in out
 
-    def test_serve_nrt_rejects_bad_engine_pairing(self, workflow_dir,
-                                                  booted):
-        with pytest.raises(ValueError, match="single-process"):
-            main(["serve-nrt", "--model", str(workflow_dir / "model"),
+    def test_serve_nrt_rejects_bad_engine_pairing(self, capsys,
+                                                  no_spawn):
+        """A usage error (exit 2), refused before a model is looked for
+        or a worker process started."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-nrt", "--model", "absent",
                   "--engine", "reference", "--parallel", "process"])
-        # The fleet booted for the refused front was still closed.
-        assert [executor._owned for executor in booted] == [None]
+        assert exit_info.value.code == 2
+        assert "serve-nrt: --engine reference runs only on --executor " \
+            "serial" in capsys.readouterr().err
+        assert no_spawn == []
 
     def test_serve_nrt_owns_the_fleet_it_boots(self, workflow_dir,
                                                capsys, booted):
@@ -364,11 +380,21 @@ class TestExecutorFlag:
             assert (rebuilt.leaf_graph(leaf_id).label_texts
                     == serial.leaf_graph(leaf_id).label_texts)
 
-    def test_recommend_rejects_bad_executor_pairing(self, workflow_dir):
-        with pytest.raises(ValueError, match="single-process"):
-            main(["recommend", "--model", str(workflow_dir / "model"),
-                  "--title", "t", "--leaf", "1",
-                  "--engine", "reference", "--executor", "process"])
+    def test_recommend_rejects_bad_executor_pairing(self, capsys,
+                                                    no_spawn):
+        for argv, option in (
+                (["recommend", "--model", "absent", "--title", "t",
+                  "--leaf", "1", "--engine", "reference",
+                  "--executor", "process"], "engine"),
+                (["construct", "--curated", "absent", "--out", "m",
+                  "--builder", "reference", "--executor", "cluster"],
+                 "builder")):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert f"{argv[0]}: --{option} reference runs only on " \
+                f"--executor serial" in capsys.readouterr().err
+        assert no_spawn == []
 
 
 class TestClusterCLI:

@@ -269,7 +269,8 @@ class TestProtocol:
 
         reply, n_live = asyncio.run(drive())
         assert reply["type"] == "error"
-        assert reply["reason"] == "protocol 1 != coordinator protocol 4"
+        assert reply["reason"] == \
+            f"protocol 1 != coordinator protocol {PROTOCOL_VERSION}"
         assert n_live == 0
 
     def test_non_object_payload_rejected(self):
@@ -535,50 +536,6 @@ class TestClusterInference:
 
         assert asyncio.run(drive()) == (1, ["model-0"], 1, 1, 1)
         assert len(saves) == 2
-
-    def test_stream_distribution_identical(self, artifact, requests,
-                                           expected):
-        async def drive():
-            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
-                _w, task = await spawn_worker(coord, name="streamed")
-                await coord.wait_for_workers(1, timeout=10.0)
-                got = await coord.run_inference(
-                    str(artifact), requests, k=5, distribute="stream")
-                await teardown(coord, [task])
-                return got
-
-        assert asyncio.run(drive()) == expected
-
-    def test_streamed_artifact_costs_its_file_bytes_on_the_wire(
-            self, artifact, requests, expected, monkeypatch):
-        """File chunks ride the frame tail raw: streaming an artifact
-        moves its bytes plus a few small control frames, not 4/3 of
-        them as base64-in-JSON did."""
-        import repro.cluster.protocol as protocol
-        streamed = []
-        encode = protocol.encode_frame
-
-        def counting(message):
-            frame = encode(message)
-            if str(message.get("type")).startswith("artifact_"):
-                streamed.append(len(frame))
-            return frame
-
-        monkeypatch.setattr(protocol, "encode_frame", counting)
-
-        async def drive():
-            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
-                _w, task = await spawn_worker(coord, name="streamed")
-                await coord.wait_for_workers(1, timeout=10.0)
-                got = await coord.run_inference(
-                    str(artifact), requests, k=5, distribute="stream")
-                await teardown(coord, [task])
-                return got
-
-        assert asyncio.run(drive()) == expected
-        file_bytes = sum(path.stat().st_size
-                         for path in Path(artifact).iterdir())
-        assert file_bytes < sum(streamed) <= 1.05 * file_bytes
 
     def test_empty_fleet_degrades_to_local(self, artifact, requests,
                                            expected):
@@ -1053,6 +1010,12 @@ class TestCoordinatorEdgeCases:
                 send={0: Fault("delay", delay=0.6)},
                 match=lambda m: m.get("type") == "shard_result"))
 
+        def noting(transport):
+            # Faults nothing: the predicate matches no frame, it only
+            # notes every one the late joiner sends or receives.
+            return FaultyTransport(transport, FaultSchedule(
+                match=lambda m: seen.append(m)))
+
         async def drive():
             async with ClusterCoordinator(rpc_timeout=20.0,
                                           retry=fast_retry(),
@@ -1067,15 +1030,22 @@ class TestCoordinatorEdgeCases:
                     str(artifact), requests, k=5))
                 await asyncio.sleep(0.15)
                 assert not job.done()
-                _w, t3 = await spawn_worker(coord, name="late-joiner")
+                _w, t3 = await spawn_worker(
+                    coord, name="late-joiner", transport_wrapper=noting)
                 got = await job
                 report = coord.last_report
                 await teardown(coord, [t1, t2, t3])
                 return got, report
 
+        seen = []
         got, report = asyncio.run(drive())
         assert got == expected
         assert "late-joiner" in report.workers_used
+        # The model reached it the one way a model reaches any worker:
+        # the first frame after registration is the shard, by path.
+        assert [frame["type"] for frame in seen[:3]] \
+            == ["register", "registered", "run_shard"]
+        assert seen[2]["model_path"] == str(artifact)
         assert report.n_replans >= 1
         assert report.n_local_units == 0
         assert all(count == 1 for count in report.merge_counts.values())
@@ -1308,6 +1278,50 @@ class TestWorkerKillSwitch:
                 await teardown(coord, [t2])
 
         asyncio.run(drive())
+
+
+class TestFramesWithoutASender:
+    def test_deleted_frames_are_unknown_and_the_worker_keeps_serving(
+            self, artifact):
+        """``artifact_begin`` (the stream's opening frame) and ``ping``
+        have no sender and so no handler: a worker names the type it
+        does not know, stays up, and serves the next real frame.  The
+        register frame carries name and protocol, nothing else."""
+        frames = []
+
+        async def coordinator_side(reader, writer):
+            peer = Transport(reader, writer)
+            frames.append(await peer.recv())
+            await peer.send({"type": "registered"})
+            for message in ({"type": "artifact_begin", "name": "a",
+                             "request_id": 1},
+                            {"type": "ping", "request_id": 2},
+                            {"type": "deploy_model", "request_id": 3,
+                             "model_path": str(artifact)},
+                            {"type": "shutdown"}):
+                await peer.send(message)
+                frames.append(await peer.recv())
+            peer.close()
+
+        async def drive():
+            server = await asyncio.start_server(coordinator_side,
+                                                "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            await asyncio.wait_for(
+                ClusterWorker("127.0.0.1", port, name="w").run(), 10.0)
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(drive())
+        hello, begin, ping, deployed, bye = frames
+        assert hello == {"type": "register", "name": "w",
+                         "protocol": PROTOCOL_VERSION}
+        assert begin == {"type": "error", "reason":
+                         "unknown message type 'artifact_begin'"}
+        assert ping == {"type": "error",
+                        "reason": "unknown message type 'ping'"}
+        assert (deployed["type"], deployed["request_id"]) == ("deployed", 3)
+        assert bye["type"] == "bye"
 
 
 # ---------------------------------------------------------------------------

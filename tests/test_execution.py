@@ -155,76 +155,19 @@ class TestResolveExecutor:
 
 
     def test_parallel_spelling_is_gone_everywhere(self):
-        """``executor=`` is the only spelling: no entry point takes
-        ``parallel``, and sharding re-exports nothing lazily.  Nor does
-        anything take a cost model, a model format to write, or a
-        ``dense_limit`` choosing between two ways to count — or a
-        worker count: an executor instance carries its own fleet, the
-        in-process pools and their classes are gone, and only the CLI
-        parser and ``ClusterExecutor.local`` still say ``workers``."""
-        import dataclasses
-        import inspect
-
-        import repro
-        from repro import core
+        """``executor=`` is the only spelling.  That no entry point
+        takes ``parallel``, a cost model, a model format to write, a
+        ``dense_limit`` or a worker count — and that the pools and
+        their classes are gone — is the ``removed-spelling`` lint
+        rule's table (``repro.analysis.rules.removed_spelling``), held
+        over the whole package by ``test_analysis``'s repo-wide gate;
+        what a table of names cannot see is pinned here: sharding
+        re-exports nothing lazily, and the CLI refuses the old flags as
+        usage errors."""
         from repro.cli import main
-        from repro.core import execution, sharding
-        from repro.core.batch import (differential_update,
-                                      validate_model_for_engine)
-        from repro.core.execution import ConstructionJob, Executor
-        from repro.core.serialization import save_model
-        from repro.serving import (AsyncNRTFront, BatchPipeline,
-                                   DailyRefreshOrchestrator, NRTService,
-                                   RefreshReport)
+        from repro.core import sharding
 
-        for entry_point in (batch_recommend, differential_update,
-                            validate_model_for_engine,
-                            GraphExModel.construct, NRTService,
-                            BatchPipeline, AsyncNRTFront,
-                            DailyRefreshOrchestrator, resolve_executor,
-                            Executor, SerialExecutor, ClusterExecutor):
-            parameters = inspect.signature(entry_point).parameters
-            assert "parallel" not in parameters, entry_point
-            assert "workers" not in parameters, entry_point
-        assert "workers" in inspect.signature(
-            ClusterExecutor.local).parameters
-        assert "cluster" not in \
-            inspect.signature(resolve_executor).parameters
-        assert list(inspect.signature(
-            validate_model_for_engine).parameters) == \
-            ["model", "engine", "executor"]
         assert "__getattr__" not in vars(sharding)
-
-        for planned in (Executor, SerialExecutor, ClusterExecutor,
-                        ClusterExecutor.local, resolve_executor,
-                        InferenceJob, ConstructionJob,
-                        ShardPlan.for_inference,
-                        ShardPlan.for_construction,
-                        ClusterCoordinator.run_inference,
-                        ClusterCoordinator.run_construction):
-            parameters = inspect.signature(planned).parameters
-            assert "cost_model" not in parameters, planned
-            assert "start_method" not in parameters, planned
-        assert "costs" not in inspect.signature(ShardPlan.replan).parameters
-        assert "format_version" not in \
-            inspect.signature(save_model).parameters
-        for name in ("CostModel", "plan_rebalance_gain", "observe_spread",
-                     "ThreadShardExecutor", "ProcessShardExecutor",
-                     "_run_inference_shard", "_unwrap_shard_future",
-                     "ShardWorkerError"):
-            for module in (execution, sharding, core, repro):
-                assert not hasattr(module, name), (module, name)
-        assert "thread" not in execution.EXECUTOR_NAMES
-        for counted in (LeafBatchRunner, InferenceJob,
-                        Executor.run_inference,
-                        SerialExecutor.run_inference,
-                        ClusterExecutor.run_inference,
-                        ClusterExecutor.run_inference_async,
-                        ClusterCoordinator.run_inference):
-            assert "dense_limit" not in \
-                inspect.signature(counted).parameters, counted
-        assert not {"n_cost_observations", "rebalance_gain"} & {
-            field.name for field in dataclasses.fields(RefreshReport)}
         for argv in (["construct", "--curated", "c", "--out", "m",
                       "--format-version", "2"],
                      ["construct", "--curated", "c", "--out", "m",

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 from repro.core.batch import batch_recommend, differential_update
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.model import GraphExModel, build_leaf_graph
-from repro.core.serialization import (SUPPORTED_FORMATS, LazyStringList,
-                                      load_leaf_graphs, load_model,
-                                      model_format_version,
-                                      model_size_bytes, open_model,
-                                      save_leaf_graphs, save_model)
+from repro.core.serialization import (LazyStringList, load_leaf_graphs,
+                                      load_model, model_size_bytes,
+                                      open_model, save_leaf_graphs,
+                                      save_model)
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer)
 
@@ -35,47 +34,6 @@ def curated_two_leaves() -> CuratedKeyphrases:
     return CuratedKeyphrases(
         leaves={10: leaf_a, 11: leaf_b}, effective_threshold=1,
         config=CurationConfig(min_search_count=1))
-
-
-def write_legacy_model(model: GraphExModel, directory: Path,
-                       version: int) -> Path:
-    """Hand-build a read-only legacy artifact the way old builds wrote
-    it: ``arrays.npz`` plus per-leaf string lists in ``model.json``
-    (format 1) or a shared string pool with id arrays (format 2)."""
-    directory.mkdir(parents=True)
-    leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
-    if model.pooled_graph is not None:
-        leaves.append(model.pooled_graph)
-    arrays, leaves_meta, pool = {}, {}, {}
-    for leaf in leaves:
-        key = "pooled" if leaf.leaf_id == -1 else str(leaf.leaf_id)
-        arrays[f"{key}/indptr"] = leaf.graph.indptr
-        arrays[f"{key}/indices"] = leaf.graph.indices
-        arrays[f"{key}/label_lengths"] = leaf.label_lengths
-        arrays[f"{key}/search_counts"] = leaf.search_counts
-        arrays[f"{key}/recall_counts"] = leaf.recall_counts
-        leaves_meta[key] = {"leaf_id": leaf.leaf_id}
-        words, labels = leaf.word_vocab.tokens, list(leaf.label_texts)
-        if version == 1:
-            leaves_meta[key].update(words=words, label_texts=labels)
-        else:
-            arrays[f"{key}/word_ids"] = np.array(
-                [pool.setdefault(w, len(pool)) for w in words],
-                dtype=np.int64)
-            arrays[f"{key}/label_ids"] = np.array(
-                [pool.setdefault(t, len(pool)) for t in labels],
-                dtype=np.int64)
-    meta = {"format_version": version,
-            "alignment": model.alignment_name,
-            "tokenizer": {"type": "space",
-                          "stem": bool(model.tokenizer.stems)},
-            "leaves": leaves_meta}
-    if version == 2:
-        meta["string_pool"] = list(pool)
-    np.savez_compressed(directory / "arrays.npz", **arrays)
-    with open(directory / "model.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
-    return directory
 
 
 class TestConstruction:
@@ -198,6 +156,59 @@ class TestSerialization:
             '{"type": "space", "stem": %s}, ' % stem)
         assert load_model(path).tokenizer.stopwords == frozenset()
 
+    @staticmethod
+    def abc_curated(texts=("a b c", "a b c d e", "a b", "a x y z")):
+        leaf = CuratedLeaf(leaf_id=1)
+        for rank, text in enumerate(texts):
+            leaf.add(text, 50 - rank, 1 + rank)
+        return CuratedKeyphrases(leaves={1: leaf}, effective_threshold=1,
+                                 config=CurationConfig(min_search_count=1))
+
+    def test_save_refuses_what_the_header_cannot_name(self, tmp_path,
+                                                      fleet):
+        """``model.json`` names an alignment by registry name and holds
+        a ``SpaceTokenizer``'s configuration.  A model that ranks or
+        tokenizes by anything else used to save without complaint and
+        load as another model (``"custom"`` read back as LTA, a callable
+        tokenizer as the default one); it is refused at save by name —
+        so the fleet, which spools an in-memory model through
+        ``save_model``, raises instead of answering with rows the
+        serial path would not."""
+        import functools
+
+        from repro.core.alignment import jac
+
+        def named(common, label_len, title_len):
+            return jac(common, label_len, title_len)
+
+        requests = [(0, "a b c q r", 1)]
+        for alignment in (functools.partial(jac), named):
+            model = GraphExModel.construct(self.abc_curated(),
+                                           alignment=alignment)
+            with pytest.raises(ValueError, match="ranked by .*registry "
+                                                 "alignment"):
+                save_model(model, tmp_path / "m")
+            assert not (tmp_path / "m").exists()
+            serial = batch_recommend(model, requests, k=3)
+            assert [rec.text for rec in serial[0]] \
+                == ["a b c", "a b c d e", "a b"]     # JAC, not LTA
+            with pytest.raises(ValueError, match="ranked by"):
+                batch_recommend(model, requests, k=3, executor=fleet)
+        commas = GraphExModel.construct(
+            self.abc_curated(("a,b", "b,c", "c")),
+            tokenizer=lambda text: text.split(","))
+        assert len(commas.recommend("a,b,c", 1, k=5)) == 3
+        with pytest.raises(ValueError, match="tokenized by function"):
+            save_model(commas, tmp_path / "m")
+        # The registry's own function is nameable however it was given.
+        by_function = GraphExModel.construct(self.abc_curated(),
+                                             alignment=jac)
+        loaded = load_model(save_model(by_function, tmp_path / "m"))
+        assert loaded.alignment_name == "jac"
+        assert batch_recommend(loaded, requests, k=3) \
+            == batch_recommend(by_function, requests, k=3) \
+            == batch_recommend(by_function, requests, k=3, executor=fleet)
+
     def test_model_size_bytes(self, tmp_path):
         model = GraphExModel.construct(curated_two_leaves())
         save_model(model, tmp_path / "m")
@@ -288,16 +299,6 @@ class TestRoundtripFidelity:
             expected.update(graph.word_vocab.tokens)
         assert meta["pool_size"] == len(expected)
 
-    def test_format_version_1_still_loads(self, tmp_path):
-        """Backward compatibility: a v1 directory (per-leaf string
-        lists in the JSON, no id arrays) loads and serves identically."""
-        model = GraphExModel.construct(curated_two_leaves())
-        loaded = load_model(write_legacy_model(model, tmp_path / "v1", 1))
-        original = batch_recommend(model, self._requests(), k=5)
-        restored = batch_recommend(loaded, self._requests(), k=5)
-        for item_id in original:
-            assert restored[item_id] == original[item_id]
-
 
 class TestBatch:
     def _requests(self):
@@ -355,7 +356,7 @@ class TestBatch:
 
 
 # ---------------------------------------------------------------------------
-# Cross-format equivalence + the zero-copy mapped plane (format 3)
+# Mapped/copied equivalence + the zero-copy mapped plane (format 3)
 
 
 _TOKENS = ["alpha", "beta", "gamma", "delta", "épée", "graph",
@@ -426,29 +427,9 @@ def _serve_mapped_artifact(directory, requests):
 
 
 class TestCrossFormat:
-    """Every readable format (hand-built v1/v2, written v3) loads
-    bit-identical, and the mmap-opened v3 plane is indistinguishable
-    from a copied load through both inference engines."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(curated=curated_worlds(), build_pooled=st.booleans())
-    def test_v1_v2_v3_load_bit_identical(self, curated, build_pooled):
-        model = GraphExModel.construct(curated,
-                                       build_pooled=build_pooled)
-        requests = _world_requests(model)
-        with tempfile.TemporaryDirectory() as tmp:
-            v3 = load_model(save_model(model, Path(tmp) / "v3"))
-            assert_models_identical(model, v3)
-            for version in (1, 2):
-                path = write_legacy_model(model, Path(tmp) / f"v{version}",
-                                          version)
-                assert model_format_version(path) == version
-                legacy = load_model(path)
-                assert_models_identical(v3, legacy)
-                for engine in ("fast", "reference"):
-                    assert batch_recommend(legacy, requests, k=5,
-                                           engine=engine) == \
-                        batch_recommend(v3, requests, k=5, engine=engine)
+    """The one format loads bit-identical mapped and copied, the
+    mmap-opened plane is indistinguishable from a copied load through
+    both inference engines, and every other format is refused."""
 
     @settings(max_examples=25, deadline=None)
     @given(curated=curated_worlds(), build_pooled=st.booleans())
@@ -461,6 +442,7 @@ class TestCrossFormat:
             save_model(model, path)
             copied = load_model(path)
             mapped = load_model(path, mmap=True)
+            assert_models_identical(model, copied)
             assert_models_identical(copied, mapped)
             requests = _world_requests(model)
             for engine in ("fast", "reference"):
@@ -479,18 +461,32 @@ class TestCrossFormat:
             load_model(path)
         message = str(excinfo.value)
         assert "99" in message
-        assert str(SUPPORTED_FORMATS) in message
+        assert "format 3" in message
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_mmap_requires_format_3(self, tmp_path, version):
-        model = GraphExModel.construct(curated_two_leaves())
-        path = write_legacy_model(model, tmp_path / "m", version)
-        with pytest.raises(ValueError, match="mmap.*re-save"):
-            load_model(path, mmap=True)
-        # Re-saving over the legacy directory is the migration.
-        save_model(load_model(path), path)
-        assert not (path / "arrays.npz").exists()
-        assert_models_identical(model, load_model(path, mmap=True))
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_every_other_format_is_refused_by_one_message(self, tmp_path,
+                                                          version):
+        """Formats 1 and 2 have had no writer since PR 16 and have no
+        reader now: a directory of either is refused exactly as one
+        from a future build is, mapped, copied and through
+        ``open_model`` — and is told the last commit that could read
+        it."""
+        path = tmp_path / "m"
+        path.mkdir()
+        (path / "model.json").write_text(json.dumps(
+            {"format_version": version, "alignment": "lta",
+             "tokenizer": {"type": "space", "stem": False}}))
+        messages = set()
+        for opener in (load_model, lambda p: load_model(p, mmap=True),
+                       open_model):
+            with pytest.raises(ValueError) as refused:
+                opener(path)
+            messages.add(str(refused.value))
+        (message,) = messages
+        assert message.startswith(
+            f"unsupported model format_version {version} in "
+            f"{path / 'model.json'}")
+        assert "format 3" in message and "f0008ce" in message
 
     @pytest.mark.parametrize("opener", [load_model, open_model])
     def test_leaf_bundle_is_rejected_by_name(self, tmp_path, opener):
@@ -592,15 +588,9 @@ class TestMappedPlane:
         assert open_model(model) is model
         opened = open_model(path)
         assert_models_identical(model, opened)
-        # v3 path → zero-copy open.
-        leaf_id = opened.leaf_ids[0]
-        assert opened.leaf_graph(leaf_id).graph.is_readonly
-        # Older formats fall back to an ordinary copied load.
-        for version in (1, 2):
-            legacy = open_model(str(write_legacy_model(
-                model, path.parent / f"v{version}", version)))
-            assert_models_identical(model, legacy)
-            assert not legacy.leaf_graph(leaf_id).graph.is_readonly
+        # A path opens zero-copy, as a str as much as a Path.
+        for opened in (opened, open_model(str(path))):
+            assert opened.leaf_graph(opened.leaf_ids[0]).graph.is_readonly
 
     def test_lazy_string_list_behaves_like_a_list(self, tmp_path):
         model, _path, mapped = self._mapped(tmp_path)
@@ -867,3 +857,63 @@ class TestTruncatedPayload:
             == (path / meta["arrays_file"]).stat().st_size
         for mmap in (True, False):
             assert_models_identical(model, load_model(path, mmap=mmap))
+
+
+class TestMalformedMeta:
+    """``model.json`` is outside input: whatever is wrong with it is
+    one named ``ValueError`` — the path, what is wrong — before the
+    payload is looked for, never an ``AttributeError`` / ``KeyError``
+    from the middle of the loader or a read outside the directory."""
+
+    #: case → (what is done to the parsed manifest, what the error says);
+    #: the first block holds for leaf bundles too.
+    DAMAGE = {
+        "not-json": (lambda meta: "{nope", "not JSON"),
+        "not-an-object": (lambda meta: [1, 2],
+                          "expected a JSON object, got a list"),
+        "no-arrays-file": (lambda meta: meta.pop("arrays_file") and meta,
+                           "required key 'arrays_file' is missing"),
+        "no-leaves": (lambda meta: meta.pop("leaves") and meta,
+                      "required key 'leaves' is missing"),
+        "arrays-not-an-object": (
+            lambda meta: {**meta, "arrays": [1]},
+            "required key 'arrays' is [1], not a JSON dict"),
+        "payload-outside-the-directory": (
+            lambda meta: {**meta, "arrays_file": "../../etc/hostname"},
+            "arrays_file '../../etc/hostname' is not a bare file name"),
+        "payload-is-the-parent": (
+            lambda meta: {**meta, "arrays_file": ".."},
+            "arrays_file '..' is not a bare file name"),
+
+        "model:no-tokenizer": (lambda meta: meta.pop("tokenizer") and meta,
+                               "required key 'tokenizer' is missing"),
+        "model:alignment-not-a-name": (
+            lambda meta: {**meta, "alignment": ["lta"]},
+            "required key 'alignment' is ['lta'], not a JSON str"),
+        "model:alignment-unknown": (
+            lambda meta: {**meta, "alignment": "named"},
+            "unknown alignment 'named'"),
+    }
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
+    @pytest.mark.parametrize("case", sorted(DAMAGE))
+    def test_refused_by_name(self, tmp_path, case, mmap):
+        how, what = self.DAMAGE[case]
+        model = TestArtifactBytes.pool_order_model()
+        path = save_model(model, tmp_path / "m")
+        bundle = save_leaf_graphs([model.leaf_graph(10)], tmp_path / "b")
+        openers = {path: [lambda p: load_model(p, mmap=mmap), open_model]}
+        if not case.startswith("model:"):
+            openers[bundle] = [lambda p: load_leaf_graphs(p, mmap=mmap)]
+        for directory, opens in openers.items():
+            meta_file = directory / "model.json"
+            damaged = how(json.loads(meta_file.read_text("utf-8")))
+            meta_file.write_text(damaged if isinstance(damaged, str)
+                                 else json.dumps(damaged), "utf-8")
+            for opener in opens:
+                with pytest.raises(ValueError) as refused:
+                    opener(directory)
+                assert str(refused.value).startswith(
+                    f"malformed {meta_file}: {what}")
+        save_model(model, path)         # a re-save repairs the directory
+        assert_models_identical(model, load_model(path, mmap=mmap))

@@ -465,26 +465,24 @@ class TestRefreshRetries:
             tmp_path / "artifacts" / "gen-2")
         assert pipeline.model is service.model is not fig3_model
 
-    def test_truncated_artifact_is_reported_with_stack_untouched(
-            self, fig3_model, monkeypatch, tmp_path):
-        """The payload reaches the disk short (a torn copy, a full
-        volume that lied): the mapped open refuses it by name on every
-        attempt, the report says so, and nothing was deployed."""
-        import json
+    def refresh_over_bad_artifact(self, fig3_model, monkeypatch,
+                                  tmp_path, damage=None, **knobs):
+        """One refresh whose persist step cannot succeed — ``damage``
+        is done to every artifact it saves, ``knobs`` go to the
+        orchestrator.  Asserts nothing of it was deployed; returns its
+        report and the stack."""
         from pathlib import Path
 
         from repro.serving import refresh
 
-        def short_save(model, directory):
+        def damaged_save(model, directory):
             path = Path(refresh_save(model, directory))
-            meta = json.loads((path / "model.json").read_text("utf-8"))
-            payload = path / meta["arrays_file"]
-            with open(payload, "r+b") as handle:
-                handle.truncate(payload.stat().st_size - 1)
+            damage(path)
             return path
 
         refresh_save = refresh.save_model
-        monkeypatch.setattr(refresh, "save_model", short_save)
+        if damage is not None:
+            monkeypatch.setattr(refresh, "save_model", damaged_save)
         store = KeyValueStore()
         pipeline = BatchPipeline(fig3_model, store=store)
         pipeline.full_load(REQUESTS)
@@ -493,20 +491,38 @@ class TestRefreshRetries:
         service = NRTService(fig3_model, store, window_size=1)
         orchestrator = DailyRefreshOrchestrator(
             pipeline, artifact_dir=tmp_path / "artifacts",
-            retry=self.make_policy())
+            retry=self.make_policy(), **knobs)
         orchestrator.register(service)
         report = orchestrator.refresh_sync(build_fig3_variant_curated(),
                                            REQUESTS)
         assert "persist exhausted 3 attempts" in report.failure
-        assert "truncated payload" in report.failure
-        assert "section 'pool/char_offsets'" in report.failure
-        assert str(tmp_path / "artifacts" / "gen-1") in report.failure
         assert report.n_retries == 2
         assert report.artifact_path is None
         assert pipeline.model is service.model is fig3_model
         assert pipeline.model_generation == service.model_generation == 0
         assert {item_id: pipeline.serve(item_id)
                 for item_id, _title, _leaf in REQUESTS} == served
+        return report, orchestrator, pipeline, service
+
+    def test_truncated_artifact_is_reported_with_stack_untouched(
+            self, fig3_model, monkeypatch, tmp_path):
+        """The payload reaches the disk short (a torn copy, a full
+        volume that lied): the mapped open refuses it by name on every
+        attempt, the report says so, and nothing was deployed."""
+        import json
+
+        def cut_last_byte(path):
+            meta = json.loads((path / "model.json").read_text("utf-8"))
+            payload = path / meta["arrays_file"]
+            with open(payload, "r+b") as handle:
+                handle.truncate(payload.stat().st_size - 1)
+
+        report, orchestrator, pipeline, service = \
+            self.refresh_over_bad_artifact(fig3_model, monkeypatch,
+                                           tmp_path, cut_last_byte)
+        assert "truncated payload" in report.failure
+        assert "section 'pool/char_offsets'" in report.failure
+        assert str(tmp_path / "artifacts" / "gen-1") in report.failure
         # Writes land whole again: the next refresh converges the stack.
         monkeypatch.undo()
         healthy = orchestrator.refresh_sync(build_fig3_variant_curated(),
@@ -514,6 +530,31 @@ class TestRefreshRetries:
         assert healthy.failure is None
         assert healthy.generation == 2 == service.model_generation
         assert pipeline.model is service.model is not fig3_model
+
+    def test_malformed_manifest_is_reported_with_stack_untouched(
+            self, fig3_model, monkeypatch, tmp_path):
+        """``model.json`` reaches the disk as something else: same
+        outcome, and the report names the file and what is wrong."""
+        report, *_stack = self.refresh_over_bad_artifact(
+            fig3_model, monkeypatch, tmp_path,
+            lambda path: (path / "model.json").write_text("[1, 2]"))
+        assert f"malformed {tmp_path / 'artifacts' / 'gen-1'}" \
+            in report.failure
+        assert "expected a JSON object" in report.failure
+
+    def test_unsaveable_model_is_reported_with_stack_untouched(
+            self, fig3_model, monkeypatch, tmp_path):
+        """A model the artifact header cannot name is refused at save —
+        the refresh records that instead of deploying the LTA model the
+        artifact would have loaded as."""
+        import functools
+
+        from repro.core.alignment import jac
+
+        report, *_stack = self.refresh_over_bad_artifact(
+            fig3_model, monkeypatch, tmp_path,
+            alignment=functools.partial(jac))
+        assert "cannot save a model ranked by" in report.failure
 
     def test_without_a_policy_persist_failures_propagate(
             self, fig3_model, monkeypatch, tmp_path):
