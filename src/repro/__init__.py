@@ -38,7 +38,6 @@ from .core import (
     resolve_executor,
     batch_recommend,
     curate,
-    differential_update,
     fast_curate,
     head_threshold,
     jac,
@@ -84,7 +83,6 @@ __all__ = [
     "Vocabulary",
     "batch_recommend",
     "curate",
-    "differential_update",
     "fast_curate",
     "head_threshold",
     "jac",

@@ -1,8 +1,8 @@
 """async-no-blocking: the event loop never runs blocking work inline.
 
 The serving front and the cluster plane are single-event-loop hot
-paths; one inline ``time.sleep``, file open, ``transaction_lock``
-acquisition, or ``concurrent.futures`` ``.result()`` stalls every
+paths; one inline ``time.sleep``, file open, ``store.transaction()``
+entry, or ``concurrent.futures`` ``.result()`` stalls every
 connection the loop is carrying (PR 6-8 each shipped a fix for exactly
 this shape).  The rule walks every ``async def`` body in
 ``repro.serving.*`` / ``repro.cluster.*`` and flags known-blocking
@@ -40,18 +40,17 @@ BLOCKING_DOTTED = frozenset({
     "socket.create_connection",
 })
 
-#: Bare-name calls that block (``open``) or synchronously take the
-#: store's RLock (``transaction_lock``) — lock waits are unbounded.
-BLOCKING_NAMES = frozenset({"open", "transaction_lock", "open_model",
-                            "save_model"})
+#: Bare-name calls that block on the filesystem.
+BLOCKING_NAMES = frozenset({"open", "open_model", "save_model"})
 
 #: Method names that block regardless of receiver: concurrent.futures
-#: ``.result()``, threading-lock ``.acquire()``, pathlib filesystem
-#: touches.  Kept to names with no common non-blocking homonym in this
-#: codebase.
-BLOCKING_ATTRS = frozenset({"result", "acquire", "mkdir", "rmdir",
-                            "write_text", "read_text", "write_bytes",
-                            "read_bytes", "unlink"})
+#: ``.result()``, threading-lock ``.acquire()``, the store's
+#: ``.transaction()`` (it takes the RLock — an unbounded wait), pathlib
+#: filesystem touches.  Kept to names with no common non-blocking
+#: homonym in this codebase.
+BLOCKING_ATTRS = frozenset({"result", "acquire", "transaction", "mkdir",
+                            "rmdir", "write_text", "read_text",
+                            "write_bytes", "read_bytes", "unlink"})
 
 
 class AsyncNoBlockingRule(Rule):

@@ -36,7 +36,6 @@ __all__ = ["LazyImportContractRule", "module_imports"]
 #: through the execution plane only at call time.
 DEFAULT_DECLARED_LAZY_EDGES = frozenset({
     ("repro.core.batch", "repro.core.execution"),
-    ("repro.core.batch", "repro.core.fast_inference"),
 })
 
 #: (target, lineno) import edges out of one module.

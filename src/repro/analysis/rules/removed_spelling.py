@@ -25,6 +25,11 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("transaction_lock _store_locks flush_executor "
+     'validate_model_for_engine differential_update "--parallel"',
+     NOWHERE, "PR 24"),
+    ("engine= builder=", r"(?!repro\.serving\.)",
+     "PR 24 (serving runs the fast engine and builder only)"),
     ("distribute push= _push_artifact model_artifact artifact_begin "
      "artifact_file artifact_chunk artifact_file_end artifact_end "
      '"ping" unpack_metrics_snapshot arrays.npz SUPPORTED_FORMATS '

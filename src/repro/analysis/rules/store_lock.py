@@ -1,14 +1,15 @@
 """store-lock-discipline: multi-step store mutations are transactional.
 
 The :class:`~repro.serving.kvstore.KeyValueStore` write protocol is
-stage -> fill -> promote; a function that issues two or more mutating
-calls without entering ``transaction_lock`` can interleave with the
-daily-refresh swap and strand sentinels or serve a half-promoted
-version (the PR 6 "stranded staged version" bug).  Any function in
-``serving/`` or ``cluster/`` making >= 2 mutating store calls must
-either enter ``with transaction_lock(...)`` itself or carry the
+stage -> fill -> promote, and ``KeyValueStore.transaction()`` is the
+one place it is written; a function that issues two or more mutating
+calls outside it can interleave with the daily-refresh swap and
+strand sentinels or serve a half-promoted version (the PR 6 "stranded
+staged version" bug).  Any function in ``serving/`` or ``cluster/``
+making >= 2 mutating store calls must either enter
+``with <store>.transaction()`` itself or carry the
 ``# lint: caller-locked: <reason>`` waiver above its ``def`` stating
-which caller owns the lock.
+which caller owns the transaction.
 
 Receiver heuristics keep this sound without type inference: the
 distinctive mutator names (``create_version``/``promote``/...) exist
@@ -47,7 +48,7 @@ _STOREISH_RE = re.compile(r"(store|kv)", re.IGNORECASE)
 class StoreLockDisciplineRule(Rule):
     id = "store-lock-discipline"
     description = (">= 2 mutating KeyValueStore calls in one function "
-                   "must hold transaction_lock (or carry a "
+                   "must be inside store.transaction() (or carry a "
                    "caller-locked waiver)")
 
     SCOPES = ("repro.serving.", "repro.cluster.")
@@ -64,7 +65,7 @@ class StoreLockDisciplineRule(Rule):
             holds_lock = False
             for node in walk_function_body(fn):
                 if isinstance(node, (ast.With, ast.AsyncWith)):
-                    if any(self._is_transaction_lock(item.context_expr)
+                    if any(self._is_transaction(item.context_expr)
                            for item in node.items):
                         holds_lock = True
                 elif isinstance(node, ast.Call):
@@ -76,17 +77,15 @@ class StoreLockDisciplineRule(Rule):
                     ctx, fn,
                     f"{fn.name} makes {len(mutations)} mutating store "
                     f"calls ({', '.join(sorted(set(mutations)))}) "
-                    f"without entering transaction_lock; wrap them or "
+                    f"outside store.transaction(); wrap them or "
                     f"waive with '# lint: caller-locked: <reason>'"))
         return violations
 
     @staticmethod
-    def _is_transaction_lock(expr: ast.AST) -> bool:
-        if not isinstance(expr, ast.Call):
-            return False
-        name = dotted(expr.func)
-        return name is not None and \
-            name.split(".")[-1] == "transaction_lock"
+    def _is_transaction(expr: ast.AST) -> bool:
+        return isinstance(expr, ast.Call) \
+            and isinstance(expr.func, ast.Attribute) \
+            and expr.func.attr == "transaction"
 
     @staticmethod
     def _mutator_name(call: ast.Call):

@@ -21,7 +21,9 @@ page-aligned artifact); ``recommend`` loads and serves
 (``--mmap`` opens the artifact without copying); ``serve-nrt`` demos
 the asyncio multi-stream NRT front (``--refresh-after`` adds a mid-run
 zero-downtime model hot-swap, handed off by artifact *path* so the
-model remaps instead of reloading).
+model remaps instead of reloading); serving runs the fast engine only,
+so it has no ``--engine`` — the scalar oracles are selected on
+``curate``, ``construct`` and ``recommend``.
 ``evaluate`` runs the miniature Table III comparison.
 
 Observability rides along everywhere: ``serve-nrt`` and
@@ -261,8 +263,7 @@ def _cmd_serve_nrt(args: argparse.Namespace) -> int:
     try:
         front = AsyncNRTFront(
             model, window_size=args.window_size,
-            window_seconds=args.window_seconds,
-            engine=args.engine, executor=executor)
+            window_seconds=args.window_seconds, executor=executor)
         for name in streams:
             front.add_stream(name)
         elapsed = asyncio.run(drive())
@@ -491,29 +492,29 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_executor_options(parser: argparse.ArgumentParser, path: str,
-                          choices, unit: str) -> None:
-    """The ``--engine|--builder`` / ``--executor`` / ``--workers``
-    triple shared by construct, recommend and serve-nrt."""
-    parser.add_argument(f"--{path}", choices=choices, default="fast",
-                        help=f"scalar reference {path} or the vectorized "
-                             f"fast one (identical output)")
-    # --parallel is this same action under its old name (the verify
-    # recipe drives it), not a second option.
-    parser.add_argument("--executor", "--parallel", dest="executor",
-                        choices=EXECUTOR_NAMES, default=None,
+def _add_executor_options(parser: argparse.ArgumentParser, unit: str,
+                          path: Optional[str] = None, choices=()) -> None:
+    """The ``--executor`` / ``--workers`` pair shared by construct,
+    recommend and serve-nrt — and, for the two that have a scalar
+    oracle to select, its ``--engine|--builder`` option."""
+    pairing = ""
+    if path is not None:
+        parser.add_argument(f"--{path}", choices=choices, default="fast",
+                            help=f"scalar reference {path} or the "
+                                 f"vectorized fast one (identical output)")
+        pairing = f"; only serial pairs with the reference {path}"
+    parser.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                         help=f"where shards of {unit} run: 'serial' "
                              f"(default) is this process, the oracle and "
                              f"on one box the fastest; 'process' and "
                              f"'cluster' both boot a localhost fleet of "
                              f"--workers worker processes — identical "
-                             f"output on each; only serial pairs with "
-                             f"the reference {path}")
+                             f"output on each{pairing}")
     parser.add_argument("--workers", type=int, default=2,
                         help="size of the fleet --executor "
                              "process|cluster boots (ignored by serial)")
-    # Which of the two names the oracle option goes by here: main()
-    # refuses its "reference" value on a fleet.
+    # Which of the two names the oracle option goes by here, if any:
+    # main() refuses its "reference" value on a fleet.
     parser.set_defaults(oracle_option=path)
 
 
@@ -549,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--out", required=True)
     p_con.add_argument("--alignment", choices=["lta", "wmr", "jac"],
                        default="lta")
-    _add_executor_options(p_con, "builder", BUILDERS, "leaves")
+    _add_executor_options(p_con, "leaves", "builder", BUILDERS)
     p_con.set_defaults(func=_cmd_construct)
 
     p_rec = sub.add_parser("recommend", help="serve one title")
@@ -557,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--title", required=True)
     p_rec.add_argument("--leaf", type=int, required=True)
     p_rec.add_argument("-k", type=int, default=10)
-    _add_executor_options(p_rec, "engine", ENGINES, "leaf groups")
+    _add_executor_options(p_rec, "leaf groups", "engine", ENGINES)
     p_rec.add_argument("--mmap", action="store_true",
                        help="open the model zero-copy over the "
                             "format-3 artifact file (read-only views, "
@@ -575,8 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="events synthesized per stream")
     p_srv.add_argument("--window-size", type=int, default=32)
     p_srv.add_argument("--window-seconds", type=float, default=1.0)
-    _add_executor_options(p_srv, "engine", ENGINES,
-                          "window micro-batch leaf groups")
+    _add_executor_options(p_srv, "window micro-batch leaf groups")
     p_srv.add_argument("--refresh-after", type=int, default=0,
                        help="hot-swap a freshly loaded model after this "
                             "many events per stream, mid-run (0 = no "

@@ -1,7 +1,7 @@
 """GraphEx core: curation, construction, inference, persistence."""
 
 from .alignment import ALIGNMENTS, get_alignment, jac, lta, wmr
-from .batch import ENGINES, batch_recommend, differential_update
+from .batch import ENGINES, batch_recommend
 from .csr import CSRGraph
 from .fast_construct import build_leaf_graph_fast, fast_construct_leaf_graphs
 from .fast_inference import LeafBatchRunner, fast_batch_recommend
@@ -49,7 +49,6 @@ __all__ = [
     "jac",
     "ENGINES",
     "batch_recommend",
-    "differential_update",
     "CSRGraph",
     "LeafBatchRunner",
     "fast_batch_recommend",

@@ -1,8 +1,9 @@
-"""Batch and differential inference (paper Sections III-F, IV-H).
+"""Batch inference (paper Sections III-F, IV-H).
 
 Production GraphEx runs batch inference over all items plus a *daily
 differential* — only items created or revised since the last run are
-re-inferred and merged with the existing predictions.
+re-inferred and merged with the existing predictions; that merge lives
+in :meth:`repro.serving.batch_pipeline.BatchPipeline.daily_differential`.
 
 Two engines serve a batch:
 
@@ -31,7 +32,7 @@ single-process by design — it is the semantics oracle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .inference import Recommendation
 from .model import GraphExModel
@@ -65,17 +66,6 @@ def last_request_wins(requests: Sequence[InferenceRequest],
             in enumerate(requests)}
 
 
-def validate_engine(engine: str) -> None:
-    """Raise ValueError on an engine name outside :data:`ENGINES`.
-
-    Serving-layer constructors call this up front so a bad name fails at
-    construction rather than mid-batch.
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-
 def validate_hard_limit(hard_limit: Optional[int]) -> None:
     """Raise ValueError on a negative per-item cap.
 
@@ -84,27 +74,6 @@ def validate_hard_limit(hard_limit: Optional[int]) -> None:
     """
     if hard_limit is not None and hard_limit < 0:
         raise ValueError(f"hard_limit must be >= 0, got {hard_limit}")
-
-
-def validate_model_for_engine(model: GraphExModel, engine: str,
-                              executor: ExecutorSpec = None) -> None:
-    """Raise ValueError if ``model`` cannot serve through ``engine``.
-
-    Beyond the name check, the fast engine probes the model's alignment
-    function for element-wise vectorization at runner construction;
-    running that probe here lets serving-layer constructors fail early
-    instead of mid-batch.  The ``executor`` is validated alongside —
-    out-of-process executors pair only with the fast engine.
-    """
-    validate_engine(engine)
-    # Imported lazily: the execution plane imports the fast engine,
-    # which imports this module's validators — a top-level import
-    # would be a cycle.
-    from .execution import resolve_executor
-    resolve_executor(executor, engine=engine)
-    if engine == "fast":
-        from .fast_inference import LeafBatchRunner
-        LeafBatchRunner(model)
 
 
 def batch_recommend(model: GraphExModel,
@@ -138,7 +107,9 @@ def batch_recommend(model: GraphExModel,
             executor paired with the reference engine (the scalar path
             stays single-process as the semantics oracle).
     """
-    validate_engine(engine)
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}")
     validate_hard_limit(hard_limit)
     # Imported lazily: the execution plane imports the fast engine,
     # which imports this module's validators, so a top-level import
@@ -151,44 +122,3 @@ def batch_recommend(model: GraphExModel,
     return {item_id: model.recommend(title, leaf_id, k=k,
                                      hard_limit=hard_limit)
             for item_id, title, leaf_id in requests}
-
-
-def differential_update(model: GraphExModel,
-                        previous: BatchResult,
-                        changed: Sequence[InferenceRequest],
-                        deleted_item_ids: Iterable[int] = (),
-                        k: int = 10,
-                        hard_limit: Optional[int] = None,
-                        engine: str = "fast",
-                        executor: ExecutorSpec = None) -> BatchResult:
-    """Daily differential: re-infer changed items, merge with old results.
-
-    An item appearing in **both** ``deleted_item_ids`` and ``changed``
-    ends up *served*: deletions apply to yesterday's table first, then
-    the fresh inferences merge on top, so a same-day delete+revise
-    resolves to the revision.  This mirrors the NRT window's
-    last-event-per-item-wins rule (a revision event is by definition
-    newer evidence that the item exists) and is pinned by the serving
-    test suite.
-
-    Args:
-        model: Current (possibly refreshed) model.
-        previous: Yesterday's batch output.
-        changed: Items created or revised since then.
-        deleted_item_ids: Items to drop from the output.
-        k: Target predictions per item.
-        hard_limit: Optional strict cap per item.
-        engine: Inference engine, as in :func:`batch_recommend`.
-        executor: Shard execution substrate, as in
-            :func:`batch_recommend`.
-
-    Returns:
-        The merged batch output (new dict; ``previous`` is not mutated).
-    """
-    merged: BatchResult = dict(previous)
-    for item_id in deleted_item_ids:
-        merged.pop(item_id, None)
-    fresh = batch_recommend(model, changed, k=k, hard_limit=hard_limit,
-                            engine=engine, executor=executor)
-    merged.update(fresh)
-    return merged

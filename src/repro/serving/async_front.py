@@ -19,14 +19,14 @@ Per stream, the front provides what the synchronous service cannot:
   so the last events of a burst are served without waiting for the
   next burst.
 * **Micro-batch execution off the event loop.**  Window flushes run in
-  an executor (thread pool by default), keeping the loop free to
-  ingest other streams; the micro-batch itself still goes through the
-  existing engines (``engine``/``executor`` are forwarded to
-  :class:`NRTService`, so a fleet-backed executor composes).
+  the front's own thread pool, keeping the loop free to ingest other
+  streams; the micro-batch itself still goes through the engine
+  (``executor`` is forwarded to :class:`NRTService`, so a fleet-backed
+  executor composes).
 * **Concurrent KV write-through.**  Each stream writes through to its
-  own :class:`KeyValueStore` (or a shared one — flushes against the
-  same store are serialized with a per-store lock, the stand-in for a
-  KV client's single connection).
+  own :class:`KeyValueStore` (or a shared one — a stream's lock *is*
+  its store's transaction lock, the stand-in for a KV client's single
+  connection, so flushes serialize with every other writer on it).
 * **Graceful shutdown.**  :meth:`stop` drains every queue and flushes
   every open window before returning — including events a racing
   submit managed to enqueue behind the shutdown sentinel.
@@ -49,12 +49,13 @@ sequence, however the wall-clock timers happened to split the windows.
 from __future__ import annotations
 
 import asyncio
-import threading
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..core.execution import resolve_executor
+from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
@@ -97,11 +98,11 @@ class _Stream:
     """Internal per-stream state: service + queue + consumer task."""
 
     def __init__(self, name: str, service: NRTService,
-                 queue: "asyncio.Queue", lock: threading.Lock) -> None:
+                 queue: "asyncio.Queue", store: KeyValueStore) -> None:
         self.name = name
         self.service = service
         self.queue = queue
-        self.lock = lock
+        self.lock = store.lock
         self.task: Optional["asyncio.Task"] = None
         self.opened_wall: Optional[float] = None
         self.n_submitted = 0
@@ -124,18 +125,13 @@ class AsyncNRTFront:
             further event arrives.
         max_pending: Bound of each stream's ingestion queue;
             :meth:`submit` awaits (backpressure) while a queue is full.
-        k, hard_limit, enrich, engine: Forwarded to each stream's
+        k, hard_limit, enrich: Forwarded to each stream's
             :class:`NRTService`.
         executor: Where each stream's window micro-batch shards run —
             ``None`` / ``"serial"`` (inline, default) or an
-            :class:`repro.core.execution.Executor` instance, forwarded
-            to every stream's :class:`NRTService`.  The front does not
-            close an instance it was handed.
-        flush_executor: Optional ``concurrent.futures`` executor for
-            window flush hand-off.  Defaults to a private thread pool
-            sized to the stream count (processes make no sense here —
-            the service mutates its own buffer); pass a wider pool to
-            overlap more concurrent flushes.
+            :class:`repro.core.execution.Executor` instance, resolved
+            once here and shared by every stream's :class:`NRTService`.
+            The front does not close an instance it was handed.
         metrics: A :class:`repro.obs.MetricsRegistry` shared by the
             front and every stream's :class:`NRTService` (and its
             executor), so one snapshot covers the whole front.  A
@@ -159,8 +155,7 @@ class AsyncNRTFront:
                  max_pending: int = 256,
                  k: int = 20, hard_limit: int = 40,
                  enrich: Optional[Callable[[ItemEvent], str]] = None,
-                 engine: str = "fast", executor=None,
-                 flush_executor: Optional[Executor] = None,
+                 executor=None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if max_pending < 1:
             raise ValueError(
@@ -170,24 +165,23 @@ class AsyncNRTFront:
                              f"{wall_clock_seconds}")
         self._model = model
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # Resolved and probed here, so a bad executor spelling, cap or
+        # alignment fails at front construction, not at first
+        # add_stream.
+        LeafBatchRunner(model, k=k, hard_limit=hard_limit)
         self._service_kwargs = dict(
             window_size=window_size, window_seconds=window_seconds,
-            k=k, hard_limit=hard_limit, enrich=enrich, engine=engine,
-            executor=executor)
+            k=k, hard_limit=hard_limit, enrich=enrich,
+            executor=resolve_executor(executor, metrics=self.metrics))
         self._wall_clock_seconds = (
             window_seconds if wall_clock_seconds is None
             else wall_clock_seconds)
         self._max_pending = max_pending
-        self._executor = flush_executor
-        self._owns_executor = flush_executor is None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._streams: Dict[str, _Stream] = {}
-        self._store_locks: Dict[int, threading.Lock] = {}
         self._generation = 0
         self._started = False
         self._closing = False
-        # Constructing a probe service now surfaces bad engine/executor
-        # combinations at front construction, not at first add_stream.
-        NRTService(model, KeyValueStore(), **self._service_kwargs)
 
     # ------------------------------------------------------------------
     # Stream management
@@ -196,10 +190,10 @@ class AsyncNRTFront:
                    store: Optional[KeyValueStore] = None) -> KeyValueStore:
         """Register a named stream; returns its KV store.
 
-        Streams may share a ``store`` (their flushes then serialize on a
-        per-store lock); by default each stream gets a private one.  May
-        be called before or after :meth:`start` — a stream added to a
-        running front starts consuming immediately.
+        Streams may share a ``store`` (their flushes then serialize on
+        its transaction lock); by default each stream gets a private
+        one.  May be called before or after :meth:`start` — a stream
+        added to a running front starts consuming immediately.
         """
         if name in self._streams:
             raise ValueError(f"stream {name!r} already exists")
@@ -210,13 +204,7 @@ class AsyncNRTFront:
         # transaction lock, so flushes sharing a store serialize not
         # just with each other but with ANY writer holding it — e.g. a
         # daily full load refreshing the same store from another
-        # thread.  (Duck-typed stores without a lock fall back to a
-        # per-front one, which still serializes the front's own
-        # streams.)
-        lock = getattr(store, "lock", None)
-        if lock is None:
-            lock = self._store_locks.setdefault(id(store),
-                                                threading.Lock())
+        # thread.
         service = NRTService(self._model, store, metrics=self.metrics,
                              stream=name, **self._service_kwargs)
         if self._generation:
@@ -225,7 +213,7 @@ class AsyncNRTFront:
             # generation stamps with the rest of the front.
             service.refresh_model(self._model, self._generation)
         stream = _Stream(name, service,
-                         asyncio.Queue(maxsize=self._max_pending), lock)
+                         asyncio.Queue(maxsize=self._max_pending), store)
         self._streams[name] = stream
         if self._started:
             stream.task = asyncio.get_running_loop().create_task(
@@ -269,7 +257,7 @@ class AsyncNRTFront:
             await stream.queue.put(_CLOSE)
         await asyncio.gather(*(s.task for s in self._streams.values()
                                if s.task is not None))
-        if self._owns_executor and self._executor is not None:
+        if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None   # a restarted front gets a fresh pool
         self._started = False
@@ -340,9 +328,9 @@ class AsyncNRTFront:
         :func:`repro.core.serialization.open_model`) and every stream
         is retargeted at the same mapped instance, so the whole front
         shares one physical copy and the swap is a remap, not N
-        reloads.  The new model is validated against the
-        front's engine/executor configuration first, so an incompatible
-        model leaves every stream serving the old one.  Then each
+        reloads.  The new model is validated first (the engine's
+        alignment probe), so an incompatible model leaves every stream
+        serving the old one.  Then each
         stream is quiesced in turn — its store lock is taken *off the
         event loop* (in the executor, so a flush in progress completes
         first and ingestion on other streams keeps flowing) — and its
@@ -364,9 +352,10 @@ class AsyncNRTFront:
         # stream's windows mid-swap (async-no-blocking).  For an
         # already-opened model it is a passthrough.
         model = await loop.run_in_executor(None, open_model, model)
-        # Probe once up front, exactly like __init__: a bad
-        # model/engine pairing must fail before ANY stream is swapped.
-        NRTService(model, KeyValueStore(), **self._service_kwargs)
+        # Probe once up front, exactly like __init__ (the cap was
+        # checked there): a model the engine cannot serve must fail
+        # before ANY stream is swapped.
+        LeafBatchRunner(model)
         self._model = model
         self._generation = next_generation(self._generation, generation)
         if self._started:

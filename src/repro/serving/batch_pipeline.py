@@ -3,12 +3,12 @@
 "The batch inference is done in two parts: 1) for all items in eBay, and
 2) daily differential, i.e. the difference of all new items
 created/revised and then merged with the old existing items."  The merged
-output lands in the KV store via an atomic version promotion, after which
-the seller-facing API serves the fresh predictions.
+output lands in the KV store via an atomic version promotion — one
+:meth:`~repro.serving.kvstore.KeyValueStore.transaction` per load — after
+which the seller-facing API serves the fresh predictions.
 
-Inference routes through :func:`repro.core.batch.batch_recommend`, which
-defaults to the vectorized leaf-batched engine; pass ``engine="reference"``
-to cross-check against the scalar path (identical output, slower).
+Inference routes through :func:`repro.core.batch.batch_recommend` and the
+vectorized leaf-batched engine.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..core.batch import (BatchResult, InferenceRequest, batch_recommend,
-                          validate_hard_limit, validate_model_for_engine)
+from ..core.batch import InferenceRequest, batch_recommend
+from ..core.execution import resolve_executor
+from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
-from .kvstore import KeyValueStore, transaction_lock
+from .kvstore import KeyValueStore
 from .nrt import next_generation
 
 
@@ -45,11 +46,7 @@ class BatchPipeline:
         store: Destination KV store; predictions are served from it.
         k: Target predictions per item.
         hard_limit: Strict per-item cap written to the store.
-        engine: ``"fast"`` (vectorized leaf-batched runner, the default)
-            or ``"reference"`` (scalar per-item loop); both produce
-            identical output, so the fast path serves production loads
-            and the reference path remains for cross-checking.
-        executor: Where the fast engine's leaf-group shards run —
+        executor: Where the engine's leaf-group shards run —
             ``None`` / ``"serial"`` (the calling thread, default) or an
             :class:`repro.core.execution.Executor` instance (a
             ``ClusterExecutor`` carries its own fleet);
@@ -64,29 +61,26 @@ class BatchPipeline:
     def __init__(self, model: GraphExModel,
                  store: Optional[KeyValueStore] = None,
                  k: int = 20, hard_limit: int = 40,
-                 engine: str = "fast", executor=None,
+                 executor=None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        from ..core.execution import resolve_executor
-
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._executor = resolve_executor(executor, engine=engine,
-                                          metrics=self.metrics)
-        validate_model_for_engine(model, engine,
-                                  executor=self._executor)
-        validate_hard_limit(hard_limit)
+        self._executor = resolve_executor(executor, metrics=self.metrics)
+        LeafBatchRunner(model, k=k, hard_limit=hard_limit)
         self.model = model
         self.store: KeyValueStore = store if store is not None \
             else KeyValueStore()
         self._k = k
         self._hard_limit = hard_limit
-        self._engine = engine
         self._generation = 0
 
-    def _infer(self, requests: Sequence[InferenceRequest]) -> BatchResult:
-        return batch_recommend(
+    def _infer(self, requests: Sequence[InferenceRequest]
+               ) -> Dict[int, List[str]]:
+        """Item id → the keyphrase texts the store serves for it."""
+        results = batch_recommend(
             self.model, requests, k=self._k,
-            hard_limit=self._hard_limit, engine=self._engine,
-            executor=self._executor)
+            hard_limit=self._hard_limit, executor=self._executor)
+        return {item_id: [r.text for r in recs]
+                for item_id, recs in results.items()}
 
     def _record_load(self, kind: str, started: float,
                      report: BatchRunReport) -> BatchRunReport:
@@ -105,64 +99,43 @@ class BatchPipeline:
                   ) -> BatchRunReport:
         """Part 1: infer every item and promote a fresh version.
 
-        Inference runs *before* a version is staged, and a staging
-        failure abandons the version (closing its prune exemption), so
-        an aborted load never leaks a half-written table.  The
-        stage→promote transaction holds the store's lock, so a load
-        sharing its store with live NRT writers (the orchestrated daily
-        refresh) serializes against their window flushes.
+        Inference runs *before* the store transaction opens, and the
+        transaction abandons what it staged on any failure, so an
+        aborted load never leaks a half-written table.  It holds the
+        store's lock from stage to prune (retention is bounded like the
+        differential path's), so a load sharing its store with live NRT
+        writers (the orchestrated daily refresh) serializes against
+        their window flushes.
         """
         started = time.perf_counter()
-        results = self._infer(requests)
-        with transaction_lock(self.store):
-            version = self.store.create_version()
-            try:
-                self.store.bulk_load(
-                    version,
-                    {item_id: [r.text for r in recs]
-                     for item_id, recs in results.items()})
-            except Exception:
-                self.store.abandon(version)
-                raise
-            self.store.promote(version)
-            # Retention is bounded like the differential path: without
-            # this prune, a daily full refresh would retain every
-            # historical table ever promoted.
-            self.store.prune()
-            n_served = self.store.size()
+        records = self._infer(requests)
+        with self.store.transaction() as version:
+            self.store.bulk_load(version, records)
         return self._record_load("full", started, BatchRunReport(
-            version=version, n_inferred=len(results),
-            n_served=n_served))
+            version=version, n_inferred=len(records),
+            n_served=len(records)))
 
     def daily_differential(self, changed: Sequence[InferenceRequest],
                            deleted_item_ids: Iterable[int] = ()
                            ) -> BatchRunReport:
         """Part 2: re-infer only changed items, merge with yesterday's
-        table, promote atomically.  A staging failure abandons the
-        version, like :meth:`full_load` (which also documents the store
-        transaction lock both loads hold)."""
+        table, promote atomically — one store transaction, like
+        :meth:`full_load`.  Deletions apply to yesterday's table first
+        and the fresh inferences merge on top, so an item both deleted
+        and changed ends up *served* (the NRT window's
+        last-event-per-item-wins rule)."""
         started = time.perf_counter()
-        results = self._infer(changed)
-        with transaction_lock(self.store):
-            version = self.store.create_version()
-            n_deleted = 0
-            try:
-                self.store.copy_from_serving(version)
-                for item_id in deleted_item_ids:
-                    self.store.delete(version, item_id)
-                    n_deleted += 1
-                self.store.bulk_load(
-                    version,
-                    {item_id: [r.text for r in recs]
-                     for item_id, recs in results.items()})
-            except Exception:
-                self.store.abandon(version)
-                raise
-            self.store.promote(version)
-            self.store.prune()
-            n_served = self.store.size()
+        records = self._infer(changed)
+        n_deleted = 0
+        with self.store.transaction() as version:
+            self.store.copy_from_serving(version)
+            for item_id in deleted_item_ids:
+                self.store.delete(version, item_id)
+                n_deleted += 1
+            self.store.bulk_load(version, records)
+            n_served = self.store.size(version)
         return self._record_load("differential", started, BatchRunReport(
-            version=version, n_inferred=len(results),
+            version=version, n_inferred=len(records),
             n_served=n_served, n_deleted=n_deleted))
 
     def serve(self, item_id: int) -> List[str]:
@@ -185,16 +158,15 @@ class BatchPipeline:
         :func:`repro.core.serialization.open_model` — zero-copy mmap
         for format-3 artifacts, so co-hosted pipelines handed the same
         path share one physical copy).  The new model is validated
-        against the configured engine/executor combination first, so an
-        incompatible model leaves the pipeline on the old one.
+        first (the engine's alignment probe), so an incompatible model
+        leaves the pipeline on the old one.
         ``generation`` lets an orchestrator number refreshes
         consistently across the whole serving stack (defaults to the
         current generation + 1); the pipeline's generation after the
         swap is returned.
         """
         model = open_model(model)
-        validate_model_for_engine(model, self._engine,
-                                  executor=self._executor)
+        LeafBatchRunner(model, k=self._k, hard_limit=self._hard_limit)
         self._generation = next_generation(self._generation, generation)
         self.model = model
         return self._generation

@@ -10,42 +10,32 @@ serving version so a batch refresh never serves a half-written table.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager
 from typing import Dict, Generic, Iterator, List, Mapping, Optional, TypeVar
 
 V = TypeVar("V")
 
 
-def transaction_lock(store):
-    """``store.lock``, or a no-op context manager for duck-typed stores
-    that predate it.  Writers use this instead of touching ``.lock``
-    directly, so a lock-less store degrades to the old single-writer
-    contract rather than raising mid-transaction (where e.g. an NRT
-    flush has already drained its window buffer)."""
-    lock = getattr(store, "lock", None)
-    return lock if lock is not None else nullcontext()
-
-
 class KeyValueStore(Generic[V]):
     """Versioned KV store with atomic version promotion.
 
-    Writers stage data into a new version with :meth:`bulk_load` /
-    :meth:`put`, then :meth:`promote` it; readers always see the promoted
-    version.  Old versions are retained until :meth:`prune`.
+    Writers fill a staging version inside :meth:`transaction` —
+    ``with store.transaction() as version:`` then :meth:`bulk_load` /
+    :meth:`put` / :meth:`delete` — and readers always see the promoted
+    version, the old table whole or the new one whole.  It is the only
+    way the serving layer writes (:class:`~repro.serving.nrt.NRTService`
+    flushes, the batch pipeline's two loads).
 
-    :attr:`lock` is the store's *transaction* lock (reentrant): every
-    writer whose correctness spans multiple calls — stage, fill,
-    promote — must hold it for the whole transaction, the stand-in for
-    a KV client's single connection.  The serving-layer writers
-    (:class:`~repro.serving.nrt.NRTService` flushes, the batch
-    pipeline's loads, the async front's per-stream executor hand-offs)
-    all do, so e.g. a daily ``full_load`` running in one thread cannot
-    interleave with an NRT window flush on the same store in another:
-    without that, two concurrent :meth:`create_version` calls could be
-    handed the same id, and a flush seeded by :meth:`copy_from_serving`
-    *before* a full load's promote could re-promote yesterday's table
-    over it afterwards.  Point reads stay lock-free (:meth:`get`
-    already tolerates racing promote+prune).
+    :attr:`lock` is the store's *transaction* lock (reentrant), the
+    stand-in for a KV client's single connection; :meth:`transaction`
+    holds it from stage to prune, and the async front holds it around
+    each stream's service calls.  So a daily ``full_load`` in one thread
+    cannot interleave with an NRT window flush on the same store in
+    another: without that, two concurrent :meth:`create_version` calls
+    could be handed the same id, and a flush seeded by
+    :meth:`copy_from_serving` *before* a full load's promote could
+    re-promote yesterday's table over it afterwards.  Point reads stay
+    lock-free (:meth:`get` already tolerates racing promote+prune).
     """
 
     def __init__(self) -> None:
@@ -54,6 +44,30 @@ class KeyValueStore(Generic[V]):
         self._serving_version: Optional[int] = None
         self._next_version = 1
         self._open_staging: set = set()
+
+    @contextmanager
+    def transaction(self) -> Iterator[int]:
+        """One write, start to end: stage → fill → promote → prune
+        under :attr:`lock`.
+
+        Yields a fresh :meth:`create_version`; leaving the block
+        :meth:`promote`\\ s it and :meth:`prune`\\ s.  Any exception
+        before the promote took effect — from the body or from
+        ``promote`` itself — :meth:`abandon`\\ s the version and
+        propagates, so no failed writer leaves a prune-exempt table
+        open and readers never see part of one.  A ``prune`` that fails
+        after the promote leaves the new table serving and nothing open.
+        """
+        with self.lock:
+            version = self.create_version()
+            try:
+                yield version
+                self.promote(version)
+            except BaseException:
+                if self.serving_version != version:
+                    self.abandon(version)
+                raise
+            self.prune()
 
     def create_version(self) -> int:
         """Open a new staging version and return its id.

@@ -6,9 +6,9 @@ revision, behind a Flink processing window and feature enrichment."
 
 We model the Flink window as a count/time-bounded micro-batch buffer:
 events accumulate until the window closes, then the whole window is
-inferred as one batch — through the vectorized leaf-batched engine by
-default (``engine="reference"`` selects the scalar cross-check path) —
-and written through to the KV store.
+inferred as one batch through the vectorized leaf-batched engine and
+written through to the KV store in one
+:meth:`~repro.serving.kvstore.KeyValueStore.transaction`.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.batch import (batch_recommend, validate_hard_limit,
-                          validate_model_for_engine)
+from ..core.batch import batch_recommend
+from ..core.execution import resolve_executor
+from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
-from .kvstore import KeyValueStore, transaction_lock
+from .kvstore import KeyValueStore
 
 
 class ItemEventKind(Enum):
@@ -84,9 +85,7 @@ class NRTService:
         hard_limit: Strict per-item cap.
         enrich: Optional feature-enrichment hook applied to each event
             before inference (returns a possibly rewritten title).
-        engine: Inference engine for the window micro-batch — ``"fast"``
-            (vectorized leaf-batched, default) or ``"reference"``.
-        executor: Where the fast engine's leaf-group shards run —
+        executor: Where the engine's leaf-group shards run —
             ``None`` / ``"serial"`` (the calling thread, default) or an
             :class:`repro.core.execution.Executor` instance (a
             ``ClusterExecutor`` carries its own fleet);
@@ -109,20 +108,16 @@ class NRTService:
                  window_size: int = 32, window_seconds: float = 1.0,
                  k: int = 20, hard_limit: int = 40,
                  enrich: Optional[Callable[[ItemEvent], str]] = None,
-                 engine: str = "fast", executor=None,
+                 executor=None,
                  metrics: Optional[MetricsRegistry] = None,
                  stream: str = "default") -> None:
-        from ..core.execution import resolve_executor
-
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._stream_label = stream
         # Fail here, not mid-flush where the window's events would
-        # already be drained and lost.
-        self._executor = resolve_executor(executor, engine=engine,
-                                          metrics=self.metrics)
-        validate_model_for_engine(model, engine,
-                                  executor=self._executor)
-        validate_hard_limit(hard_limit)
+        # already be drained: a bad executor spelling, a negative cap,
+        # an alignment the engine cannot vectorize.
+        self._executor = resolve_executor(executor, metrics=self.metrics)
+        LeafBatchRunner(model, k=k, hard_limit=hard_limit)
         self.model = model
         self._store = store
         self._window_size = window_size
@@ -130,7 +125,6 @@ class NRTService:
         self._k = k
         self._hard_limit = hard_limit
         self._enrich = enrich
-        self._engine = engine
         self._generation = 0
         self._buffer: List[ItemEvent] = []
         self._window_opened_at: Optional[float] = None
@@ -190,9 +184,9 @@ class NRTService:
         events already buffered in the open window — is inferred under
         the new model.
 
-        The new model is validated against the configured
-        engine/executor combination *before* the swap, so an
-        incompatible model leaves the service serving the old one.
+        The new model is validated (the engine's alignment probe)
+        *before* the swap, so an incompatible model leaves the service
+        serving the old one.
 
         Args:
             model: The replacement model, or the directory of a saved
@@ -206,8 +200,7 @@ class NRTService:
             The service's model generation after the swap.
         """
         model = open_model(model)
-        validate_model_for_engine(model, self._engine,
-                                  executor=self._executor)
+        LeafBatchRunner(model, k=self._k, hard_limit=self._hard_limit)
         self._generation = next_generation(self._generation, generation)
         self.model = model
         self._model_loaded_at = time.monotonic()
@@ -301,13 +294,15 @@ class NRTService:
     def flush(self) -> Optional[WindowStats]:
         """Process the open window immediately (no-op when empty).
 
-        Crash safety: on *any* failure — an enrich hook raising, the
-        engine failing mid-batch, a store write erroring — the drained
-        events are restored to the front of the buffer, the window-open
-        timestamp is reinstated, and the staged KV version is abandoned
-        (see :meth:`KeyValueStore.abandon`) before the exception
-        propagates.  No event is ever lost and no unpromotable staging
-        table leaks; a later flush simply retries the whole window.
+        The window is one :meth:`KeyValueStore.transaction`.  Crash
+        safety: on *any* failure — the store refusing to stage, an
+        enrich hook raising, the engine failing mid-batch, a write, the
+        promote or the prune erroring — the transaction has abandoned
+        what it staged, and the drained events are restored to the
+        front of the buffer with the window-open timestamp before the
+        exception propagates.  No event is ever lost and no
+        unpromotable staging table leaks; a later flush retries the
+        whole window (idempotently, if only the prune had failed).
         """
         if not self._buffer:
             return None
@@ -321,13 +316,12 @@ class NRTService:
         # model's generation.
         model, generation = self.model, self._generation
 
-        # The whole stage→fill→promote transaction holds the store's
-        # (reentrant) lock, so a concurrent writer on a shared store —
-        # a daily full load running in another thread — can never
-        # interleave with this window and re-promote a stale table.
-        with transaction_lock(self._store):
-            version = self._store.create_version()
-            try:
+        # The transaction holds the store's (reentrant) lock from stage
+        # to prune, so a concurrent writer on a shared store — a daily
+        # full load in another thread — can never interleave with this
+        # window and re-promote a stale table.
+        try:
+            with self._store.transaction() as version:
                 # Last event per item wins inside a window (a create
                 # followed by a revise must serve the revised title).
                 latest: Dict[int, ItemEvent] = {}
@@ -346,25 +340,21 @@ class NRTService:
                         else event.title
                     requests.append((event.item_id, title, event.leaf_id))
                 # The whole window is one micro-batch through the
-                # configured engine — the Flink-window analogue of the
-                # paper's NRT branch.
+                # engine — the Flink-window analogue of the paper's NRT
+                # branch.
                 results = batch_recommend(
                     model, requests, k=self._k,
-                    hard_limit=self._hard_limit, engine=self._engine,
-                    executor=self._executor)
+                    hard_limit=self._hard_limit, executor=self._executor)
                 n_inferred = len(requests)
                 for item_id, _title, _leaf_id in requests:
                     self._store.put(version, item_id,
                                     [r.text for r in results[item_id]])
-            except Exception:
-                self._store.abandon(version)
-                self._buffer[:0] = events
-                self._window_opened_at = opened_at
-                self.metrics.inc("nrt.flush.failures",
-                                 stream=self._stream_label)
-                raise
-            self._store.promote(version)
-            self._store.prune()
+        except Exception:
+            self._buffer[:0] = events
+            self._window_opened_at = opened_at
+            self.metrics.inc("nrt.flush.failures",
+                             stream=self._stream_label)
+            raise
         # Served windows only: the histogram's count equals the
         # ``nrt.windows`` counter, and failed attempts are counted
         # separately above rather than polluting the latency profile.

@@ -38,6 +38,7 @@ from typing import (TYPE_CHECKING, Any, Callable, List, Optional,
 from ..cluster.retry import RetriesExhausted, RetryPolicy
 from ..core.batch import InferenceRequest
 from ..core.curation import CuratedKeyphrases
+from ..core.execution import resolve_executor
 from ..core.model import GraphExModel
 from ..core.serialization import load_model, save_model
 from ..obs import MetricsRegistry, Tracer
@@ -94,9 +95,8 @@ class DailyRefreshOrchestrator:
         pipeline: The batch pipeline whose store serves the catalog; its
             model is refreshed and its :meth:`~BatchPipeline.full_load`
             re-run on every refresh.
-        builder: Forwarded to :meth:`GraphExModel.construct` (fast
-            builder by default — the whole point of the daily loop).
-        executor: Where each day's leaf shards build — ``None`` /
+        executor: Where each day's leaf shards build (by the fast
+            builder — the whole point of the daily loop) — ``None`` /
             ``"serial"`` (inline, default) or an
             :class:`repro.core.execution.Executor` instance.
             Resolved **once** and kept for the orchestrator's
@@ -144,15 +144,13 @@ class DailyRefreshOrchestrator:
     """
 
     def __init__(self, pipeline: BatchPipeline, *,
-                 builder: str = "fast", executor=None,
+                 executor=None,
                  alignment: str = "lta",
                  build_pooled: bool = False,
                  artifact_dir: Optional[Union[str, Path]] = None,
                  retry: Optional[RetryPolicy] = None,
                  cluster: Optional["ClusterCoordinator"] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        from ..core.execution import resolve_executor
-
         if cluster is not None and artifact_dir is None:
             raise ValueError(
                 "cluster deployment needs artifact_dir: remote hosts "
@@ -160,11 +158,9 @@ class DailyRefreshOrchestrator:
         self.pipeline = pipeline
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = Tracer()
-        self._builder = builder
         # One executor for the orchestrator's lifetime: every refresh
         # records its build timings into the shared registry.
-        self._executor = resolve_executor(executor, engine=builder,
-                                          metrics=self.metrics)
+        self._executor = resolve_executor(executor, metrics=self.metrics)
         self._alignment = alignment
         self._build_pooled = build_pooled
         self._artifact_dir = (None if artifact_dir is None
@@ -275,13 +271,11 @@ class DailyRefreshOrchestrator:
                         f"{exc.__cause__!r}"))
 
         try:
-            with self.tracer.span("refresh.construct",
-                                  builder=self._builder) as construct_span:
+            with self.tracer.span("refresh.construct") as construct_span:
                 model = await loop.run_in_executor(
                     None, attempt(lambda: GraphExModel.construct(
                         curated, alignment=self._alignment,
                         build_pooled=self._build_pooled,
-                        builder=self._builder,
                         executor=self._executor)))
         except RetriesExhausted as exc:
             # No generation was burned — the next cycle's refresh

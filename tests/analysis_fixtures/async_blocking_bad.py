@@ -9,7 +9,7 @@ import time
 async def handler(store, fut):
     time.sleep(0.1)                       # sleeps the whole loop
     payload = open("/tmp/payload").read()  # blocking file open
-    with transaction_lock(store):          # unbounded lock wait
+    with store.transaction():              # unbounded lock wait
         pass
     value = fut.result()                   # concurrent.futures join
     spool = tempfile.mkdtemp()             # filesystem metadata write

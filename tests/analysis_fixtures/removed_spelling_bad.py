@@ -10,3 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 def batch(model, requests, workers=2, executor="thread"):
     return model.plan.to_json()
+# lint-fixture-module: repro.serving.fixture_removed_spelling_bad
+def front(model, store, flush_executor=None):
+    return NRTService(model, store, engine="reference")

@@ -11,7 +11,7 @@ def pool(max_workers):
     return thread  # the old parallel= spelling, in a comment
 # lint-fixture-module: repro.cli
 def boot(local, args):
-    return local(workers=args.workers)
+    return local(workers=args.workers), recommend(engine=args.engine)
 # lint-fixture-module: repro.core.execution
 class ClusterExecutor:
     @classmethod

@@ -4,7 +4,7 @@
 
 
 def swap_unlocked(store, version, items):
-    # Two mutating calls, no transaction_lock: a concurrent refresh
+    # Two mutating calls outside store.transaction(): a concurrent refresh
     # can interleave between them and strand the staged version.
     store.create_version(version)
     store.promote(version)

@@ -3,15 +3,14 @@
 # lint-fixture-module: repro.serving.fixture_store_good
 
 
-def swap_locked(store, version, items):
-    with transaction_lock(store):
-        store.create_version(version)
+def swap_locked(store, items):
+    with store.transaction() as version:
+        store.copy_from_serving(version)
         for item_id, phrases in items:
             store.put(version, item_id, phrases)
-        store.promote(version)
 
 
-# lint: caller-locked: flush() enters transaction_lock before delegating here
+# lint: caller-locked: flush() enters store.transaction() before delegating here
 def _fill(store, version, items):
     for item_id, phrases in items:
         store.put(version, item_id, phrases)

@@ -13,6 +13,7 @@ from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.model import GraphExModel
 from repro.data import TINY_PROFILE, generate_dataset
 from repro.search import SessionSimulator
+from repro.serving import KeyValueStore
 
 settings.register_profile(
     "fast", max_examples=25,
@@ -32,6 +33,19 @@ FIG3_KEYPHRASES = [
 #: The worked inference example of Section III-E1.
 FIG3_TITLE = "audeze maxwell gaming headphones for xbox"
 FIG3_LEAF_ID = 100
+
+
+class FlakyStore(KeyValueStore):
+    """A KV store whose method named by ``fail_on`` raises once, at
+    the moment a writer reaches for it through the instance."""
+
+    fail_on = None
+
+    def __getattribute__(self, name):
+        if name == object.__getattribute__(self, "fail_on"):
+            self.fail_on = None
+            raise OSError(f"kv outage in {name}")
+        return object.__getattribute__(self, name)
 
 
 def build_fig3_curated() -> CuratedKeyphrases:

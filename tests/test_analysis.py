@@ -74,7 +74,7 @@ class TestRuleFixtures:
                               AsyncNoBlockingRule())
         blocked = {v.message.split("(")[0].split()[2]
                    for v in report.violations}
-        assert blocked == {"time.sleep", "open", "transaction_lock",
+        assert blocked == {"time.sleep", "open", "store.transaction",
                            "fut.result", "tempfile.mkdtemp",
                            "shutil.rmtree"}
 
@@ -113,7 +113,8 @@ class TestRuleFixtures:
                       for v in report.violations) == [
             (4, "distribute"), (5, "push="), (6, "artifact_begin"),
             (6, "model_artifact"), (8, "ThreadPoolExecutor"),
-            (11, '"thread"'), (11, "workers="), (12, "to_json")]
+            (11, '"thread"'), (11, "workers="), (12, "to_json"),
+            (14, "flush_executor"), (15, "engine=")]
 
     def test_mmap_bad_flags_all_three_shapes(self):
         report = lint_fixture("mmap_safety_bad.py",

@@ -32,7 +32,7 @@ from repro.serving import (
     KeyValueStore,
     NRTService,
 )
-from tests.conftest import FIG3_LEAF_ID
+from tests.conftest import FIG3_LEAF_ID, FlakyStore
 
 #: Titles with varying overlap against the Figure 3 keyphrase set (the
 #: last one matches nothing, so some items legitimately serve []).
@@ -402,6 +402,35 @@ class TestShutdownAndBackpressure:
         assert sum(w.n_events
                    for w in front.processed_windows("s")) == 3
 
+    @pytest.mark.parametrize("failing", ["create_version", "promote",
+                                         "prune"])
+    def test_store_failure_around_the_fill_is_retryable_not_a_drop(
+            self, fig3_model, failing):
+        """Regression: a store failing to stage, promote or prune sat
+        outside the window-restoring handler, so the event whose submit
+        triggered the flush was booked as dropped and the rest of the
+        window vanished."""
+        store = FlakyStore()
+        store.fail_on = failing
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=2,
+                                  window_seconds=1000.0,
+                                  wall_clock_seconds=30.0)
+            front.add_stream("s", store=store)
+            async with front:
+                await front.submit("s", make_event(1, 0.0))
+                await front.submit("s", make_event(2, 0.1, 1))
+                await front.join()
+                await front.flush_all()      # the retry
+            return front.stats("s")
+
+        stats = asyncio.run(drive())
+        assert (stats.n_dropped, stats.n_flush_failures,
+                stats.n_pending) == (0, 1, 0)
+        assert store.get(1) and store.get(2)
+        assert store._open_staging == set()
+
     def test_streams_sharing_a_store_share_its_transaction_lock(
             self, fig3_model):
         """The per-stream lock IS the store's transaction lock, so
@@ -471,7 +500,7 @@ class TestShutdownAndBackpressure:
         for i in range(4):
             assert front.serve("s", 10 + i)
 
-    def test_api_contracts(self, fleet, fig3_model):
+    def test_api_contracts(self, fig3_model):
         front = AsyncNRTFront(fig3_model)
         front.add_stream("s")
         with pytest.raises(ValueError, match="already exists"):
@@ -482,13 +511,13 @@ class TestShutdownAndBackpressure:
             AsyncNRTFront(fig3_model, max_pending=0)
         with pytest.raises(ValueError, match="wall_clock_seconds"):
             AsyncNRTFront(fig3_model, wall_clock_seconds=0.0)
-        # Engine/executor pairings fail at front construction, exactly
-        # like the sync service (no event can be buffered then lost).
-        with pytest.raises(ValueError, match="unknown engine"):
-            AsyncNRTFront(fig3_model, engine="warp")
-        with pytest.raises(ValueError, match="single-process"):
-            AsyncNRTFront(fig3_model, engine="reference",
-                          executor=fleet)
+        # A bad executor spelling or cap fails at front construction,
+        # exactly like the sync service (no event can be buffered then
+        # lost).
+        with pytest.raises(ValueError, match="unknown executor"):
+            AsyncNRTFront(fig3_model, executor="fiber")
+        with pytest.raises(ValueError, match="hard_limit"):
+            AsyncNRTFront(fig3_model, hard_limit=-1)
 
         async def submit_unstarted():
             await front.submit("s", make_event(1, 0.0))

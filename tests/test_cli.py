@@ -85,12 +85,18 @@ class TestParser:
             assert args.workers == 2      # the fleet size, if one is asked for
             assert resolve_executor(args.executor).name == "serial"
 
-    def test_parallel_choices_enforced(self):
-        for command in (["construct", "--curated", "c", "--out", "m"],
-                        ["recommend", "--model", "m", "--title", "t",
-                         "--leaf", "1"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(command + ["--parallel", "warp"])
+    def test_removed_flags_are_usage_errors(self):
+        """``--parallel`` is no alias of ``--executor`` any more, and
+        ``serve-nrt`` has no oracle engine to select."""
+        for argv in (["construct", "--curated", "c", "--out", "m",
+                      "--parallel", "process"],
+                     ["recommend", "--model", "m", "--title", "t",
+                      "--leaf", "1", "--parallel", "serial"],
+                     ["serve-nrt", "--model", "m", "--parallel", "serial"],
+                     ["serve-nrt", "--model", "m", "--engine", "fast"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2, argv
 
 
 class TestWorkflow:
@@ -142,28 +148,13 @@ class TestWorkflow:
         assert outputs["fast"] == outputs["reference"]
         assert text in outputs["fast"]
 
-    def test_recommend_process_parallel_prints_identical_output(
-            self, workflow_dir, capsys):
-        payload = json.loads((workflow_dir / "curated.json").read_text())
-        leaf_id = int(next(iter(payload["leaves"])))
-        text = payload["leaves"][str(leaf_id)]["texts"][0]
-        outputs = {}
-        for parallel in ("serial", "process"):
-            assert main(["recommend", "--model",
-                         str(workflow_dir / "model"), "--title", text,
-                         "--leaf", str(leaf_id), "--parallel", parallel,
-                         "--workers", "2"]) == 0
-            outputs[parallel] = capsys.readouterr().out
-        assert outputs["process"] == outputs["serial"]
-        assert text in outputs["process"]
-
     def test_construct_process_parallel_builds_identical_model(
             self, workflow_dir, tmp_path):
         from repro.core.serialization import load_model
         curated_path = workflow_dir / "curated.json"
         out_dir = tmp_path / "model_process"
         assert main(["construct", "--curated", str(curated_path),
-                     "--out", str(out_dir), "--parallel", "process",
+                     "--out", str(out_dir), "--executor", "process",
                      "--workers", "2"]) == 0
         serial = load_model(workflow_dir / "model")
         sharded = load_model(out_dir)
@@ -265,16 +256,15 @@ class TestWorkflow:
         assert "0 flush failures" in out
         assert "60 events across 2 streams" in out
 
-    def test_serve_nrt_rejects_bad_engine_pairing(self, capsys,
-                                                  no_spawn):
+    def test_serve_nrt_has_no_engine_to_select(self, capsys, no_spawn):
         """A usage error (exit 2), refused before a model is looked for
         or a worker process started."""
         with pytest.raises(SystemExit) as exit_info:
             main(["serve-nrt", "--model", "absent",
-                  "--engine", "reference", "--parallel", "process"])
+                  "--engine", "reference", "--executor", "process"])
         assert exit_info.value.code == 2
-        assert "serve-nrt: --engine reference runs only on --executor " \
-            "serial" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine reference" \
+            in capsys.readouterr().err
         assert no_spawn == []
 
     def test_serve_nrt_owns_the_fleet_it_boots(self, workflow_dir,
@@ -293,7 +283,7 @@ class TestWorkflow:
 
 
 class TestExecutorFlag:
-    """The one --executor action (--parallel is an alias of it)."""
+    """The one --executor action."""
 
     def test_executor_defaults_to_none(self):
         args = build_parser().parse_args(
@@ -349,21 +339,6 @@ class TestExecutorFlag:
         clustered = self._recommend_output(workflow_dir, capsys,
                                            "--executor", "cluster")
         assert clustered == baseline
-
-    def test_parallel_alias_parses_to_the_same_namespace(self):
-        """One action, two names: no ``parallel`` attribute, no
-        precedence rule."""
-        for command in (["construct", "--curated", "c", "--out", "m"],
-                        ["recommend", "--model", "m", "--title", "t",
-                         "--leaf", "1"],
-                        ["serve-nrt", "--model", "m"]):
-            aliased = build_parser().parse_args(
-                command + ["--parallel", "process"])
-            explicit = build_parser().parse_args(
-                command + ["--executor", "process"])
-            assert aliased == explicit
-            assert aliased.executor == "process"
-            assert not hasattr(aliased, "parallel")
 
     def test_construct_executor_serial_builds_identical_model(
             self, workflow_dir, tmp_path):

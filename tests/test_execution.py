@@ -153,7 +153,6 @@ class TestResolveExecutor:
             batch_recommend(model, requests, executor="serial",
                             parallel="thread")
 
-
     def test_parallel_spelling_is_gone_everywhere(self):
         """``executor=`` is the only spelling.  That no entry point
         takes ``parallel``, a cost model, a model format to write, a
@@ -173,7 +172,7 @@ class TestResolveExecutor:
                      ["construct", "--curated", "c", "--out", "m",
                       "--executor", "thread"],
                      ["recommend", "--model", "m", "--title", "t",
-                      "--leaf", "1", "--parallel", "thread"],
+                      "--leaf", "1", "--parallel", "serial"],
                      ["serve-nrt", "--model", "m",
                       "--executor", "thread"]):
             with pytest.raises(SystemExit) as exit_info:

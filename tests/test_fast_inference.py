@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import fast_inference
-from repro.core.batch import batch_recommend, differential_update
+from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.fast_inference import (LeafBatchRunner, _label_texts,
                                        _prune_by_count_array,
@@ -618,33 +618,6 @@ class TestEdgeCases:
         reqs = [(5, "w0", 1), (5, "w1", 2)]
         rows = LeafBatchRunner(model, k=5).run_indexed(reqs)
         assert [[r.text for r in row] for row in rows] == [["w0"], ["w1"]]
-
-    def test_differential_update_routes_through_fast_engine(self):
-        model = make_model({1: [("w0 w1", 5, 1), ("w2", 3, 1)]})
-        previous = batch_recommend(model, [(1, "w2", 1)], k=5)
-        merged = differential_update(
-            model, previous, [(2, "w0 w1", 1)], deleted_item_ids=[1],
-            engine="fast")
-        assert 1 not in merged
-        assert [r.text for r in merged[2]] == ["w0 w1"]
-
-    def test_differential_update_changed_beats_deleted(self):
-        """Pinned semantics: an item in both ``deleted_item_ids`` and
-        ``changed`` is served with its fresh inference — deletions hit
-        yesterday's table first, then the re-inferences merge on top
-        (the revision is newer evidence the item exists, mirroring the
-        NRT last-event-per-item-wins rule documented in the docstring).
-        """
-        model = make_model({1: [("w0 w1", 5, 1), ("w2", 3, 1)]})
-        previous = batch_recommend(model, [(1, "w2", 1)], k=5)
-        merged = differential_update(
-            model, previous, changed=[(1, "w0 w1", 1)],
-            deleted_item_ids=[1])
-        assert [r.text for r in merged[1]] == ["w0 w1"]
-        # A deletion without a competing revision still lands.
-        gone = differential_update(model, merged, [],
-                                   deleted_item_ids=[1])
-        assert 1 not in gone
 
 
 class TestTieBreakDeterminism:

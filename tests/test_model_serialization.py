@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import batch_recommend, differential_update
+from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.model import GraphExModel, build_leaf_graph
 from repro.core.serialization import (LazyStringList, load_leaf_graphs,
@@ -323,31 +323,6 @@ class TestBatch:
         parallel = batch_recommend(model, requests, k=5, executor=fleet)
         assert {k: [r.text for r in v] for k, v in serial.items()} \
             == {k: [r.text for r in v] for k, v in parallel.items()}
-
-    def test_differential_merges(self):
-        model = GraphExModel.construct(curated_two_leaves())
-        previous = batch_recommend(model, self._requests(), k=5)
-        changed = [(2, "audeze maxwell gaming headphones", 10)]
-        merged = differential_update(model, previous, changed)
-        assert [r.text for r in merged[2]] \
-            == [r.text for r in model.recommend(
-                "audeze maxwell gaming headphones", 10, k=10)][:len(merged[2])]
-        assert merged[1] == previous[1]
-
-    def test_differential_deletes(self):
-        model = GraphExModel.construct(curated_two_leaves())
-        previous = batch_recommend(model, self._requests(), k=5)
-        merged = differential_update(model, previous, [],
-                                     deleted_item_ids=[1])
-        assert 1 not in merged
-        assert 2 in merged
-
-    def test_differential_does_not_mutate_previous(self):
-        model = GraphExModel.construct(curated_two_leaves())
-        previous = batch_recommend(model, self._requests(), k=5)
-        before = dict(previous)
-        differential_update(model, previous, [], deleted_item_ids=[1])
-        assert previous == before
 
     def test_hard_limit_respected(self):
         model = GraphExModel.construct(curated_two_leaves())

@@ -22,7 +22,7 @@ from repro.serving import (
     KeyValueStore,
     NRTService,
 )
-from tests.conftest import (FIG3_LEAF_ID, build_fig3_curated,
+from tests.conftest import (FIG3_LEAF_ID, FlakyStore, build_fig3_curated,
                             build_fig3_variant_curated)
 
 REQUESTS = [
@@ -203,23 +203,13 @@ class TestDailyRefreshOrchestrator:
         """A refresh that fails after construction consumed its
         generation number: the next successful refresh gets a fresh one,
         so a generation never names two different days' models."""
-
-        class FlakyStore(KeyValueStore):
-            fail_next = False
-
-            def bulk_load(self, version, records):
-                if self.fail_next:
-                    self.fail_next = False
-                    raise RuntimeError("kv outage")
-                super().bulk_load(version, records)
-
         store = FlakyStore()
         pipeline = BatchPipeline(fig3_model, store=store)
         service = NRTService(fig3_model, store, window_size=1)
         orchestrator = DailyRefreshOrchestrator(pipeline)
         orchestrator.register(service)
-        store.fail_next = True
-        with pytest.raises(RuntimeError, match="kv outage"):
+        store.fail_on = "bulk_load"
+        with pytest.raises(OSError, match="kv outage"):
             orchestrator.refresh_sync(build_fig3_curated(), REQUESTS)
         assert orchestrator.generation == 1     # burned
         assert service.model_generation == 0    # swap never reached
@@ -278,20 +268,20 @@ class TestDailyRefreshOrchestrator:
 
     def test_refresh_forwards_construction_knobs(self, fleet,
                                                  fig3_model):
-        """builder/executor reach GraphExModel.construct: the fleet
-        builds what the reference builder does, bit for bit."""
+        """executor reaches GraphExModel.construct: the fleet builds
+        what the reference builder does, bit for bit."""
+        from repro.core.model import GraphExModel
         pipeline = BatchPipeline(fig3_model)
-        fast = DailyRefreshOrchestrator(pipeline, builder="fast",
-                                        executor=fleet)
+        fast = DailyRefreshOrchestrator(pipeline, executor=fleet)
         fast_report = fast.refresh_sync(build_fig3_variant_curated(),
                                         REQUESTS)
-        reference = DailyRefreshOrchestrator(BatchPipeline(fig3_model),
-                                             builder="reference")
-        reference.refresh_sync(build_fig3_variant_curated(), REQUESTS)
+        reference = BatchPipeline(GraphExModel.construct(
+            build_fig3_variant_curated(), builder="reference"))
+        reference.full_load(REQUESTS)
         assert fast_report.generation == 1
         for item_id, _title, _leaf in REQUESTS:
             assert fast.pipeline.serve(item_id) \
-                == reference.pipeline.serve(item_id)
+                == reference.serve(item_id)
 
 
 class TestRefreshRetries:

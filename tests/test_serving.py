@@ -11,7 +11,7 @@ from repro.serving import (
     KeyValueStore,
     NRTService,
 )
-from tests.conftest import FIG3_LEAF_ID, build_fig3_curated
+from tests.conftest import FIG3_LEAF_ID, FlakyStore, build_fig3_curated
 from repro.core.model import GraphExModel
 
 
@@ -25,6 +25,19 @@ REQUESTS = [
     (2, "bluetooth wireless headphones new", FIG3_LEAF_ID),
     (3, "no tokens in common here", FIG3_LEAF_ID),
 ]
+
+
+#: Every store call every writer's transaction makes.
+FAILURE_POINTS = [(writer, failing) for writer, fills in (
+    ("full_load", ("bulk_load",)),
+    ("daily_differential", ("copy_from_serving", "bulk_load")),
+    ("flush", ("copy_from_serving", "put")))
+    for failing in ("create_version", *fills, "promote", "prune")]
+
+
+def table(store):
+    """What readers see: the serving table, whole."""
+    return {key: store.get(key) for key in store.keys()}
 
 
 class TestKeyValueStore:
@@ -220,6 +233,94 @@ class TestKeyValueStore:
             store.put(staged, 1, "x")  # abandoned: the table is gone
 
 
+class TestStoreTransaction:
+    """``KeyValueStore.transaction()``: the one place a staging version
+    begins and ends."""
+
+    def test_leaving_the_block_promotes_and_prunes(self):
+        store = KeyValueStore()
+        seen = []
+        for value in ("a", "b", "c"):
+            with store.transaction() as version:
+                store.put(version, 1, value)
+                assert store.get(1) != value     # staged, not served
+            seen.append(version)
+            assert (store.serving_version, store.get(1)) == (version, value)
+        assert store.versions == seen[1:]        # pruned to the default 2
+        assert store._open_staging == set()
+
+    @pytest.mark.parametrize("failing", ["body", "create_version",
+                                         "promote", "prune"])
+    def test_a_failure_abandons_unless_the_promote_took_effect(
+            self, failing):
+        store = FlakyStore()
+        with store.transaction() as version:
+            store.put(version, 1, "old")
+        before = store.versions, store.serving_version
+        store.fail_on = failing
+        with pytest.raises((OSError, ZeroDivisionError)):
+            with store.transaction() as version:
+                store.put(version, 1, "new")
+                if failing == "body":
+                    1 / 0
+        if failing == "prune":       # the new table serves, unpruned
+            assert (store.serving_version, store.get(1)) == (version, "new")
+        else:                        # everything as it was
+            assert (store.versions, store.serving_version) == before
+            assert store.get(1) == "old"
+        assert store._open_staging == set()
+        assert store.lock.acquire(blocking=False)    # and released
+        store.lock.release()
+
+    def test_overrides_and_a_replaced_lock_are_honoured(self):
+        """The benchmark subclasses ``promote`` and wraps ``lock`` after
+        construction: both are read through the instance, per call."""
+        calls = []
+
+        class Stamped(KeyValueStore):
+            def promote(self, version):
+                super().promote(version)
+                calls.append("promote")
+
+        class Wrapped:
+            def __init__(self, lock):
+                self.lock = lock
+
+            def __enter__(self):
+                calls.append("lock")
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return self.lock.__exit__(*exc_info)
+
+        store = Stamped()
+        store.lock = Wrapped(store.lock)
+        with store.transaction() as version:
+            store.put(version, 1, "x")
+        assert calls == ["lock", "promote"] and store.get(1) == "x"
+
+    def test_a_second_threads_transaction_waits_for_the_first(self):
+        import threading
+        store = KeyValueStore()
+        inside, order = threading.Event(), []
+
+        def second():
+            inside.wait()
+            with store.transaction() as version:
+                order.append(("second", version, store.serving_version))
+
+        thread = threading.Thread(target=second)
+        thread.start()
+        with store.lock:                         # the front's hold ...
+            with store.transaction() as first:   # ... which a flush re-enters
+                inside.set()
+                thread.join(timeout=0.2)         # it cannot get in
+                assert thread.is_alive() and order == []
+        thread.join(timeout=5)
+        # It ran after the first transaction promoted, on its own id.
+        assert order == [("second", first + 1, first)]
+
+
 class TestBatchPipeline:
     def test_full_load_serves_everything(self, model):
         pipeline = BatchPipeline(model)
@@ -244,6 +345,51 @@ class TestBatchPipeline:
         assert report.n_deleted == 1
         assert pipeline.serve(1) == []
 
+    def test_daily_differential_changed_beats_deleted(self, model):
+        """Pinned semantics: an item both deleted and changed is served
+        with its fresh inference — deletions hit yesterday's table
+        first, then the re-inferences merge on top (the revision is
+        newer evidence the item exists, mirroring the NRT
+        last-event-per-item-wins rule)."""
+        pipeline = BatchPipeline(model)
+        pipeline.full_load(REQUESTS)
+        report = pipeline.daily_differential(
+            [(1, "gaming headphones xbox", FIG3_LEAF_ID)],
+            deleted_item_ids=[1, 2])
+        assert report.n_deleted == 2 and report.n_served == 2
+        clean = BatchPipeline(model)
+        clean.full_load([(1, "gaming headphones xbox", FIG3_LEAF_ID)])
+        assert pipeline.serve(1) == clean.serve(1) != []
+        assert pipeline.serve(2) == []   # deleted, no competing revision
+
+    def test_daily_differential_fleet_merges_what_serial_merges(
+            self, fleet):
+        """One item id re-inferred in requests that land on *different*
+        shards (different leaf groups) keeps the last request, and a
+        same-day delete+revise resolves to the revision across shard
+        boundaries too."""
+        from tests.test_sharding import make_model
+        model = make_model({
+            leaf_id: [(f"shard{leaf_id} phrase {i}", 5 + i, 5)
+                      for i in range(4)] for leaf_id in (1, 2, 3, 4)})
+        # Item 7 appears three times, targeting three different leaves —
+        # the LPT plan spreads those leaf groups across the two workers.
+        changed = [(7, "shard1 phrase 0", 1), (8, "shard2 phrase 1", 2),
+                   (7, "shard3 phrase 2", 3), (9, "shard4 phrase 3", 4),
+                   (7, "shard2 phrase 0", 2)]          # last one wins
+        tables = []
+        for executor in (None, fleet):
+            pipeline = BatchPipeline(model, executor=executor, k=5)
+            pipeline.full_load([(7, "shard1 phrase 1", 1),
+                                (99, "shard4 phrase 0", 4)])
+            report = pipeline.daily_differential(
+                changed, deleted_item_ids=[99, 7])
+            assert report.n_inferred == 3 and report.n_deleted == 2
+            tables.append(table(pipeline.store))
+        assert tables[1] == tables[0]
+        assert sorted(tables[0]) == [7, 8, 9]
+        assert tables[0][7][0] == "shard2 phrase 0"
+
     def test_repeated_full_loads_bound_version_retention(self, model):
         """Regression: ``full_load`` promotes but used to skip the prune
         ``daily_differential`` performs, so a daily full refresh retained
@@ -263,16 +409,12 @@ class TestBatchPipeline:
                 [(1, "gaming headphones xbox", FIG3_LEAF_ID)])
         assert len(pipeline.store.versions) <= 3
 
-    def test_unknown_engine_rejected_at_construction(self, model):
-        with pytest.raises(ValueError, match="unknown engine"):
-            BatchPipeline(model, engine="Fast")
-
-    def test_process_parallel_with_reference_rejected(self, fleet, model):
-        """Mode/engine pairing fails at construction, not mid-load."""
-        with pytest.raises(ValueError, match="single-process"):
-            BatchPipeline(model, engine="reference", executor=fleet)
+    def test_bad_executor_or_cap_rejected_at_construction(self, model):
+        """Fails at construction, not mid-load."""
         with pytest.raises(ValueError, match="unknown executor"):
             BatchPipeline(model, executor="fiber")
+        with pytest.raises(ValueError, match="hard_limit"):
+            BatchPipeline(model, hard_limit=-1)
 
     def test_process_parallel_full_load_serves_identically(self, fleet,
                                                            model):
@@ -332,37 +474,59 @@ class TestBatchPipeline:
         pipeline.full_load(REQUESTS)
         assert len(pipeline.serve(1)) <= 1
 
-    def test_failed_load_abandons_staged_version(self, model):
-        """A staging failure must not leak an open (prune-exempt)
-        version: the pipeline abandons it and the store stays clean."""
-
-        class FlakyStore(KeyValueStore):
-            fail_next = False
-
-            def bulk_load(self, version, records):
-                if self.fail_next:
-                    self.fail_next = False
-                    raise RuntimeError("kv outage")
-                super().bulk_load(version, records)
-
-        store = FlakyStore()
+    @staticmethod
+    def _stack(model, store):
+        """A loaded store with a pending NRT window on it, and one
+        callable per writer; each writer changes the table."""
         pipeline = BatchPipeline(model, store=store)
+        service = NRTService(model, store, window_size=10)
         pipeline.full_load(REQUESTS)
-        serving_before = store.serving_version
-        versions_before = store.versions
-        for run in (lambda: pipeline.full_load(REQUESTS),
-                    lambda: pipeline.daily_differential(
-                        [(1, "gaming headphones xbox", FIG3_LEAF_ID)])):
-            store.fail_next = True
-            with pytest.raises(RuntimeError, match="kv outage"):
-                run()
-            assert store.serving_version == serving_before
-            assert store.versions == versions_before
-            assert pipeline.serve(1)  # still serving the old table
-        # The next clean run works and prunes normally.
-        report = pipeline.daily_differential(
-            [(1, "gaming headphones xbox", FIG3_LEAF_ID)])
-        assert store.serving_version == report.version
+        service.submit(ItemEvent(ItemEventKind.CREATED, 99,
+                                 "gaming headphones xbox", FIG3_LEAF_ID,
+                                 0.0))
+        service.submit(ItemEvent(ItemEventKind.DELETED, 1, "",
+                                 FIG3_LEAF_ID, 0.1))
+        return service, {
+            "full_load": lambda: pipeline.full_load(REQUESTS[:1]),
+            "daily_differential": lambda: pipeline.daily_differential(
+                [(2, "gaming headphones xbox", FIG3_LEAF_ID)],
+                deleted_item_ids=[1]),
+            "flush": service.flush}
+
+    @pytest.mark.parametrize("writer,failing", FAILURE_POINTS)
+    def test_failed_load_abandons_staged_version(self, model, writer,
+                                                 failing):
+        """Whichever store call of whichever writer fails, no staging
+        version is left open (prune-exempt), readers see the old table
+        whole or the new one whole, and an NRT flush keeps its events
+        and counts the failure."""
+        store, twin = FlakyStore(), KeyValueStore()
+        service, writers = self._stack(model, store)
+        self._stack(model, twin)[1][writer]()
+        old, new = table(store), table(twin)
+        assert old != new
+        before = store.serving_version, store.versions
+
+        store.fail_on = failing
+        with pytest.raises(OSError, match=f"kv outage in {failing}"):
+            writers[writer]()
+        assert store._open_staging == set()
+        if failing == "prune":       # after the promote took effect
+            assert table(store) == new
+        else:
+            assert table(store) == old
+            assert (store.serving_version, store.versions) == before
+        if writer == "flush":
+            assert service.pending_events == 2
+            assert service.metrics.counter_value(
+                "nrt.flush.failures", stream="default") == 1
+        # The next clean run works (idempotently, after a failed prune)
+        # and prunes normally.
+        writers[writer]()
+        assert table(store) == new
+        assert store._open_staging == set()
+        assert len(store.versions) <= 2
+        assert service.pending_events == (0 if writer == "flush" else 2)
 
 
 class TestNRTService:
@@ -393,23 +557,14 @@ class TestNRTService:
     def test_flush_empty_is_none(self, model):
         assert self._service(model).flush() is None
 
-    def test_unknown_engine_rejected_at_construction(self, model):
-        """A bad engine must fail before any window event is buffered —
-        failing mid-flush would drop the drained events."""
-        with pytest.raises(ValueError, match="unknown engine"):
-            self._service(model, engine="warp")
-
     def test_negative_hard_limit_rejected_at_construction(self, model):
-        """Same invariant as the engine check: a bad cap failing inside
-        flush() would lose the drained window."""
+        """A bad cap must fail before any window event is buffered —
+        failing inside flush() would lose the drained window."""
         with pytest.raises(ValueError, match="hard_limit"):
             self._service(model, hard_limit=-1)
 
-    def test_bad_parallel_mode_rejected_at_construction(self, fleet,
-                                                        model):
-        """Same invariant again for the shard-execution mode."""
-        with pytest.raises(ValueError, match="single-process"):
-            self._service(model, engine="reference", executor=fleet)
+    def test_bad_executor_rejected_at_construction(self, model):
+        """Same invariant again for the shard-execution substrate."""
         with pytest.raises(ValueError, match="unknown executor"):
             self._service(model, executor="fiber")
 
@@ -435,10 +590,6 @@ class TestNRTService:
                            alignment=scalar_only)
         with pytest.raises(ValueError, match="not element-wise"):
             self._service(bad)
-        # The reference engine still serves such models.
-        service = self._service(bad, engine="reference", window_size=1)
-        service.submit(self._event(1, 0.0))
-        assert service.serve(1)
 
     def test_window_size_rechecked_after_time_flush(self, model):
         """Regression: the time-elapsed path used to buffer the incoming
@@ -759,37 +910,6 @@ class TestNRTService:
         assert service.refresh_model(fig3_variant_model,
                                      generation=2) == 7
         assert service.model_generation == 7
-
-    def test_duck_typed_store_without_lock_still_crash_safe(self, model):
-        """A pre-transaction-lock store (no ``.lock`` attribute) keeps
-        the old single-writer contract: flushes work, and a mid-flush
-        failure still restores the window instead of dying on the
-        missing lock *after* the buffer was drained."""
-
-        class LegacyStore(KeyValueStore):
-            def __init__(self):
-                super().__init__()
-                del self.lock
-
-        state = {"failures": 1}
-
-        def flaky_enrich(event):
-            if state["failures"] > 0:
-                state["failures"] -= 1
-                raise RuntimeError("enrichment outage")
-            return event.title
-
-        store = LegacyStore()
-        assert not hasattr(store, "lock")
-        service = NRTService(model, store, window_size=10,
-                             enrich=flaky_enrich)
-        service.submit(self._event(1, 0.0))
-        with pytest.raises(RuntimeError, match="enrichment outage"):
-            service.flush()
-        assert service.pending_events == 1   # window restored, not lost
-        stats = service.flush()
-        assert stats is not None and stats.n_inferred == 1
-        assert service.serve(1)
 
     def test_shares_store_with_batch(self, model):
         """NRT writes land in the same store the batch pipeline serves —

@@ -188,17 +188,16 @@ class TestProcessShardExecutor:
 
 
 class TestLazyImportCycleContract:
-    """``validate_model_for_engine`` (repro.core.batch) imports
-    ``execution`` and ``fast_inference`` *inside* the call: a top-level
-    import would close the cycle batch -> execution -> fast_inference
-    -> batch.  Pinned in fresh interpreters so a refactor that hoists the
-    imports fails here, not as a bootstrap-order-dependent ImportError
-    in production.
+    """``batch_recommend`` (repro.core.batch) imports ``execution``
+    *inside* the call: a top-level import would close the cycle
+    batch -> execution -> fast_inference -> batch.  Pinned in fresh
+    interpreters so a refactor that hoists the import fails here, not
+    as a bootstrap-order-dependent ImportError in production.
 
     The *static* half of this contract (no module-level cycle imports,
     declared lazy edges stay function-scoped) moved to the repo-wide
     ``lazy-import-contract`` rule in :mod:`repro.analysis` — only the
-    runtime fresh-interpreter probes remain here."""
+    runtime fresh-interpreter probe remains here."""
 
     def _fresh_python(self, code: str) -> None:
         import os
@@ -213,64 +212,18 @@ class TestLazyImportCycleContract:
         assert proc.returncode == 0, proc.stderr
 
     def test_import_order_is_irrelevant(self):
-        # Either module may bootstrap first; the validator still works.
+        # Whichever module bootstraps first, the call still resolves.
         for first in ("repro.core.sharding", "repro.core.batch",
-                      "repro.core.fast_inference"):
+                      "repro.core.fast_inference", "repro.serving"):
             self._fresh_python(
                 f"import {first}\n"
-                "from repro.core.batch import validate_model_for_engine\n"
-                "from tests.conftest import build_fig3_curated\n"
+                "from repro.core.batch import batch_recommend\n"
+                "from tests.conftest import build_fig3_curated, "
+                "FIG3_LEAF_ID\n"
                 "from repro.core.model import GraphExModel\n"
                 "model = GraphExModel.construct(build_fig3_curated())\n"
-                "validate_model_for_engine(model, 'fast', 'serial')\n")
-
-    def test_validator_probes_after_lazy_import(self, fleet):
-        """The call itself exercises both lazy imports: executor
-        validation (execution) and the runner probe (fast_inference)."""
-        from repro.core.batch import validate_model_for_engine
-        model = make_model({1: [("gaming headset", 5, 5)]})
-        validate_model_for_engine(model, "fast", fleet)
-        with pytest.raises(ValueError, match="semantics reference"):
-            validate_model_for_engine(model, "reference", fleet)
-        with pytest.raises(ValueError, match="ClusterExecutor.local"):
-            validate_model_for_engine(model, "fast", "process")
-
-
-class TestDifferentialUpdateProcessShards:
-    def test_duplicate_item_ids_across_process_shards_last_wins(
-            self, fleet):
-        """``differential_update(executor=fleet)`` with the same
-        item id re-inferred in requests that land on *different* shards
-        (different leaf groups) must keep the last request, exactly like
-        the single-process paths."""
-        from repro.core.batch import differential_update
-
-        model = make_model({
-            leaf_id: [(f"shard{leaf_id} phrase {i}", 5 + i, 5)
-                      for i in range(4)]
-            for leaf_id in (1, 2, 3, 4)})
-        previous = {7: [], 99: []}
-        # Item 7 appears three times, targeting three different leaves —
-        # the LPT plan spreads those leaf groups across shards.
-        changed = [
-            (7, "shard1 phrase 0", 1),
-            (8, "shard2 phrase 1", 2),
-            (7, "shard3 phrase 2", 3),
-            (9, "shard4 phrase 3", 4),
-            (7, "shard2 phrase 0", 2),   # last one wins
-        ]
-        kwargs = dict(deleted_item_ids=[99, 7], k=5)
-        expected = differential_update(model, previous, changed,
-                                       engine="reference", **kwargs)
-        assert len(ShardPlan.for_inference(model, changed, 2)[0]
-                   .shards) == 2
-        merged = differential_update(model, previous, changed,
-                                     executor=fleet, **kwargs)
-        assert merged == expected
-        # Same-day delete+revise resolves to the revision across
-        # shard boundaries too.
-        assert merged[7] and merged[7] == expected[7]
-        assert 99 not in merged
+                "assert batch_recommend(model, [(1, 'gaming headphones', "
+                "FIG3_LEAF_ID)], executor='serial')[1]\n")
 
 
 class RaisingTokenizer:
