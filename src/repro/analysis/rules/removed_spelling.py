@@ -25,6 +25,9 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("_alignment_is_vectorized token_wise unique_ids pack_tokenizer "
+     "unpack_tokenizer fast_construct_leaf_graphs", NOWHERE,
+     "the typed model spec: an alignment name and a SpaceTokenizer"),
     ("transaction_lock _store_locks flush_executor "
      'validate_model_for_engine differential_update "--parallel"',
      NOWHERE, "PR 24"),

@@ -43,6 +43,7 @@ import sys
 import time
 from typing import List, Optional
 
+from .core.alignment import ALIGNMENTS
 from .core.batch import ENGINES, batch_recommend
 from .core.curation import CURATION_ENGINES, CurationConfig, curate
 from .core.execution import EXECUTOR_NAMES
@@ -548,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser("construct", help="construct the GraphEx model")
     p_con.add_argument("--curated", required=True)
     p_con.add_argument("--out", required=True)
-    p_con.add_argument("--alignment", choices=["lta", "wmr", "jac"],
+    p_con.add_argument("--alignment", choices=tuple(ALIGNMENTS),
                        default="lta")
     _add_executor_options(p_con, "leaves", "builder", BUILDERS)
     p_con.set_defaults(func=_cmd_construct)

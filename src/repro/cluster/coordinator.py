@@ -71,13 +71,12 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, Hashable, List,
 
 from ..core.batch import BatchResult, InferenceRequest
 from ..core.execution import ConstructionJob, InferenceJob
-from ..core.fast_construct import fast_construct_leaf_graphs
 from ..core.model import GraphExModel
 from ..core.serialization import open_model, save_model
-from ..core.tokenize import DEFAULT_TOKENIZER, Tokenizer
+from ..core.tokenize import DEFAULT_TOKENIZER, SpaceTokenizer
 from ..obs import MetricsRegistry, merge_snapshots, validate_snapshot
 from .protocol import (PROTOCOL_VERSION, FrameError,
-                       pack_curated_leaves, pack_requests, pack_tokenizer,
+                       pack_curated_leaves, pack_requests,
                        unpack_recommendations)
 from .retry import RetryPolicy
 from .transport import Transport, TransportClosed
@@ -898,7 +897,7 @@ class ClusterCoordinator:
 
     async def run_construction(
             self, curated: "CuratedKeyphrases",
-            tokenizer: Tokenizer = DEFAULT_TOKENIZER, *,
+            tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER, *,
             metrics: Optional[MetricsRegistry] = None
             ) -> Dict[int, "LeafGraph"]:
         """Build every non-empty leaf graph across the fleet.
@@ -910,25 +909,18 @@ class ClusterCoordinator:
         filesystem — the bundle never crosses the wire as a pickle);
         a reply names its bundle and nothing else, and the
         :class:`~repro.core.execution.ConstructionJob` returns the
-        graphs in curated order whichever unit finished first.
-
-        A tokenizer that is not wire-representable (anything but a
-        plain ``SpaceTokenizer``) cannot promise identical semantics on
-        remote hosts, so the whole job runs through the local fast
-        builder instead.
+        graphs in curated order whichever unit finished first.  The
+        frame carries ``tokenizer.spec()``, which a worker reads back
+        with ``SpaceTokenizer.from_spec``.
         """
         async with self._job_lock:
             if self._closing:
                 raise ClusterError("coordinator is stopping")
-            try:
-                tokenizer_spec = pack_tokenizer(tokenizer)
-            except ValueError:
-                return fast_construct_leaf_graphs(curated, tokenizer)
             job = ConstructionJob(curated, tokenizer,
                                   max(1, self.n_live()))
 
             def encode(keys: Tuple[Hashable, ...]) -> dict:
-                return {"tokenizer": tokenizer_spec,
+                return {"tokenizer": tokenizer.spec(),
                         "leaves": pack_curated_leaves(
                             job.leaves_of(keys))}
 

@@ -43,7 +43,6 @@ from ..core.curation import CuratedLeaf
 from ..core.fast_inference import (RankedColumns, materialise_ranked,
                                    ranked_parts)
 from ..core.inference import Recommendation
-from ..core.tokenize import SpaceTokenizer, Tokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.model import GraphExModel
@@ -54,7 +53,6 @@ __all__ = [
     "pack_ranked", "unpack_ranked", "unpack_recommendations",
     "pack_requests", "unpack_requests",
     "pack_curated_leaves", "unpack_curated_leaves",
-    "pack_tokenizer", "unpack_tokenizer",
     "pack_metrics_snapshot",
 ]
 
@@ -288,27 +286,6 @@ def unpack_curated_leaves(rows: Sequence[dict]) -> List[CuratedLeaf]:
                         search_counts=list(row["search_counts"]),
                         recall_counts=list(row["recall_counts"]))
             for row in rows]
-
-
-def pack_tokenizer(tokenizer: Tokenizer) -> dict:
-    """A :class:`SpaceTokenizer`'s full configuration as JSON.
-
-    Only plain ``SpaceTokenizer`` instances are wire-representable —
-    construction semantics must be *identical* on every host, and an
-    arbitrary callable cannot make that guarantee over JSON.  Custom
-    tokenizers run cluster construction via the local fallback instead.
-    """
-    if type(tokenizer) is not SpaceTokenizer:
-        raise ValueError(
-            f"only SpaceTokenizer ships over the wire (its semantics "
-            f"are reproducible from configuration); got "
-            f"{type(tokenizer).__name__}")
-    return tokenizer.spec()
-
-
-def unpack_tokenizer(spec: dict) -> SpaceTokenizer:
-    """Inverse of :func:`pack_tokenizer`."""
-    return SpaceTokenizer.from_spec(spec)
 
 
 def pack_metrics_snapshot(snapshot: dict) -> dict:

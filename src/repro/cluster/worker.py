@@ -59,10 +59,11 @@ from ..core.execution import build_shard_bundle
 from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
+from ..core.tokenize import SpaceTokenizer
 from ..obs import MetricsRegistry
 from .protocol import (PROTOCOL_VERSION, pack_metrics_snapshot,
                        pack_ranked, unpack_curated_leaves,
-                       unpack_requests, unpack_tokenizer)
+                       unpack_requests)
 from .transport import Transport, TransportClosed
 
 __all__ = ["ClusterWorker", "WorkerKilled", "spawn_worker", "reap_workers"]
@@ -316,7 +317,7 @@ class ClusterWorker:
         return pack_ranked(ranked, len(requests))
 
     def _run_construction_shard(self, message: dict) -> dict:
-        tokenizer = unpack_tokenizer(message["tokenizer"])
+        tokenizer = SpaceTokenizer.from_spec(message["tokenizer"])
         leaves = unpack_curated_leaves(message["leaves"])
         bundle = self._spool / "bundles" / \
             f"assignment-{message.get('assignment')}"

@@ -3,7 +3,7 @@
 from .alignment import ALIGNMENTS, get_alignment, jac, lta, wmr
 from .batch import ENGINES, batch_recommend
 from .csr import CSRGraph
-from .fast_construct import build_leaf_graph_fast, fast_construct_leaf_graphs
+from .fast_construct import build_leaf_graph_fast
 from .fast_inference import LeafBatchRunner, fast_batch_recommend
 from .curation import (
     CURATION_ENGINES,
@@ -54,7 +54,6 @@ __all__ = [
     "fast_batch_recommend",
     "BUILDERS",
     "build_leaf_graph_fast",
-    "fast_construct_leaf_graphs",
     "CURATION_ENGINES",
     "CurationConfig",
     "CuratedKeyphrases",

@@ -72,12 +72,15 @@ ALIGNMENTS: Dict[str, AlignmentFunction] = {
 }
 
 
-def get_alignment(name_or_fn: Union[str, AlignmentFunction]) -> AlignmentFunction:
-    """Resolve an alignment by registry name or pass a callable through.
+def get_alignment(name: str) -> AlignmentFunction:
+    """Resolve an alignment by registry name — the one spelling a model
+    artifact's header can carry.
 
     Raises:
-        KeyError: If a string name is not in :data:`ALIGNMENTS`.
+        ValueError: On anything that is not a name in
+            :data:`ALIGNMENTS`, a callable included.
     """
-    if callable(name_or_fn):
-        return name_or_fn
-    return ALIGNMENTS[name_or_fn]
+    if isinstance(name, str) and name in ALIGNMENTS:
+        return ALIGNMENTS[name]
+    raise ValueError(f"unknown alignment {name!r}; expected one of "
+                     f"{sorted(ALIGNMENTS)}")

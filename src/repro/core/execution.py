@@ -66,7 +66,7 @@ from .fast_inference import LeafBatchRunner
 from .inference import Recommendation
 from .serialization import load_leaf_graphs, save_leaf_graphs
 from .sharding import ShardExecutionError, ShardPlan, construction_proxy
-from .tokenize import DEFAULT_TOKENIZER, TokenCache, Tokenizer
+from .tokenize import DEFAULT_TOKENIZER, SpaceTokenizer, TokenCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..cluster.coordinator import ClusterCoordinator
@@ -106,8 +106,8 @@ class InferenceJob:
     belongs to no unit and keeps ``[]``.
 
     Constructing the job builds the local runner behind
-    :meth:`run_local`, which validates ``hard_limit`` and probes the
-    alignment function before any unit is dispatched.
+    :meth:`run_local`, which validates ``hard_limit`` before any unit
+    is dispatched.
     """
 
     def __init__(self, model: "GraphExModel",
@@ -167,7 +167,7 @@ class ConstructionJob:
     that is merged and where a unit ran never shows in the model.
     """
 
-    def __init__(self, curated: "CuratedKeyphrases", tokenizer: Tokenizer,
+    def __init__(self, curated: "CuratedKeyphrases", tokenizer: SpaceTokenizer,
                  n_shards: int) -> None:
         self._units = dict(construction_proxy(curated))
         self._leaves = curated.leaves
@@ -202,7 +202,7 @@ class ConstructionJob:
 
 
 def build_shard_bundle(leaves: Sequence["CuratedLeaf"],
-                       tokenizer: Tokenizer, directory: Union[str, Path]
+                       tokenizer: SpaceTokenizer, directory: Union[str, Path]
                        ) -> List[Tuple[int, float]]:
     """Build one out-of-process construction unit onto disk.
 
@@ -308,11 +308,10 @@ class Executor:
         raise NotImplementedError
 
     def run_construction(self, curated: "CuratedKeyphrases",
-                         tokenizer: Tokenizer = DEFAULT_TOKENIZER
+                         tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
                          ) -> Dict[int, "LeafGraph"]:
-        """Build every non-empty leaf graph; same contract as
-        :func:`~repro.core.fast_construct.fast_construct_leaf_graphs`
-        (leaf id → graph, in curated order) on every substrate."""
+        """Build every non-empty leaf graph with the fast builder: leaf
+        id → graph, in curated order, bit-identical on every substrate."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -371,7 +370,7 @@ class SerialExecutor(Executor):
             model, requests, 1, k=k, hard_limit=hard_limit))
 
     def run_construction(self, curated: "CuratedKeyphrases",
-                         tokenizer: Tokenizer = DEFAULT_TOKENIZER
+                         tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
                          ) -> Dict[int, "LeafGraph"]:
         return self._run("construction",
                          ConstructionJob(curated, tokenizer, 1))
@@ -518,7 +517,7 @@ class ClusterExecutor(Executor):
 
     async def run_construction_async(
             self, curated: "CuratedKeyphrases",
-            tokenizer: Tokenizer = DEFAULT_TOKENIZER
+            tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
             ) -> Dict[int, "LeafGraph"]:
         """:meth:`run_construction` for callers on the coordinator loop."""
         return await self.coordinator.run_construction(
@@ -532,7 +531,7 @@ class ClusterExecutor(Executor):
             model, requests, k=k, hard_limit=hard_limit))
 
     def run_construction(self, curated: "CuratedKeyphrases",
-                         tokenizer: Tokenizer = DEFAULT_TOKENIZER
+                         tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
                          ) -> Dict[int, "LeafGraph"]:
         return self._submit(self.run_construction_async(curated,
                                                         tokenizer))

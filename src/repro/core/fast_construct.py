@@ -49,7 +49,7 @@ import numpy as np
 
 from .csr import CSRGraph
 from .curation import CuratedKeyphrases, CuratedLeaf
-from .tokenize import TokenCache, Tokenizer
+from .tokenize import TokenCache
 from .vocab import Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -70,18 +70,12 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
         :func:`~repro.core.model.build_leaf_graph` on the same input.
     """
     n_labels = len(curated)
-    if cache.token_wise:
-        # Bulk path: one split per text, then one flat dict-resolve pass
-        # over every raw occurrence of the whole leaf (-1 marks dropped
-        # tokens).  Duplicates within a label survive to this point and
-        # are folded by the sort + dedup in _leaf_graph.
-        per_label = [text.split() for text in curated.texts]
-        stream = cache.resolve_raws(list(chain.from_iterable(per_label)))
-    else:
-        # Generic-tokenizer fallback: per-text unique ids (already
-        # deduplicated within each label, nothing dropped).
-        per_label = [cache.unique_ids(text) for text in curated.texts]
-        stream = chain.from_iterable(per_label)
+    # One split per text, then one flat dict-resolve pass over every raw
+    # occurrence of the whole leaf (-1 marks dropped tokens).
+    # Duplicates within a label survive to this point and are folded by
+    # the sort + dedup in _leaf_graph.
+    per_label = [text.split() for text in curated.texts]
+    stream = cache.resolve_raws(list(chain.from_iterable(per_label)))
     lengths = np.fromiter(map(len, per_label), dtype=np.int64,
                           count=n_labels)
     flat = np.fromiter(stream, dtype=np.int64, count=int(lengths.sum()))
@@ -222,17 +216,3 @@ def pool_leaf_graphs(curated: CuratedKeyphrases,
     return _leaf_graph(-1, Vocabulary.from_interned(word_index),
                        np.concatenate(edge_keys), list(label_index),
                        search_counts, recall_counts)
-
-
-def fast_construct_leaf_graphs(curated: CuratedKeyphrases,
-                               tokenizer: Tokenizer
-                               ) -> Dict[int, "LeafGraph"]:
-    """Build every non-empty leaf graph with the bulk engine, in order.
-
-    Returns:
-        The graphs keyed by leaf id, in the curated insertion order.
-    """
-    cache = TokenCache(tokenizer)
-    return {leaf_id: build_leaf_graph_fast(leaf, cache)
-            for leaf_id, leaf in curated.leaves.items()
-            if len(leaf) > 0}

@@ -70,7 +70,6 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
 
 import numpy as np
 
-from .alignment import ALIGNMENTS
 from .batch import (InferenceRequest, last_request_wins,
                     validate_hard_limit)
 from .inference import Recommendation
@@ -91,42 +90,6 @@ _Part = Tuple["LeafGraph", List[int]]
 #: check per row: :func:`materialise`, the only caller, zips exactly
 #: ``Recommendation._fields``, in order.
 _row = partial(tuple.__new__, Recommendation)
-
-
-def _alignment_is_vectorized(fn) -> bool:
-    """Probe whether an alignment callable is element-wise vectorized.
-
-    The scalar path hands ``fn`` candidate arrays with a *scalar*
-    title_len; the fast path batches whole chunks, so title_len
-    becomes an array too.  The built-in LTA/WMR/JAC broadcast
-    identically either way; a scalar-only or cross-row-coupled custom
-    callable would crash or silently score differently, so it is
-    rejected up front.  The registry built-ins are trusted without
-    probing, keeping per-batch runner construction free of redundant
-    work; only custom callables pay the (tiny) probe.
-    """
-    if any(fn is known for known in ALIGNMENTS.values()):
-        return True
-    c = np.array([1, 2], dtype=np.int64)
-    label_len = np.array([2, 4], dtype=np.int64)
-    title_len = np.array([3, 5], dtype=np.int64)
-    try:
-        batched = np.asarray(fn(c, label_len, title_len),
-                             dtype=np.float64)
-        if batched.shape != (2,):
-            return False
-        for i in range(2):
-            single = np.asarray(
-                fn(c[i:i + 1], label_len[i:i + 1], int(title_len[i])),
-                dtype=np.float64)
-            if single.shape != (1,):
-                return False
-            if not (single[0] == batched[i]
-                    or (np.isnan(single[0]) and np.isnan(batched[i]))):
-                return False
-    except Exception:
-        return False
-    return True
 
 
 def _prune_by_count_array(counts: np.ndarray, per_item: np.ndarray,
@@ -286,13 +249,11 @@ def materialise_ranked(parts: Sequence[_Part], ranked: RankedColumns,
 class LeafBatchRunner:
     """Vectorized batch inference: Algorithm 1 over cross-leaf chunks.
 
-    The model's alignment function must be element-wise vectorized over
-    its ``(c, label_len, title_len)`` arguments, as the built-in
-    LTA/WMR/JAC are and the :data:`~repro.core.alignment.AlignmentFunction`
-    contract requires: the engine scores a whole chunk — items of
-    several leaves — in one call, so a callable that is scalar-only or
-    couples scores across rows is not supported here (use the reference
-    engine for such experiments).
+    The engine scores a whole chunk — items of several leaves — in one
+    call of the model's alignment, which is one of the registry's
+    element-wise LTA/WMR/JAC: a model takes nothing else
+    (:class:`~repro.core.model.GraphExModel`), so there is nothing to
+    probe here.
 
     Args:
         model: The serving :class:`~repro.core.model.GraphExModel`.
@@ -302,19 +263,12 @@ class LeafBatchRunner:
             (must be ``None`` or ``>= 0``).
 
     Raises:
-        ValueError: If ``hard_limit`` is negative, or the model's
-            alignment function fails the vectorization probe.
+        ValueError: If ``hard_limit`` is negative.
     """
 
     def __init__(self, model: "GraphExModel", k: int = 10,
                  hard_limit: Optional[int] = None) -> None:
         validate_hard_limit(hard_limit)
-        if not _alignment_is_vectorized(model.alignment_fn):
-            raise ValueError(
-                "the model's alignment function is not element-wise "
-                "vectorized over (c, label_len, title_len); the fast "
-                "engine cannot guarantee equivalence — use "
-                "engine='reference' for this model")
         self._model = model
         self._k = k
         self._hard_limit = hard_limit

@@ -27,7 +27,7 @@ two-engine inference split:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .alignment import AlignmentFunction, get_alignment
 from .csr import CSRGraph
 from .curation import CuratedKeyphrases, CuratedLeaf
 from .inference import Recommendation, recommend_from_graph
-from .tokenize import DEFAULT_TOKENIZER, Tokenizer
+from .tokenize import DEFAULT_TOKENIZER, SpaceTokenizer, Tokenizer
 from .vocab import Vocabulary
 
 #: Interchangeable construction paths (scalar reference vs bulk engine).
@@ -135,6 +135,20 @@ def _pool_leaves(leaves: Sequence[CuratedLeaf]) -> CuratedLeaf:
     return pooled
 
 
+def _check_spec(tokenizer: SpaceTokenizer,
+                alignment: str) -> AlignmentFunction:
+    """Refuse by name a spec an artifact header cannot write — a
+    tokenizer not exactly a :class:`SpaceTokenizer` (a subclass may
+    override what its ``spec()`` omits), an alignment not in the
+    registry; returns the alignment function."""
+    if type(tokenizer) is not SpaceTokenizer:
+        raise TypeError(
+            f"a GraphEx model tokenizes with a SpaceTokenizer, whose "
+            f"spec() its artifact header records; got "
+            f"{type(tokenizer).__name__}")
+    return get_alignment(alignment)
+
+
 class GraphExModel:
     """The GraphEx keyphrase recommender for one meta category.
 
@@ -142,24 +156,28 @@ class GraphExModel:
     involves no weight updates or hyper-parameter training and completes
     in seconds even for large categories (paper Section IV-G).
 
+    A model is what its artifact header can name, checked here once: a
+    :class:`SpaceTokenizer` (``TypeError`` otherwise) and a registry
+    alignment name (``ValueError``).  A new tokenization scheme is a
+    new ``SpaceTokenizer`` spec field, not a callable.
+
     Args:
         leaf_graphs: Leaf-id → :class:`LeafGraph` mapping.
-        tokenizer: Tokenizer shared by construction and inference.
-        alignment: Alignment function or registry name ("lta"/"wmr"/"jac").
+        tokenizer: The tokenizer shared by construction and inference.
+        alignment: Registry name of the alignment ("lta"/"wmr"/"jac").
         pooled_graph: Optional single pooled graph covering every leaf
             (per-leaf vs pooled ablation; also the fallback for items whose
             leaf has no graph).
     """
 
     def __init__(self, leaf_graphs: Dict[int, LeafGraph],
-                 tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-                 alignment: Union[str, AlignmentFunction] = "lta",
+                 tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER,
+                 alignment: str = "lta",
                  pooled_graph: Optional[LeafGraph] = None) -> None:
+        self._alignment = _check_spec(tokenizer, alignment)
         self._leaf_graphs = dict(leaf_graphs)
         self._tokenizer = tokenizer
-        self._alignment_name = (alignment if isinstance(alignment, str)
-                                else getattr(alignment, "__name__", "custom"))
-        self._alignment = get_alignment(alignment)
+        self._alignment_name = alignment
         self._pooled = pooled_graph
         #: Which saved artifact this model was opened from — set by
         #: :func:`repro.core.serialization.load_model` / ``open_model``,
@@ -170,8 +188,8 @@ class GraphExModel:
 
     @classmethod
     def construct(cls, curated: CuratedKeyphrases,
-                  tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-                  alignment: Union[str, AlignmentFunction] = "lta",
+                  tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER,
+                  alignment: str = "lta",
                   build_pooled: bool = False,
                   builder: str = "fast",
                   executor=None) -> "GraphExModel":
@@ -181,7 +199,7 @@ class GraphExModel:
             curated: Output of :func:`repro.core.curation.curate`.
             tokenizer: Tokenization scheme (must stay fixed for the model's
                 lifetime; paper footnote 3).
-            alignment: Ranking alignment function; default LTA.
+            alignment: Registry name of the ranking alignment; default LTA.
             build_pooled: Also build a single pooled graph over all leaves
                 for the per-leaf-vs-pooled ablation and leaf fallback.
                 The fast builder derives it from the built leaf graphs
@@ -197,17 +215,18 @@ class GraphExModel:
             executor: Where the fast builder's whole-leaf shards run —
                 ``None`` / ``"serial"`` (the calling thread, default)
                 or an :class:`repro.core.execution.Executor` instance
-                (a ``ClusterExecutor`` carries its own fleet; only a
-                plain ``SpaceTokenizer`` crosses its wire, anything
-                else builds locally).  The built model is bit-identical
-                either way.
+                (a ``ClusterExecutor`` carries its own fleet).  The
+                built model is bit-identical either way.
 
         Raises:
+            TypeError, ValueError: A spec the class refuses, before any
+                leaf is built.
             ValueError: On an unknown builder or executor spelling, or
                 an out-of-process executor with the reference builder
                 (the scalar path stays single-process as the semantics
                 oracle).
         """
+        _check_spec(tokenizer, alignment)
         if builder not in BUILDERS:
             raise ValueError(f"unknown builder {builder!r}; "
                              f"expected one of {BUILDERS}")
@@ -237,7 +256,7 @@ class GraphExModel:
                    pooled_graph=pooled)
 
     @property
-    def tokenizer(self) -> Tokenizer:
+    def tokenizer(self) -> SpaceTokenizer:
         """The tokenizer shared by construction and inference."""
         return self._tokenizer
 

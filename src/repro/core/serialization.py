@@ -17,9 +17,8 @@ instead of a reload.
 
 The program reads only what it writes: a directory of any other
 ``format_version`` — 1 and 2, unwritten since PR 16, as much as a
-future one — is refused by one named ``ValueError``, ``model.json`` is
-checked as outside input before it is followed (:func:`_read_meta`),
-and :func:`save_model` refuses a model its header cannot name.
+future one — is refused by one named ``ValueError``, and ``model.json``
+is checked as outside input before it is followed (:func:`_read_meta`).
 
 Atomic re-save: :func:`save_model` writes the payload under a fresh
 ``arrays-<token>.bin`` name and atomically replaces ``model.json``
@@ -50,7 +49,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .alignment import ALIGNMENTS
+from .alignment import get_alignment
 from .csr import CSRGraph
 from .model import GraphExModel, LeafGraph
 from .tokenize import SpaceTokenizer
@@ -419,27 +418,12 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
             concurrent readers never observe a torn artifact and
             already-mapped models keep serving the old payload.
 
+    The header records the model's alignment name and tokenizer spec,
+    which is all of either a model can hold, so every model saves.
+
     Returns:
         The directory path.
-
-    Raises:
-        ValueError: The header cannot name what the model computes
-            with — an alignment callable that is not the registry's of
-            that name, a tokenizer that is not a plain
-            :class:`SpaceTokenizer` (``pack_tokenizer``'s rule on the
-            wire) — so the artifact would load as a different model.
     """
-    if model.alignment_fn is not ALIGNMENTS.get(model.alignment_name):
-        raise ValueError(
-            f"cannot save a model ranked by {model.alignment_fn!r}: the "
-            f"artifact header can only name a registry alignment "
-            f"({sorted(ALIGNMENTS)}), and a loader would rank by that")
-    if type(model.tokenizer) is not SpaceTokenizer:
-        raise ValueError(
-            f"cannot save a model tokenized by "
-            f"{type(model.tokenizer).__name__}: the artifact header "
-            f"holds a SpaceTokenizer's configuration, and a loader "
-            f"would tokenize by that")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -461,9 +445,11 @@ def _read_meta(directory: Path, bundle: bool = False) -> Tuple[Dict, str]:
     ``model.json`` is outside input: one named ``ValueError`` (the
     path, what is wrong) unless it is a JSON object of
     ``format_version`` 3 — judged first, whatever else is missing —
-    holding every key the opener reads, each of its JSON type, and an
-    ``arrays_file`` that is a bare file name: the payload is opened
-    inside the artifact directory, never wherever the manifest points.
+    holding every key the opener reads, each of its JSON type, an
+    ``arrays_file`` that is a bare file name (the payload is opened
+    inside the artifact directory, never wherever the manifest points)
+    and, for a model, a registry alignment and a tokenizer spec
+    :meth:`SpaceTokenizer.from_spec` accepts.
 
     Returns the parsed metadata and the artifact's identity: a digest
     of the very bytes parsed.  ``model.json`` names the payload file,
@@ -505,10 +491,12 @@ def _read_meta(directory: Path, bundle: bool = False) -> Tuple[Dict, str]:
         raise ValueError(
             f"malformed {path}: arrays_file {name!r} is not a bare file "
             f"name; the payload lives inside the artifact directory")
-    if not bundle and meta["alignment"] not in ALIGNMENTS:
-        raise ValueError(
-            f"malformed {path}: unknown alignment {meta['alignment']!r}; "
-            f"expected one of {sorted(ALIGNMENTS)}")
+    if not bundle:
+        try:
+            get_alignment(meta["alignment"])
+            SpaceTokenizer.from_spec(meta["tokenizer"])
+        except ValueError as exc:
+            raise ValueError(f"malformed {path}: {exc}") from None
     return meta, hashlib.sha256(raw).hexdigest()[:16]
 
 

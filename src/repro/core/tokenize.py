@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 #: A tokenizer maps a raw string to a list of tokens.
 Tokenizer = Callable[[str], List[str]]
@@ -92,9 +92,23 @@ class SpaceTokenizer:
 
     @classmethod
     def from_spec(cls, spec: Dict[str, object]) -> "SpaceTokenizer":
-        """Inverse of :meth:`spec`; an absent ``stopwords`` is none."""
-        return cls(stem=bool(spec.get("stem")),
-                   drop_stopwords=tuple(spec.get("stopwords", ())))
+        """Inverse of :meth:`spec`, accepting only what it writes: a
+        header or frame is outside input, and a spec read loosely would
+        tokenize otherwise without a word (``"stem": "no"`` would stem).
+        ``ValueError`` unless ``stem`` is a bool, ``stopwords`` (absent:
+        none) a list of str, ``type`` (the header's) absent or
+        ``"space"``, and there is no other key."""
+        stopwords = spec.get("stopwords", []) \
+            if isinstance(spec, dict) else None
+        if not (isinstance(spec, dict)
+                and set(spec) <= {"type", "stem", "stopwords"}
+                and spec.get("type", "space") == "space"
+                and isinstance(spec.get("stem"), bool)
+                and isinstance(stopwords, list)
+                and all(isinstance(word, str) for word in stopwords)):
+            raise ValueError(f"tokenizer {spec!r} is not a SpaceTokenizer "
+                             f"spec")
+        return cls(stem=spec["stem"], drop_stopwords=stopwords)
 
     def process(self, raw: str) -> Optional[str]:
         """Normalize/stem one whitespace-separated raw token.
@@ -132,13 +146,12 @@ class TokenCache:
     token string once into a shared append-only pool, so the leaf
     builder works on integer ids.
 
-    For a plain :class:`SpaceTokenizer` the whole per-raw-token pipeline
+    A :class:`SpaceTokenizer`'s pipeline is per raw token, so it
     collapses into one memo lookup (``raw token → pool id, or dropped``,
-    :meth:`resolve_raws`), so repeated tokens skip the normalization
-    regex *and* the string-keyed interning dict entirely; any other
-    callable falls back to invoking it per text (:meth:`unique_ids`).
-    Either way the produced token streams are identical to calling the
-    tokenizer directly.
+    :meth:`resolve_raws`): repeated tokens skip the normalization
+    regex *and* the string-keyed interning dict entirely, and the
+    produced token streams are identical to calling the tokenizer
+    directly.
 
     Pool ids never reach a built graph, so a cache has no cross-process
     form and no consumer past the leaf builds (the pooled graph derives
@@ -148,24 +161,15 @@ class TokenCache:
     lock-free (the pool is append-only).
     """
 
-    def __init__(self, tokenizer: Tokenizer) -> None:
+    def __init__(self, tokenizer: SpaceTokenizer) -> None:
         self._tokenizer = tokenizer
         self._tokens: List[str] = []
         self._token_ids: Dict[str, int] = {}
         self._lock = threading.Lock()
-        # Only replicate the token-wise pipeline for the exact class; a
-        # subclass may override __call__ with non-token-wise behavior.
-        self._raw_ids: Optional[Dict[str, int]] = (
-            {} if type(tokenizer) is SpaceTokenizer else None)
+        self._raw_ids: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    @property
-    def token_wise(self) -> bool:
-        """Whether :meth:`resolve_raws` is available (plain
-        :class:`SpaceTokenizer`, whose pipeline is per raw token)."""
-        return self._raw_ids is not None
 
     def tokens_for(self, token_ids: Sequence[int]) -> List[str]:
         """Pool strings for a sequence of ids."""
@@ -188,8 +192,7 @@ class TokenCache:
 
         Dropped tokens (empty after normalization, or stopwords) resolve
         to ``-1``.  ``text.split()`` fed through this method is exactly
-        ``tokenizer(text)`` with drops marked instead of removed.  Only
-        available when :attr:`token_wise` is true.
+        ``tokenizer(text)`` with drops marked instead of removed.
         """
         raw_ids = self._raw_ids
         # Warm the memo on the batch's *distinct* new raws first (one
@@ -202,20 +205,6 @@ class TokenCache:
                 token = process(raw)
                 raw_ids[raw] = -1 if token is None else self._intern(token)
         return list(map(raw_ids.__getitem__, raws))
-
-    def unique_ids(self, text: str) -> Tuple[int, ...]:
-        """Pool ids of the text's unique tokens, in first-occurrence order.
-
-        Deduplication happens on ids, which is equivalent to the scalar
-        ``dict.fromkeys(tokenizer(text))`` on strings: distinct raw
-        tokens that normalize to the same token share one pool id.
-        """
-        if self._raw_ids is None:
-            return tuple(self._intern(token) for token in
-                         dict.fromkeys(self._tokenizer(text)))
-        unique = dict.fromkeys(self.resolve_raws(text.split()))
-        unique.pop(-1, None)  # dropped tokens
-        return tuple(unique)
 
 
 #: Default tokenizer: space-delimited, normalized, no stemming.

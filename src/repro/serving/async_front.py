@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..core.batch import validate_hard_limit
 from ..core.execution import resolve_executor
-from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
@@ -165,10 +165,9 @@ class AsyncNRTFront:
                              f"{wall_clock_seconds}")
         self._model = model
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Resolved and probed here, so a bad executor spelling, cap or
-        # alignment fails at front construction, not at first
-        # add_stream.
-        LeafBatchRunner(model, k=k, hard_limit=hard_limit)
+        # Checked here, so a bad executor spelling or cap fails at
+        # front construction, not at first add_stream.
+        validate_hard_limit(hard_limit)
         self._service_kwargs = dict(
             window_size=window_size, window_seconds=window_seconds,
             k=k, hard_limit=hard_limit, enrich=enrich,
@@ -328,9 +327,8 @@ class AsyncNRTFront:
         :func:`repro.core.serialization.open_model`) and every stream
         is retargeted at the same mapped instance, so the whole front
         shares one physical copy and the swap is a remap, not N
-        reloads.  The new model is validated first (the engine's
-        alignment probe), so an incompatible model leaves every stream
-        serving the old one.  Then each
+        reloads.  A path that does not open leaves every stream
+        serving the old model.  Then each
         stream is quiesced in turn — its store lock is taken *off the
         event loop* (in the executor, so a flush in progress completes
         first and ingestion on other streams keeps flowing) — and its
@@ -352,10 +350,6 @@ class AsyncNRTFront:
         # stream's windows mid-swap (async-no-blocking).  For an
         # already-opened model it is a passthrough.
         model = await loop.run_in_executor(None, open_model, model)
-        # Probe once up front, exactly like __init__ (the cap was
-        # checked there): a model the engine cannot serve must fail
-        # before ANY stream is swapped.
-        LeafBatchRunner(model)
         self._model = model
         self._generation = next_generation(self._generation, generation)
         if self._started:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..core.batch import InferenceRequest, batch_recommend
+from ..core.batch import (InferenceRequest, batch_recommend,
+                          validate_hard_limit)
 from ..core.execution import resolve_executor
-from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
@@ -65,7 +65,7 @@ class BatchPipeline:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._executor = resolve_executor(executor, metrics=self.metrics)
-        LeafBatchRunner(model, k=k, hard_limit=hard_limit)
+        validate_hard_limit(hard_limit)
         self.model = model
         self.store: KeyValueStore = store if store is not None \
             else KeyValueStore()
@@ -157,16 +157,14 @@ class BatchPipeline:
         directory (opened via
         :func:`repro.core.serialization.open_model` — zero-copy mmap
         for format-3 artifacts, so co-hosted pipelines handed the same
-        path share one physical copy).  The new model is validated
-        first (the engine's alignment probe), so an incompatible model
-        leaves the pipeline on the old one.
+        path share one physical copy).  A path that does not open
+        leaves the pipeline on the old model.
         ``generation`` lets an orchestrator number refreshes
         consistently across the whole serving stack (defaults to the
         current generation + 1); the pipeline's generation after the
         swap is returned.
         """
         model = open_model(model)
-        LeafBatchRunner(model, k=self._k, hard_limit=self._hard_limit)
         self._generation = next_generation(self._generation, generation)
         self.model = model
         return self._generation

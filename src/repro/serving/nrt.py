@@ -19,9 +19,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.batch import batch_recommend
+from ..core.batch import batch_recommend, validate_hard_limit
 from ..core.execution import resolve_executor
-from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
@@ -114,10 +113,9 @@ class NRTService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._stream_label = stream
         # Fail here, not mid-flush where the window's events would
-        # already be drained: a bad executor spelling, a negative cap,
-        # an alignment the engine cannot vectorize.
+        # already be drained: a bad executor spelling, a negative cap.
         self._executor = resolve_executor(executor, metrics=self.metrics)
-        LeafBatchRunner(model, k=k, hard_limit=hard_limit)
+        validate_hard_limit(hard_limit)
         self.model = model
         self._store = store
         self._window_size = window_size
@@ -184,9 +182,9 @@ class NRTService:
         events already buffered in the open window — is inferred under
         the new model.
 
-        The new model is validated (the engine's alignment probe)
-        *before* the swap, so an incompatible model leaves the service
-        serving the old one.
+        A path that does not open — a malformed or truncated artifact
+        — raises before the swap, so the service keeps serving the old
+        model (generation included).
 
         Args:
             model: The replacement model, or the directory of a saved
@@ -200,7 +198,6 @@ class NRTService:
             The service's model generation after the swap.
         """
         model = open_model(model)
-        LeafBatchRunner(model, k=self._k, hard_limit=self._hard_limit)
         self._generation = next_generation(self._generation, generation)
         self.model = model
         self._model_loaded_at = time.monotonic()
@@ -273,7 +270,7 @@ class NRTService:
         if time_up and self._buffer:
             try:
                 closed = self.flush()
-            except Exception:
+            except BaseException:
                 # The failed flush restored the stale window; the
                 # incoming event joins it rather than vanishing with the
                 # exception.  Window composition differs from a clean
@@ -297,7 +294,8 @@ class NRTService:
         The window is one :meth:`KeyValueStore.transaction`.  Crash
         safety: on *any* failure — the store refusing to stage, an
         enrich hook raising, the engine failing mid-batch, a write, the
-        promote or the prune erroring — the transaction has abandoned
+        promote or the prune erroring, a ``KeyboardInterrupt`` anywhere
+        in between — the transaction has abandoned
         what it staged, and the drained events are restored to the
         front of the buffer with the window-open timestamp before the
         exception propagates.  No event is ever lost and no
@@ -349,7 +347,7 @@ class NRTService:
                 for item_id, _title, _leaf_id in requests:
                     self._store.put(version, item_id,
                                     [r.text for r in results[item_id]])
-        except Exception:
+        except BaseException:
             self._buffer[:0] = events
             self._window_opened_at = opened_at
             self.metrics.inc("nrt.flush.failures",

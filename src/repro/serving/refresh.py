@@ -36,6 +36,7 @@ from typing import (TYPE_CHECKING, Any, Callable, List, Optional,
                     Sequence, Union)
 
 from ..cluster.retry import RetriesExhausted, RetryPolicy
+from ..core.alignment import get_alignment
 from ..core.batch import InferenceRequest
 from ..core.curation import CuratedKeyphrases
 from ..core.execution import resolve_executor
@@ -102,7 +103,8 @@ class DailyRefreshOrchestrator:
             Resolved **once** and kept for the orchestrator's
             lifetime, so every refresh's build timings land in the one
             shared ``metrics`` registry.
-        alignment: Ranking alignment for the constructed models.
+        alignment: Registry name of the constructed models' ranking
+            alignment (an unknown one is a ``ValueError`` here).
         build_pooled: Also build the pooled fallback graph each day.
         artifact_dir: When set, every refresh persists its freshly
             constructed model as a format-3 artifact under
@@ -161,6 +163,8 @@ class DailyRefreshOrchestrator:
         # One executor for the orchestrator's lifetime: every refresh
         # records its build timings into the shared registry.
         self._executor = resolve_executor(executor, metrics=self.metrics)
+        # An unknown name is refused now, not after each day's build.
+        get_alignment(alignment)
         self._alignment = alignment
         self._build_pooled = build_pooled
         self._artifact_dir = (None if artifact_dir is None

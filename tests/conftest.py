@@ -36,16 +36,30 @@ FIG3_LEAF_ID = 100
 
 
 class FlakyStore(KeyValueStore):
-    """A KV store whose method named by ``fail_on`` raises once, at
-    the moment a writer reaches for it through the instance."""
+    """A KV store whose method named by ``fail_on`` raises ``error``
+    once, at the moment a writer reaches for it through the instance."""
 
     fail_on = None
+    error = OSError
 
     def __getattribute__(self, name):
         if name == object.__getattribute__(self, "fail_on"):
             self.fail_on = None
-            raise OSError(f"kv outage in {name}")
+            raise object.__getattribute__(self, "error")(
+                f"kv outage in {name}")
         return object.__getattribute__(self, name)
+
+
+def malformed_artifact(model: GraphExModel, directory):
+    """``model`` saved to ``directory``, then its header's tokenizer
+    spec damaged (``"stem": "no"``): an artifact every opener refuses
+    by name."""
+    from repro.core.serialization import save_model
+
+    meta = save_model(model, directory) / "model.json"
+    meta.write_text(meta.read_text("utf-8").replace(
+        '"stem": false', '"stem": "no"'), "utf-8")
+    return meta.parent
 
 
 def build_fig3_curated() -> CuratedKeyphrases:

@@ -106,12 +106,9 @@ class TestRegistry:
         assert get_alignment("wmr") is wmr
         assert get_alignment("jac") is jac
 
-    def test_get_alignment_passes_callables_through(self):
-        fn = lambda c, l, t: c  # noqa: E731 - test double
-        assert get_alignment(fn) is fn
-
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"unknown alignment 'cosine'; "
+                                             r"expected one of \['jac'"):
             get_alignment("cosine")
 
     def test_uniform_signature(self):

@@ -32,7 +32,7 @@ from repro.serving import (
     KeyValueStore,
     NRTService,
 )
-from tests.conftest import FIG3_LEAF_ID, FlakyStore
+from tests.conftest import FIG3_LEAF_ID, FlakyStore, malformed_artifact
 
 #: Titles with varying overlap against the Figure 3 keyphrase set (the
 #: last one matches nothing, so some items legitimately serve []).
@@ -553,20 +553,17 @@ class TestModelHotSwap:
                        for w in front.processed_windows(name))
 
     def test_refresh_validation_leaves_every_stream_on_old_model(
-            self, fig3_model):
-        """A bad model/engine pairing fails the up-front probe: no
-        stream is swapped and the front keeps serving."""
-        from repro.core.model import GraphExModel
-        scalar_only = lambda c, l, t: c / l if t > 0 else c * 0.0
-        bad = GraphExModel({lid: fig3_model.leaf_graph(lid)
-                            for lid in fig3_model.leaf_ids},
-                           alignment=scalar_only)
+            self, fig3_model, tmp_path):
+        """An artifact that does not open fails before any stream is
+        swapped, and the front keeps serving."""
+        bad = malformed_artifact(fig3_model, tmp_path)
 
         async def drive():
             front = AsyncNRTFront(fig3_model, window_size=1)
             front.add_stream("s")
             async with front:
-                with pytest.raises(ValueError, match="not element-wise"):
+                with pytest.raises(ValueError,
+                                   match="malformed .*model.json"):
                     await front.refresh_model(bad)
                 assert front.model_generation == 0
                 await front.submit("s", make_event(1, 0.0))

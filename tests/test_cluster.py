@@ -31,14 +31,13 @@ from repro.cluster import (ClusterCoordinator, ClusterError,
                            TransportClosed, WorkerKilled, decode_frame,
                            encode_frame)
 from repro.cluster.protocol import (PROTOCOL_VERSION, pack_ranked,
-                                    pack_requests, pack_tokenizer,
-                                    read_frame, unpack_ranked,
-                                    unpack_recommendations,
-                                    unpack_requests, unpack_tokenizer)
+                                    pack_requests, read_frame,
+                                    unpack_ranked, unpack_recommendations,
+                                    unpack_requests)
 from repro.cluster.transport import Transport
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
-from repro.core.fast_construct import fast_construct_leaf_graphs
+from repro.core.execution import SerialExecutor
 from repro.core.fast_inference import LeafBatchRunner, RankedColumns
 from repro.core.model import GraphExModel
 from repro.core.serialization import open_model, save_model
@@ -365,20 +364,18 @@ class TestProtocol:
             json.loads(json.dumps(pack_requests(reqs)))) == reqs
 
     def test_tokenizer_roundtrip_preserves_semantics(self):
+        """The construction frame carries ``spec()``; a worker reads it
+        back with ``from_spec``."""
         tokenizer = SpaceTokenizer(stem=True,
                                    drop_stopwords=("for", "with"))
-        back = unpack_tokenizer(
-            json.loads(json.dumps(pack_tokenizer(tokenizer))))
+        back = SpaceTokenizer.from_spec(
+            json.loads(json.dumps(tokenizer.spec())))
         assert (back.stems, back.stopwords) == (True, {"for", "with"})
         for text in ("Wireless Headphones for gaming", "cables with!"):
             assert back(text) == tokenizer(text)
-        plain = unpack_tokenizer(
-            json.loads(json.dumps(pack_tokenizer(SpaceTokenizer()))))
+        plain = SpaceTokenizer.from_spec(
+            json.loads(json.dumps(SpaceTokenizer().spec())))
         assert (plain.stems, plain.stopwords) == (False, frozenset())
-
-    def test_custom_tokenizer_not_wire_representable(self):
-        with pytest.raises(ValueError, match="SpaceTokenizer"):
-            pack_tokenizer(lambda text: text.split())
 
     def test_oversized_frame_rejected(self):
         import repro.cluster.protocol as protocol
@@ -597,8 +594,8 @@ class TestClusterInference:
                 return graphs, coord.last_report
 
         graphs, report = asyncio.run(drive())
-        ref_graphs = fast_construct_leaf_graphs(curated,
-                                                DEFAULT_TOKENIZER)
+        ref_graphs = SerialExecutor().run_construction(curated,
+                                                       DEFAULT_TOKENIZER)
         assert list(graphs) == list(ref_graphs)
         for leaf_id, reference in ref_graphs.items():
             built = graphs[leaf_id]
@@ -615,24 +612,6 @@ class TestClusterInference:
                                   reference.recall_counts)
             assert list(built.word_vocab) == list(reference.word_vocab)
         assert all(count == 1 for count in report.merge_counts.values())
-
-    def test_custom_tokenizer_construction_runs_locally(self, curated):
-        """A non-wire-representable tokenizer cannot promise identical
-        remote semantics — the job silently takes the local path."""
-        tokenizer = lambda text: text.split()  # noqa: E731
-
-        async def drive():
-            async with ClusterCoordinator() as coord:
-                _w, task = await spawn_worker(coord, name="idle")
-                await coord.wait_for_workers(1, timeout=10.0)
-                graphs = await coord.run_construction(curated,
-                                                      tokenizer)
-                await teardown(coord, [task])
-                return graphs
-
-        graphs = asyncio.run(drive())
-        ref_graphs = fast_construct_leaf_graphs(curated, tokenizer)
-        assert list(graphs) == list(ref_graphs)
 
     def test_deploy_artifact_acknowledged_by_fleet(self, artifact):
         async def drive():

@@ -23,9 +23,8 @@ from repro.core.batch import batch_recommend
 from repro.core.csr import CSRGraph
 from repro.core.curation import (CurationConfig, CuratedKeyphrases,
                                  CuratedLeaf, curate, fast_curate)
-from repro.core.fast_construct import (build_leaf_graph_fast,
-                                       fast_construct_leaf_graphs,
-                                       pool_leaf_graphs)
+from repro.core.execution import SerialExecutor
+from repro.core.fast_construct import build_leaf_graph_fast, pool_leaf_graphs
 from repro.core.model import GraphExModel, _pool_leaves, build_leaf_graph
 from repro.core.serialization import LazyStringList
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
@@ -220,7 +219,7 @@ class TestFastBuilder:
         """A pool far larger than the leaf routes interning through the
         np.unique fallback; output stays bit-identical."""
         cache = TokenCache(DEFAULT_TOKENIZER)
-        cache.unique_ids(" ".join(f"filler{i}" for i in range(2000)))
+        cache.resolve_raws([f"filler{i}" for i in range(2000)])
         leaf = CuratedLeaf(leaf_id=1, texts=["w1 w0 w1", "w2 w0"],
                            search_counts=[5, 4], recall_counts=[1, 2])
         fast = build_leaf_graph_fast(leaf, cache)
@@ -252,11 +251,6 @@ class TestFastBuilder:
         graph_b = build_leaf_graph_fast(leaf_b, cache)
         assert len(cache) == 3  # pool grew once, not twice
         assert graph_a.word_vocab.tokens == graph_b.word_vocab.tokens
-
-
-def _bigrams(text):
-    """A tokenizer that is not token-wise: character bigrams."""
-    return [text[i:i + 2] for i in range(0, len(text) - 1, 2)]
 
 
 def _leaf(leaf_id, *rows):
@@ -291,9 +285,6 @@ POOLING_CASES = {
         _leaf(1, ("usb cables", 5, 7), ("cable cables", 3, 3)),
         _leaf(2, ("cable box", 2, 9), ("box cables", 1, 1))],
         STEMMING_TOKENIZER),
-    "generic_callable_tokenizer": ([
-        _leaf(1, ("abcd", 5, 7), ("cdab", 3, 3), ("a", 2, 2)),
-        _leaf(2, ("cdef", 2, 9), ("abcd", 7, 1))], _bigrams),
 }
 
 
@@ -325,7 +316,7 @@ class TestPoolLeafGraphs:
         curated = self.curated_of(leaves)
         reference = build_leaf_graph(_pool_leaves(leaves), tokenizer)
         pooled = pool_leaf_graphs(
-            curated, fast_construct_leaf_graphs(curated, tokenizer))
+            curated, SerialExecutor().run_construction(curated, tokenizer))
         self.assert_pooled_identical(reference, pooled)
         # And through the public entry point, on both builders.
         assert_models_identical(
@@ -421,21 +412,17 @@ class TestTokenCache:
                          min_size=0, max_size=8).map(" ".join),
            tokenizer_index=st.integers(0, len(TOKENIZERS) - 1))
     @settings(max_examples=60, deadline=None)
-    def test_unique_ids_match_direct_tokenization(self, text,
-                                                  tokenizer_index):
-        """The memoized per-raw-token path reproduces the tokenizer."""
+    def test_resolve_raws_match_direct_tokenization(self, text,
+                                                    tokenizer_index):
+        """The memoized per-raw-token path reproduces the tokenizer,
+        drops marked ``-1``; a second call resolves to the same ids."""
         tokenizer = TOKENIZERS[tokenizer_index]
         cache = TokenCache(tokenizer)
-        expected = list(dict.fromkeys(tokenizer(text)))
-        assert cache.tokens_for(cache.unique_ids(text)) == expected
-        # A second call resolves to the same ids.
-        assert cache.tokens_for(cache.unique_ids(text)) == expected
-
-    def test_non_space_tokenizer_falls_back_to_callable(self):
-        bigrams = lambda text: [text[i:i + 2]
-                                for i in range(0, len(text) - 1, 2)]
-        cache = TokenCache(bigrams)
-        assert cache.tokens_for(cache.unique_ids("abcd")) == ["ab", "cd"]
+        for _ in range(2):
+            ids = cache.resolve_raws(text.split())
+            assert len(ids) == len(text.split())
+            assert cache.tokens_for([i for i in ids if i >= 0]) \
+                == tokenizer(text)
 
 
 class TestFromArrays:

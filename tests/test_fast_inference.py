@@ -547,34 +547,6 @@ class TestEdgeCases:
         fast = fast_batch_recommend(model, [(1, "w0 w1", 1)], k=0)
         assert fast == {1: []}
 
-    def test_scalar_only_custom_alignment_rejected_by_fast_engine(self):
-        """A custom alignment that can't broadcast over an array title_len
-        worked on the scalar path; the fast engine must reject it up
-        front instead of crashing (or silently mis-scoring) mid-batch."""
-        scalar_only = lambda c, l, t: (np.asarray(c, dtype=np.float64)
-                                       / np.asarray(l, dtype=np.float64)
-                                       if t > 0 else np.zeros(len(c)))
-        model = make_model({1: [("w0 w1", 5, 1)]})
-        custom = GraphExModel(
-            {1: model.leaf_graph(1)}, tokenizer=model.tokenizer,
-            alignment=scalar_only)
-        reqs = [(1, "w0", 1), (2, "w1", 1)]
-        assert batch_recommend(custom, reqs, k=5, engine="reference")
-        with pytest.raises(ValueError, match="not element-wise"):
-            batch_recommend(custom, reqs, k=5, engine="fast")
-
-    def test_vectorized_custom_alignment_accepted(self):
-        vectorized = lambda c, l, t: (np.asarray(c, dtype=np.float64)
-                                      / np.asarray(l, dtype=np.float64))
-        model = make_model({1: [("w0 w1", 5, 1), ("w0", 3, 2)]})
-        custom = GraphExModel(
-            {1: model.leaf_graph(1)}, tokenizer=model.tokenizer,
-            alignment=vectorized)
-        reqs = [(1, "w0 w1", 1), (2, "w0", 1)]
-        assert_identical(
-            batch_recommend(custom, reqs, k=5, engine="fast"),
-            batch_recommend(custom, reqs, k=5, engine="reference"))
-
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_negative_hard_limit_rejected(self, engine):
         """Both engines refuse a negative cap (Python slice semantics

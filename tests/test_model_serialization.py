@@ -113,16 +113,19 @@ class TestSerialization:
         save_model(model, tmp_path / "m")
         assert load_model(tmp_path / "m").tokenizer.stems
 
+    @pytest.mark.parametrize("stem", [False, True])
     @pytest.mark.parametrize("alignment", ["lta", "wmr", "jac"])
-    def test_roundtrip_preserves_stopwords(self, tmp_path, alignment):
+    def test_roundtrip_preserves_stopwords(self, tmp_path, alignment, stem):
         """Footnote 3: the artifact tokenizes as the builder did.  A
         dropped stopword does not count towards |T|, so losing the list
-        on the way through ``model.json`` changes served scores."""
+        on the way through ``model.json`` changes served scores.  Every
+        spec the constructor accepts saves and loads bit-identical."""
         leaf = CuratedLeaf(leaf_id=1)
-        for rank, text in enumerate(["case for iphone", "iphone case",
+        for rank, text in enumerate(["case for iphones", "iphone case",
                                      "charger for iphone", "case"]):
             leaf.add(text, 50 - rank, 1 + rank)
-        tokenizer = SpaceTokenizer(drop_stopwords=("for", "with"))
+        tokenizer = SpaceTokenizer(stem=stem,
+                                   drop_stopwords=("for", "with"))
         model = GraphExModel.construct(
             CuratedKeyphrases(leaves={1: leaf}, effective_threshold=1,
                               config=CurationConfig(min_search_count=1)),
@@ -137,8 +140,9 @@ class TestSerialization:
             in (path / "model.json").read_text(encoding="utf-8")
         for opened in (load_model(path), load_model(path, mmap=True),
                        open_model(path)):
-            assert opened.tokenizer.stopwords == tokenizer.stopwords
-            assert not opened.tokenizer.stems
+            assert opened.tokenizer.spec() == tokenizer.spec()
+            assert opened.alignment_name == alignment
+            assert_models_identical(model, opened)
             for engine in ("reference", "fast"):
                 assert batch_recommend(opened, reqs, k=5,
                                        engine=engine) == expected
@@ -156,58 +160,39 @@ class TestSerialization:
             '{"type": "space", "stem": %s}, ' % stem)
         assert load_model(path).tokenizer.stopwords == frozenset()
 
-    @staticmethod
-    def abc_curated(texts=("a b c", "a b c d e", "a b", "a x y z")):
-        leaf = CuratedLeaf(leaf_id=1)
-        for rank, text in enumerate(texts):
-            leaf.add(text, 50 - rank, 1 + rank)
-        return CuratedKeyphrases(leaves={1: leaf}, effective_threshold=1,
-                                 config=CurationConfig(min_search_count=1))
-
-    def test_save_refuses_what_the_header_cannot_name(self, tmp_path,
-                                                      fleet):
+    def test_model_refuses_what_the_header_cannot_name(self):
         """``model.json`` names an alignment by registry name and holds
-        a ``SpaceTokenizer``'s configuration.  A model that ranks or
-        tokenizes by anything else used to save without complaint and
-        load as another model (``"custom"`` read back as LTA, a callable
-        tokenizer as the default one); it is refused at save by name —
-        so the fleet, which spools an in-memory model through
-        ``save_model``, raises instead of answering with rows the
-        serial path would not."""
+        a ``SpaceTokenizer``'s spec, so a model takes nothing else: a
+        callable alignment (the registry's own function included) or
+        an unknown name, a callable tokenizer, or a ``SpaceTokenizer``
+        subclass (it may override what its spec does not record) is
+        refused by name — by the constructor, and by ``construct``
+        before any leaf is tokenized."""
         import functools
 
         from repro.core.alignment import jac
 
-        def named(common, label_len, title_len):
-            return jac(common, label_len, title_len)
+        def never_called(text):
+            raise AssertionError("a leaf was tokenized")
 
-        requests = [(0, "a b c q r", 1)]
-        for alignment in (functools.partial(jac), named):
-            model = GraphExModel.construct(self.abc_curated(),
-                                           alignment=alignment)
-            with pytest.raises(ValueError, match="ranked by .*registry "
-                                                 "alignment"):
-                save_model(model, tmp_path / "m")
-            assert not (tmp_path / "m").exists()
-            serial = batch_recommend(model, requests, k=3)
-            assert [rec.text for rec in serial[0]] \
-                == ["a b c", "a b c d e", "a b"]     # JAC, not LTA
-            with pytest.raises(ValueError, match="ranked by"):
-                batch_recommend(model, requests, k=3, executor=fleet)
-        commas = GraphExModel.construct(
-            self.abc_curated(("a,b", "b,c", "c")),
-            tokenizer=lambda text: text.split(","))
-        assert len(commas.recommend("a,b,c", 1, k=5)) == 3
-        with pytest.raises(ValueError, match="tokenized by function"):
-            save_model(commas, tmp_path / "m")
-        # The registry's own function is nameable however it was given.
-        by_function = GraphExModel.construct(self.abc_curated(),
-                                             alignment=jac)
-        loaded = load_model(save_model(by_function, tmp_path / "m"))
-        assert loaded.alignment_name == "jac"
-        assert batch_recommend(loaded, requests, k=3) \
-            == batch_recommend(by_function, requests, k=3) \
-            == batch_recommend(by_function, requests, k=3, executor=fleet)
+        class OverridingTokenizer(SpaceTokenizer):
+            __call__ = staticmethod(never_called)
+
+        for alignment in (jac, functools.partial(jac), "cosine"):
+            with pytest.raises(ValueError, match="unknown alignment .*"
+                                                 "expected one of"):
+                GraphExModel.construct(curated_two_leaves(),
+                                       alignment=alignment)
+            with pytest.raises(ValueError, match="unknown alignment"):
+                GraphExModel({}, alignment=alignment)
+        for tokenizer in (never_called, OverridingTokenizer()):
+            with pytest.raises(TypeError, match="SpaceTokenizer.*got "
+                               + type(tokenizer).__name__):
+                GraphExModel.construct(curated_two_leaves(),
+                                       tokenizer=tokenizer,
+                                       builder="reference")
+            with pytest.raises(TypeError, match="SpaceTokenizer"):
+                GraphExModel({}, tokenizer=tokenizer)
 
     def test_model_size_bytes(self, tmp_path):
         model = GraphExModel.construct(curated_two_leaves())
@@ -868,6 +853,18 @@ class TestMalformedMeta:
         "model:alignment-unknown": (
             lambda meta: {**meta, "alignment": "named"},
             "unknown alignment 'named'"),
+        # The tokenizer half: what spec() writes, nothing looser ("no"
+        # would stem, "for" would drop f, o and r).
+        **{f"model:tokenizer-{name}": (
+            lambda meta, spec=spec: {**meta, "tokenizer": spec},
+            f"tokenizer {spec!r} is not a SpaceTokenizer spec")
+           for name, spec in [
+               ("stem-not-a-bool", {"type": "space", "stem": "no"}),
+               ("stopwords-not-a-list",
+                {"type": "space", "stem": False, "stopwords": "for"}),
+               ("not-space", {"type": "bpe", "stem": False}),
+               ("unknown-key", {"type": "space", "stem": False,
+                                "lowercase": True})]},
     }
 
     @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])

@@ -456,11 +456,10 @@ class TestRefreshRetries:
         assert pipeline.model is service.model is not fig3_model
 
     def refresh_over_bad_artifact(self, fig3_model, monkeypatch,
-                                  tmp_path, damage=None, **knobs):
+                                  tmp_path, damage):
         """One refresh whose persist step cannot succeed — ``damage``
-        is done to every artifact it saves, ``knobs`` go to the
-        orchestrator.  Asserts nothing of it was deployed; returns its
-        report and the stack."""
+        is done to every artifact it saves.  Asserts nothing of it was
+        deployed; returns its report and the stack."""
         from pathlib import Path
 
         from repro.serving import refresh
@@ -471,8 +470,7 @@ class TestRefreshRetries:
             return path
 
         refresh_save = refresh.save_model
-        if damage is not None:
-            monkeypatch.setattr(refresh, "save_model", damaged_save)
+        monkeypatch.setattr(refresh, "save_model", damaged_save)
         store = KeyValueStore()
         pipeline = BatchPipeline(fig3_model, store=store)
         pipeline.full_load(REQUESTS)
@@ -481,7 +479,7 @@ class TestRefreshRetries:
         service = NRTService(fig3_model, store, window_size=1)
         orchestrator = DailyRefreshOrchestrator(
             pipeline, artifact_dir=tmp_path / "artifacts",
-            retry=self.make_policy(), **knobs)
+            retry=self.make_policy())
         orchestrator.register(service)
         report = orchestrator.refresh_sync(build_fig3_variant_curated(),
                                            REQUESTS)
@@ -532,19 +530,24 @@ class TestRefreshRetries:
             in report.failure
         assert "expected a JSON object" in report.failure
 
-    def test_unsaveable_model_is_reported_with_stack_untouched(
-            self, fig3_model, monkeypatch, tmp_path):
-        """A model the artifact header cannot name is refused at save —
-        the refresh records that instead of deploying the LTA model the
-        artifact would have loaded as."""
-        import functools
+    def test_unknown_alignment_refused_before_any_build(
+            self, fig3_model, monkeypatch):
+        """An unknown alignment name is refused by name before a leaf
+        is built — by the model, and by the orchestrator at its own
+        construction rather than after every day's build, retried."""
+        from repro.core import execution
+        from repro.core.model import GraphExModel
 
-        from repro.core.alignment import jac
+        def no_build(*args):
+            raise AssertionError("a leaf was built")
 
-        report, *_stack = self.refresh_over_bad_artifact(
-            fig3_model, monkeypatch, tmp_path,
-            alignment=functools.partial(jac))
-        assert "cannot save a model ranked by" in report.failure
+        monkeypatch.setattr(execution, "build_leaf_graph_fast", no_build)
+        with pytest.raises(ValueError, match="unknown alignment 'cosine'"):
+            GraphExModel.construct(build_fig3_curated(), alignment="cosine")
+        with pytest.raises(ValueError, match="unknown alignment 'cosine'"):
+            DailyRefreshOrchestrator(BatchPipeline(fig3_model),
+                                     alignment="cosine",
+                                     retry=self.make_policy())
 
     def test_without_a_policy_persist_failures_propagate(
             self, fig3_model, monkeypatch, tmp_path):

@@ -11,7 +11,8 @@ from repro.serving import (
     KeyValueStore,
     NRTService,
 )
-from tests.conftest import FIG3_LEAF_ID, FlakyStore, build_fig3_curated
+from tests.conftest import (FIG3_LEAF_ID, FlakyStore, build_fig3_curated,
+                            malformed_artifact)
 from repro.core.model import GraphExModel
 
 
@@ -27,12 +28,15 @@ REQUESTS = [
 ]
 
 
-#: Every store call every writer's transaction makes.
-FAILURE_POINTS = [(writer, failing) for writer, fills in (
+#: Every store call every writer's transaction makes, failing with an
+#: OSError — and an interrupt mid-window, which the transaction
+#: abandons on like any other failure.
+FAILURE_POINTS = [(writer, failing, OSError) for writer, fills in (
     ("full_load", ("bulk_load",)),
     ("daily_differential", ("copy_from_serving", "bulk_load")),
     ("flush", ("copy_from_serving", "put")))
-    for failing in ("create_version", *fills, "promote", "prune")]
+    for failing in ("create_version", *fills, "promote", "prune")] + [
+    ("flush", "put", KeyboardInterrupt)]
 
 
 def table(store):
@@ -455,16 +459,13 @@ class TestBatchPipeline:
         for item_id, _title, _leaf in REQUESTS:
             assert pipeline.serve(item_id) == baseline.serve(item_id)
 
-    def test_refresh_model_validates_before_swapping(self, model):
-        """An incompatible model must leave the pipeline serving the
-        old one (generation included)."""
-        scalar_only = lambda c, l, t: c / l if t > 0 else c * 0.0
-        bad = GraphExModel({lid: model.leaf_graph(lid)
-                            for lid in model.leaf_ids},
-                           alignment=scalar_only)
+    def test_refresh_model_validates_before_swapping(self, model,
+                                                     tmp_path):
+        """An artifact that does not open must leave the pipeline
+        serving the old model (generation included)."""
         pipeline = BatchPipeline(model)
-        with pytest.raises(ValueError, match="not element-wise"):
-            pipeline.refresh_model(bad)
+        with pytest.raises(ValueError, match="malformed .*model.json"):
+            pipeline.refresh_model(malformed_artifact(model, tmp_path))
         assert pipeline.model is model
         assert pipeline.model_generation == 0
         assert pipeline.full_load(REQUESTS).n_inferred == 3
@@ -493,9 +494,12 @@ class TestBatchPipeline:
                 deleted_item_ids=[1]),
             "flush": service.flush}
 
-    @pytest.mark.parametrize("writer,failing", FAILURE_POINTS)
+    @pytest.mark.parametrize(
+        "writer,failing,error", FAILURE_POINTS,
+        ids=["-".join([w, f] + [e.__name__] * (e is not OSError))
+             for w, f, e in FAILURE_POINTS])
     def test_failed_load_abandons_staged_version(self, model, writer,
-                                                 failing):
+                                                 failing, error):
         """Whichever store call of whichever writer fails, no staging
         version is left open (prune-exempt), readers see the old table
         whole or the new one whole, and an NRT flush keeps its events
@@ -507,8 +511,8 @@ class TestBatchPipeline:
         assert old != new
         before = store.serving_version, store.versions
 
-        store.fail_on = failing
-        with pytest.raises(OSError, match=f"kv outage in {failing}"):
+        store.fail_on, store.error = failing, error
+        with pytest.raises(error, match=f"kv outage in {failing}"):
             writers[writer]()
         assert store._open_staging == set()
         if failing == "prune":       # after the promote took effect
@@ -579,17 +583,6 @@ class TestNRTService:
             assert stats is not None and stats.n_inferred == 2
         assert sharded.serve(1) == serial.serve(1)
         assert sharded.serve(2) == serial.serve(2)
-
-    def test_unvectorized_alignment_rejected_at_construction(self, model):
-        """The fast engine's alignment probe must also run here, before
-        any window event could be drained and lost mid-flush."""
-        from repro.core.model import GraphExModel
-        scalar_only = lambda c, l, t: c / l if t > 0 else c * 0.0
-        bad = GraphExModel({lid: model.leaf_graph(lid)
-                            for lid in model.leaf_ids},
-                           alignment=scalar_only)
-        with pytest.raises(ValueError, match="not element-wise"):
-            self._service(bad)
 
     def test_window_size_rechecked_after_time_flush(self, model):
         """Regression: the time-elapsed path used to buffer the incoming
@@ -872,16 +865,13 @@ class TestNRTService:
         new.submit(self._event(2, 0.1))
         assert service.serve(2) == new.serve(2)
 
-    def test_refresh_model_validates_before_swapping(self, model):
-        """An incompatible model/engine pairing must leave the service
-        on the old model (it keeps serving)."""
-        scalar_only = lambda c, l, t: c / l if t > 0 else c * 0.0
-        bad = GraphExModel({lid: model.leaf_graph(lid)
-                            for lid in model.leaf_ids},
-                           alignment=scalar_only)
+    def test_refresh_model_validates_before_swapping(self, model,
+                                                     tmp_path):
+        """An artifact that does not open must leave the service on the
+        old model (it keeps serving)."""
         service = self._service(model, window_size=1)
-        with pytest.raises(ValueError, match="not element-wise"):
-            service.refresh_model(bad)
+        with pytest.raises(ValueError, match="malformed .*model.json"):
+            service.refresh_model(malformed_artifact(model, tmp_path))
         assert service.model is model
         assert service.model_generation == 0
         service.submit(self._event(1, 0.0))

@@ -226,13 +226,6 @@ class TestLazyImportCycleContract:
                 "FIG3_LEAF_ID)], executor='serial')[1]\n")
 
 
-class RaisingTokenizer:
-    """Tokenizer that blows up mid-build."""
-
-    def __call__(self, text):
-        raise ValueError("boom-tokenizer")
-
-
 class TestReplan:
     """The dead-host primitive: orphaned keys re-balance over survivors."""
 
@@ -345,13 +338,21 @@ class TestWorkerFailureSurfacing:
         assert "boom-runner saw [(0, 'title', 1)]" \
             in error.worker_traceback
 
-    def test_construction_failure_cleans_temp_dirs(self, tmp_path):
+    def test_construction_failure_cleans_temp_dirs(self, monkeypatch,
+                                                   tmp_path):
         """The one out-of-process shard builder removes its half-written
         bundle before the failure leaves the worker."""
+        from repro.core import execution
+
+        def half_written(graphs, directory):
+            (directory / "arrays-partial.bin").write_bytes(b"\0")
+            raise OSError("boom-bundle")
+
+        monkeypatch.setattr(execution, "save_leaf_graphs", half_written)
         bundle = tmp_path / "bundle"
         bundle.mkdir()
-        with pytest.raises(ValueError, match="boom-tokenizer"):
+        with pytest.raises(OSError, match="boom-bundle"):
             build_shard_bundle(
                 list(self._failing_curated().leaves.values()),
-                RaisingTokenizer(), bundle)
+                DEFAULT_TOKENIZER, bundle)
         assert not bundle.exists()
