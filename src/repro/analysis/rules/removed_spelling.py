@@ -28,6 +28,8 @@ REMOVED = [
     ("_alignment_is_vectorized token_wise unique_ids pack_tokenizer "
      "unpack_tokenizer fast_construct_leaf_graphs", NOWHERE,
      "the typed model spec: an alignment name and a SpaceTokenizer"),
+    ("_locked", r"(?!repro\.serving\.async_front:)",
+     "the one flush lane (the store lock is transaction()'s alone)"),
     ("transaction_lock _store_locks flush_executor "
      'validate_model_for_engine differential_update "--parallel"',
      NOWHERE, "PR 24"),

@@ -160,7 +160,7 @@ class ConstructionJob:
     The non-empty leaves are balanced into shards
     (:meth:`ShardPlan.for_construction`).  A unit — any tuple of leaf
     ids — is either built on the calling thread against the job's
-    shared, thread-safe :class:`TokenCache` (:meth:`run_local`) or
+    one :class:`TokenCache` (:meth:`run_local`) or
     built elsewhere by :func:`build_shard_bundle` and handed to
     :meth:`merge_bundle`.  A built graph is a function of its curated
     leaf alone (the pinned bit-identity contract), so graphs are all

@@ -10,7 +10,6 @@ function used "to increase the reach of token matches" (Section IV-F1).
 from __future__ import annotations
 
 import re
-import threading
 from typing import Callable, Dict, List, Optional, Sequence
 
 #: A tokenizer maps a raw string to a list of tokens.
@@ -156,16 +155,14 @@ class TokenCache:
     Pool ids never reach a built graph, so a cache has no cross-process
     form and no consumer past the leaf builds (the pooled graph derives
     from the built graphs): each building process makes and drops its own.
-
-    Safe for concurrent use: pool misses take a lock, reads are
-    lock-free (the pool is append-only).
+    One thread at a time: every construction path builds a cache's
+    leaves on the thread that made it.
     """
 
     def __init__(self, tokenizer: SpaceTokenizer) -> None:
         self._tokenizer = tokenizer
         self._tokens: List[str] = []
         self._token_ids: Dict[str, int] = {}
-        self._lock = threading.Lock()
         self._raw_ids: Dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -179,12 +176,8 @@ class TokenCache:
     def _intern(self, token: str) -> int:
         token_id = self._token_ids.get(token)
         if token_id is None:
-            with self._lock:
-                token_id = self._token_ids.get(token)
-                if token_id is None:
-                    token_id = len(self._tokens)
-                    self._tokens.append(token)
-                    self._token_ids[token] = token_id
+            token_id = self._token_ids[token] = len(self._tokens)
+            self._tokens.append(token)
         return token_id
 
     def resolve_raws(self, raws: Sequence[str]) -> List[int]:

@@ -18,23 +18,24 @@ Per stream, the front provides what the synchronous service cannot:
   timer whenever a window opens and flushes it when the timer fires,
   so the last events of a burst are served without waiting for the
   next burst.
-* **Micro-batch execution off the event loop.**  Window flushes run in
-  the front's own thread pool, keeping the loop free to ingest other
-  streams; the micro-batch itself still goes through the engine
-  (``executor`` is forwarded to :class:`NRTService`, so a fleet-backed
-  executor composes).
-* **Concurrent KV write-through.**  Each stream writes through to its
-  own :class:`KeyValueStore` (or a shared one — a stream's lock *is*
-  its store's transaction lock, the stand-in for a KV client's single
-  connection, so flushes serialize with every other writer on it).
+* **Micro-batch execution off the event loop.**  Every service call
+  of every stream runs on the front's one flush lane — a single FIFO
+  thread (a second would only split the interpreter lock) — keeping
+  the loop free to ingest; the micro-batch itself still goes through
+  the engine (``executor`` is forwarded to :class:`NRTService`, so a
+  fleet-backed executor composes).
+* **KV write-through.**  Each stream writes through to its own
+  :class:`KeyValueStore` (or a shared one).  The store's
+  ``transaction()`` is the only lock: it holds the store from stage to
+  prune, so a flush serializes with every other writer on it.
 * **Graceful shutdown.**  :meth:`stop` drains every queue and flushes
   every open window before returning — including events a racing
   submit managed to enqueue behind the shutdown sentinel.
-* **Zero-downtime model hot-swap.**  :meth:`refresh_model` quiesces
-  each stream in turn (under its store lock, off the event loop, so a
-  flush in progress completes under the model that drained its window)
-  and retargets it to a freshly constructed model — the paper's daily
-  refresh — without dropping an event or interrupting reads.
+* **Zero-downtime model hot-swap.**  :meth:`refresh_model` puts one
+  marker on the lane that retargets every stream to a freshly
+  constructed model — the paper's daily refresh — so work queued
+  before it finishes under the old model and work queued after runs
+  under the new one, without dropping an event or interrupting reads.
 
 Because the front drives unmodified :class:`NRTService` instances and
 that service's crash-safe flush restores the window on failure, a
@@ -98,11 +99,10 @@ class _Stream:
     """Internal per-stream state: service + queue + consumer task."""
 
     def __init__(self, name: str, service: NRTService,
-                 queue: "asyncio.Queue", store: KeyValueStore) -> None:
+                 queue: "asyncio.Queue") -> None:
         self.name = name
         self.service = service
         self.queue = queue
-        self.lock = store.lock
         self.task: Optional["asyncio.Task"] = None
         self.opened_wall: Optional[float] = None
         self.n_submitted = 0
@@ -176,10 +176,10 @@ class AsyncNRTFront:
             window_seconds if wall_clock_seconds is None
             else wall_clock_seconds)
         self._max_pending = max_pending
-        self._executor: Optional[ThreadPoolExecutor] = None
+        # The flush lane exists exactly while the front is running.
+        self._lane: Optional[ThreadPoolExecutor] = None
         self._streams: Dict[str, _Stream] = {}
         self._generation = 0
-        self._started = False
         self._closing = False
 
     # ------------------------------------------------------------------
@@ -189,21 +189,20 @@ class AsyncNRTFront:
                    store: Optional[KeyValueStore] = None) -> KeyValueStore:
         """Register a named stream; returns its KV store.
 
-        Streams may share a ``store`` (their flushes then serialize on
-        its transaction lock); by default each stream gets a private
-        one.  May be called before or after :meth:`start` — a stream
-        added to a running front starts consuming immediately.
+        Streams may share a ``store`` (each flush is one of its
+        transactions); by default each stream gets a private one.  May
+        be called before or after :meth:`start` — a stream added to a
+        running front starts consuming immediately.
         """
         if name in self._streams:
             raise ValueError(f"stream {name!r} already exists")
         if self._closing:
             raise RuntimeError("front is stopping")
         store = store if store is not None else KeyValueStore()
-        # The stream serializes its service calls on the store's own
-        # transaction lock, so flushes sharing a store serialize not
-        # just with each other but with ANY writer holding it — e.g. a
-        # daily full load refreshing the same store from another
-        # thread.
+        # Every flush is one store.transaction(), so flushes sharing a
+        # store serialize not just with each other but with ANY writer
+        # holding it — e.g. a daily full load refreshing the same store
+        # from another thread.
         service = NRTService(self._model, store, metrics=self.metrics,
                              stream=name, **self._service_kwargs)
         if self._generation:
@@ -212,9 +211,9 @@ class AsyncNRTFront:
             # generation stamps with the rest of the front.
             service.refresh_model(self._model, self._generation)
         stream = _Stream(name, service,
-                         asyncio.Queue(maxsize=self._max_pending), store)
+                         asyncio.Queue(maxsize=self._max_pending))
         self._streams[name] = stream
-        if self._started:
+        if self._lane is not None:
             stream.task = asyncio.get_running_loop().create_task(
                 self._consume(stream))
         return store
@@ -234,32 +233,28 @@ class AsyncNRTFront:
     # Lifecycle
 
     async def start(self) -> None:
-        """Spawn the consumer task of every registered stream."""
-        if self._started:
+        """Open the flush lane and spawn the consumer task of every
+        registered stream."""
+        if self._lane is not None:
             raise RuntimeError("front already started")
-        self._started = True
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=max(2, len(self._streams) or 2),
-                thread_name_prefix="nrt-flush")
+        self._lane = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="nrt-flush")
         loop = asyncio.get_running_loop()
         for stream in self._streams.values():
             stream.task = loop.create_task(self._consume(stream))
 
     async def stop(self) -> None:
         """Graceful shutdown: drain every queue, flush every open
-        window, then release the executor.  Idempotent."""
-        if not self._started or self._closing:
+        window, then close the flush lane.  Idempotent."""
+        if self._lane is None or self._closing:
             return
         self._closing = True
         for stream in self._streams.values():
             await stream.queue.put(_CLOSE)
         await asyncio.gather(*(s.task for s in self._streams.values()
                                if s.task is not None))
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None   # a restarted front gets a fresh pool
-        self._started = False
+        self._lane.shutdown(wait=True)
+        self._lane = None   # a restarted front opens a fresh lane
         self._closing = False
 
     async def __aenter__(self) -> "AsyncNRTFront":
@@ -277,7 +272,7 @@ class AsyncNRTFront:
         queue is full — the backpressure point)."""
         if self._closing:
             raise RuntimeError("front is stopping")
-        if not self._started:
+        if self._lane is None:
             raise RuntimeError("front not started")
         stream = self._stream(name)
         await stream.queue.put(event)
@@ -301,11 +296,11 @@ class AsyncNRTFront:
                                for s in self._streams.values()))
 
     async def flush_stream(self, name: str) -> None:
-        """Flush one stream's open window now (off the event loop)."""
+        """Flush one stream's open window now (on the lane)."""
         await self._flush(self._stream(name))
 
     async def flush_all(self) -> None:
-        """Flush every stream's open window concurrently."""
+        """Flush every stream's open window, in turn on the lane."""
         await asyncio.gather(*(self._flush(s)
                                for s in self._streams.values()))
 
@@ -328,19 +323,19 @@ class AsyncNRTFront:
         is retargeted at the same mapped instance, so the whole front
         shares one physical copy and the swap is a remap, not N
         reloads.  A path that does not open leaves every stream
-        serving the old model.  Then each
-        stream is quiesced in turn — its store lock is taken *off the
-        event loop* (in the executor, so a flush in progress completes
-        first and ingestion on other streams keeps flowing) — and its
-        service swapped at that window boundary.  A window drained
-        before the swap finishes under the old model; every window
-        drained after it (including events already buffered) is
-        inferred under the new one, stamped with the new generation in
-        its :class:`~repro.serving.nrt.WindowStats`.
+        serving the old model.  Then the swap is one hand-off onto the
+        flush lane, retargeting every stream at once: the lane is
+        first in first out, so a flush in progress or already queued
+        completes under the old model, and every window drained after
+        the swap (including events already buffered) is inferred under
+        the new one, stamped with the new generation in its
+        :class:`~repro.serving.nrt.WindowStats`.  Ingestion keeps
+        flowing on the event loop meanwhile.
 
         Streams added after the swap start on the new model.  May be
-        called before :meth:`start` (the swap is then immediate) or
-        mid-run; returns the front's model generation after the swap.
+        called before :meth:`start` or after :meth:`stop` (there is no
+        lane then, and the swap runs inline) or mid-run; returns the
+        front's model generation after the swap.
         """
         if self._closing:
             raise RuntimeError("front is stopping")
@@ -352,29 +347,13 @@ class AsyncNRTFront:
         model = await loop.run_in_executor(None, open_model, model)
         self._model = model
         self._generation = next_generation(self._generation, generation)
-        if self._started:
-            for stream in list(self._streams.values()):
-                executor = self._executor
-                if executor is not None and not self._closing:
-                    try:
-                        await loop.run_in_executor(
-                            executor, self._locked, stream,
-                            stream.service.refresh_model, model,
-                            self._generation)
-                        continue
-                    except RuntimeError:
-                        # stop() won the race and shut the executor
-                        # down between hand-offs; fall through.
-                        pass
-                # The executor is gone mid-swap: finish the remaining
-                # quiesces inline so the front never ends half-swapped
-                # (the lock still serializes against draining flushes;
-                # blocking the loop is bounded — we are shutting down).
-                self._locked(stream, stream.service.refresh_model,
-                             model, self._generation)
-        else:
-            for stream in self._streams.values():
-                stream.service.refresh_model(model, self._generation)
+        services = [stream.service for stream in self._streams.values()]
+
+        def swap(generation: int) -> None:
+            for service in services:
+                service.refresh_model(model, generation)
+
+        await self._on_lane(swap, self._generation)
         return self._generation
 
     def serve(self, name: str, item_id: int) -> List[str]:
@@ -413,15 +392,18 @@ class AsyncNRTFront:
     # ------------------------------------------------------------------
     # Internals
 
-    def _locked(self, stream: _Stream, fn, *args):
-        """Run a service call under the stream's store lock (executed in
-        the executor; the lock serializes flushes that share a store)."""
-        with stream.lock:
+    async def _on_lane(self, fn, *args):
+        """Run ``fn(*args)`` on the flush lane, behind everything
+        already queued there — or inline when there is no lane (the
+        front is not started, or stopped: nothing can be in flight)."""
+        if self._lane is None:
             return fn(*args)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._lane, fn, *args)
 
     def _submit_batch(self, stream: _Stream,
                       events: List[ItemEvent]) -> Tuple[int, int]:
-        """Submit a drained batch to the service (in the executor).
+        """Submit a drained batch to the service (on the lane).
 
         Returns ``(flush_failures, dropped)``.  A flush failure is
         benign: the crash-safe submit kept the event buffered, and a
@@ -431,19 +413,18 @@ class AsyncNRTFront:
         arithmetic) — those are genuinely gone and are surfaced in
         :class:`StreamStats` rather than miscounted as retryable."""
         failures = dropped = 0
-        with stream.lock:
-            for event in events:
-                try:
-                    stream.service.submit(event)
-                except Exception:
-                    # Public retention signal (identity-exact — see
-                    # NRTService.event_retained): the crash-safe submit
-                    # kept the event for replay, or it died before
-                    # buffering and is genuinely gone.
-                    if stream.service.event_retained(event):
-                        failures += 1
-                    else:
-                        dropped += 1
+        for event in events:
+            try:
+                stream.service.submit(event)
+            except Exception:
+                # Public retention signal (identity-exact — see
+                # NRTService.event_retained): the crash-safe submit
+                # kept the event for replay, or it died before
+                # buffering and is genuinely gone.
+                if stream.service.event_retained(event):
+                    failures += 1
+                else:
+                    dropped += 1
         return failures, dropped
 
     async def _flush(self, stream: _Stream) -> None:
@@ -451,9 +432,7 @@ class AsyncNRTFront:
         raised — the crash-safe service retains the events for retry."""
         loop = asyncio.get_running_loop()
         try:
-            await loop.run_in_executor(
-                self._executor, self._locked, stream,
-                stream.service.flush)
+            await self._on_lane(stream.service.flush)
         except Exception:
             stream.n_flush_failures += 1
             self.metrics.inc("front.flush.failures", stream=stream.name)
@@ -467,7 +446,7 @@ class AsyncNRTFront:
         arming a wall-clock timer whenever a window is open.
 
         Every event already sitting in the queue rides along in ONE
-        executor hand-off (the submit loop runs off the event loop), so
+        lane hand-off (the submit loop runs off the event loop), so
         a fast producer costs one thread round-trip per *batch*, not
         per event."""
         loop = asyncio.get_running_loop()
@@ -503,8 +482,8 @@ class AsyncNRTFront:
                     break
                 batch.append(queued)
             windows_before = stream.service.n_windows
-            failures, dropped = await loop.run_in_executor(
-                self._executor, self._submit_batch, stream, batch)
+            failures, dropped = await self._on_lane(
+                self._submit_batch, stream, batch)
             stream.n_flush_failures += failures
             stream.n_dropped += dropped
             for _ in range(len(batch) + (1 if closing else 0)):
@@ -545,8 +524,8 @@ class AsyncNRTFront:
                 if stream.queue.empty():
                     break
                 continue
-            failures, dropped = await loop.run_in_executor(
-                self._executor, self._submit_batch, stream, leftovers)
+            failures, dropped = await self._on_lane(
+                self._submit_batch, stream, leftovers)
             stream.n_flush_failures += failures
             stream.n_dropped += dropped
             for _ in leftovers:

@@ -308,7 +308,7 @@ class NRTService:
         events, self._buffer = self._buffer, []
         opened_at, self._window_opened_at = self._window_opened_at, None
         # Snapshot at drain time: a concurrent refresh_model (the async
-        # front swaps from another thread, serialized by its store lock)
+        # front swaps on its flush lane, queued behind this flush)
         # must never retarget a window mid-flush — a window drained
         # under one model finishes under it, and its stats record that
         # model's generation.

@@ -202,9 +202,9 @@ class DailyRefreshOrchestrator:
 
         Anything exposing ``refresh_model(model, generation=...)`` works
         — :class:`~repro.serving.nrt.NRTService` (swapped inline) and
-        :class:`~repro.serving.async_front.AsyncNRTFront` (awaited, so
-        its streams quiesce off the event loop).  Returns the target for
-        chaining.
+        :class:`~repro.serving.async_front.AsyncNRTFront` (awaited: its
+        streams swap in one hand-off on its flush lane).  Returns the
+        target for chaining.
         """
         if not callable(getattr(target, "refresh_model", None)):
             raise TypeError(

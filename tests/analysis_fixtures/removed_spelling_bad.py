@@ -13,3 +13,6 @@ def batch(model, requests, workers=2, executor="thread"):
 # lint-fixture-module: repro.serving.fixture_removed_spelling_bad
 def front(model, store, flush_executor=None):
     return NRTService(model, store, engine="reference")
+# lint-fixture-module: repro.serving.async_front
+def _locked(stream, fn):
+    return fn()

@@ -20,3 +20,6 @@ class ClusterExecutor:
 # lint-fixture-module: repro.analysis.fixture_removed_spelling_good
 def dump(report):
     return report.to_json()
+# lint-fixture-module: repro.serving.nrt
+def _locked(fn):
+    return fn()

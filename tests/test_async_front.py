@@ -19,6 +19,7 @@ import asyncio
 import dataclasses
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -90,19 +91,16 @@ class FlakyEnrich:
     """Fault injection: fail the first ``n_failures`` flush attempts.
 
     Raises on its first call inside a flush (aborting that flush) while
-    budget remains; the lock keeps the budget exact when flushes run
-    concurrently in executor threads.
+    budget remains.
     """
 
     def __init__(self, n_failures: int) -> None:
         self.remaining = n_failures
-        self._lock = threading.Lock()
 
     def __call__(self, event: ItemEvent) -> str:
-        with self._lock:
-            if self.remaining > 0:
-                self.remaining -= 1
-                raise RuntimeError("injected mid-flush failure")
+        if self.remaining > 0:
+            self.remaining -= 1
+            raise RuntimeError("injected mid-flush failure")
         return event.title
 
 
@@ -431,19 +429,39 @@ class TestShutdownAndBackpressure:
         assert store.get(1) and store.get(2)
         assert store._open_staging == set()
 
-    def test_streams_sharing_a_store_share_its_transaction_lock(
-            self, fig3_model):
-        """The per-stream lock IS the store's transaction lock, so
-        flushes serialize with any other writer holding it (e.g. an
-        orchestrated full_load), not just with sibling streams."""
-        store = KeyValueStore()
-        front = AsyncNRTFront(fig3_model)
-        front.add_stream("a", store=store)
-        front.add_stream("b", store=store)
-        front.add_stream("c")
-        assert front._streams["a"].lock is store.lock
-        assert front._streams["b"].lock is store.lock
-        assert front._streams["c"].lock is not store.lock
+    def test_one_flush_at_a_time_across_streams(self, fig3_model):
+        """Every stream's windows go through the front's one flush lane:
+        three streams on private stores never have two flushes in
+        flight at once."""
+        counter = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def counting_enrich(event):
+            with counter:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.02)
+            with counter:
+                in_flight[0] -= 1
+            return event.title
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=2,
+                                  wall_clock_seconds=30.0,
+                                  enrich=counting_enrich)
+            for name in ("a", "b", "c"):
+                front.add_stream(name)
+            async with front:
+                await asyncio.gather(*(
+                    _feed(front, name, [make_event(i, i * 0.1)
+                                        for i in range(4)])
+                    for name in ("a", "b", "c")))
+            return front
+
+        front = asyncio.run(drive())
+        assert all(front.stats(name).n_windows == 2
+                   for name in ("a", "b", "c"))
+        assert peak[0] == 1
 
     def test_malformed_event_counts_as_dropped_not_retryable(
             self, fig3_model):
@@ -575,10 +593,10 @@ class TestModelHotSwap:
 
     def test_refresh_waits_for_in_flight_flush(self, fig3_model,
                                                fig3_variant_model):
-        """The quiesce happens under the stream's store lock: a flush
-        already in progress when refresh_model is issued completes
-        under the old model (generation 0 window), and the swap lands
-        right after it."""
+        """The swap queues behind it on the lane: a flush already in
+        progress when refresh_model is issued completes under the old
+        model (generation 0 window), and the swap lands right after
+        it."""
         release = threading.Event()
         entered = threading.Event()
 
@@ -597,13 +615,13 @@ class TestModelHotSwap:
                 await front.submit("s", make_event(1, 0.0))
                 await front.submit("s", make_event(2, 0.1))
                 # The size-bound flush is now blocked inside the enrich
-                # hook, holding the store lock.
+                # hook, holding the lane.
                 await asyncio.get_running_loop().run_in_executor(
                     None, entered.wait)
                 refresh = asyncio.create_task(
                     front.refresh_model(fig3_variant_model))
                 await asyncio.sleep(0.05)
-                assert not refresh.done()    # waiting on the quiesce
+                assert not refresh.done()    # queued on the lane
                 release.set()
                 assert await refresh == 1
             return front
@@ -617,36 +635,92 @@ class TestModelHotSwap:
         for item_id in (1, 2):
             assert front.serve("s", item_id) == sync.serve(item_id)
 
-    def test_refresh_completes_even_if_executor_shuts_down_mid_swap(
-            self, fig3_model, fig3_variant_model):
-        """A stop() racing refresh_model can tear the executor down
-        between per-stream hand-offs; the refresh then finishes the
-        remaining quiesces inline, so the front never ends half-swapped
-        (some streams on the new model, some on the old)."""
+    def test_refresh_completes_even_if_front_stops_mid_swap(
+            self, fig3_model, fig3_variant_model, tmp_path, monkeypatch):
+        """A stop() that closes the lane while refresh_model is still
+        opening its artifact does not strand the swap: it runs inline,
+        so the front never ends half-swapped (some streams on the new
+        model, some on the old)."""
+        from repro.core.serialization import save_model
+        from repro.serving import async_front
+
+        artifact = save_model(fig3_variant_model, tmp_path / "m")
+        entered, release = threading.Event(), threading.Event()
+        opened = []
+
+        def slow_open(model):
+            entered.set()
+            release.wait(timeout=10.0)
+            opened.append(open_model(model))
+            return opened[-1]
+
+        open_model = async_front.open_model
+        monkeypatch.setattr(async_front, "open_model", slow_open)
 
         async def drive():
             front = AsyncNRTFront(fig3_model, window_size=2,
                                   wall_clock_seconds=30.0)
             front.add_stream("a")
             front.add_stream("b")
-            async with front:
-                await front.submit("a", make_event(1, 0.0))
-                await front.join()
-                await front.flush_all()
-                # Simulate stop() winning the executor race.
-                front._executor.shutdown(wait=True)
-                assert await front.refresh_model(fig3_variant_model) == 1
-                for name in ("a", "b"):
-                    assert front._streams[name].service.model \
-                        is fig3_variant_model
-                # Restore a live executor so shutdown can drain.
-                from concurrent.futures import ThreadPoolExecutor
-                front._executor = ThreadPoolExecutor(max_workers=2)
+            await front.start()
+            await front.submit("a", make_event(1, 0.0))
+            refresh = asyncio.create_task(
+                front.refresh_model(str(artifact)))
+            await asyncio.get_running_loop().run_in_executor(
+                None, entered.wait)
+            await front.stop()               # closes the lane
+            release.set()
+            assert await refresh == 1
             return front
 
         front = asyncio.run(drive())
         assert front.model_generation == 1
+        for name in ("a", "b"):
+            assert front._streams[name].service.model is opened[0]
         assert front.serve("a", 1)
+
+    def test_fleet_backed_front_serves_each_window_on_its_generation(
+            self, fig3_model, fig3_variant_model, fleet):
+        """A front whose windows scatter over a worker fleet, swapped
+        mid-run: every item serves byte-identical to a synchronous
+        service on the model generation its window recorded."""
+        events = [make_event(i, i * 0.1, title_index=i % 4)
+                  for i in range(8)]          # one item per event
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=2,
+                                  wall_clock_seconds=30.0,
+                                  executor=fleet)
+            front.add_stream("a")
+            front.add_stream("b")
+            swapped = asyncio.Event()
+
+            async def feed(name):
+                await _feed(front, name, events[:4])
+                await swapped.wait()
+                await _feed(front, name, events[4:])
+
+            async def swap():
+                await asyncio.sleep(0)
+                await front.refresh_model(fig3_variant_model)
+                swapped.set()
+
+            async with front:
+                await asyncio.gather(feed("a"), feed("b"), swap())
+            return front
+
+        front = asyncio.run(drive())
+        sync = {generation: feed_sync(model, events, window_size=2)
+                for generation, model in ((0, fig3_model),
+                                          (1, fig3_variant_model))}
+        for name in ("a", "b"):
+            windows = front.processed_windows(name)
+            assert [w.n_events for w in windows] == [2, 2, 2, 2]
+            assert [w.model_generation for w in windows][2:] == [1, 1]
+            for index, event in enumerate(events):
+                generation = windows[index // 2].model_generation
+                assert front.serve(name, event.item_id) \
+                    == sync[generation].serve(event.item_id)
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -16,7 +16,7 @@ from repro.core.execution import SerialExecutor, build_shard_bundle
 from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
 from repro.core.sharding import POOLED_GROUP, ShardPlan
-from repro.core.tokenize import DEFAULT_TOKENIZER
+from repro.core.tokenize import DEFAULT_TOKENIZER, SpaceTokenizer
 
 
 def make_model(leaf_phrases, build_pooled=False):
@@ -290,22 +290,32 @@ class TestWorkerFailureSurfacing:
 
         return asyncio.run(drive())
 
+    @pytest.mark.parametrize("fault, expected", [
+        ("builder", "ValueError: boom-builder"),
+        ("spec", "is not a SpaceTokenizer spec"),
+    ])
     def test_construction_failure_carries_worker_traceback(
-            self, monkeypatch):
-        """A build that raises on a worker host reaches the caller as
-        ``ClusterExecutionError`` naming the shard's keys, with the
-        worker-side traceback attached."""
+            self, monkeypatch, fault, expected):
+        """A build that raises on a worker host — in the builder, or
+        reading a construction frame's tokenizer spec — reaches the
+        caller as ``ClusterExecutionError`` naming the shard's keys,
+        with the worker-side traceback attached."""
         from repro.cluster import worker
         from repro.core.execution import ClusterExecutor
 
         def exploding_bundle(leaves, tokenizer, directory):
             raise ValueError("boom-builder")
 
-        monkeypatch.setattr(worker, "build_shard_bundle", exploding_bundle)
+        if fault == "builder":
+            monkeypatch.setattr(worker, "build_shard_bundle",
+                                exploding_bundle)
+        else:
+            monkeypatch.setattr(SpaceTokenizer, "spec",
+                                lambda self: {"stem": "no"})
         error = self._failure_on_a_one_host_fleet(
             lambda coordinator: ClusterExecutor(coordinator)
             .run_construction_async(self._failing_curated()))
-        assert "ValueError: boom-builder" in error.worker_traceback
+        assert expected in error.worker_traceback
         assert "original worker traceback" in str(error)
         assert "construction shard [1, 2, 3]" in str(error)
 
