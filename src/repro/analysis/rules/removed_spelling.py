@@ -25,6 +25,9 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("call_async _WorkerDied _Assignment _run_unit _execute_units "
+     "_monitor_heartbeats _state_changed", NOWHERE,
+     "the sans-I/O scheduler (one timer, no per-unit task or future)"),
     ("_alignment_is_vectorized token_wise unique_ids pack_tokenizer "
      "unpack_tokenizer fast_construct_leaf_graphs", NOWHERE,
      "the typed model spec: an alignment name and a SpaceTokenizer"),

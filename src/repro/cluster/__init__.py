@@ -10,8 +10,10 @@ The package splits along the trust boundary:
   policy (also used by the daily refresh orchestrator).
 * :mod:`~repro.cluster.worker` — one executor host, and the launcher
   that starts hosts as subprocesses.
-* :mod:`~repro.cluster.coordinator` — plans, dispatches, retries,
-  re-plans around dead hosts, and merges exactly once.
+* :mod:`~repro.cluster.scheduler` — every decision of a job (dispatch,
+  deadlines, retries, fencing, re-planning, local fallback), no I/O.
+* :mod:`~repro.cluster.coordinator` — the socket shell that feeds the
+  scheduler, carries out its actions and merges exactly once.
 
 **Coordinator and workers see one filesystem.**  A model reaches a
 worker as the path of its artifact directory and a built leaf bundle

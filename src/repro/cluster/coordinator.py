@@ -1,58 +1,27 @@
 """Fault-tolerant cluster coordinator: ShardPlans across N hosts.
 
-The multi-machine shard runner the ROADMAP promised: a
-:class:`ClusterCoordinator` listens on localhost TCP, executor hosts
+A :class:`ClusterCoordinator` listens on localhost TCP, executor hosts
 (:class:`~repro.cluster.worker.ClusterWorker`) register, and the units
-of a :class:`~repro.core.sharding.ShardPlan` are executed across the
-fleet (the plan stays here; a unit's requests or leaves are what
-ships).  How a batch or corpus is cut into
-units and merged back is not decided here: both jobs drive a
-:class:`~repro.core.execution.InferenceJob` /
-:class:`~repro.core.execution.ConstructionJob`, the same scatter/merge
-contract the inline executor calls, and this module only
-schedules units, moves frames, and fences results.  The outputs are
-element-wise/bit-identical to the single-process fast paths under
-**any** failure topology; the fault-injection suite proves it.
+of a :class:`~repro.core.sharding.ShardPlan` run across the fleet (the
+plan stays here; a unit's requests or leaves are what ships).  Both
+jobs drive an :class:`~repro.core.execution.InferenceJob` /
+:class:`~repro.core.execution.ConstructionJob`, the scatter/merge the
+inline executor calls, so outputs are element-wise/bit-identical to the
+single-process fast paths under **any** failure topology.
 
-Inference results cross the wire as ids, not rows.  Coordinator and
-workers map the same artifact — each ``run_shard`` frame carries the
-identity of the save the coordinator mapped, and a worker that opened
-another refuses the shard — so a worker runs Algorithm 1 up to the
-ranked columns and replies with label ids, counts and raw scores in
-the frame's binary tail.  The coordinator validates the columns
-against the unit's own requests and builds the ``Recommendation`` rows
-itself, from its own mapping, with the engine's one materialiser
-(:func:`~repro.cluster.protocol.unpack_recommendations`); what
-:meth:`~repro.core.execution.InferenceJob.merge` receives is what an
-in-process shard would have handed it.  That row build is serial in
-this process and is, after the workers' own time, the largest term of
-a cluster op.
+Inference results cross the wire as ids, not rows
+(:mod:`~repro.cluster.protocol`): the rows are built here, from this
+process's own mapping of the artifact, and that serial row build is,
+after the workers' own time, the largest term of a cluster op.
 
-Robustness model, in order of escalation:
-
-1. **Per-RPC deadlines** — every dispatched shard must answer within
-   ``rpc_timeout``; a silent worker does not stall the plan.
-2. **Retry with capped exponential backoff + jitter**
-   (:class:`~repro.cluster.retry.RetryPolicy`) — a timed-out shard is
-   marked *stale* (a late result is discarded, never double-merged) and
-   re-dispatched, preferring a different host; attempts are bounded.
-3. **Liveness** — a severed connection is detected immediately, and a
-   host that stops heartbeating past ``heartbeat_timeout`` is declared
-   dead even if its socket lingers.
-4. **Dead-host re-planning** — the orphaned work units of a dead
-   worker are re-balanced across the *surviving* hosts with their
-   original cost estimates (:meth:`ShardPlan.replan`); workers that
-   join mid-plan are folded in on the next dispatch.
-5. **Graceful degradation** — when the fleet empties, remaining units
-   run locally in the coordinator (``local_fallback``), so a cluster
-   job never produces less than the single-process path would.
-
-Exactly-once merging is enforced at the work-unit level: a unit's keys
-are merged into the output exactly once, no matter how many duplicate
-executions its retries and delayed results produced.  Every run leaves
-a :class:`ClusterRunReport` (``last_report``) recording merges per key,
-re-plans, retries, and late discards — the observability surface the
-property tests assert on.
+This module is the socket shell around a
+:class:`~repro.cluster.scheduler.Scheduler`, which makes every decision
+(its docstring has the event → action table).  The shell checks each
+hello, turns every frame into one scheduler call, and carries out the
+returned actions: it sends ``run_shard`` frames, runs units locally,
+decodes and merges replies, and hangs up on hosts declared dead.  One
+timer, armed at the scheduler's ``next_wakeup``, delivers every
+deadline, backoff and heartbeat expiry.
 """
 
 from __future__ import annotations
@@ -61,13 +30,11 @@ import asyncio
 import itertools
 import shutil
 import tempfile
-import time
-from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Deque, Dict, Hashable, List,
-                    Optional, Sequence, Set, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from ..core.batch import BatchResult, InferenceRequest
 from ..core.execution import ConstructionJob, InferenceJob
@@ -79,6 +46,8 @@ from .protocol import (PROTOCOL_VERSION, FrameError,
                        pack_curated_leaves, pack_requests,
                        unpack_recommendations)
 from .retry import RetryPolicy
+from .scheduler import (Actions, ClusterError, ClusterExecutionError,
+                        ClusterRunReport, Scheduler)
 from .transport import Transport, TransportClosed
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -89,126 +58,34 @@ __all__ = ["ClusterCoordinator", "ClusterError", "ClusterExecutionError",
            "ClusterRunReport"]
 
 
-class ClusterError(RuntimeError):
-    """A cluster job could not complete (fleet/timeout/merge failure)."""
+class _Link(NamedTuple):
+    """One registered worker's connection."""
 
-
-class ClusterExecutionError(ClusterError):
-    """A shard raised on its worker; carries the worker traceback."""
-
-    def __init__(self, message: str,
-                 worker_traceback: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.worker_traceback = worker_traceback
-
-
-class _WorkerDied(Exception):
-    """Internal signal: the worker holding an assignment dropped."""
-
-
-@dataclass
-class ClusterRunReport:
-    """What one cluster job did — the fault-tolerance audit trail.
-
-    Attributes:
-        kind: ``"inference"`` or ``"construction"``.
-        n_units_planned: Work units in the initial plan.
-        n_workers_at_start: Live hosts when the plan was cut.
-        n_replans: Dead-host events that re-balanced orphaned keys.
-        n_retries: Per-shard deadline expiries that re-dispatched.
-        n_late_discarded: Results that arrived after their assignment
-            was superseded and were discarded instead of double-merged.
-        n_local_units: Units the coordinator ran itself (fleet empty).
-        workers_used: Hosts that contributed at least one dispatch.
-        merge_counts: Times each work-unit key was merged — the
-            exactly-once invariant is ``all(v == 1)``.
-        orphaned_keys: Key groups that were orphaned by a dead host and
-            re-planned.
-        fleet_metrics: The merged fleet metrics snapshot at job end —
-            the job's registry folded with the latest heartbeat
-            snapshot of every worker seen (see
-            :meth:`ClusterCoordinator.fleet_snapshot`).
-    """
-
-    kind: str
-    n_units_planned: int
-    n_workers_at_start: int
-    n_replans: int = 0
-    n_retries: int = 0
-    n_late_discarded: int = 0
-    n_local_units: int = 0
-    workers_used: List[str] = field(default_factory=list)
-    merge_counts: Dict[Hashable, int] = field(default_factory=dict)
-    orphaned_keys: List[List[Hashable]] = field(default_factory=list)
-    fleet_metrics: Optional[dict] = None
-
-    def as_dict(self) -> dict:
-        """JSON-ready summary (bench artifacts embed this)."""
-        return {
-            "kind": self.kind,
-            "n_units_planned": self.n_units_planned,
-            "n_workers_at_start": self.n_workers_at_start,
-            "n_replans": self.n_replans,
-            "n_retries": self.n_retries,
-            "n_late_discarded": self.n_late_discarded,
-            "n_local_units": self.n_local_units,
-            "workers_used": list(self.workers_used),
-            "exactly_once": all(count == 1
-                                for count in self.merge_counts.values()),
-            "fleet_metrics": self.fleet_metrics,
-        }
-
-
-class _Unit:
-    """One schedulable work unit: a tuple of plan keys + retry count."""
-
-    __slots__ = ("keys", "attempts")
-
-    def __init__(self, keys: Tuple[Hashable, ...]) -> None:
-        self.keys = tuple(keys)
-        self.attempts = 0
-
-
-@dataclass
-class _Assignment:
-    unit: _Unit
-    future: "asyncio.Future[dict]"
-    stale: bool = False
+    name: str
+    transport: Transport
 
 
 @dataclass
 class _JobRun:
-    """The job in flight, as the scheduler sees it.
-
-    ``encode(keys)`` is the kind-specific part of a unit's
-    ``run_shard`` frame; ``decode(keys, reply)`` unpacks a reply,
-    merges it into ``job``, and returns how many requests/leaves it
-    settled.
-    """
+    """The running job's I/O half: ``encode(keys)`` is the kind's part
+    of a ``run_shard`` frame, ``decode(keys, reply)`` merges a reply
+    into ``job`` and returns the requests/leaves it settled, and
+    ``over`` resolves when the scheduler ends the job."""
 
     kind: str
     job: Union[InferenceJob, ConstructionJob]
     encode: Callable[[Tuple[Hashable, ...]], dict]
     decode: Callable[[Tuple[Hashable, ...], dict], int]
-    metrics: MetricsRegistry
-    report: ClusterRunReport
-    pending: Deque[_Unit] = field(default_factory=deque)
-    fatal: List[BaseException] = field(default_factory=list)
+    over: "asyncio.Future[None]"
 
 
-class _WorkerHandle:
-    """Coordinator-side state of one registered host."""
-
-    __slots__ = ("name", "transport", "alive", "busy", "last_seen",
-                 "current_assignment")
-
-    def __init__(self, name: str, transport) -> None:
-        self.name = name
-        self.transport = transport
-        self.alive = True
-        self.busy = False
-        self.last_seen = time.monotonic()
-        self.current_assignment: Optional[int] = None
+def _frame_id(frame: dict, field: str) -> Optional[int]:
+    """A frame's ``request_id`` / ``assignment``: absent or an int."""
+    value = frame.get(field)
+    if value is not None and type(value) is not int:
+        raise FrameError(f"{field!r} must be an integer id, got "
+                         f"{type(value).__name__}")
+    return value
 
 
 class ClusterCoordinator:
@@ -248,14 +125,11 @@ class ClusterCoordinator:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self._host = host
         self._port = port
-        self._retry = retry if retry is not None else RetryPolicy()
         self._rpc_timeout = rpc_timeout
-        self._heartbeat_timeout = heartbeat_timeout
-        self._local_fallback = local_fallback
-        self._workers: Dict[str, _WorkerHandle] = {}
-        self._idle: Deque[_WorkerHandle] = deque()
-        self._assignments: Dict[int, _Assignment] = {}
-        self._assignment_counter = itertools.count()
+        self._scheduler = Scheduler(
+            retry if retry is not None else RetryPolicy(), rpc_timeout,
+            heartbeat_timeout, local_fallback)
+        self._workers: Dict[str, _Link] = {}
         self._rpc_counter = itertools.count()
         self._rpc_waiters: Dict[int, "asyncio.Future[dict]"] = {}
         self._model_cache: Dict[str, GraphExModel] = {}
@@ -264,12 +138,13 @@ class ClusterCoordinator:
         self._spooled: Dict[int, Tuple[GraphExModel, Path]] = {}
         self._model_spool: Optional[Path] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._monitor_task: Optional[asyncio.Task] = None
-        self._state_changed: Optional[asyncio.Event] = None
+        #: Connection readers and timer-fired action runs.
+        self._tasks: Set[asyncio.Task] = set()
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._registered: Optional[asyncio.Condition] = None
         self._job_lock: Optional[asyncio.Lock] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._active_report: Optional[ClusterRunReport] = None
+        self._run: Optional[_JobRun] = None
         self._closing = False
         #: Report of the most recently finished job.
         self.last_report: Optional[ClusterRunReport] = None
@@ -281,21 +156,17 @@ class ClusterCoordinator:
         #: counts — replacement here is what makes the fleet view
         #: exactly-once.
         self._worker_metrics: Dict[str, dict] = {}
-        self._active_metrics: Optional[MetricsRegistry] = None
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
         """Bind the server; returns the (host, port) workers dial."""
         self._loop = asyncio.get_running_loop()
-        self._state_changed = asyncio.Event()
+        self._registered = asyncio.Condition()
         self._job_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._serve_connection, self._host, self._port)
         self._port = self._server.sockets[0].getsockname()[1]
-        if self._heartbeat_timeout is not None:
-            self._monitor_task = asyncio.ensure_future(
-                self._monitor_heartbeats())
         return self._host, self._port
 
     async def stop(self, drain: bool = True) -> None:
@@ -310,19 +181,14 @@ class ClusterCoordinator:
         if drain and self._job_lock is not None:
             async with self._job_lock:
                 pass
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-            with suppress(asyncio.CancelledError):
-                await self._monitor_task
-        for worker in list(self._workers.values()):
+        for link in list(self._workers.values()):
             with suppress(TransportClosed, OSError):
                 await asyncio.wait_for(
-                    worker.transport.send({"type": "shutdown"}),
+                    link.transport.send({"type": "shutdown"}),
                     timeout=1.0)
-            worker.alive = False
-            worker.transport.close()
-        self._workers.clear()
-        self._idle.clear()
+            await self._apply(self._drop(link))
+        if self._timer is not None:
+            self._timer.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -331,8 +197,8 @@ class ClusterCoordinator:
         # them would trip asyncio.streams' connection_made callback
         # (task.exception() on a cancelled task logs).  Cancel only a
         # straggler that somehow outlives the grace period.
-        if self._conn_tasks:
-            _done, pending = await asyncio.wait(set(self._conn_tasks),
+        if self._tasks:
+            _done, pending = await asyncio.wait(set(self._tasks),
                                                 timeout=2.0)
             for task in pending:
                 task.cancel()
@@ -373,12 +239,11 @@ class ClusterCoordinator:
 
     def n_live(self) -> int:
         """Currently registered live hosts."""
-        return sum(1 for worker in self._workers.values() if worker.alive)
+        return len(self._scheduler.workers)
 
     def worker_names(self) -> List[str]:
         """Names of the live hosts, registration order."""
-        return [worker.name for worker in self._workers.values()
-                if worker.alive]
+        return list(self._scheduler.workers)
 
     def fleet_snapshot(self) -> dict:
         """One merged metrics view of the whole fleet.
@@ -402,13 +267,14 @@ class ClusterCoordinator:
     async def wait_for_workers(self, n: int,
                                timeout: float = 30.0) -> None:
         """Block until ``n`` hosts are registered (or raise)."""
-        deadline = time.monotonic() + timeout
-        while self.n_live() < n:
-            if time.monotonic() > deadline:
+        async with self._registered:
+            try:
+                await asyncio.wait_for(self._registered.wait_for(
+                    lambda: self.n_live() >= n), timeout)
+            except asyncio.TimeoutError:
                 raise ClusterError(
                     f"only {self.n_live()} of {n} workers registered "
-                    f"within {timeout}s")
-            await asyncio.sleep(0.02)
+                    f"within {timeout}s") from None
 
     # -- connection handling ------------------------------------------------
 
@@ -416,8 +282,7 @@ class ClusterCoordinator:
                                 writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+            self._track(task)
         transport = Transport(reader, writer)
         try:
             hello = await asyncio.wait_for(transport.recv(), timeout=30.0)
@@ -444,40 +309,37 @@ class ClusterCoordinator:
             await self._reject(transport, "coordinator is stopping")
             return
         name = str(hello.get("name"))
-        existing = self._workers.get(name)
-        if existing is not None and existing.alive:
+        if name in self._workers:
             # Duplicate registration: the live holder keeps the name —
             # a reconnecting host must drop its old link first (which
-            # marks it dead and frees the name).
+            # frees the name).
             await self._reject(transport,
                                f"worker name {name!r} is already "
                                f"registered and alive")
             return
-        worker = _WorkerHandle(name, transport)
-        self._workers[name] = worker
-        with suppress(TransportClosed):
-            await transport.send({"type": "registered",
-                                  "coordinator": f"{self._host}:"
-                                                 f"{self._port}"})
-        self._release_worker(worker)
-        reason = "connection closed"
+        link = self._workers[name] = _Link(name, transport)
         try:
-            while True:
-                frame = await transport.recv()
-                worker.last_seen = time.monotonic()
-                if not self._route_frame(worker, frame):
-                    break
+            with suppress(TransportClosed):
+                await transport.send({"type": "registered",
+                                      "coordinator": f"{self._host}:"
+                                                     f"{self._port}"})
+            if self._workers.get(name) is link:
+                await self._apply(self._scheduler.join(name, self._now()))
+                async with self._registered:
+                    self._registered.notify_all()
+            while await self._route_frame(link, await transport.recv()):
+                pass
         except TransportClosed:
             pass
         except FrameError as exc:
             # The stream can no longer be trusted to be in step: tell
             # the peer why and drop the link; its unit is re-planned.
-            reason = f"malformed frame: {exc}"
             self.metrics.inc("coordinator.frames.rejected")
             with suppress(TransportClosed):
-                await transport.send({"type": "error", "reason": reason})
+                await transport.send({"type": "error",
+                                      "reason": f"malformed frame: {exc}"})
         finally:
-            self._mark_dead(worker, reason)
+            await self._apply(self._drop(link))
 
     async def _reject(self, transport, reason: str) -> None:
         with suppress(TransportClosed):
@@ -485,7 +347,7 @@ class ClusterCoordinator:
         transport.close()
         await transport.wait_closed()
 
-    def _stash_worker_metrics(self, worker: _WorkerHandle,
+    def _stash_worker_metrics(self, worker: _Link,
                               frame: dict) -> None:
         """Keep the newest registry snapshot a worker frame carried.
 
@@ -507,92 +369,119 @@ class ClusterCoordinator:
         else:
             self._worker_metrics[worker.name] = snapshot
 
-    def _route_frame(self, worker: _WorkerHandle, frame: dict) -> bool:
-        """Route one incoming frame; returns False to drop the link."""
-        kind = frame.get("type")
-        self._stash_worker_metrics(worker, frame)
-        if kind == "heartbeat":
-            return True
-        if kind == "bye":
+    async def _route_frame(self, link: _Link, frame: dict) -> bool:
+        """Turn one frame into one scheduler call; False drops the link."""
+        request_id = _frame_id(frame, "request_id")
+        assignment = _frame_id(frame, "assignment")
+        self._scheduler.heard(link.name, self._now())
+        self._stash_worker_metrics(link, frame)
+        if frame.get("type") == "bye":
             return False
-        request_id = frame.get("request_id")
         if request_id is not None:
             waiter = self._rpc_waiters.get(request_id)
             if waiter is not None and not waiter.done():
                 waiter.set_result(frame)
-            return True
-        assignment_id = frame.get("assignment")
-        if assignment_id is not None:
-            entry = self._assignments.get(assignment_id)
-            if entry is None or entry.stale or entry.future.done():
-                # The late-result rule: this shard was re-assigned (or
-                # the job moved on) — merging it now would double-count
-                # its keys, so it is discarded, not double-merged.
-                if self._active_report is not None:
-                    self._active_report.n_late_discarded += 1
-                    (self.metrics if self._active_metrics is None
-                     else self._active_metrics).inc(
-                        "cluster.units.late_discarded")
-                return True
-            entry.future.set_result(frame)
+        elif assignment is not None:
+            await self._apply(self._merge(link.name, assignment, frame))
         return True
 
-    def _mark_dead(self, worker: _WorkerHandle, reason: str) -> None:
-        if not worker.alive:
-            return
-        worker.alive = False
-        worker.transport.close()
-        if self._workers.get(worker.name) is worker:
-            del self._workers[worker.name]
-        assignment_id = worker.current_assignment
-        if assignment_id is not None:
-            entry = self._assignments.get(assignment_id)
-            if entry is not None and not entry.future.done():
-                entry.future.set_exception(
-                    _WorkerDied(f"{worker.name}: {reason}"))
-        if self._state_changed is not None:
-            self._state_changed.set()
+    def _merge(self, name: str, assignment: int, frame: dict) -> Actions:
+        """A unit's reply: fenced by the scheduler, merged here."""
+        claimed = self._scheduler.reply(name, assignment)
+        if claimed is None:
+            return Actions()
+        keys, since = claimed
+        kind = self._run.kind
+        if frame.get("type") == "shard_error":
+            return self._scheduler.fail(ClusterExecutionError(
+                f"{kind} shard {list(keys)!r} raised on worker {name}; "
+                f"original worker traceback:\n"
+                f"{frame.get('traceback', '<missing>')}",
+                worker_traceback=frame.get("traceback")))
+        try:
+            n_merged = self._run.decode(keys, frame)
+        except Exception as exc:
+            return self._scheduler.fail(ClusterError(
+                f"merging {kind} shard {list(keys)!r} from {name} "
+                f"failed: {exc!r}"))
+        return self._scheduler.settle(keys, n_merged, since, self._now())
 
-    async def _monitor_heartbeats(self) -> None:
-        interval = max(0.01, self._heartbeat_timeout / 4)
-        while True:
-            await asyncio.sleep(interval)
-            now = time.monotonic()
-            for worker in list(self._workers.values()):
-                if worker.alive and \
-                        now - worker.last_seen > self._heartbeat_timeout:
-                    self._mark_dead(
-                        worker,
-                        f"no heartbeat for {self._heartbeat_timeout}s")
+    def _drop(self, link: _Link) -> Actions:
+        """Hang up on a worker; the scheduler re-plans what it held."""
+        if self._workers.get(link.name) is not link:
+            return Actions()
+        del self._workers[link.name]
+        link.transport.close()
+        return self._scheduler.leave(link.name, self._now())
 
-    # -- worker pool --------------------------------------------------------
+    # -- carrying out the scheduler's actions -------------------------------
 
-    def _acquire_idle(self) -> Optional[_WorkerHandle]:
-        while self._idle:
-            worker = self._idle.popleft()
-            if worker.alive and not worker.busy:
-                worker.busy = True
-                return worker
-        return None
+    async def _apply(self, actions: Actions) -> None:
+        """Carry out what the scheduler decided, then re-arm the timer."""
+        for name in actions.drop:         # already gone from the scheduler
+            link = self._workers.pop(name, None)
+            if link is not None:
+                link.transport.close()
+        run = self._run
+        for keys in actions.local:
+            since = self._now()
+            try:
+                n_merged = run.job.run_local(keys)
+            except Exception as exc:
+                await self._apply(self._scheduler.fail(exc))
+                break
+            await self._apply(self._scheduler.settle(
+                keys, n_merged, since, self._now(), local=True))
+        for name, assignment, keys in actions.send:
+            link = self._workers.get(name)
+            if link is None:
+                continue            # gone since; leave() re-planned it
+            try:
+                await link.transport.send({
+                    "type": "run_shard", "kind": run.kind,
+                    "assignment": assignment, **run.encode(keys)})
+            except TransportClosed:
+                await self._apply(self._drop(link))
+            except Exception as exc:  # never lose a job to a bad frame
+                await self._apply(self._scheduler.fail(exc))
+        if run is not None and not run.over.done():
+            if actions.error is not None:
+                run.over.set_exception(actions.error)
+            elif actions.done:
+                run.over.set_result(None)
+        self._arm()
 
-    def _release_worker(self, worker: _WorkerHandle) -> None:
-        if worker.alive and not self._closing:
-            worker.busy = False
-            self._idle.append(worker)
-        if self._state_changed is not None:
-            self._state_changed.set()
+    def _arm(self) -> None:
+        """Keep the one timer at the scheduler's next wake-up."""
+        if self._timer is not None:
+            self._timer.cancel()
+        wake = self._scheduler.next_wakeup()
+        self._timer = None if wake is None \
+            else self._loop.call_at(wake, self._on_timer)
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        self._track(asyncio.ensure_future(
+            self._apply(self._scheduler.tick(self._now()))))
+
+    def _track(self, task: asyncio.Task) -> None:
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    def _now(self) -> float:
+        return self._loop.time()
 
     # -- RPC plumbing -------------------------------------------------------
 
-    async def _request(self, worker: _WorkerHandle, message: dict,
+    async def _request(self, link: _Link, message: dict,
                        timeout: Optional[float] = None) -> dict:
         request_id = next(self._rpc_counter)
         future: "asyncio.Future[dict]" = \
             asyncio.get_event_loop().create_future()
         self._rpc_waiters[request_id] = future
         try:
-            await worker.transport.send({**message,
-                                         "request_id": request_id})
+            await link.transport.send({**message,
+                                       "request_id": request_id})
             return await asyncio.wait_for(
                 future, timeout if timeout is not None
                 else self._rpc_timeout)
@@ -647,168 +536,6 @@ class ClusterCoordinator:
             model = self._model_cache.setdefault(key, opened)
         return path, model
 
-    # -- the scheduler ------------------------------------------------------
-
-    def _fail(self, run: _JobRun, exc: BaseException) -> None:
-        run.fatal.append(exc)
-        self._state_changed.set()
-
-    def _settle(self, run: _JobRun, unit: _Unit, n_merged: int,
-                since: float) -> None:
-        """Book one merged unit.  Runs on the fenced merge path only —
-        exactly once per unit — so the merged counters equal the
-        single-process totals (the CI fleet-equality assertion).
-
-        The unit was timed whole, ``since`` its assignment (the
-        worker's single reply allows nothing finer).
-        """
-        elapsed = time.monotonic() - since
-        for key in unit.keys:
-            run.report.merge_counts[key] = \
-                run.report.merge_counts.get(key, 0) + 1
-        run.metrics.inc("cluster.units.merged", kind=run.kind)
-        run.metrics.inc("cluster.requests.merged"
-                        if run.kind == "inference"
-                        else "cluster.leaves.merged", n_merged)
-        run.metrics.observe("cluster.unit.seconds", elapsed,
-                            kind=run.kind)
-
-    async def _execute_units(self, run: _JobRun) -> None:
-        """Drive every unit to exactly-once completion (see module doc)."""
-        kind, pending = run.kind, run.pending
-        pending.extend(_Unit(shard) for shard in run.job.plan.shards)
-        running: Set[asyncio.Task] = set()
-        while not run.fatal:
-            self._state_changed.clear()
-            while pending:
-                worker = self._acquire_idle()
-                if worker is None:
-                    break
-                task = asyncio.ensure_future(
-                    self._run_unit(run, worker, pending.popleft()))
-                running.add(task)
-                task.add_done_callback(running.discard)
-            if not pending and not running:
-                break
-            if pending and not running and self.n_live() == 0:
-                if not self._local_fallback:
-                    self._fail(run, ClusterError(
-                        f"no live workers remain for {kind} and local "
-                        f"fallback is disabled"))
-                    break
-                # The fleet has emptied: degrade gracefully to local
-                # execution — same scatter/merge, same output.
-                while pending:
-                    unit = pending.popleft()
-                    start = time.monotonic()
-                    self._settle(run, unit,
-                                 run.job.run_local(unit.keys), start)
-                    run.report.n_local_units += 1
-                    run.metrics.inc("cluster.units.local", kind=kind)
-                continue
-            waiter = asyncio.ensure_future(self._state_changed.wait())
-            await asyncio.wait({waiter, *running},
-                               return_when=asyncio.FIRST_COMPLETED)
-            waiter.cancel()
-            with suppress(asyncio.CancelledError):
-                await waiter
-        if run.fatal:
-            for task in running:
-                task.cancel()
-            if running:
-                await asyncio.gather(*running, return_exceptions=True)
-            raise run.fatal[0]
-
-    async def _run_unit(self, run: _JobRun, worker: _WorkerHandle,
-                        unit: _Unit) -> None:
-        kind, report = run.kind, run.report
-        try:
-            assignment_id = next(self._assignment_counter)
-            entry = _Assignment(
-                unit=unit,
-                future=asyncio.get_event_loop().create_future())
-            self._assignments[assignment_id] = entry
-            worker.current_assignment = assignment_id
-            if worker.name not in report.workers_used:
-                report.workers_used.append(worker.name)
-            try:
-                started = time.monotonic()
-                message = {"type": "run_shard", "kind": kind,
-                           "assignment": assignment_id,
-                           **run.encode(unit.keys)}
-                try:
-                    await worker.transport.send(message)
-                except (TransportClosed, asyncio.TimeoutError):
-                    self._mark_dead(worker, "send failed")
-                    self._replan_orphans(run, unit)
-                    return
-                try:
-                    reply = await asyncio.wait_for(entry.future,
-                                                   self._rpc_timeout)
-                except asyncio.TimeoutError:
-                    # Deadline expired: fence the assignment (a late
-                    # result will be discarded), back off, re-dispatch.
-                    # The worker goes back to the *end* of the idle
-                    # queue, so the retry prefers a different host.
-                    entry.stale = True
-                    unit.attempts += 1
-                    report.n_retries += 1
-                    run.metrics.inc("cluster.retries", kind=kind)
-                    worker.current_assignment = None
-                    self._release_worker(worker)
-                    if unit.attempts >= self._retry.max_attempts:
-                        self._fail(run, ClusterError(
-                            f"{kind} shard {list(unit.keys)!r} timed "
-                            f"out on all {unit.attempts} attempts "
-                            f"(rpc_timeout={self._rpc_timeout}s)"))
-                        return
-                    await asyncio.sleep(
-                        self._retry.delay_for(unit.attempts - 1))
-                    run.pending.append(unit)
-                    self._state_changed.set()
-                    return
-                except _WorkerDied:
-                    self._replan_orphans(run, unit)
-                    return
-            finally:
-                worker.current_assignment = None
-                self._assignments.pop(assignment_id, None)
-            if reply.get("type") == "shard_error":
-                self._release_worker(worker)
-                self._fail(run, ClusterExecutionError(
-                    f"{kind} shard {list(unit.keys)!r} raised on worker "
-                    f"{worker.name}; original worker traceback:\n"
-                    f"{reply.get('traceback', '<missing>')}",
-                    worker_traceback=reply.get("traceback")))
-                return
-            try:
-                n_merged = run.decode(unit.keys, reply)
-            except Exception as exc:
-                self._release_worker(worker)
-                self._fail(run, ClusterError(
-                    f"merging {kind} shard {list(unit.keys)!r} from "
-                    f"{worker.name} failed: {exc!r}"))
-                return
-            self._settle(run, unit, n_merged, started)
-            self._release_worker(worker)
-        except Exception as exc:  # never lose the scheduler to a bug
-            self._fail(run, exc)
-        finally:
-            self._state_changed.set()
-
-    def _replan_orphans(self, run: _JobRun, unit: _Unit) -> None:
-        """Dead-host path: re-balance the orphaned keys over survivors."""
-        run.report.n_replans += 1
-        run.report.orphaned_keys.append(list(unit.keys))
-        run.metrics.inc("cluster.replans", kind=run.kind)
-        n_live = self.n_live()
-        if len(unit.keys) > 1 and n_live > 1:
-            replanned = run.job.plan.replan(unit.keys, n_live)
-            run.pending.extend(_Unit(shard) for shard in replanned.shards)
-        else:
-            run.pending.append(_Unit(unit.keys))
-        self._state_changed.set()
-
     # -- jobs ---------------------------------------------------------------
 
     async def _run_job(
@@ -817,24 +544,24 @@ class ClusterCoordinator:
             decode: Callable[[Tuple[Hashable, ...], dict], int],
             metrics: Optional[MetricsRegistry]) -> None:
         """Run ``job`` across the fleet and leave its report behind."""
-        run = _JobRun(
-            kind, job, encode, decode,
-            metrics if metrics is not None else self.metrics,
-            ClusterRunReport(kind=kind, n_units_planned=job.plan.n_shards,
-                             n_workers_at_start=self.n_live()))
-        self._active_report, self._active_metrics = run.report, run.metrics
+        registry = metrics if metrics is not None else self.metrics
+        run = self._run = _JobRun(kind, job, encode, decode,
+                                  self._loop.create_future())
         try:
-            await self._execute_units(run)
+            await self._apply(self._scheduler.start(kind, job.plan,
+                                                    registry, self._now()))
+            await run.over
         finally:
-            self._active_report = self._active_metrics = None
+            self._run = None
+            report = self._scheduler.finish()
             try:
-                run.report.fleet_metrics = self._fleet_view(run.metrics)
+                report.fleet_metrics = self._fleet_view(registry)
             except ValueError:
                 # A job registry with custom buckets cannot fold with
                 # the workers' default-bucket snapshots; the job view
                 # alone is still a valid snapshot.
-                run.report.fleet_metrics = run.metrics.snapshot()
-            self.last_report = run.report
+                report.fleet_metrics = registry.snapshot()
+            self.last_report = report
 
     async def run_inference(
             self, model_source: Union[GraphExModel, str, Path],
@@ -951,14 +678,14 @@ class ClusterCoordinator:
         """
         directory = Path(directory)
         deployed = 0
-        for worker in [w for w in self._workers.values() if w.alive]:
+        for link in list(self._workers.values()):
             try:
                 reply = await self._request(
-                    worker, {"type": "deploy_model",
-                             "model_path": str(directory),
-                             "generation": generation}, timeout)
+                    link, {"type": "deploy_model",
+                           "model_path": str(directory),
+                           "generation": generation}, timeout)
             except (TransportClosed, asyncio.TimeoutError, OSError):
-                self._mark_dead(worker, "deploy failed")
+                await self._apply(self._drop(link))
                 continue
             if reply.get("type") == "deployed":
                 deployed += 1

@@ -110,7 +110,9 @@ def decode_frame(payload: bytes, tail_length: int = 0) -> dict:
     split = len(payload) - tail_length
     try:
         message = json.loads(payload[:split].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8 or JSON, or an int past Python's digit limit;
+    # RecursionError: arrays or objects nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise FrameError(f"undecodable frame: {exc}") from None
     if not isinstance(message, dict):
         raise FrameError(

@@ -4,8 +4,8 @@ One retry policy serves every layer that talks to something flaky: the
 cluster coordinator's per-shard RPCs (timeouts, severed connections),
 the daily refresh orchestrator's construct/load steps, and any caller
 that wants the same semantics.  The policy is a frozen value object —
-attempt counting lives with the caller or in :meth:`call` /
-:meth:`call_async`, never in the policy — so one instance can be shared
+attempt counting lives with the caller (the cluster scheduler) or in
+:meth:`call`, never in the policy — so one instance can be shared
 across concurrent dispatches.
 
 Jitter is drawn from a private ``random.Random``: seeded policies
@@ -16,12 +16,10 @@ synchronize a fleet of retriers (the reason jitter exists at all).
 
 from __future__ import annotations
 
-import asyncio
 import random
 import time
 from dataclasses import dataclass, field
-from typing import (Any, Awaitable, Callable, Iterator, Optional, Tuple,
-                    Type)
+from typing import Any, Callable, Iterator, Optional, Tuple, Type
 
 __all__ = ["RetryPolicy", "RetriesExhausted"]
 
@@ -130,25 +128,4 @@ class RetryPolicy:
                 if on_retry is not None:
                     on_retry(attempt, exc, delay)
                 sleep(delay)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def call_async(
-            self, fn: Callable[[], Awaitable[Any]], *,
-            retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-            on_retry: Optional[Callable[[int, BaseException, float],
-                                        None]] = None) -> Any:
-        """:meth:`call` for coroutines; backoff via ``asyncio.sleep``."""
-        for attempt in range(self.max_attempts):
-            try:
-                return await fn()
-            except retry_on as exc:
-                if attempt + 1 >= self.max_attempts:
-                    raise RetriesExhausted(
-                        f"{fn!r} failed on all {self.max_attempts} "
-                        f"attempts; last error: {exc!r}",
-                        attempts=self.max_attempts) from exc
-                delay = self.delay_for(attempt)
-                if on_retry is not None:
-                    on_retry(attempt, exc, delay)
-                await asyncio.sleep(delay)
         raise AssertionError("unreachable")  # pragma: no cover

@@ -16,3 +16,10 @@ def front(model, store, flush_executor=None):
 # lint-fixture-module: repro.serving.async_front
 def _locked(stream, fn):
     return fn()
+# lint-fixture-module: repro.cluster.coordinator
+class _Assignment:
+    stale = False
+
+
+async def _run_unit(policy, unit):
+    return await policy.call_async(unit)

@@ -23,3 +23,7 @@ def dump(report):
 # lint-fixture-module: repro.serving.nrt
 def _locked(fn):
     return fn()
+# lint-fixture-module: repro.cluster.scheduler
+def reply(flights, assignment):
+    """A stale _Assignment's future is gone, and so is call_async."""
+    return flights.get(assignment)  # no _WorkerDied either

@@ -114,7 +114,8 @@ class TestRuleFixtures:
             (4, "distribute"), (5, "push="), (6, "artifact_begin"),
             (6, "model_artifact"), (8, "ThreadPoolExecutor"),
             (11, '"thread"'), (11, "workers="), (12, "to_json"),
-            (14, "flush_executor"), (15, "engine="), (17, "_locked")]
+            (14, "flush_executor"), (15, "engine="), (17, "_locked"),
+            (20, "_Assignment"), (24, "_run_unit"), (25, "call_async")]
 
     def test_mmap_bad_flags_all_three_shapes(self):
         report = lint_fixture("mmap_safety_bad.py",

@@ -34,6 +34,7 @@ from repro.cluster.protocol import (PROTOCOL_VERSION, pack_ranked,
                                     pack_requests, read_frame,
                                     unpack_ranked, unpack_recommendations,
                                     unpack_requests)
+from repro.cluster.scheduler import Scheduler
 from repro.cluster.transport import Transport
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
@@ -41,7 +42,9 @@ from repro.core.execution import SerialExecutor
 from repro.core.fast_inference import LeafBatchRunner, RankedColumns
 from repro.core.model import GraphExModel
 from repro.core.serialization import open_model, save_model
+from repro.core.sharding import ShardPlan
 from repro.core.tokenize import DEFAULT_TOKENIZER, SpaceTokenizer
+from repro.obs import MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +177,6 @@ class TestRetryPolicy:
             fast_retry().call(wrong_kind, retry_on=(OSError,),
                               sleep=lambda _d: None)
         assert len(calls) == 1
-
-    def test_call_async_retries(self):
-        attempts = []
-
-        async def flaky():
-            attempts.append(1)
-            if len(attempts) < 2:
-                raise OSError("transient")
-            return 42
-
-        assert asyncio.run(fast_retry().call_async(flaky)) == 42
-        assert len(attempts) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -376,6 +367,60 @@ class TestProtocol:
         plain = SpaceTokenizer.from_spec(
             json.loads(json.dumps(SpaceTokenizer().spec())))
         assert (plain.stems, plain.stopwords) == (False, frozenset())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_frames_fail_only_by_name(self, model, requests, data):
+        """Byte-level fuzz of both codecs: a valid frame with bytes
+        flipped, cut off or inserted reads back as a message, a
+        ``FrameError`` or the end of the stream, and mutated result
+        counts and tails unpack to columns or a ``FrameError`` —
+        nothing else ever escapes to the connection's task."""
+        def mutate(blob: bytes) -> bytes:
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, max(0, len(blob) - 1)))
+                how = data.draw(st.sampled_from(["flip", "cut", "insert"]))
+                if how == "flip" and blob:
+                    blob = (blob[:at] + bytes([blob[at] ^ data.draw(
+                        st.integers(1, 255))]) + blob[at + 1:])
+                elif how == "cut":
+                    blob = blob[:at]
+                else:
+                    blob = (blob[:at] + data.draw(st.binary(
+                        min_size=1, max_size=8)) + blob[at:])
+            return blob
+
+        shard = requests[:6]
+        result = {"type": "shard_result", "assignment": 2,
+                  **pack_ranked(LeafBatchRunner(model, k=5)
+                                .run_ranked(shard), len(shard))}
+        valid = [{"type": "heartbeat", "name": "w"},
+                 {"type": "run_shard", "kind": "inference",
+                  "assignment": 1, "requests": pack_requests(shard),
+                  "k": 5, "hard_limit": None},
+                 result]
+        wire = data.draw(st.one_of(
+            st.sampled_from(valid).map(encode_frame).map(mutate),
+            # Random flips do not find these: drawn explicitly.
+            st.just(frame_declaring(b"[" * 100_000, 0, b"")),
+            st.just(frame_declaring(b'{"n":' + b"9" * 5000 + b"}", 0,
+                                    b""))))
+        try:
+            assert isinstance(through_a_stream(wire), dict)
+        except (FrameError, asyncio.IncompleteReadError):
+            pass
+
+        reply = dict(result, tail=mutate(result["tail"]))
+        for field in data.draw(st.lists(st.sampled_from(
+                ["n_requests", "n_answered", "n_rows"]), max_size=2)):
+            reply[field] = data.draw(st.one_of(
+                st.integers(-2, 2 ** 40), st.booleans(), st.none(),
+                st.text(max_size=2)))
+        try:
+            assert isinstance(unpack_ranked(reply, len(shard)),
+                              RankedColumns)
+        except FrameError:
+            pass
 
     def test_oversized_frame_rejected(self):
         import repro.cluster.protocol as protocol
@@ -862,6 +907,13 @@ MALFORMED = {
     "control-object-names-the-tail": (
         frame_declaring(b'{"type":"heartbeat","tail":"x"}', 0, b""),
         "binary tail"),
+    # json.loads recurses per nesting level.
+    "control-object-nested-too-deep": (
+        frame_declaring(b"[" * 100_000, 0, b""), "undecodable frame"),
+    # Ids key the coordinator's tables: a list is not one.
+    "assignment-not-an-id": (
+        encode_frame({"type": "shard_result", "assignment": [1]}),
+        "'assignment' must be an integer id"),
 }
 
 
@@ -876,15 +928,22 @@ class TestMalformedFrames:
             lambda _loop, context: errors.append(context))
         return errors
 
+    @pytest.mark.parametrize("hello,reason", [
+        # "GET " and "/ HT" read as the two uint32 lengths of a header.
+        (b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
+         f"peer announced a {sum(struct.unpack('>II', b'GET / HT'))}-byte "
+         f"frame"),
+        (frame_declaring(b"[" * 100_000, 0, b""), "undecodable frame"),
+    ], ids=["http-get", "nested-too-deep"])
     def test_garbage_hello_is_rejected_by_name(self, artifact, requests,
-                                               expected):
+                                               expected, hello, reason):
         async def drive():
             errors = self.collect_loop_errors()
             async with ClusterCoordinator(rpc_timeout=20.0) as coord:
                 _w, task = await spawn_worker(coord, name="survivor")
                 await coord.wait_for_workers(1, timeout=10.0)
                 reader, writer = await raw_peer(coord)
-                writer.write(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+                writer.write(hello)
                 reply = await asyncio.wait_for(read_frame(reader), 5.0)
                 assert await asyncio.wait_for(reader.read(), 5.0) == b""
                 writer.close()
@@ -899,10 +958,7 @@ class TestMalformedFrames:
 
         reply, got, rejected, names, errors = asyncio.run(drive())
         assert reply["type"] == "error"
-        # "GET " and "/ HT" read as the two uint32 lengths of a header.
-        announced = sum(struct.unpack(">II", b"GET / HT"))
-        assert reply["reason"].startswith(
-            f"malformed frame: peer announced a {announced}-byte frame")
+        assert reply["reason"].startswith(f"malformed frame: {reason}")
         assert got == expected and names == ["survivor"]
         assert rejected == 1
         assert errors == []
@@ -1083,37 +1139,25 @@ class TestCoordinatorEdgeCases:
         assert all(count == 1 for count in report.merge_counts.values())
 
     def test_late_result_fencing_rule_is_deterministic(self):
-        """Unit-level pin of the discard rule: a frame for a stale (or
-        unknown) assignment increments the late counter and never
-        resolves a future."""
-        from repro.cluster.coordinator import (ClusterRunReport,
-                                               _Assignment, _Unit)
-
-        async def drive():
-            coord = ClusterCoordinator()
-            await coord.start()
-            try:
-                report = ClusterRunReport(kind="inference",
-                                          n_units_planned=1,
-                                          n_workers_at_start=1)
-                coord._active_report = report
-                entry = _Assignment(
-                    unit=_Unit((1,)),
-                    future=asyncio.get_event_loop().create_future(),
-                    stale=True)
-                coord._assignments[7] = entry
-                worker = type("W", (), {"last_seen": 0.0})()
-                coord._route_frame(worker, {"type": "shard_result",
-                                            "assignment": 7})
-                coord._route_frame(worker, {"type": "shard_result",
-                                            "assignment": 999})
-                assert report.n_late_discarded == 2
-                assert not entry.future.done()
-            finally:
-                coord._active_report = None
-                await coord.stop()
-
-        asyncio.run(drive())
+        """Unit-level pin of the discard rule, on the scheduler alone
+        (no event loop, no sockets): a reply for a stale (timed-out) or
+        unknown assignment, or from a worker that does not hold it, is
+        counted late and claims nothing; the live one is merged once."""
+        scheduler = Scheduler(fast_retry(), rpc_timeout=1.0,
+                              heartbeat_timeout=None, local_fallback=False)
+        scheduler.join("w", 0.0)
+        plan = ShardPlan([(1,)], {1: 1})
+        assert scheduler.start("inference", plan, MetricsRegistry(),
+                               0.0).send == [("w", 0, (1,))]
+        assert scheduler.tick(1.0).send == []        # fenced, backing off
+        assert scheduler.tick(2.0).send == [("w", 1, (1,))]
+        for name, assignment in (("w", 0), ("w", 999), ("x", 1)):
+            assert scheduler.reply(name, assignment) is None
+        report = scheduler.report
+        assert (report.n_late_discarded, report.n_retries) == (3, 1)
+        assert scheduler.reply("w", 1) == ((1,), 2.0)
+        assert scheduler.settle((1,), 1, 2.0, 2.5).done
+        assert report.merge_counts == {1: 1}
 
     def test_dead_worker_orphans_are_replanned(self, artifact, requests,
                                                expected):
