@@ -12,7 +12,9 @@ single-process fast paths under **any** failure topology.
 Inference results cross the wire as ids, not rows
 (:mod:`~repro.cluster.protocol`): the rows are built here, from this
 process's own mapping of the artifact, and that serial row build is,
-after the workers' own time, the largest term of a cluster op.
+after the workers' own time, the largest term of a cluster op.  A job
+that asks for texts (``texts=True``, what serving asks for) reads only
+the label texts and builds no row.
 
 This module is the socket shell around a
 :class:`~repro.cluster.scheduler.Scheduler`, which makes every decision
@@ -36,7 +38,7 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
                     NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
-from ..core.batch import BatchResult, InferenceRequest
+from ..core.batch import BatchResult, InferenceRequest, TextResult
 from ..core.execution import ConstructionJob, InferenceJob
 from ..core.model import GraphExModel
 from ..core.serialization import open_model, save_model
@@ -566,8 +568,9 @@ class ClusterCoordinator:
     async def run_inference(
             self, model_source: Union[GraphExModel, str, Path],
             requests: Sequence[InferenceRequest], *, k: int = 10,
-            hard_limit: Optional[int] = None,
-            metrics: Optional[MetricsRegistry] = None) -> BatchResult:
+            hard_limit: Optional[int] = None, texts: bool = False,
+            metrics: Optional[MetricsRegistry] = None
+            ) -> Union[BatchResult, TextResult]:
         """Infer a batch across the fleet.
 
         Args:
@@ -577,7 +580,7 @@ class ClusterCoordinator:
                 docstring), or an in-memory model (persisted to a spool
                 artifact first).
             requests: ``(item_id, title, leaf_id)`` triples.
-            k, hard_limit: As in ``batch_recommend``.
+            k, hard_limit, texts: As in ``batch_recommend``.
             metrics: Registry for this job's counters and unit timings
                 (a :class:`~repro.core.execution.ClusterExecutor`
                 passes its own); the coordinator's registry by default.
@@ -587,7 +590,8 @@ class ClusterCoordinator:
             the single-process fast path (last-request-wins duplicate
             semantics included) for any fleet size and failure
             topology.  Workers return ranked label ids; the rows are
-            materialised here (see the module docstring).
+            materialised here (see the module docstring) — or, with
+            ``texts``, only their texts are read and no row is built.
 
         Raises:
             ClusterError: No live workers and no local fallback, a
@@ -604,7 +608,7 @@ class ClusterCoordinator:
             # The job's local runner validates configuration up front
             # and serves the empty-fleet fallback.
             job = InferenceJob(model, requests, max(1, self.n_live()),
-                               k=k, hard_limit=hard_limit)
+                               k=k, hard_limit=hard_limit, texts=texts)
 
             def encode(keys: Tuple[Hashable, ...]) -> dict:
                 return {"model_path": str(path),
@@ -616,7 +620,7 @@ class ClusterCoordinator:
                 # The reply names labels by id; the rows are built here,
                 # from this process's own mapping of the artifact.
                 return job.merge(keys, unpack_recommendations(
-                    reply, model, job.requests_of(keys)))
+                    reply, model, job.requests_of(keys), texts=texts))
 
             await self._run_job("inference", job, encode, decode,
                                 metrics)

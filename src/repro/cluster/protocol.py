@@ -42,7 +42,6 @@ from ..core.batch import InferenceRequest
 from ..core.curation import CuratedLeaf
 from ..core.fast_inference import (RankedColumns, materialise_ranked,
                                    ranked_parts)
-from ..core.inference import Recommendation
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.model import GraphExModel
@@ -232,9 +231,10 @@ def unpack_ranked(reply: dict, n_requests: int) -> RankedColumns:
 
 
 def unpack_recommendations(reply: dict, model: "GraphExModel",
-                           requests: Sequence[InferenceRequest]
-                           ) -> List[List[Recommendation]]:
-    """A ``shard_result`` reply → one row list per request of the shard.
+                           requests: Sequence[InferenceRequest], *,
+                           texts: bool = False) -> List[list]:
+    """A ``shard_result`` reply → one row list per request of the shard
+    (one text list with ``texts=True``: step 6's text exit).
 
     The coordinator-side inverse of the worker's ``run_ranked`` +
     :func:`pack_ranked`: the columns are validated
@@ -258,7 +258,7 @@ def unpack_recommendations(reply: dict, model: "GraphExModel",
             & (ranked.labels < np.repeat(widths, ranked.sizes))).all():
         raise FrameError(
             "result names a label id outside its owning graph's labels")
-    return materialise_ranked(parts, ranked, len(requests))
+    return materialise_ranked(parts, ranked, len(requests), texts=texts)
 
 
 def pack_requests(requests: Sequence[InferenceRequest]) -> List[list]:

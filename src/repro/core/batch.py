@@ -32,7 +32,8 @@ single-process by design — it is the semantics oracle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, List, Literal, Optional, Sequence,
+                    Tuple, Union, overload)
 
 from .inference import Recommendation
 from .model import GraphExModel
@@ -50,12 +51,16 @@ InferenceRequest = Tuple[int, str, int]
 #: Batch output: item id → ranked recommendations.
 BatchResult = Dict[int, List[Recommendation]]
 
+#: Batch output of the text exit (``texts=True``): item id → the
+#: ranked keyphrase texts, what a serving store keeps.
+TextResult = Dict[int, List[str]]
+
 #: Engine names accepted by the batch entry points (and the CLI flag).
 ENGINES = ("reference", "fast")
 
 
 def last_request_wins(requests: Sequence[InferenceRequest],
-                      rows: Sequence[List[Recommendation]]) -> BatchResult:
+                      rows: Sequence[list]) -> Dict[int, list]:
     """Item id → its row, where ``rows[i]`` answers ``requests[i]``.
 
     The one place duplicate item ids are resolved: as in the scalar
@@ -76,12 +81,30 @@ def validate_hard_limit(hard_limit: Optional[int]) -> None:
         raise ValueError(f"hard_limit must be >= 0, got {hard_limit}")
 
 
+@overload
+def batch_recommend(model: GraphExModel,
+                    requests: Sequence[InferenceRequest], k: int = ...,
+                    hard_limit: Optional[int] = ..., engine: str = ...,
+                    executor: ExecutorSpec = ..., *,
+                    texts: Literal[False] = ...) -> BatchResult: ...
+
+
+@overload
+def batch_recommend(model: GraphExModel,
+                    requests: Sequence[InferenceRequest], k: int = ...,
+                    hard_limit: Optional[int] = ..., engine: str = ...,
+                    executor: ExecutorSpec = ..., *,
+                    texts: Literal[True]) -> TextResult: ...
+
+
 def batch_recommend(model: GraphExModel,
                     requests: Sequence[InferenceRequest],
                     k: int = 10,
                     hard_limit: Optional[int] = None,
                     engine: str = "fast",
-                    executor: ExecutorSpec = None) -> BatchResult:
+                    executor: ExecutorSpec = None, *,
+                    texts: bool = False
+                    ) -> Union[BatchResult, TextResult]:
     """Run inference over a batch of items.
 
     Args:
@@ -96,9 +119,14 @@ def batch_recommend(model: GraphExModel,
             :class:`repro.core.execution.Executor` instance (a
             ``ClusterExecutor`` carries its own fleet).  Output is
             element-wise identical either way.
+        texts: Return each item's ranked keyphrase *texts* rather than
+            its rows: the fast engine then builds no
+            :class:`Recommendation` at all (step 6's text exit).  What
+            the serving writers ask for; equal to ``[r.text for r in
+            rows]`` of the default output.
 
     Returns:
-        Mapping from item id to its ranked recommendations.
+        Mapping from item id to its ranked recommendations (or texts).
 
     Raises:
         ValueError: On an unknown engine or executor spelling, a
@@ -118,7 +146,11 @@ def batch_recommend(model: GraphExModel,
     exec_ = resolve_executor(executor, engine=engine)
     if engine == "fast":
         return exec_.run_inference(model, requests, k=k,
-                                   hard_limit=hard_limit)
-    return {item_id: model.recommend(title, leaf_id, k=k,
+                                   hard_limit=hard_limit, texts=texts)
+    rows = {item_id: model.recommend(title, leaf_id, k=k,
                                      hard_limit=hard_limit)
             for item_id, title, leaf_id in requests}
+    if texts:
+        return {item_id: [row.text for row in recs]
+                for item_id, recs in rows.items()}
+    return rows

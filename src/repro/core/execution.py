@@ -60,10 +60,10 @@ from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional,
                     Sequence, Tuple, Union)
 
 from ..obs import MetricsRegistry, NullRegistry
-from .batch import BatchResult, InferenceRequest, last_request_wins
+from .batch import (BatchResult, InferenceRequest, TextResult,
+                    last_request_wins)
 from .fast_construct import build_leaf_graph_fast
 from .fast_inference import LeafBatchRunner
-from .inference import Recommendation
 from .serialization import load_leaf_graphs, save_leaf_graphs
 from .sharding import ShardExecutionError, ShardPlan, construction_proxy
 from .tokenize import DEFAULT_TOKENIZER, SpaceTokenizer, TokenCache
@@ -101,7 +101,8 @@ class InferenceJob:
     group does — and hands the rows to :meth:`merge`.  (A cluster
     worker runs the same call only up to its ranked columns,
     ``run_ranked``; the coordinator materialises them against the same
-    artifact, so what reaches :meth:`merge` is the same rows.)  A
+    artifact, so what reaches :meth:`merge` is the same rows — or the
+    same texts, for a job built with ``texts=True``.)  A
     request whose leaf has neither a graph nor the pooled fallback
     belongs to no unit and keeps ``[]``.
 
@@ -112,13 +113,14 @@ class InferenceJob:
 
     def __init__(self, model: "GraphExModel",
                  requests: Sequence[InferenceRequest], n_shards: int,
-                 *, k: int = 10, hard_limit: Optional[int] = None) -> None:
+                 *, k: int = 10, hard_limit: Optional[int] = None,
+                 texts: bool = False) -> None:
         self._requests = list(requests)
         self._runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
+        self._texts = texts
         self.plan, self._groups = ShardPlan.for_inference(
             model, self._requests, n_shards)
-        self._rows: List[List[Recommendation]] = \
-            [[] for _ in self._requests]
+        self._rows: List[list] = [[] for _ in self._requests]
 
     def _indices(self, keys: Sequence[Hashable]) -> List[int]:
         return [index for key in keys for index in self._groups[key]]
@@ -129,7 +131,7 @@ class InferenceJob:
         return [self._requests[index] for index in self._indices(keys)]
 
     def merge(self, keys: Sequence[Hashable],
-              rows: Sequence[List[Recommendation]]) -> int:
+              rows: Sequence[list]) -> int:
         """Scatter a unit's rows (in :meth:`requests_of` order) back to
         their request indices; returns how many requests it settled.
         A wrong row count raises :class:`ShardExecutionError` — zipping
@@ -145,11 +147,11 @@ class InferenceJob:
 
     def run_local(self, keys: Sequence[Hashable]) -> int:
         """Run a unit on the calling thread and merge it."""
-        return self.merge(
-            keys, self._runner.run_indexed(self.requests_of(keys)))
+        return self.merge(keys, self._runner.run_indexed(
+            self.requests_of(keys), texts=self._texts))
 
-    def output(self) -> BatchResult:
-        """Item id → rows; the last request for an id wins."""
+    def output(self) -> Union[BatchResult, TextResult]:
+        """Item id → rows (texts); the last request for an id wins."""
         return last_request_wins(self._requests, self._rows)
 
 
@@ -281,6 +283,13 @@ class Executor:
     does not have idle cores to itself; a fleet is for more hardware
     than the caller has.
 
+    ``run_inference(..., texts=True)`` is step 6's text exit on every
+    substrate: the serving writers (NRT windows, the batch pipeline's
+    loads) ask for it, so for serving the coordinator skips its row
+    build and hands each request its slice of the label texts it
+    decodes anyway — the same columns, the same wire, no
+    :class:`~repro.core.inference.Recommendation` built.
+
     Attributes:
         name: The spelling this class answers to.
         supports_reference: Whether the scalar ``reference``
@@ -301,10 +310,12 @@ class Executor:
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None
-                      ) -> BatchResult:
-        """Infer a batch; item id → ranked recommendations with the
-        scalar loop's last-request-wins duplicate semantics."""
+                      k: int = 10, hard_limit: Optional[int] = None, *,
+                      texts: bool = False
+                      ) -> Union[BatchResult, TextResult]:
+        """Infer a batch; item id → ranked recommendations (their texts
+        when ``texts``, as in ``batch_recommend``) with the scalar
+        loop's last-request-wins duplicate semantics."""
         raise NotImplementedError
 
     def run_construction(self, curated: "CuratedKeyphrases",
@@ -364,10 +375,11 @@ class SerialExecutor(Executor):
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None
-                      ) -> BatchResult:
+                      k: int = 10, hard_limit: Optional[int] = None, *,
+                      texts: bool = False
+                      ) -> Union[BatchResult, TextResult]:
         return self._run("inference", InferenceJob(
-            model, requests, 1, k=k, hard_limit=hard_limit))
+            model, requests, 1, k=k, hard_limit=hard_limit, texts=texts))
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
@@ -509,11 +521,12 @@ class ClusterExecutor(Executor):
     async def run_inference_async(
             self, model: "GraphExModel",
             requests: Sequence[InferenceRequest],
-            k: int = 10, hard_limit: Optional[int] = None) -> BatchResult:
+            k: int = 10, hard_limit: Optional[int] = None, *,
+            texts: bool = False) -> Union[BatchResult, TextResult]:
         """:meth:`run_inference` for callers on the coordinator loop."""
         return await self.coordinator.run_inference(
             model, list(requests), k=k, hard_limit=hard_limit,
-            metrics=self.metrics)
+            texts=texts, metrics=self.metrics)
 
     async def run_construction_async(
             self, curated: "CuratedKeyphrases",
@@ -525,10 +538,11 @@ class ClusterExecutor(Executor):
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None
-                      ) -> BatchResult:
+                      k: int = 10, hard_limit: Optional[int] = None, *,
+                      texts: bool = False
+                      ) -> Union[BatchResult, TextResult]:
         return self._submit(self.run_inference_async(
-            model, requests, k=k, hard_limit=hard_limit))
+            model, requests, k=k, hard_limit=hard_limit, texts=texts))
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER

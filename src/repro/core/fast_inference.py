@@ -40,7 +40,12 @@ items, whichever leaves they belong to:
    having been capped at ``hard_limit``, label texts are read from the
    owning leaf in bulk
    (:meth:`~repro.core.serialization.LazyStringList.take` on mapped
-   models) and every row is constructed once per chunk.
+   models) and every row is constructed once per chunk.  With
+   ``texts=True`` (the *text exit*) step 6 stops there: each request
+   gets its slice of those texts and no row is built.  It is what the
+   serving writers ask for — a KV store keeps only the keyphrase
+   strings — so a window does not allocate, and the cyclic collector
+   does not walk, a ``Recommendation`` per served keyphrase.
 
 The kernel is cut between steps 5 and 6.  Everything up to the ranked
 columns — label id, ``c`` and score per surviving row
@@ -51,9 +56,10 @@ taking the Search / Recall Counts step 5 already gathered.  On the
 cluster they run on different machines: a worker stops after step 5
 (:meth:`LeafBatchRunner.run_ranked`) and ships the columns, and the
 coordinator runs the same :func:`materialise` over its own mapping of
-the artifact (:func:`materialise_ranked`).  There is one step-6
-implementation and it validates nothing; columns that crossed a wire
-are checked by their codec first.
+the artifact (:func:`materialise_ranked`), taking the text exit when
+its caller asked for it.  There is one step-6 implementation and it
+validates nothing; columns that crossed a wire are checked by their
+codec first.
 
 The engine is *provably identical* to the scalar path — same candidate
 sets, same IEEE-754 scores (identical operand values through identical
@@ -176,8 +182,8 @@ class RankedColumns(NamedTuple):
 def materialise(parts: Sequence[_Part], row_bounds: np.ndarray,
                 labels: np.ndarray, counts: np.ndarray,
                 scores: np.ndarray, search: np.ndarray,
-                recall: np.ndarray,
-                results: List[List[Recommendation]]) -> None:
+                recall: np.ndarray, results: List[list], *,
+                texts: bool = False) -> None:
     """Step 6, the only implementation: ranked columns → rows, scattered
     into ``results`` by request index.
 
@@ -185,18 +191,20 @@ def materialise(parts: Sequence[_Part], row_bounds: np.ndarray,
     those requests' rows back to back in that order, request ``i`` of
     the sequence owning rows ``row_bounds[i]:row_bounds[i + 1]``.  Label
     texts are read from each run's own leaf in bulk and every row is
-    constructed once.  Nothing is validated here — the engine hands
-    over what it just computed, and columns that crossed a wire are
-    checked by their codec before they get this far.
+    constructed once — or, with ``texts=True``, each request gets its
+    slice of the texts and no row is built.  Nothing is validated
+    here — the engine hands over what it just computed, and columns
+    that crossed a wire are checked by their codec before they get this
+    far.
     """
     cuts = row_bounds.tolist()
-    texts: List[str] = []
+    strings: List[str] = []
     stop = 0
     for graph, indices in parts:
         start, stop = stop, stop + len(indices)
-        texts.extend(_label_texts(graph, labels[cuts[start]:cuts[stop]]))
-    rows = list(map(_row, zip(
-        texts, scores.tolist(), search.tolist(), recall.tolist(),
+        strings.extend(_label_texts(graph, labels[cuts[start]:cuts[stop]]))
+    rows = strings if texts else list(map(_row, zip(
+        strings, scores.tolist(), search.tolist(), recall.tolist(),
         counts.tolist())))
     part_requests = (index for _graph, indices in parts
                      for index in indices)
@@ -221,16 +229,18 @@ def ranked_parts(model: "GraphExModel",
 
 
 def materialise_ranked(parts: Sequence[_Part], ranked: RankedColumns,
-                       n_requests: int) -> List[List[Recommendation]]:
+                       n_requests: int, *, texts: bool = False
+                       ) -> List[list]:
     """Rows of columns ranked elsewhere over the same artifact.
 
     ``parts`` are :func:`ranked_parts` of ``ranked.requests`` on *this*
     side's model: Search and Recall Counts are gathered from its leaves,
-    then :func:`materialise` builds the rows.  Returns one list per
+    then :func:`materialise` builds the rows (with ``texts=True``, the
+    text exit: no row built).  Returns one list per
     request of the batch (``[]`` for a request without rows), as
     :meth:`LeafBatchRunner.run_indexed` does.
     """
-    results: List[List[Recommendation]] = [[] for _ in range(n_requests)]
+    results: List[list] = [[] for _ in range(n_requests)]
     if not parts:
         return results
     row_bounds = np.append(0, np.cumsum(ranked.sizes))
@@ -242,7 +252,7 @@ def materialise_ranked(parts: Sequence[_Part], ranked: RankedColumns,
         parts, row_bounds, ranked.labels, ranked.counts, ranked.scores,
         np.concatenate([graph.search_counts[run] for graph, run in runs]),
         np.concatenate([graph.recall_counts[run] for graph, run in runs]),
-        results)
+        results, texts=texts)
     return results
 
 
@@ -284,8 +294,8 @@ class LeafBatchRunner:
         """
         return last_request_wins(requests, self.run_indexed(requests))
 
-    def run_indexed(self, requests: Sequence[InferenceRequest]
-                    ) -> List[List[Recommendation]]:
+    def run_indexed(self, requests: Sequence[InferenceRequest], *,
+                    texts: bool = False) -> List[list]:
         """Infer a batch, returning per-request results in input order.
 
         Unlike :meth:`run`, duplicate item ids are *not* collapsed —
@@ -293,11 +303,13 @@ class LeafBatchRunner:
         shard returns on every substrate: the caller scatters shard
         outputs back by request index, which preserves the scalar
         loop's last-request-wins semantics even when duplicates of one
-        item id land in different shards.
+        item id land in different shards.  ``texts=True`` takes step
+        6's text exit: each output is the ranked keyphrase texts, no
+        :class:`Recommendation` built.
         """
-        results: List[List[Recommendation]] = [[] for _ in requests]
+        results: List[list] = [[] for _ in requests]
         for parts in self._chunks(requests):
-            self._run_chunk(requests, parts, results)
+            self._run_chunk(requests, parts, results, texts=texts)
         return results
 
     def run_ranked(self, requests: Sequence[InferenceRequest]
@@ -362,14 +374,14 @@ class LeafBatchRunner:
             yield chunk
 
     def _run_chunk(self, requests: Sequence[InferenceRequest],
-                   parts: Sequence[_Part],
-                   results: List[List[Recommendation]]) -> None:
+                   parts: Sequence[_Part], results: List[list], *,
+                   texts: bool = False) -> None:
         """Enumerate → prune → rank → materialise one chunk into
         ``results``; ``parts`` are its per-graph runs of request
         indices."""
         ranked = self._rank_chunk(requests, parts)
         if ranked is not None:
-            materialise(parts, *ranked, results)
+            materialise(parts, *ranked, results, texts=texts)
 
     def _rank_chunk(self, requests: Sequence[InferenceRequest],
                     parts: Sequence[_Part]

@@ -368,7 +368,6 @@ class AsyncNRTFront:
     def stats(self, name: str) -> StreamStats:
         """Observability snapshot of one stream."""
         stream = self._stream(name)
-        windows = stream.service.processed_windows
         # A stats poll is a natural observation point: refresh the
         # stream's staleness gauge so a registry snapshot taken right
         # after reflects staleness as of now, not the last window.
@@ -379,8 +378,8 @@ class AsyncNRTFront:
             n_pending=(stream.queue.qsize()
                        + stream.service.pending_events),
             n_windows=stream.service.n_windows,
-            n_inferred=sum(w.n_inferred for w in windows),
-            n_deleted=sum(w.n_deleted for w in windows),
+            n_inferred=stream.service.n_inferred,
+            n_deleted=stream.service.n_deleted,
             n_flush_failures=stream.n_flush_failures,
             n_dropped=stream.n_dropped,
             n_queue_hwm=stream.queue_hwm)

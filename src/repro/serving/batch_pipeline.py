@@ -75,12 +75,12 @@ class BatchPipeline:
 
     def _infer(self, requests: Sequence[InferenceRequest]
                ) -> Dict[int, List[str]]:
-        """Item id → the keyphrase texts the store serves for it."""
-        results = batch_recommend(
+        """Item id → the keyphrase texts the store serves for it (the
+        engine's text exit: no row is built)."""
+        return batch_recommend(
             self.model, requests, k=self._k,
-            hard_limit=self._hard_limit, executor=self._executor)
-        return {item_id: [r.text for r in recs]
-                for item_id, recs in results.items()}
+            hard_limit=self._hard_limit, executor=self._executor,
+            texts=True)
 
     def _record_load(self, kind: str, started: float,
                      report: BatchRunReport) -> BatchRunReport:

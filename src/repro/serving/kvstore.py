@@ -5,6 +5,17 @@ accessed via eBay's inference API, subsequently serving sellers on the
 platform" (Section IV-H).  This in-process stand-in keeps the same
 contract: versioned bulk loads, point reads, and atomic swap of the
 serving version so a batch refresh never serves a half-written table.
+
+A version seeded from the serving table is an *overlay*, so an NRT
+window costs what it writes, not what the store holds.
+:meth:`KeyValueStore.copy_from_serving` into an empty version links it
+to the serving table in O(1): its writes land in its own delta, and a
+delete leaves a tombstone there.  A read walks the chain of
+deltas down to the first plain table.  :meth:`KeyValueStore.promote`
+folds a chain deeper than :data:`_FOLD_DEPTH` links into one plain
+table, so a serving read walks at most that many links.  Only the
+whole-table views, :meth:`KeyValueStore.size` and
+:meth:`KeyValueStore.keys`, flatten an overlay and cost O(store).
 """
 
 from __future__ import annotations
@@ -14,6 +25,65 @@ from contextlib import contextmanager
 from typing import Dict, Generic, Iterator, List, Mapping, Optional, TypeVar
 
 V = TypeVar("V")
+
+#: Overlay links a serving read may walk; :meth:`KeyValueStore.promote`
+#: folds a deeper chain into one plain table (one O(store) copy per
+#: this many seeded windows).
+_FOLD_DEPTH = 16
+
+#: An overlay's record of a delete: the key is gone, whatever its
+#: parents hold.
+_DELETED = object()
+_MISSING = object()
+
+
+class _Table:
+    """One version's records: its own ``delta`` over an optional
+    ``parent`` table, ``depth`` links above the plain table at the
+    bottom of the chain.
+
+    A table some overlay reads through is ``shared``, and it is never
+    written again: a write to its version lands in a fresh overlay on
+    top (see :meth:`KeyValueStore._writable`).
+    """
+
+    __slots__ = ("delta", "parent", "depth", "shared")
+
+    def __init__(self, delta: Optional[dict] = None,
+                 parent: Optional["_Table"] = None) -> None:
+        self.delta = {} if delta is None else delta
+        self.parent = parent
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.shared = False
+
+    def get(self, key):
+        table = self
+        while table is not None:
+            value = table.delta.get(key, _MISSING)
+            if value is not _MISSING:
+                return None if value is _DELETED else value
+            table = table.parent
+        return None
+
+    def flat(self) -> dict:
+        """The version's whole table as one plain dict; a plain table
+        returns its own (read-only to the caller), an overlay costs
+        O(store)."""
+        if self.parent is None:
+            return self.delta
+        deltas = []
+        table: Optional[_Table] = self
+        while table is not None:
+            deltas.append(table.delta)
+            table = table.parent
+        flat = dict(deltas.pop())
+        for delta in reversed(deltas):
+            for key, value in delta.items():
+                if value is _DELETED:
+                    flat.pop(key, None)
+                else:
+                    flat[key] = value
+        return flat
 
 
 class KeyValueStore(Generic[V]):
@@ -25,6 +95,14 @@ class KeyValueStore(Generic[V]):
     version, the old table whole or the new one whole.  It is the only
     way the serving layer writes (:class:`~repro.serving.nrt.NRTService`
     flushes, the batch pipeline's two loads).
+
+    A version seeded by :meth:`copy_from_serving` while empty is an
+    overlay of the serving table (see the module docstring): the seed
+    is O(1), a write O(1), a serving :meth:`get` walks at most
+    :data:`_FOLD_DEPTH` links, and :meth:`size` / :meth:`keys` of an
+    overlay cost O(store).  Every version still reads as a table of
+    its own: an older version keeps its contents however many later
+    ones overlay it.
 
     :attr:`lock` is the store's *transaction* lock (reentrant), the
     stand-in for a KV client's single connection; :meth:`transaction`
@@ -40,7 +118,7 @@ class KeyValueStore(Generic[V]):
 
     def __init__(self) -> None:
         self.lock = threading.RLock()
-        self._versions: Dict[int, Dict[int, V]] = {}
+        self._versions: Dict[int, _Table] = {}
         self._serving_version: Optional[int] = None
         self._next_version = 1
         self._open_staging: set = set()
@@ -79,9 +157,26 @@ class KeyValueStore(Generic[V]):
         """
         version = self._next_version
         self._next_version += 1
-        self._versions[version] = {}
+        self._versions[version] = _Table()
         self._open_staging.add(version)
         return version
+
+    def _writable(self, version: int) -> _Table:
+        """The table a write to ``version`` lands in.
+
+        Raises:
+            KeyError: If the version does not exist.
+            ValueError: If the version is already serving (immutable).
+        """
+        if version == self._serving_version:
+            raise ValueError("cannot write to the serving version")
+        table = self._versions[version]
+        if table.shared:
+            # A later version reads through this table: writing into it
+            # would rewrite that version too, so this one moves onto an
+            # overlay of its own.
+            table = self._versions[version] = _Table(parent=table)
+        return table
 
     def put(self, version: int, key: int, value: V) -> None:
         """Write one record into a staging version.
@@ -90,24 +185,22 @@ class KeyValueStore(Generic[V]):
             KeyError: If the version does not exist.
             ValueError: If the version is already serving (immutable).
         """
-        if version == self._serving_version:
-            raise ValueError("cannot write to the serving version")
-        self._versions[version][key] = value
+        self._writable(version).delta[key] = value
 
     def bulk_load(self, version: int, records: Mapping[int, V]) -> None:
         """Write many records into a staging version."""
-        if version == self._serving_version:
-            raise ValueError("cannot write to the serving version")
-        self._versions[version].update(records)
+        self._writable(version).delta.update(records)
 
     def copy_from_serving(self, version: int) -> None:
         """Seed a staging version with the current serving data
         (the daily-differential merge starts from yesterday's table).
 
-        When nothing is serving yet the seed is empty, but the target
-        ``version`` is validated either way: an unknown version is a
-        caller bug and raises exactly as :meth:`put` does (it used to be
-        a silent no-op whenever no version was serving).
+        An empty ``version`` becomes an overlay of the serving table in
+        O(1).  A non-empty one takes every serving record, serving
+        values winning (``dict.update``), in O(store).  When nothing is
+        serving yet the seed is empty, but the target ``version`` is
+        validated either way: an unknown version is a caller bug and
+        raises exactly as :meth:`put` does.
 
         Raises:
             KeyError: If the version does not exist.
@@ -115,22 +208,28 @@ class KeyValueStore(Generic[V]):
                 live table with itself is a write to the serving
                 version).
         """
-        if version == self._serving_version:
-            raise ValueError("cannot write to the serving version")
-        if version not in self._versions:
-            raise KeyError(f"unknown version {version}")
-        if self._serving_version is not None:
-            self._versions[version].update(
-                self._versions[self._serving_version])
+        table = self._writable(version)
+        if self._serving_version is None:
+            return
+        serving = self._versions[self._serving_version]
+        if table.parent is None and not table.delta:
+            serving.shared = True
+            self._versions[version] = _Table(parent=serving)
+        else:
+            table.delta.update(serving.flat())
 
     def promote(self, version: int) -> None:
-        """Atomically make a staged version the serving one.
+        """Atomically make a staged version the serving one, folding an
+        overlay chain deeper than :data:`_FOLD_DEPTH` into one table.
 
         Raises:
             KeyError: If the version does not exist.
         """
-        if version not in self._versions:
+        table = self._versions.get(version)
+        if table is None:
             raise KeyError(f"unknown version {version}")
+        if table.depth > _FOLD_DEPTH:
+            self._versions[version] = _Table(table.flat())
         self._serving_version = version
         self._open_staging.discard(version)
 
@@ -139,7 +238,8 @@ class KeyValueStore(Generic[V]):
 
         Closes the version's prune exemption and drops its data, so a
         crashed writer (an NRT flush whose engine raised, a batch load
-        that aborted) does not leak an unpromotable table forever.
+        that aborted) does not leak an unpromotable table forever.  An
+        overlay's parent is untouched.
 
         Raises:
             KeyError: If the version does not exist.
@@ -163,7 +263,8 @@ class KeyValueStore(Generic[V]):
         # through from executor threads) may observe a version id whose
         # table was just pruned; that read resolves to "absent", not a
         # crash.
-        return self._versions.get(self._serving_version, {}).get(key)
+        table = self._versions.get(self._serving_version)
+        return None if table is None else table.get(key)
 
     def delete(self, version: int, key: int) -> None:
         """Remove one record from a staging version.
@@ -176,9 +277,11 @@ class KeyValueStore(Generic[V]):
             KeyError: If the version does not exist.
             ValueError: If the version is already serving (immutable).
         """
-        if version == self._serving_version:
-            raise ValueError("cannot write to the serving version")
-        self._versions[version].pop(key, None)
+        table = self._writable(version)
+        if table.parent is None:
+            table.delta.pop(key, None)
+        else:
+            table.delta[key] = _DELETED
 
     @property
     def serving_version(self) -> Optional[int]:
@@ -191,18 +294,20 @@ class KeyValueStore(Generic[V]):
         return sorted(self._versions)
 
     def size(self, version: Optional[int] = None) -> int:
-        """Record count of a version (default: serving; 0 when none)."""
+        """Record count of a version (default: serving; 0 when none);
+        O(store) on an overlay."""
         version = self._serving_version if version is None else version
         if version is None or version not in self._versions:
             return 0
-        return len(self._versions[version])
+        return len(self._versions[version].flat())
 
     def keys(self, version: Optional[int] = None) -> Iterator[int]:
-        """Keys of a version (default: serving)."""
+        """Keys of a version (default: serving); O(store) on an
+        overlay."""
         version = self._serving_version if version is None else version
         if version is None or version not in self._versions:
             return iter(())
-        return iter(self._versions[version])
+        return iter(self._versions[version].flat())
 
     def prune(self, keep_latest: int = 2) -> None:
         """Drop all but the newest ``keep_latest`` versions.
@@ -212,7 +317,9 @@ class KeyValueStore(Generic[V]):
         pruning a table a writer still holds would make its later
         :meth:`put` raise ``KeyError`` on a version id it was handed in
         good faith.  Writers that fail must :meth:`abandon` their
-        version so this exemption does not leak tables forever.
+        version so this exemption does not leak tables forever.  A
+        pruned table an overlay still reads through lives on as part of
+        that overlay.
 
         ``keep_latest=0`` keeps *only* those exemptions — "retain no
         history" (a ``[-0:]`` slice used to make it silently keep

@@ -127,6 +127,8 @@ class NRTService:
         self._buffer: List[ItemEvent] = []
         self._window_opened_at: Optional[float] = None
         self._processed_windows: List[WindowStats] = []
+        self._n_inferred = 0
+        self._n_deleted = 0
         # Monotonic load stamp behind the staleness gauge: how long the
         # currently served model has been in place (reset on every
         # hot-swap).  Monotonic, never wall clock — a clock step must
@@ -231,6 +233,16 @@ class NRTService:
     def n_windows(self) -> int:
         """How many windows have been processed, in O(1)."""
         return len(self._processed_windows)
+
+    @property
+    def n_inferred(self) -> int:
+        """Items inferred over every processed window, in O(1)."""
+        return self._n_inferred
+
+    @property
+    def n_deleted(self) -> int:
+        """Items deleted over every processed window, in O(1)."""
+        return self._n_deleted
 
     def submit(self, event: ItemEvent) -> Optional[WindowStats]:
         """Feed one event; returns window stats when a window closes.
@@ -339,14 +351,14 @@ class NRTService:
                     requests.append((event.item_id, title, event.leaf_id))
                 # The whole window is one micro-batch through the
                 # engine — the Flink-window analogue of the paper's NRT
-                # branch.
+                # branch — taking the text exit: the store keeps texts.
                 results = batch_recommend(
                     model, requests, k=self._k,
-                    hard_limit=self._hard_limit, executor=self._executor)
+                    hard_limit=self._hard_limit, executor=self._executor,
+                    texts=True)
                 n_inferred = len(requests)
                 for item_id, _title, _leaf_id in requests:
-                    self._store.put(version, item_id,
-                                    [r.text for r in results[item_id]])
+                    self._store.put(version, item_id, results[item_id])
         except BaseException:
             self._buffer[:0] = events
             self._window_opened_at = opened_at
@@ -369,6 +381,8 @@ class NRTService:
                             n_deleted=n_deleted,
                             model_generation=generation)
         self._processed_windows.append(stats)
+        self._n_inferred += n_inferred
+        self._n_deleted += n_deleted
         return stats
 
     def serve(self, item_id: int) -> List[str]:

@@ -922,6 +922,39 @@ class TestConsumerPollsWindowCountInConstantTime:
             == len(front.processed_windows("s"))
         assert reads                      # the probe does see reads
 
+    def test_stats_read_running_totals_through_a_retried_flush(
+            self, fig3_model, monkeypatch):
+        """``stats()`` is polled while a front runs; its ``n_inferred`` /
+        ``n_deleted`` are the service's running totals, read in O(1)
+        without the window history, and they count served windows only:
+        a flush that failed and was retried counts once."""
+        events = [make_event(i % 5, i * 0.01, title_index=i,
+                             kind=KINDS[i % 3]) for i in range(14)]
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=4,
+                                  wall_clock_seconds=30.0,
+                                  enrich=FlakyEnrich(1))
+            front.add_stream("s")
+            async with front:
+                await _feed(front, "s", events)
+                await front.join()
+            return front
+
+        front = asyncio.run(drive())
+        windows = front.processed_windows("s")
+        reads = []
+        history = NRTService.processed_windows
+        monkeypatch.setattr(
+            NRTService, "processed_windows",
+            property(lambda self: reads.append(1) or history.fget(self)))
+        stats = front.stats("s")
+        assert reads == []
+        assert stats.n_flush_failures == 1 and stats.n_pending == 0
+        assert sum(w.n_events for w in windows) == len(events)
+        assert stats.n_inferred == sum(w.n_inferred for w in windows) > 0
+        assert stats.n_deleted == sum(w.n_deleted for w in windows) > 0
+
 
 class TestQueueHighWaterMark:
     """Satellite regression: ``StreamStats.n_pending`` is a

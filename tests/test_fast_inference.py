@@ -188,12 +188,12 @@ def spy_chunks(runner):
     chunks = []
     run_chunk = runner._run_chunk
 
-    def spy(requests, parts, results):
+    def spy(requests, parts, results, **options):
         chunks.append([(graph.n_labels, len(indices))
                        for graph, indices in parts])
         assert 0 < sum(n for _w, n in chunks[-1]) \
             <= fast_inference.CHUNK_ITEMS
-        return run_chunk(requests, parts, results)
+        return run_chunk(requests, parts, results, **options)
 
     runner._run_chunk = spy
     return chunks
@@ -251,11 +251,62 @@ class TestCrossLeafChunks:
         assert (ranked.sizes > 0).all()
         assert ranked.sizes.sum() == len(ranked.labels) \
             == len(ranked.counts) == len(ranked.scores)
-        rows = materialise_ranked(ranked_parts(model, reqs, answered),
-                                  ranked, len(reqs))
+        parts = ranked_parts(model, reqs, answered)
+        rows = materialise_ranked(parts, ranked, len(reqs))
         assert rows == expected
         assert [i for i, recs in enumerate(rows) if recs] \
             == sorted(answered)
+        assert materialise_ranked(parts, ranked, len(reqs), texts=True) \
+            == [[row.text for row in recs] for recs in expected]
+
+    @given(world=mixed_worlds, reqs=mixed_requests, k=st.integers(-1, 8),
+           alignment=st.sampled_from(ALIGNMENTS),
+           build_pooled=st.booleans(),
+           hard_limit=st.one_of(st.none(), st.integers(0, 8)),
+           items=st.sampled_from([1, 2, 3, 5, fast_inference.CHUNK_ITEMS]))
+    @settings(max_examples=80, deadline=None)
+    def test_the_text_exit_is_the_rows_texts(self, world, reqs, k,
+                                             alignment, build_pooled,
+                                             hard_limit, items):
+        """``texts=True`` — what the serving writers ask for — is
+        ``[r.text for r in rows]`` of the row path, chunk by chunk and
+        through ``batch_recommend`` (duplicate ids, requests no graph
+        serves and ``k <= 0`` included), and the oracle agrees."""
+        model = make_model(world, alignment=alignment,
+                           build_pooled=build_pooled)
+        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
+        chunks = spy_chunks(runner)
+        with chunk_items(items):
+            rows = runner.run_indexed(reqs)
+            row_chunks = list(chunks)
+            assert runner.run_indexed(reqs, texts=True) \
+                == [[row.text for row in recs] for recs in rows]
+            assert chunks[len(row_chunks):] == row_chunks
+            texts = batch_recommend(model, reqs, k=k, hard_limit=hard_limit,
+                                    texts=True)
+        assert texts == {item_id: [row.text for row in recs]
+                         for item_id, recs in batch_recommend(
+                             model, reqs, k=k,
+                             hard_limit=hard_limit).items()}
+        assert texts == batch_recommend(
+            model, reqs, k=k, hard_limit=hard_limit, engine="reference",
+            texts=True)
+
+    def test_a_fleet_takes_the_same_text_exit(self, fleet):
+        """On a fleet the coordinator reads the texts off the decoded
+        columns instead of building rows; same output as inline."""
+        model = make_model({1: [("w0 w1", 5, 1), ("w0 w2", 4, 2)],
+                            2: [("w1 w3", 9, 9), ("w3", 8, 8)]},
+                           build_pooled=True)
+        reqs = [(5, "w0 w1", 1), (6, "w3 w1", 2), (5, "w1", 2),
+                (7, "zzz", 1), (8, "w0 w3", 9)]
+        rows = batch_recommend(model, reqs, k=5, executor=fleet)
+        texts = batch_recommend(model, reqs, k=5, executor=fleet,
+                                texts=True)
+        assert texts == {item_id: [row.text for row in recs]
+                         for item_id, recs in rows.items()}
+        assert texts == batch_recommend(model, reqs, k=5, texts=True)
+        assert texts[5] == ["w1 w3"] and texts[7] == []
 
     def test_a_group_splits_and_a_chunk_spans_leaves(self):
         """Directed, in items: under ``CHUNK_ITEMS = 2`` the 5-item leaf
