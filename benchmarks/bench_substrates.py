@@ -10,10 +10,12 @@ it runs against still offers, and prints every run.
 * jobs: ``batch_recommend`` on 1200 and 7200 items against the
   *mapped* model, and ``GraphExModel.construct`` on the whole corpus;
 * substrates: ``serial`` everywhere; ``thread`` × 2 and ``process`` × 2
-  where ``resolve_executor`` still takes ``workers=`` (the parent of
-  the PR that deleted them); ``fleet`` × 2 — ``ClusterExecutor.local(2)``
-  held across calls — everywhere.  Fleet boot and the first call on a
-  model (spool + open on every worker) are reported as ``setup``;
+  where ``resolve_executor`` still takes ``workers=`` (checkouts that
+  still had the pools); ``fleet`` × 2 — ``ClusterExecutor.local(2)``
+  held across calls — for inference only: construction runs in process
+  and ``GraphExModel.construct`` refuses a fleet.  Fleet boot and the
+  first call on a model (spool + open on every worker) are reported as
+  ``setup``;
 * protocol: ``--reps`` rounds, each round runs every substrate once in
   an order rotated per round (so no substrate always runs first or
   after the same neighbour), ``gc.collect()`` before each timing,
@@ -91,12 +93,18 @@ def main(argv=None) -> int:
         jobs["construct_98k"] = lambda executor: GraphExModel.construct(
             curated, executor=executor)
 
+        def runs_on(name: str, label: str) -> bool:
+            """Construction runs in process only; a fleet is refused."""
+            return not (name == "construct_98k" and label == "fleet_x2")
+
         # Warm-up doubles as the correctness check and as the fleet's
         # first call on this model (spool it, open it on every worker).
         expected = {name: job(substrates["serial"])
                     for name, job in jobs.items() if name != "construct_98k"}
         for label, executor in substrates.items():
             for name, job in jobs.items():
+                if not runs_on(name, label):
+                    continue
                 got, ms = timed(lambda: job(executor))
                 if label == "fleet_x2":
                     setup[f"fleet_first_{name}_ms"] = ms
@@ -105,12 +113,15 @@ def main(argv=None) -> int:
                 else:
                     assert got.n_keyphrases == model.n_keyphrases
 
-        runs = {name: {label: [] for label in substrates} for name in jobs}
+        runs = {name: {label: [] for label in substrates
+                       if runs_on(name, label)} for name in jobs}
         labels = list(substrates)
         for rep in range(args.reps):
             order = labels[rep % len(labels):] + labels[:rep % len(labels)]
             for name, job in jobs.items():
                 for label in order:
+                    if not runs_on(name, label):
+                        continue
                     _out, ms = timed(lambda: job(substrates[label]))
                     runs[name][label].append(round(ms, 1))
     finally:

@@ -73,10 +73,9 @@ async def main_async() -> None:
     # deploys its *memory-mapped* open, so the pipeline and every
     # stream share one physical model copy (swap = remap, not reload).
     artifact_root = tempfile.mkdtemp(prefix="graphex-daily-")
-    # Each day's model builds inline (the default executor, and on
-    # one box the fastest); executor=<a ClusterExecutor> would build it
-    # on a fleet.  The orchestrator keeps its executor for life, so
-    # every build's timings land in one registry (orchestrator.metrics).
+    # Each day's model builds in this process (a fleet build measured
+    # slower at every scale); every build's leaf timings land in one
+    # registry (orchestrator.metrics).
     orchestrator = DailyRefreshOrchestrator(pipeline,
                                             artifact_dir=artifact_root)
     orchestrator.register(front)

@@ -41,10 +41,8 @@ def main() -> None:
           f"(effective threshold {curated.effective_threshold})")
 
     print("4) Constructing GraphEx (training-free) ...")
-    # Leaf graphs build here, on this thread — on one box the fastest
-    # place.  executor=ClusterExecutor.local(N) would hand whole-leaf
-    # shards to N worker processes instead; the model is bit-identical
-    # either way.
+    # Leaf graphs build here, on this thread — the only place a model
+    # is built (a fleet of worker processes serves inference only).
     model = GraphExModel.construct(curated)
     print(f"   {model.n_leaves} leaf graphs, "
           f"{model.n_keyphrases} labels, "

@@ -1,11 +1,11 @@
 """no-pickle-boundary: process and wire boundaries carry no pickles.
 
 Cluster frames cross machine boundaries (a JSON control object plus a
-raw binary tail of little-endian numpy columns or file bytes, via
-``protocol.py``) and shard results cross process boundaries (plain
-JSON-able tuples, with models re-opened from v3 leaf bundles on the
-far side).  Pickle at either boundary would silently couple the wire
-format to interpreter internals, break cross-version clusters, and —
+raw binary tail of little-endian numpy columns, via ``protocol.py``)
+and models cross process boundaries as format-3 artifacts opened by
+path on the far side.  Pickle at either boundary would silently
+couple the wire format to interpreter internals, break cross-version
+clusters, and —
 on the receiving coordinator — execute attacker-controlled bytecode.
 The rule bans importing or calling ``pickle`` (and its drop-ins) in
 ``repro.cluster.*`` and ``repro.core.execution`` — and,
@@ -52,8 +52,8 @@ class NoPickleBoundaryRule(Rule):
     id = "no-pickle-boundary"
     description = ("no pickle — by name, through numpy, or through a "
                    "process pool — in cluster/ or core.execution; "
-                   "payloads go through protocol.py codecs or v3 leaf "
-                   "bundles")
+                   "payloads go through protocol.py codecs or format-3 "
+                   "artifacts")
 
     SCOPES = ("repro.cluster.",)
     SCOPE_MODULES = ("repro.core.execution",)
@@ -115,4 +115,4 @@ class NoPickleBoundaryRule(Rule):
         return (f"pickle-family usage ({what}) at a process/wire "
                 f"boundary; serialize through repro.cluster.protocol "
                 f"codecs (JSON control objects, tobytes/frombuffer "
-                f"columns) or v3 leaf bundles instead")
+                f"columns) or format-3 artifacts opened by path instead")

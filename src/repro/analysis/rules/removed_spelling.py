@@ -25,6 +25,14 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("ConstructionJob build_shard_bundle merge_bundle save_leaf_graphs "
+     "load_leaf_graphs pack_curated_leaves unpack_curated_leaves "
+     "run_construction_async for_construction construction_proxy "
+     '_run_construction_shard "leaf-bundle" "--spool"', NOWHERE,
+     "the inference-only fleet (no fleet construction, no leaf bundle)"),
+    ("run_construction", r"repro\.core\.execution:SerialExecutor\."
+                         r"|repro\.core\.model:GraphExModel\.construct\.",
+     "the inference-only fleet (models build in process only)"),
     ("call_async _WorkerDied _Assignment _run_unit _execute_units "
      "_monitor_heartbeats _state_changed", NOWHERE,
      "the sans-I/O scheduler (one timer, no per-unit task or future)"),

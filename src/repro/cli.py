@@ -4,7 +4,7 @@ Mirrors a production workflow in six subcommands::
 
     repro-graphex simulate  --out logs.json [--profile tiny|default]
     repro-graphex curate    --log logs.json --out curated.json [--min-search-count N] [--engine reference|fast]
-    repro-graphex construct --curated curated.json --out model_dir/ [--builder reference|fast] [--executor serial|process|cluster [--workers N]]
+    repro-graphex construct --curated curated.json --out model_dir/ [--builder reference|fast]
     repro-graphex recommend --model model_dir/ --title "..." --leaf ID [-k N] [--engine reference|fast] [--executor serial|process|cluster [--workers N]] [--mmap]
     repro-graphex serve-nrt --model model_dir/ [--streams N] [--events N] [--refresh-after N] [--executor serial|process|cluster [--workers N]]
     repro-graphex evaluate  [--profile tiny|default] [--meta CAT_1]
@@ -15,7 +15,7 @@ Mirrors a production workflow in six subcommands::
 ``simulate`` writes aggregated keyphrase stats (the only GraphEx training
 input) as JSON; ``curate`` persists the curated keyphrases *and* the
 curation config (so ``construct`` round-trips the exact configuration);
-``construct`` persists the model with
+``construct`` builds in this process and persists the model with
 :func:`repro.core.serialization.save_model` (format 3, the zero-copy
 page-aligned artifact); ``recommend`` loads and serves
 (``--mmap`` opens the artifact without copying); ``serve-nrt`` demos
@@ -156,15 +156,10 @@ def _close_executor(spec) -> None:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     curated = _load_curated(args.curated)
-    executor = _cli_executor(args)
-    try:
-        start = time.perf_counter()
-        model = GraphExModel.construct(curated, alignment=args.alignment,
-                                       builder=args.builder,
-                                       executor=executor)
-        elapsed = time.perf_counter() - start
-    finally:
-        _close_executor(executor)
+    start = time.perf_counter()
+    model = GraphExModel.construct(curated, alignment=args.alignment,
+                                   builder=args.builder)
+    elapsed = time.perf_counter() - start
     save_model(model, args.out)
     rate = model.n_keyphrases / elapsed if elapsed > 0 else float("inf")
     print(f"constructed {model.n_leaves} leaf graphs / "
@@ -338,7 +333,7 @@ def _cmd_cluster_worker(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     worker = ClusterWorker(
-        host, int(port), name=args.name, spool_dir=args.spool,
+        host, int(port), name=args.name,
         heartbeat_interval=args.heartbeat,
         die_after_assignments=args.die_after_assignments,
         # A CLI worker is a whole "machine": the kill switch must take
@@ -495,9 +490,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _add_executor_options(parser: argparse.ArgumentParser, unit: str,
                           path: Optional[str] = None, choices=()) -> None:
-    """The ``--executor`` / ``--workers`` pair shared by construct,
-    recommend and serve-nrt — and, for the two that have a scalar
-    oracle to select, its ``--engine|--builder`` option."""
+    """The ``--executor`` / ``--workers`` pair shared by recommend and
+    serve-nrt — and, for recommend, which has a scalar oracle to
+    select, its ``--engine`` option."""
     pairing = ""
     if path is not None:
         parser.add_argument(f"--{path}", choices=choices, default="fast",
@@ -551,7 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--out", required=True)
     p_con.add_argument("--alignment", choices=tuple(ALIGNMENTS),
                        default="lta")
-    _add_executor_options(p_con, "leaves", "builder", BUILDERS)
+    p_con.add_argument("--builder", choices=BUILDERS, default="fast",
+                       help="scalar reference builder or the vectorized "
+                            "fast one (identical models); both build in "
+                            "this process")
     p_con.set_defaults(func=_cmd_construct)
 
     p_rec = sub.add_parser("recommend", help="serve one title")
@@ -601,9 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the coordinator's listening address")
     p_cwk.add_argument("--name", default=None,
                        help="registration name (default: worker-<pid>)")
-    p_cwk.add_argument("--spool", default=None,
-                       help="spool dir for built leaf bundles "
-                            "(default: private temp dir)")
     p_cwk.add_argument("--heartbeat", type=float, default=1.0,
                        help="seconds between liveness heartbeats")
     p_cwk.add_argument("--die-after-assignments", type=int, default=None,

@@ -1,4 +1,4 @@
-"""Fault-tolerant multi-machine shard runner (see ROADMAP: cluster).
+"""Fault-tolerant multi-machine inference shard runner.
 
 The package splits along the trust boundary:
 
@@ -16,13 +16,14 @@ The package splits along the trust boundary:
   scheduler, carries out its actions and merges exactly once.
 
 **Coordinator and workers see one filesystem.**  A model reaches a
-worker as the path of its artifact directory and a built leaf bundle
-comes back as the path of the worker's spool; the wire carries
-requests, curated leaves and result columns, never an artifact.  A
-fleet without a shared filesystem is not supported — the artifact
-stream that once served inference alone (construction never could) is
-gone, and comes back only together with bundles that can cross the
-wire.
+worker as the path of its artifact directory; the wire carries requests
+and result columns, never an artifact.  A fleet without a shared
+filesystem is not supported: the artifact stream that once carried
+models to workers is gone.
+
+The fleet serves inference only.  Models are built in the calling
+process (``SerialExecutor.run_construction``), which was faster than a
+fleet build at every scale measured.
 """
 
 from .coordinator import (ClusterCoordinator, ClusterError,

@@ -3,11 +3,12 @@
 A :class:`ClusterCoordinator` listens on localhost TCP, executor hosts
 (:class:`~repro.cluster.worker.ClusterWorker`) register, and the units
 of a :class:`~repro.core.sharding.ShardPlan` run across the fleet (the
-plan stays here; a unit's requests or leaves are what ships).  Both
-jobs drive an :class:`~repro.core.execution.InferenceJob` /
-:class:`~repro.core.execution.ConstructionJob`, the scatter/merge the
-inline executor calls, so outputs are element-wise/bit-identical to the
-single-process fast paths under **any** failure topology.
+plan stays here; a unit's requests are what ships).  A job drives an
+:class:`~repro.core.execution.InferenceJob`, the scatter/merge the
+inline executor calls, so outputs are element-wise identical to the
+single-process fast path under **any** failure topology.  The fleet
+serves inference only: models are built in process
+(``SerialExecutor.run_construction``).
 
 Inference results cross the wire as ids, not rows
 (:mod:`~repro.cluster.protocol`): the rows are built here, from this
@@ -35,26 +36,20 @@ import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
-                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
+from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from ..core.batch import BatchResult, InferenceRequest, TextResult
-from ..core.execution import ConstructionJob, InferenceJob
+from ..core.execution import InferenceJob
 from ..core.model import GraphExModel
 from ..core.serialization import open_model, save_model
-from ..core.tokenize import DEFAULT_TOKENIZER, SpaceTokenizer
 from ..obs import MetricsRegistry, merge_snapshots, validate_snapshot
-from .protocol import (PROTOCOL_VERSION, FrameError,
-                       pack_curated_leaves, pack_requests,
+from .protocol import (PROTOCOL_VERSION, FrameError, pack_requests,
                        unpack_recommendations)
 from .retry import RetryPolicy
 from .scheduler import (Actions, ClusterError, ClusterExecutionError,
                         ClusterRunReport, Scheduler)
 from .transport import Transport, TransportClosed
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from ..core.curation import CuratedKeyphrases
-    from ..core.model import LeafGraph
 
 __all__ = ["ClusterCoordinator", "ClusterError", "ClusterExecutionError",
            "ClusterRunReport"]
@@ -69,13 +64,12 @@ class _Link(NamedTuple):
 
 @dataclass
 class _JobRun:
-    """The running job's I/O half: ``encode(keys)`` is the kind's part
+    """The running job's I/O half: ``encode(keys)`` is the unit's part
     of a ``run_shard`` frame, ``decode(keys, reply)`` merges a reply
-    into ``job`` and returns the requests/leaves it settled, and
-    ``over`` resolves when the scheduler ends the job."""
+    into ``job`` and returns the requests it settled, and ``over``
+    resolves when the scheduler ends the job."""
 
-    kind: str
-    job: Union[InferenceJob, ConstructionJob]
+    job: InferenceJob
     encode: Callable[[Tuple[Hashable, ...]], dict]
     decode: Callable[[Tuple[Hashable, ...], dict], int]
     over: "asyncio.Future[None]"
@@ -114,9 +108,9 @@ class ClusterCoordinator:
             a worker's cumulative counters are never double-counted no
             matter how many heartbeats it sent.
 
-    One job (:meth:`run_inference` / :meth:`run_construction`) runs at
-    a time; concurrent calls queue on an internal lock.  Use as an
-    async context manager, or call :meth:`start` / :meth:`stop`.
+    One job (:meth:`run_inference`) runs at a time; concurrent calls
+    queue on an internal lock.  Use as an async context manager, or
+    call :meth:`start` / :meth:`stop`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -393,10 +387,9 @@ class ClusterCoordinator:
         if claimed is None:
             return Actions()
         keys, since = claimed
-        kind = self._run.kind
         if frame.get("type") == "shard_error":
             return self._scheduler.fail(ClusterExecutionError(
-                f"{kind} shard {list(keys)!r} raised on worker {name}; "
+                f"inference shard {list(keys)!r} raised on worker {name}; "
                 f"original worker traceback:\n"
                 f"{frame.get('traceback', '<missing>')}",
                 worker_traceback=frame.get("traceback")))
@@ -404,7 +397,7 @@ class ClusterCoordinator:
             n_merged = self._run.decode(keys, frame)
         except Exception as exc:
             return self._scheduler.fail(ClusterError(
-                f"merging {kind} shard {list(keys)!r} from {name} "
+                f"merging inference shard {list(keys)!r} from {name} "
                 f"failed: {exc!r}"))
         return self._scheduler.settle(keys, n_merged, since, self._now())
 
@@ -440,8 +433,8 @@ class ClusterCoordinator:
                 continue            # gone since; leave() re-planned it
             try:
                 await link.transport.send({
-                    "type": "run_shard", "kind": run.kind,
-                    "assignment": assignment, **run.encode(keys)})
+                    "type": "run_shard", "assignment": assignment,
+                    **run.encode(keys)})
             except TransportClosed:
                 await self._apply(self._drop(link))
             except Exception as exc:  # never lose a job to a bad frame
@@ -538,32 +531,7 @@ class ClusterCoordinator:
             model = self._model_cache.setdefault(key, opened)
         return path, model
 
-    # -- jobs ---------------------------------------------------------------
-
-    async def _run_job(
-            self, kind: str, job: Union[InferenceJob, ConstructionJob],
-            encode: Callable[[Tuple[Hashable, ...]], dict],
-            decode: Callable[[Tuple[Hashable, ...], dict], int],
-            metrics: Optional[MetricsRegistry]) -> None:
-        """Run ``job`` across the fleet and leave its report behind."""
-        registry = metrics if metrics is not None else self.metrics
-        run = self._run = _JobRun(kind, job, encode, decode,
-                                  self._loop.create_future())
-        try:
-            await self._apply(self._scheduler.start(kind, job.plan,
-                                                    registry, self._now()))
-            await run.over
-        finally:
-            self._run = None
-            report = self._scheduler.finish()
-            try:
-                report.fleet_metrics = self._fleet_view(registry)
-            except ValueError:
-                # A job registry with custom buckets cannot fold with
-                # the workers' default-bucket snapshots; the job view
-                # alone is still a valid snapshot.
-                report.fleet_metrics = registry.snapshot()
-            self.last_report = report
+    # -- the job ------------------------------------------------------------
 
     async def run_inference(
             self, model_source: Union[GraphExModel, str, Path],
@@ -622,44 +590,24 @@ class ClusterCoordinator:
                 return job.merge(keys, unpack_recommendations(
                     reply, model, job.requests_of(keys), texts=texts))
 
-            await self._run_job("inference", job, encode, decode,
-                                metrics)
-            return job.output()
-
-    async def run_construction(
-            self, curated: "CuratedKeyphrases",
-            tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER, *,
-            metrics: Optional[MetricsRegistry] = None
-            ) -> Dict[int, "LeafGraph"]:
-        """Build every non-empty leaf graph across the fleet.
-
-        Same contract as every other executor's ``run_construction``:
-        workers persist their unit's graphs as format-3 leaf bundles in
-        their spool (:func:`~repro.core.execution.build_shard_bundle`)
-        and the coordinator mmap-opens them (localhost / shared
-        filesystem — the bundle never crosses the wire as a pickle);
-        a reply names its bundle and nothing else, and the
-        :class:`~repro.core.execution.ConstructionJob` returns the
-        graphs in curated order whichever unit finished first.  The
-        frame carries ``tokenizer.spec()``, which a worker reads back
-        with ``SpaceTokenizer.from_spec``.
-        """
-        async with self._job_lock:
-            if self._closing:
-                raise ClusterError("coordinator is stopping")
-            job = ConstructionJob(curated, tokenizer,
-                                  max(1, self.n_live()))
-
-            def encode(keys: Tuple[Hashable, ...]) -> dict:
-                return {"tokenizer": tokenizer.spec(),
-                        "leaves": pack_curated_leaves(
-                            job.leaves_of(keys))}
-
-            def decode(keys: Tuple[Hashable, ...], reply: dict) -> int:
-                return job.merge_bundle(keys, reply["bundle_path"])
-
-            await self._run_job("construction", job, encode, decode,
-                                metrics)
+            registry = metrics if metrics is not None else self.metrics
+            run = self._run = _JobRun(job, encode, decode,
+                                      self._loop.create_future())
+            try:
+                await self._apply(self._scheduler.start(
+                    "inference", job.plan, registry, self._now()))
+                await run.over
+            finally:
+                self._run = None
+                report = self._scheduler.finish()
+                try:
+                    report.fleet_metrics = self._fleet_view(registry)
+                except ValueError:
+                    # A job registry with custom buckets cannot fold
+                    # with the workers' default-bucket snapshots; the
+                    # job view alone is still a valid snapshot.
+                    report.fleet_metrics = registry.snapshot()
+                self.last_report = report
             return job.output()
 
     # -- deployment ---------------------------------------------------------

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, List, Sequence
 import numpy as np
 
 from ..core.batch import InferenceRequest
-from ..core.curation import CuratedLeaf
 from ..core.fast_inference import (RankedColumns, materialise_ranked,
                                    ranked_parts)
 
@@ -50,9 +49,7 @@ __all__ = [
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "FrameError",
     "encode_frame", "decode_frame", "read_frame", "write_frame",
     "pack_ranked", "unpack_ranked", "unpack_recommendations",
-    "pack_requests", "unpack_requests",
-    "pack_curated_leaves", "unpack_curated_leaves",
-    "pack_metrics_snapshot",
+    "pack_requests", "unpack_requests", "pack_metrics_snapshot",
 ]
 
 #: Bumped on any incompatible wire change; registration carries it and
@@ -65,8 +62,11 @@ __all__ = [
 #: field that chose between the engine's two count paths (one is left),
 #: and a tokenizer spec omits an empty stopword list.  5: a model reaches
 #: a worker by path and nothing else — the artifact-stream frames, the
-#: ``ping`` frame and the register frame's ``pid`` are gone.
-PROTOCOL_VERSION = 5
+#: ``ping`` frame and the register frame's ``pid`` are gone.  6: the
+#: fleet serves inference only — the construction shard (curated leaves
+#: out, a bundle path back) and the ``run_shard`` frame's ``kind`` are
+#: gone.
+PROTOCOL_VERSION = 6
 
 #: Upper bound on a single frame (control object plus tail); a peer
 #: announcing a bigger one is malformed or hostile and the connection
@@ -271,23 +271,6 @@ def unpack_requests(rows: Sequence[Sequence]) -> List[InferenceRequest]:
     """Inverse of :func:`pack_requests`."""
     return [(item_id, title, leaf_id)
             for item_id, title, leaf_id in rows]
-
-
-def pack_curated_leaves(leaves: Sequence[CuratedLeaf]) -> List[dict]:
-    """Curated leaves as JSON objects (the construction-shard input)."""
-    return [{"leaf_id": leaf.leaf_id, "texts": list(leaf.texts),
-             "search_counts": list(leaf.search_counts),
-             "recall_counts": list(leaf.recall_counts)}
-            for leaf in leaves]
-
-
-def unpack_curated_leaves(rows: Sequence[dict]) -> List[CuratedLeaf]:
-    """Inverse of :func:`pack_curated_leaves`."""
-    return [CuratedLeaf(leaf_id=row["leaf_id"],
-                        texts=list(row["texts"]),
-                        search_counts=list(row["search_counts"]),
-                        recall_counts=list(row["recall_counts"]))
-            for row in rows]
 
 
 def pack_metrics_snapshot(snapshot: dict) -> dict:

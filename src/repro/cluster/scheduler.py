@@ -76,7 +76,7 @@ class ClusterRunReport:
     """What one cluster job did — the fault-tolerance audit trail.
 
     Attributes:
-        kind: ``"inference"`` or ``"construction"``.
+        kind: ``"inference"``, the one job a fleet runs.
         n_units_planned: Work units in the initial plan.
         n_workers_at_start: Live hosts when the plan was cut.
         n_replans: Dead-host events that re-balanced orphaned keys.
@@ -258,8 +258,7 @@ class Scheduler:
             self.report.merge_counts[key] = \
                 self.report.merge_counts.get(key, 0) + 1
         job.metrics.inc("cluster.units.merged", kind=job.kind)
-        job.metrics.inc("cluster.requests.merged" if job.kind == "inference"
-                        else "cluster.leaves.merged", n_merged)
+        job.metrics.inc("cluster.requests.merged", n_merged)
         job.metrics.observe("cluster.unit.seconds", now - since,
                             kind=job.kind)
         if local:

@@ -2,26 +2,18 @@
 
 A :class:`ClusterWorker` is one "machine" of the fleet.  It dials the
 coordinator over localhost TCP, registers under a unique name, then
-serves assignments sequentially from its connection:
-
-* **Inference shards** — the worker opens the model artifact at the
-  path the frame names (zero-copy ``mmap``, via
-  :func:`repro.core.serialization.open_model`, memoized per path),
-  refuses the shard if that is not the save the coordinator mapped
-  (the ``artifact`` identity on the ``run_shard`` frame), and runs it
-  through a per-configuration
-  :class:`~repro.core.fast_inference.LeafBatchRunner` *up to the ranked
-  columns* (``run_ranked``).  No row is built here: the reply's binary
-  tail carries label ids, counts and raw scores
-  (:func:`~repro.cluster.protocol.pack_ranked`), and the coordinator
-  materialises them from its own mapping of the artifact.
-* **Construction shards** — curated leaves arrive on the wire and go
-  through :func:`repro.core.execution.build_shard_bundle` into a
-  format-3 leaf bundle under the worker's spool dir; the reply carries
-  the bundle path (the coordinator mmap-opens it) and nothing else.
-
-Models in and bundles out both travel as paths: worker and coordinator
-see one filesystem (the :mod:`repro.cluster` contract).
+serves inference shards sequentially from its connection.  For each,
+the worker opens the model artifact at the path the frame names
+(zero-copy ``mmap``, via :func:`repro.core.serialization.open_model`,
+memoized per path — worker and coordinator see one filesystem, the
+:mod:`repro.cluster` contract), refuses the shard if that is not the
+save the coordinator mapped (the ``artifact`` identity on the
+``run_shard`` frame), and runs it through a per-configuration
+:class:`~repro.core.fast_inference.LeafBatchRunner` *up to the ranked
+columns* (``run_ranked``).  No row is built here: the reply's binary
+tail carries label ids, counts and raw scores
+(:func:`~repro.cluster.protocol.pack_ranked`), and the coordinator
+materialises them from its own mapping of the artifact.
 
 A worker-side exception never kills the worker: it is caught and
 returned as a ``shard_error`` frame carrying the full traceback, which
@@ -47,23 +39,18 @@ from __future__ import annotations
 
 import asyncio
 import os
-import shutil
 import subprocess
 import sys
-import tempfile
 import traceback
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from ..core.execution import build_shard_bundle
 from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
-from ..core.tokenize import SpaceTokenizer
 from ..obs import MetricsRegistry
 from .protocol import (PROTOCOL_VERSION, pack_metrics_snapshot,
-                       pack_ranked, unpack_curated_leaves,
-                       unpack_requests)
+                       pack_ranked, unpack_requests)
 from .transport import Transport, TransportClosed
 
 __all__ = ["ClusterWorker", "WorkerKilled", "spawn_worker", "reap_workers"]
@@ -111,8 +98,8 @@ class ClusterWorker:
         host, port: The coordinator's listening address.
         name: Registration name; must be unique among live workers
             (default: ``worker-<pid>``).
-        spool_dir: Where built leaf bundles land; a private temp dir
-            (cleaned on exit) by default.
+        spool_dir: Ignored (a worker writes nothing); accepted because
+            ``benchmarks/perf/worker_main.py`` still passes it.
         heartbeat_interval: Seconds between heartbeat frames; ``None``
             disables them (connection-close detection still works).
         transport_wrapper: Optional wrapper applied to the connection —
@@ -141,8 +128,6 @@ class ClusterWorker:
         self._host = host
         self._port = port
         self.name = name or f"worker-{os.getpid()}"
-        self._own_spool = spool_dir is None
-        self._spool = Path(spool_dir) if spool_dir is not None else None
         self._heartbeat_interval = heartbeat_interval
         self._transport_wrapper = transport_wrapper
         self._die_after = die_after_assignments
@@ -161,17 +146,6 @@ class ClusterWorker:
 
     async def run(self) -> None:
         """Serve until the coordinator shuts us down or the link dies."""
-        loop = asyncio.get_event_loop()
-        # Spool setup is filesystem work; keep it off the loop so a
-        # worker embedded in a busy host process (tests run many on
-        # one loop) never stalls its peers (async-no-blocking).
-        if self._spool is None:
-            self._spool = Path(await loop.run_in_executor(
-                None, lambda: tempfile.mkdtemp(
-                    prefix=f"graphex-{self.name}-")))
-        spool = self._spool
-        await loop.run_in_executor(
-            None, lambda: spool.mkdir(parents=True, exist_ok=True))
         reader, writer = await asyncio.open_connection(self._host,
                                                        self._port)
         transport = Transport(reader, writer)
@@ -206,12 +180,6 @@ class ClusterWorker:
                 heartbeat_task.cancel()
             transport.close()
             await transport.wait_closed()
-            if self._own_spool:
-                # Bundles already handed over were mmap-opened by the
-                # coordinator; POSIX keeps mapped pages readable after
-                # the unlink.
-                # lint: waive async-no-blocking: teardown after the transport is closed; an await in this finally would be skipped under task cancellation and leak the spool
-                shutil.rmtree(self._spool, ignore_errors=True)
 
     async def _heartbeat_loop(self) -> None:
         try:
@@ -256,16 +224,8 @@ class ClusterWorker:
         try:
             # Compute off the event loop so heartbeats keep flowing
             # while a long shard runs — a busy host is not a dead host.
-            loop = asyncio.get_event_loop()
-            if message.get("kind") == "inference":
-                reply = await loop.run_in_executor(
-                    None, self._run_inference_shard, message)
-            elif message.get("kind") == "construction":
-                reply = await loop.run_in_executor(
-                    None, self._run_construction_shard, message)
-            else:
-                raise ValueError(
-                    f"unknown shard kind {message.get('kind')!r}")
+            reply = await asyncio.get_event_loop().run_in_executor(
+                None, self._run_inference_shard, message)
         except Exception:
             await self._transport.send({
                 "type": "shard_error", "assignment": assignment,
@@ -315,21 +275,6 @@ class ClusterWorker:
         self.metrics.inc("worker.shards", kind="inference")
         self.metrics.inc("worker.requests", len(requests))
         return pack_ranked(ranked, len(requests))
-
-    def _run_construction_shard(self, message: dict) -> dict:
-        tokenizer = SpaceTokenizer.from_spec(message["tokenizer"])
-        leaves = unpack_curated_leaves(message["leaves"])
-        bundle = self._spool / "bundles" / \
-            f"assignment-{message.get('assignment')}"
-        timings = build_shard_bundle(leaves, tokenizer, bundle)
-        # Build seconds only; the bundle write is I/O, not shard compute.
-        self.metrics.observe(
-            "worker.shard.seconds",
-            sum(seconds for _leaf_id, seconds in timings),
-            kind="construction")
-        self.metrics.inc("worker.shards", kind="construction")
-        self.metrics.inc("worker.leaves", len(leaves))
-        return {"bundle_path": str(bundle)}
 
     # -- model distribution -------------------------------------------------
 

@@ -1,12 +1,10 @@
 """The unified execution plane: one Executor abstraction, two substrates.
 
-GraphEx runs the same shard-shaped work — leaf-group inference batches
-and whole-leaf construction — in two places: here, on the calling
-thread, or on a fleet of worker processes.  This module puts both
-behind one :class:`Executor` interface, chosen everywhere
-(``batch_recommend``, ``GraphExModel.construct``, the serving stack)
-by the single ``executor=`` keyword, which :func:`resolve_executor`
-turns into an instance:
+GraphEx runs leaf-group inference batches in two places: here, on the
+calling thread, or on a fleet of worker processes.  This module puts
+both behind one :class:`Executor` interface, chosen everywhere
+(``batch_recommend``, the serving stack) by the single ``executor=``
+keyword, which :func:`resolve_executor` turns into an instance:
 
 ===============  ===============  ==========================  =======
 ``executor=``    class            where shards run            oracle?
@@ -15,67 +13,64 @@ turns into an instance:
 an instance      ClusterExecutor  worker processes over TCP   no
 ===============  ===============  ==========================  =======
 
-There is no in-process pool: two threads measured slower than one on
-both job kinds (see :class:`Executor`), so in process there is one
-substrate, inline.  Out of process there is one plane, the cluster's:
-a :class:`ClusterExecutor` carries its own fleet — its size and its
+Construction runs in process only.  :meth:`SerialExecutor.run_construction`
+builds every leaf on the calling thread, and ``GraphExModel.construct``
+refuses any other executor: a fleet built slower than the inline loop
+at every scale measured (see :class:`Executor`).
+
+There is no in-process pool: two threads measured slower than one
+(see :class:`Executor`), so in process there is one substrate, inline.
+Out of process there is one plane, the cluster's: a
+:class:`ClusterExecutor` carries its own fleet — its size and its
 lifetime — so no entry point takes a worker count.  The CLI's
 ``--executor process|cluster --workers N`` both mean
 ``ClusterExecutor.local(N)``, a fleet of ``N`` worker subprocesses on
 this box.
 
 Both substrates are bound by the same non-negotiable contract:
-**element-wise identical inference output and bit-identical constructed
-models** for any fleet size and any failure topology — pinned by the
-cross-executor property suite in ``tests/test_execution.py``.
+**element-wise identical inference output** for any fleet size and any
+failure topology — pinned by the cross-executor property suite in
+``tests/test_execution.py``.
 
-The contract is implemented once, here.  :class:`InferenceJob` and
-:class:`ConstructionJob` own how a batch/corpus is cut into leaf units
-(the :class:`~repro.core.sharding.ShardPlan`), how unit results are
-merged back (rows by request index, last request wins; built leaf
-graphs by leaf id), and how many requests / leaves a unit settled
-(what ``run_local`` and ``merge`` return).  Each substrate — the cluster coordinator and worker
-included — only decides *where* a unit runs and hands the outcome to
-the job; :func:`build_shard_bundle` is the one out-of-process shard
-builder.
+The contract is implemented once, here.  :class:`InferenceJob` owns
+how a batch is cut into leaf-group units (the
+:class:`~repro.core.sharding.ShardPlan`), how unit rows are merged back
+(by request index, last request wins), and how many requests a unit
+settled (what ``run_local`` and ``merge`` return).  Each substrate —
+the cluster coordinator and worker included — only decides *where* a
+unit runs and hands the outcome to the job.
 
-Plans balance on one cost: the request-count (inference) / char-count
-(construction) proxy, defined once in
-:meth:`ShardPlan.for_inference` / :meth:`ShardPlan.for_construction`.
-A plan only changes *which shard* runs a work unit (outputs are
-batch-composition independent), so balance never shows in the served
-bytes.
+Plans balance on one cost, the request-count proxy defined in
+:meth:`ShardPlan.for_inference`.  A plan only changes *which shard*
+runs a work unit (outputs are batch-composition independent), so
+balance never shows in the served bytes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import shutil
 import tempfile
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
-from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Union)
 
 from ..obs import MetricsRegistry, NullRegistry
 from .batch import (BatchResult, InferenceRequest, TextResult,
                     last_request_wins)
 from .fast_construct import build_leaf_graph_fast
 from .fast_inference import LeafBatchRunner
-from .serialization import load_leaf_graphs, save_leaf_graphs
-from .sharding import ShardExecutionError, ShardPlan, construction_proxy
+from .sharding import ShardExecutionError, ShardPlan
 from .tokenize import DEFAULT_TOKENIZER, SpaceTokenizer, TokenCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..cluster.coordinator import ClusterCoordinator
-    from .curation import CuratedKeyphrases, CuratedLeaf
+    from .curation import CuratedKeyphrases
     from .model import GraphExModel, LeafGraph
 
 __all__ = ["EXECUTOR_NAMES", "Executor", "SerialExecutor",
-           "ClusterExecutor", "InferenceJob", "ConstructionJob",
-           "build_shard_bundle", "resolve_executor"]
+           "ClusterExecutor", "InferenceJob", "resolve_executor"]
 
 #: What the CLI's ``--executor`` flag offers.  The library resolves
 #: only ``"serial"`` from a string (:func:`resolve_executor`); the other
@@ -84,7 +79,7 @@ EXECUTOR_NAMES = ("serial", "process", "cluster")
 
 
 # ---------------------------------------------------------------------------
-# The scatter/merge contracts: one copy each, called by every substrate
+# The scatter/merge contract: one copy, called by every substrate
 
 
 class InferenceJob:
@@ -155,133 +150,52 @@ class InferenceJob:
         return last_request_wins(self._requests, self._rows)
 
 
-class ConstructionJob:
-    """One curated corpus, cut into whole-leaf units and merged back —
-    the single implementation of the construction scatter/merge contract.
-
-    The non-empty leaves are balanced into shards
-    (:meth:`ShardPlan.for_construction`).  A unit — any tuple of leaf
-    ids — is either built on the calling thread against the job's
-    one :class:`TokenCache` (:meth:`run_local`) or
-    built elsewhere by :func:`build_shard_bundle` and handed to
-    :meth:`merge_bundle`.  A built graph is a function of its curated
-    leaf alone (the pinned bit-identity contract), so graphs are all
-    that is merged and where a unit ran never shows in the model.
-    """
-
-    def __init__(self, curated: "CuratedKeyphrases", tokenizer: SpaceTokenizer,
-                 n_shards: int) -> None:
-        self._units = dict(construction_proxy(curated))
-        self._leaves = curated.leaves
-        self.plan = ShardPlan.for_construction(curated, n_shards)
-        self._cache = TokenCache(tokenizer)
-        self._built: Dict[int, "LeafGraph"] = {}
-
-    def leaves_of(self, keys: Sequence[int]) -> List["CuratedLeaf"]:
-        """The unit's curated leaves, in key order."""
-        return [self._leaves[key] for key in keys]
-
-    def merge_bundle(self, keys: Sequence[int],
-                     bundle_path: Union[str, Path]) -> int:
-        """Adopt a unit built by :func:`build_shard_bundle`: mmap-open
-        its leaf bundle (zero-copy, read-only views); returns the
-        leaves settled."""
-        for graph in load_leaf_graphs(bundle_path, mmap=True):
-            self._built[graph.leaf_id] = graph
-        return len(keys)
-
-    def run_local(self, keys: Sequence[int]) -> int:
-        """Build a unit on the calling thread."""
-        for key in keys:
-            self._built[key] = build_leaf_graph_fast(self._leaves[key],
-                                                     self._cache)
-        return len(keys)
-
-    def output(self) -> Dict[int, "LeafGraph"]:
-        """The built graphs in curated order, however the units
-        completed; call after every unit has merged."""
-        return {leaf_id: self._built[leaf_id] for leaf_id in self._units}
-
-
-def build_shard_bundle(leaves: Sequence["CuratedLeaf"],
-                       tokenizer: SpaceTokenizer, directory: Union[str, Path]
-                       ) -> List[Tuple[int, float]]:
-    """Build one out-of-process construction unit onto disk.
-
-    The built leaf graphs are written as a zero-copy format-3 *leaf
-    bundle* (:func:`repro.core.serialization.save_leaf_graphs` — raw
-    page-aligned arrays plus one string blob) that the parent
-    mmap-opens through :meth:`ConstructionJob.merge_bundle`; graphs are
-    never serialized object-by-object.  The unit's private
-    :class:`TokenCache` keeps the memoized-tokenization win within the
-    unit and dies with it: the bundle is everything the parent needs,
-    the pooled graph included.
-
-    Returns:
-        ``(leaf_id, seconds)`` per built leaf.
-    """
-    try:
-        cache = TokenCache(tokenizer)
-        graphs = []
-        timings: List[Tuple[int, float]] = []
-        for leaf in leaves:
-            start = time.perf_counter()
-            graphs.append(build_leaf_graph_fast(leaf, cache))
-            timings.append((leaf.leaf_id, time.perf_counter() - start))
-        save_leaf_graphs(graphs, directory)
-        return timings
-    except Exception:
-        # A half-written bundle must not outlive the failure: the parent
-        # only removes the staging root it knows about, and a retrying
-        # caller would otherwise mmap stale arrays from this attempt.
-        shutil.rmtree(directory, ignore_errors=True)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # The Executor interface
 
 
 class Executor:
-    """One place shard-shaped GraphEx work can run.
+    """One place leaf-group inference shards can run.
 
-    Subclasses implement :meth:`run_inference` (leaf-group shards of a
-    request batch) and :meth:`run_construction` (whole-leaf shards of a
-    curated corpus).  Both substrates are output-equivalent — the
-    bit-identity contract in the module docstring — so callers choose
-    purely on capacity.
+    Subclasses implement :meth:`run_inference`.  Both substrates are
+    output-equivalent — the contract in the module docstring — so
+    callers choose purely on capacity.
 
-    What each buys, measured (``benchmarks/bench_substrates.py``: the
-    bench serving world, seed 11 — 98k keyphrases in 24 leaves, mapped
-    model — on the 2-core bench box; five alternating parent / change
-    script runs of five order-rotated rounds each, unnormalised
-    medians of all 25 runs, ratios are serial ms / substrate ms)::
+    What each buys, measured on the 2-core bench box against
+    ``benchmarks/perf/world.py``'s serving world (seed 11, 24 leaves),
+    unnormalised medians, ratios serial ms / substrate ms.  The
+    inference rows are ``benchmarks/bench_substrates.py`` on the mapped
+    98k-keyphrase model (25 order-rotated runs a side; the ``pools``
+    rows timed the two in-process pools the fleet replaced).  The
+    construct rows time ``GraphExModel.construct`` inline against the
+    fleet build that existed until then (leaves shipped out as JSON,
+    built leaf graphs mapped back from the workers' spools), in
+    alternating pairs at ``serving_phrases`` x1 / x4 / x16, 5 / 5 / 3
+    pairs, serial faster in every pair::
 
-        job                       serial  thread x2    process x2   fleet x2
-        parent  inference, 1200    84 ms  91 (0.91x)   176 (0.48x)
-                inference, 7200   765 ms 762 (1.00x)  1155 (0.66x)
-                construct, 98k kp 104 ms 120 (0.88x)   230 (0.47x)
-        change  inference, 1200    79 ms                            68 (1.15x)
-                inference, 7200   784 ms                           647 (1.23x)
-                construct, 98k kp 100 ms                           157 (0.62x)
+        job                         serial  thread x2    process x2   fleet x2
+        pools  inference, 1200       84 ms  91 (0.91x)   176 (0.48x)
+               inference, 7200      765 ms 762 (1.00x)  1155 (0.66x)
+               construct,   98k kp  104 ms 120 (0.88x)   230 (0.47x)
+        fleet  inference, 1200       79 ms                             68 (1.15x)
+               inference, 7200      784 ms                            647 (1.23x)
+               construct,   98k kp  155 ms                            201 (0.77x)
+               construct,  375k kp  564 ms                            822 (0.69x)
+               construct, 1.38M kp 2739 ms                           3117 (0.88x)
 
-    The two in-process pools the parent offered never beat the inline
-    path they wrapped (a thread pool cannot overlap the kernel's short
-    numpy calls under the interpreter lock; the process pool was built
-    per call and pickled the model in and every row out), so they are
-    gone and this class has two implementations.  A held fleet of two
-    worker processes — boot 0.32-0.34 s once, plus ~0.2 s the first
-    time it sees a model — is 1.5-2.6x the process pool it replaces on
-    every job, and against serial it reads 1.15-1.23x on inference
-    while occupying three processes to serial's one, and **below 1.00x
-    of serial on construction (0.62x)**: leaves are shipped out as JSON
-    and the bundles mapped back for a build that takes 100 ms inline.
-    (The reading taken for the issue that asked for this change, on
-    the same shared box on a busier day, had the same fleet at
-    0.71-0.76x of serial on inference.)  So on one box inline is the
-    cheapest substrate everywhere and the fastest wherever the fleet
-    does not have idle cores to itself; a fleet is for more hardware
-    than the caller has.
+    Construction runs in process because of the last three rows.
+
+    The two in-process pools never beat the inline path they wrapped (a
+    thread pool cannot overlap the kernel's short numpy calls under the
+    interpreter lock; the process pool was built per call and pickled
+    the model in and every row out), so they are gone and this class
+    has two implementations.  A held fleet of two worker processes —
+    boot 0.32-0.34 s once, plus ~0.2 s the first time it sees a model —
+    reads 1.15-1.23x of serial on inference while occupying three
+    processes to serial's one (0.71-0.76x on the same shared box on a
+    busier day).  So on one box inline is the cheapest substrate
+    everywhere and the fastest wherever the fleet does not have idle
+    cores to itself; a fleet is for more hardware than the caller has.
 
     ``run_inference(..., texts=True)`` is step 6's text exit on every
     substrate: the serving writers (NRT windows, the batch pipeline's
@@ -318,13 +232,6 @@ class Executor:
         loop's last-request-wins duplicate semantics."""
         raise NotImplementedError
 
-    def run_construction(self, curated: "CuratedKeyphrases",
-                         tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
-                         ) -> Dict[int, "LeafGraph"]:
-        """Build every non-empty leaf graph with the fast builder: leaf
-        id → graph, in curated order, bit-identical on every substrate."""
-        raise NotImplementedError
-
     def close(self) -> None:
         """Release owned resources (the inline executor owns none)."""
 
@@ -342,50 +249,55 @@ class SerialExecutor(Executor):
     """The in-process substrate, the default, and the oracle: one
     shard, the calling thread, no pool.
 
-    It is the code path ``batch_recommend`` and
-    ``GraphExModel.construct`` run when given no ``executor=``, and the
-    reference the cross-executor property suite compares a fleet
-    against.  An inference batch is one timed unit (the engine packs
-    its leaf groups into cross-leaf chunks itself, as on a cluster
-    worker); construction runs and times leaf by leaf against one
-    shared ``TokenCache``.  Both land in :attr:`metrics` under
-    ``executor.*{executor=serial}``.
+    It is the code path ``batch_recommend`` runs when given no
+    ``executor=``, the reference the cross-executor property suite
+    compares a fleet against, and the one place the fast builder runs
+    (:meth:`run_construction`).  An inference batch is one timed unit
+    (the engine packs its leaf groups into cross-leaf chunks itself, as
+    on a cluster worker); construction runs and times leaf by leaf
+    against one shared ``TokenCache``.  Both land in :attr:`metrics`
+    under ``executor.*{executor=serial}``.
     """
 
     name = "serial"
     supports_reference = True
 
-    def _run(self, kind: str, job: Union[InferenceJob, ConstructionJob]):
-        """Run the job's one planned shard here and return its output."""
-        metrics, labels = self.metrics, {"executor": self.name}
-        for shard in job.plan.shards:
-            for unit in ([shard] if kind == "inference"
-                         else [(key,) for key in shard]):
-                start = time.perf_counter()
-                settled = job.run_local(unit)
-                elapsed = time.perf_counter() - start
-                metrics.inc(f"executor.{kind}.tasks", **labels)
-                metrics.inc("executor.inference.requests"
-                            if kind == "inference"
-                            else "executor.construction.leaves",
-                            settled, **labels)
-                metrics.observe(f"executor.{kind}.seconds", elapsed,
-                                **labels)
-        return job.output()
+    def _record(self, kind: str, unit: str, settled: int,
+                seconds: float) -> None:
+        labels = {"executor": self.name}
+        self.metrics.inc(f"executor.{kind}.tasks", **labels)
+        self.metrics.inc(f"executor.{kind}.{unit}", settled, **labels)
+        self.metrics.observe(f"executor.{kind}.seconds", seconds, **labels)
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
                       k: int = 10, hard_limit: Optional[int] = None, *,
                       texts: bool = False
                       ) -> Union[BatchResult, TextResult]:
-        return self._run("inference", InferenceJob(
-            model, requests, 1, k=k, hard_limit=hard_limit, texts=texts))
+        job = InferenceJob(model, requests, 1, k=k, hard_limit=hard_limit,
+                           texts=texts)
+        for shard in job.plan.shards:
+            start = time.perf_counter()
+            settled = job.run_local(shard)
+            self._record("inference", "requests", settled,
+                         time.perf_counter() - start)
+        return job.output()
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
                          ) -> Dict[int, "LeafGraph"]:
-        return self._run("construction",
-                         ConstructionJob(curated, tokenizer, 1))
+        """Build every non-empty leaf graph with the fast builder: leaf
+        id → graph, in curated order.  A graph is a function of its
+        curated leaf alone, so the shared cache never shows in it."""
+        cache = TokenCache(tokenizer)
+        built: Dict[int, "LeafGraph"] = {}
+        for leaf_id, leaf in curated.leaves.items():
+            if len(leaf) > 0:
+                start = time.perf_counter()
+                built[leaf_id] = build_leaf_graph_fast(leaf, cache)
+                self._record("construction", "leaves", 1,
+                             time.perf_counter() - start)
+        return built
 
 
 class ClusterExecutor(Executor):
@@ -401,7 +313,7 @@ class ClusterExecutor(Executor):
 
     What it buys is in :class:`Executor`'s table: with two workers on
     the 2-core bench box, 1.15-1.23x of serial on inference for three
-    processes, 0.62x on construction — and in ``benchmarks/perf``
+    processes — and in ``benchmarks/perf``
     (after PR 20, medians of ten runs) ``cluster_scatter`` at 400-item
     chunks serves 13.8k items/s against ``batch_catalog``'s 12.5k on
     one pinned core.  Of such an op's ~28 ms the slower worker's engine
@@ -410,11 +322,10 @@ class ClusterExecutor(Executor):
     what keeps two workers well short of 2x.  A way to use more
     machines than one, not a cheaper way to use one.
 
-    The sync :meth:`run_inference` / :meth:`run_construction` submit to
-    the coordinator's event loop and block the *calling* thread, so
-    they must not be called from that loop — code already running on
-    it awaits :meth:`run_inference_async` /
-    :meth:`run_construction_async` instead.
+    The sync :meth:`run_inference` submits to the coordinator's event
+    loop and blocks the *calling* thread, so it must not be called from
+    that loop — code already running on it awaits
+    :meth:`run_inference_async` instead.
 
     Args:
         coordinator: A started coordinator (its loop must be running).
@@ -514,8 +425,7 @@ class ClusterExecutor(Executor):
             coro.close()
             raise RuntimeError(
                 "ClusterExecutor cannot block the coordinator's own "
-                "event loop; await run_inference_async / "
-                "run_construction_async instead")
+                "event loop; await run_inference_async instead")
         return asyncio.run_coroutine_threadsafe(coro, loop).result()
 
     async def run_inference_async(
@@ -528,14 +438,6 @@ class ClusterExecutor(Executor):
             model, list(requests), k=k, hard_limit=hard_limit,
             texts=texts, metrics=self.metrics)
 
-    async def run_construction_async(
-            self, curated: "CuratedKeyphrases",
-            tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
-            ) -> Dict[int, "LeafGraph"]:
-        """:meth:`run_construction` for callers on the coordinator loop."""
-        return await self.coordinator.run_construction(
-            curated, tokenizer, metrics=self.metrics)
-
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
                       k: int = 10, hard_limit: Optional[int] = None, *,
@@ -543,12 +445,6 @@ class ClusterExecutor(Executor):
                       ) -> Union[BatchResult, TextResult]:
         return self._submit(self.run_inference_async(
             model, requests, k=k, hard_limit=hard_limit, texts=texts))
-
-    def run_construction(self, curated: "CuratedKeyphrases",
-                         tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
-                         ) -> Dict[int, "LeafGraph"]:
-        return self._submit(self.run_construction_async(curated,
-                                                        tokenizer))
 
     def close(self) -> None:
         """Tear down a :meth:`local` fleet (no-op for adopted ones):

@@ -19,7 +19,7 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    dwarfs the leaf).  Ids land in first-occurrence order, so the local
    vocabulary is *bit-identical* to the scalar ``Vocabulary.add`` loop
    — same token strings, same ids — regardless of pool id assignment
-   order (so a fleet worker's private pool builds the same graph).
+   order (so a leaf builds the same graph whatever was cached first).
 3. **Array-native CSR assembly** — the (word, label) pairs are already
    duplicate-free (tokens are unique within a label), so one stable
    argsort by word id produces the exact (left, right)-sorted edge
@@ -30,9 +30,9 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    derives the all-leaves fallback graph from the built leaf graphs,
    so nothing is tokenised a second time.
 
-Whole leaves are the unit the execution plane
-(:mod:`repro.core.execution`) runs inline or shards across a fleet's
-worker processes; this module builds one leaf at a time.
+This module builds one leaf at a time;
+:meth:`repro.core.execution.SerialExecutor.run_construction` runs it
+over every leaf, in process.
 
 The built model is bit-identical to the scalar builder's — same vocab
 id order, same CSR arrays, same label arrays — which
@@ -183,10 +183,8 @@ def pool_leaf_graphs(curated: CuratedKeyphrases,
     as a duplicate repeats a text — hence every token — that already
     occurred, so dropping it reorders nothing.
 
-    Texts are read from ``curated`` (a leaf built out of process is a
-    mapped bundle whose ``label_texts`` decode lazily, and pooling must
-    not force that); arrays and words from ``leaf_graphs``, read-only
-    mapped views included.  Everything returned is freshly allocated.
+    Texts are read from ``curated``, arrays and words from
+    ``leaf_graphs``.  Everything returned is freshly allocated.
     """
     built = [(leaf, leaf_graphs[leaf_id])
              for leaf_id, leaf in curated.leaves.items() if len(leaf) > 0]

@@ -19,9 +19,8 @@ two-engine inference split:
   semantics reference the equivalence suite checks against.
 * ``fast`` (default) — the bulk engine in
   :mod:`repro.core.fast_construct`: shared memoized tokenization, one
-  ``np.unique`` interning pass per leaf and array-native CSR assembly;
-  ``executor=`` may hand whole-leaf shards to a fleet of worker
-  processes.  The built model is bit-identical.
+  ``np.unique`` interning pass per leaf and array-native CSR assembly,
+  on the calling thread.  The built model is bit-identical.
 """
 
 from __future__ import annotations
@@ -212,19 +211,17 @@ class GraphExModel:
                 per leaf, array-native CSR assembly.  ``"reference"``
                 keeps the scalar per-token loop; both yield bit-identical
                 models (pinned by ``tests/test_fast_construct.py``).
-            executor: Where the fast builder's whole-leaf shards run —
-                ``None`` / ``"serial"`` (the calling thread, default)
-                or an :class:`repro.core.execution.Executor` instance
-                (a ``ClusterExecutor`` carries its own fleet).  The
-                built model is bit-identical either way.
+            executor: ``None`` / ``"serial"`` (default) or a
+                :class:`repro.core.execution.SerialExecutor`, whose
+                metrics registry times the fast builder's leaves.
+                Construction runs on the calling thread only.
 
         Raises:
             TypeError, ValueError: A spec the class refuses, before any
                 leaf is built.
             ValueError: On an unknown builder or executor spelling, or
-                an out-of-process executor with the reference builder
-                (the scalar path stays single-process as the semantics
-                oracle).
+                any executor but a serial one (a fleet included), before
+                any leaf is built.
         """
         _check_spec(tokenizer, alignment)
         if builder not in BUILDERS:
@@ -233,8 +230,12 @@ class GraphExModel:
         # Imported lazily: the execution plane reaches this module
         # through the engines it wraps, so a top-level import would be
         # a cycle.
-        from .execution import resolve_executor
-        exec_ = resolve_executor(executor, engine=builder)
+        from .execution import SerialExecutor, resolve_executor
+        exec_ = resolve_executor(executor)
+        if not isinstance(exec_, SerialExecutor):
+            raise ValueError(
+                f"construction runs in process: executor= takes None, "
+                f"'serial' or a SerialExecutor, not {exec_!r}")
         if builder == "fast":
             from .fast_construct import pool_leaf_graphs
 

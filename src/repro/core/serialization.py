@@ -45,7 +45,7 @@ import os
 import uuid
 from collections import abc
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,15 +57,12 @@ from .vocab import Vocabulary
 
 _META_FILE = "model.json"
 _POOLED_KEY = "pooled"
-_LEAF_BUNDLE = "leaf-bundle"
-#: The one format :func:`save_model` / :func:`save_leaf_graphs` write,
-#: and so the one format read.
+#: The one format :func:`save_model` writes, and so the one format read.
 _FORMAT_VERSION = 3
 
-#: The ``model.json`` keys a leaf bundle and a model must carry, with
-#: their JSON types.
-_BUNDLE_KEYS = {"arrays_file": str, "arrays": dict, "leaves": dict}
-_MODEL_KEYS = {**_BUNDLE_KEYS, "alignment": str, "tokenizer": dict}
+#: The ``model.json`` keys a model must carry, with their JSON types.
+_MODEL_KEYS = {"arrays_file": str, "arrays": dict, "leaves": dict,
+               "alignment": str, "tokenizer": dict}
 
 #: Every format-3 array starts on a page boundary, so each memmap view
 #: is naturally aligned and the kernel can fault arrays independently.
@@ -75,6 +72,10 @@ _PAGE_SIZE = 4096
 _POOL_BLOB = "pool/blob"
 _POOL_BYTE_OFFSETS = "pool/byte_offsets"
 _POOL_CHAR_OFFSETS = "pool/char_offsets"
+
+#: The sections :func:`_unpack_leaf` reads under each leaf's prefix.
+_LEAF_SECTIONS = ("indptr", "indices", "label_lengths", "search_counts",
+                  "recall_counts", "word_ids", "label_ids")
 
 
 def _leaf_key(leaf_id: int) -> str:
@@ -190,7 +191,7 @@ class LazyStringList(abc.Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Shared pack/unpack (models and leaf bundles)
+# Per-leaf pack/unpack
 
 
 def _pack_leaf(prefix: str, leaf: LeafGraph,
@@ -375,19 +376,6 @@ def _replace_meta(directory: Path, meta: Dict) -> None:
         raise
 
 
-def _write_artifact(directory: Path, leaves: Sequence[LeafGraph],
-                    header: Dict[str, object]) -> str:
-    """Write ``leaves`` as a fresh payload, then — last — the
-    ``model.json`` (``header`` + manifest) that names it; returns the
-    payload's filename."""
-    leaves_meta, arrays, pool = _pack_all(leaves)
-    filename, manifest = _write_payload_v3(directory, arrays, pool.tokens)
-    _replace_meta(directory, {
-        **header, "leaves": leaves_meta, "arrays_file": filename,
-        "arrays": manifest, "pool_size": len(pool)})
-    return filename
-
-
 def _prune_stale_payloads(directory: Path, keep: str) -> None:
     """Unlink payload files the current ``model.json`` no longer names.
 
@@ -430,26 +418,78 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
     leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
     if model.pooled_graph is not None:
         leaves.append(model.pooled_graph)
-    filename = _write_artifact(directory, leaves, {
+    leaves_meta, arrays, pool = _pack_all(leaves)
+    # The payload first; ``model.json``, which names it, last.
+    filename, manifest = _write_payload_v3(directory, arrays, pool.tokens)
+    _replace_meta(directory, {
         "format_version": _FORMAT_VERSION,
         "alignment": model.alignment_name,
-        "tokenizer": {"type": "space", **model.tokenizer.spec()}})
+        "tokenizer": {"type": "space", **model.tokenizer.spec()},
+        "leaves": leaves_meta, "arrays_file": filename,
+        "arrays": manifest, "pool_size": len(pool)})
     _prune_stale_payloads(directory, keep=filename)
     return directory
 
 
-def _read_meta(directory: Path, bundle: bool = False) -> Tuple[Dict, str]:
-    """Read and check an artifact's ``model.json`` — a model's, or with
-    ``bundle`` a leaf bundle's; the other kind is rejected by name.
+def _entry_problem(entry: object) -> Optional[str]:
+    """What is wrong with one ``arrays`` manifest entry, or ``None``."""
+    if not isinstance(entry, dict):
+        return f"entry {entry!r} is not a JSON object"
+    offset, dtype, shape = (entry.get("offset"), entry.get("dtype"),
+                            entry.get("shape"))
+    if type(offset) is not int or offset < 0:
+        return f"offset {offset!r} is not a non-negative integer"
+    try:
+        kind = np.dtype(dtype).kind if isinstance(dtype, str) else None
+    except (TypeError, ValueError, SyntaxError):
+        kind = None
+    if kind not in ("i", "u", "f"):
+        return f"dtype {dtype!r} is not a fixed-size integer or float dtype"
+    if not isinstance(shape, list) \
+            or any(type(n) is not int or n < 0 for n in shape):
+        return f"shape {shape!r} is not a list of non-negative integers"
+    return None
+
+
+def _check_manifest(path: Path, meta: Dict) -> None:
+    """Refuse by name an ``arrays`` manifest the opener cannot trust:
+    a section it reads is missing, an entry is not a non-negative
+    integer offset, a fixed-size integer or float dtype and a shape of
+    non-negative integers, or two sections overlap (taken in offset
+    order) — each checked before any view is made."""
+    manifest = meta["arrays"]
+    for key in [f"{leaf}/{name}" for leaf in meta["leaves"]
+                for name in _LEAF_SECTIONS] \
+            + [_POOL_BLOB, _POOL_BYTE_OFFSETS, _POOL_CHAR_OFFSETS]:
+        if key not in manifest:
+            raise ValueError(f"malformed {path}: section {key!r} is "
+                             f"missing")
+    spans = []
+    for key, entry in manifest.items():
+        problem = _entry_problem(entry)
+        if problem is not None:
+            raise ValueError(f"malformed {path}: section {key!r}: "
+                             f"{problem}")
+        spans.append((entry["offset"], _section_end(entry), key))
+    spans.sort()
+    for (_start, end, key), (start, _end, after) in zip(spans, spans[1:]):
+        if start < end:
+            raise ValueError(f"malformed {path}: sections {key!r} and "
+                             f"{after!r} overlap")
+
+
+def _read_meta(directory: Path) -> Tuple[Dict, str]:
+    """Read and check a model's ``model.json``.
 
     ``model.json`` is outside input: one named ``ValueError`` (the
     path, what is wrong) unless it is a JSON object of
     ``format_version`` 3 — judged first, whatever else is missing —
     holding every key the opener reads, each of its JSON type, an
     ``arrays_file`` that is a bare file name (the payload is opened
-    inside the artifact directory, never wherever the manifest points)
-    and, for a model, a registry alignment and a tokenizer spec
-    :meth:`SpaceTokenizer.from_spec` accepts.
+    inside the artifact directory, never wherever the manifest points),
+    an ``arrays`` manifest :func:`_check_manifest` accepts, a registry
+    alignment and a tokenizer spec :meth:`SpaceTokenizer.from_spec`
+    accepts.
 
     Returns the parsed metadata and the artifact's identity: a digest
     of the very bytes parsed.  ``model.json`` names the payload file,
@@ -465,22 +505,15 @@ def _read_meta(directory: Path, bundle: bool = False) -> Tuple[Dict, str]:
     if not isinstance(meta, dict):
         raise ValueError(f"malformed {path}: expected a JSON object, got "
                          f"a {type(meta).__name__}")
-    if (meta.get("kind") == _LEAF_BUNDLE) != bundle:
-        raise ValueError(
-            f"{directory} is not a leaf bundle" if bundle else
-            f"{directory} holds kind: \"{_LEAF_BUNDLE}\" (a shard of "
-            f"leaf graphs without tokenizer/alignment), not a model; "
-            f"open it with load_leaf_graphs")
     version = meta.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(
-            f"unsupported {'leaf-bundle' if bundle else 'model'} "
-            f"format_version {version!r} in {path}; this build reads "
-            f"only what it writes, format {_FORMAT_VERSION} (formats 1 "
-            f"and 2 were last read, and re-saved as 3 by load_model + "
-            f"save_model, at commit f0008ce; a higher number was "
-            f"written by a newer build)")
-    for key, kind in (_BUNDLE_KEYS if bundle else _MODEL_KEYS).items():
+            f"unsupported model format_version {version!r} in {path}; "
+            f"this build reads only what it writes, format "
+            f"{_FORMAT_VERSION} (formats 1 and 2 were last read, and "
+            f"re-saved as 3 by load_model + save_model, at commit "
+            f"f0008ce; a higher number was written by a newer build)")
+    for key, kind in _MODEL_KEYS.items():
         if not isinstance(meta.get(key), kind):
             raise ValueError(
                 f"malformed {path}: required key {key!r} is "
@@ -491,12 +524,12 @@ def _read_meta(directory: Path, bundle: bool = False) -> Tuple[Dict, str]:
         raise ValueError(
             f"malformed {path}: arrays_file {name!r} is not a bare file "
             f"name; the payload lives inside the artifact directory")
-    if not bundle:
-        try:
-            get_alignment(meta["alignment"])
-            SpaceTokenizer.from_spec(meta["tokenizer"])
-        except ValueError as exc:
-            raise ValueError(f"malformed {path}: {exc}") from None
+    try:
+        get_alignment(meta["alignment"])
+        SpaceTokenizer.from_spec(meta["tokenizer"])
+    except ValueError as exc:
+        raise ValueError(f"malformed {path}: {exc}") from None
+    _check_manifest(path, meta)
     return meta, hashlib.sha256(raw).hexdigest()[:16]
 
 
@@ -516,8 +549,9 @@ def load_model(directory: Union[str, Path],
     Raises:
         FileNotFoundError: If the directory lacks the expected files.
         ValueError: On any ``format_version`` but 3 (the error names
-            the version and the last commit that read 1 and 2), a leaf
-            bundle, a malformed ``model.json`` or a truncated payload.
+            the version and the last commit that read 1 and 2), a
+            malformed ``model.json`` (its manifest entries included) or
+            a truncated payload.
     """
     directory = Path(directory)
     meta, identity = _read_meta(directory)
@@ -549,43 +583,6 @@ def open_model(source: Union[GraphExModel, str, Path]) -> GraphExModel:
     if isinstance(source, GraphExModel):
         return source
     return load_model(source, mmap=True)
-
-
-# ---------------------------------------------------------------------------
-# Leaf-shard bundles (the out-of-process construction return path)
-
-
-def save_leaf_graphs(leaves: Sequence[LeafGraph],
-                     directory: Union[str, Path]) -> Path:
-    """Persist built leaf graphs as a format-3 *leaf bundle*.
-
-    The return path of out-of-process construction: a worker builds its
-    shard's leaves, writes them here (raw page-aligned arrays + string
-    pool — no pickle), and the parent opens the bundle zero-copy with
-    :func:`load_leaf_graphs`.  A bundle is not a full model (no
-    tokenizer/alignment); :func:`load_model` rejects it.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_artifact(directory, leaves, {
-        "kind": _LEAF_BUNDLE, "format_version": _FORMAT_VERSION})
-    return directory
-
-
-def load_leaf_graphs(directory: Union[str, Path],
-                     mmap: bool = True) -> List[LeafGraph]:
-    """Open a :func:`save_leaf_graphs` bundle (zero-copy by default).
-
-    Returns the leaf graphs in the bundle's insertion order, arrays
-    backed read-only by the mapping when ``mmap=True`` — the bundle
-    file may be unlinked afterwards; live mappings keep it readable.
-    Its ``model.json`` is checked as a model's is (:func:`_read_meta`).
-    """
-    directory = Path(directory)
-    meta, _identity = _read_meta(directory, bundle=True)
-    arrays, pool = _open_payload_v3(directory, meta, mmap)
-    return [_unpack_leaf(leaf_meta, arrays, key, pool, mmap)
-            for key, leaf_meta in meta["leaves"].items()]
 
 
 def model_size_bytes(directory: Union[str, Path]) -> int:

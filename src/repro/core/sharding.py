@@ -1,18 +1,16 @@
 """Shard planning for the unified execution plane (Sections IV-G/IV-H).
 
-GraphEx's shard-shaped work — leaf groups for inference, whole leaves
-for construction — runs here or on a fleet of worker processes (see
+GraphEx's shard-shaped work — leaf groups of an inference batch — runs
+here or on a fleet of worker processes (see
 :mod:`repro.core.execution`).  This module owns what both share:
 
 * :class:`ShardPlan` deterministically partitions cost-weighted work
   units (leaf groups keyed by leaf id) across shards with a
   longest-processing-time greedy pass.  A plan never leaves the
-  process that cut it: the cluster wire carries each unit's requests or
-  curated leaves, not the plan.
-  :meth:`ShardPlan.for_inference` / :meth:`ShardPlan.for_construction`
-  build the canonical plans for the two work kinds and are the one
-  place a unit's cost is defined: the request-count / char-count
-  proxy.
+  process that cut it: the cluster wire carries each unit's requests,
+  not the plan.  :meth:`ShardPlan.for_inference` builds the canonical
+  plan and is the one place a unit's cost is defined: the
+  request-count proxy.
 * :class:`ShardExecutionError`, raised when a shard's result does not
   fit the unit that was sent.
 
@@ -28,7 +26,6 @@ from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Sequence,
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .batch import InferenceRequest
-    from .curation import CuratedKeyphrases
     from .model import GraphExModel
 
 #: Shard-plan key for the leaf group served by the pooled fallback graph
@@ -40,21 +37,6 @@ POOLED_GROUP = -1
 class ShardExecutionError(RuntimeError):
     """A shard's result does not fit the unit that was sent — merging
     it would serve one request another's rows."""
-
-
-def construction_proxy(curated: "CuratedKeyphrases"
-                       ) -> List[Tuple[int, int]]:
-    """``(leaf_id, cost)`` per non-empty leaf, in curated order.
-
-    The one definition of which leaves get built (empty ones have no
-    graph) and of the construction proxy cost: a leaf's summed
-    keyphrase character count — proportional to token occurrences,
-    hence to the edge pairs the build pass walks — without paying a
-    tokenization pass up front.  The ``+ 1`` keeps every planned leaf
-    non-free.
-    """
-    return [(leaf_id, sum(map(len, leaf.texts)) + 1)
-            for leaf_id, leaf in curated.leaves.items() if len(leaf) > 0]
 
 
 class ShardPlan:
@@ -157,13 +139,6 @@ class ShardPlan:
             groups.setdefault(key, []).append(index)
         costs = [(key, len(indices)) for key, indices in groups.items()]
         return cls.balance(costs, n_shards), groups
-
-    @classmethod
-    def for_construction(cls, curated: "CuratedKeyphrases",
-                         n_shards: int) -> "ShardPlan":
-        """The canonical construction plan: non-empty leaves, balanced
-        on the :func:`construction_proxy`."""
-        return cls.balance(construction_proxy(curated), n_shards)
 
     @property
     def shards(self) -> Tuple[Tuple[Hashable, ...], ...]:

@@ -39,7 +39,7 @@ from ..cluster.retry import RetriesExhausted, RetryPolicy
 from ..core.alignment import get_alignment
 from ..core.batch import InferenceRequest
 from ..core.curation import CuratedKeyphrases
-from ..core.execution import resolve_executor
+from ..core.execution import SerialExecutor
 from ..core.model import GraphExModel
 from ..core.serialization import load_model, save_model
 from ..obs import MetricsRegistry, Tracer
@@ -96,13 +96,6 @@ class DailyRefreshOrchestrator:
         pipeline: The batch pipeline whose store serves the catalog; its
             model is refreshed and its :meth:`~BatchPipeline.full_load`
             re-run on every refresh.
-        executor: Where each day's leaf shards build (by the fast
-            builder — the whole point of the daily loop) — ``None`` /
-            ``"serial"`` (inline, default) or an
-            :class:`repro.core.execution.Executor` instance.
-            Resolved **once** and kept for the orchestrator's
-            lifetime, so every refresh's build timings land in the one
-            shared ``metrics`` registry.
         alignment: Registry name of the constructed models' ranking
             alignment (an unknown one is a ``ValueError`` here).
         build_pooled: Also build the pooled fallback graph each day.
@@ -131,8 +124,10 @@ class DailyRefreshOrchestrator:
             coordinator's event loop).
         metrics: A :class:`repro.obs.MetricsRegistry` for the
             orchestrator's refresh counters/histograms, shared with
-            the construction executor it resolves (fresh private one
-            by default).  Each refresh's construct → load → swap
+            the in-process :class:`~repro.core.execution.SerialExecutor`
+            each day's fast build runs on, so every refresh's leaf
+            timings land in it too (fresh private one by default).
+            Each refresh's construct → load → swap
             lifecycle is additionally traced as spans on
             :attr:`tracer`, and the report's timing fields are views
             over those spans.
@@ -146,7 +141,6 @@ class DailyRefreshOrchestrator:
     """
 
     def __init__(self, pipeline: BatchPipeline, *,
-                 executor=None,
                  alignment: str = "lta",
                  build_pooled: bool = False,
                  artifact_dir: Optional[Union[str, Path]] = None,
@@ -160,9 +154,6 @@ class DailyRefreshOrchestrator:
         self.pipeline = pipeline
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = Tracer()
-        # One executor for the orchestrator's lifetime: every refresh
-        # records its build timings into the shared registry.
-        self._executor = resolve_executor(executor, metrics=self.metrics)
         # An unknown name is refused now, not after each day's build.
         get_alignment(alignment)
         self._alignment = alignment
@@ -186,11 +177,6 @@ class DailyRefreshOrchestrator:
     def model(self) -> GraphExModel:
         """The model currently deployed everywhere (the pipeline's)."""
         return self.pipeline.model
-
-    @property
-    def executor(self):
-        """The construction executor (same instance every refresh)."""
-        return self._executor
 
     @property
     def targets(self) -> List[Any]:
@@ -280,7 +266,7 @@ class DailyRefreshOrchestrator:
                     None, attempt(lambda: GraphExModel.construct(
                         curated, alignment=self._alignment,
                         build_pooled=self._build_pooled,
-                        executor=self._executor)))
+                        executor=SerialExecutor(metrics=self.metrics))))
         except RetriesExhausted as exc:
             # No generation was burned — the next cycle's refresh
             # starts clean.

@@ -23,3 +23,13 @@ class _Assignment:
 
 async def _run_unit(policy, unit):
     return await policy.call_async(unit)
+# lint-fixture-module: repro.cluster.worker
+def _run_construction_shard(self, message):
+    return build_shard_bundle(unpack_curated_leaves(message["leaves"]))
+# lint-fixture-module: repro.core.execution
+class ClusterExecutor:
+    def run_construction(self, curated):
+        return save_leaf_graphs(curated, "leaf-bundle")
+# lint-fixture-module: repro.cli
+def worker_options(parser):
+    parser.add_argument("--spool")

@@ -17,6 +17,20 @@ class ClusterExecutor:
     @classmethod
     def local(cls, workers=2):
         return workers
+
+
+class SerialExecutor:
+    def run_construction(self, curated, tokenizer):
+        return {}
+# lint-fixture-module: repro.core.model
+class GraphExModel:
+    @classmethod
+    def construct(cls, curated, executor):
+        return executor.run_construction(curated)  # no "leaf-bundle"
+# lint-fixture-module: repro.cluster.worker
+class ClusterWorker:
+    def __init__(self, spool_dir=None):
+        self.flag = "--spool-dir"   # not the "--spool" spelling
 # lint-fixture-module: repro.analysis.fixture_removed_spelling_good
 def dump(report):
     return report.to_json()

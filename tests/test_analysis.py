@@ -115,7 +115,11 @@ class TestRuleFixtures:
             (6, "model_artifact"), (8, "ThreadPoolExecutor"),
             (11, '"thread"'), (11, "workers="), (12, "to_json"),
             (14, "flush_executor"), (15, "engine="), (17, "_locked"),
-            (20, "_Assignment"), (24, "_run_unit"), (25, "call_async")]
+            (20, "_Assignment"), (24, "_run_unit"), (25, "call_async"),
+            (27, "_run_construction_shard"), (28, "build_shard_bundle"),
+            (28, "unpack_curated_leaves"), (31, "run_construction"),
+            (32, '"leaf-bundle"'), (32, "save_leaf_graphs"),
+            (35, '"--spool"')]
 
     def test_mmap_bad_flags_all_three_shapes(self):
         report = lint_fixture("mmap_safety_bad.py",

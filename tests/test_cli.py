@@ -77,13 +77,23 @@ class TestParser:
     def test_parallel_defaults_to_serial(self):
         from repro.core.execution import resolve_executor
 
-        for command in (["construct", "--curated", "c", "--out", "m"],
-                        ["recommend", "--model", "m", "--title", "t",
+        for command in (["recommend", "--model", "m", "--title", "t",
                          "--leaf", "1"],
                         ["serve-nrt", "--model", "m"]):
             args = build_parser().parse_args(command)
             assert args.workers == 2      # the fleet size, if one is asked for
             assert resolve_executor(args.executor).name == "serial"
+
+    def test_construct_has_no_executor(self, no_spawn):
+        """Models build in process only: ``construct --executor`` and
+        ``--workers`` are argparse usage errors, and no worker starts."""
+        for flags in (["--executor", "process"], ["--executor", "serial"],
+                      ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["construct", "--curated", "c", "--out", "m",
+                      *flags])
+            assert exit_info.value.code == 2, flags
+        assert no_spawn == []
 
     def test_removed_flags_are_usage_errors(self):
         """``--parallel`` is no alias of ``--executor`` any more, and
@@ -147,23 +157,6 @@ class TestWorkflow:
             outputs[engine] = capsys.readouterr().out
         assert outputs["fast"] == outputs["reference"]
         assert text in outputs["fast"]
-
-    def test_construct_process_parallel_builds_identical_model(
-            self, workflow_dir, tmp_path):
-        from repro.core.serialization import load_model
-        curated_path = workflow_dir / "curated.json"
-        out_dir = tmp_path / "model_process"
-        assert main(["construct", "--curated", str(curated_path),
-                     "--out", str(out_dir), "--executor", "process",
-                     "--workers", "2"]) == 0
-        serial = load_model(workflow_dir / "model")
-        sharded = load_model(out_dir)
-        assert sharded.leaf_ids == serial.leaf_ids
-        for leaf_id in serial.leaf_ids:
-            assert (sharded.leaf_graph(leaf_id).word_vocab.tokens
-                    == serial.leaf_graph(leaf_id).word_vocab.tokens)
-            assert (sharded.leaf_graph(leaf_id).label_texts
-                    == serial.leaf_graph(leaf_id).label_texts)
 
     def test_construct_format_version_round_trips(self, workflow_dir,
                                                   tmp_path, capsys):
@@ -287,21 +280,17 @@ class TestExecutorFlag:
 
     def test_executor_defaults_to_none(self):
         args = build_parser().parse_args(
-            ["construct", "--curated", "c", "--out", "m"])
-        assert args.executor is None
-        args = build_parser().parse_args(
             ["recommend", "--model", "m", "--title", "t", "--leaf", "1"])
         assert args.executor is None
 
     def test_executor_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["construct", "--curated", "c", "--out", "m",
-                 "--executor", "warp"])
+                ["recommend", "--model", "m", "--title", "t", "--leaf",
+                 "1", "--executor", "warp"])
         # There is no in-process pool to name: `thread` is argparse
         # exit 2 on every command that takes an executor.
-        for command in (["construct", "--curated", "c", "--out", "m"],
-                        ["recommend", "--model", "m", "--title", "t",
+        for command in (["recommend", "--model", "m", "--title", "t",
                          "--leaf", "1"],
                         ["serve-nrt", "--model", "m"]):
             with pytest.raises(SystemExit) as exit_info:
@@ -340,35 +329,15 @@ class TestExecutorFlag:
                                            "--executor", "cluster")
         assert clustered == baseline
 
-    def test_construct_executor_serial_builds_identical_model(
-            self, workflow_dir, tmp_path):
-        from repro.core.serialization import load_model
-        out_dir = tmp_path / "model_serial"
-        assert main(["construct", "--curated",
-                     str(workflow_dir / "curated.json"),
-                     "--out", str(out_dir),
-                     "--executor", "serial"]) == 0
-        serial = load_model(workflow_dir / "model")
-        rebuilt = load_model(out_dir)
-        assert rebuilt.leaf_ids == serial.leaf_ids
-        for leaf_id in serial.leaf_ids:
-            assert (rebuilt.leaf_graph(leaf_id).label_texts
-                    == serial.leaf_graph(leaf_id).label_texts)
-
     def test_recommend_rejects_bad_executor_pairing(self, capsys,
                                                     no_spawn):
-        for argv, option in (
-                (["recommend", "--model", "absent", "--title", "t",
+        with pytest.raises(SystemExit) as exit_info:
+            main(["recommend", "--model", "absent", "--title", "t",
                   "--leaf", "1", "--engine", "reference",
-                  "--executor", "process"], "engine"),
-                (["construct", "--curated", "absent", "--out", "m",
-                  "--builder", "reference", "--executor", "cluster"],
-                 "builder")):
-            with pytest.raises(SystemExit) as exit_info:
-                main(argv)
-            assert exit_info.value.code == 2
-            assert f"{argv[0]}: --{option} reference runs only on " \
-                f"--executor serial" in capsys.readouterr().err
+                  "--executor", "process"])
+        assert exit_info.value.code == 2
+        assert "recommend: --engine reference runs only on " \
+            "--executor serial" in capsys.readouterr().err
         assert no_spawn == []
 
 

@@ -2,8 +2,8 @@
 
 Covers the layers bottom-up: the shared retry policy, the wire protocol
 codecs (bit-exact float round-trips), the fault-injecting transport,
-the coordinator's happy paths (inference + construction element-wise
-identical to the single-process fast paths), the robustness edge cases
+the coordinator's happy paths (inference element-wise identical to the
+single-process fast path), the robustness edge cases
 (mid-plan joins, duplicate names, late-result fencing, graceful drain),
 a hypothesis property that *any* drawn kill/drop/delay schedule still
 yields identical results with every orphaned shard re-executed exactly
@@ -38,12 +38,11 @@ from repro.cluster.scheduler import Scheduler
 from repro.cluster.transport import Transport
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
-from repro.core.execution import SerialExecutor
 from repro.core.fast_inference import LeafBatchRunner, RankedColumns
 from repro.core.model import GraphExModel
 from repro.core.serialization import open_model, save_model
 from repro.core.sharding import ShardPlan
-from repro.core.tokenize import DEFAULT_TOKENIZER, SpaceTokenizer
+from repro.core.tokenize import SpaceTokenizer
 from repro.obs import MetricsRegistry
 
 
@@ -355,8 +354,8 @@ class TestProtocol:
             json.loads(json.dumps(pack_requests(reqs)))) == reqs
 
     def test_tokenizer_roundtrip_preserves_semantics(self):
-        """The construction frame carries ``spec()``; a worker reads it
-        back with ``from_spec``."""
+        """An artifact header carries ``spec()``; every process that
+        opens the artifact reads it back with ``from_spec``."""
         tokenizer = SpaceTokenizer(stem=True,
                                    drop_stopwords=("for", "with"))
         back = SpaceTokenizer.from_spec(
@@ -626,37 +625,6 @@ class TestClusterInference:
             asyncio.run(drive())
         assert "boom-on-worker" in excinfo.value.worker_traceback
         assert "RuntimeError" in excinfo.value.worker_traceback
-
-    def test_run_construction_identical_to_fast_path(self, curated):
-        async def drive():
-            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
-                _w, t1 = await spawn_worker(coord, name="c1")
-                _w, t2 = await spawn_worker(coord, name="c2")
-                await coord.wait_for_workers(2, timeout=10.0)
-                graphs = await coord.run_construction(
-                    curated, DEFAULT_TOKENIZER)
-                await teardown(coord, [t1, t2])
-                return graphs, coord.last_report
-
-        graphs, report = asyncio.run(drive())
-        ref_graphs = SerialExecutor().run_construction(curated,
-                                                       DEFAULT_TOKENIZER)
-        assert list(graphs) == list(ref_graphs)
-        for leaf_id, reference in ref_graphs.items():
-            built = graphs[leaf_id]
-            assert list(built.label_texts) == list(reference.label_texts)
-            assert np.array_equal(built.graph.indptr,
-                                  reference.graph.indptr)
-            assert np.array_equal(built.graph.indices,
-                                  reference.graph.indices)
-            assert np.array_equal(built.label_lengths,
-                                  reference.label_lengths)
-            assert np.array_equal(built.search_counts,
-                                  reference.search_counts)
-            assert np.array_equal(built.recall_counts,
-                                  reference.recall_counts)
-            assert list(built.word_vocab) == list(reference.word_vocab)
-        assert all(count == 1 for count in report.merge_counts.values())
 
     def test_deploy_artifact_acknowledged_by_fleet(self, artifact):
         async def drive():
@@ -1412,23 +1380,6 @@ class TestFleetMetrics:
         local_merged = local_report.fleet_metrics["counters"][
             "cluster.requests.merged"]
         assert fleet_merged == local_merged == len(requests)
-
-    def test_construction_fleet_counters(self, curated):
-        async def drive():
-            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
-                _w, t1 = await spawn_worker(coord, name="a")
-                await coord.wait_for_workers(1, timeout=10.0)
-                graphs = await coord.run_construction(
-                    curated, DEFAULT_TOKENIZER)
-                await teardown(coord, [t1])
-                return graphs, coord.last_report
-
-        graphs, report = asyncio.run(drive())
-        n_leaves = sum(1 for leaf in curated.leaves.values()
-                       if len(leaf) > 0)
-        assert len(graphs) == n_leaves
-        counters = report.fleet_metrics["counters"]
-        assert counters["cluster.leaves.merged"] == n_leaves
 
     def test_malformed_worker_snapshot_is_rejected_not_merged(
             self, artifact, requests, expected):

@@ -1,12 +1,12 @@
 """Tests for the unified execution plane (ISSUE 8).
 
 Covers the :mod:`repro.core.execution` subsystem bottom-up: the
-resolver behind every ``executor=`` keyword, the scatter/merge jobs
-every substrate calls, orphan re-planning cost preservation, and the
-headline cross-executor equivalence contract: any workload on
-either substrate — the serial oracle, or a fleet of worker processes
-(with injected faults) — serves element-wise identical results and
-builds bit-identical models.
+resolver behind every ``executor=`` keyword, the scatter/merge job
+every substrate calls, construction staying in process, orphan
+re-planning cost preservation, and the headline cross-executor
+equivalence contract: any workload on either substrate — the serial
+oracle, or a fleet of worker processes (with injected faults) — serves
+element-wise identical results.
 """
 
 from __future__ import annotations
@@ -219,24 +219,34 @@ class TestInferenceJobContract:
             job.merge(shard, [[]] * 4)
 
 
-class TestConstructionMergeOrder:
-    def test_process_and_cluster_graphs_identical(self, fleet):
-        """The fleet — what ``process`` and ``cluster`` both spell —
-        hands back the serial builder's graphs in curated order,
-        whichever shard a leaf ran in.  Leaf 2 dominates, so the plan
-        is ((2,), (1, 3, 4, 5)): shard-index order and leaf order
-        disagree."""
-        curated = build_curated(sizes=(3, 14, 3, 2, 2))
-        assert [min(shard) for shard in
-                ShardPlan.for_construction(curated, 2).shards] == [2, 1]
-        serial_graphs = SerialExecutor().run_construction(curated)
-        fleet_graphs = fleet.run_construction(curated)
-        assert list(fleet_graphs) == list(serial_graphs) \
-            == list(curated.leaves)
-        for leaf_id, graph in serial_graphs.items():
-            assert_leaf_graphs_identical(graph, fleet_graphs[leaf_id])
-            # Built elsewhere: the graphs are mapped leaf bundles.
-            assert fleet_graphs[leaf_id].graph.is_readonly
+class TestConstructionStaysInProcess:
+    def test_fleet_is_refused_before_any_leaf_is_built(
+            self, fleet, curated, monkeypatch):
+        """The fleet serves inference only: handed to ``construct``, it
+        is a named ``ValueError`` raised before any leaf graph is built,
+        here or on a worker.  The reference builder's refusal is pinned
+        in ``test_fast_construct.py``."""
+        from repro.core import execution
+
+        built = []
+        monkeypatch.setattr(execution, "build_leaf_graph_fast",
+                            lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="construction runs in process"):
+            GraphExModel.construct(curated, executor=fleet)
+        assert built == []
+
+    def test_serial_construction_times_each_leaf(self, curated):
+        """``executor.construction.*{executor=serial}``: one timed task
+        per non-empty leaf, the graphs in curated order."""
+        metrics = MetricsRegistry()
+        graphs = SerialExecutor(metrics=metrics).run_construction(curated)
+        assert list(graphs) == list(curated.leaves)
+        labels = {"executor": "serial"}
+        for name in ("tasks", "leaves"):
+            assert metrics.counter_value(f"executor.construction.{name}",
+                                         **labels) == len(graphs)
+        assert metrics.histogram_stats("executor.construction.seconds",
+                                       **labels)["count"] == len(graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +317,13 @@ class TestCrossExecutorEquivalence:
         assert metrics.histogram_stats(
             "executor.inference.seconds", **labels)["count"] == 1
 
-    def test_construction_identical_across_substrates(self, fleet,
-                                                      curated, model):
-        for executor in (SerialExecutor(), fleet):
+    def test_construction_identical_across_substrates(self, curated,
+                                                      model):
+        """Construction has one substrate, the calling process; every
+        ``executor=`` spelling ``construct`` accepts for it builds the
+        same model, a metrics registry or none."""
+        for executor in (None, "serial", SerialExecutor(),
+                         SerialExecutor(metrics=MetricsRegistry())):
             rebuilt = GraphExModel.construct(curated, build_pooled=True,
                                              executor=executor)
             assert_models_identical(model, rebuilt)

@@ -7,7 +7,7 @@ order, same CSR arrays, same label arrays, same leaf insertion order —
 on any input.  These tests pin that property with hypothesis-generated
 random stats, curation configs and tokenizers, plus directed
 regressions for the edge cases (empty-tokenizing texts, empty leaves,
-thread sharding, the shared token cache), the
+the shared token cache), the
 :meth:`CSRGraph.from_arrays` fast path, and a case table for the
 pooled graph the fast builder derives from the built leaf graphs.
 """
@@ -26,7 +26,6 @@ from repro.core.curation import (CurationConfig, CuratedKeyphrases,
 from repro.core.execution import SerialExecutor
 from repro.core.fast_construct import build_leaf_graph_fast, pool_leaf_graphs
 from repro.core.model import GraphExModel, _pool_leaves, build_leaf_graph
-from repro.core.serialization import LazyStringList
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer, TokenCache)
 from repro.search.logs import KeyphraseStat
@@ -153,31 +152,21 @@ class TestFastBuilder:
             builder="fast")
         assert_models_identical(reference, fast)
 
-    @given(stats=stats_strategy,
-           tokenizer_index=st.integers(0, len(TOKENIZERS) - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_process_sharded_build_bit_identical(self, fleet, stats,
-                                                 tokenizer_index):
-        """Whole-leaf shards on a fleet of worker processes with
-        per-shard token caches: the model — including the pooled graph
-        derived from the mapped shard bundles — is bit-identical to the
-        scalar reference."""
-        tokenizer = TOKENIZERS[tokenizer_index]
-        curated = curate(stats, CurationConfig(min_search_count=1))
-        reference = GraphExModel.construct(curated, tokenizer=tokenizer,
-                                           build_pooled=True,
-                                           builder="reference")
-        sharded = GraphExModel.construct(curated, tokenizer=tokenizer,
-                                         build_pooled=True,
-                                         builder="fast", executor=fleet)
-        assert_models_identical(reference, sharded)
+    def test_reference_builder_rejects_process_parallel(self, fleet,
+                                                        monkeypatch):
+        """The scalar reference builder refuses a fleet by name, as the
+        fast one does, before it builds any leaf."""
+        from repro.core import model as model_module
 
-    def test_reference_builder_rejects_process_parallel(self, fleet):
+        built = []
+        monkeypatch.setattr(model_module, "build_leaf_graph",
+                            lambda *args: built.append(args))
         curated = curate([KeyphraseStat("a b", 1, 9, 1)],
                          CurationConfig(min_search_count=1))
-        with pytest.raises(ValueError, match="single-process"):
+        with pytest.raises(ValueError, match="construction runs in process"):
             GraphExModel.construct(curated, builder="reference",
                                    executor=fleet)
+        assert built == []
 
     def test_unknown_parallel_mode_rejected(self):
         curated = curate([], CurationConfig(min_search_count=1))
@@ -358,53 +347,6 @@ class TestPoolLeafGraphs:
         model = GraphExModel.construct(self.curated_of([]),
                                        build_pooled=True, builder=builder)
         assert model.pooled_graph is None
-
-    def test_pooling_mapped_bundles_decodes_nothing_and_copies(
-            self, fleet):
-        """Process-built leaves arrive as read-only mapped bundles
-        whose label texts decode lazily.  Pooling reads texts from the
-        curated corpus instead — the bundles' string caches (which hold
-        only the eagerly decoded vocabulary words) do not grow — and
-        returns arrays of its own, not views of a mapping."""
-        leaves = [
-            _leaf(leaf_id, *[(f"w{j} w{(j + leaf_id) % 5} x{leaf_id}",
-                              10 * leaf_id + j, 9 - j) for j in range(8)],
-                  ("shared text", leaf_id, 10 - leaf_id))
-            for leaf_id in (1, 2, 3, 4)]
-        curated = self.curated_of(leaves)
-        graphs = fleet.run_construction(curated, DEFAULT_TOKENIZER)
-        assert all(type(graph.label_texts) is LazyStringList
-                   and graph.graph.is_readonly
-                   and not graph.search_counts.flags.writeable
-                   for graph in graphs.values())
-        pools = {id(graph.label_texts._pool): graph.label_texts._pool
-                 for graph in graphs.values()}
-
-        def decoded():
-            return {key: sum(text is not None for text in pool._table)
-                    for key, pool in pools.items()}
-
-        before = decoded()
-        assert all(before.values())
-
-        pooled = pool_leaf_graphs(curated, graphs)
-
-        assert decoded() == before
-        self.assert_pooled_identical(
-            build_leaf_graph(_pool_leaves(leaves), DEFAULT_TOKENIZER),
-            pooled)
-        for array in (pooled.search_counts, pooled.recall_counts,
-                      pooled.label_lengths, pooled.graph.indptr,
-                      pooled.graph.indices):
-            assert array.flags.writeable
-            assert not any(np.shares_memory(array, source)
-                           for graph in graphs.values()
-                           for source in (graph.search_counts,
-                                          graph.recall_counts,
-                                          graph.graph.indices))
-        row = pooled.label_texts.index("shared text")
-        assert (pooled.search_counts[row], pooled.recall_counts[row]) \
-            == (4, 6)
 
 
 class TestTokenCache:

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.model import GraphExModel, build_leaf_graph
-from repro.core.serialization import (LazyStringList, load_leaf_graphs,
-                                      load_model, model_size_bytes,
-                                      open_model, save_leaf_graphs,
+from repro.core.serialization import (LazyStringList, load_model,
+                                      model_size_bytes, open_model,
                                       save_model)
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer)
@@ -448,29 +447,6 @@ class TestCrossFormat:
             f"{path / 'model.json'}")
         assert "format 3" in message and "f0008ce" in message
 
-    @pytest.mark.parametrize("opener", [load_model, open_model])
-    def test_leaf_bundle_is_rejected_by_name(self, tmp_path, opener):
-        model = GraphExModel.construct(curated_two_leaves())
-        bundle = save_leaf_graphs(
-            [model.leaf_graph(i) for i in model.leaf_ids], tmp_path / "b")
-        with pytest.raises(ValueError, match="leaf-bundle") as excinfo:
-            opener(bundle)
-        assert str(bundle) in str(excinfo.value)
-
-    @pytest.mark.parametrize("version", [1, 2, 99])
-    def test_leaf_bundle_must_be_format_3(self, tmp_path, version):
-        model = GraphExModel.construct(curated_two_leaves())
-        leaves = [model.leaf_graph(i) for i in model.leaf_ids]
-        bundle = save_leaf_graphs(leaves, tmp_path / "b")
-        for a, b in zip(leaves, load_leaf_graphs(bundle)):
-            assert_graphs_identical(a, b)
-        meta = json.loads((bundle / "model.json").read_text())
-        meta["format_version"] = version
-        (bundle / "model.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError,
-                           match=f"format_version {version}"):
-            load_leaf_graphs(bundle)
-
 
 class TestMappedPlane:
     """Safety properties of the zero-copy (mmap) model plane."""
@@ -724,21 +700,6 @@ class TestArtifactBytes:
         assert sorted(p.name.split("-")[0] for p in path.iterdir()) \
             == ["arrays", "model.json"]
 
-    def test_failed_leaf_bundle_write_leaves_no_temp_file(
-            self, tmp_path, monkeypatch):
-        """``save_leaf_graphs`` shares both writers."""
-        import os
-
-        def no_space(fd):
-            raise OSError(28, "No space left on device")
-
-        model = GraphExModel.construct(curated_two_leaves())
-        monkeypatch.setattr(os, "fsync", no_space)
-        with pytest.raises(OSError, match="No space left"):
-            save_leaf_graphs([model.leaf_graph(10)], tmp_path / "b")
-        monkeypatch.undo()
-        assert list((tmp_path / "b").iterdir()) == []
-
 
 class TestTruncatedPayload:
     """A payload shorter than its manifest is refused by name, before
@@ -794,19 +755,6 @@ class TestTruncatedPayload:
         if not mmap:
             assert_models_identical(model, intact)
 
-    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
-    def test_cut_leaf_bundle_is_refused_by_name(self, tmp_path, mmap):
-        model = TestArtifactBytes.pool_order_model()
-        bundle = save_leaf_graphs(
-            [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids],
-            tmp_path / "b")
-        payload, first, needs, present = self.cut(bundle, "last_byte")
-        with pytest.raises(ValueError) as refused:
-            load_leaf_graphs(bundle, mmap=mmap)
-        assert str(refused.value) == (
-            f"truncated payload {payload}: section {first!r} needs "
-            f"{needs} bytes, the file holds {present}")
-
     def test_a_section_may_end_with_the_file(self, tmp_path):
         """The check is ``>``, not ``>=``: a section may end exactly at
         the end of the file — every intact payload's last one does."""
@@ -819,6 +767,22 @@ class TestTruncatedPayload:
             assert_models_identical(model, load_model(path, mmap=mmap))
 
 
+def _damage_section(key: str, **entry):
+    """A DAMAGE step: overwrite fields of one ``arrays`` manifest entry."""
+    def damage(meta):
+        meta["arrays"][key].update(entry)
+        return meta
+    return damage
+
+
+def _alias_section(key: str, onto: str):
+    """A DAMAGE step: point one manifest entry at another's bytes."""
+    def damage(meta):
+        meta["arrays"][key]["offset"] = meta["arrays"][onto]["offset"]
+        return meta
+    return damage
+
+
 class TestMalformedMeta:
     """``model.json`` is outside input: whatever is wrong with it is
     one named ``ValueError`` — the path, what is wrong — before the
@@ -826,7 +790,8 @@ class TestMalformedMeta:
     from the middle of the loader or a read outside the directory."""
 
     #: case → (what is done to the parsed manifest, what the error says);
-    #: the first block holds for leaf bundles too.
+    #: the ``model:`` cases damage the header's spec, the ``section:``
+    #: cases one entry of the ``arrays`` manifest.
     DAMAGE = {
         "not-json": (lambda meta: "{nope", "not JSON"),
         "not-an-object": (lambda meta: [1, 2],
@@ -865,6 +830,53 @@ class TestMalformedMeta:
                ("not-space", {"type": "bpe", "stem": False}),
                ("unknown-key", {"type": "space", "stem": False,
                                 "lowercase": True})]},
+
+        # Each of these loaded silently, or escaped as an IndexError /
+        # TypeError / KeyError, before entries were checked: a negative
+        # offset served Search Counts read out of the string pool, and
+        # an aliased section served another array's counts.
+        "section:offset-negative": (
+            _damage_section("10/search_counts", offset=-32),
+            "section '10/search_counts': offset -32 is not a "
+            "non-negative integer"),
+        "section:offset-a-string": (
+            _damage_section("10/search_counts", offset="0"),
+            "section '10/search_counts': offset '0' is not a "
+            "non-negative integer"),
+        "section:aliases-another": (
+            _alias_section("10/recall_counts", onto="10/search_counts"),
+            "sections '10/recall_counts' and '10/search_counts' overlap"),
+        "section:shape-negative": (
+            _damage_section("10/indptr", shape=[-1]),
+            "section '10/indptr': shape [-1] is not a list of "
+            "non-negative integers"),
+        "section:dtype-object": (
+            _damage_section("10/label_ids", dtype="|O"),
+            "section '10/label_ids': dtype '|O' is not a fixed-size "
+            "integer or float dtype"),
+        "section:missing": (
+            lambda meta: meta["arrays"].pop("11/word_ids") and meta,
+            "section '11/word_ids' is missing"),
+        # The rest of what an entry must be: a JSON object, an integer
+        # offset (JSON ``true`` is not one), a dtype numpy can parse and
+        # a list for a shape.
+        "section:not-an-object": (
+            lambda meta: meta["arrays"].update(
+                {"10/indices": [0, "<i8", [3]]}) or meta,
+            "section '10/indices': entry [0, '<i8', [3]] is not a JSON "
+            "object"),
+        "section:offset-a-bool": (
+            _damage_section("10/search_counts", offset=True),
+            "section '10/search_counts': offset True is not a "
+            "non-negative integer"),
+        "section:dtype-unparseable": (
+            _damage_section("10/label_ids", dtype="not-a-dtype"),
+            "section '10/label_ids': dtype 'not-a-dtype' is not a "
+            "fixed-size integer or float dtype"),
+        "section:shape-not-a-list": (
+            _damage_section("10/indptr", shape=3),
+            "section '10/indptr': shape 3 is not a list of non-negative "
+            "integers"),
     }
 
     @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
@@ -873,19 +885,14 @@ class TestMalformedMeta:
         how, what = self.DAMAGE[case]
         model = TestArtifactBytes.pool_order_model()
         path = save_model(model, tmp_path / "m")
-        bundle = save_leaf_graphs([model.leaf_graph(10)], tmp_path / "b")
-        openers = {path: [lambda p: load_model(p, mmap=mmap), open_model]}
-        if not case.startswith("model:"):
-            openers[bundle] = [lambda p: load_leaf_graphs(p, mmap=mmap)]
-        for directory, opens in openers.items():
-            meta_file = directory / "model.json"
-            damaged = how(json.loads(meta_file.read_text("utf-8")))
-            meta_file.write_text(damaged if isinstance(damaged, str)
-                                 else json.dumps(damaged), "utf-8")
-            for opener in opens:
-                with pytest.raises(ValueError) as refused:
-                    opener(directory)
-                assert str(refused.value).startswith(
-                    f"malformed {meta_file}: {what}")
+        meta_file = path / "model.json"
+        damaged = how(json.loads(meta_file.read_text("utf-8")))
+        meta_file.write_text(damaged if isinstance(damaged, str)
+                             else json.dumps(damaged), "utf-8")
+        for opener in (lambda p: load_model(p, mmap=mmap), open_model):
+            with pytest.raises(ValueError) as refused:
+                opener(path)
+            assert str(refused.value).startswith(
+                f"malformed {meta_file}: {what}")
         save_model(model, path)         # a re-save repairs the directory
         assert_models_identical(model, load_model(path, mmap=mmap))

@@ -266,22 +266,16 @@ class TestDailyRefreshOrchestrator:
         for item_id, _title, _leaf in REQUESTS:
             assert pipeline.serve(item_id) == clean.serve(item_id)
 
-    def test_refresh_forwards_construction_knobs(self, fleet,
-                                                 fig3_model):
-        """executor reaches GraphExModel.construct: the fleet builds
-        what the reference builder does, bit for bit."""
-        from repro.core.model import GraphExModel
-        pipeline = BatchPipeline(fig3_model)
-        fast = DailyRefreshOrchestrator(pipeline, executor=fleet)
-        fast_report = fast.refresh_sync(build_fig3_variant_curated(),
-                                        REQUESTS)
-        reference = BatchPipeline(GraphExModel.construct(
-            build_fig3_variant_curated(), builder="reference"))
-        reference.full_load(REQUESTS)
-        assert fast_report.generation == 1
-        for item_id, _title, _leaf in REQUESTS:
-            assert fast.pipeline.serve(item_id) \
-                == reference.serve(item_id)
+    def test_every_build_is_timed_in_the_orchestrator_registry(
+            self, fig3_model):
+        """Each day's model builds in process, leaf by leaf, into the
+        orchestrator's own registry: two refreshes, twice the leaves."""
+        orchestrator = DailyRefreshOrchestrator(BatchPipeline(fig3_model))
+        reports = [orchestrator.refresh_sync(build_fig3_variant_curated(),
+                                             REQUESTS) for _ in range(2)]
+        assert orchestrator.metrics.counter_value(
+            "executor.construction.leaves", executor="serial") \
+            == sum(report.n_leaves for report in reports) > 0
 
 
 class TestRefreshRetries:

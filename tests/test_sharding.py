@@ -12,11 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
-from repro.core.execution import SerialExecutor, build_shard_bundle
+from repro.core.execution import SerialExecutor
 from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
 from repro.core.sharding import POOLED_GROUP, ShardPlan
-from repro.core.tokenize import DEFAULT_TOKENIZER, SpaceTokenizer
+from repro.core.tokenize import DEFAULT_TOKENIZER
 
 
 def make_model(leaf_phrases, build_pooled=False):
@@ -139,52 +139,13 @@ class TestProcessShardExecutor:
         # Built in-parent: a plain graph, not a mapped bundle.
         assert not graphs[1].graph.is_readonly
 
-    def test_empty_curation(self, fleet):
+    def test_empty_curation(self):
         curated = CuratedKeyphrases(
             leaves={}, effective_threshold=1,
             config=CurationConfig(min_search_count=1))
-        graphs = fleet.run_construction(curated, DEFAULT_TOKENIZER)
+        graphs = SerialExecutor().run_construction(
+            curated, DEFAULT_TOKENIZER)
         assert graphs == {}
-
-    def test_artifact_return_path_bit_identical_to_thread(self, fleet):
-        """ISSUE 6: multi-worker construction ships graphs back as
-        zero-copy leaf bundles, never pickled objects — and the result
-        is bit-identical to the in-process fast builder."""
-        leaf_phrases = {
-            leaf_id: [(f"w{j} w{(j + leaf_id) % 6} extra{leaf_id}",
-                       9 - j, j + 1) for j in range(8)]
-            for leaf_id in (1, 2, 3, 4)}
-        thread = make_model(leaf_phrases, build_pooled=True)
-        leaves = {}
-        for leaf_id, phrases in leaf_phrases.items():
-            leaf = CuratedLeaf(leaf_id=leaf_id)
-            for text, search, recall in phrases:
-                leaf.add(text, search, recall)
-            leaves[leaf_id] = leaf
-        curated = CuratedKeyphrases(
-            leaves=leaves, effective_threshold=1,
-            config=CurationConfig(min_search_count=1))
-        process = GraphExModel.construct(curated, build_pooled=True,
-                                         executor=fleet)
-        assert process.leaf_ids == thread.leaf_ids
-        import numpy as np
-        for leaf_id in thread.leaf_ids + [None]:
-            a = (thread.pooled_graph if leaf_id is None
-                 else thread.leaf_graph(leaf_id))
-            b = (process.pooled_graph if leaf_id is None
-                 else process.leaf_graph(leaf_id))
-            assert b.word_vocab.tokens == a.word_vocab.tokens
-            assert np.array_equal(b.graph.indptr, a.graph.indptr)
-            assert np.array_equal(b.graph.indices, a.graph.indices)
-            assert list(b.label_texts) == list(a.label_texts)
-            assert np.array_equal(b.label_lengths, a.label_lengths)
-            assert np.array_equal(b.search_counts, a.search_counts)
-            assert np.array_equal(b.recall_counts, a.recall_counts)
-        # The leaves really did come back through the mapped bundles:
-        # worker-built graphs are read-only views over the staged
-        # artifact (the pooled graph is assembled in-parent).
-        for leaf_id in process.leaf_ids:
-            assert process.leaf_graph(leaf_id).graph.is_readonly
 
 
 class TestLazyImportCycleContract:
@@ -252,17 +213,7 @@ class TestReplan:
 
 
 class TestWorkerFailureSurfacing:
-    """A failing shard surfaces the worker's original traceback, and
-    half-written artifacts do not outlive the failure."""
-
-    def _failing_curated(self):
-        leaves = {}
-        for leaf_id in (1, 2, 3):
-            leaf = CuratedLeaf(leaf_id=leaf_id)
-            leaf.add(f"phrase {leaf_id}", 3, 1)
-            leaves[leaf_id] = leaf
-        return CuratedKeyphrases(leaves=leaves, effective_threshold=1,
-                                 config=CurationConfig(min_search_count=1))
+    """A failing shard surfaces the worker's original traceback."""
 
     @staticmethod
     def _failure_on_a_one_host_fleet(job):
@@ -289,35 +240,6 @@ class TestWorkerFailureSurfacing:
                 return excinfo.value
 
         return asyncio.run(drive())
-
-    @pytest.mark.parametrize("fault, expected", [
-        ("builder", "ValueError: boom-builder"),
-        ("spec", "is not a SpaceTokenizer spec"),
-    ])
-    def test_construction_failure_carries_worker_traceback(
-            self, monkeypatch, fault, expected):
-        """A build that raises on a worker host — in the builder, or
-        reading a construction frame's tokenizer spec — reaches the
-        caller as ``ClusterExecutionError`` naming the shard's keys,
-        with the worker-side traceback attached."""
-        from repro.cluster import worker
-        from repro.core.execution import ClusterExecutor
-
-        def exploding_bundle(leaves, tokenizer, directory):
-            raise ValueError("boom-builder")
-
-        if fault == "builder":
-            monkeypatch.setattr(worker, "build_shard_bundle",
-                                exploding_bundle)
-        else:
-            monkeypatch.setattr(SpaceTokenizer, "spec",
-                                lambda self: {"stem": "no"})
-        error = self._failure_on_a_one_host_fleet(
-            lambda coordinator: ClusterExecutor(coordinator)
-            .run_construction_async(self._failing_curated()))
-        assert expected in error.worker_traceback
-        assert "original worker traceback" in str(error)
-        assert "construction shard [1, 2, 3]" in str(error)
 
     def test_inference_shard_wraps_worker_failures(self, monkeypatch,
                                                    tmp_path):
@@ -347,22 +269,3 @@ class TestWorkerFailureSurfacing:
         assert "_run_inference_shard" in error.worker_traceback
         assert "boom-runner saw [(0, 'title', 1)]" \
             in error.worker_traceback
-
-    def test_construction_failure_cleans_temp_dirs(self, monkeypatch,
-                                                   tmp_path):
-        """The one out-of-process shard builder removes its half-written
-        bundle before the failure leaves the worker."""
-        from repro.core import execution
-
-        def half_written(graphs, directory):
-            (directory / "arrays-partial.bin").write_bytes(b"\0")
-            raise OSError("boom-bundle")
-
-        monkeypatch.setattr(execution, "save_leaf_graphs", half_written)
-        bundle = tmp_path / "bundle"
-        bundle.mkdir()
-        with pytest.raises(OSError, match="boom-bundle"):
-            build_shard_bundle(
-                list(self._failing_curated().leaves.values()),
-                DEFAULT_TOKENIZER, bundle)
-        assert not bundle.exists()
