@@ -25,6 +25,8 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("_first_occurrence_ids _pack_leaf", NOWHERE,
+     "one interning pass (vocab.intern_strings) per string stream"),
     ("ConstructionJob build_shard_bundle merge_bundle save_leaf_graphs "
      "load_leaf_graphs pack_curated_leaves unpack_curated_leaves "
      "run_construction_async for_construction construction_proxy "

@@ -114,19 +114,29 @@ def _cmd_curate(args: argparse.Namespace) -> int:
 def _load_curated(path: str):
     """Rebuild the exact ``curate --out`` CuratedKeyphrases — leaves,
     effective threshold, *and* curation config (a round-trip used to
-    silently reset the config to defaults)."""
+    silently reset the config to defaults).  A leaf whose columns differ
+    in length, or hold a non-``str`` text or a non-``int`` count (a
+    ``bool`` too), is a ``ValueError`` naming the file and the leaf."""
     from .core.curation import CuratedKeyphrases, CuratedLeaf
 
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     leaves = {}
-    for leaf_id_str, data in payload["leaves"].items():
-        leaf = CuratedLeaf(leaf_id=int(leaf_id_str))
-        for text, search, recall in zip(
-                data["texts"], data["search_counts"],
-                data["recall_counts"]):
-            leaf.add(text, search, recall)
-        leaves[int(leaf_id_str)] = leaf
+    for leaf_id, data in payload["leaves"].items():
+        texts, search, recall = columns = (
+            data["texts"], data["search_counts"], data["recall_counts"])
+        problem = None
+        if not len(texts) == len(search) == len(recall):
+            problem = (f"has {len(texts)} texts, {len(search)} search "
+                       f"counts and {len(recall)} recall counts")
+        elif any(type(text) is not str for text in texts):
+            problem = "has a text that is not a string"
+        elif any(type(n) is not int for n in [*search, *recall]):
+            problem = "has a count that is not an integer"
+        if problem:
+            raise ValueError(f"malformed curated file {path}: leaf "
+                             f"{leaf_id} {problem}")
+        leaves[int(leaf_id)] = CuratedLeaf(int(leaf_id), *map(list, columns))
     # Older curated files predate the persisted config block; they fall
     # back to defaults, as before.
     return CuratedKeyphrases(

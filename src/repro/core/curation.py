@@ -176,11 +176,12 @@ def fast_curate(stats: Iterable[KeyphraseStat],
     """Vectorized curation, bit-identical to :func:`curate`.
 
     The stats are ingested once into structure-of-arrays form (texts,
-    leaf ids, search/recall counts, token counts).  The token-length
+    leaf ids, search/recall counts, and token counts from one C-level
+    ``map(len, map(str.split, texts))``).  The token-length
     filter is threshold-independent, so it is computed once; each CAT-3
     halving then costs one boolean-mask pass over the count array
     instead of a full Python re-scan of every stat.  The surviving rows
-    are split per leaf with a single stable argsort, preserving both the
+    are split per leaf after a single stable argsort, preserving both the
     scalar path's leaf insertion order (first surviving occurrence) and
     its per-leaf keyphrase order (stat order).
     """
@@ -194,7 +195,7 @@ def fast_curate(stats: Iterable[KeyphraseStat],
                          dtype=np.int64, count=n)
     recall = np.fromiter((stat.recall_count for stat in stat_list),
                          dtype=np.int64, count=n)
-    n_tokens = np.fromiter((len(text.split()) for text in texts),
+    n_tokens = np.fromiter(map(len, map(str.split, texts)),
                            dtype=np.int64, count=n)
     len_ok = ((n_tokens >= config.min_tokens)
               & (n_tokens <= config.max_tokens))
@@ -209,29 +210,19 @@ def fast_curate(stats: Iterable[KeyphraseStat],
 
     leaves: Dict[int, CuratedLeaf] = {}
     survivors = np.flatnonzero(mask)
-    if len(survivors):
-        survivor_leaves = leaf_ids[survivors]
-        order = np.argsort(survivor_leaves, kind="stable")
-        grouped = survivors[order]
-        sorted_leaves = survivor_leaves[order]
-        unique_leaves, first_seen = np.unique(survivor_leaves,
-                                              return_index=True)
-        starts = np.searchsorted(sorted_leaves, unique_leaves)
-        ends = np.append(starts[1:], len(grouped))
-        spans = {int(leaf): (int(s), int(e))
-                 for leaf, s, e in zip(unique_leaves, starts, ends)}
-        # Leaf dict keys in first-surviving-occurrence order, matching
-        # the scalar setdefault loop (the pooled-graph merge iterates
-        # this dict, so key order affects downstream bit-identity).
-        for leaf in unique_leaves[np.argsort(first_seen, kind="stable")]:
-            leaf_id = int(leaf)
-            start, end = spans[leaf_id]
-            rows = grouped[start:end]
-            leaves[leaf_id] = CuratedLeaf(
-                leaf_id=leaf_id,
-                texts=[texts[i] for i in rows.tolist()],
-                search_counts=search[rows].tolist(),
-                recall_counts=recall[rows].tolist())
+    survivor_leaves = leaf_ids[survivors]
+    unique_leaves, first_seen, sizes = np.unique(
+        survivor_leaves, return_index=True, return_counts=True)
+    groups = np.split(survivors[np.argsort(survivor_leaves, kind="stable")],
+                      np.cumsum(sizes)[:-1])
+    # Leaf dict keys in first-surviving-occurrence order, matching the
+    # scalar setdefault loop (the pooled-graph merge iterates this
+    # dict, so key order affects downstream bit-identity).
+    for i in np.argsort(first_seen, kind="stable").tolist():
+        rows, leaf_id = groups[i], int(unique_leaves[i])
+        leaves[leaf_id] = CuratedLeaf(
+            leaf_id, list(map(texts.__getitem__, rows.tolist())),
+            search[rows].tolist(), recall[rows].tolist())
     return CuratedKeyphrases(
         leaves=leaves, effective_threshold=threshold, config=config)
 

@@ -12,7 +12,9 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    shared pool (:class:`~repro.core.tokenize.TokenCache`); marketplace
    vocabulary overlaps heavily across leaves, so a raw token seen in
    any earlier leaf skips the normalization regex and dict interning
-   entirely.  Each keyphrase text is split exactly once per build.
+   entirely.  A leaf's texts are split as one joined string; per-label
+   token counts come from C-level ``map(len, map(str.split, texts))``,
+   so no list per label outlives its count.
 2. **Bulk interning** — a leaf's labels are flattened into one pool-id
    stream and interned with a single array pass (an O(n + pool)
    reversed scatter, or an ``np.unique`` re-rank when the shared pool
@@ -28,7 +30,8 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    Python tuples, no redundant validation.
 4. **Pooled arrays, not pooled text** — :func:`pool_leaf_graphs`
    derives the all-leaves fallback graph from the built leaf graphs,
-   so nothing is tokenised a second time.
+   so nothing is tokenised a second time; its labels and words are
+   each interned by one :func:`~repro.core.vocab.intern_strings` pass.
 
 This module builds one leaf at a time;
 :meth:`repro.core.execution.SerialExecutor.run_construction` runs it
@@ -42,15 +45,14 @@ builder remains the semantics reference.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import TYPE_CHECKING, Dict, Iterable, List
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
 from .csr import CSRGraph
 from .curation import CuratedKeyphrases, CuratedLeaf
 from .tokenize import TokenCache
-from .vocab import Vocabulary
+from .vocab import Vocabulary, intern_strings
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .model import LeafGraph
@@ -70,15 +72,15 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
         :func:`~repro.core.model.build_leaf_graph` on the same input.
     """
     n_labels = len(curated)
-    # One split per text, then one flat dict-resolve pass over every raw
-    # occurrence of the whole leaf (-1 marks dropped tokens).
+    # One split of the whole leaf, then one flat dict-resolve pass over
+    # every raw occurrence (-1 marks dropped tokens); the per-label
+    # counts are C-level maps, so no list per label stays alive.
     # Duplicates within a label survive to this point and are folded by
     # the sort + dedup in _leaf_graph.
-    per_label = [text.split() for text in curated.texts]
-    stream = cache.resolve_raws(list(chain.from_iterable(per_label)))
-    lengths = np.fromiter(map(len, per_label), dtype=np.int64,
-                          count=n_labels)
-    flat = np.fromiter(stream, dtype=np.int64, count=int(lengths.sum()))
+    stream = cache.resolve_raws(" ".join(curated.texts).split())
+    lengths = np.fromiter(map(len, map(str.split, curated.texts)),
+                          dtype=np.int64, count=n_labels)
+    flat = np.fromiter(stream, dtype=np.int64, count=len(stream))
     label_owner = np.repeat(np.arange(n_labels, dtype=np.int64), lengths)
     kept = flat >= 0
     if not kept.all():
@@ -161,13 +163,6 @@ def _leaf_graph(leaf_id: int, vocab: Vocabulary, edge_keys: np.ndarray,
     )
 
 
-def _first_occurrence_ids(strings: Iterable[str]) -> Dict[str, int]:
-    """Dense ids in first-occurrence order, interned in bulk: the ids
-    a ``Vocabulary.add`` loop assigns, without a call per string."""
-    index = dict.fromkeys(strings)
-    return dict(zip(index, range(len(index))))
-
-
 def pool_leaf_graphs(curated: CuratedKeyphrases,
                      leaf_graphs: Dict[int, "LeafGraph"]) -> "LeafGraph":
     """The pooled all-leaves graph, derived from the built leaf graphs.
@@ -188,29 +183,20 @@ def pool_leaf_graphs(curated: CuratedKeyphrases,
     """
     built = [(leaf, leaf_graphs[leaf_id])
              for leaf_id, leaf in curated.leaves.items() if len(leaf) > 0]
-    texts = list(chain.from_iterable(leaf.texts for leaf, _graph in built))
-    label_index = _first_occurrence_ids(texts)
-    word_index = _first_occurrence_ids(chain.from_iterable(
-        graph.word_vocab for _leaf, graph in built))
-    n_pooled = len(label_index)
-    pooled_of = np.fromiter(map(label_index.__getitem__, texts),
-                            dtype=np.int64, count=len(texts))
+    labels, label_ids = intern_strings([leaf.texts for leaf, _ in built])
+    words, word_ids = intern_strings([graph.word_vocab for _, graph in built])
+    n_pooled = len(labels)
     search_counts = np.full(n_pooled, np.iinfo(np.int64).min, np.int64)
     recall_counts = np.full(n_pooled, np.iinfo(np.int64).max, np.int64)
     edge_keys = [np.empty(0, dtype=np.int64)]  # concatenates with no leaf
-    offset = 0
-    for leaf, graph in built:
-        pooled_label = pooled_of[offset:offset + len(leaf)]
-        offset += len(leaf)
+    for (_leaf, graph), pooled_label, pooled_word in zip(
+            built, label_ids, word_ids):
         np.maximum.at(search_counts, pooled_label, graph.search_counts)
         np.minimum.at(recall_counts, pooled_label, graph.recall_counts)
-        pooled_word = np.fromiter(
-            map(word_index.__getitem__, graph.word_vocab),
-            dtype=np.int64, count=len(graph.word_vocab))
         # An empty vocabulary still has one (edgeless) CSR row.
         degrees = np.diff(graph.graph.indptr)[:len(pooled_word)]
         edge_keys.append(np.repeat(pooled_word, degrees) * n_pooled
                          + pooled_label[graph.graph.indices])
-    return _leaf_graph(-1, Vocabulary.from_interned(word_index),
-                       np.concatenate(edge_keys), list(label_index),
+    return _leaf_graph(-1, Vocabulary.from_interned(words),
+                       np.concatenate(edge_keys), labels,
                        search_counts, recall_counts)

@@ -53,7 +53,7 @@ from .alignment import get_alignment
 from .csr import CSRGraph
 from .model import GraphExModel, LeafGraph
 from .tokenize import SpaceTokenizer
-from .vocab import Vocabulary
+from .vocab import Vocabulary, intern_strings
 
 _META_FILE = "model.json"
 _POOLED_KEY = "pooled"
@@ -73,7 +73,8 @@ _POOL_BLOB = "pool/blob"
 _POOL_BYTE_OFFSETS = "pool/byte_offsets"
 _POOL_CHAR_OFFSETS = "pool/char_offsets"
 
-#: The sections :func:`_unpack_leaf` reads under each leaf's prefix.
+#: The sections under each leaf's prefix, in the order :func:`_pack_all`
+#: writes them; :func:`_unpack_leaf` reads them.
 _LEAF_SECTIONS = ("indptr", "indices", "label_lengths", "search_counts",
                   "recall_counts", "word_ids", "label_ids")
 
@@ -194,24 +195,6 @@ class LazyStringList(abc.Sequence):
 # Per-leaf pack/unpack
 
 
-def _pack_leaf(prefix: str, leaf: LeafGraph,
-               arrays: Dict[str, np.ndarray],
-               pool: Vocabulary) -> Dict[str, object]:
-    arrays[f"{prefix}/indptr"] = leaf.graph.indptr
-    arrays[f"{prefix}/indices"] = leaf.graph.indices
-    arrays[f"{prefix}/label_lengths"] = leaf.label_lengths
-    arrays[f"{prefix}/search_counts"] = leaf.search_counts
-    arrays[f"{prefix}/recall_counts"] = leaf.recall_counts
-    # The shared pool is itself a Vocabulary: append-only string → id.
-    arrays[f"{prefix}/word_ids"] = np.fromiter(
-        map(pool.add, leaf.word_vocab.tokens), dtype=np.int64,
-        count=len(leaf.word_vocab))
-    arrays[f"{prefix}/label_ids"] = np.fromiter(
-        map(pool.add, leaf.label_texts), dtype=np.int64,
-        count=len(leaf.label_texts))
-    return {"leaf_id": leaf.leaf_id}
-
-
 def _unpack_leaf(meta: Dict[str, object], arrays: Dict[str, np.ndarray],
                  prefix: str, string_pool, mmap: bool) -> LeafGraph:
     """One leaf over what :func:`_open_payload_v3` returned for the
@@ -241,14 +224,22 @@ def _unpack_leaf(meta: Dict[str, object], arrays: Dict[str, np.ndarray],
 
 def _pack_all(leaves: Sequence[LeafGraph]
               ) -> Tuple[Dict[str, Dict[str, object]],
-                         Dict[str, np.ndarray], Vocabulary]:
+                         Dict[str, np.ndarray], List[str]]:
+    """Each leaf's :data:`_LEAF_SECTIONS` under its key, and the shared
+    string pool.  The pool order is part of the artifact: leaf by leaf,
+    vocabulary words then label texts, first occurrence wins, as one
+    ``Vocabulary.add`` per string would give — interned here by one
+    :func:`~repro.core.vocab.intern_strings` pass over every leaf."""
+    pool, ids = intern_strings([part for leaf in leaves for part in
+                                (leaf.word_vocab, leaf.label_texts)])
     arrays: Dict[str, np.ndarray] = {}
-    leaves_meta: Dict[str, Dict[str, object]] = {}
-    pool = Vocabulary()
-    for leaf in leaves:
+    for leaf, word_ids, label_ids in zip(leaves, ids[::2], ids[1::2]):
         key = _leaf_key(leaf.leaf_id)
-        leaves_meta[key] = _pack_leaf(key, leaf, arrays, pool)
-    return leaves_meta, arrays, pool
+        arrays.update(zip([f"{key}/{name}" for name in _LEAF_SECTIONS], (
+            leaf.graph.indptr, leaf.graph.indices, leaf.label_lengths,
+            leaf.search_counts, leaf.recall_counts, word_ids, label_ids)))
+    return ({_leaf_key(leaf.leaf_id): {"leaf_id": leaf.leaf_id}
+             for leaf in leaves}, arrays, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +247,28 @@ def _pack_all(leaves: Sequence[LeafGraph]
 
 
 def _write_payload_v3(directory: Path, arrays: Dict[str, np.ndarray],
-                      pool_tokens: Sequence[str]) -> Tuple[str, Dict]:
+                      pool_tokens: List[str]) -> Tuple[str, Dict]:
     """Write the raw binary payload; returns (filename, manifest).
 
     Arrays are laid out little-endian at page-aligned offsets.  The
-    string pool becomes one UTF-8 blob plus byte offsets (for lazy
-    per-string decodes straight off the mapping) and codepoint offsets
-    (so a copied open can decode the whole blob once and slice).
+    string pool, in the order given, becomes one UTF-8 blob (a single
+    ``"".join(...).encode()``) plus byte offsets (for lazy per-string
+    decodes straight off the mapping) and codepoint offsets (so a
+    copied open can decode the whole blob once and slice); only a
+    non-ASCII string has more bytes than codepoints, so only those
+    are encoded one by one.
     """
-    encoded = [token.encode("utf-8") for token in pool_tokens]
-    byte_offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64,
-                          count=len(encoded)), out=byte_offsets[1:])
-    char_offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, pool_tokens), dtype=np.int64,
-                          count=len(encoded)), out=char_offsets[1:])
+    n = len(pool_tokens)
+    lengths = np.zeros((2, n + 1), dtype=np.int64)  # codepoints, bytes
+    lengths[:, 1:] = np.fromiter(map(len, pool_tokens), np.int64, count=n)
+    wide = np.flatnonzero(~np.fromiter(map(str.isascii, pool_tokens),
+                                       dtype=bool, count=n))
+    lengths[1, wide + 1] = [len(pool_tokens[i].encode("utf-8"))
+                            for i in wide.tolist()]
+    char_offsets, byte_offsets = np.cumsum(lengths, axis=1)
     payload = dict(arrays)
-    payload[_POOL_BLOB] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    payload[_POOL_BLOB] = np.frombuffer(
+        "".join(pool_tokens).encode("utf-8"), dtype=np.uint8)
     payload[_POOL_BYTE_OFFSETS] = byte_offsets
     payload[_POOL_CHAR_OFFSETS] = char_offsets
 
@@ -420,7 +416,7 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
         leaves.append(model.pooled_graph)
     leaves_meta, arrays, pool = _pack_all(leaves)
     # The payload first; ``model.json``, which names it, last.
-    filename, manifest = _write_payload_v3(directory, arrays, pool.tokens)
+    filename, manifest = _write_payload_v3(directory, arrays, pool)
     _replace_meta(directory, {
         "format_version": _FORMAT_VERSION,
         "alignment": model.alignment_name,

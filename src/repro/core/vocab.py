@@ -7,7 +7,31 @@ space and convert string comparisons to integer ones" (Section III-F).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from itertools import chain, count
+from typing import (Collection, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
+
+import numpy as np
+
+
+def intern_strings(parts: Sequence[Collection[str]]
+                   ) -> Tuple[List[str], List[np.ndarray]]:
+    """Intern the strings of ``parts``, taken in order, in one pass:
+    each string once in first-occurrence order, and per part the id
+    (index in that list) of each of its strings — the ids one
+    :meth:`Vocabulary.add` per string assigns, with no Python call per
+    string.  One C-level ``dict.setdefault`` map yields each string's
+    first position; a scatter of those positions plus a cumsum
+    densifies them."""
+    first: Dict[str, int] = {}
+    positions = np.fromiter(map(first.setdefault, chain.from_iterable(
+        parts), count()), dtype=np.int64)
+    is_first = np.zeros(len(positions), dtype=np.int64)
+    is_first[positions] = 1
+    ids = np.cumsum(is_first)[positions] - 1
+    ends = np.cumsum([len(part) for part in parts], dtype=np.int64).tolist()
+    return list(first), [ids[start:end]
+                         for start, end in zip([0] + ends, ends)]
 
 
 class Vocabulary:

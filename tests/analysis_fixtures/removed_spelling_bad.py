@@ -33,3 +33,6 @@ class ClusterExecutor:
 # lint-fixture-module: repro.cli
 def worker_options(parser):
     parser.add_argument("--spool")
+# lint-fixture-module: repro.core.serialization
+def _pack_leaf(prefix, leaf, arrays, pool):
+    return _first_occurrence_ids(leaf.label_texts)

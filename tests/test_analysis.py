@@ -119,7 +119,8 @@ class TestRuleFixtures:
             (27, "_run_construction_shard"), (28, "build_shard_bundle"),
             (28, "unpack_curated_leaves"), (31, "run_construction"),
             (32, '"leaf-bundle"'), (32, "save_leaf_graphs"),
-            (35, '"--spool"')]
+            (35, '"--spool"'), (37, "_pack_leaf"),
+            (38, "_first_occurrence_ids")]
 
     def test_mmap_bad_flags_all_three_shapes(self):
         report = lint_fixture("mmap_safety_bad.py",

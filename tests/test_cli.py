@@ -226,6 +226,44 @@ class TestWorkflow:
         assert main(["construct", "--curated", str(legacy), "--out",
                      str(tmp_path / "legacy_model")]) == 0
 
+    @pytest.mark.parametrize("leaf, problem", [
+        ({"texts": ["usb cable", "hdmi cable", "usb hub"],
+          "search_counts": [5, 4], "recall_counts": [1, 1, 1]},
+         "has 3 texts, 2 search counts and 3 recall counts"),
+        ({"texts": ["usb cable"], "search_counts": [5],
+          "recall_counts": [1, 2]},
+         "has 1 texts, 1 search counts and 2 recall counts"),
+        ({"texts": ["usb cable", 7], "search_counts": [5, 4],
+          "recall_counts": [1, 1]}, "has a text that is not a string"),
+        ({"texts": ["usb cable", "usb hub"], "search_counts": [5, True],
+          "recall_counts": [1, 1]}, "has a count that is not an integer"),
+        ({"texts": ["usb cable", "usb hub"], "search_counts": [5, 4],
+          "recall_counts": [1, 1.0]}, "has a count that is not an integer"),
+    ], ids=["short-search", "long-recall", "int-text", "bool-count",
+            "float-count"])
+    def test_construct_refuses_a_malformed_curated_leaf(
+            self, tmp_path, monkeypatch, leaf, problem):
+        """Regression: the columns were zipped, so a leaf with 3 texts
+        and 2 search counts built 2 labels and exited 0.  Now the file
+        is refused by name — leaf id and all three lengths — and no
+        leaf is built."""
+        from repro.core import execution
+
+        built = []
+        monkeypatch.setattr(execution, "build_leaf_graph_fast",
+                            lambda *args: built.append(args))
+        path = tmp_path / "curated.json"
+        path.write_text(json.dumps({
+            "effective_threshold": 1,
+            "leaves": {"100": {"texts": ["fine"], "search_counts": [1],
+                               "recall_counts": [1]}, "101": leaf}}))
+        out = tmp_path / "model"
+        with pytest.raises(ValueError) as refused:
+            main(["construct", "--curated", str(path), "--out", str(out)])
+        assert str(refused.value) \
+            == f"malformed curated file {path}: leaf 101 {problem}"
+        assert built == [] and not out.exists()
+
     def test_serve_nrt_demo_runs_multi_stream(self, workflow_dir, capsys):
         assert main(["serve-nrt", "--model", str(workflow_dir / "model"),
                      "--streams", "3", "--events", "40",

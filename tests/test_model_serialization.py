@@ -22,6 +22,7 @@ from repro.core.serialization import (LazyStringList, load_model,
                                       save_model)
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer)
+from repro.core.vocab import Vocabulary
 
 
 def curated_two_leaves() -> CuratedKeyphrases:
@@ -346,6 +347,41 @@ def curated_worlds(draw):
         config=CurationConfig(min_search_count=1))
 
 
+#: Pool stressors: non-ASCII, non-BMP, a token that drops to nothing
+#: ("!!!"), and words that are also drawn as one-word labels.
+_POOL_TOKENS = ["usb", "cable", "café", "音楽", "😀", "a😀b", "!!!"]
+
+
+@st.composite
+def pool_worlds(draw):
+    """Curated worlds for the string pool: 1-4 leaves of 1-6 texts of
+    0-3 tokens (so empty texts and repeats within and across leaves
+    are drawn), plus one text every leaf shares."""
+    phrase = st.lists(st.sampled_from(_POOL_TOKENS), max_size=3) \
+        .map(" ".join)
+    shared = draw(phrase)
+    leaves = {}
+    for leaf_id in range(1, draw(st.integers(1, 4)) + 1):
+        leaf = CuratedLeaf(leaf_id=leaf_id)
+        for text in draw(st.lists(phrase, min_size=1, max_size=6)) \
+                + [shared]:
+            leaf.add(text, draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+        leaves[leaf_id] = leaf
+    return CuratedKeyphrases(
+        leaves=leaves, effective_threshold=1,
+        config=CurationConfig(min_search_count=1))
+
+
+def _payload_sections(path: Path):
+    """Every manifest section of a saved model, as raw bytes."""
+    meta = json.loads((path / "model.json").read_text("utf-8"))
+    payload = (path / meta["arrays_file"]).read_bytes()
+    return {key: payload[entry["offset"]:entry["offset"]
+                         + np.dtype(entry["dtype"]).itemsize
+                         * int(np.prod(entry["shape"]))]
+            for key, entry in meta["arrays"].items()}
+
+
 def assert_graphs_identical(a, b):
     assert b.leaf_id == a.leaf_id
     assert b.word_vocab.tokens == a.word_vocab.tokens
@@ -621,7 +657,7 @@ class TestArtifactBytes:
     }
 
     @staticmethod
-    def pool_order_model() -> GraphExModel:
+    def pool_order_model(cafe: str = "café") -> GraphExModel:
         """Leaves + pooled; "usb cable" is shared by both leaves,
         "cable" and "usb" are each a word and a one-word label, and
         "café" makes byte and codepoint offsets differ."""
@@ -632,7 +668,7 @@ class TestArtifactBytes:
         leaf_b.add("hdmi cable", 3, 3)
         leaf_b.add("usb cable", 9, 2)
         leaf_b.add("usb", 1, 1)
-        leaf_b.add("café usb", 2, 2)
+        leaf_b.add(f"{cafe} usb", 2, 2)
         return GraphExModel.construct(CuratedKeyphrases(
             leaves={10: leaf_a, 11: leaf_b}, effective_threshold=1,
             config=CurationConfig(min_search_count=1)), build_pooled=True)
@@ -659,6 +695,71 @@ class TestArtifactBytes:
             assert section(key) == np.asarray(expected,
                                               dtype="<i8").tobytes()
 
+    def test_all_ascii_pool_has_byte_offsets_equal_to_char_offsets(
+            self, tmp_path):
+        """The same model with "cafe" for "café": every string is
+        ASCII, so no string is encoded on its own and the byte offsets
+        are the codepoint offsets; the ids do not move."""
+        sections = _payload_sections(
+            save_model(self.pool_order_model("cafe"), tmp_path / "m"))
+        pool = [text.replace("é", "e") for text in self.POOL]
+        assert sections["pool/blob"] == "".join(pool).encode("ascii")
+        assert sections["pool/byte_offsets"] \
+            == sections["pool/char_offsets"] \
+            == np.asarray(self.IDS["pool/char_offsets"], "<i8").tobytes()
+        for key, expected in self.IDS.items():
+            if not key.startswith("pool/"):
+                assert sections[key] == np.asarray(expected,
+                                                   "<i8").tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(curated=pool_worlds(), build_pooled=st.booleans())
+    def test_pool_sections_equal_a_vocabulary_add_reference(
+            self, curated, build_pooled):
+        """Over drawn worlds (non-ASCII and non-BMP tokens, empty
+        texts, repeats, one-word labels equal to words, texts shared by
+        leaves): every id section and the three pool sections equal the
+        reference — one ``Vocabulary.add`` per string, leaf by leaf,
+        words then labels, and one ``encode`` per pool string."""
+        model = GraphExModel.construct(curated, build_pooled=build_pooled)
+        pool = Vocabulary()
+        expected = {}
+        leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
+        for leaf in leaves + [model.pooled_graph] * build_pooled:
+            key = "pooled" if leaf.leaf_id == -1 else str(leaf.leaf_id)
+            expected[f"{key}/word_ids"] = [pool.add(word)
+                                           for word in leaf.word_vocab]
+            expected[f"{key}/label_ids"] = [pool.add(text)
+                                            for text in leaf.label_texts]
+        encoded = [text.encode("utf-8") for text in pool.tokens]
+        expected["pool/byte_offsets"] = np.cumsum([0] + list(map(
+            len, encoded)))
+        expected["pool/char_offsets"] = np.cumsum([0] + list(map(
+            len, pool.tokens)))
+        with tempfile.TemporaryDirectory() as tmp:
+            sections = _payload_sections(save_model(model, Path(tmp) / "m"))
+        assert sections.pop("pool/blob") == b"".join(encoded)
+        assert {key: value for key, value in sections.items()
+                if key.endswith(("_ids", "_offsets"))} == {
+            key: np.asarray(ids, "<i8").tobytes()
+            for key, ids in expected.items()}
+
+    @staticmethod
+    def assert_failed_save_kept_the_old_model(path, old):
+        """What every failed save must leave behind: no temp file, the
+        old model loading mapped and copied and serving as before, and
+        a directory the next good save converges to one payload."""
+        requests = _world_requests(old)
+        expected = batch_recommend(old, requests, k=5)
+        assert [p.name for p in path.iterdir() if ".tmp" in p.name] == []
+        for mmap in (True, False):
+            survivor = load_model(path, mmap=mmap)
+            assert_models_identical(old, survivor)
+            assert batch_recommend(survivor, requests, k=5) == expected
+        save_model(TestArtifactBytes.pool_order_model(), path)
+        assert sorted(p.name.split("-")[0] for p in path.iterdir()) \
+            == ["arrays", "model.json"]
+
     @pytest.mark.parametrize("failing_fsync", [1, 2],
                              ids=["payload", "manifest"])
     def test_failed_write_leaves_no_temp_file(self, tmp_path,
@@ -673,8 +774,6 @@ class TestArtifactBytes:
         old = GraphExModel.construct(curated_two_leaves(),
                                      build_pooled=True)
         path = save_model(old, tmp_path / "m")
-        requests = _world_requests(old)
-        expected = batch_recommend(old, requests, k=5)
         real_fsync = os.fsync
         calls = []
 
@@ -690,15 +789,74 @@ class TestArtifactBytes:
         monkeypatch.undo()
 
         assert len(calls) == failing_fsync
-        assert [p.name for p in path.iterdir() if ".tmp" in p.name] == []
-        for mmap in (True, False):
-            survivor = load_model(path, mmap=mmap)
-            assert_models_identical(old, survivor)
-            assert batch_recommend(survivor, requests, k=5) == expected
-        # The next good save converges the directory to one payload.
-        save_model(self.pool_order_model(), path)
-        assert sorted(p.name.split("-")[0] for p in path.iterdir()) \
-            == ["arrays", "model.json"]
+        self.assert_failed_save_kept_the_old_model(path, old)
+
+    @pytest.mark.parametrize("writer", ["arrays-", "model.json"],
+                             ids=["payload", "manifest"])
+    @pytest.mark.parametrize("fault", ["short_write", "replace"])
+    def test_enospc_and_failed_replace_leave_no_temp_file(
+            self, tmp_path, monkeypatch, writer, fault):
+        """Two more faults in each writer: a write that lands half its
+        bytes and then raises ``OSError(28)`` partway through the file,
+        and an ``os.replace`` of the finished temp file that raises.
+        Either propagates and leaves the old model serving."""
+        import builtins
+        import os
+
+        from repro.core import serialization
+
+        old = GraphExModel.construct(curated_two_leaves(),
+                                     build_pooled=True)
+        path = save_model(old, tmp_path / "m")
+        fired = []
+
+        class ShortWriter:
+            """The second write lands half its data, then fails."""
+
+            def __init__(self, handle):
+                self.handle, self.writes = handle, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    self.handle.write(data[:len(data) // 2])
+                    fired.append(self.handle.name)
+                    raise OSError(28, "No space left on device")
+                return self.handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return self.handle.__exit__(*exc_info)
+
+        def short_open(file, *args, **kwargs):
+            handle = builtins.open(file, *args, **kwargs)
+            return (ShortWriter(handle) if Path(file).name.startswith(writer)
+                    else handle)
+
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name.startswith(writer):
+                fired.append(str(src))
+                raise OSError(5, "Input/output error")
+            return real_replace(src, dst)
+
+        if fault == "short_write":
+            monkeypatch.setattr(serialization, "open", short_open,
+                                raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="No space left|Input/output"):
+            save_model(self.pool_order_model(), path)
+        monkeypatch.undo()
+
+        assert len(fired) == 1 and ".tmp" in Path(fired[0]).name
+        self.assert_failed_save_kept_the_old_model(path, old)
 
 
 class TestTruncatedPayload:

@@ -8,7 +8,46 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.csr import CSRGraph
-from repro.core.vocab import Vocabulary
+from repro.core.vocab import Vocabulary, intern_strings
+
+#: Words, one-word labels equal to words, non-ASCII and non-BMP text,
+#: and the empty string.
+_WORDS = ["usb", "cable", "café", "音楽", "😀", "a😀b", ""]
+
+
+@st.composite
+def leaf_parts(draw):
+    """The parts a save interns: leaf by leaf, the leaf's words (a
+    ``Vocabulary``) then its label texts, with one text every leaf
+    shares; empty leaves and empty vocabularies included."""
+    phrase = st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join)
+    shared = draw(phrase | st.text(max_size=3))
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        labels = draw(st.lists(phrase | st.text(max_size=3),
+                               max_size=5)) + [shared] * draw(st.booleans())
+        parts += [Vocabulary(word for label in labels
+                             for word in label.split()), labels]
+    return parts
+
+
+class TestInternStrings:
+    @given(parts=leaf_parts())
+    def test_matches_a_vocabulary_add_loop(self, parts):
+        """Same distinct order, and per part the same id per string, as
+        one ``Vocabulary.add`` per string over the parts in order."""
+        vocab = Vocabulary()
+        expected = [[vocab.add(text) for text in part] for part in parts]
+        distinct, ids = intern_strings(parts)
+        assert distinct == vocab.tokens
+        assert all(part.dtype == np.int64 for part in ids)
+        assert [part.tolist() for part in ids] == expected
+
+    def test_no_parts_and_empty_parts(self):
+        assert intern_strings([]) == ([], [])
+        distinct, ids = intern_strings([[], ["a", "b", "a"], []])
+        assert distinct == ["a", "b"]
+        assert [part.tolist() for part in ids] == [[], [0, 1, 0], []]
 
 
 class TestVocabulary:
