@@ -16,7 +16,7 @@ only through its TCP connection, exactly as a real remote host would.
 For worker *subprocesses* — separate "machines" with their own memory
 maps — run the CLI sibling::
 
-    repro-graphex cluster-run --model model_dir/ --spawn-workers 3 --kill-after 0
+    repro-graphex cluster-run --model model_dir/ --workers 3 --kill-after 0
 
 Run:  PYTHONPATH=src python examples/cluster_run.py
 """

@@ -25,6 +25,12 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("EXECUTOR_NAMES supports_reference fast_batch_recommend", NOWHERE,
+     "one fleet value (in process a batch is one engine call)"),
+    ("_cli_executor _close_executor _add_executor_options oracle_option",
+     NOWHERE, "one fleet value (a fleet is a with block over local(N))"),
+    ('"--executor" "--spawn-workers"', NOWHERE,
+     "one fleet value (the CLI says --workers N)"),
     ("_first_occurrence_ids _pack_leaf", NOWHERE,
      "one interning pass (vocab.intern_strings) per string stream"),
     ("ConstructionJob build_shard_bundle merge_bundle save_leaf_graphs "

@@ -5,11 +5,11 @@ Mirrors a production workflow in six subcommands::
     repro-graphex simulate  --out logs.json [--profile tiny|default]
     repro-graphex curate    --log logs.json --out curated.json [--min-search-count N] [--engine reference|fast]
     repro-graphex construct --curated curated.json --out model_dir/ [--builder reference|fast]
-    repro-graphex recommend --model model_dir/ --title "..." --leaf ID [-k N] [--engine reference|fast] [--executor serial|process|cluster [--workers N]] [--mmap]
-    repro-graphex serve-nrt --model model_dir/ [--streams N] [--events N] [--refresh-after N] [--executor serial|process|cluster [--workers N]]
+    repro-graphex recommend --model model_dir/ --title "..." --leaf ID [-k N] [--engine reference|fast] [--workers N] [--mmap]
+    repro-graphex serve-nrt --model model_dir/ [--streams N] [--events N] [--refresh-after N] [--workers N]
     repro-graphex evaluate  [--profile tiny|default] [--meta CAT_1]
     repro-graphex cluster-worker --connect HOST:PORT [--name W] [--die-after-assignments N]
-    repro-graphex cluster-run --model model_dir/ [--spawn-workers N] [--kill-after K] [--metrics-out PATH]
+    repro-graphex cluster-run --model model_dir/ [--workers N] [--kill-after K] [--metrics-out PATH]
     repro-graphex metrics SNAPSHOT.json [SNAPSHOT.json ...] [--merge-out PATH]
 
 ``simulate`` writes aggregated keyphrase stats (the only GraphEx training
@@ -23,7 +23,10 @@ the asyncio multi-stream NRT front (``--refresh-after`` adds a mid-run
 zero-downtime model hot-swap, handed off by artifact *path* so the
 model remaps instead of reloading); serving runs the fast engine only,
 so it has no ``--engine`` — the scalar oracles are selected on
-``curate``, ``construct`` and ``recommend``.
+``curate``, ``construct`` and ``recommend``.  Where inference runs is
+one value, ``--workers N``: ``0`` (the default) is this process, and
+``N >= 1`` a ``with`` block over ``ClusterExecutor.local(N)``, a
+localhost fleet of ``N`` worker subprocesses.
 ``evaluate`` runs the miniature Table III comparison.
 
 Observability rides along everywhere: ``serve-nrt`` and
@@ -41,12 +44,13 @@ import dataclasses
 import json
 import sys
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 from .core.alignment import ALIGNMENTS
 from .core.batch import ENGINES, batch_recommend
 from .core.curation import CURATION_ENGINES, CurationConfig, curate
-from .core.execution import EXECUTOR_NAMES
+from .core.execution import ClusterExecutor
 from .core.model import BUILDERS, GraphExModel
 from .core.serialization import load_model, save_model
 from .data.generator import DEFAULT_PROFILE, TINY_PROFILE, generate_dataset
@@ -73,13 +77,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: What each field of a ``simulate --out`` stats record must hold.
+_STAT_FIELDS = {"text": str, "leaf_id": int, "search_count": int,
+                "recall_count": int}
+
+
 def _load_stats(path: str) -> List[KeyphraseStat]:
+    """The ``simulate --out`` stats.  A record whose text is not a
+    ``str``, or whose leaf id or count is not an ``int`` (a ``bool``
+    neither), is a ``ValueError`` naming the file, record and field."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return [KeyphraseStat(text=s["text"], leaf_id=s["leaf_id"],
-                          search_count=s["search_count"],
-                          recall_count=s["recall_count"])
-            for s in payload["stats"]]
+    for index, record in enumerate(payload["stats"]):
+        for field, kind in _STAT_FIELDS.items():
+            if type(record.get(field)) is not kind:
+                raise ValueError(
+                    f"malformed stats file {path}: record {index} has "
+                    f"{field} {record.get(field)!r}, not {kind.__name__}")
+    return [KeyphraseStat(**{field: record[field] for field in _STAT_FIELDS})
+            for record in payload["stats"]]
 
 
 def _cmd_curate(args: argparse.Namespace) -> int:
@@ -145,25 +161,6 @@ def _load_curated(path: str):
         config=CurationConfig(**payload.get("config", {})))
 
 
-def _cli_executor(args: argparse.Namespace):
-    """The ``--executor`` value as an executor spec.  ``process`` and
-    ``cluster`` both boot a localhost fleet of ``--workers`` worker
-    subprocesses (:meth:`repro.core.execution.ClusterExecutor.local`);
-    the caller owns the returned instance and must ``close()`` it."""
-    if args.executor in ("process", "cluster"):
-        from .core.execution import ClusterExecutor
-
-        return ClusterExecutor.local(args.workers)
-    return args.executor
-
-
-def _close_executor(spec) -> None:
-    """Tear down an executor ``_cli_executor`` instantiated (a string
-    or ``None`` spec owns nothing and is left alone)."""
-    if hasattr(spec, "close"):
-        spec.close()
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     curated = _load_curated(args.curated)
     start = time.perf_counter()
@@ -181,14 +178,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
     model = load_model(args.model, mmap=args.mmap)
-    executor = _cli_executor(args)
-    try:
-        results = batch_recommend(model, [(0, args.title, args.leaf)],
-                                  k=args.k, engine=args.engine,
-                                  executor=executor)
-    finally:
-        _close_executor(executor)
-    recs = results[0]
+    with (ClusterExecutor.local(args.workers) if args.workers
+          else nullcontext()) as executor:
+        recs = batch_recommend(model, [(0, args.title, args.leaf)],
+                               k=args.k, engine=args.engine,
+                               executor=executor)[0]
     if not recs:
         print("(no recommendations)")
         return 0
@@ -265,16 +259,14 @@ def _cmd_serve_nrt(args: argparse.Namespace) -> int:
         for event in events:
             await front.submit(name, event)
 
-    executor = _cli_executor(args)
-    try:
+    with (ClusterExecutor.local(args.workers) if args.workers
+          else nullcontext()) as executor:
         front = AsyncNRTFront(
             model, window_size=args.window_size,
             window_seconds=args.window_seconds, executor=executor)
         for name in streams:
             front.add_stream(name)
         elapsed = asyncio.run(drive())
-    finally:
-        _close_executor(executor)
     total = args.streams * args.events
     for stats in front.all_stats():
         print(f"{stats.name}: {stats.n_submitted} events -> "
@@ -376,7 +368,7 @@ def _synthesize_requests(model: GraphExModel, n: int,
 def _cmd_cluster_run(args: argparse.Namespace) -> int:
     """Demo/smoke of the fault-tolerant cluster runner.
 
-    Spawns ``--spawn-workers`` real worker *subprocesses* (each its own
+    Spawns ``--workers`` real worker *subprocesses* (each its own
     "machine"), runs a batch across them, verifies the merged output
     element-wise against the in-process fast path, and prints the run
     report.  ``--kill-after K`` arms the first worker's kill switch so
@@ -400,7 +392,7 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
                 retry=RetryPolicy(seed=args.seed),
                 heartbeat_timeout=4.0) as coordinator:
             try:
-                for index in range(args.spawn_workers):
+                for index in range(args.workers):
                     flags = ["--heartbeat", "0.5"]
                     if args.kill_after is not None and index == 0:
                         flags += ["--die-after-assignments",
@@ -408,7 +400,7 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
                     procs.append(spawn_worker(
                         f"{coordinator.host}:{coordinator.port}",
                         f"machine-{index}", *flags))
-                await coordinator.wait_for_workers(args.spawn_workers,
+                await coordinator.wait_for_workers(args.workers,
                                                    timeout=30.0)
                 start = time.perf_counter()
                 got = await coordinator.run_inference(
@@ -422,7 +414,7 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
             rate = len(requests) / elapsed if elapsed > 0 \
                 else float("inf")
             print(f"ran {len(requests)} requests across "
-                  f"{args.spawn_workers} worker machines in "
+                  f"{args.workers} worker machines in "
                   f"{elapsed:.3f}s ({rate:,.0f} req/s)")
             for field, value in sorted(report.as_dict().items()):
                 if field == "fleet_metrics":
@@ -441,25 +433,6 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
             return 0 if identical else 1
 
     return asyncio.run(drive())
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run repro-lint (:mod:`repro.analysis`) — same engine and exit
-    codes as ``python -m repro.analysis``."""
-    from .analysis.__main__ import main as lint_main
-
-    argv: List[str] = []
-    if args.root is not None:
-        argv += ["--root", args.root]
-    if args.json is not None:
-        argv += ["--json", args.json]
-    for rule in args.rule or ():
-        argv += ["--rule", rule]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.quiet:
-        argv.append("--quiet")
-    return lint_main(argv)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -498,30 +471,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_executor_options(parser: argparse.ArgumentParser, unit: str,
-                          path: Optional[str] = None, choices=()) -> None:
-    """The ``--executor`` / ``--workers`` pair shared by recommend and
-    serve-nrt — and, for recommend, which has a scalar oracle to
-    select, its ``--engine`` option."""
-    pairing = ""
-    if path is not None:
-        parser.add_argument(f"--{path}", choices=choices, default="fast",
-                            help=f"scalar reference {path} or the "
-                                 f"vectorized fast one (identical output)")
-        pairing = f"; only serial pairs with the reference {path}"
-    parser.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
-                        help=f"where shards of {unit} run: 'serial' "
-                             f"(default) is this process, the oracle and "
-                             f"on one box the fastest; 'process' and "
-                             f"'cluster' both boot a localhost fleet of "
-                             f"--workers worker processes — identical "
-                             f"output on each{pairing}")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="size of the fleet --executor "
-                             "process|cluster boots (ignored by serial)")
-    # Which of the two names the oracle option goes by here, if any:
-    # main() refuses its "reference" value on a fleet.
-    parser.set_defaults(oracle_option=path)
+def _fleet_size(text: str) -> int:
+    """A ``--workers`` value: a count of worker processes, not below 0."""
+    workers = int(text)
+    if workers < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {workers}")
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,7 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--title", required=True)
     p_rec.add_argument("--leaf", type=int, required=True)
     p_rec.add_argument("-k", type=int, default=10)
-    _add_executor_options(p_rec, "leaf groups", "engine", ENGINES)
+    p_rec.add_argument("--engine", choices=ENGINES, default="fast",
+                       help="scalar reference engine or the vectorized "
+                            "fast one (identical output)")
+    p_rec.add_argument("--workers", type=_fleet_size, default=0,
+                       help="0 (default) serves in this process, the "
+                            "oracle and on one box the fastest; N boots "
+                            "a localhost fleet of N worker processes — "
+                            "identical output; only 0 pairs with "
+                            "--engine reference")
     p_rec.add_argument("--mmap", action="store_true",
                        help="open the model zero-copy over the "
                             "format-3 artifact file (read-only views, "
@@ -585,7 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="events synthesized per stream")
     p_srv.add_argument("--window-size", type=int, default=32)
     p_srv.add_argument("--window-seconds", type=float, default=1.0)
-    _add_executor_options(p_srv, "window micro-batch leaf groups")
+    p_srv.add_argument("--workers", type=_fleet_size, default=0,
+                       help="0 (default) flushes windows in this "
+                            "process; N boots a localhost fleet of N "
+                            "worker processes to serve them on")
     p_srv.add_argument("--refresh-after", type=int, default=0,
                        help="hot-swap a freshly loaded model after this "
                             "many events per stream, mid-run (0 = no "
@@ -621,12 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster-run",
         help="demo the fault-tolerant cluster runner on subprocess "
              "worker machines, verifying bit-identical output (the "
-             "same fleet 'recommend --executor cluster' boots, with "
+             "same fleet 'recommend --workers N' boots, with "
              "a kill switch and a run report)")
     p_crn.add_argument("--model", required=True,
                        help="serialized model directory (mmap-shared "
                             "across the machines)")
-    p_crn.add_argument("--spawn-workers", type=int, default=3,
+    p_crn.add_argument("--workers", type=_fleet_size, default=3,
                        help="worker subprocesses ('machines') to spawn")
     p_crn.add_argument("--kill-after", type=int, default=None,
                        help="arm the first worker's kill switch: it "
@@ -656,42 +622,34 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the merged snapshot as JSON")
     p_met.set_defaults(func=_cmd_metrics)
 
-    p_lnt = sub.add_parser(
-        "lint",
+    # No options of its own: repro-lint's parser reads what follows.
+    sub.add_parser(
+        "lint", add_help=False,
         help="run repro-lint, the AST invariant checker, over the "
-             "package (exit 1 on any unwaived violation)")
-    p_lnt.add_argument("--root", default=None,
-                       help="package directory to lint (default: the "
-                            "installed repro package)")
-    p_lnt.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the machine-readable JSON "
-                            "report here (the CI artifact)")
-    p_lnt.add_argument("--rule", action="append", default=None,
-                       metavar="RULE-ID",
-                       help="run only this rule (repeatable; see "
-                            "--list-rules)")
-    p_lnt.add_argument("--list-rules", action="store_true",
-                       help="list registered rules and exit")
-    p_lnt.add_argument("--quiet", action="store_true",
-                       help="suppress the report on success")
-    p_lnt.set_defaults(func=_cmd_lint)
+             "package (exit 1 on any unwaived violation; see "
+             "'lint --help')")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        # One parser for one tool: ``python -m repro.analysis``'s own.
+        from .analysis.__main__ import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     # The one pairing the library refuses (resolve_executor) is known
     # from the flags alone: a usage error, raised before the command
     # loads a model or boots a fleet only to tear it down.
-    path = getattr(args, "oracle_option", None)
-    if path is not None and args.executor in ("process", "cluster") \
-            and getattr(args, path) == "reference":
-        parser.error(
-            f"{args.command}: --{path} reference runs only on --executor "
-            f"serial; the scalar path stays single-process as the "
-            f"semantics reference")
+    if getattr(args, "workers", 0) \
+            and getattr(args, "engine", None) == "reference":
+        parser.error(f"{args.command}: --engine reference runs only "
+                     f"in process (--workers 0); the scalar path stays "
+                     f"single-process as the semantics reference")
     return args.func(args)
 
 

@@ -32,7 +32,7 @@ host crash mid-plan.
 :func:`spawn_worker` / :func:`reap_workers` start and collect workers
 as real subprocesses of the ``repro.cli cluster-worker`` entry point —
 the one launcher behind ``ClusterExecutor.local`` (what the CLI's
-``--executor process|cluster`` boots) and ``cluster-run``.
+``--workers N`` boots) and ``cluster-run``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from .alignment import ALIGNMENTS, get_alignment, jac, lta, wmr
 from .batch import ENGINES, batch_recommend
 from .csr import CSRGraph
 from .fast_construct import build_leaf_graph_fast
-from .fast_inference import LeafBatchRunner, fast_batch_recommend
+from .fast_inference import LeafBatchRunner
 from .curation import (
     CURATION_ENGINES,
     CuratedKeyphrases,
@@ -25,7 +25,6 @@ from .model import BUILDERS, GraphExModel, LeafGraph, build_leaf_graph
 from .serialization import load_model, model_size_bytes, save_model
 from .sharding import ShardExecutionError, ShardPlan
 from .execution import (
-    EXECUTOR_NAMES,
     ClusterExecutor,
     Executor,
     SerialExecutor,
@@ -51,7 +50,6 @@ __all__ = [
     "batch_recommend",
     "CSRGraph",
     "LeafBatchRunner",
-    "fast_batch_recommend",
     "BUILDERS",
     "build_leaf_graph_fast",
     "CURATION_ENGINES",
@@ -71,7 +69,6 @@ __all__ = [
     "build_leaf_graph",
     "ShardExecutionError",
     "ShardPlan",
-    "EXECUTOR_NAMES",
     "ClusterExecutor",
     "Executor",
     "SerialExecutor",

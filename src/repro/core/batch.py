@@ -21,11 +21,12 @@ order); ``tests/test_fast_inference.py`` pins that property.
 
 Orthogonally, ``executor=`` — the one spelling, resolved by
 :func:`repro.core.execution.resolve_executor` — picks where the fast
-engine's leaf-group shards run: here, on the calling thread (``None``
+engine runs: here, as one engine call on the calling thread (``None``
 / ``"serial"``, the default and the fastest place on one box), or on
 the fleet an :class:`repro.core.execution.ClusterExecutor` instance
-carries.  How a batch is cut into leaf groups and merged back (last
-request for an id wins) lives once, in
+carries.  Duplicate item ids resolve once, in :func:`last_request_wins`
+(the last request for an id wins); how the fleet cuts a batch into
+leaf groups and merges them back lives once, in
 :class:`repro.core.execution.InferenceJob`.  The reference engine stays
 single-process by design — it is the semantics oracle.
 """
@@ -114,7 +115,7 @@ def batch_recommend(model: GraphExModel,
         hard_limit: Optional strict cap per item.
         engine: ``"fast"`` (vectorized leaf-batched) or ``"reference"``
             (scalar loop).
-        executor: Where the fast engine's leaf-group shards run —
+        executor: Where the fast engine runs —
             ``None`` / ``"serial"`` (the calling thread, default) or an
             :class:`repro.core.execution.Executor` instance (a
             ``ClusterExecutor`` carries its own fleet).  Output is

@@ -7,9 +7,9 @@ both behind one :class:`Executor` interface, chosen everywhere
 keyword, which :func:`resolve_executor` turns into an instance:
 
 ===============  ===============  ==========================  =======
-``executor=``    class            where shards run            oracle?
+``executor=``    class            where a batch runs          oracle?
 ===============  ===============  ==========================  =======
-``None``/serial  SerialExecutor   calling thread, one shard   yes
+``None``/serial  SerialExecutor   calling thread, one call    yes
 an instance      ClusterExecutor  worker processes over TCP   no
 ===============  ===============  ==========================  =======
 
@@ -19,26 +19,27 @@ refuses any other executor: a fleet built slower than the inline loop
 at every scale measured (see :class:`Executor`).
 
 There is no in-process pool: two threads measured slower than one
-(see :class:`Executor`), so in process there is one substrate, inline.
-Out of process there is one plane, the cluster's: a
-:class:`ClusterExecutor` carries its own fleet — its size and its
-lifetime — so no entry point takes a worker count.  The CLI's
-``--executor process|cluster --workers N`` both mean
+(see :class:`Executor`), so in process there is one substrate, inline,
+and a batch is one ``LeafBatchRunner.run_indexed`` call.  Out of
+process there is one plane, the cluster's: a :class:`ClusterExecutor`
+carries its own fleet — its size and its lifetime — so no entry point
+takes a worker count.  The CLI's ``--workers N`` (``N >= 1``) means
 ``ClusterExecutor.local(N)``, a fleet of ``N`` worker subprocesses on
-this box.
+this box; ``0``, its default, means in process.
 
 Both substrates are bound by the same non-negotiable contract:
 **element-wise identical inference output** for any fleet size and any
 failure topology — pinned by the cross-executor property suite in
 ``tests/test_execution.py``.
 
-The contract is implemented once, here.  :class:`InferenceJob` owns
-how a batch is cut into leaf-group units (the
-:class:`~repro.core.sharding.ShardPlan`), how unit rows are merged back
-(by request index, last request wins), and how many requests a unit
-settled (what ``run_local`` and ``merge`` return).  Each substrate —
-the cluster coordinator and worker included — only decides *where* a
-unit runs and hands the outcome to the job.
+The fleet's half of the contract is implemented once, here.
+:class:`InferenceJob` owns how a batch is cut into leaf-group units
+(the :class:`~repro.core.sharding.ShardPlan`), how unit rows are merged
+back (by request index, last request wins), and how many requests a
+unit settled (what ``run_local`` and ``merge`` return).  The cluster
+coordinator — its local fallback included — only decides *where* a
+unit runs and hands the outcome to the job.  Merged unit by unit, a
+job equals the serial call for any cut (a hypothesis property).
 
 Plans balance on one cost, the request-count proxy defined in
 :meth:`ShardPlan.for_inference`.  A plan only changes *which shard*
@@ -69,37 +70,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .curation import CuratedKeyphrases
     from .model import GraphExModel, LeafGraph
 
-__all__ = ["EXECUTOR_NAMES", "Executor", "SerialExecutor",
-           "ClusterExecutor", "InferenceJob", "resolve_executor"]
-
-#: What the CLI's ``--executor`` flag offers.  The library resolves
-#: only ``"serial"`` from a string (:func:`resolve_executor`); the other
-#: two name the fleet the CLI boots with ``ClusterExecutor.local``.
-EXECUTOR_NAMES = ("serial", "process", "cluster")
+__all__ = ["Executor", "SerialExecutor", "ClusterExecutor",
+           "InferenceJob", "resolve_executor"]
 
 
 # ---------------------------------------------------------------------------
-# The scatter/merge contract: one copy, called by every substrate
+# The fleet's scatter/merge contract: one copy, called by the coordinator
 
 
 class InferenceJob:
     """One request batch, cut into leaf-group units and merged back —
-    the single implementation of the inference scatter/merge contract.
+    the single implementation of the fleet's scatter/merge contract.
 
     Requests are grouped by the leaf graph that serves them and the
     groups balanced into shards (:meth:`ShardPlan.for_inference`).  A
     *unit* is any tuple of group keys: a planned shard, a re-planned
-    orphan set, one key.  Whoever runs a unit feeds all of
-    :meth:`requests_of` through one ``LeafBatchRunner.run_indexed``
-    call — the engine packs the unit's leaf groups into cross-leaf
-    chunks itself, so a unit of many small groups costs what one large
-    group does — and hands the rows to :meth:`merge`.  (A cluster
-    worker runs the same call only up to its ranked columns,
-    ``run_ranked``; the coordinator materialises them against the same
-    artifact, so what reaches :meth:`merge` is the same rows — or the
-    same texts, for a job built with ``texts=True``.)  A
-    request whose leaf has neither a graph nor the pooled fallback
-    belongs to no unit and keeps ``[]``.
+    orphan set, one key.  A worker runs a unit's :meth:`requests_of`
+    up to its ranked columns (``run_ranked``) and the coordinator
+    materialises them against the same artifact; the coordinator's
+    local fallback feeds them through one ``LeafBatchRunner.run_indexed``
+    call (:meth:`run_local`).  Either way the same rows — or the same
+    texts, for a job built with ``texts=True`` — reach :meth:`merge`.
+    A request whose leaf has neither a graph nor the pooled fallback
+    belongs to no unit and keeps ``[]``.  In process there is nothing
+    to cut: :class:`SerialExecutor` runs the whole batch as one call.
 
     Constructing the job builds the local runner behind
     :meth:`run_local`, which validates ``hard_limit`` before any unit
@@ -155,7 +149,7 @@ class InferenceJob:
 
 
 class Executor:
-    """One place leaf-group inference shards can run.
+    """One place a leaf-group inference batch can run.
 
     Subclasses implement :meth:`run_inference`.  Both substrates are
     output-equivalent — the contract in the module docstring — so
@@ -206,17 +200,12 @@ class Executor:
 
     Attributes:
         name: The spelling this class answers to.
-        supports_reference: Whether the scalar ``reference``
-            engine/builder may pair with this executor.  Only the
-            in-process one does — the scalar paths stay single-process
-            as the semantics oracle.
         metrics: The :class:`~repro.obs.MetricsRegistry` this executor
             records into; a :class:`~repro.obs.NullRegistry` (telemetry
             off) by default.
     """
 
     name: str = "abstract"
-    supports_reference: bool = False
 
     def __init__(self, *,
                  metrics: Optional[MetricsRegistry] = None) -> None:
@@ -246,21 +235,22 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """The in-process substrate, the default, and the oracle: one
-    shard, the calling thread, no pool.
+    """The in-process substrate, the default, and the oracle: the
+    calling thread, no plan, no pool.
 
     It is the code path ``batch_recommend`` runs when given no
     ``executor=``, the reference the cross-executor property suite
-    compares a fleet against, and the one place the fast builder runs
-    (:meth:`run_construction`).  An inference batch is one timed unit
-    (the engine packs its leaf groups into cross-leaf chunks itself, as
-    on a cluster worker); construction runs and times leaf by leaf
-    against one shared ``TokenCache``.  Both land in :attr:`metrics`
-    under ``executor.*{executor=serial}``.
+    compares a fleet against, the only executor the scalar
+    ``reference`` engine pairs with, and the one place the fast builder
+    runs (:meth:`run_construction`).  An inference batch is one timed
+    ``LeafBatchRunner.run_indexed`` call (the engine packs its leaf
+    groups into cross-leaf chunks itself) plus
+    :func:`~repro.core.batch.last_request_wins`; construction runs and
+    times leaf by leaf against one shared ``TokenCache``.  Both land in
+    :attr:`metrics` under ``executor.*{executor=serial}``.
     """
 
     name = "serial"
-    supports_reference = True
 
     def _record(self, kind: str, unit: str, settled: int,
                 seconds: float) -> None:
@@ -274,14 +264,12 @@ class SerialExecutor(Executor):
                       k: int = 10, hard_limit: Optional[int] = None, *,
                       texts: bool = False
                       ) -> Union[BatchResult, TextResult]:
-        job = InferenceJob(model, requests, 1, k=k, hard_limit=hard_limit,
-                           texts=texts)
-        for shard in job.plan.shards:
-            start = time.perf_counter()
-            settled = job.run_local(shard)
-            self._record("inference", "requests", settled,
-                         time.perf_counter() - start)
-        return job.output()
+        start = time.perf_counter()
+        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
+        rows = runner.run_indexed(requests, texts=texts)
+        self._record("inference", "requests", len(rows),
+                     time.perf_counter() - start)
+        return last_request_wins(requests, rows)
 
     def run_construction(self, curated: "CuratedKeyphrases",
                          tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER
@@ -356,7 +344,8 @@ class ClusterExecutor(Executor):
         (:func:`~repro.cluster.worker.spawn_worker` — the ``repro.cli
         cluster-worker`` entry point ``cluster-run`` also launches),
         and returns the executor once every one has registered.  What
-        the CLI's ``--executor process|cluster --workers N`` boots.
+        the CLI's ``--workers N`` boots.  ``workers < 1`` is a
+        ``ValueError``: a fleet is never silently resized.
 
         A worker that exits before registering fails the boot at once
         with its exit code and the tail of its stderr.  :meth:`close`
@@ -367,7 +356,9 @@ class ClusterExecutor(Executor):
         from ..cluster.coordinator import ClusterCoordinator, ClusterError
         from ..cluster.worker import spawn_worker
 
-        workers = max(1, int(workers))
+        if workers < 1:
+            raise ValueError(f"a fleet needs at least one worker, got "
+                             f"workers={workers!r}")
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever,
                                   name="graphex-cluster-loop",
@@ -482,28 +473,21 @@ def resolve_executor(executor: Union[Executor, str, None] = None, *,
       its own fleet and metrics registry);
     * ``None`` and ``"serial"`` build a :class:`SerialExecutor`
       recording into ``metrics``;
-    * ``"process"`` and ``"cluster"`` are names the CLI offers but not
-      valid *strings* here — a fleet cannot be conjured from one.
+    * any other string is an error — a fleet cannot be conjured from
+      one (``ClusterExecutor.local(N)`` boots one).
 
     ``engine`` (an engine *or* builder name) enforces the oracle
     pairing rule: the scalar ``reference`` paths stay single-process,
-    so only executors with :attr:`Executor.supports_reference` may
-    serve them.
+    so only a :class:`SerialExecutor` may serve them.
 
     Raises:
-        ValueError: On an unknown spelling, a bare fleet name, or a
-            reference engine/builder paired with an out-of-process
-            executor.
+        ValueError: On an unknown spelling, or a reference
+            engine/builder paired with an out-of-process executor.
     """
     if isinstance(executor, Executor):
         resolved = executor
     elif executor is None or executor == "serial":
         resolved = SerialExecutor(metrics=metrics)
-    elif executor in ("process", "cluster"):
-        raise ValueError(
-            f"executor={executor!r} needs a started ClusterCoordinator: "
-            f"pass a ClusterExecutor instance or use "
-            f"ClusterExecutor.local()")
     else:
         raise ValueError(
             f"unknown executor {executor!r}; expected None, 'serial' or "
@@ -511,7 +495,7 @@ def resolve_executor(executor: Union[Executor, str, None] = None, *,
             f"of worker processes)")
 
     if engine is not None and engine != "fast" \
-            and not resolved.supports_reference:
+            and not isinstance(resolved, SerialExecutor):
         raise ValueError(
             f"executor {resolved.name!r} requires the fast "
             f"engine/builder; the {engine!r} path stays single-process "

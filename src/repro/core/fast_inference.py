@@ -504,11 +504,3 @@ class LeafBatchRunner:
         return (row_bounds, labels[order], counts[order], scores[order],
                 search[order], recall[order])
 
-
-def fast_batch_recommend(model: "GraphExModel",
-                         requests: Sequence[InferenceRequest],
-                         k: int = 10,
-                         hard_limit: Optional[int] = None
-                         ) -> Dict[int, List[Recommendation]]:
-    """Convenience wrapper: one-shot :class:`LeafBatchRunner` run."""
-    return LeafBatchRunner(model, k=k, hard_limit=hard_limit).run(requests)

@@ -1,8 +1,9 @@
 """Shard planning for the unified execution plane (Sections IV-G/IV-H).
 
 GraphEx's shard-shaped work — leaf groups of an inference batch — runs
-here or on a fleet of worker processes (see
-:mod:`repro.core.execution`).  This module owns what both share:
+on a fleet of worker processes (see :mod:`repro.core.execution`; in
+process a batch is one engine call and no plan is cut).  This module
+owns what the fleet's coordinator and its workers share:
 
 * :class:`ShardPlan` deterministically partitions cost-weighted work
   units (leaf groups keyed by leaf id) across shards with a

@@ -36,3 +36,15 @@ def worker_options(parser):
 # lint-fixture-module: repro.core.serialization
 def _pack_leaf(prefix, leaf, arrays, pool):
     return _first_occurrence_ids(leaf.label_texts)
+# lint-fixture-module: repro.fixture_removed_spelling_cli
+def _add_executor_options(parser, oracle_option=None):
+    parser.add_argument("--executor", choices=EXECUTOR_NAMES)
+    parser.add_argument("--spawn-workers", type=int)
+    return _cli_executor(parser), _close_executor(parser)
+# lint-fixture-module: repro.core.fixture_removed_spelling_fleet
+class SerialExecutor:
+    supports_reference = True
+
+
+def fast_batch_recommend(model, requests):
+    return requests

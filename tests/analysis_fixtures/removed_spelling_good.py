@@ -41,3 +41,8 @@ def _locked(fn):
 def reply(flights, assignment):
     """A stale _Assignment's future is gone, and so is call_async."""
     return flights.get(assignment)  # no _WorkerDied either
+# lint-fixture-module: repro.fixture_removed_spelling_cli
+def fleet_option(parser):
+    """The --executor / --spawn-workers pair is one --workers now."""
+    parser.add_argument("--workers", help="replaces --executor")
+    return "supports_reference is gone"  # not EXECUTOR_NAMES either

@@ -148,8 +148,8 @@ def tiny_model(tiny_curated) -> GraphExModel:
 @pytest.fixture(scope="session")
 def fleet():
     """One localhost fleet of two worker processes for the whole
-    session — the out-of-process substrate (``--executor process`` /
-    ``cluster`` on the CLI), booted once rather than once per test.
+    session — the out-of-process substrate (``--workers N`` on the
+    CLI), booted once rather than once per test.
     Tests that want their own metrics registry wrap its coordinator:
     ``ClusterExecutor(fleet.coordinator, metrics=...)``."""
     from repro.core.execution import ClusterExecutor

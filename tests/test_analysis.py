@@ -120,7 +120,11 @@ class TestRuleFixtures:
             (28, "unpack_curated_leaves"), (31, "run_construction"),
             (32, '"leaf-bundle"'), (32, "save_leaf_graphs"),
             (35, '"--spool"'), (37, "_pack_leaf"),
-            (38, "_first_occurrence_ids")]
+            (38, "_first_occurrence_ids"), (40, "_add_executor_options"),
+            (40, "oracle_option"), (41, '"--executor"'),
+            (41, "EXECUTOR_NAMES"), (42, '"--spawn-workers"'),
+            (43, "_cli_executor"), (43, "_close_executor"),
+            (46, "supports_reference"), (49, "fast_batch_recommend")]
 
     def test_mmap_bad_flags_all_three_shapes(self):
         report = lint_fixture("mmap_safety_bad.py",

@@ -74,15 +74,18 @@ class TestParser:
                 ["construct", "--curated", "c", "--out", "m",
                  "--alignment", "cosine"])
 
-    def test_parallel_defaults_to_serial(self):
-        from repro.core.execution import resolve_executor
-
-        for command in (["recommend", "--model", "m", "--title", "t",
-                         "--leaf", "1"],
-                        ["serve-nrt", "--model", "m"]):
+    def test_workers_defaults_to_in_process(self):
+        """One value says where inference runs: ``--workers`` 0 (in
+        process) on recommend and serve-nrt, a fleet of 3 on
+        cluster-run, and there is no other option naming it."""
+        for command, workers in (
+                (["recommend", "--model", "m", "--title", "t",
+                  "--leaf", "1"], 0),
+                (["serve-nrt", "--model", "m"], 0),
+                (["cluster-run", "--model", "m"], 3)):
             args = build_parser().parse_args(command)
-            assert args.workers == 2      # the fleet size, if one is asked for
-            assert resolve_executor(args.executor).name == "serial"
+            assert args.workers == workers
+            assert not hasattr(args, "executor")
 
     def test_construct_has_no_executor(self, no_spawn):
         """Models build in process only: ``construct --executor`` and
@@ -264,6 +267,37 @@ class TestWorkflow:
             == f"malformed curated file {path}: leaf 101 {problem}"
         assert built == [] and not out.exists()
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("field, value, shown", [
+        ("leaf_id", "100", "'100', not int"),
+        ("leaf_id", True, "True, not int"),
+        ("search_count", "5", "'5', not int"),
+        ("search_count", True, "True, not int"),
+        ("recall_count", 1.5, "1.5, not int"),
+        ("text", 123, "123, not str"),
+    ], ids=["str-leaf", "bool-leaf", "str-search", "bool-search",
+            "float-recall", "int-text"])
+    def test_curate_refuses_a_malformed_stats_record(
+            self, workflow_dir, tmp_path, engine, field, value, shown):
+        """Regression: a ``"100"`` leaf id collapsed with leaf ``100``
+        in the curated file (one keyphrase lost, exit 0) under the
+        reference engine and was coerced by the fast one; a string
+        count was coerced or raised a raw ``TypeError``; ``true``
+        counted as 1; an int text died in ``str.split``.  Now the file
+        is refused by name — record index and field — before curation,
+        on either engine."""
+        payload = json.loads((workflow_dir / "log.json").read_text())
+        payload["stats"][3][field] = value
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps(payload))
+        out = tmp_path / "curated.json"
+        with pytest.raises(ValueError) as refused:
+            main(["curate", "--log", str(log), "--out", str(out),
+                  "--engine", engine])
+        assert str(refused.value) == (f"malformed stats file {log}: "
+                                      f"record 3 has {field} {shown}")
+        assert not out.exists()
+
     def test_serve_nrt_demo_runs_multi_stream(self, workflow_dir, capsys):
         assert main(["serve-nrt", "--model", str(workflow_dir / "model"),
                      "--streams", "3", "--events", "40",
@@ -292,7 +326,7 @@ class TestWorkflow:
         or a worker process started."""
         with pytest.raises(SystemExit) as exit_info:
             main(["serve-nrt", "--model", "absent",
-                  "--engine", "reference", "--executor", "process"])
+                  "--engine", "reference", "--workers", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --engine reference" \
             in capsys.readouterr().err
@@ -300,45 +334,50 @@ class TestWorkflow:
 
     def test_serve_nrt_owns_the_fleet_it_boots(self, workflow_dir,
                                                capsys, booted):
-        """--executor process on serve-nrt boots a fleet through
-        _cli_executor, serves every window on it — across a hot-swap —
-        and closes it."""
+        """--workers 2 on serve-nrt boots one fleet, serves every
+        window on it — across a hot-swap — and closes it."""
         assert main(["serve-nrt", "--model", str(workflow_dir / "model"),
                      "--streams", "2", "--events", "24",
                      "--window-size", "8", "--refresh-after", "8",
-                     "--executor", "cluster", "--workers", "2"]) == 0
+                     "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "0 flush failures" in out
         assert "48 events across 2 streams" in out
         assert [executor._owned for executor in booted] == [None]
 
 
-class TestExecutorFlag:
-    """The one --executor action."""
+class TestWorkersFlag:
+    """The one fleet option: ``--workers N``."""
 
-    def test_executor_defaults_to_none(self):
-        args = build_parser().parse_args(
-            ["recommend", "--model", "m", "--title", "t", "--leaf", "1"])
-        assert args.executor is None
+    COMMANDS = (["recommend", "--model", "m", "--title", "t", "--leaf",
+                 "1"],
+                ["serve-nrt", "--model", "m"],
+                ["cluster-run", "--model", "m"])
 
-    def test_executor_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["recommend", "--model", "m", "--title", "t", "--leaf",
-                 "1", "--executor", "warp"])
-        # There is no in-process pool to name: `thread` is argparse
-        # exit 2 on every command that takes an executor.
-        for command in (["recommend", "--model", "m", "--title", "t",
-                         "--leaf", "1"],
-                        ["serve-nrt", "--model", "m"]):
-            with pytest.raises(SystemExit) as exit_info:
-                build_parser().parse_args(command + ["--executor",
-                                                     "thread"])
-            assert exit_info.value.code == 2
-            for name in ("serial", "process", "cluster"):
-                args = build_parser().parse_args(
-                    command + ["--executor", name])
-                assert args.executor == name
+    def test_negative_workers_is_a_usage_error(self, capsys, no_spawn):
+        """A fleet is never silently resized: ``--workers -3`` is
+        argparse exit 2 on every command that takes it."""
+        for command in self.COMMANDS:
+            for value in ("-3", "-1", "two"):
+                with pytest.raises(SystemExit) as exit_info:
+                    main(command + ["--workers", value])
+                assert exit_info.value.code == 2, (command, value)
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+        assert no_spawn == []
+
+    def test_removed_fleet_options_are_usage_errors(self, no_spawn):
+        """``--executor`` (any of its old names) and ``--spawn-workers``
+        are gone: argparse exit 2, and no worker starts."""
+        for command in self.COMMANDS:
+            for flags in (["--executor", "serial"],
+                          ["--executor", "process"],
+                          ["--executor", "cluster"],
+                          ["--executor", "thread"],
+                          ["--spawn-workers", "2"]):
+                with pytest.raises(SystemExit) as exit_info:
+                    build_parser().parse_args(command + flags)
+                assert exit_info.value.code == 2, (command, flags)
+        assert no_spawn == []
 
     def _recommend_output(self, workflow_dir, capsys, *extra):
         payload = json.loads((workflow_dir / "curated.json").read_text())
@@ -349,33 +388,40 @@ class TestExecutorFlag:
                      *extra]) == 0
         return capsys.readouterr().out
 
-    def test_recommend_executors_print_identical_output(
+    def test_recommend_fleet_prints_identical_output(
             self, workflow_dir, capsys):
+        """What CI ``cmp``s: ``--workers 2`` prints the bytes of
+        ``--workers 0``."""
         outputs = {
-            name: self._recommend_output(
-                workflow_dir, capsys, "--executor", name,
-                "--workers", "2")
-            for name in ("serial", "process")}
-        assert outputs["process"] == outputs["serial"]
+            workers: self._recommend_output(
+                workflow_dir, capsys, "--workers", workers)
+            for workers in ("0", "2")}
+        assert outputs["2"] == outputs["0"]
 
-    def test_recommend_executor_cluster_identical(self, workflow_dir,
-                                                  capsys):
-        """--executor cluster boots a localhost fleet, serves the same
-        bytes, and tears the fleet down before exiting."""
-        baseline = self._recommend_output(workflow_dir, capsys)
-        clustered = self._recommend_output(workflow_dir, capsys,
-                                           "--executor", "cluster")
-        assert clustered == baseline
+    def test_recommend_closes_the_fleet_it_boots(self, workflow_dir,
+                                                 capsys, booted):
+        """``--workers 1`` boots one fleet, serves the default's bytes,
+        and tears the fleet down before exiting; ``--workers 0`` boots
+        none."""
+        baseline = self._recommend_output(workflow_dir, capsys,
+                                          "--workers", "0")
+        assert booted == []
+        fleet = self._recommend_output(workflow_dir, capsys,
+                                       "--workers", "1")
+        assert fleet == baseline
+        assert [executor._owned for executor in booted] == [None]
 
-    def test_recommend_rejects_bad_executor_pairing(self, capsys,
+    def test_recommend_rejects_reference_on_a_fleet(self, capsys,
                                                     no_spawn):
+        """A usage error (exit 2) raised before a model is looked for
+        or a worker started."""
         with pytest.raises(SystemExit) as exit_info:
             main(["recommend", "--model", "absent", "--title", "t",
                   "--leaf", "1", "--engine", "reference",
-                  "--executor", "process"])
+                  "--workers", "2"])
         assert exit_info.value.code == 2
-        assert "recommend: --engine reference runs only on " \
-            "--executor serial" in capsys.readouterr().err
+        assert "recommend: --engine reference runs only in process " \
+            "(--workers 0)" in capsys.readouterr().err
         assert no_spawn == []
 
 
@@ -391,7 +437,7 @@ class TestClusterCLI:
 
     def test_cluster_run_verifies_identical(self, workflow_dir, capsys):
         rc = main(["cluster-run", "--model",
-                   str(workflow_dir / "model"), "--spawn-workers", "2",
+                   str(workflow_dir / "model"), "--workers", "2",
                    "--requests", "24", "--rpc-timeout", "20.0"])
         out = capsys.readouterr().out
         assert rc == 0
@@ -405,7 +451,7 @@ class TestClusterCLI:
 
         metrics_path = tmp_path / "fleet-metrics.json"
         rc = main(["cluster-run", "--model",
-                   str(workflow_dir / "model"), "--spawn-workers", "2",
+                   str(workflow_dir / "model"), "--workers", "2",
                    "--kill-after", "0", "--requests", "24",
                    "--rpc-timeout", "20.0",
                    "--metrics-out", str(metrics_path)])

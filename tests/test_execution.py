@@ -138,8 +138,26 @@ class TestResolveExecutor:
             resolve_executor("fiber")
 
     def test_cluster_needs_a_coordinator(self):
-        with pytest.raises(ValueError, match="ClusterCoordinator"):
-            resolve_executor("cluster")
+        """No string conjures a fleet: the CLI's old fleet names are
+        unknown spellings that point at ``ClusterExecutor.local``."""
+        for name in ("process", "cluster"):
+            with pytest.raises(ValueError, match=rf"unknown executor "
+                               rf"'{name}'.*ClusterExecutor\.local\(\)"):
+                resolve_executor(name)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_local_refuses_an_empty_fleet(self, monkeypatch, workers):
+        """A fleet is never silently resized: ``workers < 1`` is a
+        named ``ValueError`` raised before any worker process starts."""
+        from repro.cluster import worker
+
+        spawned = []
+        monkeypatch.setattr(worker, "spawn_worker",
+                            lambda *args, **kwargs: spawned.append(args))
+        with pytest.raises(ValueError,
+                           match=rf"got workers={workers}$"):
+            ClusterExecutor.local(workers)
+        assert spawned == []
 
     def test_reference_engine_needs_in_process_executor(self, fleet):
         resolve_executor("serial", engine="reference")
@@ -211,6 +229,42 @@ class TestInferenceJobContract:
         assert out[8] == []
         assert out[7] == world.recommend("leaf2 word0 thing", 2, k=5)
         assert list(out) == [7, 1, 8, 2]      # first-seen id order
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fleet_merge_equals_the_serial_call(self, data, world, model):
+        """Property: the fleet's scatter/merge, cut into 1-4 units and
+        merged unit by unit (in a drawn order) through ``run_local``,
+        equals the serial path's one engine call — duplicate ids,
+        unknown leaves with and without a pooled graph, ``k <= 0``,
+        every ``hard_limit`` kind, rows or texts — first-seen order
+        included."""
+        served = data.draw(st.sampled_from([world, model]))
+        leaf_ids = list(served.leaf_ids) + [999, 1000]
+        requests = [
+            (data.draw(st.integers(min_value=0, max_value=5)),
+             " ".join(data.draw(st.lists(st.sampled_from(
+                 ["leaf1", "leaf2", "leaf3", "word0", "word1", "word2",
+                  "thing", "extra", "zzz"]), max_size=4))),
+             data.draw(st.sampled_from(leaf_ids)))
+            for _ in range(data.draw(st.integers(min_value=0,
+                                                 max_value=16)))]
+        k = data.draw(st.sampled_from([-1, 0, 1, 3, 10]))
+        hard_limit = data.draw(st.one_of(
+            st.none(), st.just(0), st.integers(min_value=1, max_value=6)))
+        texts = data.draw(st.booleans())
+        job = InferenceJob(served, requests,
+                           data.draw(st.integers(min_value=1, max_value=4)),
+                           k=k, hard_limit=hard_limit, texts=texts)
+        units = data.draw(st.permutations(job.plan.shards))
+        assert sum(job.run_local(unit) for unit in units) == sum(
+            served.leaf_graph(leaf_id) is not None
+            or served.pooled_graph is not None
+            for _item_id, _title, leaf_id in requests)
+        serial = SerialExecutor().run_inference(
+            served, requests, k=k, hard_limit=hard_limit, texts=texts)
+        assert job.output() == serial
+        assert list(job.output()) == list(serial)
 
     def test_wrong_row_count_raises(self, world):
         job = InferenceJob(world, self.REQUESTS, 1, k=5)
@@ -299,16 +353,22 @@ class TestCrossExecutorEquivalence:
             == len(requests)
         assert fleet.coordinator.n_live() == 2  # adopted: not stopped
 
-    def test_in_process_substrates_time_one_task_per_shard(
-            self, model, requests):
-        """The one in-process substrate records inference as one
-        ``executor.inference.tasks`` per *planned shard* — here one,
-        not one per leaf group — every request counted once."""
-        metrics = MetricsRegistry()
-        SerialExecutor(metrics=metrics).run_inference(model, requests,
-                                                      k=5)
+    def test_in_process_substrate_times_one_task_per_call(
+            self, model, requests, monkeypatch):
+        """In process a batch is one engine call: no plan is cut, and
+        it records one ``executor.inference.tasks`` per call — not one
+        per leaf group — every request counted once."""
         plan, groups = ShardPlan.for_inference(model, requests, 1)
         assert plan.n_shards == 1 < len(groups)
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("the serial path cut a shard plan")
+
+        monkeypatch.setattr(ShardPlan, "for_inference", no_plan)
+        metrics = MetricsRegistry()
+        assert SerialExecutor(metrics=metrics).run_inference(
+            model, requests, k=5) == LeafBatchRunner(model, k=5).run(
+                requests)
         labels = {"executor": "serial"}
         assert metrics.counter_value("executor.inference.tasks",
                                      **labels) == 1
@@ -400,9 +460,9 @@ class TestCrossExecutorEquivalence:
 
     def test_local_cluster_executor_lifecycle(self, model, requests,
                                               expected, tmp_path):
-        """`ClusterExecutor.local` (what the CLI's --executor
-        process|cluster boots) starts real worker processes, serves
-        identically, and ``close()`` leaves none behind."""
+        """`ClusterExecutor.local` (what the CLI's --workers N boots)
+        starts real worker processes, serves identically, and
+        ``close()`` leaves none behind."""
         from repro.core.serialization import save_model
 
         artifact = tmp_path / "model"

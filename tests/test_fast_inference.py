@@ -24,7 +24,6 @@ from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.fast_inference import (LeafBatchRunner, _label_texts,
                                        _prune_by_count_array,
-                                       fast_batch_recommend,
                                        materialise_ranked, ranked_parts)
 from repro.core.inference import (Recommendation, prune_by_count_groups,
                                   recommend_from_graph)
@@ -107,8 +106,8 @@ class TestPropertyEquivalence:
         """
         model = make_model(world, alignment=alignment,
                            build_pooled=build_pooled)
-        fast = fast_batch_recommend(model, reqs, k=k,
-                                    hard_limit=hard_limit)
+        fast = LeafBatchRunner(model, k=k,
+                               hard_limit=hard_limit).run(reqs)
         assert_identical(fast, reference_outputs(model, reqs, k,
                                                  hard_limit))
 
@@ -426,7 +425,7 @@ class TestCostFollowsWhatAnItemTouches:
 
         monkeypatch.setattr(fast_inference, "_narrow", spy)
         reqs = [(1, "w0 w3", 1), (2, "w1 w2", 2), (3, "w1 w9 zzz", 2)]
-        assert_identical(fast_batch_recommend(model, reqs, k=3),
+        assert_identical(LeafBatchRunner(model, k=3).run(reqs),
                          reference_outputs(model, reqs, 3))
         assert narrowed == [(key_range, np.dtype(dtype), key_range - 1)]
 
@@ -565,37 +564,37 @@ class TestEdgeCases:
     def test_empty_vocabulary_leaf(self):
         """Keyphrases that tokenize to nothing leave the vocab empty."""
         model = make_model({1: [("!!!", 5, 1), ("???", 4, 2)]})
-        fast = fast_batch_recommend(model, [(1, "w0 w1", 1)], k=5)
+        fast = LeafBatchRunner(model, k=5).run([(1, "w0 w1", 1)])
         assert fast == {1: []}
 
     def test_unknown_leaf_without_pooled_is_empty(self):
         model = make_model({1: [("w0 w1", 5, 1)]})
-        fast = fast_batch_recommend(model, [(7, "w0 w1", 999)], k=5)
+        fast = LeafBatchRunner(model, k=5).run([(7, "w0 w1", 999)])
         assert fast == {7: []}
 
     def test_unknown_leaf_falls_back_to_pooled(self):
         model = make_model({1: [("w0 w1", 5, 1)]}, build_pooled=True)
-        fast = fast_batch_recommend(model, [(7, "w0 w1", 999)], k=5)
+        fast = LeafBatchRunner(model, k=5).run([(7, "w0 w1", 999)])
         assert [r.text for r in fast[7]] == ["w0 w1"]
         assert_identical(fast, reference_outputs(
             model, [(7, "w0 w1", 999)], 5))
 
     def test_empty_batch(self):
         model = make_model({1: [("w0", 1, 1)]})
-        assert fast_batch_recommend(model, [], k=5) == {}
+        assert LeafBatchRunner(model, k=5).run([]) == {}
 
     def test_duplicate_item_ids_last_request_wins(self):
         """Parity with the scalar dict loop: later request overwrites."""
         model = make_model({1: [("w0", 9, 1)], 2: [("w1", 9, 1)]})
         reqs = [(5, "w0", 1), (5, "w1", 2)]
-        fast = fast_batch_recommend(model, reqs, k=5)
+        fast = LeafBatchRunner(model, k=5).run(reqs)
         ref = batch_recommend(model, reqs, k=5, engine="reference")
         assert [r.text for r in fast[5]] == ["w1"]
         assert_identical(fast, ref)
 
     def test_k_zero_yields_no_predictions(self):
         model = make_model({1: [("w0 w1", 5, 1)]})
-        fast = fast_batch_recommend(model, [(1, "w0 w1", 1)], k=0)
+        fast = LeafBatchRunner(model, k=0).run([(1, "w0 w1", 1)])
         assert fast == {1: []}
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])

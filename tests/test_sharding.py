@@ -1,5 +1,5 @@
-"""Unit tests for shard planning and for what ``--executor process``
-means: a fleet of worker processes (the session ``fleet`` fixture).
+"""Unit tests for shard planning and for what ``--workers N`` means: a
+fleet of worker processes (the session ``fleet`` fixture).
 
 The element-wise/bit-identity of the fleet against the scalar
 references is pinned property-based in the engine equivalence suites
