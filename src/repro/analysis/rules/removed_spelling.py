@@ -25,6 +25,8 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("TextResult validate_hard_limit texts=", NOWHERE,
+     "rows built on read (a RowView's .texts() is the text exit)"),
     ("EXECUTOR_NAMES supports_reference fast_batch_recommend", NOWHERE,
      "one fleet value (in process a batch is one engine call)"),
     ("_cli_executor _close_executor _add_executor_options oracle_option",

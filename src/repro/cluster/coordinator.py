@@ -11,11 +11,10 @@ serves inference only: models are built in process
 (``SerialExecutor.run_construction``).
 
 Inference results cross the wire as ids, not rows
-(:mod:`~repro.cluster.protocol`): the rows are built here, from this
-process's own mapping of the artifact, and that serial row build is,
-after the workers' own time, the largest term of a cluster op.  A job
-that asks for texts (``texts=True``, what serving asks for) reads only
-the label texts and builds no row.
+(:mod:`~repro.cluster.protocol`): here they become the engine's row
+views, with label texts read from this process's own mapping of the
+artifact.  No row is built until a caller reads one, and a caller that
+stores only ``.texts()`` (serving) builds none.
 
 This module is the socket shell around a
 :class:`~repro.cluster.scheduler.Scheduler`, which makes every decision
@@ -39,7 +38,7 @@ from pathlib import Path
 from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple, Union)
 
-from ..core.batch import BatchResult, InferenceRequest, TextResult
+from ..core.batch import BatchResult, InferenceRequest
 from ..core.execution import InferenceJob
 from ..core.model import GraphExModel
 from ..core.serialization import open_model, save_model
@@ -536,9 +535,8 @@ class ClusterCoordinator:
     async def run_inference(
             self, model_source: Union[GraphExModel, str, Path],
             requests: Sequence[InferenceRequest], *, k: int = 10,
-            hard_limit: Optional[int] = None, texts: bool = False,
-            metrics: Optional[MetricsRegistry] = None
-            ) -> Union[BatchResult, TextResult]:
+            hard_limit: Optional[int] = None,
+            metrics: Optional[MetricsRegistry] = None) -> BatchResult:
         """Infer a batch across the fleet.
 
         Args:
@@ -548,7 +546,7 @@ class ClusterCoordinator:
                 docstring), or an in-memory model (persisted to a spool
                 artifact first).
             requests: ``(item_id, title, leaf_id)`` triples.
-            k, hard_limit, texts: As in ``batch_recommend``.
+            k, hard_limit: As in ``batch_recommend``.
             metrics: Registry for this job's counters and unit timings
                 (a :class:`~repro.core.execution.ClusterExecutor`
                 passes its own); the coordinator's registry by default.
@@ -557,9 +555,8 @@ class ClusterCoordinator:
             Item id → ranked recommendations, element-wise identical to
             the single-process fast path (last-request-wins duplicate
             semantics included) for any fleet size and failure
-            topology.  Workers return ranked label ids; the rows are
-            materialised here (see the module docstring) — or, with
-            ``texts``, only their texts are read and no row is built.
+            topology.  Workers return ranked label ids; the row views
+            are materialised here (see the module docstring).
 
         Raises:
             ClusterError: No live workers and no local fallback, a
@@ -576,7 +573,7 @@ class ClusterCoordinator:
             # The job's local runner validates configuration up front
             # and serves the empty-fleet fallback.
             job = InferenceJob(model, requests, max(1, self.n_live()),
-                               k=k, hard_limit=hard_limit, texts=texts)
+                               k=k, hard_limit=hard_limit)
 
             def encode(keys: Tuple[Hashable, ...]) -> dict:
                 return {"model_path": str(path),
@@ -585,10 +582,10 @@ class ClusterCoordinator:
                         "k": k, "hard_limit": hard_limit}
 
             def decode(keys: Tuple[Hashable, ...], reply: dict) -> int:
-                # The reply names labels by id; the rows are built here,
-                # from this process's own mapping of the artifact.
+                # The reply names labels by id; the views are built
+                # here, from this process's own mapping of the artifact.
                 return job.merge(keys, unpack_recommendations(
-                    reply, model, job.requests_of(keys), texts=texts))
+                    reply, model, job.requests_of(keys)))
 
             registry = metrics if metrics is not None else self.metrics
             run = self._run = _JobRun(job, encode, decode,

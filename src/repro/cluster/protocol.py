@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING, List, Sequence
 import numpy as np
 
 from ..core.batch import InferenceRequest
-from ..core.fast_inference import (RankedColumns, materialise_ranked,
-                                   ranked_parts)
+from ..core.fast_inference import (RankedColumns, RowView,
+                                   materialise_ranked, ranked_parts)
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.model import GraphExModel
@@ -231,17 +231,16 @@ def unpack_ranked(reply: dict, n_requests: int) -> RankedColumns:
 
 
 def unpack_recommendations(reply: dict, model: "GraphExModel",
-                           requests: Sequence[InferenceRequest], *,
-                           texts: bool = False) -> List[list]:
-    """A ``shard_result`` reply → one row list per request of the shard
-    (one text list with ``texts=True``: step 6's text exit).
+                           requests: Sequence[InferenceRequest]
+                           ) -> List[RowView]:
+    """A ``shard_result`` reply → one row view per request of the shard.
 
     The coordinator-side inverse of the worker's ``run_ranked`` +
     :func:`pack_ranked`: the columns are validated
     (:func:`unpack_ranked`), each answered request's owning graph is
     found on ``model`` — the coordinator's own mapping of the artifact —
     every label id is checked against that graph, and the engine's one
-    materialiser builds the rows.  Raises :class:`FrameError` on any
+    materialiser builds the views.  Raises :class:`FrameError` on any
     reply the engine could not have produced for these requests.
     """
     ranked = unpack_ranked(reply, len(requests))
@@ -258,7 +257,7 @@ def unpack_recommendations(reply: dict, model: "GraphExModel",
             & (ranked.labels < np.repeat(widths, ranked.sizes))).all():
         raise FrameError(
             "result names a label id outside its owning graph's labels")
-    return materialise_ranked(parts, ranked, len(requests), texts=texts)
+    return materialise_ranked(parts, ranked, len(requests))
 
 
 def pack_requests(requests: Sequence[InferenceRequest]) -> List[list]:

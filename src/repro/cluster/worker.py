@@ -45,6 +45,7 @@ import traceback
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
+from ..core.batch import validate_limits
 from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
@@ -264,6 +265,8 @@ class ClusterWorker:
                 f"artifact in place needs a restart (or a new path)")
         key = (id(model), message.get("k", 10),
                message.get("hard_limit"))
+        # Before the cache: a k of 2.0 / True hits the runner for 2 / 1.
+        validate_limits(*key[1:])
         runner = self._runners.get(key)
         if runner is None:
             runner = LeafBatchRunner(model, k=key[1], hard_limit=key[2])

@@ -17,7 +17,12 @@ Two engines serve a batch:
   reference the equivalence suite checks against.
 
 Both produce element-wise identical output (text, score, tie-break
-order); ``tests/test_fast_inference.py`` pins that property.
+order); ``tests/test_fast_inference.py`` pins that property.  The
+reference engine answers each item with a list of rows, the fast one
+with a read-only view over its chunk's ranked columns
+(:class:`repro.core.fast_inference.RowView`): it compares, iterates and
+indexes like the list, builds its rows only when one is first read, and
+its ``.texts()`` — what a serving store keeps — builds none.
 
 Orthogonally, ``executor=`` — the one spelling, resolved by
 :func:`repro.core.execution.resolve_executor` — picks where the fast
@@ -33,8 +38,8 @@ single-process by design — it is the semantics oracle.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, List, Literal, Optional, Sequence,
-                    Tuple, Union, overload)
+from numbers import Integral
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 from .inference import Recommendation
 from .model import GraphExModel
@@ -49,12 +54,10 @@ ExecutorSpec = Union["Executor", str, None]
 #: One inference request: (item_id, title, leaf_id).
 InferenceRequest = Tuple[int, str, int]
 
-#: Batch output: item id → ranked recommendations.
-BatchResult = Dict[int, List[Recommendation]]
-
-#: Batch output of the text exit (``texts=True``): item id → the
-#: ranked keyphrase texts, what a serving store keeps.
-TextResult = Dict[int, List[str]]
+#: Batch output: item id → ranked recommendations (a list on the
+#: reference engine, a :class:`~repro.core.fast_inference.RowView` on
+#: the fast one).
+BatchResult = Dict[int, Sequence[Recommendation]]
 
 #: Engine names accepted by the batch entry points (and the CLI flag).
 ENGINES = ("reference", "fast")
@@ -72,30 +75,21 @@ def last_request_wins(requests: Sequence[InferenceRequest],
             in enumerate(requests)}
 
 
-def validate_hard_limit(hard_limit: Optional[int]) -> None:
-    """Raise ValueError on a negative per-item cap.
+def validate_limits(k: int, hard_limit: Optional[int]) -> None:
+    """Raise a ``TypeError`` naming ``k`` or ``hard_limit`` unless it
+    is a :class:`numbers.Integral` other than ``bool`` (``hard_limit``
+    may be ``None``), and a ``ValueError`` on a negative ``hard_limit``.
 
-    Python slice semantics would make the engines silently disagree on
-    negative values, so both reject them.
+    The two engines would otherwise disagree on such values (a float
+    ``k`` served by one, a raw error deep inside the other; Python slice
+    semantics on a negative cap), so both reject them up front.
     """
+    limits = {"k": k, "hard_limit": 0 if hard_limit is None else hard_limit}
+    for name, value in limits.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if hard_limit is not None and hard_limit < 0:
         raise ValueError(f"hard_limit must be >= 0, got {hard_limit}")
-
-
-@overload
-def batch_recommend(model: GraphExModel,
-                    requests: Sequence[InferenceRequest], k: int = ...,
-                    hard_limit: Optional[int] = ..., engine: str = ...,
-                    executor: ExecutorSpec = ..., *,
-                    texts: Literal[False] = ...) -> BatchResult: ...
-
-
-@overload
-def batch_recommend(model: GraphExModel,
-                    requests: Sequence[InferenceRequest], k: int = ...,
-                    hard_limit: Optional[int] = ..., engine: str = ...,
-                    executor: ExecutorSpec = ..., *,
-                    texts: Literal[True]) -> TextResult: ...
 
 
 def batch_recommend(model: GraphExModel,
@@ -103,9 +97,7 @@ def batch_recommend(model: GraphExModel,
                     k: int = 10,
                     hard_limit: Optional[int] = None,
                     engine: str = "fast",
-                    executor: ExecutorSpec = None, *,
-                    texts: bool = False
-                    ) -> Union[BatchResult, TextResult]:
+                    executor: ExecutorSpec = None) -> BatchResult:
     """Run inference over a batch of items.
 
     Args:
@@ -120,16 +112,16 @@ def batch_recommend(model: GraphExModel,
             :class:`repro.core.execution.Executor` instance (a
             ``ClusterExecutor`` carries its own fleet).  Output is
             element-wise identical either way.
-        texts: Return each item's ranked keyphrase *texts* rather than
-            its rows: the fast engine then builds no
-            :class:`Recommendation` at all (step 6's text exit).  What
-            the serving writers ask for; equal to ``[r.text for r in
-            rows]`` of the default output.
 
     Returns:
-        Mapping from item id to its ranked recommendations (or texts).
+        Mapping from item id to its ranked recommendations: a list per
+        item on the reference engine, a
+        :class:`~repro.core.fast_inference.RowView` (equal to that list;
+        ``.texts()`` reads its keyphrases without building a row) on
+        the fast one.
 
     Raises:
+        TypeError: A ``k`` or ``hard_limit`` that is not an integer.
         ValueError: On an unknown engine or executor spelling, a
             negative ``hard_limit`` (Python slice semantics would
             silently differ between engines), or an out-of-process
@@ -139,7 +131,7 @@ def batch_recommend(model: GraphExModel,
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}")
-    validate_hard_limit(hard_limit)
+    validate_limits(k, hard_limit)
     # Imported lazily: the execution plane imports the fast engine,
     # which imports this module's validators, so a top-level import
     # would be a cycle.
@@ -147,11 +139,7 @@ def batch_recommend(model: GraphExModel,
     exec_ = resolve_executor(executor, engine=engine)
     if engine == "fast":
         return exec_.run_inference(model, requests, k=k,
-                                   hard_limit=hard_limit, texts=texts)
-    rows = {item_id: model.recommend(title, leaf_id, k=k,
+                                   hard_limit=hard_limit)
+    return {item_id: model.recommend(title, leaf_id, k=k,
                                      hard_limit=hard_limit)
             for item_id, title, leaf_id in requests}
-    if texts:
-        return {item_id: [row.text for row in recs]
-                for item_id, recs in rows.items()}
-    return rows

@@ -58,10 +58,9 @@ from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional,
                     Sequence, Union)
 
 from ..obs import MetricsRegistry, NullRegistry
-from .batch import (BatchResult, InferenceRequest, TextResult,
-                    last_request_wins)
+from .batch import BatchResult, InferenceRequest, last_request_wins
 from .fast_construct import build_leaf_graph_fast
-from .fast_inference import LeafBatchRunner
+from .fast_inference import EMPTY_ROWS, LeafBatchRunner, RowView
 from .sharding import ShardExecutionError, ShardPlan
 from .tokenize import DEFAULT_TOKENIZER, SpaceTokenizer, TokenCache
 
@@ -89,27 +88,25 @@ class InferenceJob:
     up to its ranked columns (``run_ranked``) and the coordinator
     materialises them against the same artifact; the coordinator's
     local fallback feeds them through one ``LeafBatchRunner.run_indexed``
-    call (:meth:`run_local`).  Either way the same rows — or the same
-    texts, for a job built with ``texts=True`` — reach :meth:`merge`.
-    A request whose leaf has neither a graph nor the pooled fallback
-    belongs to no unit and keeps ``[]``.  In process there is nothing
-    to cut: :class:`SerialExecutor` runs the whole batch as one call.
+    call (:meth:`run_local`).  Either way the same row views reach
+    :meth:`merge`.  A request whose leaf has neither a graph nor the
+    pooled fallback belongs to no unit and keeps the empty view.  In
+    process there is nothing to cut: :class:`SerialExecutor` runs the
+    whole batch as one call.
 
     Constructing the job builds the local runner behind
-    :meth:`run_local`, which validates ``hard_limit`` before any unit
-    is dispatched.
+    :meth:`run_local`, which validates ``k`` and ``hard_limit`` before
+    any unit is dispatched.
     """
 
     def __init__(self, model: "GraphExModel",
                  requests: Sequence[InferenceRequest], n_shards: int,
-                 *, k: int = 10, hard_limit: Optional[int] = None,
-                 texts: bool = False) -> None:
+                 *, k: int = 10, hard_limit: Optional[int] = None) -> None:
         self._requests = list(requests)
         self._runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
-        self._texts = texts
         self.plan, self._groups = ShardPlan.for_inference(
             model, self._requests, n_shards)
-        self._rows: List[list] = [[] for _ in self._requests]
+        self._rows: List[RowView] = [EMPTY_ROWS] * len(self._requests)
 
     def _indices(self, keys: Sequence[Hashable]) -> List[int]:
         return [index for key in keys for index in self._groups[key]]
@@ -120,7 +117,7 @@ class InferenceJob:
         return [self._requests[index] for index in self._indices(keys)]
 
     def merge(self, keys: Sequence[Hashable],
-              rows: Sequence[list]) -> int:
+              rows: Sequence[RowView]) -> int:
         """Scatter a unit's rows (in :meth:`requests_of` order) back to
         their request indices; returns how many requests it settled.
         A wrong row count raises :class:`ShardExecutionError` — zipping
@@ -137,10 +134,10 @@ class InferenceJob:
     def run_local(self, keys: Sequence[Hashable]) -> int:
         """Run a unit on the calling thread and merge it."""
         return self.merge(keys, self._runner.run_indexed(
-            self.requests_of(keys), texts=self._texts))
+            self.requests_of(keys)))
 
-    def output(self) -> Union[BatchResult, TextResult]:
-        """Item id → rows (texts); the last request for an id wins."""
+    def output(self) -> BatchResult:
+        """Item id → row view; the last request for an id wins."""
         return last_request_wins(self._requests, self._rows)
 
 
@@ -191,12 +188,11 @@ class Executor:
     everywhere and the fastest wherever the fleet does not have idle
     cores to itself; a fleet is for more hardware than the caller has.
 
-    ``run_inference(..., texts=True)`` is step 6's text exit on every
-    substrate: the serving writers (NRT windows, the batch pipeline's
-    loads) ask for it, so for serving the coordinator skips its row
-    build and hands each request its slice of the label texts it
-    decodes anyway — the same columns, the same wire, no
-    :class:`~repro.core.inference.Recommendation` built.
+    Every substrate answers with the engine's
+    :class:`~repro.core.fast_inference.RowView` per item: the
+    coordinator decodes the shipped columns into the same views, so a
+    caller that only stores ``.texts()`` (the serving writers) builds no
+    :class:`~repro.core.inference.Recommendation` anywhere.
 
     Attributes:
         name: The spelling this class answers to.
@@ -213,12 +209,11 @@ class Executor:
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None, *,
-                      texts: bool = False
-                      ) -> Union[BatchResult, TextResult]:
-        """Infer a batch; item id → ranked recommendations (their texts
-        when ``texts``, as in ``batch_recommend``) with the scalar
-        loop's last-request-wins duplicate semantics."""
+                      k: int = 10, hard_limit: Optional[int] = None
+                      ) -> BatchResult:
+        """Infer a batch; item id → ranked recommendations (a row view
+        each, as in ``batch_recommend``) with the scalar loop's
+        last-request-wins duplicate semantics."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -261,12 +256,11 @@ class SerialExecutor(Executor):
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None, *,
-                      texts: bool = False
-                      ) -> Union[BatchResult, TextResult]:
+                      k: int = 10, hard_limit: Optional[int] = None
+                      ) -> BatchResult:
         start = time.perf_counter()
         runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
-        rows = runner.run_indexed(requests, texts=texts)
+        rows = runner.run_indexed(requests)
         self._record("inference", "requests", len(rows),
                      time.perf_counter() - start)
         return last_request_wins(requests, rows)
@@ -305,9 +299,9 @@ class ClusterExecutor(Executor):
     (after PR 20, medians of ten runs) ``cluster_scatter`` at 400-item
     chunks serves 13.8k items/s against ``batch_catalog``'s 12.5k on
     one pinned core.  Of such an op's ~28 ms the slower worker's engine
-    time is ~17 and the coordinator's serial row build (it materialises
-    every shard's rows itself, from ids) most of the rest, which is
-    what keeps two workers well short of 2x.  A way to use more
+    time was ~17 and the coordinator's serial row build (from ids) most
+    of the rest, which kept two workers well short of 2x; the
+    coordinator now builds row views, and rows only on read.  A way to use more
     machines than one, not a cheaper way to use one.
 
     The sync :meth:`run_inference` submits to the coordinator's event
@@ -422,20 +416,18 @@ class ClusterExecutor(Executor):
     async def run_inference_async(
             self, model: "GraphExModel",
             requests: Sequence[InferenceRequest],
-            k: int = 10, hard_limit: Optional[int] = None, *,
-            texts: bool = False) -> Union[BatchResult, TextResult]:
+            k: int = 10, hard_limit: Optional[int] = None) -> BatchResult:
         """:meth:`run_inference` for callers on the coordinator loop."""
         return await self.coordinator.run_inference(
             model, list(requests), k=k, hard_limit=hard_limit,
-            texts=texts, metrics=self.metrics)
+            metrics=self.metrics)
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
-                      k: int = 10, hard_limit: Optional[int] = None, *,
-                      texts: bool = False
-                      ) -> Union[BatchResult, TextResult]:
+                      k: int = 10, hard_limit: Optional[int] = None
+                      ) -> BatchResult:
         return self._submit(self.run_inference_async(
-            model, requests, k=k, hard_limit=hard_limit, texts=texts))
+            model, requests, k=k, hard_limit=hard_limit))
 
     def close(self) -> None:
         """Tear down a :meth:`local` fleet (no-op for adopted ones):

@@ -40,12 +40,13 @@ items, whichever leaves they belong to:
    having been capped at ``hard_limit``, label texts are read from the
    owning leaf in bulk
    (:meth:`~repro.core.serialization.LazyStringList.take` on mapped
-   models) and every row is constructed once per chunk.  With
-   ``texts=True`` (the *text exit*) step 6 stops there: each request
-   gets its slice of those texts and no row is built.  It is what the
-   serving writers ask for — a KV store keeps only the keyphrase
-   strings — so a window does not allocate, and the cyclic collector
-   does not walk, a ``Recommendation`` per served keyphrase.
+   models), and that is all step 6 does eagerly: the chunk keeps its
+   ranked columns (texts, scores, Search Counts, Recall Counts, ``c``)
+   and each request gets a :class:`RowView` over its slice.  ``len``
+   and ``.texts()`` (what a KV store keeps) build no row; the first
+   read of a row builds the chunk's rows once.  A batch that is only
+   stored or counted never allocates, and the cyclic collector never
+   walks, a ``Recommendation`` per served keyphrase.
 
 The kernel is cut between steps 5 and 6.  Everything up to the ranked
 columns — label id, ``c`` and score per surviving row
@@ -56,10 +57,9 @@ taking the Search / Recall Counts step 5 already gathered.  On the
 cluster they run on different machines: a worker stops after step 5
 (:meth:`LeafBatchRunner.run_ranked`) and ships the columns, and the
 coordinator runs the same :func:`materialise` over its own mapping of
-the artifact (:func:`materialise_ranked`), taking the text exit when
-its caller asked for it.  There is one step-6 implementation and it
-validates nothing; columns that crossed a wire are checked by their
-codec first.
+the artifact (:func:`materialise_ranked`), so its results are the same
+views.  There is one step-6 implementation and it validates nothing;
+columns that crossed a wire are checked by their codec first.
 
 The engine is *provably identical* to the scalar path — same candidate
 sets, same IEEE-754 scores (identical operand values through identical
@@ -70,14 +70,15 @@ The scalar path remains the semantics reference.
 
 from __future__ import annotations
 
+from collections import abc
 from functools import partial
 from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 import numpy as np
 
-from .batch import (InferenceRequest, last_request_wins,
-                    validate_hard_limit)
+from .batch import (BatchResult, InferenceRequest, last_request_wins,
+                    validate_limits)
 from .inference import Recommendation
 from .serialization import LazyStringList
 
@@ -93,9 +94,75 @@ CHUNK_ITEMS = 64
 _Part = Tuple["LeafGraph", List[int]]
 
 #: ``Recommendation._make`` without its Python-level call and length
-#: check per row: :func:`materialise`, the only caller, zips exactly
+#: check per row: :class:`_ChunkRows`, the only caller, zips exactly
 #: ``Recommendation._fields``, in order.
 _row = partial(tuple.__new__, Recommendation)
+
+
+class _ChunkRows:
+    """One chunk's step-6 columns, shared by its requests' views: label
+    texts and score, Search Count, Recall Count and ``c`` per row — no
+    model, no graph.  ``rows`` is ``None`` until a view's first read
+    builds them (idempotent: a racing build makes equal rows)."""
+
+    __slots__ = ("texts", "columns", "rows")
+
+    def __init__(self, strings: List[str], *columns: np.ndarray) -> None:
+        self.texts, self.columns = strings, columns
+        self.rows: Optional[List[Recommendation]] = None
+
+    def built(self) -> List[Recommendation]:
+        if self.rows is None:
+            self.rows = list(map(_row, zip(
+                self.texts, *(column.tolist() for column in self.columns))))
+        return self.rows
+
+
+class RowView(abc.Sequence):
+    """One request's ranked recommendations: a read-only
+    ``Sequence[Recommendation]`` over its slice of a chunk's columns.
+
+    ``len`` and :meth:`texts` build no row; any other read builds the
+    chunk's rows once and slices them.  A view equals the list (or
+    tuple, or view) of its rows and pickles as that list, as
+    :class:`~repro.core.serialization.LazyStringList` does.
+    """
+
+    __slots__ = ("_chunk", "_lo", "_hi")
+
+    def __init__(self, chunk: _ChunkRows, lo: int, hi: int) -> None:
+        self._chunk, self._lo, self._hi = chunk, lo, hi
+
+    def _rows(self) -> List[Recommendation]:
+        return self._chunk.built()[self._lo:self._hi]
+
+    def texts(self) -> List[str]:
+        """The ranked keyphrase texts, a new plain list."""
+        return self._chunk.texts[self._lo:self._hi]
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __iter__(self) -> Iterator[Recommendation]:
+        return iter(self._rows())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, tuple, RowView)):
+            return len(self) == len(other) and self._rows() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RowView({self._rows()!r})"
+
+    def __reduce__(self):
+        return (list, (self._rows(),))
+
+
+#: What a request without rows answers; every such request shares it.
+EMPTY_ROWS = RowView(_ChunkRows([]), 0, 0)
 
 
 def _prune_by_count_array(counts: np.ndarray, per_item: np.ndarray,
@@ -182,20 +249,18 @@ class RankedColumns(NamedTuple):
 def materialise(parts: Sequence[_Part], row_bounds: np.ndarray,
                 labels: np.ndarray, counts: np.ndarray,
                 scores: np.ndarray, search: np.ndarray,
-                recall: np.ndarray, results: List[list], *,
-                texts: bool = False) -> None:
-    """Step 6, the only implementation: ranked columns → rows, scattered
-    into ``results`` by request index.
+                recall: np.ndarray, results: List[RowView]) -> None:
+    """Step 6, the only implementation: ranked columns → one
+    :class:`RowView` per request with rows, scattered into ``results``
+    by request index.
 
     ``parts`` are per-graph runs of request indices; the columns hold
     those requests' rows back to back in that order, request ``i`` of
     the sequence owning rows ``row_bounds[i]:row_bounds[i + 1]``.  Label
-    texts are read from each run's own leaf in bulk and every row is
-    constructed once — or, with ``texts=True``, each request gets its
-    slice of the texts and no row is built.  Nothing is validated
-    here — the engine hands over what it just computed, and columns
-    that crossed a wire are checked by their codec before they get this
-    far.
+    texts are read from each run's own leaf in bulk; no row is built
+    until a view is read.  Nothing is validated here — the engine hands
+    over what it just computed, and columns that crossed a wire are
+    checked by their codec before they get this far.
     """
     cuts = row_bounds.tolist()
     strings: List[str] = []
@@ -203,13 +268,12 @@ def materialise(parts: Sequence[_Part], row_bounds: np.ndarray,
     for graph, indices in parts:
         start, stop = stop, stop + len(indices)
         strings.extend(_label_texts(graph, labels[cuts[start]:cuts[stop]]))
-    rows = strings if texts else list(map(_row, zip(
-        strings, scores.tolist(), search.tolist(), recall.tolist(),
-        counts.tolist())))
+    chunk = _ChunkRows(strings, scores, search, recall, counts)
     part_requests = (index for _graph, indices in parts
                      for index in indices)
     for index, lo, hi in zip(part_requests, cuts, cuts[1:]):
-        results[index] = rows[lo:hi]
+        if hi > lo:
+            results[index] = RowView(chunk, lo, hi)
 
 
 def ranked_parts(model: "GraphExModel",
@@ -229,18 +293,16 @@ def ranked_parts(model: "GraphExModel",
 
 
 def materialise_ranked(parts: Sequence[_Part], ranked: RankedColumns,
-                       n_requests: int, *, texts: bool = False
-                       ) -> List[list]:
-    """Rows of columns ranked elsewhere over the same artifact.
+                       n_requests: int) -> List[RowView]:
+    """Row views of columns ranked elsewhere over the same artifact.
 
     ``parts`` are :func:`ranked_parts` of ``ranked.requests`` on *this*
     side's model: Search and Recall Counts are gathered from its leaves,
-    then :func:`materialise` builds the rows (with ``texts=True``, the
-    text exit: no row built).  Returns one list per
-    request of the batch (``[]`` for a request without rows), as
-    :meth:`LeafBatchRunner.run_indexed` does.
+    then :func:`materialise` builds the views.  Returns one view per
+    request of the batch (:data:`EMPTY_ROWS` for a request without
+    rows), as :meth:`LeafBatchRunner.run_indexed` does.
     """
-    results: List[list] = [[] for _ in range(n_requests)]
+    results = [EMPTY_ROWS] * n_requests
     if not parts:
         return results
     row_bounds = np.append(0, np.cumsum(ranked.sizes))
@@ -252,7 +314,7 @@ def materialise_ranked(parts: Sequence[_Part], ranked: RankedColumns,
         parts, row_bounds, ranked.labels, ranked.counts, ranked.scores,
         np.concatenate([graph.search_counts[run] for graph, run in runs]),
         np.concatenate([graph.recall_counts[run] for graph, run in runs]),
-        results, texts=texts)
+        results)
     return results
 
 
@@ -273,18 +335,18 @@ class LeafBatchRunner:
             (must be ``None`` or ``>= 0``).
 
     Raises:
+        TypeError: If ``k`` or ``hard_limit`` is not an integer.
         ValueError: If ``hard_limit`` is negative.
     """
 
     def __init__(self, model: "GraphExModel", k: int = 10,
                  hard_limit: Optional[int] = None) -> None:
-        validate_hard_limit(hard_limit)
+        validate_limits(k, hard_limit)
         self._model = model
         self._k = k
         self._hard_limit = hard_limit
 
-    def run(self, requests: Sequence[InferenceRequest]
-            ) -> Dict[int, List[Recommendation]]:
+    def run(self, requests: Sequence[InferenceRequest]) -> BatchResult:
         """Infer a whole batch, chunk by chunk.
 
         Returns:
@@ -294,8 +356,8 @@ class LeafBatchRunner:
         """
         return last_request_wins(requests, self.run_indexed(requests))
 
-    def run_indexed(self, requests: Sequence[InferenceRequest], *,
-                    texts: bool = False) -> List[list]:
+    def run_indexed(self, requests: Sequence[InferenceRequest]
+                    ) -> List[RowView]:
         """Infer a batch, returning per-request results in input order.
 
         Unlike :meth:`run`, duplicate item ids are *not* collapsed —
@@ -303,13 +365,12 @@ class LeafBatchRunner:
         shard returns on every substrate: the caller scatters shard
         outputs back by request index, which preserves the scalar
         loop's last-request-wins semantics even when duplicates of one
-        item id land in different shards.  ``texts=True`` takes step
-        6's text exit: each output is the ranked keyphrase texts, no
-        :class:`Recommendation` built.
+        item id land in different shards.  Each output is a
+        :class:`RowView`; no row is built until one is read.
         """
-        results: List[list] = [[] for _ in requests]
+        results = [EMPTY_ROWS] * len(requests)
         for parts in self._chunks(requests):
-            self._run_chunk(requests, parts, results, texts=texts)
+            self._run_chunk(requests, parts, results)
         return results
 
     def run_ranked(self, requests: Sequence[InferenceRequest]
@@ -374,14 +435,13 @@ class LeafBatchRunner:
             yield chunk
 
     def _run_chunk(self, requests: Sequence[InferenceRequest],
-                   parts: Sequence[_Part], results: List[list], *,
-                   texts: bool = False) -> None:
+                   parts: Sequence[_Part], results: List[RowView]) -> None:
         """Enumerate → prune → rank → materialise one chunk into
         ``results``; ``parts`` are its per-graph runs of request
         indices."""
         ranked = self._rank_chunk(requests, parts)
         if ranked is not None:
-            materialise(parts, *ranked, results, texts=texts)
+            materialise(parts, *ranked, results)
 
     def _rank_chunk(self, requests: Sequence[InferenceRequest],
                     parts: Sequence[_Part]

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.batch import validate_hard_limit
+from ..core.batch import validate_limits
 from ..core.execution import resolve_executor
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
@@ -165,9 +165,9 @@ class AsyncNRTFront:
                              f"{wall_clock_seconds}")
         self._model = model
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Checked here, so a bad executor spelling or cap fails at
+        # Checked here, so a bad executor spelling, k or cap fails at
         # front construction, not at first add_stream.
-        validate_hard_limit(hard_limit)
+        validate_limits(k, hard_limit)
         self._service_kwargs = dict(
             window_size=window_size, window_seconds=window_seconds,
             k=k, hard_limit=hard_limit, enrich=enrich,

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.batch import (InferenceRequest, batch_recommend,
-                          validate_hard_limit)
+                          validate_limits)
 from ..core.execution import resolve_executor
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
@@ -65,7 +65,7 @@ class BatchPipeline:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._executor = resolve_executor(executor, metrics=self.metrics)
-        validate_hard_limit(hard_limit)
+        validate_limits(k, hard_limit)
         self.model = model
         self.store: KeyValueStore = store if store is not None \
             else KeyValueStore()
@@ -75,12 +75,11 @@ class BatchPipeline:
 
     def _infer(self, requests: Sequence[InferenceRequest]
                ) -> Dict[int, List[str]]:
-        """Item id → the keyphrase texts the store serves for it (the
-        engine's text exit: no row is built)."""
-        return batch_recommend(
+        """Item id → the keyphrase texts the store serves (no row)."""
+        results = batch_recommend(
             self.model, requests, k=self._k,
-            hard_limit=self._hard_limit, executor=self._executor,
-            texts=True)
+            hard_limit=self._hard_limit, executor=self._executor)
+        return {item_id: recs.texts() for item_id, recs in results.items()}
 
     def _record_load(self, kind: str, started: float,
                      report: BatchRunReport) -> BatchRunReport:

@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.batch import batch_recommend, validate_hard_limit
+from ..core.batch import batch_recommend, validate_limits
 from ..core.execution import resolve_executor
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
@@ -113,9 +113,9 @@ class NRTService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._stream_label = stream
         # Fail here, not mid-flush where the window's events would
-        # already be drained: a bad executor spelling, a negative cap.
+        # already be drained: a bad executor spelling, a bad k or cap.
         self._executor = resolve_executor(executor, metrics=self.metrics)
-        validate_hard_limit(hard_limit)
+        validate_limits(k, hard_limit)
         self.model = model
         self._store = store
         self._window_size = window_size
@@ -351,14 +351,14 @@ class NRTService:
                     requests.append((event.item_id, title, event.leaf_id))
                 # The whole window is one micro-batch through the
                 # engine — the Flink-window analogue of the paper's NRT
-                # branch — taking the text exit: the store keeps texts.
+                # branch.  The store keeps texts: no row is built.
                 results = batch_recommend(
                     model, requests, k=self._k,
-                    hard_limit=self._hard_limit, executor=self._executor,
-                    texts=True)
+                    hard_limit=self._hard_limit, executor=self._executor)
                 n_inferred = len(requests)
                 for item_id, _title, _leaf_id in requests:
-                    self._store.put(version, item_id, results[item_id])
+                    self._store.put(version, item_id,
+                                    results[item_id].texts())
         except BaseException:
             self._buffer[:0] = events
             self._window_opened_at = opened_at

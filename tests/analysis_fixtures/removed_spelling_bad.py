@@ -48,3 +48,7 @@ class SerialExecutor:
 
 def fast_batch_recommend(model, requests):
     return requests
+# lint-fixture-module: repro.core.fixture_removed_spelling_views
+def serve(model, requests, texts=True) -> TextResult:
+    validate_hard_limit(None)
+    return batch_recommend(model, requests, texts=texts)

@@ -46,3 +46,7 @@ def fleet_option(parser):
     """The --executor / --spawn-workers pair is one --workers now."""
     parser.add_argument("--workers", help="replaces --executor")
     return "supports_reference is gone"  # not EXECUTOR_NAMES either
+# lint-fixture-module: repro.serving.fixture_removed_spelling_views
+def store_texts(results, item_id, leaf):
+    """No texts= keyword and no TextResult: a view's texts() method."""
+    return results[item_id].texts(), leaf.replace(label_texts=[])

@@ -124,7 +124,9 @@ class TestRuleFixtures:
             (40, "oracle_option"), (41, '"--executor"'),
             (41, "EXECUTOR_NAMES"), (42, '"--spawn-workers"'),
             (43, "_cli_executor"), (43, "_close_executor"),
-            (46, "supports_reference"), (49, "fast_batch_recommend")]
+            (46, "supports_reference"), (49, "fast_batch_recommend"),
+            (52, "TextResult"), (52, "texts="),
+            (53, "validate_hard_limit"), (54, "texts=")]
 
     def test_mmap_bad_flags_all_three_shapes(self):
         report = lint_fixture("mmap_safety_bad.py",

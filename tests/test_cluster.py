@@ -626,6 +626,29 @@ class TestClusterInference:
         assert "boom-on-worker" in excinfo.value.worker_traceback
         assert "RuntimeError" in excinfo.value.worker_traceback
 
+    @pytest.mark.parametrize("limits", [
+        {"k": 5.0}, {"k": True}, {"hard_limit": 1.0}])
+    def test_a_frame_with_a_non_integer_limit_is_refused(
+            self, artifact, requests, limits):
+        """A ``run_shard`` frame's ``k`` / ``hard_limit`` used to reach
+        the engine unchecked — ``k=5.0`` was served, and a ``True`` or
+        ``5.0`` hit the runner cached for ``1`` or ``5`` (equal keys).
+        Now it is the named ``TypeError`` (a ``shard_error`` reply),
+        whether or not an equal-keyed runner is cached."""
+        worker = ClusterWorker("127.0.0.1", 1, name="w")
+        identity = open_model(artifact).artifact_identity
+        frame = {"model_path": str(artifact), "artifact": identity,
+                 "requests": pack_requests(requests[:4]),
+                 "k": 5, "hard_limit": None}
+        fresh = ClusterWorker("127.0.0.1", 1, name="fresh")
+        worker._run_inference_shard(dict(frame, k=1))
+        worker._run_inference_shard(dict(frame, hard_limit=1))
+        worker._run_inference_shard(frame)
+        name = next(iter(limits))
+        for host in (fresh, worker):
+            with pytest.raises(TypeError, match=f"{name} must be an int"):
+                host._run_inference_shard(dict(frame, **limits))
+
     def test_deploy_artifact_acknowledged_by_fleet(self, artifact):
         async def drive():
             async with ClusterCoordinator(rpc_timeout=20.0) as coord:

@@ -237,8 +237,8 @@ class TestInferenceJobContract:
         merged unit by unit (in a drawn order) through ``run_local``,
         equals the serial path's one engine call — duplicate ids,
         unknown leaves with and without a pooled graph, ``k <= 0``,
-        every ``hard_limit`` kind, rows or texts — first-seen order
-        included."""
+        every ``hard_limit`` kind — first-seen order and each view's
+        texts included."""
         served = data.draw(st.sampled_from([world, model]))
         leaf_ids = list(served.leaf_ids) + [999, 1000]
         requests = [
@@ -252,19 +252,20 @@ class TestInferenceJobContract:
         k = data.draw(st.sampled_from([-1, 0, 1, 3, 10]))
         hard_limit = data.draw(st.one_of(
             st.none(), st.just(0), st.integers(min_value=1, max_value=6)))
-        texts = data.draw(st.booleans())
         job = InferenceJob(served, requests,
                            data.draw(st.integers(min_value=1, max_value=4)),
-                           k=k, hard_limit=hard_limit, texts=texts)
+                           k=k, hard_limit=hard_limit)
         units = data.draw(st.permutations(job.plan.shards))
         assert sum(job.run_local(unit) for unit in units) == sum(
             served.leaf_graph(leaf_id) is not None
             or served.pooled_graph is not None
             for _item_id, _title, leaf_id in requests)
         serial = SerialExecutor().run_inference(
-            served, requests, k=k, hard_limit=hard_limit, texts=texts)
+            served, requests, k=k, hard_limit=hard_limit)
         assert job.output() == serial
         assert list(job.output()) == list(serial)
+        assert [view.texts() for view in job.output().values()] \
+            == [view.texts() for view in serial.values()]
 
     def test_wrong_row_count_raises(self, world):
         job = InferenceJob(world, self.REQUESTS, 1, k=5)

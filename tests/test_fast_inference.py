@@ -11,6 +11,10 @@ cases (empty vocabulary, unknown leaf, pooled fallback, duplicates).
 
 from __future__ import annotations
 
+import pickle
+import re
+import sys
+import threading
 import tracemalloc
 from contextlib import contextmanager
 
@@ -22,7 +26,8 @@ from hypothesis import strategies as st
 from repro.core import fast_inference
 from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
-from repro.core.fast_inference import (LeafBatchRunner, _label_texts,
+from repro.core.fast_inference import (EMPTY_ROWS, LeafBatchRunner,
+                                       RowView, _label_texts,
                                        _prune_by_count_array,
                                        materialise_ranked, ranked_parts)
 from repro.core.inference import (Recommendation, prune_by_count_groups,
@@ -255,57 +260,118 @@ class TestCrossLeafChunks:
         assert rows == expected
         assert [i for i, recs in enumerate(rows) if recs] \
             == sorted(answered)
-        assert materialise_ranked(parts, ranked, len(reqs), texts=True) \
+        assert [recs.texts() for recs in rows] \
             == [[row.text for row in recs] for recs in expected]
 
     @given(world=mixed_worlds, reqs=mixed_requests, k=st.integers(-1, 8),
            alignment=st.sampled_from(ALIGNMENTS),
            build_pooled=st.booleans(),
            hard_limit=st.one_of(st.none(), st.integers(0, 8)),
-           items=st.sampled_from([1, 2, 3, 5, fast_inference.CHUNK_ITEMS]))
+           items=st.sampled_from([1, 2, 3, 5, fast_inference.CHUNK_ITEMS]),
+           data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_the_text_exit_is_the_rows_texts(self, world, reqs, k,
-                                             alignment, build_pooled,
-                                             hard_limit, items):
-        """``texts=True`` — what the serving writers ask for — is
-        ``[r.text for r in rows]`` of the row path, chunk by chunk and
-        through ``batch_recommend`` (duplicate ids, requests no graph
-        serves and ``k <= 0`` included), and the oracle agrees."""
+    def test_a_view_reads_as_the_oracles_list(self, world, reqs, k,
+                                              alignment, build_pooled,
+                                              hard_limit, items, data):
+        """Every request's :class:`RowView` against the scalar oracle's
+        list, chunk by chunk (duplicate ids, requests no graph serves
+        and ``k <= 0`` included): ``len`` and ``.texts()`` build no
+        row; ``==`` both ways, iteration, ``tuple``, indexing (negative
+        too), slicing and a pickle round trip read the oracle's rows."""
         model = make_model(world, alignment=alignment,
                            build_pooled=build_pooled)
-        runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
-        chunks = spy_chunks(runner)
+        oracle = batch_recommend(model, reqs, k=k, hard_limit=hard_limit,
+                                 engine="reference")
         with chunk_items(items):
-            rows = runner.run_indexed(reqs)
-            row_chunks = list(chunks)
-            assert runner.run_indexed(reqs, texts=True) \
-                == [[row.text for row in recs] for recs in rows]
-            assert chunks[len(row_chunks):] == row_chunks
-            texts = batch_recommend(model, reqs, k=k, hard_limit=hard_limit,
-                                    texts=True)
-        assert texts == {item_id: [row.text for row in recs]
-                         for item_id, recs in batch_recommend(
-                             model, reqs, k=k,
-                             hard_limit=hard_limit).items()}
-        assert texts == batch_recommend(
-            model, reqs, k=k, hard_limit=hard_limit, engine="reference",
-            texts=True)
+            views = LeafBatchRunner(model, k=k,
+                                    hard_limit=hard_limit).run_indexed(reqs)
+        expected = [model.recommend(title, leaf_id, k=k,
+                                    hard_limit=hard_limit)
+                    for _item_id, title, leaf_id in reqs]
+        for view, rows in zip(views, expected):
+            assert isinstance(view, RowView)
+            assert len(view) == len(rows)
+            assert view.texts() == [row.text for row in rows]
+        assert all(view._chunk.rows is None for view in views if view)
+        for view, rows in zip(views, expected):
+            assert view == rows and rows == view
+            assert list(view) == rows and tuple(view) == tuple(rows)
+            if rows:
+                index = data.draw(st.integers(-len(rows), len(rows) - 1))
+                lo, hi = data.draw(st.tuples(st.integers(-6, 6),
+                                             st.integers(-6, 6)))
+                assert view[index] == rows[index]
+                assert view[lo:hi] == rows[lo:hi]
+                assert view != rows[:-1] and view != rows + rows[:1]
+                assert (view == rows[::-1]) == (rows == rows[::-1])
+            assert pickle.loads(pickle.dumps(view)) == rows
+        result = batch_recommend(model, reqs, k=k, hard_limit=hard_limit)
+        assert result == oracle and oracle == result
+        assert list(result) == list(oracle)
+        assert pickle.loads(pickle.dumps(result)) == oracle
 
-    def test_a_fleet_takes_the_same_text_exit(self, fleet):
-        """On a fleet the coordinator reads the texts off the decoded
-        columns instead of building rows; same output as inline."""
+    def test_unanswered_requests_share_one_empty_view(self):
+        """A request without rows — unknown leaf, no title word in its
+        graph, ``k <= 0`` — answers the one shared empty view."""
+        model = make_model({1: [("w0 w1", 5, 1)]})
+        reqs = [(1, "w0", 1), (2, "zzz", 1), (3, "w0", 7)]
+        for k, answered in ((5, [True, False, False]),
+                            (0, [False, False, False])):
+            views = LeafBatchRunner(model, k=k).run_indexed(reqs)
+            assert [len(view) > 0 for view in views] == answered
+            for view, has_rows in zip(views, answered):
+                if not has_rows:
+                    assert view is EMPTY_ROWS
+                    assert view.texts() == [] and view == [] == view
+                    assert list(view) == [] and not view
+
+    def test_threads_racing_on_a_first_read_see_the_oracles_rows(self):
+        """A chunk's rows are built on first read, without a lock:
+        threads racing on it — more than there are cores, with a
+        shortened switch interval — all read the oracle's rows."""
+        model = make_model({1: [(f"w{i} w{i + 1}", 60 - i, i)
+                                for i in range(16)]})
+        reqs = [(i, f"w{i % 17} w{(i + 3) % 17}", 1) for i in range(40)]
+        oracle = batch_recommend(model, reqs, k=8, engine="reference")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(20):
+                views = LeafBatchRunner(model, k=8).run(reqs)
+                barrier = threading.Barrier(8)
+                seen = []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    seen.append(all(views[i] == oracle[i] for i in oracle))
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [True] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_fleet_serves_the_same_views(self, fleet):
+        """On a fleet the coordinator decodes the shipped columns into
+        the same views: same rows, same texts, no row built first."""
         model = make_model({1: [("w0 w1", 5, 1), ("w0 w2", 4, 2)],
                             2: [("w1 w3", 9, 9), ("w3", 8, 8)]},
                            build_pooled=True)
         reqs = [(5, "w0 w1", 1), (6, "w3 w1", 2), (5, "w1", 2),
                 (7, "zzz", 1), (8, "w0 w3", 9)]
-        rows = batch_recommend(model, reqs, k=5, executor=fleet)
-        texts = batch_recommend(model, reqs, k=5, executor=fleet,
-                                texts=True)
-        assert texts == {item_id: [row.text for row in recs]
-                         for item_id, recs in rows.items()}
-        assert texts == batch_recommend(model, reqs, k=5, texts=True)
-        assert texts[5] == ["w1 w3"] and texts[7] == []
+        views = batch_recommend(model, reqs, k=5, executor=fleet)
+        assert {item_id: view.texts() for item_id, view in views.items()} \
+            == {item_id: [row.text for row in recs] for item_id, recs
+                in batch_recommend(model, reqs, k=5,
+                                   engine="reference").items()}
+        assert all(view._chunk.rows is None for view in views.values()
+                   if view)
+        assert views == batch_recommend(model, reqs, k=5)
+        assert views[5].texts() == ["w1 w3"] and views[7] == []
 
     def test_a_group_splits_and_a_chunk_spans_leaves(self):
         """Directed, in items: under ``CHUNK_ITEMS = 2`` the 5-item leaf
@@ -607,6 +673,37 @@ class TestEdgeCases:
                             engine=engine)
         with pytest.raises(ValueError, match="hard_limit"):
             LeafBatchRunner(model, k=5, hard_limit=-1)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("limits", [
+        {"k": 2.0}, {"k": True}, {"k": "2"}, {"k": None},
+        {"hard_limit": 1.0}, {"hard_limit": False},
+        {"hard_limit": np.float64(1)}])
+    def test_a_non_integer_limit_is_a_named_type_error(self, engine,
+                                                       limits):
+        """``k=2.0`` used to serve rows on the fast engine and raise a
+        raw ``IndexError`` on the reference one (a title with more than
+        ``k`` candidates); ``hard_limit=1.0`` raised two different raw
+        ``TypeError`` s.  Both engines now refuse any non-integer (a
+        ``bool`` too) by name, before any inference."""
+        model = make_model({1: [("red shoe", 5, 1), ("red", 4, 2),
+                                ("shoe", 3, 3), ("red shoe box", 2, 4)]})
+        name, value = next(iter(limits.items()))
+        options = {"k": 5, **limits}
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name} must be an int, got {value!r}")):
+            batch_recommend(model, [(1, "red shoe", 1)], engine=engine,
+                            **options)
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            LeafBatchRunner(model, **options)
+
+    def test_numpy_integer_limits_are_served(self):
+        model = make_model({1: [("red shoe", 5, 1), ("red", 4, 2)]})
+        reqs = [(1, "red shoe", 1)]
+        assert batch_recommend(model, reqs, k=np.int64(1),
+                               hard_limit=np.int32(1)) \
+            == batch_recommend(model, reqs, k=1, hard_limit=1,
+                               engine="reference")
 
     def test_duplicate_item_ids_across_process_shards_last_wins(
             self, fleet):

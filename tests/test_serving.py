@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.serving import (
@@ -13,7 +16,9 @@ from repro.serving import (
 )
 from tests.conftest import (FIG3_LEAF_ID, FlakyStore, build_fig3_curated,
                             malformed_artifact)
+from repro.core.batch import batch_recommend
 from repro.core.model import GraphExModel
+from repro.core.serialization import open_model, save_model
 
 
 @pytest.fixture()
@@ -912,3 +917,58 @@ class TestNRTService:
             99, 0.0, title="gaming headphones xbox"))
         assert pipeline.serve(99)
         assert pipeline.serve(1)  # batch results still present
+
+
+class TestNoViewPinsServingState:
+    """The fast engine answers with row views over its chunk columns;
+    what reaches a store, and what outlives a hot-swap, must be plain."""
+
+    @staticmethod
+    def _event(item_id, ts, kind=ItemEventKind.CREATED,
+               title="gaming headphones xbox"):
+        return ItemEvent(kind=kind, item_id=item_id, title=title,
+                         leaf_id=FIG3_LEAF_ID, timestamp=ts)
+
+    def test_every_stored_value_is_a_plain_list_of_str(
+            self, model, fig3_variant_model, tmp_path):
+        """A full load, an NRT window with a DELETE+CREATE, a hot-swap
+        to a mapped artifact and a differential: the writers store
+        ``.texts()``, so every served value is a ``list`` of ``str`` —
+        no view, no row, nothing holding a chunk."""
+        store = KeyValueStore()
+        pipeline = BatchPipeline(model, store=store)
+        pipeline.full_load(REQUESTS)
+        service = NRTService(model, store, window_size=3)
+        service.submit(self._event(1, 0.0, ItemEventKind.DELETED))
+        service.submit(self._event(1, 0.1))
+        service.submit(self._event(99, 0.2))
+        artifact = str(save_model(fig3_variant_model, tmp_path / "m"))
+        service.refresh_model(artifact)
+        pipeline.refresh_model(artifact)
+        service.submit(self._event(98, 1.0))
+        service.flush()
+        pipeline.daily_differential(REQUESTS[1:])
+        served = table(store)
+        assert set(served) == {1, 2, 3, 98, 99} and served[99]
+        for value in served.values():
+            assert type(value) is list
+            assert all(type(text) is str for text in value)
+
+    def test_an_old_view_does_not_pin_the_swapped_out_model(
+            self, model, fig3_variant_model, tmp_path):
+        """A caller still holding a view from the old generation keeps
+        neither the swapped-out mapped model nor its leaf graphs alive,
+        and the view still reads — its rows built after they are gone."""
+        old = open_model(save_model(model, tmp_path / "old"))
+        service = NRTService(old, KeyValueStore(), window_size=1)
+        service.submit(self._event(99, 0.0))
+        view = batch_recommend(old, REQUESTS, k=5)[1]
+        assert len(view) > 0 and view._chunk.rows is None
+        gone = [weakref.ref(old), weakref.ref(old.leaf_graph(FIG3_LEAF_ID))]
+        service.refresh_model(fig3_variant_model)
+        del old
+        gc.collect()
+        assert [ref() for ref in gone] == [None, None]
+        assert view == batch_recommend(model, REQUESTS, k=5,
+                                       engine="reference")[1]
+        assert service.serve(99)
