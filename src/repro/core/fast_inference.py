@@ -32,10 +32,13 @@ items, whichever leaves they belong to:
    reversed cumulative sum, and each item's cutoff is its k-th largest
    count; whole threshold groups are kept exactly as the scalar path
    does (:func:`_prune_by_count_array`).
-5. **Segmented ranking** — label metadata is gathered from the owning
-   leaf part by part, then one ``np.lexsort`` keyed by (item, score
-   desc, Search Count desc, Recall Count asc, label id asc) ranks every
-   item's survivors together.
+5. **Segmented ranking** — each row's score becomes its dense integer
+   rank among the chunk's distinct scores (``np.unique``, so equal
+   scores rank equal); step 4's count array over the ranks cuts each
+   item to what ``hard_limit`` can serve, boundary ties kept; only
+   then are Search / Recall Counts gathered from the owning leaf, and
+   one ``np.lexsort`` keyed by (item, rank, S desc, R asc, label id
+   asc) ranks every item at once.
 6. **Materialisation** (:func:`materialise`) — each item's segment
    having been capped at ``hard_limit``, label texts are read from the
    owning leaf in bulk
@@ -178,6 +181,13 @@ def _prune_by_count_array(counts: np.ndarray, per_item: np.ndarray,
     the cutoff whose whole threshold group survives (0 — everything
     survives — for an item without a k-th candidate).
 
+    Step 5 reuses it on ``n_ranks - rank`` to cut at ``hard_limit``.
+    The table is ``n_items x (max(counts) + 1)``: ``c`` is at most the
+    longest keyphrase (curation's ``max_tokens``), and ``n_ranks`` at
+    most the distinct scores of the ``(c, |l|)`` cells under it — 55 at
+    the default 10 tokens — times, for JAC only, the chunk's distinct
+    title lengths (at most :data:`CHUNK_ITEMS`).
+
     Returns:
         Ascending indices into ``counts`` of the survivors (``k >= 1``).
     """
@@ -197,9 +207,9 @@ def _narrow(values: np.ndarray, top: Optional[int] = None) -> np.ndarray:
 
     A sort key's order does not depend on its width, but its speed
     does: ``np.lexsort`` radix-sorts keys of 16 bits or fewer and
-    merge-sorts wider ones, an order of magnitude apart per row, and
-    ``np.sort`` moves half the bytes per 32-bit key that it does per
-    64-bit one.
+    merge-sorts wider ones (as it did step 5's old float64 score key),
+    an order of magnitude apart per row, and ``np.sort`` moves half the
+    bytes per 32-bit key that it does per 64-bit one.
     """
     return values.astype(np.min_scalar_type(
         int(values.max() if top is None else top)))
@@ -401,7 +411,7 @@ class LeafBatchRunner:
     def _chunks(self, requests: Sequence[InferenceRequest]
                 ) -> Iterator[List[_Part]]:
         """Step 1: the batch's chunks, each a list of per-graph parts."""
-        if self._k <= 0:
+        if self._k <= 0 or self._hard_limit == 0:
             return
         model = self._model
         # Bucket request indices by the graph that will serve them; a
@@ -532,24 +542,36 @@ class LeafBatchRunner:
         labels = (keys[run_starts[keep]].astype(np.int64)
                   - np.repeat(slots[:-1], sizes))
 
-        # Rank: label metadata comes from the owning leaf, then one
-        # segmented lexsort.  Within an item the keys are the scalar
-        # path's (score desc, S desc, R asc, label id asc) — the last
-        # implicit: rows enter label-ascending and lexsort is stable.
-        lengths_of, search_of, recall_of = [], [], []
+        # Rank: integer score ranks, the hard_limit cut, then S / R from
+        # the owning leaf and one segmented lexsort.  Within an item the
+        # keys are the scalar path's (score desc, S desc, R asc, label
+        # id asc) — the last implicit: rows enter label-ascending and
+        # lexsort is stable.
+        negated, ranks = np.unique(-self._model.alignment_fn(
+            counts,
+            np.concatenate([graph.label_lengths[labels[lo:hi]]
+                            for graph, lo, hi in by_part(row_bounds)]),
+            np.asarray(n_tokens, dtype=np.int64)[item_of]),
+            return_inverse=True)
+        if self._hard_limit is not None:
+            # Step 4's count array over ranks turned best-highest: each
+            # item keeps its hard_limit best rows and every tie with them.
+            kept = _prune_by_count_array(len(negated) - ranks, sizes,
+                                         self._hard_limit)
+            sizes = np.diff(np.searchsorted(kept, row_bounds))
+            row_bounds = np.append(0, np.cumsum(sizes))
+            item_of, labels, counts, ranks = (
+                item_of[kept], labels[kept], counts[kept], ranks[kept])
+        search_of, recall_of = [], []
         for graph, lo, hi in by_part(row_bounds):
             part_labels = labels[lo:hi]
-            lengths_of.append(graph.label_lengths[part_labels])
             search_of.append(graph.search_counts[part_labels])
             recall_of.append(graph.recall_counts[part_labels])
         search = np.concatenate(search_of)
         recall = np.concatenate(recall_of)
-        scores = self._model.alignment_fn(
-            counts, np.concatenate(lengths_of),
-            np.asarray(n_tokens, dtype=np.int64)[item_of])
         order = np.lexsort((_narrow(recall - recall.min()),
                             _narrow(search.max() - search),
-                            -scores, _narrow(item_of)))
+                            _narrow(ranks), _narrow(item_of)))
 
         if self._hard_limit is not None:
             # Cap each item's segment *before* materialising; rows past
@@ -561,6 +583,6 @@ class LeafBatchRunner:
                 + np.arange(capped_bounds[-1], dtype=np.int64)]
             row_bounds = capped_bounds
 
-        return (row_bounds, labels[order], counts[order], scores[order],
-                search[order], recall[order])
+        return (row_bounds, labels[order], counts[order],
+                -negated[ranks[order]], search[order], recall[order])
 

@@ -16,6 +16,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import fast_inference
+from repro.core.alignment import get_alignment
 from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.fast_inference import (EMPTY_ROWS, LeafBatchRunner,
@@ -552,6 +554,152 @@ class TestCountArrayPrune:
     def test_property(self, segments, k):
         self.assert_equals_scalar(segments, k)
 
+
+class TestRankCut:
+    """Step 5 ranks scores as integers and, with ``hard_limit`` set,
+    cuts each item to the ranks it can serve before the lexsort: every
+    row tied with an item's ``hard_limit``-th one survives the cut, so
+    the Search / Recall Count tie-break still picks among all of them."""
+
+    #: Title ``w0 w1 w2`` (|T| = 3) against each alignment's leaf: two
+    #: tied pairs, each from two different (c, |l|) cells, the later
+    #: label of a pair searched more, so it ranks first; then one row
+    #: below.  LTA(1,1) = LTA(2,3), LTA(1,2) = LTA(2,5); WMR(1,1) =
+    #: WMR(2,2), WMR(1,2) = WMR(2,4); JAC(2,3,3) = JAC(3,6,3),
+    #: JAC(1,1,3) = JAC(2,5,3).
+    TIE_WORLDS = {
+        "lta": ["w0", "w1 w2 w10", "w0 w11", "w1 w2 w12 w13 w14"],
+        "wmr": ["w0", "w1 w2", "w0 w11", "w1 w2 w12 w13"],
+        "jac": ["w1 w2 w10", "w0 w1 w2 w10 w11 w12", "w0",
+                "w1 w2 w12 w13 w14"],
+    }
+    SEARCH = [10, 80, 20, 70]
+    REQUESTS = [(1, "w0 w1 w2", 1), (2, "zzz", 1), (3, "w2 w1 w0 w17", 1),
+                (4, "w2 w0 w1", 1), (5, "w0", 1)]
+    #: 1 and 3 straddle a tie; 2 ends on one; 5 is the survivor count.
+    LIMITS = [0, 1, 2, 3, 5, 9, None]
+
+    @classmethod
+    def tie_model(cls, alignment):
+        texts = cls.TIE_WORLDS[alignment] + ["w2 w13 w14 w15 w16"]
+        return make_model({1: [(text, search, 5) for text, search
+                               in zip(texts, cls.SEARCH + [50])]},
+                          alignment=alignment)
+
+    @staticmethod
+    def stable_cut(segments, limit):
+        """Stable-sort each item's rows by rank, keep the first
+        ``limit`` and every row tied with the last one kept."""
+        kept, offset = [], 0
+        for ranks in segments:
+            order = sorted(range(len(ranks)), key=ranks.__getitem__)
+            if limit and order:
+                edge = ranks[order[min(limit, len(order)) - 1]]
+                kept += [offset + i for i in order if ranks[i] <= edge]
+            offset += len(ranks)
+        return sorted(kept)
+
+    @given(segments=st.lists(st.lists(st.integers(0, 5), max_size=12),
+                             min_size=1, max_size=6)
+           .filter(lambda segments: any(segments)),
+           limit=st.integers(1, 9), spare=st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_the_count_array_over_ranks_keeps_every_boundary_tie(
+            self, segments, limit, spare):
+        """The cut is step 4's count array over ``n_ranks - rank``
+        (``hard_limit = 0`` never reaches it: no chunk runs)."""
+        ranks = np.asarray([r for ranks in segments for r in ranks])
+        n_ranks = int(ranks.max()) + 1 + spare
+        assert _prune_by_count_array(
+            n_ranks - ranks, np.asarray([len(r) for r in segments]),
+            limit).tolist() == self.stable_cut(segments, limit)
+
+    @pytest.mark.parametrize("alignment", ALIGNMENTS)
+    def test_the_worlds_tie_across_cells(self, alignment):
+        """Each tied pair holds two values of ``c``, the later label
+        first: a cut that dropped boundary ties would serve the other."""
+        rows = recommend_from_graph(
+            self.tie_model(alignment).leaf_graph(1), ["w0", "w1", "w2"],
+            k=20, alignment_fn=get_alignment(alignment))
+        texts = self.TIE_WORLDS[alignment]
+        assert [row.text for row in rows[:4]] \
+            == [texts[1], texts[0], texts[3], texts[2]]
+        for pair in (rows[0:2], rows[2:4]):
+            assert pair[0].score == pair[1].score
+            assert pair[0].common != pair[1].common
+        assert rows[1].score > rows[2].score > rows[4].score
+
+    @pytest.mark.parametrize("hard_limit", LIMITS)
+    @pytest.mark.parametrize("alignment", ALIGNMENTS)
+    def test_every_path_serves_the_reference(self, alignment, hard_limit):
+        model = self.tie_model(alignment)
+        reqs = self.REQUESTS
+        expected = reference_outputs(model, reqs, 20, hard_limit)
+        runner = LeafBatchRunner(model, k=20, hard_limit=hard_limit)
+        indexed = runner.run_indexed(reqs)
+        assert [list(rows) for rows in indexed] \
+            == [expected[item_id] for item_id, _title, _leaf in reqs]
+        assert_identical(batch_recommend(model, reqs, k=20,
+                                         hard_limit=hard_limit),
+                         expected)
+        ranked = runner.run_ranked(reqs)
+        assert materialise_ranked(
+            ranked_parts(model, reqs, ranked.requests.tolist()), ranked,
+            len(reqs)) == indexed
+        served = sum(len(rows) for rows in expected.values())
+        assert (served == 0) == (hard_limit == 0)
+
+    @pytest.mark.parametrize("alignment", ALIGNMENTS)
+    def test_no_numpy_warning_escapes(self, alignment):
+        """Only candidate rows are scored (``c >= 1``), so no score
+        divides by zero: a batch raises no warning even when warnings
+        are errors."""
+        worlds = {leaf: [(" ".join(TOKENS[i:i + size]), 1 + i, 2 + size)
+                         for i in range(0, 12, 3)]
+                  for leaf, size in ((1, 1), (2, 3), (3, 6))}
+        worlds[4] = [(text, search, 5) for text, search
+                     in zip(self.TIE_WORLDS[alignment], self.SEARCH)]
+        model = make_model(worlds, alignment=alignment, build_pooled=True)
+        reqs = [(i, " ".join(TOKENS[i % 7:i % 7 + i % 9] + STRANGERS[:i % 2]),
+                 1 + i % 6) for i in range(40)]
+        for hard_limit in (None, 0, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                served = batch_recommend(model, reqs, k=3,
+                                         hard_limit=hard_limit)
+            assert_identical(served, reference_outputs(model, reqs, 3,
+                                                       hard_limit))
+
+
+    @pytest.mark.parametrize("hard_limit", [1, 3, 7, None])
+    def test_jac_ranks_long_varied_titles(self, hard_limit, monkeypatch):
+        """JAC's score depends on ``|T|``, so long titles of many lengths
+        multiply the distinct scores in a chunk; the cut's count array
+        still stays within the bound its docstring states (55 cells per
+        title length at 10-token keyphrases) and serves the reference."""
+        rng = np.random.default_rng(7)
+        words = [f"v{i}" for i in range(40)]
+        phrases = {" ".join(rng.choice(words, size, replace=False))
+                   for size in rng.integers(1, 11, 300)}
+        model = make_model({1: [(text, 1 + i % 13, 1 + i % 5) for i, text
+                                in enumerate(sorted(phrases))]},
+                           alignment="jac")
+        reqs = [(i, " ".join(rng.choice(words + STRANGERS, 1 + (i * 7) % 120)),
+                 1) for i in range(150)]
+        strides = []
+        real_prune = fast_inference._prune_by_count_array
+
+        def spy(counts, per_item, k):
+            strides.append(int(counts.max()) + 1)
+            return real_prune(counts, per_item, k)
+
+        monkeypatch.setattr(fast_inference, "_prune_by_count_array", spy)
+        served = batch_recommend(model, reqs, k=20, hard_limit=hard_limit)
+        assert_identical(served, reference_outputs(model, reqs, 20,
+                                                   hard_limit))
+        assert max(strides) <= 55 * fast_inference.CHUNK_ITEMS + 1
+        if hard_limit is not None:
+            assert max(strides[1::2]) > 55   # more ranks than LTA could have
 
 class TestBulkLabelTexts:
     """``LazyStringList.take`` (mapped models) and the engine's plain
