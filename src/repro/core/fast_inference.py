@@ -14,8 +14,9 @@ items, whichever leaves they belong to:
    chunks of :data:`CHUNK_ITEMS` items: a large leaf group splits,
    small ones share a chunk, and the one-leaf group is simply the
    one-part chunk.  A chunk's *parts* are its per-graph runs of items.
-2. **Intern per part** — each part's titles are tokenized and mapped
-   through the owning leaf's ``word_vocab``.
+2. **Intern per part** — each title is tokenized in one C-level pass
+   and its words mapped through the owning leaf's ``word_vocab`` dict,
+   an unknown word to ``-1``, which reads as degree 0.
 3. **Fused enumeration** — per part, one CSR gather expands every
    (title, word) pair's adjacency list straight out of the leaf's own
    ``indptr`` / ``indices`` (on an mmap-opened model these stay the
@@ -32,8 +33,9 @@ items, whichever leaves they belong to:
    reversed cumulative sum, and each item's cutoff is its k-th largest
    count; whole threshold groups are kept exactly as the scalar path
    does (:func:`_prune_by_count_array`).
-5. **Segmented ranking** — each row's score becomes its dense integer
-   rank among the chunk's distinct scores (``np.unique``, so equal
+5. **Segmented ranking** — each row reads the dense integer rank of
+   its ``(c, |l|, |T|)`` cell's score among the chunk's distinct
+   scores (only the cells in use are scored; ``np.unique``, so equal
    scores rank equal); step 4's count array over the ranks cuts each
    item to what ``hard_limit`` can serve, boundary ties kept; only
    then are Search / Recall Counts gathered from the owning leaf, and
@@ -75,6 +77,7 @@ from __future__ import annotations
 
 from collections import abc
 from functools import partial
+from itertools import repeat
 from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -474,30 +477,28 @@ class LeafBatchRunner:
             cuts = item_bounds[part_cuts].tolist()
             return zip(graphs, cuts, cuts[1:])
 
-        # Intern, part by part: the leaf's ids of each title's known
-        # words, looked up in its CSR row pointers.  |T| counts unknown
-        # tokens too — it is the |T| the alignment functions see.
+        # Intern, part by part: the leaf's ids of each title's words,
+        # looked up in its CSR row pointers; an unknown word is -1, whose
+        # pointers (indptr[-1], indptr[0]) clip to degree 0.  |T| counts
+        # unknown tokens too — it is the |T| the alignment functions see.
         tokenizer = self._model.tokenizer
+        unknown = repeat(-1)
         n_tokens: List[int] = []
-        n_known: List[int] = []
         starts_of: List[np.ndarray] = []
-        degrees_of: List[np.ndarray] = []
+        ends_of: List[np.ndarray] = []
         for graph, indices in parts:
-            vocab_get = graph.word_vocab.get
+            ids_get = graph.word_vocab.ids.get
             flat: List[int] = []
             for index in indices:
                 tokens = dict.fromkeys(tokenizer(requests[index][1]))
                 n_tokens.append(len(tokens))
-                before = len(flat)
-                flat.extend(word_id for word_id in map(vocab_get, tokens)
-                            if word_id is not None)
-                n_known.append(len(flat) - before)
+                flat.extend(map(ids_get, tokens, unknown))
             word_ids = np.asarray(flat, dtype=np.int64)
             indptr = graph.graph.indptr
-            starts = indptr[word_ids]
-            starts_of.append(starts)
-            degrees_of.append(indptr[word_ids + 1] - starts)
-        degrees = np.concatenate(degrees_of)
+            starts_of.append(indptr[word_ids])
+            ends_of.append(indptr[word_ids + 1])
+        starts = np.concatenate(starts_of)
+        degrees = np.maximum(np.concatenate(ends_of) - starts, 0)
         total = int(degrees.sum())
         if total == 0:
             return None
@@ -506,11 +507,10 @@ class LeafBatchRunner:
         # position in its own leaf's ``indices``; the per-part reads
         # are the only copies (``indices`` stays the leaf's mapped view).
         entry_ends = np.cumsum(degrees)
-        positions = (np.repeat(np.concatenate(starts_of)
-                               - (entry_ends - degrees), degrees)
+        positions = (np.repeat(starts - (entry_ends - degrees), degrees)
                      + np.arange(total, dtype=np.int64))
         entry_bounds = np.append(0, entry_ends)[
-            np.append(0, np.cumsum(n_known))]
+            np.append(0, np.cumsum(n_tokens))]
         candidates = np.empty(total, dtype=np.int64)
         for graph, lo, hi in by_part(entry_bounds):
             candidates[lo:hi] = graph.graph.indices[positions[lo:hi]]
@@ -546,13 +546,24 @@ class LeafBatchRunner:
         # the owning leaf and one segmented lexsort.  Within an item the
         # keys are the scalar path's (score desc, S desc, R asc, label
         # id asc) — the last implicit: rows enter label-ascending and
-        # lexsort is stable.
-        negated, ranks = np.unique(-self._model.alignment_fn(
-            counts,
-            np.concatenate([graph.label_lengths[labels[lo:hi]]
-                            for graph, lo, hi in by_part(row_bounds)]),
-            np.asarray(n_tokens, dtype=np.int64)[item_of]),
+        # lexsort is stable.  A row's score is a function of its cell
+        # (c, |l|, |T|), |T| indexed by the chunk's distinct title
+        # lengths: one bincount finds the cells in use, only those are
+        # scored, and the table then holds each cell's rank — at most
+        # CHUNK_ITEMS x (max |l| + 1) x (max c + 1) entries.
+        lengths = np.concatenate([graph.label_lengths[labels[lo:hi]]
+                                  for graph, lo, hi in by_part(row_bounds)])
+        title_lengths, title_of = np.unique(n_tokens, return_inverse=True)
+        n_lengths, n_counts = int(lengths.max()) + 1, int(counts.max()) + 1
+        cells = (title_of[item_of] * n_lengths + lengths) * n_counts + counts
+        table = np.bincount(cells)
+        used = np.flatnonzero(table)
+        cell_title, cell = np.divmod(used, n_lengths * n_counts)
+        cell_length, cell_count = np.divmod(cell, n_counts)
+        negated, table[used] = np.unique(-self._model.alignment_fn(
+            cell_count, cell_length, title_lengths[cell_title]),
             return_inverse=True)
+        ranks = table[cells]
         if self._hard_limit is not None:
             # Step 4's count array over ranks turned best-highest: each
             # item keeps its hard_limit best rows and every tie with them.

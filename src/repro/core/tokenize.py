@@ -110,30 +110,35 @@ class SpaceTokenizer:
         return cls(stem=spec["stem"], drop_stopwords=stopwords)
 
     def process(self, raw: str) -> Optional[str]:
-        """Normalize/stem one whitespace-separated raw token.
-
-        Returns None when the token is dropped (empty after normalization
-        or a stopword).  ``__call__`` is exactly a split + ``process`` per
-        raw token; :class:`TokenCache` relies on that to memoize the
-        per-token pipeline without changing semantics.
+        """The token ``__call__`` makes of one raw token (a chunk of
+        ``text.split()``), or None when it is dropped (empty after
+        normalization, or a stopword); :class:`TokenCache` memoizes it.
         """
-        token = normalize_token(raw)
-        if not token or token in self._stopwords:
-            return None
-        if self._stem:
-            token = light_stem(token)
-        return token
+        tokens = self(raw)
+        return tokens[0] if tokens else None
 
     def __call__(self, text: str) -> List[str]:
-        """Tokenize, normalize and optionally stem a string.
+        """Tokenize, normalize and optionally stem a whole string.
 
-        ``str.split()`` and the historical ``\\s+`` regex split agree on
-        every Unicode codepoint (and the empty string's lone ``""``
-        chunk normalizes away), so this is the exact same token stream,
-        just without the regex engine.
+        One C-level lower and split; only a title with a non-alphanumeric
+        token runs :func:`normalize_token` per token, and stopwords and
+        stems cost only a tokenizer that has them.  That is
+        ``normalize_token``, drop, stem per chunk of ``text.split()``:
+        a code point lowers to whitespace exactly when it is whitespace,
+        Final_Sigma looks no further than a whitespace neighbour and
+        ``str.lower`` is idempotent (``tests/test_tokenize.py`` checks
+        every code point), so each chunk lowers as it would alone.
         """
-        return [token for token in map(self.process, text.split())
-                if token is not None]
+        tokens = text.lower().split()
+        if not all(map(str.isalnum, tokens)):
+            tokens = [token for token in map(normalize_token, tokens)
+                      if token]
+        if self._stopwords:
+            tokens = [token for token in tokens
+                      if token not in self._stopwords]
+        if self._stem:
+            tokens = list(map(light_stem, tokens))
+        return tokens
 
 
 class TokenCache:
@@ -145,10 +150,11 @@ class TokenCache:
     token string once into a shared append-only pool, so the leaf
     builder works on integer ids.
 
-    A :class:`SpaceTokenizer`'s pipeline is per raw token, so it
-    collapses into one memo lookup (``raw token → pool id, or dropped``,
-    :meth:`resolve_raws`): repeated tokens skip the normalization
-    regex *and* the string-keyed interning dict entirely, and the
+    :meth:`SpaceTokenizer.__call__` makes at most one token of each
+    raw whitespace-separated token, whatever its neighbours, so it
+    collapses into one memo lookup per raw token (``raw token → pool
+    id, or dropped``, :meth:`resolve_raws`): repeated tokens skip the
+    tokenizer *and* the string-keyed interning dict entirely, and the
     produced token streams are identical to calling the tokenizer
     directly.
 

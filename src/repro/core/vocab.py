@@ -75,6 +75,11 @@ class Vocabulary:
         """Id of a token, or None if it was never interned."""
         return self._ids.get(token)
 
+    @property
+    def ids(self) -> Dict[str, int]:
+        """The token → id dict itself, for C-level lookups: never write."""
+        return self._ids
+
     def token(self, token_id: int) -> str:
         """Token string for an id.
 

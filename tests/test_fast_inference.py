@@ -701,6 +701,54 @@ class TestRankCut:
         if hard_limit is not None:
             assert max(strides[1::2]) > 55   # more ranks than LTA could have
 
+    @pytest.mark.parametrize("hard_limit", [1, 3, None])
+    @pytest.mark.parametrize("alignment", ALIGNMENTS)
+    def test_the_cell_table_follows_the_longest_keyphrase(
+            self, alignment, hard_limit, monkeypatch):
+        """Rows rank through their ``(c, |l|, |T|)`` cell, the ``|T|``
+        axis indexed by the chunk's distinct title lengths: with
+        keyphrases of up to 40 tokens and titles of up to 120 the table
+        stays within ``CHUNK_ITEMS x (max |l| + 1) x (max c + 1)``, and
+        a table that dropped ``|T|`` would rank JAC rows of different
+        title lengths alike."""
+        rng = np.random.default_rng(11)
+        words = [f"v{i}" for i in range(60)]
+        phrases = {" ".join(rng.choice(words, size, replace=False))
+                   for size in rng.integers(1, 41, 400)}
+        model = make_model({1: [(text, 1 + i % 13, 1 + i % 5) for i, text
+                                in enumerate(sorted(phrases))]},
+                           alignment=alignment)
+        longest = int(model.leaf_graph(1).label_lengths.max())
+        assert longest == 40
+        reqs = [(i, " ".join(rng.choice(words + STRANGERS,
+                                        1 + (i * 13) % 120)), 1)
+                for i in range(200)]
+        tables = []
+
+        class SpyNumpy:
+            """``numpy`` as the engine module sees it, recording the
+            length of every ``bincount`` without a ``minlength``: the
+            cell table (the count arrays pass one)."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def bincount(values, *args, **kwargs):
+                out = np.bincount(values, *args, **kwargs)
+                if "minlength" not in kwargs:
+                    tables.append(len(out))
+                return out
+
+        monkeypatch.setattr(fast_inference, "np", SpyNumpy())
+        served = batch_recommend(model, reqs, k=20, hard_limit=hard_limit)
+        assert_identical(served, reference_outputs(model, reqs, 20,
+                                                   hard_limit))
+        n_chunks = -(-len(reqs) // fast_inference.CHUNK_ITEMS)
+        assert len(tables) == n_chunks
+        assert max(tables) <= (fast_inference.CHUNK_ITEMS
+                               * (longest + 1) * (longest + 1))
+
 class TestBulkLabelTexts:
     """``LazyStringList.take`` (mapped models) and the engine's plain
     list path (copied loads) both equal one-by-one list indexing."""

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import string
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tokenize import (
@@ -167,3 +168,91 @@ class TestSpaceTokenizer:
     @given(st.text(max_size=60))
     def test_consistent_between_calls(self, text):
         assert DEFAULT_TOKENIZER(text) == DEFAULT_TOKENIZER(text)
+
+
+#: Every code point ``str.split()`` splits on (29 of them).
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+#: Tokenizers with each optional step: stopwords that meet unstemmed
+#: plurals ("cables" drops, "cable" stays) and lowered Greek / Turkish.
+STOPWORDS = ("for", "cables", "\u03b1\u03c2", "i\u0307")
+TOKENIZERS = {
+    "plain": SpaceTokenizer(),
+    "stemming": SpaceTokenizer(stem=True),
+    "stopwords": SpaceTokenizer(drop_stopwords=STOPWORDS),
+    "stemming_stopwords": SpaceTokenizer(stem=True,
+                                         drop_stopwords=STOPWORDS),
+}
+
+
+def old_process(tokenizer: SpaceTokenizer, raw: str):
+    """The per-raw-token pipeline ``__call__`` once mapped over
+    ``text.split()``: normalize, drop empties and stopwords, stem."""
+    token = normalize_token(raw)
+    if not token or token in tokenizer.stopwords:
+        return None
+    return light_stem(token) if tokenizer.stems else token
+
+
+def oracle(tokenizer: SpaceTokenizer, text: str):
+    """The tokenizer as it was: one ``old_process`` per raw token."""
+    return [token for token in (old_process(tokenizer, raw)
+                                for raw in text.split())
+            if token is not None]
+
+
+#: Characters whose lowercase is special (final and medial sigma, a
+#: dotted capital I that lowers to two code points, combining marks)
+#: or that normalization strips, plus words the tokenizers drop.
+SPECIALS = ["\u03a3", "\u03c3", "\u03c2", "\u0391", "\u0130", "\u0301",
+            "\u0307", "\u0345", "A", "a", "s", "-", "!", "_", "(", "2"]
+WORDS = ["for", "FOR", "Cables", "cables!", "cable", "\u0391\u03a3",
+         "\u0130", "(new)", "***"]
+pieces = st.one_of(st.text(max_size=6), st.sampled_from(WORDS),
+                   st.text(alphabet=st.sampled_from(SPECIALS), max_size=6))
+texts = st.one_of(
+    st.text(),
+    st.lists(st.tuples(pieces, st.sampled_from(WHITESPACE)), max_size=8)
+    .map(lambda parts: "".join(piece + space for piece, space in parts)))
+
+
+class TestWholeTitleTokenizer:
+    """``__call__`` lowers and splits a whole title at C level; it must
+    make exactly the tokens the per-raw-token pipeline made (the
+    engine and the reference both call it, so only this oracle would
+    see it drift)."""
+
+    @pytest.mark.parametrize("name", sorted(TOKENIZERS))
+    @given(text=texts)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_token_pipeline(self, name, text):
+        tokenizer = TOKENIZERS[name]
+        assert tokenizer(text) == oracle(tokenizer, text)
+        assert [tokenizer.process(raw) for raw in text.split()] \
+            == [old_process(tokenizer, raw) for raw in text.split()]
+
+    def test_every_code_point_lowers_as_the_split_assumes(self):
+        """Exhaustive: a code point's lowercase is whitespace exactly
+        where the code point is (lowering neither makes nor removes a
+        split), and lowering is idempotent (``normalize_token`` lowers
+        an already lowered token again)."""
+        for char in map(chr, range(sys.maxunicode + 1)):
+            lowered = char.lower()
+            if [c.isspace() for c in lowered] \
+                    != [char.isspace()] * len(lowered) \
+                    or lowered.lower() != lowered:
+                pytest.fail(f"{char!a} lowers to {lowered!a}")
+
+    @pytest.mark.parametrize("space", WHITESPACE, ids=ascii)
+    def test_final_sigma_sees_no_further_than_whitespace(self, space):
+        """A capital sigma lowers to final ``ς`` only at a word's end;
+        whitespace must end the word on either side of it, so the
+        whole title lowers as its chunks do."""
+        assert len(WHITESPACE) == 29
+        for text, tokens in (("\u0391\u03a3" + space + "\u0392",
+                              ["\u03b1\u03c2", "\u03b2"]),
+                             ("\u0391" + space + "\u03a3",
+                              ["\u03b1", "\u03c3"])):
+            for tokenizer in TOKENIZERS.values():
+                assert tokenizer(text) == oracle(tokenizer, text)
+            assert DEFAULT_TOKENIZER(text) == tokens
