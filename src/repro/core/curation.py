@@ -50,7 +50,9 @@ class CurationConfig:
             this, the threshold is repeatedly halved (down to
             ``floor_search_count``) until satisfied — the CAT 3 relaxation.
         floor_search_count: Lower bound the relaxation will not cross.
-        max_tokens: Drop keyphrases longer than this many tokens.
+        max_tokens: Drop keyphrases longer than this many tokens.  The
+            fast engine's per-chunk score-cell table grows with its
+            square (``docs/INVARIANTS.md``, "Integer score ranks").
         min_tokens: Drop keyphrases shorter than this many tokens.
     """
 

@@ -550,7 +550,8 @@ class LeafBatchRunner:
         # (c, |l|, |T|), |T| indexed by the chunk's distinct title
         # lengths: one bincount finds the cells in use, only those are
         # scored, and the table then holds each cell's rank — at most
-        # CHUNK_ITEMS x (max |l| + 1) x (max c + 1) entries.
+        # CHUNK_ITEMS x (max |l| + 1) x (max c + 1) entries, quadratic
+        # in the longest keyphrase.
         lengths = np.concatenate([graph.label_lengths[labels[lo:hi]]
                                   for graph, lo, hi in by_part(row_bounds)])
         title_lengths, title_of = np.unique(n_tokens, return_inverse=True)

@@ -17,6 +17,10 @@ Tokenizer = Callable[[str], List[str]]
 
 _PUNCT_EDGES = re.compile(r"^[^\w]+|[^\w]+$")
 
+#: One normalized token of a lowered string: a whitespace-delimited
+#: chunk from its first to its last word character.
+_WORD = re.compile(r"\w(?:\S*\w)?")
+
 
 def normalize_token(token: str) -> str:
     """Lowercase a token and strip punctuation from its edges.
@@ -120,19 +124,16 @@ class SpaceTokenizer:
     def __call__(self, text: str) -> List[str]:
         """Tokenize, normalize and optionally stem a whole string.
 
-        One C-level lower and split; only a title with a non-alphanumeric
-        token runs :func:`normalize_token` per token, and stopwords and
-        stems cost only a tokenizer that has them.  That is
-        ``normalize_token``, drop, stem per chunk of ``text.split()``:
+        One C-level lower and one regex pass make every title's tokens;
+        stopwords and stems cost only a tokenizer that has them.  That
+        is ``normalize_token``, drop, stem per chunk of ``text.split()``:
         a code point lowers to whitespace exactly when it is whitespace,
-        Final_Sigma looks no further than a whitespace neighbour and
-        ``str.lower`` is idempotent (``tests/test_tokenize.py`` checks
-        every code point), so each chunk lowers as it would alone.
+        Final_Sigma looks no further than a whitespace neighbour and the
+        regex's ``\\s`` is ``str.isspace`` (``tests/test_tokenize.py``
+        checks every code point), so each chunk lowers and strips as it
+        would alone.
         """
-        tokens = text.lower().split()
-        if not all(map(str.isalnum, tokens)):
-            tokens = [token for token in map(normalize_token, tokens)
-                      if token]
+        tokens = _WORD.findall(text.lower())
         if self._stopwords:
             tokens = [token for token in tokens
                       if token not in self._stopwords]

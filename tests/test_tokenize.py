@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import string
 import sys
 
@@ -234,14 +235,19 @@ class TestWholeTitleTokenizer:
     def test_every_code_point_lowers_as_the_split_assumes(self):
         """Exhaustive: a code point's lowercase is whitespace exactly
         where the code point is (lowering neither makes nor removes a
-        split), and lowering is idempotent (``normalize_token`` lowers
-        an already lowered token again)."""
+        split), and lowering is idempotent.  The regex's ``\\s`` is
+        ``str.isspace`` and no word character is whitespace, so its
+        matches are split chunks with their edges stripped."""
+        space, word = re.compile(r"\s").match, re.compile(r"\w").match
         for char in map(chr, range(sys.maxunicode + 1)):
             lowered = char.lower()
             if [c.isspace() for c in lowered] \
                     != [char.isspace()] * len(lowered) \
                     or lowered.lower() != lowered:
                 pytest.fail(f"{char!a} lowers to {lowered!a}")
+            if bool(space(char)) != char.isspace() \
+                    or (word(char) and char.isspace()):
+                pytest.fail(f"{char!a}: regex and str.isspace disagree")
 
     @pytest.mark.parametrize("space", WHITESPACE, ids=ascii)
     def test_final_sigma_sees_no_further_than_whitespace(self, space):
