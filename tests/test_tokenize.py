@@ -218,10 +218,10 @@ texts = st.one_of(
 
 
 class TestWholeTitleTokenizer:
-    """``__call__`` lowers and splits a whole title at C level; it must
-    make exactly the tokens the per-raw-token pipeline made (the
-    engine and the reference both call it, so only this oracle would
-    see it drift)."""
+    """``__call__`` lowers a whole title and matches its tokens at C
+    level; it must make exactly the tokens the per-raw-token pipeline
+    made (the engine and the reference both call it, so only this
+    oracle would see it drift)."""
 
     @pytest.mark.parametrize("name", sorted(TOKENIZERS))
     @given(text=texts)
