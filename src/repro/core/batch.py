@@ -11,7 +11,8 @@ Two engines serve a batch:
   (:class:`repro.core.fast_inference.LeafBatchRunner`): requests are
   grouped by leaf graph, packed into cross-leaf chunks, and each chunk
   runs through one fused CSR gather + slot-shifted key sort +
-  count-array prune + integer score rank, cut and segmented lexsort.
+  count-array prune over per-run-length level masks + integer score
+  rank, cut and segmented lexsort.
 * ``"reference"`` — the scalar loop over
   :meth:`~repro.core.model.GraphExModel.recommend`; the semantics
   reference the equivalence suite checks against.

@@ -29,15 +29,17 @@ items, whichever leaves they belong to:
    allocated or scanned per slot — so an item costs the adjacency
    entries its title reaches, however many labels its graph holds.
 4. **Count-array pruning** — the paper's count array (Section III-F)
-   for all items in one pass: ``bincount(item * stride + c)``, a
-   reversed cumulative sum, and each item's cutoff is its k-th largest
-   count; whole threshold groups are kept exactly as the scalar path
-   does (:func:`_prune_by_count_array`).
+   for all items at once, read off the sorted keys through one bool
+   mask over the entries per run length (:func:`_count_and_prune`).  No
+   array is sized by the candidates, most of which are singletons that
+   an item with ``k`` multi-token candidates drops; whole threshold
+   groups are kept exactly as the scalar path does.
 5. **Segmented ranking** — each row reads the dense integer rank of
    its ``(c, |l|, |T|)`` cell's score among the chunk's distinct
    scores (only the cells in use are scored; ``np.unique``, so equal
-   scores rank equal); step 4's count array over the ranks cuts each
-   item to what ``hard_limit`` can serve, boundary ties kept; only
+   scores rank equal); a count array over the ranks
+   (:func:`_prune_by_count_array`) cuts each item to what
+   ``hard_limit`` can serve, boundary ties kept; only
    then are Search / Recall Counts gathered from the owning leaf, and
    one ``np.lexsort`` keyed by (item, rank, S desc, R asc, label id
    asc) ranks every item at once.
@@ -171,25 +173,79 @@ class RowView(abc.Sequence):
 EMPTY_ROWS = RowView(_ChunkRows([]), 0, 0)
 
 
+def _count_and_prune(keys: np.ndarray, entry_bounds: np.ndarray, k: int,
+                     longest: int
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 4: the paper's count-array pruning (Section III-F) for every
+    item of a chunk at once (``k >= 1``), straight from its sorted keys;
+    item by item it equals :func:`repro.core.inference.prune_by_count_groups`.
+
+    Item ``i``'s keys span ``entry_bounds[i]:entry_bounds[i + 1]`` (at
+    least one key in all); each run of equal keys is one candidate and
+    its length the count ``c``, at most ``longest``.  Level ``c`` is a
+    mask over the entries, True where a run of length ``>= c`` starts:
+    level 1 is the run starts, level ``c`` is level ``c - 1`` where the
+    run's ``c``-th entry still equals its first.  One bool pass builds
+    each level, up to the longest run (at most curation's
+    ``max_tokens``).  A level's per-item sum is the count array's
+    column ``c``, needed only while some item can reach ``k`` there; an
+    item's cutoff is the deepest level where it holds ``k`` candidates
+    (1, keeping everything, without a k-th one).  The levels summed per
+    position are each run's ``c`` (``1 + Σ level_c``, 0 off a run
+    start), so one ``flatnonzero`` of ``c >= cutoff`` finds every
+    survivor.
+
+    Returns:
+        ``(kept, sizes, counts)``: ascending positions in ``keys`` of
+        the surviving runs' starts, each item's survivor count, and each
+        survivor's ``c``.
+    """
+    total = len(keys)
+    entries = np.diff(entry_bounds)
+    answered = entries > 0
+    firsts = entry_bounds[:-1][answered]
+    equal = keys[1:] == keys[:-1]
+    level = np.empty(total, dtype=bool)
+    level[0] = True
+    np.logical_not(equal, out=level[1:])
+    width = np.min_scalar_type(longest)
+    depth = level.astype(width)
+    cutoff = np.ones(len(firsts), dtype=width)
+    tally = np.min_scalar_type(total)
+    for c in range(2, min(longest, total) + 1):
+        deeper = np.zeros(total, dtype=bool)
+        np.logical_and(level[:total - c + 1], equal[c - 2:],
+                       out=deeper[:total - c + 1])
+        found = np.count_nonzero(deeper)
+        if not found:
+            break
+        level = deeper
+        depth += level
+        if found >= k:
+            cutoff += np.add.reduceat(level, firsts, dtype=tally) >= k
+    kept = np.flatnonzero(depth >= np.repeat(cutoff, entries[answered]))
+    return (kept, np.diff(np.searchsorted(kept, entry_bounds)),
+            depth[kept].astype(np.int64))
+
+
 def _prune_by_count_array(counts: np.ndarray, per_item: np.ndarray,
                           k: int) -> np.ndarray:
-    """The paper's count-array pruning (Section III-F) for every item of
-    a chunk at once; item by item it equals
+    """Step 5's ``hard_limit`` cut: the paper's count-array pruning
+    (Section III-F) over values held back to back, ``per_item[i]`` of
+    them for item ``i``; item by item it equals
     :func:`repro.core.inference.prune_by_count_groups`.
 
-    ``counts`` holds each item's candidate counts back to back,
-    ``per_item[i]`` of them for item ``i``.  ``at_least[i, c]`` is how
-    many candidates of item ``i`` share ``>= c`` tokens, so the largest
-    ``c`` still holding ``k`` of them is the item's k-th largest count:
-    the cutoff whose whole threshold group survives (0 — everything
-    survives — for an item without a k-th candidate).
+    ``at_least[i, c]`` is how many values of item ``i`` are ``>= c``,
+    so the largest ``c`` still holding ``k`` of them is the item's k-th
+    largest value: the cutoff whose whole threshold group survives (0 —
+    everything survives — for an item without a k-th value).
 
-    Step 5 reuses it on ``n_ranks - rank`` to cut at ``hard_limit``.
-    The table is ``n_items x (max(counts) + 1)``: ``c`` is at most the
-    longest keyphrase (curation's ``max_tokens``), and ``n_ranks`` at
-    most the distinct scores of the ``(c, |l|)`` cells under it — 55 at
-    the default 10 tokens — times, for JAC only, the chunk's distinct
-    title lengths (at most :data:`CHUNK_ITEMS`).
+    Step 5 runs it on ``n_ranks - rank``.  The table is ``n_items x
+    (max(counts) + 1)``: ``n_ranks`` is at most the distinct scores of
+    the ``(c, |l|)`` cells under the longest keyphrase (curation's
+    ``max_tokens``) — 55 at the default 10 tokens — times, for JAC
+    only, the chunk's distinct title lengths (at most
+    :data:`CHUNK_ITEMS`).
 
     Returns:
         Ascending indices into ``counts`` of the survivors (``k >= 1``).
@@ -523,24 +579,19 @@ class LeafBatchRunner:
         # in the chunk's adjacency entries whatever the graphs' widths.
         # Sorted, item i's entries still span entry_bounds[i]:
         # entry_bounds[i + 1], so its candidates are the runs there.
+        # The prune passes once over the entries per run length, and
+        # c <= |T| (the bound passed), c <= |l| <= max_tokens.
         slots = np.append(0, np.cumsum(np.repeat(
             [_slot_width(graph) for graph in graphs], part_sizes)))
         keys = _narrow(
             candidates + np.repeat(slots[:-1], np.diff(entry_bounds)),
             slots[-1])
         keys.sort()
-        run_starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-        counts = np.diff(np.append(run_starts, total))
-        candidate_bounds = np.searchsorted(run_starts, entry_bounds)
-
-        keep = _prune_by_count_array(counts, np.diff(candidate_bounds),
-                                     self._k)
-        sizes = np.diff(np.searchsorted(keep, candidate_bounds))
+        kept, sizes, counts = _count_and_prune(keys, entry_bounds, self._k,
+                                               max(n_tokens))
         row_bounds = np.append(0, np.cumsum(sizes))
         item_of = np.repeat(np.arange(len(sizes)), sizes)
-        counts = counts[keep]
-        labels = (keys[run_starts[keep]].astype(np.int64)
-                  - np.repeat(slots[:-1], sizes))
+        labels = keys[kept].astype(np.int64) - np.repeat(slots[:-1], sizes)
 
         # Rank: integer score ranks, the hard_limit cut, then S / R from
         # the owning leaf and one segmented lexsort.  Within an item the
@@ -565,11 +616,13 @@ class LeafBatchRunner:
             cell_count, cell_length, title_lengths[cell_title]),
             return_inverse=True)
         ranks = table[cells]
-        if self._hard_limit is not None:
-            # Step 4's count array over ranks turned best-highest: each
-            # item keeps its hard_limit best rows and every tie with them.
-            kept = _prune_by_count_array(len(negated) - ranks, sizes,
-                                         self._hard_limit)
+        limit = self._hard_limit
+        if limit is not None:
+            # The count array over ranks turned best-highest: each item
+            # keeps its hard_limit best rows and every tie with them.  A
+            # limit past the chunk's rows cuts nothing, and so fits int64.
+            limit = min(limit, len(ranks))
+            kept = _prune_by_count_array(len(negated) - ranks, sizes, limit)
             sizes = np.diff(np.searchsorted(kept, row_bounds))
             row_bounds = np.append(0, np.cumsum(sizes))
             item_of, labels, counts, ranks = (
@@ -585,10 +638,10 @@ class LeafBatchRunner:
                             _narrow(search.max() - search),
                             _narrow(ranks), _narrow(item_of)))
 
-        if self._hard_limit is not None:
+        if limit is not None:
             # Cap each item's segment *before* materialising; rows past
             # the per-item limit never reach the output.
-            sizes = np.minimum(sizes, self._hard_limit)
+            sizes = np.minimum(sizes, limit)
             capped_bounds = np.append(0, np.cumsum(sizes))
             order = order[
                 np.repeat(row_bounds[:-1] - capped_bounds[:-1], sizes)

@@ -26,10 +26,12 @@ def normalize_token(token: str) -> str:
     """Lowercase a token and strip punctuation from its edges.
 
     Interior punctuation ("16gb", "1:64", "wi-fi") is preserved, matching
-    how marketplace search treats alphanumeric model codes.  ``\\w`` in
-    a ``str`` pattern is "``str.isalnum()`` or ``_``" per character, so
-    an all-alphanumeric token — nearly every one — has no edge to strip
-    and skips the regex.
+    how marketplace search treats alphanumeric model codes.
+
+    Nothing in ``src/`` calls it: :class:`SpaceTokenizer` tokenizes a
+    whole title in one regex pass.  It is the per-token specification
+    that pass must equal, each chunk of ``text.split()`` normalized on
+    its own, as ``tests/test_tokenize.py`` pins.
     """
     token = token.lower()
     return token if token.isalnum() else _PUNCT_EDGES.sub("", token)

@@ -18,6 +18,10 @@ from repro.serving import KeyValueStore
 settings.register_profile(
     "fast", max_examples=25,
     suppress_health_check=[HealthCheck.too_slow], deadline=None)
+#: ``--hypothesis-profile deep``: CI's second pass over the fast engine's
+#: equivalence properties, each drawn at least this often.
+settings.register_profile(
+    "deep", parent=settings.get_profile("fast"), max_examples=250)
 settings.load_profile("fast")
 
 #: Figure 3 of the paper: (keyphrase, search count, recall count).

@@ -29,8 +29,8 @@ from repro.core.alignment import get_alignment
 from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.fast_inference import (EMPTY_ROWS, LeafBatchRunner,
-                                       RowView, _label_texts,
-                                       _prune_by_count_array,
+                                       RowView, _count_and_prune,
+                                       _label_texts, _prune_by_count_array,
                                        materialise_ranked, ranked_parts)
 from repro.core.inference import (Recommendation, prune_by_count_groups,
                                   recommend_from_graph)
@@ -38,6 +38,17 @@ from repro.core.model import GraphExModel
 from repro.core.serialization import LazyStringList, load_model, save_model
 
 ALIGNMENTS = ["lta", "wmr", "jac"]
+
+
+def examples(n):
+    """``n`` examples under tier-1's ``fast`` hypothesis profile; under
+    a deeper one (``--hypothesis-profile deep``) its budget, if larger,
+    so that every property here is drawn deeper."""
+    budget = settings.default.max_examples
+    if budget <= settings.get_profile("fast").max_examples:
+        return n
+    return max(n, budget)
+
 
 #: Token universe: vocabulary words plus never-interned strangers.
 TOKENS = [f"w{i}" for i in range(18)]
@@ -102,7 +113,7 @@ class TestPropertyEquivalence:
            k=st.integers(0, 12), alignment=st.sampled_from(ALIGNMENTS),
            build_pooled=st.booleans(),
            hard_limit=st.one_of(st.none(), st.integers(1, 8)))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_fast_matches_reference(self, world, reqs, k, alignment,
                                     build_pooled, hard_limit):
         """Any random catalog/batch: identical ranked output.
@@ -120,7 +131,7 @@ class TestPropertyEquivalence:
 
     @given(world=leaf_worlds, reqs=requests_strategy,
            k=st.integers(1, 8))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_engines_agree_through_batch_recommend(self, world, reqs, k):
         model = make_model(world, build_pooled=True)
         assert_identical(
@@ -129,7 +140,7 @@ class TestPropertyEquivalence:
 
     @given(world=leaf_worlds, reqs=requests_strategy,
            n_shards=st.integers(2, 4))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_leaf_group_sharding_agrees(self, world, reqs, n_shards):
         """Any cut of a batch into leaf-group shards, merged in any
         order, is the scalar loop's output (what every substrate's
@@ -144,7 +155,7 @@ class TestPropertyEquivalence:
 
     @given(world=leaf_worlds, reqs=requests_strategy,
            hard_limit=st.one_of(st.none(), st.integers(1, 8)))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_process_sharding_agrees(self, fleet, world, reqs,
                                      hard_limit):
         """Leaf-group shards on a fleet of worker processes:
@@ -214,7 +225,7 @@ class TestCrossLeafChunks:
            build_pooled=st.booleans(),
            hard_limit=st.one_of(st.none(), st.integers(1, 8)),
            items=st.integers(1, 6))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_tiny_chunks_match_reference(self, world, reqs, k, alignment,
                                          build_pooled, hard_limit, items):
         """A tiny ``CHUNK_ITEMS``: leaf groups split across chunks and
@@ -238,7 +249,7 @@ class TestCrossLeafChunks:
            build_pooled=st.booleans(),
            hard_limit=st.one_of(st.none(), st.integers(0, 8)),
            items=st.integers(1, 6))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_ranked_columns_materialise_to_the_same_rows(
             self, world, reqs, k, alignment, build_pooled, hard_limit,
             items):
@@ -271,7 +282,7 @@ class TestCrossLeafChunks:
            hard_limit=st.one_of(st.none(), st.integers(0, 8)),
            items=st.sampled_from([1, 2, 3, 5, fast_inference.CHUNK_ITEMS]),
            data=st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_a_view_reads_as_the_oracles_list(self, world, reqs, k,
                                               alignment, build_pooled,
                                               hard_limit, items, data):
@@ -550,9 +561,77 @@ class TestCountArrayPrune:
                              min_size=1, max_size=6)
            .filter(lambda segments: any(segments)),
            k=st.integers(1, 9))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_property(self, segments, k):
         self.assert_equals_scalar(segments, k)
+
+
+def keys_of_runs(segments):
+    """Sorted chunk keys whose runs have the given lengths, one segment
+    of run lengths per item, and the items' entry bounds: each item owns
+    a key slot, each run is a distinct label of it, labels ascending
+    with gaps between them (a label no title word reaches)."""
+    keys, bounds, slot = [], [0], 0
+    for runs in segments:
+        for label, length in enumerate(runs):
+            keys += [slot + 2 * label] * length
+        slot += 2 * len(runs) + 1
+        bounds.append(len(keys))
+    keys = np.asarray(keys, dtype=np.int64)
+    return (keys.astype(np.min_scalar_type(int(keys.max()))),
+            np.asarray(bounds, dtype=np.int64))
+
+
+class TestCountAndPrune:
+    """Step 4 counts and prunes straight from the sorted keys, level mask
+    by level mask; item by item it keeps what the scalar
+    :func:`prune_by_count_groups` keeps, with the same counts."""
+
+    CASES = {
+        "items_without_entries": [[], [2, 1], [], [1, 1, 3], []],
+        "all_singletons": [[1, 1, 1], [1], [1, 1]],
+        "run_deeper_than_max_tokens": [[12, 1, 2], [3], [1, 12]],
+        "ties_straddle_kth": [[4, 2, 2, 2, 1, 2, 1], [2, 2, 1, 1]],
+        "kth_is_the_max": [[5, 5, 5, 5, 1], [1, 5]],
+        "strictly_decreasing": [[7, 6, 5, 4, 3, 2, 1]],
+    }
+
+    @staticmethod
+    def assert_equals_scalar(segments, k, spare=0):
+        keys, entry_bounds = keys_of_runs(segments)
+        expected_kept, expected_counts, sizes, offset = [], [], [], 0
+        for runs in segments:
+            lengths = np.asarray(runs, dtype=np.int64)
+            kept, counts = prune_by_count_groups(
+                np.arange(len(runs)), lengths, k)
+            starts = offset + np.cumsum(np.append(0, lengths))[:-1]
+            expected_kept += starts[kept].tolist()
+            expected_counts += counts.tolist()
+            sizes.append(len(kept))
+            offset += int(lengths.sum())
+        longest = max(max(runs, default=1) for runs in segments) + spare
+        kept, got_sizes, counts = _count_and_prune(keys, entry_bounds, k,
+                                                   longest)
+        assert kept.tolist() == expected_kept
+        assert got_sizes.tolist() == sizes
+        assert counts.tolist() == expected_counts
+        assert counts.dtype == np.int64
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 50])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_edge_cases(self, case, k):
+        """``k = 50`` exceeds every item's candidates (all kept);
+        ``k = 1`` keeps each item's deepest runs only."""
+        self.assert_equals_scalar(self.CASES[case], k)
+
+    @given(segments=st.lists(st.lists(st.integers(1, 13), max_size=12),
+                             min_size=1, max_size=8)
+           .filter(lambda segments: any(segments)),
+           k=st.integers(1, 14), spare=st.integers(0, 3))
+    def test_property(self, segments, k, spare):
+        """Runs of drawn lengths, items without entries among them, and a
+        bound on the run length that may exceed the longest run."""
+        self.assert_equals_scalar(segments, k, spare)
 
 
 class TestRankCut:
@@ -603,7 +682,7 @@ class TestRankCut:
                              min_size=1, max_size=6)
            .filter(lambda segments: any(segments)),
            limit=st.integers(1, 9), spare=st.integers(0, 2))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_the_count_array_over_ranks_keeps_every_boundary_tie(
             self, segments, limit, spare):
         """The cut is step 4's count array over ``n_ranks - rank``
@@ -649,6 +728,27 @@ class TestRankCut:
         served = sum(len(rows) for rows in expected.values())
         assert (served == 0) == (hard_limit == 0)
 
+    @pytest.mark.parametrize("hard_limit", [2**62, 2**63, 2**70])
+    def test_a_limit_past_int64_serves_every_row(self, hard_limit):
+        """A ``hard_limit`` at or past 2**63 used to overflow the fast
+        engine's cap; a limit no item reaches cuts nothing on any path,
+        however wide, as on the reference engine."""
+        model = self.tie_model("jac")
+        reqs = self.REQUESTS
+        expected = batch_recommend(model, reqs, k=20, engine="reference",
+                                   hard_limit=hard_limit)
+        assert_identical(expected, reference_outputs(model, reqs, 20))
+        assert_identical(batch_recommend(model, reqs, k=20,
+                                         hard_limit=hard_limit), expected)
+        runner = LeafBatchRunner(model, k=20, hard_limit=hard_limit)
+        indexed = runner.run_indexed(reqs)
+        assert [list(rows) for rows in indexed] \
+            == [expected[item_id] for item_id, _title, _leaf in reqs]
+        ranked = runner.run_ranked(reqs)
+        assert materialise_ranked(
+            ranked_parts(model, reqs, ranked.requests.tolist()), ranked,
+            len(reqs)) == indexed
+
     @pytest.mark.parametrize("alignment", ALIGNMENTS)
     def test_no_numpy_warning_escapes(self, alignment):
         """Only candidate rows are scored (``c >= 1``), so no score
@@ -676,7 +776,8 @@ class TestRankCut:
         """JAC's score depends on ``|T|``, so long titles of many lengths
         multiply the distinct scores in a chunk; the cut's count array
         still stays within the bound its docstring states (55 cells per
-        title length at 10-token keyphrases) and serves the reference."""
+        title length at 10-token keyphrases) and serves the reference.
+        Step 4 prunes without it, so every call is the cut."""
         rng = np.random.default_rng(7)
         words = [f"v{i}" for i in range(40)]
         phrases = {" ".join(rng.choice(words, size, replace=False))
@@ -697,9 +798,10 @@ class TestRankCut:
         served = batch_recommend(model, reqs, k=20, hard_limit=hard_limit)
         assert_identical(served, reference_outputs(model, reqs, 20,
                                                    hard_limit))
-        assert max(strides) <= 55 * fast_inference.CHUNK_ITEMS + 1
+        assert max(strides, default=0) <= 55 * fast_inference.CHUNK_ITEMS + 1
+        assert bool(strides) == (hard_limit is not None)
         if hard_limit is not None:
-            assert max(strides[1::2]) > 55   # more ranks than LTA could have
+            assert max(strides) > 55   # more ranks than LTA could have
 
     @pytest.mark.parametrize("hard_limit", [1, 3, None])
     @pytest.mark.parametrize("alignment", ALIGNMENTS)
