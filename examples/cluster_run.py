@@ -56,7 +56,7 @@ async def main() -> None:
     with tempfile.TemporaryDirectory(prefix="cluster-example-") as tmp:
         artifact = Path(tmp) / "model"
         save_model(model, artifact)
-        print(f"persisted format-3 artifact -> {artifact}")
+        print(f"persisted model artifact -> {artifact}")
 
         async with ClusterCoordinator(rpc_timeout=10.0,
                                       retry=RetryPolicy(seed=0),

@@ -69,7 +69,7 @@ async def main_async() -> None:
                           wall_clock_seconds=0.2)
     front.add_stream("site-us", store=store)   # shares the batch store
     front.add_stream("site-de")
-    # artifact_dir: each refresh persists a format-3 artifact and
+    # artifact_dir: each refresh persists a model artifact and
     # deploys its *memory-mapped* open, so the pipeline and every
     # stream share one physical model copy (swap = remap, not reload).
     artifact_root = tempfile.mkdtemp(prefix="graphex-daily-")

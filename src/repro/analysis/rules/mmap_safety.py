@@ -1,6 +1,6 @@
 """mmap-write-safety: serving code never mutates model-plane arrays.
 
-Format-v3 models are served as read-only ``np.memmap`` views shared by
+Saved models are served as read-only ``np.memmap`` views shared by
 every worker process on the box; the arrays are opened write-protected
 precisely so a serving-path bug cannot corrupt the file every process
 is mapping.  This rule flags the two ways serving code can defeat
@@ -24,7 +24,7 @@ __all__ = ["MmapWriteSafetyRule"]
 
 #: Receiver spellings that mean "a model-plane array" in this codebase:
 #: the model object itself, leaf/pooled graphs, and the CSR component
-#: arrays the v3 format mmaps.
+#: arrays a saved model's open mmaps.
 _MODELISH_RE = re.compile(
     r"(model|graph|csr|indptr|indices|weights|embedd|offsets)",
     re.IGNORECASE)

@@ -2,7 +2,7 @@
 
 Cluster frames cross machine boundaries (a JSON control object plus a
 raw binary tail of little-endian numpy columns, via ``protocol.py``)
-and models cross process boundaries as format-3 artifacts opened by
+and models cross process boundaries as saved artifacts opened by
 path on the far side.  Pickle at either boundary would silently
 couple the wire format to interpreter internals, break cross-version
 clusters, and —
@@ -52,7 +52,7 @@ class NoPickleBoundaryRule(Rule):
     id = "no-pickle-boundary"
     description = ("no pickle — by name, through numpy, or through a "
                    "process pool — in cluster/ or core.execution; "
-                   "payloads go through protocol.py codecs or format-3 "
+                   "payloads go through protocol.py codecs or saved "
                    "artifacts")
 
     SCOPES = ("repro.cluster.",)
@@ -115,4 +115,4 @@ class NoPickleBoundaryRule(Rule):
         return (f"pickle-family usage ({what}) at a process/wire "
                 f"boundary; serialize through repro.cluster.protocol "
                 f"codecs (JSON control objects, tobytes/frombuffer "
-                f"columns) or format-3 artifacts opened by path instead")
+                f"columns) or saved artifacts opened by path instead")

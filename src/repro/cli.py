@@ -16,7 +16,7 @@ Mirrors a production workflow in six subcommands::
 input) as JSON; ``curate`` persists the curated keyphrases *and* the
 curation config (so ``construct`` round-trips the exact configuration);
 ``construct`` builds in this process and persists the model with
-:func:`repro.core.serialization.save_model` (format 3, the zero-copy
+:func:`repro.core.serialization.save_model` (the zero-copy
 page-aligned artifact); ``recommend`` loads and serves
 (``--mmap`` opens the artifact without copying); ``serve-nrt`` demos
 the asyncio multi-stream NRT front (``--refresh-after`` adds a mid-run
@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--engine reference")
     p_rec.add_argument("--mmap", action="store_true",
                        help="open the model zero-copy over the "
-                            "format-3 artifact file (read-only views, "
+                            "model artifact file (read-only views, "
                             "no copy); identical output to a copied "
                             "load")
     p_rec.set_defaults(func=_cmd_recommend)

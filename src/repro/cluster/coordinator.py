@@ -489,7 +489,7 @@ class ClusterCoordinator:
         """Resolve a model source to (artifact path, opened model).
 
         A path opens mapped (memoized); an in-memory model is
-        persisted to the coordinator's spool as a format-3 artifact
+        persisted to the coordinator's spool as an artifact
         the first time it is seen — every later job on the same object
         is answered from that one save, so a service calling once per
         window leaves one spool directory and one mapping per host, not
@@ -615,7 +615,7 @@ class ClusterCoordinator:
         """Pre-deploy a model artifact to every live host.
 
         The daily-refresh hand-off: the orchestrator persists today's
-        model as a format-3 artifact and calls this so every executor
+        model as an artifact and calls this so every executor
         host opens (and caches) it, by path, before the first shard of
         the day arrives.
 

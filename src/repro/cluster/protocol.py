@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.batch import InferenceRequest
 from ..core.fast_inference import (RankedColumns, RowView,
-                                   materialise_ranked, ranked_parts)
+                                   materialise_ranked, ranked_owners)
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.model import GraphExModel
@@ -244,20 +244,20 @@ def unpack_recommendations(reply: dict, model: "GraphExModel",
     reply the engine could not have produced for these requests.
     """
     ranked = unpack_ranked(reply, len(requests))
-    parts = ranked_parts(model, requests, ranked.requests.tolist())
-    widths = []
-    for graph, indices in parts:
-        if graph is None:
-            raise FrameError(
-                f"result answers request {indices[0]} of the shard, "
-                f"which no graph of the model serves")
-        widths.extend([graph.n_labels] * len(indices))
+    answered = ranked.requests.tolist()
+    owners = ranked_owners(model, requests, answered)
+    if None in owners:
+        raise FrameError(
+            f"result answers request {answered[owners.index(None)]} of "
+            f"the shard, which no graph of the model serves")
+    widths = np.diff(model.plane.label_base)[
+        np.asarray(owners, dtype=np.int64)]
     if len(ranked.labels) and not (
             (ranked.labels >= 0)
             & (ranked.labels < np.repeat(widths, ranked.sizes))).all():
         raise FrameError(
             "result names a label id outside its owning graph's labels")
-    return materialise_ranked(parts, ranked, len(requests))
+    return materialise_ranked(model, owners, ranked, len(requests))
 
 
 def pack_requests(requests: Sequence[InferenceRequest]) -> List[list]:

@@ -25,8 +25,8 @@ class CSRGraph:
     Zero-copy friendly: ``np.asarray`` in the constructor passes an
     already-typed array through *without copying*, preserving its
     writeability flag — so a graph wrapped around read-only views of a
-    memory-mapped model artifact (serialization format 3) stays backed
-    by the file, and in-place writes to its arrays raise.  See
+    memory-mapped model artifact (:mod:`repro.core.serialization`) stays
+    backed by the file, and in-place writes to its arrays raise.  See
     :attr:`is_readonly`.
     """
 

@@ -9,54 +9,62 @@ each of many.  This module runs the whole algorithm once per *chunk* of
 items, whichever leaves they belong to:
 
 1. **Group by graph, cut into chunks** — requests are bucketed by the
-   leaf graph that will serve them (including the pooled fallback for
+   graph that will serve them (including the pooled fallback for
    unknown leaves), and the graph-ordered item sequence is cut into
    chunks of :data:`CHUNK_ITEMS` items: a large leaf group splits,
-   small ones share a chunk, and the one-leaf group is simply the
-   one-part chunk.  A chunk's *parts* are its per-graph runs of items.
-2. **Intern per part** — each title is tokenized in one C-level pass
-   and its words mapped through the owning leaf's ``word_vocab`` dict,
-   an unknown word to ``-1``, which reads as degree 0.
-3. **Fused enumeration** — per part, one CSR gather expands every
-   (title, word) pair's adjacency list straight out of the leaf's own
-   ``indptr`` / ``indices`` (on an mmap-opened model these stay the
-   mapped views; nothing is concatenated).  Then, once per chunk,
-   candidate label ids are shifted into their item's key slot
-   (``slot[item] + label``, each slot as wide as the item's own graph)
-   and one sort of the keys counts the duplication ``c = |T ∩ l|`` for
-   *every* item at once: a run of equal keys is one candidate label,
-   its length is ``c``.  Slots are arithmetic only — nothing is
-   allocated or scanned per slot — so an item costs the adjacency
-   entries its title reaches, however many labels its graph holds.
+   small ones share a chunk.  Each item of a chunk knows its *owner*,
+   the index of its graph in the model's stacked
+   :class:`~repro.core.model.GraphPlane`; everything below reads the
+   plane, whose per-graph bases turn a graph's local ids into stacked
+   positions, so no step loops over a chunk's graphs.
+2. **Intern** — each title is tokenized in one C-level pass and its
+   words mapped through the owning graph's ``word_vocab`` dict, an
+   unknown word to ``-1``, which reads as degree 0; the chunk's word
+   ids become one array.
+3. **Fused enumeration** — one gather of the plane's ``indptr`` at each
+   word's row (its graph's word base plus its id) and one read of the
+   plane's ``indices`` (at positions shifted by the graph's entry base)
+   expand every (title, word) pair's adjacency list for the whole chunk
+   (on an mmap-opened model these are the mapped sections; nothing is
+   concatenated).  Candidate label ids, still local to their graph,
+   are shifted into their item's key slot (``slot[item] + label``,
+   each slot as wide as the item's own graph) and one sort of the keys
+   counts the duplication ``c = |T ∩ l|`` for *every* item at once: a
+   run of equal keys is one candidate label, its length is ``c``.
+   Slots are arithmetic only — nothing is allocated or scanned per
+   slot — so an item costs the adjacency entries its title reaches,
+   however many labels its graph holds.
 4. **Count-array pruning** — the paper's count array (Section III-F)
    for all items at once, read off the sorted keys through one bool
    mask over the entries per run length (:func:`_count_and_prune`).  No
    array is sized by the candidates, most of which are singletons that
    an item with ``k`` multi-token candidates drops; whole threshold
    groups are kept exactly as the scalar path does.
-5. **Segmented ranking** — each row reads the dense integer rank of
-   its ``(c, |l|, |T|)`` cell's score among the chunk's distinct
-   scores (only the cells in use are scored; ``np.unique``, so equal
-   scores rank equal); a count array over the ranks
+5. **Segmented ranking** — each surviving row's label is shifted by its
+   graph's label base to its stacked id, and ``|l|`` is one gather of
+   the plane's ``label_lengths``.  Each row reads the dense integer
+   rank of its ``(c, |l|, |T|)`` cell's score among the chunk's
+   distinct scores (only the cells in use are scored; ``np.unique``,
+   so equal scores rank equal); a count array over the ranks
    (:func:`_prune_by_count_array`) cuts each item to what
-   ``hard_limit`` can serve, boundary ties kept; only
-   then are Search / Recall Counts gathered from the owning leaf, and
-   one ``np.lexsort`` keyed by (item, rank, S desc, R asc, label id
-   asc) ranks every item at once.
+   ``hard_limit`` can serve, boundary ties kept; only then are Search
+   / Recall Counts gathered, one gather each, and one ``np.lexsort``
+   keyed by (item, rank, S desc, R asc, label id asc) ranks every item
+   at once.
 6. **Materialisation** (:func:`materialise`) — each item's segment
-   having been capped at ``hard_limit``, label texts are read from the
-   owning leaf in bulk
-   (:meth:`~repro.core.serialization.LazyStringList.take` on mapped
-   models), and that is all step 6 does eagerly: the chunk keeps its
-   ranked columns (texts, scores, Search Counts, Recall Counts, ``c``)
-   and each request gets a :class:`RowView` over its slice.  ``len``
-   and ``.texts()`` (what a KV store keeps) build no row; the first
-   read of a row builds the chunk's rows once.  A batch that is only
-   stored or counted never allocates, and the cyclic collector never
-   walks, a ``Recommendation`` per served keyphrase.
+   having been capped at ``hard_limit``, the chunk's label texts are
+   one ``take`` of the plane's string table at their text ids (decoded
+   on first read on mapped models), and that is all step 6 does
+   eagerly: the chunk keeps its ranked columns (texts, scores, Search
+   Counts, Recall Counts, ``c``) and each request gets a
+   :class:`RowView` over its slice.  ``len`` and ``.texts()`` (what a
+   KV store keeps) build no row; the first read of a row builds the
+   chunk's rows once.  A batch that is only stored or counted never
+   allocates, and the cyclic collector never walks, a
+   ``Recommendation`` per served keyphrase.
 
 The kernel is cut between steps 5 and 6.  Everything up to the ranked
-columns — label id, ``c`` and score per surviving row
+columns — graph-local label id, ``c`` and score per surviving row
 (:class:`RankedColumns`) — is a function of the graphs' structure
 only; step 6 adds nothing that is not already in the model artifact.
 In process the two halves run back to back, chunk by chunk, step 6
@@ -88,18 +96,14 @@ import numpy as np
 from .batch import (BatchResult, InferenceRequest, last_request_wins,
                     validate_limits)
 from .inference import Recommendation
-from .serialization import LazyStringList
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from .model import GraphExModel, LeafGraph
+    from .model import GraphExModel, GraphPlane
 
 #: Items one chunk is cut to.  Swept 16 .. 256 on the bench world
 #: (CHANGES.md, PR 20): smaller chunks pay the fixed call chain more
 #: often, larger ones only grow the temporaries.
 CHUNK_ITEMS = 64
-
-#: One chunk part: a graph and the request indices it serves.
-_Part = Tuple["LeafGraph", List[int]]
 
 #: ``Recommendation._make`` without its Python-level call and length
 #: check per row: :class:`_ChunkRows`, the only caller, zips exactly
@@ -274,18 +278,9 @@ def _narrow(values: np.ndarray, top: Optional[int] = None) -> np.ndarray:
         int(values.max() if top is None else top)))
 
 
-def _slot_width(graph: "LeafGraph") -> int:
-    """Width of the key slot one item of ``graph`` owns in a chunk: its
-    label count (1 for a label-less graph, so every item owns a slot)."""
-    return max(1, graph.n_labels)
-
-
-def _label_texts(graph: "LeafGraph", labels: np.ndarray) -> List[str]:
-    """Keyphrase strings of ``labels`` from their owning leaf."""
-    texts = graph.label_texts
-    if isinstance(texts, LazyStringList):
-        return texts.take(labels)
-    return list(map(texts.__getitem__, labels.tolist()))
+def _label_texts(plane: "GraphPlane", labels: np.ndarray) -> List[str]:
+    """Keyphrase strings of the plane's stacked ``labels``."""
+    return plane.strings.take(plane.text_ids[labels])
 
 
 class RankedColumns(NamedTuple):
@@ -315,75 +310,63 @@ class RankedColumns(NamedTuple):
     scores: np.ndarray
 
 
-def materialise(parts: Sequence[_Part], row_bounds: np.ndarray,
-                labels: np.ndarray, counts: np.ndarray,
-                scores: np.ndarray, search: np.ndarray,
+def materialise(plane: "GraphPlane", indices: Sequence[int],
+                row_bounds: np.ndarray, labels: np.ndarray,
+                counts: np.ndarray, scores: np.ndarray, search: np.ndarray,
                 recall: np.ndarray, results: List[RowView]) -> None:
     """Step 6, the only implementation: ranked columns → one
     :class:`RowView` per request with rows, scattered into ``results``
     by request index.
 
-    ``parts`` are per-graph runs of request indices; the columns hold
-    those requests' rows back to back in that order, request ``i`` of
-    the sequence owning rows ``row_bounds[i]:row_bounds[i + 1]``.  Label
-    texts are read from each run's own leaf in bulk; no row is built
-    until a view is read.  Nothing is validated here — the engine hands
-    over what it just computed, and columns that crossed a wire are
-    checked by their codec before they get this far.
+    The columns hold the rows of requests ``indices`` back to back,
+    request ``indices[i]`` owning rows ``row_bounds[i]:row_bounds[i +
+    1]``; ``labels`` are stacked label ids of ``plane``, whose texts
+    are read in one take.  No row is built until a view is read.
+    Nothing is validated here — the engine hands over what it just
+    computed, and columns that crossed a wire are checked by their
+    codec before they get this far.
     """
+    chunk = _ChunkRows(_label_texts(plane, labels), scores, search,
+                       recall, counts)
     cuts = row_bounds.tolist()
-    strings: List[str] = []
-    stop = 0
-    for graph, indices in parts:
-        start, stop = stop, stop + len(indices)
-        strings.extend(_label_texts(graph, labels[cuts[start]:cuts[stop]]))
-    chunk = _ChunkRows(strings, scores, search, recall, counts)
-    part_requests = (index for _graph, indices in parts
-                     for index in indices)
-    for index, lo, hi in zip(part_requests, cuts, cuts[1:]):
+    for index, lo, hi in zip(indices, cuts, cuts[1:]):
         if hi > lo:
             results[index] = RowView(chunk, lo, hi)
 
 
-def ranked_parts(model: "GraphExModel",
-                 requests: Sequence[InferenceRequest],
-                 answered: Sequence[int]) -> List[_Part]:
-    """The per-graph runs of ``answered`` request indices, in order —
-    each request's owning graph resolved exactly as the engine resolves
-    it (``None`` for a request no graph serves)."""
-    parts: List[_Part] = []
-    for index in answered:
-        graph = model.leaf_graph(requests[index][2]) or model.pooled_graph
-        if parts and parts[-1][0] is graph:
-            parts[-1][1].append(index)
-        else:
-            parts.append((graph, [index]))
-    return parts
+def ranked_owners(model: "GraphExModel",
+                  requests: Sequence[InferenceRequest],
+                  answered: Sequence[int]) -> List[Optional[int]]:
+    """The plane index of the graph serving each of the ``answered``
+    request indices, resolved exactly as the engine resolves it
+    (``None`` for a request no graph serves)."""
+    graph_index = model.graph_index
+    return [graph_index(requests[index][2]) for index in answered]
 
 
-def materialise_ranked(parts: Sequence[_Part], ranked: RankedColumns,
+def materialise_ranked(model: "GraphExModel", owners: Sequence[int],
+                       ranked: RankedColumns,
                        n_requests: int) -> List[RowView]:
     """Row views of columns ranked elsewhere over the same artifact.
 
-    ``parts`` are :func:`ranked_parts` of ``ranked.requests`` on *this*
-    side's model: Search and Recall Counts are gathered from its leaves,
-    then :func:`materialise` builds the views.  Returns one view per
-    request of the batch (:data:`EMPTY_ROWS` for a request without
+    ``owners`` are :func:`ranked_owners` of ``ranked.requests`` on
+    *this* side's model: each request's graph-local labels are shifted
+    by its graph's label base, Search and Recall Counts are one gather
+    each, then :func:`materialise` builds the views.  Returns one view
+    per request of the batch (:data:`EMPTY_ROWS` for a request without
     rows), as :meth:`LeafBatchRunner.run_indexed` does.
     """
     results = [EMPTY_ROWS] * n_requests
-    if not parts:
+    if not len(owners):
         return results
-    row_bounds = np.append(0, np.cumsum(ranked.sizes))
-    cuts = row_bounds[np.append(0, np.cumsum(
-        [len(indices) for _graph, indices in parts]))].tolist()
-    runs = [(graph, ranked.labels[lo:hi])
-            for (graph, _indices), lo, hi in zip(parts, cuts, cuts[1:])]
+    plane = model.plane
+    labels = ranked.labels + np.repeat(
+        plane.label_base[np.asarray(owners, dtype=np.int64)], ranked.sizes)
     materialise(
-        parts, row_bounds, ranked.labels, ranked.counts, ranked.scores,
-        np.concatenate([graph.search_counts[run] for graph, run in runs]),
-        np.concatenate([graph.recall_counts[run] for graph, run in runs]),
-        results)
+        plane, ranked.requests.tolist(),
+        np.append(0, np.cumsum(ranked.sizes)), labels, ranked.counts,
+        ranked.scores, plane.search_counts[labels],
+        plane.recall_counts[labels], results)
     return results
 
 
@@ -414,6 +397,9 @@ class LeafBatchRunner:
         self._model = model
         self._k = k
         self._hard_limit = hard_limit
+        #: Per plane graph, its vocabulary dict's C-level ``get``.
+        self._word_ids = [graph.word_vocab.ids.get
+                          for graph in model.plane_graphs]
 
     def run(self, requests: Sequence[InferenceRequest]) -> BatchResult:
         """Infer a whole batch, chunk by chunk.
@@ -438,29 +424,32 @@ class LeafBatchRunner:
         :class:`RowView`; no row is built until one is read.
         """
         results = [EMPTY_ROWS] * len(requests)
-        for parts in self._chunks(requests):
-            self._run_chunk(requests, parts, results)
+        for indices, owners in self._chunks(requests):
+            self._run_chunk(requests, indices, owners, results)
         return results
 
     def run_ranked(self, requests: Sequence[InferenceRequest]
                    ) -> RankedColumns:
         """Infer a batch up to the ranked columns — steps 1-5, no row
-        built.  ``materialise_ranked(ranked_parts(model, requests,
-        ranked.requests), ranked, len(requests))`` equals
+        built.  ``materialise_ranked(model, ranked_owners(model,
+        requests, ranked.requests), ranked, len(requests))`` equals
         :meth:`run_indexed` on any model opened from the same artifact;
-        the cluster worker stops here and ships the columns."""
+        the cluster worker stops here and ships the columns, labels
+        local to their graph."""
+        label_base = self._model.plane.label_base
         pieces = []
-        for parts in self._chunks(requests):
-            ranked = self._rank_chunk(requests, parts)
+        for indices, owners in self._chunks(requests):
+            ranked = self._rank_chunk(requests, indices, owners)
             if ranked is None:
                 continue
             row_bounds, labels, counts, scores = ranked[:4]
             sizes = np.diff(row_bounds)
             answered = np.flatnonzero(sizes)
-            indices = np.asarray([index for _graph, indices in parts
-                                  for index in indices], dtype=np.int64)
-            pieces.append((indices[answered], sizes[answered], labels,
-                           counts, scores))
+            pieces.append((
+                np.asarray(indices, dtype=np.int64)[answered],
+                sizes[answered],
+                labels - np.repeat(label_base[owners], sizes),
+                counts, scores))
         if not pieces:
             empty = np.empty(0, dtype=np.int64)
             return RankedColumns(empty, empty, empty, empty,
@@ -468,108 +457,85 @@ class LeafBatchRunner:
         return RankedColumns(*map(np.concatenate, zip(*pieces)))
 
     def _chunks(self, requests: Sequence[InferenceRequest]
-                ) -> Iterator[List[_Part]]:
-        """Step 1: the batch's chunks, each a list of per-graph parts."""
+                ) -> Iterator[Tuple[List[int], np.ndarray]]:
+        """Step 1: the batch's chunks, each its request indices and,
+        per request, the plane index of its graph."""
         if self._k <= 0 or self._hard_limit == 0:
             return
-        model = self._model
         # Bucket request indices by the graph that will serve them; a
         # request with neither a leaf graph nor the pooled one keeps [].
-        groups: Dict[int, _Part] = {}
+        graph_index = self._model.graph_index
+        groups: Dict[int, List[int]] = {}
         for index, (_item_id, _title, leaf_id) in enumerate(requests):
-            graph = model.leaf_graph(leaf_id) or model.pooled_graph
-            if graph is None:
+            owner = graph_index(leaf_id)
+            if owner is None:
                 continue
-            bucket = groups.get(id(graph))
+            bucket = groups.get(owner)
             if bucket is None:
-                groups[id(graph)] = (graph, [index])
+                groups[owner] = [index]
             else:
-                bucket[1].append(index)
+                bucket.append(index)
 
         # Cut the graph-ordered item sequence every CHUNK_ITEMS items:
         # a large group splits, small groups share a chunk.
-        chunk: List[_Part] = []
-        room = CHUNK_ITEMS
-        for graph, indices in groups.values():
-            taken = 0
-            while taken < len(indices):
-                part = indices[taken:taken + room]
-                chunk.append((graph, part))
-                taken += len(part)
-                room -= len(part)
-                if room == 0:
-                    yield chunk
-                    chunk, room = [], CHUNK_ITEMS
-        if chunk:
-            yield chunk
+        order = [index for indices in groups.values() for index in indices]
+        owners = np.repeat(list(groups), [len(indices) for indices
+                                          in groups.values()])
+        for lo in range(0, len(order), CHUNK_ITEMS):
+            yield order[lo:lo + CHUNK_ITEMS], owners[lo:lo + CHUNK_ITEMS]
 
     def _run_chunk(self, requests: Sequence[InferenceRequest],
-                   parts: Sequence[_Part], results: List[RowView]) -> None:
+                   indices: List[int], owners: np.ndarray,
+                   results: List[RowView]) -> None:
         """Enumerate → prune → rank → materialise one chunk into
-        ``results``; ``parts`` are its per-graph runs of request
-        indices."""
-        ranked = self._rank_chunk(requests, parts)
+        ``results``: requests ``indices``, served by plane graphs
+        ``owners``."""
+        ranked = self._rank_chunk(requests, indices, owners)
         if ranked is not None:
-            materialise(parts, *ranked, results)
+            materialise(self._model.plane, indices, *ranked, results)
 
     def _rank_chunk(self, requests: Sequence[InferenceRequest],
-                    parts: Sequence[_Part]
+                    indices: List[int], owners: np.ndarray
                     ) -> Optional[Tuple[np.ndarray, ...]]:
         """Steps 2-5 for one chunk, capped at ``hard_limit``: the
-        arguments :func:`materialise` takes between ``parts`` and
+        arguments :func:`materialise` takes between ``indices`` and
         ``results`` — ``(row_bounds, labels, counts, scores, search,
-        recall)``, rows in ranked order — or ``None`` when no title
-        word of the chunk is in any of its graphs.  Only the loops over
-        parts touch a leaf's own arrays; everything between them runs
-        once for the chunk."""
-        graphs = [graph for graph, _indices in parts]
-        part_sizes = [len(indices) for _graph, indices in parts]
-        part_cuts = np.append(0, np.cumsum(part_sizes))
+        recall)``, rows in ranked order, labels stacked — or ``None``
+        when no title word of the chunk is in any of its graphs.  Every
+        array step runs once for the chunk, over the model's plane."""
+        plane = self._model.plane
 
-        def by_part(item_bounds: np.ndarray):
-            """``(graph, lo, hi)`` per part: its slice of any flat
-            array laid out item by item with these ``n_items + 1``
-            bounds."""
-            cuts = item_bounds[part_cuts].tolist()
-            return zip(graphs, cuts, cuts[1:])
-
-        # Intern, part by part: the leaf's ids of each title's words,
-        # looked up in its CSR row pointers; an unknown word is -1, whose
-        # pointers (indptr[-1], indptr[0]) clip to degree 0.  |T| counts
+        # Intern: each title's words' ids in its graph; an unknown word
+        # is -1, whose row pointers (the one before its graph's first,
+        # and that first, which is 0) clip to degree 0.  |T| counts
         # unknown tokens too — it is the |T| the alignment functions see.
         tokenizer = self._model.tokenizer
+        word_ids = self._word_ids
         unknown = repeat(-1)
         n_tokens: List[int] = []
-        starts_of: List[np.ndarray] = []
-        ends_of: List[np.ndarray] = []
-        for graph, indices in parts:
-            ids_get = graph.word_vocab.ids.get
-            flat: List[int] = []
-            for index in indices:
-                tokens = dict.fromkeys(tokenizer(requests[index][1]))
-                n_tokens.append(len(tokens))
-                flat.extend(map(ids_get, tokens, unknown))
-            word_ids = np.asarray(flat, dtype=np.int64)
-            indptr = graph.graph.indptr
-            starts_of.append(indptr[word_ids])
-            ends_of.append(indptr[word_ids + 1])
-        starts = np.concatenate(starts_of)
-        degrees = np.maximum(np.concatenate(ends_of) - starts, 0)
+        flat: List[int] = []
+        for index, owner in zip(indices, owners.tolist()):
+            tokens = dict.fromkeys(tokenizer(requests[index][1]))
+            n_tokens.append(len(tokens))
+            flat.extend(map(word_ids[owner], tokens, unknown))
+        token_owners = np.repeat(owners, n_tokens)
+        rows = (np.asarray(flat, dtype=np.int64)
+                + plane.word_base[token_owners])
+        pointers = plane.indptr[rows[:, None] + [0, 1]]   # both ends
+        starts = pointers[:, 0] + plane.entry_base[token_owners]
+        degrees = np.maximum(pointers[:, 1] - pointers[:, 0], 0)
         total = int(degrees.sum())
         if total == 0:
             return None
 
         # Gather: one index vector holds every adjacency entry's
-        # position in its own leaf's ``indices``; the per-part reads
-        # are the only copies (``indices`` stays the leaf's mapped view).
+        # position in the plane's ``indices``; one read copies them out.
         entry_ends = np.cumsum(degrees)
         positions = (np.repeat(starts - (entry_ends - degrees), degrees)
                      + np.arange(total, dtype=np.int64))
         entry_bounds = np.append(0, entry_ends)[
             np.append(0, np.cumsum(n_tokens))]
-        candidates = np.empty(total, dtype=np.int64)
-        for graph, lo, hi in by_part(entry_bounds):
-            candidates[lo:hi] = graph.graph.indices[positions[lo:hi]]
+        candidates = plane.indices[positions]
 
         # Count: item i owns the key slot [slots[i], slots[i + 1]), as
         # wide as its graph's label set, so in the sorted keys every run
@@ -581,8 +547,7 @@ class LeafBatchRunner:
         # entry_bounds[i + 1], so its candidates are the runs there.
         # The prune passes once over the entries per run length, and
         # c <= |T| (the bound passed), c <= |l| <= max_tokens.
-        slots = np.append(0, np.cumsum(np.repeat(
-            [_slot_width(graph) for graph in graphs], part_sizes)))
+        slots = np.append(0, np.cumsum(plane.widths[owners]))
         keys = _narrow(
             candidates + np.repeat(slots[:-1], np.diff(entry_bounds)),
             slots[-1])
@@ -591,20 +556,21 @@ class LeafBatchRunner:
                                                max(n_tokens))
         row_bounds = np.append(0, np.cumsum(sizes))
         item_of = np.repeat(np.arange(len(sizes)), sizes)
-        labels = keys[kept].astype(np.int64) - np.repeat(slots[:-1], sizes)
+        # A row's stacked label: its key less its slot, plus its graph's
+        # label base.
+        labels = keys[kept].astype(np.int64) - np.repeat(
+            slots[:-1] - plane.label_base[owners], sizes)
 
-        # Rank: integer score ranks, the hard_limit cut, then S / R from
-        # the owning leaf and one segmented lexsort.  Within an item the
-        # keys are the scalar path's (score desc, S desc, R asc, label
-        # id asc) — the last implicit: rows enter label-ascending and
-        # lexsort is stable.  A row's score is a function of its cell
-        # (c, |l|, |T|), |T| indexed by the chunk's distinct title
-        # lengths: one bincount finds the cells in use, only those are
-        # scored, and the table then holds each cell's rank — at most
-        # CHUNK_ITEMS x (max |l| + 1) x (max c + 1) entries, quadratic
-        # in the longest keyphrase.
-        lengths = np.concatenate([graph.label_lengths[labels[lo:hi]]
-                                  for graph, lo, hi in by_part(row_bounds)])
+        # Rank: integer score ranks, the hard_limit cut, then S / R and
+        # one segmented lexsort.  Within an item the keys are the scalar
+        # path's (score desc, S desc, R asc, label id asc) — the last
+        # implicit: rows enter label-ascending and lexsort is stable.
+        # A row's score is a function of its cell (c, |l|, |T|), |T|
+        # indexed by the chunk's distinct title lengths: one bincount
+        # finds the cells in use, only those are scored, and the table
+        # then holds each cell's rank — at most CHUNK_ITEMS x (max |l| +
+        # 1) x (max c + 1) entries, quadratic in the longest keyphrase.
+        lengths = plane.label_lengths[labels]
         title_lengths, title_of = np.unique(n_tokens, return_inverse=True)
         n_lengths, n_counts = int(lengths.max()) + 1, int(counts.max()) + 1
         cells = (title_of[item_of] * n_lengths + lengths) * n_counts + counts
@@ -627,13 +593,8 @@ class LeafBatchRunner:
             row_bounds = np.append(0, np.cumsum(sizes))
             item_of, labels, counts, ranks = (
                 item_of[kept], labels[kept], counts[kept], ranks[kept])
-        search_of, recall_of = [], []
-        for graph, lo, hi in by_part(row_bounds):
-            part_labels = labels[lo:hi]
-            search_of.append(graph.search_counts[part_labels])
-            recall_of.append(graph.recall_counts[part_labels])
-        search = np.concatenate(search_of)
-        recall = np.concatenate(recall_of)
+        search = plane.search_counts[labels]
+        recall = plane.recall_counts[labels]
         order = np.lexsort((_narrow(recall - recall.min()),
                             _narrow(search.max() - search),
                             _narrow(ranks), _narrow(item_of)))

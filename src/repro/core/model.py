@@ -9,7 +9,10 @@ counts live in parallel arrays indexed by label id (O(1) lookup).
 
 One :class:`GraphExModel` covers a whole meta category — the leaf graphs
 are handled internally via a dict, so no per-leaf model management is
-needed (Section III-F).
+needed (Section III-F).  Its graphs are stacked into one
+:class:`GraphPlane`, and each :class:`LeafGraph`'s arrays are slice views
+of it: the fast engine reads a chunk of items from many graphs with one
+gather per array, and an artifact stores and maps the plane whole.
 
 Two interchangeable builders construct the graphs, mirroring the
 two-engine inference split:
@@ -26,7 +29,9 @@ two-engine inference split:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -55,8 +60,9 @@ class LeafGraph:
             (:class:`repro.core.serialization.LazyStringList`) on
             mmap-opened ones — both compare equal element-wise.
         label_lengths: Unique-token count ``|l|`` per label.
-        search_counts: Search Count ``S(l)`` per label.  On an
-            mmap-opened model this (like every array here) is a
+        search_counts: Search Count ``S(l)`` per label.  In a model
+            this (like every array here) is a slice view of the model's
+            :class:`GraphPlane`, and on an mmap-opened model a
             read-only view over the artifact file.
         recall_counts: Recall Count ``R(l)`` per label.
     """
@@ -87,6 +93,109 @@ class LeafGraph:
         strings = sum(len(t.encode("utf-8")) for t in self.label_texts)
         words = sum(len(w.encode("utf-8")) for w in self.word_vocab)
         return self.numeric_memory_bytes() + strings + words
+
+
+class StringTable:
+    """``count`` strings by id, read in bulk: one fancy index and one
+    ``tolist`` per :meth:`take`.  The decoded counterpart of a mapped
+    artifact's lazy string pool, which has the same :meth:`take`."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, strings: Iterable[str], count: int) -> None:
+        self._table = np.fromiter(strings, dtype=object, count=count)
+
+    def take(self, ids: np.ndarray) -> List[str]:
+        """``[strings[i] for i in ids]``."""
+        return self._table[ids].tolist()
+
+
+class GraphPlane(NamedTuple):
+    """Every graph of a model stacked into one set of arrays.
+
+    Graph ``g``'s arrays are the slices between its bases:
+    ``indptr[word_base[g]:word_base[g + 1]]`` holds its own CSR row
+    pointers (its rows plus one, starting at 0, so its ids stay local),
+    ``indices[entry_base[g]:entry_base[g + 1]]`` its adjacency entries
+    (local label ids), and the four label arrays' slices
+    ``[label_base[g]:label_base[g + 1]]`` its labels.  A base array
+    holds one entry per graph plus one.  ``strings.take(text_ids[l])``
+    are the texts of stacked labels ``l``: an artifact's pool ids on an
+    opened model, ``arange`` over its labels' texts in stacked order on
+    a model built in memory.  A model's
+    :class:`LeafGraph` arrays are views of these (:meth:`leaf`), so the
+    fast engine reads a chunk of items from many graphs with one gather
+    per array, and an artifact stores the plane as it is.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    label_lengths: np.ndarray
+    search_counts: np.ndarray
+    recall_counts: np.ndarray
+    text_ids: np.ndarray
+    strings: "StringTable"
+    word_base: np.ndarray
+    entry_base: np.ndarray
+    label_base: np.ndarray
+    #: Per graph, the key slot an item of it owns in an engine chunk:
+    #: its label count, 1 for a label-less graph.
+    widths: np.ndarray
+
+    @classmethod
+    def over(cls, indptr: np.ndarray, indices: np.ndarray,
+             label_lengths: np.ndarray, search_counts: np.ndarray,
+             recall_counts: np.ndarray, text_ids: np.ndarray, strings,
+             rows: Sequence[int], edges: Sequence[int],
+             labels: Sequence[int]) -> "GraphPlane":
+        """A plane over stacked arrays, each graph's extent given by
+        its CSR row, edge and label counts."""
+        counts = np.zeros((3, len(rows) + 1), dtype=np.int64)
+        counts[:, 1:] = (rows, edges, labels)
+        counts[0, 1:] += 1
+        word_base, entry_base, label_base = np.cumsum(counts, axis=1)
+        return cls(indptr, indices, label_lengths, search_counts,
+                   recall_counts, text_ids, strings, word_base,
+                   entry_base, label_base, np.maximum(counts[2, 1:], 1))
+
+    @classmethod
+    def stack(cls, graphs: Sequence["LeafGraph"]) -> "GraphPlane":
+        """Copy ``graphs``' arrays, in order, into one plane."""
+        def stacked(arrays: List[np.ndarray], dtype) -> np.ndarray:
+            return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+
+        labels = [g.n_labels for g in graphs]
+        return cls.over(
+            stacked([g.graph.indptr for g in graphs], np.int64),
+            stacked([g.graph.indices for g in graphs], np.int32),
+            stacked([g.label_lengths for g in graphs], np.int32),
+            stacked([g.search_counts for g in graphs], np.int64),
+            stacked([g.recall_counts for g in graphs], np.int64),
+            np.arange(sum(labels), dtype=np.int64),
+            StringTable(chain.from_iterable(g.label_texts for g in graphs),
+                        sum(labels)),
+            [g.graph.n_left for g in graphs],
+            [g.graph.n_edges for g in graphs], labels)
+
+    def leaf(self, g: int, leaf_id: int, word_vocab: Vocabulary,
+             label_texts: Sequence[str], n_right: int,
+             validate: bool = False) -> "LeafGraph":
+        """Graph ``g`` as a :class:`LeafGraph` whose arrays are views of
+        this plane; ``validate`` checks its CSR invariants."""
+        words = self.word_base[g:g + 2].tolist()
+        entries = self.entry_base[g:g + 2].tolist()
+        lo, hi = self.label_base[g:g + 2].tolist()
+        return LeafGraph(
+            leaf_id=leaf_id,
+            word_vocab=word_vocab,
+            graph=CSRGraph(self.indptr[slice(*words)],
+                           self.indices[slice(*entries)], n_right,
+                           validate=validate),
+            label_texts=label_texts,
+            label_lengths=self.label_lengths[lo:hi],
+            search_counts=self.search_counts[lo:hi],
+            recall_counts=self.recall_counts[lo:hi],
+        )
 
 
 def build_leaf_graph(curated: CuratedLeaf,
@@ -158,7 +267,14 @@ class GraphExModel:
     A model is what its artifact header can name, checked here once: a
     :class:`SpaceTokenizer` (``TypeError`` otherwise) and a registry
     alignment name (``ValueError``).  A new tokenization scheme is a
-    new ``SpaceTokenizer`` spec field, not a callable.
+    new ``SpaceTokenizer`` spec field, not a callable.  The artifact
+    names each graph by its ``leaf_id``, so a leaf graph's must be its
+    key and the pooled graph's -1 (``ValueError``).
+
+    The constructor stacks the graphs once into the model's
+    :class:`GraphPlane` — leaves by id, then the pooled graph — and
+    serves views of it: :meth:`leaf_graph` returns a :class:`LeafGraph`
+    equal to the one passed in whose arrays share the plane's memory.
 
     Args:
         leaf_graphs: Leaf-id → :class:`LeafGraph` mapping.
@@ -173,11 +289,52 @@ class GraphExModel:
                  tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER,
                  alignment: str = "lta",
                  pooled_graph: Optional[LeafGraph] = None) -> None:
+        _check_spec(tokenizer, alignment)
+        named = [(key, graph.leaf_id) for key, graph in leaf_graphs.items()]
+        if pooled_graph is not None:
+            named.append(("pooled", pooled_graph.leaf_id))
+        for key, leaf_id in named:
+            if leaf_id != (-1 if key == "pooled" else key) or key == -1:
+                raise ValueError(
+                    f"the graph keyed {key!r} has leaf_id {leaf_id!r}: a "
+                    f"leaf graph's leaf_id is its key, the pooled "
+                    f"graph's -1, and no leaf is keyed -1")
+        keys: List[Optional[int]] = sorted(leaf_graphs)
+        graphs = [leaf_graphs[key] for key in keys]
+        if pooled_graph is not None:
+            keys.append(None)
+            graphs.append(pooled_graph)
+        plane = GraphPlane.stack(graphs)
+        self._serve(tokenizer, alignment, plane, [
+            plane.leaf(g, graph.leaf_id, graph.word_vocab,
+                       graph.label_texts, graph.graph.n_right)
+            for g, graph in enumerate(graphs)], keys)
+
+    @classmethod
+    def over_plane(cls, plane: GraphPlane, graphs: Sequence[LeafGraph],
+                   keys: Sequence[Optional[int]],
+                   tokenizer: SpaceTokenizer,
+                   alignment: str) -> "GraphExModel":
+        """A model over graphs that already are views of ``plane``, in
+        its order — what an artifact open hands over: nothing is
+        stacked or copied.  ``keys[g]`` is graph ``g``'s leaf id,
+        ``None`` for the pooled graph."""
+        model = cls.__new__(cls)
+        model._serve(tokenizer, alignment, plane, graphs, keys)
+        return model
+
+    def _serve(self, tokenizer: SpaceTokenizer, alignment: str,
+               plane: GraphPlane, graphs: Sequence[LeafGraph],
+               keys: Sequence[Optional[int]]) -> None:
         self._alignment = _check_spec(tokenizer, alignment)
-        self._leaf_graphs = dict(leaf_graphs)
         self._tokenizer = tokenizer
         self._alignment_name = alignment
-        self._pooled = pooled_graph
+        self._plane = plane
+        self._graphs = list(graphs)
+        #: Leaf id → plane index of its graph; the pooled graph's index.
+        self._index = {key: g for g, key in enumerate(keys)
+                       if key is not None}
+        self._pooled_index = keys.index(None) if None in keys else None
         #: Which saved artifact this model was opened from — set by
         #: :func:`repro.core.serialization.load_model` / ``open_model``,
         #: ``None`` for a model built in memory.  Two models share it
@@ -274,26 +431,46 @@ class GraphExModel:
     @property
     def leaf_ids(self) -> List[int]:
         """Leaf categories with a constructed graph."""
-        return sorted(self._leaf_graphs)
+        return sorted(self._index)
 
     @property
     def n_leaves(self) -> int:
         """Number of leaf graphs."""
-        return len(self._leaf_graphs)
+        return len(self._index)
 
     @property
     def n_keyphrases(self) -> int:
         """Total labels across all leaf graphs."""
-        return sum(g.n_labels for g in self._leaf_graphs.values())
+        return sum(self._graphs[g].n_labels for g in self._index.values())
 
     @property
     def pooled_graph(self) -> Optional[LeafGraph]:
         """The pooled all-leaves graph, if built."""
-        return self._pooled
+        pooled = self._pooled_index
+        return None if pooled is None else self._graphs[pooled]
 
     def leaf_graph(self, leaf_id: int) -> Optional[LeafGraph]:
         """The graph serving one leaf, or None."""
-        return self._leaf_graphs.get(leaf_id)
+        index = self._index.get(leaf_id)
+        return None if index is None else self._graphs[index]
+
+    @property
+    def plane(self) -> GraphPlane:
+        """Every graph's arrays, stacked."""
+        return self._plane
+
+    @property
+    def plane_graphs(self) -> List[LeafGraph]:
+        """The graphs in plane order: ``plane_graphs[g]`` is graph
+        ``g`` of :attr:`plane`."""
+        return self._graphs
+
+    def graph_index(self, leaf_id: int) -> Optional[int]:
+        """Plane index of the graph serving an item of ``leaf_id`` —
+        its leaf's, else the pooled one — or ``None`` when neither
+        exists."""
+        index = self._index.get(leaf_id)
+        return self._pooled_index if index is None else index
 
     def recommend(self, title: str, leaf_id: int, k: int = 10,
                   hard_limit: Optional[int] = None,
@@ -315,9 +492,9 @@ class GraphExModel:
             pooled fallback exists, or no title token matches.
         """
         if use_pooled:
-            graph = self._pooled
+            graph = self.pooled_graph
         else:
-            graph = self._leaf_graphs.get(leaf_id) or self._pooled
+            graph = self.leaf_graph(leaf_id) or self.pooled_graph
         if graph is None:
             return []
         tokens = self._tokenizer(title)
@@ -334,12 +511,9 @@ class GraphExModel:
         pooled graph are interned, not duplicated — the naive per-leaf
         sum double-counts them.
         """
-        graphs = list(self._leaf_graphs.values())
-        if self._pooled is not None:
-            graphs.append(self._pooled)
-        numeric = sum(g.numeric_memory_bytes() for g in graphs)
+        numeric = sum(g.numeric_memory_bytes() for g in self._graphs)
         pool = set()
-        for g in graphs:
+        for g in self._graphs:
             pool.update(g.label_texts)
             pool.update(g.word_vocab)
         return numeric + sum(len(s.encode("utf-8")) for s in pool)

@@ -1,22 +1,32 @@
 """Model persistence, zero-copy opens, and size accounting.
 
 A :class:`~repro.core.model.GraphExModel` serializes to a directory in
-one format, the one :func:`save_model` writes: **format 3**, the
-zero-copy model plane.  Every numeric array (per-leaf CSR
-``indptr``/``indices``, count arrays, pool-id arrays) plus the shared
-string pool (one UTF-8 blob + offset arrays; every distinct vocabulary
-word or label text stored once) lands uncompressed and page-aligned in
-a single ``arrays-*.bin`` payload; ``model.json`` carries only the
-manifest (offset, dtype, shape per array).
-``load_model(directory, mmap=True)`` then opens the model as
+one format, the one :func:`save_model` writes: **format 4**, the
+model's stacked :class:`~repro.core.model.GraphPlane` on disk.  The
+payload, a single ``arrays-*.bin`` file, holds one uncompressed,
+page-aligned section per array kind for all graphs at once —
+``indptr``, ``indices``, ``label_lengths``, ``search_counts``,
+``recall_counts``, and the pool ids of each graph's vocabulary words
+(``word_ids``) and label texts (``label_ids``) — plus the shared string
+pool (one UTF-8 blob + offset arrays; every distinct word or label text
+stored once).  ``model.json`` carries the manifest (offset, dtype,
+shape per section) and, per graph under ``leaves``, its leaf id and its
+CSR row, word, edge and label counts, which cut the sections into
+graphs.
+
+An open reads ``model.json``, checks it, and takes the seven plane
+sections whole: ``load_model(directory, mmap=True)`` makes them
 *read-only views over one* ``np.memmap`` — no array is copied, no
 pickle runs, label strings decode lazily on first access — so opening
-is O(metadata) rather than O(model), N processes on one host share a
-single physical copy of the pages, and a daily hot-swap is a remap
-instead of a reload.
+is O(metadata) plus each graph's vocabulary words (its interning dict),
+N processes on one host share a single physical copy of the pages, and
+a daily hot-swap is a remap instead of a reload.  A copied open copies
+the seven sections and decodes the pool.  Either way each graph's
+arrays are slices of the sections, so the fast engine reads a chunk of
+many graphs' items with one gather per section.
 
 The program reads only what it writes: a directory of any other
-``format_version`` — 1 and 2, unwritten since PR 16, as much as a
+``format_version`` — 1 and 2, 3 (the per-leaf layout), as much as a
 future one — is refused by one named ``ValueError``, and ``model.json``
 is checked as outside input before it is followed (:func:`_read_meta`).
 
@@ -45,38 +55,43 @@ import os
 import uuid
 from collections import abc
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .alignment import get_alignment
-from .csr import CSRGraph
-from .model import GraphExModel, LeafGraph
+from .model import GraphExModel, GraphPlane, LeafGraph, StringTable
 from .tokenize import SpaceTokenizer
 from .vocab import Vocabulary, intern_strings
 
 _META_FILE = "model.json"
 _POOLED_KEY = "pooled"
 #: The one format :func:`save_model` writes, and so the one format read.
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 #: The ``model.json`` keys a model must carry, with their JSON types.
 _MODEL_KEYS = {"arrays_file": str, "arrays": dict, "leaves": dict,
                "alignment": str, "tokenizer": dict}
 
-#: Every format-3 array starts on a page boundary, so each memmap view
+#: Every payload section starts on a page boundary, so each memmap view
 #: is naturally aligned and the kernel can fault arrays independently.
 _PAGE_SIZE = 4096
 
-#: Manifest keys of the shared string pool inside the v3 payload.
+#: Manifest keys of the shared string pool inside the payload.
 _POOL_BLOB = "pool/blob"
 _POOL_BYTE_OFFSETS = "pool/byte_offsets"
 _POOL_CHAR_OFFSETS = "pool/char_offsets"
 
-#: The sections under each leaf's prefix, in the order :func:`_pack_all`
-#: writes them; :func:`_unpack_leaf` reads them.
-_LEAF_SECTIONS = ("indptr", "indices", "label_lengths", "search_counts",
-                  "recall_counts", "word_ids", "label_ids")
+#: The plane's sections, in the order :func:`save_model` writes them,
+#: each with the per-graph count of ``leaves`` that sizes it (``indptr``
+#: holds one row more per graph than its count).
+_SECTIONS = {"indptr": "rows", "indices": "edges",
+             "label_lengths": "labels", "search_counts": "labels",
+             "recall_counts": "labels", "word_ids": "words",
+             "label_ids": "labels"}
+
+#: The keys of one ``leaves`` entry: its leaf id, then its counts.
+_LEAF_KEYS = ("leaf_id", "rows", "words", "edges", "labels")
 
 
 def _leaf_key(leaf_id: int) -> str:
@@ -84,7 +99,7 @@ def _leaf_key(leaf_id: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The lazy string plane (format 3, mmap opens)
+# The lazy string pool (mmap opens)
 
 
 class _LazyStringPool:
@@ -98,7 +113,8 @@ class _LazyStringPool:
     recommendations read).  The decoded strings live in one object
     array indexed by pool id (``None`` until read; 8 bytes per pool
     string), so a bulk read is one fancy index, and :meth:`take` and
-    ``pool[i]`` hand out the same ``str``.
+    ``pool[i]`` hand out the same ``str``.  It is a mapped model's
+    :class:`~repro.core.model.StringTable`.
     """
 
     __slots__ = ("_blob", "_byte_offsets", "_table")
@@ -165,11 +181,6 @@ class LazyStringList(abc.Sequence):
             return [self._pool[i] for i in self._ids[index]]
         return self._pool[self._ids[index]]
 
-    def take(self, indices: np.ndarray) -> List[str]:
-        """Bulk ``[self[i] for i in indices]``: one fancy-index into the
-        id array, then the pool's decoded strings."""
-        return self._pool.take(self._ids[indices])
-
     def __iter__(self) -> Iterator[str]:
         pool = self._pool
         return (pool[i] for i in self._ids)
@@ -192,65 +203,15 @@ class LazyStringList(abc.Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Per-leaf pack/unpack
+# The payload: one uncompressed, page-aligned binary file
 
 
-def _unpack_leaf(meta: Dict[str, object], arrays: Dict[str, np.ndarray],
-                 prefix: str, string_pool, mmap: bool) -> LeafGraph:
-    """One leaf over what :func:`_open_payload_v3` returned for the
-    same ``mmap``: a mapped leaf reads its label texts lazily and skips
-    CSR validation, a copied one decodes and validates everything."""
-    words = [string_pool[i] for i in arrays[f"{prefix}/word_ids"].tolist()]
-    label_ids = arrays[f"{prefix}/label_ids"]
-    label_texts: Sequence[str] = (
-        LazyStringList(string_pool, label_ids) if mmap
-        else [string_pool[i] for i in label_ids.tolist()])
-    graph = CSRGraph(
-        indptr=arrays[f"{prefix}/indptr"],
-        indices=arrays[f"{prefix}/indices"],
-        n_right=max(1, len(label_texts)),
-        validate=not mmap,
-    )
-    return LeafGraph(
-        leaf_id=int(meta["leaf_id"]),
-        word_vocab=Vocabulary.from_interned(words),
-        graph=graph,
-        label_texts=label_texts,
-        label_lengths=arrays[f"{prefix}/label_lengths"],
-        search_counts=arrays[f"{prefix}/search_counts"],
-        recall_counts=arrays[f"{prefix}/recall_counts"],
-    )
-
-
-def _pack_all(leaves: Sequence[LeafGraph]
-              ) -> Tuple[Dict[str, Dict[str, object]],
-                         Dict[str, np.ndarray], List[str]]:
-    """Each leaf's :data:`_LEAF_SECTIONS` under its key, and the shared
-    string pool.  The pool order is part of the artifact: leaf by leaf,
-    vocabulary words then label texts, first occurrence wins, as one
-    ``Vocabulary.add`` per string would give — interned here by one
-    :func:`~repro.core.vocab.intern_strings` pass over every leaf."""
-    pool, ids = intern_strings([part for leaf in leaves for part in
-                                (leaf.word_vocab, leaf.label_texts)])
-    arrays: Dict[str, np.ndarray] = {}
-    for leaf, word_ids, label_ids in zip(leaves, ids[::2], ids[1::2]):
-        key = _leaf_key(leaf.leaf_id)
-        arrays.update(zip([f"{key}/{name}" for name in _LEAF_SECTIONS], (
-            leaf.graph.indptr, leaf.graph.indices, leaf.label_lengths,
-            leaf.search_counts, leaf.recall_counts, word_ids, label_ids)))
-    return ({_leaf_key(leaf.leaf_id): {"leaf_id": leaf.leaf_id}
-             for leaf in leaves}, arrays, pool)
-
-
-# ---------------------------------------------------------------------------
-# Format-3 payload: one uncompressed, page-aligned binary file
-
-
-def _write_payload_v3(directory: Path, arrays: Dict[str, np.ndarray],
-                      pool_tokens: List[str]) -> Tuple[str, Dict]:
+def _write_payload(directory: Path, sections: Dict[str, List[np.ndarray]],
+                   pool_tokens: List[str]) -> Tuple[str, Dict]:
     """Write the raw binary payload; returns (filename, manifest).
 
-    Arrays are laid out little-endian at page-aligned offsets.  The
+    Each section is its 1-D pieces written back to back, little-endian,
+    from a page-aligned offset; nothing is concatenated or copied.  The
     string pool, in the order given, becomes one UTF-8 blob (a single
     ``"".join(...).encode()``) plus byte offsets (for lazy per-string
     decodes straight off the mapping) and codepoint offsets (so a
@@ -266,11 +227,11 @@ def _write_payload_v3(directory: Path, arrays: Dict[str, np.ndarray],
     lengths[1, wide + 1] = [len(pool_tokens[i].encode("utf-8"))
                             for i in wide.tolist()]
     char_offsets, byte_offsets = np.cumsum(lengths, axis=1)
-    payload = dict(arrays)
-    payload[_POOL_BLOB] = np.frombuffer(
-        "".join(pool_tokens).encode("utf-8"), dtype=np.uint8)
-    payload[_POOL_BYTE_OFFSETS] = byte_offsets
-    payload[_POOL_CHAR_OFFSETS] = char_offsets
+    payload = dict(sections)
+    payload[_POOL_BLOB] = [np.frombuffer(
+        "".join(pool_tokens).encode("utf-8"), dtype=np.uint8)]
+    payload[_POOL_BYTE_OFFSETS] = [byte_offsets]
+    payload[_POOL_CHAR_OFFSETS] = [char_offsets]
 
     filename = f"arrays-{uuid.uuid4().hex}.bin"
     manifest: Dict[str, Dict[str, object]] = {}
@@ -278,22 +239,21 @@ def _write_payload_v3(directory: Path, arrays: Dict[str, np.ndarray],
     tmp_path = directory / (filename + ".tmp")
     try:
         with open(tmp_path, "wb") as fh:
-            for key, array in payload.items():
-                array = np.ascontiguousarray(array)
+            for key, pieces in payload.items():
                 # Persist explicitly little-endian so the manifest dtype
                 # is platform-independent (no copy on little-endian
                 # hosts).
-                dtype = array.dtype.newbyteorder("<")
-                array = array.astype(dtype, copy=False)
+                dtype = pieces[0].dtype.newbyteorder("<")
                 padding = -offset % _PAGE_SIZE
                 if padding:
                     fh.write(b"\x00" * padding)
                     offset += padding
                 manifest[key] = {"offset": offset, "dtype": dtype.str,
-                                 "shape": list(array.shape)}
-                data = array.tobytes()
-                fh.write(data)
-                offset += len(data)
+                                 "shape": [sum(map(len, pieces))]}
+                for piece in pieces:
+                    piece = np.ascontiguousarray(piece, dtype=dtype)
+                    fh.write(memoryview(piece).cast("B"))
+                    offset += piece.nbytes
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, directory / filename)
@@ -310,8 +270,9 @@ def _section_end(entry: Dict) -> int:
                               * math.prod(entry["shape"]))
 
 
-def _open_payload_v3(directory: Path, meta: Dict, mmap: bool):
-    """Read or map the v3 payload; returns ``(arrays, pool)``.
+def _open_payload(directory: Path, meta: Dict, mmap: bool):
+    """Read or map the payload; returns ``(arrays, strings)``: the plane
+    sections by name, and the string pool as a ``take``-able table.
 
     ``mmap=True`` returns read-only ``np.ndarray`` views over one
     ``np.memmap`` (plain-ndarray views, so a mapped model still
@@ -321,8 +282,8 @@ def _open_payload_v3(directory: Path, meta: Dict, mmap: bool):
     defeating the O(metadata) open — the payload was written by
     :func:`save_model` and is covered by the cross-format suite).
 
-    ``mmap=False`` reads the file once and copies every array out
-    (writable, independent of the file) and decodes the whole pool.
+    ``mmap=False`` reads the file once and copies each plane section
+    out (writable, independent of the file) and decodes the whole pool.
 
     Raises:
         ValueError: The payload is shorter than its manifest says (a
@@ -348,14 +309,15 @@ def _open_payload_v3(directory: Path, meta: Dict, mmap: bool):
             .view(np.dtype(entry["dtype"]))).reshape(entry["shape"])
 
     arrays = {key: view(key) if mmap else view(key).copy()
-              for key in manifest if not key.startswith("pool/")}
+              for key in _SECTIONS}
     if mmap:
         return arrays, _LazyStringPool(view(_POOL_BLOB),
                                        view(_POOL_BYTE_OFFSETS))
     decoded = str(view(_POOL_BLOB), "utf-8")
     char_offsets = view(_POOL_CHAR_OFFSETS).tolist()
-    return arrays, [decoded[lo:hi] for lo, hi in
-                    zip(char_offsets, char_offsets[1:])]
+    return arrays, StringTable(
+        (decoded[lo:hi] for lo, hi in zip(char_offsets, char_offsets[1:])),
+        len(char_offsets) - 1)
 
 
 def _replace_meta(directory: Path, meta: Dict) -> None:
@@ -392,7 +354,7 @@ def _prune_stale_payloads(directory: Path, keep: str) -> None:
 
 
 def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
-    """Serialize a model to a directory (created if needed) as format 3.
+    """Serialize a model to a directory (created if needed) as format 4.
 
     Args:
         model: The model to persist.
@@ -403,7 +365,11 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
             already-mapped models keep serving the old payload.
 
     The header records the model's alignment name and tokenizer spec,
-    which is all of either a model can hold, so every model saves.
+    which is all of either a model can hold, so every model saves.  The
+    plane's numeric arrays are written as they are; the string pool is
+    interned graph by graph in plane order, vocabulary words then label
+    texts, first occurrence wins, as one ``Vocabulary.add`` per string
+    would give — by one :func:`~repro.core.vocab.intern_strings` pass.
 
     Returns:
         The directory path.
@@ -411,12 +377,20 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
-    if model.pooled_graph is not None:
-        leaves.append(model.pooled_graph)
-    leaves_meta, arrays, pool = _pack_all(leaves)
+    plane, graphs = model.plane, model.plane_graphs
+    pool, ids = intern_strings([part for graph in graphs for part in
+                                (graph.word_vocab, graph.label_texts)])
+    # Each graph's word and label pool ids, written graph by graph.
+    no_ids = [np.empty(0, dtype=np.int64)]
+    sections = dict(zip(_SECTIONS, (
+        [plane.indptr], [plane.indices], [plane.label_lengths],
+        [plane.search_counts], [plane.recall_counts],
+        ids[0::2] or no_ids, ids[1::2] or no_ids)))
+    leaves_meta = {_leaf_key(graph.leaf_id): dict(zip(_LEAF_KEYS, (
+        graph.leaf_id, graph.graph.n_left, len(graph.word_vocab),
+        graph.graph.n_edges, graph.n_labels))) for graph in graphs}
     # The payload first; ``model.json``, which names it, last.
-    filename, manifest = _write_payload_v3(directory, arrays, pool)
+    filename, manifest = _write_payload(directory, sections, pool)
     _replace_meta(directory, {
         "format_version": _FORMAT_VERSION,
         "alignment": model.alignment_name,
@@ -454,9 +428,8 @@ def _check_manifest(path: Path, meta: Dict) -> None:
     non-negative integers, or two sections overlap (taken in offset
     order) — each checked before any view is made."""
     manifest = meta["arrays"]
-    for key in [f"{leaf}/{name}" for leaf in meta["leaves"]
-                for name in _LEAF_SECTIONS] \
-            + [_POOL_BLOB, _POOL_BYTE_OFFSETS, _POOL_CHAR_OFFSETS]:
+    for key in [*_SECTIONS, _POOL_BLOB, _POOL_BYTE_OFFSETS,
+                _POOL_CHAR_OFFSETS]:
         if key not in manifest:
             raise ValueError(f"malformed {path}: section {key!r} is "
                              f"missing")
@@ -474,18 +447,82 @@ def _check_manifest(path: Path, meta: Dict) -> None:
                              f"{after!r} overlap")
 
 
+def _leaf_problem(key: str, entry: object) -> Optional[str]:
+    """What is wrong with one ``leaves`` entry, or ``None``."""
+    if not isinstance(entry, dict):
+        return f"entry {entry!r} is not a JSON object"
+    unknown = sorted(set(entry) - set(_LEAF_KEYS))
+    if unknown:
+        return f"unknown key {unknown[0]!r}"
+    for name in _LEAF_KEYS:
+        if name not in entry:
+            return f"{name} is missing"
+    leaf_id = entry["leaf_id"]
+    if type(leaf_id) is not int or _leaf_key(leaf_id) != key:
+        return (f"leaf_id {leaf_id!r} is not its key's leaf id (the key "
+                f"is str(leaf_id), {_POOLED_KEY!r} for -1)")
+    for name in _LEAF_KEYS[1:]:
+        count = entry[name]
+        if type(count) is not int or count < 0:
+            return f"{name} {count!r} is not a non-negative integer"
+    if entry["words"] > entry["rows"]:
+        return (f"words {entry['words']} exceed its {entry['rows']} CSR "
+                f"rows")
+    return None
+
+
+def _check_leaves(path: Path, meta: Dict) -> None:
+    """Refuse by name a ``leaves`` entry the opener cannot trust — not
+    an object, a key other than :data:`_LEAF_KEYS` or one missing, a
+    ``leaf_id`` that is not its key's (an int, ``-1`` exactly for
+    ``pooled``), a count that is not a non-negative int, more words
+    than CSR rows — or counts that do not sum to each plane section's
+    shape (plus one ``indptr`` row per graph): a short section would
+    otherwise serve the next graph's rows."""
+    leaves = meta["leaves"]
+    for key, entry in leaves.items():
+        problem = _leaf_problem(key, entry)
+        if problem is not None:
+            raise ValueError(f"malformed {path}: leaf {key!r}: {problem}")
+    for section, count in _SECTIONS.items():
+        shape = meta["arrays"][section]["shape"]
+        total = sum(entry[count] for entry in leaves.values()) \
+            + (len(leaves) if section == "indptr" else 0)
+        if shape != [total]:
+            raise ValueError(
+                f"malformed {path}: section {section!r} has shape "
+                f"{shape}, its leaves' {count} make [{total}]")
+
+
+def _check_graph_ends(path: Path, plane: GraphPlane, keys: List[str],
+                      edges: List[int]) -> None:
+    """Refuse by name a graph whose CSR rows, cut from the plane by its
+    ``leaves`` counts, do not start at 0 and end at its edge count.
+    Counts moved between graphs keep every section's sum right, and
+    each graph would then serve its neighbour's rows; this reads two
+    ``indptr`` entries per graph, so a mapped open stays O(metadata).
+    Label counts moved between graphs still pass (ROADMAP item 7)."""
+    starts = plane.indptr[plane.word_base[:-1]].tolist()
+    ends = plane.indptr[plane.word_base[1:] - 1].tolist()
+    for key, start, end, count in zip(keys, starts, ends, edges):
+        if start != 0 or end != count:
+            raise ValueError(
+                f"malformed {path}: leaf {key!r}: its CSR rows run from "
+                f"{start} to {end}, not from 0 to its {count} edges")
+
+
 def _read_meta(directory: Path) -> Tuple[Dict, str]:
     """Read and check a model's ``model.json``.
 
     ``model.json`` is outside input: one named ``ValueError`` (the
     path, what is wrong) unless it is a JSON object of
-    ``format_version`` 3 — judged first, whatever else is missing —
+    ``format_version`` 4 — judged first, whatever else is missing —
     holding every key the opener reads, each of its JSON type, an
     ``arrays_file`` that is a bare file name (the payload is opened
     inside the artifact directory, never wherever the manifest points),
-    an ``arrays`` manifest :func:`_check_manifest` accepts, a registry
-    alignment and a tokenizer spec :meth:`SpaceTokenizer.from_spec`
-    accepts.
+    an ``arrays`` manifest :func:`_check_manifest` accepts, ``leaves``
+    :func:`_check_leaves` accepts, a registry alignment and a tokenizer
+    spec :meth:`SpaceTokenizer.from_spec` accepts.
 
     Returns the parsed metadata and the artifact's identity: a digest
     of the very bytes parsed.  ``model.json`` names the payload file,
@@ -508,7 +545,9 @@ def _read_meta(directory: Path) -> Tuple[Dict, str]:
             f"this build reads only what it writes, format "
             f"{_FORMAT_VERSION} (formats 1 and 2 were last read, and "
             f"re-saved as 3 by load_model + save_model, at commit "
-            f"f0008ce; a higher number was written by a newer build)")
+            f"f0008ce; format 3, one section per leaf array, was last "
+            f"read at commit a58fa6e — rebuild it with construct; a "
+            f"higher number was written by a newer build)")
     for key, kind in _MODEL_KEYS.items():
         if not isinstance(meta.get(key), kind):
             raise ValueError(
@@ -526,6 +565,7 @@ def _read_meta(directory: Path) -> Tuple[Dict, str]:
     except ValueError as exc:
         raise ValueError(f"malformed {path}: {exc}") from None
     _check_manifest(path, meta)
+    _check_leaves(path, meta)
     return meta, hashlib.sha256(raw).hexdigest()[:16]
 
 
@@ -542,27 +582,52 @@ def load_model(directory: Union[str, Path],
             pages.  Mapped and copied opens are bit-identical;
             ``tests/test_model_serialization.py`` pins it.
 
+    The model's plane is the payload's seven sections (views of the
+    mapping, or one copy each), and each graph's arrays are slices of
+    them; nothing is stacked.  Both modes check each graph's CSR ends
+    against its counts (:func:`_check_graph_ends`), and a copied open
+    validates each graph's CSR invariants.
+
     Raises:
         FileNotFoundError: If the directory lacks the expected files.
-        ValueError: On any ``format_version`` but 3 (the error names
-            the version and the last commit that read 1 and 2), a
-            malformed ``model.json`` (its manifest entries included) or
-            a truncated payload.
+        ValueError: On any ``format_version`` but 4 (the error names
+            the version and the last commit that read 1, 2 and 3), a
+            malformed ``model.json`` (its manifest and ``leaves``
+            entries included) or a truncated payload.
     """
     directory = Path(directory)
     meta, identity = _read_meta(directory)
-    arrays, string_pool = _open_payload_v3(directory, meta, mmap)
-    leaf_graphs: Dict[int, LeafGraph] = {}
-    pooled = None
-    for key, leaf_meta in meta["leaves"].items():
-        leaf = _unpack_leaf(leaf_meta, arrays, key, string_pool, mmap)
-        if key == _POOLED_KEY:
-            pooled = leaf
-        else:
-            leaf_graphs[leaf.leaf_id] = leaf
-    model = GraphExModel(
-        leaf_graphs, tokenizer=SpaceTokenizer.from_spec(meta["tokenizer"]),
-        alignment=meta["alignment"], pooled_graph=pooled)
+    arrays, strings = _open_payload(directory, meta, mmap)
+    # The sections hold the graphs in save_model's order, leaf ids
+    # ascending and the pooled graph last, whatever order the keys of
+    # ``leaves`` come in: a JSON rewriter may sort them ("10" < "2").
+    leaves = sorted(meta["leaves"].items(), key=lambda item: (
+        item[0] == _POOLED_KEY, item[1]["leaf_id"]))
+    rows, words, edges, labels = (
+        [entry[name] for _key, entry in leaves] for name in _LEAF_KEYS[1:])
+    plane = GraphPlane.over(
+        arrays["indptr"], arrays["indices"], arrays["label_lengths"],
+        arrays["search_counts"], arrays["recall_counts"],
+        arrays["label_ids"], strings, rows, edges, labels)
+    _check_graph_ends(directory / _META_FILE, plane,
+                      [key for key, _entry in leaves], edges)
+    word_cuts = np.append(0, np.cumsum(words, dtype=np.int64)).tolist()
+    label_cuts = plane.label_base.tolist()
+    graphs: List[LeafGraph] = []
+    for g, (_key, entry) in enumerate(leaves):
+        label_ids = plane.text_ids[label_cuts[g]:label_cuts[g + 1]]
+        graphs.append(plane.leaf(
+            g, entry["leaf_id"], Vocabulary.from_interned(strings.take(
+                arrays["word_ids"][word_cuts[g]:word_cuts[g + 1]])),
+            LazyStringList(strings, label_ids) if mmap
+            else strings.take(label_ids),
+            max(1, entry["labels"]), validate=not mmap))
+    model = GraphExModel.over_plane(
+        plane, graphs,
+        [None if key == _POOLED_KEY else entry["leaf_id"]
+         for key, entry in leaves],
+        tokenizer=SpaceTokenizer.from_spec(meta["tokenizer"]),
+        alignment=meta["alignment"])
     model.artifact_identity = identity
     return model
 

@@ -318,7 +318,7 @@ class AsyncNRTFront:
         swapped into a *running* front without dropping an event or
         interrupting reads.  ``model`` may also be an artifact
         directory path — it is opened *once* here (zero-copy mmap for a
-        format-3 artifact, via
+        saved artifact, via
         :func:`repro.core.serialization.open_model`) and every stream
         is retargeted at the same mapped instance, so the whole front
         shares one physical copy and the swap is a remap, not N
@@ -340,7 +340,7 @@ class AsyncNRTFront:
         if self._closing:
             raise RuntimeError("front is stopping")
         loop = asyncio.get_running_loop()
-        # open_model on an artifact path is filesystem work (the v3
+        # open_model on an artifact path is filesystem work (the
         # mmap open); off-loop so a slow disk cannot stall every
         # stream's windows mid-swap (async-no-blocking).  For an
         # already-opened model it is a passthrough.

@@ -155,7 +155,7 @@ class BatchPipeline:
         ``model`` may be a :class:`GraphExModel` or an artifact
         directory (opened via
         :func:`repro.core.serialization.open_model` — zero-copy mmap
-        for format-3 artifacts, so co-hosted pipelines handed the same
+        for saved artifacts, so co-hosted pipelines handed the same
         path share one physical copy).  A path that does not open
         leaves the pipeline on the old model.
         ``generation`` lets an orchestrator number refreshes

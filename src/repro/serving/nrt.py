@@ -173,7 +173,7 @@ class NRTService:
 
         ``model`` may be an in-memory :class:`GraphExModel` or an
         *artifact directory path*: a path is opened through
-        :func:`repro.core.serialization.open_model`, so a format-3
+        :func:`repro.core.serialization.open_model`, so a saved
         artifact maps zero-copy and the swap is a remap — N services on
         one host pointed at the same artifact share one physical copy.
 
@@ -190,7 +190,7 @@ class NRTService:
 
         Args:
             model: The replacement model, or the directory of a saved
-                one (opened mmap when it is a format-3 artifact).
+                one (opened mmap when it is a saved artifact).
             generation: Explicit generation number to adopt (an
                 orchestrator numbering refreshes across many services);
                 defaults to the current generation + 1, and is never

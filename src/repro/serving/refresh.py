@@ -72,7 +72,7 @@ class RefreshReport:
     construct_seconds: float
     load_seconds: float
     swap_seconds: float
-    #: Directory of the persisted format-3 artifact this refresh
+    #: Directory of the persisted artifact this refresh
     #: deployed (``None`` when the orchestrator has no ``artifact_dir``
     #: and the model was handed off in memory instead).
     artifact_path: Optional[str] = None
@@ -100,7 +100,7 @@ class DailyRefreshOrchestrator:
             alignment (an unknown one is a ``ValueError`` here).
         build_pooled: Also build the pooled fallback graph each day.
         artifact_dir: When set, every refresh persists its freshly
-            constructed model as a format-3 artifact under
+            constructed model as an artifact under
             ``artifact_dir/gen-<N>`` and deploys the *memory-mapped*
             open of that artifact: the pipeline and every registered
             target receive views over one physical copy, and the
@@ -286,7 +286,7 @@ class DailyRefreshOrchestrator:
         self._generation = generation
 
         # Persist-then-remap: with an artifact_dir, the built model is
-        # written out as a format-3 artifact (in the executor — the
+        # written out as an artifact (in the executor — the
         # front keeps ingesting) and the *mapped* open of that artifact
         # is what gets deployed, so the pipeline and every target share
         # one physical copy and the in-memory build is dropped.

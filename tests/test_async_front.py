@@ -737,7 +737,7 @@ class TestModelHotSwap:
         constructed on the new model and fed those events.
 
         ``by_path`` additionally exercises the ISSUE 6 hand-off: the
-        refresh receives a format-3 artifact *directory* instead of a
+        refresh receives a saved artifact *directory* instead of a
         model object, so the swap is a zero-copy remap — with the same
         served bytes."""
         names = ("s0", "s1", "s2")

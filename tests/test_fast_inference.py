@@ -14,10 +14,12 @@ from __future__ import annotations
 import pickle
 import re
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.fast_inference import (EMPTY_ROWS, LeafBatchRunner,
                                        RowView, _count_and_prune,
                                        _label_texts, _prune_by_count_array,
-                                       materialise_ranked, ranked_parts)
+                                       materialise_ranked, ranked_owners)
 from repro.core.inference import (Recommendation, prune_by_count_groups,
                                   recommend_from_graph)
 from repro.core.model import GraphExModel
@@ -200,17 +202,24 @@ def chunk_items(n):
 
 
 def spy_chunks(runner):
-    """Record the ``(n_labels, n_items)`` parts of every chunk run, and
-    hold each to the chunk size in force when it ran."""
+    """Record the ``(n_labels, n_items)`` parts — runs of one graph's
+    items — of every chunk run, and hold each to the chunk size in
+    force when it ran."""
     chunks = []
     run_chunk = runner._run_chunk
+    graphs = runner._model.plane_graphs
 
-    def spy(requests, parts, results, **options):
-        chunks.append([(graph.n_labels, len(indices))
-                       for graph, indices in parts])
-        assert 0 < sum(n for _w, n in chunks[-1]) \
-            <= fast_inference.CHUNK_ITEMS
-        return run_chunk(requests, parts, results, **options)
+    def spy(requests, indices, owners, results, **options):
+        parts = []
+        for owner in owners.tolist():
+            if parts and parts[-1][0] == owner:
+                parts[-1][1] += 1
+            else:
+                parts.append([owner, 1])
+        chunks.append([(graphs[owner].n_labels, n) for owner, n in parts])
+        assert len(indices) == len(owners)
+        assert 0 < len(indices) <= fast_inference.CHUNK_ITEMS
+        return run_chunk(requests, indices, owners, results, **options)
 
     runner._run_chunk = spy
     return chunks
@@ -268,8 +277,8 @@ class TestCrossLeafChunks:
         assert (ranked.sizes > 0).all()
         assert ranked.sizes.sum() == len(ranked.labels) \
             == len(ranked.counts) == len(ranked.scores)
-        parts = ranked_parts(model, reqs, answered)
-        rows = materialise_ranked(parts, ranked, len(reqs))
+        owners = ranked_owners(model, reqs, answered)
+        rows = materialise_ranked(model, owners, ranked, len(reqs))
         assert rows == expected
         assert [i for i, recs in enumerate(rows) if recs] \
             == sorted(answered)
@@ -490,9 +499,9 @@ class TestCostFollowsWhatAnItemTouches:
             1: [(f"w0 w{i}", 5, i) for i in range(1, 4)],      # 3 labels
             2: [(f"w1 w{i}", 7, i) for i in range(2, 10)],     # 8 labels
         })
-        widths = {3: key_range - 16, 8: 8}
-        monkeypatch.setattr(fast_inference, "_slot_width",
-                            lambda graph: widths[graph.n_labels])
+        # Leaf 1's items own slots key_range - 16 wide.
+        monkeypatch.setattr(model, "_plane", model.plane._replace(
+            widths=np.array([key_range - 16, 8])))
         narrowed = []
         narrow = fast_inference._narrow
 
@@ -723,8 +732,8 @@ class TestRankCut:
                          expected)
         ranked = runner.run_ranked(reqs)
         assert materialise_ranked(
-            ranked_parts(model, reqs, ranked.requests.tolist()), ranked,
-            len(reqs)) == indexed
+            model, ranked_owners(model, reqs, ranked.requests.tolist()),
+            ranked, len(reqs)) == indexed
         served = sum(len(rows) for rows in expected.values())
         assert (served == 0) == (hard_limit == 0)
 
@@ -746,8 +755,8 @@ class TestRankCut:
             == [expected[item_id] for item_id, _title, _leaf in reqs]
         ranked = runner.run_ranked(reqs)
         assert materialise_ranked(
-            ranked_parts(model, reqs, ranked.requests.tolist()), ranked,
-            len(reqs)) == indexed
+            model, ranked_owners(model, reqs, ranked.requests.tolist()),
+            ranked, len(reqs)) == indexed
 
     @pytest.mark.parametrize("alignment", ALIGNMENTS)
     def test_no_numpy_warning_escapes(self, alignment):
@@ -852,8 +861,9 @@ class TestRankCut:
                                * (longest + 1) * (longest + 1))
 
 class TestBulkLabelTexts:
-    """``LazyStringList.take`` (mapped models) and the engine's plain
-    list path (copied loads) both equal one-by-one list indexing."""
+    """The plane's one text ``take`` — decoded lazily from the mapped
+    pool, or from a copied open's decoded table — equals one-by-one
+    list indexing."""
 
     INDEX_SETS = [[], [0], [2, 0, 2, 1], [3, 3, 3]]
 
@@ -866,39 +876,45 @@ class TestBulkLabelTexts:
                 ("w8 w9", 6, 6)]}, build_pooled=True)
         return model, save_model(model, tmp_path / "model")
 
+    @staticmethod
+    def stacked(model, leaf_id, indices):
+        """``indices`` of one leaf as the plane's stacked label ids."""
+        base = model.plane.label_base[model.graph_index(leaf_id)]
+        return base + np.asarray(indices, dtype=np.int64)
+
     @pytest.mark.parametrize("indices", INDEX_SETS)
     def test_take_on_a_cold_mapped_model(self, artifact, indices):
         built, path = artifact
-        index_array = np.asarray(indices, dtype=np.int64)
         for leaf_id in (1, 2):
             # A fresh open each time: the pool cache starts cold.
-            lazy = load_model(path, mmap=True).leaf_graph(leaf_id) \
-                .label_texts
+            mapped = load_model(path, mmap=True)
+            lazy = mapped.leaf_graph(leaf_id).label_texts
             eager = built.leaf_graph(leaf_id).label_texts
             assert isinstance(lazy, LazyStringList)
             expected = [eager[i] for i in indices]
-            assert lazy.take(index_array) == expected      # cold
-            assert lazy.take(index_array) == expected      # cached
+            labels = self.stacked(mapped, leaf_id, indices)
+            assert _label_texts(mapped.plane, labels) == expected  # cold
+            assert _label_texts(mapped.plane, labels) == expected  # cached
             assert [lazy[i] for i in indices] == expected
 
     def test_take_warm_partially_cached(self, artifact):
         built, path = artifact
-        lazy = load_model(path, mmap=True).leaf_graph(1).label_texts
+        mapped = load_model(path, mmap=True)
+        lazy = mapped.leaf_graph(1).label_texts
         eager = built.leaf_graph(1).label_texts
         assert lazy[2] == eager[2]                 # warm one string only
-        assert lazy.take(np.array([0, 2, 3])) == [eager[0], eager[2],
-                                                  eager[3]]
+        assert _label_texts(mapped.plane, self.stacked(
+            mapped, 1, [0, 2, 3])) == [eager[0], eager[2], eager[3]]
 
     @pytest.mark.parametrize("indices", INDEX_SETS)
     def test_engine_reads_mapped_and_copied_models_alike(self, artifact,
                                                          indices):
         built, path = artifact
-        index_array = np.asarray(indices, dtype=np.int64)
         expected = [built.leaf_graph(1).label_texts[i] for i in indices]
-        for mmap in (True, False):
-            graph = load_model(path, mmap=mmap).leaf_graph(1)
-            assert isinstance(graph.label_texts, LazyStringList) == mmap
-            assert _label_texts(graph, index_array) == expected
+        for model in (built, load_model(path, mmap=True),
+                      load_model(path)):
+            assert _label_texts(model.plane, self.stacked(
+                model, 1, indices)) == expected
 
 
     def test_every_row_is_exactly_a_recommendation(self, artifact):
@@ -1074,3 +1090,149 @@ class TestTieBreakDeterminism:
         # All keys tie → pure label-id (insertion) order.
         recs = batch_recommend(model, reqs, k=10, engine="fast")[1]
         assert [r.text for r in recs] == [f"w0 w{i}" for i in range(1, 7)]
+
+
+#: Worlds of several leaves, each with labels; every model of them has
+#: a pooled graph too.
+plane_worlds = st.dictionaries(st.integers(1, 8), phrases_between(1, 6),
+                               min_size=2, max_size=6)
+
+
+def three_kinds(model, directory):
+    """The model as built, and saved then opened copied and mapped."""
+    path = save_model(model, directory / "model")
+    return {"built": model, "copied": load_model(path),
+            "mapped": load_model(path, mmap=True)}
+
+
+class TestStackedPlane:
+    """Every model's graphs live in one stacked plane: a chunk of items
+    from many graphs reads each plane array once, and every leaf's
+    arrays are views of the plane."""
+
+    @given(world=plane_worlds, k=st.integers(1, 8),
+           alignment=st.sampled_from(ALIGNMENTS),
+           hard_limit=st.one_of(st.none(), st.integers(1, 8)),
+           data=st.data())
+    @settings(max_examples=examples(40), deadline=None)
+    def test_a_window_across_every_graph_matches_the_oracle(
+            self, world, k, alignment, hard_limit, data):
+        """The NRT window's shape: one chunk holding one or two items of
+        every leaf and of the pooled fallback, in any order — through
+        ``run_indexed`` and through ``run_ranked`` +
+        ``materialise_ranked``, on the built model and on its copied and
+        mapped opens, each request equal to the scalar oracle's rows."""
+        model = make_model(world, alignment=alignment, build_pooled=True)
+        reqs = []
+        for leaf_id in sorted(world) + [99]:
+            for _ in range(data.draw(st.integers(1, 2))):
+                reqs.append((len(reqs), data.draw(mixed_title), leaf_id))
+        reqs = data.draw(st.permutations(reqs))
+        expected = reference_outputs(model, reqs, k, hard_limit)
+        with tempfile.TemporaryDirectory() as tmp:
+            for kind, served in three_kinds(model, Path(tmp)).items():
+                runner = LeafBatchRunner(served, k=k, hard_limit=hard_limit)
+                chunks = spy_chunks(runner)
+                indexed = runner.run_indexed(reqs)
+                assert len(chunks) == 1, kind
+                assert len(chunks[0]) <= len(world) + 1
+                assert [list(rows) for rows in indexed] \
+                    == [expected[item_id] for item_id, _t, _l in reqs], kind
+                ranked = runner.run_ranked(reqs)
+                assert materialise_ranked(served, ranked_owners(
+                    served, reqs, ranked.requests.tolist()), ranked,
+                    len(reqs)) == indexed, kind
+
+    def test_an_empty_model_has_an_empty_plane(self, tmp_path):
+        model = GraphExModel({})
+        reqs = [(1, "w0 w1", 1), (2, "", 7)]
+        for kind, served in three_kinds(model, tmp_path).items():
+            plane = served.plane
+            assert served.plane_graphs == [], kind
+            assert [len(array) for array in (
+                plane.indptr, plane.indices, plane.label_lengths,
+                plane.search_counts, plane.recall_counts,
+                plane.text_ids)] == [0] * 6, kind
+            assert plane.label_base.tolist() == [0], kind
+            runner = LeafBatchRunner(served, k=5)
+            assert runner.run_indexed(reqs) == [EMPTY_ROWS] * 2
+            ranked = runner.run_ranked(reqs)
+            assert len(ranked.requests) == len(ranked.labels) == 0
+            assert materialise_ranked(served, [], ranked, 2) \
+                == [EMPTY_ROWS] * 2
+
+    def test_a_label_less_leaf_owns_a_one_wide_slot(self, tmp_path):
+        """A leaf with no labels (an empty vocabulary, one empty CSR
+        row) stacks as one indptr row pair and no labels: its items own
+        a slot of width 1 and reach nothing, and the graphs stacked
+        after it keep their own labels."""
+        from repro.core.model import build_leaf_graph
+
+        built = make_model({1: [("w0 w1", 5, 1), ("w1", 4, 2)],
+                            3: [("w1 w2", 3, 3), ("w2", 2, 4)]},
+                           build_pooled=True)
+        empty = build_leaf_graph(CuratedLeaf(leaf_id=2), built.tokenizer)
+        assert empty.n_labels == 0 and empty.graph.n_left == 1
+        model = GraphExModel(
+            {1: built.leaf_graph(1), 2: empty, 3: built.leaf_graph(3)},
+            pooled_graph=built.pooled_graph)
+        assert model.plane.widths.tolist() == [2, 1, 2, 4]
+        assert np.diff(model.plane.label_base).tolist() == [2, 0, 2, 4]
+        reqs = [(0, "w1 w2", 2), (1, "w0 w1", 1), (2, "w2 zzz", 3),
+                (3, "w1", 2), (4, "w2 w0", 9)]
+        expected = reference_outputs(model, reqs, 3)
+        assert expected[0] == expected[3] == []
+        for kind, served in three_kinds(model, tmp_path).items():
+            runner = LeafBatchRunner(served, k=3)
+            assert [list(rows) for rows in runner.run_indexed(reqs)] \
+                == [expected[i] for i in range(len(reqs))], kind
+            assert served.leaf_graph(2).n_labels == 0
+
+    def test_pooled_only_requests(self, tmp_path):
+        model = make_model({1: [("w0 w1", 5, 1), ("w2", 4, 2)],
+                            2: [("w1 w2", 3, 3), ("w0", 2, 4)]},
+                           build_pooled=True)
+        reqs = [(i, title, 50 + i) for i, title in
+                enumerate(["w0 w1", "w2", "", "zzz w1", "w1 w2 w0"])]
+        expected = reference_outputs(model, reqs, 2)
+        for kind, served in three_kinds(model, tmp_path).items():
+            runner = LeafBatchRunner(served, k=2)
+            chunks = spy_chunks(runner)
+            assert [list(rows) for rows in runner.run_indexed(reqs)] \
+                == [expected[i] for i in range(len(reqs))], kind
+            assert chunks == [[(served.pooled_graph.n_labels, len(reqs))]]
+
+    def test_every_leaf_array_is_a_view_of_the_plane(self, tmp_path):
+        """On built, copied and mapped models alike each graph's arrays
+        share memory with the plane — at the plane's offsets — and a
+        mapped model's are read-only, as is its plane."""
+        model = make_model({1: [("w0 w1", 5, 1), ("w2", 4, 2)],
+                            2: [("w1 w2", 3, 3), ("w0", 2, 4)]},
+                           build_pooled=True)
+        for kind, served in three_kinds(model, tmp_path).items():
+            plane = served.plane
+            graphs = served.plane_graphs
+            assert graphs == [served.leaf_graph(1), served.leaf_graph(2),
+                              served.pooled_graph], kind
+            for g, graph in enumerate(graphs):
+                lo, hi = plane.label_base[g:g + 2]
+                pairs = [(graph.graph.indptr, plane.indptr),
+                         (graph.graph.indices, plane.indices),
+                         (graph.label_lengths, plane.label_lengths),
+                         (graph.search_counts, plane.search_counts),
+                         (graph.recall_counts, plane.recall_counts)]
+                for array, stacked in pairs:
+                    assert np.shares_memory(array, stacked), kind
+                    assert array.flags.writeable == (kind != "mapped")
+                assert np.array_equal(graph.search_counts,
+                                      plane.search_counts[lo:hi])
+                assert plane.strings.take(plane.text_ids[lo:hi]) \
+                    == list(graph.label_texts), kind
+                assert graph.graph.indptr[0] == 0
+            if kind == "mapped":
+                assert not any(array.flags.writeable for array in (
+                    plane.indptr, plane.indices, plane.label_lengths,
+                    plane.search_counts, plane.recall_counts,
+                    plane.text_ids))
+                assert np.shares_memory(
+                    served.pooled_graph.label_texts._ids, plane.text_ids)

@@ -156,7 +156,7 @@ class TestSerialization:
         path = save_model(GraphExModel.construct(
             curated_two_leaves(), tokenizer=tokenizer), tmp_path / "m")
         assert (path / "model.json").read_text(encoding="utf-8").startswith(
-            '{"format_version": 3, "alignment": "lta", "tokenizer": '
+            '{"format_version": 4, "alignment": "lta", "tokenizer": '
             '{"type": "space", "stem": %s}, ' % stem)
         assert load_model(path).tokenizer.stopwords == frozenset()
 
@@ -193,6 +193,21 @@ class TestSerialization:
                                        builder="reference")
             with pytest.raises(TypeError, match="SpaceTokenizer"):
                 GraphExModel({}, tokenizer=tokenizer)
+
+    def test_a_graph_is_keyed_by_its_leaf_id(self):
+        """The artifact names each graph by its ``leaf_id`` and stores
+        the graphs in leaf-id order, so a model whose keys say
+        otherwise is refused before it can save a mis-cut artifact."""
+        built = GraphExModel.construct(curated_two_leaves(),
+                                       build_pooled=True)
+        leaf_10, pooled = built.leaf_graph(10), built.pooled_graph
+        for graphs, pooled_graph, key, leaf_id in [
+                ({11: leaf_10}, None, "11", "10"),
+                ({-1: pooled}, None, "-1", "-1"),
+                ({}, leaf_10, "'pooled'", "10")]:
+            with pytest.raises(ValueError, match=f"the graph keyed {key} "
+                               f"has leaf_id {leaf_id}: "):
+                GraphExModel(graphs, pooled_graph=pooled_graph)
 
     def test_model_size_bytes(self, tmp_path):
         model = GraphExModel.construct(curated_two_leaves())
@@ -276,7 +291,7 @@ class TestRoundtripFidelity:
                                        build_pooled=True)
         path = save_model(model, tmp_path / "m")
         meta = json.loads((path / "model.json").read_text())
-        assert meta["format_version"] == 3
+        assert meta["format_version"] == 4
         expected = set()
         for graph in [model.leaf_graph(i) for i in model.leaf_ids] \
                 + [model.pooled_graph]:
@@ -448,6 +463,44 @@ class TestCrossFormat:
                 assert batch_recommend(mapped, requests, k=5,
                                        engine=engine) == expected
 
+    @pytest.mark.parametrize("rewrite", ["sorted", "reversed"])
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
+    def test_leaves_open_in_leaf_id_order_whatever_their_key_order(
+            self, tmp_path, mmap, rewrite):
+        """The sections hold the graphs in leaf-id order, the pooled
+        graph last; the key order of ``model.json``'s ``leaves`` does
+        not matter.  Rewritten with sorted keys, leaf 10 ("10") comes
+        before leaf 2, and the open still cuts each graph its own
+        rows."""
+        leaf_2 = CuratedLeaf(leaf_id=2)
+        leaf_2.add("usb cable", 5, 7)
+        leaf_2.add("cable", 4, 4)
+        leaf_10 = CuratedLeaf(leaf_id=10)
+        leaf_10.add("hdmi cable", 3, 3)
+        leaf_10.add("red hdmi", 9, 2)
+        leaf_10.add("hdmi", 1, 1)
+        model = GraphExModel.construct(CuratedKeyphrases(
+            leaves={2: leaf_2, 10: leaf_10}, effective_threshold=1,
+            config=CurationConfig(min_search_count=1)), build_pooled=True)
+        path = save_model(model, tmp_path / "m")
+        meta_file = path / "model.json"
+        meta = json.loads(meta_file.read_text("utf-8"))
+        if rewrite == "sorted":
+            meta_file.write_text(json.dumps(meta, sort_keys=True), "utf-8")
+            order = ["10", "2", "pooled"]
+        else:
+            meta["leaves"] = dict(reversed(meta["leaves"].items()))
+            meta_file.write_text(json.dumps(meta), "utf-8")
+            order = ["pooled", "10", "2"]
+        assert list(json.loads(meta_file.read_text("utf-8"))["leaves"]) \
+            == order
+        opened = load_model(path, mmap=mmap)
+        assert_models_identical(model, opened)
+        requests = _world_requests(model)
+        for engine in ("fast", "reference"):
+            assert batch_recommend(opened, requests, k=5, engine=engine) \
+                == batch_recommend(model, requests, k=5, engine=engine)
+
     def test_future_format_version_named_in_error(self, tmp_path):
         model = GraphExModel.construct(curated_two_leaves())
         path = save_model(model, tmp_path / "m")
@@ -456,7 +509,7 @@ class TestCrossFormat:
             load_model(path)
         message = str(excinfo.value)
         assert "99" in message
-        assert "format 3" in message
+        assert "format 4" in message
 
     @pytest.mark.parametrize("version", [1, 2, 99])
     def test_every_other_format_is_refused_by_one_message(self, tmp_path,
@@ -481,7 +534,31 @@ class TestCrossFormat:
         assert message.startswith(
             f"unsupported model format_version {version} in "
             f"{path / 'model.json'}")
-        assert "format 3" in message and "f0008ce" in message
+        assert "format 4" in message and "f0008ce" in message
+
+    def test_format_3_is_refused_naming_its_last_reader(self, tmp_path):
+        """Format 3 — seven payload sections per leaf — has no reader
+        now: an intact format-3 header is refused by name on every
+        opener, naming the last commit that read it and how to get a
+        format-4 artifact."""
+        path = save_model(TestArtifactBytes.pool_order_model(),
+                          tmp_path / "m")
+        meta = json.loads((path / "model.json").read_text("utf-8"))
+        meta["format_version"] = 3
+        meta["leaves"] = {key: {"leaf_id": entry["leaf_id"]}
+                          for key, entry in meta["leaves"].items()}
+        (path / "model.json").write_text(json.dumps(meta), "utf-8")
+        for opener in (load_model, lambda p: load_model(p, mmap=True),
+                       open_model):
+            with pytest.raises(ValueError) as refused:
+                opener(path)
+            message = str(refused.value)
+            assert message.startswith(
+                f"unsupported model format_version 3 in "
+                f"{path / 'model.json'}; this build reads only what it "
+                f"writes, format 4")
+            assert "format 3, one section per leaf array, was last read " \
+                "at commit a58fa6e — rebuild it with construct" in message
 
 
 class TestMappedPlane:
@@ -609,10 +686,12 @@ class TestMappedPlane:
         assert self._decoded(pool) == warm | set(ids)
         assert isinstance(pool._table, np.ndarray) \
             and len(pool._table) == len(pool)
-        # The same through the list view the engine calls.
-        assert texts.take(np.array([2, 0, 2])) \
+        # The same through the plane the engine reads.
+        plane = mapped.plane
+        assert plane.strings is pool
+        base = plane.label_base[mapped.graph_index(-1)]
+        assert pool.take(plane.text_ids[base + np.array([2, 0, 2])]) \
             == [texts[2], texts[0], texts[2]]
-        assert texts.take(np.array([], dtype=np.int64)) == []
 
     def test_lazy_pool_take_and_index_share_one_string(self, tmp_path):
         """One cache: ``pool[i]`` after ``take`` — and ``take`` after
@@ -626,7 +705,17 @@ class TestMappedPlane:
         assert pool.take(np.array([taken, taken]))[1] is pool[taken]
         text = pool[indexed]
         assert pool.take(np.array([taken, indexed]))[1] is text
-        assert texts.take(np.array([0]))[0] is texts[0]
+        assert pool.take(texts._ids[:1])[0] is texts[0]
+
+    def test_opened_models_resave_the_same_payload(self, tmp_path):
+        """The plane is written as it is — read-only mapped sections
+        too — so a mapped or copied open re-saves byte-identically."""
+        model, path, mapped = self._mapped(tmp_path, build_pooled=True)
+        payload = _payload_sections(path)
+        for name, opened in (("mapped", mapped),
+                             ("copied", load_model(path))):
+            assert _payload_sections(
+                save_model(opened, tmp_path / name)) == payload
 
     def test_lazy_pool_take_out_of_range_raises(self, tmp_path):
         _model, _path, mapped = self._mapped(tmp_path)
@@ -644,14 +733,13 @@ class TestArtifactBytes:
 
     #: The pool order is part of the artifact: leaf by leaf, vocabulary
     #: words then label texts, first occurrence wins.  Pinned from the
-    #: payload the one-``Vocabulary.add``-per-string writer produced.
+    #: payload the one-``Vocabulary.add``-per-string writer produced
+    #: (leaf 10's ids, then leaf 11's, then the pooled graph's).
     POOL = ["usb", "cable", "usb cable", "hdmi", "café", "hdmi cable",
             "café usb"]
     IDS = {
-        "10/word_ids": [0, 1], "10/label_ids": [2, 1],
-        "11/word_ids": [3, 1, 0, 4], "11/label_ids": [5, 2, 0, 6],
-        "pooled/word_ids": [0, 1, 3, 4],
-        "pooled/label_ids": [2, 1, 5, 0, 6],
+        "word_ids": [0, 1] + [3, 1, 0, 4] + [0, 1, 3, 4],
+        "label_ids": [2, 1] + [5, 2, 0, 6] + [2, 1, 5, 0, 6],
         "pool/byte_offsets": [0, 3, 8, 17, 21, 26, 36, 45],
         "pool/char_offsets": [0, 3, 8, 17, 21, 25, 35, 43],
     }
@@ -723,14 +811,13 @@ class TestArtifactBytes:
         words then labels, and one ``encode`` per pool string."""
         model = GraphExModel.construct(curated, build_pooled=build_pooled)
         pool = Vocabulary()
-        expected = {}
+        expected = {"word_ids": [], "label_ids": []}
         leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
         for leaf in leaves + [model.pooled_graph] * build_pooled:
-            key = "pooled" if leaf.leaf_id == -1 else str(leaf.leaf_id)
-            expected[f"{key}/word_ids"] = [pool.add(word)
-                                           for word in leaf.word_vocab]
-            expected[f"{key}/label_ids"] = [pool.add(text)
-                                            for text in leaf.label_texts]
+            expected["word_ids"] += [pool.add(word)
+                                     for word in leaf.word_vocab]
+            expected["label_ids"] += [pool.add(text)
+                                      for text in leaf.label_texts]
         encoded = [text.encode("utf-8") for text in pool.tokens]
         expected["pool/byte_offsets"] = np.cumsum([0] + list(map(
             len, encoded)))
@@ -933,6 +1020,33 @@ def _damage_section(key: str, **entry):
     return damage
 
 
+def _damage_leaf(key: str, **entry):
+    """A DAMAGE step: overwrite fields of one ``leaves`` entry."""
+    def damage(meta):
+        meta["leaves"][key].update(entry)
+        return meta
+    return damage
+
+
+def _shorten_section(key: str):
+    """A DAMAGE step: one row off a plane section's shape."""
+    def damage(meta):
+        meta["arrays"][key]["shape"][0] -= 1
+        return meta
+    return damage
+
+
+def _move_counts(source: str, target: str, *names: str):
+    """A DAMAGE step: one of each count ``names`` moved from leaf
+    ``source`` to leaf ``target``; every section's sum stays right."""
+    def damage(meta):
+        for name in names:
+            meta["leaves"][source][name] -= 1
+            meta["leaves"][target][name] += 1
+        return meta
+    return damage
+
+
 def _alias_section(key: str, onto: str):
     """A DAMAGE step: point one manifest entry at another's bytes."""
     def damage(meta):
@@ -994,47 +1108,117 @@ class TestMalformedMeta:
         # offset served Search Counts read out of the string pool, and
         # an aliased section served another array's counts.
         "section:offset-negative": (
-            _damage_section("10/search_counts", offset=-32),
-            "section '10/search_counts': offset -32 is not a "
+            _damage_section("search_counts", offset=-32),
+            "section 'search_counts': offset -32 is not a "
             "non-negative integer"),
         "section:offset-a-string": (
-            _damage_section("10/search_counts", offset="0"),
-            "section '10/search_counts': offset '0' is not a "
+            _damage_section("search_counts", offset="0"),
+            "section 'search_counts': offset '0' is not a "
             "non-negative integer"),
         "section:aliases-another": (
-            _alias_section("10/recall_counts", onto="10/search_counts"),
-            "sections '10/recall_counts' and '10/search_counts' overlap"),
+            _alias_section("recall_counts", onto="search_counts"),
+            "sections 'recall_counts' and 'search_counts' overlap"),
         "section:shape-negative": (
-            _damage_section("10/indptr", shape=[-1]),
-            "section '10/indptr': shape [-1] is not a list of "
+            _damage_section("indptr", shape=[-1]),
+            "section 'indptr': shape [-1] is not a list of "
             "non-negative integers"),
         "section:dtype-object": (
-            _damage_section("10/label_ids", dtype="|O"),
-            "section '10/label_ids': dtype '|O' is not a fixed-size "
+            _damage_section("label_ids", dtype="|O"),
+            "section 'label_ids': dtype '|O' is not a fixed-size "
             "integer or float dtype"),
         "section:missing": (
-            lambda meta: meta["arrays"].pop("11/word_ids") and meta,
-            "section '11/word_ids' is missing"),
+            lambda meta: meta["arrays"].pop("word_ids") and meta,
+            "section 'word_ids' is missing"),
         # The rest of what an entry must be: a JSON object, an integer
         # offset (JSON ``true`` is not one), a dtype numpy can parse and
         # a list for a shape.
         "section:not-an-object": (
             lambda meta: meta["arrays"].update(
-                {"10/indices": [0, "<i8", [3]]}) or meta,
-            "section '10/indices': entry [0, '<i8', [3]] is not a JSON "
+                {"indices": [0, "<i8", [3]]}) or meta,
+            "section 'indices': entry [0, '<i8', [3]] is not a JSON "
             "object"),
         "section:offset-a-bool": (
-            _damage_section("10/search_counts", offset=True),
-            "section '10/search_counts': offset True is not a "
+            _damage_section("search_counts", offset=True),
+            "section 'search_counts': offset True is not a "
             "non-negative integer"),
         "section:dtype-unparseable": (
-            _damage_section("10/label_ids", dtype="not-a-dtype"),
-            "section '10/label_ids': dtype 'not-a-dtype' is not a "
+            _damage_section("label_ids", dtype="not-a-dtype"),
+            "section 'label_ids': dtype 'not-a-dtype' is not a "
             "fixed-size integer or float dtype"),
         "section:shape-not-a-list": (
-            _damage_section("10/indptr", shape=3),
-            "section '10/indptr': shape 3 is not a list of non-negative "
+            _damage_section("indptr", shape=3),
+            "section 'indptr': shape 3 is not a list of non-negative "
             "integers"),
+
+        # ``leaves`` entries cut the plane sections into graphs.  Each
+        # of these used to escape as a KeyError, TypeError or unnamed
+        # ValueError, or open and then serve an IndexError — or, for a
+        # leaf_id that was not its key, open with leaf 10 gone and its
+        # items served from the pooled graph.
+        "leaves:not-an-object": (
+            lambda meta: meta["leaves"].update({"10": [10]}) or meta,
+            "leaf '10': entry [10] is not a JSON object"),
+        "leaves:no-leaf-id": (
+            lambda meta: meta["leaves"]["10"].pop("leaf_id") and meta,
+            "leaf '10': leaf_id is missing"),
+        "leaves:leaf-id-a-string": (
+            _damage_leaf("10", leaf_id="abc"),
+            "leaf '10': leaf_id 'abc' is not its key's leaf id"),
+        "leaves:leaf-id-a-bool": (
+            _damage_leaf("10", leaf_id=True),
+            "leaf '10': leaf_id True is not its key's leaf id"),
+        "leaves:leaf-id-not-its-key": (
+            _damage_leaf("10", leaf_id=11),
+            "leaf '10': leaf_id 11 is not its key's leaf id"),
+        "leaves:pooled-not-minus-one": (
+            _damage_leaf("pooled", leaf_id=0),
+            "leaf 'pooled': leaf_id 0 is not its key's leaf id"),
+        "leaves:unknown-key": (
+            _damage_leaf("11", texts=["usb"]),
+            "leaf '11': unknown key 'texts'"),
+        "leaves:count-missing": (
+            lambda meta: meta["leaves"]["11"].pop("edges") and meta,
+            "leaf '11': edges is missing"),
+        "leaves:count-negative": (
+            _damage_leaf("11", labels=-1),
+            "leaf '11': labels -1 is not a non-negative integer"),
+        "leaves:count-a-string": (
+            _damage_leaf("11", rows="4"),
+            "leaf '11': rows '4' is not a non-negative integer"),
+        "leaves:more-words-than-rows": (
+            _damage_leaf("11", words=5),
+            "leaf '11': words 5 exceed its 4 CSR rows"),
+        "leaves:a-leaf-one-label-short": (
+            _damage_leaf("10", labels=1),
+            "section 'label_lengths' has shape [11], its leaves' labels "
+            "make [10]"),
+        "leaves:search-counts-one-row-short": (
+            _shorten_section("search_counts"),
+            "section 'search_counts' has shape [10], its leaves' labels "
+            "make [11]"),
+        "leaves:label-lengths-one-row-short": (
+            _shorten_section("label_lengths"),
+            "section 'label_lengths' has shape [10], its leaves' labels "
+            "make [11]"),
+        "leaves:label-ids-one-row-short": (
+            _shorten_section("label_ids"),
+            "section 'label_ids' has shape [10], its leaves' labels "
+            "make [11]"),
+        "leaves:indptr-one-row-short": (
+            _shorten_section("indptr"),
+            "section 'indptr' has shape [12], its leaves' rows make "
+            "[13]"),
+        # Counts moved between two leaves keep every sum right: each
+        # graph's CSR ends give them away.  (Moved label counts do not;
+        # ROADMAP item 7.)
+        "leaves:edges-moved-between-leaves": (
+            _move_counts("11", "10", "edges"),
+            "leaf '10': its CSR rows run from 0 to 3, not from 0 to its "
+            "4 edges"),
+        "leaves:rows-moved-between-leaves": (
+            _move_counts("10", "11", "rows", "words"),
+            "leaf '10': its CSR rows run from 0 to 1, not from 0 to its "
+            "3 edges"),
     }
 
     @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])

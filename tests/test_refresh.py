@@ -85,7 +85,7 @@ class TestDailyRefreshOrchestrator:
     def test_refresh_with_artifact_dir_persists_and_maps(
             self, fig3_model, fig3_variant_model, tmp_path):
         """ISSUE 6: with ``artifact_dir`` set the orchestrator writes a
-        format-3 artifact per refresh and deploys its *mapped* open —
+        model artifact per refresh and deploys its *mapped* open —
         one physical copy behind the pipeline and every target, with
         the artifact path reported for other hosts to open."""
         from repro.core.serialization import load_model

@@ -823,7 +823,7 @@ class TestNRTService:
                                               fig3_variant_model,
                                               tmp_path):
         """ISSUE 6: hot-swap by artifact path — the service remaps a
-        format-3 directory zero-copy and serves byte-identically to an
+        saved directory zero-copy and serves byte-identically to an
         in-memory swap of the same model."""
         from repro.core.serialization import save_model
 
