@@ -27,8 +27,7 @@ from pathlib import Path
 
 from repro import CurationConfig, SessionSimulator, TINY_PROFILE, curate, generate_dataset
 from repro.cluster import ClusterCoordinator, ClusterWorker, RetryPolicy
-from repro.core import GraphExModel
-from repro.core.fast_inference import LeafBatchRunner
+from repro.core import GraphExModel, batch_recommend
 from repro.core.serialization import save_model
 
 
@@ -51,7 +50,7 @@ async def main() -> None:
           f"keyphrases; batch: {len(requests)} requests")
 
     # The ground truth the cluster must reproduce bit-for-bit.
-    expected = LeafBatchRunner(model, k=10).run(requests)
+    expected = batch_recommend(model, requests, k=10)
 
     with tempfile.TemporaryDirectory(prefix="cluster-example-") as tmp:
         artifact = Path(tmp) / "model"

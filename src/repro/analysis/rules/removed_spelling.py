@@ -25,6 +25,8 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("_run_chunk materialise_ranked ranked_owners", NOWHERE,
+     "one result route (run_ranked, then one materialise)"),
     ("TextResult validate_hard_limit texts=", NOWHERE,
      "rows built on read (a RowView's .texts() is the text exit)"),
     ("EXECUTOR_NAMES supports_reference fast_batch_recommend", NOWHERE,

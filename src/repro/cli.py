@@ -379,11 +379,10 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
 
     from .cluster import (ClusterCoordinator, RetryPolicy, reap_workers,
                           spawn_worker)
-    from .core.fast_inference import LeafBatchRunner
 
     model = load_model(args.model, mmap=True)
     requests = _synthesize_requests(model, args.requests, args.seed)
-    expected = LeafBatchRunner(model, k=args.k).run(requests)
+    expected = batch_recommend(model, requests, k=args.k)
 
     async def drive() -> int:
         procs = []

@@ -12,18 +12,19 @@ puts it back, so a transport, and anything that wraps one, still sees
 one dict per frame.
 
 Inference results cross as columns, not rows (:func:`pack_ranked`): a
-ranked row is a pure function of (owning leaf, label id, c, score), and
-both ends map the same artifact, so a worker ships, little-endian, per
-answered request its index in the shard and its row count (``int32``)
-and per row the label id and ``c`` (``int32``) and the score as the
-raw ``float64`` the engine computed.  That is what lets the cluster
+ranked row is a pure function of (stacked label id, c, score), and both
+ends map the same artifact — whose plane stacks the graphs in one order
+— so a worker ships, little-endian, per answered request its index in
+the shard and its row count (``int32``) and per row the label's stacked
+id in the model's plane and ``c`` (``int32``) and the score as the raw
+``float64`` the engine computed.  That is what lets the cluster
 path promise *bit-identical* outputs: the score's eight bytes are
 copied, never printed and re-parsed; text, Search Count and Recall
 Count are read by the coordinator from its own mapping of the artifact
 (:func:`unpack_recommendations`), and the shard exchange carries the
 artifact's identity so the two mappings cannot be of different saves.
 Everything a peer sends is checked here, once per shard, before it
-reaches the engine's materialiser — which checks nothing.
+reaches the engine's one materialiser — which checks nothing.
 
 The codecs below are the only places wire shapes are defined; both
 endpoints import them, so they cannot drift apart.
@@ -39,8 +40,7 @@ from typing import TYPE_CHECKING, List, Sequence
 import numpy as np
 
 from ..core.batch import InferenceRequest
-from ..core.fast_inference import (RankedColumns, RowView,
-                                   materialise_ranked, ranked_owners)
+from ..core.fast_inference import RankedColumns, RowView, materialise
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.model import GraphExModel
@@ -65,8 +65,9 @@ __all__ = [
 #: ``ping`` frame and the register frame's ``pid`` are gone.  6: the
 #: fleet serves inference only — the construction shard (curated leaves
 #: out, a bundle path back) and the ``run_shard`` frame's ``kind`` are
-#: gone.
-PROTOCOL_VERSION = 6
+#: gone.  7: a result's label column holds each label's stacked id in
+#: the model's plane, not its id in the owning graph.
+PROTOCOL_VERSION = 7
 
 #: Upper bound on a single frame (control object plus tail); a peer
 #: announcing a bigger one is malformed or hostile and the connection
@@ -190,7 +191,7 @@ def unpack_ranked(reply: dict, n_requests: int) -> RankedColumns:
     echo the shard's request count, its tail must be exactly as long as
     its counts declare, every answered index must be in the shard and
     appear once, and the row counts must be non-negative and sum to the
-    row columns.  (Label ids need the owning graphs:
+    row columns.  (Label ids need the model's plane:
     :func:`unpack_recommendations` checks them.)  The columns are views
     over the tail — score bytes are never converted."""
     echoed = _declared_count(reply, "n_requests")
@@ -237,27 +238,28 @@ def unpack_recommendations(reply: dict, model: "GraphExModel",
 
     The coordinator-side inverse of the worker's ``run_ranked`` +
     :func:`pack_ranked`: the columns are validated
-    (:func:`unpack_ranked`), each answered request's owning graph is
-    found on ``model`` — the coordinator's own mapping of the artifact —
-    every label id is checked against that graph, and the engine's one
-    materialiser builds the views.  Raises :class:`FrameError` on any
-    reply the engine could not have produced for these requests.
+    (:func:`unpack_ranked`), each answered request's owning graph ``g``
+    is found on ``model`` — the coordinator's own mapping of the
+    artifact — every label must be one of ``g``'s stacked ids,
+    ``label_base[g] <= label < label_base[g + 1]``, and the engine's
+    one materialiser builds the views.  Raises :class:`FrameError` on
+    any reply the engine could not have produced for these requests.
     """
     ranked = unpack_ranked(reply, len(requests))
     answered = ranked.requests.tolist()
-    owners = ranked_owners(model, requests, answered)
+    graph_index = model.graph_index
+    owners = [graph_index(requests[index][2]) for index in answered]
     if None in owners:
         raise FrameError(
             f"result answers request {answered[owners.index(None)]} of "
             f"the shard, which no graph of the model serves")
-    widths = np.diff(model.plane.label_base)[
-        np.asarray(owners, dtype=np.int64)]
-    if len(ranked.labels) and not (
-            (ranked.labels >= 0)
-            & (ranked.labels < np.repeat(widths, ranked.sizes))).all():
+    label_base = model.plane.label_base
+    row_owners = np.repeat(np.asarray(owners, dtype=np.int64), ranked.sizes)
+    if not ((label_base[row_owners] <= ranked.labels)
+            & (ranked.labels < label_base[row_owners + 1])).all():
         raise FrameError(
             "result names a label id outside its owning graph's labels")
-    return materialise_ranked(model, owners, ranked, len(requests))
+    return materialise(model.plane, ranked, len(requests))
 
 
 def pack_requests(requests: Sequence[InferenceRequest]) -> List[list]:

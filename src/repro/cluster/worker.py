@@ -11,7 +11,7 @@ save the coordinator mapped (the ``artifact`` identity on the
 ``run_shard`` frame), and runs it through a per-configuration
 :class:`~repro.core.fast_inference.LeafBatchRunner` *up to the ranked
 columns* (``run_ranked``).  No row is built here: the reply's binary
-tail carries label ids, counts and raw scores
+tail carries stacked label ids, counts and raw scores
 (:func:`~repro.cluster.protocol.pack_ranked`), and the coordinator
 materialises them from its own mapping of the artifact.
 

@@ -20,7 +20,7 @@ Two engines serve a batch:
 Both produce element-wise identical output (text, score, tie-break
 order); ``tests/test_fast_inference.py`` pins that property.  The
 reference engine answers each item with a list of rows, the fast one
-with a read-only view over its chunk's ranked columns
+with a read-only view over its batch's ranked columns
 (:class:`repro.core.fast_inference.RowView`): it compares, iterates and
 indexes like the list, builds its rows only when one is first read, and
 its ``.texts()`` — what a serving store keeps — builds none.

@@ -86,9 +86,10 @@ class InferenceJob:
     *unit* is any tuple of group keys: a planned shard, a re-planned
     orphan set, one key.  A worker runs a unit's :meth:`requests_of`
     up to its ranked columns (``run_ranked``) and the coordinator
-    materialises them against the same artifact; the coordinator's
-    local fallback feeds them through one ``LeafBatchRunner.run_indexed``
-    call (:meth:`run_local`).  Either way the same row views reach
+    materialises them over its own mapping of the same artifact; the
+    coordinator's local fallback runs one ``LeafBatchRunner.run_indexed``
+    call (:meth:`run_local`), which is those two steps back to back.
+    Either way one ``materialise`` builds the row views that reach
     :meth:`merge`.  A request whose leaf has neither a graph nor the
     pooled fallback belongs to no unit and keeps the empty view.  In
     process there is nothing to cut: :class:`SerialExecutor` runs the
@@ -190,7 +191,8 @@ class Executor:
 
     Every substrate answers with the engine's
     :class:`~repro.core.fast_inference.RowView` per item: the
-    coordinator decodes the shipped columns into the same views, so a
+    coordinator runs the shipped columns through the same
+    ``materialise`` that ``run_indexed`` ends in, so a
     caller that only stores ``.texts()`` (the serving writers) builds no
     :class:`~repro.core.inference.Recommendation` anywhere.
 

@@ -51,30 +51,31 @@ items, whichever leaves they belong to:
    / Recall Counts gathered, one gather each, and one ``np.lexsort``
    keyed by (item, rank, S desc, R asc, label id asc) ranks every item
    at once.
-6. **Materialisation** (:func:`materialise`) — each item's segment
-   having been capped at ``hard_limit``, the chunk's label texts are
-   one ``take`` of the plane's string table at their text ids (decoded
-   on first read on mapped models), and that is all step 6 does
-   eagerly: the chunk keeps its ranked columns (texts, scores, Search
-   Counts, Recall Counts, ``c``) and each request gets a
+6. **Materialisation** (:func:`materialise`) — steps 1-5 run chunk
+   by chunk into the batch's ranked columns (:class:`RankedColumns`),
+   and step 6 runs once per batch: the label texts are one ``take`` of
+   the plane's string table at their text ids (decoded on first read
+   on mapped models), Search / Recall Counts one gather each, and that
+   is all it does eagerly: the batch keeps its columns (texts, scores,
+   Search Counts, Recall Counts, ``c``) and each request gets a
    :class:`RowView` over its slice.  ``len`` and ``.texts()`` (what a
    KV store keeps) build no row; the first read of a row builds the
-   chunk's rows once.  A batch that is only stored or counted never
+   batch's rows once.  A batch that is only stored or counted never
    allocates, and the cyclic collector never walks, a
    ``Recommendation`` per served keyphrase.
 
 The kernel is cut between steps 5 and 6.  Everything up to the ranked
-columns — graph-local label id, ``c`` and score per surviving row
-(:class:`RankedColumns`) — is a function of the graphs' structure
-only; step 6 adds nothing that is not already in the model artifact.
-In process the two halves run back to back, chunk by chunk, step 6
-taking the Search / Recall Counts step 5 already gathered.  On the
-cluster they run on different machines: a worker stops after step 5
-(:meth:`LeafBatchRunner.run_ranked`) and ships the columns, and the
-coordinator runs the same :func:`materialise` over its own mapping of
-the artifact (:func:`materialise_ranked`), so its results are the same
-views.  There is one step-6 implementation and it validates nothing;
-columns that crossed a wire are checked by their codec first.
+columns — stacked label id, ``c`` and score per surviving row — is a
+function of the plane only; step 6 adds nothing that is not already in
+the model artifact.  Every result takes one route:
+:meth:`LeafBatchRunner.run_ranked`, then :func:`materialise` over a
+plane.  In process the two run back to back
+(:meth:`LeafBatchRunner.run_indexed`).  On the cluster they run on
+different machines: a worker stops after ``run_ranked`` and ships the
+columns, and the coordinator materialises them over its own mapping of
+the same artifact, whose plane stacks the graphs in the same order, so
+its results are the same views.  :func:`materialise` validates
+nothing; columns that crossed a wire are checked by their codec first.
 
 The engine is *provably identical* to the scalar path — same candidate
 sets, same IEEE-754 scores (identical operand values through identical
@@ -93,8 +94,7 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
 
 import numpy as np
 
-from .batch import (BatchResult, InferenceRequest, last_request_wins,
-                    validate_limits)
+from .batch import InferenceRequest, validate_limits
 from .inference import Recommendation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -106,13 +106,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 CHUNK_ITEMS = 64
 
 #: ``Recommendation._make`` without its Python-level call and length
-#: check per row: :class:`_ChunkRows`, the only caller, zips exactly
+#: check per row: :class:`_BatchRows`, the only caller, zips exactly
 #: ``Recommendation._fields``, in order.
 _row = partial(tuple.__new__, Recommendation)
 
 
-class _ChunkRows:
-    """One chunk's step-6 columns, shared by its requests' views: label
+class _BatchRows:
+    """One batch's step-6 columns, shared by its requests' views: label
     texts and score, Search Count, Recall Count and ``c`` per row — no
     model, no graph.  ``rows`` is ``None`` until a view's first read
     builds them (idempotent: a racing build makes equal rows)."""
@@ -132,25 +132,25 @@ class _ChunkRows:
 
 class RowView(abc.Sequence):
     """One request's ranked recommendations: a read-only
-    ``Sequence[Recommendation]`` over its slice of a chunk's columns.
+    ``Sequence[Recommendation]`` over its slice of a batch's columns.
 
     ``len`` and :meth:`texts` build no row; any other read builds the
-    chunk's rows once and slices them.  A view equals the list (or
+    batch's rows once and slices them.  A view equals the list (or
     tuple, or view) of its rows and pickles as that list, as
     :class:`~repro.core.serialization.LazyStringList` does.
     """
 
-    __slots__ = ("_chunk", "_lo", "_hi")
+    __slots__ = ("_batch", "_lo", "_hi")
 
-    def __init__(self, chunk: _ChunkRows, lo: int, hi: int) -> None:
-        self._chunk, self._lo, self._hi = chunk, lo, hi
+    def __init__(self, batch: _BatchRows, lo: int, hi: int) -> None:
+        self._batch, self._lo, self._hi = batch, lo, hi
 
     def _rows(self) -> List[Recommendation]:
-        return self._chunk.built()[self._lo:self._hi]
+        return self._batch.built()[self._lo:self._hi]
 
     def texts(self) -> List[str]:
         """The ranked keyphrase texts, a new plain list."""
-        return self._chunk.texts[self._lo:self._hi]
+        return self._batch.texts[self._lo:self._hi]
 
     def __len__(self) -> int:
         return self._hi - self._lo
@@ -174,7 +174,7 @@ class RowView(abc.Sequence):
 
 
 #: What a request without rows answers; every such request shares it.
-EMPTY_ROWS = RowView(_ChunkRows([]), 0, 0)
+EMPTY_ROWS = RowView(_BatchRows([]), 0, 0)
 
 
 def _count_and_prune(keys: np.ndarray, entry_bounds: np.ndarray, k: int,
@@ -286,19 +286,20 @@ def _label_texts(plane: "GraphPlane", labels: np.ndarray) -> List[str]:
 class RankedColumns(NamedTuple):
     """A batch's ranked rows as columns: steps 1-5 done, step 6 not.
 
-    A ranked row is a pure function of (owning leaf, label id, c,
-    score) — its text, Search Count and Recall Count are read from the
-    leaf — so these five arrays are all of a result that is not already
-    in the model artifact.  They are what a cluster worker ships
+    A ranked row is a pure function of (stacked label id, c, score) —
+    its text, Search Count and Recall Count are read from the plane —
+    so these five arrays are all of a result that is not already in
+    the model artifact.  They are what a cluster worker ships
     (:func:`repro.cluster.protocol.pack_ranked`); whoever holds the same
-    artifact turns them into rows with :func:`materialise_ranked`.
+    artifact turns them into rows with :func:`materialise`.
 
     Attributes:
         requests: Index (into the batch) of each request that has rows,
             in the engine's graph-bucketed order.
         sizes: Its row count.
         labels: Per row, back to back in that order and ranked within a
-            request: the label id in the owning graph.
+            request: the label's stacked id in the model's plane, inside
+            its owning graph's ``label_base[g]:label_base[g + 1]``.
         counts: Per row, ``c = |T ∩ l|``.
         scores: Per row, the alignment score as the engine computed it.
     """
@@ -310,63 +311,27 @@ class RankedColumns(NamedTuple):
     scores: np.ndarray
 
 
-def materialise(plane: "GraphPlane", indices: Sequence[int],
-                row_bounds: np.ndarray, labels: np.ndarray,
-                counts: np.ndarray, scores: np.ndarray, search: np.ndarray,
-                recall: np.ndarray, results: List[RowView]) -> None:
-    """Step 6, the only implementation: ranked columns → one
-    :class:`RowView` per request with rows, scattered into ``results``
-    by request index.
+def materialise(plane: "GraphPlane", ranked: RankedColumns,
+                n_requests: int) -> List[RowView]:
+    """Step 6, the only implementation: a batch's ranked columns → one
+    :class:`RowView` per request (:data:`EMPTY_ROWS` for a request
+    without rows), in batch order.
 
-    The columns hold the rows of requests ``indices`` back to back,
-    request ``indices[i]`` owning rows ``row_bounds[i]:row_bounds[i +
-    1]``; ``labels`` are stacked label ids of ``plane``, whose texts
-    are read in one take.  No row is built until a view is read.
+    The labels' texts are read in one take, their Search and Recall
+    Counts in one gather each; no row is built until a view is read.
     Nothing is validated here — the engine hands over what it just
     computed, and columns that crossed a wire are checked by their
     codec before they get this far.
     """
-    chunk = _ChunkRows(_label_texts(plane, labels), scores, search,
-                       recall, counts)
-    cuts = row_bounds.tolist()
-    for index, lo, hi in zip(indices, cuts, cuts[1:]):
-        if hi > lo:
-            results[index] = RowView(chunk, lo, hi)
-
-
-def ranked_owners(model: "GraphExModel",
-                  requests: Sequence[InferenceRequest],
-                  answered: Sequence[int]) -> List[Optional[int]]:
-    """The plane index of the graph serving each of the ``answered``
-    request indices, resolved exactly as the engine resolves it
-    (``None`` for a request no graph serves)."""
-    graph_index = model.graph_index
-    return [graph_index(requests[index][2]) for index in answered]
-
-
-def materialise_ranked(model: "GraphExModel", owners: Sequence[int],
-                       ranked: RankedColumns,
-                       n_requests: int) -> List[RowView]:
-    """Row views of columns ranked elsewhere over the same artifact.
-
-    ``owners`` are :func:`ranked_owners` of ``ranked.requests`` on
-    *this* side's model: each request's graph-local labels are shifted
-    by its graph's label base, Search and Recall Counts are one gather
-    each, then :func:`materialise` builds the views.  Returns one view
-    per request of the batch (:data:`EMPTY_ROWS` for a request without
-    rows), as :meth:`LeafBatchRunner.run_indexed` does.
-    """
     results = [EMPTY_ROWS] * n_requests
-    if not len(owners):
-        return results
-    plane = model.plane
-    labels = ranked.labels + np.repeat(
-        plane.label_base[np.asarray(owners, dtype=np.int64)], ranked.sizes)
-    materialise(
-        plane, ranked.requests.tolist(),
-        np.append(0, np.cumsum(ranked.sizes)), labels, ranked.counts,
-        ranked.scores, plane.search_counts[labels],
-        plane.recall_counts[labels], results)
+    labels = ranked.labels
+    batch = _BatchRows(_label_texts(plane, labels), ranked.scores,
+                       plane.search_counts[labels],
+                       plane.recall_counts[labels], ranked.counts)
+    cuts = np.append(0, np.cumsum(ranked.sizes)).tolist()
+    for index, lo, hi in zip(ranked.requests.tolist(), cuts, cuts[1:]):
+        if hi > lo:
+            results[index] = RowView(batch, lo, hi)
     return results
 
 
@@ -401,59 +366,41 @@ class LeafBatchRunner:
         self._word_ids = [graph.word_vocab.ids.get
                           for graph in model.plane_graphs]
 
-    def run(self, requests: Sequence[InferenceRequest]) -> BatchResult:
-        """Infer a whole batch, chunk by chunk.
-
-        Returns:
-            Item id → ranked recommendations, with the same
-            duplicate-item-id semantics as the scalar loop (the last
-            request for an id wins).
-        """
-        return last_request_wins(requests, self.run_indexed(requests))
-
     def run_indexed(self, requests: Sequence[InferenceRequest]
                     ) -> List[RowView]:
-        """Infer a batch, returning per-request results in input order.
+        """Infer a batch, returning per-request results in input order:
+        :meth:`run_ranked`, then :func:`materialise`.
 
-        Unlike :meth:`run`, duplicate item ids are *not* collapsed —
-        the i-th output belongs to ``requests[i]``.  This is the unit a
-        shard returns on every substrate: the caller scatters shard
-        outputs back by request index, which preserves the scalar
-        loop's last-request-wins semantics even when duplicates of one
-        item id land in different shards.  Each output is a
-        :class:`RowView`; no row is built until one is read.
+        Duplicate item ids are *not* collapsed — the i-th output
+        belongs to ``requests[i]``.  This is the unit a shard returns on
+        every substrate: the caller scatters shard outputs back by
+        request index, which preserves the scalar loop's
+        last-request-wins semantics even when duplicates of one item id
+        land in different shards.  Each output is a :class:`RowView`;
+        no row is built until one is read.
         """
-        results = [EMPTY_ROWS] * len(requests)
-        for indices, owners in self._chunks(requests):
-            self._run_chunk(requests, indices, owners, results)
-        return results
+        return materialise(self._model.plane, self.run_ranked(requests),
+                           len(requests))
 
     def run_ranked(self, requests: Sequence[InferenceRequest]
                    ) -> RankedColumns:
-        """Infer a batch up to the ranked columns — steps 1-5, no row
-        built.  ``materialise_ranked(model, ranked_owners(model,
-        requests, ranked.requests), ranked, len(requests))`` equals
-        :meth:`run_indexed` on any model opened from the same artifact;
-        the cluster worker stops here and ships the columns, labels
-        local to their graph."""
-        label_base = self._model.plane.label_base
+        """Infer a batch up to the ranked columns — steps 1-5, chunk by
+        chunk, no row built, labels stacked.  The cluster worker stops
+        here and ships the columns."""
         pieces = []
         for indices, owners in self._chunks(requests):
             ranked = self._rank_chunk(requests, indices, owners)
-            if ranked is None:
-                continue
-            row_bounds, labels, counts, scores = ranked[:4]
-            sizes = np.diff(row_bounds)
-            answered = np.flatnonzero(sizes)
-            pieces.append((
-                np.asarray(indices, dtype=np.int64)[answered],
-                sizes[answered],
-                labels - np.repeat(label_base[owners], sizes),
-                counts, scores))
+            if ranked is not None:
+                sizes = ranked[0]
+                answered = np.flatnonzero(sizes)
+                pieces.append((np.asarray(indices, dtype=np.int64)[answered],
+                               sizes[answered], *ranked[1:]))
         if not pieces:
             empty = np.empty(0, dtype=np.int64)
             return RankedColumns(empty, empty, empty, empty,
                                  np.empty(0, dtype=np.float64))
+        if len(pieces) == 1:
+            return RankedColumns(*pieces[0])
         return RankedColumns(*map(np.concatenate, zip(*pieces)))
 
     def _chunks(self, requests: Sequence[InferenceRequest]
@@ -484,25 +431,15 @@ class LeafBatchRunner:
         for lo in range(0, len(order), CHUNK_ITEMS):
             yield order[lo:lo + CHUNK_ITEMS], owners[lo:lo + CHUNK_ITEMS]
 
-    def _run_chunk(self, requests: Sequence[InferenceRequest],
-                   indices: List[int], owners: np.ndarray,
-                   results: List[RowView]) -> None:
-        """Enumerate → prune → rank → materialise one chunk into
-        ``results``: requests ``indices``, served by plane graphs
-        ``owners``."""
-        ranked = self._rank_chunk(requests, indices, owners)
-        if ranked is not None:
-            materialise(self._model.plane, indices, *ranked, results)
-
     def _rank_chunk(self, requests: Sequence[InferenceRequest],
                     indices: List[int], owners: np.ndarray
                     ) -> Optional[Tuple[np.ndarray, ...]]:
-        """Steps 2-5 for one chunk, capped at ``hard_limit``: the
-        arguments :func:`materialise` takes between ``indices`` and
-        ``results`` — ``(row_bounds, labels, counts, scores, search,
-        recall)``, rows in ranked order, labels stacked — or ``None``
-        when no title word of the chunk is in any of its graphs.  Every
-        array step runs once for the chunk, over the model's plane."""
+        """Steps 2-5 for requests ``indices``, served by plane graphs
+        ``owners``, capped at ``hard_limit``: ``(sizes, labels, counts,
+        scores)`` — each request's row count, then per row in ranked
+        order its stacked label, ``c`` and score — or ``None`` when no
+        title word of the chunk is in any of its graphs.  Every array
+        step runs once for the chunk, over the model's plane."""
         plane = self._model.plane
 
         # Intern: each title's words' ids in its graph; an unknown word
@@ -607,8 +544,6 @@ class LeafBatchRunner:
             order = order[
                 np.repeat(row_bounds[:-1] - capped_bounds[:-1], sizes)
                 + np.arange(capped_bounds[-1], dtype=np.int64)]
-            row_bounds = capped_bounds
 
-        return (row_bounds, labels[order], counts[order],
-                -negated[ranks[order]], search[order], recall[order])
+        return sizes, labels[order], counts[order], -negated[ranks[order]]
 

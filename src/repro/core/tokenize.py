@@ -33,8 +33,7 @@ def normalize_token(token: str) -> str:
     that pass must equal, each chunk of ``text.split()`` normalized on
     its own, as ``tests/test_tokenize.py`` pins.
     """
-    token = token.lower()
-    return token if token.isalnum() else _PUNCT_EDGES.sub("", token)
+    return _PUNCT_EDGES.sub("", token.lower())
 
 
 def light_stem(token: str) -> str:

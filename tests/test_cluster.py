@@ -36,6 +36,7 @@ from repro.cluster.protocol import (PROTOCOL_VERSION, pack_ranked,
                                     unpack_requests)
 from repro.cluster.scheduler import Scheduler
 from repro.cluster.transport import Transport
+from repro.core.batch import batch_recommend
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
 from repro.core.fast_inference import LeafBatchRunner, RankedColumns
@@ -90,7 +91,7 @@ def requests(model):
 
 @pytest.fixture(scope="module")
 def expected(model, requests):
-    return LeafBatchRunner(model, k=5).run(requests)
+    return batch_recommend(model, requests, k=5)
 
 
 def fast_retry(**overrides) -> RetryPolicy:
@@ -694,14 +695,41 @@ def poke(column: str, index: int, value) -> "callable":
     return mutate
 
 
+#: The fixture model's plane: graph ``g`` owns stacked label ids
+#: ``LABEL_BASE[g]:LABEL_BASE[g + 1]``.
+LABEL_BASE = GraphExModel.construct(build_curated()).plane.label_base
+
+
+def near_graph(row: int, shift: int, offset: int = 0) -> "callable":
+    """A ``poke`` value: ``LABEL_BASE[g + shift] + offset``, ``g`` the
+    graph owning row ``row``'s honest label.  ``(1, 0)`` is the first
+    stacked id of the graph after ``g`` — one past ``g``'s last —
+    ``(0, -1)`` the last id of the graph before ``g``."""
+    def value(message: dict, columns: dict) -> int:
+        label = columns["labels"][row]
+        owner = int(np.searchsorted(LABEL_BASE, label, side="right")) - 1
+        return int(LABEL_BASE[owner + shift]) + offset
+    return value
+
+
+# The first and the last row of the fixture batch are owned by its
+# first and its last graph, so every stacked id these name is inside
+# the plane's [0, LABEL_BASE[-1]): only the owner's range refuses it.
 HOSTILE = {
     "label-past-its-graph": (
         poke("labels", 0, 10 ** 6), "label id outside its owning graph"),
     "label-negative": (
         poke("labels", -1, -1), "label id outside its owning graph"),
     "label-one-past-the-last": (
-        # Every fixture leaf holds six labels: ids 0..5.
-        poke("labels", 0, 6), "label id outside its owning graph"),
+        poke("labels", 0, near_graph(0, 1)),
+        "label id outside its owning graph"),
+    "label-before-its-graph": (
+        poke("labels", -1, near_graph(-1, 0, -1)),
+        "label id outside its owning graph"),
+    "label-of-another-graph": (
+        lambda m: poke("labels", -1, near_graph(-1, 0, -1))(
+            poke("labels", 0, near_graph(0, 1))(m)),
+        "label id outside its owning graph"),
     "request-index-out-of-range": (
         poke("requests", 0, lambda m, c: m["n_requests"]),
         "request index outside the shard"),

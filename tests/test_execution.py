@@ -337,7 +337,7 @@ class TestCrossExecutorEquivalence:
         latest = {}
         for index, request in enumerate(requests):
             latest[request[0]] = index
-        rows = LeafBatchRunner(model, k=5).run(requests)
+        rows = batch_recommend(model, requests, k=5)
         for item_id, index in latest.items():
             runner_expected[item_id] = rows[item_id]
         assert expected == runner_expected
@@ -368,8 +368,8 @@ class TestCrossExecutorEquivalence:
         monkeypatch.setattr(ShardPlan, "for_inference", no_plan)
         metrics = MetricsRegistry()
         assert SerialExecutor(metrics=metrics).run_inference(
-            model, requests, k=5) == LeafBatchRunner(model, k=5).run(
-                requests)
+            model, requests, k=5) == batch_recommend(
+                model, requests, k=5, engine="reference")
         labels = {"executor": "serial"}
         assert metrics.counter_value("executor.inference.tasks",
                                      **labels) == 1

@@ -23,17 +23,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import fast_inference
 from repro.core.alignment import get_alignment
-from repro.core.batch import batch_recommend
+from repro.core.batch import batch_recommend, last_request_wins
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.fast_inference import (EMPTY_ROWS, LeafBatchRunner,
                                        RowView, _count_and_prune,
                                        _label_texts, _prune_by_count_array,
-                                       materialise_ranked, ranked_owners)
+                                       materialise)
 from repro.core.inference import (Recommendation, prune_by_count_groups,
                                   recommend_from_graph)
 from repro.core.model import GraphExModel
@@ -126,8 +126,7 @@ class TestPropertyEquivalence:
         """
         model = make_model(world, alignment=alignment,
                            build_pooled=build_pooled)
-        fast = LeafBatchRunner(model, k=k,
-                               hard_limit=hard_limit).run(reqs)
+        fast = batch_recommend(model, reqs, k=k, hard_limit=hard_limit)
         assert_identical(fast, reference_outputs(model, reqs, k,
                                                  hard_limit))
 
@@ -206,10 +205,10 @@ def spy_chunks(runner):
     items — of every chunk run, and hold each to the chunk size in
     force when it ran."""
     chunks = []
-    run_chunk = runner._run_chunk
+    rank_chunk = runner._rank_chunk
     graphs = runner._model.plane_graphs
 
-    def spy(requests, indices, owners, results, **options):
+    def spy(requests, indices, owners):
         parts = []
         for owner in owners.tolist():
             if parts and parts[-1][0] == owner:
@@ -219,9 +218,9 @@ def spy_chunks(runner):
         chunks.append([(graphs[owner].n_labels, n) for owner, n in parts])
         assert len(indices) == len(owners)
         assert 0 < len(indices) <= fast_inference.CHUNK_ITEMS
-        return run_chunk(requests, indices, owners, results, **options)
+        return rank_chunk(requests, indices, owners)
 
-    runner._run_chunk = spy
+    runner._rank_chunk = spy
     return chunks
 
 
@@ -245,8 +244,9 @@ class TestCrossLeafChunks:
         runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
         chunks = spy_chunks(runner)
         with chunk_items(items):
-            assert_identical(runner.run(reqs), reference_outputs(
-                model, reqs, k, hard_limit))
+            assert_identical(
+                last_request_wins(reqs, runner.run_indexed(reqs)),
+                reference_outputs(model, reqs, k, hard_limit))
         served = sum(model.leaf_graph(leaf_id) is not None or build_pooled
                      for _item_id, _title, leaf_id in reqs)
         full, rest = divmod(served, items)
@@ -262,10 +262,11 @@ class TestCrossLeafChunks:
     def test_ranked_columns_materialise_to_the_same_rows(
             self, world, reqs, k, alignment, build_pooled, hard_limit,
             items):
-        """The split before step 6: ``run_ranked`` then
-        ``materialise_ranked`` — the cluster's worker and coordinator
-        halves — equals ``run_indexed``, chunk cuts and all, and the
-        columns name only requests that have rows, each once."""
+        """The split before step 6: ``run_ranked`` then ``materialise``
+        — the cluster's worker and coordinator halves — equals
+        ``run_indexed``, chunk cuts and all; the columns name only
+        requests that have rows, each once, and every label is a
+        stacked id of the plane, inside its owning graph's range."""
         model = make_model(world, alignment=alignment,
                            build_pooled=build_pooled)
         runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
@@ -277,8 +278,13 @@ class TestCrossLeafChunks:
         assert (ranked.sizes > 0).all()
         assert ranked.sizes.sum() == len(ranked.labels) \
             == len(ranked.counts) == len(ranked.scores)
-        owners = ranked_owners(model, reqs, answered)
-        rows = materialise_ranked(model, owners, ranked, len(reqs))
+        owners = np.repeat(np.array([model.graph_index(reqs[index][2])
+                                     for index in answered], dtype=int),
+                           ranked.sizes)
+        label_base = model.plane.label_base
+        assert ((label_base[owners] <= ranked.labels)
+                & (ranked.labels < label_base[owners + 1])).all()
+        rows = materialise(model.plane, ranked, len(reqs))
         assert rows == expected
         assert [i for i, recs in enumerate(rows) if recs] \
             == sorted(answered)
@@ -290,16 +296,32 @@ class TestCrossLeafChunks:
            build_pooled=st.booleans(),
            hard_limit=st.one_of(st.none(), st.integers(0, 8)),
            items=st.sampled_from([1, 2, 3, 5, fast_inference.CHUNK_ITEMS]),
-           data=st.data())
+           picks=st.lists(st.tuples(st.integers(0, 2 ** 16),
+                                    st.integers(-6, 6), st.integers(-6, 6)),
+                          min_size=30, max_size=30))
+    # Eight served requests under CHUNK_ITEMS = 2: a batch of 4 chunks.
+    @example(world={1: [("w0 w1", 5, 1)],
+                    2: [("w1 w2", 7, 2), ("w2 w3", 6, 3), ("w0 w2", 4, 1),
+                        ("w3", 3, 3)],
+                    3: [(f"w{i} w{i + 1}", 9 - i % 5, 1 + i % 4)
+                        for i in range(10)]},
+             reqs=[(0, "w0 w1", 1), (1, "w1 w2", 2), (2, "w2 w3", 3),
+                   (3, "w0 w3", 2), (4, "w4 w5", 3), (5, "w1", 1),
+                   (6, "w2 zzz", 7), (0, "w3 w2", 3)],
+             k=3, alignment="lta", build_pooled=True, hard_limit=None,
+             items=2, picks=[(0, 0, 0)] * 30)
     @settings(max_examples=examples(80), deadline=None)
     def test_a_view_reads_as_the_oracles_list(self, world, reqs, k,
                                               alignment, build_pooled,
-                                              hard_limit, items, data):
+                                              hard_limit, items, picks):
         """Every request's :class:`RowView` against the scalar oracle's
         list, chunk by chunk (duplicate ids, requests no graph serves
         and ``k <= 0`` included): ``len`` and ``.texts()`` build no
         row; ``==`` both ways, iteration, ``tuple``, indexing (negative
-        too), slicing and a pickle round trip read the oracle's rows."""
+        too), slicing and a pickle round trip read the oracle's rows.
+        Rows are built per batch, however many chunks it ran in: the
+        first read of a view builds every view's rows, once, and every
+        other view then reads without building."""
         model = make_model(world, alignment=alignment,
                            build_pooled=build_pooled)
         oracle = batch_recommend(model, reqs, k=k, hard_limit=hard_limit,
@@ -314,19 +336,29 @@ class TestCrossLeafChunks:
             assert isinstance(view, RowView)
             assert len(view) == len(rows)
             assert view.texts() == [row.text for row in rows]
-        assert all(view._chunk.rows is None for view in views if view)
-        for view, rows in zip(views, expected):
-            assert view == rows and rows == view
-            assert list(view) == rows and tuple(view) == tuple(rows)
-            if rows:
-                index = data.draw(st.integers(-len(rows), len(rows) - 1))
-                lo, hi = data.draw(st.tuples(st.integers(-6, 6),
-                                             st.integers(-6, 6)))
-                assert view[index] == rows[index]
-                assert view[lo:hi] == rows[lo:hi]
-                assert view != rows[:-1] and view != rows + rows[:1]
-                assert (view == rows[::-1]) == (rows == rows[::-1])
-            assert pickle.loads(pickle.dumps(view)) == rows
+        assert all(view._batch.rows is None for view in views if view)
+        assert len({id(view._batch) for view in views if view}) <= 1
+        n_rows, read, built = sum(map(len, views)), 0, []
+        make_row = fast_inference._row
+
+        def counted_row(fields):
+            built.append(fields)
+            return make_row(fields)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fast_inference, "_row", counted_row)
+            for view, rows, (pick, lo, hi) in zip(views, expected, picks):
+                assert view == rows and rows == view
+                assert list(view) == rows and tuple(view) == tuple(rows)
+                if rows:
+                    index = pick % (2 * len(rows)) - len(rows)
+                    assert view[index] == rows[index]
+                    assert view[lo:hi] == rows[lo:hi]
+                    assert view != rows[:-1] and view != rows + rows[:1]
+                    assert (view == rows[::-1]) == (rows == rows[::-1])
+                assert pickle.loads(pickle.dumps(view)) == rows
+                read += len(rows)
+                assert len(built) == (n_rows if read else 0)
         result = batch_recommend(model, reqs, k=k, hard_limit=hard_limit)
         assert result == oracle and oracle == result
         assert list(result) == list(oracle)
@@ -359,7 +391,7 @@ class TestCrossLeafChunks:
         sys.setswitchinterval(1e-6)
         try:
             for _round in range(20):
-                views = LeafBatchRunner(model, k=8).run(reqs)
+                views = batch_recommend(model, reqs, k=8)
                 barrier = threading.Barrier(8)
                 seen = []
 
@@ -390,7 +422,7 @@ class TestCrossLeafChunks:
             == {item_id: [row.text for row in recs] for item_id, recs
                 in batch_recommend(model, reqs, k=5,
                                    engine="reference").items()}
-        assert all(view._chunk.rows is None for view in views.values()
+        assert all(view._batch.rows is None for view in views.values()
                    if view)
         assert views == batch_recommend(model, reqs, k=5)
         assert views[5].texts() == ["w1 w3"] and views[7] == []
@@ -410,7 +442,7 @@ class TestCrossLeafChunks:
         runner = LeafBatchRunner(model, k=3)
         chunks = spy_chunks(runner)
         with chunk_items(2):
-            assert_identical(runner.run(reqs),
+            assert_identical(last_request_wins(reqs, runner.run_indexed(reqs)),
                              reference_outputs(model, reqs, 3))
         assert chunks == [[(16, 2)], [(16, 2)], [(16, 1), (5, 1)],
                           [(5, 1), (3, 1)]]
@@ -418,12 +450,12 @@ class TestCrossLeafChunks:
         # with its tail; one to a chunk is the scalar path, chunked.
         chunks.clear()
         with chunk_items(3):
-            assert_identical(runner.run(reqs),
+            assert_identical(last_request_wins(reqs, runner.run_indexed(reqs)),
                              reference_outputs(model, reqs, 3))
         assert chunks == [[(16, 3)], [(16, 2), (5, 1)], [(5, 1), (3, 1)]]
         chunks.clear()
         with chunk_items(1):
-            assert_identical(runner.run(reqs),
+            assert_identical(last_request_wins(reqs, runner.run_indexed(reqs)),
                              reference_outputs(model, reqs, 3))
         assert chunks == [[(16, 1)]] * 5 + [[(5, 1)]] * 2 + [[(3, 1)]]
 
@@ -434,7 +466,8 @@ class TestCrossLeafChunks:
         reqs = [(i, f"w{1 + i % 4} w2", 1 + i % 6) for i in range(18)]
         runner = LeafBatchRunner(model, k=4)
         chunks = spy_chunks(runner)
-        assert_identical(runner.run(reqs), reference_outputs(model, reqs, 4))
+        assert_identical(last_request_wins(reqs, runner.run_indexed(reqs)),
+                         reference_outputs(model, reqs, 4))
         assert len(chunks) == 1 and len(chunks[0]) == 5   # 4 leaves + pooled
 
 
@@ -482,7 +515,7 @@ class TestCostFollowsWhatAnItemTouches:
                 (7, "", 9), (8, "zzz", 2)]
         runner = LeafBatchRunner(model, k=4, hard_limit=6)
         chunks = spy_chunks(runner)
-        assert_identical(runner.run(reqs),
+        assert_identical(last_request_wins(reqs, runner.run_indexed(reqs)),
                          reference_outputs(model, reqs, 4, hard_limit=6))
         assert chunks == [[(3, 2), (self.WIDE, 3), (self.WIDE + 3, 3)]]
 
@@ -513,7 +546,7 @@ class TestCostFollowsWhatAnItemTouches:
 
         monkeypatch.setattr(fast_inference, "_narrow", spy)
         reqs = [(1, "w0 w3", 1), (2, "w1 w2", 2), (3, "w1 w9 zzz", 2)]
-        assert_identical(LeafBatchRunner(model, k=3).run(reqs),
+        assert_identical(batch_recommend(model, reqs, k=3),
                          reference_outputs(model, reqs, 3))
         assert narrowed == [(key_range, np.dtype(dtype), key_range - 1)]
 
@@ -730,10 +763,6 @@ class TestRankCut:
         assert_identical(batch_recommend(model, reqs, k=20,
                                          hard_limit=hard_limit),
                          expected)
-        ranked = runner.run_ranked(reqs)
-        assert materialise_ranked(
-            model, ranked_owners(model, reqs, ranked.requests.tolist()),
-            ranked, len(reqs)) == indexed
         served = sum(len(rows) for rows in expected.values())
         assert (served == 0) == (hard_limit == 0)
 
@@ -753,10 +782,6 @@ class TestRankCut:
         indexed = runner.run_indexed(reqs)
         assert [list(rows) for rows in indexed] \
             == [expected[item_id] for item_id, _title, _leaf in reqs]
-        ranked = runner.run_ranked(reqs)
-        assert materialise_ranked(
-            model, ranked_owners(model, reqs, ranked.requests.tolist()),
-            ranked, len(reqs)) == indexed
 
     @pytest.mark.parametrize("alignment", ALIGNMENTS)
     def test_no_numpy_warning_escapes(self, alignment):
@@ -944,37 +969,37 @@ class TestEdgeCases:
     def test_empty_vocabulary_leaf(self):
         """Keyphrases that tokenize to nothing leave the vocab empty."""
         model = make_model({1: [("!!!", 5, 1), ("???", 4, 2)]})
-        fast = LeafBatchRunner(model, k=5).run([(1, "w0 w1", 1)])
+        fast = batch_recommend(model, [(1, "w0 w1", 1)], k=5)
         assert fast == {1: []}
 
     def test_unknown_leaf_without_pooled_is_empty(self):
         model = make_model({1: [("w0 w1", 5, 1)]})
-        fast = LeafBatchRunner(model, k=5).run([(7, "w0 w1", 999)])
+        fast = batch_recommend(model, [(7, "w0 w1", 999)], k=5)
         assert fast == {7: []}
 
     def test_unknown_leaf_falls_back_to_pooled(self):
         model = make_model({1: [("w0 w1", 5, 1)]}, build_pooled=True)
-        fast = LeafBatchRunner(model, k=5).run([(7, "w0 w1", 999)])
+        fast = batch_recommend(model, [(7, "w0 w1", 999)], k=5)
         assert [r.text for r in fast[7]] == ["w0 w1"]
         assert_identical(fast, reference_outputs(
             model, [(7, "w0 w1", 999)], 5))
 
     def test_empty_batch(self):
         model = make_model({1: [("w0", 1, 1)]})
-        assert LeafBatchRunner(model, k=5).run([]) == {}
+        assert batch_recommend(model, [], k=5) == {}
 
     def test_duplicate_item_ids_last_request_wins(self):
         """Parity with the scalar dict loop: later request overwrites."""
         model = make_model({1: [("w0", 9, 1)], 2: [("w1", 9, 1)]})
         reqs = [(5, "w0", 1), (5, "w1", 2)]
-        fast = LeafBatchRunner(model, k=5).run(reqs)
+        fast = batch_recommend(model, reqs, k=5)
         ref = batch_recommend(model, reqs, k=5, engine="reference")
         assert [r.text for r in fast[5]] == ["w1"]
         assert_identical(fast, ref)
 
     def test_k_zero_yields_no_predictions(self):
         model = make_model({1: [("w0 w1", 5, 1)]})
-        fast = LeafBatchRunner(model, k=0).run([(1, "w0 w1", 1)])
+        fast = batch_recommend(model, [(1, "w0 w1", 1)], k=0)
         assert fast == {1: []}
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
@@ -1119,9 +1144,11 @@ class TestStackedPlane:
             self, world, k, alignment, hard_limit, data):
         """The NRT window's shape: one chunk holding one or two items of
         every leaf and of the pooled fallback, in any order — through
-        ``run_indexed`` and through ``run_ranked`` +
-        ``materialise_ranked``, on the built model and on its copied and
-        mapped opens, each request equal to the scalar oracle's rows."""
+        ``run_indexed`` on the built model and on its copied and mapped
+        opens, each request equal to the scalar oracle's rows, and
+        through the built model's ``run_ranked`` materialised over each
+        open's plane: the stacked label ids a worker ships name the same
+        labels in every open of the artifact."""
         model = make_model(world, alignment=alignment, build_pooled=True)
         reqs = []
         for leaf_id in sorted(world) + [99]:
@@ -1129,6 +1156,8 @@ class TestStackedPlane:
                 reqs.append((len(reqs), data.draw(mixed_title), leaf_id))
         reqs = data.draw(st.permutations(reqs))
         expected = reference_outputs(model, reqs, k, hard_limit)
+        ranked = LeafBatchRunner(model, k=k,
+                                 hard_limit=hard_limit).run_ranked(reqs)
         with tempfile.TemporaryDirectory() as tmp:
             for kind, served in three_kinds(model, Path(tmp)).items():
                 runner = LeafBatchRunner(served, k=k, hard_limit=hard_limit)
@@ -1138,10 +1167,8 @@ class TestStackedPlane:
                 assert len(chunks[0]) <= len(world) + 1
                 assert [list(rows) for rows in indexed] \
                     == [expected[item_id] for item_id, _t, _l in reqs], kind
-                ranked = runner.run_ranked(reqs)
-                assert materialise_ranked(served, ranked_owners(
-                    served, reqs, ranked.requests.tolist()), ranked,
-                    len(reqs)) == indexed, kind
+                assert materialise(served.plane, ranked, len(reqs)) \
+                    == indexed, kind
 
     def test_an_empty_model_has_an_empty_plane(self, tmp_path):
         model = GraphExModel({})
@@ -1158,8 +1185,6 @@ class TestStackedPlane:
             assert runner.run_indexed(reqs) == [EMPTY_ROWS] * 2
             ranked = runner.run_ranked(reqs)
             assert len(ranked.requests) == len(ranked.labels) == 0
-            assert materialise_ranked(served, [], ranked, 2) \
-                == [EMPTY_ROWS] * 2
 
     def test_a_label_less_leaf_owns_a_one_wide_slot(self, tmp_path):
         """A leaf with no labels (an empty vocabulary, one empty CSR

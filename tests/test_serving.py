@@ -963,7 +963,7 @@ class TestNoViewPinsServingState:
         service = NRTService(old, KeyValueStore(), window_size=1)
         service.submit(self._event(99, 0.0))
         view = batch_recommend(old, REQUESTS, k=5)[1]
-        assert len(view) > 0 and view._chunk.rows is None
+        assert len(view) > 0 and view._batch.rows is None
         gone = [weakref.ref(old), weakref.ref(old.leaf_graph(FIG3_LEAF_ID))]
         service.refresh_model(fig3_variant_model)
         del old

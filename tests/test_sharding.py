@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.execution import SerialExecutor
-from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
 from repro.core.sharding import POOLED_GROUP, ShardPlan
 from repro.core.tokenize import DEFAULT_TOKENIZER
@@ -119,13 +119,14 @@ class TestProcessShardExecutor:
         model = self._world()
         requests = self._requests()
         out = SerialExecutor().run_inference(model, requests, k=5)
-        assert out == LeafBatchRunner(model, k=5).run(requests)
+        assert out == batch_recommend(model, requests, k=5,
+                                      engine="reference")
 
     def test_multi_worker_identical_to_thread_path(self, fleet):
         model = self._world()
         requests = self._requests()
         out = fleet.run_inference(model, requests, k=5)
-        assert out == LeafBatchRunner(model, k=5).run(requests)
+        assert out == batch_recommend(model, requests, k=5)
 
     def test_construction_single_worker_in_process(self):
         curated = CuratedKeyphrases(
