@@ -45,6 +45,69 @@ class TestNormalizeToken:
         assert normalize_token(once) == once
 
 
+def is_word_char(char: str) -> bool:
+    """A word character as the docs define ``\\w`` on ``str``: what
+    ``str.isalnum`` accepts, and the underscore."""
+    return char.isalnum() or char == "_"
+
+
+def strip_by_character(token: str) -> str:
+    """``normalize_token`` spelled one character at a time, with no
+    regex: lower the token, then drop non-word characters from either
+    edge until a word character (or nothing) is left."""
+    token = token.lower()
+    start, end = 0, len(token)
+    while start < end and not is_word_char(token[start]):
+        start += 1
+    while end > start and not is_word_char(token[end - 1]):
+        end -= 1
+    return token[start:end]
+
+
+#: Tokens and what they normalize to: underscores (word characters),
+#: a capital that lowers to two code points, titlecase, sharp s,
+#: numerals and superscripts (alphanumeric), combining marks at either
+#: edge (stripped), CJK, and edge punctuation.
+DIRECTED = [
+    ("", ""), ("_", "_"), ("__a__", "__a__"), ("a_b", "a_b"),
+    ("\u0130stanbul", "i\u0307stanbul"), ("\u01c5", "\u01c6"),
+    ("\xdf", "\xdf"), ("\u2167", "\u2177"), ("\xbd", "\xbd"),
+    ("\u0663", "\u0663"), ("x\xb2", "x\xb2"), ("a\u0301", "a"),
+    ("\u0301a", "a"), ("\u65e5\u672c\u8a9e", "\u65e5\u672c\u8a9e"),
+    ("wi-fi!", "wi-fi"), ("'n'", "n"), ("16GB", "16gb")]
+
+
+class TestNormalizeByCharacter:
+    """The edge regex strips exactly the characters a per-character
+    scan with ``str`` predicates would, on every string."""
+
+    def test_every_code_point_at_every_position(self):
+        """Exhaustive, not sampled: each code point alone, at either
+        edge of a word, inside one, and doubled (``lower()`` may map it
+        to several characters, which the strip sees lowered)."""
+        shapes = ("{0}", "{0}a", "a{0}", "a{0}a", "{0}{0}")
+        for block in range(0, 0x110000, 0x1000):
+            chars = list(map(chr, range(block, block + 0x1000)))
+            tokens = [shape.format(char) for char in chars
+                      for shape in shapes]
+            got = list(map(normalize_token, tokens))
+            want = list(map(strip_by_character, tokens))
+            if got != want:
+                pytest.fail("differs on " + ", ".join(
+                    ascii(token) for token, text, ref
+                    in zip(tokens, got, want) if text != ref))
+
+    @given(st.text(max_size=12))
+    def test_any_text_property(self, token):
+        assert normalize_token(token) == strip_by_character(token)
+
+    @pytest.mark.parametrize("token, normalized", DIRECTED,
+                             ids=[token for token, _ in DIRECTED])
+    def test_directed(self, token, normalized):
+        assert normalize_token(token) == normalized
+        assert strip_by_character(token) == normalized
+
+
 class TestLightStem:
     def test_plural_s(self):
         assert light_stem("headphones") == "headphone"
