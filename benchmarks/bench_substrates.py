@@ -14,7 +14,7 @@ it runs against still offers, and prints every run.
   still had the pools); ``fleet`` × 2 — ``ClusterExecutor.local(2)``
   held across calls — for inference only: construction runs in process
   and ``GraphExModel.construct`` refuses a fleet.  Fleet boot and the
-  first call on a model (spool + open on every worker) are reported as
+  first call on a model (each worker opens its artifact) are reported as
   ``setup``;
 * protocol: ``--reps`` rounds, each round runs every substrate once in
   an order rotated per round (so no substrate always runs first or
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
             return not (name == "construct_98k" and label == "fleet_x2")
 
         # Warm-up doubles as the correctness check and as the fleet's
-        # first call on this model (spool it, open it on every worker).
+        # first call on this model (every worker opens its artifact).
         expected = {name: job(substrates["serial"])
                     for name, job in jobs.items() if name != "construct_98k"}
         for label, executor in substrates.items():

@@ -25,6 +25,7 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("_spooled _model_spool", NOWHERE, "a fleet takes models by artifact"),
     ("_run_chunk materialise_ranked ranked_owners", NOWHERE,
      "one result route (run_ranked, then one materialise)"),
     ("TextResult validate_hard_limit texts=", NOWHERE,

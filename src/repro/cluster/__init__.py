@@ -16,10 +16,12 @@ The package splits along the trust boundary:
   scheduler, carries out its actions and merges exactly once.
 
 **Coordinator and workers see one filesystem.**  A model reaches a
-worker as the path of its artifact directory; the wire carries requests
-and result columns, never an artifact.  A fleet without a shared
-filesystem is not supported: the artifact stream that once carried
-models to workers is gone.
+worker as the path of its artifact directory: a job is handed that path
+or a model opened from it, which ships its ``artifact_dir``; a model
+built in memory is refused, never saved on the fleet's behalf.  The
+wire carries requests and result columns, never an artifact.  A fleet
+without a shared filesystem is not supported: the artifact stream that
+once carried models to workers is gone.
 
 The fleet serves inference only.  Models are built in the calling
 process (``SerialExecutor.run_construction``), which was faster than a

@@ -16,6 +16,9 @@ views, with label texts read from this process's own mapping of the
 artifact.  No row is built until a caller reads one, and a caller that
 stores only ``.texts()`` (serving) builds none.
 
+A job takes its model by artifact: a directory, or a model opened from
+one (it ships its ``artifact_dir``).  Nothing is saved here.
+
 This module is the socket shell around a
 :class:`~repro.cluster.scheduler.Scheduler`, which makes every decision
 (its docstring has the event → action table).  The shell checks each
@@ -30,8 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import shutil
-import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +42,7 @@ from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
 from ..core.batch import BatchResult, InferenceRequest
 from ..core.execution import InferenceJob
 from ..core.model import GraphExModel
-from ..core.serialization import open_model, save_model
+from ..core.serialization import open_model
 from ..obs import MetricsRegistry, merge_snapshots, validate_snapshot
 from .protocol import (PROTOCOL_VERSION, FrameError, pack_requests,
                        unpack_recommendations)
@@ -127,11 +128,8 @@ class ClusterCoordinator:
         self._workers: Dict[str, _Link] = {}
         self._rpc_counter = itertools.count()
         self._rpc_waiters: Dict[int, "asyncio.Future[dict]"] = {}
+        #: Path → its mapped open, per artifact a job was handed by path.
         self._model_cache: Dict[str, GraphExModel] = {}
-        #: id(model) → (the model, its spooled artifact), per in-memory
-        #: model a job was given.
-        self._spooled: Dict[int, Tuple[GraphExModel, Path]] = {}
-        self._model_spool: Optional[Path] = None
         self._server: Optional[asyncio.AbstractServer] = None
         #: Connection readers and timer-fired action runs.
         self._tasks: Set[asyncio.Task] = set()
@@ -199,13 +197,6 @@ class ClusterCoordinator:
                 task.cancel()
             if pending:
                 await asyncio.wait(pending, timeout=1.0)
-        if self._model_spool is not None:
-            # Spool teardown is filesystem work; off-loop so stop()
-            # cannot stall a loop shared with other servers
-            # (async-no-blocking).
-            spool = self._model_spool
-            await asyncio.get_event_loop().run_in_executor(
-                None, lambda: shutil.rmtree(spool, ignore_errors=True))
 
     async def __aenter__(self) -> "ClusterCoordinator":
         await self.start()
@@ -488,47 +479,32 @@ class ClusterCoordinator:
                            ) -> Tuple[Path, GraphExModel]:
         """Resolve a model source to (artifact path, opened model).
 
-        A path opens mapped (memoized); an in-memory model is
-        persisted to the coordinator's spool as an artifact
-        the first time it is seen — every later job on the same object
-        is answered from that one save, so a service calling once per
-        window leaves one spool directory and one mapping per host, not
-        one per call — and the *mapped* open is used locally too: workers
-        and coordinator then share one physical model, the PR 6
-        zero-copy plane doing the distribution.  The opened model is
+        An opened model ships its own ``artifact_dir`` and is itself
+        what the local fallback runs on: no save, no second open, no
+        cache entry; a model built in memory is a ``ValueError``.  A
+        path opens mapped (memoized per path).  The opened model is
         also what reply label ids are read against, so its
         ``artifact_identity`` rides every ``run_shard`` frame: a path
         re-saved in place after this open is a different artifact to
         any worker that opens it later, and is refused, not misread.
         """
-        loop = asyncio.get_event_loop()
-        if not isinstance(source, GraphExModel):
-            path = Path(source)
-        elif id(source) in self._spooled:
-            path = self._spooled[id(source)][1]
-        else:
-            if self._model_spool is None:
-                # mkdtemp off-loop (async-no-blocking).  Only a job
-                # calls this, under _job_lock, so no second caller can
-                # create a spool while this one awaits the executor.
-                self._model_spool = Path(await loop.run_in_executor(
-                    None, lambda: tempfile.mkdtemp(
-                        prefix="graphex-coordinator-")))
-            path = self._model_spool / f"model-{len(self._spooled)}"
-            await loop.run_in_executor(
-                None, lambda: save_model(source, path))
-            # The model rides along so its id cannot be reused by
-            # another object while the entry lives.
-            self._spooled[id(source)] = (source, path)
-        key = str(path)
+        if isinstance(source, GraphExModel):
+            if source.artifact_dir is None:
+                raise ValueError(
+                    "a fleet takes models by artifact, and this model "
+                    "was built in memory: save_model it, then hand over "
+                    "the directory or the opened model")
+            return source.artifact_dir, source
+        key = str(source)
         model = self._model_cache.get(key)
         if model is None:
-            # The mmap open touches disk; off-loop like save_model
-            # above.  setdefault so a concurrent open of the same key
-            # keeps one canonical mapping.
-            opened = await loop.run_in_executor(None, open_model, key)
+            # The mmap open touches disk; off-loop (async-no-blocking).
+            # setdefault so a concurrent open of the same key keeps one
+            # canonical mapping.
+            opened = await asyncio.get_event_loop().run_in_executor(
+                None, open_model, key)
             model = self._model_cache.setdefault(key, opened)
-        return path, model
+        return Path(source), model
 
     # -- the job ------------------------------------------------------------
 
@@ -540,11 +516,10 @@ class ClusterCoordinator:
         """Infer a batch across the fleet.
 
         Args:
-            model_source: A model artifact directory (the normal
-                hand-off: workers mmap-open it by path — coordinator
-                and workers see one filesystem, see the package
-                docstring), or an in-memory model (persisted to a spool
-                artifact first).
+            model_source: A model artifact directory, or a model opened
+                from one (its ``artifact_dir`` is shipped).  Workers
+                mmap-open it by path — coordinator and workers see one
+                filesystem, see the package docstring.
             requests: ``(item_id, title, leaf_id)`` triples.
             k, hard_limit: As in ``batch_recommend``.
             metrics: Registry for this job's counters and unit timings
@@ -559,6 +534,8 @@ class ClusterCoordinator:
             are materialised here (see the module docstring).
 
         Raises:
+            ValueError: A model built in memory (``save_model`` it
+                first), before any unit is sent.
             ClusterError: No live workers and no local fallback, a
                 shard out of attempts, or a reply whose columns do not
                 fit the unit that was sent (the message carries the
@@ -592,7 +569,7 @@ class ClusterCoordinator:
                                       self._loop.create_future())
             try:
                 await self._apply(self._scheduler.start(
-                    "inference", job.plan, registry, self._now()))
+                    job.plan, registry, self._now()))
                 await run.over
             finally:
                 self._run = None

@@ -76,7 +76,6 @@ class ClusterRunReport:
     """What one cluster job did — the fault-tolerance audit trail.
 
     Attributes:
-        kind: ``"inference"``, the one job a fleet runs.
         n_units_planned: Work units in the initial plan.
         n_workers_at_start: Live hosts when the plan was cut.
         n_replans: Dead-host events that re-balanced orphaned keys.
@@ -95,7 +94,6 @@ class ClusterRunReport:
             :meth:`ClusterCoordinator.fleet_snapshot`).
     """
 
-    kind: str
     n_units_planned: int
     n_workers_at_start: int
     n_replans: int = 0
@@ -110,7 +108,6 @@ class ClusterRunReport:
     def as_dict(self) -> dict:
         """JSON-ready summary (bench artifacts embed this)."""
         return {
-            "kind": self.kind,
             "n_units_planned": self.n_units_planned,
             "n_workers_at_start": self.n_workers_at_start,
             "n_replans": self.n_replans,
@@ -153,7 +150,6 @@ class _Flight:
 
 @dataclass
 class _Job:
-    kind: str
     plan: "ShardPlan"
     metrics: "MetricsRegistry"
     pending: Deque[_Unit]
@@ -211,7 +207,7 @@ class Scheduler:
         job = self._job
         self.report.n_replans += 1
         self.report.orphaned_keys.append(list(unit.keys))
-        job.metrics.inc("cluster.replans", kind=job.kind)
+        job.metrics.inc("cluster.replans")
         n_live = len(self.workers)
         if len(unit.keys) > 1 and n_live > 1:
             job.pending.extend(_Unit(shard) for shard in
@@ -221,12 +217,11 @@ class Scheduler:
 
     # -- job events ---------------------------------------------------------
 
-    def start(self, kind: str, plan: "ShardPlan",
-              metrics: "MetricsRegistry", now: float) -> Actions:
-        self.report = ClusterRunReport(kind=kind,
-                                       n_units_planned=plan.n_shards,
+    def start(self, plan: "ShardPlan", metrics: "MetricsRegistry",
+              now: float) -> Actions:
+        self.report = ClusterRunReport(n_units_planned=plan.n_shards,
                                        n_workers_at_start=len(self.workers))
-        self._job = _Job(kind, plan, metrics,
+        self._job = _Job(plan, metrics,
                          deque(_Unit(shard) for shard in plan.shards))
         return self._dispatch(now)
 
@@ -257,14 +252,13 @@ class Scheduler:
         for key in keys:
             self.report.merge_counts[key] = \
                 self.report.merge_counts.get(key, 0) + 1
-        job.metrics.inc("cluster.units.merged", kind=job.kind)
+        job.metrics.inc("cluster.units.merged")
         job.metrics.inc("cluster.requests.merged", n_merged)
-        job.metrics.observe("cluster.unit.seconds", now - since,
-                            kind=job.kind)
+        job.metrics.observe("cluster.unit.seconds", now - since)
         if local:
             job.n_local -= 1
             self.report.n_local_units += 1
-            job.metrics.inc("cluster.units.local", kind=job.kind)
+            job.metrics.inc("cluster.units.local")
         return self._dispatch(now)
 
     def fail(self, error: BaseException) -> Actions:
@@ -294,10 +288,10 @@ class Scheduler:
             unit = flight.unit
             unit.attempts += 1
             self.report.n_retries += 1
-            job.metrics.inc("cluster.retries", kind=job.kind)
+            job.metrics.inc("cluster.retries")
             if unit.attempts >= self._retry.max_attempts:
                 actions.error = ClusterError(
-                    f"{job.kind} shard {list(unit.keys)!r} timed out on "
+                    f"inference shard {list(unit.keys)!r} timed out on "
                     f"all {unit.attempts} attempts "
                     f"(rpc_timeout={self._rpc_timeout}s)")
                 return self._end(actions)
@@ -339,7 +333,7 @@ class Scheduler:
         if job.pending and not self.workers and not job.cooling:
             if not self._local_fallback:
                 actions.error = ClusterError(
-                    f"no live workers remain for {job.kind} and local "
+                    f"no live workers remain for inference and local "
                     f"fallback is disabled")
                 return self._end(actions)
             actions.local.extend(unit.keys for unit in job.pending)

@@ -272,10 +272,9 @@ class ClusterWorker:
             runner = LeafBatchRunner(model, k=key[1], hard_limit=key[2])
             self._runners[key] = runner
         requests = unpack_requests(message["requests"])
-        with self.metrics.timer("worker.shard.seconds",
-                                kind="inference"):
+        with self.metrics.timer("worker.shard.seconds"):
             ranked = runner.run_ranked(requests)
-        self.metrics.inc("worker.shards", kind="inference")
+        self.metrics.inc("worker.shards")
         self.metrics.inc("worker.requests", len(requests))
         return pack_ranked(ranked, len(requests))
 

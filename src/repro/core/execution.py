@@ -291,7 +291,10 @@ class ClusterExecutor(Executor):
     :class:`~repro.cluster.coordinator.ClusterCoordinator` — fleet
     management, per-RPC deadlines, retries, dead-host re-planning and
     exactly-once merging all live there; this class adapts it to the
-    synchronous :class:`Executor` interface.  Workers open the model
+    synchronous :class:`Executor` interface.  It takes a model by
+    artifact: a saved directory or a model opened from one, whose
+    ``artifact_dir`` it ships (a model built in memory is a
+    ``ValueError``: ``save_model`` it first).  Workers open the
     artifact by path, run Algorithm 1 up to the ranked columns and
     reply with label ids; nothing is pickled in either direction.
 

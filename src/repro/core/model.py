@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -335,12 +336,13 @@ class GraphExModel:
         self._index = {key: g for g, key in enumerate(keys)
                        if key is not None}
         self._pooled_index = keys.index(None) if None in keys else None
-        #: Which saved artifact this model was opened from — set by
-        #: :func:`repro.core.serialization.load_model` / ``open_model``,
-        #: ``None`` for a model built in memory.  Two models share it
-        #: exactly when they were opened from the same save, which is
-        #: what lets a cluster ship label ids instead of rows.
+        #: Which saved artifact this model was opened from, and the
+        #: resolved directory it was opened at — set by ``load_model`` /
+        #: ``open_model``, ``None`` for a model built in memory.  Two
+        #: models share the identity exactly when they were opened from
+        #: the same save, which lets a cluster ship label ids, not rows.
         self.artifact_identity: Optional[str] = None
+        self.artifact_dir: Optional[Path] = None
 
     @classmethod
     def construct(cls, curated: CuratedKeyphrases,

@@ -629,6 +629,7 @@ def load_model(directory: Union[str, Path],
         tokenizer=SpaceTokenizer.from_spec(meta["tokenizer"]),
         alignment=meta["alignment"])
     model.artifact_identity = identity
+    model.artifact_dir = directory.resolve()
     return model
 
 

@@ -6,6 +6,7 @@ search log are simulated once and shared read-only across test modules.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -64,6 +65,40 @@ def malformed_artifact(model: GraphExModel, directory):
     meta.write_text(meta.read_text("utf-8").replace(
         '"stem": false', '"stem": "no"'), "utf-8")
     return meta.parent
+
+
+def open_saved(model: GraphExModel, directory) -> GraphExModel:
+    """``model`` saved to ``directory`` and opened mapped: the kind of
+    model a fleet takes (it ships the artifact's directory)."""
+    from repro.core.serialization import open_model, save_model
+
+    return open_model(save_model(model, directory))
+
+
+def assert_graphs_identical(a, b):
+    """Bit-identity of two leaf graphs: vocab id order, CSR arrays and
+    label columns, dtypes included."""
+    assert b.leaf_id == a.leaf_id
+    assert b.word_vocab.tokens == a.word_vocab.tokens
+    assert b.graph.n_right == a.graph.n_right
+    assert list(b.label_texts) == list(a.label_texts)
+    for x, y in ((a.graph.indptr, b.graph.indptr),
+                 (a.graph.indices, b.graph.indices),
+                 (a.label_lengths, b.label_lengths),
+                 (a.search_counts, b.search_counts),
+                 (a.recall_counts, b.recall_counts)):
+        assert np.array_equal(x, y) and x.dtype == y.dtype
+
+
+def assert_models_identical(a, b):
+    """Same leaves, same pooled graph or none, each graph bit-identical."""
+    assert b.leaf_ids == a.leaf_ids
+    for leaf_id in a.leaf_ids:
+        assert_graphs_identical(a.leaf_graph(leaf_id),
+                                b.leaf_graph(leaf_id))
+    assert (a.pooled_graph is None) == (b.pooled_graph is None)
+    if a.pooled_graph is not None:
+        assert_graphs_identical(a.pooled_graph, b.pooled_graph)
 
 
 def build_fig3_curated() -> CuratedKeyphrases:

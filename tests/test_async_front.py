@@ -33,7 +33,8 @@ from repro.serving import (
     KeyValueStore,
     NRTService,
 )
-from tests.conftest import FIG3_LEAF_ID, FlakyStore, malformed_artifact
+from tests.conftest import (FIG3_LEAF_ID, FlakyStore, malformed_artifact,
+                            open_saved)
 
 #: Titles with varying overlap against the Figure 3 keyphrase set (the
 #: last one matches nothing, so some items legitimately serve []).
@@ -680,15 +681,17 @@ class TestModelHotSwap:
         assert front.serve("a", 1)
 
     def test_fleet_backed_front_serves_each_window_on_its_generation(
-            self, fig3_model, fig3_variant_model, fleet):
+            self, fig3_model, fig3_variant_model, fleet, tmp_path):
         """A front whose windows scatter over a worker fleet, swapped
         mid-run: every item serves byte-identical to a synchronous
         service on the model generation its window recorded."""
         events = [make_event(i, i * 0.1, title_index=i % 4)
                   for i in range(8)]          # one item per event
+        day1 = open_saved(fig3_model, tmp_path / "day1")
+        day2 = open_saved(fig3_variant_model, tmp_path / "day2")
 
         async def drive():
-            front = AsyncNRTFront(fig3_model, window_size=2,
+            front = AsyncNRTFront(day1, window_size=2,
                                   wall_clock_seconds=30.0,
                                   executor=fleet)
             front.add_stream("a")
@@ -702,7 +705,7 @@ class TestModelHotSwap:
 
             async def swap():
                 await asyncio.sleep(0)
-                await front.refresh_model(fig3_variant_model)
+                await front.refresh_model(day2)
                 swapped.set()
 
             async with front:

@@ -395,8 +395,8 @@ class TestProtocol:
                   **pack_ranked(LeafBatchRunner(model, k=5)
                                 .run_ranked(shard), len(shard))}
         valid = [{"type": "heartbeat", "name": "w"},
-                 {"type": "run_shard", "kind": "inference",
-                  "assignment": 1, "requests": pack_requests(shard),
+                 {"type": "run_shard", "assignment": 1,
+                  "requests": pack_requests(shard),
                   "k": 5, "hard_limit": None},
                  result]
         wire = data.draw(st.one_of(
@@ -529,55 +529,106 @@ class TestClusterInference:
         assert sorted(report.workers_used) == ["a", "b"]
         assert report.n_replans == report.n_retries == 0
 
-    def test_in_memory_model_is_persisted_to_spool(self, model,
-                                                   requests, expected):
+    def test_built_model_is_refused_before_any_unit(
+            self, model, requests, tmp_path, monkeypatch):
+        """A fleet takes models by artifact: a model built in memory is
+        a ``ValueError`` naming ``save_model`` before any ``run_shard``
+        frame goes out, and nothing is written anywhere."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        heard = []
+
+        class Heard:
+            """Worker-side transport wrapper: keeps every frame's type."""
+
+            def __init__(self, transport):
+                self._transport = transport
+
+            async def recv(self):
+                frame = await self._transport.recv()
+                heard.append(frame.get("type"))
+                return frame
+
+            def __getattr__(self, name):
+                return getattr(self._transport, name)
+
         async def drive():
             async with ClusterCoordinator(rpc_timeout=20.0) as coord:
-                _w, task = await spawn_worker(coord, name="solo")
+                _w, task = await spawn_worker(coord, name="solo",
+                                              transport_wrapper=Heard)
                 await coord.wait_for_workers(1, timeout=10.0)
-                got = await coord.run_inference(model, requests, k=5)
+                with pytest.raises(ValueError, match="save_model"):
+                    await coord.run_inference(model, requests, k=5)
+                cached = dict(coord._model_cache)
                 await teardown(coord, [task])
-                return got
+                return cached
 
-        assert asyncio.run(drive()) == expected
+        assert asyncio.run(drive()) == {}
+        assert "run_shard" not in heard
+        assert list(tmp_path.iterdir()) == []
 
-    def test_in_memory_model_is_spooled_once_per_object(
-            self, curated, model, requests, expected, monkeypatch):
-        """A service holding a fleet calls once per window with the
-        same model object: N calls leave one spool directory, one
-        mapping on the coordinator and one model and runner on the
-        worker — not N of each.  Another object gets its own."""
+    def test_built_model_is_refused_by_the_executor(
+            self, fleet, model, requests, tmp_path, monkeypatch):
+        """The same refusal through the synchronous executor."""
+        import tempfile
+
+        from repro.core.execution import ClusterExecutor
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        metrics = MetricsRegistry()
+        executor = ClusterExecutor(fleet.coordinator, metrics=metrics)
+        last_job = fleet.coordinator.last_report
+        with pytest.raises(ValueError, match="save_model"):
+            executor.run_inference(model, requests, k=5)
+        # No job started, so no unit was planned, sent or run.
+        assert fleet.coordinator.last_report is last_job
+        assert metrics.snapshot()["counters"] == {}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_hot_swaps_by_path_write_nothing(self, model, artifact,
+                                             monkeypatch):
+        """A fleet-backed service hot-swapped four times by path — a
+        fresh mapped open each — serves what the in-process engine
+        serves; the coordinator saves nothing and caches no open."""
         from repro.cluster import coordinator as coordinator_module
+        from repro.core.execution import ClusterExecutor
+        from repro.serving import (ItemEvent, ItemEventKind,
+                                   KeyValueStore, NRTService)
 
         saves = []
-        real_save = coordinator_module.save_model
+        real_save = getattr(coordinator_module, "save_model", None)
 
-        def counting_save(source, path):
-            saves.append(path)
-            return real_save(source, path)
+        def spy(*args):
+            saves.append(args)
+            return real_save(*args)
 
-        monkeypatch.setattr(coordinator_module, "save_model",
-                            counting_save)
-        other = GraphExModel.construct(curated)
-
-        async def drive():
-            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
-                worker, task = await spawn_worker(coord, name="solo")
-                await coord.wait_for_workers(1, timeout=10.0)
-                for _ in range(4):
-                    assert await coord.run_inference(
-                        model, requests, k=5) == expected
-                spooled = sorted(path.name for path in
-                                 coord._model_spool.iterdir())
-                counts = (len(saves), spooled, len(coord._model_cache),
-                          len(worker._models), len(worker._runners))
-                assert await coord.run_inference(
-                    other, requests, k=5) == expected
-                await teardown(coord, [task])
-                return counts
-
-        assert asyncio.run(drive()) == (1, ["model-0"], 1, 1, 1)
-        assert len(saves) == 2
+        monkeypatch.setattr(coordinator_module, "save_model", spy,
+                            raising=False)
+        with ClusterExecutor.local(1) as fleet:
+            service = NRTService(open_model(artifact), KeyValueStore(),
+                                 window_size=4, k=5, hard_limit=8,
+                                 executor=fleet)
+            items = []
+            for swap in range(4):
+                assert service.refresh_model(str(artifact)) == swap + 1
+                for leaf_id in range(1, 5):
+                    item = (10 * swap + leaf_id,
+                            f"word{swap} phrase {leaf_id} extra", leaf_id)
+                    items.append(item)
+                    service.submit(ItemEvent(
+                        kind=ItemEventKind.CREATED, item_id=item[0],
+                        title=item[1], leaf_id=leaf_id,
+                        timestamp=0.01 * len(items)))
+                assert service.pending_events == 0
+            served = {item_id: service.serve(item_id)
+                      for item_id, _t, _l in items}
+            cached = dict(fleet.coordinator._model_cache)
+        expected = batch_recommend(model, items, k=5, hard_limit=8)
+        assert served == {item_id: [rec.text for rec in recs]
+                          for item_id, recs in expected.items()}
+        assert all(served.values())
+        assert (saves, cached) == ([], {})
 
     def test_empty_fleet_degrades_to_local(self, artifact, requests,
                                            expected):
@@ -1166,7 +1217,7 @@ class TestCoordinatorEdgeCases:
                               heartbeat_timeout=None, local_fallback=False)
         scheduler.join("w", 0.0)
         plan = ShardPlan([(1,)], {1: 1})
-        assert scheduler.start("inference", plan, MetricsRegistry(),
+        assert scheduler.start(plan, MetricsRegistry(),
                                0.0).send == [("w", 0, (1,))]
         assert scheduler.tick(1.0).send == []        # fenced, backing off
         assert scheduler.tick(2.0).send == [("w", 1, (1,))]

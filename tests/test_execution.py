@@ -15,7 +15,6 @@ import asyncio
 import sys
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +29,7 @@ from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
 from repro.core.sharding import ShardExecutionError, ShardPlan
 from repro.obs import MetricsRegistry, NullRegistry
+from tests.conftest import assert_models_identical, open_saved
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,12 @@ def model(curated):
 
 
 @pytest.fixture(scope="module")
+def opened(model, tmp_path_factory):
+    """``model`` as a fleet takes it: saved, then opened."""
+    return open_saved(model, tmp_path_factory.mktemp("model"))
+
+
+@pytest.fixture(scope="module")
 def requests(model):
     """Known leaves, the pooled fallback, and a duplicate item id."""
     out = []
@@ -74,29 +80,6 @@ def requests(model):
 @pytest.fixture(scope="module")
 def expected(model, requests):
     return SerialExecutor().run_inference(model, requests, k=5)
-
-
-def assert_leaf_graphs_identical(reference, fast):
-    assert fast.leaf_id == reference.leaf_id
-    assert fast.word_vocab.tokens == reference.word_vocab.tokens
-    assert np.array_equal(fast.graph.indptr, reference.graph.indptr)
-    assert np.array_equal(fast.graph.indices, reference.graph.indices)
-    assert fast.graph.n_right == reference.graph.n_right
-    assert fast.label_texts == reference.label_texts
-    assert np.array_equal(fast.label_lengths, reference.label_lengths)
-    assert np.array_equal(fast.search_counts, reference.search_counts)
-    assert np.array_equal(fast.recall_counts, reference.recall_counts)
-
-
-def assert_models_identical(reference, fast):
-    assert fast.leaf_ids == reference.leaf_ids
-    for leaf_id in reference.leaf_ids:
-        assert_leaf_graphs_identical(reference.leaf_graph(leaf_id),
-                                     fast.leaf_graph(leaf_id))
-    assert (fast.pooled_graph is None) == (reference.pooled_graph is None)
-    if reference.pooled_graph is not None:
-        assert_leaf_graphs_identical(reference.pooled_graph,
-                                     fast.pooled_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +325,13 @@ class TestCrossExecutorEquivalence:
             runner_expected[item_id] = rows[item_id]
         assert expected == runner_expected
 
-    def test_process_identical(self, fleet, model, requests, expected):
+    def test_process_identical(self, fleet, opened, requests, expected):
         """The fleet serves the oracle's output and books every request
         once (an adopting wrapper gives the call its own registry)."""
         metrics = MetricsRegistry()
         with ClusterExecutor(fleet.coordinator,
                              metrics=metrics) as executor:
-            assert executor.run_inference(model, requests, k=5) == \
+            assert executor.run_inference(opened, requests, k=5) == \
                 expected
         assert metrics.counter_value("cluster.requests.merged") \
             == len(requests)
@@ -392,7 +375,7 @@ class TestCrossExecutorEquivalence:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_any_workload_any_executor_identical(self, data, fleet,
-                                                 model):
+                                                 model, opened):
         """Property: a drawn workload served through a drawn substrate,
         telemetry live or off, is element-wise identical to the serial
         oracle with telemetry off — and a live registry counts every
@@ -420,7 +403,7 @@ class TestCrossExecutorEquivalence:
         else:
             executor = ClusterExecutor(fleet.coordinator, metrics=metrics)
             counted = ("cluster.requests.merged", {})
-        assert executor.run_inference(model, requests, k=4) == oracle
+        assert executor.run_inference(opened, requests, k=4) == oracle
         if not isinstance(metrics, NullRegistry):
             assert metrics.counter_value(counted[0], **counted[1]) == n
 

@@ -29,6 +29,7 @@ from repro.core.model import GraphExModel, _pool_leaves, build_leaf_graph
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer, TokenCache)
 from repro.search.logs import KeyphraseStat
+from tests.conftest import assert_graphs_identical, assert_models_identical
 
 #: Token universe: plain words plus normalization/stemming stressors.
 TOKENS = ([f"w{i}" for i in range(14)]
@@ -65,33 +66,6 @@ def assert_curations_identical(reference, fast):
         assert fast_leaf.texts == ref_leaf.texts
         assert fast_leaf.search_counts == ref_leaf.search_counts
         assert fast_leaf.recall_counts == ref_leaf.recall_counts
-
-
-def assert_leaf_graphs_identical(reference, fast):
-    """Bit-identity: vocab id order, CSR arrays, label arrays, dtypes."""
-    assert fast.leaf_id == reference.leaf_id
-    assert fast.word_vocab.tokens == reference.word_vocab.tokens
-    assert np.array_equal(fast.graph.indptr, reference.graph.indptr)
-    assert fast.graph.indptr.dtype == reference.graph.indptr.dtype
-    assert np.array_equal(fast.graph.indices, reference.graph.indices)
-    assert fast.graph.indices.dtype == reference.graph.indices.dtype
-    assert fast.graph.n_right == reference.graph.n_right
-    assert fast.label_texts == reference.label_texts
-    assert np.array_equal(fast.label_lengths, reference.label_lengths)
-    assert fast.label_lengths.dtype == reference.label_lengths.dtype
-    assert np.array_equal(fast.search_counts, reference.search_counts)
-    assert np.array_equal(fast.recall_counts, reference.recall_counts)
-
-
-def assert_models_identical(reference, fast):
-    assert fast.leaf_ids == reference.leaf_ids
-    for leaf_id in reference.leaf_ids:
-        assert_leaf_graphs_identical(reference.leaf_graph(leaf_id),
-                                     fast.leaf_graph(leaf_id))
-    assert (fast.pooled_graph is None) == (reference.pooled_graph is None)
-    if reference.pooled_graph is not None:
-        assert_leaf_graphs_identical(reference.pooled_graph,
-                                     fast.pooled_graph)
 
 
 class TestFastCuration:
@@ -200,7 +174,7 @@ class TestFastBuilder:
                            search_counts=[5, 4], recall_counts=[1, 2])
         reference = build_leaf_graph(leaf, DEFAULT_TOKENIZER)
         fast = build_leaf_graph_fast(leaf, TokenCache(DEFAULT_TOKENIZER))
-        assert_leaf_graphs_identical(reference, fast)
+        assert_graphs_identical(reference, fast)
         assert len(fast.word_vocab) == 0
         assert fast.label_lengths.tolist() == [1, 1]
 
@@ -213,7 +187,7 @@ class TestFastBuilder:
                            search_counts=[5, 4], recall_counts=[1, 2])
         fast = build_leaf_graph_fast(leaf, cache)
         reference = build_leaf_graph(leaf, DEFAULT_TOKENIZER)
-        assert_leaf_graphs_identical(reference, fast)
+        assert_graphs_identical(reference, fast)
 
     def test_empty_leaves_skipped(self):
         curated = CuratedKeyphrases(
@@ -291,7 +265,7 @@ class TestPoolLeafGraphs:
 
     @staticmethod
     def assert_pooled_identical(reference, pooled):
-        assert_leaf_graphs_identical(reference, pooled)
+        assert_graphs_identical(reference, pooled)
         assert pooled.leaf_id == -1
         assert type(pooled.label_texts) is list
         for name in ("search_counts", "recall_counts"):

@@ -38,6 +38,7 @@ from repro.core.inference import (Recommendation, prune_by_count_groups,
                                   recommend_from_graph)
 from repro.core.model import GraphExModel
 from repro.core.serialization import LazyStringList, load_model, save_model
+from tests.conftest import open_saved
 
 ALIGNMENTS = ["lta", "wmr", "jac"]
 
@@ -161,11 +162,13 @@ class TestPropertyEquivalence:
                                      hard_limit):
         """Leaf-group shards on a fleet of worker processes:
         element-wise identical to the scalar reference."""
-        model = make_model(world, build_pooled=True)
-        sharded = batch_recommend(model, reqs, k=6, hard_limit=hard_limit,
-                                  engine="fast", executor=fleet)
-        assert_identical(sharded,
-                         reference_outputs(model, reqs, 6, hard_limit))
+        with tempfile.TemporaryDirectory() as tmp:
+            model = open_saved(make_model(world, build_pooled=True), tmp)
+            sharded = batch_recommend(model, reqs, k=6,
+                                      hard_limit=hard_limit,
+                                      engine="fast", executor=fleet)
+            assert_identical(sharded,
+                             reference_outputs(model, reqs, 6, hard_limit))
 
 
 #: Leaves of deliberately different label-set widths (the key slot an
@@ -409,12 +412,13 @@ class TestCrossLeafChunks:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_fleet_serves_the_same_views(self, fleet):
+    def test_a_fleet_serves_the_same_views(self, fleet, tmp_path):
         """On a fleet the coordinator decodes the shipped columns into
         the same views: same rows, same texts, no row built first."""
-        model = make_model({1: [("w0 w1", 5, 1), ("w0 w2", 4, 2)],
-                            2: [("w1 w3", 9, 9), ("w3", 8, 8)]},
-                           build_pooled=True)
+        model = open_saved(make_model(
+            {1: [("w0 w1", 5, 1), ("w0 w2", 4, 2)],
+             2: [("w1 w3", 9, 9), ("w3", 8, 8)]}, build_pooled=True),
+            tmp_path)
         reqs = [(5, "w0 w1", 1), (6, "w3 w1", 2), (5, "w1", 2),
                 (7, "zzz", 1), (8, "w0 w3", 9)]
         views = batch_recommend(model, reqs, k=5, executor=fleet)
@@ -1045,12 +1049,13 @@ class TestEdgeCases:
                                engine="reference")
 
     def test_duplicate_item_ids_across_process_shards_last_wins(
-            self, fleet):
+            self, fleet, tmp_path):
         """The two requests for item 5 live in different leaf groups, so
         on a two-worker fleet they land in different process shards; the
         scatter-by-request-index merge must still let the later request
         win, exactly like the scalar dict loop."""
-        model = make_model({1: [("w0", 9, 1)], 2: [("w1", 9, 1)]})
+        model = open_saved(
+            make_model({1: [("w0", 9, 1)], 2: [("w1", 9, 1)]}), tmp_path)
         reqs = [(5, "w0", 1), (5, "w1", 2)]
         out = batch_recommend(model, reqs, k=5, executor=fleet)
         assert [r.text for r in out[5]] == ["w1"]

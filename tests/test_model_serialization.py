@@ -23,6 +23,7 @@ from repro.core.serialization import (LazyStringList, load_model,
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer)
 from repro.core.vocab import Vocabulary
+from tests.conftest import assert_models_identical, open_saved
 
 
 def curated_two_leaves() -> CuratedKeyphrases:
@@ -316,8 +317,9 @@ class TestBatch:
             assert [r.text for r in results[item_id]] \
                 == [r.text for r in solo]
 
-    def test_batch_with_workers_matches_serial(self, fleet):
-        model = GraphExModel.construct(curated_two_leaves())
+    def test_batch_with_workers_matches_serial(self, fleet, tmp_path):
+        model = open_saved(GraphExModel.construct(curated_two_leaves()),
+                           tmp_path)
         requests = self._requests() * 10
         serial = batch_recommend(model, requests, k=5)
         parallel = batch_recommend(model, requests, k=5, executor=fleet)
@@ -395,27 +397,6 @@ def _payload_sections(path: Path):
                          + np.dtype(entry["dtype"]).itemsize
                          * int(np.prod(entry["shape"]))]
             for key, entry in meta["arrays"].items()}
-
-
-def assert_graphs_identical(a, b):
-    assert b.leaf_id == a.leaf_id
-    assert b.word_vocab.tokens == a.word_vocab.tokens
-    assert np.array_equal(b.graph.indptr, a.graph.indptr)
-    assert np.array_equal(b.graph.indices, a.graph.indices)
-    assert list(b.label_texts) == list(a.label_texts)
-    assert np.array_equal(b.label_lengths, a.label_lengths)
-    assert np.array_equal(b.search_counts, a.search_counts)
-    assert np.array_equal(b.recall_counts, a.recall_counts)
-
-
-def assert_models_identical(a, b):
-    assert b.leaf_ids == a.leaf_ids
-    for leaf_id in a.leaf_ids:
-        assert_graphs_identical(a.leaf_graph(leaf_id),
-                                b.leaf_graph(leaf_id))
-    assert (a.pooled_graph is None) == (b.pooled_graph is None)
-    if a.pooled_graph is not None:
-        assert_graphs_identical(a.pooled_graph, b.pooled_graph)
 
 
 def _world_requests(model):
@@ -640,6 +621,21 @@ class TestMappedPlane:
         # A path opens zero-copy, as a str as much as a Path.
         for opened in (opened, open_model(str(path))):
             assert opened.leaf_graph(opened.leaf_ids[0]).graph.is_readonly
+
+    def test_an_opened_model_knows_its_directory(self, tmp_path,
+                                                 monkeypatch):
+        """``artifact_dir`` is the resolved directory on copied and
+        mapped opens, even of a relative path, rides the ``open_model``
+        passthrough, and is ``None`` on a model built in memory."""
+        model = GraphExModel.construct(curated_two_leaves())
+        assert model.artifact_dir is None
+        save_model(model, tmp_path / "m")
+        monkeypatch.chdir(tmp_path)
+        for opened in (load_model("m"), load_model("m", mmap=True),
+                       open_model("m")):
+            assert opened.artifact_dir.is_absolute()
+            assert opened.artifact_dir == (tmp_path / "m").resolve()
+            assert open_model(opened).artifact_dir == opened.artifact_dir
 
     def test_lazy_string_list_behaves_like_a_list(self, tmp_path):
         model, _path, mapped = self._mapped(tmp_path)

@@ -117,8 +117,8 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.sent.clear()
         plan = ShardPlan.balance([(key, 1 + key % 3) for key in self.keys],
                                  n_shards)
-        self.apply(self.scheduler.start("inference", plan,
-                                        MetricsRegistry(), self.now))
+        self.apply(self.scheduler.start(plan, MetricsRegistry(),
+                                        self.now))
 
     @rule()
     def join(self):

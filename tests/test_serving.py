@@ -15,7 +15,7 @@ from repro.serving import (
     NRTService,
 )
 from tests.conftest import (FIG3_LEAF_ID, FlakyStore, build_fig3_curated,
-                            malformed_artifact)
+                            malformed_artifact, open_saved)
 from repro.core.batch import batch_recommend
 from repro.core.model import GraphExModel
 from repro.core.serialization import open_model, save_model
@@ -372,15 +372,16 @@ class TestBatchPipeline:
         assert pipeline.serve(2) == []   # deleted, no competing revision
 
     def test_daily_differential_fleet_merges_what_serial_merges(
-            self, fleet):
+            self, fleet, tmp_path):
         """One item id re-inferred in requests that land on *different*
         shards (different leaf groups) keeps the last request, and a
         same-day delete+revise resolves to the revision across shard
         boundaries too."""
         from tests.test_sharding import make_model
-        model = make_model({
+        model = open_saved(make_model({
             leaf_id: [(f"shard{leaf_id} phrase {i}", 5 + i, 5)
-                      for i in range(4)] for leaf_id in (1, 2, 3, 4)})
+                      for i in range(4)] for leaf_id in (1, 2, 3, 4)}),
+            tmp_path)
         # Item 7 appears three times, targeting three different leaves —
         # the LPT plan spreads those leaf groups across the two workers.
         changed = [(7, "shard1 phrase 0", 1), (8, "shard2 phrase 1", 2),
@@ -426,10 +427,12 @@ class TestBatchPipeline:
             BatchPipeline(model, hard_limit=-1)
 
     def test_process_parallel_full_load_serves_identically(self, fleet,
-                                                           model):
+                                                           model,
+                                                           tmp_path):
         serial = BatchPipeline(model)
         serial.full_load(REQUESTS)
-        sharded = BatchPipeline(model, executor=fleet)
+        sharded = BatchPipeline(open_saved(model, tmp_path),
+                                executor=fleet)
         sharded.full_load(REQUESTS)
         for item_id, _title, _leaf in REQUESTS:
             assert sharded.serve(item_id) == serial.serve(item_id)
@@ -578,9 +581,10 @@ class TestNRTService:
             self._service(model, executor="fiber")
 
     def test_process_parallel_window_serves_identically(self, fleet,
-                                                        model):
+                                                        model, tmp_path):
         serial = self._service(model, window_size=2)
-        sharded = self._service(model, window_size=2, executor=fleet)
+        sharded = self._service(open_saved(model, tmp_path),
+                                window_size=2, executor=fleet)
         for service in (serial, sharded):
             service.submit(self._event(1, 0.0))
             stats = service.submit(self._event(

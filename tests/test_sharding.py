@@ -17,6 +17,7 @@ from repro.core.execution import SerialExecutor
 from repro.core.model import GraphExModel
 from repro.core.sharding import POOLED_GROUP, ShardPlan
 from repro.core.tokenize import DEFAULT_TOKENIZER
+from tests.conftest import open_saved
 
 
 def make_model(leaf_phrases, build_pooled=False):
@@ -92,8 +93,9 @@ class TestInferencePlanning:
         assert plan == ShardPlan.balance(
             [(1, 2), (POOLED_GROUP, 2), (2, 1)], 2)
 
-    def test_no_pooled_fallback_excludes_unknown_leaves(self, fleet):
-        model = make_model({1: [("w0 w1", 5, 1)]})
+    def test_no_pooled_fallback_excludes_unknown_leaves(self, fleet,
+                                                        tmp_path):
+        model = open_saved(make_model({1: [("w0 w1", 5, 1)]}), tmp_path)
         plan, groups = ShardPlan.for_inference(
             model, [(0, "w0", 1), (1, "w0", 99)], 2)
         assert groups == {1: [0]}
@@ -122,8 +124,9 @@ class TestProcessShardExecutor:
         assert out == batch_recommend(model, requests, k=5,
                                       engine="reference")
 
-    def test_multi_worker_identical_to_thread_path(self, fleet):
-        model = self._world()
+    def test_multi_worker_identical_to_thread_path(self, fleet,
+                                                   tmp_path):
+        model = open_saved(self._world(), tmp_path)
         requests = self._requests()
         out = fleet.run_inference(model, requests, k=5)
         assert out == batch_recommend(model, requests, k=5)
