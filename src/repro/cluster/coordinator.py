@@ -477,34 +477,34 @@ class ClusterCoordinator:
 
     async def _materialize(self, source: Union[GraphExModel, str, Path]
                            ) -> Tuple[Path, GraphExModel]:
-        """Resolve a model source to (artifact path, opened model).
+        """Resolve a model source to (artifact directory, opened model).
 
-        An opened model ships its own ``artifact_dir`` and is itself
-        what the local fallback runs on: no save, no second open, no
-        cache entry; a model built in memory is a ``ValueError``.  A
-        path opens mapped (memoized per path).  The opened model is
-        also what reply label ids are read against, so its
-        ``artifact_identity`` rides every ``run_shard`` frame: a path
-        re-saved in place after this open is a different artifact to
-        any worker that opens it later, and is refused, not misread.
+        An opened model is itself what the local fallback runs on and
+        what reply label ids are read against: no save, no second open,
+        no cache entry.  A path opens mapped (memoized per path).  Either
+        way the open's resolved ``artifact_dir`` is shipped, with its
+        ``artifact_identity`` on every ``run_shard`` frame: a worker
+        holding another save of that path re-opens it, and a path
+        re-saved in place after this open is refused, not misread.  A
+        model built in memory is a ``ValueError``.
         """
-        if isinstance(source, GraphExModel):
-            if source.artifact_dir is None:
-                raise ValueError(
-                    "a fleet takes models by artifact, and this model "
-                    "was built in memory: save_model it, then hand over "
-                    "the directory or the opened model")
-            return source.artifact_dir, source
-        key = str(source)
-        model = self._model_cache.get(key)
-        if model is None:
-            # The mmap open touches disk; off-loop (async-no-blocking).
-            # setdefault so a concurrent open of the same key keeps one
-            # canonical mapping.
-            opened = await asyncio.get_event_loop().run_in_executor(
-                None, open_model, key)
-            model = self._model_cache.setdefault(key, opened)
-        return Path(source), model
+        model = source
+        if not isinstance(source, GraphExModel):
+            key = str(source)
+            model = self._model_cache.get(key)
+            if model is None:
+                # The mmap open touches disk; off-loop
+                # (async-no-blocking).  setdefault so a concurrent open
+                # of the same key keeps one canonical mapping.
+                opened = await asyncio.get_event_loop().run_in_executor(
+                    None, open_model, key)
+                model = self._model_cache.setdefault(key, opened)
+        if model.artifact_dir is None:
+            raise ValueError(
+                "a fleet takes models by artifact, and this model "
+                "was built in memory: save_model it, then hand over "
+                "the directory or the opened model")
+        return model.artifact_dir, model
 
     # -- the job ------------------------------------------------------------
 
@@ -602,7 +602,8 @@ class ClusterCoordinator:
         Returns:
             The number of hosts that acknowledged the deployment.
         """
-        directory = Path(directory)
+        # Resolved, as a job ships it, so the jobs find this open.
+        directory = Path(directory).resolve()
         deployed = 0
         for link in list(self._workers.values()):
             try:

@@ -6,9 +6,10 @@ serves inference shards sequentially from its connection.  For each,
 the worker opens the model artifact at the path the frame names
 (zero-copy ``mmap``, via :func:`repro.core.serialization.open_model`,
 memoized per path — worker and coordinator see one filesystem, the
-:mod:`repro.cluster` contract), refuses the shard if that is not the
-save the coordinator mapped (the ``artifact`` identity on the
-``run_shard`` frame), and runs it through a per-configuration
+:mod:`repro.cluster` contract), re-opens it if the memoized open is not
+the save the coordinator mapped (the ``artifact`` identity on the
+``run_shard`` frame), refuses the shard if the fresh open is not either,
+and runs it through a per-configuration
 :class:`~repro.core.fast_inference.LeafBatchRunner` *up to the ranked
 columns* (``run_ranked``).  No row is built here: the reply's binary
 tail carries stacked label ids, counts and raw scores
@@ -247,7 +248,13 @@ class ClusterWorker:
     def _model_for(self, message: dict) -> GraphExModel:
         path = message["model_path"]
         model = self._models.get(path)
-        if model is None:
+        wanted = message.get("artifact")  # None on a deploy_model frame
+        if model is None or wanted not in (None, model.artifact_identity):
+            # Re-saved in place since this process opened it: re-open,
+            # and drop the runners of the stale open with it.
+            self._runners = {key: runner
+                             for key, runner in self._runners.items()
+                             if key[0] != id(model)}
             model = open_model(path)
             self._models[path] = model
         return model
@@ -260,9 +267,8 @@ class ClusterWorker:
             raise RuntimeError(
                 f"artifact mismatch: the coordinator mapped save "
                 f"{message.get('artifact')!r} of the model, {self.name} "
-                f"opened save {model.artifact_identity!r}; a path is "
-                f"opened once per process, so re-saving a served "
-                f"artifact in place needs a restart (or a new path)")
+                f"opened save {model.artifact_identity!r}: the artifact "
+                f"was re-saved in place after the coordinator opened it")
         key = (id(model), message.get("k", 10),
                message.get("hard_limit"))
         # Before the cache: a k of 2.0 / True hits the runner for 2 / 1.

@@ -168,10 +168,11 @@ class AsyncNRTFront:
         # Checked here, so a bad executor spelling, k or cap fails at
         # front construction, not at first add_stream.
         validate_limits(k, hard_limit)
+        self.executor = resolve_executor(executor, metrics=self.metrics)
         self._service_kwargs = dict(
             window_size=window_size, window_seconds=window_seconds,
             k=k, hard_limit=hard_limit, enrich=enrich,
-            executor=resolve_executor(executor, metrics=self.metrics))
+            executor=self.executor)
         self._wall_clock_seconds = (
             window_seconds if wall_clock_seconds is None
             else wall_clock_seconds)

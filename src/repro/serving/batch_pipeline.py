@@ -64,7 +64,7 @@ class BatchPipeline:
                  executor=None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._executor = resolve_executor(executor, metrics=self.metrics)
+        self.executor = resolve_executor(executor, metrics=self.metrics)
         validate_limits(k, hard_limit)
         self.model = model
         self.store: KeyValueStore = store if store is not None \
@@ -78,7 +78,7 @@ class BatchPipeline:
         """Item id → the keyphrase texts the store serves (no row)."""
         results = batch_recommend(
             self.model, requests, k=self._k,
-            hard_limit=self._hard_limit, executor=self._executor)
+            hard_limit=self._hard_limit, executor=self.executor)
         return {item_id: recs.texts() for item_id, recs in results.items()}
 
     def _record_load(self, kind: str, started: float,

@@ -114,7 +114,7 @@ class NRTService:
         self._stream_label = stream
         # Fail here, not mid-flush where the window's events would
         # already be drained: a bad executor spelling, a bad k or cap.
-        self._executor = resolve_executor(executor, metrics=self.metrics)
+        self.executor = resolve_executor(executor, metrics=self.metrics)
         validate_limits(k, hard_limit)
         self.model = model
         self._store = store
@@ -354,7 +354,7 @@ class NRTService:
                 # branch.  The store keeps texts: no row is built.
                 results = batch_recommend(
                     model, requests, k=self._k,
-                    hard_limit=self._hard_limit, executor=self._executor)
+                    hard_limit=self._hard_limit, executor=self.executor)
                 n_inferred = len(requests)
                 for item_id, _title, _leaf_id in requests:
                     self._store.put(version, item_id,

@@ -39,7 +39,7 @@ from ..cluster.retry import RetriesExhausted, RetryPolicy
 from ..core.alignment import get_alignment
 from ..core.batch import InferenceRequest
 from ..core.curation import CuratedKeyphrases
-from ..core.execution import SerialExecutor
+from ..core.execution import ClusterExecutor, SerialExecutor
 from ..core.model import GraphExModel
 from ..core.serialization import load_model, save_model
 from ..obs import MetricsRegistry, Tracer
@@ -107,7 +107,9 @@ class DailyRefreshOrchestrator:
             report's :attr:`RefreshReport.artifact_path` names the
             directory so other hosts/processes can open the same
             artifact themselves.  Unset (default) hands the in-memory
-            model around as before.
+            model around, so a pipeline or target on a
+            :class:`~repro.core.execution.ClusterExecutor` (a fleet
+            takes models by artifact) is a ``ValueError``.
         retry: When set, the construct, persist and batch-load steps
             run under this :class:`~repro.cluster.retry.RetryPolicy`
             (capped backoff with jitter): a transient failure is
@@ -164,6 +166,7 @@ class DailyRefreshOrchestrator:
         self._cluster = cluster
         self._targets: List[Any] = []
         self._generation = 0
+        self._check_fleet(pipeline)
 
     @property
     def generation(self) -> int:
@@ -196,8 +199,19 @@ class DailyRefreshOrchestrator:
             raise TypeError(
                 f"{type(target).__name__} has no refresh_model(); "
                 "cannot hot-swap it")
+        self._check_fleet(target)
         self._targets.append(target)
         return target
+
+    def _check_fleet(self, component: Any) -> None:
+        """Refuse a fleet-backed component without an artifact_dir:
+        each refresh would hand it a model built in memory, and its
+        next fleet job would refuse that model."""
+        if self._artifact_dir is None and isinstance(
+                getattr(component, "executor", None), ClusterExecutor):
+            raise ValueError(
+                f"a fleet-backed {type(component).__name__} needs "
+                "artifact_dir: a fleet takes models by artifact")
 
     async def refresh(self, curated: CuratedKeyphrases,
                       requests: Sequence[InferenceRequest]

@@ -587,24 +587,19 @@ class TestClusterInference:
         assert list(tmp_path.iterdir()) == []
 
     def test_hot_swaps_by_path_write_nothing(self, model, artifact,
-                                             monkeypatch):
+                                             tmp_path, monkeypatch):
         """A fleet-backed service hot-swapped four times by path — a
         fresh mapped open each — serves what the in-process engine
-        serves; the coordinator saves nothing and caches no open."""
-        from repro.cluster import coordinator as coordinator_module
+        serves; nothing is written to the temp dir of the coordinator
+        or its worker, and the coordinator caches no open."""
+        import tempfile
+
         from repro.core.execution import ClusterExecutor
         from repro.serving import (ItemEvent, ItemEventKind,
                                    KeyValueStore, NRTService)
 
-        saves = []
-        real_save = getattr(coordinator_module, "save_model", None)
-
-        def spy(*args):
-            saves.append(args)
-            return real_save(*args)
-
-        monkeypatch.setattr(coordinator_module, "save_model", spy,
-                            raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
         with ClusterExecutor.local(1) as fleet:
             service = NRTService(open_model(artifact), KeyValueStore(),
                                  window_size=4, k=5, hard_limit=8,
@@ -624,11 +619,50 @@ class TestClusterInference:
             served = {item_id: service.serve(item_id)
                       for item_id, _t, _l in items}
             cached = dict(fleet.coordinator._model_cache)
+            # Before the fleet stops: a spool would be torn down then.
+            written = list(tmp_path.iterdir())
         expected = batch_recommend(model, items, k=5, hard_limit=8)
         assert served == {item_id: [rec.text for rec in recs]
                           for item_id, recs in expected.items()}
         assert all(served.values())
-        assert (saves, cached) == ([], {})
+        assert (cached, written) == ({}, [])
+
+    def test_a_resaved_artifact_hot_swaps_in_place(self, fleet, model,
+                                                   tmp_path):
+        """``refresh_model(path)`` after ``save_model(new, path)``: the
+        fleet's workers re-open the path they hold an older save of, and
+        the service serves the new save."""
+        from repro.serving import (ItemEvent, ItemEventKind,
+                                   KeyValueStore, NRTService)
+
+        directory = save_model(model, tmp_path / "served")
+        other = GraphExModel.construct(build_curated(phrases=8))
+        service = NRTService(open_model(directory), KeyValueStore(),
+                             window_size=4, k=5, hard_limit=8,
+                             executor=fleet)
+        served = []
+        for day, current in enumerate((model, other)):
+            if day:
+                save_model(other, directory)
+                service.refresh_model(str(directory))
+            items = [(10 * day + leaf_id,
+                      f"word{leaf_id} phrase {leaf_id} extra", leaf_id)
+                     for leaf_id in range(1, 5)]
+            for n, (item_id, title, leaf_id) in enumerate(items):
+                service.submit(ItemEvent(
+                    kind=ItemEventKind.CREATED, item_id=item_id,
+                    title=title, leaf_id=leaf_id, timestamp=day + n / 10))
+            assert service.pending_events == 0
+            expected = batch_recommend(current, items, k=5, hard_limit=8)
+            served.append(({item_id: service.serve(item_id)
+                            for item_id, _t, _l in items},
+                           {item_id: [rec.text for rec in recs]
+                            for item_id, recs in expected.items()}))
+        assert [got for got, _want in served] == \
+            [want for _got, want in served]
+        # The second day really served another model.
+        assert any("word6" in " ".join(texts)
+                   for texts in served[1][0].values())
 
     def test_empty_fleet_degrades_to_local(self, artifact, requests,
                                            expected):
@@ -701,18 +735,26 @@ class TestClusterInference:
             with pytest.raises(TypeError, match=f"{name} must be an int"):
                 host._run_inference_shard(dict(frame, **limits))
 
-    def test_deploy_artifact_acknowledged_by_fleet(self, artifact):
+    def test_deploy_artifact_acknowledged_by_fleet(self, artifact,
+                                                   requests):
+        """Deployed under the resolved path a job ships, so a job by
+        another spelling of the path finds the deployed open."""
+        unresolved = artifact.parent / ".." / artifact.parent.name / "model"
+
         async def drive():
             async with ClusterCoordinator(rpc_timeout=20.0) as coord:
-                _w, t1 = await spawn_worker(coord, name="d1")
-                _w, t2 = await spawn_worker(coord, name="d2")
+                w1, t1 = await spawn_worker(coord, name="d1")
+                w2, t2 = await spawn_worker(coord, name="d2")
                 await coord.wait_for_workers(2, timeout=10.0)
-                count = await coord.deploy_artifact(artifact,
+                count = await coord.deploy_artifact(unresolved,
                                                     generation=3)
+                await coord.run_inference(str(artifact), requests, k=5)
                 await teardown(coord, [t1, t2])
-                return count
+                return count, [list(w._models) for w in (w1, w2)]
 
-        assert asyncio.run(drive()) == 2
+        count, opened = asyncio.run(drive())
+        assert count == 2
+        assert opened == [[str(artifact.resolve())]] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +975,40 @@ class TestArtifactIdentity:
         assert mapped != resaved
         assert repr(mapped) in message and repr(resaved) in message
         assert "late" in message
+
+    def test_one_open_is_one_worker_entry_until_resaved(
+            self, model, requests, expected, tmp_path):
+        """Jobs handed one opened model reuse the worker's one open and
+        one runner, and the coordinator caches nothing.  Once the path
+        is re-saved in place, a fresh open of it is served: the worker
+        re-opens the path and drops the stale open's runner."""
+        directory = save_model(model, tmp_path / "served")
+        other = GraphExModel.construct(build_curated(phrases=8))
+
+        async def drive():
+            async with ClusterCoordinator(rpc_timeout=20.0,
+                                          local_fallback=False) as coord:
+                worker, task = await spawn_worker(coord, name="solo")
+                await coord.wait_for_workers(1, timeout=10.0)
+                opened = open_model(directory)
+                before = [await coord.run_inference(opened, requests,
+                                                    k=5)
+                          for _ in range(4)]
+                entries = [(len(worker._models), len(worker._runners),
+                            dict(coord._model_cache))]
+                save_model(other, directory)
+                after = await coord.run_inference(
+                    open_model(directory), requests, k=5)
+                entries.append((len(worker._models),
+                                len(worker._runners),
+                                dict(coord._model_cache)))
+                await teardown(coord, [task])
+                return before, after, entries
+
+        before, after, entries = asyncio.run(drive())
+        assert before == [expected] * 4
+        assert after == batch_recommend(other, requests, k=5) != expected
+        assert entries == [(1, 1, {}), (1, 1, {})]
 
 
 # ---------------------------------------------------------------------------

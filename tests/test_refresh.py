@@ -576,6 +576,50 @@ class TestRefreshClusterDeploy:
             DailyRefreshOrchestrator(BatchPipeline(fig3_model),
                                      cluster=ClusterCoordinator())
 
+    def test_a_fleet_backed_stack_requires_artifact_dir(self, fig3_model,
+                                                        fleet):
+        """Without an artifact_dir each refresh would hand a fleet the
+        day's build in memory, which its next job refuses: a
+        fleet-backed pipeline or target is refused up front, by name."""
+        with pytest.raises(ValueError, match="BatchPipeline needs "
+                                             "artifact_dir"):
+            DailyRefreshOrchestrator(BatchPipeline(fig3_model,
+                                                   executor=fleet))
+        orchestrator = DailyRefreshOrchestrator(BatchPipeline(fig3_model))
+        for target in (NRTService(fig3_model, KeyValueStore(),
+                                  executor=fleet),
+                       AsyncNRTFront(fig3_model, executor=fleet)):
+            with pytest.raises(ValueError, match="artifact_dir"):
+                orchestrator.register(target)
+        assert orchestrator.targets == []
+
+    def test_a_fleet_backed_stack_refreshes_by_artifact(
+            self, fig3_model, fleet, tmp_path):
+        """With one, the fleet-backed pipeline and target take the
+        day's mapped open and serve what the in-process stack does."""
+        from repro.core.batch import batch_recommend
+
+        store = KeyValueStore()
+        pipeline = BatchPipeline(fig3_model, store, executor=fleet)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts")
+        service = orchestrator.register(
+            NRTService(fig3_model, store, window_size=1, executor=fleet))
+        report = orchestrator.refresh_sync(build_fig3_variant_curated(),
+                                           REQUESTS)
+        assert report.failure is None
+        assert service.model_generation == report.generation == 1
+        assert pipeline.model.artifact_dir \
+            == (tmp_path / "artifacts" / "gen-1").resolve()
+        service.submit(make_event(3, 0.0, "wireless gaming headphones"))
+        expected = batch_recommend(orchestrator.model, REQUESTS
+                                   + [(3, "wireless gaming headphones",
+                                       FIG3_LEAF_ID)],
+                                   k=20, hard_limit=40)
+        served = {item_id: pipeline.serve(item_id) for item_id in expected}
+        assert served == {item_id: [rec.text for rec in recs]
+                          for item_id, recs in expected.items()}
+
     def test_refresh_deploys_artifact_to_every_host(self, fig3_model,
                                                     tmp_path):
         from repro.cluster import ClusterCoordinator, ClusterWorker
