@@ -25,6 +25,8 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ('StringTable _LazyStringPool _POOL_CHAR_OFFSETS "pool/char_offsets"',
+     NOWHERE, "one string pool (format 5 has no codepoint offsets)"),
     ("_spooled _model_spool", NOWHERE, "a fleet takes models by artifact"),
     ("_run_chunk materialise_ranked ranked_owners", NOWHERE,
      "one result route (run_ranked, then one materialise)"),

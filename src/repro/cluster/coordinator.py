@@ -128,7 +128,7 @@ class ClusterCoordinator:
         self._workers: Dict[str, _Link] = {}
         self._rpc_counter = itertools.count()
         self._rpc_waiters: Dict[int, "asyncio.Future[dict]"] = {}
-        #: Path → its mapped open, per artifact a job was handed by path.
+        #: Path → its mapped open, for the last path a job was handed.
         self._model_cache: Dict[str, GraphExModel] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         #: Connection readers and timer-fired action runs.
@@ -481,7 +481,8 @@ class ClusterCoordinator:
 
         An opened model is itself what the local fallback runs on and
         what reply label ids are read against: no save, no second open,
-        no cache entry.  A path opens mapped (memoized per path).  Either
+        no cache entry.  A path opens mapped (the last path is
+        memoized, so a daily ``gen-<N>/`` keeps one open).  Either
         way the open's resolved ``artifact_dir`` is shipped, with its
         ``artifact_identity`` on every ``run_shard`` frame: a worker
         holding another save of that path re-opens it, and a path
@@ -494,11 +495,11 @@ class ClusterCoordinator:
             model = self._model_cache.get(key)
             if model is None:
                 # The mmap open touches disk; off-loop
-                # (async-no-blocking).  setdefault so a concurrent open
-                # of the same key keeps one canonical mapping.
-                opened = await asyncio.get_event_loop().run_in_executor(
+                # (async-no-blocking).  Jobs run one at a time, so no
+                # other open of the key races this one.
+                model = await asyncio.get_event_loop().run_in_executor(
                     None, open_model, key)
-                model = self._model_cache.setdefault(key, opened)
+                self._model_cache = {key: model}
         if model.artifact_dir is None:
             raise ValueError(
                 "a fleet takes models by artifact, and this model "

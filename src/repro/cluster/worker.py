@@ -245,18 +245,24 @@ class ClusterWorker:
         await self._transport.send(reply)
         self.n_completed += 1
 
-    def _model_for(self, message: dict) -> GraphExModel:
+    def _model_for(self, message: dict,
+                   deploy: bool = False) -> GraphExModel:
+        """The open of the frame's path, re-opened if it is another save
+        than the frame names.  A deploy makes it the only open kept (a
+        later shard naming an older path re-opens that), so a daily
+        ``gen-<N>/`` leaves one mapping, not one per day; runners of an
+        open no longer kept go with it."""
         path = message["model_path"]
         model = self._models.get(path)
         wanted = message.get("artifact")  # None on a deploy_model frame
         if model is None or wanted not in (None, model.artifact_identity):
-            # Re-saved in place since this process opened it: re-open,
-            # and drop the runners of the stale open with it.
-            self._runners = {key: runner
-                             for key, runner in self._runners.items()
-                             if key[0] != id(model)}
             model = open_model(path)
-            self._models[path] = model
+        self._models = {path: model} if deploy \
+            else {**self._models, path: model}
+        kept = {id(opened) for opened in self._models.values()}
+        self._runners = {key: runner
+                         for key, runner in self._runners.items()
+                         if key[0] in kept}
         return model
 
     def _run_inference_shard(self, message: dict) -> dict:
@@ -293,7 +299,7 @@ class ClusterWorker:
             # (async-no-blocking).  Safe off-thread: the recv loop
             # handles one frame at a time, so _models is not raced.
             model = await asyncio.get_event_loop().run_in_executor(
-                None, self._model_for, message)
+                None, self._model_for, message, True)
         except Exception:
             await self._transport.send({
                 "type": "shard_error",

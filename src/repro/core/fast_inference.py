@@ -137,7 +137,7 @@ class RowView(abc.Sequence):
     ``len`` and :meth:`texts` build no row; any other read builds the
     batch's rows once and slices them.  A view equals the list (or
     tuple, or view) of its rows and pickles as that list, as
-    :class:`~repro.core.serialization.LazyStringList` does.
+    a graph's :class:`~repro.core.model.LazyStringList` does.
     """
 
     __slots__ = ("_batch", "_lo", "_hi")

@@ -28,10 +28,11 @@ two-engine inference split:
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 import numpy as np
@@ -56,10 +57,10 @@ class LeafGraph:
         word_vocab: Interning of the unique words (left vertices).
         graph: CSR adjacency from word id to label id.
         label_texts: Keyphrase strings in label-id order.  Any
-            integer-indexable sequence of str: an ordinary list on
-            built/copied models, a lazy decode-on-access view
-            (:class:`repro.core.serialization.LazyStringList`) on
-            mmap-opened ones — both compare equal element-wise.
+            integer-indexable sequence of str: a builder's list on a
+            graph built alone, and in a model a
+            :class:`LazyStringList` over the plane's
+            :class:`StringPool`, however the model was made.
         label_lengths: Unique-token count ``|l|`` per label.
         search_counts: Search Count ``S(l)`` per label.  In a model
             this (like every array here) is a slice view of the model's
@@ -96,19 +97,104 @@ class LeafGraph:
         return self.numeric_memory_bytes() + strings + words
 
 
-class StringTable:
-    """``count`` strings by id, read in bulk: one fancy index and one
-    ``tolist`` per :meth:`take`.  The decoded counterpart of a mapped
-    artifact's lazy string pool, which has the same :meth:`take`."""
+class StringPool:
+    """A model's strings by pool id, read in bulk: one fancy index and
+    one ``tolist`` per :meth:`take`.
 
-    __slots__ = ("_table",)
+    A built model's pool holds every string decoded.  An opened model's
+    (:meth:`over`) holds the payload's UTF-8 ``blob`` and its ``n + 1``
+    ``byte_offsets``: a string is decoded on first read and kept, so an
+    open pays for exactly the strings it touches (eagerly: vocabulary
+    words, which the interning dict needs; lazily: label texts, which
+    only materialised recommendations read).  Decoded strings live in
+    one object array indexed by pool id (``None`` until read; 8 bytes
+    per string), so every read hands out the same ``str``.
+    """
 
-    def __init__(self, strings: Iterable[str], count: int) -> None:
-        self._table = np.fromiter(strings, dtype=object, count=count)
+    __slots__ = ("_table", "_blob", "_byte_offsets")
 
-    def take(self, ids: np.ndarray) -> List[str]:
-        """``[strings[i] for i in ids]``."""
-        return self._table[ids].tolist()
+    def __init__(self, table: np.ndarray,
+                 blob: Optional[np.ndarray] = None,
+                 byte_offsets: Optional[np.ndarray] = None) -> None:
+        self._table, self._blob, self._byte_offsets = \
+            table, blob, byte_offsets
+
+    @classmethod
+    def over(cls, blob: np.ndarray, byte_offsets: np.ndarray
+             ) -> "StringPool":
+        """The ``len(byte_offsets) - 1`` strings of a UTF-8 ``blob``,
+        none decoded yet."""
+        return cls(np.full(len(byte_offsets) - 1, None, dtype=object),
+                   blob, byte_offsets)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, pool_id: int) -> str:
+        return self.take(np.array([pool_id]))[0]
+
+    def take(self, pool_ids: np.ndarray) -> List[str]:
+        """The strings of ``pool_ids``, in order: one fancy index once
+        they are decoded (the steady state of a serving model); the
+        first op on a fresh open decodes its misses in bulk."""
+        out = self._table[pool_ids].tolist()
+        # A built pool has no blob and no miss: skip the scan, which
+        # costs a failed ``==`` per string.
+        if self._blob is not None and None in out:
+            # First-occurrence order, not sorted: the string heap keeps
+            # allocation order, and serving reads request order.
+            misses = list(dict.fromkeys(
+                pool_id for pool_id, text in zip(pool_ids.tolist(), out)
+                if text is None))
+            wanted = np.asarray(misses, dtype=np.int64)
+            blob = memoryview(self._blob)
+            for pool_id, lo, hi in zip(
+                    misses, self._byte_offsets[wanted].tolist(),
+                    self._byte_offsets[wanted + 1].tolist()):
+                self._table[pool_id] = str(blob[lo:hi], "utf-8")
+            out = self._table[pool_ids].tolist()
+        return out
+
+
+class LazyStringList(abc.Sequence):
+    """A graph's label texts: a list-equivalent view of its labels'
+    strings in the model's :class:`StringPool`.
+
+    Every graph's ``label_texts`` is one, on built, copied and mapped
+    models alike (:meth:`GraphPlane.leaf`).  Indexing, iteration,
+    ``len`` and equality behave exactly like a ``list`` of the texts;
+    iteration and slices are one :meth:`StringPool.take`, so nothing
+    is decoded until read and no Python call runs per string.
+    Pickling (e.g. shipping a model to inference worker processes)
+    materialises a plain list.
+    """
+
+    __slots__ = ("_pool", "_ids")
+
+    def __init__(self, pool: StringPool, ids: np.ndarray) -> None:
+        self._pool, self._ids = pool, ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._pool.take(self._ids[index])
+        return self._pool[self._ids[index]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._pool.take(self._ids))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, tuple, LazyStringList)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LazyStringList({list(self)!r})"
+
+    def __reduce__(self):
+        return (list, (list(self),))
 
 
 class GraphPlane(NamedTuple):
@@ -123,10 +209,10 @@ class GraphPlane(NamedTuple):
     holds one entry per graph plus one.  ``strings.take(text_ids[l])``
     are the texts of stacked labels ``l``: an artifact's pool ids on an
     opened model, ``arange`` over its labels' texts in stacked order on
-    a model built in memory.  A model's
-    :class:`LeafGraph` arrays are views of these (:meth:`leaf`), so the
-    fast engine reads a chunk of items from many graphs with one gather
-    per array, and an artifact stores the plane as it is.
+    a model built in memory.  A model's :class:`LeafGraph` arrays and
+    label texts are views of these (:meth:`leaf`), so the fast engine
+    reads a chunk of items from many graphs with one gather per array,
+    and an artifact stores the plane as it is.
     """
 
     indptr: np.ndarray
@@ -135,7 +221,7 @@ class GraphPlane(NamedTuple):
     search_counts: np.ndarray
     recall_counts: np.ndarray
     text_ids: np.ndarray
-    strings: "StringTable"
+    strings: StringPool
     word_base: np.ndarray
     entry_base: np.ndarray
     label_base: np.ndarray
@@ -173,16 +259,18 @@ class GraphPlane(NamedTuple):
             stacked([g.search_counts for g in graphs], np.int64),
             stacked([g.recall_counts for g in graphs], np.int64),
             np.arange(sum(labels), dtype=np.int64),
-            StringTable(chain.from_iterable(g.label_texts for g in graphs),
-                        sum(labels)),
+            StringPool(np.fromiter(
+                chain.from_iterable(g.label_texts for g in graphs),
+                dtype=object, count=sum(labels))),
             [g.graph.n_left for g in graphs],
             [g.graph.n_edges for g in graphs], labels)
 
     def leaf(self, g: int, leaf_id: int, word_vocab: Vocabulary,
-             label_texts: Sequence[str], n_right: int,
              validate: bool = False) -> "LeafGraph":
-        """Graph ``g`` as a :class:`LeafGraph` whose arrays are views of
-        this plane; ``validate`` checks its CSR invariants."""
+        """Graph ``g`` as a :class:`LeafGraph` whose arrays and label
+        texts are views of this plane (its CSR spans ``max(1, labels)``
+        right vertices, as every builder's does); ``validate`` checks
+        its CSR invariants."""
         words = self.word_base[g:g + 2].tolist()
         entries = self.entry_base[g:g + 2].tolist()
         lo, hi = self.label_base[g:g + 2].tolist()
@@ -190,9 +278,10 @@ class GraphPlane(NamedTuple):
             leaf_id=leaf_id,
             word_vocab=word_vocab,
             graph=CSRGraph(self.indptr[slice(*words)],
-                           self.indices[slice(*entries)], n_right,
+                           self.indices[slice(*entries)], max(1, hi - lo),
                            validate=validate),
-            label_texts=label_texts,
+            label_texts=LazyStringList(self.strings,
+                                       self.text_ids[lo:hi]),
             label_lengths=self.label_lengths[lo:hi],
             search_counts=self.search_counts[lo:hi],
             recall_counts=self.recall_counts[lo:hi],
@@ -275,7 +364,9 @@ class GraphExModel:
     The constructor stacks the graphs once into the model's
     :class:`GraphPlane` — leaves by id, then the pooled graph — and
     serves views of it: :meth:`leaf_graph` returns a :class:`LeafGraph`
-    equal to the one passed in whose arrays share the plane's memory.
+    equal to the one passed in whose arrays share the plane's memory
+    and whose label texts read the plane's string pool; the graphs
+    passed in are not kept.
 
     Args:
         leaf_graphs: Leaf-id → :class:`LeafGraph` mapping.
@@ -307,8 +398,7 @@ class GraphExModel:
             graphs.append(pooled_graph)
         plane = GraphPlane.stack(graphs)
         self._serve(tokenizer, alignment, plane, [
-            plane.leaf(g, graph.leaf_id, graph.word_vocab,
-                       graph.label_texts, graph.graph.n_right)
+            plane.leaf(g, graph.leaf_id, graph.word_vocab)
             for g, graph in enumerate(graphs)], keys)
 
     @classmethod

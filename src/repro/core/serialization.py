@@ -1,34 +1,36 @@
 """Model persistence, zero-copy opens, and size accounting.
 
 A :class:`~repro.core.model.GraphExModel` serializes to a directory in
-one format, the one :func:`save_model` writes: **format 4**, the
+one format, the one :func:`save_model` writes: **format 5**, the
 model's stacked :class:`~repro.core.model.GraphPlane` on disk.  The
 payload, a single ``arrays-*.bin`` file, holds one uncompressed,
 page-aligned section per array kind for all graphs at once —
 ``indptr``, ``indices``, ``label_lengths``, ``search_counts``,
 ``recall_counts``, and the pool ids of each graph's vocabulary words
 (``word_ids``) and label texts (``label_ids``) — plus the shared string
-pool (one UTF-8 blob + offset arrays; every distinct word or label text
-stored once).  ``model.json`` carries the manifest (offset, dtype,
+pool (one UTF-8 blob + its byte offsets; every distinct word or label
+text stored once).  ``model.json`` carries the manifest (offset, dtype,
 shape per section) and, per graph under ``leaves``, its leaf id and its
 CSR row, word, edge and label counts, which cut the sections into
 graphs.
 
 An open reads ``model.json``, checks it, and takes the seven plane
-sections whole: ``load_model(directory, mmap=True)`` makes them
-*read-only views over one* ``np.memmap`` — no array is copied, no
-pickle runs, label strings decode lazily on first access — so opening
-is O(metadata) plus each graph's vocabulary words (its interning dict),
-N processes on one host share a single physical copy of the pages, and
-a daily hot-swap is a remap instead of a reload.  A copied open copies
-the seven sections and decodes the pool.  Either way each graph's
-arrays are slices of the sections, so the fast engine reads a chunk of
-many graphs' items with one gather per section.
+sections and the pool as views over one buffer, whose strings one
+:class:`~repro.core.model.StringPool` decodes on first read:
+``load_model(directory, mmap=True)`` maps the payload (*read-only*,
+no array copied, no pickle run), so opening is O(metadata) plus each
+graph's vocabulary words (its interning dict), N processes on one host
+share one physical copy of the pages, and a daily hot-swap is a remap
+instead of a reload.  A copied open reads the payload into a private
+buffer instead and validates each graph's CSR.  Either way each
+graph's arrays are slices of the sections, so the fast engine reads a
+chunk of many graphs' items with one gather per section.
 
 The program reads only what it writes: a directory of any other
-``format_version`` — 1 and 2, 3 (the per-leaf layout), as much as a
-future one — is refused by one named ``ValueError``, and ``model.json``
-is checked as outside input before it is followed (:func:`_read_meta`).
+``format_version`` — 1 and 2, 3 (the per-leaf layout), 4 (plus the
+pool's codepoint offsets), as much as a future one — is refused by one
+named ``ValueError``, and ``model.json`` is checked as outside input
+before it is followed (:func:`_read_meta`).
 
 Atomic re-save: :func:`save_model` writes the payload under a fresh
 ``arrays-<token>.bin`` name and atomically replaces ``model.json``
@@ -53,21 +55,20 @@ import json
 import math
 import os
 import uuid
-from collections import abc
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .alignment import get_alignment
-from .model import GraphExModel, GraphPlane, LeafGraph, StringTable
+from .model import GraphExModel, GraphPlane, StringPool
 from .tokenize import SpaceTokenizer
 from .vocab import Vocabulary, intern_strings
 
 _META_FILE = "model.json"
 _POOLED_KEY = "pooled"
 #: The one format :func:`save_model` writes, and so the one format read.
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 #: The ``model.json`` keys a model must carry, with their JSON types.
 _MODEL_KEYS = {"arrays_file": str, "arrays": dict, "leaves": dict,
@@ -80,7 +81,6 @@ _PAGE_SIZE = 4096
 #: Manifest keys of the shared string pool inside the payload.
 _POOL_BLOB = "pool/blob"
 _POOL_BYTE_OFFSETS = "pool/byte_offsets"
-_POOL_CHAR_OFFSETS = "pool/char_offsets"
 
 #: The plane's sections, in the order :func:`save_model` writes them,
 #: each with the per-graph count of ``leaves`` that sizes it (``indptr``
@@ -99,110 +99,6 @@ def _leaf_key(leaf_id: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The lazy string pool (mmap opens)
-
-
-class _LazyStringPool:
-    """The shared string pool, decoded lazily from a mapped UTF-8 blob.
-
-    ``blob`` is a read-only ``uint8`` view over the mapped payload and
-    ``byte_offsets`` the ``n + 1`` slice boundaries; a string is decoded
-    on first access and kept, so an mmap open pays for exactly the
-    strings it touches (eagerly: per-leaf vocabulary words, which the
-    interning dict needs; lazily: label texts, which only materialised
-    recommendations read).  The decoded strings live in one object
-    array indexed by pool id (``None`` until read; 8 bytes per pool
-    string), so a bulk read is one fancy index, and :meth:`take` and
-    ``pool[i]`` hand out the same ``str``.  It is a mapped model's
-    :class:`~repro.core.model.StringTable`.
-    """
-
-    __slots__ = ("_blob", "_byte_offsets", "_table")
-
-    def __init__(self, blob: np.ndarray, byte_offsets: np.ndarray) -> None:
-        self._blob = blob
-        self._byte_offsets = byte_offsets
-        self._table = np.full(len(byte_offsets) - 1, None, dtype=object)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __getitem__(self, pool_id: int) -> str:
-        text = self._table[pool_id]
-        if text is None:
-            lo = self._byte_offsets[pool_id]
-            hi = self._byte_offsets[pool_id + 1]
-            text = self._table[pool_id] = str(
-                memoryview(self._blob)[lo:hi], "utf-8")
-        return text
-
-    def take(self, pool_ids: np.ndarray) -> List[str]:
-        """``[self[i] for i in pool_ids]`` as one fancy index once the
-        strings are decoded (the steady state of a serving model); the
-        first op on a fresh mapping decodes its misses in bulk."""
-        out = self._table[pool_ids].tolist()
-        if None in out:
-            # First-occurrence order, not sorted: the string heap keeps
-            # allocation order, and serving reads request order.
-            misses = list(dict.fromkeys(
-                pool_id for pool_id, text in zip(pool_ids.tolist(), out)
-                if text is None))
-            wanted = np.asarray(misses, dtype=np.int64)
-            blob = memoryview(self._blob)
-            for pool_id, lo, hi in zip(
-                    misses, self._byte_offsets[wanted].tolist(),
-                    self._byte_offsets[wanted + 1].tolist()):
-                self._table[pool_id] = str(blob[lo:hi], "utf-8")
-            out = self._table[pool_ids].tolist()
-        return out
-
-
-class LazyStringList(abc.Sequence):
-    """A list-equivalent view of pool strings, decoded on access.
-
-    ``label_texts`` of an mmap-opened leaf is one of these: indexing,
-    iteration, ``len`` and equality behave exactly like the ``list`` the
-    copied open builds, but nothing decodes until read.  Pickling (e.g.
-    shipping a mapped model to inference worker processes) materialises
-    a plain list — the mapped file need not exist on the other side.
-    """
-
-    __slots__ = ("_pool", "_ids")
-
-    def __init__(self, pool: _LazyStringPool, ids: np.ndarray) -> None:
-        self._pool = pool
-        self._ids = ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._pool[i] for i in self._ids[index]]
-        return self._pool[self._ids[index]]
-
-    def __iter__(self) -> Iterator[str]:
-        pool = self._pool
-        return (pool[i] for i in self._ids)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, tuple, LazyStringList)):
-            return len(self) == len(other) and all(
-                a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __repr__(self) -> str:
-        return f"LazyStringList({list(self)!r})"
-
-    def __reduce__(self):
-        return (list, (list(self),))
-
-
-# ---------------------------------------------------------------------------
 # The payload: one uncompressed, page-aligned binary file
 
 
@@ -213,25 +109,21 @@ def _write_payload(directory: Path, sections: Dict[str, List[np.ndarray]],
     Each section is its 1-D pieces written back to back, little-endian,
     from a page-aligned offset; nothing is concatenated or copied.  The
     string pool, in the order given, becomes one UTF-8 blob (a single
-    ``"".join(...).encode()``) plus byte offsets (for lazy per-string
-    decodes straight off the mapping) and codepoint offsets (so a
-    copied open can decode the whole blob once and slice); only a
-    non-ASCII string has more bytes than codepoints, so only those
-    are encoded one by one.
+    ``"".join(...).encode()``) plus byte offsets, which each open
+    decodes strings by on first read; only a non-ASCII string has more
+    bytes than codepoints, so only those are encoded one by one.
     """
     n = len(pool_tokens)
-    lengths = np.zeros((2, n + 1), dtype=np.int64)  # codepoints, bytes
-    lengths[:, 1:] = np.fromiter(map(len, pool_tokens), np.int64, count=n)
+    lengths = np.zeros(n + 1, dtype=np.int64)
+    lengths[1:] = np.fromiter(map(len, pool_tokens), np.int64, count=n)
     wide = np.flatnonzero(~np.fromiter(map(str.isascii, pool_tokens),
                                        dtype=bool, count=n))
-    lengths[1, wide + 1] = [len(pool_tokens[i].encode("utf-8"))
-                            for i in wide.tolist()]
-    char_offsets, byte_offsets = np.cumsum(lengths, axis=1)
+    lengths[wide + 1] = [len(pool_tokens[i].encode("utf-8"))
+                         for i in wide.tolist()]
     payload = dict(sections)
     payload[_POOL_BLOB] = [np.frombuffer(
         "".join(pool_tokens).encode("utf-8"), dtype=np.uint8)]
-    payload[_POOL_BYTE_OFFSETS] = [byte_offsets]
-    payload[_POOL_CHAR_OFFSETS] = [char_offsets]
+    payload[_POOL_BYTE_OFFSETS] = [np.cumsum(lengths)]
 
     filename = f"arrays-{uuid.uuid4().hex}.bin"
     manifest: Dict[str, Dict[str, object]] = {}
@@ -272,18 +164,13 @@ def _section_end(entry: Dict) -> int:
 
 def _open_payload(directory: Path, meta: Dict, mmap: bool):
     """Read or map the payload; returns ``(arrays, strings)``: the plane
-    sections by name, and the string pool as a ``take``-able table.
-
-    ``mmap=True`` returns read-only ``np.ndarray`` views over one
-    ``np.memmap`` (plain-ndarray views, so a mapped model still
-    pickles — by materialising — into inference worker processes) and
-    a lazy string pool; nothing but the manifest is read eagerly, and
-    CSR invariant validation is skipped (it would fault in every page,
-    defeating the O(metadata) open — the payload was written by
-    :func:`save_model` and is covered by the cross-format suite).
-
-    ``mmap=False`` reads the file once and copies each plane section
-    out (writable, independent of the file) and decodes the whole pool.
+    sections by name, and the :class:`~repro.core.model.StringPool`
+    that decodes the pool's strings on first read, all views over one
+    buffer.  The mode chooses only the buffer: ``mmap=True`` maps the
+    file (read-only plain-ndarray views, so a mapped model still
+    pickles — by materialising — into inference worker processes; only
+    the manifest is read eagerly), ``mmap=False`` reads it once into a
+    private buffer, so the model is independent of the file.
 
     Raises:
         ValueError: The payload is shorter than its manifest says (a
@@ -300,7 +187,7 @@ def _open_payload(directory: Path, meta: Dict, mmap: bool):
                 f"truncated payload {path}: section {key!r} needs "
                 f"{_section_end(entry)} bytes, the file holds {present}")
     raw = (np.memmap(path, dtype=np.uint8, mode="r") if mmap
-           else np.frombuffer(path.read_bytes(), dtype=np.uint8))
+           else np.fromfile(path, dtype=np.uint8))
 
     def view(key: str) -> np.ndarray:
         entry = manifest[key]
@@ -308,16 +195,8 @@ def _open_payload(directory: Path, meta: Dict, mmap: bool):
             raw[entry["offset"]:_section_end(entry)]
             .view(np.dtype(entry["dtype"]))).reshape(entry["shape"])
 
-    arrays = {key: view(key) if mmap else view(key).copy()
-              for key in _SECTIONS}
-    if mmap:
-        return arrays, _LazyStringPool(view(_POOL_BLOB),
-                                       view(_POOL_BYTE_OFFSETS))
-    decoded = str(view(_POOL_BLOB), "utf-8")
-    char_offsets = view(_POOL_CHAR_OFFSETS).tolist()
-    return arrays, StringTable(
-        (decoded[lo:hi] for lo, hi in zip(char_offsets, char_offsets[1:])),
-        len(char_offsets) - 1)
+    return ({key: view(key) for key in _SECTIONS},
+            StringPool.over(view(_POOL_BLOB), view(_POOL_BYTE_OFFSETS)))
 
 
 def _replace_meta(directory: Path, meta: Dict) -> None:
@@ -354,7 +233,7 @@ def _prune_stale_payloads(directory: Path, keep: str) -> None:
 
 
 def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
-    """Serialize a model to a directory (created if needed) as format 4.
+    """Serialize a model to a directory (created if needed) as format 5.
 
     Args:
         model: The model to persist.
@@ -428,8 +307,7 @@ def _check_manifest(path: Path, meta: Dict) -> None:
     non-negative integers, or two sections overlap (taken in offset
     order) — each checked before any view is made."""
     manifest = meta["arrays"]
-    for key in [*_SECTIONS, _POOL_BLOB, _POOL_BYTE_OFFSETS,
-                _POOL_CHAR_OFFSETS]:
+    for key in [*_SECTIONS, _POOL_BLOB, _POOL_BYTE_OFFSETS]:
         if key not in manifest:
             raise ValueError(f"malformed {path}: section {key!r} is "
                              f"missing")
@@ -516,7 +394,7 @@ def _read_meta(directory: Path) -> Tuple[Dict, str]:
 
     ``model.json`` is outside input: one named ``ValueError`` (the
     path, what is wrong) unless it is a JSON object of
-    ``format_version`` 4 — judged first, whatever else is missing —
+    ``format_version`` 5 — judged first, whatever else is missing —
     holding every key the opener reads, each of its JSON type, an
     ``arrays_file`` that is a bare file name (the payload is opened
     inside the artifact directory, never wherever the manifest points),
@@ -546,8 +424,11 @@ def _read_meta(directory: Path) -> Tuple[Dict, str]:
             f"{_FORMAT_VERSION} (formats 1 and 2 were last read, and "
             f"re-saved as 3 by load_model + save_model, at commit "
             f"f0008ce; format 3, one section per leaf array, was last "
-            f"read at commit a58fa6e — rebuild it with construct; a "
-            f"higher number was written by a newer build)")
+            f"read at commit a58fa6e — rebuild it with construct; "
+            f"format 4, which also stored the pool's codepoint offsets, "
+            f"was last read at commit c4a5b79 — rebuild it with "
+            f"construct too; a higher number was written by a newer "
+            f"build)")
     for key, kind in _MODEL_KEYS.items():
         if not isinstance(meta.get(key), kind):
             raise ValueError(
@@ -579,19 +460,23 @@ def load_model(directory: Union[str, Path],
             *read-only* view over one ``np.memmap`` (in-place writes
             raise), label strings decode lazily, and N processes
             opening the same artifact share one physical copy of the
-            pages.  Mapped and copied opens are bit-identical;
+            pages.  Otherwise the payload is read once into a private
+            buffer (the file may then be unlinked or rewritten).
+            Mapped and copied opens are bit-identical;
             ``tests/test_model_serialization.py`` pins it.
 
-    The model's plane is the payload's seven sections (views of the
-    mapping, or one copy each), and each graph's arrays are slices of
-    them; nothing is stacked.  Both modes check each graph's CSR ends
-    against its counts (:func:`_check_graph_ends`), and a copied open
-    validates each graph's CSR invariants.
+    The model's plane is the payload's seven sections and its lazily
+    decoded string pool, views of the one buffer, and each graph's
+    arrays and label texts are slices of them; nothing is stacked or
+    decoded up front.  Both modes check each graph's CSR ends against
+    its counts (:func:`_check_graph_ends`).  Only a copied open
+    validates each graph's CSR invariants: on a mapped one it would
+    fault in every page, defeating the O(metadata) open.
 
     Raises:
         FileNotFoundError: If the directory lacks the expected files.
-        ValueError: On any ``format_version`` but 4 (the error names
-            the version and the last commit that read 1, 2 and 3), a
+        ValueError: On any ``format_version`` but 5 (the error names
+            the version and the last commit that read 1 to 4), a
             malformed ``model.json`` (its manifest and ``leaves``
             entries included) or a truncated payload.
     """
@@ -612,16 +497,10 @@ def load_model(directory: Union[str, Path],
     _check_graph_ends(directory / _META_FILE, plane,
                       [key for key, _entry in leaves], edges)
     word_cuts = np.append(0, np.cumsum(words, dtype=np.int64)).tolist()
-    label_cuts = plane.label_base.tolist()
-    graphs: List[LeafGraph] = []
-    for g, (_key, entry) in enumerate(leaves):
-        label_ids = plane.text_ids[label_cuts[g]:label_cuts[g + 1]]
-        graphs.append(plane.leaf(
-            g, entry["leaf_id"], Vocabulary.from_interned(strings.take(
-                arrays["word_ids"][word_cuts[g]:word_cuts[g + 1]])),
-            LazyStringList(strings, label_ids) if mmap
-            else strings.take(label_ids),
-            max(1, entry["labels"]), validate=not mmap))
+    graphs = [plane.leaf(
+        g, entry["leaf_id"], Vocabulary.from_interned(strings.take(
+            arrays["word_ids"][word_cuts[g]:word_cuts[g + 1]])),
+        validate=not mmap) for g, (_key, entry) in enumerate(leaves)]
     model = GraphExModel.over_plane(
         plane, graphs,
         [None if key == _POOLED_KEY else entry["leaf_id"]

@@ -163,7 +163,7 @@ class TestWorkflow:
 
     def test_construct_format_version_round_trips(self, workflow_dir,
                                                   tmp_path, capsys):
-        """``construct`` writes a format-4 artifact and it loads back
+        """``construct`` writes a format-5 artifact and it loads back
         with the same leaves."""
         from repro.core.serialization import load_model
         baseline = load_model(workflow_dir / "model")
@@ -173,7 +173,7 @@ class TestWorkflow:
                      str(out_dir)]) == 0
         assert f"-> {out_dir}" in capsys.readouterr().out
         assert json.loads((out_dir / "model.json").read_text())[
-            "format_version"] == 4
+            "format_version"] == 5
         assert load_model(out_dir).leaf_ids == baseline.leaf_ids
 
     def test_recommend_mmap_prints_identical_output(self, workflow_dir,

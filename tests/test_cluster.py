@@ -756,6 +756,47 @@ class TestClusterInference:
         assert count == 2
         assert opened == [[str(artifact.resolve())]] * 2
 
+    def test_a_deploy_keeps_one_open_per_worker(self, requests, tmp_path):
+        """Three daily ``gen-<N>/`` deploys, each followed by a job,
+        leave the worker one open and one runner (the newest
+        generation's) and the coordinator one memoised path (the last a
+        job was handed).  A job by the oldest path re-opens it and
+        still serves what its built model does."""
+        models = [GraphExModel.construct(build_curated(phrases=6 + day))
+                  for day in range(3)]
+        paths = [save_model(built, tmp_path / f"gen-{day}").resolve()
+                 for day, built in enumerate(models)]
+
+        async def drive():
+            async with ClusterCoordinator(rpc_timeout=20.0,
+                                          local_fallback=False) as coord:
+                worker, task = await spawn_worker(coord, name="daily")
+                await coord.wait_for_workers(1, timeout=10.0)
+                kept, served = [], []
+
+                def cached():
+                    return (list(worker._models), len(worker._runners),
+                            list(coord._model_cache))
+
+                for day, path in enumerate(paths):
+                    assert await coord.deploy_artifact(
+                        path, generation=day) == 1
+                    served.append(await coord.run_inference(
+                        str(path), requests, k=5))
+                    kept.append(cached())
+                served.append(await coord.run_inference(
+                    str(paths[0]), requests, k=5))
+                kept.append(cached())
+                await teardown(coord, [task])
+                return kept, served
+
+        kept, served = asyncio.run(drive())
+        assert kept == [([str(path)], 1, [str(path)]) for path in paths] \
+            + [([str(paths[2]), str(paths[0])], 2, [str(paths[0])])]
+        expected = [batch_recommend(built, requests, k=5)
+                    for built in models + models[:1]]
+        assert served == expected and expected[0] != expected[2]
+
 
 # ---------------------------------------------------------------------------
 # Hostile result columns: the coordinator trusts nothing in a reply

@@ -36,8 +36,8 @@ from repro.core.fast_inference import (EMPTY_ROWS, LeafBatchRunner,
                                        materialise)
 from repro.core.inference import (Recommendation, prune_by_count_groups,
                                   recommend_from_graph)
-from repro.core.model import GraphExModel
-from repro.core.serialization import LazyStringList, load_model, save_model
+from repro.core.model import GraphExModel, LazyStringList
+from repro.core.serialization import load_model, save_model
 from tests.conftest import open_saved
 
 ALIGNMENTS = ["lta", "wmr", "jac"]
@@ -890,9 +890,9 @@ class TestRankCut:
                                * (longest + 1) * (longest + 1))
 
 class TestBulkLabelTexts:
-    """The plane's one text ``take`` — decoded lazily from the mapped
-    pool, or from a copied open's decoded table — equals one-by-one
-    list indexing."""
+    """The plane's one text ``take`` — from a built model's pool, or
+    decoded lazily from an opened one's, mapped or copied — equals
+    one-by-one list indexing."""
 
     INDEX_SETS = [[], [0], [2, 0, 2, 1], [3, 3, 3]]
 
@@ -938,12 +938,18 @@ class TestBulkLabelTexts:
     @pytest.mark.parametrize("indices", INDEX_SETS)
     def test_engine_reads_mapped_and_copied_models_alike(self, artifact,
                                                          indices):
+        """Built, mapped and copied: the engine's ``take``, the leaf's
+        one view type and its per-index reads agree."""
         built, path = artifact
-        expected = [built.leaf_graph(1).label_texts[i] for i in indices]
+        texts = ["w0 w1", "w0 w2", "naïve café w3", "w4"]
+        expected = [texts[i] for i in indices]
         for model in (built, load_model(path, mmap=True),
                       load_model(path)):
+            view = model.leaf_graph(1).label_texts
+            assert type(view) is LazyStringList and view == texts
             assert _label_texts(model.plane, self.stacked(
                 model, 1, indices)) == expected
+            assert [view[i] for i in indices] == expected
 
 
     def test_every_row_is_exactly_a_recommendation(self, artifact):

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
-from repro.core.model import GraphExModel, build_leaf_graph
-from repro.core.serialization import (LazyStringList, load_model,
-                                      model_size_bytes, open_model,
-                                      save_model)
+from repro.core.model import GraphExModel, LazyStringList, build_leaf_graph
+from repro.core.serialization import (load_model, model_size_bytes,
+                                      open_model, save_model)
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer)
 from repro.core.vocab import Vocabulary
@@ -157,7 +156,7 @@ class TestSerialization:
         path = save_model(GraphExModel.construct(
             curated_two_leaves(), tokenizer=tokenizer), tmp_path / "m")
         assert (path / "model.json").read_text(encoding="utf-8").startswith(
-            '{"format_version": 4, "alignment": "lta", "tokenizer": '
+            '{"format_version": 5, "alignment": "lta", "tokenizer": '
             '{"type": "space", "stem": %s}, ' % stem)
         assert load_model(path).tokenizer.stopwords == frozenset()
 
@@ -292,7 +291,7 @@ class TestRoundtripFidelity:
                                        build_pooled=True)
         path = save_model(model, tmp_path / "m")
         meta = json.loads((path / "model.json").read_text())
-        assert meta["format_version"] == 4
+        assert meta["format_version"] == 5
         expected = set()
         for graph in [model.leaf_graph(i) for i in model.leaf_ids] \
                 + [model.pooled_graph]:
@@ -490,7 +489,7 @@ class TestCrossFormat:
             load_model(path)
         message = str(excinfo.value)
         assert "99" in message
-        assert "format 4" in message
+        assert "format 5" in message
 
     @pytest.mark.parametrize("version", [1, 2, 99])
     def test_every_other_format_is_refused_by_one_message(self, tmp_path,
@@ -515,13 +514,13 @@ class TestCrossFormat:
         assert message.startswith(
             f"unsupported model format_version {version} in "
             f"{path / 'model.json'}")
-        assert "format 4" in message and "f0008ce" in message
+        assert "format 5" in message and "f0008ce" in message
 
     def test_format_3_is_refused_naming_its_last_reader(self, tmp_path):
         """Format 3 — seven payload sections per leaf — has no reader
         now: an intact format-3 header is refused by name on every
         opener, naming the last commit that read it and how to get a
-        format-4 artifact."""
+        format-5 artifact."""
         path = save_model(TestArtifactBytes.pool_order_model(),
                           tmp_path / "m")
         meta = json.loads((path / "model.json").read_text("utf-8"))
@@ -537,9 +536,32 @@ class TestCrossFormat:
             assert message.startswith(
                 f"unsupported model format_version 3 in "
                 f"{path / 'model.json'}; this build reads only what it "
-                f"writes, format 4")
+                f"writes, format 5")
             assert "format 3, one section per leaf array, was last read " \
                 "at commit a58fa6e — rebuild it with construct" in message
+
+    def test_format_4_is_refused_naming_its_last_reader(self, tmp_path):
+        """Format 4 — format 5 plus the pool's codepoint offsets, which
+        only the copied open's eager decode read — has no reader now:
+        a format-4 header is refused by name on every opener, naming
+        the last commit that read it."""
+        path = save_model(TestArtifactBytes.pool_order_model(),
+                          tmp_path / "m")
+        meta = json.loads((path / "model.json").read_text("utf-8"))
+        assert "pool/char_offsets" not in meta["arrays"]
+        meta["format_version"] = 4
+        (path / "model.json").write_text(json.dumps(meta), "utf-8")
+        for opener in (load_model, lambda p: load_model(p, mmap=True),
+                       open_model):
+            with pytest.raises(ValueError) as refused:
+                opener(path)
+            message = str(refused.value)
+            assert message.startswith(
+                f"unsupported model format_version 4 in "
+                f"{path / 'model.json'}; this build reads only what it "
+                f"writes, format 5")
+            assert "format 4, which also stored the pool's codepoint " \
+                "offsets, was last read at commit c4a5b79" in message
 
 
 class TestMappedPlane:
@@ -637,19 +659,61 @@ class TestMappedPlane:
             assert opened.artifact_dir == (tmp_path / "m").resolve()
             assert open_model(opened).artifact_dir == opened.artifact_dir
 
-    def test_lazy_string_list_behaves_like_a_list(self, tmp_path):
-        model, _path, mapped = self._mapped(tmp_path)
-        leaf_id = model.leaf_ids[0]
-        lazy = mapped.leaf_graph(leaf_id).label_texts
-        eager = model.leaf_graph(leaf_id).label_texts
-        assert isinstance(lazy, LazyStringList)
-        assert len(lazy) == len(eager)
-        assert list(lazy) == list(eager)
-        assert lazy == eager
-        assert lazy[0] == eager[0] and lazy[-1] == eager[-1]
-        assert lazy[1:] == list(eager[1:])
-        assert eager[0] in lazy
-        assert pickle.loads(pickle.dumps(lazy)) == list(eager)
+    @pytest.mark.parametrize("builder", ["fast", "reference"])
+    def test_every_model_reads_its_texts_through_one_view(self, tmp_path,
+                                                          builder):
+        """Built, copied and mapped models alike: every graph's
+        ``label_texts`` is a ``LazyStringList`` over the plane's pool,
+        equal to the builder's list and behaving like it, and pickling
+        to that plain list."""
+        curated = curated_two_leaves()
+        model = GraphExModel.construct(curated, build_pooled=True,
+                                       builder=builder)
+        path = save_model(model, tmp_path / "m")
+        lists = {leaf_id: build_leaf_graph(
+            leaf, DEFAULT_TOKENIZER).label_texts
+            for leaf_id, leaf in curated.leaves.items()}
+        lists[-1] = list(dict.fromkeys(
+            text for leaf in curated.leaves.values() for text in leaf.texts))
+        for opened in (model, load_model(path), load_model(path, mmap=True)):
+            graphs = opened.plane_graphs
+            assert {type(graph.label_texts) for graph in graphs} \
+                == {LazyStringList}
+            assert all(graph.label_texts._pool is opened.plane.strings
+                       for graph in graphs)
+            for graph in graphs:
+                view, eager = graph.label_texts, lists[graph.leaf_id]
+                assert type(eager) is list
+                assert len(view) == len(eager)
+                assert list(view) == eager and view == eager
+                assert view == tuple(eager) and not view != eager
+                assert view[0] == eager[0] and view[-1] == eager[-1]
+                assert view[1:] == eager[1:] and view[::-1] == eager[::-1]
+                assert eager[0] in view
+                clone = pickle.loads(pickle.dumps(view))
+                assert type(clone) is list and clone == eager
+
+    def test_copied_open_survives_its_payload_file(self, tmp_path):
+        """A copied open reads the payload into a private buffer: its
+        arrays and (still undecoded) texts are the model's after the
+        payload file is unlinked, and after a file of that name is
+        written with other bytes."""
+        model = GraphExModel.construct(curated_two_leaves(),
+                                       build_pooled=True)
+        path = save_model(model, tmp_path / "m")
+        copied = load_model(path)
+        payload = path / json.loads(
+            (path / "model.json").read_text("utf-8"))["arrays_file"]
+        size = payload.stat().st_size
+        payload.unlink()
+        assert_models_identical(model, copied)
+        copied = load_model(save_model(model, tmp_path / "n"))
+        payload = next((tmp_path / "n").glob("arrays-*.bin"))
+        payload.write_bytes(b"\xff" * size)
+        assert_models_identical(model, copied)
+        requests = _world_requests(model)
+        assert batch_recommend(copied, requests, k=5) \
+            == batch_recommend(model, requests, k=5)
 
     @staticmethod
     def _decoded(pool):
@@ -737,8 +801,10 @@ class TestArtifactBytes:
         "word_ids": [0, 1] + [3, 1, 0, 4] + [0, 1, 3, 4],
         "label_ids": [2, 1] + [5, 2, 0, 6] + [2, 1, 5, 0, 6],
         "pool/byte_offsets": [0, 3, 8, 17, 21, 26, 36, 45],
-        "pool/char_offsets": [0, 3, 8, 17, 21, 25, 35, 43],
     }
+    #: The same pool's codepoint offsets: what the byte offsets are once
+    #: "café" is spelled "cafe".
+    ASCII_OFFSETS = [0, 3, 8, 17, 21, 25, 35, 43]
 
     @staticmethod
     def pool_order_model(cafe: str = "café") -> GraphExModel:
@@ -789,8 +855,7 @@ class TestArtifactBytes:
         pool = [text.replace("é", "e") for text in self.POOL]
         assert sections["pool/blob"] == "".join(pool).encode("ascii")
         assert sections["pool/byte_offsets"] \
-            == sections["pool/char_offsets"] \
-            == np.asarray(self.IDS["pool/char_offsets"], "<i8").tobytes()
+            == np.asarray(self.ASCII_OFFSETS, "<i8").tobytes()
         for key, expected in self.IDS.items():
             if not key.startswith("pool/"):
                 assert sections[key] == np.asarray(expected,
@@ -802,7 +867,7 @@ class TestArtifactBytes:
             self, curated, build_pooled):
         """Over drawn worlds (non-ASCII and non-BMP tokens, empty
         texts, repeats, one-word labels equal to words, texts shared by
-        leaves): every id section and the three pool sections equal the
+        leaves): every id section and the two pool sections equal the
         reference — one ``Vocabulary.add`` per string, leaf by leaf,
         words then labels, and one ``encode`` per pool string."""
         model = GraphExModel.construct(curated, build_pooled=build_pooled)
@@ -817,8 +882,6 @@ class TestArtifactBytes:
         encoded = [text.encode("utf-8") for text in pool.tokens]
         expected["pool/byte_offsets"] = np.cumsum([0] + list(map(
             len, encoded)))
-        expected["pool/char_offsets"] = np.cumsum([0] + list(map(
-            len, pool.tokens)))
         with tempfile.TemporaryDirectory() as tmp:
             sections = _payload_sections(save_model(model, Path(tmp) / "m"))
         assert sections.pop("pool/blob") == b"".join(encoded)
@@ -973,7 +1036,7 @@ class TestTruncatedPayload:
 
     @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
     @pytest.mark.parametrize("where, section", [
-        ("last_byte", "pool/char_offsets"), ("half", None),
+        ("last_byte", "pool/byte_offsets"), ("half", None),
         ("inside_pool_blob", "pool/blob")])
     def test_cut_model_is_refused_by_name(self, tmp_path, where, section,
                                           mmap):

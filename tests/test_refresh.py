@@ -503,7 +503,7 @@ class TestRefreshRetries:
             self.refresh_over_bad_artifact(fig3_model, monkeypatch,
                                            tmp_path, cut_last_byte)
         assert "truncated payload" in report.failure
-        assert "section 'pool/char_offsets'" in report.failure
+        assert "section 'pool/byte_offsets'" in report.failure
         assert str(tmp_path / "artifacts" / "gen-1") in report.failure
         # Writes land whole again: the next refresh converges the stack.
         monkeypatch.undo()
