@@ -25,6 +25,10 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ('_check_fleet _runners n_remote_deployed cluster= '
+     '"refresh.deploy_remote"', NOWHERE,
+     "one deploy path (every refresh persists, maps and swaps an "
+     "artifact; a worker keeps one open)"),
     ('StringTable _LazyStringPool _POOL_CHAR_OFFSETS "pool/char_offsets"',
      NOWHERE, "one string pool (format 5 has no codepoint offsets)"),
     ("_spooled _model_spool", NOWHERE, "a fleet takes models by artifact"),

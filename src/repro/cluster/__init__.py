@@ -19,10 +19,11 @@ The package splits along the trust boundary:
 worker as the path of its artifact directory: a job is handed that path
 or a model opened from it, which ships its ``artifact_dir``; a model
 built in memory is refused, never saved on the fleet's behalf.  A
-worker re-opens a path re-saved in place since it last opened it.  The
-wire carries requests and result columns, never an artifact.  A fleet
-without a shared filesystem is not supported: the artifact stream that
-once carried models to workers is gone.
+worker keeps one open model, the path the last frame named, and
+re-opens a path re-saved in place since it opened it.  The wire carries
+requests and result columns, never an artifact.  A fleet without a
+shared filesystem is not supported: the artifact stream that once
+carried models to workers is gone.
 
 The fleet serves inference only.  Models are built in the calling
 process (``SerialExecutor.run_construction``), which was faster than a

@@ -458,8 +458,7 @@ class ClusterCoordinator:
 
     # -- RPC plumbing -------------------------------------------------------
 
-    async def _request(self, link: _Link, message: dict,
-                       timeout: Optional[float] = None) -> dict:
+    async def _request(self, link: _Link, message: dict) -> dict:
         request_id = next(self._rpc_counter)
         future: "asyncio.Future[dict]" = \
             asyncio.get_event_loop().create_future()
@@ -467,9 +466,7 @@ class ClusterCoordinator:
         try:
             await link.transport.send({**message,
                                        "request_id": request_id})
-            return await asyncio.wait_for(
-                future, timeout if timeout is not None
-                else self._rpc_timeout)
+            return await asyncio.wait_for(future, self._rpc_timeout)
         finally:
             self._rpc_waiters.pop(request_id, None)
 
@@ -587,18 +584,15 @@ class ClusterCoordinator:
 
     # -- deployment ---------------------------------------------------------
 
-    async def deploy_artifact(self, directory: Union[str, Path], *,
-                              generation: Optional[int] = None,
-                              timeout: Optional[float] = None) -> int:
-        """Pre-deploy a model artifact to every live host.
+    async def deploy_artifact(self, directory: Union[str, Path]) -> int:
+        """Pre-deploy a model artifact to every live host: the explicit
+        warm-up.  Each host opens it, by path, as its one open model
+        before the first shard of the day arrives; without it the
+        first job by the path opens it.
 
-        The daily-refresh hand-off: the orchestrator persists today's
-        model as an artifact and calls this so every executor
-        host opens (and caches) it, by path, before the first shard of
-        the day arrives.
-
-        A host that fails or times out is marked dead (the next job
-        plans around it) rather than failing the deploy.
+        A host whose link fails or that outlasts ``rpc_timeout`` is
+        marked dead (the next job plans around it) rather than failing
+        the deploy; one that cannot open the artifact is not counted.
 
         Returns:
             The number of hosts that acknowledged the deployment.
@@ -610,8 +604,7 @@ class ClusterCoordinator:
             try:
                 reply = await self._request(
                     link, {"type": "deploy_model",
-                           "model_path": str(directory),
-                           "generation": generation}, timeout)
+                           "model_path": str(directory)})
             except (TransportClosed, asyncio.TimeoutError, OSError):
                 await self._apply(self._drop(link))
                 continue

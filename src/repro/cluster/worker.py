@@ -2,16 +2,16 @@
 
 A :class:`ClusterWorker` is one "machine" of the fleet.  It dials the
 coordinator over localhost TCP, registers under a unique name, then
-serves inference shards sequentially from its connection.  For each,
-the worker opens the model artifact at the path the frame names
-(zero-copy ``mmap``, via :func:`repro.core.serialization.open_model`,
-memoized per path — worker and coordinator see one filesystem, the
-:mod:`repro.cluster` contract), re-opens it if the memoized open is not
-the save the coordinator mapped (the ``artifact`` identity on the
-``run_shard`` frame), refuses the shard if the fresh open is not either,
-and runs it through a per-configuration
-:class:`~repro.core.fast_inference.LeafBatchRunner` *up to the ranked
-columns* (``run_ranked``).  No row is built here: the reply's binary
+serves inference shards sequentially from its connection.  It keeps one
+open model: the artifact at the path the last ``run_shard`` or
+``deploy_model`` frame named (zero-copy ``mmap``, via
+:func:`repro.core.serialization.open_model` — worker and coordinator see
+one filesystem, the :mod:`repro.cluster` contract).  A frame naming
+another path, or another save of the path than the coordinator mapped
+(the ``artifact`` identity on a ``run_shard`` frame), re-opens; a shard
+whose fresh open is not that save either is refused.  Each shard runs
+through a :class:`~repro.core.fast_inference.LeafBatchRunner` *up to the
+ranked columns* (``run_ranked``).  No row is built here: the reply's binary
 tail carries stacked label ids, counts and raw scores
 (:func:`~repro.cluster.protocol.pack_ranked`), and the coordinator
 materialises them from its own mapping of the artifact.
@@ -44,9 +44,8 @@ import subprocess
 import sys
 import traceback
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional
 
-from ..core.batch import validate_limits
 from ..core.fast_inference import LeafBatchRunner
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
@@ -135,8 +134,9 @@ class ClusterWorker:
         self._die_after = die_after_assignments
         self._hard_exit = hard_exit
         self._transport = None
-        self._models: Dict[str, GraphExModel] = {}
-        self._runners: Dict[Tuple, LeafBatchRunner] = {}
+        #: The one open model, and the frame path it was opened at.
+        self._model: Optional[GraphExModel] = None
+        self._model_path: Optional[str] = None
         #: Assignments completed (results sent) — the kill-switch clock
         #: and the thing tests assert on.
         self.n_completed = 0
@@ -245,28 +245,19 @@ class ClusterWorker:
         await self._transport.send(reply)
         self.n_completed += 1
 
-    def _model_for(self, message: dict,
-                   deploy: bool = False) -> GraphExModel:
-        """The open of the frame's path, re-opened if it is another save
-        than the frame names.  A deploy makes it the only open kept (a
-        later shard naming an older path re-opens that), so a daily
-        ``gen-<N>/`` leaves one mapping, not one per day; runners of an
-        open no longer kept go with it."""
+    def _open(self, message: dict) -> GraphExModel:
+        """The one open model, re-opened unless it is the frame's path at
+        the save the frame names (a ``deploy_model`` frame names none):
+        a daily ``gen-<N>/`` leaves one mapping, not one per day."""
         path = message["model_path"]
-        model = self._models.get(path)
-        wanted = message.get("artifact")  # None on a deploy_model frame
-        if model is None or wanted not in (None, model.artifact_identity):
-            model = open_model(path)
-        self._models = {path: model} if deploy \
-            else {**self._models, path: model}
-        kept = {id(opened) for opened in self._models.values()}
-        self._runners = {key: runner
-                         for key, runner in self._runners.items()
-                         if key[0] in kept}
-        return model
+        wanted = message.get("artifact")
+        if path != self._model_path \
+                or wanted not in (None, self._model.artifact_identity):
+            self._model, self._model_path = open_model(path), path
+        return self._model
 
     def _run_inference_shard(self, message: dict) -> dict:
-        model = self._model_for(message)
+        model = self._open(message)
         if message.get("artifact") != model.artifact_identity:
             # The reply names labels by id; read against another save
             # of the artifact they would be another save's keyphrases.
@@ -275,14 +266,8 @@ class ClusterWorker:
                 f"{message.get('artifact')!r} of the model, {self.name} "
                 f"opened save {model.artifact_identity!r}: the artifact "
                 f"was re-saved in place after the coordinator opened it")
-        key = (id(model), message.get("k", 10),
-               message.get("hard_limit"))
-        # Before the cache: a k of 2.0 / True hits the runner for 2 / 1.
-        validate_limits(*key[1:])
-        runner = self._runners.get(key)
-        if runner is None:
-            runner = LeafBatchRunner(model, k=key[1], hard_limit=key[2])
-            self._runners[key] = runner
+        runner = LeafBatchRunner(model, k=message.get("k", 10),
+                                 hard_limit=message.get("hard_limit"))
         requests = unpack_requests(message["requests"])
         with self.metrics.timer("worker.shard.seconds"):
             ranked = runner.run_ranked(requests)
@@ -297,9 +282,9 @@ class ClusterWorker:
             # Opening a model mmaps files; off-loop so heartbeats keep
             # flowing while a large deploy materializes
             # (async-no-blocking).  Safe off-thread: the recv loop
-            # handles one frame at a time, so _models is not raced.
-            model = await asyncio.get_event_loop().run_in_executor(
-                None, self._model_for, message, True)
+            # handles one frame at a time, so the open is not raced.
+            await asyncio.get_event_loop().run_in_executor(
+                None, self._open, message)
         except Exception:
             await self._transport.send({
                 "type": "shard_error",
@@ -308,6 +293,4 @@ class ClusterWorker:
             return
         await self._transport.send({
             "type": "deployed", "request_id": message.get("request_id"),
-            "worker": self.name,
-            "generation": message.get("generation"),
-            "n_leaves": model.n_leaves})
+            "worker": self.name})

@@ -28,6 +28,7 @@ two-engine inference split:
 
 from __future__ import annotations
 
+import threading
 from collections import abc
 from dataclasses import dataclass
 from itertools import chain
@@ -108,16 +109,19 @@ class StringPool:
     words, which the interning dict needs; lazily: label texts, which
     only materialised recommendations read).  Decoded strings live in
     one object array indexed by pool id (``None`` until read; 8 bytes
-    per string), so every read hands out the same ``str``.
+    per string), so every read hands out the same ``str``, and counted:
+    none on a built pool, all of them on a fresh open.
     """
 
-    __slots__ = ("_table", "_blob", "_byte_offsets")
+    __slots__ = ("_table", "_blob", "_byte_offsets", "_undecoded")
+    _decode_lock = threading.Lock()
 
     def __init__(self, table: np.ndarray,
                  blob: Optional[np.ndarray] = None,
                  byte_offsets: Optional[np.ndarray] = None) -> None:
         self._table, self._blob, self._byte_offsets = \
             table, blob, byte_offsets
+        self._undecoded = 0 if blob is None else len(table)
 
     @classmethod
     def over(cls, blob: np.ndarray, byte_offsets: np.ndarray
@@ -138,21 +142,25 @@ class StringPool:
         they are decoded (the steady state of a serving model); the
         first op on a fresh open decodes its misses in bulk."""
         out = self._table[pool_ids].tolist()
-        # A built pool has no blob and no miss: skip the scan, which
-        # costs a failed ``==`` per string.
-        if self._blob is not None and None in out:
-            # First-occurrence order, not sorted: the string heap keeps
-            # allocation order, and serving reads request order.
-            misses = list(dict.fromkeys(
-                pool_id for pool_id, text in zip(pool_ids.tolist(), out)
-                if text is None))
-            wanted = np.asarray(misses, dtype=np.int64)
-            blob = memoryview(self._blob)
-            for pool_id, lo, hi in zip(
-                    misses, self._byte_offsets[wanted].tolist(),
-                    self._byte_offsets[wanted + 1].tolist()):
-                self._table[pool_id] = str(blob[lo:hi], "utf-8")
-            out = self._table[pool_ids].tolist()
+        # The scan for misses costs a failed ``==`` per string: only
+        # while some string is undecoded.  One decoder at a time keeps
+        # the count exact.
+        if self._undecoded and None in out:
+            with self._decode_lock:
+                out = self._table[pool_ids].tolist()
+                # First-occurrence order, not sorted: the string heap
+                # keeps allocation order, and serving reads request order.
+                misses = list(dict.fromkeys(
+                    pool_id for pool_id, text in zip(pool_ids.tolist(), out)
+                    if text is None))
+                wanted = np.asarray(misses, dtype=np.int64)
+                blob = memoryview(self._blob)
+                for pool_id, lo, hi in zip(
+                        misses, self._byte_offsets[wanted].tolist(),
+                        self._byte_offsets[wanted + 1].tolist()):
+                    self._table[pool_id] = str(blob[lo:hi], "utf-8")
+                self._undecoded -= len(misses)
+                out = self._table[pool_ids].tolist()
         return out
 
 
@@ -165,8 +173,8 @@ class LazyStringList(abc.Sequence):
     ``len`` and equality behave exactly like a ``list`` of the texts;
     iteration and slices are one :meth:`StringPool.take`, so nothing
     is decoded until read and no Python call runs per string.
-    Pickling (e.g. shipping a model to inference worker processes)
-    materialises a plain list.
+    Pickled alone it materialises a plain list; a pickled model ships
+    its pool once and cuts its views from it again.
     """
 
     __slots__ = ("_pool", "_ids")
@@ -433,6 +441,18 @@ class GraphExModel:
         #: the same save, which lets a cluster ship label ids, not rows.
         self.artifact_identity: Optional[str] = None
         self.artifact_dir: Optional[Path] = None
+
+    def __getstate__(self) -> dict:
+        """Pickle the plane once: each graph, a view of it, goes as its
+        vocabulary and is cut from the clone's plane again."""
+        return {**self.__dict__,
+                "_graphs": [graph.word_vocab for graph in self._graphs]}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        leaf_ids = {g: leaf_id for leaf_id, g in self._index.items()}
+        self._graphs = [self._plane.leaf(g, leaf_ids.get(g, -1), vocab)
+                        for g, vocab in enumerate(state["_graphs"])]
 
     @classmethod
     def construct(cls, curated: CuratedKeyphrases,

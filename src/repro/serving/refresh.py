@@ -6,9 +6,13 @@ end to end:
 
 1. **Construct** a new model from today's curated keyphrases through the
    fast builder (seconds at paper scale, Section IV-G).
-2. **Batch-load** it: :meth:`BatchPipeline.full_load` re-infers the
+2. **Persist** it as the artifact ``artifact_dir/gen-<N>/`` and open
+   that artifact memory-mapped: the open, not the build, is what gets
+   deployed, so every consumer shares one physical copy and a
+   fleet-backed pipeline or target hands its workers the directory.
+3. **Batch-load** it: :meth:`BatchPipeline.full_load` re-infers the
    catalog and atomically promotes the fresh KV table.
-3. **Hot-swap** every registered NRT serving target —
+4. **Hot-swap** every registered NRT serving target —
    :class:`~repro.serving.nrt.NRTService` and
    :class:`~repro.serving.async_front.AsyncNRTFront` instances keep
    serving throughout; each is retargeted at a window boundary via its
@@ -20,10 +24,10 @@ the generation that served it
 (:attr:`~repro.serving.nrt.WindowStats.model_generation`), so an
 observer can tell exactly which day's model produced a given window.
 
-The heavy steps (construction, batch inference) run in an executor, so
-an asyncio front being refreshed keeps ingesting events while the new
-model is built behind it — the zero-downtime property the daily loop
-needs.
+The heavy steps (construction, the persist and open, batch inference)
+run in an executor, so an asyncio front being refreshed keeps ingesting
+events while the new model is built behind it — the zero-downtime
+property the daily loop needs.
 """
 
 from __future__ import annotations
@@ -32,21 +36,17 @@ import asyncio
 import inspect
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, List, Optional,
-                    Sequence, Union)
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from ..cluster.retry import RetriesExhausted, RetryPolicy
 from ..core.alignment import get_alignment
 from ..core.batch import InferenceRequest
 from ..core.curation import CuratedKeyphrases
-from ..core.execution import ClusterExecutor, SerialExecutor
+from ..core.execution import SerialExecutor
 from ..core.model import GraphExModel
 from ..core.serialization import load_model, save_model
 from ..obs import MetricsRegistry, Tracer
 from .batch_pipeline import BatchPipeline
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from ..cluster.coordinator import ClusterCoordinator
 
 __all__ = ["DailyRefreshOrchestrator", "RefreshReport"]
 
@@ -72,16 +72,12 @@ class RefreshReport:
     construct_seconds: float
     load_seconds: float
     swap_seconds: float
-    #: Directory of the persisted artifact this refresh
-    #: deployed (``None`` when the orchestrator has no ``artifact_dir``
-    #: and the model was handed off in memory instead).
+    #: Directory of the persisted artifact this refresh deployed
+    #: (``None`` when the refresh failed before one was deployed).
     artifact_path: Optional[str] = None
     #: Transient construct/persist/load failures that were retried away
     #: under the orchestrator's :class:`~repro.cluster.retry.RetryPolicy`.
     n_retries: int = 0
-    #: Remote executor hosts the artifact was deployed to via the
-    #: orchestrator's cluster coordinator (0 without one).
-    n_remote_deployed: int = 0
     #: ``None`` on success; otherwise which step exhausted its retries
     #: and why.  A failed refresh returns a report instead of raising
     #: (only when a retry policy is configured), so the daily loop can
@@ -90,26 +86,21 @@ class RefreshReport:
 
 
 class DailyRefreshOrchestrator:
-    """Runs the daily construct → batch-load → hot-swap loop.
+    """Runs the daily construct → persist → batch-load → hot-swap loop.
 
     Args:
         pipeline: The batch pipeline whose store serves the catalog; its
             model is refreshed and its :meth:`~BatchPipeline.full_load`
             re-run on every refresh.
+        artifact_dir: Each refresh persists its model as the artifact
+            ``artifact_dir/gen-<N>`` (:attr:`RefreshReport.artifact_path`)
+            and deploys that artifact's *memory-mapped* open: the
+            pipeline and every target share one physical copy, and a
+            fleet behind any of them is handed the directory on its
+            next job.
         alignment: Registry name of the constructed models' ranking
             alignment (an unknown one is a ``ValueError`` here).
         build_pooled: Also build the pooled fallback graph each day.
-        artifact_dir: When set, every refresh persists its freshly
-            constructed model as an artifact under
-            ``artifact_dir/gen-<N>`` and deploys the *memory-mapped*
-            open of that artifact: the pipeline and every registered
-            target receive views over one physical copy, and the
-            report's :attr:`RefreshReport.artifact_path` names the
-            directory so other hosts/processes can open the same
-            artifact themselves.  Unset (default) hands the in-memory
-            model around, so a pipeline or target on a
-            :class:`~repro.core.execution.ClusterExecutor` (a fleet
-            takes models by artifact) is a ``ValueError``.
         retry: When set, the construct, persist and batch-load steps
             run under this :class:`~repro.cluster.retry.RetryPolicy`
             (capped backoff with jitter): a transient failure is
@@ -118,41 +109,32 @@ class DailyRefreshOrchestrator:
             :attr:`~RefreshReport.failure` set instead of raising — the
             daily loop records the miss and the next cycle proceeds.
             Unset (default), failures propagate as before.
-        cluster: A started
-            :class:`~repro.cluster.coordinator.ClusterCoordinator`;
-            each refresh then deploys the day's artifact to every live
-            executor host after the local stack is swapped (requires
-            ``artifact_dir``, and :meth:`refresh` must run on the
-            coordinator's event loop).
         metrics: A :class:`repro.obs.MetricsRegistry` for the
             orchestrator's refresh counters/histograms, shared with
             the in-process :class:`~repro.core.execution.SerialExecutor`
             each day's fast build runs on, so every refresh's leaf
             timings land in it too (fresh private one by default).
-            Each refresh's construct → load → swap
+            Each refresh's construct → persist → load → swap
             lifecycle is additionally traced as spans on
             :attr:`tracer`, and the report's timing fields are views
             over those spans.
 
     Usage::
 
-        orchestrator = DailyRefreshOrchestrator(pipeline)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir="artifacts")
         orchestrator.register(front)          # a live AsyncNRTFront
         report = await orchestrator.refresh(todays_curated, catalog)
         assert front.model_generation == report.generation
+        assert report.artifact_path == f"artifacts/gen-{report.generation}"
     """
 
     def __init__(self, pipeline: BatchPipeline, *,
+                 artifact_dir: Union[str, Path],
                  alignment: str = "lta",
                  build_pooled: bool = False,
-                 artifact_dir: Optional[Union[str, Path]] = None,
                  retry: Optional[RetryPolicy] = None,
-                 cluster: Optional["ClusterCoordinator"] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        if cluster is not None and artifact_dir is None:
-            raise ValueError(
-                "cluster deployment needs artifact_dir: remote hosts "
-                "open the day's model by artifact, not by pickle")
         self.pipeline = pipeline
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = Tracer()
@@ -160,13 +142,10 @@ class DailyRefreshOrchestrator:
         get_alignment(alignment)
         self._alignment = alignment
         self._build_pooled = build_pooled
-        self._artifact_dir = (None if artifact_dir is None
-                              else Path(artifact_dir))
+        self._artifact_dir = Path(artifact_dir)
         self._retry = retry
-        self._cluster = cluster
         self._targets: List[Any] = []
         self._generation = 0
-        self._check_fleet(pipeline)
 
     @property
     def generation(self) -> int:
@@ -199,28 +178,18 @@ class DailyRefreshOrchestrator:
             raise TypeError(
                 f"{type(target).__name__} has no refresh_model(); "
                 "cannot hot-swap it")
-        self._check_fleet(target)
         self._targets.append(target)
         return target
-
-    def _check_fleet(self, component: Any) -> None:
-        """Refuse a fleet-backed component without an artifact_dir:
-        each refresh would hand it a model built in memory, and its
-        next fleet job would refuse that model."""
-        if self._artifact_dir is None and isinstance(
-                getattr(component, "executor", None), ClusterExecutor):
-            raise ValueError(
-                f"a fleet-backed {type(component).__name__} needs "
-                "artifact_dir: a fleet takes models by artifact")
 
     async def refresh(self, curated: CuratedKeyphrases,
                       requests: Sequence[InferenceRequest]
                       ) -> RefreshReport:
-        """Run one daily refresh: construct, batch-load, hot-swap.
+        """Run one daily refresh: construct, persist, batch-load,
+        hot-swap.
 
-        Construction and the full batch load run in an executor so a
-        live asyncio front keeps ingesting while the new model is
-        prepared — the store's transaction lock serializes the load
+        Construction, the persist and the full batch load run in an
+        executor so a live asyncio front keeps ingesting while the new
+        model is prepared — the store's transaction lock serializes the load
         against window flushes on a shared store, so a flush in flight
         can never re-promote a pre-refresh table over the fresh load.
         The new generation number is stamped into every swapped target.
@@ -299,34 +268,29 @@ class DailyRefreshOrchestrator:
                for target in self._targets])
         self._generation = generation
 
-        # Persist-then-remap: with an artifact_dir, the built model is
-        # written out as an artifact (in the executor — the
-        # front keeps ingesting) and the *mapped* open of that artifact
-        # is what gets deployed, so the pipeline and every target share
-        # one physical copy and the in-memory build is dropped.
-        artifact_path: Optional[str] = None
-        if self._artifact_dir is not None:
-            artifact = self._artifact_dir / f"gen-{generation}"
-            try:
-                with self.tracer.span(
-                        "refresh.persist",
-                        generation=generation) as persist_span:
-                    # save_model over the same gen-<N>/ is an atomic
-                    # re-save, so a failed attempt is safe to repeat
-                    # (``model`` is rebound only once one succeeds).
-                    model = await loop.run_in_executor(
-                        None, attempt(lambda: load_model(
-                            save_model(model, artifact), mmap=True)))
-            except RetriesExhausted as exc:
-                # Nothing was deployed: the pipeline and every target
-                # still serve the previous generation.
-                return exhausted(
-                    "persist", exc,
-                    construct_seconds + persist_span.duration_s, model)
-            artifact_path = str(artifact)
-            # construct_seconds has always folded persist time in; the
-            # trace keeps the two spans distinct.
-            construct_seconds += persist_span.duration_s
+        # Persist-then-remap: the *mapped* open of the day's artifact is
+        # what gets deployed, so the pipeline and every target share one
+        # physical copy, a fleet behind any of them is handed its
+        # directory, and the in-memory build is dropped.
+        artifact = str(self._artifact_dir / f"gen-{generation}")
+        try:
+            with self.tracer.span("refresh.persist",
+                                  generation=generation) as persist_span:
+                # save_model over the same gen-<N>/ is an atomic
+                # re-save, so a failed attempt is safe to repeat
+                # (``model`` is rebound only once one succeeds).
+                model = await loop.run_in_executor(
+                    None, attempt(lambda: load_model(
+                        save_model(model, artifact), mmap=True)))
+        except RetriesExhausted as exc:
+            # Nothing was deployed: the pipeline and every target
+            # still serve the previous generation.
+            return exhausted(
+                "persist", exc,
+                construct_seconds + persist_span.duration_s, model)
+        # construct_seconds has always folded persist time in; the
+        # trace keeps the two spans distinct.
+        construct_seconds += persist_span.duration_s
 
         # Batch first: the fresh catalog-wide table must be promoted
         # before the NRT edge starts writing new-model windows on top.
@@ -344,8 +308,7 @@ class DailyRefreshOrchestrator:
         except RetriesExhausted as exc:
             return exhausted("batch load", exc, construct_seconds, model,
                              load_seconds=load_span.duration_s,
-                             artifact_path=artifact_path)
-        load_seconds = load_span.duration_s
+                             artifact_path=artifact)
 
         with self.tracer.span("refresh.swap", generation=generation,
                               n_targets=len(self._targets)) as swap_span:
@@ -354,18 +317,6 @@ class DailyRefreshOrchestrator:
                                               generation=generation)
                 if inspect.isawaitable(result):
                     await result
-        swap_seconds = swap_span.duration_s
-
-        # Remote plane last: every executor host of the cluster opens
-        # (and caches) the day's artifact so the first cluster job of
-        # the new generation starts warm.  A host that fails here is
-        # marked dead and planned around, never a refresh failure.
-        n_remote_deployed = 0
-        if self._cluster is not None and artifact_path is not None:
-            with self.tracer.span("refresh.deploy_remote",
-                                  generation=generation):
-                n_remote_deployed = await self._cluster.deploy_artifact(
-                    artifact_path, generation=generation)
 
         return self._finish(RefreshReport(
             generation=generation,
@@ -375,11 +326,10 @@ class DailyRefreshOrchestrator:
             n_served=report.n_served,
             n_targets=len(self._targets),
             construct_seconds=construct_seconds,
-            load_seconds=load_seconds,
-            swap_seconds=swap_seconds,
-            artifact_path=artifact_path,
-            n_retries=n_retries,
-            n_remote_deployed=n_remote_deployed))
+            load_seconds=load_span.duration_s,
+            swap_seconds=swap_span.duration_s,
+            artifact_path=artifact,
+            n_retries=n_retries))
 
     def _finish(self, report: RefreshReport) -> RefreshReport:
         """Fold one refresh's outcome into the metrics registry.

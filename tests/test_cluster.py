@@ -718,9 +718,9 @@ class TestClusterInference:
             self, artifact, requests, limits):
         """A ``run_shard`` frame's ``k`` / ``hard_limit`` used to reach
         the engine unchecked — ``k=5.0`` was served, and a ``True`` or
-        ``5.0`` hit the runner cached for ``1`` or ``5`` (equal keys).
+        ``5.0`` hit a runner cached for ``1`` or ``5`` (equal keys).
         Now it is the named ``TypeError`` (a ``shard_error`` reply),
-        whether or not an equal-keyed runner is cached."""
+        whether or not shards with the equal integer ran before."""
         worker = ClusterWorker("127.0.0.1", 1, name="w")
         identity = open_model(artifact).artifact_identity
         frame = {"model_path": str(artifact), "artifact": identity,
@@ -738,7 +738,8 @@ class TestClusterInference:
     def test_deploy_artifact_acknowledged_by_fleet(self, artifact,
                                                    requests):
         """Deployed under the resolved path a job ships, so a job by
-        another spelling of the path finds the deployed open."""
+        another spelling of the path runs on the deployed open: each
+        worker still holds that one open, by that path."""
         unresolved = artifact.parent / ".." / artifact.parent.name / "model"
 
         async def drive():
@@ -746,22 +747,25 @@ class TestClusterInference:
                 w1, t1 = await spawn_worker(coord, name="d1")
                 w2, t2 = await spawn_worker(coord, name="d2")
                 await coord.wait_for_workers(2, timeout=10.0)
-                count = await coord.deploy_artifact(unresolved,
-                                                    generation=3)
+                count = await coord.deploy_artifact(unresolved)
+                deployed = [w._model for w in (w1, w2)]
                 await coord.run_inference(str(artifact), requests, k=5)
                 await teardown(coord, [t1, t2])
-                return count, [list(w._models) for w in (w1, w2)]
+                return count, deployed, [(w._model_path, w._model)
+                                         for w in (w1, w2)]
 
-        count, opened = asyncio.run(drive())
+        count, deployed, opened = asyncio.run(drive())
         assert count == 2
-        assert opened == [[str(artifact.resolve())]] * 2
+        # A model compares by identity: the very open the deploy made.
+        assert opened == [(str(artifact.resolve()), model)
+                          for model in deployed]
 
     def test_a_deploy_keeps_one_open_per_worker(self, requests, tmp_path):
         """Three daily ``gen-<N>/`` deploys, each followed by a job,
-        leave the worker one open and one runner (the newest
-        generation's) and the coordinator one memoised path (the last a
-        job was handed).  A job by the oldest path re-opens it and
-        still serves what its built model does."""
+        leave the worker one open (the newest generation's) and the
+        coordinator one memoised path (the last a job was handed).  A
+        job by the oldest path re-opens it, leaves the worker holding
+        only that path, and still serves what its built model does."""
         models = [GraphExModel.construct(build_curated(phrases=6 + day))
                   for day in range(3)]
         paths = [save_model(built, tmp_path / f"gen-{day}").resolve()
@@ -775,12 +779,12 @@ class TestClusterInference:
                 kept, served = [], []
 
                 def cached():
-                    return (list(worker._models), len(worker._runners),
+                    return (worker._model_path,
+                            str(worker._model.artifact_dir),
                             list(coord._model_cache))
 
-                for day, path in enumerate(paths):
-                    assert await coord.deploy_artifact(
-                        path, generation=day) == 1
+                for path in paths:
+                    assert await coord.deploy_artifact(path) == 1
                     served.append(await coord.run_inference(
                         str(path), requests, k=5))
                     kept.append(cached())
@@ -791,8 +795,8 @@ class TestClusterInference:
                 return kept, served
 
         kept, served = asyncio.run(drive())
-        assert kept == [([str(path)], 1, [str(path)]) for path in paths] \
-            + [([str(paths[2]), str(paths[0])], 2, [str(paths[0])])]
+        assert kept == [(str(path), str(path), [str(path)])
+                        for path in paths + paths[:1]]
         expected = [batch_recommend(built, requests, k=5)
                     for built in models + models[:1]]
         assert served == expected and expected[0] != expected[2]
@@ -1019,10 +1023,10 @@ class TestArtifactIdentity:
 
     def test_one_open_is_one_worker_entry_until_resaved(
             self, model, requests, expected, tmp_path):
-        """Jobs handed one opened model reuse the worker's one open and
-        one runner, and the coordinator caches nothing.  Once the path
-        is re-saved in place, a fresh open of it is served: the worker
-        re-opens the path and drops the stale open's runner."""
+        """Jobs handed one opened model reuse the worker's one open, and
+        the coordinator caches nothing.  Once the path is re-saved in
+        place, a fresh open of it is served: the worker re-opens the
+        path, and that open is the one it keeps."""
         directory = save_model(model, tmp_path / "served")
         other = GraphExModel.construct(build_curated(phrases=8))
 
@@ -1032,24 +1036,28 @@ class TestArtifactIdentity:
                 worker, task = await spawn_worker(coord, name="solo")
                 await coord.wait_for_workers(1, timeout=10.0)
                 opened = open_model(directory)
-                before = [await coord.run_inference(opened, requests,
-                                                    k=5)
-                          for _ in range(4)]
-                entries = [(len(worker._models), len(worker._runners),
-                            dict(coord._model_cache))]
+                before, entries = [], []
+                for _ in range(4):
+                    before.append(await coord.run_inference(
+                        opened, requests, k=5))
+                    entries.append((worker._model_path, worker._model))
                 save_model(other, directory)
-                after = await coord.run_inference(
-                    open_model(directory), requests, k=5)
-                entries.append((len(worker._models),
-                                len(worker._runners),
-                                dict(coord._model_cache)))
+                resaved = open_model(directory)
+                after = await coord.run_inference(resaved, requests, k=5)
+                entries.append((worker._model_path, worker._model))
                 await teardown(coord, [task])
-                return before, after, entries
+                return (before, after, entries,
+                        [opened.artifact_identity, resaved.artifact_identity],
+                        dict(coord._model_cache))
 
-        before, after, entries = asyncio.run(drive())
+        before, after, entries, saves, cache = asyncio.run(drive())
         assert before == [expected] * 4
         assert after == batch_recommend(other, requests, k=5) != expected
-        assert entries == [(1, 1, {}), (1, 1, {})]
+        assert all(model is entries[0][1] for _path, model in entries[:4])
+        path = str(directory.resolve())
+        assert [(held, model.artifact_identity) for held, model in entries] \
+            == [(path, saves[0])] * 4 + [(path, saves[1])]
+        assert saves[0] != saves[1] and cache == {}
 
 
 # ---------------------------------------------------------------------------

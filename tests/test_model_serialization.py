@@ -631,8 +631,26 @@ class TestMappedPlane:
         assert results[1] == expected
 
     def test_mapped_model_pickles_by_materializing(self, tmp_path):
-        model, _path, mapped = self._mapped(tmp_path)
+        """A clone holds its texts one way: every graph's are a
+        ``LazyStringList`` over the clone's own pool, and its arrays
+        are views of the clone's plane, not copies beside it."""
+        model, _path, mapped = self._mapped(tmp_path, build_pooled=True)
         clone = pickle.loads(pickle.dumps(mapped))
+        plane = clone.plane
+        assert plane.strings is not mapped.plane.strings
+        for graph in clone.plane_graphs:
+            assert type(graph.label_texts) is LazyStringList
+            assert graph.label_texts._pool is plane.strings
+            for array, stacked in (
+                    (graph.graph.indptr, plane.indptr),
+                    (graph.graph.indices, plane.indices),
+                    (graph.label_lengths, plane.label_lengths),
+                    (graph.search_counts, plane.search_counts),
+                    (graph.recall_counts, plane.recall_counts),
+                    (graph.label_texts._ids, plane.text_ids)):
+                assert np.shares_memory(array, stacked)
+        assert (clone.artifact_identity, clone.artifact_dir) \
+            == (mapped.artifact_identity, mapped.artifact_dir)
         assert_models_identical(model, clone)
 
     def test_open_model_passthrough_and_path(self, tmp_path):
@@ -692,6 +710,37 @@ class TestMappedPlane:
                 assert eager[0] in view
                 clone = pickle.loads(pickle.dumps(view))
                 assert type(clone) is list and clone == eager
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_an_opened_pool_counts_what_it_has_left_to_decode(
+            self, tmp_path, mmap):
+        """A built pool has nothing to decode.  An opened one keeps an
+        exact count of its undecoded strings: a partial read decodes
+        only what it reads, a full read brings the count to 0, and
+        every read equals the built model's."""
+        model = GraphExModel.construct(curated_two_leaves(),
+                                       build_pooled=True)
+        opened = load_model(save_model(model, tmp_path / "m"), mmap=mmap)
+        built, pool = model.plane.strings, opened.plane.strings
+
+        def undecoded():
+            assert pool._undecoded \
+                == sum(text is None for text in pool._table)
+            return pool._undecoded
+
+        assert built._undecoded == 0
+        left = undecoded()
+        assert left > 0     # the words are decoded, no label text yet
+        first = opened.plane_graphs[0]
+        assert first.label_texts[0] \
+            == model.plane_graphs[0].label_texts[0]
+        assert undecoded() == left - 1
+        assert pool.take(opened.plane.text_ids) \
+            == built.take(model.plane.text_ids)
+        assert undecoded() == 0
+        for view, eager in zip(opened.plane_graphs, model.plane_graphs):
+            assert list(view.label_texts) == list(eager.label_texts)
+        assert undecoded() == 0
 
     def test_copied_open_survives_its_payload_file(self, tmp_path):
         """A copied open reads the payload into a private buffer: its

@@ -39,14 +39,15 @@ def make_event(item_id: int, ts: float,
 
 
 class TestDailyRefreshOrchestrator:
-    def test_register_requires_refresh_model(self, fig3_model):
-        orchestrator = DailyRefreshOrchestrator(BatchPipeline(fig3_model))
+    def test_register_requires_refresh_model(self, fig3_model, tmp_path):
+        orchestrator = DailyRefreshOrchestrator(
+            BatchPipeline(fig3_model), artifact_dir=tmp_path / "artifacts")
         with pytest.raises(TypeError, match="refresh_model"):
             orchestrator.register(object())
         assert orchestrator.targets == []
 
     def test_refresh_deploys_one_generation_across_the_stack(
-            self, fig3_model, fig3_variant_model):
+            self, fig3_model, fig3_variant_model, tmp_path):
         """One refresh retargets the pipeline AND a registered sync
         service, reloads the batch table under the new model, and
         stamps the same generation everywhere."""
@@ -54,7 +55,8 @@ class TestDailyRefreshOrchestrator:
         pipeline = BatchPipeline(fig3_model, store=store)
         pipeline.full_load(REQUESTS)
         service = NRTService(fig3_model, store, window_size=1)
-        orchestrator = DailyRefreshOrchestrator(pipeline)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts")
         assert orchestrator.register(service) is service
 
         report = orchestrator.refresh_sync(build_fig3_variant_curated(),
@@ -120,18 +122,12 @@ class TestDailyRefreshOrchestrator:
         assert second.artifact_path == str(
             tmp_path / "artifacts" / "gen-2")
 
-    def test_refresh_without_artifact_dir_reports_no_path(
-            self, fig3_model):
-        pipeline = BatchPipeline(fig3_model)
-        orchestrator = DailyRefreshOrchestrator(pipeline)
-        report = orchestrator.refresh_sync(build_fig3_curated(),
-                                           REQUESTS)
-        assert report.artifact_path is None
-
-    def test_successive_refreshes_increment_generation(self, fig3_model):
+    def test_successive_refreshes_increment_generation(self, fig3_model,
+                                                       tmp_path):
         pipeline = BatchPipeline(fig3_model)
         service = NRTService(fig3_model, pipeline.store, window_size=1)
-        orchestrator = DailyRefreshOrchestrator(pipeline)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts")
         orchestrator.register(service)
         first = orchestrator.refresh_sync(build_fig3_curated(), REQUESTS)
         second = orchestrator.refresh_sync(build_fig3_variant_curated(),
@@ -143,7 +139,7 @@ class TestDailyRefreshOrchestrator:
         assert service.processed_windows[-1].model_generation == 2
 
     def test_refresh_hot_swaps_running_front_mid_traffic(
-            self, fig3_model, fig3_variant_model):
+            self, fig3_model, fig3_variant_model, tmp_path):
         """The zero-downtime path: a live AsyncNRTFront keeps serving
         while the orchestrator rebuilds + reloads behind it, then every
         stream is quiesced and swapped; traffic submitted afterwards is
@@ -157,7 +153,8 @@ class TestDailyRefreshOrchestrator:
                                   wall_clock_seconds=30.0)
             front.add_stream("a")
             front.add_stream("b")
-            orchestrator = DailyRefreshOrchestrator(pipeline)
+            orchestrator = DailyRefreshOrchestrator(
+                pipeline, artifact_dir=tmp_path / "artifacts")
             orchestrator.register(front)
             async with front:
                 for name in ("a", "b"):
@@ -183,7 +180,7 @@ class TestDailyRefreshOrchestrator:
             assert front.serve(name, 50) == clean.serve(50)
 
     def test_orchestrator_issues_above_any_local_swap(
-            self, fig3_model, fig3_variant_model):
+            self, fig3_model, fig3_variant_model, tmp_path):
         """A target hot-swapped directly between orchestrated refreshes
         does not desynchronize the numbering: the orchestrator issues a
         generation strictly above every deployment's local history, so
@@ -192,21 +189,24 @@ class TestDailyRefreshOrchestrator:
         pipeline = BatchPipeline(fig3_model)
         service = NRTService(fig3_model, pipeline.store, window_size=1)
         service.refresh_model(fig3_variant_model)   # local swap: gen 1
-        orchestrator = DailyRefreshOrchestrator(pipeline)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts")
         orchestrator.register(service)
         report = orchestrator.refresh_sync(build_fig3_curated(), REQUESTS)
         assert report.generation == 2               # strictly above 1
         assert service.model_generation == report.generation
         assert pipeline.model_generation == report.generation
 
-    def test_failed_refresh_burns_its_generation_number(self, fig3_model):
+    def test_failed_refresh_burns_its_generation_number(self, fig3_model,
+                                                        tmp_path):
         """A refresh that fails after construction consumed its
         generation number: the next successful refresh gets a fresh one,
         so a generation never names two different days' models."""
         store = FlakyStore()
         pipeline = BatchPipeline(fig3_model, store=store)
         service = NRTService(fig3_model, store, window_size=1)
-        orchestrator = DailyRefreshOrchestrator(pipeline)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts")
         orchestrator.register(service)
         store.fail_on = "bulk_load"
         with pytest.raises(OSError, match="kv outage"):
@@ -220,7 +220,7 @@ class TestDailyRefreshOrchestrator:
         assert pipeline.serve(REQUESTS[0][0])   # stack converged
 
     def test_full_load_waits_for_in_flight_flush_on_shared_store(
-            self, fig3_model, fig3_variant_model):
+            self, fig3_model, fig3_variant_model, tmp_path):
         """Regression: the orchestrated full_load runs in an executor
         while a live front flushes the same store from another thread.
         Both writers now hold the store's transaction lock, so a window
@@ -244,7 +244,8 @@ class TestDailyRefreshOrchestrator:
                                   wall_clock_seconds=60.0,
                                   enrich=slow_enrich)
             front.add_stream("s", store=store)
-            orchestrator = DailyRefreshOrchestrator(pipeline)
+            orchestrator = DailyRefreshOrchestrator(
+                pipeline, artifact_dir=tmp_path / "artifacts")
             orchestrator.register(front)
             async with front:
                 await front.submit("s", make_event(999, 0.0))
@@ -267,10 +268,11 @@ class TestDailyRefreshOrchestrator:
             assert pipeline.serve(item_id) == clean.serve(item_id)
 
     def test_every_build_is_timed_in_the_orchestrator_registry(
-            self, fig3_model):
+            self, fig3_model, tmp_path):
         """Each day's model builds in process, leaf by leaf, into the
         orchestrator's own registry: two refreshes, twice the leaves."""
-        orchestrator = DailyRefreshOrchestrator(BatchPipeline(fig3_model))
+        orchestrator = DailyRefreshOrchestrator(
+            BatchPipeline(fig3_model), artifact_dir=tmp_path / "artifacts")
         reports = [orchestrator.refresh_sync(build_fig3_variant_curated(),
                                              REQUESTS) for _ in range(2)]
         assert orchestrator.metrics.counter_value(
@@ -292,7 +294,7 @@ class TestRefreshRetries:
         return RetryPolicy(**defaults)
 
     def test_transient_construct_failure_is_retried_away(
-            self, fig3_model, monkeypatch):
+            self, fig3_model, monkeypatch, tmp_path):
         from repro.core.model import GraphExModel
         real = GraphExModel.construct.__func__
         calls = []
@@ -306,7 +308,8 @@ class TestRefreshRetries:
         monkeypatch.setattr(GraphExModel, "construct", flaky)
         pipeline = BatchPipeline(fig3_model)
         orchestrator = DailyRefreshOrchestrator(
-            pipeline, retry=self.make_policy(max_attempts=4))
+            pipeline, artifact_dir=tmp_path / "artifacts",
+            retry=self.make_policy(max_attempts=4))
         report = orchestrator.refresh_sync(build_fig3_variant_curated(),
                                            REQUESTS)
         assert report.failure is None
@@ -315,7 +318,7 @@ class TestRefreshRetries:
         assert len(calls) == 3
 
     def test_construct_exhaustion_reported_without_burning_generation(
-            self, fig3_model, monkeypatch):
+            self, fig3_model, monkeypatch, tmp_path):
         from repro.core.model import GraphExModel
         real = GraphExModel.construct.__func__
 
@@ -325,7 +328,8 @@ class TestRefreshRetries:
         monkeypatch.setattr(GraphExModel, "construct", doomed)
         pipeline = BatchPipeline(fig3_model)
         orchestrator = DailyRefreshOrchestrator(
-            pipeline, retry=self.make_policy())
+            pipeline, artifact_dir=tmp_path / "artifacts",
+            retry=self.make_policy())
         report = orchestrator.refresh_sync(build_fig3_curated(),
                                            REQUESTS)
         assert report.failure is not None
@@ -343,7 +347,7 @@ class TestRefreshRetries:
         assert healthy.generation == 1
 
     def test_batch_load_exhaustion_burns_generation_and_reports(
-            self, fig3_model):
+            self, fig3_model, tmp_path):
         class DeadStore(KeyValueStore):
             def bulk_load(self, version, records):
                 raise RuntimeError("kv outage")
@@ -352,7 +356,8 @@ class TestRefreshRetries:
         pipeline = BatchPipeline(fig3_model, store=store)
         service = NRTService(fig3_model, store, window_size=1)
         orchestrator = DailyRefreshOrchestrator(
-            pipeline, retry=self.make_policy())
+            pipeline, artifact_dir=tmp_path / "artifacts",
+            retry=self.make_policy())
         orchestrator.register(service)
         report = orchestrator.refresh_sync(build_fig3_curated(),
                                            REQUESTS)
@@ -525,7 +530,7 @@ class TestRefreshRetries:
         assert "expected a JSON object" in report.failure
 
     def test_unknown_alignment_refused_before_any_build(
-            self, fig3_model, monkeypatch):
+            self, fig3_model, monkeypatch, tmp_path):
         """An unknown alignment name is refused by name before a leaf
         is built — by the model, and by the orchestrator at its own
         construction rather than after every day's build, retried."""
@@ -540,6 +545,7 @@ class TestRefreshRetries:
             GraphExModel.construct(build_fig3_curated(), alignment="cosine")
         with pytest.raises(ValueError, match="unknown alignment 'cosine'"):
             DailyRefreshOrchestrator(BatchPipeline(fig3_model),
+                                     artifact_dir=tmp_path / "artifacts",
                                      alignment="cosine",
                                      retry=self.make_policy())
 
@@ -554,44 +560,23 @@ class TestRefreshRetries:
         assert pipeline.model is fig3_model
 
     def test_without_a_policy_failures_propagate_as_before(
-            self, fig3_model, monkeypatch):
+            self, fig3_model, monkeypatch, tmp_path):
         from repro.core.model import GraphExModel
 
         def doomed(curated, **kwargs):
             raise RuntimeError("builder down")
 
         monkeypatch.setattr(GraphExModel, "construct", doomed)
-        orchestrator = DailyRefreshOrchestrator(BatchPipeline(fig3_model))
+        orchestrator = DailyRefreshOrchestrator(
+            BatchPipeline(fig3_model), artifact_dir=tmp_path / "artifacts")
         with pytest.raises(RuntimeError, match="builder down"):
             orchestrator.refresh_sync(build_fig3_curated(), REQUESTS)
 
 
 class TestRefreshClusterDeploy:
-    """ISSUE 7 satellite: with a cluster attached, each refresh pushes
-    the day's artifact to every executor host."""
-
-    def test_cluster_requires_artifact_dir(self, fig3_model):
-        from repro.cluster import ClusterCoordinator
-        with pytest.raises(ValueError, match="artifact_dir"):
-            DailyRefreshOrchestrator(BatchPipeline(fig3_model),
-                                     cluster=ClusterCoordinator())
-
-    def test_a_fleet_backed_stack_requires_artifact_dir(self, fig3_model,
-                                                        fleet):
-        """Without an artifact_dir each refresh would hand a fleet the
-        day's build in memory, which its next job refuses: a
-        fleet-backed pipeline or target is refused up front, by name."""
-        with pytest.raises(ValueError, match="BatchPipeline needs "
-                                             "artifact_dir"):
-            DailyRefreshOrchestrator(BatchPipeline(fig3_model,
-                                                   executor=fleet))
-        orchestrator = DailyRefreshOrchestrator(BatchPipeline(fig3_model))
-        for target in (NRTService(fig3_model, KeyValueStore(),
-                                  executor=fleet),
-                       AsyncNRTFront(fig3_model, executor=fleet)):
-            with pytest.raises(ValueError, match="artifact_dir"):
-                orchestrator.register(target)
-        assert orchestrator.targets == []
+    """A fleet-backed pipeline or target is refreshed like any other:
+    it takes the day's mapped open, and its fleet opens the artifact by
+    path on its next job."""
 
     def test_a_fleet_backed_stack_refreshes_by_artifact(
             self, fig3_model, fleet, tmp_path):
@@ -620,30 +605,71 @@ class TestRefreshClusterDeploy:
         assert served == {item_id: [rec.text for rec in recs]
                           for item_id, recs in expected.items()}
 
-    def test_refresh_deploys_artifact_to_every_host(self, fig3_model,
-                                                    tmp_path):
+    def test_a_fleet_keeps_one_open_of_the_latest_generation(
+            self, fig3_model, tmp_path):
+        """Refreshed twice, a fleet-backed pipeline hands its workers
+        each day's directory on its own jobs: no ``deploy_model`` frame
+        is sent, each worker holds one open, ``gen-2``, and the catalog
+        serves what ``batch_recommend`` does on ``gen-2``."""
         from repro.cluster import ClusterCoordinator, ClusterWorker
+        from repro.core.batch import batch_recommend
+        from repro.core.curation import CuratedKeyphrases
+        from repro.core.execution import ClusterExecutor
+        from repro.core.serialization import load_model
+
+        def two_leaves(curated):
+            """The Figure 3 leaf under a second id too: a unit each
+            for the two workers."""
+            (leaf,) = curated.leaves.values()
+            twin = type(leaf)(leaf_id=FIG3_LEAF_ID + 1)
+            for row in zip(leaf.texts, leaf.search_counts,
+                           leaf.recall_counts):
+                twin.add(*row)
+            return CuratedKeyphrases(
+                leaves={FIG3_LEAF_ID: leaf, twin.leaf_id: twin},
+                effective_threshold=curated.effective_threshold,
+                config=curated.config)
+
+        requests = REQUESTS + [(item_id + 10, title, FIG3_LEAF_ID + 1)
+                               for item_id, title, _leaf in REQUESTS]
+        frames = []
+
+        class Recording(ClusterWorker):
+            async def _handle(self, message):
+                frames.append(message.get("type"))
+                return await super()._handle(message)
 
         async def drive():
-            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
-                workers = [ClusterWorker(coord.host, coord.port,
-                                         name=f"host-{i}")
-                           for i in range(2)]
+            async with ClusterCoordinator(rpc_timeout=20.0,
+                                          local_fallback=False) as coord:
+                workers = [Recording(coord.host, coord.port,
+                                     name=f"host-{i}") for i in range(2)]
                 tasks = [asyncio.ensure_future(w.run()) for w in workers]
                 await coord.wait_for_workers(2, timeout=10.0)
+                pipeline = BatchPipeline(fig3_model,
+                                         executor=ClusterExecutor(coord))
                 orchestrator = DailyRefreshOrchestrator(
-                    BatchPipeline(fig3_model),
-                    artifact_dir=tmp_path / "artifacts", cluster=coord)
-                report = await orchestrator.refresh(
-                    build_fig3_variant_curated(), REQUESTS)
+                    pipeline, artifact_dir=tmp_path / "artifacts")
+                reports = [await orchestrator.refresh(two_leaves(day),
+                                                      requests)
+                           for day in (build_fig3_curated(),
+                                       build_fig3_variant_curated())]
+                opens = [(w._model_path, w._model.artifact_dir)
+                         for w in workers]
                 await coord.stop()
                 for task in tasks:
                     task.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
-                return report
+                return pipeline, reports, opens
 
-        report = asyncio.run(drive())
-        assert report.failure is None
-        assert report.n_remote_deployed == 2
-        assert report.artifact_path == str(
-            tmp_path / "artifacts" / "gen-1")
+        pipeline, reports, opens = asyncio.run(drive())
+        latest = tmp_path / "artifacts" / "gen-2"
+        assert [report.failure for report in reports] == [None, None]
+        assert reports[-1].artifact_path == str(latest)
+        assert opens == [(str(latest.resolve()), latest.resolve())] * 2
+        assert "run_shard" in frames and "deploy_model" not in frames
+        expected = batch_recommend(load_model(latest), requests,
+                                   k=20, hard_limit=40)
+        assert {item_id: pipeline.serve(item_id) for item_id in expected} \
+            == {item_id: [rec.text for rec in recs]
+                for item_id, recs in expected.items()}
