@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import pickle
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Tuple
 
@@ -741,6 +742,31 @@ class TestMappedPlane:
         for view, eager in zip(opened.plane_graphs, model.plane_graphs):
             assert list(view.label_texts) == list(eager.label_texts)
         assert undecoded() == 0
+
+    def test_concurrent_first_reads_hand_out_one_string_each(
+            self, tmp_path):
+        """Threads that read a fresh open's texts at once decode each
+        string once: every thread gets the same ``str`` object per pool
+        id, equal to the built model's, and the count ends at 0."""
+        model = GraphExModel.construct(curated_two_leaves(),
+                                       build_pooled=True)
+        opened = load_model(save_model(model, tmp_path / "m"), mmap=True)
+        pool, ids = opened.plane.strings, opened.plane.text_ids
+        assert pool._undecoded > 0
+        start = threading.Barrier(4)
+
+        def read(_):
+            start.wait(timeout=10.0)
+            return pool.take(ids)
+
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            reads = list(threads.map(read, range(4)))
+        expected = model.plane.strings.take(model.plane.text_ids)
+        for texts in reads:
+            assert texts == expected
+            assert all(text is first
+                       for text, first in zip(texts, reads[0]))
+        assert pool._undecoded == 0
 
     def test_copied_open_survives_its_payload_file(self, tmp_path):
         """A copied open reads the payload into a private buffer: its

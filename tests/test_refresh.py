@@ -46,6 +46,21 @@ class TestDailyRefreshOrchestrator:
             orchestrator.register(object())
         assert orchestrator.targets == []
 
+    def test_artifact_dir_is_a_required_keyword(self, fig3_model, tmp_path):
+        """Every refresh deploys an artifact: an orchestrator without a
+        directory to persist to, or given one positionally, is refused
+        at construction, and it takes no fleet of its own."""
+        pipeline = BatchPipeline(fig3_model)
+        with pytest.raises(TypeError, match="artifact_dir"):
+            DailyRefreshOrchestrator(pipeline)
+        with pytest.raises(TypeError, match="positional"):
+            DailyRefreshOrchestrator(pipeline, tmp_path / "artifacts")
+        with pytest.raises(TypeError, match="cluster"):
+            DailyRefreshOrchestrator(pipeline,
+                                     artifact_dir=tmp_path / "artifacts",
+                                     cluster=object())
+        assert not (tmp_path / "artifacts").exists()
+
     def test_refresh_deploys_one_generation_across_the_stack(
             self, fig3_model, fig3_variant_model, tmp_path):
         """One refresh retargets the pipeline AND a registered sync
