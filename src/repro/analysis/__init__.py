@@ -12,28 +12,27 @@ contract as a CI-gated rule.
 Entry points
 ------------
 * ``python -m repro.analysis`` / ``repro-cli lint`` — repo-wide run,
-  exit 1 on any unwaived violation.
+  exit 1 on any violation.
 * :func:`run` / :func:`lint_files` / :func:`lint_sources` — library
   API (``lint_sources`` lints in-memory fixtures by virtual module
   name, which is how the per-rule self-tests work).
 
-Findings are suppressed only by an explicit reasoned waiver comment
-(see :mod:`repro.analysis.waivers`); the engine reports malformed and
-stale waivers as violations in their own right.
+Every finding gates: nothing in a source file can silence a rule, so
+a false positive is fixed in its rule, with a fixture.
 """
 
 from __future__ import annotations
 
-from .engine import (META_RULE_IDS, default_root, lint_contexts,
-                     lint_files, lint_sources, run, split_fixture)
-from .report import SCHEMA_VERSION, LintReport, Violation, Waiver
+from .engine import (default_root, lint_contexts, lint_files,
+                     lint_sources, run, split_fixture)
+from .report import SCHEMA_VERSION, LintReport, Violation
 from .rules import (RULE_CLASSES, FileContext, Rule, default_rules,
                     get_rule, rule_ids)
 
 __all__ = [
     "run", "lint_files", "lint_sources", "lint_contexts",
-    "split_fixture", "default_root", "META_RULE_IDS",
-    "LintReport", "Violation", "Waiver", "SCHEMA_VERSION",
+    "split_fixture", "default_root",
+    "LintReport", "Violation", "SCHEMA_VERSION",
     "Rule", "FileContext", "RULE_CLASSES", "default_rules",
     "get_rule", "rule_ids",
 ]

@@ -1,8 +1,7 @@
 """``python -m repro.analysis`` — the repo-wide invariant gate.
 
-Exit codes: 0 clean (possibly with waived findings), 1 violations,
-2 usage error.  ``--json`` writes the machine-readable report (the CI
-artifact) regardless of outcome.
+Exit codes: 0 clean, 1 violations, 2 usage error.  ``--json`` writes
+the machine-readable report (the CI artifact) regardless of outcome.
 """
 
 from __future__ import annotations

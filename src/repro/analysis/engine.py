@@ -1,17 +1,10 @@
-"""The lint engine: files -> contexts -> rules -> waivers -> report.
+"""The lint engine: files -> contexts -> rules -> report.
 
 The pipeline is deliberately dumb: parse every file once into a
 :class:`FileContext`, run each per-file rule over each context it
-applies to, hand project-wide rules the whole context set, then apply
-waiver comments.  Two meta-rules run after waiver application so
-waivers themselves stay honest:
-
-* ``waiver-syntax`` — a ``# lint:`` comment that did not parse or
-  omitted its mandatory reason.
-* ``waiver-unused`` — a well-formed waiver that suppressed nothing
-  this run (stale waivers are how suppression rot starts).
-
-Meta-violations cannot themselves be waived.
+applies to, and hand project-wide rules the whole context set.  Every
+finding gates: nothing in a source file can silence a rule, so a false
+positive is fixed in its rule, with a fixture.
 
 Fixture support: :func:`lint_sources` lints in-memory sources keyed by
 virtual module name, and :func:`split_fixture` explodes one fixture
@@ -24,19 +17,14 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .report import LintReport, Violation, Waiver
+from .report import LintReport, Violation
 from .rules import FileContext, Rule, default_rules
-from .rules import rule_ids as registered_rule_ids
-from .waivers import parse_waivers
 
 __all__ = ["lint_contexts", "lint_files", "lint_sources", "run",
            "split_fixture", "default_root", "iter_source_files",
-           "module_name_for", "META_RULE_IDS"]
-
-#: Rule ids the engine itself emits (not waivable, not in the registry).
-META_RULE_IDS = ("waiver-syntax", "waiver-unused")
+           "module_name_for"]
 
 FIXTURE_DIRECTIVE = "# lint-fixture-module:"
 
@@ -72,100 +60,22 @@ def _display_path(path: Path) -> str:
 def lint_contexts(ctxs: Sequence[FileContext],
                   rules: Optional[Sequence[Rule]] = None,
                   root: str = "<memory>") -> LintReport:
-    """Run ``rules`` (default: the full registry) over parsed contexts
-    and fold in waivers."""
+    """Run ``rules`` (default: the full registry) over parsed
+    contexts."""
     rules = list(default_rules() if rules is None else rules)
-    raw: List[Violation] = []
+    violations: List[Violation] = []
     for rule in rules:
         if rule.project_wide:
-            raw.extend(rule.check_project(
+            violations.extend(rule.check_project(
                 [ctx for ctx in ctxs if rule.applies_to(ctx)]))
         else:
             for ctx in ctxs:
                 if rule.applies_to(ctx):
-                    raw.extend(rule.check(ctx))
-
-    waivers: List[Waiver] = [waiver for ctx in ctxs
-               for waiver in parse_waivers(ctx.source, ctx.path,
-                                           ctx.module)]
-
-    surviving, waived = _apply_waivers(raw, waivers)
-    surviving.extend(_meta_violations(
-        waivers, run_ids={rule.id for rule in rules}))
-    surviving.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    waived.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-
-    return LintReport(
-        root=root, n_files=len(ctxs),
-        rule_ids=[rule.id for rule in rules] + list(META_RULE_IDS),
-        violations=surviving, waived=waived, waivers=waivers)
-
-
-def _apply_waivers(raw: Sequence[Violation],
-                   waivers: Sequence[Waiver]
-                   ) -> Tuple[List[Violation], List[Violation]]:
-    surviving: List[Violation] = []
-    waived: List[Violation] = []
-    for violation in raw:
-        match = None
-        for waiver in waivers:
-            if (waiver.rules and waiver.reason
-                    and waiver.path == violation.path
-                    and violation.rule in waiver.rules
-                    and violation.line in (waiver.line,
-                                           waiver.line + 1)):
-                match = waiver
-                break
-        if match is None:
-            surviving.append(violation)
-        else:
-            match.used = True
-            waived.append(violation)
-    return surviving, waived
-
-
-def _meta_violations(waivers: Sequence[Waiver],
-                     run_ids: set) -> List[Violation]:
-    registered = set(registered_rule_ids())
-    meta: List[Violation] = []
-    for waiver in waivers:
-        unknown = [rule for rule in waiver.rules
-                   if rule not in registered]
-        if not waiver.rules:
-            meta.append(Violation(
-                rule="waiver-syntax", path=waiver.path,
-                module=waiver.module, line=waiver.line, col=0,
-                message=("unparseable '# lint:' comment; expected "
-                         "'# lint: waive <rule>[, <rule>]: <reason>' "
-                         "or '# lint: caller-locked: <reason>'")))
-        elif unknown:
-            # Also catches attempts to waive the meta-rules: they are
-            # not registered, hence not waivable.
-            meta.append(Violation(
-                rule="waiver-syntax", path=waiver.path,
-                module=waiver.module, line=waiver.line, col=0,
-                message=(f"waiver names unknown rule(s) "
-                         f"{', '.join(unknown)}; known: "
-                         f"{', '.join(sorted(registered))}")))
-        elif not waiver.reason:
-            meta.append(Violation(
-                rule="waiver-syntax", path=waiver.path,
-                module=waiver.module, line=waiver.line, col=0,
-                message=(f"waiver for {', '.join(waiver.rules)} has "
-                         f"no reason; a waiver must say why the "
-                         f"finding is safe")))
-        elif not waiver.used and \
-                any(rule in run_ids for rule in waiver.rules):
-            # Staleness is only judged when at least one waived rule
-            # actually ran — a --rule subset must not flag waivers it
-            # never exercised.
-            meta.append(Violation(
-                rule="waiver-unused", path=waiver.path,
-                module=waiver.module, line=waiver.line, col=0,
-                message=(f"waiver for {', '.join(waiver.rules)} "
-                         f"suppressed nothing; delete the stale "
-                         f"comment")))
-    return meta
+                    violations.extend(rule.check(ctx))
+    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    return LintReport(root=root, n_files=len(ctxs),
+                      rule_ids=[rule.id for rule in rules],
+                      violations=violations)
 
 
 def lint_files(paths: Sequence[Path],

@@ -1,23 +1,21 @@
 """Lint findings and the machine-readable report they roll up into.
 
-A :class:`Violation` is one broken invariant at one source location; a
-:class:`Waiver` is one explicit, reasoned exemption a human wrote into
-the source (see :mod:`repro.analysis.waivers`).  :class:`LintReport`
-pairs the surviving violations with the waivers that were exercised and
-serializes to the JSON schema CI archives (``schema_version`` guards
-consumers against silent shape drift).
+A :class:`Violation` is one broken invariant at one source location.
+:class:`LintReport` collects every violation of one run and serializes
+to the JSON schema CI archives (``schema_version`` guards consumers
+against silent shape drift).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-__all__ = ["LintReport", "Violation", "Waiver", "SCHEMA_VERSION"]
+__all__ = ["LintReport", "Violation", "SCHEMA_VERSION"]
 
 #: Bump when the JSON report shape changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -49,55 +47,24 @@ class Violation:
 
 
 @dataclass
-class Waiver:
-    """One ``# lint:`` waiver comment parsed out of a source file.
-
-    Attributes:
-        rules: Rule ids the comment waives.
-        reason: The mandatory human reason (empty string when the
-            author omitted it — the engine turns that into a
-            ``waiver-syntax`` violation rather than honouring it).
-        path, module, line: Where the comment sits.
-        used: Set by the engine when the waiver suppressed at least one
-            violation; an unused waiver is reported as stale.
-    """
-
-    rules: List[str]
-    reason: str
-    path: str
-    module: str
-    line: int
-    used: bool = False
-
-    def as_dict(self) -> dict:
-        return {"rules": list(self.rules), "reason": self.reason,
-                "path": self.path, "module": self.module,
-                "line": self.line}
-
-
-@dataclass
 class LintReport:
     """Everything one lint run found, JSON-serializable for CI.
 
-    ``violations`` are the findings that gate (exit code 1 when any
-    survive); ``waived`` are findings a reasoned waiver suppressed —
-    reported for audit, never gating.
+    Every violation gates: exit code 1 when there is any.
     """
 
     root: str
     n_files: int
     rule_ids: List[str]
     violations: List[Violation] = field(default_factory=list)
-    waived: List[Violation] = field(default_factory=list)
-    waivers: List[Waiver] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def by_rule(self) -> Dict[str, int]:
-        """Surviving violation count per rule id (zero-count rules
-        included, so the JSON proves every rule actually ran)."""
+        """Violation count per rule id (zero-count rules included, so
+        the JSON proves every rule actually ran)."""
         counts = {rule_id: 0 for rule_id in self.rule_ids}
         for violation in self.violations:
             counts[violation.rule] = counts.get(violation.rule, 0) + 1
@@ -111,11 +78,8 @@ class LintReport:
             "ok": self.ok,
             "n_files": self.n_files,
             "n_violations": len(self.violations),
-            "n_waived": len(self.waived),
             "violations_by_rule": self.by_rule(),
             "violations": [v.as_dict() for v in self.violations],
-            "waived": [v.as_dict() for v in self.waived],
-            "waivers": [w.as_dict() for w in self.waivers],
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -124,19 +88,7 @@ class LintReport:
     def render(self) -> str:
         """Human-readable summary: one line per finding, then totals."""
         lines = [violation.render() for violation in self.violations]
-        for violation in self.waived:
-            lines.append(f"{violation.render()} [waived]")
         lines.append(
             f"repro-lint: {len(self.violations)} violation(s), "
-            f"{len(self.waived)} waived, {self.n_files} file(s), "
-            f"{len(self.rule_ids)} rule(s)")
+            f"{self.n_files} file(s), {len(self.rule_ids)} rule(s)")
         return "\n".join(lines)
-
-
-def merge_rule_ids(rules: Sequence) -> List[str]:
-    """Stable unique rule-id list for a report header."""
-    seen: List[str] = []
-    for rule in rules:
-        if rule.id not in seen:
-            seen.append(rule.id)
-    return seen

@@ -2,9 +2,9 @@
 
 ``default_rules()`` returns fresh instances of all registered rules in
 a stable order; ``get_rule(id)`` resolves one by its public id (what
-``--rule`` on the CLI and waiver comments use).  Adding an invariant
-means adding a module here and registering its class — the engine,
-CLI, JSON report, and the repo-wide test pick it up automatically.
+``--rule`` on the CLI uses).  Adding an invariant means adding a
+module here and registering its class — the engine, CLI, JSON report,
+and the repo-wide test pick it up automatically.
 """
 
 from __future__ import annotations

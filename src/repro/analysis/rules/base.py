@@ -25,13 +25,12 @@ class FileContext:
 
     path: str            # display path (repo-relative file or marker)
     module: str          # dotted module name, e.g. repro.serving.nrt
-    source: str
     tree: ast.Module
 
     @classmethod
     def from_source(cls, source: str, *, path: str,
                     module: str) -> "FileContext":
-        return cls(path=path, module=module, source=source,
+        return cls(path=path, module=module,
                    tree=ast.parse(source, filename=path))
 
 

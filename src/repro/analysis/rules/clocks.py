@@ -13,7 +13,7 @@ the async serving front (window timers), and everything under
 an observability plane that read the wall clock would *measure* the
 very anomalies it exists to detect).  Operator-facing *timestamps*
 (report fields, log lines) legitimately want wall-clock time — those
-live outside this scope, or carry a reasoned waiver.
+live outside this scope.
 """
 
 from __future__ import annotations
@@ -57,6 +57,5 @@ class MonotonicClockRule(Rule):
                 violations.append(self.violation(
                     ctx, node,
                     f"wall-clock read {name}() in a timer path; use "
-                    f"time.monotonic() / loop.time() for intervals "
-                    f"(waive only for operator-facing timestamps)"))
+                    f"time.monotonic() / loop.time() for intervals"))
         return violations

@@ -25,6 +25,9 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("parse_waivers Waiver META_RULE_IDS CALLER_LOCKED_RULE merge_rule_ids "
+     'from_arrays "waiver-syntax" "waiver-unused" "n_waived"', NOWHERE,
+     "a lint gate with no mute button (every finding gates)"),
     ('_check_fleet _runners n_remote_deployed cluster= '
      '"refresh.deploy_remote"', NOWHERE,
      "one deploy path (every refresh persists, maps and swaps an "

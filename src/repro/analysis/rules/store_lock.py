@@ -6,10 +6,8 @@ one place it is written; a function that issues two or more mutating
 calls outside it can interleave with the daily-refresh swap and
 strand sentinels or serve a half-promoted version (the PR 6 "stranded
 staged version" bug).  Any function in ``serving/`` or ``cluster/``
-making >= 2 mutating store calls must either enter
-``with <store>.transaction()`` itself or carry the
-``# lint: caller-locked: <reason>`` waiver above its ``def`` stating
-which caller owns the transaction.
+making >= 2 mutating store calls must enter
+``with <store>.transaction()`` itself.
 
 Receiver heuristics keep this sound without type inference: the
 distinctive mutator names (``create_version``/``promote``/...) exist
@@ -48,8 +46,7 @@ _STOREISH_RE = re.compile(r"(store|kv)", re.IGNORECASE)
 class StoreLockDisciplineRule(Rule):
     id = "store-lock-discipline"
     description = (">= 2 mutating KeyValueStore calls in one function "
-                   "must be inside store.transaction() (or carry a "
-                   "caller-locked waiver)")
+                   "must be inside store.transaction()")
 
     SCOPES = ("repro.serving.", "repro.cluster.")
     EXEMPT_MODULES = ("repro.serving.kvstore",)
@@ -77,8 +74,7 @@ class StoreLockDisciplineRule(Rule):
                     ctx, fn,
                     f"{fn.name} makes {len(mutations)} mutating store "
                     f"calls ({', '.join(sorted(set(mutations)))}) "
-                    f"outside store.transaction(); wrap them or "
-                    f"waive with '# lint: caller-locked: <reason>'"))
+                    f"outside store.transaction(); wrap them"))
         return violations
 
     @staticmethod

@@ -330,9 +330,9 @@ def _cmd_cluster_worker(args: argparse.Namespace) -> int:
     from .cluster import ClusterWorker
 
     host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"--connect must be HOST:PORT, got {args.connect!r}",
-              file=sys.stderr)
+    if not host or not port.isdigit() or not 0 < int(port) < 65536:
+        print(f"--connect must be HOST:PORT with a port in 1-65535, "
+              f"got {args.connect!r}", file=sys.stderr)
         return 2
     worker = ClusterWorker(
         host, int(port), name=args.name,
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint", add_help=False,
         help="run repro-lint, the AST invariant checker, over the "
-             "package (exit 1 on any unwaived violation; see "
+             "package (exit 1 on any violation; see "
              "'lint --help')")
     return parser
 

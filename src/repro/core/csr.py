@@ -100,20 +100,6 @@ class CSRGraph:
         return cls(indptr, np.asarray(indices, dtype=np.int32), n_right,
                    validate=False)
 
-    @classmethod
-    def from_arrays(cls, indptr: np.ndarray, indices: np.ndarray,
-                    n_right: int, *, validate: bool = True) -> "CSRGraph":
-        """Array-native fast path: wrap prebuilt CSR arrays directly.
-
-        Unlike :meth:`from_edges` nothing is sorted or de-duplicated —
-        the caller asserts ``indices`` is sorted within each adjacency
-        list and duplicate-free.  Trusted builders (the bulk
-        construction engine) pass ``validate=False`` to skip the
-        invariant check; deserialization keeps the default and validates
-        data read from disk.
-        """
-        return cls(indptr, indices, n_right, validate=validate)
-
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
         if self.indptr.ndim != 1 or self.indices.ndim != 1:

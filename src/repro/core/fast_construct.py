@@ -26,8 +26,8 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    duplicate-free (tokens are unique within a label), so one stable
    argsort by word id produces the exact (left, right)-sorted edge
    order of :meth:`CSRGraph.from_edges`, and ``indptr``/``indices`` are
-   assembled directly via :meth:`CSRGraph.from_arrays` — no per-edge
-   Python tuples, no redundant validation.
+   assembled directly via :meth:`CSRGraph.from_sorted_pairs` — no
+   per-edge Python tuples, no redundant validation.
 4. **Pooled arrays, not pooled text** — :func:`pool_leaf_graphs`
    derives the all-leaves fallback graph from the built leaf graphs,
    so nothing is tokenised a second time; its labels and words are

@@ -14,7 +14,7 @@ same seed are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -480,8 +480,3 @@ COLLECTIBLES = MetaLexicon(name="CAT_3", leaves=_COLLECTIBLES_LEAVES)
 META_LEXICONS: Dict[str, MetaLexicon] = {
     lex.name: lex for lex in (ELECTRONICS, HOME_GARDEN, COLLECTIBLES)
 }
-
-
-def all_leaf_names() -> List[str]:
-    """Return every leaf-category name across all meta categories."""
-    return [leaf.name for lex in META_LEXICONS.values() for leaf in lex.leaves]

@@ -157,11 +157,6 @@ class QueryUniverse:
         """Meta category that owns the given leaf."""
         return self._meta_of_leaf[leaf_id]
 
-    @property
-    def total_weight(self) -> float:
-        """Sum of popularity weights over all queries."""
-        return float(sum(q.weight for q in self._queries))
-
 
 def build_query_universe(catalog: Catalog,
                          metas: Sequence[MetaLexicon],

@@ -124,10 +124,8 @@ class Experiment:
         self.dataset = generate_dataset(cfg.profile)
         simulator = SessionSimulator(
             self.dataset.catalog, self.dataset.queries, seed=cfg.seed)
-        self.train_log = simulator.run(
-            cfg.n_train_events, day_start=1, day_end=180, rounds=4)
-        self.test_log = simulator.run(
-            cfg.n_test_events, day_start=181, day_end=195, rounds=1)
+        self.train_log = simulator.run_training_window(cfg.n_train_events)
+        self.test_log = simulator.run_test_window(cfg.n_test_events)
         self._judge = OracleJudge(self.dataset.catalog)
         self._prepared = True
         return self

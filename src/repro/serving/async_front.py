@@ -219,11 +219,6 @@ class AsyncNRTFront:
                 self._consume(stream))
         return store
 
-    @property
-    def stream_names(self) -> List[str]:
-        """Registered stream names, in registration order."""
-        return list(self._streams)
-
     def _stream(self, name: str) -> _Stream:
         try:
             return self._streams[name]

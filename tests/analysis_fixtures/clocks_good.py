@@ -1,6 +1,5 @@
 # Passing fixture for monotonic-clock: interval arithmetic on
-# monotonic sources only (plus an explicitly waived operator-facing
-# timestamp).
+# monotonic sources only.
 # lint-fixture-module: repro.cluster.fixture_clocks_good
 import time
 
@@ -12,10 +11,6 @@ def deadline_expired(started_at, timeout):
 async def window_deadline(loop, window_seconds):
     return loop.time() + window_seconds
 
-
-def report_stamp():
-    # lint: waive monotonic-clock: operator-facing report timestamp, not a timer
-    return time.time()
 # lint-fixture-module: repro.obs.fixture_clocks_good
 import time
 

@@ -1,5 +1,5 @@
-# Passing fixture for store-lock-discipline: the transaction pattern,
-# the caller-locked waiver, and shapes that must not count.
+# Passing fixture for store-lock-discipline: the transaction pattern
+# and shapes that must not count.
 # lint-fixture-module: repro.serving.fixture_store_good
 
 
@@ -8,13 +8,6 @@ def swap_locked(store, items):
         store.copy_from_serving(version)
         for item_id, phrases in items:
             store.put(version, item_id, phrases)
-
-
-# lint: caller-locked: flush() enters store.transaction() before delegating here
-def _fill(store, version, items):
-    for item_id, phrases in items:
-        store.put(version, item_id, phrases)
-    store.prune(version)
 
 
 def single_mutation(store, version):

@@ -6,9 +6,8 @@ Three layers, mirroring how the pass is trusted:
   fixture under ``tests/analysis_fixtures/``; the bad one must fire
   (on the right lines, for the right reasons) and the good one must be
   silent, so a rule that rots in either direction fails here first.
-* **The waiver/report machinery** — parsing, application, the
-  waiver-syntax/waiver-unused meta-rules, and the JSON schema CI
-  consumes.
+* **The report machinery** — every finding gates (no source comment
+  silences a rule), and the JSON schema CI consumes.
 * **The repo itself** — the pass must exit clean over ``src/repro``
   (the CI gate, asserted in-process), and the monotonic-clock rule
   doubles as the regression pin that ``retry.py`` and the async
@@ -22,9 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (META_RULE_IDS, RULE_CLASSES, SCHEMA_VERSION,
-                            default_root, lint_files, lint_sources,
-                            rule_ids, run, split_fixture)
+from repro.analysis import (RULE_CLASSES, SCHEMA_VERSION, default_root,
+                            lint_files, lint_sources, rule_ids, run,
+                            split_fixture)
 from repro.analysis.rules.async_blocking import AsyncNoBlockingRule
 from repro.analysis.rules.clocks import MonotonicClockRule
 from repro.analysis.rules.lazy_imports import LazyImportContractRule
@@ -32,7 +31,6 @@ from repro.analysis.rules.mmap_safety import MmapWriteSafetyRule
 from repro.analysis.rules.pickle_boundary import NoPickleBoundaryRule
 from repro.analysis.rules.removed_spelling import RemovedSpellingRule
 from repro.analysis.rules.store_lock import StoreLockDisciplineRule
-from repro.analysis.waivers import parse_waivers
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
@@ -78,12 +76,13 @@ class TestRuleFixtures:
                            "fut.result", "tempfile.mkdtemp",
                            "shutil.rmtree"}
 
-    def test_store_lock_good_waiver_is_used(self):
-        report = lint_fixture("store_lock_good.py",
+    def test_store_lock_bad_flags_each_function(self):
+        """A helper whose caller holds the transaction is flagged too:
+        the function making the calls must enter it itself."""
+        report = lint_fixture("store_lock_bad.py",
                               StoreLockDisciplineRule())
-        # The caller-locked function's finding is waived, not absent.
-        assert len(report.waived) == 1
-        assert report.waived[0].rule == "store-lock-discipline"
+        assert sorted(v.message.split()[0] for v in report.violations) \
+            == ["_fill", "fill_unlocked", "swap_unlocked"]
 
     def test_pickle_boundary_finds_numpys_side_doors(self):
         """numpy touches the cluster wire, so its own ways into pickle
@@ -181,78 +180,42 @@ class TestLazyImportFixtures:
         assert report.ok, report.render()
 
 
-class TestWaiverParsing:
-    def test_full_form(self):
-        (waiver,) = parse_waivers(
-            "x = 1  # lint: waive monotonic-clock: report stamp\n",
-            "<m>", "m")
-        assert waiver.rules == ["monotonic-clock"]
-        assert waiver.reason == "report stamp"
+class TestNoMuteButton:
+    """Every finding gates: a ``# lint:`` comment in any form the old
+    waiver grammar accepted suppresses nothing, and is no finding of
+    its own."""
 
-    def test_multi_rule(self):
-        (waiver,) = parse_waivers(
-            "# lint: waive async-no-blocking, monotonic-clock: "
-            "teardown\n", "<m>", "m")
-        assert waiver.rules == ["async-no-blocking", "monotonic-clock"]
+    CLOCK = ("import time\n\n\ndef f():\n"
+             "    {above}\n"
+             "    return time.time()  {trailing}\n")
+    STORE = ("{above}\n"
+             "def _fill(store, version, items):\n"
+             "    store.put(version, 1, items)\n"
+             "    store.prune(version)\n")
+    CASES = {
+        "full": (CLOCK, "", "# lint: waive monotonic-clock: report stamp",
+                 "monotonic-clock", 6),
+        "multi-rule": (CLOCK, "# lint: waive async-no-blocking, "
+                              "monotonic-clock: teardown path", "",
+                       "monotonic-clock", 6),
+        "caller-locked": (STORE, "# lint: caller-locked: flush() enters "
+                                 "store.transaction()", "",
+                          "store-lock-discipline", 2),
+        "reasonless": (CLOCK, "", "# lint: waive monotonic-clock",
+                       "monotonic-clock", 6),
+        "malformed": (CLOCK, "# lint: disable-everything", "",
+                      "monotonic-clock", 6),
+    }
 
-    def test_caller_locked_shorthand(self):
-        (waiver,) = parse_waivers(
-            "# lint: caller-locked: flush owns the lock\n", "<m>", "m")
-        assert waiver.rules == ["store-lock-discipline"]
-        assert waiver.reason == "flush owns the lock"
-
-    def test_missing_reason_is_kept_but_empty(self):
-        (waiver,) = parse_waivers(
-            "# lint: waive monotonic-clock\n", "<m>", "m")
-        assert waiver.rules == ["monotonic-clock"]
-        assert waiver.reason == ""
-
-    def test_malformed_yields_empty_rules(self):
-        (waiver,) = parse_waivers(
-            "# lint: disable-everything\n", "<m>", "m")
-        assert waiver.rules == []
-
-    def test_quoted_examples_in_strings_do_not_count(self):
-        source = ('DOC = """usage: # lint: waive monotonic-clock: '
-                  'x"""\n')
-        assert parse_waivers(source, "<m>", "m") == []
-
-    def test_prose_mentioning_lint_does_not_count(self):
-        assert parse_waivers(
-            "# see '# lint: waive ...' in the docs\n", "<m>", "m") == []
-
-
-class TestWaiverEnforcement:
-    SOURCE_STALE = "def f():\n    return 1  # lint: waive monotonic-clock: stale\n"
-    SOURCE_NO_REASON = ("import time\n\n\ndef f():\n"
-                        "    return time.time()  # lint: waive monotonic-clock\n")
-    SOURCE_MALFORMED = "x = 1  # lint: suppress everything\n"
-
-    def _lint(self, source):
-        return lint_sources({"repro.cluster.fixture": source},
-                            rules=[MonotonicClockRule()])
-
-    def test_unused_waiver_is_a_violation(self):
-        report = self._lint(self.SOURCE_STALE)
-        assert [v.rule for v in report.violations] == ["waiver-unused"]
-
-    def test_reasonless_waiver_does_not_suppress(self):
-        report = self._lint(self.SOURCE_NO_REASON)
-        assert {v.rule for v in report.violations} == \
-            {"monotonic-clock", "waiver-syntax"}
-
-    def test_malformed_waiver_is_a_violation(self):
-        report = self._lint(self.SOURCE_MALFORMED)
-        assert [v.rule for v in report.violations] == ["waiver-syntax"]
-
-    def test_used_waiver_moves_finding_to_waived(self):
-        source = ("import time\n\n\ndef f():\n"
-                  "    # lint: waive monotonic-clock: operator stamp\n"
-                  "    return time.time()\n")
-        report = self._lint(source)
-        assert report.ok
-        assert len(report.waived) == 1
-        assert report.waivers[0].used
+    @pytest.mark.parametrize("form", list(CASES))
+    def test_old_waiver_comment_leaves_its_finding(self, form):
+        template, above, trailing, rule, line = self.CASES[form]
+        module = ("repro.serving.fixture" if template is self.STORE
+                  else "repro.cluster.fixture")
+        report = lint_sources(
+            {module: template.format(above=above, trailing=trailing)})
+        assert [(v.rule, v.line) for v in report.violations] == \
+            [(rule, line)], report.render()
 
 
 class TestReportSchema:
@@ -261,16 +224,16 @@ class TestReportSchema:
         payload = json.loads(report.to_json())
         assert payload["tool"] == "repro-lint"
         assert payload["schema_version"] == SCHEMA_VERSION
-        assert set(payload) >= {"root", "ok", "n_files",
-                                "n_violations", "n_waived",
-                                "violations_by_rule", "violations",
-                                "waived", "waivers"}
+        assert SCHEMA_VERSION == 2
+        assert set(payload) == {"tool", "schema_version", "root", "ok",
+                                "n_files", "n_violations",
+                                "violations_by_rule", "violations"}
 
     def test_by_rule_includes_zero_counts(self):
         report = run()
         by_rule = json.loads(report.to_json())["violations_by_rule"]
-        for rule_id in rule_ids() + list(META_RULE_IDS):
-            assert rule_id in by_rule  # proves every rule ran
+        # Every registered rule ran, and nothing else reports.
+        assert set(by_rule) == set(rule_ids())
 
     def test_violation_entries_are_addressable(self):
         report = lint_fixture("clocks_bad.py", MonotonicClockRule())
@@ -315,8 +278,8 @@ class TestRepoWideGate:
     def test_monotonic_regression_retry_and_async_front(self):
         """Satellite pin: the retry policy and the async front's
         window timers carry no wall-clock reads (the PR 9 audit found
-        none — this keeps it that way, file-scoped so the pin holds
-        even if the repo-wide gate gains waivers)."""
+        none — this keeps it that way, file-scoped so the pin names
+        the two files it protects)."""
         root = default_root()
         paths = [root / "cluster" / "retry.py",
                  root / "serving" / "async_front.py"]
@@ -325,4 +288,3 @@ class TestRepoWideGate:
         report = lint_files(paths, package_root=root,
                             rules=[MonotonicClockRule()])
         assert report.ok, report.render()
-        assert report.waivers == []  # clean outright, not waived

@@ -432,8 +432,15 @@ class TestClusterCLI:
         assert main(["cluster-worker", "--connect", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
-    def test_cluster_worker_rejects_non_numeric_port(self, capsys):
-        assert main(["cluster-worker", "--connect", "localhost:abc"]) == 2
+    @pytest.mark.parametrize("port", ["abc", "0", "65536", "99999"])
+    def test_cluster_worker_rejects_a_port_it_cannot_dial(self, port,
+                                                          capsys):
+        """A port that is not a number in 1-65535 is a usage error,
+        before any socket is opened (99999 once reached sock.connect
+        and died with an OverflowError traceback)."""
+        assert main(["cluster-worker", "--connect",
+                     f"127.0.0.1:{port}"]) == 2
+        assert "HOST:PORT" in capsys.readouterr().err
 
     def test_cluster_run_verifies_identical(self, workflow_dir, capsys):
         rc = main(["cluster-run", "--model",

@@ -8,7 +8,7 @@ on any input.  These tests pin that property with hypothesis-generated
 random stats, curation configs and tokenizers, plus directed
 regressions for the edge cases (empty-tokenizing texts, empty leaves,
 the shared token cache), the
-:meth:`CSRGraph.from_arrays` fast path, and a case table for the
+:class:`CSRGraph` constructor, and a case table for the
 pooled graph the fast builder derives from the built leaf graphs.
 """
 
@@ -341,25 +341,23 @@ class TestTokenCache:
                 == tokenizer(text)
 
 
-class TestFromArrays:
-    def test_from_arrays_matches_from_edges(self):
+class TestCSRConstructor:
+    def test_constructor_matches_from_edges(self):
         edges = [(0, 1), (0, 0), (2, 1), (0, 1)]
         via_edges = CSRGraph.from_edges(edges, n_left=3, n_right=2)
-        via_arrays = CSRGraph.from_arrays(via_edges.indptr.copy(),
-                                          via_edges.indices.copy(),
-                                          n_right=2)
+        via_arrays = CSRGraph(via_edges.indptr.copy(),
+                              via_edges.indices.copy(), n_right=2)
         assert np.array_equal(via_arrays.indptr, via_edges.indptr)
         assert np.array_equal(via_arrays.indices, via_edges.indices)
 
-    def test_from_arrays_validates_by_default(self):
+    def test_constructor_validates_by_default(self):
         with pytest.raises(ValueError, match="indptr"):
-            CSRGraph.from_arrays(np.array([0, 5]),
-                                 np.array([0], dtype=np.int32), n_right=2)
+            CSRGraph(np.array([0, 5]), np.array([0], dtype=np.int32),
+                     n_right=2)
 
-    def test_from_arrays_can_skip_validation(self):
-        graph = CSRGraph.from_arrays(np.array([0, 5]),
-                                     np.array([0], dtype=np.int32),
-                                     n_right=2, validate=False)
+    def test_constructor_can_skip_validation(self):
+        graph = CSRGraph(np.array([0, 5]), np.array([0], dtype=np.int32),
+                         n_right=2, validate=False)
         with pytest.raises(ValueError):
             graph.validate()
 
