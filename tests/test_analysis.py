@@ -16,6 +16,7 @@ Three layers, mirroring how the pass is trusted:
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -216,6 +217,39 @@ class TestNoMuteButton:
             {module: template.format(above=above, trailing=trailing)})
         assert [(v.rule, v.line) for v in report.violations] == \
             [(rule, line)], report.render()
+
+    def test_the_waiver_surface_is_gone(self):
+        """No module, name or report field is left to hold a waiver."""
+        import repro.analysis as analysis
+        from repro.analysis import LintReport, engine, report
+        assert importlib.util.find_spec("repro.analysis.waivers") is None
+        for module, name in [(analysis, "Waiver"),
+                             (analysis, "META_RULE_IDS"),
+                             (engine, "META_RULE_IDS"),
+                             (report, "Waiver"),
+                             (report, "merge_rule_ids")]:
+            assert not hasattr(module, name), (module.__name__, name)
+        assert not {"waived", "waivers"} & set(vars(LintReport))
+
+    def test_removed_spelling_pins_the_waiver_names(self):
+        """Each deleted waiver spelling fires removed-spelling once if
+        it comes back, under any ``repro`` module."""
+        source = ("from repro.analysis.waivers import (\n"
+                  "    CALLER_LOCKED_RULE, Waiver, parse_waivers)\n"
+                  "from repro.analysis.engine import META_RULE_IDS\n"
+                  "from repro.analysis.report import merge_rule_ids\n"
+                  "META = (\"waiver-syntax\", \"waiver-unused\")\n"
+                  "\n"
+                  "\n"
+                  "def report(graph):\n"
+                  "    graph = type(graph).from_arrays(graph.indptr)\n"
+                  "    return {\"n_waived\": 0}\n")
+        report = lint_sources({"repro.analysis.fixture": source})
+        assert {v.rule for v in report.violations} == {"removed-spelling"}
+        assert sorted(v.message.split()[2] for v in report.violations) \
+            == sorted(['"n_waived"', '"waiver-syntax"', '"waiver-unused"',
+                       "CALLER_LOCKED_RULE", "META_RULE_IDS", "Waiver",
+                       "from_arrays", "merge_rule_ids", "parse_waivers"])
 
 
 class TestReportSchema:

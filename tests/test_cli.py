@@ -442,6 +442,27 @@ class TestClusterCLI:
                      f"127.0.0.1:{port}"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("port", ["1", "65535"])
+    def test_cluster_worker_dials_the_ends_of_the_port_range(
+            self, port, monkeypatch):
+        """The range check is inclusive: ports 1 and 65535 reach the
+        worker, which is handed the parsed host and port."""
+        import repro.cluster
+
+        dialed = []
+
+        class _Worker:
+            def __init__(self, host, port, **_options):
+                dialed.append((host, port))
+
+            async def run(self):
+                return None
+
+        monkeypatch.setattr(repro.cluster, "ClusterWorker", _Worker)
+        assert main(["cluster-worker", "--connect",
+                     f"127.0.0.1:{port}"]) == 0
+        assert dialed == [("127.0.0.1", int(port))]
+
     def test_cluster_run_verifies_identical(self, workflow_dir, capsys):
         rc = main(["cluster-run", "--model",
                    str(workflow_dir / "model"), "--workers", "2",
@@ -491,6 +512,18 @@ class TestLintCLI:
                         "monotonic-clock", "no-pickle-boundary",
                         "lazy-import-contract", "mmap-write-safety"):
             assert rule_id in out
+
+    def test_lint_list_rules_lists_exactly_the_registered_rules(
+            self, capsys):
+        """One line per registered rule, the seven of them, and no
+        meta-rule besides."""
+        from repro.analysis import rule_ids
+        assert main(["lint", "--list-rules"]) == 0
+        listed = [line.split(":")[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == rule_ids()
+        assert len(listed) == 7
+        assert not [rule for rule in listed if rule.startswith("waiver")]
 
     def test_lint_writes_json_report(self, tmp_path, capsys):
         report_path = tmp_path / "reports" / "lint.json"

@@ -54,6 +54,26 @@ class TestExperimentPlumbing:
         experiment.prepare()
         assert experiment.dataset is dataset_before
 
+    def test_prepare_simulates_each_window_once(self, monkeypatch):
+        """The training log comes from the simulator's training window
+        and the test log from its test window, each sized by the
+        config."""
+        from repro.search import SessionSimulator
+
+        calls = []
+        for method in ("run_training_window", "run_test_window"):
+            monkeypatch.setattr(
+                SessionSimulator, method,
+                lambda self, n_events, _m=method: calls.append(
+                    (_m, n_events)) or _m)
+        config = ExperimentConfig(profile=TINY_PROFILE,
+                                  n_train_events=1200, n_test_events=300)
+        experiment = Experiment(config).prepare().prepare()
+        assert calls == [("run_training_window", 1200),
+                         ("run_test_window", 300)]
+        assert experiment.train_log == "run_training_window"
+        assert experiment.test_log == "run_test_window"
+
     def test_training_data_restricted_to_meta(self, experiment):
         data = experiment.training_data("CAT_3")
         leaf_ids = {leaf.leaf_id for leaf in

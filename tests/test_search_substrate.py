@@ -142,6 +142,28 @@ class TestSessionSimulator:
         for click in tiny_log.clicks[:500]:
             assert 1 <= click.day <= 180
 
+    def test_training_and_test_windows_are_section_iv_b(
+            self, tiny_dataset, monkeypatch):
+        """Days 1-180 over four feedback rounds, then days 181-195 in
+        one round: the two windows the harness simulates."""
+        calls = []
+        monkeypatch.setattr(
+            SessionSimulator, "run",
+            lambda self, n_events, day_start, day_end, rounds=4:
+                calls.append((n_events, day_start, day_end, rounds)))
+        sim = SessionSimulator(tiny_dataset.catalog, tiny_dataset.queries)
+        sim.run_training_window(1000)
+        sim.run_test_window(200)
+        assert calls == [(1000, 1, 180, 4), (200, 181, 195, 1)]
+
+    def test_test_window_clicks_fall_in_days_181_to_195(self,
+                                                        tiny_dataset):
+        log = SessionSimulator(tiny_dataset.catalog, tiny_dataset.queries,
+                               seed=5).run_test_window(2000)
+        assert log.total_searches == 2000
+        assert log.clicks
+        assert all(181 <= click.day <= 195 for click in log.clicks)
+
     def test_invalid_window_raises(self, tiny_dataset):
         sim = SessionSimulator(tiny_dataset.catalog, tiny_dataset.queries)
         with pytest.raises(ValueError):
