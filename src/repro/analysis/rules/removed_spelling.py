@@ -25,6 +25,8 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("_prune_by_count_array", NOWHERE,
+     "one static label order (the label id is the whole tie-break)"),
     ("parse_waivers Waiver META_RULE_IDS CALLER_LOCKED_RULE merge_rule_ids "
      'from_arrays "waiver-syntax" "waiver-unused" "n_waived"', NOWHERE,
      "a lint gate with no mute button (every finding gates)"),

@@ -77,23 +77,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: What each field of a ``simulate --out`` stats record must hold.
-_STAT_FIELDS = {"text": str, "leaf_id": int, "search_count": int,
-                "recall_count": int}
+#: What each field of a ``simulate --out`` stats record must hold: its
+#: type and, for an int, the range numpy's int64 columns hold.
+_INT64, _COUNTS = range(-2**63, 2**63), range(2**63)
+_STAT_FIELDS = {"text": (str, None), "leaf_id": (int, _INT64),
+                "search_count": (int, _COUNTS), "recall_count": (int, _COUNTS)}
 
 
 def _load_stats(path: str) -> List[KeyphraseStat]:
     """The ``simulate --out`` stats.  A record whose text is not a
-    ``str``, or whose leaf id or count is not an ``int`` (a ``bool``
-    neither), is a ``ValueError`` naming the file, record and field."""
+    ``str``, whose leaf id is not an ``int`` (a ``bool`` neither) in
+    int64, or whose count is not one in ``[0, 2**63)``, is a
+    ``ValueError`` naming the file, record and field."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     for index, record in enumerate(payload["stats"]):
-        for field, kind in _STAT_FIELDS.items():
-            if type(record.get(field)) is not kind:
-                raise ValueError(
-                    f"malformed stats file {path}: record {index} has "
-                    f"{field} {record.get(field)!r}, not {kind.__name__}")
+        for field, (kind, span) in _STAT_FIELDS.items():
+            value = record.get(field)
+            if type(value) is not kind:
+                problem = f"not {kind.__name__}"
+            elif span is not None and value not in span:
+                problem = f"outside [{span.start}, {span.stop})"
+            else:
+                continue
+            raise ValueError(f"malformed stats file {path}: record "
+                             f"{index} has {field} {value!r}, {problem}")
     return [KeyphraseStat(**{field: record[field] for field in _STAT_FIELDS})
             for record in payload["stats"]]
 
@@ -132,7 +140,8 @@ def _load_curated(path: str):
     effective threshold, *and* curation config (a round-trip used to
     silently reset the config to defaults).  A leaf whose columns differ
     in length, or hold a non-``str`` text or a non-``int`` count (a
-    ``bool`` too), is a ``ValueError`` naming the file and the leaf."""
+    ``bool`` too) or one outside ``[0, 2**63)``, is a ``ValueError``
+    naming the file and the leaf."""
     from .core.curation import CuratedKeyphrases, CuratedLeaf
 
     with open(path, encoding="utf-8") as fh:
@@ -149,6 +158,8 @@ def _load_curated(path: str):
             problem = "has a text that is not a string"
         elif any(type(n) is not int for n in [*search, *recall]):
             problem = "has a count that is not an integer"
+        elif any(n not in _COUNTS for n in [*search, *recall]):
+            problem = f"has a count outside [0, {_COUNTS.stop})"
         if problem:
             raise ValueError(f"malformed curated file {path}: leaf "
                              f"{leaf_id} {problem}")

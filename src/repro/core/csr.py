@@ -19,8 +19,9 @@ class CSRGraph:
     Attributes:
         indptr: ``int64`` array of length ``n_left + 1``; the neighbours of
             left vertex ``u`` are ``indices[indptr[u]:indptr[u + 1]]``.
-        indices: ``int32`` array of right-vertex ids, sorted within each
-            adjacency list and free of duplicates.
+        indices: ``int32`` array of right-vertex ids, free of duplicates
+            within each adjacency list; a builder's are sorted, and a
+            model plane's keep that order under their new ids.
 
     Zero-copy friendly: ``np.asarray`` in the constructor passes an
     already-typed array through *without copying*, preserving its

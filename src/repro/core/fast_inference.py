@@ -45,12 +45,11 @@ items, whichever leaves they belong to:
    the plane's ``label_lengths``.  Each row reads the dense integer
    rank of its ``(c, |l|, |T|)`` cell's score among the chunk's
    distinct scores (only the cells in use are scored; ``np.unique``,
-   so equal scores rank equal); a count array over the ranks
-   (:func:`_prune_by_count_array`) cuts each item to what
-   ``hard_limit`` can serve, boundary ties kept; only then are Search
-   / Recall Counts gathered, one gather each, and one ``np.lexsort``
-   keyed by (item, rank, S desc, R asc, label id asc) ranks every item
-   at once.
+   so equal scores rank equal), and one stable ``np.lexsort`` keyed by
+   (item, rank) ranks every item at once before ``hard_limit`` caps
+   it.  Rows enter in label order, and the plane numbers each graph's
+   labels by (S desc, R asc, builder id asc), so the label id breaks a
+   score tie as the scalar path's S, R and label id do.
 6. **Materialisation** (:func:`materialise`) — steps 1-5 run chunk
    by chunk into the batch's ranked columns (:class:`RankedColumns`),
    and step 6 runs once per batch: the label texts are one ``take`` of
@@ -96,6 +95,7 @@ import numpy as np
 
 from .batch import InferenceRequest, validate_limits
 from .inference import Recommendation
+from .model import _narrow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .model import GraphExModel, GraphPlane
@@ -230,52 +230,6 @@ def _count_and_prune(keys: np.ndarray, entry_bounds: np.ndarray, k: int,
     kept = np.flatnonzero(depth >= np.repeat(cutoff, entries[answered]))
     return (kept, np.diff(np.searchsorted(kept, entry_bounds)),
             depth[kept].astype(np.int64))
-
-
-def _prune_by_count_array(counts: np.ndarray, per_item: np.ndarray,
-                          k: int) -> np.ndarray:
-    """Step 5's ``hard_limit`` cut: the paper's count-array pruning
-    (Section III-F) over values held back to back, ``per_item[i]`` of
-    them for item ``i``; item by item it equals
-    :func:`repro.core.inference.prune_by_count_groups`.
-
-    ``at_least[i, c]`` is how many values of item ``i`` are ``>= c``,
-    so the largest ``c`` still holding ``k`` of them is the item's k-th
-    largest value: the cutoff whose whole threshold group survives (0 —
-    everything survives — for an item without a k-th value).
-
-    Step 5 runs it on ``n_ranks - rank``.  The table is ``n_items x
-    (max(counts) + 1)``: ``n_ranks`` is at most the distinct scores of
-    the ``(c, |l|)`` cells under the longest keyphrase (curation's
-    ``max_tokens``) — 55 at the default 10 tokens — times, for JAC
-    only, the chunk's distinct title lengths (at most
-    :data:`CHUNK_ITEMS`).
-
-    Returns:
-        Ascending indices into ``counts`` of the survivors (``k >= 1``).
-    """
-    n_items = len(per_item)
-    stride = int(counts.max()) + 1
-    count_array = np.bincount(
-        np.repeat(np.arange(n_items) * stride, per_item) + counts,
-        minlength=n_items * stride).reshape(n_items, stride)
-    at_least = count_array[:, ::-1].cumsum(axis=1)[:, ::-1]
-    cutoffs = (at_least[:, 1:] >= k).sum(axis=1)
-    return np.flatnonzero(counts >= np.repeat(cutoffs, per_item))
-
-
-def _narrow(values: np.ndarray, top: Optional[int] = None) -> np.ndarray:
-    """Non-negative integers in the smallest unsigned dtype that holds
-    ``top``, a bound on them (their maximum when not given).
-
-    A sort key's order does not depend on its width, but its speed
-    does: ``np.lexsort`` radix-sorts keys of 16 bits or fewer and
-    merge-sorts wider ones (as it did step 5's old float64 score key),
-    an order of magnitude apart per row, and ``np.sort`` moves half the
-    bytes per 32-bit key that it does per 64-bit one.
-    """
-    return values.astype(np.min_scalar_type(
-        int(values.max() if top is None else top)))
 
 
 def _label_texts(plane: "GraphPlane", labels: np.ndarray) -> List[str]:
@@ -498,10 +452,10 @@ class LeafBatchRunner:
         labels = keys[kept].astype(np.int64) - np.repeat(
             slots[:-1] - plane.label_base[owners], sizes)
 
-        # Rank: integer score ranks, the hard_limit cut, then S / R and
-        # one segmented lexsort.  Within an item the keys are the scalar
-        # path's (score desc, S desc, R asc, label id asc) — the last
-        # implicit: rows enter label-ascending and lexsort is stable.
+        # Rank: integer score ranks, then one segmented lexsort keyed by
+        # (item, rank): the scalar path's (score desc, S desc, R asc,
+        # label id asc), as rows enter label-ascending, lexsort is stable
+        # and the plane numbers labels by (S desc, R asc, builder id).
         # A row's score is a function of its cell (c, |l|, |T|), |T|
         # indexed by the chunk's distinct title lengths: one bincount
         # finds the cells in use, only those are scored, and the table
@@ -519,31 +473,16 @@ class LeafBatchRunner:
             cell_count, cell_length, title_lengths[cell_title]),
             return_inverse=True)
         ranks = table[cells]
-        limit = self._hard_limit
-        if limit is not None:
-            # The count array over ranks turned best-highest: each item
-            # keeps its hard_limit best rows and every tie with them.  A
-            # limit past the chunk's rows cuts nothing, and so fits int64.
-            limit = min(limit, len(ranks))
-            kept = _prune_by_count_array(len(negated) - ranks, sizes, limit)
-            sizes = np.diff(np.searchsorted(kept, row_bounds))
-            row_bounds = np.append(0, np.cumsum(sizes))
-            item_of, labels, counts, ranks = (
-                item_of[kept], labels[kept], counts[kept], ranks[kept])
-        search = plane.search_counts[labels]
-        recall = plane.recall_counts[labels]
-        order = np.lexsort((_narrow(recall - recall.min()),
-                            _narrow(search.max() - search),
-                            _narrow(ranks), _narrow(item_of)))
+        order = np.lexsort((_narrow(ranks), _narrow(item_of)))
 
-        if limit is not None:
+        if self._hard_limit is not None:
             # Cap each item's segment *before* materialising; rows past
-            # the per-item limit never reach the output.
-            sizes = np.minimum(sizes, limit)
+            # the per-item limit never reach the output.  A limit past
+            # the chunk's rows caps nothing, and so fits int64.
+            sizes = np.minimum(sizes, min(self._hard_limit, len(ranks)))
             capped_bounds = np.append(0, np.cumsum(sizes))
             order = order[
                 np.repeat(row_bounds[:-1] - capped_bounds[:-1], sizes)
                 + np.arange(capped_bounds[-1], dtype=np.int64)]
 
         return sizes, labels[order], counts[order], -negated[ranks[order]]
-

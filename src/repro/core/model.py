@@ -205,6 +205,20 @@ class LazyStringList(abc.Sequence):
         return (list, (list(self),))
 
 
+def _narrow(values: np.ndarray, top: Optional[int] = None) -> np.ndarray:
+    """Non-negative integers in the smallest unsigned dtype that holds
+    ``top``, a bound on them (their maximum when not given).
+
+    A sort key's order does not depend on its width, but its speed
+    does: ``np.lexsort`` radix-sorts keys of 16 bits or fewer and
+    merge-sorts wider ones (as it did the engine's old float64 score
+    key), an order of magnitude apart per row, and ``np.sort`` moves
+    half the bytes per 32-bit key that it does per 64-bit one.
+    """
+    return values.astype(np.min_scalar_type(
+        int(values.max(initial=0) if top is None else top)))
+
+
 class GraphPlane(NamedTuple):
     """Every graph of a model stacked into one set of arrays.
 
@@ -214,13 +228,14 @@ class GraphPlane(NamedTuple):
     ``indices[entry_base[g]:entry_base[g + 1]]`` its adjacency entries
     (local label ids), and the four label arrays' slices
     ``[label_base[g]:label_base[g + 1]]`` its labels.  A base array
-    holds one entry per graph plus one.  ``strings.take(text_ids[l])``
-    are the texts of stacked labels ``l``: an artifact's pool ids on an
-    opened model, ``arange`` over its labels' texts in stacked order on
-    a model built in memory.  A model's :class:`LeafGraph` arrays and
-    label texts are views of these (:meth:`leaf`), so the fast engine
-    reads a chunk of items from many graphs with one gather per array,
-    and an artifact stores the plane as it is.
+    holds one entry per graph plus one, and labels are in
+    :meth:`stack`'s static order.  ``strings.take(text_ids[l])`` are the
+    texts of stacked labels ``l``: pool ids into an artifact's pool, or
+    on a model built in memory into its graphs' builder-order texts.  A
+    model's :class:`LeafGraph` arrays and label texts are views of these
+    (:meth:`leaf`), so the fast engine reads a chunk of items from many
+    graphs with one gather per array, and an artifact stores the plane
+    as it is.
     """
 
     indptr: np.ndarray
@@ -255,23 +270,40 @@ class GraphPlane(NamedTuple):
 
     @classmethod
     def stack(cls, graphs: Sequence["LeafGraph"]) -> "GraphPlane":
-        """Copy ``graphs``' arrays, in order, into one plane."""
+        """Copy ``graphs``' arrays, in order, into one plane, each
+        graph's labels renumbered by (S desc, R asc, own id asc): the
+        label id is then the whole tie-break after the score.  Rows keep
+        their build order (both engines sort what they gather)."""
         def stacked(arrays: List[np.ndarray], dtype) -> np.ndarray:
             return np.concatenate(arrays) if arrays else np.empty(0, dtype)
 
         labels = [g.n_labels for g in graphs]
-        return cls.over(
+        plane = cls.over(
             stacked([g.graph.indptr for g in graphs], np.int64),
             stacked([g.graph.indices for g in graphs], np.int32),
             stacked([g.label_lengths for g in graphs], np.int32),
             stacked([g.search_counts for g in graphs], np.int64),
             stacked([g.recall_counts for g in graphs], np.int64),
-            np.arange(sum(labels), dtype=np.int64),
+            np.empty(sum(labels), dtype=np.int64),
             StringPool(np.fromiter(
                 chain.from_iterable(g.label_texts for g in graphs),
                 dtype=object, count=sum(labels))),
             [g.graph.n_left for g in graphs],
             [g.graph.n_edges for g in graphs], labels)
+        search, recall = plane.search_counts, plane.recall_counts
+        by_search = _narrow(search.max(initial=0) - search)
+        by_recall = _narrow(recall - recall.min(initial=0))
+        for lo, hi, start, end in zip(
+                plane.label_base[:-1].tolist(), plane.label_base[1:].tolist(),
+                plane.entry_base[:-1].tolist(), plane.entry_base[1:].tolist()):
+            order = np.lexsort((by_recall[lo:hi], by_search[lo:hi]))
+            plane.text_ids[lo:hi] = order + lo
+            new_ids = np.empty(hi - lo, dtype=np.int32)
+            new_ids[order] = np.arange(hi - lo, dtype=np.int32)
+            plane.indices[start:end] = new_ids[plane.indices[start:end]]
+        for column in (plane.label_lengths, search, recall):
+            column[:] = column[plane.text_ids]
+        return plane
 
     def leaf(self, g: int, leaf_id: int, word_vocab: Vocabulary,
              validate: bool = False) -> "LeafGraph":
@@ -371,10 +403,10 @@ class GraphExModel:
 
     The constructor stacks the graphs once into the model's
     :class:`GraphPlane` — leaves by id, then the pooled graph — and
-    serves views of it: :meth:`leaf_graph` returns a :class:`LeafGraph`
-    equal to the one passed in whose arrays share the plane's memory
-    and whose label texts read the plane's string pool; the graphs
-    passed in are not kept.
+    serves views of it: :meth:`leaf_graph` returns the graph passed in,
+    labels renumbered in static order (:meth:`GraphPlane.stack`), whose
+    arrays share the plane's memory and whose label texts read the
+    plane's string pool; the graphs passed in are not kept.
 
     Args:
         leaf_graphs: Leaf-id → :class:`LeafGraph` mapping.

@@ -1,8 +1,9 @@
 """Model persistence, zero-copy opens, and size accounting.
 
 A :class:`~repro.core.model.GraphExModel` serializes to a directory in
-one format, the one :func:`save_model` writes: **format 5**, the
-model's stacked :class:`~repro.core.model.GraphPlane` on disk.  The
+one format, the one :func:`save_model` writes: **format 6**, the
+model's stacked :class:`~repro.core.model.GraphPlane` on disk, labels
+in its static order (the label id is the score's tie-break).  The
 payload, a single ``arrays-*.bin`` file, holds one uncompressed,
 page-aligned section per array kind for all graphs at once —
 ``indptr``, ``indices``, ``label_lengths``, ``search_counts``,
@@ -28,9 +29,10 @@ chunk of many graphs' items with one gather per section.
 
 The program reads only what it writes: a directory of any other
 ``format_version`` — 1 and 2, 3 (the per-leaf layout), 4 (plus the
-pool's codepoint offsets), as much as a future one — is refused by one
-named ``ValueError``, and ``model.json`` is checked as outside input
-before it is followed (:func:`_read_meta`).
+pool's codepoint offsets), 5 (labels in builder order), as much as a
+future one — is refused by one named ``ValueError``, and
+``model.json`` is checked as outside input before it is followed
+(:func:`_read_meta`).
 
 Atomic re-save: :func:`save_model` writes the payload under a fresh
 ``arrays-<token>.bin`` name and atomically replaces ``model.json``
@@ -68,7 +70,7 @@ from .vocab import Vocabulary, intern_strings
 _META_FILE = "model.json"
 _POOLED_KEY = "pooled"
 #: The one format :func:`save_model` writes, and so the one format read.
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 
 #: The ``model.json`` keys a model must carry, with their JSON types.
 _MODEL_KEYS = {"arrays_file": str, "arrays": dict, "leaves": dict,
@@ -233,7 +235,7 @@ def _prune_stale_payloads(directory: Path, keep: str) -> None:
 
 
 def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
-    """Serialize a model to a directory (created if needed) as format 5.
+    """Serialize a model to a directory (created if needed) as format 6.
 
     Args:
         model: The model to persist.
@@ -379,7 +381,7 @@ def _check_graph_ends(path: Path, plane: GraphPlane, keys: List[str],
     Counts moved between graphs keep every section's sum right, and
     each graph would then serve its neighbour's rows; this reads two
     ``indptr`` entries per graph, so a mapped open stays O(metadata).
-    Label counts moved between graphs still pass (ROADMAP item 7)."""
+    Label counts moved between graphs still pass (ROADMAP item 2)."""
     starts = plane.indptr[plane.word_base[:-1]].tolist()
     ends = plane.indptr[plane.word_base[1:] - 1].tolist()
     for key, start, end, count in zip(keys, starts, ends, edges):
@@ -394,7 +396,7 @@ def _read_meta(directory: Path) -> Tuple[Dict, str]:
 
     ``model.json`` is outside input: one named ``ValueError`` (the
     path, what is wrong) unless it is a JSON object of
-    ``format_version`` 5 — judged first, whatever else is missing —
+    ``format_version`` 6 — judged first, whatever else is missing —
     holding every key the opener reads, each of its JSON type, an
     ``arrays_file`` that is a bare file name (the payload is opened
     inside the artifact directory, never wherever the manifest points),
@@ -427,8 +429,9 @@ def _read_meta(directory: Path) -> Tuple[Dict, str]:
             f"read at commit a58fa6e — rebuild it with construct; "
             f"format 4, which also stored the pool's codepoint offsets, "
             f"was last read at commit c4a5b79 — rebuild it with "
-            f"construct too; a higher number was written by a newer "
-            f"build)")
+            f"construct too; format 5, labels in builder order, was "
+            f"last read at commit bd207cf — rebuild it with construct "
+            f"too; a higher number was written by a newer build)")
     for key, kind in _MODEL_KEYS.items():
         if not isinstance(meta.get(key), kind):
             raise ValueError(
@@ -475,8 +478,8 @@ def load_model(directory: Union[str, Path],
 
     Raises:
         FileNotFoundError: If the directory lacks the expected files.
-        ValueError: On any ``format_version`` but 5 (the error names
-            the version and the last commit that read 1 to 4), a
+        ValueError: On any ``format_version`` but 6 (the error names
+            the version and the last commit that read 1 to 5), a
             malformed ``model.json`` (its manifest and ``leaves``
             entries included) or a truncated payload.
     """

@@ -23,7 +23,11 @@ settings.register_profile(
 #: equivalence properties, each drawn at least this often.
 settings.register_profile(
     "deep", parent=settings.get_profile("fast"), max_examples=250)
-settings.load_profile("fast")
+# Only over hypothesis's own default: a test module imports this one
+# again by name (``from tests.conftest import ...``), and reloading
+# "fast" then undid ``--hypothesis-profile deep``.
+if settings.default is settings.get_profile("default"):
+    settings.load_profile("fast")
 
 #: Figure 3 of the paper: (keyphrase, search count, recall count).
 #: Search counts are chosen so the illustrated search-volume ranking holds.

@@ -163,7 +163,7 @@ class TestWorkflow:
 
     def test_construct_format_version_round_trips(self, workflow_dir,
                                                   tmp_path, capsys):
-        """``construct`` writes a format-5 artifact and it loads back
+        """``construct`` writes a format-6 artifact and it loads back
         with the same leaves."""
         from repro.core.serialization import load_model
         baseline = load_model(workflow_dir / "model")
@@ -173,7 +173,7 @@ class TestWorkflow:
                      str(out_dir)]) == 0
         assert f"-> {out_dir}" in capsys.readouterr().out
         assert json.loads((out_dir / "model.json").read_text())[
-            "format_version"] == 5
+            "format_version"] == 6
         assert load_model(out_dir).leaf_ids == baseline.leaf_ids
 
     def test_recommend_mmap_prints_identical_output(self, workflow_dir,
@@ -297,6 +297,79 @@ class TestWorkflow:
         assert str(refused.value) == (f"malformed stats file {log}: "
                                       f"record 3 has {field} {shown}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("field, value", [
+        ("leaf_id", 2**63), ("leaf_id", -2**63 - 1),
+        ("search_count", 2**63), ("search_count", -1),
+        ("recall_count", 2**64), ("recall_count", -1),
+    ], ids=["leaf-past-int64", "leaf-below-int64", "search-past-int64",
+            "negative-search", "recall-past-int64", "negative-recall"])
+    def test_curate_refuses_an_int_numpy_cannot_hold(
+            self, workflow_dir, tmp_path, engine, field, value):
+        """Regression: a leaf id or Search Count of 2**63 died in
+        ``fast_curate`` with ``OverflowError: Python int too large to
+        convert to C long``.  An int outside int64, or a negative
+        count, is now refused by name before curation, on either
+        engine."""
+        payload = json.loads((workflow_dir / "log.json").read_text())
+        payload["stats"][3][field] = value
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps(payload))
+        out = tmp_path / "curated.json"
+        with pytest.raises(ValueError) as refused:
+            main(["curate", "--log", str(log), "--out", str(out),
+                  "--engine", engine])
+        low = -2**63 if field == "leaf_id" else 0
+        assert str(refused.value) == (
+            f"malformed stats file {log}: record 3 has {field} {value}, "
+            f"outside [{low}, {2**63})")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("leaf_id", -2**63), ("leaf_id", 2**63 - 1),
+        ("search_count", 0), ("recall_count", 2**63 - 1)])
+    def test_the_stats_loader_takes_the_ends_of_int64(
+            self, workflow_dir, tmp_path, field, value):
+        """The ranges are inclusive of numpy's ends: the extreme leaf
+        ids and counts load as written."""
+        from repro.cli import _load_stats
+
+        payload = json.loads((workflow_dir / "log.json").read_text())
+        payload["stats"][3][field] = value
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps(payload))
+        assert getattr(_load_stats(str(log))[3], field) == value
+
+    @pytest.mark.parametrize("column, value", [
+        ("search_counts", 2**63), ("search_counts", -1),
+        ("recall_counts", 2**63), ("recall_counts", -1)])
+    def test_construct_refuses_a_count_numpy_cannot_hold(
+            self, tmp_path, monkeypatch, column, value):
+        """Regression: a Search Count of 2**63 died in
+        ``build_leaf_graph_fast`` with an ``OverflowError``.  A count
+        outside int64, or a negative one, is now refused by name — file
+        and leaf — and no leaf is built."""
+        from repro.core import execution
+
+        built = []
+        monkeypatch.setattr(execution, "build_leaf_graph_fast",
+                            lambda *args: built.append(args))
+        leaf = {"texts": ["usb cable", "usb hub"], "search_counts": [5, 4],
+                "recall_counts": [1, 1]}
+        leaf[column][1] = value
+        path = tmp_path / "curated.json"
+        path.write_text(json.dumps({
+            "effective_threshold": 1,
+            "leaves": {"100": {"texts": ["fine"], "search_counts": [1],
+                               "recall_counts": [1]}, "101": leaf}}))
+        out = tmp_path / "model"
+        with pytest.raises(ValueError) as refused:
+            main(["construct", "--curated", str(path), "--out", str(out)])
+        assert str(refused.value) == (
+            f"malformed curated file {path}: leaf 101 has a count outside "
+            f"[0, {2**63})")
+        assert built == [] and not out.exists()
 
     def test_serve_nrt_demo_runs_multi_stream(self, workflow_dir, capsys):
         assert main(["serve-nrt", "--model", str(workflow_dir / "model"),

@@ -32,11 +32,10 @@ from repro.core.batch import batch_recommend, last_request_wins
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.fast_inference import (EMPTY_ROWS, LeafBatchRunner,
                                        RowView, _count_and_prune,
-                                       _label_texts, _prune_by_count_array,
-                                       materialise)
+                                       _label_texts, materialise)
 from repro.core.inference import (Recommendation, prune_by_count_groups,
                                   recommend_from_graph)
-from repro.core.model import GraphExModel, LazyStringList
+from repro.core.model import GraphExModel, GraphPlane, LazyStringList
 from repro.core.serialization import load_model, save_model
 from tests.conftest import open_saved
 
@@ -58,19 +57,24 @@ TOKENS = [f"w{i}" for i in range(18)]
 STRANGERS = ["zzz", "qqq", "unseen"]
 
 
-def make_model(leaf_phrases, alignment="lta", build_pooled=False):
-    """Construct a model from {leaf_id: [(text, search, recall), ...]}."""
+def curated_world(leaf_phrases):
+    """Curated keyphrases from {leaf_id: [(text, search, recall), ...]}."""
     leaves = {}
     for leaf_id, phrases in leaf_phrases.items():
         leaf = CuratedLeaf(leaf_id=leaf_id)
         for text, search, recall in phrases:
             leaf.add(text, search, recall)
         leaves[leaf_id] = leaf
-    curated = CuratedKeyphrases(
-        leaves=leaves, effective_threshold=1,
-        config=CurationConfig(min_search_count=1))
-    return GraphExModel.construct(curated, alignment=alignment,
-                                  build_pooled=build_pooled)
+    return CuratedKeyphrases(leaves=leaves, effective_threshold=1,
+                             config=CurationConfig(min_search_count=1))
+
+
+def make_model(leaf_phrases, alignment="lta", build_pooled=False,
+               builder="fast"):
+    """Construct a model from {leaf_id: [(text, search, recall), ...]}."""
+    return GraphExModel.construct(curated_world(leaf_phrases),
+                                  alignment=alignment,
+                                  build_pooled=build_pooled, builder=builder)
 
 
 def reference_outputs(model, requests, k, hard_limit=None):
@@ -555,63 +559,6 @@ class TestCostFollowsWhatAnItemTouches:
         assert narrowed == [(key_range, np.dtype(dtype), key_range - 1)]
 
 
-class TestCountArrayPrune:
-    """The vectorized count-array prune equals the scalar
-    :func:`prune_by_count_groups` item by item, at every boundary."""
-
-    CASES = {
-        "exactly_k": [3, 1, 2],
-        "fewer_than_k": [2, 2],
-        "one_candidate": [1],
-        "all_counts_equal": [2, 2, 2, 2, 2, 2],
-        "ties_straddle_kth": [4, 2, 2, 2, 1, 2, 1],
-        "kth_is_the_max": [5, 5, 5, 5, 1],
-        "strictly_decreasing": [7, 6, 5, 4, 3, 2, 1],
-    }
-
-    @staticmethod
-    def scalar_keep(counts, k):
-        counts = np.asarray(counts, dtype=np.int64)
-        kept, _ = prune_by_count_groups(np.arange(len(counts)), counts, k)
-        return kept.tolist()
-
-    @classmethod
-    def assert_equals_scalar(cls, segments, k):
-        """One vectorized pass over ``segments`` (one per item) keeps
-        exactly what the scalar prune keeps item by item."""
-        counts = np.asarray([c for segment in segments for c in segment],
-                            dtype=np.int64)
-        per_item = np.asarray([len(segment) for segment in segments])
-        expected, offset = [], 0
-        for segment in segments:
-            expected += [offset + i for i in cls.scalar_keep(segment, k)]
-            offset += len(segment)
-        assert _prune_by_count_array(counts, per_item, k).tolist() \
-            == expected
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 7, 50])
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_single_item_boundaries(self, case, k):
-        self.assert_equals_scalar([self.CASES[case]], k)
-
-    @pytest.mark.parametrize("k", [1, 3, 6])
-    def test_items_prune_independently_in_one_pass(self, k):
-        """Every boundary case back to back, plus items with no
-        candidate at all in between: each keeps its own cutoff."""
-        segments = [[]] + [self.CASES[name] for name in sorted(self.CASES)]
-        segments.insert(3, [])
-        segments.append([])
-        self.assert_equals_scalar(segments, k)
-
-    @given(segments=st.lists(st.lists(st.integers(1, 6), max_size=12),
-                             min_size=1, max_size=6)
-           .filter(lambda segments: any(segments)),
-           k=st.integers(1, 9))
-    @settings(max_examples=examples(60), deadline=None)
-    def test_property(self, segments, k):
-        self.assert_equals_scalar(segments, k)
-
-
 def keys_of_runs(segments):
     """Sorted chunk keys whose runs have the given lengths, one segment
     of run lengths per item, and the items' entry bounds: each item owns
@@ -681,10 +628,11 @@ class TestCountAndPrune:
 
 
 class TestRankCut:
-    """Step 5 ranks scores as integers and, with ``hard_limit`` set,
-    cuts each item to the ranks it can serve before the lexsort: every
-    row tied with an item's ``hard_limit``-th one survives the cut, so
-    the Search / Recall Count tie-break still picks among all of them."""
+    """Step 5 ranks scores as integers, sorts each item's rows by
+    (rank, label id) and, with ``hard_limit`` set, caps them: a score
+    tie that straddles an item's ``hard_limit``-th row is broken by
+    Search Count, so the static label order must serve the searched
+    row, not the one the builder numbered first."""
 
     #: Title ``w0 w1 w2`` (|T| = 3) against each alignment's leaf: two
     #: tied pairs, each from two different (c, |l|) cells, the later
@@ -711,38 +659,11 @@ class TestRankCut:
                                in zip(texts, cls.SEARCH + [50])]},
                           alignment=alignment)
 
-    @staticmethod
-    def stable_cut(segments, limit):
-        """Stable-sort each item's rows by rank, keep the first
-        ``limit`` and every row tied with the last one kept."""
-        kept, offset = [], 0
-        for ranks in segments:
-            order = sorted(range(len(ranks)), key=ranks.__getitem__)
-            if limit and order:
-                edge = ranks[order[min(limit, len(order)) - 1]]
-                kept += [offset + i for i in order if ranks[i] <= edge]
-            offset += len(ranks)
-        return sorted(kept)
-
-    @given(segments=st.lists(st.lists(st.integers(0, 5), max_size=12),
-                             min_size=1, max_size=6)
-           .filter(lambda segments: any(segments)),
-           limit=st.integers(1, 9), spare=st.integers(0, 2))
-    @settings(max_examples=examples(80), deadline=None)
-    def test_the_count_array_over_ranks_keeps_every_boundary_tie(
-            self, segments, limit, spare):
-        """The cut is step 4's count array over ``n_ranks - rank``
-        (``hard_limit = 0`` never reaches it: no chunk runs)."""
-        ranks = np.asarray([r for ranks in segments for r in ranks])
-        n_ranks = int(ranks.max()) + 1 + spare
-        assert _prune_by_count_array(
-            n_ranks - ranks, np.asarray([len(r) for r in segments]),
-            limit).tolist() == self.stable_cut(segments, limit)
-
     @pytest.mark.parametrize("alignment", ALIGNMENTS)
     def test_the_worlds_tie_across_cells(self, alignment):
         """Each tied pair holds two values of ``c``, the later label
-        first: a cut that dropped boundary ties would serve the other."""
+        first: a label order that ignored Search Count would serve the
+        other."""
         rows = recommend_from_graph(
             self.tie_model(alignment).leaf_graph(1), ["w0", "w1", "w2"],
             k=20, alignment_fn=get_alignment(alignment))
@@ -812,10 +733,9 @@ class TestRankCut:
     @pytest.mark.parametrize("hard_limit", [1, 3, 7, None])
     def test_jac_ranks_long_varied_titles(self, hard_limit, monkeypatch):
         """JAC's score depends on ``|T|``, so long titles of many lengths
-        multiply the distinct scores in a chunk; the cut's count array
-        still stays within the bound its docstring states (55 cells per
-        title length at 10-token keyphrases) and serves the reference.
-        Step 4 prunes without it, so every call is the cut."""
+        multiply the distinct scores in a chunk; its ranks still stay
+        within 55 per title length at 10-token keyphrases, and the
+        engine serves the reference."""
         rng = np.random.default_rng(7)
         words = [f"v{i}" for i in range(40)]
         phrases = {" ".join(rng.choice(words, size, replace=False))
@@ -825,21 +745,21 @@ class TestRankCut:
                            alignment="jac")
         reqs = [(i, " ".join(rng.choice(words + STRANGERS, 1 + (i * 7) % 120)),
                  1) for i in range(150)]
-        strides = []
-        real_prune = fast_inference._prune_by_count_array
+        n_ranks = []
+        jac = model.alignment_fn
 
-        def spy(counts, per_item, k):
-            strides.append(int(counts.max()) + 1)
-            return real_prune(counts, per_item, k)
+        def spy(counts, lengths, n_tokens):
+            scores = jac(counts, lengths, n_tokens)
+            n_ranks.append(len(np.unique(scores)))
+            return scores
 
-        monkeypatch.setattr(fast_inference, "_prune_by_count_array", spy)
+        monkeypatch.setattr(model, "_alignment", spy)
         served = batch_recommend(model, reqs, k=20, hard_limit=hard_limit)
+        monkeypatch.setattr(model, "_alignment", jac)
         assert_identical(served, reference_outputs(model, reqs, 20,
                                                    hard_limit))
-        assert max(strides, default=0) <= 55 * fast_inference.CHUNK_ITEMS + 1
-        assert bool(strides) == (hard_limit is not None)
-        if hard_limit is not None:
-            assert max(strides) > 55   # more ranks than LTA could have
+        assert max(n_ranks) <= 55 * fast_inference.CHUNK_ITEMS
+        assert max(n_ranks) > 55   # more ranks than LTA could have
 
     @pytest.mark.parametrize("hard_limit", [1, 3, None])
     @pytest.mark.parametrize("alignment", ALIGNMENTS)
@@ -1272,3 +1192,118 @@ class TestStackedPlane:
                     plane.text_ids))
                 assert np.shares_memory(
                     served.pooled_graph.label_texts._ids, plane.text_ids)
+
+
+#: Few Search / Recall Counts, so full (score, S, R) ties are common.
+tied_worlds = st.dictionaries(
+    st.integers(1, 4),
+    st.lists(st.tuples(phrase, st.integers(1, 3), st.integers(1, 3)),
+             max_size=16),
+    min_size=1, max_size=4)
+
+PLANE_ARRAYS = ("indptr", "indices", "label_lengths", "search_counts",
+                "recall_counts", "word_base", "entry_base", "label_base",
+                "widths")
+
+
+class TestStaticLabelOrder:
+    """The plane numbers each graph's labels once, by (S desc, R asc,
+    builder id asc), so the label id is the whole tie-break after the
+    score; the renumbering changes no served row."""
+
+    #: (Search Count, Recall Count) per label, in builder order; every
+    #: label is ``w0 w<i>``, so title ``w0`` ties them all on score.
+    CASES = {
+        "one_label": [(1, 1)],
+        "full_ties": [(2, 2)] * 6,
+        "search_ascending": [(1, 7), (2, 6), (3, 5), (4, 4), (5, 3),
+                             (6, 2), (7, 1)],
+        "recall_breaks_search_ties": [(5, 3), (5, 1), (5, 2), (5, 1)],
+        "ties_straddle_the_cap": [(4, 1), (2, 3), (2, 1), (2, 2), (1, 1),
+                                  (2, 1), (1, 2)],
+        "kth_is_the_max": [(5, 5), (5, 5), (5, 5), (5, 5), (1, 1)],
+        "interleaved": [(1, 1), (3, 2), (1, 1), (3, 1), (2, 9), (3, 2)],
+        "int64_ends": [(0, 2**63 - 1), (2**63 - 1, 0), (0, 0),
+                       (2**63 - 1, 2**63 - 1), (2**62, 1)],
+    }
+
+    @pytest.mark.parametrize("hard_limit", [1, 2, 3, 4, 6, 7, None])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_score_tie_is_served_in_static_order(self, case,
+                                                   hard_limit):
+        """Both builders, all three alignments: each engine serves the
+        tied labels by (S desc, R asc, builder id asc) and caps them at
+        ``hard_limit`` — the order and the boundary rows the scalar
+        oracle serves over the builder's own graph."""
+        counts = self.CASES[case]
+        texts = [f"w0 w{i + 1}" for i in range(len(counts))]
+        ranked = sorted(range(len(counts)),
+                        key=lambda i: (-counts[i][0], counts[i][1], i))
+        expected = [texts[i] for i in ranked][:hard_limit]
+        reqs = [(1, "w0", 1)]
+        world = {1: [(text, search, recall) for text, (search, recall)
+                     in zip(texts, counts)]}
+        for builder in ("reference", "fast"):
+            for alignment in ALIGNMENTS:
+                model = make_model(world, alignment=alignment,
+                                   builder=builder)
+                for engine in ("fast", "reference"):
+                    rows = batch_recommend(model, reqs, k=20,
+                                           hard_limit=hard_limit,
+                                           engine=engine)[1]
+                    assert [row.text for row in rows] == expected
+                    assert [(row.search_count, row.recall_count)
+                            for row in rows] \
+                        == [counts[i] for i in ranked][:hard_limit]
+
+    @given(world=tied_worlds, reqs=requests_strategy, k=st.integers(0, 12),
+           alignment=st.sampled_from(ALIGNMENTS),
+           build_pooled=st.booleans(),
+           builder=st.sampled_from(["reference", "fast"]),
+           hard_limit=st.one_of(st.none(), st.integers(1, 8),
+                                st.integers(2**63, 2**70)))
+    @settings(max_examples=examples(40), deadline=None)
+    def test_every_engine_serves_what_the_builders_graphs_serve(
+            self, world, reqs, k, alignment, build_pooled, builder,
+            hard_limit):
+        """Both engines on the built, copied and mapped model serve
+        exactly what the scalar oracle serves over the builder's own
+        graphs, before :meth:`GraphPlane.stack` renumbered them; the
+        plane is in the static order, and stacking its graphs a second
+        time changes nothing."""
+        built, stack = [], GraphPlane.stack.__func__
+
+        def spy(cls, graphs):
+            built.append(list(graphs))
+            return stack(cls, graphs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GraphPlane, "stack", classmethod(spy))
+            model = make_model(world, alignment=alignment,
+                               build_pooled=build_pooled, builder=builder)
+        (graphs,) = built
+        expected = {}
+        for item_id, title, leaf_id in reqs:
+            g = model.graph_index(leaf_id)
+            expected[item_id] = [] if g is None else recommend_from_graph(
+                graphs[g], model.tokenizer(title), k=k,
+                alignment_fn=model.alignment_fn, hard_limit=hard_limit)
+        plane = model.plane
+        for lo, hi in zip(plane.label_base[:-1], plane.label_base[1:]):
+            keys = list(zip(-plane.search_counts[lo:hi],
+                            plane.recall_counts[lo:hi],
+                            plane.text_ids[lo:hi]))
+            assert keys == sorted(keys)
+        with tempfile.TemporaryDirectory() as tmp:
+            for kind, served in three_kinds(model, Path(tmp)).items():
+                for engine in ("fast", "reference"):
+                    assert_identical(batch_recommend(
+                        served, reqs, k=k, hard_limit=hard_limit,
+                        engine=engine), expected)
+                again = GraphPlane.stack(served.plane_graphs)
+                for name in PLANE_ARRAYS:
+                    ours, theirs = getattr(again, name), getattr(plane, name)
+                    assert ours.dtype == theirs.dtype, (kind, name)
+                    assert np.array_equal(ours, theirs), (kind, name)
+                assert again.strings.take(again.text_ids) \
+                    == plane.strings.take(plane.text_ids), kind

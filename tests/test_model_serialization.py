@@ -157,7 +157,7 @@ class TestSerialization:
         path = save_model(GraphExModel.construct(
             curated_two_leaves(), tokenizer=tokenizer), tmp_path / "m")
         assert (path / "model.json").read_text(encoding="utf-8").startswith(
-            '{"format_version": 5, "alignment": "lta", "tokenizer": '
+            '{"format_version": 6, "alignment": "lta", "tokenizer": '
             '{"type": "space", "stem": %s}, ' % stem)
         assert load_model(path).tokenizer.stopwords == frozenset()
 
@@ -292,7 +292,7 @@ class TestRoundtripFidelity:
                                        build_pooled=True)
         path = save_model(model, tmp_path / "m")
         meta = json.loads((path / "model.json").read_text())
-        assert meta["format_version"] == 5
+        assert meta["format_version"] == 6
         expected = set()
         for graph in [model.leaf_graph(i) for i in model.leaf_ids] \
                 + [model.pooled_graph]:
@@ -490,7 +490,7 @@ class TestCrossFormat:
             load_model(path)
         message = str(excinfo.value)
         assert "99" in message
-        assert "format 5" in message
+        assert "format 6" in message
 
     @pytest.mark.parametrize("version", [1, 2, 99])
     def test_every_other_format_is_refused_by_one_message(self, tmp_path,
@@ -515,13 +515,13 @@ class TestCrossFormat:
         assert message.startswith(
             f"unsupported model format_version {version} in "
             f"{path / 'model.json'}")
-        assert "format 5" in message and "f0008ce" in message
+        assert "format 6" in message and "f0008ce" in message
 
     def test_format_3_is_refused_naming_its_last_reader(self, tmp_path):
         """Format 3 — seven payload sections per leaf — has no reader
         now: an intact format-3 header is refused by name on every
         opener, naming the last commit that read it and how to get a
-        format-5 artifact."""
+        format-6 artifact."""
         path = save_model(TestArtifactBytes.pool_order_model(),
                           tmp_path / "m")
         meta = json.loads((path / "model.json").read_text("utf-8"))
@@ -537,7 +537,7 @@ class TestCrossFormat:
             assert message.startswith(
                 f"unsupported model format_version 3 in "
                 f"{path / 'model.json'}; this build reads only what it "
-                f"writes, format 5")
+                f"writes, format 6")
             assert "format 3, one section per leaf array, was last read " \
                 "at commit a58fa6e — rebuild it with construct" in message
 
@@ -560,9 +560,32 @@ class TestCrossFormat:
             assert message.startswith(
                 f"unsupported model format_version 4 in "
                 f"{path / 'model.json'}; this build reads only what it "
-                f"writes, format 5")
+                f"writes, format 6")
             assert "format 4, which also stored the pool's codepoint " \
                 "offsets, was last read at commit c4a5b79" in message
+
+    def test_format_5_is_refused_naming_its_last_reader(self, tmp_path):
+        """Format 5 — format 6's sections, each graph's labels in
+        builder order — has no reader now: the fast engine breaks a
+        score tie by label id, so a format-5 plane would serve ties in
+        another order.  A format-5 header is refused by name on every
+        opener, naming the last commit that read it."""
+        path = save_model(TestArtifactBytes.pool_order_model(),
+                          tmp_path / "m")
+        meta = json.loads((path / "model.json").read_text("utf-8"))
+        meta["format_version"] = 5
+        (path / "model.json").write_text(json.dumps(meta), "utf-8")
+        for opener in (load_model, lambda p: load_model(p, mmap=True),
+                       open_model):
+            with pytest.raises(ValueError) as refused:
+                opener(path)
+            message = str(refused.value)
+            assert message.startswith(
+                f"unsupported model format_version 5 in "
+                f"{path / 'model.json'}; this build reads only what it "
+                f"writes, format 6")
+            assert "format 5, labels in builder order, was last read at " \
+                "commit bd207cf — rebuild it with construct" in message
 
 
 class TestMappedPlane:
@@ -683,17 +706,19 @@ class TestMappedPlane:
                                                           builder):
         """Built, copied and mapped models alike: every graph's
         ``label_texts`` is a ``LazyStringList`` over the plane's pool,
-        equal to the builder's list and behaving like it, and pickling
-        to that plain list."""
+        equal to the builder's list in the plane's static order (Search
+        Count desc) and behaving like it, and pickling to that plain
+        list."""
         curated = curated_two_leaves()
         model = GraphExModel.construct(curated, build_pooled=True,
                                        builder=builder)
         path = save_model(model, tmp_path / "m")
-        lists = {leaf_id: build_leaf_graph(
-            leaf, DEFAULT_TOKENIZER).label_texts
-            for leaf_id, leaf in curated.leaves.items()}
-        lists[-1] = list(dict.fromkeys(
-            text for leaf in curated.leaves.values() for text in leaf.texts))
+        lists = {10: ["gaming headphones", "audeze maxwell"],
+                 11: ["mesh router"],
+                 -1: ["gaming headphones", "audeze maxwell", "mesh router"]}
+        for leaf_id, leaf in curated.leaves.items():
+            assert sorted(lists[leaf_id]) == sorted(build_leaf_graph(
+                leaf, DEFAULT_TOKENIZER).label_texts)
         for opened in (model, load_model(path), load_model(path, mmap=True)):
             graphs = opened.plane_graphs
             assert {type(graph.label_texts) for graph in graphs} \
@@ -869,12 +894,14 @@ class TestArtifactBytes:
     #: The pool order is part of the artifact: leaf by leaf, vocabulary
     #: words then label texts, first occurrence wins.  Pinned from the
     #: payload the one-``Vocabulary.add``-per-string writer produced
-    #: (leaf 10's ids, then leaf 11's, then the pooled graph's).
+    #: (leaf 10's ids, then leaf 11's, then the pooled graph's), labels
+    #: in the plane's static order: leaf 11's "usb cable" (Search Count
+    #: 9) first, its "usb" (1) last, and so in the pooled graph.
     POOL = ["usb", "cable", "usb cable", "hdmi", "café", "hdmi cable",
             "café usb"]
     IDS = {
         "word_ids": [0, 1] + [3, 1, 0, 4] + [0, 1, 3, 4],
-        "label_ids": [2, 1] + [5, 2, 0, 6] + [2, 1, 5, 0, 6],
+        "label_ids": [2, 1] + [2, 5, 6, 0] + [2, 1, 5, 6, 0],
         "pool/byte_offsets": [0, 3, 8, 17, 21, 26, 36, 45],
     }
     #: The same pool's codepoint offsets: what the byte offsets are once

@@ -23,8 +23,15 @@ class TestFigure3Graph:
         assert set(graph.word_vocab.tokens) == expected_words
 
     def test_right_vertices_are_the_keyphrases(self, fig3_model):
+        """Every keyphrase is a right vertex, numbered by Search Count
+        (the plane's static order, so the label id breaks score ties)."""
         graph = fig3_model.leaf_graph(FIG3_LEAF_ID)
-        assert graph.label_texts == [text for text, _s, _r in FIG3_KEYPHRASES]
+        assert graph.label_texts == [
+            "gaming headphones xbox", "bluetooth wireless headphones",
+            "wireless headphones xbox", "audeze maxwell",
+            "audeze headphones"]
+        assert sorted(graph.label_texts) \
+            == sorted(text for text, _s, _r in FIG3_KEYPHRASES)
 
     def test_edges_connect_words_to_containing_keyphrases(self, fig3_model):
         graph = fig3_model.leaf_graph(FIG3_LEAF_ID)
