@@ -5,7 +5,7 @@ TCP, three executor workers register, and an inference batch is sharded
 across them through the cluster runner.  One worker is armed with the
 kill switch (``die_after_assignments=0``): the moment its first shard
 arrives it drops the connection cold, exactly like a crashed host.  The
-coordinator detects the death, re-balances the orphaned shard across
+coordinator detects the death, re-cuts the orphaned shard across
 the two survivors, and the merged output is still element-wise
 identical to the single-process fast path — with every shard merged
 exactly once.
@@ -86,7 +86,8 @@ async def main() -> None:
             print(f"\nrun report:")
             print(f"  units planned          : {report.n_units_planned}")
             print(f"  dead-host re-plans     : {report.n_replans}")
-            print(f"  orphaned shard keys    : {report.orphaned_keys}")
+            print(f"  orphaned requests      : "
+                  f"{sum(map(len, report.orphaned_keys))}")
             print(f"  deadline retries       : {report.n_retries}")
             print(f"  late results discarded : {report.n_late_discarded}")
             print(f"  workers used           : {report.workers_used}")

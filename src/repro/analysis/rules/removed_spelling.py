@@ -25,6 +25,10 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("POOLED_GROUP shard_costs", NOWHERE,
+     "one request-to-graph grouping (a fleet plan cuts graph_order)"),
+    ("balance", r"(?!repro\.core\.sharding:ShardPlan\.)",
+     "one request-to-graph grouping (no LPT planner, no cost table)"),
     ("_prune_by_count_array", NOWHERE,
      "one static label order (the label id is the whole tie-break)"),
     ("parse_waivers Waiver META_RULE_IDS CALLER_LOCKED_RULE merge_rule_ids "

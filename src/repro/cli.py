@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -82,28 +83,45 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 _INT64, _COUNTS = range(-2**63, 2**63), range(2**63)
 _STAT_FIELDS = {"text": (str, None), "leaf_id": (int, _INT64),
                 "search_count": (int, _COUNTS), "recall_count": (int, _COUNTS)}
+#: A ``curate --out`` leaf's columns, in ``CuratedLeaf`` order.
+_COLUMNS = ("texts", "search_counts", "recall_counts")
+
+
+def _require(ok: bool, kind: str, path: str, problem: str) -> None:
+    """Refuse a malformed input file, by name, unless ``ok``."""
+    if not ok:
+        raise ValueError(f"malformed {kind} file {path}: {problem}")
 
 
 def _load_stats(path: str) -> List[KeyphraseStat]:
-    """The ``simulate --out`` stats.  A record whose text is not a
-    ``str``, whose leaf id is not an ``int`` (a ``bool`` neither) in
-    int64, or whose count is not one in ``[0, 2**63)``, is a
-    ``ValueError`` naming the file, record and field."""
+    """The ``simulate --out`` stats.  A ``ValueError`` naming the file
+    (and the record and field) refuses any other shape: an object whose
+    ``stats`` is a list of objects, each with a ``str`` text, an int64
+    leaf id and counts in ``[0, 2**63)`` (ints, a ``bool`` neither)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    for index, record in enumerate(payload["stats"]):
+    _require(type(payload) is dict, "stats", path,
+             "the top level is not an object")
+    records = payload.get("stats")
+    _require(type(records) is list, "stats", path, "stats is not a list")
+    for index, record in enumerate(records):
+        _require(type(record) is dict, "stats", path,
+                 f"record {index} is not an object")
         for field, (kind, span) in _STAT_FIELDS.items():
             value = record.get(field)
-            if type(value) is not kind:
-                problem = f"not {kind.__name__}"
+            if field not in record:
+                problem = f"has no {field}"
+            elif type(value) is not kind:
+                problem = f"has {field} {value!r}, not {kind.__name__}"
             elif span is not None and value not in span:
-                problem = f"outside [{span.start}, {span.stop})"
+                problem = (f"has {field} {value!r}, outside "
+                           f"[{span.start}, {span.stop})")
             else:
                 continue
             raise ValueError(f"malformed stats file {path}: record "
-                             f"{index} has {field} {value!r}, {problem}")
+                             f"{index} {problem}")
     return [KeyphraseStat(**{field: record[field] for field in _STAT_FIELDS})
-            for record in payload["stats"]]
+            for record in records]
 
 
 def _cmd_curate(args: argparse.Namespace) -> int:
@@ -138,18 +156,43 @@ def _cmd_curate(args: argparse.Namespace) -> int:
 def _load_curated(path: str):
     """Rebuild the exact ``curate --out`` CuratedKeyphrases — leaves,
     effective threshold, *and* curation config (a round-trip used to
-    silently reset the config to defaults).  A leaf whose columns differ
-    in length, or hold a non-``str`` text or a non-``int`` count (a
-    ``bool`` too) or one outside ``[0, 2**63)``, is a ``ValueError``
-    naming the file and the leaf."""
+    silently reset the config to defaults).  A ``ValueError`` naming
+    the file (and the leaf) refuses any other shape: the top level and
+    ``leaves`` are objects, ``effective_threshold`` an ``int``,
+    ``config`` an object of :class:`CurationConfig`'s int fields, a
+    leaf key an int64 as ``str(int)`` writes it, and a leaf an object
+    of three lists of one length — ``str`` texts, ``int`` counts (a
+    ``bool`` neither) in ``[0, 2**63)``."""
     from .core.curation import CuratedKeyphrases, CuratedLeaf
 
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    _require(type(payload) is dict, "curated", path,
+             "the top level is not an object")
+    _require(type(payload.get("leaves")) is dict, "curated", path,
+             "leaves is not an object")
+    _require(type(payload.get("effective_threshold")) is int, "curated",
+             path, "effective_threshold is not an int")
+    # Older curated files predate the persisted config block; they fall
+    # back to defaults, as before.
+    config = payload.get("config", {})
+    fields = {field.name for field in dataclasses.fields(CurationConfig)}
+    _require(type(config) is dict and set(config) <= fields
+             and all(type(value) is int for value in config.values()),
+             "curated", path, "config is not an object of CurationConfig's "
+             f"int fields {sorted(fields)}")
     leaves = {}
-    for leaf_id, data in payload["leaves"].items():
-        texts, search, recall = columns = (
-            data["texts"], data["search_counts"], data["recall_counts"])
+    for key, data in payload["leaves"].items():
+        # As str(int) writes one, in at most 19 digits (int() stays cheap).
+        _require(re.fullmatch("0|-?[1-9][0-9]{0,18}", key) is not None
+                 and int(key) in _INT64, "curated", path,
+                 f"leaf key {key!r} is not an int64")
+        leaf_id = int(key)
+        columns = [data.get(name) for name in _COLUMNS] \
+            if type(data) is dict else [None]
+        _require(all(type(column) is list for column in columns), "curated",
+                 path, f"leaf {key} is not an object of lists {_COLUMNS}")
+        texts, search, recall = columns
         problem = None
         if not len(texts) == len(search) == len(recall):
             problem = (f"has {len(texts)} texts, {len(search)} search "
@@ -160,16 +203,11 @@ def _load_curated(path: str):
             problem = "has a count that is not an integer"
         elif any(n not in _COUNTS for n in [*search, *recall]):
             problem = f"has a count outside [0, {_COUNTS.stop})"
-        if problem:
-            raise ValueError(f"malformed curated file {path}: leaf "
-                             f"{leaf_id} {problem}")
-        leaves[int(leaf_id)] = CuratedLeaf(int(leaf_id), *map(list, columns))
-    # Older curated files predate the persisted config block; they fall
-    # back to defaults, as before.
+        _require(problem is None, "curated", path, f"leaf {key} {problem}")
+        leaves[leaf_id] = CuratedLeaf(leaf_id, *columns)
     return CuratedKeyphrases(
-        leaves=leaves,
-        effective_threshold=payload["effective_threshold"],
-        config=CurationConfig(**payload.get("config", {})))
+        leaves=leaves, effective_threshold=payload["effective_threshold"],
+        config=CurationConfig(**config))
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

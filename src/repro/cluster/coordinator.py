@@ -2,8 +2,9 @@
 
 A :class:`ClusterCoordinator` listens on localhost TCP, executor hosts
 (:class:`~repro.cluster.worker.ClusterWorker`) register, and the units
-of a :class:`~repro.core.sharding.ShardPlan` run across the fleet (the
-plan stays here; a unit's requests are what ships).  A job drives an
+of a :class:`~repro.core.sharding.ShardPlan` (runs of request indices
+in graph order) go to the fleet: the plan stays here, a unit's
+requests are what ships.  A job drives an
 :class:`~repro.core.execution.InferenceJob`, the scatter/merge the
 inline executor calls, so outputs are element-wise identical to the
 single-process fast path under **any** failure topology.  The fleet

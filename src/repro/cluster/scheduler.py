@@ -78,16 +78,16 @@ class ClusterRunReport:
     Attributes:
         n_units_planned: Work units in the initial plan.
         n_workers_at_start: Live hosts when the plan was cut.
-        n_replans: Dead-host events that re-balanced orphaned keys.
+        n_replans: Dead-host events that re-planned orphaned keys.
         n_retries: Per-shard deadline expiries that re-dispatched.
         n_late_discarded: Results that arrived after their assignment
             was superseded and were discarded instead of double-merged.
         n_local_units: Units the coordinator ran itself (fleet empty).
         workers_used: Hosts that contributed at least one dispatch.
-        merge_counts: Times each work-unit key was merged — the
-            exactly-once invariant is ``all(v == 1)``.
-        orphaned_keys: Key groups that were orphaned by a dead host and
-            re-planned.
+        merge_counts: Times each work-unit key (a request index) was
+            merged — the exactly-once invariant is ``all(v == 1)``.
+        orphaned_keys: Request indices, unit by unit, orphaned by a
+            dead host and re-planned.
         fleet_metrics: The merged fleet metrics snapshot at job end —
             the job's registry folded with the latest heartbeat
             snapshot of every worker seen (see

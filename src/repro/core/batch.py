@@ -32,7 +32,7 @@ engine runs: here, as one engine call on the calling thread (``None``
 the fleet an :class:`repro.core.execution.ClusterExecutor` instance
 carries.  Duplicate item ids resolve once, in :func:`last_request_wins`
 (the last request for an id wins); how the fleet cuts a batch into
-leaf groups and merges them back lives once, in
+units and merges them back lives once, in
 :class:`repro.core.execution.InferenceJob`.  The reference engine stays
 single-process by design — it is the semantics oracle.
 """

@@ -1,8 +1,8 @@
 """The unified execution plane: one Executor abstraction, two substrates.
 
-GraphEx runs leaf-group inference batches in two places: here, on the
-calling thread, or on a fleet of worker processes.  This module puts
-both behind one :class:`Executor` interface, chosen everywhere
+GraphEx runs inference batches in two places: here, on the calling
+thread, or on a fleet of worker processes.  This module puts both
+behind one :class:`Executor` interface, chosen everywhere
 (``batch_recommend``, the serving stack) by the single ``executor=``
 keyword, which :func:`resolve_executor` turns into an instance:
 
@@ -33,18 +33,15 @@ failure topology — pinned by the cross-executor property suite in
 ``tests/test_execution.py``.
 
 The fleet's half of the contract is implemented once, here.
-:class:`InferenceJob` owns how a batch is cut into leaf-group units
-(the :class:`~repro.core.sharding.ShardPlan`), how unit rows are merged
-back (by request index, last request wins), and how many requests a
-unit settled (what ``run_local`` and ``merge`` return).  The cluster
-coordinator — its local fallback included — only decides *where* a
-unit runs and hands the outcome to the job.  Merged unit by unit, a
-job equals the serial call for any cut (a hypothesis property).
-
-Plans balance on one cost, the request-count proxy defined in
-:meth:`ShardPlan.for_inference`.  A plan only changes *which shard*
-runs a work unit (outputs are batch-composition independent), so
-balance never shows in the served bytes.
+:class:`InferenceJob` owns how a batch is cut into units (the
+:class:`~repro.core.sharding.ShardPlan`: equal contiguous runs of the
+engine's graph order), how unit rows are merged back (by request
+index, last request wins), and how many requests a unit settled (what
+``run_local`` and ``merge`` return).  The cluster coordinator — its
+local fallback included — only decides *where* a unit runs and hands
+the outcome to the job.  Merged unit by unit, a job equals the serial
+call for any cut (a hypothesis property): a plan only changes *which
+shard* runs a request, and outputs are batch-composition independent.
 """
 
 from __future__ import annotations
@@ -54,8 +51,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional,
-                    Sequence, Union)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from ..obs import MetricsRegistry, NullRegistry
 from .batch import BatchResult, InferenceRequest, last_request_wins
@@ -78,22 +74,21 @@ __all__ = ["Executor", "SerialExecutor", "ClusterExecutor",
 
 
 class InferenceJob:
-    """One request batch, cut into leaf-group units and merged back —
-    the single implementation of the fleet's scatter/merge contract.
+    """One request batch, cut into units and merged back — the single
+    implementation of the fleet's scatter/merge contract.
 
-    Requests are grouped by the leaf graph that serves them and the
-    groups balanced into shards (:meth:`ShardPlan.for_inference`).  A
-    *unit* is any tuple of group keys: a planned shard, a re-planned
-    orphan set, one key.  A worker runs a unit's :meth:`requests_of`
-    up to its ranked columns (``run_ranked``) and the coordinator
-    materialises them over its own mapping of the same artifact; the
-    coordinator's local fallback runs one ``LeafBatchRunner.run_indexed``
-    call (:meth:`run_local`), which is those two steps back to back.
-    Either way one ``materialise`` builds the row views that reach
-    :meth:`merge`.  A request whose leaf has neither a graph nor the
-    pooled fallback belongs to no unit and keeps the empty view.  In
-    process there is nothing to cut: :class:`SerialExecutor` runs the
-    whole batch as one call.
+    The plan (:meth:`ShardPlan.for_inference`) cuts the batch's graph
+    order into equal runs of request indices.  A *unit* is any tuple of
+    them: a planned shard, a re-planned orphan set, one index.  A
+    worker runs a unit's :meth:`requests_of` up to its ranked columns
+    (``run_ranked``) and the coordinator materialises them over its own
+    mapping of the same artifact; the local fallback runs one
+    ``LeafBatchRunner.run_indexed`` call (:meth:`run_local`), those two
+    steps back to back.  Either way one ``materialise`` builds the row
+    views that reach :meth:`merge`.  A request whose leaf has neither a
+    graph nor the pooled fallback is in no unit and keeps the empty
+    view.  In process there is nothing to cut: :class:`SerialExecutor`
+    runs the whole batch as one call.
 
     Constructing the job builds the local runner behind
     :meth:`run_local`, which validates ``k`` and ``hard_limit`` before
@@ -105,34 +100,28 @@ class InferenceJob:
                  *, k: int = 10, hard_limit: Optional[int] = None) -> None:
         self._requests = list(requests)
         self._runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
-        self.plan, self._groups = ShardPlan.for_inference(
-            model, self._requests, n_shards)
+        self.plan = ShardPlan.for_inference(model, self._requests,
+                                            n_shards)[0]
         self._rows: List[RowView] = [EMPTY_ROWS] * len(self._requests)
 
-    def _indices(self, keys: Sequence[Hashable]) -> List[int]:
-        return [index for key in keys for index in self._groups[key]]
+    def requests_of(self, keys: Sequence[int]) -> List[InferenceRequest]:
+        """The unit's requests, in key order."""
+        return [self._requests[index] for index in keys]
 
-    def requests_of(self, keys: Sequence[Hashable]
-                    ) -> List[InferenceRequest]:
-        """The unit's requests, group by group, in batch order."""
-        return [self._requests[index] for index in self._indices(keys)]
-
-    def merge(self, keys: Sequence[Hashable],
-              rows: Sequence[RowView]) -> int:
+    def merge(self, keys: Sequence[int], rows: Sequence[RowView]) -> int:
         """Scatter a unit's rows (in :meth:`requests_of` order) back to
         their request indices; returns how many requests it settled.
         A wrong row count raises :class:`ShardExecutionError` — zipping
         it in would serve another request's recommendations."""
-        indices = self._indices(keys)
-        if len(rows) != len(indices):
+        if len(rows) != len(keys):
             raise ShardExecutionError(
                 f"inference unit {list(keys)!r} returned {len(rows)} "
-                f"rows for {len(indices)} requests")
-        for index, recs in zip(indices, rows):
+                f"rows for {len(keys)} requests")
+        for index, recs in zip(keys, rows):
             self._rows[index] = recs
-        return len(indices)
+        return len(keys)
 
-    def run_local(self, keys: Sequence[Hashable]) -> int:
+    def run_local(self, keys: Sequence[int]) -> int:
         """Run a unit on the calling thread and merge it."""
         return self.merge(keys, self._runner.run_indexed(
             self.requests_of(keys)))
@@ -147,7 +136,7 @@ class InferenceJob:
 
 
 class Executor:
-    """One place a leaf-group inference batch can run.
+    """One place an inference batch can run.
 
     Subclasses implement :meth:`run_inference`.  Both substrates are
     output-equivalent — the contract in the module docstring — so
@@ -300,14 +289,9 @@ class ClusterExecutor(Executor):
 
     What it buys is in :class:`Executor`'s table: with two workers on
     the 2-core bench box, 1.15-1.23x of serial on inference for three
-    processes — and in ``benchmarks/perf``
-    (after PR 20, medians of ten runs) ``cluster_scatter`` at 400-item
-    chunks serves 13.8k items/s against ``batch_catalog``'s 12.5k on
-    one pinned core.  Of such an op's ~28 ms the slower worker's engine
-    time was ~17 and the coordinator's serial row build (from ids) most
-    of the rest, which kept two workers well short of 2x; the
-    coordinator now builds row views, and rows only on read.  A way to use more
-    machines than one, not a cheaper way to use one.
+    processes.  Whether the fleet earns its place is ROADMAP item 8
+    ("Decide the fleet on numbers").  A way to use more machines than
+    one, not a cheaper way to use one.
 
     The sync :meth:`run_inference` submits to the coordinator's event
     loop and blocks the *calling* thread, so it must not be called from

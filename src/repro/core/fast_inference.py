@@ -10,9 +10,10 @@ items, whichever leaves they belong to:
 
 1. **Group by graph, cut into chunks** — requests are bucketed by the
    graph that will serve them (including the pooled fallback for
-   unknown leaves), and the graph-ordered item sequence is cut into
-   chunks of :data:`CHUNK_ITEMS` items: a large leaf group splits,
-   small ones share a chunk.  Each item of a chunk knows its *owner*,
+   unknown leaves; :func:`graph_order`, which a fleet plan cuts too),
+   and the graph-ordered item sequence is cut into chunks of
+   :data:`CHUNK_ITEMS` items: a large graph's group splits, small ones
+   share a chunk.  Each item of a chunk knows its *owner*,
    the index of its graph in the model's stacked
    :class:`~repro.core.model.GraphPlane`; everything below reads the
    plane, whose per-graph bases turn a graph's local ids into stacked
@@ -289,6 +290,25 @@ def materialise(plane: "GraphPlane", ranked: RankedColumns,
     return results
 
 
+def graph_order(model: "GraphExModel",
+                requests: Sequence[InferenceRequest]
+                ) -> Tuple[List[int], np.ndarray]:
+    """The batch's request indices grouped by the graph that serves
+    them (graphs by first request, batch order within one; a request
+    with no graph is left out), and per index that graph's plane
+    index.  The engine chunks this order and a fleet plan cuts it."""
+    graph_index = model.graph_index
+    groups: Dict[int, List[int]] = {}
+    for index, (_item_id, _title, leaf_id) in enumerate(requests):
+        owner = graph_index(leaf_id)
+        if owner is not None:
+            groups.setdefault(owner, []).append(index)
+    order = [index for indices in groups.values() for index in indices]
+    owners = np.repeat(list(groups), [len(indices) for indices
+                                      in groups.values()])
+    return order, owners
+
+
 class LeafBatchRunner:
     """Vectorized batch inference: Algorithm 1 over cross-leaf chunks.
 
@@ -360,28 +380,12 @@ class LeafBatchRunner:
     def _chunks(self, requests: Sequence[InferenceRequest]
                 ) -> Iterator[Tuple[List[int], np.ndarray]]:
         """Step 1: the batch's chunks, each its request indices and,
-        per request, the plane index of its graph."""
+        per request, the plane index of its graph — the
+        :func:`graph_order` cut every CHUNK_ITEMS items: a large group
+        splits, small groups share a chunk."""
         if self._k <= 0 or self._hard_limit == 0:
             return
-        # Bucket request indices by the graph that will serve them; a
-        # request with neither a leaf graph nor the pooled one keeps [].
-        graph_index = self._model.graph_index
-        groups: Dict[int, List[int]] = {}
-        for index, (_item_id, _title, leaf_id) in enumerate(requests):
-            owner = graph_index(leaf_id)
-            if owner is None:
-                continue
-            bucket = groups.get(owner)
-            if bucket is None:
-                groups[owner] = [index]
-            else:
-                bucket.append(index)
-
-        # Cut the graph-ordered item sequence every CHUNK_ITEMS items:
-        # a large group splits, small groups share a chunk.
-        order = [index for indices in groups.values() for index in indices]
-        owners = np.repeat(list(groups), [len(indices) for indices
-                                          in groups.values()])
+        order, owners = graph_order(self._model, requests)
         for lo in range(0, len(order), CHUNK_ITEMS):
             yield order[lo:lo + CHUNK_ITEMS], owners[lo:lo + CHUNK_ITEMS]
 

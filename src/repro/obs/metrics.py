@@ -49,7 +49,7 @@ TICKS_PER_SECOND = 1_000_000_000
 
 #: Default histogram bucket upper bounds, in seconds (+inf implicit).
 #: Decade-and-a-half steps from 10 us to 30 s cover everything from a
-#: single leaf-group shard to a full daily construct.
+#: single fleet shard to a full daily construct.
 DEFAULT_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
                    0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 

@@ -120,7 +120,7 @@ class AsyncNRTFront:
         window_seconds: Per-stream *event-time* bound forwarded to
             :class:`NRTService`.
         wall_clock_seconds: Wall-clock bound for the front's own window
-            timers (defaults to ``window_seconds``): an open window
+            timers, > 0 (defaults to ``window_seconds``): an open window
             flushes this many real seconds after it opened even if no
             further event arrives.
         max_pending: Bound of each stream's ingestion queue;
@@ -160,8 +160,11 @@ class AsyncNRTFront:
         if max_pending < 1:
             raise ValueError(
                 f"max_pending must be >= 1, got {max_pending}")
-        if wall_clock_seconds is not None and wall_clock_seconds <= 0:
-            raise ValueError("wall_clock_seconds must be > 0, got "
+        wall_clock_seconds = (window_seconds if wall_clock_seconds is None
+                              else wall_clock_seconds)
+        if wall_clock_seconds <= 0:
+            raise ValueError("the wall-clock bound (wall_clock_seconds, "
+                             "else window_seconds) must be > 0, got "
                              f"{wall_clock_seconds}")
         self._model = model
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -173,9 +176,7 @@ class AsyncNRTFront:
             window_size=window_size, window_seconds=window_seconds,
             k=k, hard_limit=hard_limit, enrich=enrich,
             executor=self.executor)
-        self._wall_clock_seconds = (
-            window_seconds if wall_clock_seconds is None
-            else wall_clock_seconds)
+        self._wall_clock_seconds = wall_clock_seconds
         self._max_pending = max_pending
         # The flush lane exists exactly while the front is running.
         self._lane: Optional[ThreadPoolExecutor] = None

@@ -46,7 +46,7 @@ class BatchPipeline:
         store: Destination KV store; predictions are served from it.
         k: Target predictions per item.
         hard_limit: Strict per-item cap written to the store.
-        executor: Where the engine's leaf-group shards run —
+        executor: Where the engine's inference runs —
             ``None`` / ``"serial"`` (the calling thread, default) or an
             :class:`repro.core.execution.Executor` instance (a
             ``ClusterExecutor`` carries its own fleet);

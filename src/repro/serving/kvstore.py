@@ -106,13 +106,12 @@ class KeyValueStore(Generic[V]):
 
     :attr:`lock` is the store's *transaction* lock (reentrant), the
     stand-in for a KV client's single connection; :meth:`transaction`
-    holds it from stage to prune, and the async front holds it around
-    each stream's service calls.  So a daily ``full_load`` in one thread
-    cannot interleave with an NRT window flush on the same store in
-    another: without that, two concurrent :meth:`create_version` calls
-    could be handed the same id, and a flush seeded by
-    :meth:`copy_from_serving` *before* a full load's promote could
-    re-promote yesterday's table over it afterwards.  Point reads stay
+    holds it from stage to prune, and nothing else does.  So a daily
+    ``full_load`` in one thread cannot interleave with an NRT window
+    flush on the same store in another: without that, two concurrent
+    :meth:`create_version` calls could be handed the same id, and a
+    flush seeded by :meth:`copy_from_serving` *before* a full load's
+    promote could re-promote yesterday's table over it afterwards.  Point reads stay
     lock-free (:meth:`get` already tolerates racing promote+prune).
     """
 

@@ -84,7 +84,7 @@ class NRTService:
         hard_limit: Strict per-item cap.
         enrich: Optional feature-enrichment hook applied to each event
             before inference (returns a possibly rewritten title).
-        executor: Where the engine's leaf-group shards run —
+        executor: Where the engine's inference runs —
             ``None`` / ``"serial"`` (the calling thread, default) or an
             :class:`repro.core.execution.Executor` instance (a
             ``ClusterExecutor`` carries its own fleet);

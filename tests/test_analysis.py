@@ -252,6 +252,25 @@ class TestNoMuteButton:
                        "from_arrays", "merge_rule_ids", "parse_waivers"])
 
 
+    def test_removed_spelling_pins_the_leaf_group_planner(self):
+        """``POOLED_GROUP`` and ``shard_costs`` fire anywhere; ``balance``
+        fires only as a ``ShardPlan`` member, so the word stays free
+        elsewhere."""
+        source = ("from repro.core.model import POOLED_GROUP\n"
+                  "\n"
+                  "\n"
+                  "class ShardPlan:\n"
+                  "    def balance(self):\n"
+                  "        return self.shard_costs\n"
+                  "\n"
+                  "\n"
+                  "def balance(plan):\n"
+                  "    return plan\n")
+        report = lint_sources({"repro.core.sharding": source})
+        assert sorted((v.line, v.message.split()[2])
+                      for v in report.violations) == [
+            (1, "POOLED_GROUP"), (5, "balance"), (6, "shard_costs")]
+
 class TestReportSchema:
     def test_json_shape(self):
         report = run(rules=[MonotonicClockRule()])

@@ -544,6 +544,21 @@ class TestShutdownAndBackpressure:
         with pytest.raises(RuntimeError, match="not started"):
             asyncio.run(submit_unstarted())
 
+    @pytest.mark.parametrize("window_seconds", [0.0, -1.0])
+    def test_a_non_positive_wall_clock_window_is_refused(
+            self, fig3_model, window_seconds):
+        """Regression: with no ``wall_clock_seconds``, ``window_seconds``
+        is the wall-clock bound, and a bound <= 0 was accepted: a window
+        whose flush kept failing re-armed its retry at once (thousands
+        of retries in 0.3 s).  It is refused like an explicit
+        ``wall_clock_seconds <= 0``; as the event-time bound alone, with
+        its own wall-clock bound, it stays allowed."""
+        with pytest.raises(ValueError, match=r"wall-clock bound \("
+                           r"wall_clock_seconds, else window_seconds\)"):
+            AsyncNRTFront(fig3_model, window_seconds=window_seconds)
+        AsyncNRTFront(fig3_model, window_seconds=window_seconds,
+                      wall_clock_seconds=0.05)
+
 
 class TestModelHotSwap:
     def test_refresh_before_start_and_streams_added_after_swap(

@@ -371,6 +371,88 @@ class TestWorkflow:
             f"[0, {2**63})")
         assert built == [] and not out.exists()
 
+    @pytest.mark.parametrize("payload, problem", [
+        ([], "the top level is not an object"),
+        ({}, "stats is not a list"),
+        ({"stats": {}}, "stats is not a list"),
+        ({"stats": ["usb cable"]}, "record 0 is not an object"),
+        ({"stats": [{"text": "usb cable", "leaf_id": 100,
+                     "search_count": 5}]}, "record 0 has no recall_count"),
+    ], ids=["list-top", "no-stats", "stats-object", "str-record",
+            "missing-field"])
+    def test_curate_refuses_a_malformed_stats_structure(
+            self, tmp_path, payload, problem):
+        """Regression: these died with a ``KeyError`` / ``TypeError`` /
+        ``AttributeError`` traceback, and ``{"stats": {}}`` curated
+        nothing and exited 0.  Each is refused by name."""
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps(payload))
+        out = tmp_path / "curated.json"
+        with pytest.raises(ValueError) as refused:
+            main(["curate", "--log", str(log), "--out", str(out)])
+        assert str(refused.value) == f"malformed stats file {log}: {problem}"
+        assert not out.exists()
+
+    FINE_LEAF = {"texts": ["fine"], "search_counts": [1], "recall_counts": [1]}
+
+    @pytest.mark.parametrize("payload, problem", [
+        ([], "the top level is not an object"),
+        ({"effective_threshold": 1}, "leaves is not an object"),
+        ({"effective_threshold": 1, "leaves": []},
+         "leaves is not an object"),
+        ({"leaves": {}}, "effective_threshold is not an int"),
+        ({"effective_threshold": 1, "leaves": {"100": "fine"}},
+         "leaf 100 is not an object of lists "
+         "('texts', 'search_counts', 'recall_counts')"),
+        ({"effective_threshold": 1, "leaves": {"100": {
+            "texts": ["fine"], "search_counts": [1]}}},
+         "leaf 100 is not an object of lists "
+         "('texts', 'search_counts', 'recall_counts')"),
+        ({"effective_threshold": 1, "leaves": {"leaf": FINE_LEAF}},
+         "leaf key 'leaf' is not an int64"),
+        ({"effective_threshold": 1, "leaves": {"07": FINE_LEAF}},
+         "leaf key '07' is not an int64"),
+        ({"effective_threshold": 1, "leaves": {str(2**63): FINE_LEAF}},
+         f"leaf key '{2**63}' is not an int64"),
+        ({"effective_threshold": 1, "leaves": {}, "config": [3]},
+         "config is not an object of CurationConfig's int fields "
+         "['floor_search_count', 'max_tokens', 'min_keyphrases', "
+         "'min_search_count', 'min_tokens']"),
+        ({"effective_threshold": 1, "leaves": {},
+          "config": {"min_search_count": 3, "stem": True}},
+         "config is not an object of CurationConfig's int fields "
+         "['floor_search_count', 'max_tokens', 'min_keyphrases', "
+         "'min_search_count', 'min_tokens']"),
+    ], ids=["list-top", "no-leaves", "leaves-list", "no-threshold",
+            "str-leaf", "missing-column", "word-key", "padded-key",
+            "key-past-int64", "config-list", "config-unknown-field"])
+    def test_construct_refuses_a_malformed_curated_structure(
+            self, tmp_path, monkeypatch, payload, problem):
+        """Regression: these died with a ``KeyError`` / ``TypeError`` /
+        ``AttributeError`` or a bare ``int()`` traceback (``"07"`` was
+        read as leaf 7).  Each is refused by name and no leaf is
+        built."""
+        from repro.core import execution
+
+        built = []
+        monkeypatch.setattr(execution, "build_leaf_graph_fast",
+                            lambda *args: built.append(args))
+        path = tmp_path / "curated.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "model"
+        with pytest.raises(ValueError) as refused:
+            main(["construct", "--curated", str(path), "--out", str(out)])
+        assert str(refused.value) \
+            == f"malformed curated file {path}: {problem}"
+        assert built == [] and not out.exists()
+
+    def test_serve_nrt_refuses_a_zero_window(self, workflow_dir):
+        """``--window-seconds`` is the front's wall-clock bound, and 0
+        used to be accepted (see ``test_async_front.py``)."""
+        with pytest.raises(ValueError, match="window_seconds"):
+            main(["serve-nrt", "--model", str(workflow_dir / "model"),
+                  "--window-seconds", "0"])
+
     def test_serve_nrt_demo_runs_multi_stream(self, workflow_dir, capsys):
         assert main(["serve-nrt", "--model", str(workflow_dir / "model"),
                      "--streams", "3", "--events", "40",

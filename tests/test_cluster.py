@@ -1341,7 +1341,7 @@ class TestCoordinatorEdgeCases:
         scheduler = Scheduler(fast_retry(), rpc_timeout=1.0,
                               heartbeat_timeout=None, local_fallback=False)
         scheduler.join("w", 0.0)
-        plan = ShardPlan([(1,)], {1: 1})
+        plan = ShardPlan([1], 1)
         assert scheduler.start(plan, MetricsRegistry(),
                                0.0).send == [("w", 0, (1,))]
         assert scheduler.tick(1.0).send == []        # fenced, backing off

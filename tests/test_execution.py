@@ -2,11 +2,10 @@
 
 Covers the :mod:`repro.core.execution` subsystem bottom-up: the
 resolver behind every ``executor=`` keyword, the scatter/merge job
-every substrate calls, construction staying in process, orphan
-re-planning cost preservation, and the headline cross-executor
-equivalence contract: any workload on either substrate — the serial
-oracle, or a fleet of worker processes (with injected faults) — serves
-element-wise identical results.
+every substrate calls, construction staying in process, and the
+headline cross-executor equivalence contract: any workload on either
+substrate — the serial oracle, or a fleet of worker processes (with
+injected faults) — serves element-wise identical results.
 """
 
 from __future__ import annotations
@@ -288,26 +287,6 @@ class TestConstructionStaysInProcess:
 
 
 # ---------------------------------------------------------------------------
-# Replan cost preservation (satellite 2)
-
-
-class TestReplanCostPreservation:
-    def test_orphans_keep_recorded_costs(self):
-        plan = ShardPlan.balance([(1, 50), (2, 40), (3, 30), (4, 20)], 2)
-        replanned = plan.replan([1, 4], 2)
-        # LPT on the *recorded* costs: 50 and 20 land on separate
-        # shards with those exact costs, not re-proxied to 1 each.
-        assert replanned.shards == ((1,), (4,))
-        assert replanned.shard_costs == [50, 20]
-
-    def test_unknown_key_rejected(self):
-        plan = ShardPlan.balance([(1, 5)], 1)
-        with pytest.raises(ValueError,
-                           match="not part of this plan"):
-            plan.replan([1, 99], 1)
-
-
-# ---------------------------------------------------------------------------
 # Cross-executor equivalence: the headline contract
 
 
@@ -342,8 +321,8 @@ class TestCrossExecutorEquivalence:
         """In process a batch is one engine call: no plan is cut, and
         it records one ``executor.inference.tasks`` per call — not one
         per leaf group — every request counted once."""
-        plan, groups = ShardPlan.for_inference(model, requests, 1)
-        assert plan.n_shards == 1 < len(groups)
+        plan, order = ShardPlan.for_inference(model, requests, 1)
+        assert plan.n_shards == 1 < len(order)
 
         def no_plan(*args, **kwargs):
             raise AssertionError("the serial path cut a shard plan")

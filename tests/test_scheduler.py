@@ -115,8 +115,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.keys = list(range(n_keys))
         self.merged, self.late, self.outcome = Counter(), 0, None
         self.sent.clear()
-        plan = ShardPlan.balance([(key, 1 + key % 3) for key in self.keys],
-                                 n_shards)
+        plan = ShardPlan(self.keys, n_shards)
         self.apply(self.scheduler.start(plan, MetricsRegistry(),
                                         self.now))
 

@@ -10,12 +10,15 @@ covers the planning/merging machinery itself.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.execution import SerialExecutor
+from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
-from repro.core.sharding import POOLED_GROUP, ShardPlan
+from repro.core.sharding import ShardPlan
 from repro.core.tokenize import DEFAULT_TOKENIZER
 from tests.conftest import open_saved
 
@@ -34,71 +37,77 @@ def make_model(leaf_phrases, build_pooled=False):
 
 
 class TestShardPlan:
-    def test_lpt_balance(self):
-        """Largest cost first, each onto the lightest shard."""
-        plan = ShardPlan.balance([("a", 5), ("b", 4), ("c", 3), ("d", 3)],
-                                 2)
-        assert plan.shards == (("a", "d"), ("b", "c"))
-        assert plan.shard_costs == [8, 7]
-
-    def test_deterministic_ties_by_input_order(self):
-        costs = [(1, 2), (2, 2), (3, 2), (4, 2)]
-        assert ShardPlan.balance(costs, 2) == ShardPlan.balance(costs, 2)
-        assert ShardPlan.balance(costs, 2).shards == ((1, 3), (2, 4))
+    def test_equal_contiguous_cut(self):
+        """Runs keep the key order; the first ones take the remainder."""
+        assert ShardPlan(range(7), 3).shards == ((0, 1, 2), (3, 4), (5, 6))
 
     def test_clamps_shards_to_keys(self):
-        plan = ShardPlan.balance([(1, 1), (2, 1)], 8)
-        assert plan.n_shards == 2
-        assert all(len(shard) == 1 for shard in plan.shards)
+        assert ShardPlan([1, 2], 8).shards == ((1,), (2,))
+        assert ShardPlan([], 4).shards == ()
 
-    def test_empty_costs_empty_plan(self):
-        plan = ShardPlan.balance([], 4)
-        assert plan.n_shards == 0
-        assert plan.shard_costs == []
 
-    def test_every_key_planned_exactly_once(self):
-        costs = [(key, key % 3 + 1) for key in range(17)]
-        plan = ShardPlan.balance(costs, 4)
-        planned = [key for shard in plan.shards for key in shard]
-        assert sorted(planned) == list(range(17))
-
-    def test_duplicate_keys_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ShardPlan.balance([(1, 2), (1, 3)], 2)
-        with pytest.raises(ValueError, match="planned twice"):
-            ShardPlan([(1,), (1,)], {1: 2})
-
-    def test_key_without_cost_rejected(self):
-        with pytest.raises(ValueError, match="no cost"):
-            ShardPlan([(1, 2)], {1: 3})
-
-    def test_costs_for_unplanned_keys_rejected(self):
-        """``replan`` reads "has a cost" as "is part of this plan": an
-        extra cost entry would let it schedule a key nobody planned."""
-        with pytest.raises(ValueError, match="unplanned"):
-            ShardPlan([(1,)], {1: 2, 99: 5})
+#: Two worlds: one with a pooled graph for unknown leaves, one without.
+WORLDS = [make_model({1: [("w0 w1", 5, 1)], 2: [("w2", 4, 1)],
+                      3: [("w1 w2", 3, 2)]}, build_pooled=pooled)
+          for pooled in (True, False)]
 
 
 class TestInferencePlanning:
-    def test_groups_mirror_leaf_graph_resolution(self):
-        """Known leaves group by leaf id, unknown leaves pool together,
-        graph-less requests are excluded from the plan."""
+    def test_plan_cuts_the_graph_order(self):
+        """Known leaves group by graph in order of first request, unknown
+        leaves pool together, and the sequence is cut in two."""
         model = make_model({1: [("w0 w1", 5, 1)], 2: [("w2", 4, 1)]},
                            build_pooled=True)
         requests = [(0, "w0", 1), (1, "w0", 99), (2, "w2", 2),
                     (3, "w0", 1), (4, "w1", 123)]
-        plan, groups = ShardPlan.for_inference(model, requests, 2)
-        assert groups == {1: [0, 3], POOLED_GROUP: [1, 4], 2: [2]}
-        # A group costs its request count.
-        assert plan == ShardPlan.balance(
-            [(1, 2), (POOLED_GROUP, 2), (2, 1)], 2)
+        plan, order = ShardPlan.for_inference(model, requests, 2)
+        assert order == [0, 3, 1, 4, 2]
+        assert plan.shards == ((0, 3, 1), (4, 2))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_batch_any_fleet_size(self, data):
+        """Property: the shards, concatenated, are the engine's graph
+        order of the served requests (graphs by first request, batch
+        order within one); their sizes differ by at most one; a request
+        with no graph is in no shard; and re-planning any shard over
+        any number of hosts keeps its keys in order."""
+        model = data.draw(st.sampled_from(WORLDS))
+        requests = [(i, "w0", leaf_id) for i, leaf_id in enumerate(
+            data.draw(st.lists(st.sampled_from([1, 2, 3, 99, 123]),
+                               max_size=30)))]
+        n_shards = data.draw(st.integers(min_value=1, max_value=9))
+        plan, order = ShardPlan.for_inference(model, requests, n_shards)
+
+        graphs = [model.graph_index(leaf_id) for _i, _t, leaf_id in requests]
+        served = [i for i, graph in enumerate(graphs) if graph is not None]
+        first = {}
+        for i in served:
+            first.setdefault(graphs[i], i)
+        expected = sorted(served, key=lambda i: first[graphs[i]])
+        engine = [index for indices, _owners
+                  in LeafBatchRunner(model, k=5)._chunks(requests)
+                  for index in indices]
+        assert [i for shard in plan.shards for i in shard] \
+            == order == engine == expected
+        sizes = [len(shard) for shard in plan.shards]
+        assert plan.n_shards == min(n_shards, len(served))
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
+        for shard in plan.shards:
+            hosts = data.draw(st.integers(min_value=1, max_value=5))
+            replanned = plan.replan(shard, hosts)
+            assert [i for part in replanned.shards for i in part] \
+                == list(shard)
+            sizes = [len(part) for part in replanned.shards]
+            assert max(sizes) - min(sizes) <= 1
 
     def test_no_pooled_fallback_excludes_unknown_leaves(self, fleet,
                                                         tmp_path):
         model = open_saved(make_model({1: [("w0 w1", 5, 1)]}), tmp_path)
-        plan, groups = ShardPlan.for_inference(
+        plan, order = ShardPlan.for_inference(
             model, [(0, "w0", 1), (1, "w0", 99)], 2)
-        assert groups == {1: [0]}
+        assert order == [0] and plan.shards == ((0,),)
         out = fleet.run_inference(
             model, [(0, "w0", 1), (1, "w0", 99)], k=5)
         assert out[1] == []
@@ -192,26 +201,18 @@ class TestLazyImportCycleContract:
 
 
 class TestReplan:
-    """The dead-host primitive: orphaned keys re-balance over survivors."""
+    """The dead-host primitive: orphaned keys are cut over survivors."""
 
-    def test_rebalances_subset_with_original_costs(self):
-        plan = ShardPlan.balance([(1, 5), (2, 4), (3, 3), (4, 2)], 2)
-        orphaned = plan.shards[0]
-        survivors = plan.replan(orphaned, 2)
-        assert sorted(key for shard in survivors.shards
-                      for key in shard) == sorted(orphaned)
-        assert survivors == ShardPlan.balance(
-            [(key, cost) for key, cost in [(1, 5), (2, 4), (3, 3), (4, 2)]
-             if key in orphaned], 2)
+    def test_recuts_subset_in_order(self):
+        plan = ShardPlan(range(8), 2)
+        assert plan.replan(plan.shards[0], 3).shards == ((0, 1), (2,), (3,))
 
     def test_single_survivor_gets_everything(self):
-        plan = ShardPlan.balance([(i, i + 1) for i in range(6)], 3)
-        merged = plan.replan(range(6), 1)
-        assert merged.n_shards == 1
-        assert sorted(merged.shards[0]) == list(range(6))
+        plan = ShardPlan(range(6), 3)
+        assert plan.replan(range(6), 1).shards == (tuple(range(6)),)
 
     def test_unknown_keys_rejected(self):
-        plan = ShardPlan.balance([(1, 1)], 1)
+        plan = ShardPlan([1], 1)
         with pytest.raises(ValueError, match="not part of this plan"):
             plan.replan([1, 99], 1)
 
@@ -268,7 +269,7 @@ class TestWorkerFailureSurfacing:
         error = self._failure_on_a_one_host_fleet(
             lambda coordinator: coordinator.run_inference(
                 str(artifact), [(0, "title", 1)], k=5))
-        assert "inference shard [1] raised on worker w" in str(error)
+        assert "inference shard [0] raised on worker w" in str(error)
         assert "LookupError" in error.worker_traceback
         assert "_run_inference_shard" in error.worker_traceback
         assert "boom-runner saw [(0, 'title', 1)]" \
