@@ -25,6 +25,10 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("InferenceJob ShardExecutionError run_inference_async", NOWHERE,
+     "one fleet job (the coordinator's FleetJob cuts, ships and merges)"),
+    ("replan", r"(?!repro\.core\.sharding:)",
+     "one fleet job (orphaned keys are cut as ShardPlan(keys, n_live))"),
     ("POOLED_GROUP shard_costs", NOWHERE,
      "one request-to-graph grouping (a fleet plan cuts graph_order)"),
     ("balance", r"(?!repro\.core\.sharding:ShardPlan\.)",

@@ -527,6 +527,13 @@ def _fleet_size(text: str) -> int:
     return workers
 
 
+def _window_bound(text: str) -> float:
+    """A ``--window-seconds`` value: the front's wall-clock bound, > 0."""
+    if not float(text) > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -595,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--events", type=int, default=200,
                        help="events synthesized per stream")
     p_srv.add_argument("--window-size", type=int, default=32)
-    p_srv.add_argument("--window-seconds", type=float, default=1.0)
+    p_srv.add_argument("--window-seconds", type=_window_bound, default=1.0)
     p_srv.add_argument("--workers", type=_fleet_size, default=0,
                        help="0 (default) flushes windows in this "
                             "process; N boots a localhost fleet of N "

@@ -1,15 +1,13 @@
-"""Fault-tolerant cluster coordinator: ShardPlans across N hosts.
+"""Fault-tolerant cluster coordinator: inference batches across N hosts.
 
 A :class:`ClusterCoordinator` listens on localhost TCP, executor hosts
-(:class:`~repro.cluster.worker.ClusterWorker`) register, and the units
-of a :class:`~repro.core.sharding.ShardPlan` (runs of request indices
-in graph order) go to the fleet: the plan stays here, a unit's
-requests are what ships.  A job drives an
-:class:`~repro.core.execution.InferenceJob`, the scatter/merge the
-inline executor calls, so outputs are element-wise identical to the
-single-process fast path under **any** failure topology.  The fleet
-serves inference only: models are built in process
-(``SerialExecutor.run_construction``).
+(:class:`~repro.cluster.worker.ClusterWorker`) register, and each batch
+runs as one :class:`FleetJob`, the fleet's one scatter/merge: it cuts
+the batch into units (runs of request indices in graph order), ships a
+unit's requests and merges each reply back by request index, so outputs
+are element-wise identical to the single-process fast path under
+**any** failure topology.  The fleet serves inference only: models are
+built in process (``SerialExecutor.run_construction``).
 
 Inference results cross the wire as ids, not rows
 (:mod:`~repro.cluster.protocol`): here they become the engine's row
@@ -35,25 +33,25 @@ from __future__ import annotations
 import asyncio
 import itertools
 from contextlib import suppress
-from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+                    Union)
 
-from ..core.batch import BatchResult, InferenceRequest
-from ..core.execution import InferenceJob
+from ..core.batch import BatchResult, InferenceRequest, last_request_wins
+from ..core.fast_inference import EMPTY_ROWS, LeafBatchRunner, RowView
 from ..core.model import GraphExModel
 from ..core.serialization import open_model
+from ..core.sharding import ShardPlan
 from ..obs import MetricsRegistry, merge_snapshots, validate_snapshot
 from .protocol import (PROTOCOL_VERSION, FrameError, pack_requests,
                        unpack_recommendations)
 from .retry import RetryPolicy
 from .scheduler import (Actions, ClusterError, ClusterExecutionError,
-                        ClusterRunReport, Scheduler)
+                        ClusterRunReport, Keys, Scheduler)
 from .transport import Transport, TransportClosed
 
 __all__ = ["ClusterCoordinator", "ClusterError", "ClusterExecutionError",
-           "ClusterRunReport"]
+           "ClusterRunReport", "FleetJob"]
 
 
 class _Link(NamedTuple):
@@ -63,17 +61,63 @@ class _Link(NamedTuple):
     transport: Transport
 
 
-@dataclass
-class _JobRun:
-    """The running job's I/O half: ``encode(keys)`` is the unit's part
-    of a ``run_shard`` frame, ``decode(keys, reply)`` merges a reply
-    into ``job`` and returns the requests it settled, and ``over``
-    resolves when the scheduler ends the job."""
+class FleetJob:
+    """One inference batch on the fleet, cut into units and merged back.
 
-    job: InferenceJob
-    encode: Callable[[Tuple[Hashable, ...]], dict]
-    decode: Callable[[Tuple[Hashable, ...], dict], int]
-    over: "asyncio.Future[None]"
+    :meth:`ShardPlan.for_inference` cuts the batch's graph order into
+    equal runs of request indices; a *unit* is any tuple of them.  A
+    worker runs a unit (:meth:`encode`) up to its ranked columns, which
+    :meth:`decode` materialises over this process's mapping of the same
+    artifact; :meth:`run_local` runs both steps here.  Either way each
+    request of the unit gets one row view at its index (one with no
+    graph to serve it is in no unit and keeps the empty view), so any
+    cut, merged in any order, equals the serial call.  ``model`` is
+    opened from an artifact; the constructor validates ``k`` and
+    ``hard_limit``.
+    """
+
+    def __init__(self, model: GraphExModel,
+                 requests: Sequence[InferenceRequest], n_shards: int, *,
+                 k: int = 10, hard_limit: Optional[int] = None) -> None:
+        self._runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
+        self._model = model
+        self._requests = list(requests)
+        self._limits = {"k": k, "hard_limit": hard_limit}
+        self.plan = ShardPlan.for_inference(model, self._requests,
+                                            n_shards)[0]
+        self._rows: List[RowView] = [EMPTY_ROWS] * len(self._requests)
+        #: Resolves when the scheduler ends the job (the coordinator sets it).
+        self.over: "Optional[asyncio.Future[None]]" = None
+
+    def _requests_of(self, keys: Keys) -> List[InferenceRequest]:
+        return [self._requests[index] for index in keys]
+
+    def _merge(self, keys: Keys, rows: Sequence[RowView]) -> int:
+        for index, view in zip(keys, rows):
+            self._rows[index] = view
+        return len(keys)
+
+    def encode(self, keys: Keys) -> dict:
+        """The unit's part of a ``run_shard`` frame."""
+        return {"model_path": str(self._model.artifact_dir),
+                "artifact": self._model.artifact_identity,
+                "requests": pack_requests(self._requests_of(keys)),
+                **self._limits}
+
+    def decode(self, keys: Keys, reply: dict) -> int:
+        """Merge a unit's ``shard_result`` reply (label ids, read here);
+        the requests it settled."""
+        return self._merge(keys, unpack_recommendations(
+            reply, self._model, self._requests_of(keys)))
+
+    def run_local(self, keys: Keys) -> int:
+        """Run a unit on the calling thread and merge it."""
+        return self._merge(keys, self._runner.run_indexed(
+            self._requests_of(keys)))
+
+    def output(self) -> BatchResult:
+        """Item id → row view; the last request for an id wins."""
+        return last_request_wins(self._requests, self._rows)
 
 
 def _frame_id(frame: dict, field: str) -> Optional[int]:
@@ -86,7 +130,7 @@ def _frame_id(frame: dict, field: str) -> Optional[int]:
 
 
 class ClusterCoordinator:
-    """Executes ShardPlans across registered executor hosts.
+    """Runs inference jobs across registered executor hosts.
 
     Args:
         host, port: Listening address; port 0 picks a free port
@@ -138,7 +182,7 @@ class ClusterCoordinator:
         self._registered: Optional[asyncio.Condition] = None
         self._job_lock: Optional[asyncio.Lock] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._run: Optional[_JobRun] = None
+        self._job: Optional[FleetJob] = None
         self._closing = False
         #: Report of the most recently finished job.
         self.last_report: Optional[ClusterRunReport] = None
@@ -385,7 +429,7 @@ class ClusterCoordinator:
                 f"{frame.get('traceback', '<missing>')}",
                 worker_traceback=frame.get("traceback")))
         try:
-            n_merged = self._run.decode(keys, frame)
+            n_merged = self._job.decode(keys, frame)
         except Exception as exc:
             return self._scheduler.fail(ClusterError(
                 f"merging inference shard {list(keys)!r} from {name} "
@@ -408,11 +452,11 @@ class ClusterCoordinator:
             link = self._workers.pop(name, None)
             if link is not None:
                 link.transport.close()
-        run = self._run
+        job = self._job
         for keys in actions.local:
             since = self._now()
             try:
-                n_merged = run.job.run_local(keys)
+                n_merged = job.run_local(keys)
             except Exception as exc:
                 await self._apply(self._scheduler.fail(exc))
                 break
@@ -425,16 +469,16 @@ class ClusterCoordinator:
             try:
                 await link.transport.send({
                     "type": "run_shard", "assignment": assignment,
-                    **run.encode(keys)})
+                    **job.encode(keys)})
             except TransportClosed:
                 await self._apply(self._drop(link))
             except Exception as exc:  # never lose a job to a bad frame
                 await self._apply(self._scheduler.fail(exc))
-        if run is not None and not run.over.done():
+        if job is not None and not job.over.done():
             if actions.error is not None:
-                run.over.set_exception(actions.error)
+                job.over.set_exception(actions.error)
             elif actions.done:
-                run.over.set_result(None)
+                job.over.set_result(None)
         self._arm()
 
     def _arm(self) -> None:
@@ -474,8 +518,8 @@ class ClusterCoordinator:
     # -- model hand-off -----------------------------------------------------
 
     async def _materialize(self, source: Union[GraphExModel, str, Path]
-                           ) -> Tuple[Path, GraphExModel]:
-        """Resolve a model source to (artifact directory, opened model).
+                           ) -> GraphExModel:
+        """Resolve a model source to a model opened from its artifact.
 
         An opened model is itself what the local fallback runs on and
         what reply label ids are read against: no save, no second open,
@@ -503,7 +547,7 @@ class ClusterCoordinator:
                 "a fleet takes models by artifact, and this model "
                 "was built in memory: save_model it, then hand over "
                 "the directory or the opened model")
-        return model.artifact_dir, model
+        return model
 
     # -- the job ------------------------------------------------------------
 
@@ -535,6 +579,9 @@ class ClusterCoordinator:
         Raises:
             ValueError: A model built in memory (``save_model`` it
                 first), before any unit is sent.
+            TypeError: A non-integer ``k`` or ``hard_limit`` (a
+                ``ValueError`` for a negative ``hard_limit``), before
+                any unit is sent.
             ClusterError: No live workers and no local fallback, a
                 shard out of attempts, or a reply whose columns do not
                 fit the unit that was sent (the message carries the
@@ -545,33 +592,18 @@ class ClusterCoordinator:
         async with self._job_lock:
             if self._closing:
                 raise ClusterError("coordinator is stopping")
-            path, model = await self._materialize(model_source)
-            # The job's local runner validates configuration up front
-            # and serves the empty-fleet fallback.
-            job = InferenceJob(model, requests, max(1, self.n_live()),
-                               k=k, hard_limit=hard_limit)
-
-            def encode(keys: Tuple[Hashable, ...]) -> dict:
-                return {"model_path": str(path),
-                        "artifact": model.artifact_identity,
-                        "requests": pack_requests(job.requests_of(keys)),
-                        "k": k, "hard_limit": hard_limit}
-
-            def decode(keys: Tuple[Hashable, ...], reply: dict) -> int:
-                # The reply names labels by id; the views are built
-                # here, from this process's own mapping of the artifact.
-                return job.merge(keys, unpack_recommendations(
-                    reply, model, job.requests_of(keys)))
-
+            model = await self._materialize(model_source)
+            job = FleetJob(model, requests, max(1, self.n_live()),
+                           k=k, hard_limit=hard_limit)
+            job.over = self._loop.create_future()
             registry = metrics if metrics is not None else self.metrics
-            run = self._run = _JobRun(job, encode, decode,
-                                      self._loop.create_future())
+            self._job = job
             try:
                 await self._apply(self._scheduler.start(
                     job.plan, registry, self._now()))
-                await run.over
+                await job.over
             finally:
-                self._run = None
+                self._job = None
                 report = self._scheduler.finish()
                 try:
                     report.fleet_metrics = self._fleet_view(registry)

@@ -26,9 +26,9 @@ event                decision
                      ``max_attempts`` the job fails
 ``tick``: silence    a host unheard for ``heartbeat_timeout`` is
                      dropped, as if it had left
-``leave``            its unit is re-planned over the survivors
-                     (``ShardPlan.replan``) when it has more than one
-                     key and more than one host is live, else re-queued
+``leave``            its unit is re-cut over the survivors as
+                     ``ShardPlan(keys, n_live)``: one unit if it has
+                     one key or at most one host is live
 fleet empty          pending units run locally (``local_fallback``), or
                      the job fails by name
 ===================  ==================================================
@@ -46,10 +46,10 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Deque, Dict, Hashable, List, Optional,
                     Tuple)
 
+from ..core.sharding import ShardPlan
 from .retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from ..core.sharding import ShardPlan
     from ..obs import MetricsRegistry
 
 __all__ = ["Scheduler", "Actions", "ClusterError", "ClusterExecutionError",
@@ -150,7 +150,6 @@ class _Flight:
 
 @dataclass
 class _Job:
-    plan: "ShardPlan"
     metrics: "MetricsRegistry"
     pending: Deque[_Unit]
     #: (ready at, unit) for units waiting out a retry backoff.
@@ -208,20 +207,16 @@ class Scheduler:
         self.report.n_replans += 1
         self.report.orphaned_keys.append(list(unit.keys))
         job.metrics.inc("cluster.replans")
-        n_live = len(self.workers)
-        if len(unit.keys) > 1 and n_live > 1:
-            job.pending.extend(_Unit(shard) for shard in
-                               job.plan.replan(unit.keys, n_live).shards)
-        else:
-            job.pending.append(_Unit(unit.keys))
+        job.pending.extend(_Unit(shard) for shard in
+                           ShardPlan(unit.keys, len(self.workers)).shards)
 
     # -- job events ---------------------------------------------------------
 
-    def start(self, plan: "ShardPlan", metrics: "MetricsRegistry",
+    def start(self, plan: ShardPlan, metrics: "MetricsRegistry",
               now: float) -> Actions:
         self.report = ClusterRunReport(n_units_planned=plan.n_shards,
                                        n_workers_at_start=len(self.workers))
-        self._job = _Job(plan, metrics,
+        self._job = _Job(metrics,
                          deque(_Unit(shard) for shard in plan.shards))
         return self._dispatch(now)
 

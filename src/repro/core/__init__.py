@@ -23,7 +23,7 @@ from .inference import (
 )
 from .model import BUILDERS, GraphExModel, LeafGraph, build_leaf_graph
 from .serialization import load_model, model_size_bytes, save_model
-from .sharding import ShardExecutionError, ShardPlan
+from .sharding import ShardPlan
 from .execution import (
     ClusterExecutor,
     Executor,
@@ -67,7 +67,6 @@ __all__ = [
     "GraphExModel",
     "LeafGraph",
     "build_leaf_graph",
-    "ShardExecutionError",
     "ShardPlan",
     "ClusterExecutor",
     "Executor",

@@ -9,10 +9,12 @@ Two engines serve a batch:
 
 * ``"fast"`` (default) — the vectorized chunk-batched engine
   (:class:`repro.core.fast_inference.LeafBatchRunner`): requests are
-  grouped by leaf graph, packed into cross-leaf chunks, and each chunk
-  runs through one fused CSR gather + slot-shifted key sort +
-  count-array prune over per-run-length level masks + integer score
-  rank, cut and segmented lexsort.
+  grouped by the graph that serves them (the pooled fallback
+  included), cut into chunks across graphs, and each chunk runs through
+  one intern pass, one fused CSR gather + slot-shifted key sort, one
+  count-array prune over per-run-length masks and one integer-rank
+  segmented lexsort into ranked columns; one ``materialise`` per batch
+  turns those into row views.
 * ``"reference"`` — the scalar loop over
   :meth:`~repro.core.model.GraphExModel.recommend`; the semantics
   reference the equivalence suite checks against.
@@ -32,9 +34,9 @@ engine runs: here, as one engine call on the calling thread (``None``
 the fleet an :class:`repro.core.execution.ClusterExecutor` instance
 carries.  Duplicate item ids resolve once, in :func:`last_request_wins`
 (the last request for an id wins); how the fleet cuts a batch into
-units and merges them back lives once, in
-:class:`repro.core.execution.InferenceJob`.  The reference engine stays
-single-process by design — it is the semantics oracle.
+units and merges them back lives once, in the coordinator's
+:class:`repro.cluster.coordinator.FleetJob`.  The reference engine
+stays single-process by design — it is the semantics oracle.
 """
 
 from __future__ import annotations

@@ -30,18 +30,8 @@ this box; ``0``, its default, means in process.
 Both substrates are bound by the same non-negotiable contract:
 **element-wise identical inference output** for any fleet size and any
 failure topology — pinned by the cross-executor property suite in
-``tests/test_execution.py``.
-
-The fleet's half of the contract is implemented once, here.
-:class:`InferenceJob` owns how a batch is cut into units (the
-:class:`~repro.core.sharding.ShardPlan`: equal contiguous runs of the
-engine's graph order), how unit rows are merged back (by request
-index, last request wins), and how many requests a unit settled (what
-``run_local`` and ``merge`` return).  The cluster coordinator — its
-local fallback included — only decides *where* a unit runs and hands
-the outcome to the job.  Merged unit by unit, a job equals the serial
-call for any cut (a hypothesis property): a plan only changes *which
-shard* runs a request, and outputs are batch-composition independent.
+``tests/test_execution.py``.  A fleet's scatter/merge is the
+coordinator's :class:`~repro.cluster.coordinator.FleetJob`.
 """
 
 from __future__ import annotations
@@ -51,13 +41,12 @@ import tempfile
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from ..obs import MetricsRegistry, NullRegistry
 from .batch import BatchResult, InferenceRequest, last_request_wins
 from .fast_construct import build_leaf_graph_fast
-from .fast_inference import EMPTY_ROWS, LeafBatchRunner, RowView
-from .sharding import ShardExecutionError, ShardPlan
+from .fast_inference import LeafBatchRunner
 from .tokenize import DEFAULT_TOKENIZER, SpaceTokenizer, TokenCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -66,69 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .model import GraphExModel, LeafGraph
 
 __all__ = ["Executor", "SerialExecutor", "ClusterExecutor",
-           "InferenceJob", "resolve_executor"]
-
-
-# ---------------------------------------------------------------------------
-# The fleet's scatter/merge contract: one copy, called by the coordinator
-
-
-class InferenceJob:
-    """One request batch, cut into units and merged back — the single
-    implementation of the fleet's scatter/merge contract.
-
-    The plan (:meth:`ShardPlan.for_inference`) cuts the batch's graph
-    order into equal runs of request indices.  A *unit* is any tuple of
-    them: a planned shard, a re-planned orphan set, one index.  A
-    worker runs a unit's :meth:`requests_of` up to its ranked columns
-    (``run_ranked``) and the coordinator materialises them over its own
-    mapping of the same artifact; the local fallback runs one
-    ``LeafBatchRunner.run_indexed`` call (:meth:`run_local`), those two
-    steps back to back.  Either way one ``materialise`` builds the row
-    views that reach :meth:`merge`.  A request whose leaf has neither a
-    graph nor the pooled fallback is in no unit and keeps the empty
-    view.  In process there is nothing to cut: :class:`SerialExecutor`
-    runs the whole batch as one call.
-
-    Constructing the job builds the local runner behind
-    :meth:`run_local`, which validates ``k`` and ``hard_limit`` before
-    any unit is dispatched.
-    """
-
-    def __init__(self, model: "GraphExModel",
-                 requests: Sequence[InferenceRequest], n_shards: int,
-                 *, k: int = 10, hard_limit: Optional[int] = None) -> None:
-        self._requests = list(requests)
-        self._runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit)
-        self.plan = ShardPlan.for_inference(model, self._requests,
-                                            n_shards)[0]
-        self._rows: List[RowView] = [EMPTY_ROWS] * len(self._requests)
-
-    def requests_of(self, keys: Sequence[int]) -> List[InferenceRequest]:
-        """The unit's requests, in key order."""
-        return [self._requests[index] for index in keys]
-
-    def merge(self, keys: Sequence[int], rows: Sequence[RowView]) -> int:
-        """Scatter a unit's rows (in :meth:`requests_of` order) back to
-        their request indices; returns how many requests it settled.
-        A wrong row count raises :class:`ShardExecutionError` — zipping
-        it in would serve another request's recommendations."""
-        if len(rows) != len(keys):
-            raise ShardExecutionError(
-                f"inference unit {list(keys)!r} returned {len(rows)} "
-                f"rows for {len(keys)} requests")
-        for index, recs in zip(keys, rows):
-            self._rows[index] = recs
-        return len(keys)
-
-    def run_local(self, keys: Sequence[int]) -> int:
-        """Run a unit on the calling thread and merge it."""
-        return self.merge(keys, self._runner.run_indexed(
-            self.requests_of(keys)))
-
-    def output(self) -> BatchResult:
-        """Item id → row view; the last request for an id wins."""
-        return last_request_wins(self._requests, self._rows)
+           "resolve_executor"]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +222,8 @@ class ClusterExecutor(Executor):
 
     The sync :meth:`run_inference` submits to the coordinator's event
     loop and blocks the *calling* thread, so it must not be called from
-    that loop — code already running on it awaits
-    :meth:`run_inference_async` instead.
+    that loop — code already running on it awaits the coordinator's
+    ``run_inference`` instead.
 
     Args:
         coordinator: A started coordinator (its loop must be running).
@@ -399,24 +326,16 @@ class ClusterExecutor(Executor):
             coro.close()
             raise RuntimeError(
                 "ClusterExecutor cannot block the coordinator's own "
-                "event loop; await run_inference_async instead")
+                "event loop; await coordinator.run_inference instead")
         return asyncio.run_coroutine_threadsafe(coro, loop).result()
-
-    async def run_inference_async(
-            self, model: "GraphExModel",
-            requests: Sequence[InferenceRequest],
-            k: int = 10, hard_limit: Optional[int] = None) -> BatchResult:
-        """:meth:`run_inference` for callers on the coordinator loop."""
-        return await self.coordinator.run_inference(
-            model, list(requests), k=k, hard_limit=hard_limit,
-            metrics=self.metrics)
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
                       k: int = 10, hard_limit: Optional[int] = None
                       ) -> BatchResult:
-        return self._submit(self.run_inference_async(
-            model, requests, k=k, hard_limit=hard_limit))
+        return self._submit(self.coordinator.run_inference(
+            model, requests, k=k, hard_limit=hard_limit,
+            metrics=self.metrics))
 
     def close(self) -> None:
         """Tear down a :meth:`local` fleet (no-op for adopted ones):

@@ -1,17 +1,14 @@
-"""Shard planning for the unified execution plane (Sections IV-G/IV-H).
+"""Shard planning for the fleet (Sections IV-G/IV-H; in process no
+plan is cut).
 
-What a fleet's coordinator and its workers share (see
-:mod:`repro.core.execution`; in process no plan is cut):
-
-* :class:`ShardPlan`, an equal contiguous cut of a key sequence.
-  :meth:`ShardPlan.for_inference` cuts the engine's own grouping, the
-  batch's request indices graph by graph
-  (:func:`~repro.core.fast_inference.graph_order`): each shard is a
-  run of graphs split only at its ends, and shard sizes differ by at
-  most one request, the balance under a request-count cost.  A plan
-  never leaves the process that cut it: the wire carries requests.
-* :class:`ShardExecutionError`, raised when a shard's result does not
-  fit the unit that was sent.
+:class:`ShardPlan` is an equal contiguous cut of a key sequence.
+:meth:`ShardPlan.for_inference` cuts the engine's own grouping, the
+batch's request indices graph by graph
+(:func:`~repro.core.fast_inference.graph_order`): each shard is a run
+of graphs split only at its ends, and shard sizes differ by at most
+one request, the balance under a request-count cost.  A dead host's
+orphaned keys are cut over the survivors the same way.  A plan never
+leaves the coordinator: the wire carries requests.
 """
 
 from __future__ import annotations
@@ -24,11 +21,6 @@ from .fast_inference import graph_order
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .batch import InferenceRequest
     from .model import GraphExModel
-
-
-class ShardExecutionError(RuntimeError):
-    """A shard's result does not fit the unit that was sent — merging
-    it would serve one request another's rows."""
 
 
 class ShardPlan:
@@ -71,21 +63,3 @@ class ShardPlan:
     def n_shards(self) -> int:
         """Number of planned shards."""
         return len(self._shards)
-
-    def replan(self, keys: Iterable[Hashable],
-               n_shards: int) -> "ShardPlan":
-        """Cut a subset of this plan's keys across ``n_shards``.
-
-        The dead-host orphan re-planning primitive: when a worker dies
-        mid-plan, the coordinator takes the keys it was executing and
-        cuts them, in the order given, across the surviving hosts.
-
-        Raises:
-            ValueError: If a key was not part of this plan.
-        """
-        keys = list(keys)
-        unknown = set(keys).difference(*self._shards)
-        if unknown:
-            raise ValueError(
-                f"cannot replan keys {unknown!r}: not part of this plan")
-        return ShardPlan(keys, n_shards)

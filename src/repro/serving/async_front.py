@@ -207,11 +207,9 @@ class AsyncNRTFront:
         # from another thread.
         service = NRTService(self._model, store, metrics=self.metrics,
                              stream=name, **self._service_kwargs)
-        if self._generation:
-            # A stream added after a hot-swap starts on the refreshed
-            # model already (self._model tracks it); align its window
-            # generation stamps with the rest of the front.
-            service.refresh_model(self._model, self._generation)
+        # Added after a hot-swap, it starts on the front's model and
+        # generation; it took no refresh, so it counts none.
+        service._generation = self._generation
         stream = _Stream(name, service,
                          asyncio.Queue(maxsize=self._max_pending))
         self._streams[name] = stream

@@ -271,6 +271,30 @@ class TestNoMuteButton:
                       for v in report.violations) == [
             (1, "POOLED_GROUP"), (5, "balance"), (6, "shard_costs")]
 
+    def test_removed_spelling_pins_the_folded_fleet_job(self):
+        """``InferenceJob``, ``ShardExecutionError`` and
+        ``run_inference_async`` fire anywhere; ``replan`` fires only
+        under ``repro.core.sharding``, so the scheduler keeps the word."""
+        sharding = ("class ShardPlan:\n"
+                    "    def replan(self, keys):\n"
+                    "        raise ShardExecutionError(keys)\n")
+        scheduler = ("from repro.core.execution import InferenceJob\n"
+                     "\n"
+                     "\n"
+                     "async def run_inference_async(job):\n"
+                     "    return job.replan(InferenceJob)\n")
+        report = lint_sources({"repro.core.sharding": sharding,
+                               "repro.cluster.scheduler": scheduler})
+        assert sorted((v.module, v.line, v.message.split()[2])
+                      for v in report.violations
+                      if v.rule == "removed-spelling") == [
+            ("repro.cluster.scheduler", 1, "InferenceJob"),
+            ("repro.cluster.scheduler", 4, "run_inference_async"),
+            ("repro.cluster.scheduler", 5, "InferenceJob"),
+            ("repro.core.sharding", 2, "replan"),
+            ("repro.core.sharding", 3, "ShardExecutionError")]
+
+
 class TestReportSchema:
     def test_json_shape(self):
         report = run(rules=[MonotonicClockRule()])

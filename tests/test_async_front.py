@@ -586,6 +586,30 @@ class TestModelHotSwap:
             assert all(w.model_generation == 1
                        for w in front.processed_windows(name))
 
+    def test_a_stream_added_after_a_swap_took_no_refresh(
+            self, fig3_model, fig3_variant_model):
+        """A late stream starts on the front's model and generation, but
+        the swap happened before it existed: ``nrt.refreshes`` counts 1
+        for the stream that took it and 0 for the late one."""
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=1)
+            front.add_stream("old")
+            await front.refresh_model(fig3_variant_model)
+            front.add_stream("late")
+            async with front:
+                await front.submit("late", make_event(2, 0.0))
+            return front
+
+        front = asyncio.run(drive())
+        assert [front.metrics.counter_value("nrt.refreshes", stream=name)
+                for name in ("old", "late")] == [1, 0]
+        assert [w.model_generation for w in front.processed_windows(
+            "late")] == [1]
+        sync = feed_sync(fig3_variant_model, [make_event(2, 0.0)],
+                         window_size=1)
+        assert front.serve("late", 2) == sync.serve(2)
+
     def test_refresh_validation_leaves_every_stream_on_old_model(
             self, fig3_model, tmp_path):
         """An artifact that does not open fails before any stream is

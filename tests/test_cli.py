@@ -446,12 +446,27 @@ class TestWorkflow:
             == f"malformed curated file {path}: {problem}"
         assert built == [] and not out.exists()
 
-    def test_serve_nrt_refuses_a_zero_window(self, workflow_dir):
-        """``--window-seconds`` is the front's wall-clock bound, and 0
-        used to be accepted (see ``test_async_front.py``)."""
-        with pytest.raises(ValueError, match="window_seconds"):
+    @pytest.mark.parametrize("window", ["0", "-0.5", "nan"])
+    def test_serve_nrt_refuses_a_zero_window(self, workflow_dir, capsys,
+                                             window):
+        """``--window-seconds`` is the front's wall-clock bound (see
+        ``test_async_front.py``): one that is not > 0 is a usage error
+        at parse time, like a negative ``--workers``."""
+        with pytest.raises(SystemExit) as exit_info:
             main(["serve-nrt", "--model", str(workflow_dir / "model"),
-                  "--window-seconds", "0"])
+                  "--window-seconds", window])
+        assert exit_info.value.code == 2
+        assert f"--window-seconds: must be > 0, got {window}" \
+            in capsys.readouterr().err
+
+    def test_a_zero_window_boots_no_fleet(self, workflow_dir, booted):
+        """Refused before the front is built, so ``--workers 2`` boots
+        no fleet first."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-nrt", "--model", str(workflow_dir / "model"),
+                  "--window-seconds", "0", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert booted == []
 
     def test_serve_nrt_demo_runs_multi_stream(self, workflow_dir, capsys):
         assert main(["serve-nrt", "--model", str(workflow_dir / "model"),

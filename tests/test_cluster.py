@@ -712,6 +712,42 @@ class TestClusterInference:
         assert "boom-on-worker" in excinfo.value.worker_traceback
         assert "RuntimeError" in excinfo.value.worker_traceback
 
+    @pytest.mark.parametrize("limits, error, message", [
+        ({"k": 5.0}, TypeError, "k must be an int"),
+        ({"k": True}, TypeError, "k must be an int"),
+        ({"hard_limit": 1.0}, TypeError, "hard_limit must be an int"),
+        ({"hard_limit": -1}, ValueError, "hard_limit must be >= 0")])
+    def test_a_job_with_a_bad_limit_sends_no_shard(
+            self, artifact, requests, monkeypatch, limits, error, message):
+        """The coordinator's job refuses the limits a worker would,
+        before any ``run_shard`` frame is sent: its one live worker
+        runs no shard for it, and one for the next, good job."""
+        shards = []
+        handle_shard = ClusterWorker._handle_shard
+
+        async def counting(self, message):
+            shards.append(self.name)
+            await handle_shard(self, message)
+
+        monkeypatch.setattr(ClusterWorker, "_handle_shard", counting)
+
+        async def drive():
+            async with ClusterCoordinator(rpc_timeout=20.0) as coord:
+                _w, task = await spawn_worker(coord, name="only")
+                await coord.wait_for_workers(1, timeout=10.0)
+                try:
+                    with pytest.raises(error, match=message):
+                        await coord.run_inference(
+                            str(artifact), requests, **{"k": 5, **limits})
+                    refused = list(shards)
+                    await coord.run_inference(str(artifact), requests, k=5)
+                finally:
+                    await teardown(coord, [task])
+                return refused
+
+        assert asyncio.run(drive()) == []
+        assert shards == ["only"]
+
     @pytest.mark.parametrize("limits", [
         {"k": 5.0}, {"k": True}, {"hard_limit": 1.0}])
     def test_a_frame_with_a_non_integer_limit_is_refused(

@@ -22,11 +22,13 @@ from repro.cluster import (ClusterCoordinator, ClusterWorker, RetryPolicy)
 from repro.core.batch import batch_recommend
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
-from repro.core.execution import (ClusterExecutor, InferenceJob,
-                                  SerialExecutor, resolve_executor)
+from repro.cluster.coordinator import FleetJob
+from repro.cluster.protocol import pack_ranked, unpack_requests
+from repro.core.execution import (ClusterExecutor, SerialExecutor,
+                                  resolve_executor)
 from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
-from repro.core.sharding import ShardExecutionError, ShardPlan
+from repro.core.sharding import ShardPlan
 from repro.obs import MetricsRegistry, NullRegistry
 from tests.conftest import assert_models_identical, open_saved
 
@@ -184,7 +186,17 @@ class TestResolveExecutor:
 # The scatter/merge contract: one implementation, every substrate
 
 
-class TestInferenceJobContract:
+def worker_reply(model, job, unit) -> dict:
+    """A worker's ``shard_result`` fields for ``job.encode(unit)``: the
+    shipped requests run up to their ranked columns, packed."""
+    frame = job.encode(unit)
+    requests = unpack_requests(frame["requests"])
+    runner = LeafBatchRunner(model, k=frame["k"],
+                             hard_limit=frame["hard_limit"])
+    return pack_ranked(runner.run_ranked(requests), len(requests))
+
+
+class TestFleetJobContract:
     @pytest.fixture(scope="class")
     def world(self):
         """No pooled graph: leaf 999 has nowhere to be served from."""
@@ -201,11 +213,10 @@ class TestInferenceJobContract:
             self, world, n_shards):
         scalar = {item_id: world.recommend(title, leaf_id, k=5)
                   for item_id, title, leaf_id in self.REQUESTS}
-        runner = LeafBatchRunner(world, k=5)
-        job = InferenceJob(world, self.REQUESTS, n_shards, k=5)
+        job = FleetJob(world, self.REQUESTS, n_shards, k=5)
         for shard in reversed(job.plan.shards):     # out of order
-            assert job.merge(shard, runner.run_indexed(
-                job.requests_of(shard))) == len(job.requests_of(shard))
+            assert job.decode(shard, worker_reply(world, job, shard)) \
+                == len(shard)
         out = job.output()
         assert out == scalar
         assert out[8] == []
@@ -216,11 +227,12 @@ class TestInferenceJobContract:
     @settings(max_examples=60, deadline=None)
     def test_fleet_merge_equals_the_serial_call(self, data, world, model):
         """Property: the fleet's scatter/merge, cut into 1-4 units and
-        merged unit by unit (in a drawn order) through ``run_local``,
-        equals the serial path's one engine call — duplicate ids,
-        unknown leaves with and without a pooled graph, ``k <= 0``,
-        every ``hard_limit`` kind — first-seen order and each view's
-        texts included."""
+        merged unit by unit (in a drawn order, each unit by a drawn
+        route: ``run_local``, or ``decode`` of a worker's reply to its
+        ``encode``), equals the serial path's one engine call —
+        duplicate ids, unknown leaves with and without a pooled graph,
+        ``k <= 0``, every ``hard_limit`` kind — first-seen order and
+        each view's texts included."""
         served = data.draw(st.sampled_from([world, model]))
         leaf_ids = list(served.leaf_ids) + [999, 1000]
         requests = [
@@ -234,11 +246,16 @@ class TestInferenceJobContract:
         k = data.draw(st.sampled_from([-1, 0, 1, 3, 10]))
         hard_limit = data.draw(st.one_of(
             st.none(), st.just(0), st.integers(min_value=1, max_value=6)))
-        job = InferenceJob(served, requests,
-                           data.draw(st.integers(min_value=1, max_value=4)),
-                           k=k, hard_limit=hard_limit)
-        units = data.draw(st.permutations(job.plan.shards))
-        assert sum(job.run_local(unit) for unit in units) == sum(
+        job = FleetJob(served, requests,
+                       data.draw(st.integers(min_value=1, max_value=4)),
+                       k=k, hard_limit=hard_limit)
+        settled = 0
+        for unit in data.draw(st.permutations(job.plan.shards)):
+            if data.draw(st.booleans(), label="shipped"):
+                settled += job.decode(unit, worker_reply(served, job, unit))
+            else:
+                settled += job.run_local(unit)
+        assert settled == sum(
             served.leaf_graph(leaf_id) is not None
             or served.pooled_graph is not None
             for _item_id, _title, leaf_id in requests)
@@ -248,12 +265,6 @@ class TestInferenceJobContract:
         assert list(job.output()) == list(serial)
         assert [view.texts() for view in job.output().values()] \
             == [view.texts() for view in serial.values()]
-
-    def test_wrong_row_count_raises(self, world):
-        job = InferenceJob(world, self.REQUESTS, 1, k=5)
-        (shard,) = job.plan.shards
-        with pytest.raises(ShardExecutionError, match="4 rows for 5"):
-            job.merge(shard, [[]] * 4)
 
 
 class TestConstructionStaysInProcess:
@@ -410,8 +421,7 @@ class TestCrossExecutorEquivalence:
                                            name=name, **kwargs)
                     tasks.append(asyncio.ensure_future(worker.run()))
                 await coordinator.wait_for_workers(3, timeout=10.0)
-                executor = ClusterExecutor(coordinator)
-                got = await executor.run_inference_async(
+                got = await coordinator.run_inference(
                     str(artifact), requests, k=5)
                 await coordinator.stop()
                 for task in tasks:
@@ -420,6 +430,18 @@ class TestCrossExecutorEquivalence:
                 return got
 
         assert asyncio.run(drive()) == expected
+
+    def test_a_sync_call_on_the_coordinator_loop_is_refused(self, opened):
+        """Blocking the loop the job needs would deadlock: code on it
+        awaits the coordinator's ``run_inference`` instead."""
+        async def drive():
+            async with ClusterCoordinator() as coordinator:
+                with pytest.raises(RuntimeError,
+                                   match="await coordinator.run_inference"):
+                    ClusterExecutor(coordinator).run_inference(
+                        opened, [(1, "leaf1 word0", 1)], k=5)
+
+        asyncio.run(drive())
 
     def test_local_cluster_executor_lifecycle(self, model, requests,
                                               expected, tmp_path):

@@ -147,14 +147,14 @@ class TestPropertyEquivalence:
     @given(world=leaf_worlds, reqs=requests_strategy,
            n_shards=st.integers(2, 4))
     @settings(max_examples=examples(15), deadline=None)
-    def test_leaf_group_sharding_agrees(self, world, reqs, n_shards):
-        """Any cut of a batch into leaf-group shards, merged in any
-        order, is the scalar loop's output (what every substrate's
+    def test_fleet_job_cuts_agree(self, world, reqs, n_shards):
+        """Any cut of a batch into graph-order shards, merged in any
+        order, is the scalar loop's output (what the fleet's
         scatter/merge rests on)."""
-        from repro.core.execution import InferenceJob
+        from repro.cluster.coordinator import FleetJob
 
         model = make_model(world, build_pooled=True)
-        job = InferenceJob(model, reqs, n_shards, k=6)
+        job = FleetJob(model, reqs, n_shards, k=6)
         for shard in reversed(job.plan.shards):
             job.run_local(shard)
         assert_identical(job.output(), reference_outputs(model, reqs, 6))

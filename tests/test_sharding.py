@@ -70,8 +70,10 @@ class TestInferencePlanning:
         """Property: the shards, concatenated, are the engine's graph
         order of the served requests (graphs by first request, batch
         order within one); their sizes differ by at most one; a request
-        with no graph is in no shard; and re-planning any shard over
-        any number of hosts keeps its keys in order."""
+        with no graph is in no shard; and re-cutting any shard as the
+        scheduler re-plans an orphan, ``ShardPlan(shard, hosts)`` over
+        any number of hosts (0: the fleet emptied), keeps its keys in
+        order."""
         model = data.draw(st.sampled_from(WORLDS))
         requests = [(i, "w0", leaf_id) for i, leaf_id in enumerate(
             data.draw(st.lists(st.sampled_from([1, 2, 3, 99, 123]),
@@ -95,8 +97,8 @@ class TestInferencePlanning:
         assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
         for shard in plan.shards:
-            hosts = data.draw(st.integers(min_value=1, max_value=5))
-            replanned = plan.replan(shard, hosts)
+            hosts = data.draw(st.integers(min_value=0, max_value=5))
+            replanned = ShardPlan(shard, hosts)
             assert [i for part in replanned.shards for i in part] \
                 == list(shard)
             sizes = [len(part) for part in replanned.shards]
@@ -198,23 +200,6 @@ class TestLazyImportCycleContract:
                 "model = GraphExModel.construct(build_fig3_curated())\n"
                 "assert batch_recommend(model, [(1, 'gaming headphones', "
                 "FIG3_LEAF_ID)], executor='serial')[1]\n")
-
-
-class TestReplan:
-    """The dead-host primitive: orphaned keys are cut over survivors."""
-
-    def test_recuts_subset_in_order(self):
-        plan = ShardPlan(range(8), 2)
-        assert plan.replan(plan.shards[0], 3).shards == ((0, 1), (2,), (3,))
-
-    def test_single_survivor_gets_everything(self):
-        plan = ShardPlan(range(6), 3)
-        assert plan.replan(range(6), 1).shards == (tuple(range(6)),)
-
-    def test_unknown_keys_rejected(self):
-        plan = ShardPlan([1], 1)
-        with pytest.raises(ValueError, match="not part of this plan"):
-            plan.replan([1, 99], 1)
 
 
 class TestWorkerFailureSurfacing:
