@@ -25,6 +25,8 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("next_generation _model_loaded_at", NOWHERE,
+     "one served-model slot (ModelSlot.swap numbers and stamps a swap)"),
     ("InferenceJob ShardExecutionError run_inference_async", NOWHERE,
      "one fleet job (the coordinator's FleetJob cuts, ships and merges)"),
     ("replan", r"(?!repro\.core\.sharding:)",

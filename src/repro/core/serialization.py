@@ -519,10 +519,10 @@ def open_model(source: Union[GraphExModel, str, Path]) -> GraphExModel:
     """Polymorphic model hand-off: a model passes through, a path opens
     mapped (``load_model(path, mmap=True)``).
 
-    The serving stack's ``refresh_model`` entry points and the cluster
-    route through this, so an orchestrator hands a *directory path* to
-    N serving processes instead of shipping N pickled copies, and the
-    hot-swap is a remap, not a reload.
+    The serving stack's one swap, ``repro.serving.nrt.ModelSlot.swap``,
+    and the cluster route through this, so an orchestrator hands a
+    *directory path* to N serving processes instead of shipping N
+    pickled copies, and the hot-swap is a remap, not a reload.
     """
     if isinstance(source, GraphExModel):
         return source

@@ -31,11 +31,11 @@ Per stream, the front provides what the synchronous service cannot:
 * **Graceful shutdown.**  :meth:`stop` drains every queue and flushes
   every open window before returning — including events a racing
   submit managed to enqueue behind the shutdown sentinel.
-* **Zero-downtime model hot-swap.**  :meth:`refresh_model` puts one
-  marker on the lane that retargets every stream to a freshly
-  constructed model — the paper's daily refresh — so work queued
-  before it finishes under the old model and work queued after runs
-  under the new one, without dropping an event or interrupting reads.
+* **Zero-downtime model hot-swap.**  Every stream reads the front's
+  one model slot, and :meth:`refresh_model` swaps it on the lane — the
+  paper's daily refresh — so work queued before the swap finishes
+  under the old model and work queued after runs under the new one,
+  without dropping an event or interrupting reads.
 
 Because the front drives unmodified :class:`NRTService` instances and
 that service's crash-safe flush restores the window on failure, a
@@ -61,7 +61,7 @@ from ..core.model import GraphExModel
 from ..core.serialization import open_model
 from ..obs import MetricsRegistry
 from .kvstore import KeyValueStore
-from .nrt import ItemEvent, NRTService, WindowStats, next_generation
+from .nrt import ItemEvent, ModelSlot, NRTService, WindowStats
 
 #: Sentinel queued by :meth:`AsyncNRTFront.stop` to end a consumer.
 _CLOSE = object()
@@ -115,7 +115,7 @@ class AsyncNRTFront:
     """Multiplexes many named NRT streams over one asyncio event loop.
 
     Args:
-        model: The serving GraphEx model, shared by every stream.
+        model: The serving GraphEx model; every stream reads its slot.
         window_size: Per-stream count bound, as in :class:`NRTService`.
         window_seconds: Per-stream *event-time* bound forwarded to
             :class:`NRTService`.
@@ -166,7 +166,7 @@ class AsyncNRTFront:
             raise ValueError("the wall-clock bound (wall_clock_seconds, "
                              "else window_seconds) must be > 0, got "
                              f"{wall_clock_seconds}")
-        self._model = model
+        self._slot = ModelSlot(model)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Checked here, so a bad executor spelling, k or cap fails at
         # front construction, not at first add_stream.
@@ -181,7 +181,6 @@ class AsyncNRTFront:
         # The flush lane exists exactly while the front is running.
         self._lane: Optional[ThreadPoolExecutor] = None
         self._streams: Dict[str, _Stream] = {}
-        self._generation = 0
         self._closing = False
 
     # ------------------------------------------------------------------
@@ -205,11 +204,8 @@ class AsyncNRTFront:
         # store serialize not just with each other but with ANY writer
         # holding it — e.g. a daily full load refreshing the same store
         # from another thread.
-        service = NRTService(self._model, store, metrics=self.metrics,
+        service = NRTService(self._slot, store, metrics=self.metrics,
                              stream=name, **self._service_kwargs)
-        # Added after a hot-swap, it starts on the front's model and
-        # generation; it took no refresh, so it counts none.
-        service._generation = self._generation
         stream = _Stream(name, service,
                          asyncio.Queue(maxsize=self._max_pending))
         self._streams[name] = stream
@@ -301,55 +297,43 @@ class AsyncNRTFront:
 
     @property
     def model_generation(self) -> int:
-        """How many model refreshes this front has seen (0 = the
-        construction-time model)."""
-        return self._generation
+        """Refreshes this front has seen (0 = the construction-time
+        model); it moves when a swap lands on the flush lane."""
+        return self._slot.served.generation
 
     async def refresh_model(self, model: Union[GraphExModel, str, Path],
                             generation: Optional[int] = None) -> int:
-        """Zero-downtime hot-swap: retarget every stream to ``model``.
+        """Zero-downtime hot-swap of every stream: one
+        :meth:`~repro.serving.nrt.ModelSlot.swap` of the slot they share
+        (it says what ``model`` and ``generation`` may be); returns the
+        generation after the swap.
 
-        The daily loop's serving edge: a freshly constructed model is
-        swapped into a *running* front without dropping an event or
-        interrupting reads.  ``model`` may also be an artifact
-        directory path — it is opened *once* here (zero-copy mmap for a
-        saved artifact, via
-        :func:`repro.core.serialization.open_model`) and every stream
-        is retargeted at the same mapped instance, so the whole front
-        shares one physical copy and the swap is a remap, not N
-        reloads.  A path that does not open leaves every stream
-        serving the old model.  Then the swap is one hand-off onto the
-        flush lane, retargeting every stream at once: the lane is
-        first in first out, so a flush in progress or already queued
-        completes under the old model, and every window drained after
-        the swap (including events already buffered) is inferred under
-        the new one, stamped with the new generation in its
-        :class:`~repro.serving.nrt.WindowStats`.  Ingestion keeps
-        flowing on the event loop meanwhile.
-
-        Streams added after the swap start on the new model.  May be
-        called before :meth:`start` or after :meth:`stop` (there is no
-        lane then, and the swap runs inline) or mid-run; returns the
-        front's model generation after the swap.
+        A path is opened once, off the loop.  The swap is then one
+        hand-off onto the flush lane, which is first in first out: a
+        flush in progress or queued completes under the old model, and
+        every window drained after it (buffered events included) runs
+        under the new one and records its generation.  Each stream
+        present when the swap lands counts it in ``nrt.refreshes``; a
+        stream added later starts on the new model and reports the
+        swap's age as staleness.  With no lane (before :meth:`start`,
+        after :meth:`stop`) the swap runs inline.
         """
         if self._closing:
             raise RuntimeError("front is stopping")
-        loop = asyncio.get_running_loop()
-        # open_model on an artifact path is filesystem work (the
-        # mmap open); off-loop so a slow disk cannot stall every
-        # stream's windows mid-swap (async-no-blocking).  For an
-        # already-opened model it is a passthrough.
-        model = await loop.run_in_executor(None, open_model, model)
-        self._model = model
-        self._generation = next_generation(self._generation, generation)
-        services = [stream.service for stream in self._streams.values()]
+        # An artifact open is filesystem work: off-loop, so a slow disk
+        # cannot stall every stream's windows (async-no-blocking).
+        model = await asyncio.get_running_loop().run_in_executor(
+            None, open_model, model)
 
-        def swap(generation: int) -> None:
-            for service in services:
-                service.refresh_model(model, generation)
+        def swap() -> int:
+            present = list(self._streams.values())
+            swapped = self._slot.swap(model, generation)
+            for stream in present:
+                self.metrics.inc("nrt.refreshes", stream=stream.name)
+                stream.service.record_staleness()
+            return swapped
 
-        await self._on_lane(swap, self._generation)
-        return self._generation
+        return await self._on_lane(swap)
 
     def serve(self, name: str, item_id: int) -> List[str]:
         """Seller-facing read: current keyphrases on one stream."""

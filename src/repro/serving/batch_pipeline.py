@@ -22,10 +22,9 @@ from ..core.batch import (InferenceRequest, batch_recommend,
                           validate_limits)
 from ..core.execution import resolve_executor
 from ..core.model import GraphExModel
-from ..core.serialization import open_model
 from ..obs import MetricsRegistry
 from .kvstore import KeyValueStore
-from .nrt import next_generation
+from .nrt import ModelSlot
 
 
 @dataclass
@@ -66,12 +65,11 @@ class BatchPipeline:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.executor = resolve_executor(executor, metrics=self.metrics)
         validate_limits(k, hard_limit)
-        self.model = model
+        self._slot = ModelSlot(model)
         self.store: KeyValueStore = store if store is not None \
             else KeyValueStore()
         self._k = k
         self._hard_limit = hard_limit
-        self._generation = 0
 
     def _infer(self, requests: Sequence[InferenceRequest]
                ) -> Dict[int, List[str]]:
@@ -142,28 +140,20 @@ class BatchPipeline:
         return list(self.store.get(item_id) or [])
 
     @property
+    def model(self) -> GraphExModel:
+        """The model the next load infers under."""
+        return self._slot.served.model
+
+    @property
     def model_generation(self) -> int:
         """How many model refreshes this pipeline has seen (0 = the
         construction-time model)."""
-        return self._generation
+        return self._slot.served.generation
 
     def refresh_model(self, model: Union[GraphExModel, str, Path],
                       generation: Optional[int] = None) -> int:
         """Swap in a newly constructed model (the daily model refresh the
-        paper's fast construction enables).
-
-        ``model`` may be a :class:`GraphExModel` or an artifact
-        directory (opened via
-        :func:`repro.core.serialization.open_model` — zero-copy mmap
-        for saved artifacts, so co-hosted pipelines handed the same
-        path share one physical copy).  A path that does not open
-        leaves the pipeline on the old model.
-        ``generation`` lets an orchestrator number refreshes
-        consistently across the whole serving stack (defaults to the
-        current generation + 1); the pipeline's generation after the
-        swap is returned.
-        """
-        model = open_model(model)
-        self._generation = next_generation(self._generation, generation)
-        self.model = model
-        return self._generation
+        paper's fast construction enables) through
+        :meth:`~repro.serving.nrt.ModelSlot.swap`; the next load infers
+        under it.  Returns the generation after the swap."""
+        return self._slot.swap(model, generation)

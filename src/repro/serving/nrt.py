@@ -46,14 +46,46 @@ class ItemEvent:
     timestamp: float
 
 
-def next_generation(current: int, explicit: Optional[int]) -> int:
-    """The swap-generation rule shared by every ``refresh_model``
-    across the serving stack: adopt an orchestrator's explicit number,
-    else increment the local one — never going backwards.  A target's
-    generation is strictly increasing across swaps, so one number can
-    never name two different models on the same target (an explicit
-    number at or below the local history is bumped past it instead)."""
-    return current + 1 if explicit is None else max(current + 1, explicit)
+@dataclass(frozen=True)
+class ServedModel:
+    """A slot's contents: the model, the refresh generation that put it
+    there (0 = the construction-time model) and its monotonic load
+    stamp.  Frozen, so one read sees a consistent triple."""
+
+    model: GraphExModel
+    generation: int
+    loaded_at: float
+
+
+class ModelSlot:
+    """The one place a served model lives: a batch pipeline and a
+    standalone NRT service own one each, an async front one for all its
+    streams (its swaps run one at a time, on its lane)."""
+
+    def __init__(self, model: GraphExModel) -> None:
+        self.served = ServedModel(model, 0, time.monotonic())
+
+    def swap(self, model: Union[GraphExModel, str, Path],
+             generation: Optional[int] = None) -> int:
+        """Replace the served model in one assignment; returns the new
+        generation.
+
+        ``model`` is a :class:`GraphExModel` or an artifact directory,
+        opened by :func:`repro.core.serialization.open_model` (mapped
+        zero-copy, so slots handed one path share one physical copy).
+        A path that does not open raises before the swap: the slot
+        keeps its model and generation.  ``generation`` is an explicit
+        number to adopt (an orchestrator numbering the whole stack),
+        else the current one + 1.  It never goes backwards — a number at
+        or below the current one is bumped past it — so one number never
+        names two models on one slot.  The load stamp is monotonic, so a
+        clock step cannot fake a refresh or an outage.
+        """
+        model = open_model(model)
+        floor = self.served.generation + 1
+        generation = floor if generation is None else max(floor, generation)
+        self.served = ServedModel(model, generation, time.monotonic())
+        return generation
 
 
 @dataclass
@@ -76,7 +108,8 @@ class NRTService:
     """Event-driven near-real-time inference behind a processing window.
 
     Args:
-        model: The serving GraphEx model.
+        model: The serving GraphEx model, or the :class:`ModelSlot` an
+            async front shares among its streams.
         store: KV store shared with the batch pipeline.
         window_size: Close the window after this many events.
         window_seconds: ... or after this much event time has elapsed.
@@ -103,7 +136,8 @@ class NRTService:
             defaults to ``"default"``).
     """
 
-    def __init__(self, model: GraphExModel, store: KeyValueStore,
+    def __init__(self, model: Union[GraphExModel, ModelSlot],
+                 store: KeyValueStore,
                  window_size: int = 32, window_seconds: float = 1.0,
                  k: int = 20, hard_limit: int = 40,
                  enrich: Optional[Callable[[ItemEvent], str]] = None,
@@ -116,24 +150,19 @@ class NRTService:
         # already be drained: a bad executor spelling, a bad k or cap.
         self.executor = resolve_executor(executor, metrics=self.metrics)
         validate_limits(k, hard_limit)
-        self.model = model
+        self._slot = (model if isinstance(model, ModelSlot)
+                      else ModelSlot(model))
         self._store = store
         self._window_size = window_size
         self._window_seconds = window_seconds
         self._k = k
         self._hard_limit = hard_limit
         self._enrich = enrich
-        self._generation = 0
         self._buffer: List[ItemEvent] = []
         self._window_opened_at: Optional[float] = None
         self._processed_windows: List[WindowStats] = []
         self._n_inferred = 0
         self._n_deleted = 0
-        # Monotonic load stamp behind the staleness gauge: how long the
-        # currently served model has been in place (reset on every
-        # hot-swap).  Monotonic, never wall clock — a clock step must
-        # not fake a refresh or an outage.
-        self._model_loaded_at = time.monotonic()
 
     @property
     def pending_events(self) -> int:
@@ -141,19 +170,24 @@ class NRTService:
         return len(self._buffer)
 
     @property
+    def model(self) -> GraphExModel:
+        """The model the next drained window is inferred under."""
+        return self._slot.served.model
+
+    @property
     def model_generation(self) -> int:
-        """How many model refreshes this service has seen (0 = the
-        construction-time model).  Every :class:`WindowStats` carries
-        the generation that served it."""
-        return self._generation
+        """How many model refreshes this service's slot has seen (0 =
+        the construction-time model).  Every :class:`WindowStats`
+        carries the generation that served it."""
+        return self._slot.served.generation
 
     @property
     def model_staleness_seconds(self) -> float:
         """Age of the currently served model: monotonic seconds since
-        construction or the last :meth:`refresh_model`.  The value the
-        ``nrt.staleness_seconds`` gauge tracks — its max is the worst
-        staleness the service reached between refreshes."""
-        return time.monotonic() - self._model_loaded_at
+        its slot was filled (every stream of a front shares the stamp).
+        The value the ``nrt.staleness_seconds`` gauge tracks — its max
+        is the worst staleness the service reached between refreshes."""
+        return time.monotonic() - self._slot.served.loaded_at
 
     def record_staleness(self) -> float:
         """Record the staleness gauge now and return the reading.
@@ -169,43 +203,21 @@ class NRTService:
 
     def refresh_model(self, model: Union[GraphExModel, str, Path],
                       generation: Optional[int] = None) -> int:
-        """Hot-swap in a newly constructed model (the daily refresh).
-
-        ``model`` may be an in-memory :class:`GraphExModel` or an
-        *artifact directory path*: a path is opened through
-        :func:`repro.core.serialization.open_model`, so a saved
-        artifact maps zero-copy and the swap is a remap — N services on
-        one host pointed at the same artifact share one physical copy.
+        """Hot-swap in a newly constructed model (the daily refresh)
+        through :meth:`ModelSlot.swap`, which says what ``model`` and
+        ``generation`` may be; returns the generation after the swap.
 
         The swap takes effect at the next *window boundary*: a window
         already drained by an in-progress :meth:`flush` finishes under
-        the model it was drained with (flush snapshots the model at
+        the model it was drained with (flush reads the slot once, at
         drain time), and every window drained afterwards — including
         events already buffered in the open window — is inferred under
         the new model.
-
-        A path that does not open — a malformed or truncated artifact
-        — raises before the swap, so the service keeps serving the old
-        model (generation included).
-
-        Args:
-            model: The replacement model, or the directory of a saved
-                one (opened mmap when it is a saved artifact).
-            generation: Explicit generation number to adopt (an
-                orchestrator numbering refreshes across many services);
-                defaults to the current generation + 1, and is never
-                allowed to go backwards — see :func:`next_generation`.
-
-        Returns:
-            The service's model generation after the swap.
         """
-        model = open_model(model)
-        self._generation = next_generation(self._generation, generation)
-        self.model = model
-        self._model_loaded_at = time.monotonic()
+        generation = self._slot.swap(model, generation)
         self.metrics.inc("nrt.refreshes", stream=self._stream_label)
         self.record_staleness()
-        return self._generation
+        return generation
 
     def event_retained(self, event: ItemEvent) -> bool:
         """Whether *this exact* event object sits in the open window
@@ -319,12 +331,10 @@ class NRTService:
         flush_started = time.perf_counter()
         events, self._buffer = self._buffer, []
         opened_at, self._window_opened_at = self._window_opened_at, None
-        # Snapshot at drain time: a concurrent refresh_model (the async
-        # front swaps on its flush lane, queued behind this flush)
-        # must never retarget a window mid-flush — a window drained
-        # under one model finishes under it, and its stats record that
-        # model's generation.
-        model, generation = self.model, self._generation
+        # Read the slot once, at drain time: a swap queued behind this
+        # flush (the front swaps on its lane) never retargets a window
+        # mid-flush, and the window records the generation it ran under.
+        served = self._slot.served
 
         # The transaction holds the store's (reentrant) lock from stage
         # to prune, so a concurrent writer on a shared store — a daily
@@ -353,7 +363,7 @@ class NRTService:
                 # engine — the Flink-window analogue of the paper's NRT
                 # branch.  The store keeps texts: no row is built.
                 results = batch_recommend(
-                    model, requests, k=self._k,
+                    served.model, requests, k=self._k,
                     hard_limit=self._hard_limit, executor=self.executor)
                 n_inferred = len(requests)
                 for item_id, _title, _leaf_id in requests:
@@ -379,7 +389,7 @@ class NRTService:
         self.record_staleness()
         stats = WindowStats(n_events=len(events), n_inferred=n_inferred,
                             n_deleted=n_deleted,
-                            model_generation=generation)
+                            model_generation=served.generation)
         self._processed_windows.append(stats)
         self._n_inferred += n_inferred
         self._n_deleted += n_deleted

@@ -171,8 +171,8 @@ class DailyRefreshOrchestrator:
         Anything exposing ``refresh_model(model, generation=...)`` works
         — :class:`~repro.serving.nrt.NRTService` (swapped inline) and
         :class:`~repro.serving.async_front.AsyncNRTFront` (awaited: its
-        streams swap in one hand-off on its flush lane).  Returns the
-        target for chaining.
+        streams' one slot swaps in one hand-off on its flush lane).
+        Returns the target for chaining.
         """
         if not callable(getattr(target, "refresh_model", None)):
             raise TypeError(
@@ -258,7 +258,7 @@ class DailyRefreshOrchestrator:
         # Issue a number strictly above every deployment's local
         # history — a target may have been hot-swapped directly since
         # the last orchestrated refresh — so each adopts it verbatim
-        # (next_generation never bumps past it) and every window stamp
+        # (ModelSlot.swap never bumps past it) and every window stamp
         # maps back to exactly one RefreshReport.  Burned now: a
         # failure below leaves a gap rather than reusing the number
         # for a different day's model.

@@ -294,6 +294,27 @@ class TestNoMuteButton:
             ("repro.core.sharding", 2, "replan"),
             ("repro.core.sharding", 3, "ShardExecutionError")]
 
+    def test_removed_spelling_pins_the_served_model_slot(self):
+        """``next_generation`` and ``_model_loaded_at`` fire anywhere:
+        the slot's swap is the one numbering rule and the one stamp."""
+        nrt = ("def next_generation(current, explicit):\n"
+               "    return current + 1\n")
+        front = ("from repro.serving.nrt import next_generation\n"
+                 "\n"
+                 "\n"
+                 "class Front:\n"
+                 "    def refresh_model(self, model):\n"
+                 "        self._model_loaded_at = next_generation(0, None)\n")
+        report = lint_sources({"repro.serving.nrt": nrt,
+                               "repro.serving.async_front": front})
+        assert sorted((v.module, v.line, v.message.split()[2])
+                      for v in report.violations
+                      if v.rule == "removed-spelling") == [
+            ("repro.serving.async_front", 1, "next_generation"),
+            ("repro.serving.async_front", 6, "_model_loaded_at"),
+            ("repro.serving.async_front", 6, "next_generation"),
+            ("repro.serving.nrt", 1, "next_generation")]
+
 
 class TestReportSchema:
     def test_json_shape(self):

@@ -610,6 +610,33 @@ class TestModelHotSwap:
                          window_size=1)
         assert front.serve("late", 2) == sync.serve(2)
 
+    def test_a_stream_added_after_a_swap_reports_the_swaps_age(
+            self, fig3_model, fig3_variant_model):
+        """Every stream of a front reads one load stamp: a stream added
+        0.2 s after a swap reports the swapped model's age, not its own
+        construction's — through the property and through the
+        ``nrt.staleness_seconds`` gauge a stats poll records."""
+        pause = 0.2
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model)
+            front.add_stream("old")
+            await front.refresh_model(fig3_variant_model)
+            await asyncio.sleep(pause)
+            front.add_stream("late")
+            return front
+
+        front = asyncio.run(drive())
+        ages, gauges = {}, {}
+        for name in ("old", "late"):
+            ages[name] = front._streams[name].service.model_staleness_seconds
+            front.stats(name)
+            gauges[name] = front.metrics.gauge_value(
+                "nrt.staleness_seconds", stream=name)
+        for reading in (ages, gauges):
+            assert reading["late"] >= pause
+            assert reading["late"] == pytest.approx(reading["old"], rel=0.1)
+
     def test_refresh_validation_leaves_every_stream_on_old_model(
             self, fig3_model, tmp_path):
         """An artifact that does not open fails before any stream is
