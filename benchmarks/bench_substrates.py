@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="substrates-"))
     artifact = save_model(GraphExModel.construct(curated, build_pooled=True),
                           workdir / "model")
-    model = load_model(artifact, mmap=True)
+    model = load_model(artifact)
     batches = {"inference_1200": generated.catalog[:1200],
                "inference_7200": generated.catalog[:7200]}
 

@@ -41,7 +41,7 @@ BLOCKING_DOTTED = frozenset({
 })
 
 #: Bare-name calls that block on the filesystem.
-BLOCKING_NAMES = frozenset({"open", "open_model", "save_model"})
+BLOCKING_NAMES = frozenset({"open", "load_model", "open_model", "save_model"})
 
 #: Method names that block regardless of receiver: concurrent.futures
 #: ``.result()``, threading-lock ``.acquire()``, the store's

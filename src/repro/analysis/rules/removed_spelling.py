@@ -25,6 +25,7 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ('mmap= "--mmap"', NOWHERE, "one open mode"),
     ("next_generation _model_loaded_at", NOWHERE,
      "one served-model slot (ModelSlot.swap numbers and stamps a swap)"),
     ("InferenceJob ShardExecutionError run_inference_async", NOWHERE,

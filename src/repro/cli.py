@@ -5,7 +5,7 @@ Mirrors a production workflow in six subcommands::
     repro-graphex simulate  --out logs.json [--profile tiny|default]
     repro-graphex curate    --log logs.json --out curated.json [--min-search-count N] [--engine reference|fast]
     repro-graphex construct --curated curated.json --out model_dir/ [--builder reference|fast]
-    repro-graphex recommend --model model_dir/ --title "..." --leaf ID [-k N] [--engine reference|fast] [--workers N] [--mmap]
+    repro-graphex recommend --model model_dir/ --title "..." --leaf ID [-k N] [--engine reference|fast] [--workers N]
     repro-graphex serve-nrt --model model_dir/ [--streams N] [--events N] [--refresh-after N] [--workers N]
     repro-graphex evaluate  [--profile tiny|default] [--meta CAT_1]
     repro-graphex cluster-worker --connect HOST:PORT [--name W] [--die-after-assignments N]
@@ -17,13 +17,12 @@ input) as JSON; ``curate`` persists the curated keyphrases *and* the
 curation config (so ``construct`` round-trips the exact configuration);
 ``construct`` builds in this process and persists the model with
 :func:`repro.core.serialization.save_model` (the zero-copy
-page-aligned artifact); ``recommend`` loads and serves
-(``--mmap`` opens the artifact without copying); ``serve-nrt`` demos
-the asyncio multi-stream NRT front (``--refresh-after`` adds a mid-run
-zero-downtime model hot-swap, handed off by artifact *path* so the
-model remaps instead of reloading); serving runs the fast engine only,
-so it has no ``--engine`` — the scalar oracles are selected on
-``curate``, ``construct`` and ``recommend``.  Where inference runs is
+page-aligned artifact); ``recommend`` maps it read-only and serves;
+``serve-nrt`` demos the asyncio multi-stream NRT front (``--refresh-after``
+adds a mid-run zero-downtime model hot-swap, handed off by artifact
+*path* so the model remaps instead of reloading); serving runs the fast
+engine only, so it has no ``--engine`` — the scalar oracles are
+selected on ``curate``, ``construct`` and ``recommend``.  Where inference runs is
 one value, ``--workers N``: ``0`` (the default) is this process, and
 ``N >= 1`` a ``with`` block over ``ClusterExecutor.local(N)``, a
 localhost fleet of ``N`` worker subprocesses.
@@ -226,7 +225,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
-    model = load_model(args.model, mmap=args.mmap)
+    model = load_model(args.model)
     with (ClusterExecutor.local(args.workers) if args.workers
           else nullcontext()) as executor:
         recs = batch_recommend(model, [(0, args.title, args.leaf)],
@@ -429,7 +428,7 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
     from .cluster import (ClusterCoordinator, RetryPolicy, reap_workers,
                           spawn_worker)
 
-    model = load_model(args.model, mmap=True)
+    model = load_model(args.model)
     requests = _synthesize_requests(model, args.requests, args.seed)
     expected = batch_recommend(model, requests, k=args.k)
 
@@ -586,11 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "a localhost fleet of N worker processes — "
                             "identical output; only 0 pairs with "
                             "--engine reference")
-    p_rec.add_argument("--mmap", action="store_true",
-                       help="open the model zero-copy over the "
-                            "model artifact file (read-only views, "
-                            "no copy); identical output to a copied "
-                            "load")
     p_rec.set_defaults(func=_cmd_recommend)
 
     p_srv = sub.add_parser(
@@ -645,8 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
              "same fleet 'recommend --workers N' boots, with "
              "a kill switch and a run report)")
     p_crn.add_argument("--model", required=True,
-                       help="serialized model directory (mmap-shared "
-                            "across the machines)")
+                       help="model directory, mapped by each machine")
     p_crn.add_argument("--workers", type=_fleet_size, default=3,
                        help="worker subprocesses ('machines') to spawn")
     p_crn.add_argument("--kill-after", type=int, default=None,

@@ -523,7 +523,7 @@ class ClusterCoordinator:
 
         An opened model is itself what the local fallback runs on and
         what reply label ids are read against: no save, no second open,
-        no cache entry.  A path opens mapped (the last path is
+        no cache entry.  A path is opened (the last path is
         memoized, so a daily ``gen-<N>/`` keeps one open).  Either
         way the open's resolved ``artifact_dir`` is shipped, with its
         ``artifact_identity`` on every ``run_shard`` frame: a worker
@@ -536,9 +536,8 @@ class ClusterCoordinator:
             key = str(source)
             model = self._model_cache.get(key)
             if model is None:
-                # The mmap open touches disk; off-loop
-                # (async-no-blocking).  Jobs run one at a time, so no
-                # other open of the key races this one.
+                # The open reads disk; off-loop (async-no-blocking).
+                # Jobs run one at a time: no other open of the key races.
                 model = await asyncio.get_event_loop().run_in_executor(
                     None, open_model, key)
                 self._model_cache = {key: model}
@@ -561,7 +560,7 @@ class ClusterCoordinator:
         Args:
             model_source: A model artifact directory, or a model opened
                 from one (its ``artifact_dir`` is shipped).  Workers
-                mmap-open it by path — coordinator and workers see one
+                open it by path — coordinator and workers see one
                 filesystem, see the package docstring.
             requests: ``(item_id, title, leaf_id)`` triples.
             k, hard_limit: As in ``batch_recommend``.

@@ -26,7 +26,7 @@ items, whichever leaves they belong to:
    word's row (its graph's word base plus its id) and one read of the
    plane's ``indices`` (at positions shifted by the graph's entry base)
    expand every (title, word) pair's adjacency list for the whole chunk
-   (on an mmap-opened model these are the mapped sections; nothing is
+   (on an opened model these are the mapped sections; nothing is
    concatenated).  Candidate label ids, still local to their graph,
    are shifted into their item's key slot (``slot[item] + label``,
    each slot as wide as the item's own graph) and one sort of the keys

@@ -65,7 +65,7 @@ class LeafGraph:
         label_lengths: Unique-token count ``|l|`` per label.
         search_counts: Search Count ``S(l)`` per label.  In a model
             this (like every array here) is a slice view of the model's
-            :class:`GraphPlane`, and on an mmap-opened model a
+            :class:`GraphPlane`, and on an opened model a
             read-only view over the artifact file.
         recall_counts: Recall Count ``R(l)`` per label.
     """
@@ -168,13 +168,13 @@ class LazyStringList(abc.Sequence):
     """A graph's label texts: a list-equivalent view of its labels'
     strings in the model's :class:`StringPool`.
 
-    Every graph's ``label_texts`` is one, on built, copied and mapped
-    models alike (:meth:`GraphPlane.leaf`).  Indexing, iteration,
-    ``len`` and equality behave exactly like a ``list`` of the texts;
-    iteration and slices are one :meth:`StringPool.take`, so nothing
-    is decoded until read and no Python call runs per string.
-    Pickled alone it materialises a plain list; a pickled model ships
-    its pool once and cuts its views from it again.
+    Every graph's ``label_texts`` is one, on built and opened models
+    alike (:meth:`GraphPlane.leaf`).  Indexing, iteration, ``len`` and
+    equality behave exactly like a ``list`` of the texts; iteration and
+    slices are one :meth:`StringPool.take`, so nothing is decoded until
+    read and no Python call runs per string.  Pickled alone it
+    materialises a plain list; a pickled model ships its pool once and
+    cuts its views from it again.
     """
 
     __slots__ = ("_pool", "_ids")
@@ -305,12 +305,11 @@ class GraphPlane(NamedTuple):
             column[:] = column[plane.text_ids]
         return plane
 
-    def leaf(self, g: int, leaf_id: int, word_vocab: Vocabulary,
-             validate: bool = False) -> "LeafGraph":
+    def leaf(self, g: int, leaf_id: int,
+             word_vocab: Vocabulary) -> "LeafGraph":
         """Graph ``g`` as a :class:`LeafGraph` whose arrays and label
-        texts are views of this plane (its CSR spans ``max(1, labels)``
-        right vertices, as every builder's does); ``validate`` checks
-        its CSR invariants."""
+        texts are views of this plane, its CSR not checked again (it
+        spans ``max(1, labels)`` right vertices, as every builder's)."""
         words = self.word_base[g:g + 2].tolist()
         entries = self.entry_base[g:g + 2].tolist()
         lo, hi = self.label_base[g:g + 2].tolist()
@@ -319,7 +318,7 @@ class GraphPlane(NamedTuple):
             word_vocab=word_vocab,
             graph=CSRGraph(self.indptr[slice(*words)],
                            self.indices[slice(*entries)], max(1, hi - lo),
-                           validate=validate),
+                           validate=False),
             label_texts=LazyStringList(self.strings,
                                        self.text_ids[lo:hi]),
             label_lengths=self.label_lengths[lo:hi],

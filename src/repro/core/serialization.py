@@ -15,17 +15,14 @@ shape per section) and, per graph under ``leaves``, its leaf id and its
 CSR row, word, edge and label counts, which cut the sections into
 graphs.
 
-An open reads ``model.json``, checks it, and takes the seven plane
-sections and the pool as views over one buffer, whose strings one
-:class:`~repro.core.model.StringPool` decodes on first read:
-``load_model(directory, mmap=True)`` maps the payload (*read-only*,
-no array copied, no pickle run), so opening is O(metadata) plus each
-graph's vocabulary words (its interning dict), N processes on one host
-share one physical copy of the pages, and a daily hot-swap is a remap
-instead of a reload.  A copied open reads the payload into a private
-buffer instead and validates each graph's CSR.  Either way each
-graph's arrays are slices of the sections, so the fast engine reads a
-chunk of many graphs' items with one gather per section.
+The one open, :func:`load_model`, reads ``model.json``, checks it and
+maps the payload *read-only*: the plane sections and the pool are views
+over that one mapping (no array copied, no pickle run), whose strings
+one :class:`~repro.core.model.StringPool` decodes on first read.  N
+processes on one host share one physical copy of the pages, a daily
+hot-swap is a remap, and the fast engine reads a chunk of many graphs'
+items with one gather per section.  Each open reads ``indptr`` and
+``indices`` once, to check the whole plane's CSR (:func:`_check_plane`).
 
 The program reads only what it writes: a directory of any other
 ``format_version`` — 1 and 2, 3 (the per-leaf layout), 4 (plus the
@@ -39,11 +36,13 @@ Atomic re-save: :func:`save_model` writes the payload under a fresh
 (write-to-temp + ``os.replace``), so a rebuild over the same directory
 never tears the artifact for concurrent readers, and models already
 mapped from the old payload keep serving (the old inode stays alive
-under its mappings until they close — POSIX semantics).
+under its mappings until they close — POSIX semantics).  An opened
+model is file-backed, so it survives its payload being unlinked but
+not being overwritten in place, which no save does.
 
-Bit-identity contract: a saved model loads element-wise/string-identical
-mapped and copied, and an mmap-opened model serves byte-identical
-output to a copied-open one through both inference engines
+Bit-identity contract: a saved model opens element-wise and
+string-identical to the model saved, and serves byte-identical output
+to it through both inference engines
 (``tests/test_model_serialization.py`` pins this property-based).
 
 ``model_size_bytes`` of the serialized form backs the Figure 6b
@@ -164,21 +163,16 @@ def _section_end(entry: Dict) -> int:
                               * math.prod(entry["shape"]))
 
 
-def _open_payload(directory: Path, meta: Dict, mmap: bool):
-    """Read or map the payload; returns ``(arrays, strings)``: the plane
-    sections by name, and the :class:`~repro.core.model.StringPool`
-    that decodes the pool's strings on first read, all views over one
-    buffer.  The mode chooses only the buffer: ``mmap=True`` maps the
-    file (read-only plain-ndarray views, so a mapped model still
-    pickles — by materialising — into inference worker processes; only
-    the manifest is read eagerly), ``mmap=False`` reads it once into a
-    private buffer, so the model is independent of the file.
+def _open_payload(directory: Path, meta: Dict):
+    """Map the payload read-only; returns ``(arrays, strings)``: the
+    plane sections by name and the :class:`~repro.core.model.StringPool`
+    decoding the pool on first read, plain-ndarray views over one
+    mapping (so an opened model still pickles, by materialising).
 
     Raises:
         ValueError: The payload is shorter than its manifest says (a
-            truncated copy): checked against the file's size before
-            anything is viewed, since a mapped open never touches its
-            last sections and would serve from a cut file.
+            truncated copy), checked before anything is viewed: a
+            mapping would serve from a cut file.
     """
     path = directory / meta["arrays_file"]
     manifest = meta["arrays"]
@@ -188,8 +182,7 @@ def _open_payload(directory: Path, meta: Dict, mmap: bool):
             raise ValueError(
                 f"truncated payload {path}: section {key!r} needs "
                 f"{_section_end(entry)} bytes, the file holds {present}")
-    raw = (np.memmap(path, dtype=np.uint8, mode="r") if mmap
-           else np.fromfile(path, dtype=np.uint8))
+    raw = np.memmap(path, dtype=np.uint8, mode="r")
 
     def view(key: str) -> np.ndarray:
         entry = manifest[key]
@@ -239,11 +232,8 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
 
     Args:
         model: The model to persist.
-        directory: Destination directory; re-saving over a directory
-            that already holds a model atomically replaces it: a fresh
-            payload file is written and ``model.json`` swapped last, so
-            concurrent readers never observe a torn artifact and
-            already-mapped models keep serving the old payload.
+        directory: Destination directory; a re-save over a model
+            replaces it atomically (see "Atomic re-save" above).
 
     The header records the model's alignment name and tokenizer spec,
     which is all of either a model can hold, so every model saves.  The
@@ -374,21 +364,42 @@ def _check_leaves(path: Path, meta: Dict) -> None:
                 f"{shape}, its leaves' {count} make [{total}]")
 
 
-def _check_graph_ends(path: Path, plane: GraphPlane, keys: List[str],
-                      edges: List[int]) -> None:
-    """Refuse by name a graph whose CSR rows, cut from the plane by its
-    ``leaves`` counts, do not start at 0 and end at its edge count.
-    Counts moved between graphs keep every section's sum right, and
-    each graph would then serve its neighbour's rows; this reads two
-    ``indptr`` entries per graph, so a mapped open stays O(metadata).
-    Label counts moved between graphs still pass (ROADMAP item 2)."""
-    starts = plane.indptr[plane.word_base[:-1]].tolist()
-    ends = plane.indptr[plane.word_base[1:] - 1].tolist()
-    for key, start, end, count in zip(keys, starts, ends, edges):
-        if start != 0 or end != count:
-            raise ValueError(
-                f"malformed {path}: leaf {key!r}: its CSR rows run from "
-                f"{start} to {end}, not from 0 to its {count} edges")
+def _check_plane(path: Path, plane: GraphPlane, keys: List[str]) -> None:
+    """Refuse by name a graph, cut from the plane by its ``leaves``
+    counts, whose CSR rows do not run from 0 to its edge count or fall,
+    or whose ``indices`` name a label outside its own: counts moved
+    between graphs keep each section's sum right.  No graph loop."""
+    def refuse(g, problem: str) -> ValueError:
+        return ValueError(f"malformed {path}: leaf {keys[g]!r}: {problem}")
+
+    indptr, indices, base = plane.indptr, plane.indices, plane.word_base
+    edges, labels = np.diff(plane.entry_base), np.diff(plane.label_base)
+    starts, ends = indptr[base[:-1]], indptr[base[1:] - 1]
+    wrong = np.flatnonzero((starts != 0) | (ends != edges))
+    if len(wrong):
+        g = wrong[0]
+        raise refuse(g, f"its CSR rows run from {starts[g]} to {ends[g]}, "
+                        f"not from 0 to its {edges[g]} edges")
+    # Each graph's row 0 follows the last row of the graph before it.
+    falls = indptr[1:] < indptr[:-1]
+    falls[base[1:-1] - 1] = False
+    if falls.any():
+        row = falls.argmax() + 1
+        g = np.searchsorted(base, row, side="right") - 1
+        raise refuse(g, f"its CSR row {row - base[g]} falls from "
+                        f"{indptr[row - 1]} to {indptr[row]}")
+    if indices.min(initial=0) < 0:
+        entry = indices.argmin()
+        g = np.searchsorted(plane.entry_base, entry, side="right") - 1
+        raise refuse(g, f"its CSR names label {indices[entry]}, outside "
+                        f"its {labels[g]} labels")
+    filled = np.flatnonzero(edges)
+    tops = np.maximum.reduceat(indices, plane.entry_base[filled])
+    over = np.flatnonzero(tops >= labels[filled])
+    if len(over):
+        g = filled[over[0]]
+        raise refuse(g, f"its CSR names label {tops[over[0]]}, outside "
+                        f"its {labels[g]} labels")
 
 
 def _read_meta(directory: Path) -> Tuple[Dict, str]:
@@ -453,39 +464,23 @@ def _read_meta(directory: Path) -> Tuple[Dict, str]:
     return meta, hashlib.sha256(raw).hexdigest()[:16]
 
 
-def load_model(directory: Union[str, Path],
-               mmap: bool = False) -> GraphExModel:
-    """Load a model previously written by :func:`save_model`.
-
-    Args:
-        directory: The serialized model directory.
-        mmap: Open the model zero-copy — every numpy array is a
-            *read-only* view over one ``np.memmap`` (in-place writes
-            raise), label strings decode lazily, and N processes
-            opening the same artifact share one physical copy of the
-            pages.  Otherwise the payload is read once into a private
-            buffer (the file may then be unlinked or rewritten).
-            Mapped and copied opens are bit-identical;
-            ``tests/test_model_serialization.py`` pins it.
-
-    The model's plane is the payload's seven sections and its lazily
-    decoded string pool, views of the one buffer, and each graph's
-    arrays and label texts are slices of them; nothing is stacked or
-    decoded up front.  Both modes check each graph's CSR ends against
-    its counts (:func:`_check_graph_ends`).  Only a copied open
-    validates each graph's CSR invariants: on a mapped one it would
-    fault in every page, defeating the O(metadata) open.
+def load_model(directory: Union[str, Path]) -> GraphExModel:
+    """Open a model previously written by :func:`save_model`: map its
+    payload (every array a *read-only* view, in-place writes raise, each
+    graph's a slice of the plane's), decode label strings lazily, and
+    read ``indptr`` and ``indices`` once to check the plane.
 
     Raises:
         FileNotFoundError: If the directory lacks the expected files.
         ValueError: On any ``format_version`` but 6 (the error names
             the version and the last commit that read 1 to 5), a
             malformed ``model.json`` (its manifest and ``leaves``
-            entries included) or a truncated payload.
+            entries included), a truncated payload or a plane whose
+            CSR is not its graphs'.
     """
     directory = Path(directory)
     meta, identity = _read_meta(directory)
-    arrays, strings = _open_payload(directory, meta, mmap)
+    arrays, strings = _open_payload(directory, meta)
     # The sections hold the graphs in save_model's order, leaf ids
     # ascending and the pooled graph last, whatever order the keys of
     # ``leaves`` come in: a JSON rewriter may sort them ("10" < "2").
@@ -497,13 +492,12 @@ def load_model(directory: Union[str, Path],
         arrays["indptr"], arrays["indices"], arrays["label_lengths"],
         arrays["search_counts"], arrays["recall_counts"],
         arrays["label_ids"], strings, rows, edges, labels)
-    _check_graph_ends(directory / _META_FILE, plane,
-                      [key for key, _entry in leaves], edges)
+    _check_plane(directory / _META_FILE, plane, [key for key, _ in leaves])
     word_cuts = np.append(0, np.cumsum(words, dtype=np.int64)).tolist()
     graphs = [plane.leaf(
         g, entry["leaf_id"], Vocabulary.from_interned(strings.take(
-            arrays["word_ids"][word_cuts[g]:word_cuts[g + 1]])),
-        validate=not mmap) for g, (_key, entry) in enumerate(leaves)]
+            arrays["word_ids"][word_cuts[g]:word_cuts[g + 1]])))
+        for g, (_key, entry) in enumerate(leaves)]
     model = GraphExModel.over_plane(
         plane, graphs,
         [None if key == _POOLED_KEY else entry["leaf_id"]
@@ -516,8 +510,8 @@ def load_model(directory: Union[str, Path],
 
 
 def open_model(source: Union[GraphExModel, str, Path]) -> GraphExModel:
-    """Polymorphic model hand-off: a model passes through, a path opens
-    mapped (``load_model(path, mmap=True)``).
+    """Polymorphic model hand-off: a model passes through, a path is
+    opened (``load_model(path)``).
 
     The serving stack's one swap, ``repro.serving.nrt.ModelSlot.swap``,
     and the cluster route through this, so an orchestrator hands a
@@ -526,7 +520,7 @@ def open_model(source: Union[GraphExModel, str, Path]) -> GraphExModel:
     """
     if isinstance(source, GraphExModel):
         return source
-    return load_model(source, mmap=True)
+    return load_model(source)
 
 
 def model_size_bytes(directory: Union[str, Path]) -> int:

@@ -7,9 +7,9 @@ end to end:
 1. **Construct** a new model from today's curated keyphrases through the
    fast builder (seconds at paper scale, Section IV-G).
 2. **Persist** it as the artifact ``artifact_dir/gen-<N>/`` and open
-   that artifact memory-mapped: the open, not the build, is what gets
-   deployed, so every consumer shares one physical copy and a
-   fleet-backed pipeline or target hands its workers the directory.
+   it: the open, not the build, is what gets deployed, so every
+   consumer shares one physical copy and a fleet hands its workers the
+   directory.
 3. **Batch-load** it: :meth:`BatchPipeline.full_load` re-infers the
    catalog and atomically promotes the fresh KV table.
 4. **Hot-swap** every registered NRT serving target —
@@ -94,10 +94,9 @@ class DailyRefreshOrchestrator:
             re-run on every refresh.
         artifact_dir: Each refresh persists its model as the artifact
             ``artifact_dir/gen-<N>`` (:attr:`RefreshReport.artifact_path`)
-            and deploys that artifact's *memory-mapped* open: the
-            pipeline and every target share one physical copy, and a
-            fleet behind any of them is handed the directory on its
-            next job.
+            and deploys its open: the pipeline and every target share
+            one physical copy, and a fleet behind any of them is handed
+            the directory on its next job.
         alignment: Registry name of the constructed models' ranking
             alignment (an unknown one is a ``ValueError`` here).
         build_pooled: Also build the pooled fallback graph each day.
@@ -268,7 +267,7 @@ class DailyRefreshOrchestrator:
                for target in self._targets])
         self._generation = generation
 
-        # Persist-then-remap: the *mapped* open of the day's artifact is
+        # Persist-then-remap: the open of the day's artifact is
         # what gets deployed, so the pipeline and every target share one
         # physical copy, a fleet behind any of them is handed its
         # directory, and the in-memory build is dropped.
@@ -281,7 +280,7 @@ class DailyRefreshOrchestrator:
                 # (``model`` is rebound only once one succeeds).
                 model = await loop.run_in_executor(
                     None, attempt(lambda: load_model(
-                        save_model(model, artifact), mmap=True)))
+                        save_model(model, artifact))))
         except RetriesExhausted as exc:
             # Nothing was deployed: the pipeline and every target
             # still serve the previous generation.

@@ -5,6 +5,8 @@ import shutil
 import tempfile
 import time
 
+from repro.core.serialization import load_model
+
 
 async def handler(store, fut):
     time.sleep(0.1)                       # sleeps the whole loop
@@ -14,4 +16,5 @@ async def handler(store, fut):
     value = fut.result()                   # concurrent.futures join
     spool = tempfile.mkdtemp()             # filesystem metadata write
     shutil.rmtree(spool)                   # filesystem teardown
-    return payload, value
+    model = load_model("/tmp/model")       # artifact open + plane check
+    return payload, value, model

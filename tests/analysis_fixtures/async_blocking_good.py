@@ -6,6 +6,8 @@ import shutil
 import tempfile
 import time
 
+from repro.core.serialization import load_model
+
 
 async def handler(store, fut):
     await asyncio.sleep(0.1)               # awaited: non-blocking
@@ -15,8 +17,10 @@ async def handler(store, fut):
     payload = await loop.run_in_executor(None, _read_payload)
     spool = await loop.run_in_executor(None, tempfile.mkdtemp)
     await loop.run_in_executor(None, lambda: shutil.rmtree(spool))
+    model = await loop.run_in_executor(
+        None, lambda: load_model("/tmp/model"))
     value = await fut                      # asyncio-native join
-    return payload, value
+    return payload, value, model
 
 
 def _read_payload():

@@ -75,7 +75,25 @@ class TestRuleFixtures:
                    for v in report.violations}
         assert blocked == {"time.sleep", "open", "store.transaction",
                            "fut.result", "tempfile.mkdtemp",
-                           "shutil.rmtree"}
+                           "shutil.rmtree", "load_model"}
+
+    def test_async_blocking_flags_an_inline_artifact_open(self):
+        """``load_model`` reads ``model.json`` and checks the whole
+        plane, as blocking as ``open_model``: inline in an ``async def``
+        it is a finding, in the lambda handed to the executor it is
+        not."""
+        source = ("from repro.core.serialization import load_model\n"
+                  "\n"
+                  "\n"
+                  "async def refresh(loop, path):\n"
+                  "    load_model(path)\n"
+                  "    return await loop.run_in_executor(\n"
+                  "        None, lambda: load_model(path))\n")
+        report = lint_sources({"repro.serving.fixture": source},
+                              rules=[AsyncNoBlockingRule()])
+        assert [(v.line, v.message.split("(")[0])
+                for v in report.violations] == [
+            (5, "blocking call load_model")]
 
     def test_store_lock_bad_flags_each_function(self):
         """A helper whose caller holds the transaction is flagged too:
@@ -314,6 +332,30 @@ class TestNoMuteButton:
             ("repro.serving.async_front", 6, "_model_loaded_at"),
             ("repro.serving.async_front", 6, "next_generation"),
             ("repro.serving.nrt", 1, "next_generation")]
+
+    def test_removed_spelling_pins_the_one_open_mode(self):
+        """``mmap=`` fires as a parameter or keyword and ``"--mmap"`` as
+        a string, anywhere: every open maps its payload, so neither
+        names a mode; ``np.memmap`` and the word in prose stay free."""
+        serialization = ("import numpy as np\n"
+                         "\n"
+                         "\n"
+                         "def load_model(directory, mmap=False):\n"
+                         "    # an mmap= comment is prose\n"
+                         "    return np.memmap(directory, mode=\"r\")\n")
+        cli = ("from repro.core.serialization import load_model\n"
+               "\n"
+               "\n"
+               "def recommend(parser, path):\n"
+               "    parser.add_argument(\"--mmap\")\n"
+               "    return load_model(path, mmap=True)\n")
+        report = lint_sources({"repro.core.serialization": serialization,
+                               "repro.cli": cli})
+        assert sorted((v.module, v.line, v.message.split()[2])
+                      for v in report.violations
+                      if v.rule == "removed-spelling") == [
+            ("repro.cli", 5, '"--mmap"'), ("repro.cli", 6, "mmap="),
+            ("repro.core.serialization", 4, "mmap=")]
 
 
 class TestReportSchema:

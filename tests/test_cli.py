@@ -111,6 +111,21 @@ class TestParser:
                 build_parser().parse_args(argv)
             assert exit_info.value.code == 2, argv
 
+    def test_recommend_mmap_is_a_usage_error(self, workflow_dir, capsys):
+        """Every open maps the artifact, so ``recommend --mmap`` names
+        no mode any more: exit 2, nothing printed on stdout."""
+        payload = json.loads((workflow_dir / "curated.json").read_text())
+        leaf_id = next(iter(payload["leaves"]))
+        text = payload["leaves"][leaf_id]["texts"][0]
+        argv = ["recommend", "--model", str(workflow_dir / "model"),
+                "--title", text, "--leaf", leaf_id]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--mmap"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert text in capsys.readouterr().out
+
 
 class TestWorkflow:
     def test_simulate_output_schema(self, workflow_dir):
@@ -175,20 +190,6 @@ class TestWorkflow:
         assert json.loads((out_dir / "model.json").read_text())[
             "format_version"] == 6
         assert load_model(out_dir).leaf_ids == baseline.leaf_ids
-
-    def test_recommend_mmap_prints_identical_output(self, workflow_dir,
-                                                    capsys):
-        payload = json.loads((workflow_dir / "curated.json").read_text())
-        leaf_id = int(next(iter(payload["leaves"])))
-        text = payload["leaves"][str(leaf_id)]["texts"][0]
-        outputs = {}
-        for extra in ([], ["--mmap"]):
-            assert main(["recommend", "--model",
-                         str(workflow_dir / "model"), "--title", text,
-                         "--leaf", str(leaf_id)] + extra) == 0
-            outputs[bool(extra)] = capsys.readouterr().out
-        assert outputs[True] == outputs[False]
-        assert text in outputs[True]
 
     def test_recommend_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):

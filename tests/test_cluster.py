@@ -326,16 +326,15 @@ class TestProtocol:
         assert unpack_recommendations(reply, model, requests) \
             == runner.run_indexed(requests) == [[] for _ in requests]
 
-    @pytest.mark.parametrize("mmap", [False, True], ids=["copied", "mmap"])
     def test_shipped_columns_materialise_to_the_engines_rows(
-            self, model, artifact, requests, mmap, monkeypatch):
+            self, model, artifact, requests, monkeypatch):
         """worker half + wire + coordinator half == run_indexed, rows
         compared field by field (floats by ==, which is bit identity
         for the finite scores the alignments produce) — at the default
         chunk size and with the batch cut every two items."""
         from repro.core import fast_inference
         from repro.core.serialization import load_model
-        opened = load_model(artifact, mmap=mmap)
+        opened = load_model(artifact)
         reqs = requests + [(99, "nothing known here", 2),
                            (100, "word1 phrase 3", 77)]
         for kwargs, chunk_items in (

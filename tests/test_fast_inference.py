@@ -811,8 +811,8 @@ class TestRankCut:
 
 class TestBulkLabelTexts:
     """The plane's one text ``take`` — from a built model's pool, or
-    decoded lazily from an opened one's, mapped or copied — equals
-    one-by-one list indexing."""
+    decoded lazily from an opened one's — equals one-by-one list
+    indexing."""
 
     INDEX_SETS = [[], [0], [2, 0, 2, 1], [3, 3, 3]]
 
@@ -836,7 +836,7 @@ class TestBulkLabelTexts:
         built, path = artifact
         for leaf_id in (1, 2):
             # A fresh open each time: the pool cache starts cold.
-            mapped = load_model(path, mmap=True)
+            mapped = load_model(path)
             lazy = mapped.leaf_graph(leaf_id).label_texts
             eager = built.leaf_graph(leaf_id).label_texts
             assert isinstance(lazy, LazyStringList)
@@ -848,7 +848,7 @@ class TestBulkLabelTexts:
 
     def test_take_warm_partially_cached(self, artifact):
         built, path = artifact
-        mapped = load_model(path, mmap=True)
+        mapped = load_model(path)
         lazy = mapped.leaf_graph(1).label_texts
         eager = built.leaf_graph(1).label_texts
         assert lazy[2] == eager[2]                 # warm one string only
@@ -856,15 +856,14 @@ class TestBulkLabelTexts:
             mapped, 1, [0, 2, 3])) == [eager[0], eager[2], eager[3]]
 
     @pytest.mark.parametrize("indices", INDEX_SETS)
-    def test_engine_reads_mapped_and_copied_models_alike(self, artifact,
-                                                         indices):
-        """Built, mapped and copied: the engine's ``take``, the leaf's
-        one view type and its per-index reads agree."""
+    def test_engine_reads_built_and_opened_models_alike(self, artifact,
+                                                        indices):
+        """Built and opened: the engine's ``take``, the leaf's one view
+        type and its per-index reads agree."""
         built, path = artifact
         texts = ["w0 w1", "w0 w2", "naïve café w3", "w4"]
         expected = [texts[i] for i in indices]
-        for model in (built, load_model(path, mmap=True),
-                      load_model(path)):
+        for model in (built, load_model(path)):
             view = model.leaf_graph(1).label_texts
             assert type(view) is LazyStringList and view == texts
             assert _label_texts(model.plane, self.stacked(
@@ -883,7 +882,7 @@ class TestBulkLabelTexts:
         reqs = [(1, "w0 w1 w2", 1), (2, "w5 w0 zzz", 2), (3, "w7 w1", 9),
                 (4, "", 1), (5, "naïve w3", 1)]
         expected = batch_recommend(built, reqs, k=5, engine="reference")
-        for model in (built, load_model(path, mmap=True)):
+        for model in (built, load_model(path)):
             results = LeafBatchRunner(model, k=5).run_indexed(reqs)
             assert [len(rows) for rows in results] == [2, 2, 2, 0, 1]
             for (item_id, _title, _leaf), rows in zip(reqs, results):
@@ -1054,11 +1053,10 @@ plane_worlds = st.dictionaries(st.integers(1, 8), phrases_between(1, 6),
                                min_size=2, max_size=6)
 
 
-def three_kinds(model, directory):
-    """The model as built, and saved then opened copied and mapped."""
-    path = save_model(model, directory / "model")
-    return {"built": model, "copied": load_model(path),
-            "mapped": load_model(path, mmap=True)}
+def both_kinds(model, directory):
+    """The model as built, and saved then opened."""
+    return {"built": model,
+            "opened": load_model(save_model(model, directory / "model"))}
 
 
 class TestStackedPlane:
@@ -1075,11 +1073,11 @@ class TestStackedPlane:
             self, world, k, alignment, hard_limit, data):
         """The NRT window's shape: one chunk holding one or two items of
         every leaf and of the pooled fallback, in any order — through
-        ``run_indexed`` on the built model and on its copied and mapped
-        opens, each request equal to the scalar oracle's rows, and
-        through the built model's ``run_ranked`` materialised over each
-        open's plane: the stacked label ids a worker ships name the same
-        labels in every open of the artifact."""
+        ``run_indexed`` on the built model and on its open, each request
+        equal to the scalar oracle's rows, and through the built model's
+        ``run_ranked`` materialised over the open's plane: the stacked
+        label ids a worker ships name the same labels in the artifact's
+        open."""
         model = make_model(world, alignment=alignment, build_pooled=True)
         reqs = []
         for leaf_id in sorted(world) + [99]:
@@ -1090,7 +1088,7 @@ class TestStackedPlane:
         ranked = LeafBatchRunner(model, k=k,
                                  hard_limit=hard_limit).run_ranked(reqs)
         with tempfile.TemporaryDirectory() as tmp:
-            for kind, served in three_kinds(model, Path(tmp)).items():
+            for kind, served in both_kinds(model, Path(tmp)).items():
                 runner = LeafBatchRunner(served, k=k, hard_limit=hard_limit)
                 chunks = spy_chunks(runner)
                 indexed = runner.run_indexed(reqs)
@@ -1104,7 +1102,7 @@ class TestStackedPlane:
     def test_an_empty_model_has_an_empty_plane(self, tmp_path):
         model = GraphExModel({})
         reqs = [(1, "w0 w1", 1), (2, "", 7)]
-        for kind, served in three_kinds(model, tmp_path).items():
+        for kind, served in both_kinds(model, tmp_path).items():
             plane = served.plane
             assert served.plane_graphs == [], kind
             assert [len(array) for array in (
@@ -1138,7 +1136,7 @@ class TestStackedPlane:
                 (3, "w1", 2), (4, "w2 w0", 9)]
         expected = reference_outputs(model, reqs, 3)
         assert expected[0] == expected[3] == []
-        for kind, served in three_kinds(model, tmp_path).items():
+        for kind, served in both_kinds(model, tmp_path).items():
             runner = LeafBatchRunner(served, k=3)
             assert [list(rows) for rows in runner.run_indexed(reqs)] \
                 == [expected[i] for i in range(len(reqs))], kind
@@ -1151,7 +1149,7 @@ class TestStackedPlane:
         reqs = [(i, title, 50 + i) for i, title in
                 enumerate(["w0 w1", "w2", "", "zzz w1", "w1 w2 w0"])]
         expected = reference_outputs(model, reqs, 2)
-        for kind, served in three_kinds(model, tmp_path).items():
+        for kind, served in both_kinds(model, tmp_path).items():
             runner = LeafBatchRunner(served, k=2)
             chunks = spy_chunks(runner)
             assert [list(rows) for rows in runner.run_indexed(reqs)] \
@@ -1159,13 +1157,13 @@ class TestStackedPlane:
             assert chunks == [[(served.pooled_graph.n_labels, len(reqs))]]
 
     def test_every_leaf_array_is_a_view_of_the_plane(self, tmp_path):
-        """On built, copied and mapped models alike each graph's arrays
-        share memory with the plane — at the plane's offsets — and a
-        mapped model's are read-only, as is its plane."""
+        """On built and opened models alike each graph's arrays share
+        memory with the plane — at the plane's offsets — and an opened
+        model's are read-only, as is its plane."""
         model = make_model({1: [("w0 w1", 5, 1), ("w2", 4, 2)],
                             2: [("w1 w2", 3, 3), ("w0", 2, 4)]},
                            build_pooled=True)
-        for kind, served in three_kinds(model, tmp_path).items():
+        for kind, served in both_kinds(model, tmp_path).items():
             plane = served.plane
             graphs = served.plane_graphs
             assert graphs == [served.leaf_graph(1), served.leaf_graph(2),
@@ -1179,13 +1177,13 @@ class TestStackedPlane:
                          (graph.recall_counts, plane.recall_counts)]
                 for array, stacked in pairs:
                     assert np.shares_memory(array, stacked), kind
-                    assert array.flags.writeable == (kind != "mapped")
+                    assert array.flags.writeable == (kind != "opened")
                 assert np.array_equal(graph.search_counts,
                                       plane.search_counts[lo:hi])
                 assert plane.strings.take(plane.text_ids[lo:hi]) \
                     == list(graph.label_texts), kind
                 assert graph.graph.indptr[0] == 0
-            if kind == "mapped":
+            if kind == "opened":
                 assert not any(array.flags.writeable for array in (
                     plane.indptr, plane.indices, plane.label_lengths,
                     plane.search_counts, plane.recall_counts,
@@ -1266,7 +1264,7 @@ class TestStaticLabelOrder:
     def test_every_engine_serves_what_the_builders_graphs_serve(
             self, world, reqs, k, alignment, build_pooled, builder,
             hard_limit):
-        """Both engines on the built, copied and mapped model serve
+        """Both engines on the built and the opened model serve
         exactly what the scalar oracle serves over the builder's own
         graphs, before :meth:`GraphPlane.stack` renumbered them; the
         plane is in the static order, and stacking its graphs a second
@@ -1295,7 +1293,7 @@ class TestStaticLabelOrder:
                             plane.text_ids[lo:hi]))
             assert keys == sorted(keys)
         with tempfile.TemporaryDirectory() as tmp:
-            for kind, served in three_kinds(model, Path(tmp)).items():
+            for kind, served in both_kinds(model, Path(tmp)).items():
                 for engine in ("fast", "reference"):
                     assert_identical(batch_recommend(
                         served, reqs, k=k, hard_limit=hard_limit,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import pickle
 import tempfile
@@ -23,6 +24,8 @@ from repro.core.serialization import (load_model, model_size_bytes,
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer)
 from repro.core.vocab import Vocabulary
+from repro.serving import AsyncNRTFront
+from repro.serving.nrt import ModelSlot
 from tests.conftest import assert_models_identical, open_saved
 
 
@@ -139,8 +142,7 @@ class TestSerialization:
         path = save_model(model, tmp_path / "m")
         assert '"stopwords": ["for", "with"]' \
             in (path / "model.json").read_text(encoding="utf-8")
-        for opened in (load_model(path), load_model(path, mmap=True),
-                       open_model(path)):
+        for opened in (load_model(path), open_model(path)):
             assert opened.tokenizer.spec() == tokenizer.spec()
             assert opened.alignment_name == alignment
             assert_models_identical(model, opened)
@@ -333,7 +335,7 @@ class TestBatch:
 
 
 # ---------------------------------------------------------------------------
-# Mapped/copied equivalence + the zero-copy mapped plane (format 3)
+# Open fidelity + the zero-copy mapped plane
 
 
 _TOKENS = ["alpha", "beta", "gamma", "delta", "épée", "graph",
@@ -408,9 +410,9 @@ def _world_requests(model):
 
 
 def _serve_mapped_artifact(directory, requests):
-    """Process-pool worker: open the shared v3 artifact zero-copy and
+    """Process-pool worker: open the shared artifact zero-copy and
     serve a batch (module-level so it pickles)."""
-    model = load_model(Path(directory), mmap=True)
+    model = load_model(Path(directory))
     results = batch_recommend(model, requests, k=5)
     return {item_id: [(r.text, r.score, r.search_count, r.recall_count)
                       for r in recs]
@@ -418,36 +420,30 @@ def _serve_mapped_artifact(directory, requests):
 
 
 class TestCrossFormat:
-    """The one format loads bit-identical mapped and copied, the
-    mmap-opened plane is indistinguishable from a copied load through
-    both inference engines, and every other format is refused."""
+    """The one format opens bit-identical to the model saved, the
+    mapped plane is indistinguishable from the built one through both
+    inference engines, and every other format is refused."""
 
     @settings(max_examples=25, deadline=None)
     @given(curated=curated_worlds(), build_pooled=st.booleans())
-    def test_v3_mmap_vs_copied_identical_output(self, curated,
-                                                build_pooled):
+    def test_opened_model_serves_identical_output(self, curated,
+                                                  build_pooled):
         model = GraphExModel.construct(curated,
                                        build_pooled=build_pooled)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m"
             save_model(model, path)
-            copied = load_model(path)
-            mapped = load_model(path, mmap=True)
-            assert_models_identical(model, copied)
-            assert_models_identical(copied, mapped)
+            mapped = load_model(path)
+            assert_models_identical(model, mapped)
             requests = _world_requests(model)
             for engine in ("fast", "reference"):
-                expected = batch_recommend(model, requests, k=5,
-                                           engine=engine)
-                assert batch_recommend(copied, requests, k=5,
-                                       engine=engine) == expected
                 assert batch_recommend(mapped, requests, k=5,
-                                       engine=engine) == expected
+                                       engine=engine) \
+                    == batch_recommend(model, requests, k=5, engine=engine)
 
     @pytest.mark.parametrize("rewrite", ["sorted", "reversed"])
-    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
     def test_leaves_open_in_leaf_id_order_whatever_their_key_order(
-            self, tmp_path, mmap, rewrite):
+            self, tmp_path, rewrite):
         """The sections hold the graphs in leaf-id order, the pooled
         graph last; the key order of ``model.json``'s ``leaves`` does
         not matter.  Rewritten with sorted keys, leaf 10 ("10") comes
@@ -475,7 +471,7 @@ class TestCrossFormat:
             order = ["pooled", "10", "2"]
         assert list(json.loads(meta_file.read_text("utf-8"))["leaves"]) \
             == order
-        opened = load_model(path, mmap=mmap)
+        opened = load_model(path)
         assert_models_identical(model, opened)
         requests = _world_requests(model)
         for engine in ("fast", "reference"):
@@ -497,17 +493,15 @@ class TestCrossFormat:
                                                           version):
         """Formats 1 and 2 have had no writer since PR 16 and have no
         reader now: a directory of either is refused exactly as one
-        from a future build is, mapped, copied and through
-        ``open_model`` — and is told the last commit that could read
-        it."""
+        from a future build is, by ``load_model`` and ``open_model`` —
+        and is told the last commit that could read it."""
         path = tmp_path / "m"
         path.mkdir()
         (path / "model.json").write_text(json.dumps(
             {"format_version": version, "alignment": "lta",
              "tokenizer": {"type": "space", "stem": False}}))
         messages = set()
-        for opener in (load_model, lambda p: load_model(p, mmap=True),
-                       open_model):
+        for opener in (load_model, open_model):
             with pytest.raises(ValueError) as refused:
                 opener(path)
             messages.add(str(refused.value))
@@ -529,8 +523,7 @@ class TestCrossFormat:
         meta["leaves"] = {key: {"leaf_id": entry["leaf_id"]}
                           for key, entry in meta["leaves"].items()}
         (path / "model.json").write_text(json.dumps(meta), "utf-8")
-        for opener in (load_model, lambda p: load_model(p, mmap=True),
-                       open_model):
+        for opener in (load_model, open_model):
             with pytest.raises(ValueError) as refused:
                 opener(path)
             message = str(refused.value)
@@ -543,7 +536,7 @@ class TestCrossFormat:
 
     def test_format_4_is_refused_naming_its_last_reader(self, tmp_path):
         """Format 4 — format 5 plus the pool's codepoint offsets, which
-        only the copied open's eager decode read — has no reader now:
+        only the old copied open's eager decode read — has no reader now:
         a format-4 header is refused by name on every opener, naming
         the last commit that read it."""
         path = save_model(TestArtifactBytes.pool_order_model(),
@@ -552,8 +545,7 @@ class TestCrossFormat:
         assert "pool/char_offsets" not in meta["arrays"]
         meta["format_version"] = 4
         (path / "model.json").write_text(json.dumps(meta), "utf-8")
-        for opener in (load_model, lambda p: load_model(p, mmap=True),
-                       open_model):
+        for opener in (load_model, open_model):
             with pytest.raises(ValueError) as refused:
                 opener(path)
             message = str(refused.value)
@@ -575,8 +567,7 @@ class TestCrossFormat:
         meta = json.loads((path / "model.json").read_text("utf-8"))
         meta["format_version"] = 5
         (path / "model.json").write_text(json.dumps(meta), "utf-8")
-        for opener in (load_model, lambda p: load_model(p, mmap=True),
-                       open_model):
+        for opener in (load_model, open_model):
             with pytest.raises(ValueError) as refused:
                 opener(path)
             message = str(refused.value)
@@ -589,13 +580,13 @@ class TestCrossFormat:
 
 
 class TestMappedPlane:
-    """Safety properties of the zero-copy (mmap) model plane."""
+    """Safety properties of the zero-copy (mapped) model plane."""
 
     def _mapped(self, tmp_path, **construct_kwargs):
         model = GraphExModel.construct(curated_two_leaves(),
                                        **construct_kwargs)
         path = save_model(model, tmp_path / "m")
-        return model, path, load_model(path, mmap=True)
+        return model, path, load_model(path)
 
     def test_mapped_arrays_are_read_only(self, tmp_path):
         _model, _path, mapped = self._mapped(tmp_path,
@@ -634,7 +625,7 @@ class TestMappedPlane:
         # The old mapping still reads the (unlinked) old payload.
         assert batch_recommend(mapped, requests, k=5) == before
         # A fresh open sees the replacement.
-        fresh = load_model(path, mmap=True)
+        fresh = load_model(path)
         assert_models_identical(new_model, fresh)
 
     def test_concurrent_workers_share_one_artifact(self, tmp_path):
@@ -688,15 +679,14 @@ class TestMappedPlane:
 
     def test_an_opened_model_knows_its_directory(self, tmp_path,
                                                  monkeypatch):
-        """``artifact_dir`` is the resolved directory on copied and
-        mapped opens, even of a relative path, rides the ``open_model``
-        passthrough, and is ``None`` on a model built in memory."""
+        """``artifact_dir`` is the resolved directory of an open, even
+        of a relative path, rides the ``open_model`` passthrough, and is
+        ``None`` on a model built in memory."""
         model = GraphExModel.construct(curated_two_leaves())
         assert model.artifact_dir is None
         save_model(model, tmp_path / "m")
         monkeypatch.chdir(tmp_path)
-        for opened in (load_model("m"), load_model("m", mmap=True),
-                       open_model("m")):
+        for opened in (load_model("m"), open_model("m")):
             assert opened.artifact_dir.is_absolute()
             assert opened.artifact_dir == (tmp_path / "m").resolve()
             assert open_model(opened).artifact_dir == opened.artifact_dir
@@ -704,7 +694,7 @@ class TestMappedPlane:
     @pytest.mark.parametrize("builder", ["fast", "reference"])
     def test_every_model_reads_its_texts_through_one_view(self, tmp_path,
                                                           builder):
-        """Built, copied and mapped models alike: every graph's
+        """Built and opened models alike: every graph's
         ``label_texts`` is a ``LazyStringList`` over the plane's pool,
         equal to the builder's list in the plane's static order (Search
         Count desc) and behaving like it, and pickling to that plain
@@ -719,7 +709,7 @@ class TestMappedPlane:
         for leaf_id, leaf in curated.leaves.items():
             assert sorted(lists[leaf_id]) == sorted(build_leaf_graph(
                 leaf, DEFAULT_TOKENIZER).label_texts)
-        for opened in (model, load_model(path), load_model(path, mmap=True)):
+        for opened in (model, load_model(path)):
             graphs = opened.plane_graphs
             assert {type(graph.label_texts) for graph in graphs} \
                 == {LazyStringList}
@@ -737,16 +727,15 @@ class TestMappedPlane:
                 clone = pickle.loads(pickle.dumps(view))
                 assert type(clone) is list and clone == eager
 
-    @pytest.mark.parametrize("mmap", [False, True])
     def test_an_opened_pool_counts_what_it_has_left_to_decode(
-            self, tmp_path, mmap):
+            self, tmp_path):
         """A built pool has nothing to decode.  An opened one keeps an
         exact count of its undecoded strings: a partial read decodes
         only what it reads, a full read brings the count to 0, and
         every read equals the built model's."""
         model = GraphExModel.construct(curated_two_leaves(),
                                        build_pooled=True)
-        opened = load_model(save_model(model, tmp_path / "m"), mmap=mmap)
+        opened = load_model(save_model(model, tmp_path / "m"))
         built, pool = model.plane.strings, opened.plane.strings
 
         def undecoded():
@@ -775,7 +764,7 @@ class TestMappedPlane:
         id, equal to the built model's, and the count ends at 0."""
         model = GraphExModel.construct(curated_two_leaves(),
                                        build_pooled=True)
-        opened = load_model(save_model(model, tmp_path / "m"), mmap=True)
+        opened = load_model(save_model(model, tmp_path / "m"))
         pool, ids = opened.plane.strings, opened.plane.text_ids
         assert pool._undecoded > 0
         start = threading.Barrier(4)
@@ -793,28 +782,6 @@ class TestMappedPlane:
                        for text, first in zip(texts, reads[0]))
         assert pool._undecoded == 0
 
-    def test_copied_open_survives_its_payload_file(self, tmp_path):
-        """A copied open reads the payload into a private buffer: its
-        arrays and (still undecoded) texts are the model's after the
-        payload file is unlinked, and after a file of that name is
-        written with other bytes."""
-        model = GraphExModel.construct(curated_two_leaves(),
-                                       build_pooled=True)
-        path = save_model(model, tmp_path / "m")
-        copied = load_model(path)
-        payload = path / json.loads(
-            (path / "model.json").read_text("utf-8"))["arrays_file"]
-        size = payload.stat().st_size
-        payload.unlink()
-        assert_models_identical(model, copied)
-        copied = load_model(save_model(model, tmp_path / "n"))
-        payload = next((tmp_path / "n").glob("arrays-*.bin"))
-        payload.write_bytes(b"\xff" * size)
-        assert_models_identical(model, copied)
-        requests = _world_requests(model)
-        assert batch_recommend(copied, requests, k=5) \
-            == batch_recommend(model, requests, k=5)
-
     @staticmethod
     def _decoded(pool):
         """Pool ids whose string the pool holds decoded."""
@@ -829,7 +796,7 @@ class TestMappedPlane:
         texts = mapped.pooled_graph.label_texts
         pool = texts._pool
         ids = texts._ids.tolist()
-        reference = load_model(path, mmap=True).pooled_graph \
+        reference = load_model(path).pooled_graph \
             .label_texts._pool
         warm = self._decoded(pool)       # the vocabulary words
         assert warm and not set(ids) <= warm
@@ -869,13 +836,10 @@ class TestMappedPlane:
 
     def test_opened_models_resave_the_same_payload(self, tmp_path):
         """The plane is written as it is — read-only mapped sections
-        too — so a mapped or copied open re-saves byte-identically."""
-        model, path, mapped = self._mapped(tmp_path, build_pooled=True)
-        payload = _payload_sections(path)
-        for name, opened in (("mapped", mapped),
-                             ("copied", load_model(path))):
-            assert _payload_sections(
-                save_model(opened, tmp_path / name)) == payload
+        too — so an open re-saves byte-identically."""
+        _model, path, mapped = self._mapped(tmp_path, build_pooled=True)
+        assert _payload_sections(save_model(mapped, tmp_path / "n")) \
+            == _payload_sections(path)
 
     def test_lazy_pool_take_out_of_range_raises(self, tmp_path):
         _model, _path, mapped = self._mapped(tmp_path)
@@ -995,15 +959,14 @@ class TestArtifactBytes:
     @staticmethod
     def assert_failed_save_kept_the_old_model(path, old):
         """What every failed save must leave behind: no temp file, the
-        old model loading mapped and copied and serving as before, and
-        a directory the next good save converges to one payload."""
+        old model opening and serving as before, and a directory the
+        next good save converges to one payload."""
         requests = _world_requests(old)
         expected = batch_recommend(old, requests, k=5)
         assert [p.name for p in path.iterdir() if ".tmp" in p.name] == []
-        for mmap in (True, False):
-            survivor = load_model(path, mmap=mmap)
-            assert_models_identical(old, survivor)
-            assert batch_recommend(survivor, requests, k=5) == expected
+        survivor = load_model(path)
+        assert_models_identical(old, survivor)
+        assert batch_recommend(survivor, requests, k=5) == expected
         save_model(TestArtifactBytes.pool_order_model(), path)
         assert sorted(p.name.split("-")[0] for p in path.iterdir()) \
             == ["arrays", "model.json"]
@@ -1136,30 +1099,23 @@ class TestTruncatedPayload:
                 return payload, key, cls.section_end(entry), keep
         raise AssertionError("the cut removed nothing the manifest names")
 
-    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
     @pytest.mark.parametrize("where, section", [
         ("last_byte", "pool/byte_offsets"), ("half", None),
         ("inside_pool_blob", "pool/blob")])
-    def test_cut_model_is_refused_by_name(self, tmp_path, where, section,
-                                          mmap):
+    def test_cut_model_is_refused_by_name(self, tmp_path, where, section):
         model = TestArtifactBytes.pool_order_model()
         path = save_model(model, tmp_path / "m")
-        intact = load_model(path, mmap=mmap)
         payload, first, needs, present = self.cut(path, where)
         assert section in (None, first)
         with pytest.raises(ValueError) as refused:
-            load_model(path, mmap=mmap)
+            load_model(path)
         assert str(refused.value) == (
             f"truncated payload {payload}: section {first!r} needs "
             f"{needs} bytes, the file holds {present}")
         with pytest.raises(ValueError, match="truncated payload"):
             open_model(path)
-        # Re-saving repairs the directory; the model opened before the
-        # cut was never the file's hostage when copied.
-        save_model(model, path)
-        assert_models_identical(model, load_model(path, mmap=mmap))
-        if not mmap:
-            assert_models_identical(model, intact)
+        save_model(model, path)         # a re-save repairs the directory
+        assert_models_identical(model, load_model(path))
 
     def test_a_section_may_end_with_the_file(self, tmp_path):
         """The check is ``>``, not ``>=``: a section may end exactly at
@@ -1169,8 +1125,7 @@ class TestTruncatedPayload:
         meta = json.loads((path / "model.json").read_text("utf-8"))
         assert max(map(self.section_end, meta["arrays"].values())) \
             == (path / meta["arrays_file"]).stat().st_size
-        for mmap in (True, False):
-            assert_models_identical(model, load_model(path, mmap=mmap))
+        assert_models_identical(model, load_model(path))
 
 
 def _damage_section(key: str, **entry):
@@ -1216,11 +1171,25 @@ def _alias_section(key: str, onto: str):
     return damage
 
 
+def _swap_into_a_slot(path: Path) -> None:
+    """An opener that hot-swaps ``path`` into a serving slot: a refusal
+    leaves the slot's model and generation as they were."""
+    slot = ModelSlot(TestArtifactBytes.pool_order_model())
+    served = slot.served
+    try:
+        slot.swap(path)
+    except ValueError:
+        assert slot.served is served
+        raise
+
+
 class TestMalformedMeta:
     """``model.json`` is outside input: whatever is wrong with it is
     one named ``ValueError`` — the path, what is wrong — before the
     payload is looked for, never an ``AttributeError`` / ``KeyError``
-    from the middle of the loader or a read outside the directory."""
+    from the middle of the loader or a read outside the directory.
+    Each case is refused by every way a path is opened: ``load_model``,
+    the ``open_model`` hand-off, and a serving slot's hot-swap."""
 
     #: case → (what is done to the parsed manifest, what the error says);
     #: the ``model:`` cases damage the header's spec, the ``section:``
@@ -1370,8 +1339,7 @@ class TestMalformedMeta:
             "section 'indptr' has shape [12], its leaves' rows make "
             "[13]"),
         # Counts moved between two leaves keep every sum right: each
-        # graph's CSR ends give them away.  (Moved label counts do not;
-        # ROADMAP item 7.)
+        # graph's CSR ends, or the labels its CSR names, give them away.
         "leaves:edges-moved-between-leaves": (
             _move_counts("11", "10", "edges"),
             "leaf '10': its CSR rows run from 0 to 3, not from 0 to its "
@@ -1380,11 +1348,19 @@ class TestMalformedMeta:
             _move_counts("10", "11", "rows", "words"),
             "leaf '10': its CSR rows run from 0 to 1, not from 0 to its "
             "3 edges"),
+        "leaves:labels-moved-between-leaves:10-to-11": (
+            _move_counts("10", "11", "labels"),
+            "leaf '10': its CSR names label 1, outside its 1 labels"),
+        "leaves:labels-moved-between-leaves:11-to-10": (
+            _move_counts("11", "10", "labels"),
+            "leaf '11': its CSR names label 3, outside its 3 labels"),
     }
 
-    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copied"])
+    @pytest.mark.parametrize(
+        "opener", [load_model, open_model, _swap_into_a_slot],
+        ids=["load_model", "open_model", "slot-swap"])
     @pytest.mark.parametrize("case", sorted(DAMAGE))
-    def test_refused_by_name(self, tmp_path, case, mmap):
+    def test_refused_by_name(self, tmp_path, case, opener):
         how, what = self.DAMAGE[case]
         model = TestArtifactBytes.pool_order_model()
         path = save_model(model, tmp_path / "m")
@@ -1392,10 +1368,79 @@ class TestMalformedMeta:
         damaged = how(json.loads(meta_file.read_text("utf-8")))
         meta_file.write_text(damaged if isinstance(damaged, str)
                              else json.dumps(damaged), "utf-8")
-        for opener in (lambda p: load_model(p, mmap=mmap), open_model):
-            with pytest.raises(ValueError) as refused:
-                opener(path)
-            assert str(refused.value).startswith(
-                f"malformed {meta_file}: {what}")
+        with pytest.raises(ValueError) as refused:
+            opener(path)
+        assert str(refused.value).startswith(
+            f"malformed {meta_file}: {what}")
         save_model(model, path)         # a re-save repairs the directory
-        assert_models_identical(model, load_model(path, mmap=mmap))
+        assert_models_identical(model, load_model(path))
+
+
+class TestCorruptPlane:
+    """Payload bytes that pass every manifest and ``leaves`` check but
+    are not a CSR of the model's graphs are refused by name on the one
+    open, and a hot-swap handed such an artifact keeps what it served."""
+
+    @staticmethod
+    def poke(path: Path, section: str, index: int, value: int) -> None:
+        """Overwrite element ``index`` of a payload section."""
+        meta = json.loads((path / "model.json").read_text("utf-8"))
+        entry = meta["arrays"][section]
+        dtype = np.dtype(entry["dtype"])
+        with open(path / meta["arrays_file"], "r+b") as handle:
+            handle.seek(entry["offset"] + index * dtype.itemsize)
+            handle.write(np.asarray([value], dtype).tobytes())
+
+    @classmethod
+    def corrupt(cls, model: GraphExModel, path: Path, how: str) -> str:
+        """Save ``model`` to ``path`` and damage its leaf 10 ``how``;
+        returns what the refusal says after the leaf's name."""
+        save_model(model, path)
+        leaf = model.plane_graphs[0]
+        assert leaf.leaf_id == 10 and leaf.graph.n_left >= 2
+        labels, edges = leaf.n_labels, leaf.graph.n_edges
+        if how == "index-past-its-labels":
+            cls.poke(path, "indices", 0, labels)
+            return f"its CSR names label {labels}, outside its {labels} " \
+                   f"labels"
+        if how == "negative-index":
+            cls.poke(path, "indices", edges - 1, -1)
+            return f"its CSR names label -1, outside its {labels} labels"
+        cls.poke(path, "indptr", 1, edges + 1)          # a row that falls
+        return f"its CSR row 2 falls from {edges + 1} to {edges}"
+
+    HOW = ["index-past-its-labels", "negative-index", "row-falls"]
+
+    @pytest.mark.parametrize("how", HOW)
+    def test_refused_by_name(self, tmp_path, how):
+        model = TestArtifactBytes.pool_order_model()
+        what = self.corrupt(model, tmp_path / "m", how)
+        for opener in (load_model, open_model):
+            with pytest.raises(ValueError) as refused:
+                opener(tmp_path / "m")
+            assert str(refused.value) == (
+                f"malformed {tmp_path / 'm' / 'model.json'}: leaf '10': "
+                f"{what}")
+        save_model(model, tmp_path / "m")   # a re-save repairs the directory
+        assert_models_identical(model, load_model(tmp_path / "m"))
+
+    @pytest.mark.parametrize("how", HOW)
+    def test_a_swap_to_a_corrupt_plane_keeps_the_served_model(self, tmp_path,
+                                                              how):
+        model = TestArtifactBytes.pool_order_model()
+        self.corrupt(model, tmp_path / "m", how)
+        slot = ModelSlot(model)
+        served = slot.served
+        with pytest.raises(ValueError, match="malformed .*leaf '10'"):
+            slot.swap(tmp_path / "m")
+        assert slot.served is served
+
+        async def refresh(front):
+            with pytest.raises(ValueError, match="malformed .*leaf '10'"):
+                await front.refresh_model(tmp_path / "m")
+
+        front = AsyncNRTFront(model)
+        front.add_stream("s")
+        asyncio.run(refresh(front))
+        assert front.model_generation == 0
+        assert front._streams["s"].service.model is model

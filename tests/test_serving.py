@@ -458,7 +458,7 @@ class TestBatchPipeline:
         pipeline = BatchPipeline(model)
         baseline = BatchPipeline(model)
         assert pipeline.refresh_model(str(artifact)) == 1
-        # The path was opened mmap: the serving model's arrays are
+        # The path was mapped: the serving model's arrays are
         # read-only views over the artifact file.
         leaf_id = pipeline.model.leaf_ids[0]
         assert pipeline.model.leaf_graph(leaf_id).graph.is_readonly
