@@ -29,9 +29,9 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    assembled directly via :meth:`CSRGraph.from_sorted_pairs` — no
    per-edge Python tuples, no redundant validation.
 4. **Pooled arrays, not pooled text** — :func:`pool_leaf_graphs`
-   derives the all-leaves fallback graph from the built leaf graphs,
-   so nothing is tokenised a second time; its labels and words are
-   each interned by one :func:`~repro.core.vocab.intern_strings` pass.
+   derives the all-leaves fallback graph from the built leaf graphs
+   and the ids of the build's one string interning pass, so nothing is
+   tokenised or hashed a second time.
 
 This module builds one leaf at a time;
 :meth:`repro.core.execution.SerialExecutor.run_construction` runs it
@@ -45,14 +45,14 @@ builder remains the semantics reference.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from .csr import CSRGraph
-from .curation import CuratedKeyphrases, CuratedLeaf
+from .curation import CuratedLeaf
 from .tokenize import TokenCache
-from .vocab import Vocabulary, intern_strings
+from .vocab import Vocabulary, first_occurrence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .model import LeafGraph
@@ -98,16 +98,7 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
         # pool size.
         pool_size = len(cache)
         if pool_size <= max(1024, 8 * len(flat)):
-            first_pos = np.full(pool_size, -1, dtype=np.int64)
-            first_pos[flat[::-1]] = np.arange(len(flat) - 1, -1, -1,
-                                              dtype=np.int64)
-            present = np.flatnonzero(first_pos >= 0)
-            insertion = present[np.argsort(first_pos[present],
-                                           kind="stable")]
-            local_of_pool = np.empty(pool_size, dtype=np.int64)
-            local_of_pool[insertion] = np.arange(len(insertion),
-                                                 dtype=np.int64)
-            word_ids = local_of_pool[flat]
+            insertion, (word_ids,) = first_occurrence([flat], pool_size)
         else:
             pool_ids, first_pos, inverse = np.unique(
                 flat, return_index=True, return_inverse=True)
@@ -163,40 +154,38 @@ def _leaf_graph(leaf_id: int, vocab: Vocabulary, edge_keys: np.ndarray,
     )
 
 
-def pool_leaf_graphs(curated: CuratedKeyphrases,
-                     leaf_graphs: Dict[int, "LeafGraph"]) -> "LeafGraph":
-    """The pooled all-leaves graph, derived from the built leaf graphs.
+def pool_leaf_graphs(graphs: Sequence["LeafGraph"], strings: np.ndarray,
+                     ids: Sequence[Tuple[np.ndarray, np.ndarray]]
+                     ) -> Tuple["LeafGraph", Tuple[np.ndarray, np.ndarray]]:
+    """The pooled all-leaves graph, and its words and labels as ids.
 
-    Bit-identical to the reference builder's
-    ``build_leaf_graph(_pool_leaves(leaves), tokenizer)`` with nothing
-    tokenised: the union of the leaves' edges under two first-occurrence
-    re-numberings.  Labels are the distinct texts in ``curated.leaves``
-    order (``_pool_leaves``' dict order), each with its maximum Search
-    Count and minimum Recall Count.  Words are the leaves' vocabularies
-    chained in leaf order: local word ids already follow first
-    occurrence in a leaf's label-major token stream, and a label dropped
-    as a duplicate repeats a text — hence every token — that already
-    occurred, so dropping it reorders nothing.
-
-    Texts are read from ``curated``, arrays and words from
-    ``leaf_graphs``.  Everything returned is freshly allocated.
+    ``graphs`` are the built leaf graphs in ``curated.leaves`` order,
+    ``ids[g]`` graph ``g``'s words and labels as ids into ``strings``
+    (:func:`~repro.core.model.intern_graphs`).  Bit-identical to the
+    reference builder's ``build_leaf_graph(_pool_leaves(leaves),
+    tokenizer)`` with nothing tokenised or hashed: the union of the
+    leaves' edges under two integer first-occurrence re-numberings.
+    Labels are the distinct texts in leaf order (``_pool_leaves``' dict
+    order), each with its maximum Search Count and minimum Recall Count.
+    Words are the leaves' vocabularies chained in leaf order: local word
+    ids already follow first occurrence in a leaf's label-major token
+    stream, and a label dropped as a duplicate repeats a text — hence
+    every token — that already occurred, so dropping it reorders
+    nothing.  Everything returned is freshly allocated.
     """
-    built = [(leaf, leaf_graphs[leaf_id])
-             for leaf_id, leaf in curated.leaves.items() if len(leaf) > 0]
-    labels, label_ids = intern_strings([leaf.texts for leaf, _ in built])
-    words, word_ids = intern_strings([graph.word_vocab for _, graph in built])
+    (words, word_ids), (labels, label_ids) = (first_occurrence(
+        [pair[side] for pair in ids], len(strings)) for side in (0, 1))
     n_pooled = len(labels)
     search_counts = np.full(n_pooled, np.iinfo(np.int64).min, np.int64)
     recall_counts = np.full(n_pooled, np.iinfo(np.int64).max, np.int64)
     edge_keys = [np.empty(0, dtype=np.int64)]  # concatenates with no leaf
-    for (_leaf, graph), pooled_label, pooled_word in zip(
-            built, label_ids, word_ids):
+    for graph, pooled_label, pooled_word in zip(graphs, label_ids, word_ids):
         np.maximum.at(search_counts, pooled_label, graph.search_counts)
         np.minimum.at(recall_counts, pooled_label, graph.recall_counts)
         # An empty vocabulary still has one (edgeless) CSR row.
         degrees = np.diff(graph.graph.indptr)[:len(pooled_word)]
         edge_keys.append(np.repeat(pooled_word, degrees) * n_pooled
                          + pooled_label[graph.graph.indices])
-    return _leaf_graph(-1, Vocabulary.from_interned(words),
-                       np.concatenate(edge_keys), labels,
-                       search_counts, recall_counts)
+    return _leaf_graph(-1, Vocabulary.from_interned(strings[words].tolist()),
+                       np.concatenate(edge_keys), strings[labels].tolist(),
+                       search_counts, recall_counts), (words, labels)

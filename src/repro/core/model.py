@@ -31,7 +31,6 @@ from __future__ import annotations
 import threading
 from collections import abc
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -43,7 +42,7 @@ from .csr import CSRGraph
 from .curation import CuratedKeyphrases, CuratedLeaf
 from .inference import Recommendation, recommend_from_graph
 from .tokenize import DEFAULT_TOKENIZER, SpaceTokenizer, Tokenizer
-from .vocab import Vocabulary
+from .vocab import Vocabulary, first_occurrence, intern_strings
 
 #: Interchangeable construction paths (scalar reference vs bulk engine).
 BUILDERS = ("reference", "fast")
@@ -205,6 +204,17 @@ class LazyStringList(abc.Sequence):
         return (list, (list(self),))
 
 
+def intern_graphs(graphs: Sequence[LeafGraph]
+                  ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """Every graph's words and builder-order labels interned by one
+    :func:`~repro.core.vocab.intern_strings` pass: the distinct strings
+    as an object array, and per graph its words' and labels' ids."""
+    strings, ids = intern_strings([part for graph in graphs for part in
+                                   (graph.word_vocab, graph.label_texts)])
+    return (np.fromiter(strings, dtype=object, count=len(strings)),
+            list(zip(ids[0::2], ids[1::2])))
+
+
 def _narrow(values: np.ndarray, top: Optional[int] = None) -> np.ndarray:
     """Non-negative integers in the smallest unsigned dtype that holds
     ``top``, a bound on them (their maximum when not given).
@@ -226,16 +236,16 @@ class GraphPlane(NamedTuple):
     ``indptr[word_base[g]:word_base[g + 1]]`` holds its own CSR row
     pointers (its rows plus one, starting at 0, so its ids stay local),
     ``indices[entry_base[g]:entry_base[g + 1]]`` its adjacency entries
-    (local label ids), and the four label arrays' slices
-    ``[label_base[g]:label_base[g + 1]]`` its labels.  A base array
-    holds one entry per graph plus one, and labels are in
-    :meth:`stack`'s static order.  ``strings.take(text_ids[l])`` are the
-    texts of stacked labels ``l``: pool ids into an artifact's pool, or
-    on a model built in memory into its graphs' builder-order texts.  A
-    model's :class:`LeafGraph` arrays and label texts are views of these
-    (:meth:`leaf`), so the fast engine reads a chunk of items from many
-    graphs with one gather per array, and an artifact stores the plane
-    as it is.
+    (local label ids), the four label arrays' slices
+    ``[label_base[g]:label_base[g + 1]]`` its labels, and
+    ``word_ids[vocab_base[g]:vocab_base[g + 1]]`` its vocabulary words.
+    A base array holds one entry per graph plus one, and labels are in
+    :meth:`assemble`'s static order.  ``text_ids`` and ``word_ids`` are
+    ids into ``strings``, the model's one pool, in its artifact's order
+    however the model was made.  A model's :class:`LeafGraph` arrays and
+    label texts are views of these (:meth:`leaf`), so the fast engine
+    reads a chunk of items from many graphs with one gather per array,
+    and an artifact stores the plane as it is.
     """
 
     indptr: np.ndarray
@@ -244,10 +254,12 @@ class GraphPlane(NamedTuple):
     search_counts: np.ndarray
     recall_counts: np.ndarray
     text_ids: np.ndarray
+    word_ids: np.ndarray
     strings: StringPool
     word_base: np.ndarray
     entry_base: np.ndarray
     label_base: np.ndarray
+    vocab_base: np.ndarray
     #: Per graph, the key slot an item of it owns in an engine chunk:
     #: its label count, 1 for a label-less graph.
     widths: np.ndarray
@@ -255,55 +267,77 @@ class GraphPlane(NamedTuple):
     @classmethod
     def over(cls, indptr: np.ndarray, indices: np.ndarray,
              label_lengths: np.ndarray, search_counts: np.ndarray,
-             recall_counts: np.ndarray, text_ids: np.ndarray, strings,
-             rows: Sequence[int], edges: Sequence[int],
+             recall_counts: np.ndarray, text_ids: np.ndarray,
+             word_ids: np.ndarray, strings, rows: Sequence[int],
+             words: Sequence[int], edges: Sequence[int],
              labels: Sequence[int]) -> "GraphPlane":
         """A plane over stacked arrays, each graph's extent given by
-        its CSR row, edge and label counts."""
-        counts = np.zeros((3, len(rows) + 1), dtype=np.int64)
-        counts[:, 1:] = (rows, edges, labels)
+        its CSR row, vocabulary word, edge and label counts."""
+        counts = np.zeros((4, len(rows) + 1), dtype=np.int64)
+        counts[:, 1:] = (rows, edges, labels, words)
         counts[0, 1:] += 1
-        word_base, entry_base, label_base = np.cumsum(counts, axis=1)
         return cls(indptr, indices, label_lengths, search_counts,
-                   recall_counts, text_ids, strings, word_base,
-                   entry_base, label_base, np.maximum(counts[2, 1:], 1))
+                   recall_counts, text_ids, word_ids, strings,
+                   *np.cumsum(counts, axis=1), np.maximum(counts[2, 1:], 1))
 
     @classmethod
     def stack(cls, graphs: Sequence["LeafGraph"]) -> "GraphPlane":
+        """:meth:`assemble` ``graphs``, their strings interned by one
+        :func:`intern_graphs` pass."""
+        return cls.assemble(graphs, *intern_graphs(graphs))
+
+    @classmethod
+    def assemble(cls, graphs: Sequence["LeafGraph"], strings: np.ndarray,
+                 ids: Sequence[Tuple[np.ndarray, np.ndarray]]
+                 ) -> "GraphPlane":
         """Copy ``graphs``' arrays, in order, into one plane, each
         graph's labels renumbered by (S desc, R asc, own id asc): the
         label id is then the whole tie-break after the score.  Rows keep
-        their build order (both engines sort what they gather)."""
+        their build order (both engines sort what they gather).
+
+        ``ids[g]`` are graph ``g``'s words and builder-order labels as
+        indices into ``strings`` (:func:`intern_graphs`).  The pool is
+        ordered as an artifact holds it — graph by graph, words then
+        static-order labels, first occurrence wins — on those ids."""
         def stacked(arrays: List[np.ndarray], dtype) -> np.ndarray:
             return np.concatenate(arrays) if arrays else np.empty(0, dtype)
 
         labels = [g.n_labels for g in graphs]
+        words = [len(word_ids) for word_ids, _labels in ids]
         plane = cls.over(
             stacked([g.graph.indptr for g in graphs], np.int64),
             stacked([g.graph.indices for g in graphs], np.int32),
             stacked([g.label_lengths for g in graphs], np.int32),
             stacked([g.search_counts for g in graphs], np.int64),
             stacked([g.recall_counts for g in graphs], np.int64),
-            np.empty(sum(labels), dtype=np.int64),
-            StringPool(np.fromiter(
-                chain.from_iterable(g.label_texts for g in graphs),
-                dtype=object, count=sum(labels))),
-            [g.graph.n_left for g in graphs],
+            stacked([label_ids for _words, label_ids in ids], np.int64),
+            stacked([word_ids for word_ids, _labels in ids], np.int64),
+            None, [g.graph.n_left for g in graphs], words,
             [g.graph.n_edges for g in graphs], labels)
         search, recall = plane.search_counts, plane.recall_counts
         by_search = _narrow(search.max(initial=0) - search)
         by_recall = _narrow(recall - recall.min(initial=0))
+        static = np.empty(len(search), dtype=np.int64)
         for lo, hi, start, end in zip(
                 plane.label_base[:-1].tolist(), plane.label_base[1:].tolist(),
                 plane.entry_base[:-1].tolist(), plane.entry_base[1:].tolist()):
             order = np.lexsort((by_recall[lo:hi], by_search[lo:hi]))
-            plane.text_ids[lo:hi] = order + lo
+            static[lo:hi] = order + lo
             new_ids = np.empty(hi - lo, dtype=np.int32)
             new_ids[order] = np.arange(hi - lo, dtype=np.int32)
             plane.indices[start:end] = new_ids[plane.indices[start:end]]
-        for column in (plane.label_lengths, search, recall):
-            column[:] = column[plane.text_ids]
-        return plane
+        for column in (plane.label_lengths, search, recall, plane.text_ids):
+            column[:] = column[static]
+        del by_search, by_recall, static   # freed: the pool order is the peak
+        is_label = np.repeat(np.tile([False, True], len(graphs)), np.array(
+            [words, labels], dtype=np.int64).T.ravel())
+        sequence = np.empty(len(is_label), dtype=np.int64)
+        sequence[~is_label], sequence[is_label] = \
+            plane.word_ids, plane.text_ids
+        distinct, (pool_ids,) = first_occurrence([sequence], len(strings))
+        plane.word_ids[:], plane.text_ids[:] = \
+            pool_ids[~is_label], pool_ids[is_label]
+        return plane._replace(strings=StringPool(strings[distinct]))
 
     def leaf(self, g: int, leaf_id: int,
              word_vocab: Vocabulary) -> "LeafGraph":
@@ -386,6 +420,23 @@ def _check_spec(tokenizer: SpaceTokenizer,
     return get_alignment(alignment)
 
 
+def _plane_order(leaf_graphs: Dict[int, LeafGraph],
+                 pooled_graph: Optional[LeafGraph]
+                 ) -> Tuple[List[Optional[int]], List[LeafGraph]]:
+    """A model's keys and graphs in plane order (leaves by id, then the
+    pooled graph, keyed ``None``), refusing a leaf_id not its key's."""
+    pooled = {} if pooled_graph is None else {"pooled": pooled_graph}
+    for key, graph in [*leaf_graphs.items(), *pooled.items()]:
+        if graph.leaf_id != (-1 if key == "pooled" else key) or key == -1:
+            raise ValueError(
+                f"the graph keyed {key!r} has leaf_id {graph.leaf_id!r}: "
+                f"a leaf graph's leaf_id is its key, the pooled "
+                f"graph's -1, and no leaf is keyed -1")
+    keys = sorted(leaf_graphs)
+    return ([*keys, *[None] * len(pooled)],
+            [*(leaf_graphs[key] for key in keys), *pooled.values()])
+
+
 class GraphExModel:
     """The GraphEx keyphrase recommender for one meta category.
 
@@ -403,9 +454,10 @@ class GraphExModel:
     The constructor stacks the graphs once into the model's
     :class:`GraphPlane` — leaves by id, then the pooled graph — and
     serves views of it: :meth:`leaf_graph` returns the graph passed in,
-    labels renumbered in static order (:meth:`GraphPlane.stack`), whose
-    arrays share the plane's memory and whose label texts read the
-    plane's string pool; the graphs passed in are not kept.
+    labels renumbered in static order (:meth:`GraphPlane.assemble`,
+    which every built model passes through), whose arrays share the
+    plane's memory and whose label texts read the plane's string pool;
+    the graphs passed in are not kept.
 
     Args:
         leaf_graphs: Leaf-id → :class:`LeafGraph` mapping.
@@ -421,46 +473,31 @@ class GraphExModel:
                  alignment: str = "lta",
                  pooled_graph: Optional[LeafGraph] = None) -> None:
         _check_spec(tokenizer, alignment)
-        named = [(key, graph.leaf_id) for key, graph in leaf_graphs.items()]
-        if pooled_graph is not None:
-            named.append(("pooled", pooled_graph.leaf_id))
-        for key, leaf_id in named:
-            if leaf_id != (-1 if key == "pooled" else key) or key == -1:
-                raise ValueError(
-                    f"the graph keyed {key!r} has leaf_id {leaf_id!r}: a "
-                    f"leaf graph's leaf_id is its key, the pooled "
-                    f"graph's -1, and no leaf is keyed -1")
-        keys: List[Optional[int]] = sorted(leaf_graphs)
-        graphs = [leaf_graphs[key] for key in keys]
-        if pooled_graph is not None:
-            keys.append(None)
-            graphs.append(pooled_graph)
-        plane = GraphPlane.stack(graphs)
-        self._serve(tokenizer, alignment, plane, [
-            plane.leaf(g, graph.leaf_id, graph.word_vocab)
-            for g, graph in enumerate(graphs)], keys)
+        keys, graphs = _plane_order(leaf_graphs, pooled_graph)
+        self._serve(tokenizer, alignment, GraphPlane.stack(graphs),
+                    [graph.word_vocab for graph in graphs], keys)
 
     @classmethod
-    def over_plane(cls, plane: GraphPlane, graphs: Sequence[LeafGraph],
+    def over_plane(cls, plane: GraphPlane, vocabs: Sequence[Vocabulary],
                    keys: Sequence[Optional[int]],
                    tokenizer: SpaceTokenizer,
                    alignment: str) -> "GraphExModel":
-        """A model over graphs that already are views of ``plane``, in
-        its order — what an artifact open hands over: nothing is
-        stacked or copied.  ``keys[g]`` is graph ``g``'s leaf id,
-        ``None`` for the pooled graph."""
+        """A model serving views of ``plane`` (an open's, the fast
+        builder's), nothing copied: graph ``g`` has leaf id ``keys[g]``
+        (``None``: the pooled graph) and vocabulary ``vocabs[g]``."""
         model = cls.__new__(cls)
-        model._serve(tokenizer, alignment, plane, graphs, keys)
+        model._serve(tokenizer, alignment, plane, vocabs, keys)
         return model
 
     def _serve(self, tokenizer: SpaceTokenizer, alignment: str,
-               plane: GraphPlane, graphs: Sequence[LeafGraph],
+               plane: GraphPlane, vocabs: Sequence[Vocabulary],
                keys: Sequence[Optional[int]]) -> None:
         self._alignment = _check_spec(tokenizer, alignment)
         self._tokenizer = tokenizer
         self._alignment_name = alignment
         self._plane = plane
-        self._graphs = list(graphs)
+        self._graphs = [plane.leaf(g, -1 if key is None else key, vocab)
+                        for g, (key, vocab) in enumerate(zip(keys, vocabs))]
         #: Leaf id → plane index of its graph; the pooled graph's index.
         self._index = {key: g for g, key in enumerate(keys)
                        if key is not None}
@@ -502,6 +539,7 @@ class GraphExModel:
             build_pooled: Also build a single pooled graph over all leaves
                 for the per-leaf-vs-pooled ablation and leaf fallback.
                 The fast builder derives it from the built leaf graphs
+                and the pool ids of their one interning pass
                 (:func:`~repro.core.fast_construct.pool_leaf_graphs`),
                 the reference builder from the pooled curated rows'
                 text; same graph either way.
@@ -536,14 +574,7 @@ class GraphExModel:
             raise ValueError(
                 f"construction runs in process: executor= takes None, "
                 f"'serial' or a SerialExecutor, not {exec_!r}")
-        if builder == "fast":
-            from .fast_construct import pool_leaf_graphs
-
-            leaf_graphs = exec_.run_construction(curated, tokenizer)
-            pooled = None
-            if build_pooled and curated.leaves:
-                pooled = pool_leaf_graphs(curated, leaf_graphs)
-        else:
+        if builder == "reference":
             leaf_graphs = {
                 leaf_id: build_leaf_graph(leaf, tokenizer)
                 for leaf_id, leaf in curated.leaves.items()
@@ -553,8 +584,22 @@ class GraphExModel:
             if build_pooled and curated.leaves:
                 pooled = build_leaf_graph(
                     _pool_leaves(list(curated.leaves.values())), tokenizer)
-        return cls(leaf_graphs, tokenizer=tokenizer, alignment=alignment,
-                   pooled_graph=pooled)
+            return cls(leaf_graphs, tokenizer=tokenizer, alignment=alignment,
+                       pooled_graph=pooled)
+        from .fast_construct import pool_leaf_graphs
+
+        leaf_graphs = exec_.run_construction(curated, tokenizer)
+        built = list(leaf_graphs.values())
+        strings, ids = intern_graphs(built)
+        interned = dict(zip(leaf_graphs, ids))
+        pooled = None
+        if build_pooled and curated.leaves:
+            pooled, interned[None] = pool_leaf_graphs(built, strings, ids)
+        keys, graphs = _plane_order(leaf_graphs, pooled)
+        plane = GraphPlane.assemble(graphs, strings,
+                                    [interned[key] for key in keys])
+        return cls.over_plane(plane, [graph.word_vocab for graph in graphs],
+                              keys, tokenizer, alignment)
 
     @property
     def tokenizer(self) -> SpaceTokenizer:

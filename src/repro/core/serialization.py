@@ -22,7 +22,8 @@ one :class:`~repro.core.model.StringPool` decodes on first read.  N
 processes on one host share one physical copy of the pages, a daily
 hot-swap is a remap, and the fast engine reads a chunk of many graphs'
 items with one gather per section.  Each open reads ``indptr`` and
-``indices`` once, to check the whole plane's CSR (:func:`_check_plane`).
+``indices`` once, to check the whole plane's CSR, and each id and label
+column once, to check its range (:func:`_check_plane`).
 
 The program reads only what it writes: a directory of any other
 ``format_version`` — 1 and 2, 3 (the per-leaf layout), 4 (plus the
@@ -64,7 +65,7 @@ import numpy as np
 from .alignment import get_alignment
 from .model import GraphExModel, GraphPlane, StringPool
 from .tokenize import SpaceTokenizer
-from .vocab import Vocabulary, intern_strings
+from .vocab import Vocabulary
 
 _META_FILE = "model.json"
 _POOLED_KEY = "pooled"
@@ -103,12 +104,12 @@ def _leaf_key(leaf_id: int) -> str:
 # The payload: one uncompressed, page-aligned binary file
 
 
-def _write_payload(directory: Path, sections: Dict[str, List[np.ndarray]],
+def _write_payload(directory: Path, sections: Dict[str, np.ndarray],
                    pool_tokens: List[str]) -> Tuple[str, Dict]:
     """Write the raw binary payload; returns (filename, manifest).
 
-    Each section is its 1-D pieces written back to back, little-endian,
-    from a page-aligned offset; nothing is concatenated or copied.  The
+    Each section is one 1-D array written little-endian from a
+    page-aligned offset; nothing is copied on a little-endian host.  The
     string pool, in the order given, becomes one UTF-8 blob (a single
     ``"".join(...).encode()``) plus byte offsets, which each open
     decodes strings by on first read; only a non-ASCII string has more
@@ -122,9 +123,9 @@ def _write_payload(directory: Path, sections: Dict[str, List[np.ndarray]],
     lengths[wide + 1] = [len(pool_tokens[i].encode("utf-8"))
                          for i in wide.tolist()]
     payload = dict(sections)
-    payload[_POOL_BLOB] = [np.frombuffer(
-        "".join(pool_tokens).encode("utf-8"), dtype=np.uint8)]
-    payload[_POOL_BYTE_OFFSETS] = [np.cumsum(lengths)]
+    payload[_POOL_BLOB] = np.frombuffer(
+        "".join(pool_tokens).encode("utf-8"), dtype=np.uint8)
+    payload[_POOL_BYTE_OFFSETS] = np.cumsum(lengths)
 
     filename = f"arrays-{uuid.uuid4().hex}.bin"
     manifest: Dict[str, Dict[str, object]] = {}
@@ -132,21 +133,20 @@ def _write_payload(directory: Path, sections: Dict[str, List[np.ndarray]],
     tmp_path = directory / (filename + ".tmp")
     try:
         with open(tmp_path, "wb") as fh:
-            for key, pieces in payload.items():
+            for key, array in payload.items():
                 # Persist explicitly little-endian so the manifest dtype
                 # is platform-independent (no copy on little-endian
                 # hosts).
-                dtype = pieces[0].dtype.newbyteorder("<")
+                dtype = array.dtype.newbyteorder("<")
                 padding = -offset % _PAGE_SIZE
                 if padding:
                     fh.write(b"\x00" * padding)
                     offset += padding
                 manifest[key] = {"offset": offset, "dtype": dtype.str,
-                                 "shape": [sum(map(len, pieces))]}
-                for piece in pieces:
-                    piece = np.ascontiguousarray(piece, dtype=dtype)
-                    fh.write(memoryview(piece).cast("B"))
-                    offset += piece.nbytes
+                                 "shape": [len(array)]}
+                array = np.ascontiguousarray(array, dtype=dtype)
+                fh.write(memoryview(array).cast("B"))
+                offset += array.nbytes
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, directory / filename)
@@ -237,10 +237,9 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
 
     The header records the model's alignment name and tokenizer spec,
     which is all of either a model can hold, so every model saves.  The
-    plane's numeric arrays are written as they are; the string pool is
-    interned graph by graph in plane order, vocabulary words then label
-    texts, first occurrence wins, as one ``Vocabulary.add`` per string
-    would give — by one :func:`~repro.core.vocab.intern_strings` pass.
+    plane is written as it is, its pool and pool ids already in the
+    artifact's order (:meth:`~repro.core.model.GraphPlane.assemble`):
+    no string is hashed.
 
     Returns:
         The directory path.
@@ -249,18 +248,15 @@ def save_model(model: GraphExModel, directory: Union[str, Path]) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
 
     plane, graphs = model.plane, model.plane_graphs
-    pool, ids = intern_strings([part for graph in graphs for part in
-                                (graph.word_vocab, graph.label_texts)])
-    # Each graph's word and label pool ids, written graph by graph.
-    no_ids = [np.empty(0, dtype=np.int64)]
     sections = dict(zip(_SECTIONS, (
-        [plane.indptr], [plane.indices], [plane.label_lengths],
-        [plane.search_counts], [plane.recall_counts],
-        ids[0::2] or no_ids, ids[1::2] or no_ids)))
+        plane.indptr, plane.indices, plane.label_lengths,
+        plane.search_counts, plane.recall_counts, plane.word_ids,
+        plane.text_ids)))
     leaves_meta = {_leaf_key(graph.leaf_id): dict(zip(_LEAF_KEYS, (
         graph.leaf_id, graph.graph.n_left, len(graph.word_vocab),
         graph.graph.n_edges, graph.n_labels))) for graph in graphs}
     # The payload first; ``model.json``, which names it, last.
+    pool = plane.strings.take(np.arange(len(plane.strings)))
     filename, manifest = _write_payload(directory, sections, pool)
     _replace_meta(directory, {
         "format_version": _FORMAT_VERSION,
@@ -367,8 +363,9 @@ def _check_leaves(path: Path, meta: Dict) -> None:
 def _check_plane(path: Path, plane: GraphPlane, keys: List[str]) -> None:
     """Refuse by name a graph, cut from the plane by its ``leaves``
     counts, whose CSR rows do not run from 0 to its edge count or fall,
-    or whose ``indices`` name a label outside its own: counts moved
-    between graphs keep each section's sum right.  No graph loop."""
+    whose ``indices`` name a label outside its own (counts moved between
+    graphs keep each section's sum right), or whose pool ids, label
+    lengths or counts are out of range.  No graph loop."""
     def refuse(g, problem: str) -> ValueError:
         return ValueError(f"malformed {path}: leaf {keys[g]!r}: {problem}")
 
@@ -400,6 +397,20 @@ def _check_plane(path: Path, plane: GraphPlane, keys: List[str]) -> None:
         g = filled[over[0]]
         raise refuse(g, f"its CSR names label {tops[over[0]]}, outside "
                         f"its {labels[g]} labels")
+    pool, vb, lb = len(plane.strings), plane.vocab_base, plane.label_base
+    for what, column, cuts, low, high in (
+            ("word {} names pool id", plane.word_ids, vb, 0, pool),
+            ("label {} names pool id", plane.text_ids, lb, 0, pool),
+            ("label {} has length", plane.label_lengths, lb, 1, None),
+            ("label {} has Search Count", plane.search_counts, lb, 0, None),
+            ("label {} has Recall Count", plane.recall_counts, lb, 0, None)):
+        below = column.min(initial=low) < low
+        if below or high is not None and column.max(initial=-1) >= high:
+            at = column.argmin() if below else column.argmax()
+            g = np.searchsorted(cuts, at, side="right") - 1
+            raise refuse(g, f"its {what.format(at - cuts[g])} {column[at]}, "
+                            + (f"below {low}" if below else
+                               f"outside the pool's {high} strings"))
 
 
 def _read_meta(directory: Path) -> Tuple[Dict, str]:
@@ -468,15 +479,15 @@ def load_model(directory: Union[str, Path]) -> GraphExModel:
     """Open a model previously written by :func:`save_model`: map its
     payload (every array a *read-only* view, in-place writes raise, each
     graph's a slice of the plane's), decode label strings lazily, and
-    read ``indptr`` and ``indices`` once to check the plane.
+    check the plane once (:func:`_check_plane`).
 
     Raises:
         FileNotFoundError: If the directory lacks the expected files.
         ValueError: On any ``format_version`` but 6 (the error names
             the version and the last commit that read 1 to 5), a
             malformed ``model.json`` (its manifest and ``leaves``
-            entries included), a truncated payload or a plane whose
-            CSR is not its graphs'.
+            entries included), a truncated payload or a plane
+            :func:`_check_plane` refuses.
     """
     directory = Path(directory)
     meta, identity = _read_meta(directory)
@@ -491,15 +502,13 @@ def load_model(directory: Union[str, Path]) -> GraphExModel:
     plane = GraphPlane.over(
         arrays["indptr"], arrays["indices"], arrays["label_lengths"],
         arrays["search_counts"], arrays["recall_counts"],
-        arrays["label_ids"], strings, rows, edges, labels)
+        arrays["label_ids"], arrays["word_ids"], strings, rows, words,
+        edges, labels)
     _check_plane(directory / _META_FILE, plane, [key for key, _ in leaves])
-    word_cuts = np.append(0, np.cumsum(words, dtype=np.int64)).tolist()
-    graphs = [plane.leaf(
-        g, entry["leaf_id"], Vocabulary.from_interned(strings.take(
-            arrays["word_ids"][word_cuts[g]:word_cuts[g + 1]])))
-        for g, (_key, entry) in enumerate(leaves)]
+    cuts = plane.vocab_base.tolist()
     model = GraphExModel.over_plane(
-        plane, graphs,
+        plane, [Vocabulary.from_interned(strings.take(
+            plane.word_ids[lo:hi])) for lo, hi in zip(cuts, cuts[1:])],
         [None if key == _POOLED_KEY else entry["leaf_id"]
          for key, entry in leaves],
         tokenizer=SpaceTokenizer.from_spec(meta["tokenizer"]),

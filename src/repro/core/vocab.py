@@ -34,6 +34,23 @@ def intern_strings(parts: Sequence[Collection[str]]
                          for start, end in zip([0] + ends, ends)]
 
 
+def first_occurrence(parts: Sequence[np.ndarray], size: int
+                     ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """:func:`intern_strings` on integers in ``[0, size)``, by an
+    O(n + size) reversed scatter (the last write, the first occurrence,
+    wins): no sort, no string touched."""
+    ids = parts[0] if len(parts) == 1 else np.concatenate(
+        [np.empty(0, dtype=np.int64), *parts])
+    first = np.full(size, -1, dtype=np.int64)
+    first[ids[::-1]] = np.arange(len(ids) - 1, -1, -1, dtype=np.int64)
+    is_first = np.zeros(len(ids), dtype=bool)
+    is_first[first[first >= 0]] = True
+    local = (np.cumsum(is_first, dtype=np.int64) - 1)[first[ids]]
+    ends = np.cumsum([len(part) for part in parts], dtype=np.int64).tolist()
+    return ids[is_first], [local[start:end]
+                           for start, end in zip([0] + ends, ends)]
+
+
 class Vocabulary:
     """Append-only bidirectional mapping between strings and dense ids."""
 

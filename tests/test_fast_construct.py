@@ -25,7 +25,8 @@ from repro.core.curation import (CurationConfig, CuratedKeyphrases,
                                  CuratedLeaf, curate, fast_curate)
 from repro.core.execution import SerialExecutor
 from repro.core.fast_construct import build_leaf_graph_fast, pool_leaf_graphs
-from repro.core.model import GraphExModel, _pool_leaves, build_leaf_graph
+from repro.core.model import (GraphExModel, _pool_leaves, build_leaf_graph,
+                              intern_graphs)
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer, TokenCache)
 from repro.search.logs import KeyphraseStat
@@ -278,9 +279,14 @@ class TestPoolLeafGraphs:
         leaves, tokenizer = POOLING_CASES[case]
         curated = self.curated_of(leaves)
         reference = build_leaf_graph(_pool_leaves(leaves), tokenizer)
-        pooled = pool_leaf_graphs(
-            curated, SerialExecutor().run_construction(curated, tokenizer))
+        built = list(SerialExecutor().run_construction(
+            curated, tokenizer).values())
+        pooled, (words, labels) = pool_leaf_graphs(
+            built, *intern_graphs(built))
         self.assert_pooled_identical(reference, pooled)
+        strings = intern_graphs(built)[0]
+        assert strings[words].tolist() == pooled.word_vocab.tokens
+        assert strings[labels].tolist() == pooled.label_texts
         # And through the public entry point, on both builders.
         assert_models_identical(
             GraphExModel.construct(curated, tokenizer=tokenizer,

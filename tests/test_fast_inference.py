@@ -1266,17 +1266,18 @@ class TestStaticLabelOrder:
             hard_limit):
         """Both engines on the built and the opened model serve
         exactly what the scalar oracle serves over the builder's own
-        graphs, before :meth:`GraphPlane.stack` renumbered them; the
-        plane is in the static order, and stacking its graphs a second
-        time changes nothing."""
-        built, stack = [], GraphPlane.stack.__func__
+        graphs, before :meth:`GraphPlane.assemble` — which every built
+        model passes through — renumbered them; the plane is in the
+        static order, and stacking its graphs a second time changes
+        nothing."""
+        built, assemble = [], GraphPlane.assemble.__func__
 
-        def spy(cls, graphs):
+        def spy(cls, graphs, strings, ids):
             built.append(list(graphs))
-            return stack(cls, graphs)
+            return assemble(cls, graphs, strings, ids)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(GraphPlane, "stack", classmethod(spy))
+            patch.setattr(GraphPlane, "assemble", classmethod(spy))
             model = make_model(world, alignment=alignment,
                                build_pooled=build_pooled, builder=builder)
         (graphs,) = built
@@ -1287,11 +1288,20 @@ class TestStaticLabelOrder:
                 graphs[g], model.tokenizer(title), k=k,
                 alignment_fn=model.alignment_fn, hard_limit=hard_limit)
         plane = model.plane
-        for lo, hi in zip(plane.label_base[:-1], plane.label_base[1:]):
-            keys = list(zip(-plane.search_counts[lo:hi],
-                            plane.recall_counts[lo:hi],
-                            plane.text_ids[lo:hi]))
-            assert keys == sorted(keys)
+        # ``text_ids`` are pool ids, so each graph's builder ids come
+        # from its builder's graph: the plane holds its labels sorted by
+        # (S desc, R asc, builder id asc).
+        for graph, lo, hi in zip(graphs, plane.label_base[:-1],
+                                 plane.label_base[1:]):
+            keys = sorted(zip(-graph.search_counts, graph.recall_counts,
+                              range(graph.n_labels)))
+            order = [builder_id for _s, _r, builder_id in keys]
+            for name in ("search_counts", "recall_counts",
+                         "label_lengths"):
+                assert getattr(plane, name)[lo:hi].tolist() \
+                    == getattr(graph, name)[order].tolist()
+            assert plane.strings.take(plane.text_ids[lo:hi]) \
+                == [graph.label_texts[i] for i in order]
         with tempfile.TemporaryDirectory() as tmp:
             for kind, served in both_kinds(model, Path(tmp)).items():
                 for engine in ("fast", "reference"):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
-from repro.core.model import GraphExModel, LazyStringList, build_leaf_graph
+from repro.core.model import (GraphExModel, GraphPlane, LazyStringList,
+                              build_leaf_graph)
 from repro.core.serialization import (load_model, model_size_bytes,
                                       open_model, save_model)
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
@@ -211,6 +212,23 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"the graph keyed {key} "
                                f"has leaf_id {leaf_id}: "):
                 GraphExModel(graphs, pooled_graph=pooled_graph)
+
+    @pytest.mark.parametrize("build_pooled", [False, True])
+    @pytest.mark.parametrize("builder", ["fast", "reference"])
+    def test_a_curated_leaf_is_keyed_by_its_leaf_id(self, builder,
+                                                    build_pooled):
+        """Both builders refuse a curated leaf keyed 5 whose leaf_id is
+        6 with the constructor's error: the fast builder assembles its
+        plane without the constructor, not without its check."""
+        leaf = CuratedLeaf(leaf_id=6)
+        leaf.add("usb cable", 3, 1)
+        curated = CuratedKeyphrases(
+            leaves={5: leaf}, effective_threshold=1,
+            config=CurationConfig(min_search_count=1))
+        with pytest.raises(ValueError, match="the graph keyed 5 has "
+                           "leaf_id 6: "):
+            GraphExModel.construct(curated, build_pooled=build_pooled,
+                                   builder=builder)
 
     def test_model_size_bytes(self, tmp_path):
         model = GraphExModel.construct(curated_two_leaves())
@@ -956,6 +974,59 @@ class TestArtifactBytes:
             key: np.asarray(ids, "<i8").tobytes()
             for key, ids in expected.items()}
 
+    @settings(max_examples=40, deadline=None)
+    @given(curated=pool_worlds(), build_pooled=st.booleans(),
+           builder=st.sampled_from(["fast", "reference"]))
+    def test_the_built_plane_holds_the_saved_pool(self, curated,
+                                                  build_pooled, builder):
+        """A built plane holds, from construction on, exactly the pool
+        and ids its artifact holds — and so does a second stack of its
+        graphs: save writes the plane as it is."""
+        model = GraphExModel.construct(curated, build_pooled=build_pooled,
+                                       builder=builder)
+        plane = model.plane
+        again = GraphPlane.stack(model.plane_graphs)
+        with tempfile.TemporaryDirectory() as tmp:
+            sections = _payload_sections(save_model(model, Path(tmp) / "m"))
+        pool = plane.strings.take(np.arange(len(plane.strings)))
+        assert sections["pool/blob"] == "".join(pool).encode("utf-8")
+        assert len(sections["pool/byte_offsets"]) == 8 * (len(pool) + 1)
+        for name, section in (("text_ids", "label_ids"),
+                              ("word_ids", "word_ids")):
+            ids = getattr(plane, name)
+            assert ids.dtype == np.int64
+            assert sections[section] == ids.astype("<i8").tobytes()
+            assert np.array_equal(getattr(again, name), ids)
+        assert again.strings.take(np.arange(len(again.strings))) == pool
+        assert len(set(pool)) == len(pool)
+
+    def test_save_interns_nothing_and_a_fast_build_interns_once(
+            self, tmp_path, monkeypatch):
+        """The one ``intern_strings`` pass of a fast build is its
+        construct's — the pooled graph and the plane's pool are derived
+        on its ids — and save hashes no string."""
+        import repro.core.model as model_module
+        import repro.core.serialization as serialization
+        import repro.core.vocab as vocab
+
+        calls = []
+        intern = vocab.intern_strings
+
+        def spy(parts):
+            calls.append(len(parts))
+            return intern(parts)
+
+        for module in (vocab, model_module):
+            monkeypatch.setattr(module, "intern_strings", spy)
+        assert not hasattr(serialization, "intern_strings")
+        curated = curated_two_leaves()
+        model = GraphExModel.construct(curated, build_pooled=True,
+                                       builder="fast")
+        assert calls == [2 * len(curated.leaves)]
+        save_model(model, tmp_path / "m")
+        save_model(load_model(tmp_path / "m"), tmp_path / "n")
+        assert calls == [2 * len(curated.leaves)]
+
     @staticmethod
     def assert_failed_save_kept_the_old_model(path, old):
         """What every failed save must leave behind: no temp file, the
@@ -1406,10 +1477,33 @@ class TestCorruptPlane:
         if how == "negative-index":
             cls.poke(path, "indices", edges - 1, -1)
             return f"its CSR names label -1, outside its {labels} labels"
-        cls.poke(path, "indptr", 1, edges + 1)          # a row that falls
-        return f"its CSR row 2 falls from {edges + 1} to {edges}"
+        if how == "row-falls":
+            cls.poke(path, "indptr", 1, edges + 1)
+            return f"its CSR row 2 falls from {edges + 1} to {edges}"
+        # Columns no builder writes: a pool id outside the pool, a label
+        # of no token, a negative count.
+        section, value, what = cls.COLUMNS[how]
+        cls.poke(path, section, 1, value)
+        return what.format(len(model.plane.strings))
 
-    HOW = ["index-past-its-labels", "negative-index", "row-falls"]
+    COLUMNS = {
+        "word-id-past-the-pool": (
+            "word_ids", 99, "its word 1 names pool id 99, outside the "
+                            "pool's {} strings"),
+        "label-id-past-the-pool": (
+            "label_ids", 99, "its label 1 names pool id 99, outside the "
+                             "pool's {} strings"),
+        "negative-label-id": (
+            "label_ids", -1, "its label 1 names pool id -1, below 0"),
+        "label-of-no-token": (
+            "label_lengths", 0, "its label 1 has length 0, below 1"),
+        "negative-search-count": (
+            "search_counts", -5, "its label 1 has Search Count -5, below 0"),
+        "negative-recall-count": (
+            "recall_counts", -5, "its label 1 has Recall Count -5, below 0"),
+    }
+    HOW = ["index-past-its-labels", "negative-index", "row-falls",
+           *COLUMNS]
 
     @pytest.mark.parametrize("how", HOW)
     def test_refused_by_name(self, tmp_path, how):
@@ -1434,6 +1528,7 @@ class TestCorruptPlane:
         with pytest.raises(ValueError, match="malformed .*leaf '10'"):
             slot.swap(tmp_path / "m")
         assert slot.served is served
+        assert slot.served.model is model and slot.served.generation == 0
 
         async def refresh(front):
             with pytest.raises(ValueError, match="malformed .*leaf '10'"):
