@@ -65,12 +65,29 @@ class CurationConfig:
 
 @dataclass
 class CuratedLeaf:
-    """Curated keyphrases of one leaf category, parallel-array style."""
+    """Curated keyphrases of one leaf category, parallel-array style.
+
+    ``token_counts[i]`` is ``len(texts[i].split())``, the whitespace
+    token count the length filter reads.  :func:`fast_curate` hands
+    over the counts it filtered on; a producer that passes none (the
+    reference :func:`curate`, ``_pool_leaves``, a hand-built leaf, a
+    curated file read back) has them derived here, once, and
+    :meth:`add` keeps them in step.  The fast builder reads each
+    label's token span from this column instead of splitting the label
+    again, and refuses a leaf whose counts do not match its texts
+    (:func:`~repro.core.fast_construct.build_leaf_graph_fast`).  A
+    curated file does not hold the column.
+    """
 
     leaf_id: int
     texts: List[str] = field(default_factory=list)
     search_counts: List[int] = field(default_factory=list)
     recall_counts: List[int] = field(default_factory=list)
+    token_counts: Optional[List[int]] = None
+
+    def __post_init__(self) -> None:
+        if self.token_counts is None:
+            self.token_counts = list(map(len, map(str.split, self.texts)))
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -80,6 +97,7 @@ class CuratedLeaf:
         self.texts.append(text)
         self.search_counts.append(search_count)
         self.recall_counts.append(recall_count)
+        self.token_counts.append(len(text.split()))
 
 
 @dataclass
@@ -180,7 +198,9 @@ def fast_curate(stats: Iterable[KeyphraseStat],
     The stats are ingested once into structure-of-arrays form (texts,
     leaf ids, search/recall counts, and token counts from one C-level
     ``map(len, map(str.split, texts))``).  The token-length
-    filter is threshold-independent, so it is computed once; each CAT-3
+    filter is threshold-independent, so it is computed once, and the
+    survivors' counts become each leaf's ``token_counts``, by which the
+    fast builder cuts its one split of the leaf.  Each CAT-3
     halving then costs one boolean-mask pass over the count array
     instead of a full Python re-scan of every stat.  The surviving rows
     are split per leaf after a single stable argsort, preserving both the
@@ -224,7 +244,8 @@ def fast_curate(stats: Iterable[KeyphraseStat],
         rows, leaf_id = groups[i], int(unique_leaves[i])
         leaves[leaf_id] = CuratedLeaf(
             leaf_id, list(map(texts.__getitem__, rows.tolist())),
-            search[rows].tolist(), recall[rows].tolist())
+            search[rows].tolist(), recall[rows].tolist(),
+            n_tokens[rows].tolist())
     return CuratedKeyphrases(
         leaves=leaves, effective_threshold=threshold, config=config)
 

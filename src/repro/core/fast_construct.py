@@ -8,13 +8,15 @@ list-of-tuples → ``np.asarray`` conversion inside
 dominates model build time at Section IV-G scale.  This module is the
 construct-side analogue of :mod:`repro.core.fast_inference`:
 
-1. **Shared memoized tokenization** — raw tokens resolve through one
-   shared pool (:class:`~repro.core.tokenize.TokenCache`); marketplace
-   vocabulary overlaps heavily across leaves, so a raw token seen in
-   any earlier leaf skips the normalization regex and dict interning
-   entirely.  A leaf's texts are split as one joined string; per-label
-   token counts come from C-level ``map(len, map(str.split, texts))``,
-   so no list per label outlives its count.
+1. **Shared memoized tokenization, one split** — raw tokens resolve
+   through one shared pool (:class:`~repro.core.tokenize.TokenCache`)
+   in one C-level pass; marketplace vocabulary overlaps heavily across
+   leaves, so a raw token seen in any earlier leaf skips the
+   normalization regex and dict interning entirely.  A leaf's texts
+   are split once, as one joined string; which label owns each raw
+   token comes from the curated leaf's ``token_counts``, the counts
+   curation's length filter already made, so no label is split again
+   and no list per label is made.
 2. **Bulk interning** — a leaf's labels are flattened into one pool-id
    stream and interned with a single array pass (an O(n + pool)
    reversed scatter, or an ``np.unique`` re-rank when the shared pool
@@ -63,25 +65,38 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
     """Construct one leaf's bipartite graph with the bulk engine.
 
     Args:
-        curated: The leaf's curated keyphrases.
+        curated: The leaf's curated keyphrases.  Its ``token_counts``
+            say which label owns each raw token of the leaf's one
+            split.
         cache: Shared token pool; pass the same instance across leaves
             so duplicated texts and tokens are processed once.
 
     Returns:
         A :class:`~repro.core.model.LeafGraph` bit-identical to
         :func:`~repro.core.model.build_leaf_graph` on the same input.
+
+    Raises:
+        ValueError: naming the leaf, when its ``token_counts`` do not
+            match its texts: not one count per text, or a total other
+            than the raw tokens of the joined split.
     """
     n_labels = len(curated)
+    counts = curated.token_counts
     # One split of the whole leaf, then one flat dict-resolve pass over
-    # every raw occurrence (-1 marks dropped tokens); the per-label
-    # counts are C-level maps, so no list per label stays alive.
+    # every raw occurrence (-1 marks dropped tokens).  Joined with a
+    # space, no raw token spans two texts, so the split is the texts'
+    # splits end to end and the curated counts cut it into labels.
     # Duplicates within a label survive to this point and are folded by
     # the sort + dedup in _leaf_graph.
-    stream = cache.resolve_raws(" ".join(curated.texts).split())
-    lengths = np.fromiter(map(len, map(str.split, curated.texts)),
-                          dtype=np.int64, count=n_labels)
-    flat = np.fromiter(stream, dtype=np.int64, count=len(stream))
-    label_owner = np.repeat(np.arange(n_labels, dtype=np.int64), lengths)
+    raws = " ".join(curated.texts).split()
+    total = sum(counts)
+    if len(counts) != n_labels or total != len(raws):
+        raise ValueError(
+            f"curated leaf {curated.leaf_id}: its token_counts do not "
+            f"match its texts ({len(counts)} counts summing to {total}, "
+            f"for {n_labels} texts of {len(raws)} tokens)")
+    flat = cache.resolve_raws(raws)
+    label_owner = np.repeat(np.arange(n_labels, dtype=np.int64), counts)
     kept = flat >= 0
     if not kept.all():
         flat = flat[kept]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 #: A tokenizer maps a raw string to a list of tokens.
 Tokenizer = Callable[[str], List[str]]
 
@@ -143,6 +145,33 @@ class SpaceTokenizer:
         return tokens
 
 
+class _RawIds(dict):
+    """Raw token → pool id, or ``-1`` when the tokenizer drops it.  A
+    miss runs the tokenizer on the raw token and interns what it makes
+    into the pool it shares with its :class:`TokenCache`."""
+
+    __slots__ = ("_process", "_tokens", "_token_ids")
+
+    def __init__(self, tokenizer: SpaceTokenizer,
+                 tokens: List[str]) -> None:
+        super().__init__()
+        self._process = tokenizer.process
+        self._tokens = tokens
+        self._token_ids: Dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        token = self._process(raw)
+        if token is None:
+            token_id = -1
+        else:
+            token_id = self._token_ids.get(token)
+            if token_id is None:
+                token_id = self._token_ids[token] = len(self._tokens)
+                self._tokens.append(token)
+        self[raw] = token_id
+        return token_id
+
+
 class TokenCache:
     """Shared token pool for one construction run, in one process.
 
@@ -158,7 +187,9 @@ class TokenCache:
     id, or dropped``, :meth:`resolve_raws`): repeated tokens skip the
     tokenizer *and* the string-keyed interning dict entirely, and the
     produced token streams are identical to calling the tokenizer
-    directly.
+    directly.  The memo is a ``dict`` whose ``__missing__`` tokenizes
+    and interns a new raw token, so pool ids are handed out in stream
+    order, whatever the interpreter's string-hash order.
 
     Pool ids never reach a built graph, so a cache has no cross-process
     form and no consumer past the leaf builds (the pooled graph derives
@@ -168,10 +199,8 @@ class TokenCache:
     """
 
     def __init__(self, tokenizer: SpaceTokenizer) -> None:
-        self._tokenizer = tokenizer
         self._tokens: List[str] = []
-        self._token_ids: Dict[str, int] = {}
-        self._raw_ids: Dict[str, int] = {}
+        self._raw_ids = _RawIds(tokenizer, self._tokens)
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -181,31 +210,17 @@ class TokenCache:
         tokens = self._tokens
         return [tokens[i] for i in token_ids]
 
-    def _intern(self, token: str) -> int:
-        token_id = self._token_ids.get(token)
-        if token_id is None:
-            token_id = self._token_ids[token] = len(self._tokens)
-            self._tokens.append(token)
-        return token_id
-
-    def resolve_raws(self, raws: Sequence[str]) -> List[int]:
-        """Pool ids for raw whitespace-separated tokens, in order.
+    def resolve_raws(self, raws: Sequence[str]) -> np.ndarray:
+        """Pool ids (int64) for raw whitespace-separated tokens, in order.
 
         Dropped tokens (empty after normalization, or stopwords) resolve
         to ``-1``.  ``text.split()`` fed through this method is exactly
-        ``tokenizer(text)`` with drops marked instead of removed.
+        ``tokenizer(text)`` with drops marked instead of removed.  One
+        C-level pass over ``raws``: a hit is a dict lookup, a miss the
+        memo's ``__missing__``.
         """
-        raw_ids = self._raw_ids
-        # Warm the memo on the batch's *distinct* new raws first (one
-        # C-level set difference), so the per-occurrence mapping below
-        # is a pure C map() with no miss handling.
-        new = set(raws).difference(raw_ids)
-        if new:
-            process = self._tokenizer.process
-            for raw in new:
-                token = process(raw)
-                raw_ids[raw] = -1 if token is None else self._intern(token)
-        return list(map(raw_ids.__getitem__, raws))
+        return np.fromiter(map(self._raw_ids.__getitem__, raws),
+                           dtype=np.int64, count=len(raws))
 
 
 #: Default tokenizer: space-delimited, normalized, no stemming.

@@ -20,7 +20,8 @@ settings.register_profile(
     "fast", max_examples=25,
     suppress_health_check=[HealthCheck.too_slow], deadline=None)
 #: ``--hypothesis-profile deep``: CI's second pass over the fast engine's
-#: equivalence properties, each drawn at least this often.
+#: and the fast builder's equivalence properties, each drawn at least
+#: this often (see :func:`examples`).
 settings.register_profile(
     "deep", parent=settings.get_profile("fast"), max_examples=250)
 # Only over hypothesis's own default: a test module imports this one
@@ -28,6 +29,17 @@ settings.register_profile(
 # "fast" then undid ``--hypothesis-profile deep``.
 if settings.default is settings.get_profile("default"):
     settings.load_profile("fast")
+
+
+def examples(n):
+    """``n`` examples under tier-1's ``fast`` hypothesis profile; under
+    a deeper one (``--hypothesis-profile deep``) its budget, if larger,
+    so that every equivalence property that asks is drawn deeper."""
+    budget = settings.default.max_examples
+    if budget <= settings.get_profile("fast").max_examples:
+        return n
+    return max(n, budget)
+
 
 #: Figure 3 of the paper: (keyphrase, search count, recall count).
 #: Search counts are chosen so the illustrated search-volume ranking holds.

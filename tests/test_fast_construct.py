@@ -10,15 +10,23 @@ regressions for the edge cases (empty-tokenizing texts, empty leaves,
 the shared token cache), the
 :class:`CSRGraph` constructor, and a case table for the
 pooled graph the fast builder derives from the built leaf graphs.
+Keyphrases are drawn with every kind of whitespace ``str.split`` cuts
+on, because the fast builder cuts a leaf's one split by the curated
+``token_counts`` that each producer of a :class:`CuratedLeaf` makes.
 """
 
 from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import _load_curated, main
 from repro.core.batch import batch_recommend
 from repro.core.csr import CSRGraph
 from repro.core.curation import (CurationConfig, CuratedKeyphrases,
@@ -27,10 +35,12 @@ from repro.core.execution import SerialExecutor
 from repro.core.fast_construct import build_leaf_graph_fast, pool_leaf_graphs
 from repro.core.model import (GraphExModel, _pool_leaves, build_leaf_graph,
                               intern_graphs)
+from repro.core.serialization import save_model
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer, TokenCache)
 from repro.search.logs import KeyphraseStat
-from tests.conftest import assert_graphs_identical, assert_models_identical
+from tests.conftest import (assert_graphs_identical, assert_models_identical,
+                            examples)
 
 #: Token universe: plain words plus normalization/stemming stressors.
 TOKENS = ([f"w{i}" for i in range(14)]
@@ -39,8 +49,27 @@ TOKENS = ([f"w{i}" for i in range(14)]
 TOKENIZERS = [DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
               SpaceTokenizer(drop_stopwords=("w0", "for"))]
 
-phrase = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5) \
-    .map(" ".join)
+#: Whitespace ``str.split`` cuts on: doubled, tab, newline, no-break,
+#: ideographic, and the file separator ``\x1c`` (``str.isspace`` but
+#: not ASCII whitespace).
+SEPARATORS = [" ", "  ", "\t", "\n", "\xa0", "\u3000", "\x1c"]
+
+
+@st.composite
+def _phrase(draw):
+    """Tokens joined by drawn separators, with optional leading and
+    trailing whitespace."""
+    tokens = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5))
+    separators = draw(st.lists(st.sampled_from(SEPARATORS),
+                               min_size=len(tokens) - 1,
+                               max_size=len(tokens) - 1))
+    edge = st.sampled_from(["", *SEPARATORS])
+    return draw(edge) + "".join(
+        sep + token for sep, token in zip(["", *separators], tokens)) \
+        + draw(edge)
+
+
+phrase = _phrase()
 stats_strategy = st.lists(
     st.builds(KeyphraseStat,
               text=phrase,
@@ -67,18 +96,19 @@ def assert_curations_identical(reference, fast):
         assert fast_leaf.texts == ref_leaf.texts
         assert fast_leaf.search_counts == ref_leaf.search_counts
         assert fast_leaf.recall_counts == ref_leaf.recall_counts
+        assert fast_leaf.token_counts == ref_leaf.token_counts
 
 
 class TestFastCuration:
     @given(stats=stats_strategy, config=config_strategy)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_fast_curate_matches_reference(self, stats, config):
         assert_curations_identical(
             curate(stats, config, engine="reference"),
             fast_curate(stats, config))
 
     @given(stats=stats_strategy, config=config_strategy)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_engine_dispatch(self, stats, config):
         assert_curations_identical(
             curate(stats, config, engine="reference"),
@@ -114,7 +144,7 @@ class TestFastBuilder:
     @given(stats=stats_strategy, config=config_strategy,
            tokenizer_index=st.integers(0, len(TOKENIZERS) - 1),
            build_pooled=st.booleans())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_models_bit_identical(self, stats, config, tokenizer_index,
                                   build_pooled):
         curated = curate(stats, config)
@@ -150,7 +180,7 @@ class TestFastBuilder:
 
     @given(stats=stats_strategy, config=config_strategy,
            k=st.integers(1, 8))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_recommendations_element_wise_identical(self, stats, config,
                                                     k):
         """End to end: fast curation + fast builder serves the exact
@@ -215,6 +245,107 @@ class TestFastBuilder:
         graph_b = build_leaf_graph_fast(leaf_b, cache)
         assert len(cache) == 3  # pool grew once, not twice
         assert graph_a.word_vocab.tokens == graph_b.word_vocab.tokens
+
+
+def cli_curate(stats, config, directory):
+    """``stats`` written as a ``simulate --out`` log and curated by
+    ``curate --out`` under ``config``'s three CLI knobs (the other
+    fields at their defaults); returns the curated file's path."""
+    log, out = Path(directory, "log.json"), Path(directory, "curated.json")
+    log.write_text(json.dumps({"stats": [
+        {"text": stat.text, "leaf_id": stat.leaf_id,
+         "search_count": stat.search_count,
+         "recall_count": stat.recall_count} for stat in stats]}), "utf-8")
+    assert main(["curate", "--log", str(log), "--out", str(out),
+                 "--min-search-count", str(config.min_search_count),
+                 "--min-keyphrases", str(config.min_keyphrases),
+                 "--floor", str(config.floor_search_count)]) == 0
+    return out
+
+
+def cli_config(config):
+    """The :class:`CurationConfig` ``curate --out`` runs for ``config``."""
+    return CurationConfig(min_search_count=config.min_search_count,
+                          min_keyphrases=config.min_keyphrases,
+                          floor_search_count=config.floor_search_count)
+
+
+def split_counts(leaf):
+    return [len(text.split()) for text in leaf.texts]
+
+
+class TestTokenCounts:
+    """Every producer of a :class:`CuratedLeaf` holds ``token_counts``
+    equal to its texts' whitespace splits, the fast builder reads them
+    instead of splitting a label again, and a leaf whose counts do not
+    match its texts is refused by name."""
+
+    @given(stats=stats_strategy, config=config_strategy)
+    @settings(max_examples=examples(30), deadline=None)
+    def test_every_producer_counts_each_texts_split(self, stats, config):
+        fast = fast_curate(stats, config)
+        reference = curate(stats, config, engine="reference")
+        assert fast.leaves == reference.leaves
+        leaves = [*fast.leaves.values(), *reference.leaves.values(),
+                  _pool_leaves(list(fast.leaves.values()))]
+        for leaf in fast.leaves.values():
+            columns = (leaf.texts, leaf.search_counts, leaf.recall_counts)
+            leaves.append(CuratedLeaf(leaf.leaf_id,
+                                      *(list(column) for column in columns)))
+            grown = CuratedLeaf(leaf.leaf_id,
+                                *(column[:1] for column in columns))
+            for row in zip(*(column[1:] for column in columns)):
+                grown.add(*row)
+            assert grown == leaf
+            leaves.append(grown)
+        with tempfile.TemporaryDirectory() as directory:
+            loaded = _load_curated(str(cli_curate(stats, config, directory)))
+        assert loaded.leaves == fast_curate(stats, cli_config(config)).leaves
+        leaves.extend(loaded.leaves.values())
+        for leaf in leaves:
+            assert leaf.token_counts == split_counts(leaf)
+
+    @given(stats=stats_strategy, config=config_strategy)
+    @settings(max_examples=examples(15), deadline=None)
+    def test_handed_over_and_derived_counts_save_the_same_payload(
+            self, stats, config):
+        """Route 1 hands ``fast_curate``'s counts to ``construct``;
+        route 2 writes the same curation with ``curate --out`` and reads
+        it back with ``construct --curated``, deriving them on load.
+        Same payload bytes, same header but for the payload's name."""
+        with tempfile.TemporaryDirectory() as directory:
+            handed = Path(directory, "handed")
+            save_model(GraphExModel.construct(
+                fast_curate(stats, cli_config(config))), handed)
+            derived = Path(directory, "derived")
+            assert main(["construct", "--curated",
+                         str(cli_curate(stats, config, directory)),
+                         "--out", str(derived)]) == 0
+            headers = []
+            for route in (handed, derived):
+                header = json.loads((route / "model.json").read_text())
+                payload = route / header.pop("arrays_file")
+                headers.append((header, payload.read_bytes()))
+        assert headers[0] == headers[1]
+
+    @pytest.mark.parametrize("counts", [[1, 1], [2, 2], [3], [2, 1, 0], [2]],
+                             ids=["short_total", "long_total",
+                                  "one_count_missing", "one_count_extra",
+                                  "text_appended_behind_add"])
+    def test_stale_counts_refused_by_name(self, counts):
+        """Two texts of three raw tokens: a wrong total, the right total
+        over the wrong number of counts, or the counts of a leaf whose
+        second text was appended to ``texts`` directly instead of
+        through ``add``."""
+        leaf = CuratedLeaf(7, ["usb cable", "hdmi"], [5, 4], [1, 2], counts)
+        with pytest.raises(ValueError, match="curated leaf 7: its "
+                                             "token_counts do not match"):
+            build_leaf_graph_fast(leaf, TokenCache(DEFAULT_TOKENIZER))
+        curated = CuratedKeyphrases(
+            leaves={7: leaf}, effective_threshold=1,
+            config=CurationConfig(min_search_count=1))
+        with pytest.raises(ValueError, match="curated leaf 7"):
+            GraphExModel.construct(curated)
 
 
 def _leaf(leaf_id, *rows):
@@ -333,7 +464,7 @@ class TestTokenCache:
     @given(text=st.lists(st.sampled_from(TOKENS + ["  ", "ZZZ..."]),
                          min_size=0, max_size=8).map(" ".join),
            tokenizer_index=st.integers(0, len(TOKENIZERS) - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_resolve_raws_match_direct_tokenization(self, text,
                                                     tokenizer_index):
         """The memoized per-raw-token path reproduces the tokenizer,
@@ -345,6 +476,18 @@ class TestTokenCache:
             assert len(ids) == len(text.split())
             assert cache.tokens_for([i for i in ids if i >= 0]) \
                 == tokenizer(text)
+
+    def test_pool_ids_follow_stream_order(self):
+        """A new token takes the next id where it first occurs in the
+        stream, so the pool's order is the interpreter's hash order in
+        no way; raws that make one token share its id."""
+        cache = TokenCache(DEFAULT_TOKENIZER)
+        ids = cache.resolve_raws(["Beta", "alpha", "beta", "!!!", "gamma"])
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [0, 1, 0, -1, 2]
+        assert cache.tokens_for([0, 1, 2]) == ["beta", "alpha", "gamma"]
+        assert cache.resolve_raws([]).tolist() == []
+        assert len(cache) == 3
 
 
 class TestCSRConstructor:

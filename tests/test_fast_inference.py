@@ -37,19 +37,9 @@ from repro.core.inference import (Recommendation, prune_by_count_groups,
                                   recommend_from_graph)
 from repro.core.model import GraphExModel, GraphPlane, LazyStringList
 from repro.core.serialization import load_model, save_model
-from tests.conftest import open_saved
+from tests.conftest import examples, open_saved
 
 ALIGNMENTS = ["lta", "wmr", "jac"]
-
-
-def examples(n):
-    """``n`` examples under tier-1's ``fast`` hypothesis profile; under
-    a deeper one (``--hypothesis-profile deep``) its budget, if larger,
-    so that every property here is drawn deeper."""
-    budget = settings.default.max_examples
-    if budget <= settings.get_profile("fast").max_examples:
-        return n
-    return max(n, budget)
 
 
 #: Token universe: vocabulary words plus never-interned strangers.
