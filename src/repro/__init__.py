@@ -34,7 +34,6 @@ from .core import (
     Recommendation,
     ShardPlan,
     SpaceTokenizer,
-    Vocabulary,
     resolve_executor,
     batch_recommend,
     curate,
@@ -80,7 +79,6 @@ __all__ = [
     "Recommendation",
     "ShardPlan",
     "SpaceTokenizer",
-    "Vocabulary",
     "batch_recommend",
     "curate",
     "fast_curate",

@@ -25,6 +25,8 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("Vocabulary from_interned", NOWHERE,
+     "a plain vocabulary dict (word -> dense id, in id order)"),
     ('mmap= "--mmap"', NOWHERE, "one open mode"),
     ("next_generation _model_loaded_at", NOWHERE,
      "one served-model slot (ModelSlot.swap numbers and stamps a swap)"),

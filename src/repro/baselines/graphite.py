@@ -17,7 +17,6 @@ import numpy as np
 
 from ..core.csr import CSRGraph
 from ..core.tokenize import DEFAULT_TOKENIZER, Tokenizer
-from ..core.vocab import Vocabulary
 from .base import KeyphraseRecommender, Prediction, TrainingData
 
 
@@ -46,7 +45,7 @@ class Graphite(KeyphraseRecommender):
         self._min_wmr = min_wmr
         self._budget = budget
 
-        self._word_vocab = Vocabulary()
+        self._word_vocab: Dict[str, int] = {}
         self._labels: List[str] = []
         label_ids: Dict[str, int] = {}
         self._label_token_sets: List[Set[str]] = []
@@ -61,7 +60,8 @@ class Graphite(KeyphraseRecommender):
             row = indexed
             indexed += 1
             for token in set(tokenizer(title)):
-                word_item_edges.append((self._word_vocab.add(token), row))
+                word_item_edges.append((self._word_vocab.setdefault(
+                    token, len(self._word_vocab)), row))
             for query in labels:
                 label_id = label_ids.get(query)
                 if label_id is None:

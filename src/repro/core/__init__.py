@@ -38,7 +38,6 @@ from .tokenize import (
     light_stem,
     normalize_token,
 )
-from .vocab import Vocabulary
 
 __all__ = [
     "ALIGNMENTS",
@@ -81,5 +80,4 @@ __all__ = [
     "STEMMING_TOKENIZER",
     "light_stem",
     "normalize_token",
-    "Vocabulary",
 ]

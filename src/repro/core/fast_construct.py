@@ -1,8 +1,8 @@
 """Vectorized model-construction engine (the "fast" builder).
 
 The scalar path (:func:`repro.core.model.build_leaf_graph`) constructs
-one leaf at a time with per-token Python work: a ``Vocabulary.add`` dict
-round-trip and an ``edges.append`` per (word, label) pair, then a
+one leaf at a time with per-token Python work: a vocabulary
+``setdefault`` and an ``edges.append`` per (word, label) pair, then a
 list-of-tuples → ``np.asarray`` conversion inside
 :meth:`CSRGraph.from_edges`.  That is fine for one small leaf but
 dominates model build time at Section IV-G scale.  This module is the
@@ -21,7 +21,7 @@ construct-side analogue of :mod:`repro.core.fast_inference`:
    stream and interned with a single array pass (an O(n + pool)
    reversed scatter, or an ``np.unique`` re-rank when the shared pool
    dwarfs the leaf).  Ids land in first-occurrence order, so the local
-   vocabulary is *bit-identical* to the scalar ``Vocabulary.add`` loop
+   vocabulary is *bit-identical* to the scalar ``setdefault`` loop
    — same token strings, same ids — regardless of pool id assignment
    order (so a leaf builds the same graph whatever was cached first).
 3. **Array-native CSR assembly** — the (word, label) pairs are already
@@ -47,14 +47,15 @@ builder remains the semantics reference.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from itertools import count
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .csr import CSRGraph
 from .curation import CuratedLeaf
 from .tokenize import TokenCache
-from .vocab import Vocabulary, first_occurrence
+from .vocab import first_occurrence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .model import LeafGraph
@@ -77,8 +78,8 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
 
     Raises:
         ValueError: naming the leaf, when its ``token_counts`` do not
-            match its texts: not one count per text, or a total other
-            than the raw tokens of the joined split.
+            match its texts: not one count per text, a negative count,
+            or a total other than the raw tokens of the joined split.
     """
     n_labels = len(curated)
     counts = curated.token_counts
@@ -89,12 +90,13 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
     # Duplicates within a label survive to this point and are folded by
     # the sort + dedup in _leaf_graph.
     raws = " ".join(curated.texts).split()
-    total = sum(counts)
-    if len(counts) != n_labels or total != len(raws):
+    total, low = sum(counts), min(counts, default=0)
+    if len(counts) != n_labels or total != len(raws) or low < 0:
         raise ValueError(
             f"curated leaf {curated.leaf_id}: its token_counts do not "
             f"match its texts ({len(counts)} counts summing to {total}, "
-            f"for {n_labels} texts of {len(raws)} tokens)")
+            f"the least {low}, for {n_labels} texts of {len(raws)} "
+            f"tokens)")
     flat = cache.resolve_raws(raws)
     label_owner = np.repeat(np.arange(n_labels, dtype=np.int64), counts)
     kept = flat >= 0
@@ -104,7 +106,7 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
 
     if len(flat):
         # Intern locally into first-occurrence order — exactly the
-        # scalar Vocabulary.add insertion order over the label-major
+        # scalar setdefault insertion order over the label-major
         # stream (within-label duplicates cannot move a first
         # occurrence).  When the shared pool is comparable to the leaf,
         # an O(n + pool) reversed scatter (last write wins = first
@@ -122,11 +124,10 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
             rank = np.empty(len(pool_ids), dtype=np.int64)
             rank[order] = np.arange(len(pool_ids), dtype=np.int64)
             word_ids = rank[inverse]
-        vocab = Vocabulary.from_interned(
-            cache.tokens_for(insertion.tolist()))
+        vocab = dict(zip(cache.tokens_for(insertion.tolist()), count()))
         edge_keys = word_ids * n_labels + label_owner
     else:
-        vocab = Vocabulary()
+        vocab = {}
         edge_keys = np.empty(0, dtype=np.int64)
 
     return _leaf_graph(
@@ -135,7 +136,7 @@ def build_leaf_graph_fast(curated: CuratedLeaf,
         np.asarray(curated.recall_counts, dtype=np.int64))
 
 
-def _leaf_graph(leaf_id: int, vocab: Vocabulary, edge_keys: np.ndarray,
+def _leaf_graph(leaf_id: int, vocab: Dict[str, int], edge_keys: np.ndarray,
                 label_texts: List[str], search_counts: np.ndarray,
                 recall_counts: np.ndarray) -> "LeafGraph":
     """Assemble a leaf from unsorted, possibly repeated
@@ -201,6 +202,6 @@ def pool_leaf_graphs(graphs: Sequence["LeafGraph"], strings: np.ndarray,
         degrees = np.diff(graph.graph.indptr)[:len(pooled_word)]
         edge_keys.append(np.repeat(pooled_word, degrees) * n_pooled
                          + pooled_label[graph.graph.indices])
-    return _leaf_graph(-1, Vocabulary.from_interned(strings[words].tolist()),
+    return _leaf_graph(-1, dict(zip(strings[words].tolist(), count())),
                        np.concatenate(edge_keys), strings[labels].tolist(),
                        search_counts, recall_counts), (words, labels)

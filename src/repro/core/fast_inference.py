@@ -337,7 +337,7 @@ class LeafBatchRunner:
         self._k = k
         self._hard_limit = hard_limit
         #: Per plane graph, its vocabulary dict's C-level ``get``.
-        self._word_ids = [graph.word_vocab.ids.get
+        self._word_ids = [graph.word_vocab.get
                           for graph in model.plane_graphs]
 
     def run_indexed(self, requests: Sequence[InferenceRequest]

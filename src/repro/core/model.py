@@ -18,7 +18,7 @@ Two interchangeable builders construct the graphs, mirroring the
 two-engine inference split:
 
 * ``reference`` — :func:`build_leaf_graph`'s scalar loop (one
-  ``Vocabulary.add`` and edge tuple per token per label).  It is the
+  vocabulary ``setdefault`` and edge tuple per token per label).  It is the
   semantics reference the equivalence suite checks against.
 * ``fast`` (default) — the bulk engine in
   :mod:`repro.core.fast_construct`: shared memoized tokenization, one
@@ -42,7 +42,7 @@ from .csr import CSRGraph
 from .curation import CuratedKeyphrases, CuratedLeaf
 from .inference import Recommendation, recommend_from_graph
 from .tokenize import DEFAULT_TOKENIZER, SpaceTokenizer, Tokenizer
-from .vocab import Vocabulary, first_occurrence, intern_strings
+from .vocab import first_occurrence, intern_strings
 
 #: Interchangeable construction paths (scalar reference vs bulk engine).
 BUILDERS = ("reference", "fast")
@@ -54,7 +54,8 @@ class LeafGraph:
 
     Attributes:
         leaf_id: Leaf category id this graph serves.
-        word_vocab: Interning of the unique words (left vertices).
+        word_vocab: The unique words (left vertices), word → dense id
+            in insertion order, so ``list(word_vocab)`` is them by id.
         graph: CSR adjacency from word id to label id.
         label_texts: Keyphrase strings in label-id order.  Any
             integer-indexable sequence of str: a builder's list on a
@@ -70,7 +71,7 @@ class LeafGraph:
     """
 
     leaf_id: int
-    word_vocab: Vocabulary
+    word_vocab: Dict[str, int]
     graph: CSRGraph
     label_texts: Sequence[str]
     label_lengths: np.ndarray
@@ -340,7 +341,7 @@ class GraphPlane(NamedTuple):
         return plane._replace(strings=StringPool(strings[distinct]))
 
     def leaf(self, g: int, leaf_id: int,
-             word_vocab: Vocabulary) -> "LeafGraph":
+             word_vocab: Dict[str, int]) -> "LeafGraph":
         """Graph ``g`` as a :class:`LeafGraph` whose arrays and label
         texts are views of this plane, its CSR not checked again (it
         spans ``max(1, labels)`` right vertices, as every builder's)."""
@@ -364,14 +365,14 @@ class GraphPlane(NamedTuple):
 def build_leaf_graph(curated: CuratedLeaf,
                      tokenizer: Tokenizer) -> LeafGraph:
     """Construct one leaf's bipartite graph from curated keyphrases."""
-    vocab = Vocabulary()
+    vocab: Dict[str, int] = {}
     edges: List[Tuple[int, int]] = []
     label_lengths = np.empty(len(curated), dtype=np.int32)
     for label_id, text in enumerate(curated.texts):
         unique_tokens = list(dict.fromkeys(tokenizer(text)))
         label_lengths[label_id] = max(1, len(unique_tokens))
         for token in unique_tokens:
-            edges.append((vocab.add(token), label_id))
+            edges.append((vocab.setdefault(token, len(vocab)), label_id))
     graph = CSRGraph.from_edges(edges, n_left=max(1, len(vocab)),
                                 n_right=max(1, len(curated)))
     return LeafGraph(
@@ -478,7 +479,8 @@ class GraphExModel:
                     [graph.word_vocab for graph in graphs], keys)
 
     @classmethod
-    def over_plane(cls, plane: GraphPlane, vocabs: Sequence[Vocabulary],
+    def over_plane(cls, plane: GraphPlane,
+                   vocabs: Sequence[Dict[str, int]],
                    keys: Sequence[Optional[int]],
                    tokenizer: SpaceTokenizer,
                    alignment: str) -> "GraphExModel":
@@ -490,7 +492,7 @@ class GraphExModel:
         return model
 
     def _serve(self, tokenizer: SpaceTokenizer, alignment: str,
-               plane: GraphPlane, vocabs: Sequence[Vocabulary],
+               plane: GraphPlane, vocabs: Sequence[Dict[str, int]],
                keys: Sequence[Optional[int]]) -> None:
         self._alignment = _check_spec(tokenizer, alignment)
         self._tokenizer = tokenizer

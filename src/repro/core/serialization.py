@@ -57,6 +57,7 @@ import json
 import math
 import os
 import uuid
+from itertools import count
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -65,7 +66,6 @@ import numpy as np
 from .alignment import get_alignment
 from .model import GraphExModel, GraphPlane, StringPool
 from .tokenize import SpaceTokenizer
-from .vocab import Vocabulary
 
 _META_FILE = "model.json"
 _POOLED_KEY = "pooled"
@@ -486,8 +486,9 @@ def load_model(directory: Union[str, Path]) -> GraphExModel:
         ValueError: On any ``format_version`` but 6 (the error names
             the version and the last commit that read 1 to 5), a
             malformed ``model.json`` (its manifest and ``leaves``
-            entries included), a truncated payload or a plane
-            :func:`_check_plane` refuses.
+            entries included), a truncated payload, a plane
+            :func:`_check_plane` refuses or a graph whose words repeat
+            a string (its vocabulary dict would come out short).
     """
     directory = Path(directory)
     meta, identity = _read_meta(directory)
@@ -504,11 +505,18 @@ def load_model(directory: Union[str, Path]) -> GraphExModel:
         arrays["search_counts"], arrays["recall_counts"],
         arrays["label_ids"], arrays["word_ids"], strings, rows, words,
         edges, labels)
-    _check_plane(directory / _META_FILE, plane, [key for key, _ in leaves])
-    cuts = plane.vocab_base.tolist()
+    path, keys = directory / _META_FILE, [key for key, _ in leaves]
+    _check_plane(path, plane, keys)
+    cuts, vocabs = plane.vocab_base.tolist(), []
+    for key, lo, hi in zip(keys, cuts, cuts[1:]):
+        words = strings.take(plane.word_ids[lo:hi])
+        vocabs.append(dict(zip(words, count())))
+        if len(vocabs[-1]) < len(words):
+            raise ValueError(
+                f"malformed {path}: leaf {key!r}: its {len(words)} words "
+                f"hold {len(vocabs[-1])} distinct strings")
     model = GraphExModel.over_plane(
-        plane, [Vocabulary.from_interned(strings.take(
-            plane.word_ids[lo:hi])) for lo, hi in zip(cuts, cuts[1:])],
+        plane, vocabs,
         [None if key == _POOLED_KEY else entry["leaf_id"]
          for key, entry in leaves],
         tokenizer=SpaceTokenizer.from_spec(meta["tokenizer"]),

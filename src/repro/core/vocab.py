@@ -2,14 +2,15 @@
 
 The paper stores words and labels as unsigned integers "to occupy minimal
 space and convert string comparisons to integer ones" (Section III-F).
-:class:`Vocabulary` is that mapping: append-only, dense ids from 0.
+A vocabulary is a plain ``dict`` from string to dense id, inserted in
+id order, so ``list(vocab)`` is its strings by id and ``vocab.get`` the
+O(1) lookup.
 """
 
 from __future__ import annotations
 
 from itertools import chain, count
-from typing import (Collection, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Collection, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,10 +20,10 @@ def intern_strings(parts: Sequence[Collection[str]]
     """Intern the strings of ``parts``, taken in order, in one pass:
     each string once in first-occurrence order, and per part the id
     (index in that list) of each of its strings — the ids one
-    :meth:`Vocabulary.add` per string assigns, with no Python call per
-    string.  One C-level ``dict.setdefault`` map yields each string's
-    first position; a scatter of those positions plus a cumsum
-    densifies them."""
+    ``vocab.setdefault(string, len(vocab))`` per string assigns, with
+    no Python call per string.  One C-level ``dict.setdefault`` map
+    yields each string's first position; a scatter of those positions
+    plus a cumsum densifies them."""
     first: Dict[str, int] = {}
     positions = np.fromiter(map(first.setdefault, chain.from_iterable(
         parts), count()), dtype=np.int64)
@@ -49,72 +50,3 @@ def first_occurrence(parts: Sequence[np.ndarray], size: int
     ends = np.cumsum([len(part) for part in parts], dtype=np.int64).tolist()
     return ids[is_first], [local[start:end]
                            for start, end in zip([0] + ends, ends)]
-
-
-class Vocabulary:
-    """Append-only bidirectional mapping between strings and dense ids."""
-
-    def __init__(self, tokens: Iterable[str] = ()) -> None:
-        self._ids: Dict[str, int] = {}
-        self._tokens: List[str] = []
-        for token in tokens:
-            self.add(token)
-
-    @classmethod
-    def from_interned(cls, tokens: Iterable[str]) -> "Vocabulary":
-        """Bulk constructor for an already-deduplicated token stream.
-
-        The bulk construction engine interns with one ``np.unique`` pass
-        and already knows its tokens are distinct and in id order, so
-        this skips the per-token existence check of :meth:`add`.
-
-        Raises:
-            ValueError: If ``tokens`` contains duplicates.
-        """
-        vocab = cls.__new__(cls)
-        vocab._tokens = list(tokens)
-        vocab._ids = {token: i for i, token in enumerate(vocab._tokens)}
-        if len(vocab._ids) != len(vocab._tokens):
-            raise ValueError("from_interned requires distinct tokens")
-        return vocab
-
-    def add(self, token: str) -> int:
-        """Intern a token, returning its id (existing or newly assigned)."""
-        existing = self._ids.get(token)
-        if existing is not None:
-            return existing
-        new_id = len(self._tokens)
-        self._ids[token] = new_id
-        self._tokens.append(token)
-        return new_id
-
-    def get(self, token: str) -> Optional[int]:
-        """Id of a token, or None if it was never interned."""
-        return self._ids.get(token)
-
-    @property
-    def ids(self) -> Dict[str, int]:
-        """The token → id dict itself, for C-level lookups: never write."""
-        return self._ids
-
-    def token(self, token_id: int) -> str:
-        """Token string for an id.
-
-        Raises:
-            IndexError: If the id was never assigned.
-        """
-        return self._tokens[token_id]
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tokens)
-
-    @property
-    def tokens(self) -> List[str]:
-        """All interned tokens in id order (a copy)."""
-        return list(self._tokens)

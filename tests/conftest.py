@@ -92,10 +92,11 @@ def open_saved(model: GraphExModel, directory) -> GraphExModel:
 
 
 def assert_graphs_identical(a, b):
-    """Bit-identity of two leaf graphs: vocab id order, CSR arrays and
-    label columns, dtypes included."""
+    """Bit-identity of two leaf graphs: vocabulary dicts (words, ids
+    and insertion order), CSR arrays and label columns, dtypes
+    included."""
     assert b.leaf_id == a.leaf_id
-    assert b.word_vocab.tokens == a.word_vocab.tokens
+    assert list(b.word_vocab.items()) == list(a.word_vocab.items())
     assert b.graph.n_right == a.graph.n_right
     assert list(b.label_texts) == list(a.label_texts)
     for x, y in ((a.graph.indptr, b.graph.indptr),

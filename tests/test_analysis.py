@@ -333,6 +333,20 @@ class TestNoMuteButton:
             ("repro.serving.async_front", 6, "next_generation"),
             ("repro.serving.nrt", 1, "next_generation")]
 
+    def test_removed_spelling_pins_the_vocabulary_wrapper(self):
+        """``Vocabulary`` and ``from_interned`` fire anywhere: a graph's
+        vocabulary is a plain dict, and the word in prose stays free."""
+        vocab = ("class Vocabulary(dict):\n"
+                 "    # a vocabulary is a dict\n"
+                 "    @classmethod\n"
+                 "    def from_interned(cls, tokens):\n"
+                 "        return cls(zip(tokens, range(len(tokens))))\n")
+        report = lint_sources({"repro.core.vocab": vocab})
+        assert sorted((v.line, v.message.split()[2])
+                      for v in report.violations
+                      if v.rule == "removed-spelling") == [
+            (1, "Vocabulary"), (4, "from_interned")]
+
     def test_removed_spelling_pins_the_one_open_mode(self):
         """``mmap=`` fires as a parameter or keyword and ``"--mmap"`` as
         a string, anywhere: every open maps its payload, so neither

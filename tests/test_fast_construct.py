@@ -33,9 +33,9 @@ from repro.core.curation import (CurationConfig, CuratedKeyphrases,
                                  CuratedLeaf, curate, fast_curate)
 from repro.core.execution import SerialExecutor
 from repro.core.fast_construct import build_leaf_graph_fast, pool_leaf_graphs
-from repro.core.model import (GraphExModel, _pool_leaves, build_leaf_graph,
-                              intern_graphs)
-from repro.core.serialization import save_model
+from repro.core.model import (BUILDERS, GraphExModel, _pool_leaves,
+                              build_leaf_graph, intern_graphs)
+from repro.core.serialization import load_model, save_model
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer, TokenCache)
 from repro.search.logs import KeyphraseStat
@@ -157,6 +157,27 @@ class TestFastBuilder:
             builder="fast")
         assert_models_identical(reference, fast)
 
+    @given(stats=stats_strategy, config=config_strategy,
+           tokenizer_index=st.integers(0, len(TOKENIZERS) - 1))
+    @settings(max_examples=examples(20), deadline=None)
+    def test_every_vocabulary_numbers_its_words_densely(
+            self, stats, config, tokenizer_index):
+        """Every graph's ``word_vocab`` maps its words to 0, 1, 2, ...
+        in insertion order, so ``list(vocab)`` is the words by id: on
+        each builder, pooled and not, and on the open of each model."""
+        curated = curate(stats, config)
+        with tempfile.TemporaryDirectory() as directory:
+            for builder in BUILDERS:
+                for build_pooled in (False, True):
+                    model = GraphExModel.construct(
+                        curated, tokenizer=TOKENIZERS[tokenizer_index],
+                        build_pooled=build_pooled, builder=builder)
+                    opened = load_model(save_model(
+                        model, Path(directory, f"{builder}-{build_pooled}")))
+                    for graph in model.plane_graphs + opened.plane_graphs:
+                        assert list(graph.word_vocab.values()) == list(
+                            range(len(graph.word_vocab)))
+
     def test_reference_builder_rejects_process_parallel(self, fleet,
                                                         monkeypatch):
         """The scalar reference builder refuses a fleet by name, as the
@@ -244,7 +265,7 @@ class TestFastBuilder:
         graph_a = build_leaf_graph_fast(leaf_a, cache)
         graph_b = build_leaf_graph_fast(leaf_b, cache)
         assert len(cache) == 3  # pool grew once, not twice
-        assert graph_a.word_vocab.tokens == graph_b.word_vocab.tokens
+        assert graph_a.word_vocab == graph_b.word_vocab
 
 
 def cli_curate(stats, config, directory):
@@ -328,15 +349,16 @@ class TestTokenCounts:
                 headers.append((header, payload.read_bytes()))
         assert headers[0] == headers[1]
 
-    @pytest.mark.parametrize("counts", [[1, 1], [2, 2], [3], [2, 1, 0], [2]],
-                             ids=["short_total", "long_total",
-                                  "one_count_missing", "one_count_extra",
-                                  "text_appended_behind_add"])
+    @pytest.mark.parametrize(
+        "counts", [[1, 1], [2, 2], [3], [2, 1, 0], [2], [4, -1]],
+        ids=["short_total", "long_total", "one_count_missing",
+             "one_count_extra", "text_appended_behind_add",
+             "negative_count"])
     def test_stale_counts_refused_by_name(self, counts):
         """Two texts of three raw tokens: a wrong total, the right total
-        over the wrong number of counts, or the counts of a leaf whose
-        second text was appended to ``texts`` directly instead of
-        through ``add``."""
+        over the wrong number of counts or with a negative count, or the
+        counts of a leaf whose second text was appended to ``texts``
+        directly instead of through ``add``."""
         leaf = CuratedLeaf(7, ["usb cable", "hdmi"], [5, 4], [1, 2], counts)
         with pytest.raises(ValueError, match="curated leaf 7: its "
                                              "token_counts do not match"):
@@ -416,7 +438,7 @@ class TestPoolLeafGraphs:
             built, *intern_graphs(built))
         self.assert_pooled_identical(reference, pooled)
         strings = intern_graphs(built)[0]
-        assert strings[words].tolist() == pooled.word_vocab.tokens
+        assert strings[words].tolist() == list(pooled.word_vocab)
         assert strings[labels].tolist() == pooled.label_texts
         # And through the public entry point, on both builders.
         assert_models_identical(
@@ -451,7 +473,7 @@ class TestPoolLeafGraphs:
         assert nothing.n_labels == 0
         assert nothing.graph.n_left == nothing.graph.n_right == 1
         stemmed = pooled("stemming_merges_raw_words")
-        assert stemmed.word_vocab.tokens == ["usb", "cable", "box"]
+        assert stemmed.word_vocab == {"usb": 0, "cable": 1, "box": 2}
 
     @pytest.mark.parametrize("builder", ["reference", "fast"])
     def test_no_leaves_means_no_pooled_graph(self, builder):

@@ -24,7 +24,6 @@ from repro.core.serialization import (load_model, model_size_bytes,
                                       open_model, save_model)
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer)
-from repro.core.vocab import Vocabulary
 from repro.serving import AsyncNRTFront
 from repro.serving.nrt import ModelSlot
 from tests.conftest import assert_models_identical, open_saved
@@ -297,7 +296,7 @@ class TestRoundtripFidelity:
                 else model.leaf_graph(leaf_id)
             b = loaded.pooled_graph if leaf_id is None \
                 else loaded.leaf_graph(leaf_id)
-            assert b.word_vocab.tokens == a.word_vocab.tokens
+            assert list(b.word_vocab.items()) == list(a.word_vocab.items())
             assert np.array_equal(b.graph.indptr, a.graph.indptr)
             assert np.array_equal(b.graph.indices, a.graph.indices)
             assert b.label_texts == a.label_texts
@@ -317,7 +316,7 @@ class TestRoundtripFidelity:
         for graph in [model.leaf_graph(i) for i in model.leaf_ids] \
                 + [model.pooled_graph]:
             expected.update(graph.label_texts)
-            expected.update(graph.word_vocab.tokens)
+            expected.update(graph.word_vocab)
         assert meta["pool_size"] == len(expected)
 
 
@@ -875,7 +874,7 @@ class TestArtifactBytes:
 
     #: The pool order is part of the artifact: leaf by leaf, vocabulary
     #: words then label texts, first occurrence wins.  Pinned from the
-    #: payload the one-``Vocabulary.add``-per-string writer produced
+    #: payload the one-``setdefault``-per-string writer produced
     #: (leaf 10's ids, then leaf 11's, then the pooled graph's), labels
     #: in the plane's static order: leaf 11's "usb cable" (Search Count
     #: 9) first, its "usb" (1) last, and so in the pooled graph.
@@ -952,18 +951,19 @@ class TestArtifactBytes:
         """Over drawn worlds (non-ASCII and non-BMP tokens, empty
         texts, repeats, one-word labels equal to words, texts shared by
         leaves): every id section and the two pool sections equal the
-        reference — one ``Vocabulary.add`` per string, leaf by leaf,
-        words then labels, and one ``encode`` per pool string."""
+        reference — one ``pool.setdefault(string, len(pool))`` per
+        string, leaf by leaf, words then labels, and one ``encode`` per
+        pool string."""
         model = GraphExModel.construct(curated, build_pooled=build_pooled)
-        pool = Vocabulary()
+        pool = {}
         expected = {"word_ids": [], "label_ids": []}
         leaves = [model.leaf_graph(leaf_id) for leaf_id in model.leaf_ids]
         for leaf in leaves + [model.pooled_graph] * build_pooled:
-            expected["word_ids"] += [pool.add(word)
+            expected["word_ids"] += [pool.setdefault(word, len(pool))
                                      for word in leaf.word_vocab]
-            expected["label_ids"] += [pool.add(text)
+            expected["label_ids"] += [pool.setdefault(text, len(pool))
                                       for text in leaf.label_texts]
-        encoded = [text.encode("utf-8") for text in pool.tokens]
+        encoded = [text.encode("utf-8") for text in pool]
         expected["pool/byte_offsets"] = np.cumsum([0] + list(map(
             len, encoded)))
         with tempfile.TemporaryDirectory() as tmp:
@@ -1449,8 +1449,9 @@ class TestMalformedMeta:
 
 class TestCorruptPlane:
     """Payload bytes that pass every manifest and ``leaves`` check but
-    are not a CSR of the model's graphs are refused by name on the one
-    open, and a hot-swap handed such an artifact keeps what it served."""
+    are not a CSR of the model's graphs, or give a graph one word
+    twice, are refused by name on the one open, and a hot-swap handed
+    such an artifact keeps what it served."""
 
     @staticmethod
     def poke(path: Path, section: str, index: int, value: int) -> None:
@@ -1480,6 +1481,11 @@ class TestCorruptPlane:
         if how == "row-falls":
             cls.poke(path, "indptr", 1, edges + 1)
             return f"its CSR row 2 falls from {edges + 1} to {edges}"
+        if how == "repeated-word":
+            # In range, so only the vocabulary dict sees the repeat.
+            cls.poke(path, "word_ids", 1, model.plane.word_ids[0])
+            words = len(leaf.word_vocab)
+            return f"its {words} words hold {words - 1} distinct strings"
         # Columns no builder writes: a pool id outside the pool, a label
         # of no token, a negative count.
         section, value, what = cls.COLUMNS[how]
@@ -1503,7 +1509,7 @@ class TestCorruptPlane:
             "recall_counts", -5, "its label 1 has Recall Count -5, below 0"),
     }
     HOW = ["index-past-its-labels", "negative-index", "row-falls",
-           *COLUMNS]
+           "repeated-word", *COLUMNS]
 
     @pytest.mark.parametrize("how", HOW)
     def test_refused_by_name(self, tmp_path, how):

@@ -20,7 +20,7 @@ class TestFigure3Graph:
         graph = fig3_model.leaf_graph(FIG3_LEAF_ID)
         expected_words = {"audeze", "maxwell", "headphones", "gaming",
                           "xbox", "wireless", "bluetooth"}
-        assert set(graph.word_vocab.tokens) == expected_words
+        assert set(graph.word_vocab) == expected_words
 
     def test_right_vertices_are_the_keyphrases(self, fig3_model):
         """Every keyphrase is a right vertex, numbered by Search Count

@@ -1,4 +1,4 @@
-"""Unit and property tests for Vocabulary and CSRGraph."""
+"""Unit and property tests for string interning and CSRGraph."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.csr import CSRGraph
-from repro.core.vocab import Vocabulary, intern_strings
+from repro.core.vocab import intern_strings
 
 #: Words, one-word labels equal to words, non-ASCII and non-BMP text,
 #: and the empty string.
@@ -18,16 +18,17 @@ _WORDS = ["usb", "cable", "café", "音楽", "😀", "a😀b", ""]
 @st.composite
 def leaf_parts(draw):
     """The parts a save interns: leaf by leaf, the leaf's words (a
-    ``Vocabulary``) then its label texts, with one text every leaf
-    shares; empty leaves and empty vocabularies included."""
+    vocabulary dict, word → id) then its label texts, with one text
+    every leaf shares; empty leaves and empty vocabularies included."""
     phrase = st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join)
     shared = draw(phrase | st.text(max_size=3))
     parts = []
     for _ in range(draw(st.integers(0, 4))):
         labels = draw(st.lists(phrase | st.text(max_size=3),
                                max_size=5)) + [shared] * draw(st.booleans())
-        parts += [Vocabulary(word for label in labels
-                             for word in label.split()), labels]
+        words = dict.fromkeys(word for label in labels
+                              for word in label.split())
+        parts += [dict(zip(words, range(len(words)))), labels]
     return parts
 
 
@@ -35,11 +36,13 @@ class TestInternStrings:
     @given(parts=leaf_parts())
     def test_matches_a_vocabulary_add_loop(self, parts):
         """Same distinct order, and per part the same id per string, as
-        one ``Vocabulary.add`` per string over the parts in order."""
-        vocab = Vocabulary()
-        expected = [[vocab.add(text) for text in part] for part in parts]
+        one ``vocab.setdefault(string, len(vocab))`` per string over the
+        parts in order."""
+        vocab = {}
+        expected = [[vocab.setdefault(text, len(vocab)) for text in part]
+                    for part in parts]
         distinct, ids = intern_strings(parts)
-        assert distinct == vocab.tokens
+        assert distinct == list(vocab)
         assert all(part.dtype == np.int64 for part in ids)
         assert [part.tolist() for part in ids] == expected
 
@@ -48,55 +51,6 @@ class TestInternStrings:
         distinct, ids = intern_strings([[], ["a", "b", "a"], []])
         assert distinct == ["a", "b"]
         assert [part.tolist() for part in ids] == [[], [0, 1, 0], []]
-
-
-class TestVocabulary:
-    def test_add_assigns_dense_ids(self):
-        vocab = Vocabulary()
-        assert vocab.add("a") == 0
-        assert vocab.add("b") == 1
-        assert vocab.add("c") == 2
-
-    def test_add_is_idempotent(self):
-        vocab = Vocabulary()
-        assert vocab.add("a") == vocab.add("a") == 0
-        assert len(vocab) == 1
-
-    def test_get_unknown_returns_none(self):
-        assert Vocabulary().get("missing") is None
-
-    def test_token_roundtrip(self):
-        vocab = Vocabulary(["x", "y"])
-        assert vocab.token(vocab.get("y")) == "y"
-
-    def test_token_out_of_range_raises(self):
-        with pytest.raises(IndexError):
-            Vocabulary(["x"]).token(5)
-
-    def test_contains(self):
-        vocab = Vocabulary(["x"])
-        assert "x" in vocab
-        assert "y" not in vocab
-
-    def test_iteration_in_id_order(self):
-        vocab = Vocabulary(["b", "a", "c"])
-        assert list(vocab) == ["b", "a", "c"]
-
-    def test_tokens_returns_copy(self):
-        vocab = Vocabulary(["a"])
-        vocab.tokens.append("evil")
-        assert len(vocab) == 1
-
-    def test_init_dedupes(self):
-        vocab = Vocabulary(["a", "a", "b"])
-        assert len(vocab) == 2
-
-    @given(st.lists(st.text(min_size=1, max_size=6), max_size=30))
-    def test_bijection(self, tokens):
-        vocab = Vocabulary(tokens)
-        for token in set(tokens):
-            assert vocab.token(vocab.get(token)) == token
-        assert len(vocab) == len(set(tokens))
 
 
 edges_strategy = st.lists(
