@@ -21,9 +21,11 @@ Per stream, the front provides what the synchronous service cannot:
 * **Micro-batch execution off the event loop.**  Every service call
   of every stream runs on the front's one flush lane — a single FIFO
   thread (a second would only split the interpreter lock) — keeping
-  the loop free to ingest; the micro-batch itself still goes through
-  the engine (``executor`` is forwarded to :class:`NRTService`, so a
-  fleet-backed executor composes).
+  the loop free to ingest.  A stream's queued events ride to the lane
+  in one hand-off, and every window the hand-off closes goes through
+  the engine in *one* call (the windows and their store transactions
+  stay as per-event submits would cut them); ``executor`` is forwarded
+  to :class:`NRTService`, so a fleet-backed executor composes.
 * **KV write-through.**  Each stream writes through to its own
   :class:`KeyValueStore` (or a shared one).  The store's
   ``transaction()`` is the only lock: it holds the store from stage to
@@ -38,13 +40,14 @@ Per stream, the front provides what the synchronous service cannot:
   without dropping an event or interrupting reads.
 
 Because the front drives unmodified :class:`NRTService` instances and
-that service's crash-safe flush restores the window on failure, a
+that service's crash-safe flush retains its windows on failure, a
 failing engine or enrich hook never loses events here either: the
 front counts the failure and retries on the next timer tick or event.
 Per-request inference output does not depend on batch composition (the
 equivalence suites pin this), so the *served* result of a stream is
 byte-identical to a synchronous :class:`NRTService` fed the same event
-sequence, however the wall-clock timers happened to split the windows.
+sequence, however the wall-clock timers happened to split the windows
+and however many windows one hand-off's engine call carried.
 """
 
 from __future__ import annotations
@@ -381,29 +384,28 @@ class AsyncNRTFront:
 
     def _submit_batch(self, stream: _Stream,
                       events: List[ItemEvent]) -> Tuple[int, int]:
-        """Submit a drained batch to the service (on the lane).
+        """Hand a drained batch to the service (on the lane): buffer
+        every event, then flush every window the batch closed in one
+        engine call.
 
         Returns ``(flush_failures, dropped)``.  A flush failure is
-        benign: the crash-safe submit kept the event buffered, and a
-        retry (timer, next batch, shutdown) replays it.  ``dropped``
-        counts events an exception rejected *before* they reached the
-        buffer (e.g. a malformed timestamp breaking the window
-        arithmetic) — those are genuinely gone and are surfaced in
+        benign: the crash-safe flush kept its windows, and a retry
+        (timer, next batch, shutdown) replays them.  ``dropped`` counts
+        events an exception rejected *before* they reached the buffer
+        (e.g. a malformed timestamp breaking the window arithmetic) —
+        those are genuinely gone and are surfaced in
         :class:`StreamStats` rather than miscounted as retryable."""
-        failures = dropped = 0
+        dropped = 0
         for event in events:
             try:
-                stream.service.submit(event)
+                stream.service.add(event)
             except Exception:
-                # Public retention signal (identity-exact — see
-                # NRTService.event_retained): the crash-safe submit
-                # kept the event for replay, or it died before
-                # buffering and is genuinely gone.
-                if stream.service.event_retained(event):
-                    failures += 1
-                else:
-                    dropped += 1
-        return failures, dropped
+                dropped += 1
+        try:
+            stream.service.flush_closed()
+        except Exception:
+            return 1, dropped
+        return 0, dropped
 
     async def _flush(self, stream: _Stream) -> None:
         """One flush attempt off the loop; failures are counted, never

@@ -5,10 +5,12 @@ revised by sellers ... triggered by the event of new item creation or
 revision, behind a Flink processing window and feature enrichment."
 
 We model the Flink window as a count/time-bounded micro-batch buffer:
-events accumulate until the window closes, then the whole window is
-inferred as one batch through the vectorized leaf-batched engine and
-written through to the KV store in one
-:meth:`~repro.serving.kvstore.KeyValueStore.transaction`.
+events accumulate until the window closes, then the window is inferred
+as one batch through the vectorized leaf-batched engine and written
+through to the KV store in one
+:meth:`~repro.serving.kvstore.KeyValueStore.transaction`.  Windows
+closed together (a backlog handed over at once) share one engine call
+and keep one transaction each.
 """
 
 from __future__ import annotations
@@ -158,16 +160,18 @@ class NRTService:
         self._k = k
         self._hard_limit = hard_limit
         self._enrich = enrich
-        self._buffer: List[ItemEvent] = []
+        self._buffer: List[ItemEvent] = []          # the open window
         self._window_opened_at: Optional[float] = None
+        self._closed: List[List[ItemEvent]] = []    # closed, unflushed
         self._processed_windows: List[WindowStats] = []
         self._n_inferred = 0
         self._n_deleted = 0
 
     @property
     def pending_events(self) -> int:
-        """Events buffered in the open window."""
-        return len(self._buffer)
+        """Events buffered: the open window's and those of every closed
+        window not yet flushed."""
+        return len(self._buffer) + sum(map(len, self._closed))
 
     @property
     def model(self) -> GraphExModel:
@@ -207,12 +211,11 @@ class NRTService:
         through :meth:`ModelSlot.swap`, which says what ``model`` and
         ``generation`` may be; returns the generation after the swap.
 
-        The swap takes effect at the next *window boundary*: a window
-        already drained by an in-progress :meth:`flush` finishes under
-        the model it was drained with (flush reads the slot once, at
-        drain time), and every window drained afterwards — including
-        events already buffered in the open window — is inferred under
-        the new model.
+        The swap takes effect at the next *flush*: the windows of an
+        in-progress :meth:`flush` finish under the model it started
+        with (flush reads the slot once), and every window flushed
+        afterwards — including events already buffered — is inferred
+        under the new model.
         """
         generation = self._slot.swap(model, generation)
         self.metrics.inc("nrt.refreshes", stream=self._stream_label)
@@ -220,20 +223,21 @@ class NRTService:
         return generation
 
     def event_retained(self, event: ItemEvent) -> bool:
-        """Whether *this exact* event object sits in the open window
-        buffer — the public retention signal for drivers whose
-        :meth:`submit` raised.
+        """Whether *this exact* event object is buffered, in the open
+        window or a closed one not yet flushed — the public retention
+        signal for drivers whose :meth:`submit` raised.
 
         Identity, not equality: a duplicate *equal* event elsewhere in
         the buffer cannot alias, and the answer stays exact however
-        many windows a failing submit flushed before it raised (a
-        buffered-count comparison cannot tell "stale window flushed,
-        then the incoming event's own flush failed and restored it"
-        from a genuine pre-buffer death).  A retained event is replayed
-        by a later flush; anything else died before buffering and is
-        genuinely gone.
+        many windows a failing flush served before it raised (a
+        buffered-count comparison cannot tell "one window served, then
+        the next failed and was retained" from a genuine pre-buffer
+        death).  A retained event is replayed by a later flush;
+        anything else died before buffering and is genuinely gone.
         """
-        return any(buffered is event for buffered in self._buffer)
+        return any(buffered is event
+                   for window in (*self._closed, self._buffer)
+                   for buffered in window)
 
     @property
     def processed_windows(self) -> List[WindowStats]:
@@ -256,18 +260,51 @@ class NRTService:
         """Items deleted over every processed window, in O(1)."""
         return self._n_deleted
 
+    def add(self, event: ItemEvent) -> None:
+        """Buffer one event, flushing nothing: the window bookkeeping of
+        :meth:`submit`, for a caller that hands over a backlog and
+        flushes the windows it closed together (the async front).
+
+        The open window closes when it reaches ``window_size`` events or
+        when the incoming event's timestamp is ``window_seconds`` or
+        more after the window opened.  A stale window closes before the
+        event joins, and the size bound is re-checked on the window the
+        event opens, so with ``window_size <= 1`` one event can close
+        two windows.  A closed window waits, counted by
+        :attr:`pending_events`, for :meth:`flush_closed` or
+        :meth:`flush`.  An event that raises here was never buffered.
+        """
+        self.metrics.inc("nrt.events", stream=self._stream_label)
+        # Compute before mutating: a malformed timestamp must die here
+        # WITHOUT adopting itself as the window-open time, or it would
+        # poison the arithmetic for every later well-formed event.
+        opened_at = (event.timestamp if self._window_opened_at is None
+                     else self._window_opened_at)
+        time_up = event.timestamp - opened_at >= self._window_seconds
+        if time_up and self._buffer:
+            self._close_window()
+            opened_at = event.timestamp
+        self._window_opened_at = opened_at
+        self._buffer.append(event)
+        # Gauge, not counter: its max is the deepest the open window
+        # ever got — visible even after the window flushes.
+        self.metrics.gauge("nrt.window.depth", float(len(self._buffer)),
+                           stream=self._stream_label)
+        if len(self._buffer) >= self._window_size:
+            self._close_window()
+
+    def _close_window(self) -> None:
+        self._closed.append(self._buffer)
+        self._buffer, self._window_opened_at = [], None
+
     def submit(self, event: ItemEvent) -> Optional[WindowStats]:
         """Feed one event; returns window stats when a window closes.
 
-        The window closes when it reaches ``window_size`` events or when
-        the incoming event's timestamp is more than ``window_seconds``
-        after the window opened.  When the event arrives after
-        ``window_seconds`` has elapsed, the stale window flushes first
-        and the event opens a new one — and the size bound is
-        re-checked on that new window, so with ``window_size <= 1`` the
-        event never sits buffered until the next arrival (both windows
-        may close in one submit; the latest stats are returned, and
-        every closed window is recorded in :attr:`processed_windows`).
+        :meth:`add` then :meth:`flush_closed`: the event is buffered,
+        and every closed window (this event's, and any a failed flush
+        retained) is flushed.  Windows close where :meth:`add` says;
+        when one submit closes two, the latest stats are returned and
+        both are recorded in :attr:`processed_windows`.
 
         Window closure here is *event-time* only: a bound of
         ``window_seconds`` is judged against event timestamps, so a
@@ -277,122 +314,130 @@ class NRTService:
         (:class:`repro.serving.async_front.AsyncNRTFront`), which drives
         this service per stream.
 
-        Crash safety: if a flush triggered by this submit fails, the
-        incoming event is *not* lost — it joins the restored window
-        buffer before the exception propagates, so a later retry
+        Crash safety: the event is buffered before any flush starts, so
+        if the flush fails the event is *not* lost — it sits in the open
+        window and the unflushed windows stay closed, and a later retry
         (:meth:`flush` or the next submit) replays every event.
         """
-        self.metrics.inc("nrt.events", stream=self._stream_label)
-        # Compute before mutating: a malformed timestamp must die here
-        # WITHOUT adopting itself as the window-open time, or it would
-        # poison the arithmetic for every later well-formed event.
-        opened_at = (event.timestamp if self._window_opened_at is None
-                     else self._window_opened_at)
-        time_up = event.timestamp - opened_at >= self._window_seconds
-        self._window_opened_at = opened_at
-        closed: Optional[WindowStats] = None
-        if time_up and self._buffer:
-            try:
-                closed = self.flush()
-            except BaseException:
-                # The failed flush restored the stale window; the
-                # incoming event joins it rather than vanishing with the
-                # exception.  Window composition differs from a clean
-                # run, but per-request output is batch-independent, so
-                # the served result after a successful retry does not.
-                self._buffer.append(event)
-                raise
-            self._window_opened_at = event.timestamp
-        self._buffer.append(event)
-        # Gauge, not counter: its max is the deepest the open window
-        # ever got — visible even after the window flushes.
-        self.metrics.gauge("nrt.window.depth", float(len(self._buffer)),
-                           stream=self._stream_label)
-        if len(self._buffer) >= self._window_size:
-            closed = self.flush() or closed
-        return closed
+        self.add(event)
+        return self.flush_closed()
+
+    def flush_closed(self) -> Optional[WindowStats]:
+        """Flush every closed window through :meth:`flush` and keep the
+        open one buffered, with its open stamp (no-op when no window is
+        closed).  Returns the latest window's stats."""
+        if not self._closed:
+            return None
+        # flush() processes every buffered event: the open window is set
+        # aside while it runs.
+        open_window = self._buffer, self._window_opened_at
+        self._buffer, self._window_opened_at = [], None
+        try:
+            return self.flush()
+        finally:
+            self._buffer, self._window_opened_at = open_window
 
     def flush(self) -> Optional[WindowStats]:
-        """Process the open window immediately (no-op when empty).
+        """Process every buffered event now: the closed windows in
+        order, then the open one (no-op when nothing is buffered).
+        Returns the latest window's stats.
 
-        The window is one :meth:`KeyValueStore.transaction`.  Crash
-        safety: on *any* failure — the store refusing to stage, an
-        enrich hook raising, the engine failing mid-batch, a write, the
+        Every window of the flush reads one slot and goes through the
+        engine in one ``batch_recommend`` call, its requests keyed by
+        position, so an item revised in two windows serves each its own
+        rows.  Each window is then written in its own
+        :meth:`KeyValueStore.transaction`, in order.
+
+        Crash safety: on *any* failure — an enrich hook raising, the
+        engine failing, the store refusing to stage, a write, the
         promote or the prune erroring, a ``KeyboardInterrupt`` anywhere
-        in between — the transaction has abandoned
-        what it staged, and the drained events are restored to the
-        front of the buffer with the window-open timestamp before the
-        exception propagates.  No event is ever lost and no
-        unpromotable staging table leaks; a later flush retries the
-        whole window (idempotently, if only the prune had failed).
+        in between — the failing window's transaction has abandoned
+        what it staged, the windows written before it stay served, and
+        it and every later window stay buffered (an engine or enrich
+        failure writes none) before the exception propagates.  No event
+        is ever lost and no unpromotable staging table leaks; a later
+        flush retries the retained windows (idempotently, if only a
+        prune had failed).
         """
-        if not self._buffer:
+        windows = self._closed + ([self._buffer] if self._buffer else [])
+        if not windows:
             return None
         flush_started = time.perf_counter()
-        events, self._buffer = self._buffer, []
-        opened_at, self._window_opened_at = self._window_opened_at, None
-        # Read the slot once, at drain time: a swap queued behind this
-        # flush (the front swaps on its lane) never retargets a window
-        # mid-flush, and the window records the generation it ran under.
+        # Read the slot once: a swap queued behind this flush (the front
+        # swaps on its lane) never retargets a window mid-flush, and
+        # every window records the generation it ran under.
         served = self._slot.served
-
-        # The transaction holds the store's (reentrant) lock from stage
-        # to prune, so a concurrent writer on a shared store — a daily
-        # full load in another thread — can never interleave with this
-        # window and re-promote a stale table.
+        stats = None
         try:
-            with self._store.transaction() as version:
-                # Last event per item wins inside a window (a create
-                # followed by a revise must serve the revised title).
-                latest: Dict[int, ItemEvent] = {}
-                for event in events:
-                    latest[event.item_id] = event
-
-                self._store.copy_from_serving(version)
+            # Last event per item wins inside a window (a create
+            # followed by a revise must serve the revised title).
+            latest = [list({event.item_id: event
+                            for event in events}.values())
+                      for events in windows]
+            requests = []
+            for window in latest:
+                for event in window:
+                    if event.kind is not ItemEventKind.DELETED:
+                        title = self._enrich(event) if self._enrich \
+                            else event.title
+                        requests.append((len(requests), title,
+                                         event.leaf_id))
+            # The windows are one micro-batch through the engine — the
+            # Flink-window analogue of the paper's NRT branch.  The
+            # store keeps texts: no row is built.
+            results = batch_recommend(
+                served.model, requests, k=self._k,
+                hard_limit=self._hard_limit, executor=self.executor)
+            position = 0
+            for events, window in zip(windows, latest):
+                # The transaction holds the store's (reentrant) lock
+                # from stage to prune, so a concurrent writer on a
+                # shared store — a daily full load in another thread —
+                # can never interleave with this window and re-promote
+                # a stale table.
                 n_deleted = 0
-                requests = []
-                for event in latest.values():
-                    if event.kind is ItemEventKind.DELETED:
-                        self._store.delete(version, event.item_id)
-                        n_deleted += 1
-                        continue
-                    title = self._enrich(event) if self._enrich \
-                        else event.title
-                    requests.append((event.item_id, title, event.leaf_id))
-                # The whole window is one micro-batch through the
-                # engine — the Flink-window analogue of the paper's NRT
-                # branch.  The store keeps texts: no row is built.
-                results = batch_recommend(
-                    served.model, requests, k=self._k,
-                    hard_limit=self._hard_limit, executor=self.executor)
-                n_inferred = len(requests)
-                for item_id, _title, _leaf_id in requests:
-                    self._store.put(version, item_id,
-                                    results[item_id].texts())
+                with self._store.transaction() as version:
+                    self._store.copy_from_serving(version)
+                    for event in window:
+                        if event.kind is ItemEventKind.DELETED:
+                            self._store.delete(version, event.item_id)
+                            n_deleted += 1
+                        else:
+                            self._store.put(version, event.item_id,
+                                            results[position].texts())
+                            position += 1
+                if self._closed:
+                    del self._closed[0]
+                else:
+                    self._buffer, self._window_opened_at = [], None
+                stats = self._record_window(
+                    WindowStats(n_events=len(events),
+                                n_inferred=len(window) - n_deleted,
+                                n_deleted=n_deleted,
+                                model_generation=served.generation),
+                    time.perf_counter() - flush_started)
         except BaseException:
-            self._buffer[:0] = events
-            self._window_opened_at = opened_at
             self.metrics.inc("nrt.flush.failures",
                              stream=self._stream_label)
             raise
+        return stats
+
+    def _record_window(self, stats: WindowStats,
+                       seconds: float) -> WindowStats:
         # Served windows only: the histogram's count equals the
         # ``nrt.windows`` counter, and failed attempts are counted
-        # separately above rather than polluting the latency profile.
-        self.metrics.observe("nrt.window.flush_seconds",
-                             time.perf_counter() - flush_started,
+        # separately rather than polluting the latency profile.
+        self.metrics.observe("nrt.window.flush_seconds", seconds,
                              stream=self._stream_label)
         self.metrics.inc("nrt.windows", stream=self._stream_label)
-        self.metrics.inc("nrt.inferred", n_inferred,
+        self.metrics.inc("nrt.inferred", stats.n_inferred,
                          stream=self._stream_label)
-        self.metrics.inc("nrt.deleted", n_deleted,
+        self.metrics.inc("nrt.deleted", stats.n_deleted,
                          stream=self._stream_label)
         self.record_staleness()
-        stats = WindowStats(n_events=len(events), n_inferred=n_inferred,
-                            n_deleted=n_deleted,
-                            model_generation=served.generation)
         self._processed_windows.append(stats)
-        self._n_inferred += n_inferred
-        self._n_deleted += n_deleted
+        self._n_inferred += stats.n_inferred
+        self._n_deleted += stats.n_deleted
         return stats
 
     def serve(self, item_id: int) -> List[str]:

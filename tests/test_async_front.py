@@ -33,8 +33,8 @@ from repro.serving import (
     KeyValueStore,
     NRTService,
 )
-from tests.conftest import (FIG3_LEAF_ID, FlakyStore, malformed_artifact,
-                            open_saved)
+from tests.conftest import (FIG3_LEAF_ID, FlakyStore, examples,
+                            malformed_artifact, open_saved)
 
 #: Titles with varying overlap against the Figure 3 keyphrase set (the
 #: last one matches nothing, so some items legitimately serve []).
@@ -887,7 +887,7 @@ class TestModelHotSwap:
 
 
 class TestZeroEventLoss:
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=examples(40), deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(specs=event_specs, n_failures=st.integers(0, 3),
            window_size=st.integers(1, 4))
@@ -921,7 +921,7 @@ class TestZeroEventLoss:
         for item_id in {e.item_id for e in events}:
             assert service.serve(item_id) == clean.serve(item_id)
 
-    @settings(max_examples=15, deadline=None,
+    @settings(max_examples=examples(15), deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(specs=event_specs, n_failures=st.integers(0, 3),
            window_size=st.integers(1, 4))
@@ -960,6 +960,223 @@ class TestZeroEventLoss:
             for item_id in {e.item_id for e in events}:
                 assert front.serve(name, item_id) \
                     == clean.serve(item_id), (name, item_id)
+
+
+class RecordingStore(KeyValueStore):
+    """A store that records what readers see after every promote: one
+    table per served window."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tables = []
+
+    def promote(self, version: int) -> None:
+        super().promote(version)
+        self.tables.append({key: self.get(key) for key in self.keys()})
+
+
+class PromoteFailsAt(RecordingStore):
+    """A recording store whose ``fail_at``-th promote raises, once."""
+
+    def __init__(self, fail_at: int) -> None:
+        super().__init__()
+        self.fail_at = fail_at
+
+    def promote(self, version: int) -> None:
+        self.fail_at -= 1
+        if self.fail_at == 0:
+            raise OSError("kv outage in promote")
+        super().promote(version)
+
+
+def xbox_enrich(event: ItemEvent) -> str:
+    return event.title + " xbox"
+
+
+def feed_backlogs(model, backlogs, store, *, swap_to=None, **kwargs):
+    """Hand each backlog to one stream of a front in one lane hand-off
+    (``submit`` does not yield on a queue with room, so the consumer
+    finds the whole backlog queued), swapping ``swap_to`` in after the
+    first; returns the front after its shutdown flush."""
+
+    async def drive():
+        front = AsyncNRTFront(model, wall_clock_seconds=30.0, **kwargs)
+        front.add_stream("s", store=store)
+        async with front:
+            for index, backlog in enumerate(backlogs):
+                if index == 1 and swap_to is not None:
+                    await front.refresh_model(swap_to)
+                await _feed(front, "s", backlog)
+                await front.join()
+        return front
+
+    return asyncio.run(drive())
+
+
+def per_event_sync(model, backlogs, *, swap_to=None, **kwargs):
+    """The oracle: the same events submitted one at a time to a
+    synchronous service, the same swap between the same events."""
+    service = NRTService(model, RecordingStore(), **kwargs)
+    for index, backlog in enumerate(backlogs):
+        if index == 1 and swap_to is not None:
+            service.refresh_model(swap_to)
+        for event in backlog:
+            service.submit(event)
+    service.flush()
+    return service
+
+
+class TestBacklogCoalescing:
+    """A lane hand-off that closes several windows infers them in one
+    engine call and still serves, window by window, what per-event
+    submits serve."""
+
+    @settings(max_examples=examples(15), deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(specs1=event_specs, specs2=event_specs,
+           window_size=st.integers(1, 4), enrich=st.booleans(),
+           swap=st.booleans())
+    def test_backlogs_serve_what_per_event_submits_serve(
+            self, fig3_model, fig3_variant_model, specs1, specs2,
+            window_size, enrich, swap):
+        """Byte-identical tables after every window, the same
+        ``WindowStats`` sequence (generations included), through
+        deletes, an enrich hook, an item revised with different titles
+        in two windows of one hand-off and a swap between hand-offs."""
+        backlogs = [build_events(specs1), build_events(specs2)]
+        kwargs = dict(window_size=window_size, window_seconds=1.0,
+                      enrich=xbox_enrich if enrich else None,
+                      swap_to=fig3_variant_model if swap else None)
+        store = RecordingStore()
+        front = feed_backlogs(fig3_model, backlogs, store, **kwargs)
+        sync = per_event_sync(fig3_model, backlogs, **kwargs)
+        stats = front.stats("s")
+        assert (stats.n_pending, stats.n_flush_failures,
+                stats.n_dropped) == (0, 0, 0)
+        assert front.processed_windows("s") == sync.processed_windows
+        assert store.tables == sync._store.tables
+
+    def test_a_hand_off_closing_n_windows_calls_the_engine_once(
+            self, fig3_model, monkeypatch):
+        """Eight events, window size 2, one hand-off: four windows, one
+        ``batch_recommend`` call (per-event submits make four), and
+        item 1, revised with a new title in each of two windows, is
+        served each window's own rows."""
+        import repro.serving.nrt as nrt_module
+
+        calls = []
+        real = nrt_module.batch_recommend
+
+        def spy(model, requests, **kwargs):
+            calls.append(len(requests))
+            return real(model, requests, **kwargs)
+
+        monkeypatch.setattr(nrt_module, "batch_recommend", spy)
+        backlog = [make_event(1, 0.0, 0), make_event(2, 0.1, 1),
+                   make_event(1, 0.2, 1), make_event(3, 0.3, 2),
+                   make_event(4, 0.4, 3), make_event(5, 0.5, 0),
+                   make_event(6, 0.6, 1), make_event(7, 0.7, 2)]
+        store = RecordingStore()
+        front = feed_backlogs(fig3_model, [backlog], store,
+                              window_size=2, window_seconds=1000.0)
+        assert calls == [8]
+        assert front.stats("s").n_windows == 4
+        calls.clear()
+        sync = per_event_sync(fig3_model, [backlog], window_size=2,
+                              window_seconds=1000.0)
+        assert calls == [2, 2, 2, 2]
+        assert store.tables == sync._store.tables
+        assert store.tables[0][1] != store.tables[1][1]
+
+    @pytest.mark.parametrize("failing", ["enrich", "engine"])
+    def test_an_inference_failure_retains_every_window(
+            self, fig3_model, monkeypatch, failing):
+        """An enrich hook or the engine failing inside a coalesced flush
+        serves no window: every window of the hand-off and the open one
+        stay buffered, no version leaks, and the retry serves what a
+        clean run serves, window by window."""
+        import repro.serving.nrt as nrt_module
+
+        backlog = [make_event(i, i * 0.1, i) for i in range(7)]
+        enrich = FlakyEnrich(1) if failing == "enrich" else None
+        if failing == "engine":
+            real = nrt_module.batch_recommend
+            budget = [1]
+
+            def flaky_engine(*args, **kwargs):
+                if budget[0]:
+                    budget[0] -= 1
+                    raise RuntimeError("engine outage")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(nrt_module, "batch_recommend",
+                                flaky_engine)
+        store = RecordingStore()
+        seen = {}
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=2,
+                                  window_seconds=1000.0,
+                                  wall_clock_seconds=30.0, enrich=enrich)
+            front.add_stream("s", store=store)
+            async with front:
+                await _feed(front, "s", backlog)
+                await front.join()
+                service = front._streams["s"].service
+                seen.update(
+                    pending=service.pending_events,
+                    retained=all(map(service.event_retained, backlog)),
+                    stats=front.stats("s"), versions=list(store.versions),
+                    staging=set(store._open_staging))
+                await front.flush_all()         # the retry
+            return front
+
+        front = asyncio.run(drive())
+        assert seen["pending"] == len(backlog) and seen["retained"]
+        assert (seen["stats"].n_windows, seen["stats"].n_flush_failures,
+                seen["stats"].n_pending) == (0, 1, len(backlog))
+        assert seen["versions"] == [] and seen["staging"] == set()
+        clean = per_event_sync(fig3_model, [backlog], window_size=2,
+                               window_seconds=1000.0)
+        assert [w.n_events for w in front.processed_windows("s")] \
+            == [2, 2, 2, 1]
+        assert store.tables == clean._store.tables
+        assert front.stats("s").n_pending == 0
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_a_store_failure_at_window_j_keeps_the_windows_before_it(
+            self, fig3_model, window):
+        """The ``window``-th promote of a three-window hand-off fails:
+        the windows before it stay served, it and the rest (and the
+        open window) stay buffered, and the retry serves what a clean
+        run serves."""
+        backlog = [make_event(i, i * 0.1, i) for i in range(7)]
+        store = PromoteFailsAt(window)
+        seen = {}
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=2,
+                                  window_seconds=1000.0,
+                                  wall_clock_seconds=30.0)
+            front.add_stream("s", store=store)
+            async with front:
+                await _feed(front, "s", backlog)
+                await front.join()
+                seen.update(stats=front.stats("s"),
+                            tables=len(store.tables),
+                            staging=set(store._open_staging))
+                await front.flush_all()         # the retry
+            return front
+
+        front = asyncio.run(drive())
+        served = window - 1
+        assert (seen["stats"].n_windows, seen["stats"].n_flush_failures,
+                seen["stats"].n_pending) == (served, 1, 7 - 2 * served)
+        assert seen["tables"] == served and seen["staging"] == set()
+        clean = per_event_sync(fig3_model, [backlog], window_size=2,
+                               window_seconds=1000.0)
+        assert front.processed_windows("s") == clean.processed_windows
+        assert store.tables == clean._store.tables
 
 
 class TestConsumerPollsWindowCountInConstantTime:

@@ -761,8 +761,9 @@ class TestNRTService:
 
     def test_failed_time_up_flush_keeps_incoming_event(self, model):
         """The event whose arrival triggered the failing time-up flush
-        must not vanish with the exception: it joins the restored window
-        and is served by the retry."""
+        must not vanish with the exception: it opens the next window,
+        the stale one stays closed, and the retry serves both windows
+        as a clean run cut them."""
         state = {"failures": 1}
 
         def flaky_enrich(event):
@@ -774,11 +775,13 @@ class TestNRTService:
         service = NRTService(model, KeyValueStore(), window_size=10,
                              window_seconds=1.0, enrich=flaky_enrich)
         service.submit(self._event(1, 0.0))
+        late = self._event(2, 5.0)
         with pytest.raises(RuntimeError, match="boom"):
-            service.submit(self._event(2, 5.0))  # time-up flush fails
+            service.submit(late)                  # time-up flush fails
         assert service.pending_events == 2
-        stats = service.flush()
-        assert stats.n_events == 2
+        assert service.event_retained(late)
+        service.flush()
+        assert [w.n_events for w in service.processed_windows] == [1, 1]
         assert service.serve(1) and service.serve(2)
 
     def test_engine_failure_mid_flush_is_crash_safe(self, model,
