@@ -25,6 +25,8 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("event_retained _submit_batch", NOWHERE,
+     "one consumer loop (a drained batch is one _hand_off)"),
     ("Vocabulary from_interned", NOWHERE,
      "a plain vocabulary dict (word -> dense id, in id order)"),
     ('mmap= "--mmap"', NOWHERE, "one open mode"),

@@ -21,18 +21,19 @@ Per stream, the front provides what the synchronous service cannot:
 * **Micro-batch execution off the event loop.**  Every service call
   of every stream runs on the front's one flush lane — a single FIFO
   thread (a second would only split the interpreter lock) — keeping
-  the loop free to ingest.  A stream's queued events ride to the lane
-  in one hand-off, and every window the hand-off closes goes through
-  the engine in *one* call (the windows and their store transactions
-  stay as per-event submits would cut them); ``executor`` is forwarded
-  to :class:`NRTService`, so a fleet-backed executor composes.
+  the loop free to ingest.  One consumer loop per stream drains its
+  queue and hands each drained batch to the lane once, and every window
+  the hand-off closes goes through the engine in *one* call (windows
+  and store transactions stay as per-event submits would cut them);
+  ``executor`` is forwarded to :class:`NRTService`, so a fleet composes.
 * **KV write-through.**  Each stream writes through to its own
   :class:`KeyValueStore` (or a shared one).  The store's
   ``transaction()`` is the only lock: it holds the store from stage to
   prune, so a flush serializes with every other writer on it.
 * **Graceful shutdown.**  :meth:`stop` drains every queue and flushes
-  every open window before returning — including events a racing
-  submit managed to enqueue behind the shutdown sentinel.
+  every open window before returning: the same consumer loop, done
+  waiting, hands off what is left in one batch — including events a
+  racing submit managed to enqueue behind the shutdown sentinel.
 * **Zero-downtime model hot-swap.**  Every stream reads the front's
   one model slot, and :meth:`refresh_model` swaps it on the lane — the
   paper's daily refresh — so work queued before the swap finishes
@@ -56,7 +57,7 @@ import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..core.batch import validate_limits
 from ..core.execution import resolve_executor
@@ -382,31 +383,6 @@ class AsyncNRTFront:
         return await asyncio.get_running_loop().run_in_executor(
             self._lane, fn, *args)
 
-    def _submit_batch(self, stream: _Stream,
-                      events: List[ItemEvent]) -> Tuple[int, int]:
-        """Hand a drained batch to the service (on the lane): buffer
-        every event, then flush every window the batch closed in one
-        engine call.
-
-        Returns ``(flush_failures, dropped)``.  A flush failure is
-        benign: the crash-safe flush kept its windows, and a retry
-        (timer, next batch, shutdown) replays them.  ``dropped`` counts
-        events an exception rejected *before* they reached the buffer
-        (e.g. a malformed timestamp breaking the window arithmetic) —
-        those are genuinely gone and are surfaced in
-        :class:`StreamStats` rather than miscounted as retryable."""
-        dropped = 0
-        for event in events:
-            try:
-                stream.service.add(event)
-            except Exception:
-                dropped += 1
-        try:
-            stream.service.flush_closed()
-        except Exception:
-            return 1, dropped
-        return 0, dropped
-
     async def _flush(self, stream: _Stream) -> None:
         """One flush attempt off the loop; failures are counted, never
         raised — the crash-safe service retains the events for retry."""
@@ -421,6 +397,34 @@ class AsyncNRTFront:
         else:
             stream.opened_wall = None
 
+    async def _hand_off(self, stream: _Stream,
+                        events: List[ItemEvent]) -> None:
+        """Hand a drained batch to the service in one lane trip: buffer
+        every event, then flush every window the batch closed in one
+        engine call; then mark the events done on the queue.
+
+        A flush failure is benign and counted in ``n_flush_failures``:
+        the crash-safe flush kept its windows, and a retry (timer, next
+        batch, shutdown) replays them.  An event an exception rejected
+        *before* it reached the buffer (e.g. a malformed timestamp
+        breaking the window arithmetic) is genuinely gone: it counts in
+        ``n_dropped``, not as retryable."""
+
+        def add_then_flush() -> None:   # on the lane, n_dropped's one writer
+            for event in events:
+                try:
+                    stream.service.add(event)
+                except Exception:
+                    stream.n_dropped += 1
+            stream.service.flush_closed()
+
+        try:
+            await self._on_lane(add_then_flush)
+        except Exception:
+            stream.n_flush_failures += 1
+        for _ in events:
+            stream.queue.task_done()
+
     async def _consume(self, stream: _Stream) -> None:
         """Per-stream consumer: serializes the stream's service calls,
         arming a wall-clock timer whenever a window is open.
@@ -428,46 +432,51 @@ class AsyncNRTFront:
         Every event already sitting in the queue rides along in ONE
         lane hand-off (the submit loop runs off the event loop), so
         a fast producer costs one thread round-trip per *batch*, not
-        per event."""
+        per event.
+
+        Once the shutdown sentinel is drained the loop stops waiting
+        and drains until the queue stays empty across a loop tick.  A
+        submit that passed the ``_closing`` check can still land its
+        event *behind* the sentinel: with the queue full the producer
+        parks inside ``queue.put()``, a get on this side frees one slot
+        and wakes it, and if :meth:`stop` slips the sentinel into that
+        slot first the racing event arrives after it.  Each drained
+        slot wakes at most one parked producer, whose put lands within
+        the next tick, so no such event is stranded."""
         loop = asyncio.get_running_loop()
         closing = False
-        while not closing:
-            timeout = None
-            if stream.opened_wall is not None:
-                timeout = max(0.0, self._wall_clock_seconds
-                              - (loop.time() - stream.opened_wall))
-            try:
-                if timeout is None:
-                    event = await stream.queue.get()
-                else:
-                    event = await asyncio.wait_for(stream.queue.get(),
-                                                   timeout)
-            except asyncio.TimeoutError:
-                # The wall-clock window expired with no event in sight:
-                # this is exactly the flush the event-time-only service
-                # cannot perform on its own.
-                await self._flush(stream)
-                continue
-            if event is _CLOSE:
-                stream.queue.task_done()
-                break
-            batch = [event]
-            while True:              # drain whatever is already queued
+        while True:
+            batch: List[ItemEvent] = []
+            if not closing:
+                timeout = None
+                if stream.opened_wall is not None:
+                    timeout = max(0.0, self._wall_clock_seconds
+                                  - (loop.time() - stream.opened_wall))
                 try:
-                    queued = stream.queue.get_nowait()
+                    batch.append(await asyncio.wait_for(stream.queue.get(),
+                                                        timeout))
+                except asyncio.TimeoutError:
+                    # The wall-clock window expired with no event in
+                    # sight: this is exactly the flush the event-time-
+                    # only service cannot perform on its own.
+                    await self._flush(stream)
+                    continue
+            while True:    # drain what is queued; each item is checked
+                if batch and batch[-1] is _CLOSE:
+                    batch.pop()
+                    stream.queue.task_done()
+                    closing = True
+                try:
+                    batch.append(stream.queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-                if queued is _CLOSE:
-                    closing = True
+            if not batch:                # closing, and nothing queued
+                await asyncio.sleep(0)   # let a just-woken producer land
+                if stream.queue.empty():
                     break
-                batch.append(queued)
+                continue
             windows_before = stream.service.n_windows
-            failures, dropped = await self._on_lane(
-                self._submit_batch, stream, batch)
-            stream.n_flush_failures += failures
-            stream.n_dropped += dropped
-            for _ in range(len(batch) + (1 if closing else 0)):
-                stream.queue.task_done()
+            await self._hand_off(stream, batch)
             if stream.service.pending_events:
                 # The timer measures from window open: (re)arm it when
                 # no window was open, or when the batch closed windows
@@ -479,37 +488,6 @@ class AsyncNRTFront:
                     stream.opened_wall = loop.time()
             else:
                 stream.opened_wall = None
-        # Shutdown.  A submit that passed the _closing check can still
-        # land its event *behind* the _CLOSE sentinel: with the queue
-        # full the producer parks inside queue.put(), a get() on this
-        # side frees one slot and wakes it, and if stop() slips the
-        # sentinel into that slot first the racing event arrives after
-        # _CLOSE.  Breaking at the sentinel alone would strand (and
-        # silently lose) such events, so drain the queue until it stays
-        # empty across a loop tick — each drained slot wakes at most
-        # one parked producer, whose put lands within the next tick.
-        while True:
-            leftovers: List[ItemEvent] = []
-            while True:
-                try:
-                    queued = stream.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if queued is _CLOSE:
-                    stream.queue.task_done()
-                    continue
-                leftovers.append(queued)
-            if not leftovers:
-                await asyncio.sleep(0)   # let a just-woken producer land
-                if stream.queue.empty():
-                    break
-                continue
-            failures, dropped = await self._on_lane(
-                self._submit_batch, stream, leftovers)
-            stream.n_flush_failures += failures
-            stream.n_dropped += dropped
-            for _ in leftovers:
-                stream.queue.task_done()
         # Flush whatever is still buffered.  One attempt per remaining
         # failure budget would be arbitrary — retry while the flush
         # keeps failing *and* making the failure visible, bounded to

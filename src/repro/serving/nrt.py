@@ -222,23 +222,6 @@ class NRTService:
         self.record_staleness()
         return generation
 
-    def event_retained(self, event: ItemEvent) -> bool:
-        """Whether *this exact* event object is buffered, in the open
-        window or a closed one not yet flushed — the public retention
-        signal for drivers whose :meth:`submit` raised.
-
-        Identity, not equality: a duplicate *equal* event elsewhere in
-        the buffer cannot alias, and the answer stays exact however
-        many windows a failing flush served before it raised (a
-        buffered-count comparison cannot tell "one window served, then
-        the next failed and was retained" from a genuine pre-buffer
-        death).  A retained event is replayed by a later flush;
-        anything else died before buffering and is genuinely gone.
-        """
-        return any(buffered is event
-                   for window in (*self._closed, self._buffer)
-                   for buffered in window)
-
     @property
     def processed_windows(self) -> List[WindowStats]:
         """Stats of every window processed so far (a copy — use

@@ -347,6 +347,25 @@ class TestNoMuteButton:
                       if v.rule == "removed-spelling") == [
             (1, "Vocabulary"), (4, "from_interned")]
 
+    def test_removed_spelling_pins_the_one_consumer_loop(self):
+        """``event_retained`` and ``_submit_batch`` fire anywhere: a
+        drained batch is one ``_hand_off``, and nothing probes whether
+        an event is buffered."""
+        nrt = ("class NRTService:\n"
+               "    def event_retained(self, event):\n"
+               "        return False\n")
+        front = ("class AsyncNRTFront:\n"
+                 "    def _submit_batch(self, stream, events):\n"
+                 "        return stream.service.event_retained(events[0])\n")
+        report = lint_sources({"repro.serving.nrt": nrt,
+                               "repro.serving.async_front": front})
+        assert sorted((v.module, v.line, v.message.split()[2])
+                      for v in report.violations
+                      if v.rule == "removed-spelling") == [
+            ("repro.serving.async_front", 2, "_submit_batch"),
+            ("repro.serving.async_front", 3, "event_retained"),
+            ("repro.serving.nrt", 2, "event_retained")]
+
     def test_removed_spelling_pins_the_one_open_mode(self):
         """``mmap=`` fires as a parameter or keyword and ``"--mmap"`` as
         a string, anywhere: every open maps its payload, so neither

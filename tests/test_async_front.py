@@ -316,6 +316,43 @@ class TestShutdownAndBackpressure:
         assert stats.n_dropped == 0
         assert stats.n_windows == 1              # drained by shutdown
 
+    def test_events_behind_close_sentinel_are_accounted_as_steady_state(
+            self, fig3_model):
+        """Events that land behind ``_CLOSE`` are booked as any drained
+        batch is: a malformed one counts as dropped, the good ones are
+        served, nothing stays pending, and every queue item (sentinel
+        included) is marked done once, so ``join`` returns."""
+        bad = ItemEvent(kind=ItemEventKind.CREATED, item_id=2,
+                        title=TITLES[0], leaf_id=FIG3_LEAF_ID,
+                        timestamp=None)   # poisons the window arithmetic
+        late = [make_event(1, 0.0), bad, make_event(3, 0.1)]
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=100,
+                                  window_seconds=1000.0,
+                                  wall_clock_seconds=60.0,
+                                  max_pending=4)
+            front.add_stream("s")
+            await front.start()
+            stream = front._streams["s"]
+            stop_task = asyncio.create_task(front.stop())
+            await asyncio.sleep(0)
+            assert stream.queue.qsize() == 1     # the sentinel
+            for event in late:                   # racing puts land behind
+                stream.queue.put_nowait(event)
+                stream.n_submitted += 1
+            await stop_task
+            await asyncio.wait_for(front.join(), timeout=5.0)
+            return front
+
+        front = asyncio.run(drive())
+        stats = front.stats("s")
+        assert stats.n_dropped == 1
+        assert stats.n_flush_failures == 0
+        assert stats.n_pending == 0
+        assert front.serve("s", 1) and front.serve("s", 3)
+        assert not front.serve("s", 2)
+
     def test_duplicate_equal_events_with_flush_failure_are_retryable(
             self, fig3_model):
         """The retention signal is the public buffered-count delta, not
@@ -356,8 +393,9 @@ class TestShutdownAndBackpressure:
         stale window *successfully* (shrinking the buffer) and then
         fail its own event's size-bound flush (which restores it).  A
         buffered-count delta reads that as "buffer shrank → dropped";
-        the identity-based ``event_retained`` correctly reports the
-        event kept, so it is counted retryable and replayed."""
+        the front counts a drop only when ``add`` raises, before the
+        event is buffered, so the event is counted retryable and
+        replayed."""
         # Enrich failure pattern, one flag per enrich CALL:
         # flush[e1] fails; flush[e1,e2] fails on e1; flush[e1,e2]
         # succeeds (2 calls); flush[e3] fails; retry flush[e3] succeeds.
@@ -1088,6 +1126,50 @@ class TestBacklogCoalescing:
         assert store.tables == sync._store.tables
         assert store.tables[0][1] != store.tables[1][1]
 
+    @pytest.mark.parametrize("n_events,window_size", [(8, 2), (7, 3),
+                                                      (5, 100)])
+    def test_a_queued_backlog_reaches_the_service_in_one_lane_trip(
+            self, fig3_model, n_events, window_size):
+        """Events queued before the consumer wakes are added to the
+        service in one lane trip that ends in one ``flush_closed``,
+        whether or not the first event closes a window; any later trip
+        (the shutdown flush of an open window) adds nothing."""
+        trips = []
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=window_size,
+                                  window_seconds=1000.0,
+                                  wall_clock_seconds=30.0)
+            front.add_stream("s")
+            service = front._streams["s"].service
+            on_lane, add, flush_closed = (front._on_lane, service.add,
+                                          service.flush_closed)
+
+            def trip(fn, *args):
+                trips.append([])
+                return on_lane(fn, *args)
+
+            def spy_add(event):
+                trips[-1].append("add")
+                return add(event)
+
+            def spy_flush_closed():
+                trips[-1].append("flush_closed")
+                return flush_closed()
+
+            front._on_lane = trip
+            service.add, service.flush_closed = spy_add, spy_flush_closed
+            async with front:
+                await _feed(front, "s", [make_event(i, i * 0.1, i)
+                                         for i in range(n_events)])
+                await front.join()
+            return front
+
+        front = asyncio.run(drive())
+        assert trips[0] == ["add"] * n_events + ["flush_closed"]
+        assert all("add" not in later for later in trips[1:])
+        assert front.stats("s").n_inferred == n_events
+
     @pytest.mark.parametrize("failing", ["enrich", "engine"])
     def test_an_inference_failure_retains_every_window(
             self, fig3_model, monkeypatch, failing):
@@ -1125,14 +1207,13 @@ class TestBacklogCoalescing:
                 service = front._streams["s"].service
                 seen.update(
                     pending=service.pending_events,
-                    retained=all(map(service.event_retained, backlog)),
                     stats=front.stats("s"), versions=list(store.versions),
                     staging=set(store._open_staging))
                 await front.flush_all()         # the retry
             return front
 
         front = asyncio.run(drive())
-        assert seen["pending"] == len(backlog) and seen["retained"]
+        assert seen["pending"] == len(backlog)
         assert (seen["stats"].n_windows, seen["stats"].n_flush_failures,
                 seen["stats"].n_pending) == (0, 1, len(backlog))
         assert seen["versions"] == [] and seen["staging"] == set()
@@ -1141,6 +1222,8 @@ class TestBacklogCoalescing:
         assert [w.n_events for w in front.processed_windows("s")] \
             == [2, 2, 2, 1]
         assert store.tables == clean._store.tables
+        assert [front.serve("s", e.item_id) for e in backlog] \
+            == [clean.serve(e.item_id) for e in backlog]
         assert front.stats("s").n_pending == 0
 
     @pytest.mark.parametrize("window", [1, 2, 3])
