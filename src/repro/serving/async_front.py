@@ -40,6 +40,13 @@ Per stream, the front provides what the synchronous service cannot:
   under the old model and work queued after runs under the new one,
   without dropping an event or interrupting reads.
 
+Telemetry stays off the per-event path: :meth:`AsyncNRTFront.submit`
+and :meth:`NRTService.add` make no registry call.  The consumer records
+``front.*`` once per drained batch and once per hand-off, and the
+service records ``nrt.*`` once per served window, so ``front.submitted``
+and ``nrt.events`` lag by what is still queued or buffered, and agree
+with :meth:`AsyncNRTFront.stats` at every quiescent point.
+
 Because the front drives unmodified :class:`NRTService` instances and
 that service's crash-safe flush retains its windows on failure, a
 failing engine or enrich hook never loses events here either: the
@@ -71,6 +78,13 @@ from .nrt import ItemEvent, ModelSlot, NRTService, WindowStats
 _CLOSE = object()
 
 
+async def _get_with_depth(queue: "asyncio.Queue"):
+    """The queue's next item and the queue's depth just before the
+    get took it."""
+    item = await queue.get()
+    return item, queue.qsize() + 1
+
+
 @dataclass
 class StreamStats:
     """Observability snapshot of one stream.
@@ -85,7 +99,9 @@ class StreamStats:
     ``n_queue_hwm`` is the ingestion queue's high-water mark — the
     deepest the queue ever got, recorded at enqueue time, so
     saturation *between* two stats polls is visible even though
-    ``n_pending`` at both polls reads near zero.
+    ``n_pending`` at both polls reads near zero.  The registry's
+    ``front.queue.depth`` max, recorded per drain, equals it (the
+    sentinel caveat above holds for both).
     """
 
     name: str
@@ -274,13 +290,11 @@ class AsyncNRTFront:
         stream.n_submitted += 1
         # High-water mark at ENQUEUE time: stats() polls only see the
         # depth of the moment, so a burst fully drained between two
-        # polls would otherwise be invisible.  The gauge's max tracks
-        # the same mark in registry snapshots.
+        # polls would otherwise be invisible.  Nothing is recorded in
+        # the registry here: the consumer does, once per drain.
         depth = stream.queue.qsize()
         if depth > stream.queue_hwm:
             stream.queue_hwm = depth
-        self.metrics.inc("front.submitted", stream=name)
-        self.metrics.gauge("front.queue.depth", float(depth), stream=name)
 
     async def join(self) -> None:
         """Block until every queued event has been *consumed* (pulled
@@ -403,12 +417,13 @@ class AsyncNRTFront:
         every event, then flush every window the batch closed in one
         engine call; then mark the events done on the queue.
 
-        A flush failure is benign and counted in ``n_flush_failures``:
-        the crash-safe flush kept its windows, and a retry (timer, next
-        batch, shutdown) replays them.  An event an exception rejected
-        *before* it reached the buffer (e.g. a malformed timestamp
-        breaking the window arithmetic) is genuinely gone: it counts in
-        ``n_dropped``, not as retryable."""
+        A flush failure is benign and counted in ``n_flush_failures``
+        and ``front.flush.failures``: the crash-safe flush kept its
+        windows, and a retry (timer, next batch, shutdown) replays them.
+        An event an exception rejected *before* it reached the buffer
+        (e.g. a malformed timestamp breaking the window arithmetic) is
+        genuinely gone: it counts in ``n_dropped`` and, once per
+        hand-off, in ``front.dropped``, not as retryable."""
 
         def add_then_flush() -> None:   # on the lane, n_dropped's one writer
             for event in events:
@@ -418,10 +433,15 @@ class AsyncNRTFront:
                     stream.n_dropped += 1
             stream.service.flush_closed()
 
+        n_dropped = stream.n_dropped
         try:
             await self._on_lane(add_then_flush)
         except Exception:
             stream.n_flush_failures += 1
+            self.metrics.inc("front.flush.failures", stream=stream.name)
+        if stream.n_dropped > n_dropped:
+            self.metrics.inc("front.dropped", stream.n_dropped - n_dropped,
+                             stream=stream.name)
         for _ in events:
             stream.queue.task_done()
 
@@ -432,7 +452,12 @@ class AsyncNRTFront:
         Every event already sitting in the queue rides along in ONE
         lane hand-off (the submit loop runs off the event loop), so
         a fast producer costs one thread round-trip per *batch*, not
-        per event.
+        per event.  The front's registry calls ride per batch too:
+        ``front.submitted`` counts the drained events, and the
+        ``front.queue.depth`` gauge reads the depth the queue reached
+        before the drain.  This consumer is the queue's only getter, so
+        the queue only grows between two drains and the gauge's max is
+        ``n_queue_hwm``.
 
         Once the shutdown sentinel is drained the loop stops waiting
         and drains until the queue stays empty across a loop tick.  A
@@ -447,20 +472,26 @@ class AsyncNRTFront:
         closing = False
         while True:
             batch: List[ItemEvent] = []
+            depth = 0
             if not closing:
                 timeout = None
                 if stream.opened_wall is not None:
                     timeout = max(0.0, self._wall_clock_seconds
                                   - (loop.time() - stream.opened_wall))
                 try:
-                    batch.append(await asyncio.wait_for(stream.queue.get(),
-                                                        timeout))
+                    event, depth = await asyncio.wait_for(
+                        _get_with_depth(stream.queue), timeout)
                 except asyncio.TimeoutError:
                     # The wall-clock window expired with no event in
                     # sight: this is exactly the flush the event-time-
                     # only service cannot perform on its own.
                     await self._flush(stream)
                     continue
+                batch.append(event)
+            # A timed wait_for runs the first get in a task of its own
+            # (before Python 3.12), so events can land between that get
+            # and this drain: the deeper of the two reads is the peak.
+            depth = max(depth, stream.queue.qsize())
             while True:    # drain what is queued; each item is checked
                 if batch and batch[-1] is _CLOSE:
                     batch.pop()
@@ -475,6 +506,10 @@ class AsyncNRTFront:
                 if stream.queue.empty():
                     break
                 continue
+            self.metrics.inc("front.submitted", len(batch),
+                             stream=stream.name)
+            self.metrics.gauge("front.queue.depth", float(depth),
+                               stream=stream.name)
             windows_before = stream.service.n_windows
             await self._hand_off(stream, batch)
             if stream.service.pending_events:

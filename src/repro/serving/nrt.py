@@ -256,8 +256,11 @@ class NRTService:
         two windows.  A closed window waits, counted by
         :attr:`pending_events`, for :meth:`flush_closed` or
         :meth:`flush`.  An event that raises here was never buffered.
+
+        Nothing is recorded in the registry here: a window's
+        ``nrt.events`` and ``nrt.window.depth`` are recorded when it is
+        served, so a backlog costs no registry call per event.
         """
-        self.metrics.inc("nrt.events", stream=self._stream_label)
         # Compute before mutating: a malformed timestamp must die here
         # WITHOUT adopting itself as the window-open time, or it would
         # poison the arithmetic for every later well-formed event.
@@ -269,10 +272,6 @@ class NRTService:
             opened_at = event.timestamp
         self._window_opened_at = opened_at
         self._buffer.append(event)
-        # Gauge, not counter: its max is the deepest the open window
-        # ever got — visible even after the window flushes.
-        self.metrics.gauge("nrt.window.depth", float(len(self._buffer)),
-                           stream=self._stream_label)
         if len(self._buffer) >= self._window_size:
             self._close_window()
 
@@ -413,6 +412,12 @@ class NRTService:
         self.metrics.observe("nrt.window.flush_seconds", seconds,
                              stream=self._stream_label)
         self.metrics.inc("nrt.windows", stream=self._stream_label)
+        self.metrics.inc("nrt.events", stats.n_events,
+                         stream=self._stream_label)
+        # Gauge, not counter: a window is deepest when it closes, so
+        # the max is the fullest window served.
+        self.metrics.gauge("nrt.window.depth", float(stats.n_events),
+                           stream=self._stream_label)
         self.metrics.inc("nrt.inferred", stats.n_inferred,
                          stream=self._stream_label)
         self.metrics.inc("nrt.deleted", stats.n_deleted,

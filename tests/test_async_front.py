@@ -26,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.obs import MetricsRegistry
 from repro.serving import (
     AsyncNRTFront,
     ItemEvent,
@@ -1399,3 +1400,157 @@ class TestQueueHighWaterMark:
         # The refresh reset the load stamp: the gauge's last reading
         # is the freshly swapped model's (near-zero) age.
         assert after is not None and after <= before + 1.0
+
+
+class SpyRegistry(MetricsRegistry):
+    """A registry that also lists every recording call it receives."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def inc(self, name, n=1, **labels):
+        self.calls.append(("inc", name))
+        super().inc(name, n, **labels)
+
+    def gauge(self, name, value, **labels):
+        self.calls.append(("gauge", name))
+        super().gauge(name, value, **labels)
+
+    def observe(self, name, seconds, **labels):
+        self.calls.append(("observe", name))
+        super().observe(name, seconds, **labels)
+
+
+class TestNoRegistryCallPerEvent:
+    """The NRT hot path records per hand-off and per served window, so
+    the registry costs O(windows + hand-offs) calls, not O(events)."""
+
+    def test_adds_that_close_no_window_record_nothing(self, fig3_model):
+        spy = SpyRegistry()
+        front = AsyncNRTFront(fig3_model, window_size=4,
+                              window_seconds=100.0, metrics=spy)
+        front.add_stream("s")
+        service = front._stream("s").service
+        spy.calls.clear()
+        for i in range(3):                     # window_size - 1
+            service.add(make_event(i, 0.01 * i))
+        assert spy.calls == []
+        service.add(make_event(3, 0.03))       # closes the window
+        service.flush_closed()
+        assert spy.counter_value("nrt.events", stream="s") == 4
+        assert spy.gauge_max("nrt.window.depth", stream="s") == 4.0
+
+    def test_a_burst_of_submits_records_nothing(self, fig3_model):
+        n = 12
+        spy = SpyRegistry()
+
+        async def drive():
+            front = AsyncNRTFront(fig3_model, window_size=100,
+                                  window_seconds=100.0,
+                                  wall_clock_seconds=100.0,
+                                  max_pending=64, metrics=spy)
+            front.add_stream("s")
+            async with front:
+                spy.calls.clear()
+                # queue.put on a non-full queue never suspends: the
+                # burst lands before the consumer gets a turn.
+                for i in range(n):
+                    await front.submit("s", make_event(i, 0.01 * i))
+                during_burst = list(spy.calls)
+                await front.join()
+                after_drain = list(spy.calls)
+            return during_burst, after_drain
+
+        during_burst, after_drain = asyncio.run(drive())
+        assert during_burst == []
+        # The one drain records the burst in one call per series.
+        assert after_drain == [("inc", "front.submitted"),
+                               ("gauge", "front.queue.depth")]
+        assert spy.counter_value("front.submitted", stream="s") == n
+        assert spy.gauge_max("front.queue.depth", stream="s") == float(n)
+
+
+def _drive_to_quiescence(model, events, *, window_size, max_pending,
+                         enrich, names=("s",)):
+    """Feed ``events`` to every stream, then join and flush until
+    nothing is pending; returns the front (still running) and its
+    stats, read before ``stop()`` queues its sentinel."""
+
+    async def drive():
+        front = AsyncNRTFront(model, window_size=window_size,
+                              window_seconds=1.0,
+                              wall_clock_seconds=30.0,
+                              max_pending=max_pending, enrich=enrich)
+        for name in names:
+            front.add_stream(name)
+        async with front:
+            await asyncio.gather(*(_feed(front, name, events)
+                                   for name in names))
+            await front.join()
+            for _ in range(3):
+                await front.flush_all()
+                if not any(s.n_pending for s in front.all_stats()):
+                    break
+            stats = {name: front.stats(name) for name in names}
+            snapshot = front.metrics.snapshot()
+        return front, stats, snapshot
+
+    return asyncio.run(drive())
+
+
+class TestFrontMetricsMatchStats:
+    """Every ``front.*`` / ``nrt.*`` series a stats view also reports
+    agrees with that view at a quiescent point."""
+
+    def test_hand_off_failures_and_drops_reach_the_registry(
+            self, tiny_model, tiny_dataset):
+        items = tiny_dataset.catalog.items[:6]
+        events = [ItemEvent(ItemEventKind.CREATED, item.item_id,
+                            item.title, item.leaf_id, 0.01 * i)
+                  for i, item in enumerate(items)]
+        events.insert(3, dataclasses.replace(events[3], timestamp=None))
+        front, stats, snapshot = _drive_to_quiescence(
+            tiny_model, events, window_size=2, max_pending=64,
+            enrich=FlakyEnrich(1))
+        stats = stats["s"]
+        counters = snapshot["counters"]
+        assert (stats.n_flush_failures, stats.n_dropped) == (1, 1)
+        assert counters["front.flush.failures{stream=s}"] == 1
+        assert counters["front.dropped{stream=s}"] == 1
+        assert counters["front.submitted{stream=s}"] \
+            == stats.n_submitted == len(events)
+        assert counters["nrt.events{stream=s}"] == len(events) - 1
+
+    @settings(max_examples=examples(25), deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(specs=event_specs, data=st.data(),
+           window_size=st.integers(1, 4), max_pending=st.integers(1, 3))
+    def test_aggregated_series_equal_the_stats_views(
+            self, fig3_model, specs, data, window_size, max_pending):
+        events = build_events(specs)
+        malformed = data.draw(st.integers(0, len(events)), label="at")
+        events.insert(malformed, dataclasses.replace(
+            make_event(99, 0.0), timestamp=None))
+        names = ("s0", "s1")
+        front, stats, _ = _drive_to_quiescence(
+            fig3_model, events, window_size=window_size,
+            max_pending=max_pending, enrich=FlakyEnrich(1), names=names)
+        metrics = front.metrics
+        for name in names:
+            view = stats[name]
+            windows = front.processed_windows(name)
+            assert view.n_pending == 0 and view.n_dropped == 1
+            assert metrics.counter_value("front.submitted", stream=name) \
+                == view.n_submitted == len(events)
+            assert metrics.counter_value("nrt.events", stream=name) \
+                == sum(w.n_events for w in windows) == len(events) - 1
+            assert metrics.gauge_max("front.queue.depth", stream=name) \
+                == view.n_queue_hwm
+            assert metrics.gauge_max("nrt.window.depth", stream=name) \
+                == max(w.n_events for w in windows)
+            assert metrics.counter_value("front.dropped", stream=name) \
+                == view.n_dropped
+            assert metrics.counter_value("front.flush.failures",
+                                         stream=name) \
+                == view.n_flush_failures
