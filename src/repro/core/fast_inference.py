@@ -13,28 +13,32 @@ items, whichever leaves they belong to:
    unknown leaves; :func:`graph_order`, which a fleet plan cuts too),
    and the graph-ordered item sequence is cut into chunks of
    :data:`CHUNK_ITEMS` items: a large graph's group splits, small ones
-   share a chunk.  Each item of a chunk knows its *owner*,
-   the index of its graph in the model's stacked
-   :class:`~repro.core.model.GraphPlane`; everything below reads the
-   plane, whose per-graph bases turn a graph's local ids into stacked
-   positions, so no step loops over a chunk's graphs.
-2. **Intern** — each title is tokenized in one C-level pass and its
-   words mapped through the owning graph's ``word_vocab`` dict, an
-   unknown word to ``-1``, which reads as degree 0; the chunk's word
-   ids become one array.
-3. **Fused enumeration** — one gather of the plane's ``indptr`` at each
-   word's row (its graph's word base plus its id) and one read of the
-   plane's ``indices`` (at positions shifted by the graph's entry base)
-   expand every (title, word) pair's adjacency list for the whole chunk
-   (on an opened model these are the mapped sections; nothing is
-   concatenated).  Candidate label ids, still local to their graph,
-   are shifted into their item's key slot (``slot[item] + label``,
-   each slot as wide as the item's own graph) and one sort of the keys
-   counts the duplication ``c = |T ∩ l|`` for *every* item at once: a
-   run of equal keys is one candidate label, its length is ``c``.
-   Slots are arithmetic only — nothing is allocated or scanned per
-   slot — so an item costs the adjacency entries its title reaches,
-   however many labels its graph holds.
+   share a chunk.  Each item knows its *owner*, the index of its graph
+   in the model's stacked :class:`~repro.core.model.GraphPlane`;
+   everything below reads the plane, whose per-graph bases turn a
+   graph's local ids into stacked positions, so no step loops over a
+   chunk's graphs.  Steps 3-5, whose arrays are sized by adjacency
+   entries, run chunk by chunk, so a call's memory follows its chunk,
+   not its batch.
+2. **Intern, once per call** — each title of the batch is tokenized
+   in one C-level pass and its words mapped through the owning graph's
+   ``word_vocab`` dict, an unknown word to ``-1``, which reads as
+   degree 0.  One gather of the plane's ``indptr`` at each word's row
+   (its graph's word base plus its id) gives its adjacency start
+   (shifted by the graph's entry base) and degree; these token arrays
+   (:class:`_Interned`) are built once for the batch, and each chunk
+   reads its slice.
+3. **Fused enumeration** — one read of the plane's ``indices`` at the
+   chunk's positions expands every (title, word) pair's adjacency list
+   for the whole chunk (on an opened model these are the mapped
+   sections; nothing is concatenated).  Candidate label ids, still
+   local to their graph, are shifted into their item's key slot
+   (``slot[item] + label``, each slot as wide as the item's own graph)
+   and one sort of the keys counts the duplication ``c = |T ∩ l|`` for
+   *every* item at once: a run of equal keys is one candidate label,
+   its length is ``c``.  Slots are arithmetic only — nothing is
+   allocated or scanned per slot — so an item costs the adjacency
+   entries its title reaches, however many labels its graph holds.
 4. **Count-array pruning** — the paper's count array (Section III-F)
    for all items at once, read off the sorted keys through one bool
    mask over the entries per run length (:func:`_count_and_prune`).  No
@@ -44,25 +48,28 @@ items, whichever leaves they belong to:
 5. **Segmented ranking** — each surviving row's label is shifted by its
    graph's label base to its stacked id, and ``|l|`` is one gather of
    the plane's ``label_lengths``.  Each row reads the dense integer
-   rank of its ``(c, |l|, |T|)`` cell's score among the chunk's
-   distinct scores (only the cells in use are scored; ``np.unique``,
-   so equal scores rank equal), and one stable ``np.lexsort`` keyed by
-   (item, rank) ranks every item at once before ``hard_limit`` caps
-   it.  Rows enter in label order, and the plane numbers each graph's
-   labels by (S desc, R asc, builder id asc), so the label id breaks a
-   score tie as the scalar path's S, R and label id do.
-6. **Materialisation** (:func:`materialise`) — steps 1-5 run chunk
-   by chunk into the batch's ranked columns (:class:`RankedColumns`),
-   and step 6 runs once per batch: the label texts are one ``take`` of
-   the plane's string table at their text ids (decoded on first read
-   on mapped models), Search / Recall Counts one gather each, and that
-   is all it does eagerly: the batch keeps its columns (texts, scores,
-   Search Counts, Recall Counts, ``c``) and each request gets a
-   :class:`RowView` over its slice.  ``len`` and ``.texts()`` (what a
-   KV store keeps) build no row; the first read of a row builds the
-   batch's rows once.  A batch that is only stored or counted never
-   allocates, and the cyclic collector never walks, a
-   ``Recommendation`` per served keyphrase.
+   rank of its ``(c, |l|, |T|)`` cell's score in one gather from the
+   model's :class:`~repro.core.model.CellRanks`, which scores every
+   cell the model can meet once per model (again only when a longer
+   title arrives); equal scores rank equal, and dense ranks over a
+   superset of a chunk's cells keep every order and tie among them.
+   One stable ``np.lexsort`` keyed by (item, rank) ranks every item at
+   once before ``hard_limit`` caps it.  Rows enter in label order, and
+   the plane numbers each graph's labels by (S desc, R asc, builder id
+   asc), so the label id breaks a score tie as the scalar path's S, R
+   and label id do.
+6. **Materialisation** (:func:`materialise`) — steps 3-5 run chunk by
+   chunk into the batch's ranked columns (:class:`RankedColumns`), and
+   step 6 runs once per batch: the label texts are one ``take`` of the
+   plane's string table at their text ids (on mapped models the misses
+   decoded in one pass on first read), Search / Recall Counts one gather
+   each, and that is all it does eagerly: the batch keeps its columns
+   (texts, scores, Search Counts, Recall Counts, ``c``) and each request
+   gets a :class:`RowView` over its slice.  ``len`` and ``.texts()``
+   (what a KV store keeps) build no row; the first read of a row builds
+   the batch's rows once.  A batch that is only stored or counted never
+   allocates, and the cyclic collector never walks, a ``Recommendation``
+   per served keyphrase.
 
 The kernel is cut between steps 5 and 6.  Everything up to the ranked
 columns — stacked label id, ``c`` and score per surviving row — is a
@@ -99,7 +106,7 @@ from .inference import Recommendation
 from .model import _narrow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from .model import GraphExModel, GraphPlane
+    from .model import CellRanks, GraphExModel, GraphPlane
 
 #: Items one chunk is cut to.  Swept 16 .. 256 on the bench world
 #: (CHANGES.md, PR 20): smaller chunks pay the fixed call chain more
@@ -290,6 +297,33 @@ def materialise(plane: "GraphPlane", ranked: RankedColumns,
     return results
 
 
+class _Interned(NamedTuple):
+    """A batch's titles interned once (steps 1-2), in
+    :func:`graph_order`; a chunk is a slice of them.
+
+    Attributes:
+        indices: Per item, in that order, its request's batch index.
+        owners: Its graph's plane index.
+        n_tokens: Its ``|T|``, distinct title tokens, unknown included.
+        token_bounds: Item ``i``'s tokens are
+            ``token_bounds[i]:token_bounds[i + 1]``.
+        entry_bounds: Its adjacency entries, numbered across the batch.
+        shifts: Per token, its first entry's position in the plane's
+            ``indices`` less that entry's batch number.
+        degrees: Per token, its adjacency entry count.
+        cells: The model's cell ranks, covering every title here.
+    """
+
+    indices: np.ndarray
+    owners: np.ndarray
+    n_tokens: np.ndarray
+    token_bounds: np.ndarray
+    entry_bounds: np.ndarray
+    shifts: np.ndarray
+    degrees: np.ndarray
+    cells: "CellRanks"
+
+
 def graph_order(model: "GraphExModel",
                 requests: Sequence[InferenceRequest]
                 ) -> Tuple[List[int], np.ndarray]:
@@ -312,9 +346,9 @@ def graph_order(model: "GraphExModel",
 class LeafBatchRunner:
     """Vectorized batch inference: Algorithm 1 over cross-leaf chunks.
 
-    The engine scores a whole chunk — items of several leaves — in one
-    call of the model's alignment, which is one of the registry's
-    element-wise LTA/WMR/JAC: a model takes nothing else
+    The engine ranks a whole chunk — items of several leaves — through
+    the model's cell ranks, scored by its alignment, one of the
+    registry's element-wise LTA/WMR/JAC: a model takes nothing else
     (:class:`~repro.core.model.GraphExModel`), so there is nothing to
     probe here.
 
@@ -358,17 +392,18 @@ class LeafBatchRunner:
 
     def run_ranked(self, requests: Sequence[InferenceRequest]
                    ) -> RankedColumns:
-        """Infer a batch up to the ranked columns — steps 1-5, chunk by
-        chunk, no row built, labels stacked.  The cluster worker stops
-        here and ships the columns."""
+        """Infer a batch up to the ranked columns — steps 1-5, no row
+        built, labels stacked: the batch interned once, then ranked
+        chunk by chunk.  The cluster worker stops here and ships the
+        columns."""
         pieces = []
-        for indices, owners in self._chunks(requests):
-            ranked = self._rank_chunk(requests, indices, owners)
+        for indices, chunk in self._chunks(requests):
+            ranked = self._rank_chunk(*chunk)
             if ranked is not None:
                 sizes = ranked[0]
                 answered = np.flatnonzero(sizes)
-                pieces.append((np.asarray(indices, dtype=np.int64)[answered],
-                               sizes[answered], *ranked[1:]))
+                pieces.append((indices[answered], sizes[answered],
+                               *ranked[1:]))
         if not pieces:
             empty = np.empty(0, dtype=np.int64)
             return RankedColumns(empty, empty, empty, empty,
@@ -378,38 +413,41 @@ class LeafBatchRunner:
         return RankedColumns(*map(np.concatenate, zip(*pieces)))
 
     def _chunks(self, requests: Sequence[InferenceRequest]
-                ) -> Iterator[Tuple[List[int], np.ndarray]]:
-        """Step 1: the batch's chunks, each its request indices and,
-        per request, the plane index of its graph — the
+                ) -> Iterator[Tuple[np.ndarray, Tuple[_Interned, int, int]]]:
+        """The batch interned once (:meth:`_intern`), then its
         :func:`graph_order` cut every CHUNK_ITEMS items: a large group
-        splits, small groups share a chunk."""
+        splits, small groups share a chunk.  Per chunk, its request
+        indices and its extent ``(interned, lo, hi)`` in the interned
+        batch."""
         if self._k <= 0 or self._hard_limit == 0:
             return
+        interned = self._intern(requests)
+        if interned is None:
+            return
+        n_items = len(interned.indices)
+        for lo in range(0, n_items, CHUNK_ITEMS):
+            hi = min(lo + CHUNK_ITEMS, n_items)
+            yield interned.indices[lo:hi], (interned, lo, hi)
+
+    def _intern(self, requests: Sequence[InferenceRequest]
+                ) -> Optional[_Interned]:
+        """Steps 1-2 for the whole batch: :func:`graph_order`, then
+        each title's words' ids in its graph and their adjacency
+        extents in the plane, once per call; ``None`` when no request
+        has a graph.  An unknown word is -1, whose row pointers (the
+        one before its graph's first, and that first, which is 0) clip
+        to degree 0.  |T| counts unknown tokens too — it is the |T| the
+        alignment functions see."""
         order, owners = graph_order(self._model, requests)
-        for lo in range(0, len(order), CHUNK_ITEMS):
-            yield order[lo:lo + CHUNK_ITEMS], owners[lo:lo + CHUNK_ITEMS]
-
-    def _rank_chunk(self, requests: Sequence[InferenceRequest],
-                    indices: List[int], owners: np.ndarray
-                    ) -> Optional[Tuple[np.ndarray, ...]]:
-        """Steps 2-5 for requests ``indices``, served by plane graphs
-        ``owners``, capped at ``hard_limit``: ``(sizes, labels, counts,
-        scores)`` — each request's row count, then per row in ranked
-        order its stacked label, ``c`` and score — or ``None`` when no
-        title word of the chunk is in any of its graphs.  Every array
-        step runs once for the chunk, over the model's plane."""
+        if not order:
+            return None
         plane = self._model.plane
-
-        # Intern: each title's words' ids in its graph; an unknown word
-        # is -1, whose row pointers (the one before its graph's first,
-        # and that first, which is 0) clip to degree 0.  |T| counts
-        # unknown tokens too — it is the |T| the alignment functions see.
         tokenizer = self._model.tokenizer
         word_ids = self._word_ids
         unknown = repeat(-1)
         n_tokens: List[int] = []
         flat: List[int] = []
-        for index, owner in zip(indices, owners.tolist()):
+        for index, owner in zip(order, owners.tolist()):
             tokens = dict.fromkeys(tokenizer(requests[index][1]))
             n_tokens.append(len(tokens))
             flat.extend(map(word_ids[owner], tokens, unknown))
@@ -417,19 +455,37 @@ class LeafBatchRunner:
         rows = (np.asarray(flat, dtype=np.int64)
                 + plane.word_base[token_owners])
         pointers = plane.indptr[rows[:, None] + [0, 1]]   # both ends
-        starts = pointers[:, 0] + plane.entry_base[token_owners]
         degrees = np.maximum(pointers[:, 1] - pointers[:, 0], 0)
-        total = int(degrees.sum())
-        if total == 0:
+        token_entries = np.append(0, np.cumsum(degrees))
+        token_bounds = np.append(0, np.cumsum(n_tokens))
+        return _Interned(
+            np.asarray(order, dtype=np.int64), owners,
+            np.asarray(n_tokens, dtype=np.int64), token_bounds,
+            token_entries[token_bounds],
+            (pointers[:, 0] + plane.entry_base[token_owners]
+             - token_entries[:-1]), degrees,
+            self._model.cell_ranks(max(n_tokens)))
+
+    def _rank_chunk(self, interned: _Interned, lo: int, hi: int
+                    ) -> Optional[Tuple[np.ndarray, ...]]:
+        """Steps 3-5 for items ``lo:hi`` of the batch's ``interned``
+        order, capped at ``hard_limit``: ``(sizes, labels, counts,
+        scores)`` — each item's row count, then per row in ranked order
+        its stacked label, ``c`` and score — or ``None`` when no title
+        word of the chunk is in any of its graphs.  Every array step
+        runs once for the chunk, over the model's plane."""
+        plane = self._model.plane
+        first, last = interned.entry_bounds[[lo, hi]].tolist()
+        if first == last:
             return None
 
         # Gather: one index vector holds every adjacency entry's
         # position in the plane's ``indices``; one read copies them out.
-        entry_ends = np.cumsum(degrees)
-        positions = (np.repeat(starts - (entry_ends - degrees), degrees)
-                     + np.arange(total, dtype=np.int64))
-        entry_bounds = np.append(0, entry_ends)[
-            np.append(0, np.cumsum(n_tokens))]
+        tokens = slice(*interned.token_bounds[[lo, hi]].tolist())
+        positions = (np.repeat(interned.shifts[tokens],
+                               interned.degrees[tokens])
+                     + np.arange(first, last, dtype=np.int64))
+        entry_bounds = interned.entry_bounds[lo:hi + 1] - first
         candidates = plane.indices[positions]
 
         # Count: item i owns the key slot [slots[i], slots[i + 1]), as
@@ -442,13 +498,15 @@ class LeafBatchRunner:
         # entry_bounds[i + 1], so its candidates are the runs there.
         # The prune passes once over the entries per run length, and
         # c <= |T| (the bound passed), c <= |l| <= max_tokens.
+        owners = interned.owners[lo:hi]
+        n_tokens = interned.n_tokens[lo:hi]
         slots = np.append(0, np.cumsum(plane.widths[owners]))
         keys = _narrow(
             candidates + np.repeat(slots[:-1], np.diff(entry_bounds)),
             slots[-1])
         keys.sort()
         kept, sizes, counts = _count_and_prune(keys, entry_bounds, self._k,
-                                               max(n_tokens))
+                                               int(n_tokens.max()))
         row_bounds = np.append(0, np.cumsum(sizes))
         item_of = np.repeat(np.arange(len(sizes)), sizes)
         # A row's stacked label: its key less its slot, plus its graph's
@@ -460,24 +518,13 @@ class LeafBatchRunner:
         # (item, rank): the scalar path's (score desc, S desc, R asc,
         # label id asc), as rows enter label-ascending, lexsort is stable
         # and the plane numbers labels by (S desc, R asc, builder id).
-        # A row's score is a function of its cell (c, |l|, |T|), |T|
-        # indexed by the chunk's distinct title lengths: one bincount
-        # finds the cells in use, only those are scored, and the table
-        # then holds each cell's rank — at most CHUNK_ITEMS x (max |l| +
-        # 1) x (max c + 1) entries, quadratic in the longest keyphrase.
-        lengths = plane.label_lengths[labels]
-        title_lengths, title_of = np.unique(n_tokens, return_inverse=True)
-        n_lengths, n_counts = int(lengths.max()) + 1, int(counts.max()) + 1
-        cells = (title_of[item_of] * n_lengths + lengths) * n_counts + counts
-        table = np.bincount(cells)
-        used = np.flatnonzero(table)
-        cell_title, cell = np.divmod(used, n_lengths * n_counts)
-        cell_length, cell_count = np.divmod(cell, n_counts)
-        negated, table[used] = np.unique(-self._model.alignment_fn(
-            cell_count, cell_length, title_lengths[cell_title]),
-            return_inverse=True)
-        ranks = table[cells]
-        order = np.lexsort((_narrow(ranks), _narrow(item_of)))
+        # A row's score is a function of its cell (c, |l|, |T|), and the
+        # model holds every cell's dense rank (one gather here).
+        cells, width = interned.cells, interned.cells.width
+        ranks = cells.ranks[np.repeat(n_tokens * width ** 2, sizes)
+                            + plane.label_lengths[labels] * width
+                            + counts]
+        order = np.lexsort((ranks, _narrow(item_of)))
 
         if self._hard_limit is not None:
             # Cap each item's segment *before* materialising; rows past
@@ -489,4 +536,5 @@ class LeafBatchRunner:
                 np.repeat(row_bounds[:-1] - capped_bounds[:-1], sizes)
                 + np.arange(capped_bounds[-1], dtype=np.int64)]
 
-        return sizes, labels[order], counts[order], -negated[ranks[order]]
+        return (sizes, labels[order], counts[order],
+                -cells.negated[ranks[order]])

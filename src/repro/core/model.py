@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 from collections import abc
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -109,11 +110,20 @@ class StringPool:
     words, which the interning dict needs; lazily: label texts, which
     only materialised recommendations read).  Decoded strings live in
     one object array indexed by pool id (``None`` until read; 8 bytes
-    per string), so every read hands out the same ``str``, and counted:
+    per string), beside one bool per string saying whether it is
+    decoded, so every read hands out the same ``str``, and counted:
     none on a built pool, all of them on a fresh open.
+
+    A read that misses decodes its misses in one pass, by pool id:
+    one C-level ``map`` slices and decodes each string on its own (so
+    each is validated as UTF-8 alone), one fancy assignment stores
+    them and the count drops once.  A string that is not UTF-8 raises
+    ``UnicodeDecodeError`` before anything is stored, so the count
+    stays exact and the other strings still read.
     """
 
-    __slots__ = ("_table", "_blob", "_byte_offsets", "_undecoded")
+    __slots__ = ("_table", "_blob", "_byte_offsets", "_decoded",
+                 "_undecoded")
     _decode_lock = threading.Lock()
 
     def __init__(self, table: np.ndarray,
@@ -121,6 +131,8 @@ class StringPool:
                  byte_offsets: Optional[np.ndarray] = None) -> None:
         self._table, self._blob, self._byte_offsets = \
             table, blob, byte_offsets
+        self._decoded = None if blob is None else np.zeros(len(table),
+                                                           dtype=bool)
         self._undecoded = 0 if blob is None else len(table)
 
     @classmethod
@@ -139,29 +151,24 @@ class StringPool:
 
     def take(self, pool_ids: np.ndarray) -> List[str]:
         """The strings of ``pool_ids``, in order: one fancy index once
-        they are decoded (the steady state of a serving model); the
-        first op on a fresh open decodes its misses in bulk."""
-        out = self._table[pool_ids].tolist()
-        # The scan for misses costs a failed ``==`` per string: only
-        # while some string is undecoded.  One decoder at a time keeps
-        # the count exact.
-        if self._undecoded and None in out:
+        they are decoded (the steady state of a serving model, which
+        takes no lock); while some string is undecoded, one mask read
+        finds the misses and one pass decodes them."""
+        if self._undecoded and not self._decoded[pool_ids].all():
+            # One decoder at a time keeps the count exact.
             with self._decode_lock:
-                out = self._table[pool_ids].tolist()
-                # First-occurrence order, not sorted: the string heap
-                # keeps allocation order, and serving reads request order.
-                misses = list(dict.fromkeys(
-                    pool_id for pool_id, text in zip(pool_ids.tolist(), out)
-                    if text is None))
-                wanted = np.asarray(misses, dtype=np.int64)
+                wanted = np.zeros(len(self._table), dtype=bool)
+                wanted[pool_ids[~self._decoded[pool_ids]]] = True
+                misses = np.flatnonzero(wanted)
                 blob = memoryview(self._blob)
-                for pool_id, lo, hi in zip(
-                        misses, self._byte_offsets[wanted].tolist(),
-                        self._byte_offsets[wanted + 1].tolist()):
-                    self._table[pool_id] = str(blob[lo:hi], "utf-8")
+                texts = list(map(str, map(blob.__getitem__, map(
+                    slice, self._byte_offsets[misses].tolist(),
+                    self._byte_offsets[misses + 1].tolist())),
+                    repeat("utf-8")))
+                self._table[misses] = texts
+                self._decoded[misses] = True
                 self._undecoded -= len(misses)
-                out = self._table[pool_ids].tolist()
-        return out
+        return self._table[pool_ids].tolist()
 
 
 class LazyStringList(abc.Sequence):
@@ -228,6 +235,42 @@ def _narrow(values: np.ndarray, top: Optional[int] = None) -> np.ndarray:
     """
     return values.astype(np.min_scalar_type(
         int(values.max(initial=0) if top is None else top)))
+
+
+class CellRanks(NamedTuple):
+    """The dense score rank of every ``(c, |l|, |T|)`` cell a model's
+    fast engine can meet: ``1 <= c <= min(|l|, |T|)``, ``|l|`` up to
+    the plane's longest label and ``|T|`` below ``titles``.
+
+    Cell ``(c, l, t)`` sits at ``(t * width + l) * width + c`` of
+    ``ranks``, ``width`` being the longest label plus one, and its score
+    is ``-negated[rank]``: ``negated`` holds the distinct negated
+    scores ascending, so equal scores rank equal and a higher score
+    ranks lower.  Every other cell holds 0 and is never read.  Each
+    score is the alignment's, element-wise, on the cell's integers, so
+    it is the float the scalar path computes for a row of that cell.
+    """
+
+    negated: np.ndarray
+    ranks: np.ndarray
+    width: int
+    titles: int
+
+    @classmethod
+    def score(cls, alignment: AlignmentFunction, longest_label: int,
+              titles: int) -> "CellRanks":
+        """Score every cell of titles below ``titles`` tokens once."""
+        width = longest_label + 1
+        title, length, count = np.indices(
+            (titles, width, width)).reshape(3, -1)
+        cells = np.flatnonzero((count >= 1) & (count <= length)
+                               & (count <= title))
+        negated, ranks = np.unique(
+            -alignment(count[cells], length[cells], title[cells]),
+            return_inverse=True)
+        table = np.zeros(len(title), dtype=np.min_scalar_type(len(negated)))
+        table[cells] = ranks
+        return cls(negated, table, width, titles)
 
 
 class GraphPlane(NamedTuple):
@@ -469,6 +512,9 @@ class GraphExModel:
             leaf has no graph).
     """
 
+    #: One writer at a time scores a model's cell ranks.
+    _cell_ranks_lock = threading.Lock()
+
     def __init__(self, leaf_graphs: Dict[int, LeafGraph],
                  tokenizer: SpaceTokenizer = DEFAULT_TOKENIZER,
                  alignment: str = "lta",
@@ -511,15 +557,20 @@ class GraphExModel:
         #: the same save, which lets a cluster ship label ids, not rows.
         self.artifact_identity: Optional[str] = None
         self.artifact_dir: Optional[Path] = None
+        self._cell_ranks: Optional[CellRanks] = None
 
     def __getstate__(self) -> dict:
         """Pickle the plane once: each graph, a view of it, goes as its
-        vocabulary and is cut from the clone's plane again."""
-        return {**self.__dict__,
-                "_graphs": [graph.word_vocab for graph in self._graphs]}
+        vocabulary and is cut from the clone's plane again.  The cell
+        ranks stay behind; the clone scores them again on first use."""
+        state = {**self.__dict__,
+                 "_graphs": [graph.word_vocab for graph in self._graphs]}
+        del state["_cell_ranks"]
+        return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._cell_ranks = None
         leaf_ids = {g: leaf_id for leaf_id, g in self._index.items()}
         self._graphs = [self._plane.leaf(g, leaf_ids.get(g, -1), vocab)
                         for g, vocab in enumerate(state["_graphs"])]
@@ -617,6 +668,29 @@ class GraphExModel:
     def alignment_fn(self) -> AlignmentFunction:
         """The resolved alignment function (shared by both engines)."""
         return self._alignment
+
+    def cell_ranks(self, longest_title: int) -> CellRanks:
+        """The fast engine's :class:`CellRanks` for titles of up to
+        ``longest_title`` tokens.  The cells depend only on the
+        alignment and the plane, both fixed for a model, so they are
+        scored once and kept: again only when a longer title arrives,
+        at least doubling the ``|T|`` axis.  Engines sharing the model
+        (an NRT lane and a batch pipeline) read it without a lock; a
+        rebuild is made aside and published by one assignment."""
+        cells = self._cell_ranks
+        if cells is None or longest_title >= cells.titles:
+            with self._cell_ranks_lock:
+                cells = self._cell_ranks
+                if cells is None or longest_title >= cells.titles:
+                    titles = longest_title + 1
+                    if cells is not None:
+                        titles = max(titles, 2 * cells.titles)
+                    cells = CellRanks.score(
+                        self._alignment,
+                        int(self._plane.label_lengths.max(initial=0)),
+                        titles)
+                    self._cell_ranks = cells
+        return cells
 
     @property
     def leaf_ids(self) -> List[int]:

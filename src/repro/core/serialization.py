@@ -113,18 +113,22 @@ def _write_payload(directory: Path, sections: Dict[str, np.ndarray],
     string pool, in the order given, becomes one UTF-8 blob (a single
     ``"".join(...).encode()``) plus byte offsets, which each open
     decodes strings by on first read; only a non-ASCII string has more
-    bytes than codepoints, so only those are encoded one by one.
+    bytes than codepoints, so only those are encoded one by one, and
+    only a joined pool that is not ASCII (one flag read) is searched
+    for them.
     """
     n = len(pool_tokens)
     lengths = np.zeros(n + 1, dtype=np.int64)
     lengths[1:] = np.fromiter(map(len, pool_tokens), np.int64, count=n)
-    wide = np.flatnonzero(~np.fromiter(map(str.isascii, pool_tokens),
-                                       dtype=bool, count=n))
-    lengths[wide + 1] = [len(pool_tokens[i].encode("utf-8"))
-                         for i in wide.tolist()]
+    joined = "".join(pool_tokens)
+    if not joined.isascii():
+        wide = np.flatnonzero(~np.fromiter(map(str.isascii, pool_tokens),
+                                           dtype=bool, count=n))
+        lengths[wide + 1] = [len(pool_tokens[i].encode("utf-8"))
+                             for i in wide.tolist()]
     payload = dict(sections)
-    payload[_POOL_BLOB] = np.frombuffer(
-        "".join(pool_tokens).encode("utf-8"), dtype=np.uint8)
+    payload[_POOL_BLOB] = np.frombuffer(joined.encode("utf-8"),
+                                        dtype=np.uint8)
     payload[_POOL_BYTE_OFFSETS] = np.cumsum(lengths)
 
     filename = f"arrays-{uuid.uuid4().hex}.bin"

@@ -35,7 +35,8 @@ from repro.core.fast_inference import (EMPTY_ROWS, LeafBatchRunner,
                                        _label_texts, materialise)
 from repro.core.inference import (Recommendation, prune_by_count_groups,
                                   recommend_from_graph)
-from repro.core.model import GraphExModel, GraphPlane, LazyStringList
+from repro.core.model import (CellRanks, GraphExModel, GraphPlane,
+                              LazyStringList)
 from repro.core.serialization import load_model, save_model
 from tests.conftest import examples, open_saved
 
@@ -205,17 +206,19 @@ def spy_chunks(runner):
     rank_chunk = runner._rank_chunk
     graphs = runner._model.plane_graphs
 
-    def spy(requests, indices, owners):
+    def spy(interned, lo, hi):
         parts = []
-        for owner in owners.tolist():
+        for owner in interned.owners[lo:hi].tolist():
             if parts and parts[-1][0] == owner:
                 parts[-1][1] += 1
             else:
                 parts.append([owner, 1])
         chunks.append([(graphs[owner].n_labels, n) for owner, n in parts])
-        assert len(indices) == len(owners)
-        assert 0 < len(indices) <= fast_inference.CHUNK_ITEMS
-        return rank_chunk(requests, indices, owners)
+        assert len(interned.indices) == len(interned.owners)
+        assert 0 < hi - lo <= fast_inference.CHUNK_ITEMS
+        assert hi == len(interned.indices) \
+            or hi - lo == fast_inference.CHUNK_ITEMS
+        return rank_chunk(interned, lo, hi)
 
     runner._rank_chunk = spy
     return chunks
@@ -755,12 +758,13 @@ class TestRankCut:
     @pytest.mark.parametrize("alignment", ALIGNMENTS)
     def test_the_cell_table_follows_the_longest_keyphrase(
             self, alignment, hard_limit, monkeypatch):
-        """Rows rank through their ``(c, |l|, |T|)`` cell, the ``|T|``
-        axis indexed by the chunk's distinct title lengths: with
-        keyphrases of up to 40 tokens and titles of up to 120 the table
-        stays within ``CHUNK_ITEMS x (max |l| + 1) x (max c + 1)``, and
-        a table that dropped ``|T|`` would rank JAC rows of different
-        title lengths alike."""
+        """Rows rank through their ``(c, |l|, |T|)`` cell, read from the
+        model's cell ranks: with keyphrases of up to 40 tokens and titles
+        of up to 120 the cells are scored once for the call, the table
+        holds ``titles x (max |l| + 1) x (max |l| + 1)`` ranks with
+        ``titles`` at most twice the longest title plus one, and a table
+        that dropped ``|T|`` would rank JAC rows of different title
+        lengths alike."""
         rng = np.random.default_rng(11)
         words = [f"v{i}" for i in range(60)]
         phrases = {" ".join(rng.choice(words, size, replace=False))
@@ -773,31 +777,196 @@ class TestRankCut:
         reqs = [(i, " ".join(rng.choice(words + STRANGERS,
                                         1 + (i * 13) % 120)), 1)
                 for i in range(200)]
-        tables = []
+        longest_title = max(len(set(model.tokenizer(title)))
+                            for _item_id, title, _leaf_id in reqs)
+        scored = []
+        align = model.alignment_fn
 
-        class SpyNumpy:
-            """``numpy`` as the engine module sees it, recording the
-            length of every ``bincount`` without a ``minlength``: the
-            cell table (the count arrays pass one)."""
+        def spy(counts, lengths, n_tokens):
+            scored.append(len(counts))
+            return align(counts, lengths, n_tokens)
 
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def bincount(values, *args, **kwargs):
-                out = np.bincount(values, *args, **kwargs)
-                if "minlength" not in kwargs:
-                    tables.append(len(out))
-                return out
-
-        monkeypatch.setattr(fast_inference, "np", SpyNumpy())
+        monkeypatch.setattr(model, "_alignment", spy)
         served = batch_recommend(model, reqs, k=20, hard_limit=hard_limit)
+        monkeypatch.setattr(model, "_alignment", align)
         assert_identical(served, reference_outputs(model, reqs, 20,
                                                    hard_limit))
-        n_chunks = -(-len(reqs) // fast_inference.CHUNK_ITEMS)
-        assert len(tables) == n_chunks
-        assert max(tables) <= (fast_inference.CHUNK_ITEMS
-                               * (longest + 1) * (longest + 1))
+        assert len(scored) == 1
+        cells = model._cell_ranks
+        assert cells.width == longest + 1
+        assert longest_title < cells.titles <= 2 * (longest_title + 1)
+        assert len(cells.ranks) == cells.titles * (longest + 1) ** 2
+        assert scored[0] <= len(cells.ranks)
+
+
+class TestCellRanks:
+    """A model scores its ``(c, |l|, |T|)`` cells once, not once per
+    chunk: the table grows when a longer title arrives, and rows before
+    and after the growth are the oracle's.  It is never pickled."""
+
+    WORLD = {1: [(" ".join(TOKENS[i:i + 1 + i % 5]), 1 + i, 2 + i % 3)
+                 for i in range(14)],
+             2: [(" ".join(TOKENS[i::4]), 9, 1 + i) for i in range(4)]}
+
+    @staticmethod
+    def count_scores(monkeypatch):
+        """Record the ``titles`` of every table scored from now on."""
+        scored = []
+        score = CellRanks.score
+
+        def spy(cls, alignment, longest_label, titles):
+            scored.append(titles)
+            return score(alignment, longest_label, titles)
+
+        monkeypatch.setattr(CellRanks, "score", classmethod(spy))
+        return scored
+
+    @pytest.mark.parametrize("alignment", ALIGNMENTS)
+    def test_scored_once_and_grown_by_a_longer_title(self, alignment,
+                                                     monkeypatch):
+        model = make_model(self.WORLD, alignment=alignment,
+                           build_pooled=True)
+        scored = self.count_scores(monkeypatch)
+        short = [(i, " ".join(TOKENS[i % 6:i % 6 + 3]), 1 + i % 3)
+                 for i in range(20)]
+        long = [(i, " ".join(TOKENS[i % 3:] + STRANGERS), 1 + i % 3)
+                for i in range(20)]
+        assert model._cell_ranks is None
+        for _round in range(3):
+            with chunk_items(7):
+                assert_identical(batch_recommend(model, short, k=6),
+                                 reference_outputs(model, short, 6))
+        assert scored == [4]           # |T| <= 3, scored once
+        first = model._cell_ranks
+        assert first.width == 1 + int(model.plane.label_lengths.max())
+        assert_identical(batch_recommend(model, long, k=6, hard_limit=4),
+                         reference_outputs(model, long, 6, 4))
+        assert scored == [4, 22]       # |T| = 21 > 2 x 4
+        grown = model._cell_ranks
+        assert grown.width == first.width
+        assert len(grown.ranks) == 22 * grown.width ** 2
+        for reqs in (short, long, short[:1]):
+            assert_identical(batch_recommend(model, reqs, k=6),
+                             reference_outputs(model, reqs, 6))
+        assert scored == [4, 22] and model._cell_ranks is grown
+
+    @given(world=leaf_worlds, batches=st.lists(requests_strategy,
+                                               min_size=1, max_size=5),
+           k=st.integers(1, 8), alignment=st.sampled_from(ALIGNMENTS),
+           hard_limit=st.one_of(st.none(), st.integers(1, 8)))
+    @settings(max_examples=examples(40), deadline=None)
+    def test_calls_in_sequence_grow_one_table(self, world, batches, k,
+                                              alignment, hard_limit):
+        """Batches served one after another through one model, their
+        titles longer or shorter than any before, each serve the
+        oracle's rows; the table covers the longest title served so
+        far and stays within twice its length plus one."""
+        model = make_model(world, alignment=alignment, build_pooled=True)
+        longest = -1
+        for reqs in batches:
+            assert_identical(
+                batch_recommend(model, reqs, k=k, hard_limit=hard_limit),
+                reference_outputs(model, reqs, k, hard_limit))
+            served = [len(set(model.tokenizer(title)))
+                      for _item_id, title, leaf_id in reqs
+                      if model.graph_index(leaf_id) is not None]
+            longest = max([longest, *served])
+            cells = model._cell_ranks
+            if longest < 0:
+                assert cells is None
+            else:
+                assert longest < cells.titles <= 2 * (longest + 1)
+
+    def test_the_table_at_least_doubles(self, monkeypatch):
+        model = make_model(self.WORLD, alignment="jac")
+        scored = self.count_scores(monkeypatch)
+        for n in (2, 3, 4, 5, 9, 10):
+            reqs = [(0, " ".join(TOKENS[:n]), 1)]
+            assert_identical(batch_recommend(model, reqs, k=4),
+                             reference_outputs(model, reqs, 4))
+        assert scored == [3, 6, 12]
+
+    def test_threads_growing_one_table_serve_the_oracle(self):
+        """Threads — more than there are cores, with a shortened switch
+        interval — serving titles of growing lengths through one model
+        race on its table: each reads a table that covers its titles,
+        and no published table is replaced by a smaller one."""
+        batches = [[(i, " ".join((TOKENS + STRANGERS)[i % 4:i % 4 + n]),
+                     1 + i % 3) for i in range(12)] for n in range(1, 22)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(5):
+                model = make_model(self.WORLD, alignment="jac",
+                                   build_pooled=True)
+                expected = [reference_outputs(model, reqs, 5)
+                            for reqs in batches]
+                barrier = threading.Barrier(4)
+                failures, seen = [], []
+
+                def serve(offset):
+                    barrier.wait(timeout=10)
+                    for index in range(offset, len(batches), 4):
+                        if batch_recommend(model, batches[index], k=5) \
+                                != expected[index]:
+                            failures.append(index)
+                        seen.append(model._cell_ranks.titles)
+
+                threads = [threading.Thread(target=serve, args=(offset,))
+                           for offset in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert failures == []
+                assert len(seen) == len(batches)
+                assert 21 < model._cell_ranks.titles == max(seen) <= 44
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_pickled_model_scores_again(self):
+        model = make_model(self.WORLD, alignment="jac", build_pooled=True)
+        reqs = [(i, " ".join(TOKENS[i:i + 4]), 1 + i % 3)
+                for i in range(12)]
+        served = batch_recommend(model, reqs, k=5)
+        assert model._cell_ranks is not None
+        assert "_cell_ranks" not in model.__getstate__()
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone._cell_ranks is None
+        assert batch_recommend(clone, reqs, k=5) == served
+        assert clone._cell_ranks.titles == model._cell_ranks.titles
+        assert clone._cell_ranks is not model._cell_ranks
+
+    def test_peak_memory_does_not_follow_the_chunk_count(self):
+        """Only the titles are interned per call; gather, keys, sort,
+        prune and rank run per chunk, so a 16-chunk call's traced peak
+        stays within 1.5x of a 1-chunk call's on the same item mix."""
+        rng = np.random.default_rng(5)
+        words = [f"v{i}" for i in range(30)]
+        model = make_model({1: [
+            (" ".join(rng.choice(words, 3 + i % 3, replace=False)),
+             1 + i % 50, 1 + i % 7) for i in range(3000)]})
+        chunk = [(i, " ".join(rng.choice(words, 8, replace=False)), 1)
+                 for i in range(fast_inference.CHUNK_ITEMS)]
+        batch = [(i, title, leaf_id) for i, (_item, title, leaf_id)
+                 in enumerate(chunk * 16)]
+        runner = LeafBatchRunner(model, k=3, hard_limit=3)
+
+        def peak(reqs):
+            runner.run_ranked(reqs)             # warm caches and imports
+            tracemalloc.start()
+            try:
+                runner.run_ranked(reqs)
+                _size, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak
+
+        one, many = peak(chunk), peak(batch)
+        assert one > 1_000_000     # the chunk's entries dominate
+        assert many <= 1.5 * one
+
 
 class TestBulkLabelTexts:
     """The plane's one text ``take`` — from a built model's pool, or

@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 from repro.core.batch import batch_recommend
 from repro.core.curation import CuratedKeyphrases, CuratedLeaf, CurationConfig
 from repro.core.model import (GraphExModel, GraphPlane, LazyStringList,
-                              build_leaf_graph)
+                              StringPool, build_leaf_graph)
 from repro.core.serialization import (load_model, model_size_bytes,
                                       open_model, save_model)
 from repro.core.tokenize import (DEFAULT_TOKENIZER, STEMMING_TOKENIZER,
                                  SpaceTokenizer)
 from repro.serving import AsyncNRTFront
 from repro.serving.nrt import ModelSlot
-from tests.conftest import assert_models_identical, open_saved
+from tests.conftest import assert_models_identical, examples, open_saved
 
 
 def curated_two_leaves() -> CuratedKeyphrases:
@@ -867,6 +867,62 @@ class TestMappedPlane:
         with pytest.raises(IndexError):
             pool[len(pool)]
         assert self._decoded(pool) == before
+
+    def test_a_failed_decode_stores_nothing(self):
+        """A read whose misses hold a string that is not UTF-8 raises
+        ``UnicodeDecodeError`` and stores none of them: the count still
+        equals the table's undecoded strings, the good strings then
+        read, and the bad one raises again."""
+        encoded = [b"usb", "café".encode(), b"\xffbad", b"cable"]
+        pool = StringPool.over(
+            np.frombuffer(b"".join(encoded), dtype=np.uint8),
+            np.cumsum([0, *map(len, encoded)]))
+
+        def undecoded():
+            assert pool._undecoded \
+                == sum(text is None for text in pool._table)
+            return pool._undecoded
+
+        with pytest.raises(UnicodeDecodeError):
+            pool.take(np.array([0, 1, 2, 3]))
+        assert undecoded() == 4
+        assert pool.take(np.array([3, 0, 1, 0])) \
+            == ["cable", "usb", "café", "usb"]
+        assert undecoded() == 1
+        with pytest.raises(UnicodeDecodeError):
+            pool[2]
+        with pytest.raises(UnicodeDecodeError):
+            pool.take(np.array([1, 2]))
+        assert undecoded() == 1
+        assert pool.take(np.array([1, 3])) == ["café", "cable"]
+
+    @given(world=pool_worlds(),
+           reads=st.lists(st.lists(st.integers(0, 2 ** 16), max_size=12),
+                          min_size=1, max_size=5))
+    @settings(max_examples=examples(40), deadline=None)
+    def test_random_miss_sets_decode_to_the_built_strings(self, world,
+                                                          reads):
+        """Reads of a fresh open's non-ASCII pool in any order, repeats
+        and warm ids among the misses, decode to the built model's
+        strings, keep the count exact, and every later read of an id
+        hands out the same ``str`` object."""
+        model = GraphExModel.construct(world, build_pooled=True)
+        built = model.plane.strings
+        with tempfile.TemporaryDirectory() as tmp:
+            pool = load_model(save_model(model, Path(tmp) / "m")) \
+                .plane.strings
+            n = len(pool)
+            handed = {}
+            for read in [*reads, range(n)]:
+                ids = np.array([pool_id % n for pool_id in read],
+                               dtype=np.int64)
+                texts = pool.take(ids)
+                assert texts == built.take(ids)
+                for pool_id, text in zip(ids.tolist(), texts):
+                    assert handed.setdefault(pool_id, text) is text
+                assert pool._undecoded \
+                    == sum(text is None for text in pool._table)
+            assert pool._undecoded == 0
 
 
 class TestArtifactBytes:
