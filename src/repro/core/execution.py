@@ -216,8 +216,8 @@ class ClusterExecutor(Executor):
 
     What it buys is in :class:`Executor`'s table: with two workers on
     the 2-core bench box, 1.15-1.23x of serial on inference for three
-    processes.  Whether the fleet earns its place is ROADMAP item 8
-    ("Decide the fleet on numbers").  A way to use more machines than
+    processes.  Whether the fleet earns its place is ROADMAP item 2
+    ("The fleet: settle the verdict").  A way to use more machines than
     one, not a cheaper way to use one.
 
     The sync :meth:`run_inference` submits to the coordinator's event

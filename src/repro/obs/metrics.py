@@ -30,6 +30,7 @@ violation, not a style nit (see docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
+import bisect
 import json
 import threading
 import time
@@ -135,11 +136,8 @@ class MetricsRegistry:
         key = metric_key(name, labels)
         seconds = max(0.0, float(seconds))
         ticks = round(seconds * TICKS_PER_SECOND)
-        bucket = len(self._bounds)  # overflow
-        for index, bound in enumerate(self._bounds):
-            if seconds <= bound:
-                bucket = index
-                break
+        # The first bound >= seconds; len(bounds), the overflow, if none.
+        bucket = bisect.bisect_left(self._bounds, seconds)
         with self._lock:
             counts = self._hist_counts.get(key)
             if counts is None:

@@ -33,10 +33,11 @@ property the daily loop needs.
 from __future__ import annotations
 
 import asyncio
+import functools
 import inspect
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..cluster.retry import RetriesExhausted, RetryPolicy
 from ..core.alignment import get_alignment
@@ -45,7 +46,7 @@ from ..core.curation import CuratedKeyphrases
 from ..core.execution import SerialExecutor
 from ..core.model import GraphExModel
 from ..core.serialization import load_model, save_model
-from ..obs import MetricsRegistry, Tracer
+from ..obs import MetricsRegistry, Span, Tracer
 from .batch_pipeline import BatchPipeline
 
 __all__ = ["DailyRefreshOrchestrator", "RefreshReport"]
@@ -107,7 +108,7 @@ class DailyRefreshOrchestrator:
             :meth:`refresh` *return* a :class:`RefreshReport` with
             :attr:`~RefreshReport.failure` set instead of raising — the
             daily loop records the miss and the next cycle proceeds.
-            Unset (default), failures propagate as before.
+            Unset (default), failures propagate (still counted).
         metrics: A :class:`repro.obs.MetricsRegistry` for the
             orchestrator's refresh counters/histograms, shared with
             the in-process :class:`~repro.core.execution.SerialExecutor`
@@ -212,142 +213,118 @@ class DailyRefreshOrchestrator:
         ``WindowStats.model_generation``.
         """
         loop = asyncio.get_running_loop()
-        n_retries = 0
+        retried: List[int] = []  # the 0-based try each retry followed
+        spans: Dict[str, Span] = {}
+        generation = self._generation
+        model = artifact = loaded = None
 
-        def note_retry(attempt: int, exc: BaseException,
-                       delay: float) -> None:
-            nonlocal n_retries
-            n_retries += 1
-
-        def attempt(step: Callable[[], Any]) -> Callable[[], Any]:
-            """Wrap a blocking step in the retry policy, if one is set."""
-            if self._retry is None:
-                return step
-            return lambda: self._retry.call(step, on_retry=note_retry)
-
-        def exhausted(step: str, exc: RetriesExhausted,
-                      construct_seconds: float, model=None,
-                      load_seconds: float = 0.0,
-                      artifact_path: Optional[str] = None) -> RefreshReport:
-            """The step is dead for today; record the miss instead of
-            aborting the daily loop."""
-            return self._finish(RefreshReport(
-                generation=self._generation,
-                n_leaves=0 if model is None else model.n_leaves,
-                n_keyphrases=0 if model is None else model.n_keyphrases,
-                n_inferred=0, n_served=0, n_targets=len(self._targets),
-                construct_seconds=construct_seconds,
-                load_seconds=load_seconds, swap_seconds=0.0,
-                artifact_path=artifact_path, n_retries=n_retries,
-                failure=f"{step} exhausted {exc.attempts} attempts: "
-                        f"{exc.__cause__!r}"))
+        def off_loop(work: Callable[[], Any]) -> "asyncio.Future[Any]":
+            """Run a blocking step in the executor, under the policy."""
+            if self._retry is not None:
+                work = functools.partial(
+                    self._retry.call, work,
+                    on_retry=lambda n, *_: retried.append(n))
+            return loop.run_in_executor(None, work)
 
         try:
-            with self.tracer.span("refresh.construct") as construct_span:
-                model = await loop.run_in_executor(
-                    None, attempt(lambda: GraphExModel.construct(
-                        curated, alignment=self._alignment,
-                        build_pooled=self._build_pooled,
-                        executor=SerialExecutor(metrics=self.metrics))))
-        except RetriesExhausted as exc:
-            # No generation was burned — the next cycle's refresh
-            # starts clean.
-            return exhausted("construct", exc, construct_span.duration_s)
-        construct_seconds = construct_span.duration_s
-        # Issue a number strictly above every deployment's local
-        # history — a target may have been hot-swapped directly since
-        # the last orchestrated refresh — so each adopts it verbatim
-        # (ModelSlot.swap never bumps past it) and every window stamp
-        # maps back to exactly one RefreshReport.  Burned now: a
-        # failure below leaves a gap rather than reusing the number
-        # for a different day's model.
-        generation = 1 + max(
-            [self._generation, self.pipeline.model_generation]
-            + [getattr(target, "model_generation", 0)
-               for target in self._targets])
-        self._generation = generation
+            with self.tracer.span("refresh.construct") as spans["construct"]:
+                model = await off_loop(lambda: GraphExModel.construct(
+                    curated, alignment=self._alignment,
+                    build_pooled=self._build_pooled,
+                    executor=SerialExecutor(metrics=self.metrics)))
+            # Issue a number strictly above every deployment's local
+            # history — a target may have been hot-swapped directly since
+            # the last orchestrated refresh — so each adopts it verbatim
+            # (ModelSlot.swap never bumps past it) and every window stamp
+            # maps back to exactly one RefreshReport.  Burned now: a
+            # failure below leaves a gap rather than reusing the number
+            # for a different day's model.
+            generation = self._generation = 1 + max(
+                [self._generation, self.pipeline.model_generation]
+                + [getattr(target, "model_generation", 0)
+                   for target in self._targets])
 
-        # Persist-then-remap: the open of the day's artifact is
-        # what gets deployed, so the pipeline and every target share one
-        # physical copy, a fleet behind any of them is handed its
-        # directory, and the in-memory build is dropped.
-        artifact = str(self._artifact_dir / f"gen-{generation}")
-        try:
+            # Persist-then-remap: the day's artifact is opened and the
+            # open deployed, one physical copy behind every consumer (a
+            # fleet is handed its directory).  A failure here deploys
+            # nothing; a re-save over gen-<N>/ is atomic, so an attempt
+            # is safe to repeat (``model`` is rebound once one succeeds).
+            path = str(self._artifact_dir / f"gen-{generation}")
             with self.tracer.span("refresh.persist",
-                                  generation=generation) as persist_span:
-                # save_model over the same gen-<N>/ is an atomic
-                # re-save, so a failed attempt is safe to repeat
-                # (``model`` is rebound only once one succeeds).
-                model = await loop.run_in_executor(
-                    None, attempt(lambda: load_model(
-                        save_model(model, artifact))))
-        except RetriesExhausted as exc:
-            # Nothing was deployed: the pipeline and every target
-            # still serve the previous generation.
-            return exhausted(
-                "persist", exc,
-                construct_seconds + persist_span.duration_s, model)
-        # construct_seconds has always folded persist time in; the
-        # trace keeps the two spans distinct.
-        construct_seconds += persist_span.duration_s
+                                  generation=generation) as spans["persist"]:
+                model = await off_loop(
+                    lambda: load_model(save_model(model, path)))
+            artifact = path
 
-        # Batch first: the fresh catalog-wide table must be promoted
-        # before the NRT edge starts writing new-model windows on top.
-        try:
+            # Batch first: the fresh catalog-wide table must be promoted
+            # before the NRT edge starts writing new-model windows on
+            # top.  full_load re-infers the whole catalog and promotes
+            # its table atomically, so re-running a failed attempt is
+            # safe.
             with self.tracer.span("refresh.load",
-                                  generation=generation) as load_span:
+                                  generation=generation) as spans["load"]:
                 self.pipeline.refresh_model(model, generation=generation)
                 request_list = list(requests)
-                # full_load re-infers the whole catalog and promotes its
-                # table atomically, so re-running a failed attempt is
-                # safe.
-                report = await loop.run_in_executor(
-                    None,
-                    attempt(lambda: self.pipeline.full_load(request_list)))
+                loaded = await off_loop(
+                    lambda: self.pipeline.full_load(request_list))
+
+            with self.tracer.span("refresh.swap", generation=generation,
+                                  n_targets=len(self._targets)
+                                  ) as spans["swap"]:
+                for target in self._targets:
+                    result = target.refresh_model(model,
+                                                  generation=generation)
+                    if inspect.isawaitable(result):
+                        await result
+            failure = None
         except RetriesExhausted as exc:
-            return exhausted("batch load", exc, construct_seconds, model,
-                             load_seconds=load_span.duration_s,
-                             artifact_path=artifact)
+            # The last span opened is dead for today: record the miss.
+            step = list(spans)[-1]
+            failure = (f"{'batch load' if step == 'load' else step} "
+                       f"exhausted {exc.attempts} attempts: "
+                       f"{exc.__cause__!r}")
+        except Exception:
+            self._finish(len(retried))
+            raise
 
-        with self.tracer.span("refresh.swap", generation=generation,
-                              n_targets=len(self._targets)) as swap_span:
-            for target in self._targets:
-                result = target.refresh_model(model,
-                                              generation=generation)
-                if inspect.isawaitable(result):
-                    await result
-
-        return self._finish(RefreshReport(
+        took = {step: span.duration_s for step, span in spans.items()}
+        report = RefreshReport(
             generation=generation,
-            n_leaves=model.n_leaves,
-            n_keyphrases=model.n_keyphrases,
-            n_inferred=report.n_inferred,
-            n_served=report.n_served,
+            n_leaves=0 if model is None else model.n_leaves,
+            n_keyphrases=0 if model is None else model.n_keyphrases,
+            n_inferred=0 if loaded is None else loaded.n_inferred,
+            n_served=0 if loaded is None else loaded.n_served,
             n_targets=len(self._targets),
-            construct_seconds=construct_seconds,
-            load_seconds=load_span.duration_s,
-            swap_seconds=swap_span.duration_s,
+            construct_seconds=(took.get("construct", 0.0)
+                               + took.get("persist", 0.0)),
+            load_seconds=took.get("load", 0.0),
+            swap_seconds=took.get("swap", 0.0),
             artifact_path=artifact,
-            n_retries=n_retries))
+            n_retries=len(retried),
+            failure=failure)
+        self._finish(len(retried), report)
+        return report
 
-    def _finish(self, report: RefreshReport) -> RefreshReport:
+    def _finish(self, n_retries: int,
+                report: Optional[RefreshReport] = None) -> None:
         """Fold one refresh's outcome into the metrics registry.
 
-        Every :meth:`refresh` exit — success or recorded failure —
-        passes through here, so the ``refresh.*`` series and the
-        returned reports always agree."""
+        Every :meth:`refresh` exit passes through here, a raised one
+        with no report; only a report without a failure moves the
+        ``refresh.generation`` gauge."""
         metrics = self.metrics
         metrics.inc("refresh.runs")
-        if report.failure is not None:
+        if report is None or report.failure is not None:
             metrics.inc("refresh.failures")
-        if report.n_retries:
-            metrics.inc("refresh.retries", report.n_retries)
-        metrics.observe("refresh.construct_seconds",
-                        report.construct_seconds)
-        metrics.observe("refresh.load_seconds", report.load_seconds)
-        metrics.observe("refresh.swap_seconds", report.swap_seconds)
-        metrics.gauge("refresh.generation", float(report.generation))
-        return report
+        if n_retries:
+            metrics.inc("refresh.retries", n_retries)
+        if report is not None:
+            metrics.observe("refresh.construct_seconds",
+                            report.construct_seconds)
+            metrics.observe("refresh.load_seconds", report.load_seconds)
+            metrics.observe("refresh.swap_seconds", report.swap_seconds)
+            if report.failure is None:
+                metrics.gauge("refresh.generation", float(report.generation))
 
     def refresh_sync(self, curated: CuratedKeyphrases,
                      requests: Sequence[InferenceRequest]

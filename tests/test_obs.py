@@ -65,6 +65,13 @@ class TestRegistryBasics:
         hist = registry.snapshot()["histograms"]["lat"]
         assert hist["counts"] == [1, 1, 0, 1]
         assert hist["count"] == 3
+        # A value lands in the first bucket whose bound is >= it: on a
+        # bound, between bounds, zero, negative (clamped to zero), and
+        # just past the last bound (overflow).
+        for value in (0.01, 0.1, 1.0, 0.05, 0.5, 0.0, -1.0, 1.0 + 1e-9):
+            registry.observe("edges", value)
+        assert registry.snapshot()["histograms"]["edges"]["counts"] \
+            == [3, 2, 2, 1]
 
     def test_timer_records_a_duration(self):
         registry = MetricsRegistry()

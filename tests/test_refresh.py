@@ -588,6 +588,154 @@ class TestRefreshRetries:
             orchestrator.refresh_sync(build_fig3_curated(), REQUESTS)
 
 
+class TestReportTimingsAreSpanViews:
+    """The ``RefreshReport`` contract: its ``*_seconds`` fields, the
+    trace and the ``refresh.*_seconds`` histograms are three views of
+    one set of spans, on success and on every step's exhaustion."""
+
+    STEPS = ["construct", "persist", "load", "swap"]
+
+    @staticmethod
+    def break_step(step, monkeypatch, pipeline):
+        """Make ``step`` fail on every attempt (``None``: break
+        nothing)."""
+        from repro.core.model import GraphExModel
+        from repro.serving import refresh
+
+        def down(*args, **kwargs):
+            raise OSError(f"{step} down all day")
+
+        if step == "construct":
+            monkeypatch.setattr(GraphExModel, "construct", down)
+        elif step == "persist":
+            monkeypatch.setattr(refresh, "save_model", down)
+        elif step == "load":
+            monkeypatch.setattr(pipeline.store, "bulk_load", down)
+
+    @pytest.mark.parametrize("failed", [None, "construct", "persist",
+                                        "load"])
+    def test_report_trace_and_histograms_agree(self, failed, fig3_model,
+                                               monkeypatch, tmp_path):
+        from repro.obs import TICKS_PER_SECOND
+
+        pipeline = BatchPipeline(fig3_model)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts",
+            retry=TestRefreshRetries.make_policy(max_attempts=2))
+        orchestrator.register(NRTService(fig3_model, pipeline.store,
+                                         window_size=1))
+        self.break_step(failed, monkeypatch, pipeline)
+        report = orchestrator.refresh_sync(build_fig3_variant_curated(),
+                                           REQUESTS)
+
+        ran = self.STEPS if failed is None \
+            else self.STEPS[:self.STEPS.index(failed) + 1]
+        spans = orchestrator.tracer.spans()
+        assert [span.name for span in spans] \
+            == [f"refresh.{step}" for step in ran]
+        for span in spans:
+            expected_error = "RetriesExhausted" \
+                if span.name == f"refresh.{failed}" else None
+            assert span.meta.get("error") == expected_error
+
+        def seconds(*steps):
+            return sum(span.duration_s for span in spans
+                       if span.name in {f"refresh.{s}" for s in steps})
+
+        assert (failed is None) == (report.failure is None)
+        if failed is not None:
+            step = "batch load" if failed == "load" else failed
+            assert report.failure.startswith(f"{step} exhausted 2 attempts")
+        assert report.construct_seconds == seconds("construct", "persist")
+        assert report.load_seconds == seconds("load")
+        assert report.swap_seconds == seconds("swap")
+        histograms = orchestrator.metrics.snapshot()["histograms"]
+        for field in ("construct", "load", "swap"):
+            histogram = histograms[f"refresh.{field}_seconds"]
+            assert histogram["count"] == 1
+            assert histogram["sum_ticks"] == round(
+                getattr(report, f"{field}_seconds") * TICKS_PER_SECOND)
+
+
+class TestRefreshMetricsSayWhatRan:
+    """The ``refresh.*`` series count every refresh, raised ones too,
+    and the generation gauge names only what a refresh deployed."""
+
+    def test_a_raised_refresh_is_counted(self, fig3_model, monkeypatch,
+                                         tmp_path):
+        """With no retry policy a failing step propagates, and is
+        counted as a run and a failure on its way out."""
+        from repro.core.model import GraphExModel
+
+        def doomed(curated, **kwargs):
+            raise RuntimeError("builder down")
+
+        monkeypatch.setattr(GraphExModel, "construct", doomed)
+        orchestrator = DailyRefreshOrchestrator(
+            BatchPipeline(fig3_model), artifact_dir=tmp_path / "artifacts")
+        with pytest.raises(RuntimeError, match="builder down"):
+            orchestrator.refresh_sync(build_fig3_curated(), REQUESTS)
+        assert orchestrator.metrics.snapshot()["counters"] \
+            == {"refresh.runs": 1, "refresh.failures": 1}
+        (span,) = orchestrator.tracer.spans()
+        assert (span.name, span.meta) \
+            == ("refresh.construct", {"error": "RuntimeError"})
+
+    def test_a_raising_target_counts_the_retries_before_it(
+            self, fig3_model, monkeypatch, tmp_path):
+        """Under a retry policy, a target whose swap raises propagates
+        too, counted with the retry an earlier step took."""
+        from repro.core.model import GraphExModel
+        real = GraphExModel.construct.__func__
+        calls = []
+
+        def flaky(curated, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("transient builder outage")
+            return real(GraphExModel, curated, **kwargs)
+
+        class BrokenTarget:
+            model_generation = 0
+
+            def refresh_model(self, model, generation=None):
+                raise RuntimeError("target unreachable")
+
+        monkeypatch.setattr(GraphExModel, "construct", flaky)
+        orchestrator = DailyRefreshOrchestrator(
+            BatchPipeline(fig3_model), artifact_dir=tmp_path / "artifacts",
+            retry=TestRefreshRetries.make_policy())
+        orchestrator.register(BrokenTarget())
+        with pytest.raises(RuntimeError, match="target unreachable"):
+            orchestrator.refresh_sync(build_fig3_curated(), REQUESTS)
+        counters = orchestrator.metrics.snapshot()["counters"]
+        assert {name: n for name, n in counters.items()
+                if name.startswith("refresh.")} \
+            == {"refresh.runs": 1, "refresh.failures": 1,
+                "refresh.retries": 1}
+        assert orchestrator.metrics.gauge_value("refresh.generation") \
+            is None
+
+    def test_the_generation_gauge_names_a_deployed_generation(
+            self, fig3_model, monkeypatch, tmp_path):
+        """Generation 2 is burned by a persist that exhausts its
+        attempts, but never deployed: the gauge stays on 1."""
+        pipeline = BatchPipeline(fig3_model)
+        orchestrator = DailyRefreshOrchestrator(
+            pipeline, artifact_dir=tmp_path / "artifacts",
+            retry=TestRefreshRetries.make_policy(max_attempts=2))
+        assert orchestrator.refresh_sync(build_fig3_curated(),
+                                         REQUESTS).failure is None
+        assert orchestrator.metrics.gauge_value("refresh.generation") == 1.0
+        TestRefreshRetries.fail_fsync(monkeypatch, 2)
+        report = orchestrator.refresh_sync(build_fig3_variant_curated(),
+                                           REQUESTS)
+        assert "persist exhausted 2 attempts" in report.failure
+        assert report.generation == 2 == orchestrator.generation
+        assert pipeline.model_generation == 1
+        assert orchestrator.metrics.gauge_value("refresh.generation") == 1.0
+
+
 class TestRefreshClusterDeploy:
     """A fleet-backed pipeline or target is refreshed like any other:
     it takes the day's mapped open, and its fleet opens the artifact by
