@@ -40,7 +40,7 @@ CURATION = CurationConfig(min_search_count=4, min_keyphrases=200,
                           floor_search_count=2)
 
 
-async def main_async() -> None:
+async def main_async(artifact_root: str) -> None:
     dataset = generate_dataset(TINY_PROFILE)
     simulator = SessionSimulator(dataset.catalog, dataset.queries, seed=7)
     requests = [(it.item_id, it.title, it.leaf_id)
@@ -72,7 +72,6 @@ async def main_async() -> None:
     # artifact_dir: each refresh persists a model artifact and
     # deploys its *memory-mapped* open, so the pipeline and every
     # stream share one physical model copy (swap = remap, not reload).
-    artifact_root = tempfile.mkdtemp(prefix="graphex-daily-")
     # Each day's model builds in this process (a fleet build measured
     # slower at every scale); every build's leaf timings land in one
     # registry (orchestrator.metrics).
@@ -119,7 +118,10 @@ async def main_async() -> None:
 
 
 def main() -> None:
-    asyncio.run(main_async())
+    # Every day's artifact lands here; the directory goes once the
+    # front has stopped.
+    with tempfile.TemporaryDirectory(prefix="graphex-daily-") as root:
+        asyncio.run(main_async(root))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
 """Legacy shim so `pip install -e .` works without the `wheel` package."""
 from setuptools import setup
 
-setup()
+setup(python_requires=">=3.11")

@@ -25,6 +25,8 @@ __all__ = ["RemovedSpellingRule", "REMOVED"]
 #: *where* is a regex for the start of ``module:Class.function.``.
 NOWHERE = "(?!)"
 REMOVED = [
+    ("_get_with_depth get_event_loop", NOWHERE,
+     "the 3.11 floor (the consumer's timed get runs in its own task)"),
     ("event_retained _submit_batch", NOWHERE,
      "one consumer loop (a drained batch is one _hand_off)"),
     ("Vocabulary from_interned", NOWHERE,

@@ -302,7 +302,7 @@ class ClusterCoordinator:
             try:
                 await asyncio.wait_for(self._registered.wait_for(
                     lambda: self.n_live() >= n), timeout)
-            except asyncio.TimeoutError:
+            except TimeoutError:
                 raise ClusterError(
                     f"only {self.n_live()} of {n} workers registered "
                     f"within {timeout}s") from None
@@ -317,7 +317,7 @@ class ClusterCoordinator:
         transport = Transport(reader, writer)
         try:
             hello = await asyncio.wait_for(transport.recv(), timeout=30.0)
-        except (TransportClosed, asyncio.TimeoutError):
+        except (TransportClosed, TimeoutError):
             transport.close()
             return
         except FrameError as exc:
@@ -506,7 +506,7 @@ class ClusterCoordinator:
     async def _request(self, link: _Link, message: dict) -> dict:
         request_id = next(self._rpc_counter)
         future: "asyncio.Future[dict]" = \
-            asyncio.get_event_loop().create_future()
+            asyncio.get_running_loop().create_future()
         self._rpc_waiters[request_id] = future
         try:
             await link.transport.send({**message,
@@ -538,7 +538,7 @@ class ClusterCoordinator:
             if model is None:
                 # The open reads disk; off-loop (async-no-blocking).
                 # Jobs run one at a time: no other open of the key races.
-                model = await asyncio.get_event_loop().run_in_executor(
+                model = await asyncio.get_running_loop().run_in_executor(
                     None, open_model, key)
                 self._model_cache = {key: model}
         if model.artifact_dir is None:
@@ -637,7 +637,7 @@ class ClusterCoordinator:
                 reply = await self._request(
                     link, {"type": "deploy_model",
                            "model_path": str(directory)})
-            except (TransportClosed, asyncio.TimeoutError, OSError):
+            except (TransportClosed, TimeoutError, OSError):
                 await self._apply(self._drop(link))
                 continue
             if reply.get("type") == "deployed":

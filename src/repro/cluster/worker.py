@@ -226,7 +226,7 @@ class ClusterWorker:
         try:
             # Compute off the event loop so heartbeats keep flowing
             # while a long shard runs — a busy host is not a dead host.
-            reply = await asyncio.get_event_loop().run_in_executor(
+            reply = await asyncio.get_running_loop().run_in_executor(
                 None, self._run_inference_shard, message)
         except Exception:
             await self._transport.send({
@@ -283,7 +283,7 @@ class ClusterWorker:
             # flowing while a large deploy materializes
             # (async-no-blocking).  Safe off-thread: the recv loop
             # handles one frame at a time, so the open is not raced.
-            await asyncio.get_event_loop().run_in_executor(
+            await asyncio.get_running_loop().run_in_executor(
                 None, self._open, message)
         except Exception:
             await self._transport.send({

@@ -40,7 +40,6 @@ import asyncio
 import tempfile
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from ..obs import MetricsRegistry, NullRegistry
@@ -294,7 +293,7 @@ class ClusterExecutor(Executor):
                 try:
                     registered.result(timeout=0.05)
                     break
-                except FutureTimeout:
+                except TimeoutError:
                     dead = [proc for proc in procs
                             if proc.poll() is not None]
                     if dead:

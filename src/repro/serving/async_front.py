@@ -78,13 +78,6 @@ from .nrt import ItemEvent, ModelSlot, NRTService, WindowStats
 _CLOSE = object()
 
 
-async def _get_with_depth(queue: "asyncio.Queue"):
-    """The queue's next item and the queue's depth just before the
-    get took it."""
-    item = await queue.get()
-    return item, queue.qsize() + 1
-
-
 @dataclass
 class StreamStats:
     """Observability snapshot of one stream.
@@ -454,10 +447,10 @@ class AsyncNRTFront:
         a fast producer costs one thread round-trip per *batch*, not
         per event.  The front's registry calls ride per batch too:
         ``front.submitted`` counts the drained events, and the
-        ``front.queue.depth`` gauge reads the depth the queue reached
-        before the drain.  This consumer is the queue's only getter, so
-        the queue only grows between two drains and the gauge's max is
-        ``n_queue_hwm``.
+        ``front.queue.depth`` gauge reads the depth the drain took, once,
+        right after the get.  This consumer is the queue's only getter,
+        so the queue only grows between two drains and the gauge's max
+        is ``n_queue_hwm``.
 
         Once the shutdown sentinel is drained the loop stops waiting
         and drains until the queue stays empty across a loop tick.  A
@@ -472,26 +465,25 @@ class AsyncNRTFront:
         closing = False
         while True:
             batch: List[ItemEvent] = []
-            depth = 0
             if not closing:
-                timeout = None
-                if stream.opened_wall is not None:
-                    timeout = max(0.0, self._wall_clock_seconds
-                                  - (loop.time() - stream.opened_wall))
+                deadline = (None if stream.opened_wall is None else
+                            stream.opened_wall + self._wall_clock_seconds)
                 try:
-                    event, depth = await asyncio.wait_for(
-                        _get_with_depth(stream.queue), timeout)
-                except asyncio.TimeoutError:
-                    # The wall-clock window expired with no event in
-                    # sight: this is exactly the flush the event-time-
-                    # only service cannot perform on its own.
+                    # A get from a non-empty queue never suspends, so a
+                    # timeout cannot stop it: an expired window flushes
+                    # before a queued event can join it.
+                    if deadline is not None and loop.time() >= deadline:
+                        raise TimeoutError
+                    async with asyncio.timeout_at(deadline):
+                        batch.append(await stream.queue.get())
+                except TimeoutError:
+                    # The wall-clock window expired: exactly the flush
+                    # the event-time-only service cannot perform itself.
                     await self._flush(stream)
                     continue
-                batch.append(event)
-            # A timed wait_for runs the first get in a task of its own
-            # (before Python 3.12), so events can land between that get
-            # and this drain: the deeper of the two reads is the peak.
-            depth = max(depth, stream.queue.qsize())
+            # Nothing awaits between the get and the drain: this is the
+            # depth the drain takes (the shutdown sentinel included).
+            depth = len(batch) + stream.queue.qsize()
             while True:    # drain what is queued; each item is checked
                 if batch and batch[-1] is _CLOSE:
                     batch.pop()

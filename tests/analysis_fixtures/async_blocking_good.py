@@ -11,7 +11,7 @@ from repro.core.serialization import load_model
 
 async def handler(store, fut):
     await asyncio.sleep(0.1)               # awaited: non-blocking
-    loop = asyncio.get_event_loop()
+    loop = asyncio.get_running_loop()
     # Blocking work dispatched off-loop — function references as
     # arguments, never inline calls.
     payload = await loop.run_in_executor(None, _read_payload)

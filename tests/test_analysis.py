@@ -333,6 +333,34 @@ class TestNoMuteButton:
             ("repro.serving.async_front", 6, "next_generation"),
             ("repro.serving.nrt", 1, "next_generation")]
 
+    def test_removed_spelling_pins_the_311_floor(self):
+        """``_get_with_depth`` and ``get_event_loop`` fire anywhere: the
+        consumer's timed get runs in its own task, and a coroutine asks
+        for the running loop; ``get_running_loop`` and the builtin
+        ``TimeoutError`` stay free, as does the word in a comment."""
+        front = ("import asyncio\n"
+                 "\n"
+                 "\n"
+                 "async def _get_with_depth(queue):\n"
+                 "    return await queue.get(), queue.qsize() + 1\n")
+        worker = ("import asyncio\n"
+                  "\n"
+                  "\n"
+                  "async def run(job):\n"
+                  "    # not get_event_loop: the running one\n"
+                  "    loop = asyncio.get_running_loop()\n"
+                  "    try:\n"
+                  "        return await loop.run_in_executor(None, job)\n"
+                  "    except TimeoutError:\n"
+                  "        return asyncio.get_event_loop()\n")
+        report = lint_sources({"repro.serving.async_front": front,
+                               "repro.cluster.worker": worker})
+        assert sorted((v.module, v.line, v.message.split()[2])
+                      for v in report.violations
+                      if v.rule == "removed-spelling") == [
+            ("repro.cluster.worker", 10, "get_event_loop"),
+            ("repro.serving.async_front", 4, "_get_with_depth")]
+
     def test_removed_spelling_pins_the_vocabulary_wrapper(self):
         """``Vocabulary`` and ``from_interned`` fire anywhere: a graph's
         vocabulary is a plain dict, and the word in prose stays free."""

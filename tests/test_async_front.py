@@ -1403,18 +1403,22 @@ class TestQueueHighWaterMark:
 
 
 class SpyRegistry(MetricsRegistry):
-    """A registry that also lists every recording call it receives."""
+    """A registry that also lists every recording call it receives, and
+    the value of every count and gauge call."""
 
     def __init__(self) -> None:
         super().__init__()
         self.calls = []
+        self.values = []
 
     def inc(self, name, n=1, **labels):
         self.calls.append(("inc", name))
+        self.values.append((name, n))
         super().inc(name, n, **labels)
 
     def gauge(self, name, value, **labels):
         self.calls.append(("gauge", name))
+        self.values.append((name, value))
         super().gauge(name, value, **labels)
 
     def observe(self, name, seconds, **labels):
@@ -1554,3 +1558,62 @@ class TestFrontMetricsMatchStats:
             assert metrics.counter_value("front.flush.failures",
                                          stream=name) \
                 == view.n_flush_failures
+
+
+def test_each_drain_gauges_the_events_it_took(fig3_model):
+    """With a window open, the consumer's first get runs under the
+    wall-clock timer; each drain's ``front.queue.depth`` is still the
+    number of events it took (its ``front.submitted``), even when an
+    event lands one loop tick after the first."""
+    spy = SpyRegistry()
+
+    async def drive():
+        front = AsyncNRTFront(fig3_model, window_size=100,
+                              window_seconds=1000.0,
+                              wall_clock_seconds=30.0, metrics=spy)
+        front.add_stream("s")
+        async with front:
+            await front.submit("s", make_event(0, 0.0))
+            await front.join()
+            assert front.stats("s").n_pending == 1     # a window is open
+            await front.submit("s", make_event(1, 0.01))
+            await asyncio.sleep(0)
+            await front.submit("s", make_event(2, 0.02))
+            await front.join()
+            readings = [value for name, value in spy.values
+                        if name in ("front.submitted", "front.queue.depth")]
+        return readings
+
+    readings = asyncio.run(drive())
+    drains = list(zip(readings[::2], readings[1::2]))
+    assert sum(taken for taken, _ in drains) == 3
+    assert all(depth == taken for taken, depth in drains), drains
+
+
+def test_an_expired_window_flushes_before_a_queued_event_joins_it(
+        fig3_model):
+    """Event 0 opens a 0.05 s wall-clock window; while the lane is held
+    for 0.2 s, event 1 is handed off (it joins the window) and event 2
+    queues.  By the time the lane frees, the window has expired: it is
+    flushed with events 0 and 1, and event 2 opens the next one rather
+    than riding along in the expired one."""
+
+    async def drive():
+        front = AsyncNRTFront(fig3_model, window_size=100,
+                              window_seconds=1000.0,
+                              wall_clock_seconds=0.05)
+        front.add_stream("s")
+        async with front:
+            await front.submit("s", make_event(0, 0.0))
+            await front.join()
+            hold = asyncio.create_task(front._on_lane(time.sleep, 0.2))
+            await asyncio.sleep(0)
+            await front.submit("s", make_event(1, 0.01))
+            # The consumer takes event 1; its hand-off waits on the lane.
+            await asyncio.sleep(0.01)
+            await front.submit("s", make_event(2, 0.02))
+            await hold
+        return front
+
+    front = asyncio.run(drive())
+    assert [w.n_events for w in front.processed_windows("s")] == [2, 1]
